@@ -186,13 +186,14 @@ fn run(quick: bool, check_path: Option<String>) -> i32 {
             }
         };
         let probe_parallel = probe.parallel.as_ref().expect("probe ran in parallel mode");
-        let budget = probe_parallel.merge_peak_entries + probe_parallel.max_task_peak_entries;
+        let budget =
+            probe_parallel.cut.merge_peak_entries + probe_parallel.cut.max_task_peak_entries;
         println!(
             "  budget {budget} entries (merge peak {} + largest task {}), \
              sequential MinMemory peak {}",
-            probe_parallel.merge_peak_entries,
-            probe_parallel.max_task_peak_entries,
-            probe_parallel.sequential_peak_entries
+            probe_parallel.cut.merge_peak_entries,
+            probe_parallel.cut.max_task_peak_entries,
+            probe_parallel.cut.sequential_peak_entries
         );
 
         let mut baseline: Option<(f64, Vec<f64>, f64)> = None; // (wall, tasks, merge)
@@ -231,11 +232,14 @@ fn run(quick: bool, check_path: Option<String>) -> i32 {
                 speedup_wall: base_wall / parallel_report.wall_seconds,
                 speedup_modeled: modeled_serial / modeled,
                 measured_peak_entries: parallel_report.measured_peak_entries,
-                budget_entries: parallel_report.budget_entries.expect("budget configured"),
-                sequential_peak_entries: parallel_report.sequential_peak_entries,
-                subtree_count: parallel_report.subtree_count,
-                above_cut_nodes: parallel_report.above_cut_nodes,
-                oversized_tasks: parallel_report.oversized_tasks,
+                budget_entries: parallel_report
+                    .cut
+                    .budget_entries
+                    .expect("budget configured"),
+                sequential_peak_entries: parallel_report.cut.sequential_peak_entries,
+                subtree_count: parallel_report.cut.subtree_count,
+                above_cut_nodes: parallel_report.cut.above_cut_nodes,
+                oversized_tasks: parallel_report.cut.oversized_tasks,
                 forced_admissions: parallel_report.forced_admissions,
                 merge_seconds: parallel_report.merge_seconds,
                 critical_path_seconds: parallel_report.critical_path_seconds,

@@ -87,11 +87,19 @@ impl std::error::Error for ContributeError {}
 /// Why [`Job::wait_for_completion`] gave up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitError {
-    /// The caller's timeout elapsed before every task completed.
+    /// The job stalled: no claim, contribution or requeue for two lease
+    /// periods, so no live worker is attached.
     TimedOut,
     /// The caller's cancel token fired.
     Cancelled,
 }
+
+/// How many lease periods without any job activity mean "no live worker".
+/// One period is not enough — a healthy worker may hold a lease that long
+/// in silence — but a held lease always ends in a contribution or a requeue
+/// within one period, so two silent periods cannot happen while anyone is
+/// working on the job.
+const STALL_LEASE_PERIODS: u64 = 2;
 
 #[derive(Debug)]
 enum Phase {
@@ -120,6 +128,9 @@ struct JobState {
     contribution_bytes: u64,
     /// Per-worker busy seconds, in first-claim order for this job.
     worker_busy: Vec<(String, f64)>,
+    /// Monotonic instant of the last claim, accepted contribution or
+    /// requeue — the stall clock of [`Job::wait_for_completion`].
+    last_activity_ms: u64,
 }
 
 impl JobState {
@@ -135,6 +146,7 @@ impl JobState {
                     ledger.finish_task(task.peak, 0);
                     self.lease_expiries += 1;
                     self.requeued += 1;
+                    self.last_activity_ms = now_ms;
                     bump(&stats.lease_expiries);
                     bump(&stats.tasks_requeued);
                 }
@@ -212,6 +224,7 @@ impl Job {
             order: task.order.clone(),
         };
         state.claimed += 1;
+        state.last_activity_ms = now_ms;
         if !state.worker_busy.iter().any(|(name, _)| name == worker) {
             state.worker_busy.push((worker.to_string(), 0.0));
         }
@@ -228,10 +241,11 @@ impl Job {
         contribution: Contribution,
         frame_bytes: u64,
     ) -> Result<(), ContributeError> {
+        let now_ms = monotonic_millis();
         let mut state = self.lock();
         // Reap first so a contribution racing its own expired lease is
         // consistently judged stale rather than winning the race.
-        state.reap_expired(monotonic_millis(), &self.ledger, &self.stats);
+        state.reap_expired(now_ms, &self.ledger, &self.stats);
         let task_count = state.tasks.len();
         let task = state
             .tasks
@@ -260,6 +274,7 @@ impl Job {
         task.phase = Phase::Done;
         task.parts = Some(contribution.parts);
         state.completed += 1;
+        state.last_activity_ms = now_ms;
         state.contribution_bytes += frame_bytes;
         if let Some(slot) = state
             .worker_busy
@@ -288,28 +303,39 @@ impl Job {
     /// leases while waiting so dead workers' tasks go back on the queue.
     /// Returns the parts in task order plus the runtime half of the
     /// distributed report, and releases the retained ledger reservations.
+    ///
+    /// The wait is bounded by the job's own lease: after two lease periods
+    /// without a claim, contribution or requeue nobody is working on the
+    /// job (see `STALL_LEASE_PERIODS`), and the wait gives up with
+    /// [`WaitError::TimedOut`] instead of parking the caller forever.  A job
+    /// that progresses — however slowly — never trips it.  On either error
+    /// the job is retired: its ledger reservations are released and its
+    /// tasks stop being claimable.
     pub fn wait_for_completion(
         &self,
-        timeout_ms: Option<u64>,
         cancel: Option<&CancelToken>,
     ) -> Result<(Vec<SubtreeParts>, DistributedRuntime), WaitError> {
-        let wait_started = monotonic_millis();
         // Wake often enough to reap leases promptly, but at least every
         // 50ms so cancellation stays responsive.
         let tick = std::time::Duration::from_millis((self.lease_ms / 4).clamp(5, 50));
+        let stall_ms = self.lease_ms.saturating_mul(STALL_LEASE_PERIODS);
         let mut state = self.lock();
         loop {
-            state.reap_expired(monotonic_millis(), &self.ledger, &self.stats);
+            let now_ms = monotonic_millis();
+            state.reap_expired(now_ms, &self.ledger, &self.stats);
             if state.completed == state.tasks.len() {
                 break;
             }
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(WaitError::Cancelled);
-            }
-            if let Some(limit) = timeout_ms {
-                if monotonic_millis().saturating_sub(wait_started) >= limit {
-                    return Err(WaitError::TimedOut);
-                }
+            let gave_up = if cancel.is_some_and(CancelToken::is_cancelled) {
+                Some(WaitError::Cancelled)
+            } else if now_ms.saturating_sub(state.last_activity_ms) >= stall_ms {
+                Some(WaitError::TimedOut)
+            } else {
+                None
+            };
+            if let Some(error) = gave_up {
+                self.retire(&mut state);
+                return Err(error);
             }
             let (next, _) = self.progress.wait_timeout(state, tick);
             state = next;
@@ -337,6 +363,25 @@ impl Job {
         drop(state);
         self.ledger.release_retained(retained);
         Ok((parts, runtime))
+    }
+
+    /// Give up on the job: release every reservation it still holds (the
+    /// peaks of leased tasks, the retained blocks of finished ones), drop
+    /// the collected parts, and mark every task done so nothing is claimable
+    /// and late contributions are fenced like duplicates.
+    fn retire(&self, state: &mut JobState) {
+        let mut retained = 0u64;
+        for task in &mut state.tasks {
+            if matches!(task.phase, Phase::Leased { .. }) {
+                self.ledger.finish_task(task.peak, 0);
+            }
+            if let Some(parts) = task.parts.take() {
+                retained += parts.block_entries;
+            }
+            task.phase = Phase::Done;
+        }
+        state.completed = state.tasks.len();
+        self.ledger.release_retained(retained);
     }
 
     /// Render progress as the `/internal/job/{id}` JSON document.
@@ -407,6 +452,7 @@ impl JobRegistry {
                 parts: None,
             })
             .collect();
+        let started_ms = monotonic_millis();
         let job = Arc::new(Job {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             config_json: spec.config_json,
@@ -415,12 +461,13 @@ impl JobRegistry {
             state: TrackedMutex::new(
                 JobState {
                     tasks,
+                    last_activity_ms: started_ms,
                     ..JobState::default()
                 },
                 "job.state",
             ),
             progress: TrackedCondvar::new(),
-            started_ms: monotonic_millis(),
+            started_ms,
             stats: Arc::clone(&self.stats),
         });
         self.jobs.lock().push(Arc::clone(&job));
@@ -541,7 +588,7 @@ mod tests {
         let (contribution, bytes) = contribution_from(&second, "w-b", 2);
         registry.contribute(contribution, bytes).unwrap();
 
-        let (parts, runtime) = job.wait_for_completion(Some(1_000), None).unwrap();
+        let (parts, runtime) = job.wait_for_completion(None).unwrap();
         assert_eq!(parts.len(), 2);
         assert_eq!(runtime.workers, 2);
         assert_eq!(runtime.lease_expiries, 0);
@@ -589,7 +636,7 @@ mod tests {
             Err(ContributeError::AlreadyDone)
         );
 
-        let (_, runtime) = job.wait_for_completion(Some(1_000), None).unwrap();
+        let (_, runtime) = job.wait_for_completion(None).unwrap();
         assert_eq!(runtime.lease_expiries, 1);
         assert_eq!(runtime.tasks_requeued, 1);
         let snapshot = registry.stats().snapshot();
@@ -620,23 +667,79 @@ mod tests {
         assert_eq!(second.task, 1);
         let (contribution, bytes) = contribution_for(&second, 0);
         registry.contribute(contribution, bytes).unwrap();
-        job.wait_for_completion(Some(1_000), None).unwrap();
+        job.wait_for_completion(None).unwrap();
     }
 
     #[test]
     fn waits_time_out_and_cancel_cleanly() {
         let registry = registry();
-        let job = registry.register(spec(vec![vec![0]], vec![1], None));
+        // Nobody ever claims: the wait gives up after two 15 ms lease
+        // periods instead of parking the caller forever.
+        let job = registry.register(JobSpec {
+            lease_ms: 15,
+            ..spec(vec![vec![0]], vec![1], None)
+        });
+        let started = std::time::Instant::now();
         assert!(matches!(
-            job.wait_for_completion(Some(30), None),
+            job.wait_for_completion(None),
             Err(WaitError::TimedOut)
         ));
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        // A retired job hands out nothing.
+        assert!(job.try_claim("w-late").is_none());
+        let job = registry.register(spec(vec![vec![0]], vec![1], None));
         let cancel = CancelToken::new();
         cancel.cancel();
         assert!(matches!(
-            job.wait_for_completion(None, Some(&cancel)),
+            job.wait_for_completion(Some(&cancel)),
             Err(WaitError::Cancelled)
         ));
+    }
+
+    #[test]
+    fn a_worker_that_dies_mid_job_leaves_no_reservation_behind() {
+        let registry = registry();
+        let job = registry.register(JobSpec {
+            lease_ms: 15,
+            ..spec(vec![vec![0], vec![1]], vec![8, 6], Some(100))
+        });
+        // One task finishes (retaining 4 entries of blocks), the other is
+        // claimed by a worker that then vanishes; nobody else ever polls.
+        let finished = job.try_claim("w-a").unwrap();
+        let (contribution, bytes) = contribution_for(&finished, 4);
+        registry.contribute(contribution, bytes).unwrap();
+        job.try_claim("w-dead").unwrap();
+        assert!(job.ledger.reserved() > 0);
+        assert!(matches!(
+            job.wait_for_completion(None),
+            Err(WaitError::TimedOut)
+        ));
+        assert_eq!(job.ledger.reserved(), 0);
+        let snapshot = registry.stats().snapshot();
+        assert_eq!(snapshot.lease_expiries, 1, "the dead lease was reaped once");
+    }
+
+    #[test]
+    fn slow_but_steady_progress_never_trips_the_stall_bound() {
+        let registry = registry();
+        // Five tasks at ~60 ms each take ~300 ms in total — longer than the
+        // 200 ms stall bound of a 100 ms lease — but every step is activity.
+        let job = registry.register(JobSpec {
+            lease_ms: 100,
+            ..spec((0..5).map(|task| vec![task]).collect(), vec![1; 5], None)
+        });
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while let Some(task) = job.try_claim("w-slow") {
+                    std::thread::sleep(std::time::Duration::from_millis(60));
+                    let (contribution, bytes) = contribution_from(&task, "w-slow", 0);
+                    registry.contribute(contribution, bytes).unwrap();
+                }
+            });
+            let (parts, runtime) = job.wait_for_completion(None).unwrap();
+            assert_eq!(parts.len(), 5);
+            assert_eq!(runtime.lease_expiries, 0);
+        });
     }
 
     #[test]

@@ -111,6 +111,19 @@ impl CancelToken {
         self.inner.started.elapsed()
     }
 
+    /// Run `body` with the stop probe the lower crates take — a closure
+    /// polling `cancel`, or `None` without a token.  The one place the
+    /// engine turns a token into an `Option<&dyn Fn() -> bool>`.
+    pub(crate) fn with_stop<T>(
+        cancel: Option<&CancelToken>,
+        body: impl FnOnce(Option<&dyn Fn() -> bool>) -> T,
+    ) -> T {
+        match cancel {
+            Some(token) => body(Some(&|| token.is_cancelled())),
+            None => body(None),
+        }
+    }
+
     /// Time left until the deadline (`None` when the token has no deadline;
     /// zero once it has passed).
     pub fn remaining(&self) -> Option<Duration> {

@@ -1124,5 +1124,33 @@ mod tests {
             EngineConfig::from_json(bad_kind),
             Err(ConfigParseError::Invalid(_))
         ));
+        // Two execution modes at once is a well-formed document — it parses
+        // and round-trips like any other — but no plan accepts it: the
+        // rejection lives with the rest of the semantic validation.
+        let ambiguous = EngineConfig::generated(ProblemKind::Grid2d, 100, 1)
+            .with_numeric(true)
+            .with_parallel(ParallelConfig::with_workers(2))
+            .with_distributed(DistributedConfig::with_tasks(2));
+        assert_eq!(
+            EngineConfig::from_json(&ambiguous.to_json()).unwrap(),
+            ambiguous
+        );
+        let engine = crate::Engine::new();
+        assert!(matches!(
+            engine.plan(&ambiguous),
+            Err(crate::EngineError::InvalidConfig(message)) if message.contains("mutually exclusive")
+        ));
+        // Each mode alone is fine, and so is overriding the parallel section
+        // per schedule — unless that recreates the ambiguity.
+        let sharded = ambiguous.clone().with_parallel(ParallelConfig::default());
+        let plan = engine.plan(&sharded).unwrap();
+        assert!(engine
+            .plan(&ambiguous.with_distributed(DistributedConfig::default()))
+            .is_ok());
+        let spec = crate::ScheduleSpec::default().parallel(ParallelConfig::with_workers(2));
+        assert!(matches!(
+            plan.schedule_with(&engine, spec),
+            Err(crate::EngineError::InvalidConfig(_))
+        ));
     }
 }

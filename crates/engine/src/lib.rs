@@ -62,7 +62,7 @@ pub use config::{
     ProblemSource, SolveConfig, SolveRhs,
 };
 pub use report::{
-    DistributedReport, NumericReport, ParallelReport, Report, SolveReport, StageTimings,
+    CutReport, DistributedReport, NumericReport, ParallelReport, Report, SolveReport, StageTimings,
 };
 pub use run::{
     DistributedCut, DistributedRuntime, Engine, EngineError, FactorHandle, Plan, Schedule,
@@ -78,7 +78,8 @@ pub mod prelude {
         ParallelConfig, ProblemSource, SolveConfig, SolveRhs,
     };
     pub use crate::report::{
-        DistributedReport, NumericReport, ParallelReport, Report, SolveReport, StageTimings,
+        CutReport, DistributedReport, NumericReport, ParallelReport, Report, SolveReport,
+        StageTimings,
     };
     pub use crate::run::{
         DistributedCut, DistributedRuntime, Engine, EngineError, FactorHandle, Plan, Schedule,

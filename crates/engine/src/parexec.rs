@@ -1,66 +1,81 @@
-//! The parallel numeric execution layer: proportional-mapping cut, a
-//! budget-aware work-stealing scheduler on the [`WorkerPool`], and the
-//! sequential merge phase above the cut.
+//! The numeric execution pipeline: proportional-mapping cut, subtree phase,
+//! sequential merge above the cut.  Every numeric run of the engine —
+//! sequential, thread-parallel, distributed — goes through [`execute_cut`];
+//! the modes differ only in *who runs the subtree tasks* ([`TaskRunner`]).
 //!
-//! The flow mirrors a production parallel multifrontal code:
+//! ```text
+//!  CutPlan::compute ──▶ subtree phase ──────────────▶ merge_and_assemble ──▶ report
+//!  (proportional_cut,    Inline     caller's thread    (above-cut columns,    (run.rs: one
+//!   static peaks,        Pool(w)    w threads, budget   tree order, caller's   `Report`
+//!   resolved budget)                gate, work stealing thread; assemble)      builder)
+//!                        Collected  worker processes
+//!                                   already did it
+//! ```
 //!
 //! 1. **Cut** — `treemem::partition::proportional_cut` splits the per-column
 //!    model tree into at most `max_tasks` work-balanced subtrees; the nodes
 //!    above the cut form the sequential merge set.  The cut depends only on
-//!    the tree and `max_tasks`, never on the worker count.
-//! 2. **Subtree phase** — `workers` pool threads drain a shared task queue,
-//!    largest task first.  Admission goes through the
-//!    [`BudgetLedger`](multifrontal::BudgetLedger): a worker reserves a
-//!    task's statically modeled peak before starting, takes a *smaller*
-//!    pending task when the largest would overshoot the shared budget,
-//!    blocks when nothing fits while other tasks run, and force-admits the
-//!    smallest candidate when the ledger is idle (so an undersized budget
-//!    degrades to sequential execution instead of deadlocking).  Every
-//!    worker factors its subtrees with a private
-//!    [`FrontArena`](multifrontal::FrontArena).
+//!    the tree and `max_tasks`, never on the worker count.  Sequential
+//!    execution is the one-task cut: the whole tree is one task and the merge
+//!    set is empty.
+//! 2. **Subtree phase** — [`TaskRunner::Inline`] runs the tasks one after
+//!    another on the caller's thread (no pool, no `parexec:task` fault
+//!    point).  [`TaskRunner::Pool`] drains a shared task queue from `workers`
+//!    threads, largest task first, with admission through the
+//!    [`BudgetLedger`]: a worker reserves a task's statically modeled peak
+//!    before starting, takes a *smaller* pending task when the largest would
+//!    overshoot the shared budget, blocks when nothing fits while other
+//!    tasks run, and force-admits the smallest candidate when the ledger is
+//!    idle (so an undersized budget degrades to sequential execution instead
+//!    of deadlocking).  [`TaskRunner::Collected`] carries what worker
+//!    processes computed via [`Plan::factor_subtree`](crate::Plan) — the
+//!    coordinator's job ledger gated their claims.
 //! 3. **Merge phase** — the caller's thread absorbs the finished tasks'
 //!    root contribution blocks and eliminates the above-cut columns in the
 //!    chosen traversal's order.
 //!
-//! The computed factor is bit-identical for every worker count (including
-//! the sequential path), because each front assembles its children blocks in
-//! tree order regardless of which worker produced them.
+//! Every column anywhere in the pipeline is eliminated by [`TaskContext::factor`],
+//! which reports live entries to the run's one ledger and polls the run's
+//! one cancellation token.  The computed factor is bit-identical across
+//! modes, worker counts and processes, because each front assembles its
+//! children blocks in tree order regardless of who produced them.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use multifrontal::parallel::{
     assemble_factor, factor_columns_with, modeled_peak_entries, BudgetLedger, ReserveSelection,
 };
 use multifrontal::{
-    CholeskyFactor, ContributionStore, FactorColumn, FactorizationError, FrontKernel,
+    CholeskyFactor, ContributionStore, FactorizationError, FrontArena, FrontKernel,
 };
+use treemem::faultinject::FaultSignal;
 use treemem::partition::{default_node_work, proportional_cut};
 use treemem::variants::bottom_up_peak;
 use treemem::Traversal;
 
 use crate::cancel::CancelToken;
-use crate::config::{BudgetShare, ParallelConfig};
-use crate::parallel::WorkerPool;
-use crate::report::ParallelReport;
-use crate::run::{EngineError, NumericModel};
+use crate::config::BudgetShare;
+use crate::report::CutReport;
+use crate::run::{cancelled, check, EngineError, NumericModel, SubtreeParts};
 
-/// The deterministic part of a parallel (or distributed) execution: the cut,
-/// the per-piece column orders, and the statically modeled memory peaks the
-/// budget ledger gates on.  Depends only on the plan, the traversal order,
-/// `max_tasks` and the budget share — never on worker counts or timing — so
-/// the in-process executor and the distributed coordinator derive the exact
-/// same task set from the same configuration.
+/// The deterministic part of a numeric execution: the cut, the per-piece
+/// column orders, and the statically modeled memory peaks the budget ledger
+/// gates on.  Depends only on the plan, the traversal order, `max_tasks` and
+/// the budget share — never on worker counts or timing — so the in-process
+/// runners and the distributed coordinator derive the exact same task set
+/// from the same configuration.
 pub(crate) struct CutPlan {
+    /// Cut granularity the partition was computed with.
+    pub max_tasks: usize,
     /// Bottom-up column order of each subtree task (largest work first).
     pub task_orders: Vec<Vec<usize>>,
     /// Statically modeled peak live entries of each task.
     pub task_peaks: Vec<u64>,
-    /// Entries each task retains (its pending root contribution blocks).
-    pub task_retained: Vec<u64>,
     /// Bottom-up column order of the sequential merge phase.
     pub merge_order: Vec<usize>,
-    /// Live entries already held when the merge starts (Σ task_retained).
+    /// Live entries already held when the merge starts: the root
+    /// contribution blocks every finished task retains.
     pub merge_initial: u64,
     /// Statically modeled peak of the merge phase (including the retained
     /// task root blocks).
@@ -96,14 +111,13 @@ impl CutPlan {
 
         // Static peaks: exact for this kernel, so reservations are tight.
         let mut task_peaks = Vec::with_capacity(task_orders.len());
-        let mut task_retained = Vec::with_capacity(task_orders.len());
+        let mut merge_initial = 0u64;
         for task_order in &task_orders {
             let (peak, retained) =
                 modeled_peak_entries(&counts, &parents, &children, task_order, 0);
             task_peaks.push(peak);
-            task_retained.push(retained);
+            merge_initial += retained;
         }
-        let merge_initial: u64 = task_retained.iter().sum();
         let (merge_peak, _) =
             modeled_peak_entries(&counts, &parents, &children, &merge_order, merge_initial);
 
@@ -115,9 +129,9 @@ impl CutPlan {
             None => 0,
         };
         Ok(CutPlan {
+            max_tasks,
             task_orders,
             task_peaks,
-            task_retained,
             merge_order,
             merge_initial,
             merge_peak,
@@ -126,33 +140,153 @@ impl CutPlan {
             oversized_tasks,
         })
     }
-}
 
-/// What one finished subtree task hands back to the orchestrator.
-struct TaskDone {
-    columns: Vec<FactorColumn>,
-    blocks: ContributionStore,
-    seconds: f64,
-}
-
-/// Why a subtree task did not finish.  Panics are caught per task: the
-/// `WorkerPool` would otherwise swallow the payload, leave the results slot
-/// empty and surface only a misleading secondary "task never ran" panic in
-/// the orchestrator.
-enum TaskFailure {
-    Factorization(FactorizationError),
-    Panic(String),
-}
-
-impl TaskFailure {
-    fn into_engine_error(self, task: usize) -> EngineError {
-        match self {
-            TaskFailure::Factorization(error) => EngineError::Factorization(error),
-            TaskFailure::Panic(message) => {
-                EngineError::Internal(format!("parallel subtree task {task} panicked: {message}"))
-            }
+    /// The cut as it appears in a report's `parallel` / `distributed`
+    /// section.
+    pub fn report(&self) -> CutReport {
+        CutReport {
+            max_tasks: self.max_tasks,
+            subtree_count: self.task_orders.len(),
+            above_cut_nodes: self.merge_order.len(),
+            sequential_peak_entries: self.sequential_peak,
+            budget_entries: self.budget_entries,
+            max_task_peak_entries: self.task_peaks.iter().copied().max().unwrap_or(0),
+            merge_peak_entries: self.merge_peak,
+            oversized_tasks: self.oversized_tasks,
         }
     }
+}
+
+/// Who runs the subtree tasks of a cut — the only thing the execution modes
+/// differ in.
+pub(crate) enum TaskRunner {
+    /// The caller's thread, one task after another.  Sequential execution
+    /// is this runner on the one-task cut.
+    Inline,
+    /// This many threads draining the task queue through the budget gate.
+    Pool(usize),
+    /// Worker processes already ran the tasks; these are their results, in
+    /// task order.
+    Collected(Vec<SubtreeParts>),
+}
+
+/// What [`execute_cut`] hands the report builder.
+pub(crate) struct Executed {
+    pub factor: CholeskyFactor,
+    /// High-water mark of live entries the ledger saw.
+    pub measured_peak_entries: u64,
+    /// Times the ledger force-admitted a task over budget.
+    pub forced_admissions: u64,
+    /// Wall-clock of the merge phase.
+    pub merge_seconds: f64,
+    /// Per-task wall-clock seconds, in task order (empty unless a pool ran).
+    pub task_seconds: Vec<f64>,
+    /// Busy seconds per pool worker (empty unless a pool ran).
+    pub worker_busy_seconds: Vec<f64>,
+}
+
+/// What every column elimination of one run shares: the problem, the run's
+/// ledger and the caller's cancellation token.
+pub(crate) struct TaskContext<'a> {
+    pub numeric: &'a NumericModel,
+    /// `numeric.structure.etree.children()`, computed once per run.
+    pub children: &'a [Vec<usize>],
+    pub ledger: &'a BudgetLedger,
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl TaskContext<'_> {
+    /// Eliminate the columns of `order` (one subtree task, or the merge
+    /// set fed by `blocks_in`) on the calling thread.  Live entries go to
+    /// the run's ledger; the token is polled every few dozen columns and a
+    /// fired one surfaces as the typed numeric-stage cancellation.
+    pub fn factor(
+        &self,
+        order: &[usize],
+        blocks_in: ContributionStore,
+        arena: &mut FrontArena,
+    ) -> Result<SubtreeParts, EngineError> {
+        CancelToken::with_stop(self.cancel, |stop| {
+            factor_columns_with(
+                &self.numeric.matrix,
+                &self.numeric.structure,
+                self.children,
+                order,
+                blocks_in,
+                self.ledger,
+                arena,
+                FrontKernel::default(),
+                stop,
+            )
+        })
+        .map_err(|err| match err {
+            FactorizationError::Cancelled => cancelled(self.cancel, "numeric"),
+            other => EngineError::Factorization(other),
+        })
+    }
+}
+
+/// Run the numeric factorization of `numeric` over `cut`: the subtree phase
+/// on `runner`, then the merge phase on the caller's thread; see the module
+/// docs.
+pub(crate) fn execute_cut(
+    numeric: &NumericModel,
+    cut: &CutPlan,
+    runner: TaskRunner,
+    cancel: Option<&CancelToken>,
+) -> Result<Executed, EngineError> {
+    let children = numeric.structure.etree.children();
+    let ledger = BudgetLedger::new(cut.budget_entries);
+    let ctx = TaskContext {
+        numeric,
+        children: &children,
+        ledger: &ledger,
+        cancel,
+    };
+    // Only a pool measures per-task and per-worker times.
+    let (parts, task_seconds, worker_busy_seconds) = match runner {
+        TaskRunner::Inline => (run_inline(&ctx, cut)?, Vec::new(), Vec::new()),
+        TaskRunner::Pool(workers) => {
+            let (done, worker_busy_seconds) = run_pool(&ctx, cut, workers)?;
+            let (parts, task_seconds) = done.into_iter().unzip();
+            (parts, task_seconds, worker_busy_seconds)
+        }
+        TaskRunner::Collected(parts) => {
+            if parts.len() != cut.task_orders.len() {
+                return Err(EngineError::Internal(format!(
+                    "distributed merge expected {} task contributions, got {}",
+                    cut.task_orders.len(),
+                    parts.len()
+                )));
+            }
+            // The cluster budget gated the *claims* (in the coordinator's
+            // job ledger); locally only the merge runs.  The coordinator
+            // physically holds the retained root blocks while the merge
+            // fronts come and go on top of them.
+            ledger.record_live(cut.merge_initial as i64);
+            (parts, Vec::new(), Vec::new())
+        }
+    };
+    let (factor, merge_seconds) = merge_and_assemble(&ctx, cut, parts)?;
+    Ok(Executed {
+        factor,
+        measured_peak_entries: ledger.measured_peak_entries(),
+        forced_admissions: ledger.forced_admissions(),
+        merge_seconds,
+        task_seconds,
+        worker_busy_seconds,
+    })
+}
+
+/// The inline subtree phase: every task on the caller's thread, in task
+/// order, sharing one arena.  No admission gate (nothing runs concurrently)
+/// and no `parexec:task` fault point (there is no task hand-off to lose).
+fn run_inline(ctx: &TaskContext<'_>, cut: &CutPlan) -> Result<Vec<SubtreeParts>, EngineError> {
+    let mut arena = FrontArena::new();
+    cut.task_orders
+        .iter()
+        .map(|order| ctx.factor(order, ContributionStore::new(), &mut arena))
+        .collect()
 }
 
 /// Render a `catch_unwind` payload (almost always a `&str` or `String`).
@@ -166,302 +300,205 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Everything the pool workers share.
-struct Shared {
-    numeric: Arc<NumericModel>,
-    children: Vec<Vec<usize>>,
-    task_orders: Vec<Vec<usize>>,
-    task_peaks: Vec<u64>,
+/// One finished pool task: its parts and its wall-clock seconds.
+type TaskDone = (SubtreeParts, f64);
+
+/// The pool workers' shared queue and result slots.
+struct PoolState {
     /// Remaining task ids, in admission-preference order (largest work
     /// first — the same order `partition.roots` uses).
     queue: Mutex<Vec<usize>>,
-    ledger: BudgetLedger,
-    results: Mutex<Vec<Option<Result<TaskDone, TaskFailure>>>>,
-    /// The dense elimination kernel every task (and the merge phase) runs.
-    /// One shared choice, per-worker arenas: the kernel never carries state,
-    /// so the bit-identical-across-worker-counts guarantee is untouched.
-    kernel: FrontKernel,
-    /// The caller's cancellation token, polled between tasks and (through
-    /// the stop probe) every few dozen columns inside one.
-    cancel: Option<CancelToken>,
+    /// One slot per task; a slot still empty after the pool drained means
+    /// the task was lost.
+    results: Mutex<Vec<Option<Result<TaskDone, EngineError>>>>,
 }
 
-impl Shared {
-    fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
+/// The pool subtree phase: `workers` threads drain the queue through the
+/// budget gate.  Returns the finished tasks in task order and each worker's
+/// busy seconds.
+fn run_pool(
+    ctx: &TaskContext<'_>,
+    cut: &CutPlan,
+    workers: usize,
+) -> Result<(Vec<TaskDone>, Vec<f64>), EngineError> {
+    let task_count = cut.task_orders.len();
+    let state = PoolState {
+        queue: Mutex::new((0..task_count).collect()),
+        results: Mutex::new((0..task_count).map(|_| None).collect()),
+    };
+    let joined: Vec<std::thread::Result<f64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1))
+            .map(|_| scope.spawn(|| worker_loop(ctx, cut, &state)))
+            .collect();
+        handles.into_iter().map(|handle| handle.join()).collect()
+    });
+    let worker_busy_seconds = joined
+        .into_iter()
+        .collect::<Result<Vec<f64>, _>>()
+        .map_err(|payload| {
+            EngineError::Internal(format!(
+                "parallel worker panicked: {}",
+                panic_message(payload)
+            ))
+        })?;
+    check(ctx.cancel, "numeric")?;
+    let results = state.results.into_inner().expect("results poisoned");
+    let done = results
+        .into_iter()
+        .enumerate()
+        .map(|(task, slot)| {
+            slot.ok_or_else(|| {
+                EngineError::Internal(format!("parallel subtree task {task} never ran"))
+            })?
+        })
+        .collect::<Result<Vec<TaskDone>, EngineError>>()?;
+    Ok((done, worker_busy_seconds))
 }
 
 /// One pool worker: drain the queue through the budget gate.  Returns this
 /// worker's busy seconds.
-fn worker_loop(shared: &Shared) -> f64 {
-    let mut arena = multifrontal::FrontArena::new();
+fn worker_loop(ctx: &TaskContext<'_>, cut: &CutPlan, state: &PoolState) -> f64 {
+    let mut arena = FrontArena::new();
     let mut busy = 0.0;
-    let probe;
-    let stop: Option<&dyn Fn() -> bool> = match &shared.cancel {
-        Some(token) => {
-            probe = move || token.is_cancelled();
-            Some(&probe)
-        }
-        None => None,
-    };
     loop {
         let task = loop {
-            if shared.is_cancelled() {
+            if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
                 // Wake (and drain) every worker blocked on the budget gate;
                 // the orchestrator reports the typed cancellation.
-                shared.ledger.cancel();
+                ctx.ledger.cancel();
                 return busy;
             }
-            let mut queue = shared.queue.lock().expect("parallel task queue poisoned");
+            let mut queue = state.queue.lock().expect("parallel task queue poisoned");
             if queue.is_empty() {
                 return busy;
             }
-            let amounts: Vec<u64> = queue.iter().map(|&t| shared.task_peaks[t]).collect();
-            match shared.ledger.select_and_reserve(&amounts) {
+            let amounts: Vec<u64> = queue.iter().map(|&t| cut.task_peaks[t]).collect();
+            match ctx.ledger.select_and_reserve(&amounts) {
                 ReserveSelection::Selected(index) => break queue.remove(index),
                 ReserveSelection::Blocked(generation) => {
                     drop(queue);
-                    if !shared.ledger.wait_past(generation) {
+                    if !ctx.ledger.wait_past(generation) {
                         // The ledger was cancelled while we were blocked.
                         return busy;
                     }
                 }
             }
         };
-        // Fault point "parexec:task".  The reservation is already held, so
-        // both the injected panic and the injected drop must release it —
-        // otherwise the chaos harness would wedge the budget gate instead of
-        // testing it.
-        match std::panic::catch_unwind(|| treemem::faultinject::fire("parexec:task")) {
-            Ok(treemem::faultinject::FaultSignal::Continue) => {}
-            Ok(treemem::faultinject::FaultSignal::Drop) => {
-                // Injected task loss: leave the result slot empty,
-                // exercising the orchestrator's "task never ran" path.
-                shared.ledger.finish_task(shared.task_peaks[task], 0);
-                continue;
-            }
-            Err(payload) => {
-                shared.ledger.finish_task(shared.task_peaks[task], 0);
-                shared.results.lock().expect("parallel results poisoned")[task] =
-                    Some(Err(TaskFailure::Panic(panic_message(payload))));
-                continue;
-            }
-        }
-        let started = Instant::now();
+        // Fault point "parexec:task" fires with the reservation already
+        // held, so the injected panic and the injected drop take the same
+        // exits as a real task failure — every one of them releases the
+        // reservation below, or the chaos harness would wedge the budget
+        // gate instead of testing it.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            factor_columns_with(
-                &shared.numeric.matrix,
-                &shared.numeric.structure,
-                &shared.children,
-                &shared.task_orders[task],
-                ContributionStore::new(),
-                &shared.ledger,
-                &mut arena,
-                shared.kernel,
-                stop,
-            )
+            if treemem::faultinject::fire("parexec:task") == FaultSignal::Drop {
+                return None;
+            }
+            let started = Instant::now();
+            let done = ctx.factor(&cut.task_orders[task], ContributionStore::new(), &mut arena);
+            Some((done, started.elapsed().as_secs_f64()))
         }));
-        let seconds = started.elapsed().as_secs_f64();
-        busy += seconds;
-        let stored = match outcome {
-            Ok(Ok(done)) => {
-                shared
-                    .ledger
-                    .finish_task(shared.task_peaks[task], done.block_entries);
-                Ok(TaskDone {
-                    columns: done.columns,
-                    blocks: done.blocks,
-                    seconds,
-                })
+        let (retained, result) = match outcome {
+            // Injected task loss: the slot stays empty, exercising the
+            // orchestrator's "task never ran" path.
+            Ok(None) => (0, None),
+            Ok(Some((Ok(done), seconds))) => {
+                busy += seconds;
+                (done.block_entries, Some(Ok((done, seconds))))
             }
-            Ok(Err(error)) => {
-                shared.ledger.finish_task(shared.task_peaks[task], 0);
-                Err(TaskFailure::Factorization(error))
-            }
-            Err(payload) => {
-                // Releasing the reservation keeps the other workers live;
-                // the orchestrator turns this into a typed error.
-                shared.ledger.finish_task(shared.task_peaks[task], 0);
-                Err(TaskFailure::Panic(panic_message(payload)))
-            }
+            Ok(Some((Err(error), _))) => (0, Some(Err(error))),
+            // Caught per task, so the other workers keep draining; the
+            // orchestrator turns the stored failure into the run's error.
+            Err(payload) => (
+                0,
+                Some(Err(EngineError::Internal(format!(
+                    "parallel subtree task {task} panicked: {}",
+                    panic_message(payload)
+                )))),
+            ),
         };
-        shared.results.lock().expect("parallel results poisoned")[task] = Some(stored);
-    }
-}
-
-/// Run the numeric factorization of `numeric` along the bottom-up `order`
-/// with the parallel execution layer; see the module docs.
-pub(crate) fn execute_parallel(
-    numeric: &Arc<NumericModel>,
-    order: &[usize],
-    parallel: &ParallelConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<(CholeskyFactor, ParallelReport), EngineError> {
-    let started = Instant::now();
-    let n = numeric.matrix.n();
-    let children = numeric.structure.etree.children();
-    let cut = CutPlan::compute(numeric, order, parallel.max_tasks, &parallel.budget)?;
-    let CutPlan {
-        task_orders,
-        task_peaks,
-        task_retained: _,
-        merge_order,
-        merge_initial,
-        merge_peak,
-        sequential_peak,
-        budget_entries,
-        oversized_tasks,
-    } = cut;
-
-    let task_count = task_orders.len();
-    let shared = Arc::new(Shared {
-        numeric: numeric.clone(),
-        children,
-        task_orders,
-        task_peaks,
-        queue: Mutex::new((0..task_count).collect()),
-        ledger: BudgetLedger::new(budget_entries),
-        results: Mutex::new((0..task_count).map(|_| None).collect()),
-        kernel: FrontKernel::default(),
-        cancel: cancel.cloned(),
-    });
-
-    // Subtree phase: one draining loop per pool worker.
-    let workers = parallel.workers.max(1);
-    let busy = Arc::new(Mutex::new(vec![0.0f64; workers]));
-    let pool = WorkerPool::new(workers);
-    for worker in 0..workers {
-        let shared = shared.clone();
-        let busy = busy.clone();
-        pool.submit(move || {
-            let seconds = worker_loop(&shared);
-            busy.lock().expect("busy ledger poisoned")[worker] = seconds;
-        });
-    }
-    pool.shutdown();
-
-    if let Some(token) = cancel {
-        if token.is_cancelled() {
-            return Err(EngineError::Cancelled {
-                stage: "numeric",
-                elapsed: token.elapsed(),
-            });
+        ctx.ledger.finish_task(cut.task_peaks[task], retained);
+        if result.is_some() {
+            state.results.lock().expect("parallel results poisoned")[task] = result;
         }
     }
-
-    let shared = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| unreachable!("all workers joined; no clone outlives the pool"));
-    let results = shared.results.into_inner().expect("results poisoned");
-    let mut task_seconds = Vec::with_capacity(task_count);
-    let mut merge_blocks = ContributionStore::new();
-    let mut parts: Vec<FactorColumn> = Vec::with_capacity(n);
-    for (task, slot) in results.into_iter().enumerate() {
-        let done = slot
-            .ok_or_else(|| {
-                EngineError::Internal(format!("parallel subtree task {task} never ran"))
-            })?
-            .map_err(|failure| failure.into_engine_error(task))?;
-        task_seconds.push(done.seconds);
-        merge_blocks.absorb(done.blocks);
-        parts.extend(done.columns);
-    }
-
-    // Merge phase: sequential, on the caller's thread.
-    let (factor, merge_seconds) = merge_and_assemble(
-        &shared.numeric,
-        &shared.children,
-        &merge_order,
-        merge_blocks,
-        merge_initial,
-        &shared.ledger,
-        shared.kernel,
-        cancel,
-        parts,
-    )?;
-
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let worker_busy_seconds = Arc::try_unwrap(busy)
-        .expect("all workers joined")
-        .into_inner()
-        .expect("busy ledger poisoned");
-    let longest_task = task_seconds.iter().copied().fold(0.0f64, f64::max);
-    let total_busy: f64 = worker_busy_seconds.iter().sum::<f64>() + merge_seconds;
-    let report = ParallelReport {
-        max_tasks: parallel.max_tasks,
-        subtree_count: task_count,
-        above_cut_nodes: merge_order.len(),
-        sequential_peak_entries: sequential_peak,
-        budget_entries,
-        max_task_peak_entries: shared.task_peaks.iter().copied().max().unwrap_or(0),
-        merge_peak_entries: merge_peak,
-        oversized_tasks,
-        workers: parallel.workers,
-        measured_peak_entries: shared.ledger.measured_peak_entries(),
-        forced_admissions: shared.ledger.forced_admissions(),
-        wall_seconds,
-        critical_path_seconds: longest_task + merge_seconds,
-        merge_seconds,
-        task_seconds,
-        worker_busy_seconds,
-        utilization: if wall_seconds > 0.0 {
-            total_busy / (workers as f64 * wall_seconds)
-        } else {
-            0.0
-        },
-    };
-    Ok((factor, report))
 }
 
-/// The sequential merge phase shared by the in-process executor and the
-/// distributed coordinator: eliminate the above-cut columns (the finished
-/// tasks' root contribution blocks must already sit in `merge_blocks`, in
-/// task order), release the `merge_initial` retained entries from `ledger`,
-/// and assemble the final factor from `parts` plus the merge columns.
-/// Returns the factor and the merge wall-clock seconds.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_and_assemble(
-    numeric: &NumericModel,
-    children: &[Vec<usize>],
-    merge_order: &[usize],
-    merge_blocks: ContributionStore,
-    merge_initial: u64,
-    ledger: &BudgetLedger,
-    kernel: FrontKernel,
-    cancel: Option<&CancelToken>,
-    mut parts: Vec<FactorColumn>,
+/// The sequential merge phase every runner ends in: absorb the finished
+/// tasks' root contribution blocks (in task order), eliminate the above-cut
+/// columns, release the `merge_initial` retained entries from the ledger,
+/// and assemble the final factor.  Returns the factor and the merge
+/// wall-clock seconds.
+fn merge_and_assemble(
+    ctx: &TaskContext<'_>,
+    cut: &CutPlan,
+    parts: Vec<SubtreeParts>,
 ) -> Result<(CholeskyFactor, f64), EngineError> {
+    let mut merge_blocks = ContributionStore::new();
+    let mut columns = Vec::with_capacity(ctx.numeric.matrix.n());
+    for task in parts {
+        merge_blocks.absorb(task.blocks);
+        columns.extend(task.columns);
+    }
     let merge_started = Instant::now();
-    let merge_probe;
-    let merge_stop: Option<&dyn Fn() -> bool> = match cancel {
-        Some(token) => {
-            merge_probe = move || token.is_cancelled();
-            Some(&merge_probe)
-        }
-        None => None,
-    };
-    let merge_outcome = factor_columns_with(
-        &numeric.matrix,
-        &numeric.structure,
-        children,
-        merge_order,
-        merge_blocks,
-        ledger,
-        &mut multifrontal::FrontArena::new(),
-        kernel,
-        merge_stop,
-    )
-    .map_err(|err| match err {
-        FactorizationError::Cancelled => EngineError::Cancelled {
-            stage: "numeric",
-            elapsed: cancel.map_or(std::time::Duration::ZERO, CancelToken::elapsed),
-        },
-        other => EngineError::Factorization(other),
-    })?;
+    let merged = ctx.factor(&cut.merge_order, merge_blocks, &mut FrontArena::new())?;
     let merge_seconds = merge_started.elapsed().as_secs_f64();
-    ledger.release_retained(merge_initial);
-    debug_assert!(merge_outcome.blocks.is_empty());
-    parts.extend(merge_outcome.columns);
-    let factor = assemble_factor(numeric.matrix.n(), parts).map_err(EngineError::Factorization)?;
+    ctx.ledger.release_retained(cut.merge_initial);
+    debug_assert!(merged.blocks.is_empty());
+    columns.extend(merged.columns);
+    let factor = assemble_factor(ctx.numeric.matrix.n(), columns)?;
     Ok((factor, merge_seconds))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Engine, EngineConfig};
+    use sparsemat::gen::ProblemKind;
+
+    /// A fired token stops every runner and the merge with the typed
+    /// numeric-stage cancellation, and nothing stays reserved on the run's
+    /// ledger (a leaked reservation would wedge the next admission).
+    #[test]
+    fn cancelled_phases_leave_the_ledger_drained() {
+        let engine = Engine::new();
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 3).with_numeric(true);
+        let plan = engine.plan(&config).unwrap();
+        let numeric = plan.numeric_model().unwrap();
+        let order = numeric.order_for(&engine, "minmem").unwrap();
+        let cut = CutPlan::compute(&numeric, &order, 8, &BudgetShare::Entries(1)).unwrap();
+        assert!(cut.task_orders.len() > 1 && !cut.merge_order.is_empty());
+
+        let token = CancelToken::new();
+        token.cancel();
+        let children = numeric.structure.etree.children();
+        let ledger = BudgetLedger::new(cut.budget_entries);
+        let ctx = TaskContext {
+            numeric: &numeric,
+            children: &children,
+            ledger: &ledger,
+            cancel: Some(&token),
+        };
+        let numeric_stage = |error: EngineError| {
+            assert!(
+                matches!(
+                    error,
+                    EngineError::Cancelled {
+                        stage: "numeric",
+                        ..
+                    }
+                ),
+                "{error:?}"
+            );
+        };
+        numeric_stage(run_inline(&ctx, &cut).unwrap_err());
+        numeric_stage(run_pool(&ctx, &cut, 3).unwrap_err());
+        numeric_stage(merge_and_assemble(&ctx, &cut, Vec::new()).unwrap_err());
+        assert_eq!(ledger.reserved(), 0);
+        // Without a token the same cut runs to completion on every
+        // in-process runner, to the same factor.
+        let inline = execute_cut(&numeric, &cut, TaskRunner::Inline, None).unwrap();
+        let pooled = execute_cut(&numeric, &cut, TaskRunner::Pool(3), None).unwrap();
+        assert_eq!(inline.factor.values, pooled.factor.values);
+        assert_eq!(pooled.forced_admissions, cut.task_orders.len() as u64);
+    }
 }

@@ -1,23 +1,23 @@
 //! The serializable outcome of one engine run.
 
+use std::fmt::{self, Display, Write};
+
 use treemem::tree::{NodeId, Size};
 
 use crate::config::MemoryBudget;
 use crate::json::escape;
 
-/// Measurements of the parallel (subtree-concurrent) numeric execution.
-///
-/// The fields split into two groups.  The *plan* fields (cut shape, static
-/// peaks, resolved budget, oversized-task count) depend only on the
-/// configuration's `max_tasks`/`budget` and the traversal — never on the
-/// worker count or the scheduling — so they are part of the report's
-/// deterministic identity.  The *runtime* fields (worker count, measured
-/// peak, forced admissions, all timings and utilization) vary with the
-/// machine and the interleaving; [`Report::fingerprint`] zeroes them, which
-/// is what makes reports bit-comparable across worker counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParallelReport {
-    /// Cut granularity the partition was computed with.
+/// The cut-plan half of a [`ParallelReport`] or [`DistributedReport`]: the
+/// shape of the proportional cut, its statically modeled peaks and the
+/// resolved budget.  A pure function of the configuration's cut section and
+/// the traversal — never of worker counts, scheduling or cluster dynamics —
+/// so it is part of the report's deterministic identity
+/// ([`Report::fingerprint`] keeps it while zeroing the runtime fields next
+/// to it).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CutReport {
+    /// Cut granularity the partition was computed with
+    /// (`parallel.max_tasks` / `distributed.tasks`).
     pub max_tasks: usize,
     /// Number of subtree tasks the cut produced.
     pub subtree_count: usize,
@@ -36,6 +36,17 @@ pub struct ParallelReport {
     /// Tasks whose static peak exceeds the budget on their own (each such
     /// task is run alone — the degrade-to-sequential path).
     pub oversized_tasks: usize,
+}
+
+/// Measurements of the parallel (subtree-concurrent) numeric execution: the
+/// deterministic [`CutReport`] plus *runtime* fields (worker count, measured
+/// peak, forced admissions, all timings and utilization) that vary with the
+/// machine and the interleaving.  [`Report::fingerprint`] zeroes the runtime
+/// fields, which is what makes reports bit-comparable across worker counts.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ParallelReport {
+    /// The cut and its static peaks (deterministic).
+    pub cut: CutReport,
     /// Worker threads the run was configured with (runtime).
     pub workers: usize,
     /// Measured high-water mark of live entries across all workers
@@ -59,86 +70,16 @@ pub struct ParallelReport {
     pub utilization: f64,
 }
 
-impl ParallelReport {
-    /// Zero every runtime-dependent field (see the type docs), leaving only
-    /// the deterministic plan fields.
-    fn strip_runtime(&mut self) {
-        self.workers = 0;
-        self.measured_peak_entries = 0;
-        self.forced_admissions = 0;
-        self.wall_seconds = 0.0;
-        self.critical_path_seconds = 0.0;
-        self.merge_seconds = 0.0;
-        self.task_seconds = Vec::new();
-        self.worker_busy_seconds = Vec::new();
-        self.utilization = 0.0;
-    }
-
-    /// Render the report as a JSON object fragment.
-    pub fn to_json_fragment(&self) -> String {
-        let budget = match self.budget_entries {
-            Some(entries) => entries.to_string(),
-            None => "null".to_string(),
-        };
-        let seconds_array = |values: &[f64]| -> String {
-            let rendered: Vec<String> = values.iter().map(|s| format!("{s:.6}")).collect();
-            format!("[{}]", rendered.join(","))
-        };
-        format!(
-            "{{\"max_tasks\": {}, \"subtree_count\": {}, \"above_cut_nodes\": {}, \
-             \"sequential_peak_entries\": {}, \"budget_entries\": {budget}, \
-             \"max_task_peak_entries\": {}, \"merge_peak_entries\": {}, \
-             \"oversized_tasks\": {}, \"workers\": {}, \"measured_peak_entries\": {}, \
-             \"forced_admissions\": {}, \"wall_seconds\": {:.6}, \
-             \"critical_path_seconds\": {:.6}, \"merge_seconds\": {:.6}, \
-             \"task_seconds\": {}, \"worker_busy_seconds\": {}, \"utilization\": {:.6}}}",
-            self.max_tasks,
-            self.subtree_count,
-            self.above_cut_nodes,
-            self.sequential_peak_entries,
-            self.max_task_peak_entries,
-            self.merge_peak_entries,
-            self.oversized_tasks,
-            self.workers,
-            self.measured_peak_entries,
-            self.forced_admissions,
-            self.wall_seconds,
-            self.critical_path_seconds,
-            self.merge_seconds,
-            seconds_array(&self.task_seconds),
-            seconds_array(&self.worker_busy_seconds),
-            self.utilization,
-        )
-    }
-}
-
-/// Measurements of the distributed (multi-process) numeric execution.
-///
-/// Same split as [`ParallelReport`]: the *plan* fields (cut shape, static
-/// peaks, resolved budget, lease duration) are a pure function of the
-/// configuration and the traversal, while the *runtime* fields (worker
-/// processes seen, per-worker timings, requeues, lease expiries, bytes
-/// moved) depend on cluster dynamics and are zeroed by
+/// Measurements of the distributed (multi-process) numeric execution: the
+/// deterministic [`CutReport`] and lease duration plus *runtime* fields
+/// (worker processes seen, per-worker timings, requeues, lease expiries,
+/// bytes moved) that depend on cluster dynamics and are zeroed by
 /// [`Report::fingerprint`] — which is exactly what makes a distributed
 /// report bit-comparable to the single-process run of the same plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistributedReport {
-    /// Cut granularity the partition was computed with (`distributed.tasks`).
-    pub max_tasks: usize,
-    /// Number of subtree tasks the cut produced.
-    pub subtree_count: usize,
-    /// Number of columns above the cut (merged by the coordinator).
-    pub above_cut_nodes: usize,
-    /// The sequential MinMemory bound of the chosen traversal, in entries.
-    pub sequential_peak_entries: Size,
-    /// The resolved cluster budget in matrix entries (`None` = unbounded).
-    pub budget_entries: Option<u64>,
-    /// Largest statically modeled peak over the subtree tasks.
-    pub max_task_peak_entries: u64,
-    /// Statically modeled peak of the coordinator's merge phase.
-    pub merge_peak_entries: u64,
-    /// Tasks whose static peak exceeds the budget on their own.
-    pub oversized_tasks: usize,
+    /// The cut and its static peaks (deterministic).
+    pub cut: CutReport,
     /// Lease duration per claimed task, in milliseconds.
     pub lease_ms: u64,
     /// Distinct worker processes that claimed at least one task (runtime).
@@ -155,57 +96,6 @@ pub struct DistributedReport {
     pub merge_seconds: f64,
     /// Busy seconds per worker process, in first-claim order (runtime).
     pub worker_busy_seconds: Vec<f64>,
-}
-
-impl DistributedReport {
-    /// Zero every runtime-dependent field (see the type docs), leaving only
-    /// the deterministic plan fields.
-    fn strip_runtime(&mut self) {
-        self.workers = 0;
-        self.tasks_requeued = 0;
-        self.lease_expiries = 0;
-        self.contribution_bytes = 0;
-        self.wall_seconds = 0.0;
-        self.merge_seconds = 0.0;
-        self.worker_busy_seconds = Vec::new();
-    }
-
-    /// Render the report as a JSON object fragment.
-    pub fn to_json_fragment(&self) -> String {
-        let budget = match self.budget_entries {
-            Some(entries) => entries.to_string(),
-            None => "null".to_string(),
-        };
-        let seconds: Vec<String> = self
-            .worker_busy_seconds
-            .iter()
-            .map(|s| format!("{s:.6}"))
-            .collect();
-        format!(
-            "{{\"max_tasks\": {}, \"subtree_count\": {}, \"above_cut_nodes\": {}, \
-             \"sequential_peak_entries\": {}, \"budget_entries\": {budget}, \
-             \"max_task_peak_entries\": {}, \"merge_peak_entries\": {}, \
-             \"oversized_tasks\": {}, \"lease_ms\": {}, \"workers\": {}, \
-             \"tasks_requeued\": {}, \"lease_expiries\": {}, \
-             \"contribution_bytes\": {}, \"wall_seconds\": {:.6}, \
-             \"merge_seconds\": {:.6}, \"worker_busy_seconds\": [{}]}}",
-            self.max_tasks,
-            self.subtree_count,
-            self.above_cut_nodes,
-            self.sequential_peak_entries,
-            self.max_task_peak_entries,
-            self.merge_peak_entries,
-            self.oversized_tasks,
-            self.lease_ms,
-            self.workers,
-            self.tasks_requeued,
-            self.lease_expiries,
-            self.contribution_bytes,
-            self.wall_seconds,
-            self.merge_seconds,
-            seconds.join(","),
-        )
-    }
 }
 
 /// Wall-clock seconds of every pipeline stage, measured with
@@ -326,109 +216,13 @@ pub struct Report {
 impl Report {
     /// Render the report as a JSON document (schema `engine_report/v1`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"engine_report/v1\",\n");
-        out.push_str(&format!(
-            "  \"config_hash\": \"{}\",\n",
-            escape(&self.config_hash)
-        ));
-        out.push_str(&format!("  \"source\": \"{}\",\n", escape(&self.source)));
-        out.push_str(&format!(
-            "  \"ordering\": \"{}\",\n",
-            escape(&self.ordering)
-        ));
-        out.push_str(&format!("  \"amalgamation\": {},\n", self.amalgamation));
-        out.push_str(&format!("  \"solver\": \"{}\",\n", escape(&self.solver)));
-        out.push_str(&format!("  \"policy\": \"{}\",\n", escape(&self.policy)));
-        out.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        out.push_str(&format!("  \"matrix_n\": {},\n", self.matrix_n));
-        out.push_str(&format!("  \"solver_peak\": {},\n", self.solver_peak));
-        out.push_str(&format!("  \"memory_budget\": {},\n", self.memory_budget));
-        let budget = match self.budget_spec {
-            MemoryBudget::Unlimited => "{\"type\": \"unlimited\"}".to_string(),
-            MemoryBudget::Absolute(size) => {
-                format!("{{\"type\": \"absolute\", \"value\": {size}}}")
-            }
-            MemoryBudget::FractionOfPeak(fraction) => {
-                format!("{{\"type\": \"fraction\", \"value\": {fraction}}}")
-            }
-        };
-        out.push_str(&format!("  \"budget_spec\": {budget},\n"));
-        out.push_str(&format!("  \"io_volume\": {},\n", self.io_volume));
-        out.push_str(&format!("  \"read_volume\": {},\n", self.read_volume));
-        out.push_str(&format!("  \"files_written\": {},\n", self.files_written));
-        out.push_str(&format!("  \"io_peak_memory\": {},\n", self.io_peak_memory));
-        out.push_str(&format!(
-            "  \"divisible_bound\": {},\n",
-            self.divisible_bound
-        ));
-        let order: Vec<String> = self.traversal.iter().map(|n| n.to_string()).collect();
-        out.push_str(&format!("  \"traversal\": [{}],\n", order.join(",")));
-        match &self.numeric {
-            Some(numeric) => out.push_str(&format!(
-                "  \"numeric\": {{\"measured_peak_entries\": {}, \
-                 \"model_peak_entries\": {}, \"factor_nnz\": {}, \
-                 \"solve_error\": {:e}}},\n",
-                numeric.measured_peak_entries,
-                numeric.model_peak_entries,
-                numeric.factor_nnz,
-                numeric.solve_error
-            )),
-            None => out.push_str("  \"numeric\": null,\n"),
-        }
-        match &self.solve {
-            Some(solve) => {
-                let residual = match solve.max_residual {
-                    // A non-finite residual would not be JSON; `null` keeps
-                    // the document well-formed (it cannot be confused with
-                    // "check disabled", which omits the whole field).
-                    Some(value) if value.is_finite() => format!("{value:e}"),
-                    Some(_) => "null".to_string(),
-                    None => "null".to_string(),
-                };
-                out.push_str(&format!(
-                    "  \"solve\": {{\"rhs_count\": {}, \"residual_checked\": {}, \
-                     \"max_residual\": {residual}}},\n",
-                    solve.rhs_count,
-                    solve.max_residual.is_some()
-                ));
-            }
-            None => out.push_str("  \"solve\": null,\n"),
-        }
-        match &self.parallel {
-            Some(parallel) => {
-                out.push_str(&format!(
-                    "  \"parallel\": {},\n",
-                    parallel.to_json_fragment()
-                ));
-            }
-            None => out.push_str("  \"parallel\": null,\n"),
-        }
-        match &self.distributed {
-            Some(distributed) => {
-                out.push_str(&format!(
-                    "  \"distributed\": {},\n",
-                    distributed.to_json_fragment()
-                ));
-            }
-            None => out.push_str("  \"distributed\": null,\n"),
-        }
-        out.push_str(&format!(
-            "  \"timings\": {{\"generate_seconds\": {:.6}, \"ordering_seconds\": {:.6}, \
-             \"symbolic_seconds\": {:.6}, \"solver_seconds\": {:.6}, \
-             \"io_seconds\": {:.6}, \"numeric_seconds\": {:.6}, \
-             \"solve_seconds\": {:.6}}}\n",
-            self.timings.generate_seconds,
-            self.timings.ordering_seconds,
-            self.timings.symbolic_seconds,
-            self.timings.solver_seconds,
-            self.timings.io_seconds,
-            self.timings.numeric_seconds,
-            self.timings.solve_seconds
-        ));
-        out.push_str("}\n");
-        out
+        self.render(
+            &self.config_hash,
+            self.numeric.as_ref(),
+            self.parallel.as_ref(),
+            self.distributed.as_ref(),
+            &self.timings,
+        )
     }
 
     /// A deterministic identity of the result — every field except the run's
@@ -438,29 +232,267 @@ impl Report {
     /// different worker counts, whose configurations — and therefore config
     /// hashes — legitimately differ while the outcome must not).
     ///
-    /// For parallel runs the measured peak depends on how the scheduler
-    /// interleaved tasks, so `numeric.measured_peak_entries` and the
-    /// [`ParallelReport`] runtime fields are zeroed alongside the timings;
+    /// For parallel and distributed runs the measured peak depends on how
+    /// the tasks interleaved, so `numeric.measured_peak_entries` and the
+    /// section's runtime fields are zeroed alongside the timings;
     /// everything else — traversal, I/O schedule, factor size, solve
     /// residual, the cut shape and the static peaks — must be bit-identical
     /// for any worker count.
     pub fn fingerprint(&self) -> String {
-        let mut stripped = self.clone();
-        stripped.config_hash = String::new();
-        stripped.timings = StageTimings::default();
-        if let Some(parallel) = &mut stripped.parallel {
-            parallel.strip_runtime();
-            if let Some(numeric) = &mut stripped.numeric {
+        // Only the deterministic fields survive; the rest is `Default`.
+        let parallel = self.parallel.as_ref().map(|section| ParallelReport {
+            cut: section.cut.clone(),
+            ..ParallelReport::default()
+        });
+        let distributed = self.distributed.as_ref().map(|section| DistributedReport {
+            cut: section.cut.clone(),
+            lease_ms: section.lease_ms,
+            ..DistributedReport::default()
+        });
+        let mut numeric = self.numeric.clone();
+        if parallel.is_some() || distributed.is_some() {
+            if let Some(numeric) = &mut numeric {
                 numeric.measured_peak_entries = 0;
             }
         }
-        if let Some(distributed) = &mut stripped.distributed {
-            distributed.strip_runtime();
-            if let Some(numeric) = &mut stripped.numeric {
-                numeric.measured_peak_entries = 0;
+        self.render(
+            "",
+            numeric.as_ref(),
+            parallel.as_ref(),
+            distributed.as_ref(),
+            &StageTimings::default(),
+        )
+    }
+
+    /// The one renderer behind [`Report::to_json`] and
+    /// [`Report::fingerprint`]; the parameters are the parts a fingerprint
+    /// blanks.  Every part streams straight into the one output buffer.
+    fn render(
+        &self,
+        config_hash: &str,
+        numeric: Option<&NumericReport>,
+        parallel: Option<&ParallelReport>,
+        distributed: Option<&DistributedReport>,
+        timings: &StageTimings,
+    ) -> String {
+        // ~7 bytes per traversal entry plus the fixed fields.
+        let mut out = String::with_capacity(1024 + 8 * self.traversal.len());
+        out.push_str("{\n  \"schema\": \"engine_report/v1\",\n");
+        let mut line = |key: &str, value: &dyn Display| {
+            let _ = writeln!(out, "  \"{key}\": {value},");
+        };
+        line("config_hash", &Quoted(config_hash));
+        line("source", &Quoted(&self.source));
+        line("ordering", &Quoted(&self.ordering));
+        line("amalgamation", &self.amalgamation);
+        line("solver", &Quoted(&self.solver));
+        line("policy", &Quoted(&self.policy));
+        line("nodes", &self.nodes);
+        line("matrix_n", &self.matrix_n);
+        line("solver_peak", &self.solver_peak);
+        line("memory_budget", &self.memory_budget);
+        line("budget_spec", &AsJson(&self.budget_spec));
+        line("io_volume", &self.io_volume);
+        line("read_volume", &self.read_volume);
+        line("files_written", &self.files_written);
+        line("io_peak_memory", &self.io_peak_memory);
+        line("divisible_bound", &self.divisible_bound);
+        line("traversal", &AsJson(self.traversal.as_slice()));
+        line("numeric", &AsJson(numeric.map(AsJson)));
+        line("solve", &AsJson(self.solve.as_ref().map(AsJson)));
+        line("parallel", &AsJson(parallel.map(AsJson)));
+        line("distributed", &AsJson(distributed.map(AsJson)));
+        let _ = write!(out, "  \"timings\": {}\n}}\n", AsJson(timings));
+        out
+    }
+}
+
+/// A JSON string literal.
+struct Quoted<'a>(&'a str);
+
+impl Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{}\"", escape(self.0))
+    }
+}
+
+/// `Display` adapter rendering a report part as its JSON fragment, so nested
+/// parts stream into the buffer of whoever renders the enclosing document —
+/// no intermediate `String`s.  Field names, order, spacing and float formats
+/// (`{:.6}` seconds, `{:e}` errors) are a wire contract.
+struct AsJson<T>(T);
+
+/// `Some(part)` as the part, `None` as JSON `null`.
+impl<T: Display> Display for AsJson<Option<T>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(part) => part.fmt(f),
+            None => f.write_str("null"),
+        }
+    }
+}
+
+/// A comma-separated array; `item` renders one element.
+fn write_array<T>(
+    f: &mut fmt::Formatter<'_>,
+    items: &[T],
+    item: impl Fn(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
+) -> fmt::Result {
+    f.write_str("[")?;
+    for (index, value) in items.iter().enumerate() {
+        if index > 0 {
+            f.write_str(",")?;
+        }
+        item(f, value)?;
+    }
+    f.write_str("]")
+}
+
+/// An array of `{:.6}` seconds.
+impl Display for AsJson<&Vec<f64>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_array(f, self.0, |f, seconds| write!(f, "{seconds:.6}"))
+    }
+}
+
+/// The traversal.
+impl Display for AsJson<&[NodeId]> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_array(f, self.0, |f, node| node.fmt(f))
+    }
+}
+
+impl Display for AsJson<&MemoryBudget> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            MemoryBudget::Unlimited => f.write_str("{\"type\": \"unlimited\"}"),
+            MemoryBudget::Absolute(size) => {
+                write!(f, "{{\"type\": \"absolute\", \"value\": {size}}}")
+            }
+            MemoryBudget::FractionOfPeak(fraction) => {
+                write!(f, "{{\"type\": \"fraction\", \"value\": {fraction}}}")
             }
         }
-        stripped.to_json()
+    }
+}
+
+/// The leading fields of both section objects (no braces).
+impl Display for AsJson<&CutReport> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let cut = self.0;
+        write!(
+            f,
+            "\"max_tasks\": {}, \"subtree_count\": {}, \"above_cut_nodes\": {}, \
+             \"sequential_peak_entries\": {}, \"budget_entries\": {}, \
+             \"max_task_peak_entries\": {}, \"merge_peak_entries\": {}, \
+             \"oversized_tasks\": {}",
+            cut.max_tasks,
+            cut.subtree_count,
+            cut.above_cut_nodes,
+            cut.sequential_peak_entries,
+            AsJson(cut.budget_entries),
+            cut.max_task_peak_entries,
+            cut.merge_peak_entries,
+            cut.oversized_tasks,
+        )
+    }
+}
+
+impl Display for AsJson<&ParallelReport> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let section = self.0;
+        write!(
+            f,
+            "{{{}, \"workers\": {}, \"measured_peak_entries\": {}, \
+             \"forced_admissions\": {}, \"wall_seconds\": {:.6}, \
+             \"critical_path_seconds\": {:.6}, \"merge_seconds\": {:.6}, \
+             \"task_seconds\": {}, \"worker_busy_seconds\": {}, \"utilization\": {:.6}}}",
+            AsJson(&section.cut),
+            section.workers,
+            section.measured_peak_entries,
+            section.forced_admissions,
+            section.wall_seconds,
+            section.critical_path_seconds,
+            section.merge_seconds,
+            AsJson(&section.task_seconds),
+            AsJson(&section.worker_busy_seconds),
+            section.utilization,
+        )
+    }
+}
+
+impl Display for AsJson<&DistributedReport> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let section = self.0;
+        write!(
+            f,
+            "{{{}, \"lease_ms\": {}, \"workers\": {}, \"tasks_requeued\": {}, \
+             \"lease_expiries\": {}, \"contribution_bytes\": {}, \
+             \"wall_seconds\": {:.6}, \"merge_seconds\": {:.6}, \
+             \"worker_busy_seconds\": {}}}",
+            AsJson(&section.cut),
+            section.lease_ms,
+            section.workers,
+            section.tasks_requeued,
+            section.lease_expiries,
+            section.contribution_bytes,
+            section.wall_seconds,
+            section.merge_seconds,
+            AsJson(&section.worker_busy_seconds),
+        )
+    }
+}
+
+impl Display for AsJson<&NumericReport> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let numeric = self.0;
+        write!(
+            f,
+            "{{\"measured_peak_entries\": {}, \"model_peak_entries\": {}, \
+             \"factor_nnz\": {}, \"solve_error\": {:e}}}",
+            numeric.measured_peak_entries,
+            numeric.model_peak_entries,
+            numeric.factor_nnz,
+            numeric.solve_error
+        )
+    }
+}
+
+impl Display for AsJson<&SolveReport> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // A non-finite residual would not be JSON; `null` keeps the document
+        // well-formed (it cannot be confused with "check disabled", which
+        // `residual_checked` reports).
+        write!(
+            f,
+            "{{\"rhs_count\": {}, \"residual_checked\": {}, \"max_residual\": ",
+            self.0.rhs_count,
+            self.0.max_residual.is_some(),
+        )?;
+        match self.0.max_residual {
+            Some(value) if value.is_finite() => write!(f, "{value:e}}}"),
+            _ => f.write_str("null}"),
+        }
+    }
+}
+
+impl Display for AsJson<&StageTimings> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let timings = self.0;
+        write!(
+            f,
+            "{{\"generate_seconds\": {:.6}, \"ordering_seconds\": {:.6}, \
+             \"symbolic_seconds\": {:.6}, \"solver_seconds\": {:.6}, \
+             \"io_seconds\": {:.6}, \"numeric_seconds\": {:.6}, \
+             \"solve_seconds\": {:.6}}}",
+            timings.generate_seconds,
+            timings.ordering_seconds,
+            timings.symbolic_seconds,
+            timings.solver_seconds,
+            timings.io_seconds,
+            timings.numeric_seconds,
+            timings.solve_seconds
+        )
     }
 }
 
@@ -506,14 +538,16 @@ mod tests {
 
     fn sample_parallel() -> ParallelReport {
         ParallelReport {
-            max_tasks: 8,
-            subtree_count: 8,
-            above_cut_nodes: 3,
-            sequential_peak_entries: 400,
-            budget_entries: Some(800),
-            max_task_peak_entries: 120,
-            merge_peak_entries: 300,
-            oversized_tasks: 0,
+            cut: CutReport {
+                max_tasks: 8,
+                subtree_count: 8,
+                above_cut_nodes: 3,
+                sequential_peak_entries: 400,
+                budget_entries: Some(800),
+                max_task_peak_entries: 120,
+                merge_peak_entries: 300,
+                oversized_tasks: 0,
+            },
             workers: 4,
             measured_peak_entries: 612,
             forced_admissions: 0,
@@ -528,14 +562,16 @@ mod tests {
 
     fn sample_distributed() -> DistributedReport {
         DistributedReport {
-            max_tasks: 16,
-            subtree_count: 16,
-            above_cut_nodes: 5,
-            sequential_peak_entries: 400,
-            budget_entries: Some(800),
-            max_task_peak_entries: 120,
-            merge_peak_entries: 300,
-            oversized_tasks: 0,
+            cut: CutReport {
+                max_tasks: 16,
+                subtree_count: 16,
+                above_cut_nodes: 5,
+                sequential_peak_entries: 400,
+                budget_entries: Some(800),
+                max_task_peak_entries: 120,
+                merge_peak_entries: 300,
+                oversized_tasks: 0,
+            },
             lease_ms: 30_000,
             workers: 2,
             tasks_requeued: 1,
@@ -545,6 +581,91 @@ mod tests {
             merge_seconds: 0.2,
             worker_busy_seconds: vec![0.3, 0.25],
         }
+    }
+
+    /// The rendered bytes of the three sample reports as the hand-formatted
+    /// (`format!` + `join`) renderer before the `fmt::Write` rewrite produced
+    /// them: field names, order, spacing and float formats are a wire
+    /// contract (clients, reference JSONs and fingerprints depend on them).
+    #[test]
+    fn rendered_bytes_are_stable() {
+        let plain = sample();
+        let mut parallel = sample();
+        parallel.parallel = Some(sample_parallel());
+        let mut distributed = sample();
+        distributed.distributed = Some(sample_distributed());
+        distributed.solve = Some(SolveReport {
+            rhs_count: 3,
+            max_residual: Some(4.5e-13),
+        });
+        let plain_json = golden("null", "null", "null");
+        assert_eq!(plain.to_json(), plain_json);
+        assert_eq!(parallel.to_json(), golden("null", GOLDEN_PARALLEL, "null"));
+        assert_eq!(
+            distributed.to_json(),
+            golden(GOLDEN_SOLVE, "null", GOLDEN_DISTRIBUTED)
+        );
+        // A fingerprint is the same document with provenance, timings and
+        // the runtime measurements blanked — and nothing else changed.
+        let blank_timings = "\"solver_seconds\": 0.250000";
+        assert_eq!(
+            plain.fingerprint(),
+            plain_json
+                .replace("0123456789abcdef", "")
+                .replace(blank_timings, "\"solver_seconds\": 0.000000")
+        );
+        let fingerprint = distributed.fingerprint();
+        assert!(fingerprint.contains("\"numeric\": {\"measured_peak_entries\": 0, "));
+        assert!(fingerprint.contains(
+            "\"lease_ms\": 30000, \"workers\": 0, \"tasks_requeued\": 0, \
+             \"lease_expiries\": 0, \"contribution_bytes\": 0, \"wall_seconds\": 0.000000, \
+             \"merge_seconds\": 0.000000, \"worker_busy_seconds\": []}"
+        ));
+        assert!(parallel.fingerprint().contains(
+            "\"oversized_tasks\": 0, \"workers\": 0, \"measured_peak_entries\": 0, \
+             \"forced_admissions\": 0, \"wall_seconds\": 0.000000, \
+             \"critical_path_seconds\": 0.000000, \"merge_seconds\": 0.000000, \
+             \"task_seconds\": [], \"worker_busy_seconds\": [], \"utilization\": 0.000000}"
+        ));
+    }
+
+    /// The parent renderer's bytes up to and including the `numeric` line.
+    const GOLDEN_HEAD: &str = concat!(
+        "{\n",
+        "  \"schema\": \"engine_report/v1\",\n",
+        "  \"config_hash\": \"0123456789abcdef\",\n",
+        "  \"source\": \"grid2d-400-s42\",\n",
+        "  \"ordering\": \"amd\",\n",
+        "  \"amalgamation\": 4,\n",
+        "  \"solver\": \"minmem\",\n",
+        "  \"policy\": \"LSNF\",\n",
+        "  \"nodes\": 10,\n",
+        "  \"matrix_n\": 400,\n",
+        "  \"solver_peak\": 123,\n",
+        "  \"memory_budget\": 100,\n",
+        "  \"budget_spec\": {\"type\": \"fraction\", \"value\": 0.5},\n",
+        "  \"io_volume\": 23,\n",
+        "  \"read_volume\": 23,\n",
+        "  \"files_written\": 2,\n",
+        "  \"io_peak_memory\": 99,\n",
+        "  \"divisible_bound\": 20,\n",
+        "  \"traversal\": [0,2,1],\n",
+        "  \"numeric\": {\"measured_peak_entries\": 500, \"model_peak_entries\": 500, \"factor_nnz\": 1234, \"solve_error\": 1e-12},\n",
+    );
+    const GOLDEN_SOLVE: &str =
+        "{\"rhs_count\": 3, \"residual_checked\": true, \"max_residual\": 4.5e-13}";
+    const GOLDEN_PARALLEL: &str = "{\"max_tasks\": 8, \"subtree_count\": 8, \"above_cut_nodes\": 3, \"sequential_peak_entries\": 400, \"budget_entries\": 800, \"max_task_peak_entries\": 120, \"merge_peak_entries\": 300, \"oversized_tasks\": 0, \"workers\": 4, \"measured_peak_entries\": 612, \"forced_admissions\": 0, \"wall_seconds\": 0.500000, \"critical_path_seconds\": 0.300000, \"merge_seconds\": 0.100000, \"task_seconds\": [0.100000,0.100000,0.100000,0.100000,0.100000,0.100000,0.100000,0.100000], \"worker_busy_seconds\": [0.200000,0.200000,0.200000,0.200000], \"utilization\": 0.800000}";
+    const GOLDEN_DISTRIBUTED: &str = "{\"max_tasks\": 16, \"subtree_count\": 16, \"above_cut_nodes\": 5, \"sequential_peak_entries\": 400, \"budget_entries\": 800, \"max_task_peak_entries\": 120, \"merge_peak_entries\": 300, \"oversized_tasks\": 0, \"lease_ms\": 30000, \"workers\": 2, \"tasks_requeued\": 1, \"lease_expiries\": 1, \"contribution_bytes\": 65536, \"wall_seconds\": 0.700000, \"merge_seconds\": 0.200000, \"worker_busy_seconds\": [0.300000,0.250000]}";
+
+    /// The parent renderer's bytes for `sample()` with the given sections.
+    fn golden(solve: &str, parallel: &str, distributed: &str) -> String {
+        format!(
+            "{GOLDEN_HEAD}  \"solve\": {solve},\n  \"parallel\": {parallel},\n  \
+             \"distributed\": {distributed},\n  \"timings\": {{\"generate_seconds\": 0.000000, \
+             \"ordering_seconds\": 0.000000, \"symbolic_seconds\": 0.000000, \
+             \"solver_seconds\": 0.250000, \"io_seconds\": 0.000000, \
+             \"numeric_seconds\": 0.000000, \"solve_seconds\": 0.000000}}\n}}\n"
+        )
     }
 
     #[test]
@@ -688,7 +809,7 @@ mod tests {
         b.numeric.as_mut().unwrap().measured_peak_entries = 999;
         assert_eq!(a.fingerprint(), b.fingerprint());
         // A different cut or lease policy is a different outcome.
-        b.distributed.as_mut().unwrap().subtree_count = 17;
+        b.distributed.as_mut().unwrap().cut.subtree_count = 17;
         assert_ne!(a.fingerprint(), b.fingerprint());
         let mut c = a.clone();
         c.distributed.as_mut().unwrap().lease_ms = 1;
@@ -714,11 +835,11 @@ mod tests {
         b.numeric.as_mut().unwrap().measured_peak_entries = 999;
         assert_eq!(a.fingerprint(), b.fingerprint());
         // A different cut is a different outcome.
-        b.parallel.as_mut().unwrap().subtree_count = 9;
+        b.parallel.as_mut().unwrap().cut.subtree_count = 9;
         assert_ne!(a.fingerprint(), b.fingerprint());
         // So is a different static peak or budget.
         let mut c = a.clone();
-        c.parallel.as_mut().unwrap().budget_entries = None;
+        c.parallel.as_mut().unwrap().cut.budget_entries = None;
         assert_ne!(a.fingerprint(), c.fingerprint());
     }
 }

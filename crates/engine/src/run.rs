@@ -14,18 +14,15 @@
 //! production multifrontal codes.
 
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use minio::{
     divisible_lower_bound, schedule_io_with_stop, MinIoError, OutOfCoreRun, PolicyRegistry,
 };
-use multifrontal::memory::{instrumented_factorization_with_stop, per_column_model};
+use multifrontal::memory::per_column_model;
 use multifrontal::numeric::SymbolicStructure;
-use multifrontal::parallel::{factor_columns_with, BudgetLedger};
-use multifrontal::{
-    solve, CholeskyFactor, ContributionStore, FactorColumn, FactorizationError, FrontArena,
-    FrontKernel,
-};
+use multifrontal::parallel::BudgetLedger;
+use multifrontal::{solve, CholeskyFactor, ContributionStore, FactorizationError, FrontArena};
 use sparsemat::gen::spd_matrix_from_pattern;
 use sparsemat::matrixmarket::{read_pattern, MatrixMarketError};
 use sparsemat::SparsePattern;
@@ -41,7 +38,7 @@ use crate::config::{
     SolveConfig, SolveRhs,
 };
 use crate::parallel::{default_threads, par_map};
-use crate::parexec::{execute_parallel, merge_and_assemble, CutPlan};
+use crate::parexec::{execute_cut, CutPlan, TaskContext, TaskRunner};
 use crate::report::{
     DistributedReport, NumericReport, ParallelReport, Report, SolveReport, StageTimings,
 };
@@ -208,20 +205,14 @@ impl Engine {
             Some(pattern) => {
                 fire_fault("plan:ordering");
                 check(cancel, "ordering")?;
-                let probe;
-                let stop: Option<&dyn Fn() -> bool> = match cancel {
-                    Some(token) => {
-                        probe = move || token.is_cancelled();
-                        Some(&probe)
-                    }
-                    None => None,
-                };
-                let (ordered, ordering_seconds) = timed_ok(|| {
-                    let perm = config.ordering.order_with_stop(&pattern, stop)?;
-                    let permuted = perm.apply(&pattern);
-                    let etree = elimination_tree(&permuted);
-                    let counts = column_counts(&permuted, &etree);
-                    Some((permuted, etree, counts))
+                let (ordered, ordering_seconds) = CancelToken::with_stop(cancel, |stop| {
+                    timed_ok(|| {
+                        let perm = config.ordering.order_with_stop(&pattern, stop)?;
+                        let permuted = perm.apply(&pattern);
+                        let etree = elimination_tree(&permuted);
+                        let counts = column_counts(&permuted, &etree);
+                        Some((permuted, etree, counts))
+                    })
                 });
                 timings.ordering_seconds = ordering_seconds;
                 let Some((permuted, etree, counts)) = ordered else {
@@ -285,8 +276,7 @@ impl Engine {
         if config.numeric && matches!(config.source, ProblemSource::Prebuilt { .. }) {
             return Err(EngineError::NumericUnavailable);
         }
-        validate_parallel(&config.parallel, config.numeric)?;
-        validate_distributed(&config.distributed, config.numeric)?;
+        validate_execution(&config.parallel, &config.distributed, config.numeric)?;
         validate_solve(&config.solve, config.numeric)?;
         Ok(())
     }
@@ -310,42 +300,6 @@ const MAX_PARALLEL_WORKERS: usize = 64;
 /// worker cap there is no balance benefit either.
 const MAX_PARALLEL_TASKS: usize = 4096;
 
-fn validate_parallel(parallel: &ParallelConfig, numeric: bool) -> Result<(), EngineError> {
-    if !parallel.enabled() {
-        return Ok(());
-    }
-    if !numeric {
-        return Err(EngineError::InvalidConfig(
-            "parallel execution requires the numeric stage".to_string(),
-        ));
-    }
-    if parallel.workers > MAX_PARALLEL_WORKERS {
-        return Err(EngineError::InvalidConfig(format!(
-            "at most {MAX_PARALLEL_WORKERS} parallel workers are supported, got {}",
-            parallel.workers
-        )));
-    }
-    if parallel.max_tasks == 0 {
-        return Err(EngineError::InvalidConfig(
-            "the parallel cut needs at least one task".to_string(),
-        ));
-    }
-    if parallel.max_tasks > MAX_PARALLEL_TASKS {
-        return Err(EngineError::InvalidConfig(format!(
-            "at most {MAX_PARALLEL_TASKS} parallel tasks are supported, got {}",
-            parallel.max_tasks
-        )));
-    }
-    if let BudgetShare::MultipleOfSequentialPeak(multiple) = parallel.budget {
-        if !multiple.is_finite() || multiple <= 0.0 {
-            return Err(EngineError::InvalidConfig(format!(
-                "the parallel budget multiple must be finite and positive, got {multiple}"
-            )));
-        }
-    }
-    Ok(())
-}
-
 /// Lease-duration floor.  A lease shorter than this expires before a worker
 /// can even deserialize the task, so every task would be requeued forever.
 const MIN_DISTRIBUTED_LEASE_MS: u64 = 10;
@@ -355,34 +309,76 @@ const MIN_DISTRIBUTED_LEASE_MS: u64 = 10;
 /// sane request deadline; configurations arrive over the network.
 const MAX_DISTRIBUTED_LEASE_MS: u64 = 3_600_000;
 
-fn validate_distributed(distributed: &DistributedConfig, numeric: bool) -> Result<(), EngineError> {
-    if !distributed.enabled() {
-        return Ok(());
-    }
+/// What the `parallel` and `distributed` sections share — both describe a
+/// cut of the numeric stage into at most `tasks` pieces under a `budget`.
+fn validate_cut_section(
+    section: &'static str,
+    numeric: bool,
+    tasks: usize,
+    budget: BudgetShare,
+) -> Result<(), EngineError> {
     if !numeric {
-        return Err(EngineError::InvalidConfig(
-            "distributed execution requires the numeric stage".to_string(),
-        ));
-    }
-    if distributed.tasks > MAX_PARALLEL_TASKS {
         return Err(EngineError::InvalidConfig(format!(
-            "at most {MAX_PARALLEL_TASKS} distributed tasks are supported, got {}",
-            distributed.tasks
+            "{section} execution requires the numeric stage"
         )));
     }
-    if distributed.lease_ms < MIN_DISTRIBUTED_LEASE_MS
-        || distributed.lease_ms > MAX_DISTRIBUTED_LEASE_MS
-    {
+    if tasks > MAX_PARALLEL_TASKS {
         return Err(EngineError::InvalidConfig(format!(
-            "the distributed lease must be between {MIN_DISTRIBUTED_LEASE_MS} and \
-             {MAX_DISTRIBUTED_LEASE_MS} ms, got {}",
-            distributed.lease_ms
+            "at most {MAX_PARALLEL_TASKS} {section} tasks are supported, got {tasks}"
         )));
     }
-    if let BudgetShare::MultipleOfSequentialPeak(multiple) = distributed.budget {
+    if let BudgetShare::MultipleOfSequentialPeak(multiple) = budget {
         if !multiple.is_finite() || multiple <= 0.0 {
             return Err(EngineError::InvalidConfig(format!(
-                "the distributed budget multiple must be finite and positive, got {multiple}"
+                "the {section} budget multiple must be finite and positive, got {multiple}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Validate how the numeric stage is to be executed.  This is the one mode
+/// selection point: neither section enabled is the sequential one-task cut,
+/// `parallel` is the thread pool, `distributed` is worker processes — and a
+/// run has exactly one mode.
+fn validate_execution(
+    parallel: &ParallelConfig,
+    distributed: &DistributedConfig,
+    numeric: bool,
+) -> Result<(), EngineError> {
+    if parallel.enabled() && distributed.enabled() {
+        return Err(EngineError::InvalidConfig(
+            "parallel.workers >= 1 and distributed.tasks >= 2 are mutually exclusive: \
+             a run has one execution mode"
+                .to_string(),
+        ));
+    }
+    if parallel.enabled() {
+        validate_cut_section("parallel", numeric, parallel.max_tasks, parallel.budget)?;
+        if parallel.workers > MAX_PARALLEL_WORKERS {
+            return Err(EngineError::InvalidConfig(format!(
+                "at most {MAX_PARALLEL_WORKERS} parallel workers are supported, got {}",
+                parallel.workers
+            )));
+        }
+        if parallel.max_tasks == 0 {
+            return Err(EngineError::InvalidConfig(
+                "the parallel cut needs at least one task".to_string(),
+            ));
+        }
+    }
+    if distributed.enabled() {
+        validate_cut_section(
+            "distributed",
+            numeric,
+            distributed.tasks,
+            distributed.budget,
+        )?;
+        if !(MIN_DISTRIBUTED_LEASE_MS..=MAX_DISTRIBUTED_LEASE_MS).contains(&distributed.lease_ms) {
+            return Err(EngineError::InvalidConfig(format!(
+                "the distributed lease must be between {MIN_DISTRIBUTED_LEASE_MS} and \
+                 {MAX_DISTRIBUTED_LEASE_MS} ms, got {}",
+                distributed.lease_ms
             )));
         }
     }
@@ -457,7 +453,7 @@ fn acquire_pattern(source: &ProblemSource) -> Result<Option<SparsePattern>, Engi
 
 /// Typed cancellation error for `stage` (zero elapsed without a token; that
 /// combination never happens in practice because only tokens cancel).
-fn cancelled(cancel: Option<&CancelToken>, stage: &'static str) -> EngineError {
+pub(crate) fn cancelled(cancel: Option<&CancelToken>, stage: &'static str) -> EngineError {
     EngineError::Cancelled {
         stage,
         elapsed: cancel.map_or(Duration::ZERO, CancelToken::elapsed),
@@ -465,7 +461,7 @@ fn cancelled(cancel: Option<&CancelToken>, stage: &'static str) -> EngineError {
 }
 
 /// Check the token at a stage boundary.
-fn check(cancel: Option<&CancelToken>, stage: &'static str) -> Result<(), EngineError> {
+pub(crate) fn check(cancel: Option<&CancelToken>, stage: &'static str) -> Result<(), EngineError> {
     match cancel {
         Some(token) if token.is_cancelled() => Err(cancelled(cancel, stage)),
         _ => Ok(()),
@@ -506,8 +502,8 @@ enum PlanTree {
 
 /// The numeric substrate shared by every `execute` on one plan: the SPD
 /// matrix, its symbolic factor structure and the paper's per-column model
-/// tree, built once and cached.  `pub(crate)` so the parallel execution
-/// layer ([`crate::parexec`]) can share it across pool workers via `Arc`.
+/// tree, built once and cached.  `pub(crate)` so the execution pipeline
+/// ([`crate::parexec`]) can borrow it for its runners.
 pub(crate) struct NumericModel {
     pub(crate) matrix: sparsemat::SymmetricCsr,
     pub(crate) structure: SymbolicStructure,
@@ -532,7 +528,11 @@ impl NumericModel {
 
     /// The bottom-up factorization order of `solver` on the per-column
     /// model, computed once per solver and cached.
-    fn order_for(&self, engine: &Engine, solver: &str) -> Result<Vec<NodeId>, EngineError> {
+    pub(crate) fn order_for(
+        &self,
+        engine: &Engine,
+        solver: &str,
+    ) -> Result<Vec<NodeId>, EngineError> {
         {
             let cache = self.orders.lock().expect("order cache poisoned");
             if let Some((_, order)) = cache.iter().find(|(name, _)| name == solver) {
@@ -758,15 +758,10 @@ impl Plan {
             )));
         }
         fire_fault("schedule:solver");
-        let probe;
-        let stop: Option<&dyn Fn() -> bool> = match cancel {
-            Some(token) => {
-                probe = move || token.is_cancelled();
-                Some(&probe)
-            }
-            None => None,
-        };
-        let (result, seconds) = timed_ok(|| entry.solve_with_stop(self.tree(), stop));
+        check(cancel, "solver")?;
+        let (result, seconds) = CancelToken::with_stop(cancel, |stop| {
+            timed_ok(|| entry.solve_with_stop(self.tree(), stop))
+        });
         let Some(result) = result else {
             return Err(cancelled(cancel, "solver"));
         };
@@ -808,7 +803,7 @@ impl Plan {
 
     /// The numeric substrate (SPD matrix + per-column model), built on first
     /// use and shared by every `execute` on this plan.
-    fn numeric_model(&self) -> Result<std::sync::Arc<NumericModel>, EngineError> {
+    pub(crate) fn numeric_model(&self) -> Result<std::sync::Arc<NumericModel>, EngineError> {
         {
             let cache = self.numeric_model.lock().expect("numeric cache poisoned");
             if let Some(model) = cache.as_ref() {
@@ -869,34 +864,13 @@ impl Plan {
         // Unbounded ledger: the *cluster* budget was enforced when the
         // coordinator admitted this task's claim; locally it only measures.
         let ledger = BudgetLedger::new(None);
-        let probe;
-        let stop: Option<&dyn Fn() -> bool> = match cancel {
-            Some(token) => {
-                probe = move || token.is_cancelled();
-                Some(&probe)
-            }
-            None => None,
+        let ctx = TaskContext {
+            numeric: &numeric,
+            children: &children,
+            ledger: &ledger,
+            cancel,
         };
-        let outcome = factor_columns_with(
-            &numeric.matrix,
-            &numeric.structure,
-            &children,
-            order,
-            ContributionStore::new(),
-            &ledger,
-            &mut FrontArena::new(),
-            FrontKernel::default(),
-            stop,
-        )
-        .map_err(|err| match err {
-            FactorizationError::Cancelled => cancelled(cancel, "numeric"),
-            other => EngineError::Factorization(other),
-        })?;
-        Ok(SubtreeParts {
-            columns: outcome.columns,
-            blocks: outcome.blocks,
-            block_entries: outcome.block_entries,
-        })
+        ctx.factor(order, ContributionStore::new(), &mut FrontArena::new())
     }
 
     /// Produce the schedule described by the plan's own configuration.
@@ -928,33 +902,32 @@ impl Plan {
         let policy_name = spec.policy.unwrap_or_else(|| self.config.policy.clone());
         let budget_spec = spec.memory.unwrap_or(self.config.memory);
         let parallel = spec.parallel.unwrap_or(self.config.parallel);
-        validate_parallel(&parallel, self.config.numeric)?;
+        validate_execution(&parallel, &self.config.distributed, self.config.numeric)?;
         let policy = engine.policies.get_or_err(&policy_name)?;
         let (solved, solver_seconds) = self.solve_with_cancel(engine, &solver, cancel)?;
 
         fire_fault("schedule:io");
         check(cancel, "io")?;
-        let probe;
-        let stop: Option<&dyn Fn() -> bool> = match cancel {
-            Some(token) => {
-                probe = move || token.is_cancelled();
-                Some(&probe)
-            }
-            None => None,
-        };
         let tree = self.tree();
         let memory_budget = budget_spec.resolve(tree.max_mem_req(), solved.peak);
         let ((run, divisible_bound), io_seconds) = {
-            let (result, summary) = perfprof::timing::time_runs(1, || {
-                let run =
-                    schedule_io_with_stop(tree, &solved.traversal, memory_budget, policy, stop)?;
-                let bound = match &run {
-                    Some(_) => {
-                        Some(self.divisible_bound_cached(&solver, &solved, memory_budget)?)
-                    }
-                    None => None,
-                };
-                Ok::<_, MinIoError>((run, bound))
+            let (result, summary) = CancelToken::with_stop(cancel, |stop| {
+                perfprof::timing::time_runs(1, || {
+                    let run = schedule_io_with_stop(
+                        tree,
+                        &solved.traversal,
+                        memory_budget,
+                        policy,
+                        stop,
+                    )?;
+                    let bound = match &run {
+                        Some(_) => {
+                            Some(self.divisible_bound_cached(&solver, &solved, memory_budget)?)
+                        }
+                        None => None,
+                    };
+                    Ok::<_, MinIoError>((run, bound))
+                })
             });
             (result?, summary.median_seconds)
         };
@@ -1139,35 +1112,123 @@ impl Schedule<'_> {
     }
 
     /// [`Schedule::execute_with_factor`] under a [`CancelToken`]: the numeric
-    /// column loop (sequential and work-stealing parallel alike) polls the
-    /// token every few dozen columns, so a fired deadline stops the
-    /// factorization mid-flight with [`EngineError::Cancelled`].
+    /// column loop (inline and pooled alike) polls the token every few dozen
+    /// columns, so a fired deadline stops the factorization mid-flight with
+    /// [`EngineError::Cancelled`].
+    ///
+    /// The numeric stage runs in-process: on the thread pool when the
+    /// schedule's `parallel` section is enabled, otherwise as the one-task
+    /// cut on the caller's thread.  (A `distributed` section needs a
+    /// coordinator to hand the tasks out — see
+    /// [`Schedule::distributed_cut`] / [`Schedule::execute_distributed`];
+    /// without one the run is sequential.)
     pub fn execute_with_factor_cancel(
         &self,
         engine: &Engine,
         cancel: Option<&CancelToken>,
     ) -> Result<(Report, Option<FactorHandle>), EngineError> {
+        if !self.plan.config.numeric {
+            return self.finish(None, cancel);
+        }
+        fire_fault("execute:numeric");
+        check(cancel, "numeric")?;
+        let started = Instant::now();
+        let numeric = self.plan.numeric_model()?;
+        let order = numeric.order_for(engine, &self.solver)?;
+        // Sequential execution is the one-task cut run inline.
+        let (max_tasks, budget, runner) = if self.parallel.enabled() {
+            let ParallelConfig {
+                workers,
+                max_tasks,
+                budget,
+            } = self.parallel;
+            (max_tasks, budget, TaskRunner::Pool(workers))
+        } else {
+            (1, BudgetShare::Unbounded, TaskRunner::Inline)
+        };
+        let stage = NumericStage {
+            cut: &CutPlan::compute(&numeric, &order, max_tasks, &budget)?,
+            runner,
+            started,
+            cluster: None,
+        };
+        self.finish(Some(stage), cancel)
+    }
+
+    /// The one finisher behind every `execute*`: run the numeric pipeline
+    /// of `stage` (subtree phase → merge, [`execute_cut`]), the solve stage,
+    /// and fold everything into the single [`Report`].  `None` is a run
+    /// without the numeric stage.
+    fn finish(
+        &self,
+        stage: Option<NumericStage<'_>>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(Report, Option<FactorHandle>), EngineError> {
         let plan = self.plan;
         let mut timings = self.timings();
-
-        let (numeric, parallel, handle) = if plan.config.numeric {
-            fire_fault("execute:numeric");
-            check(cancel, "numeric")?;
-            let (result, numeric_seconds) = {
-                let (result, summary) =
-                    perfprof::timing::time_runs(1, || self.run_numeric(engine, cancel));
-                (result?, summary.median_seconds)
+        let mut numeric = None;
+        let mut parallel = None;
+        let mut distributed = None;
+        let mut handle = None;
+        if let Some(stage) = stage {
+            let model = plan.numeric_model()?;
+            let pool_workers = match stage.runner {
+                TaskRunner::Pool(workers) => Some(workers),
+                _ => None,
             };
-            timings.numeric_seconds = numeric_seconds;
-            let (numeric_report, parallel_report, factor) = result;
-            let handle = FactorHandle {
-                numeric: plan.numeric_model()?,
-                factor,
-            };
-            (Some(numeric_report), parallel_report, Some(handle))
-        } else {
-            (None, None, None)
-        };
+            let executed = execute_cut(&model, stage.cut, stage.runner, cancel)?;
+            // A distributed run spent its claim phase before `started`;
+            // counting it makes every mode's numbers cover the whole stage.
+            let before = stage
+                .cluster
+                .as_ref()
+                .map_or(0.0, |(_, runtime)| runtime.claim_wall_seconds);
+            let stage_seconds = || before + stage.started.elapsed().as_secs_f64();
+            parallel = pool_workers.map(|workers| {
+                let wall_seconds = stage_seconds();
+                let longest_task = executed.task_seconds.iter().copied().fold(0.0, f64::max);
+                let total_busy: f64 =
+                    executed.worker_busy_seconds.iter().sum::<f64>() + executed.merge_seconds;
+                ParallelReport {
+                    cut: stage.cut.report(),
+                    workers,
+                    measured_peak_entries: executed.measured_peak_entries,
+                    forced_admissions: executed.forced_admissions,
+                    wall_seconds,
+                    critical_path_seconds: longest_task + executed.merge_seconds,
+                    merge_seconds: executed.merge_seconds,
+                    task_seconds: executed.task_seconds,
+                    worker_busy_seconds: executed.worker_busy_seconds,
+                    utilization: if wall_seconds > 0.0 {
+                        total_busy / (workers.max(1) as f64 * wall_seconds)
+                    } else {
+                        0.0
+                    },
+                }
+            });
+            distributed = stage.cluster.map(|(lease_ms, runtime)| DistributedReport {
+                cut: stage.cut.report(),
+                lease_ms,
+                workers: runtime.workers,
+                tasks_requeued: runtime.tasks_requeued,
+                lease_expiries: runtime.lease_expiries,
+                contribution_bytes: runtime.contribution_bytes,
+                wall_seconds: stage_seconds(),
+                merge_seconds: executed.merge_seconds,
+                worker_busy_seconds: runtime.worker_busy_seconds,
+            });
+            numeric = Some(NumericReport {
+                measured_peak_entries: executed.measured_peak_entries as usize,
+                model_peak_entries: stage.cut.sequential_peak,
+                factor_nnz: executed.factor.nnz(),
+                solve_error: solve_check(&model.matrix, &executed.factor),
+            });
+            timings.numeric_seconds = stage_seconds();
+            handle = Some(FactorHandle {
+                numeric: model,
+                factor: executed.factor,
+            });
+        }
 
         let solve = if plan.config.solve.enabled {
             check(cancel, "solve")?;
@@ -1205,57 +1266,10 @@ impl Schedule<'_> {
             numeric,
             solve,
             parallel,
-            distributed: None,
+            distributed,
             timings,
         };
         Ok((report, handle))
-    }
-
-    fn run_numeric(
-        &self,
-        engine: &Engine,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(NumericReport, Option<ParallelReport>, CholeskyFactor), EngineError> {
-        let numeric = self.plan.numeric_model()?;
-        let bottom_up = numeric.order_for(engine, &self.solver)?;
-
-        if self.parallel.enabled() {
-            let (factor, parallel_report) =
-                execute_parallel(&numeric, &bottom_up, &self.parallel, cancel)?;
-            let numeric_report = NumericReport {
-                measured_peak_entries: parallel_report.measured_peak_entries as usize,
-                model_peak_entries: parallel_report.sequential_peak_entries,
-                factor_nnz: factor.nnz(),
-                solve_error: solve_check(&numeric.matrix, &factor),
-            };
-            return Ok((numeric_report, Some(parallel_report), factor));
-        }
-
-        let probe;
-        let stop: Option<&dyn Fn() -> bool> = match cancel {
-            Some(token) => {
-                probe = move || token.is_cancelled();
-                Some(&probe)
-            }
-            None => None,
-        };
-        let stats = instrumented_factorization_with_stop(
-            &numeric.matrix,
-            &numeric.structure,
-            Some(&bottom_up),
-            stop,
-        )
-        .map_err(|err| match err {
-            FactorizationError::Cancelled => cancelled(cancel, "numeric"),
-            other => EngineError::Factorization(other),
-        })?;
-        let numeric_report = NumericReport {
-            measured_peak_entries: stats.measured_peak_entries,
-            model_peak_entries: stats.model_peak_entries,
-            factor_nnz: stats.factor_nnz,
-            solve_error: solve_check(&numeric.matrix, &stats.factor),
-        };
-        Ok((numeric_report, None, stats.factor))
     }
 
     /// The solve stage: materialize the configured right-hand sides, solve
@@ -1316,17 +1330,18 @@ impl Schedule<'_> {
         let cut = CutPlan::compute(&numeric, &order, distributed.tasks, &distributed.budget)?;
         Ok(DistributedCut {
             cut,
-            max_tasks: distributed.tasks,
             lease_ms: distributed.lease_ms,
         })
     }
 
-    /// The coordinator's final phase of a distributed run: absorb the
-    /// workers' per-task contributions (in task order), eliminate the
-    /// above-cut columns sequentially, assemble the factor, run the solve
-    /// stage, and fold everything into a [`Report`] whose `distributed`
-    /// section carries the cut plus the supplied cluster `runtime`
-    /// measurements.
+    /// The coordinator's final phase of a distributed run — the same
+    /// pipeline as [`Schedule::execute`] with the subtree phase already done
+    /// by worker processes: absorb their per-task contributions (in task
+    /// order), eliminate the above-cut columns sequentially, assemble the
+    /// factor, run the solve stage, and fold everything into a [`Report`]
+    /// whose `distributed` section carries the cut plus the supplied
+    /// cluster `runtime` measurements.  `timings.numeric_seconds` covers the
+    /// claim phase (`runtime.claim_wall_seconds`) as well as the merge.
     ///
     /// `contributions[t]` must be the [`SubtreeParts`] of task `t` of `cut`
     /// (the order [`DistributedCut::task_order`] reports) — merging in task
@@ -1334,118 +1349,34 @@ impl Schedule<'_> {
     /// path.
     pub fn execute_distributed(
         &self,
-        _engine: &Engine,
         cut: DistributedCut,
         contributions: Vec<SubtreeParts>,
         runtime: DistributedRuntime,
         cancel: Option<&CancelToken>,
     ) -> Result<(Report, Option<FactorHandle>), EngineError> {
-        let started = std::time::Instant::now();
-        let plan = self.plan;
-        let mut timings = self.timings();
-        if contributions.len() != cut.task_count() {
-            return Err(EngineError::Internal(format!(
-                "distributed merge expected {} task contributions, got {}",
-                cut.task_count(),
-                contributions.len()
-            )));
-        }
+        let started = Instant::now();
         check(cancel, "numeric")?;
-
-        let numeric = plan.numeric_model()?;
-        let children = numeric.structure.etree.children();
-        let mut merge_blocks = ContributionStore::new();
-        let mut parts: Vec<FactorColumn> = Vec::with_capacity(numeric.matrix.n());
-        for done in contributions {
-            merge_blocks.absorb(done.blocks);
-            parts.extend(done.columns);
-        }
-
-        // The cluster-level budget gated task *claims* (in the coordinator's
-        // job ledger); the merge itself is sequential and local, so it runs
-        // on a fresh unbounded ledger that only measures.
-        let ledger = BudgetLedger::new(None);
-        let (factor, merge_seconds) = merge_and_assemble(
-            &numeric,
-            &children,
-            &cut.cut.merge_order,
-            merge_blocks,
-            cut.cut.merge_initial,
-            &ledger,
-            FrontKernel::default(),
-            cancel,
-            parts,
-        )?;
-        timings.numeric_seconds = started.elapsed().as_secs_f64();
-
-        let numeric_report = NumericReport {
-            // The coordinator physically holds the retained root blocks
-            // while the merge fronts come and go on top of them.
-            measured_peak_entries: (cut.cut.merge_initial + ledger.measured_peak_entries())
-                as usize,
-            model_peak_entries: cut.cut.sequential_peak,
-            factor_nnz: factor.nnz(),
-            solve_error: solve_check(&numeric.matrix, &factor),
+        let stage = NumericStage {
+            cut: &cut.cut,
+            runner: TaskRunner::Collected(contributions),
+            started,
+            cluster: Some((cut.lease_ms, runtime)),
         };
-        let distributed_report = DistributedReport {
-            max_tasks: cut.max_tasks,
-            subtree_count: cut.cut.task_orders.len(),
-            above_cut_nodes: cut.cut.merge_order.len(),
-            sequential_peak_entries: cut.cut.sequential_peak,
-            budget_entries: cut.cut.budget_entries,
-            max_task_peak_entries: cut.cut.task_peaks.iter().copied().max().unwrap_or(0),
-            merge_peak_entries: cut.cut.merge_peak,
-            oversized_tasks: cut.cut.oversized_tasks,
-            lease_ms: cut.lease_ms,
-            workers: runtime.workers,
-            tasks_requeued: runtime.tasks_requeued,
-            lease_expiries: runtime.lease_expiries,
-            contribution_bytes: runtime.contribution_bytes,
-            wall_seconds: runtime.claim_wall_seconds + started.elapsed().as_secs_f64(),
-            merge_seconds,
-            worker_busy_seconds: runtime.worker_busy_seconds,
-        };
-        let handle = FactorHandle {
-            numeric: numeric.clone(),
-            factor,
-        };
-
-        let solve = if plan.config.solve.enabled {
-            check(cancel, "solve")?;
-            let (result, summary) =
-                perfprof::timing::time_runs(1, || self.run_solve(&plan.config.solve, &handle));
-            timings.solve_seconds = summary.median_seconds;
-            Some(result?)
-        } else {
-            None
-        };
-
-        let report = Report {
-            config_hash: self.config_hash.clone(),
-            source: plan.config.source_name(),
-            ordering: plan.config.ordering.name().to_string(),
-            amalgamation: plan.config.amalgamation,
-            solver: self.solver.clone(),
-            policy: self.policy.clone(),
-            nodes: plan.tree().len(),
-            matrix_n: plan.matrix_n(),
-            solver_peak: self.solver_peak,
-            memory_budget: self.memory_budget,
-            budget_spec: self.budget_spec,
-            io_volume: self.run.io_volume,
-            read_volume: self.run.read_volume,
-            files_written: self.run.files_written,
-            io_peak_memory: self.run.peak_memory,
-            divisible_bound: self.divisible_bound,
-            traversal: self.traversal.order().to_vec(),
-            numeric: Some(numeric_report),
-            solve,
-            parallel: None,
-            distributed: Some(distributed_report),
-            timings,
-        };
-        Ok((report, Some(handle)))
+        self.finish(Some(stage), cancel)
     }
+}
+
+/// The numeric stage of one `execute*` call, as [`Schedule::finish`] takes
+/// it: the cut, who runs its subtree tasks, and what only the mode's entry
+/// point knows.
+struct NumericStage<'c> {
+    cut: &'c CutPlan,
+    runner: TaskRunner,
+    /// When the stage's in-process work began.
+    started: Instant,
+    /// Lease duration and cluster measurements of a distributed run (whose
+    /// `runner` carries the collected contributions).
+    cluster: Option<(u64, DistributedRuntime)>,
 }
 
 /// The deterministic coordinator-side cut of one scheduled factorization
@@ -1454,7 +1385,6 @@ impl Schedule<'_> {
 /// are what the coordinator's budget ledger gates claims on.
 pub struct DistributedCut {
     cut: CutPlan,
-    max_tasks: usize,
     lease_ms: u64,
 }
 
@@ -1475,20 +1405,9 @@ impl DistributedCut {
         self.cut.task_peaks[task]
     }
 
-    /// Entries task `task` retains after finishing (its root contribution
-    /// blocks, held until the merge consumes them).
-    pub fn task_retained_entries(&self, task: usize) -> u64 {
-        self.cut.task_retained[task]
-    }
-
     /// The resolved cluster budget in matrix entries (`None` = unbounded).
     pub fn budget_entries(&self) -> Option<u64> {
         self.cut.budget_entries
-    }
-
-    /// Number of columns above the cut (merged by the coordinator).
-    pub fn above_cut_nodes(&self) -> usize {
-        self.cut.merge_order.len()
     }
 
     /// The configured lease duration per claimed task, in milliseconds.
@@ -1501,16 +1420,9 @@ impl DistributedCut {
 /// factor columns, the contribution blocks its roots leave for the merge
 /// phase, and the entry count of those blocks (the budget the task retains).
 /// Produced by [`Plan::factor_subtree`]; consumed in task order by
-/// [`Schedule::execute_distributed`].
-#[derive(Debug)]
-pub struct SubtreeParts {
-    /// Finished factor columns `(column, rows, values)`.
-    pub columns: Vec<FactorColumn>,
-    /// Root contribution blocks for the merge phase.
-    pub blocks: ContributionStore,
-    /// Total entries of `blocks`.
-    pub block_entries: u64,
-}
+/// [`Schedule::execute_distributed`].  The same type every in-process
+/// subtree task produces.
+pub type SubtreeParts = multifrontal::SubtreeOutcome;
 
 /// Cluster-dynamics measurements the coordinator's job machinery feeds into
 /// [`Schedule::execute_distributed`]; they land in the report's
@@ -1526,7 +1438,7 @@ pub struct DistributedRuntime {
     /// Serialized contribution bytes received from workers.
     pub contribution_bytes: u64,
     /// Wall-clock seconds of the claim/contribute phase (the merge phase's
-    /// own wall-clock is added by `execute_distributed`).
+    /// own wall-clock is added by [`Schedule::execute_distributed`]).
     pub claim_wall_seconds: f64,
     /// Busy seconds per worker process, in first-claim order.
     pub worker_busy_seconds: Vec<f64>,
@@ -1978,13 +1890,7 @@ mod tests {
                 .map(|task| plan.factor_subtree(cut.task_order(task), None).unwrap())
                 .collect();
             let (report, handle) = schedule
-                .execute_distributed(
-                    &engine,
-                    cut,
-                    contributions,
-                    DistributedRuntime::default(),
-                    None,
-                )
+                .execute_distributed(cut, contributions, DistributedRuntime::default(), None)
                 .unwrap();
             let handle = handle.unwrap();
             assert_eq!(
@@ -1998,7 +1904,7 @@ mod tests {
                 "values must be bit-identical at {tasks} tasks"
             );
             let distributed = report.distributed.as_ref().expect("distributed section");
-            assert_eq!(distributed.max_tasks, tasks);
+            assert_eq!(distributed.cut.max_tasks, tasks);
             // The deterministic outcome (factor size, solve residual) matches
             // the reference run's too.
             assert_eq!(

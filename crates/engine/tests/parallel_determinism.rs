@@ -1,13 +1,16 @@
-//! The parallel-execution determinism battery.
+//! The execution-mode determinism battery.
 //!
-//! The contract of the parallel layer is that worker count is a *pure
-//! performance knob*: for any problem, the computed factor, the solve
-//! residual and the whole report (modulo wall-clock timings and the
-//! interleaving-dependent measured peak) are bit-identical for 1, 2, 4 and 8
-//! workers — and match the sequential execution path.  The battery also
-//! covers the budget ledger's edge cases: a budget smaller than the largest
-//! single subtree (or frontal matrix) must degrade to sequential execution,
-//! not deadlock.
+//! The contract of the numeric pipeline is that the execution mode and the
+//! worker count are *pure performance knobs*: for any problem, the computed
+//! factor, the solve residual and the whole report (modulo wall-clock
+//! timings, the mode's own report section and the interleaving-dependent
+//! measured peak) are bit-identical whether the subtree tasks run inline
+//! (sequential), on 1, 2, 4 or 8 pool workers, or in other processes
+//! (distributed).  The battery also covers the budget ledger's edge cases:
+//! a budget smaller than the largest single subtree (or frontal matrix)
+//! must degrade to sequential execution, not deadlock.
+
+use std::collections::BTreeSet;
 
 use engine::prelude::*;
 use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger};
@@ -16,6 +19,13 @@ use sparsemat::gen::{spd_matrix_from_pattern, ProblemKind};
 use treemem::partition::{default_node_work, proportional_cut};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const ORDERINGS: [OrderingMethod; 2] = [
+    OrderingMethod::NestedDissection,
+    OrderingMethod::MinimumDegree,
+];
+const AMALGAMATIONS: [usize; 2] = [1, 16];
+/// Cut granularity of every pool and distributed run below.
+const MAX_TASKS: usize = 8;
 
 fn battery_nodes(kind: ProblemKind) -> usize {
     match kind {
@@ -27,59 +37,191 @@ fn battery_nodes(kind: ProblemKind) -> usize {
 
 fn numeric_config(kind: ProblemKind) -> EngineConfig {
     EngineConfig::generated(kind, battery_nodes(kind), 11)
-        .with_ordering(ordering::OrderingMethod::NestedDissection)
+        .with_ordering(OrderingMethod::NestedDissection)
         .with_numeric(true)
 }
 
-/// Reports are bit-identical across worker counts (and the residual matches
-/// the sequential path bit for bit) for every problem kind.
+/// The mode-independent identity of a run: the fingerprint with the mode's
+/// own section and the measured peak (which legitimately differ between
+/// modes) blanked.
+fn outcome(report: &Report) -> String {
+    let mut report = report.clone();
+    report.parallel = None;
+    report.distributed = None;
+    if let Some(numeric) = &mut report.numeric {
+        numeric.measured_peak_entries = 0;
+    }
+    report.fingerprint()
+}
+
+/// Run `config` (which carries a distributed section) the way a coordinator
+/// and its workers would, in one process: cut, factor every task
+/// independently through [`Plan::factor_subtree`], merge.
+fn distributed_in_process(
+    engine: &Engine,
+    config: &EngineConfig,
+    cancel: Option<&CancelToken>,
+) -> Result<Report, EngineError> {
+    let plan = engine.plan(config)?;
+    let schedule = plan.schedule(engine)?;
+    let cut = schedule.distributed_cut(engine)?;
+    let contributions: Vec<SubtreeParts> = (0..cut.task_count())
+        .map(|task| plan.factor_subtree(cut.task_order(task), None))
+        .collect::<Result<_, _>>()?;
+    let (report, _) =
+        schedule.execute_distributed(cut, contributions, DistributedRuntime::default(), cancel)?;
+    Ok(report)
+}
+
+fn assert_numeric_cancellation<T>(result: Result<T, EngineError>, mode: &str) {
+    match result {
+        Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "numeric", "{mode}"),
+        Err(other) => panic!("{mode}: expected Cancelled, got {other:?}"),
+        Ok(_) => panic!("{mode}: expected Cancelled, got a result"),
+    }
+}
+
+/// The differential matrix: every problem kind × ordering × amalgamation
+/// through every execution mode — sequential, pool at 1/2/4/8 workers,
+/// distributed in-process — yields exactly one outcome, reports are
+/// bit-identical across worker counts, the sequential measured peak equals
+/// the model's and every other mode stays within its shared budget.
 #[test]
 fn reports_are_bit_identical_for_every_worker_count_and_kind() {
     let engine = Engine::new();
     for kind in ProblemKind::ALL {
-        let config = numeric_config(kind);
-        let plan = engine.plan(&config).unwrap();
-        let sequential = plan.schedule(&engine).unwrap().execute(&engine).unwrap();
-        assert!(sequential.parallel.is_none());
-        let sequential_numeric = sequential.numeric.as_ref().unwrap();
-        assert!(
-            sequential_numeric.solve_error < 1e-6,
-            "{kind:?}: sequential residual {}",
-            sequential_numeric.solve_error
-        );
+        for ordering in ORDERINGS {
+            for amalgamation in AMALGAMATIONS {
+                let cell = format!("{kind:?}/{}/a{amalgamation}", ordering.name());
+                let config = numeric_config(kind)
+                    .with_ordering(ordering)
+                    .with_amalgamation(amalgamation);
+                let plan = engine.plan(&config).unwrap();
+                let run_pool = |parallel: ParallelConfig| {
+                    plan.schedule_with(&engine, ScheduleSpec::default().parallel(parallel))
+                        .unwrap()
+                        .execute(&engine)
+                        .unwrap()
+                };
 
-        let mut fingerprints = Vec::new();
-        for workers in WORKER_COUNTS {
-            let parallel = ParallelConfig::with_workers(workers)
-                .with_max_tasks(8)
-                .with_budget(BudgetShare::MultipleOfSequentialPeak(2.0));
-            let report = plan
-                .schedule_with(&engine, ScheduleSpec::default().parallel(parallel))
-                .unwrap()
-                .execute(&engine)
-                .unwrap();
-            let numeric = report.numeric.as_ref().unwrap();
-            let parallel_report = report.parallel.as_ref().unwrap();
-            assert_eq!(parallel_report.workers, workers, "{kind:?}");
-            assert_eq!(
-                parallel_report.subtree_count,
-                parallel_report.task_seconds.len(),
-                "{kind:?}"
-            );
-            // The residual is a function of the factor alone: bit equality
-            // here means the factor did not depend on the worker count.
-            assert_eq!(
-                numeric.solve_error.to_bits(),
-                sequential_numeric.solve_error.to_bits(),
-                "{kind:?} at {workers} workers"
-            );
-            assert_eq!(numeric.factor_nnz, sequential_numeric.factor_nnz);
-            fingerprints.push(report.fingerprint());
-        }
-        for fingerprint in &fingerprints[1..] {
-            assert_eq!(fingerprint, &fingerprints[0], "{kind:?}");
+                let sequential = plan.schedule(&engine).unwrap().execute(&engine).unwrap();
+                assert!(sequential.parallel.is_none() && sequential.distributed.is_none());
+                let sequential_numeric = sequential.numeric.as_ref().unwrap();
+                assert!(
+                    sequential_numeric.solve_error < 1e-6,
+                    "{cell}: sequential residual {}",
+                    sequential_numeric.solve_error
+                );
+                assert_eq!(
+                    sequential_numeric.measured_peak_entries as i64,
+                    sequential_numeric.model_peak_entries,
+                    "{cell}: the model must predict the sequential footprint exactly"
+                );
+                let mut outcomes = BTreeSet::from([outcome(&sequential)]);
+
+                // A budget of (merge peak + largest task peak) always
+                // suffices (see `tight_budgets_run_without_forced_admissions`),
+                // so under it `measured <= budget` must hold on every run.
+                let probe = run_pool(ParallelConfig::with_workers(1).with_max_tasks(MAX_TASKS));
+                let probe_cut = &probe.parallel.as_ref().unwrap().cut;
+                let budget = probe_cut.merge_peak_entries + probe_cut.max_task_peak_entries;
+                let share = BudgetShare::Entries(budget);
+
+                let mut fingerprints = BTreeSet::new();
+                for workers in WORKER_COUNTS {
+                    let report = run_pool(
+                        ParallelConfig::with_workers(workers)
+                            .with_max_tasks(MAX_TASKS)
+                            .with_budget(share),
+                    );
+                    let parallel_report = report.parallel.as_ref().unwrap();
+                    assert_eq!(parallel_report.workers, workers, "{cell}");
+                    assert_eq!(
+                        parallel_report.cut.subtree_count,
+                        parallel_report.task_seconds.len(),
+                        "{cell}"
+                    );
+                    assert!(
+                        parallel_report.measured_peak_entries <= budget,
+                        "{cell} at {workers} workers: measured {} > budget {budget}",
+                        parallel_report.measured_peak_entries
+                    );
+                    // The residual is a function of the factor alone: bit
+                    // equality means the factor did not depend on the mode.
+                    assert_eq!(
+                        report.numeric.as_ref().unwrap().solve_error.to_bits(),
+                        sequential_numeric.solve_error.to_bits(),
+                        "{cell} at {workers} workers"
+                    );
+                    fingerprints.insert(report.fingerprint());
+                    outcomes.insert(outcome(&report));
+                }
+                assert_eq!(fingerprints.len(), 1, "{cell}: pool reports differ");
+
+                let sharded = config
+                    .clone()
+                    .with_distributed(DistributedConfig::with_tasks(MAX_TASKS).with_budget(share));
+                let report = distributed_in_process(&engine, &sharded, None).unwrap();
+                let section = report.distributed.as_ref().unwrap();
+                // The pool and the coordinator derive the same cut.
+                let expected_cut = CutReport {
+                    budget_entries: Some(budget),
+                    ..probe_cut.clone()
+                };
+                assert_eq!(section.cut, expected_cut, "{cell}");
+                assert!(
+                    report.numeric.as_ref().unwrap().measured_peak_entries as u64 <= budget,
+                    "{cell}: distributed merge exceeded the budget"
+                );
+                outcomes.insert(outcome(&report));
+
+                assert_eq!(outcomes.len(), 1, "{cell}: execution modes disagree");
+            }
         }
     }
+}
+
+/// A pre-fired token stops the numeric stage of every execution mode with
+/// the typed cancellation, and the same schedule completes afterwards (a
+/// wedged budget gate would hang it).
+#[test]
+fn a_fired_token_cancels_the_numeric_stage_in_every_mode() {
+    let engine = Engine::new();
+    let token = CancelToken::new();
+    token.cancel();
+    let sequential = numeric_config(ProblemKind::Grid2d);
+    let pooled = sequential
+        .clone()
+        .with_parallel(ParallelConfig::with_workers(2).with_max_tasks(MAX_TASKS));
+    for (mode, config) in [("sequential", &sequential), ("pool", &pooled)] {
+        let plan = engine.plan(config).unwrap();
+        let schedule = plan.schedule(&engine).unwrap();
+        assert_numeric_cancellation(
+            schedule.execute_with_factor_cancel(&engine, Some(&token)),
+            mode,
+        );
+        assert!(schedule.execute(&engine).is_ok(), "{mode}");
+    }
+    let sharded = sequential
+        .clone()
+        .with_distributed(DistributedConfig::with_tasks(MAX_TASKS));
+    // The worker side polls its token too...
+    let plan = engine.plan(&sharded).unwrap();
+    let cut = plan
+        .schedule(&engine)
+        .unwrap()
+        .distributed_cut(&engine)
+        .unwrap();
+    assert_numeric_cancellation(
+        plan.factor_subtree(cut.task_order(0), Some(&token)),
+        "distributed worker",
+    );
+    // ...and so does the coordinator's merge.
+    assert_numeric_cancellation(
+        distributed_in_process(&engine, &sharded, Some(&token)),
+        "distributed merge",
+    );
+    assert!(distributed_in_process(&engine, &sharded, None).is_ok());
 }
 
 /// A budget far below the largest single subtree peak (one entry!) must
@@ -103,15 +245,15 @@ fn undersized_budgets_degrade_to_sequential_instead_of_deadlocking() {
             .execute(&engine)
             .unwrap();
         let parallel_report = report.parallel.as_ref().unwrap();
-        assert_eq!(parallel_report.budget_entries, Some(1));
+        assert_eq!(parallel_report.cut.budget_entries, Some(1));
         // Every task is oversized, every admission is forced.
         assert_eq!(
-            parallel_report.oversized_tasks,
-            parallel_report.subtree_count
+            parallel_report.cut.oversized_tasks,
+            parallel_report.cut.subtree_count
         );
         assert_eq!(
             parallel_report.forced_admissions,
-            parallel_report.subtree_count as u64
+            parallel_report.cut.subtree_count as u64
         );
         let numeric = report.numeric.as_ref().unwrap();
         assert_eq!(
@@ -141,7 +283,8 @@ fn tight_budgets_run_without_forced_admissions() {
         .execute(&engine)
         .unwrap();
     let probe_parallel = probe.parallel.as_ref().unwrap();
-    let sufficient = probe_parallel.merge_peak_entries + probe_parallel.max_task_peak_entries;
+    let sufficient =
+        probe_parallel.cut.merge_peak_entries + probe_parallel.cut.max_task_peak_entries;
 
     for workers in WORKER_COUNTS {
         let parallel = ParallelConfig::with_workers(workers)
@@ -153,7 +296,7 @@ fn tight_budgets_run_without_forced_admissions() {
             .execute(&engine)
             .unwrap();
         let parallel_report = report.parallel.as_ref().unwrap();
-        assert_eq!(parallel_report.oversized_tasks, 0);
+        assert_eq!(parallel_report.cut.oversized_tasks, 0);
         assert_eq!(parallel_report.forced_admissions, 0);
         assert!(report.numeric.as_ref().unwrap().solve_error < 1e-6);
     }

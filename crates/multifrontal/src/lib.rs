@@ -30,9 +30,7 @@ pub mod numeric;
 pub mod parallel;
 
 pub use dense::{DenseMatrix, FrontArena, FrontKernel, DEFAULT_BLOCK};
-pub use memory::{
-    instrumented_factorization, instrumented_factorization_with_stop, FactorizationStats,
-};
+pub use memory::{instrumented_factorization, FactorizationStats};
 pub use numeric::{
     multifrontal_cholesky, multifrontal_cholesky_with, solve, solve_into, CholeskyFactor,
     ContributionStore, FactorColumn, FactorizationError, SymbolicStructure,

@@ -10,15 +10,25 @@
 //! so the measured peak of an execution must equal the model's prediction for
 //! the same traversal — [`instrumented_factorization`] asserts nothing but
 //! reports both so tests and experiments can compare them.
+//!
+//! The measurement is the [`BudgetLedger`]'s: the elimination loop reports
+//! every live-entry movement to a ledger, and this module merely runs it on
+//! an unbounded one and reads the high-water mark back.  The engine's
+//! executors measure through the same hook, so there is one place where
+//! `measured == model` can break.  This entry point is the whole-matrix
+//! *reference* (it validates the order against the elimination tree); the
+//! served path goes through [`crate::parallel::factor_columns_with`].
 
 use sparsemat::SymmetricCsr;
 use treemem::tree::Size;
 use treemem::variants::bottom_up_peak;
 use treemem::{Traversal, Tree};
 
+use crate::dense::FrontKernel;
 use crate::numeric::{
-    factorize_with_observer, CholeskyFactor, FactorizationError, FrontalObserver, SymbolicStructure,
+    bottom_up_order, factorize, CholeskyFactor, FactorizationError, SymbolicStructure,
 };
+use crate::parallel::BudgetLedger;
 
 /// Statistics of an instrumented factorization.
 #[derive(Debug, Clone)]
@@ -37,32 +47,6 @@ pub struct FactorizationStats {
     pub factor: CholeskyFactor,
     /// The per-column model tree used for the prediction.
     pub model_tree: Tree,
-}
-
-/// Memory-tracking observer.
-#[derive(Default)]
-struct MemoryTracker {
-    live: usize,
-    peak: usize,
-}
-
-impl FrontalObserver for MemoryTracker {
-    fn front_allocated(&mut self, entries: usize) {
-        self.live += entries;
-        self.peak = self.peak.max(self.live);
-    }
-
-    fn front_released(&mut self, entries: usize, cb_entries: usize) {
-        // The contribution block is carved out of the front; the rest of the
-        // front is freed.
-        self.live -= entries;
-        self.live += cb_entries;
-        self.peak = self.peak.max(self.live);
-    }
-
-    fn contribution_consumed(&mut self, entries: usize) {
-        self.live -= entries;
-    }
 }
 
 /// Build the paper's per-column tree model of `structure`: node `j` has input
@@ -122,47 +106,21 @@ pub fn instrumented_factorization(
 }
 
 /// [`instrumented_factorization`] with a precomputed symbolic structure, for
-/// callers (like the engine's plan cache) that already paid for it.
+/// callers that already paid for it.
 pub fn instrumented_factorization_with_structure(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
     order: Option<&[usize]>,
 ) -> Result<FactorizationStats, FactorizationError> {
-    instrumented_factorization_with_stop(matrix, structure, order, None)
-}
-
-/// [`instrumented_factorization_with_structure`] with a cooperative stop
-/// probe, forwarded into the per-column elimination loop; a fired probe
-/// yields [`FactorizationError::Cancelled`].
-pub fn instrumented_factorization_with_stop(
-    matrix: &SymmetricCsr,
-    structure: &SymbolicStructure,
-    order: Option<&[usize]>,
-    stop: Option<&dyn Fn() -> bool>,
-) -> Result<FactorizationStats, FactorizationError> {
-    let default_order;
-    let order = match order {
-        Some(order) => order,
-        None => {
-            default_order = symbolic::etree::etree_postorder(&structure.etree);
-            &default_order
-        }
-    };
-    let mut tracker = MemoryTracker::default();
-    let factor = factorize_with_observer(
-        matrix,
-        structure,
-        order,
-        &mut tracker,
-        crate::dense::FrontKernel::default(),
-        stop,
-    )?;
+    let order = bottom_up_order(structure, order);
+    // An unbounded ledger only measures: its high-water mark is the peak.
+    let ledger = BudgetLedger::new(None);
+    let factor = factorize(matrix, structure, &order, &ledger, FrontKernel::default())?;
     let model_tree = per_column_model(structure);
-    let traversal = Traversal::new(order.to_vec());
-    let model_peak = bottom_up_peak(&model_tree, &traversal)
+    let model_peak = bottom_up_peak(&model_tree, &Traversal::new(order.into_owned()))
         .map_err(|_| FactorizationError::InvalidTraversal)?;
     Ok(FactorizationStats {
-        measured_peak_entries: tracker.peak,
+        measured_peak_entries: ledger.measured_peak_entries() as usize,
         model_peak_entries: model_peak,
         factor_nnz: factor.nnz(),
         n: matrix.n(),

@@ -1,11 +1,13 @@
 //! Symbolic structure and numeric multifrontal Cholesky factorization.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use sparsemat::{SparsePattern, SymmetricCsr};
 use symbolic::etree::{elimination_tree, etree_postorder, EliminationTree};
 
 use crate::dense::{DenseMatrix, FrontArena, FrontKernel};
+use crate::parallel::{assemble_factor, BudgetLedger};
 
 /// The row structure of every column of the Cholesky factor, together with
 /// the elimination tree it was derived from.
@@ -198,27 +200,6 @@ impl CholeskyFactor {
     }
 }
 
-/// Observer invoked by [`factorize_with_observer`] at the key points of the
-/// factorization, used by the memory instrumentation.
-pub(crate) trait FrontalObserver {
-    /// A frontal matrix of `entries` matrix entries has been allocated.
-    fn front_allocated(&mut self, entries: usize);
-    /// The frontal matrix has been released; a contribution block of
-    /// `cb_entries` entries stays live until the parent assembles it.
-    fn front_released(&mut self, entries: usize, cb_entries: usize);
-    /// A contribution block of `entries` entries has been consumed.
-    fn contribution_consumed(&mut self, entries: usize);
-}
-
-/// Observer that does nothing (plain factorization).
-struct NoOpObserver;
-
-impl FrontalObserver for NoOpObserver {
-    fn front_allocated(&mut self, _entries: usize) {}
-    fn front_released(&mut self, _entries: usize, _cb_entries: usize) {}
-    fn contribution_consumed(&mut self, _entries: usize) {}
-}
-
 /// One computed column of the factor: `(column, row indices, values)` with
 /// the diagonal first.  Partial factorizations (subtree tasks) return their
 /// columns in this form so they can be scattered into a [`CholeskyFactor`]
@@ -315,27 +296,32 @@ pub fn multifrontal_cholesky_with(
     kernel: FrontKernel,
 ) -> Result<CholeskyFactor, FactorizationError> {
     let structure = SymbolicStructure::from_pattern(&matrix.pattern());
-    let default_order;
-    let order = match traversal {
-        Some(order) => order,
-        None => {
-            default_order = etree_postorder(&structure.etree);
-            &default_order
-        }
-    };
-    factorize_with_observer(matrix, &structure, order, &mut NoOpObserver, kernel, None)
+    let order = bottom_up_order(&structure, traversal);
+    factorize(matrix, &structure, &order, &BudgetLedger::new(None), kernel)
 }
 
-/// The factorization kernel, parameterised by an observer (see
-/// [`crate::memory`] for the instrumented version) and an optional
-/// cooperative stop probe (checked every [`STOP_CHECK_COLUMNS`] columns).
-pub(crate) fn factorize_with_observer(
+/// The caller's bottom-up `traversal`, or the elimination-tree postorder
+/// when there is none.
+pub(crate) fn bottom_up_order<'a>(
+    structure: &SymbolicStructure,
+    traversal: Option<&'a [usize]>,
+) -> Cow<'a, [usize]> {
+    match traversal {
+        Some(order) => Cow::Borrowed(order),
+        None => Cow::Owned(etree_postorder(&structure.etree)),
+    }
+}
+
+/// The whole-matrix factorization behind [`multifrontal_cholesky_with`] and
+/// [`crate::memory`]: validate that `order` is a bottom-up traversal of the
+/// elimination tree, run [`eliminate_columns`] over it (live-entry movements
+/// go to `ledger`) and assemble the factor.
+pub(crate) fn factorize(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
     order: &[usize],
-    observer: &mut dyn FrontalObserver,
+    ledger: &BudgetLedger,
     kernel: FrontKernel,
-    stop: Option<&dyn Fn() -> bool>,
 ) -> Result<CholeskyFactor, FactorizationError> {
     let n = matrix.n();
     if order.len() != n {
@@ -359,7 +345,6 @@ pub(crate) fn factorize_with_observer(
 
     let children = structure.etree.children();
     let mut pending = ContributionStore::new();
-    let mut arena = FrontArena::new();
     let mut parts: Vec<FactorColumn> = Vec::with_capacity(n);
     eliminate_columns(
         matrix,
@@ -368,22 +353,12 @@ pub(crate) fn factorize_with_observer(
         order,
         &mut pending,
         &mut parts,
-        observer,
-        &mut arena,
+        ledger,
+        &mut FrontArena::new(),
         kernel,
-        stop,
+        None,
     )?;
-
-    let mut factor_columns: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut factor_values: Vec<Vec<f64>> = vec![Vec::new(); n];
-    for (j, rows, values) in parts {
-        factor_columns[j] = rows;
-        factor_values[j] = values;
-    }
-    Ok(CholeskyFactor {
-        columns: factor_columns,
-        values: factor_values,
-    })
+    assemble_factor(n, parts)
 }
 
 /// The per-column elimination loop over an arbitrary *subset* of columns.
@@ -399,6 +374,11 @@ pub(crate) fn factorize_with_observer(
 /// parents outside the subset remain in `pending` when the call returns.
 /// Every front and every *consumed* block is recycled through `arena`.
 ///
+/// Every live-entry movement — front allocated, child block consumed, front
+/// released into its contribution block — is reported to `ledger`'s
+/// measurement face, in that order; an unbounded `BudgetLedger::new(None)`
+/// is the "just measure" (or "don't care") case.
+///
 /// `stop` is a cooperative cancellation probe, checked once per
 /// [`STOP_CHECK_COLUMNS`] eliminated columns; when it fires the loop
 /// returns [`FactorizationError::Cancelled`] and the partial columns in
@@ -411,7 +391,7 @@ pub(crate) fn eliminate_columns(
     order: &[usize],
     pending: &mut ContributionStore,
     out: &mut Vec<FactorColumn>,
-    observer: &mut dyn FrontalObserver,
+    ledger: &BudgetLedger,
     arena: &mut FrontArena,
     kernel: FrontKernel,
     stop: Option<&dyn Fn() -> bool>,
@@ -427,8 +407,8 @@ pub(crate) fn eliminate_columns(
         let rows = &structure.columns[j];
         let front_dim = rows.len();
         let mut front = arena.take(front_dim);
-        let front_entries = front.len();
-        observer.front_allocated(front_entries);
+        let front_entries = front.len() as i64;
+        ledger.record_live(front_entries);
 
         // Local position of every global row index of this front.
         let local: HashMap<usize, usize> = rows
@@ -459,7 +439,7 @@ pub(crate) fn eliminate_columns(
                             front.add(hi, lo, cb.get(b, a));
                         }
                     }
-                    observer.contribution_consumed(cb.len());
+                    ledger.record_live(-(cb.len() as i64));
                     arena.recycle(cb);
                 }
                 // A child with a multi-row column always produces a block;
@@ -480,8 +460,9 @@ pub(crate) fn eliminate_columns(
         let values: Vec<f64> = (0..front_dim).map(|i| front.get(i, 0)).collect();
 
         // Extract the contribution block (trailing (dim-1) x (dim-1) block).
+        // The block is carved out of the front, the rest of the front is
+        // freed: one net live-entry movement.
         let cb_dim = front_dim - 1;
-        let cb_entries = cb_dim * cb_dim;
         if cb_dim > 0 && structure.etree.parent(j).is_some() {
             let mut cb = arena.take(cb_dim);
             for a in 0..cb_dim {
@@ -490,9 +471,9 @@ pub(crate) fn eliminate_columns(
                 }
             }
             pending.insert(j, rows[1..].to_vec(), cb);
-            observer.front_released(front_entries, cb_entries);
+            ledger.record_live((cb_dim * cb_dim) as i64 - front_entries);
         } else {
-            observer.front_released(front_entries, 0);
+            ledger.record_live(-front_entries);
         }
         arena.recycle(front);
         out.push((j, rows.clone(), values));

@@ -13,9 +13,9 @@
 //!   releases memory); when nothing is running and nothing fits, the ledger
 //!   force-admits the smallest candidate, so a budget below the largest
 //!   single frontal matrix degrades to sequential execution instead of
-//!   deadlocking.  The *measurement face* is a pair of atomics fed by the
-//!   kernel's observer hooks, recording the true high-water mark of live
-//!   entries across all workers.
+//!   deadlocking.  The *measurement face* is a pair of atomics the
+//!   elimination loop feeds directly ([`BudgetLedger::record_live`]),
+//!   recording the true high-water mark of live entries across all workers.
 //! * [`factor_columns`] — the elimination of one column subset (a subtree
 //!   task, or the merge phase above the cut) with per-worker [`FrontArena`]
 //!   recycling, returning the computed factor columns plus the contribution
@@ -34,7 +34,7 @@ use treemem::sync::{TrackedCondvar, TrackedMutex};
 use crate::dense::{FrontArena, FrontKernel};
 use crate::numeric::{
     eliminate_columns, CholeskyFactor, ContributionStore, FactorColumn, FactorizationError,
-    FrontalObserver, SymbolicStructure,
+    SymbolicStructure,
 };
 
 /// Outcome of [`BudgetLedger::select_and_reserve`].
@@ -205,8 +205,11 @@ impl BudgetLedger {
         self.forced.load(Ordering::Relaxed)
     }
 
-    /// Record `delta` live entries (called by the kernel observer).
-    fn add_live(&self, delta: i64) {
+    /// The measurement face: `delta` matrix entries became live (or, when
+    /// negative, were freed).  The elimination loop calls this for every
+    /// front and contribution block; a coordinator that holds blocks it did
+    /// not produce itself charges them the same way.
+    pub fn record_live(&self, delta: i64) {
         let now = self.live_entries.fetch_add(delta, Ordering::Relaxed) + delta;
         self.peak_entries.fetch_max(now, Ordering::Relaxed);
     }
@@ -217,26 +220,8 @@ impl BudgetLedger {
     }
 }
 
-/// Observer feeding the ledger's measurement face.
-struct LedgerObserver<'a> {
-    ledger: &'a BudgetLedger,
-}
-
-impl FrontalObserver for LedgerObserver<'_> {
-    fn front_allocated(&mut self, entries: usize) {
-        self.ledger.add_live(entries as i64);
-    }
-
-    fn front_released(&mut self, entries: usize, cb_entries: usize) {
-        self.ledger.add_live(cb_entries as i64 - entries as i64);
-    }
-
-    fn contribution_consumed(&mut self, entries: usize) {
-        self.ledger.add_live(-(entries as i64));
-    }
-}
-
 /// The result of factoring one column subset.
+#[derive(Debug)]
 pub struct SubtreeOutcome {
     /// The computed factor columns, in elimination order.
     pub columns: Vec<FactorColumn>,
@@ -298,7 +283,6 @@ pub fn factor_columns_with(
 ) -> Result<SubtreeOutcome, FactorizationError> {
     let mut pending = blocks_in;
     let mut columns = Vec::with_capacity(order.len());
-    let mut observer = LedgerObserver { ledger };
     eliminate_columns(
         matrix,
         structure,
@@ -306,7 +290,7 @@ pub fn factor_columns_with(
         order,
         &mut pending,
         &mut columns,
-        &mut observer,
+        ledger,
         arena,
         kernel,
         stop,
@@ -489,13 +473,12 @@ mod tests {
     #[test]
     fn measurement_face_tracks_the_high_water_mark() {
         let ledger = BudgetLedger::new(None);
-        let mut observer = LedgerObserver { ledger: &ledger };
-        observer.front_allocated(100);
-        observer.front_released(100, 81);
-        observer.front_allocated(49);
+        ledger.record_live(100); // front allocated
+        ledger.record_live(81 - 100); // released into its 81-entry block
+        ledger.record_live(49);
         assert_eq!(ledger.measured_peak_entries(), 130);
-        observer.contribution_consumed(81);
-        observer.front_released(49, 0);
+        ledger.record_live(-81); // block consumed
+        ledger.record_live(-49);
         assert_eq!(ledger.measured_peak_entries(), 130);
     }
 

@@ -2,6 +2,7 @@
 //! [`Service::handle_request`] maps a parsed [`Request`] to a [`Response`],
 //! which makes the whole API surface testable without binding a port.
 
+use std::fmt::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -311,33 +312,46 @@ impl Service {
         }
     }
 
+    /// `POST /report`: plan → schedule → execute → report, for every
+    /// execution mode.  Only the execute step differs: a configuration with a
+    /// distributed section hands its subtree tasks to worker processes
+    /// ([`Service::execute_on_cluster`]), everything else runs in-process.
     fn handle_report(&self, body: &[u8], header_deadline: Option<u64>, tenant: &str) -> Response {
         let cancel = match self.deadline_token(header_deadline, body) {
             Ok(token) => token,
             Err(response) => return response,
         };
+        let cancel = cancel.as_ref();
         let config = match self.parse_config(body) {
             Ok(config) => config,
             Err(response) => return response,
         };
-        if config.distributed.enabled() {
-            return self.handle_report_distributed(&config, tenant, cancel.as_ref());
-        }
-        let (plan, hit) = match self.plan_for(&config, tenant, cancel.as_ref()) {
+        let (plan, hit) = match self.plan_for(&config, tenant, cancel) {
             Ok(result) => result,
             Err(response) => return response,
         };
-        let (report, factor) = match plan
-            .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel.as_ref())
-            .and_then(|schedule| schedule.execute_with_factor_cancel(&self.engine, cancel.as_ref()))
-        {
+        let executed = plan
+            .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel)
+            .map_err(|e| self.engine_error(&e))
+            .and_then(|schedule| {
+                if config.distributed.enabled() {
+                    self.execute_on_cluster(&config, &schedule, cancel)
+                } else {
+                    schedule
+                        .execute_with_factor_cancel(&self.engine, cancel)
+                        .map_err(|e| self.engine_error(&e))
+                }
+            });
+        let (report, factor) = match executed {
             Ok(result) => result,
-            Err(e) => return self.engine_error(&e),
+            Err(response) => return response,
         };
         // Deposit the factor so later `POST /solve` requests can resolve
-        // this configuration's hash without re-factorizing.  An over-quota
-        // deposit is admitted-but-uncacheable: this response still carries
-        // the factor's results, only later `/solve` lookups miss.
+        // this configuration's hash without re-factorizing (a merged
+        // distributed factor is bit-identical to a local one, so it is
+        // deposited the same way).  An over-quota deposit is
+        // admitted-but-uncacheable: this response still carries the
+        // factor's results, only later `/solve` lookups miss.
         if let Some(factor) = factor {
             self.factors
                 .insert_for(&report.config_hash, tenant, Arc::new(factor));
@@ -350,31 +364,19 @@ impl Service {
         }
     }
 
-    /// `POST /report` with a distributed section: plan and cut once, park
-    /// the subtree tasks in the job registry for worker processes to claim,
-    /// and block until every contribution is in, then merge above the cut
-    /// and answer with the ordinary report document (plus its `distributed`
-    /// section).  The merged factor is bit-identical to the single-process
-    /// path, so it is deposited for `/solve` exactly like a local one.
-    fn handle_report_distributed(
+    /// The execute step of a distributed `/report`: cut once, park the
+    /// subtree tasks in the job registry for worker processes to claim,
+    /// block until every contribution is in (or the job stalls), then merge
+    /// above the cut.
+    fn execute_on_cluster(
         &self,
         config: &EngineConfig,
-        tenant: &str,
+        schedule: &Schedule<'_>,
         cancel: Option<&CancelToken>,
-    ) -> Response {
-        let (plan, hit) = match self.plan_for(config, tenant, cancel) {
-            Ok(result) => result,
-            Err(response) => return response,
-        };
-        let schedule =
-            match plan.schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel) {
-                Ok(schedule) => schedule,
-                Err(e) => return self.engine_error(&e),
-            };
-        let cut = match schedule.distributed_cut(&self.engine) {
-            Ok(cut) => cut,
-            Err(e) => return self.engine_error(&e),
-        };
+    ) -> Result<(Report, Option<FactorHandle>), Response> {
+        let cut = schedule
+            .distributed_cut(&self.engine)
+            .map_err(|e| self.engine_error(&e))?;
         let job = self.registry.register(JobSpec {
             config_json: config.to_json(),
             lease_ms: cut.lease_ms(),
@@ -386,38 +388,29 @@ impl Service {
                 .collect(),
             budget_entries: cut.budget_entries(),
         });
-        let waited = job.wait_for_completion(None, cancel);
+        let waited = job.wait_for_completion(cancel);
         // Whatever happened, the job leaves the registry: late contributions
         // answer 404 rather than piling up parts nobody will merge.
         self.registry.remove(job.id());
-        let (contributions, runtime) = match waited {
-            Ok(result) => result,
-            Err(WaitError::Cancelled) => {
+        let (contributions, runtime) = waited.map_err(|error| match error {
+            WaitError::Cancelled => {
                 self.stats.count_cancelled("distributed");
-                return Response::error(
+                Response::error(
                     504,
                     "deadline expired while waiting for worker contributions",
-                );
+                )
             }
-            Err(WaitError::TimedOut) => {
-                return Response::error(504, "timed out waiting for worker contributions");
-            }
-        };
-        let (report, factor) =
-            match schedule.execute_distributed(&self.engine, cut, contributions, runtime, cancel) {
-                Ok(result) => result,
-                Err(e) => return self.engine_error(&e),
-            };
-        if let Some(factor) = factor {
-            self.factors
-                .insert_for(&report.config_hash, tenant, Arc::new(factor));
-        }
-        self.record_schedule_stages(&report.timings, Some(&report));
-        Response {
-            cache_hit: Some(hit),
-            config_hash: Some(report.config_hash.clone()),
-            ..Response::ok(report.to_json())
-        }
+            // No worker is attached (or every one died): shed the request
+            // instead of parking this thread; the connection layer adds
+            // `Retry-After` to every 503.
+            WaitError::TimedOut => Response::error(
+                503,
+                "no live worker: the job saw no claim or contribution for two lease periods",
+            ),
+        })?;
+        schedule
+            .execute_distributed(cut, contributions, runtime, cancel)
+            .map_err(|e| self.engine_error(&e))
     }
 
     /// `POST /internal/claim`: answer one worker's poll with a leased task,
@@ -601,15 +594,19 @@ impl Service {
         let mut body = format!(
             "{{\n  \"schema\": \"engine_server_solve/v1\",\n  \"config_hash\": \"{}\",\n  \
              \"cache\": \"hit\",\n  \"n\": {n},\n  \"rhs_count\": {rhs_count},\n  \
-             \"factor_nnz\": {},\n  \"solve_seconds\": {:.6},\n  \"max_residual\": {}",
+             \"factor_nnz\": {},\n  \"solve_seconds\": {:.6},\n  \"max_residual\": ",
             escape(config_hash),
             factor.factor_nnz(),
             solve_seconds,
-            match max_residual {
-                Some(value) if value.is_finite() => format!("{value:e}"),
-                _ => "null".to_string(),
-            },
         );
+        // Absent and non-finite values (which are not JSON) render as `null`.
+        let push_value = |body: &mut String, value: Option<f64>| match value {
+            Some(value) if value.is_finite() => {
+                let _ = write!(body, "{value:e}");
+            }
+            _ => body.push_str("null"),
+        };
+        push_value(&mut body, max_residual);
         if return_solutions {
             body.push_str(",\n  \"solutions\": [");
             for (index, column) in batch.chunks_exact(n).enumerate() {
@@ -621,11 +618,7 @@ impl Service {
                     if position > 0 {
                         body.push_str(", ");
                     }
-                    if value.is_finite() {
-                        body.push_str(&format!("{value:e}"));
-                    } else {
-                        body.push_str("null");
-                    }
+                    push_value(&mut body, Some(*value));
                 }
                 body.push(']');
             }
@@ -888,6 +881,23 @@ mod tests {
             .with_solver("no-such-solver")
             .to_json();
         assert_eq!(post(&service, "/report", &bad).status, 400);
+        // So is asking for two execution modes at once (it used to run
+        // distributed and silently ignore the parallel section).
+        let ambiguous = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 50, 1)
+            .with_numeric(true)
+            .with_parallel(engine::ParallelConfig::with_workers(2))
+            .with_distributed(engine::DistributedConfig::with_tasks(2))
+            .to_json();
+        for path in ["/plan", "/schedule", "/report"] {
+            let response = post(&service, path, &ambiguous);
+            assert_eq!(response.status, 400, "{path} -> {}", response.body);
+            assert!(
+                response.body.contains("mutually exclusive"),
+                "{}",
+                response.body
+            );
+        }
+        assert_eq!(service.registry().stats().snapshot().jobs_started, 0);
     }
 
     #[test]
@@ -1228,6 +1238,15 @@ mod tests {
             section.get("lease_expiries").and_then(Json::as_u64),
             Some(0)
         );
+        // The numeric stage timing covers the subtree (claim) phase, not
+        // only the coordinator's merge.
+        let seconds = |object: &Json, key: &str| object.get(key).and_then(Json::as_f64).unwrap();
+        let numeric_seconds = seconds(json.get("timings").unwrap(), "numeric_seconds");
+        assert!(
+            numeric_seconds >= 0.9 * seconds(section, "wall_seconds"),
+            "numeric_seconds {numeric_seconds} vs {section:?}"
+        );
+        assert!(numeric_seconds > seconds(section, "merge_seconds"));
 
         // The merged factor answers /solve bit-for-bit like the local one.
         let reference = post(&service, "/report", &local.to_json());

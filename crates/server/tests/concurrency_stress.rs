@@ -188,9 +188,7 @@ fn job_registry_claims_race_contributions_and_lease_expiry() {
         }
     });
 
-    let (parts, runtime) = job
-        .wait_for_completion(Some(10_000), None)
-        .expect("the job drains");
+    let (parts, runtime) = job.wait_for_completion(None).expect("the job drains");
     assert_eq!(parts.len(), tasks);
     let snapshot = registry.stats().snapshot();
     assert_eq!(

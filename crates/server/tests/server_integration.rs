@@ -273,6 +273,47 @@ fn deadlines_expire_to_504_with_retry_after_and_recovery() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// Regression: a distributed `/report` with no worker attached used to park
+/// its HTTP worker thread forever (no deadline configured, so nothing ever
+/// ended the wait); `workers` such requests wedged the whole server.  The
+/// wait is now bounded by the job's own lease — two silent lease periods
+/// mean nobody is working on it — and answers a 503 the client can retry.
+#[test]
+fn distributed_reports_without_workers_are_shed_not_parked() {
+    let handle = spawn_default(); // no --default/--max deadline
+    let addr = handle.addr();
+    let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 3)
+        .with_numeric(true)
+        .with_distributed(DistributedConfig::with_tasks(2).with_lease_ms(50))
+        .to_json();
+    let started = std::time::Instant::now();
+    // The read timeout is the regression bound.  On failure the handle is
+    // leaked: joining a server whose worker is parked forever would turn
+    // the failure into a hang.
+    let shed = match client::post_with_timeout(addr, "/report", &config, Duration::from_secs(20)) {
+        Ok(response) => response,
+        Err(error) => {
+            std::mem::forget(handle);
+            panic!("a stalled job must be answered, not parked: {error}");
+        }
+    };
+    assert_eq!(shed.status, 503, "{}", shed.body);
+    assert_eq!(shed.header("retry-after"), Some("1"));
+    assert!(
+        started.elapsed() >= Duration::from_millis(100),
+        "two lease periods"
+    );
+    // The job left the registry and the worker thread is free again.
+    assert_eq!(get(addr, "/internal/job/1").0, 404);
+    let (_, _, stats_body) = get(addr, "/stats");
+    let stats = Json::parse(&stats_body).unwrap();
+    assert_eq!(stats.get("in_flight").and_then(Json::as_u64), Some(1));
+    let cluster = stats.get("cluster").expect("cluster section");
+    assert_eq!(cluster.get("jobs_started").and_then(Json::as_u64), Some(1));
+    assert_eq!(cluster.get("tasks_claimed").and_then(Json::as_u64), Some(0));
+    handle.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn prebuilt_tree_configs_run_end_to_end() {
     let handle = spawn_default();
