@@ -10,7 +10,8 @@
 //! embedded instance is solvable.
 
 use bench::{run_with_big_stack, write_report, ReportFile};
-use minio::{divisible_lower_bound, schedule_io, EvictionPolicy};
+use minio::policy::paper::{BestKCombination, FirstFit};
+use minio::{divisible_lower_bound, schedule_io_with};
 use treemem::gadgets::{harpoon_tower, harpoon_tower_postorder_peak, two_partition_gadget};
 use treemem::minmem::min_mem;
 use treemem::postorder::best_postorder;
@@ -83,20 +84,14 @@ fn run() {
     }
     let traversal = Traversal::new(order);
     let bound = divisible_lower_bound(&gadget.tree, &traversal, gadget.memory).unwrap();
-    let best_k = schedule_io(
+    let best_k = schedule_io_with(
         &gadget.tree,
         &traversal,
         gadget.memory,
-        EvictionPolicy::BestKCombination { k: solvable.len() },
+        &BestKCombination { k: solvable.len() },
     )
     .unwrap();
-    let first_fit = schedule_io(
-        &gadget.tree,
-        &traversal,
-        gadget.memory,
-        EvictionPolicy::FirstFit,
-    )
-    .unwrap();
+    let first_fit = schedule_io_with(&gadget.tree, &traversal, gadget.memory, &FirstFit).unwrap();
     println!(
         "  instance {:?} (S = {}), M = 2S = {}",
         solvable,

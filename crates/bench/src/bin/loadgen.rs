@@ -1605,16 +1605,15 @@ fn main() {
             std::process::exit(1);
         });
     let stats = Json::parse(&stats_body).unwrap_or(Json::Null);
-    let cache_hits = stats
-        .get("cache")
-        .and_then(|c| c.get("hits"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let evictions = stats
-        .get("cache")
-        .and_then(|c| c.get("evictions"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
+    let plan_cache = stats.get("caches").and_then(|c| c.get("plan"));
+    let counter = |name: &str| {
+        plan_cache
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    let cache_hits = counter("hits");
+    let evictions = counter("evictions");
     violations.check(cache_hits > 0, "server finished with zero cache hits");
     violations.check(
         evictions > 0,

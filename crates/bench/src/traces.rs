@@ -26,11 +26,9 @@
 //! ## The matrix
 //!
 //! Every cell is {trace × policy × capacity}: capacities are fractions of
-//! the trace's total unique bytes (1%, 3%, 10%), policies span both native
-//! online implementations (LRU, GDSF, S3FIFO) and simulation heuristics
-//! served through the [`minio::serving`] bridge (LruDist, LSNF).  Full
-//! mode adds a deep section (the `mixed` trace at 200k requests per
-//! policy) pushing the stub total past 10⁶ requests, and writes
+//! the trace's total unique bytes (1%, 3%, 10%), policies are the three
+//! [`CachePolicy`] values (LRU, GDSF, S3FIFO).  Full mode adds a deep
+//! section (the `mixed` trace at 200k requests per policy) and writes
 //! `BENCH_cache.json`.  Quick mode is the CI smoke: the same matrix at
 //! ~1/8 scale, byte-for-byte reproducible, checked against the committed
 //! `crates/bench/data/cache_reference.json` (replay is fully
@@ -41,17 +39,13 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use engine::cache::{CacheConfig, CacheCore, ServingPolicyRegistry};
+use engine::cache::{CacheConfig, CacheCore, CachePolicy};
 use engine::json::Json;
 use engine::prelude::*;
 use prng::{Rng, StdRng};
 use server::client;
 use server::{CacheSettings, Server, ServerConfig};
 use sparsemat::gen::ProblemKind;
-
-/// Policies every matrix cell crosses: native online implementations
-/// first, then simulation heuristics through the serving bridge.
-pub const MATRIX_POLICIES: [&str; 5] = ["LRU", "GDSF", "S3FIFO", "LruDist", "LSNF"];
 
 /// Capacity fractions of each trace's unique bytes.
 pub const CAPACITY_FRACTIONS: [f64; 3] = [0.01, 0.03, 0.10];
@@ -284,26 +278,23 @@ fn unique_bytes(trace: &[Req]) -> u64 {
 fn replay(
     trace_name: &'static str,
     trace: &[Req],
-    policy: &'static str,
+    policy: CachePolicy,
     fraction: f64,
     capacity: u64,
     quota: Option<u64>,
     floor: f64,
 ) -> CellResult {
-    let registry = ServingPolicyRegistry::with_builtin();
     let core: CacheCore<()> = CacheCore::new(
         CacheConfig {
-            policy: policy.to_string(),
+            policy,
             bytes_capacity: capacity,
             max_entries: None,
             ttl: None,
             tenant_quota_bytes: quota,
             tenant_floor: floor,
-            lock_class: "bench.trace-cache",
         },
-        &registry,
-    )
-    .expect("matrix policies are registered");
+        "bench.trace-cache",
+    );
     let mut quota_violations = 0u64;
     let mut accounting_ok = true;
     for (index, req) in trace.iter().enumerate() {
@@ -344,7 +335,7 @@ fn replay(
     }
     CellResult {
         trace: trace_name,
-        policy,
+        policy: policy.name(),
         fraction,
         capacity_bytes: capacity,
         requests: trace.len(),
@@ -378,7 +369,7 @@ pub fn run_matrix(quick: bool) -> Vec<CellResult> {
         let n = cell_requests(shape, quick);
         let trace = trace_for(shape, n, 0xC0FFEE ^ n as u64);
         let total = unique_bytes(&trace);
-        for policy in MATRIX_POLICIES {
+        for policy in CachePolicy::ALL {
             for fraction in CAPACITY_FRACTIONS {
                 let capacity = ((total as f64 * fraction) as u64).max(512 * KIB);
                 let (quota, floor) = if shape == "tenants" {
@@ -395,13 +386,12 @@ pub fn run_matrix(quick: bool) -> Vec<CellResult> {
     cells
 }
 
-/// The deep section: the `mixed` adversary at scale for the native
-/// policies, pushing the stub-request total past 10⁶ in full mode.
+/// The deep section: the `mixed` adversary at scale.
 pub fn run_deep() -> Vec<CellResult> {
     let n = 200_000;
     let trace = mixed_trace(n, 0xDEE9);
     let total = unique_bytes(&trace);
-    ["LRU", "GDSF", "S3FIFO"]
+    CachePolicy::ALL
         .into_iter()
         .map(|policy| {
             let fraction = 0.03;
@@ -438,7 +428,7 @@ pub fn run_http_pass(quick: bool) -> HttpPassResult {
     let handle = Server::spawn(ServerConfig {
         workers: 2,
         cache: CacheSettings {
-            policy: Some("GDSF".to_string()),
+            policy: Some(CachePolicy::Gdsf),
             plan_bytes: Some(plan_bytes * 16),
             factor_bytes: Some(256 * 1024 * KIB),
             tenant_quota_bytes: Some(plan_bytes * 6),
@@ -670,7 +660,7 @@ pub fn bench_json(
     let _ = writeln!(
         out,
         "  \"policies\": [{}],",
-        MATRIX_POLICIES
+        CachePolicy::ALL
             .iter()
             .map(|p| format!("\"{p}\""))
             .collect::<Vec<_>>()

@@ -1,16 +1,16 @@
 //! [`CacheCore`]: the shared serving-cache engine.
 //!
 //! A keyed map of [`Arc`]ed values with byte-accurate accounting, evicting
-//! through any [`ServingPolicy`].  Both the plan cache and the server's
-//! factor cache are thin wrappers around this core, so admission control,
-//! tenancy and statistics behave identically everywhere.
+//! through one of the three [`CachePolicy`] values.  Both the plan cache and
+//! the server's factor cache are thin wrappers around this core, so
+//! admission control, tenancy and statistics behave identically everywhere.
 //!
 //! Capacity has two axes, enforceable together or alone:
 //!
 //! * a **byte budget** (`bytes_capacity`) — the production mode, sized from
 //!   per-entry footprints estimated at insert time;
-//! * an **entry bound** (`max_entries`) — the legacy mode the historical
-//!   count-LRU caches ran in, kept for compatibility and tests.
+//! * an **entry bound** (`max_entries`) — the mode the server's caches run
+//!   in unless a byte budget is configured.
 //!
 //! Tenancy is cooperative admission control, not isolation of values: every
 //! operation names a tenant, an entry is charged to the tenant whose miss
@@ -35,10 +35,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use treemem::registry::UnknownName;
 use treemem::sync::TrackedMutex;
 
-use super::policy::{EntryMeta, EvictionPrompt, ServingPolicy, ServingPolicyRegistry};
+use super::policy::{CachePolicy, EntryMeta, EvictionPrompt, Session};
 use super::{CacheStats, TenantUsage};
 
 /// FNV-1a 64-bit fingerprint of a key (stable across re-insertions; what
@@ -52,14 +51,16 @@ pub fn fingerprint64(key: &str) -> u64 {
     hash
 }
 
-/// Construction parameters of a [`CacheCore`]; see the module docs.
+/// Construction parameters of a [`CacheCore`] and of the caches built on
+/// it ([`PlanCache`](super::PlanCache), the server's factor cache); see the
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Eviction policy name, resolved against a [`ServingPolicyRegistry`].
-    pub policy: String,
+    /// Eviction policy.
+    pub policy: CachePolicy,
     /// Byte budget (`u64::MAX` = unbounded by bytes).
     pub bytes_capacity: u64,
-    /// Optional entry bound (the legacy count-LRU axis).
+    /// Optional entry bound.
     pub max_entries: Option<usize>,
     /// Optional time-to-live; expired entries drop on access.
     pub ttl: Option<Duration>,
@@ -67,20 +68,17 @@ pub struct CacheConfig {
     pub tenant_quota_bytes: Option<u64>,
     /// Fair-share floor fraction in `[0, 1]` (0 disables floor protection).
     pub tenant_floor: f64,
-    /// Lock class for the tracked mutex (lock-order diagnostics).
-    pub lock_class: &'static str,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            policy: "LRU".to_string(),
+            policy: CachePolicy::Lru,
             bytes_capacity: u64::MAX,
             max_entries: None,
             ttl: None,
             tenant_quota_bytes: None,
             tenant_floor: 0.0,
-            lock_class: "cache-core.inner",
         }
     }
 }
@@ -113,9 +111,7 @@ struct Slot<V> {
     bytes: u64,
     slot_id: u64,
     inserted: Instant,
-    inserted_tick: u64,
     last_access_tick: u64,
-    hits: u64,
 }
 
 impl<V> Slot<V> {
@@ -124,9 +120,7 @@ impl<V> Slot<V> {
             slot: self.slot_id,
             fingerprint: self.fingerprint,
             bytes: self.bytes,
-            inserted_tick: self.inserted_tick,
             last_access_tick: self.last_access_tick,
-            hits: self.hits,
         }
     }
 }
@@ -142,7 +136,7 @@ struct Tenant {
 }
 
 struct Inner<V> {
-    session: Box<dyn super::policy::ServingSession + Send>,
+    session: Session,
     slots: Vec<Slot<V>>,
     /// key → index into `slots` (`slots` itself is unordered; recency lives
     /// in the per-slot ticks).
@@ -193,11 +187,27 @@ impl<V> Inner<V> {
     fn position_of_slot_id(&self, slot_id: u64) -> Option<usize> {
         self.slots.iter().position(|s| s.slot_id == slot_id)
     }
+
+    /// Count one lookup outcome, globally and for the tenant.
+    fn count_lookup(&mut self, tenant_id: usize, hit: bool) {
+        let tenant = self.tenants.get_mut(tenant_id);
+        if hit {
+            self.hits += 1;
+            if let Some(t) = tenant {
+                t.hits += 1;
+            }
+        } else {
+            self.misses += 1;
+            if let Some(t) = tenant {
+                t.misses += 1;
+            }
+        }
+    }
 }
 
 /// The shared serving-cache engine; see the module docs.
 pub struct CacheCore<V> {
-    policy_name: String,
+    policy: CachePolicy,
     bytes_capacity: u64,
     max_entries: Option<usize>,
     ttl: Option<Duration>,
@@ -207,16 +217,11 @@ pub struct CacheCore<V> {
 }
 
 impl<V> CacheCore<V> {
-    /// Build a core with `config`, resolving the policy in `registry`.
-    pub fn new(config: CacheConfig, registry: &ServingPolicyRegistry) -> Result<Self, UnknownName> {
-        let policy = registry.get_or_err(&config.policy)?;
-        Ok(Self::with_policy(config, policy))
-    }
-
-    /// Build a core driven by an already-resolved policy.
-    pub fn with_policy(config: CacheConfig, policy: &dyn ServingPolicy) -> Self {
+    /// Build a core with `config`; `lock_class` names its tracked mutex in
+    /// the lock-order diagnostics.
+    pub fn new(config: CacheConfig, lock_class: &'static str) -> Self {
         CacheCore {
-            policy_name: policy.name(),
+            policy: config.policy,
             bytes_capacity: config.bytes_capacity.max(1),
             max_entries: config.max_entries,
             ttl: config.ttl,
@@ -224,7 +229,7 @@ impl<V> CacheCore<V> {
             floor: config.tenant_floor.clamp(0.0, 1.0),
             inner: TrackedMutex::new(
                 Inner {
-                    session: policy.session(),
+                    session: config.policy.session(),
                     slots: Vec::new(),
                     index: HashMap::new(),
                     tenants: Vec::new(),
@@ -238,14 +243,9 @@ impl<V> CacheCore<V> {
                     expirations: 0,
                     uncacheable: 0,
                 },
-                config.lock_class,
+                lock_class,
             ),
         }
-    }
-
-    /// The eviction policy's name.
-    pub fn policy_name(&self) -> &str {
-        &self.policy_name
     }
 
     /// The byte budget (`u64::MAX` when bounded by entries only).
@@ -261,48 +261,50 @@ impl<V> CacheCore<V> {
     /// Look up `key` for `tenant`, refreshing recency.  An expired entry is
     /// dropped and reported as a miss.
     pub fn get(&self, key: &str, tenant: &str) -> Option<Arc<V>> {
+        self.lookup(key, tenant, true)
+    }
+
+    /// [`CacheCore::get`] that counts a hit but counts a miss only when
+    /// `count_miss`: a single-flight waiter looks the same key up again
+    /// after its wait, and reports the one outcome of its call itself
+    /// through [`CacheCore::count_lookup`].
+    pub(crate) fn lookup(&self, key: &str, tenant: &str, count_miss: bool) -> Option<Arc<V>> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         inner.tick += 1;
         let now = inner.tick;
         let tenant_id = inner.tenant_id(tenant);
-        let Some(&pos) = inner.index.get(key) else {
-            inner.misses += 1;
-            if let Some(t) = inner.tenants.get_mut(tenant_id) {
-                t.misses += 1;
-            }
-            return None;
-        };
-        if let Some(ttl) = self.ttl {
+        let mut pos = inner.index.get(key).copied();
+        if let (Some(at), Some(ttl)) = (pos, self.ttl) {
             let expired = inner
                 .slots
-                .get(pos)
-                .map(|slot| slot.inserted.elapsed() > ttl)
-                .unwrap_or(false);
+                .get(at)
+                .is_some_and(|slot| slot.inserted.elapsed() > ttl);
             if expired {
-                inner.remove_at(pos);
+                inner.remove_at(at);
                 inner.expirations += 1;
-                inner.misses += 1;
-                if let Some(t) = inner.tenants.get_mut(tenant_id) {
-                    t.misses += 1;
-                }
-                return None;
+                pos = None;
             }
         }
-        let Some(slot) = inner.slots.get_mut(pos) else {
-            inner.misses += 1;
-            return None;
-        };
-        slot.last_access_tick = now;
-        slot.hits += 1;
-        let slot_id = slot.slot_id;
-        let value = slot.value.clone();
-        inner.session.on_access(slot_id, now);
-        inner.hits += 1;
-        if let Some(t) = inner.tenants.get_mut(tenant_id) {
-            t.hits += 1;
+        let mut value = None;
+        if let Some(slot) = pos.and_then(|at| inner.slots.get_mut(at)) {
+            slot.last_access_tick = now;
+            let slot_id = slot.slot_id;
+            value = Some(slot.value.clone());
+            inner.session.on_access(slot_id);
         }
-        Some(value)
+        if value.is_some() || count_miss {
+            inner.count_lookup(tenant_id, value.is_some());
+        }
+        value
+    }
+
+    /// Count a lookup outcome for `tenant` without touching any entry (the
+    /// deferred half of [`CacheCore::lookup`]).
+    pub(crate) fn count_lookup(&self, tenant: &str, hit: bool) {
+        let mut inner = self.inner.lock();
+        let tenant_id = inner.tenant_id(tenant);
+        inner.count_lookup(tenant_id, hit);
     }
 
     /// Insert `value` under `key`, charged to `tenant` with footprint
@@ -333,10 +335,10 @@ impl<V> CacheCore<V> {
             // entries (self-eviction keeps its working set fresh without
             // touching anyone else's).
             if let Some(quota) = self.quota {
-                verdict = self.evict_for_quota(inner, tenant_id, bytes, quota, now);
+                verdict = self.evict_for_quota(inner, tenant_id, bytes, quota);
             }
             if verdict.is_cached() {
-                verdict = self.evict_for_capacity(inner, tenant_id, bytes, now);
+                verdict = self.evict_for_capacity(inner, tenant_id, bytes);
             }
         }
 
@@ -358,9 +360,7 @@ impl<V> CacheCore<V> {
             bytes,
             slot_id,
             inserted: Instant::now(),
-            inserted_tick: now,
             last_access_tick: now,
-            hits: 0,
         };
         let meta = slot.meta();
         inner.index.insert(key.to_string(), inner.slots.len());
@@ -381,7 +381,6 @@ impl<V> CacheCore<V> {
         tenant_id: usize,
         incoming_bytes: u64,
         quota: u64,
-        now: u64,
     ) -> Admission {
         loop {
             let used = inner.tenants.get(tenant_id).map(|t| t.bytes).unwrap_or(0);
@@ -401,7 +400,7 @@ impl<V> CacheCore<V> {
                 // this is unreachable in practice, but never loop).
                 return Admission::OverQuota;
             }
-            if !self.run_eviction_round(inner, &candidates, need, now) {
+            if !self.run_eviction_round(inner, &candidates, need) {
                 return Admission::OverQuota;
             }
         }
@@ -414,7 +413,6 @@ impl<V> CacheCore<V> {
         inner: &mut Inner<V>,
         tenant_id: usize,
         incoming_bytes: u64,
-        now: u64,
     ) -> Admission {
         loop {
             let over_bytes = inner
@@ -451,7 +449,7 @@ impl<V> CacheCore<V> {
                 return Admission::Contended;
             }
             let deficit = over_bytes.max(1);
-            if !self.run_eviction_round(inner, &candidates, deficit, now) {
+            if !self.run_eviction_round(inner, &candidates, deficit) {
                 return Admission::Contended;
             }
         }
@@ -466,13 +464,11 @@ impl<V> CacheCore<V> {
         inner: &mut Inner<V>,
         candidates: &[EntryMeta],
         deficit: u64,
-        now: u64,
     ) -> bool {
         let picks = {
             let prompt = EvictionPrompt {
                 candidates,
                 deficit_bytes: deficit,
-                now_tick: now,
                 bytes_capacity: self.bytes_capacity,
             };
             inner.session.select(&prompt)
@@ -496,8 +492,8 @@ impl<V> CacheCore<V> {
             }
         }
         if freed < deficit {
-            // Engine-side completion, mirroring the simulator's `lsnf_fill`:
-            // least recently used among the remaining candidates.
+            // Core-side completion: least recently used among the remaining
+            // candidates.
             let mut rest: Vec<EntryMeta> = candidates
                 .iter()
                 .filter(|m| in_candidates.contains_key(&m.slot))
@@ -559,7 +555,7 @@ impl<V> CacheCore<V> {
             expirations: inner.expirations,
             entries: inner.slots.len(),
             capacity: self.max_entries.unwrap_or(0),
-            policy: self.policy_name.clone(),
+            policy: self.policy,
             bytes_used: inner.bytes_used,
             bytes_capacity: self.bytes_capacity,
             uncacheable: inner.uncacheable,
@@ -687,7 +683,7 @@ mod tests {
     use super::*;
 
     fn core(config: CacheConfig) -> CacheCore<String> {
-        CacheCore::new(config, &ServingPolicyRegistry::with_builtin()).expect("known policy")
+        CacheCore::new(config, "cache-core.test")
     }
 
     fn value(s: &str) -> Arc<String> {
@@ -821,17 +817,12 @@ mod tests {
 
     #[test]
     fn every_policy_keeps_the_accounting_clean() {
-        let registry = ServingPolicyRegistry::with_builtin();
-        for name in registry.names() {
-            let cache: CacheCore<String> = CacheCore::new(
-                CacheConfig {
-                    policy: name.clone(),
-                    bytes_capacity: 1000,
-                    ..CacheConfig::default()
-                },
-                &registry,
-            )
-            .unwrap();
+        for policy in CachePolicy::ALL {
+            let cache = core(CacheConfig {
+                policy,
+                bytes_capacity: 1000,
+                ..CacheConfig::default()
+            });
             for i in 0..200u32 {
                 let key = format!("k{}", i % 37);
                 if i % 3 == 0 {
@@ -843,8 +834,8 @@ mod tests {
             }
             cache
                 .validate_accounting()
-                .unwrap_or_else(|e| panic!("policy {name}: {e}"));
-            assert!(cache.bytes_used() <= 1000, "policy {name}");
+                .unwrap_or_else(|e| panic!("policy {policy}: {e}"));
+            assert!(cache.bytes_used() <= 1000, "policy {policy}");
         }
     }
 }

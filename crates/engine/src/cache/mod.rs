@@ -1,46 +1,35 @@
-//! The serving cache layer: a byte-sized, policy-pluggable core shared by
-//! the plan cache and the server's factor cache.
-//!
-//! The workspace ships nine registry-indexed eviction policies
-//! ([`minio::PolicyRegistry`]) that historically only ran inside MinIO
-//! simulations, while the serving caches were plain count-based LRUs.  This
-//! module unifies the two worlds:
+//! The serving cache layer: a byte-sized core shared by the plan cache and
+//! the server's factor cache, evicting through one of three policies.
 //!
 //! * [`core`] — [`CacheCore`], a keyed cache of [`Arc`](std::sync::Arc)ed
 //!   values with byte-accurate accounting, TTL expiry, per-tenant quotas and
-//!   a fair-share floor, evicting through any registered serving policy.
-//! * [`policy`] — the [`ServingPolicy`] abstraction: native online
-//!   implementations of LRU, size-aware GDSF and S3-FIFO, plus a bridge
-//!   ([`minio::serving`]) that lets every simulation heuristic (LSNF,
-//!   FirstFit, BestFit, FirstFill, BestFill, BestKComb, LruDist) drive an
-//!   online cache.  [`ServingPolicyRegistry::with_builtin`] catalogues all
-//!   ten by name.
-//! * [`plan`] — [`PlanCache`], the single-flight, TTL-aware plan cache
-//!   rebuilt on the core; its legacy count-bounded constructor keeps the
-//!   historical LRU semantics bit-for-bit.
+//!   a fair-share floor.  One [`CacheConfig`] describes a cache, whichever
+//!   wrapper builds it.
+//! * [`policy`] — [`CachePolicy`], the closed set of eviction policies:
+//!   recency `LRU`, size-aware `GDSF` and scan-resistant `S3FIFO`, each with
+//!   real online state.  The out-of-core simulator's eviction heuristics
+//!   are a separate world (they select victims knowing a traversal's whole
+//!   future) and are not reachable from here.
+//! * [`plan`] — [`PlanCache`], the single-flight, TTL-aware plan cache built
+//!   on the core.
 //!
-//! Capacity is expressed in **bytes** (entry footprints are estimated at
-//! insert time via `Plan::approx_heap_bytes` and friends); the legacy
-//! entry-count bound remains available for compatibility and tests.  Tenancy
-//! is cooperative: every operation names a tenant (default `"public"`), a
-//! tenant over its byte quota makes room among its *own* entries, and the
-//! fair-share floor keeps one tenant's cold scan from evicting another
-//! tenant's hot working set — over-quota inserts are *admitted but
-//! uncacheable* ([`Admission`]), never rejected.
+//! Capacity is a **byte** budget (entry footprints are estimated at insert
+//! time via `Plan::approx_heap_bytes` and friends), an entry count, or both.
+//! Tenancy is cooperative: every operation names a tenant (default
+//! `"public"`), a tenant over its byte quota makes room among its *own*
+//! entries, and the fair-share floor keeps one tenant's cold scan from
+//! evicting another tenant's hot working set — over-quota inserts are
+//! *admitted but uncacheable* ([`Admission`]), never rejected.
 
 pub mod core;
 pub mod plan;
 pub mod policy;
 
 pub use self::core::{fingerprint64, Admission, CacheConfig, CacheCore};
-pub use plan::{PlanCache, PlanCacheConfig, DEFAULT_TENANT};
-pub use policy::{EntryMeta, EvictionPrompt, ServingPolicy, ServingPolicyRegistry, ServingSession};
+pub use plan::{PlanCache, DEFAULT_TENANT};
+pub use policy::CachePolicy;
 
 /// Point-in-time counters of a serving cache; see the field docs.
-///
-/// The counter fields predate the byte-sized core and keep their exact names
-/// (`/stats` compatibility); the policy name, byte accounting and per-tenant
-/// usage were added with the pluggable core.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -55,8 +44,8 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum number of resident entries (0 when bounded by bytes only).
     pub capacity: usize,
-    /// Name of the eviction policy in charge.
-    pub policy: String,
+    /// The eviction policy in charge.
+    pub policy: CachePolicy,
     /// Bytes currently resident.
     pub bytes_used: u64,
     /// Byte capacity (`u64::MAX` when bounded by entry count only).

@@ -9,15 +9,16 @@
 //! configuration, shared via [`Arc`] across worker threads; this module
 //! provides that cache plus the counters the `/stats` endpoint reports.
 //!
-//! Two sizing modes:
+//! Two constructors over one [`CacheConfig`]:
 //!
-//! * [`PlanCache::new`] — the legacy count-bounded LRU (capacity in entries,
-//!   optional TTL), bit-compatible with the historical cache;
-//! * [`PlanCache::with_config`] — the production mode: a byte budget, any
-//!   registered eviction policy, per-tenant quotas and a fair-share floor.
-//!   Entry footprints come from [`Plan::approx_heap_bytes`] at insert time.
+//! * [`PlanCache::new`] — the count-bounded LRU (capacity in entries,
+//!   optional TTL);
+//! * [`PlanCache::with_config`] — everything else: a byte budget, any
+//!   [`CachePolicy`](super::CachePolicy), per-tenant quotas and a
+//!   fair-share floor.  Entry footprints come from
+//!   [`Plan::approx_heap_bytes`] at insert time.
 //!
-//! Misses stay *single-flight* in both modes: concurrent callers with the
+//! Misses are *single-flight* either way: concurrent callers with the
 //! same key wait for the one planner instead of re-running the expensive
 //! symbolic stages.  When admission control leaves a plan uncacheable (over
 //! quota, contended, too large), the planner parks it on a small sideline
@@ -43,11 +44,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use treemem::registry::UnknownName;
 use treemem::sync::{TrackedCondvar, TrackedMutex};
 
 use super::core::{Admission, CacheConfig, CacheCore};
-use super::policy::ServingPolicyRegistry;
 use super::CacheStats;
 use crate::cancel::CancelToken;
 use crate::config::EngineConfig;
@@ -58,36 +57,6 @@ pub const DEFAULT_TENANT: &str = "public";
 
 /// How many uncacheable plans the sideline shelf holds for their waiters.
 const SIDELINE_LEN: usize = 8;
-
-/// Construction parameters for the byte-sized plan cache.
-#[derive(Debug, Clone)]
-pub struct PlanCacheConfig {
-    /// Eviction policy name (see [`ServingPolicyRegistry::with_builtin`]).
-    pub policy: String,
-    /// Byte budget for cached plans.
-    pub bytes_capacity: u64,
-    /// Optional legacy entry bound on top of the byte budget.
-    pub max_entries: Option<usize>,
-    /// Optional time-to-live.
-    pub ttl: Option<Duration>,
-    /// Per-tenant byte quota.
-    pub tenant_quota_bytes: Option<u64>,
-    /// Fair-share floor fraction in `[0, 1]`.
-    pub tenant_floor: f64,
-}
-
-impl Default for PlanCacheConfig {
-    fn default() -> Self {
-        PlanCacheConfig {
-            policy: "GDSF".to_string(),
-            bytes_capacity: u64::MAX,
-            max_entries: None,
-            ttl: None,
-            tenant_quota_bytes: None,
-            tenant_floor: 0.0,
-        }
-    }
-}
 
 /// The shared plan cache; see the module docs.
 pub struct PlanCache {
@@ -101,48 +70,33 @@ pub struct PlanCache {
     /// Uncacheable plans parked for the waiters of their flight; entries
     /// are dropped when a new flight for the key starts.
     sideline: TrackedMutex<Vec<(String, Arc<Plan>)>>,
+    /// Callers that reached the in-flight wait, so a test can hold a planner
+    /// open until its waiter is provably parked.
+    #[cfg(test)]
+    parked: std::sync::atomic::AtomicUsize,
 }
 
 impl PlanCache {
-    /// The legacy count-bounded LRU: at most `capacity` plans (at least 1),
-    /// each living at most `ttl` (no expiry when `None`).
+    /// A count-bounded LRU: at most `capacity` plans (at least 1), each
+    /// living at most `ttl` (no expiry when `None`).
     pub fn new(capacity: usize, ttl: Option<Duration>) -> Self {
-        let config = PlanCacheConfig {
-            policy: "LRU".to_string(),
-            bytes_capacity: u64::MAX,
+        Self::with_config(CacheConfig {
             max_entries: Some(capacity.max(1)),
             ttl,
-            ..PlanCacheConfig::default()
-        };
-        match Self::with_config(config) {
-            Ok(cache) => cache,
-            // "LRU" is always registered; keep the legacy constructor
-            // infallible.
-            Err(_) => unreachable!("the LRU policy is built in"),
-        }
+            ..CacheConfig::default()
+        })
     }
 
-    /// A byte-sized cache evicting via any registered policy.
-    pub fn with_config(config: PlanCacheConfig) -> Result<Self, UnknownName> {
-        let registry = ServingPolicyRegistry::with_builtin();
-        let core = CacheCore::new(
-            CacheConfig {
-                policy: config.policy,
-                bytes_capacity: config.bytes_capacity,
-                max_entries: config.max_entries,
-                ttl: config.ttl,
-                tenant_quota_bytes: config.tenant_quota_bytes,
-                tenant_floor: config.tenant_floor,
-                lock_class: "plan-cache.entries",
-            },
-            &registry,
-        )?;
-        Ok(PlanCache {
-            core,
+    /// A cache sized and evicted as `config` says.
+    pub fn with_config(config: CacheConfig) -> Self {
+        PlanCache {
+            core: CacheCore::new(config, "plan-cache.entries"),
             in_flight: TrackedMutex::new(Vec::new(), "plan-cache.in-flight"),
             settled: TrackedCondvar::new(),
             sideline: TrackedMutex::new(Vec::new(), "plan-cache.sideline"),
-        })
+            #[cfg(test)]
+            parked: std::sync::atomic::AtomicUsize::new(0),
+        }
     }
 
     /// Look up the plan cached under `key` for the default tenant,
@@ -218,6 +172,11 @@ impl PlanCache {
     /// the others wait for it to settle and then share its entry.  The key
     /// settles on *every* exit from the planner — success, typed error, or
     /// panic (via [`SettleGuard`]) — so no outcome can wedge later callers.
+    ///
+    /// Every call counts exactly one lookup: a hit when it returns a shared
+    /// plan (cached or sidelined), a miss when it plans or gives up
+    /// waiting.  A waiter looks the key up before and after its wait, so
+    /// the lookups here leave a miss uncounted and each exit reports it.
     fn single_flight(
         &self,
         key: &str,
@@ -226,7 +185,7 @@ impl PlanCache {
         plan: impl FnOnce() -> Result<Plan, EngineError>,
     ) -> Result<(Arc<Plan>, bool), EngineError> {
         loop {
-            if let Some(plan) = self.core.get(key, tenant) {
+            if let Some(plan) = self.core.lookup(key, tenant, false) {
                 return Ok((plan, true));
             }
             let mut in_flight = self.in_flight.lock();
@@ -245,9 +204,14 @@ impl PlanCache {
             // slices so this caller's own deadline fires even though
             // someone else does the work.
             while in_flight.iter().any(|flying| flying == key) {
+                #[cfg(test)]
+                self.parked
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 match cancel {
                     Some(token) => {
                         if token.is_cancelled() {
+                            drop(in_flight);
+                            self.core.count_lookup(tenant, false);
                             return Err(EngineError::Cancelled {
                                 stage: "plan",
                                 elapsed: token.elapsed(),
@@ -273,9 +237,11 @@ impl PlanCache {
                 .find(|(parked, _)| parked == key)
                 .map(|(_, plan)| plan.clone());
             if let Some(plan) = parked {
+                self.core.count_lookup(tenant, true);
                 return Ok((plan, true));
             }
         }
+        self.core.count_lookup(tenant, false);
         // From here on the key MUST settle no matter how the planner exits;
         // the guard handles the panic path (a planner that unwinds must not
         // leave its waiters blocked forever).
@@ -336,6 +302,7 @@ impl Drop for SettleGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CachePolicy;
     use treemem::gadgets::harpoon;
 
     fn config(seed: u64) -> EngineConfig {
@@ -354,7 +321,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(stats.policy, "LRU");
+        assert_eq!(stats.policy, CachePolicy::Lru);
         assert!(stats.bytes_used > 0, "plans carry a byte footprint");
     }
 
@@ -502,15 +469,53 @@ mod tests {
     }
 
     #[test]
+    fn a_single_flight_waiter_counts_one_lookup_not_two() {
+        let engine = Engine::new();
+        let cache = PlanCache::new(4, None);
+        let config = config(4);
+        let key = config.hash();
+        let flying = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let planner = scope.spawn(|| {
+                cache
+                    .single_flight(&key, "planner", None, || {
+                        flying.wait();
+                        // Stay in flight until the waiter has looked the key
+                        // up, found it flying and reached the wait (it bumps
+                        // `parked` under the in-flight lock, which settling
+                        // needs, so it is parked before the key can settle).
+                        while cache.parked.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+                            std::thread::yield_now();
+                        }
+                        engine.plan(&config)
+                    })
+                    .unwrap()
+            });
+            flying.wait();
+            let (shared, hit) = cache
+                .get_or_plan_for(&engine, &config, "waiter", None)
+                .unwrap();
+            let (planned, planner_hit) = planner.join().expect("planner");
+            assert!(hit && !planner_hit);
+            assert!(Arc::ptr_eq(&shared, &planned));
+        });
+        // Two calls, two counted lookups: the planner's miss and the
+        // waiter's hit — the waiter's pre-wait lookup is not a second miss.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        let waiter = stats.per_tenant.iter().find(|t| t.tenant == "waiter");
+        assert_eq!(waiter.map(|t| (t.hits, t.misses)), Some((1, 0)));
+    }
+
+    #[test]
     fn uncacheable_plans_are_still_shared_within_their_flight() {
         let engine = Engine::new();
         // A one-byte budget: every plan is too large to cache.
-        let cache = PlanCache::with_config(PlanCacheConfig {
-            policy: "GDSF".to_string(),
+        let cache = PlanCache::with_config(CacheConfig {
+            policy: CachePolicy::Gdsf,
             bytes_capacity: 1,
-            ..PlanCacheConfig::default()
-        })
-        .unwrap();
+            ..CacheConfig::default()
+        });
         let config = config(3);
         let barrier = std::sync::Barrier::new(2);
         let plans: Vec<Arc<Plan>> = std::thread::scope(|scope| {
@@ -541,11 +546,11 @@ mod tests {
     #[test]
     fn byte_mode_charges_tenants_and_reports_them() {
         let engine = Engine::new();
-        let cache = PlanCache::with_config(PlanCacheConfig {
+        let cache = PlanCache::with_config(CacheConfig {
+            policy: CachePolicy::Gdsf,
             bytes_capacity: 1 << 30,
-            ..PlanCacheConfig::default()
-        })
-        .unwrap();
+            ..CacheConfig::default()
+        });
         cache
             .get_or_plan_for(&engine, &config(1), "alice", None)
             .unwrap();
@@ -553,7 +558,7 @@ mod tests {
             .get_or_plan_for(&engine, &config(1), "bob", None)
             .unwrap();
         let stats = cache.stats();
-        assert_eq!(stats.policy, "GDSF");
+        assert_eq!(stats.policy, CachePolicy::Gdsf);
         assert_eq!(stats.per_tenant.len(), 2);
         let alice = &stats.per_tenant[0];
         assert_eq!(alice.tenant, "alice");

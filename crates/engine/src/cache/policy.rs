@@ -1,32 +1,97 @@
-//! Serving-side eviction policies.
+//! The serving cache's eviction policies.
 //!
-//! A [`ServingPolicy`] is the online counterpart of [`minio::Policy`]: where
-//! the simulation trait selects victims knowing the full future of a tree
-//! traversal, a serving policy sees only the past — insertions, accesses and
-//! removals streamed through its [`ServingSession`] — and must pick victims
-//! when the core needs room.  Three policies are implemented natively
-//! (recency LRU, size-aware GDSF, scan-resistant S3-FIFO: the two stateful
-//! cache policies degrade under per-decision bridging, so they get real
-//! online state here), and every stateless simulation heuristic is adapted
-//! through [`minio::serving::select_victims`], giving the serving layer the
-//! full registry catalogue.
+//! A serving cache sees only the past — insertions, accesses and removals
+//! streamed to its per-cache session — and must pick victims when the core
+//! needs room.  Three policies exist because `BENCH_cache.json` separates
+//! exactly three behaviours: [`CachePolicy::Lru`] (recency, the
+//! entry-count default), [`CachePolicy::Gdsf`] (size-aware, the byte-mode
+//! default) and [`CachePolicy::S3Fifo`] (scan-resistant).  The set is
+//! closed: a cache is configured with a [`CachePolicy`] value, so no name is
+//! left to resolve at construction time; names exist only at the edges
+//! (`--cache-policy`, `/stats`, the trace matrix) through
+//! [`FromStr`](std::str::FromStr) and [`Display`](std::fmt::Display).
 //!
-//! Contract notes, mirroring the simulator's:
+//! Contract notes:
 //!
 //! * `select` returns slot ids; the core drops duplicates, ignores ids
 //!   outside the offered candidate list, and completes any shortfall in
-//!   least-recently-used order, so arbitrary policies are safe to run.
+//!   least-recently-used order.
 //! * Sessions are long-lived (one per cache, not per decision) and always
-//!   called under the cache lock, in a deterministic order — a policy that
-//!   uses only the streamed events and the prompt is fully deterministic.
+//!   called under the cache lock, in a deterministic order — every policy
+//!   uses only the streamed events and the prompt, so replay is fully
+//!   deterministic.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use treemem::registry::UnknownName;
 
+/// Which eviction policy a serving cache runs; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CachePolicy {
+    /// Recency LRU: evict the least-recently-accessed candidates until the
+    /// deficit is covered — the entry-count cache order, generalised to
+    /// byte deficits.
+    #[default]
+    Lru,
+    /// GreedyDual-Size-Frequency: every entry carries a priority
+    /// `H = L + frequency / size`; evictions take the lowest `H` and raise
+    /// the inflation `L` to it, so long-unused entries age out while small,
+    /// frequently-hit entries survive large cold ones.
+    Gdsf,
+    /// S3-FIFO: a small probationary FIFO absorbs one-hit wonders,
+    /// survivors promote into a main FIFO with lazy second chances, and a
+    /// ghost queue of evicted fingerprints routes quickly-returning keys
+    /// straight into main.
+    S3Fifo,
+}
+
+impl CachePolicy {
+    /// Every policy, in the order reports and matrices list them.
+    pub const ALL: [CachePolicy; 3] = [CachePolicy::Lru, CachePolicy::Gdsf, CachePolicy::S3Fifo];
+
+    /// Short stable identifier (CLI flag value, `/stats`, bench matrices).
+    pub fn name(self) -> &'static str {
+        match self {
+            CachePolicy::Lru => "LRU",
+            CachePolicy::Gdsf => "GDSF",
+            CachePolicy::S3Fifo => "S3FIFO",
+        }
+    }
+
+    /// Start the per-cache state of this policy.
+    pub(super) fn session(self) -> Session {
+        match self {
+            CachePolicy::Lru => Session::Lru,
+            CachePolicy::Gdsf => Session::Gdsf(GdsfSession::default()),
+            CachePolicy::S3Fifo => Session::S3Fifo(S3FifoSession::default()),
+        }
+    }
+}
+
+impl std::fmt::Display for CachePolicy {
+    fn fmt(&self, fmt: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        fmt.pad(self.name())
+    }
+}
+
+impl std::str::FromStr for CachePolicy {
+    type Err = UnknownName;
+
+    fn from_str(name: &str) -> Result<Self, UnknownName> {
+        CachePolicy::ALL
+            .into_iter()
+            .find(|policy| policy.name() == name)
+            .ok_or_else(|| UnknownName {
+                kind: "cache policy",
+                name: name.to_string(),
+                known: CachePolicy::ALL.map(|p| p.name().to_string()).to_vec(),
+            })
+    }
+}
+
 /// Everything a policy may know about one resident entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntryMeta {
+pub(super) struct EntryMeta {
     /// Stable id of the entry (unique for the cache's lifetime).
     pub slot: u64,
     /// FNV-1a fingerprint of the entry's key (stable across re-insertions —
@@ -34,101 +99,89 @@ pub struct EntryMeta {
     pub fingerprint: u64,
     /// Byte footprint (at least 1).
     pub bytes: u64,
-    /// Logical tick of the insertion.
-    pub inserted_tick: u64,
     /// Logical tick of the most recent access.
     pub last_access_tick: u64,
-    /// Hits served so far.
-    pub hits: u64,
 }
 
 /// One eviction decision offered to a session.
-#[derive(Debug)]
-pub struct EvictionPrompt<'a> {
+pub(super) struct EvictionPrompt<'a> {
     /// The evictable entries (entries protected by another tenant's
     /// fair-share floor are already filtered out).
     pub candidates: &'a [EntryMeta],
     /// Bytes that must be freed.
     pub deficit_bytes: u64,
-    /// The current logical tick.
-    pub now_tick: u64,
     /// The cache's byte capacity (`u64::MAX` when bounded by entries only).
     pub bytes_capacity: u64,
 }
 
 /// Per-cache state of a policy: observes the stream and selects victims.
-pub trait ServingSession {
+pub(super) enum Session {
+    Lru,
+    Gdsf(GdsfSession),
+    S3Fifo(S3FifoSession),
+}
+
+impl Session {
     /// A new entry became resident.
-    fn on_insert(&mut self, _meta: &EntryMeta) {}
-    /// An entry served a hit.
-    fn on_access(&mut self, _slot: u64, _now_tick: u64) {}
-    /// An entry left the cache (eviction, expiry, replacement or clear).
-    fn on_remove(&mut self, _slot: u64) {}
-    /// Select victims (slot ids) freeing at least `prompt.deficit_bytes`.
-    fn select(&mut self, prompt: &EvictionPrompt<'_>) -> Vec<u64>;
-}
-
-/// A named factory of per-cache [`ServingSession`]s.
-pub trait ServingPolicy: Send + Sync {
-    /// Short stable identifier (CLI flag value, `/stats`, bench matrices).
-    fn name(&self) -> String;
-    /// One-line human description.
-    fn description(&self) -> &'static str;
-    /// Start a session for one cache.
-    fn session(&self) -> Box<dyn ServingSession + Send>;
-}
-
-/// Recency LRU: evict the least-recently-accessed candidates until the
-/// deficit is covered.  This is exactly the legacy count-based cache order,
-/// generalised to byte deficits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountLru;
-
-struct CountLruSession;
-
-impl ServingSession for CountLruSession {
-    fn select(&mut self, prompt: &EvictionPrompt<'_>) -> Vec<u64> {
-        let mut ordered: Vec<&EntryMeta> = prompt.candidates.iter().collect();
-        ordered.sort_by_key(|m| (m.last_access_tick, m.slot));
-        let mut freed = 0u64;
-        let mut victims = Vec::new();
-        for meta in ordered {
-            if freed >= prompt.deficit_bytes {
-                break;
-            }
-            freed = freed.saturating_add(meta.bytes);
-            victims.push(meta.slot);
+    pub fn on_insert(&mut self, meta: &EntryMeta) {
+        match self {
+            Session::Lru => {}
+            Session::Gdsf(session) => session.on_insert(meta),
+            Session::S3Fifo(session) => session.on_insert(meta),
         }
-        victims
+    }
+
+    /// An entry served a hit.
+    pub fn on_access(&mut self, slot: u64) {
+        match self {
+            Session::Lru => {}
+            Session::Gdsf(session) => session.on_access(slot),
+            Session::S3Fifo(session) => session.on_access(slot),
+        }
+    }
+
+    /// An entry left the cache (eviction, expiry, replacement or clear).
+    pub fn on_remove(&mut self, slot: u64) {
+        match self {
+            Session::Lru => {}
+            Session::Gdsf(session) => session.on_remove(slot),
+            Session::S3Fifo(session) => session.on_remove(slot),
+        }
+    }
+
+    /// Select victims (slot ids) freeing at least `prompt.deficit_bytes`.
+    pub fn select(&mut self, prompt: &EvictionPrompt<'_>) -> Vec<u64> {
+        match self {
+            Session::Lru => select_lru(prompt),
+            Session::Gdsf(session) => session.select(prompt),
+            Session::S3Fifo(session) => session.select(prompt),
+        }
     }
 }
 
-impl ServingPolicy for CountLru {
-    fn name(&self) -> String {
-        "LRU".to_string()
+/// [`CachePolicy::Lru`] needs no state: recency lives in the entries.
+fn select_lru(prompt: &EvictionPrompt<'_>) -> Vec<u64> {
+    let mut ordered: Vec<&EntryMeta> = prompt.candidates.iter().collect();
+    ordered.sort_by_key(|m| (m.last_access_tick, m.slot));
+    let mut freed = 0u64;
+    let mut victims = Vec::new();
+    for meta in ordered {
+        if freed >= prompt.deficit_bytes {
+            break;
+        }
+        freed = freed.saturating_add(meta.bytes);
+        victims.push(meta.slot);
     }
-    fn description(&self) -> &'static str {
-        "least recently used (the legacy count-LRU order, byte deficits)"
-    }
-    fn session(&self) -> Box<dyn ServingSession + Send> {
-        Box::new(CountLruSession)
-    }
+    victims
 }
-
-/// GreedyDual-Size-Frequency: every entry carries a priority
-/// `H = L + frequency / size`; evictions take the lowest `H` and raise the
-/// inflation `L` to it, so long-unused entries age out while small,
-/// frequently-hit entries survive large cold ones — the size-aware policy the
-/// cache-rs study found dominant on skewed, size-varied workloads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Gdsf;
 
 /// Numerator scale for `frequency / size`: keeps priorities of byte-sized
 /// entries in a comfortable float range.
 const GDSF_SCALE: f64 = 1.0e6;
 
+/// State of [`CachePolicy::Gdsf`].
 #[derive(Default)]
-struct GdsfSession {
+pub(super) struct GdsfSession {
     /// The inflation value `L`: the priority of the last eviction.
     inflation: f64,
     /// Per-slot (bytes, frequency, priority).
@@ -139,22 +192,23 @@ impl GdsfSession {
     fn priority(inflation: f64, bytes: u64, frequency: u64) -> f64 {
         inflation + GDSF_SCALE * frequency as f64 / bytes.max(1) as f64
     }
-}
 
-impl ServingSession for GdsfSession {
     fn on_insert(&mut self, meta: &EntryMeta) {
         let h = Self::priority(self.inflation, meta.bytes, 1);
         self.entries.insert(meta.slot, (meta.bytes, 1, h));
     }
-    fn on_access(&mut self, slot: u64, _now_tick: u64) {
+
+    fn on_access(&mut self, slot: u64) {
         if let Some((bytes, freq, h)) = self.entries.get_mut(&slot) {
             *freq += 1;
             *h = Self::priority(self.inflation, *bytes, *freq);
         }
     }
+
     fn on_remove(&mut self, slot: u64) {
         self.entries.remove(&slot);
     }
+
     fn select(&mut self, prompt: &EvictionPrompt<'_>) -> Vec<u64> {
         let mut ordered: Vec<(f64, &EntryMeta)> = prompt
             .candidates
@@ -192,33 +246,15 @@ impl ServingSession for GdsfSession {
     }
 }
 
-impl ServingPolicy for Gdsf {
-    fn name(&self) -> String {
-        "GDSF".to_string()
-    }
-    fn description(&self) -> &'static str {
-        "GreedyDual-Size-Frequency (size-aware, frequency-inflated priorities)"
-    }
-    fn session(&self) -> Box<dyn ServingSession + Send> {
-        Box::new(GdsfSession::default())
-    }
-}
-
-/// S3-FIFO: a small probationary FIFO absorbs one-hit wonders, survivors
-/// promote into a main FIFO with lazy second chances, and a ghost queue of
-/// evicted fingerprints routes quickly-returning keys straight into main —
-/// the scan-resistant design of the S3-FIFO paper, online.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct S3Fifo;
-
 /// Fraction of the byte capacity reserved for the small queue (the paper's
 /// 10%).
 const S3_SMALL_FRACTION: u64 = 10;
 /// Ghost queue length (evicted-key fingerprints remembered).
 const S3_GHOST_LEN: usize = 4096;
 
+/// State of [`CachePolicy::S3Fifo`].
 #[derive(Default)]
-struct S3FifoSession {
+pub(super) struct S3FifoSession {
     small: VecDeque<u64>,
     main: VecDeque<u64>,
     /// Per-slot (bytes, frequency 0..=3, fingerprint, in_main).
@@ -239,9 +275,7 @@ impl S3FifoSession {
             }
         }
     }
-}
 
-impl ServingSession for S3FifoSession {
     fn on_insert(&mut self, meta: &EntryMeta) {
         let returning = self.ghost_set.contains(&meta.fingerprint);
         self.entries
@@ -253,18 +287,31 @@ impl ServingSession for S3FifoSession {
             self.small_bytes = self.small_bytes.saturating_add(meta.bytes);
         }
     }
-    fn on_access(&mut self, slot: u64, _now_tick: u64) {
+
+    fn on_access(&mut self, slot: u64) {
         if let Some((_, freq, _, _)) = self.entries.get_mut(&slot) {
             *freq = (*freq + 1).min(3);
         }
     }
+
     fn on_remove(&mut self, slot: u64) {
-        // Queues are cleaned lazily (VecDeque removal is O(n)); only the
-        // byte tally needs fixing here.
-        if let Some((bytes, _, _, in_main)) = self.entries.remove(&slot) {
-            if !in_main {
-                self.small_bytes = self.small_bytes.saturating_sub(bytes);
-            }
+        let Some((bytes, _, _, in_main)) = self.entries.remove(&slot) else {
+            return; // evicted by `select`, which already dropped the row
+        };
+        if !in_main {
+            self.small_bytes = self.small_bytes.saturating_sub(bytes);
+        }
+        // The id stays queued (VecDeque removal is O(n)) and `select` skips
+        // it when it surfaces.  A cache that never evicts never runs
+        // `select`, so sweep the stale ids once they outnumber the live
+        // ones: the queues stay within twice the entry count at amortised
+        // O(1) per removal.
+        if self.small.len() + self.main.len() > 2 * self.entries.len() {
+            let entries = &self.entries;
+            self.small
+                .retain(|id| entries.get(id).is_some_and(|entry| !entry.3));
+            self.main
+                .retain(|id| entries.get(id).is_some_and(|entry| entry.3));
         }
     }
     fn select(&mut self, prompt: &EvictionPrompt<'_>) -> Vec<u64> {
@@ -347,211 +394,45 @@ impl ServingSession for S3FifoSession {
     }
 }
 
-impl ServingPolicy for S3Fifo {
-    fn name(&self) -> String {
-        "S3FIFO".to_string()
-    }
-    fn description(&self) -> &'static str {
-        "S3-FIFO (small/main FIFOs + ghost queue, scan-resistant)"
-    }
-    fn session(&self) -> Box<dyn ServingSession + Send> {
-        Box::new(S3FifoSession::default())
-    }
-}
-
-/// A simulation policy adapted to serving through
-/// [`minio::serving::select_victims`]: every decision rebuilds the synthetic
-/// context from the prompt, so the bridge is stateless and any registered
-/// [`minio::Policy`] can drive a live cache.
-pub struct SimBridge {
-    inner: std::sync::Arc<dyn minio::Policy>,
-}
-
-impl SimBridge {
-    /// Bridge `policy` into the serving world under its own name.
-    pub fn new(policy: Box<dyn minio::Policy>) -> Self {
-        SimBridge {
-            inner: std::sync::Arc::from(policy),
-        }
-    }
-}
-
-struct SimBridgeSession {
-    inner: std::sync::Arc<dyn minio::Policy>,
-}
-
-impl ServingSession for SimBridgeSession {
-    fn select(&mut self, prompt: &EvictionPrompt<'_>) -> Vec<u64> {
-        let residents: Vec<minio::ResidentFile> = prompt
-            .candidates
-            .iter()
-            .map(|m| minio::ResidentFile {
-                slot: m.slot,
-                bytes: m.bytes,
-                inserted_tick: m.inserted_tick,
-                last_access_tick: m.last_access_tick,
-                hits: m.hits,
-            })
-            .collect();
-        minio::select_victims(
-            self.inner.as_ref(),
-            &residents,
-            prompt.now_tick,
-            prompt.deficit_bytes,
-        )
-    }
-}
-
-impl ServingPolicy for SimBridge {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn description(&self) -> &'static str {
-        self.inner.description()
-    }
-    fn session(&self) -> Box<dyn ServingSession + Send> {
-        Box::new(SimBridgeSession {
-            inner: self.inner.clone(),
-        })
-    }
-}
-
-/// A name-indexed catalogue of serving policies, mirroring
-/// [`minio::PolicyRegistry`].
-pub struct ServingPolicyRegistry {
-    policies: Vec<Box<dyn ServingPolicy>>,
-}
-
-impl ServingPolicyRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        ServingPolicyRegistry {
-            policies: Vec::new(),
-        }
-    }
-
-    /// The full catalogue: the three native online policies (LRU, GDSF,
-    /// S3FIFO), then every remaining simulation policy through the bridge
-    /// (LSNF, FirstFit, BestFit, FirstFill, BestFill, BestKComb, LruDist).
-    pub fn with_builtin() -> Self {
-        let mut registry = ServingPolicyRegistry::empty();
-        registry.register(Box::new(CountLru));
-        registry.register(Box::new(Gdsf));
-        registry.register(Box::new(S3Fifo));
-        for bridged in [
-            Box::new(minio::policy::paper::Lsnf) as Box<dyn minio::Policy>,
-            Box::new(minio::policy::paper::FirstFit),
-            Box::new(minio::policy::paper::BestFit),
-            Box::new(minio::policy::paper::FirstFill),
-            Box::new(minio::policy::paper::BestFill),
-            Box::new(minio::policy::paper::BestKCombination::default()),
-            Box::new(minio::policy::cache::LruDistance),
-        ] {
-            registry.register(Box::new(SimBridge::new(bridged)));
-        }
-        registry
-    }
-
-    /// Add a policy; same-named policies replace the old entry.
-    pub fn register(&mut self, policy: Box<dyn ServingPolicy>) {
-        let name = policy.name();
-        if let Some(existing) = self.policies.iter_mut().find(|p| p.name() == name) {
-            *existing = policy;
-        } else {
-            self.policies.push(policy);
-        }
-    }
-
-    /// Look a policy up by name.
-    pub fn get(&self, name: &str) -> Option<&dyn ServingPolicy> {
-        self.policies
-            .iter()
-            .find(|p| p.name() == name)
-            .map(|p| p.as_ref())
-    }
-
-    /// Look a policy up by name with a typed error listing the catalogue.
-    pub fn get_or_err(&self, name: &str) -> Result<&dyn ServingPolicy, UnknownName> {
-        treemem::registry::get_or_unknown("cache policy", name, self.get(name), || self.names())
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<String> {
-        self.policies.iter().map(|p| p.name()).collect()
-    }
-
-    /// Iterate over the policies in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn ServingPolicy> {
-        self.policies.iter().map(|p| p.as_ref())
-    }
-
-    /// Number of registered policies.
-    pub fn len(&self) -> usize {
-        self.policies.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.policies.is_empty()
-    }
-}
-
-impl Default for ServingPolicyRegistry {
-    fn default() -> Self {
-        Self::with_builtin()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn meta(slot: u64, bytes: u64, last_access: u64, hits: u64) -> EntryMeta {
+    fn meta(slot: u64, bytes: u64, last_access: u64) -> EntryMeta {
         EntryMeta {
             slot,
             fingerprint: slot.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             bytes,
-            inserted_tick: 0,
             last_access_tick: last_access,
-            hits,
         }
     }
 
     #[test]
-    fn builtin_catalogue_has_ten_policies() {
-        let registry = ServingPolicyRegistry::with_builtin();
-        assert_eq!(
-            registry.names(),
-            vec![
-                "LRU",
-                "GDSF",
-                "S3FIFO",
-                "LSNF",
-                "FirstFit",
-                "BestFit",
-                "FirstFill",
-                "BestFill",
-                "BestKComb",
-                "LruDist"
-            ]
-        );
-        assert!(registry.get_or_err("LRU").is_ok());
-        assert!(registry.get_or_err("nope").is_err());
+    fn names_round_trip_and_unknown_names_list_the_three() {
+        let names: Vec<String> = CachePolicy::ALL.iter().map(|p| p.to_string()).collect();
+        assert_eq!(names, vec!["LRU", "GDSF", "S3FIFO"]);
+        for policy in CachePolicy::ALL {
+            assert_eq!(policy.name().parse::<CachePolicy>(), Ok(policy));
+        }
+        // A simulator heuristic is no longer a serving policy, and neither
+        // is a typo; both errors name what is.
+        for bad in ["LSNF", "nope"] {
+            let error = bad.parse::<CachePolicy>().unwrap_err();
+            assert_eq!(error.kind, "cache policy");
+            assert!(
+                error.to_string().contains("LRU, GDSF, S3FIFO"),
+                "'{bad}': {error}"
+            );
+        }
     }
 
     #[test]
     fn lru_evicts_least_recently_accessed() {
-        let registry = ServingPolicyRegistry::with_builtin();
-        let mut session = registry.get("LRU").unwrap().session();
-        let candidates = vec![
-            meta(1, 100, 30, 0),
-            meta(2, 100, 10, 0),
-            meta(3, 100, 20, 0),
-        ];
+        let mut session = CachePolicy::Lru.session();
+        let candidates = vec![meta(1, 100, 30), meta(2, 100, 10), meta(3, 100, 20)];
         let prompt = EvictionPrompt {
             candidates: &candidates,
             deficit_bytes: 150,
-            now_tick: 40,
             bytes_capacity: 1000,
         };
         assert_eq!(session.select(&prompt), vec![2, 3]);
@@ -559,19 +440,17 @@ mod tests {
 
     #[test]
     fn gdsf_prefers_large_cold_victims_over_small_hot_ones() {
-        let registry = ServingPolicyRegistry::with_builtin();
-        let mut session = registry.get("GDSF").unwrap().session();
+        let mut session = CachePolicy::Gdsf.session();
         // A big entry and a small entry, same frequency: the big one has the
         // lower H and goes first even though it was accessed more recently.
-        let big = meta(1, 100_000, 50, 0);
-        let small = meta(2, 100, 10, 0);
+        let big = meta(1, 100_000, 50);
+        let small = meta(2, 100, 10);
         session.on_insert(&big);
         session.on_insert(&small);
         let candidates = vec![big, small];
         let prompt = EvictionPrompt {
             candidates: &candidates,
             deficit_bytes: 1,
-            now_tick: 60,
             bytes_capacity: 1_000_000,
         };
         assert_eq!(session.select(&prompt), vec![1]);
@@ -579,15 +458,13 @@ mod tests {
 
     #[test]
     fn s3fifo_ghost_promotes_returning_keys_to_main() {
-        let registry = ServingPolicyRegistry::with_builtin();
-        let mut session = registry.get("S3FIFO").unwrap().session();
-        let first = meta(1, 100, 1, 0);
+        let mut session = CachePolicy::S3Fifo.session();
+        let first = meta(1, 100, 1);
         session.on_insert(&first);
         let candidates = vec![first];
         let prompt = EvictionPrompt {
             candidates: &candidates,
             deficit_bytes: 50,
-            now_tick: 2,
             bytes_capacity: 1000,
         };
         assert_eq!(session.select(&prompt), vec![1]);
@@ -595,15 +472,42 @@ mod tests {
         // main and survive a scan of one-hit wonders through small.
         let back = EntryMeta { slot: 2, ..first };
         session.on_insert(&back);
-        let scan = meta(3, 100, 3, 0);
+        let scan = meta(3, 100, 3);
         session.on_insert(&scan);
         let candidates = vec![back, scan];
         let prompt = EvictionPrompt {
             candidates: &candidates,
             deficit_bytes: 50,
-            now_tick: 4,
             bytes_capacity: 1000,
         };
         assert_eq!(session.select(&prompt), vec![3]);
+    }
+
+    #[test]
+    fn s3fifo_queues_stay_bounded_when_nothing_is_ever_evicted() {
+        // One hot key re-deposited 100 000 times into a cache whose byte
+        // budget is never reached: `CacheCore::insert` replaces the entry
+        // (on_remove of the old slot, on_insert of a fresh one) and never
+        // calls `select`, the only other place stale ids are dropped.
+        let mut session = S3FifoSession::default();
+        session.on_insert(&meta(0, 64, 0));
+        for slot in 1..=100_000u64 {
+            session.on_remove(slot - 1);
+            session.on_insert(&EntryMeta {
+                slot,
+                ..meta(0, 64, slot)
+            });
+            assert!(session.small.len() + session.main.len() <= 2);
+        }
+        assert_eq!(session.entries.len(), 1);
+        assert_eq!(session.small_bytes, 64);
+        // The survivor is still evictable through the normal path.
+        let candidates = vec![meta(100_000, 64, 100_000)];
+        let prompt = EvictionPrompt {
+            candidates: &candidates,
+            deficit_bytes: 1,
+            bytes_capacity: 1000,
+        };
+        assert_eq!(session.select(&prompt), vec![100_000]);
     }
 }

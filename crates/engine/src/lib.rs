@@ -53,8 +53,8 @@ pub mod run;
 pub use treemem::faultinject;
 
 pub use cache::{
-    fingerprint64, Admission, CacheConfig, CacheCore, CacheStats, PlanCache, PlanCacheConfig,
-    ServingPolicy, ServingPolicyRegistry, TenantUsage, DEFAULT_TENANT,
+    fingerprint64, Admission, CacheConfig, CacheCore, CachePolicy, CacheStats, PlanCache,
+    TenantUsage, DEFAULT_TENANT,
 };
 pub use cancel::{monotonic_millis, CancelToken};
 pub use config::{
@@ -71,7 +71,7 @@ pub use run::{
 
 /// Everything a typical engine user needs in scope.
 pub mod prelude {
-    pub use crate::cache::{CacheStats, PlanCache, PlanCacheConfig};
+    pub use crate::cache::{CacheConfig, CachePolicy, CacheStats, PlanCache};
     pub use crate::cancel::CancelToken;
     pub use crate::config::{
         BudgetShare, ConfigParseError, DistributedConfig, EngineConfig, MemoryBudget,

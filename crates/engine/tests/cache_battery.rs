@@ -1,9 +1,8 @@
 //! Seeded property battery for the shared serving-cache core.
 //!
-//! Every policy in the builtin registry — native online implementations and
-//! simulation heuristics served through the bridge alike — is driven through
-//! the same churn workloads, and the properties the serving layer depends on
-//! are asserted the same way for all of them:
+//! Every [`CachePolicy`] is driven through the same churn workloads, and the
+//! properties the serving layer depends on are asserted the same way for all
+//! of them:
 //!
 //! * byte accounting never drifts (the internal audit passes at every
 //!   sampled point, under churn and after TTL expiry);
@@ -18,27 +17,17 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use engine::cache::{CacheConfig, CacheCore, ServingPolicyRegistry};
+use engine::cache::{CacheConfig, CacheCore, CachePolicy};
 use prng::{Rng, StdRng};
 
 const KIB: u64 = 1024;
 
-fn core_with(
-    registry: &ServingPolicyRegistry,
-    policy: &str,
-    config: CacheConfig,
-) -> CacheCore<u64> {
-    let config = CacheConfig {
-        policy: policy.to_string(),
-        lock_class: "cache-battery.inner",
-        ..config
-    };
-    CacheCore::new(config, registry)
-        .unwrap_or_else(|e| panic!("policy '{policy}' must be registered: {e}"))
+fn core_with(policy: CachePolicy, config: CacheConfig) -> CacheCore<u64> {
+    CacheCore::new(CacheConfig { policy, ..config }, "cache-battery.inner")
 }
 
 /// The audit that every sampled point of every workload must pass.
-fn audit(core: &CacheCore<u64>, policy: &str, capacity: u64, quota: Option<u64>) {
+fn audit(core: &CacheCore<u64>, policy: CachePolicy, capacity: u64, quota: Option<u64>) {
     core.validate_accounting()
         .unwrap_or_else(|e| panic!("policy '{policy}': accounting drifted: {e}"));
     let stats = core.stats();
@@ -61,12 +50,10 @@ fn audit(core: &CacheCore<u64>, policy: &str, capacity: u64, quota: Option<u64>)
 
 #[test]
 fn every_policy_keeps_accounting_and_capacity_under_churn() {
-    let registry = ServingPolicyRegistry::with_builtin();
     let capacity = 256 * KIB;
-    for policy in registry.names() {
+    for policy in CachePolicy::ALL {
         let core = core_with(
-            &registry,
-            &policy,
+            policy,
             CacheConfig {
                 bytes_capacity: capacity,
                 ..CacheConfig::default()
@@ -83,10 +70,10 @@ fn every_policy_keeps_accounting_and_capacity_under_churn() {
                 core.insert(&key, "public", Arc::new(round), bytes);
             }
             if round % 251 == 0 {
-                audit(&core, &policy, capacity, None);
+                audit(&core, policy, capacity, None);
             }
         }
-        audit(&core, &policy, capacity, None);
+        audit(&core, policy, capacity, None);
         let stats = core.stats();
         assert!(
             stats.evictions > 0,
@@ -101,13 +88,11 @@ fn every_policy_keeps_accounting_and_capacity_under_churn() {
 
 #[test]
 fn every_policy_confines_tenants_to_their_quota() {
-    let registry = ServingPolicyRegistry::with_builtin();
     let capacity = 256 * KIB;
     let quota = capacity / 4;
-    for policy in registry.names() {
+    for policy in CachePolicy::ALL {
         let core = core_with(
-            &registry,
-            &policy,
+            policy,
             CacheConfig {
                 bytes_capacity: capacity,
                 tenant_quota_bytes: Some(quota),
@@ -124,21 +109,19 @@ fn every_policy_confines_tenants_to_their_quota() {
                 core.insert(&key, tenant, Arc::new(round), bytes);
             }
             if round % 199 == 0 {
-                audit(&core, &policy, capacity, Some(quota));
+                audit(&core, policy, capacity, Some(quota));
             }
         }
-        audit(&core, &policy, capacity, Some(quota));
+        audit(&core, policy, capacity, Some(quota));
     }
 }
 
 #[test]
 fn every_policy_expires_ttl_entries_without_accounting_drift() {
-    let registry = ServingPolicyRegistry::with_builtin();
     let capacity = 256 * KIB;
-    for policy in registry.names() {
+    for policy in CachePolicy::ALL {
         let core = core_with(
-            &registry,
-            &policy,
+            policy,
             CacheConfig {
                 bytes_capacity: capacity,
                 ttl: Some(Duration::from_millis(25)),
@@ -157,7 +140,7 @@ fn every_policy_expires_ttl_entries_without_accounting_drift() {
                 "policy '{policy}': '{key}' survived past its TTL"
             );
         }
-        audit(&core, &policy, capacity, None);
+        audit(&core, policy, capacity, None);
         let stats = core.stats();
         assert!(
             stats.expirations >= 8,
@@ -178,13 +161,11 @@ fn every_policy_expires_ttl_entries_without_accounting_drift() {
 /// whatever the policy would pick.
 #[test]
 fn scan_flood_cannot_push_another_tenant_below_the_floor() {
-    let registry = ServingPolicyRegistry::with_builtin();
     let capacity = 1024 * KIB;
     let floor = 0.8;
-    for policy in registry.names() {
+    for policy in CachePolicy::ALL {
         let core = core_with(
-            &registry,
-            &policy,
+            policy,
             CacheConfig {
                 bytes_capacity: capacity,
                 tenant_floor: floor,
@@ -208,7 +189,7 @@ fn scan_flood_cannot_push_another_tenant_below_the_floor() {
             let bytes = rng.gen_range(40 * KIB..60 * KIB);
             core.insert(&format!("scan{index}"), "alpha", Arc::new(index), bytes);
         }
-        audit(&core, &policy, capacity, None);
+        audit(&core, policy, capacity, None);
         let stats = core.stats();
         let beta_bytes = stats
             .per_tenant

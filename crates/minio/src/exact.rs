@@ -19,7 +19,8 @@
 use treemem::tree::{NodeId, Size, Tree};
 use treemem::Traversal;
 
-use crate::heuristics::{divisible_lower_bound, schedule_io, EvictionPolicy, MinIoError};
+use crate::heuristics::{divisible_lower_bound, schedule_io_with, MinIoError};
+use crate::policy::{paper, Policy};
 
 /// Hard cap on the number of evictable candidates per step accepted by the
 /// exact solver; beyond this the enumeration would be hopeless anyway.
@@ -69,12 +70,13 @@ pub fn exact_min_io(
     // Upper bound from the best heuristic (the search never needs to do
     // worse, and a good incumbent makes the pruning effective).
     let mut incumbent = Size::MAX;
-    for policy in [
-        EvictionPolicy::FirstFit,
-        EvictionPolicy::BestKCombination { k: 6 },
-        EvictionPolicy::LastScheduledNodeFirst,
-    ] {
-        incumbent = incumbent.min(schedule_io(tree, traversal, memory, policy)?.io_volume);
+    let heuristics: [&dyn Policy; 3] = [
+        &paper::FirstFit,
+        &paper::BestKCombination { k: 6 },
+        &paper::Lsnf,
+    ];
+    for policy in heuristics {
+        incumbent = incumbent.min(schedule_io_with(tree, traversal, memory, policy)?.io_volume);
     }
     let lower = divisible_lower_bound(tree, traversal, memory)?;
     if incumbent == lower {
@@ -198,7 +200,7 @@ pub fn exact_min_io(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ALL_POLICIES;
+    use crate::policy::PolicyRegistry;
     use treemem::gadgets::{harpoon, two_partition_gadget};
     use treemem::minmem::min_mem;
     use treemem::postorder::best_postorder;
@@ -212,9 +214,9 @@ mod tests {
         let exact = exact_min_io(&tree, &po.traversal, memory).unwrap();
         let bound = divisible_lower_bound(&tree, &po.traversal, memory).unwrap();
         assert!(exact.io_volume >= bound);
-        for policy in ALL_POLICIES {
-            let run = schedule_io(&tree, &po.traversal, memory, policy).unwrap();
-            assert!(run.io_volume >= exact.io_volume, "{policy}");
+        for policy in PolicyRegistry::with_builtin().iter() {
+            let run = schedule_io_with(&tree, &po.traversal, memory, policy).unwrap();
+            assert!(run.io_volume >= exact.io_volume, "{}", policy.name());
         }
     }
 
@@ -273,11 +275,12 @@ mod tests {
             };
             let bound = divisible_lower_bound(&tree, &opt.traversal, memory).unwrap();
             assert!(exact.io_volume >= bound, "seed {seed}");
-            for policy in ALL_POLICIES {
-                let run = schedule_io(&tree, &opt.traversal, memory, policy).unwrap();
+            for policy in PolicyRegistry::with_builtin().iter() {
+                let run = schedule_io_with(&tree, &opt.traversal, memory, policy).unwrap();
                 assert!(
                     run.io_volume >= exact.io_volume,
-                    "seed {seed} policy {policy}"
+                    "seed {seed} policy {}",
+                    policy.name()
                 );
             }
         }

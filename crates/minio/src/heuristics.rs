@@ -8,10 +8,9 @@
 //! (see [`crate::policy`]): the simulator hands it the candidate files
 //! ordered latest use first and completes any shortfall with the LSNF rule.
 //!
-//! [`schedule_io_with`] is the trait-based entry point; [`schedule_io`] keeps
-//! the historical signature taking the [`EvictionPolicy`] enum, which now
-//! merely names the six paper heuristics and forwards to their trait
-//! implementations (the golden parity test pins the equivalence).
+//! [`schedule_io_with`] is the entry point; the six paper heuristics are the
+//! [`crate::policy::paper`] values (the golden parity test pins them to the
+//! original fixed dispatch).
 
 use std::collections::BTreeSet;
 
@@ -19,75 +18,10 @@ use treemem::error::TraversalError;
 use treemem::traversal::Traversal;
 use treemem::tree::{NodeId, Size, Tree};
 
-use crate::policy::{lsnf_fill, paper, Candidate, EvictionContext, Policy};
+use crate::policy::{lsnf_fill, Candidate, EvictionContext, Policy};
 #[cfg(debug_assertions)]
 use crate::schedule::check_out_of_core_with_positions;
 use crate::schedule::IoSchedule;
-
-/// The eviction heuristics of the paper, as a plain enum.
-///
-/// This type predates the [`Policy`] trait and is kept as a compatibility
-/// shim: each variant maps to the equivalent policy object in
-/// [`crate::policy::paper`] via [`EvictionPolicy::to_policy`], and
-/// [`schedule_io`] accepts it directly.  New code (and new policies) should
-/// use the trait and [`crate::policy::PolicyRegistry`] instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the files used latest in the traversal until the deficit is
-    /// covered.  Optimal for the divisible relaxation of MinIO.
-    LastScheduledNodeFirst,
-    /// Evict the first (latest-used) file at least as large as the deficit;
-    /// fall back to LSNF when no single file is large enough.
-    FirstFit,
-    /// Repeatedly evict the file whose size is closest to the remaining
-    /// deficit (in absolute value).
-    BestFit,
-    /// Repeatedly evict the first (latest-used) file strictly smaller than
-    /// the remaining deficit; fall back to LSNF when no such file exists.
-    FirstFill,
-    /// Repeatedly evict the file closest to the remaining deficit among those
-    /// strictly smaller than it; fall back to LSNF when no such file exists.
-    BestFill,
-    /// Consider the `k` latest-used candidates and evict the subset whose
-    /// total size is closest to the deficit; repeat until the deficit is
-    /// covered.  The paper uses `k = 5`.
-    BestKCombination {
-        /// Number of candidate files examined at each round.
-        k: usize,
-    },
-}
-
-impl EvictionPolicy {
-    /// Short human-readable name (used by the experiment reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EvictionPolicy::LastScheduledNodeFirst => "LSNF",
-            EvictionPolicy::FirstFit => "FirstFit",
-            EvictionPolicy::BestFit => "BestFit",
-            EvictionPolicy::FirstFill => "FirstFill",
-            EvictionPolicy::BestFill => "BestFill",
-            EvictionPolicy::BestKCombination { .. } => "BestKComb",
-        }
-    }
-
-    /// The equivalent trait-based policy.
-    pub fn to_policy(&self) -> Box<dyn Policy> {
-        match *self {
-            EvictionPolicy::LastScheduledNodeFirst => Box::new(paper::Lsnf),
-            EvictionPolicy::FirstFit => Box::new(paper::FirstFit),
-            EvictionPolicy::BestFit => Box::new(paper::BestFit),
-            EvictionPolicy::FirstFill => Box::new(paper::FirstFill),
-            EvictionPolicy::BestFill => Box::new(paper::BestFill),
-            EvictionPolicy::BestKCombination { k } => Box::new(paper::BestKCombination { k }),
-        }
-    }
-}
-
-impl std::fmt::Display for EvictionPolicy {
-    fn fmt(&self, fmt: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fmt.write_str(self.name())
-    }
-}
 
 /// Errors raised while simulating an out-of-core execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -462,19 +396,6 @@ pub fn schedule_io_naive(
     })
 }
 
-/// Simulate an out-of-core execution with one of the paper's six heuristics.
-///
-/// Compatibility wrapper around [`schedule_io_with`]; see there for the
-/// semantics and failure modes.
-pub fn schedule_io(
-    tree: &Tree,
-    traversal: &Traversal,
-    memory: Size,
-    policy: EvictionPolicy,
-) -> Result<OutOfCoreRun, MinIoError> {
-    schedule_io_with(tree, traversal, memory, policy.to_policy().as_ref())
-}
-
 /// Exact minimum I/O volume of `traversal` under the *divisible* relaxation
 /// of MinIO, where arbitrary fractions of files may be written out.
 ///
@@ -551,8 +472,8 @@ pub fn divisible_lower_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{paper, PolicyRegistry};
     use crate::schedule::check_out_of_core;
-    use crate::ALL_POLICIES;
     use treemem::gadgets::{harpoon, two_partition_gadget};
     use treemem::minmem::min_mem;
     use treemem::postorder::best_postorder;
@@ -562,9 +483,9 @@ mod tests {
     fn no_io_when_memory_is_sufficient() {
         let tree = harpoon(3, 300, 1);
         let po = best_postorder(&tree);
-        for policy in ALL_POLICIES {
-            let run = schedule_io(&tree, &po.traversal, po.peak, policy).unwrap();
-            assert_eq!(run.io_volume, 0, "{policy}");
+        for policy in PolicyRegistry::with_builtin().iter() {
+            let run = schedule_io_with(&tree, &po.traversal, po.peak, policy).unwrap();
+            assert_eq!(run.io_volume, 0, "{}", policy.name());
             assert_eq!(run.files_written, 0);
             assert_eq!(run.peak_memory, po.peak);
         }
@@ -576,9 +497,10 @@ mod tests {
         let po = best_postorder(&tree);
         let opt = min_mem(&tree);
         for memory in [tree.max_mem_req(), opt.peak, (opt.peak + po.peak) / 2] {
-            for policy in ALL_POLICIES {
-                let run = schedule_io(&tree, &po.traversal, memory, policy).unwrap();
-                assert!(run.peak_memory <= memory, "{policy} with memory {memory}");
+            for policy in PolicyRegistry::with_builtin().iter() {
+                let name = policy.name();
+                let run = schedule_io_with(&tree, &po.traversal, memory, policy).unwrap();
+                assert!(run.peak_memory <= memory, "{name} with memory {memory}");
                 // Re-validate with the independent Algorithm 2 checker.
                 let check = check_out_of_core(&tree, &po.traversal, &run.schedule, memory).unwrap();
                 assert_eq!(check.io_volume, run.io_volume);
@@ -586,7 +508,7 @@ mod tests {
                 let bound = divisible_lower_bound(&tree, &po.traversal, memory).unwrap();
                 assert!(
                     bound <= run.io_volume,
-                    "{policy}: bound {bound} > {}",
+                    "{name}: bound {bound} > {}",
                     run.io_volume
                 );
             }
@@ -608,13 +530,7 @@ mod tests {
         let po = best_postorder(&tree);
         // Stay above max MemReq (60) but below the postorder peak (70).
         let memory = po.peak - 8;
-        let run = schedule_io(
-            &tree,
-            &po.traversal,
-            memory,
-            EvictionPolicy::LastScheduledNodeFirst,
-        )
-        .unwrap();
+        let run = schedule_io_with(&tree, &po.traversal, memory, &paper::Lsnf).unwrap();
         let bound = divisible_lower_bound(&tree, &po.traversal, memory).unwrap();
         assert!(run.io_volume >= bound);
         assert!(run.io_volume - bound < 10);
@@ -625,11 +541,12 @@ mod tests {
         let tree = harpoon(3, 300, 1);
         let po = best_postorder(&tree);
         let too_small = tree.max_mem_req() - 1;
-        for policy in ALL_POLICIES {
-            let err = schedule_io(&tree, &po.traversal, too_small, policy).unwrap_err();
+        for policy in PolicyRegistry::with_builtin().iter() {
+            let err = schedule_io_with(&tree, &po.traversal, too_small, policy).unwrap_err();
             assert!(
                 matches!(err, MinIoError::InsufficientMemory { .. }),
-                "{policy}"
+                "{}",
+                policy.name()
             );
         }
     }
@@ -653,14 +570,8 @@ mod tests {
         let order = vec![r, needy, needy + 1, 3, 4, 5, 6, big, big + 1];
         let traversal = treemem::Traversal::new(order);
         let memory = 125;
-        let first_fit = schedule_io(&tree, &traversal, memory, EvictionPolicy::FirstFit).unwrap();
-        let lsnf = schedule_io(
-            &tree,
-            &traversal,
-            memory,
-            EvictionPolicy::LastScheduledNodeFirst,
-        )
-        .unwrap();
+        let first_fit = schedule_io_with(&tree, &traversal, memory, &paper::FirstFit).unwrap();
+        let lsnf = schedule_io_with(&tree, &traversal, memory, &paper::Lsnf).unwrap();
         // First Fit writes a single file, LSNF may write several smaller ones.
         assert_eq!(first_fit.files_written, 1);
         assert!(first_fit.io_volume >= 90);
@@ -691,18 +602,18 @@ mod tests {
             bound, gadget.io_bound,
             "divisible bound equals S/2 for the gadget"
         );
-        for policy in ALL_POLICIES {
-            let run = schedule_io(tree, &traversal, gadget.memory, policy).unwrap();
-            assert!(run.io_volume >= gadget.io_bound, "{policy}");
-            assert!(run.peak_memory <= gadget.memory, "{policy}");
+        for policy in PolicyRegistry::with_builtin().iter() {
+            let run = schedule_io_with(tree, &traversal, gadget.memory, policy).unwrap();
+            assert!(run.io_volume >= gadget.io_bound, "{}", policy.name());
+            assert!(run.peak_memory <= gadget.memory, "{}", policy.name());
         }
         // Best-K combination explores subsets and finds the exact split for
         // this small instance.
-        let best_k = schedule_io(
+        let best_k = schedule_io_with(
             tree,
             &traversal,
             gadget.memory,
-            EvictionPolicy::BestKCombination { k: 6 },
+            &paper::BestKCombination { k: 6 },
         )
         .unwrap();
         assert_eq!(best_k.io_volume, gadget.io_bound);
@@ -710,10 +621,17 @@ mod tests {
 
     #[test]
     fn policies_report_their_names() {
-        let names: Vec<&str> = ALL_POLICIES.iter().map(|p| p.name()).collect();
+        let names = [
+            paper::Lsnf.name(),
+            paper::FirstFit.name(),
+            paper::BestFit.name(),
+            paper::FirstFill.name(),
+            paper::BestFill.name(),
+            paper::BestKCombination::default().name(),
+        ];
         assert_eq!(
             names,
-            vec![
+            [
                 "LSNF",
                 "FirstFit",
                 "BestFit",
@@ -722,20 +640,5 @@ mod tests {
                 "BestKComb"
             ]
         );
-    }
-
-    #[test]
-    fn enum_shim_and_trait_objects_agree() {
-        let tree = harpoon(4, 400, 1);
-        let po = best_postorder(&tree);
-        let memory = tree.max_mem_req();
-        for policy in ALL_POLICIES {
-            let via_enum = schedule_io(&tree, &po.traversal, memory, policy).unwrap();
-            let via_trait =
-                schedule_io_with(&tree, &po.traversal, memory, policy.to_policy().as_ref())
-                    .unwrap();
-            assert_eq!(via_enum.io_volume, via_trait.io_volume, "{policy}");
-            assert_eq!(via_enum.schedule, via_trait.schedule, "{policy}");
-        }
     }
 }

@@ -32,8 +32,7 @@
 //! The main entry point is [`schedule_io_with`], which simulates an
 //! out-of-core execution of a given traversal with a given amount of memory
 //! under any [`Policy`] and returns the resulting I/O volume and eviction
-//! schedule ([`schedule_io`] is the historical wrapper taking the
-//! [`EvictionPolicy`] enum).  [`check_out_of_core`] implements Algorithm 2 of
+//! schedule.  [`check_out_of_core`] implements Algorithm 2 of
 //! the paper and validates such a schedule independently.
 //! [`divisible_lower_bound`] gives a per-traversal lower bound on the I/O
 //! volume by solving the divisible relaxation exactly.
@@ -41,12 +40,13 @@
 //! ```
 //! use treemem::gadgets::harpoon;
 //! use treemem::postorder::best_postorder;
-//! use minio::{schedule_io, EvictionPolicy};
+//! use minio::policy::paper::FirstFit;
+//! use minio::schedule_io_with;
 //!
 //! let tree = harpoon(4, 400, 1);
 //! let traversal = best_postorder(&tree).traversal;
 //! // Run with less memory than the postorder needs (701): I/O is required.
-//! let run = schedule_io(&tree, &traversal, 500, EvictionPolicy::FirstFit).unwrap();
+//! let run = schedule_io_with(&tree, &traversal, 500, &FirstFit).unwrap();
 //! assert!(run.io_volume > 0);
 //! ```
 
@@ -54,26 +54,13 @@ pub mod exact;
 pub mod heuristics;
 pub mod policy;
 pub mod schedule;
-pub mod serving;
 
 pub use exact::{exact_min_io, ExactMinIo};
 pub use heuristics::{
-    divisible_lower_bound, schedule_io, schedule_io_naive, schedule_io_with, schedule_io_with_stop,
-    EvictionPolicy, MinIoError, OutOfCoreRun,
+    divisible_lower_bound, schedule_io_naive, schedule_io_with, schedule_io_with_stop, MinIoError,
+    OutOfCoreRun,
 };
 pub use policy::{Candidate, EvictionContext, EvictionSession, Policy, PolicyRegistry};
 pub use schedule::{
     check_out_of_core, check_out_of_core_with_positions, IoSchedule, OutOfCoreCheck,
 };
-pub use serving::{select_victims, ResidentFile};
-
-/// All six heuristics of the paper, in the order they are presented in
-/// Section V-B. Convenient for sweeps in experiments and tests.
-pub const ALL_POLICIES: [EvictionPolicy; 6] = [
-    EvictionPolicy::LastScheduledNodeFirst,
-    EvictionPolicy::FirstFit,
-    EvictionPolicy::BestFit,
-    EvictionPolicy::FirstFill,
-    EvictionPolicy::BestFill,
-    EvictionPolicy::BestKCombination { k: 5 },
-];

@@ -139,7 +139,7 @@ impl<F: FnMut(&EvictionContext<'_>) -> Vec<usize>> EvictionSession for Stateless
 /// The six greedy heuristics of the paper (Section V-B), ported onto the
 /// [`Policy`] trait.  Their selection logic is byte-for-byte the historical
 /// one, so the I/O volumes they produce are identical to the original
-/// `EvictionPolicy` enum dispatch.
+/// fixed enum dispatch (frozen in the golden parity test).
 pub mod paper {
     use super::*;
 

@@ -1,6 +1,6 @@
 //! Golden parity test: the six paper heuristics must produce **identical**
-//! I/O volumes (and eviction schedules) through the new `Policy` trait
-//! dispatch as through the original `EvictionPolicy` enum dispatch.
+//! I/O volumes (and eviction schedules) through the `Policy` trait dispatch
+//! as through the original fixed enum dispatch.
 //!
 //! The `legacy` module below is a frozen, self-contained copy of the
 //! pre-refactor implementation — the `match`-based `select_evictions` and the
@@ -9,7 +9,8 @@
 //! eviction, the volumes diverge and this test pinpoints the policy, tree
 //! and memory budget.
 
-use minio::{schedule_io, schedule_io_naive, EvictionPolicy, ALL_POLICIES};
+use minio::policy::paper;
+use minio::{schedule_io_naive, schedule_io_with, Policy};
 use prng::{Rng, StdRng};
 use treemem::gadgets::{harpoon, harpoon_tower, two_partition_gadget};
 use treemem::minmem::min_mem;
@@ -22,25 +23,32 @@ use treemem::tree::{NodeId, Size, Tree};
 mod legacy {
     use super::*;
 
+    /// The original enum naming the six heuristics.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Heuristic {
+        LastScheduledNodeFirst,
+        FirstFit,
+        BestFit,
+        FirstFill,
+        BestFill,
+        BestKCombination { k: usize },
+    }
+
     #[derive(Debug, Clone, Copy)]
     struct Candidate {
         node: NodeId,
         size: Size,
     }
 
-    fn select_evictions(
-        candidates: &[Candidate],
-        deficit: Size,
-        policy: EvictionPolicy,
-    ) -> Vec<usize> {
+    fn select_evictions(candidates: &[Candidate], deficit: Size, policy: Heuristic) -> Vec<usize> {
         debug_assert!(deficit > 0);
         match policy {
-            EvictionPolicy::LastScheduledNodeFirst => lsnf(candidates, deficit, &[]),
-            EvictionPolicy::FirstFit => match candidates.iter().position(|c| c.size >= deficit) {
+            Heuristic::LastScheduledNodeFirst => lsnf(candidates, deficit, &[]),
+            Heuristic::FirstFit => match candidates.iter().position(|c| c.size >= deficit) {
                 Some(idx) => vec![idx],
                 None => lsnf(candidates, deficit, &[]),
             },
-            EvictionPolicy::BestFit => {
+            Heuristic::BestFit => {
                 let mut selected = Vec::new();
                 let mut remaining = deficit;
                 while remaining > 0 {
@@ -59,7 +67,7 @@ mod legacy {
                 }
                 selected
             }
-            EvictionPolicy::FirstFill => {
+            Heuristic::FirstFill => {
                 let mut selected = Vec::new();
                 let mut remaining = deficit;
                 loop {
@@ -86,7 +94,7 @@ mod legacy {
                 }
                 selected
             }
-            EvictionPolicy::BestFill => {
+            Heuristic::BestFill => {
                 let mut selected = Vec::new();
                 let mut remaining = deficit;
                 loop {
@@ -114,7 +122,7 @@ mod legacy {
                 }
                 selected
             }
-            EvictionPolicy::BestKCombination { k } => {
+            Heuristic::BestKCombination { k } => {
                 let k = k.max(1);
                 let mut selected: Vec<usize> = Vec::new();
                 let mut remaining = deficit;
@@ -178,7 +186,7 @@ mod legacy {
         tree: &Tree,
         traversal: &Traversal,
         memory: Size,
-        policy: EvictionPolicy,
+        policy: Heuristic,
     ) -> (Size, Vec<(NodeId, usize)>) {
         traversal.check_precedence(tree).expect("valid traversal");
         let positions = traversal.positions(tree.len()).expect("valid permutation");
@@ -247,20 +255,34 @@ fn arbitrary_tree(seed: u64, max_nodes: usize, max_file: Size, max_exec: Size) -
     Tree::from_parents(&parents, &files, &execs).expect("construction is valid")
 }
 
-/// All six paper heuristics, including a non-default Best-K parameter.
-fn policies_under_test() -> Vec<EvictionPolicy> {
-    let mut policies = ALL_POLICIES.to_vec();
-    policies.push(EvictionPolicy::BestKCombination { k: 3 });
-    policies
+/// All six paper heuristics plus a non-default Best-K parameter: the frozen
+/// enum value next to the trait object that must reproduce it.
+fn policies_under_test() -> Vec<(legacy::Heuristic, Box<dyn Policy>)> {
+    use legacy::Heuristic;
+    vec![
+        (Heuristic::LastScheduledNodeFirst, Box::new(paper::Lsnf)),
+        (Heuristic::FirstFit, Box::new(paper::FirstFit)),
+        (Heuristic::BestFit, Box::new(paper::BestFit)),
+        (Heuristic::FirstFill, Box::new(paper::FirstFill)),
+        (Heuristic::BestFill, Box::new(paper::BestFill)),
+        (
+            Heuristic::BestKCombination { k: 5 },
+            Box::new(paper::BestKCombination { k: 5 }),
+        ),
+        (
+            Heuristic::BestKCombination { k: 3 },
+            Box::new(paper::BestKCombination { k: 3 }),
+        ),
+    ]
 }
 
 fn assert_parity(tree: &Tree, traversal: &Traversal, memory: Size, context: &str) {
-    for policy in policies_under_test() {
-        let (legacy_io, legacy_evictions) = legacy::schedule_io(tree, traversal, memory, policy);
-        let run = schedule_io(tree, traversal, memory, policy).unwrap();
+    for (heuristic, policy) in policies_under_test() {
+        let (legacy_io, legacy_evictions) = legacy::schedule_io(tree, traversal, memory, heuristic);
+        let run = schedule_io_with(tree, traversal, memory, policy.as_ref()).unwrap();
         assert_eq!(
             run.io_volume, legacy_io,
-            "{context}, {policy}: trait dispatch diverged from the legacy enum dispatch"
+            "{context}, {heuristic:?}: trait dispatch diverged from the legacy enum dispatch"
         );
         let mut evictions: Vec<(NodeId, usize)> = run.schedule.evictions().collect();
         let mut legacy_sorted = legacy_evictions;
@@ -268,24 +290,27 @@ fn assert_parity(tree: &Tree, traversal: &Traversal, memory: Size, context: &str
         legacy_sorted.sort_unstable();
         assert_eq!(
             evictions, legacy_sorted,
-            "{context}, {policy}: eviction schedules differ"
+            "{context}, {heuristic:?}: eviction schedules differ"
         );
         // The incremental simulator must match the retained naive path (full
         // candidate rescan per deficit step) bit for bit.
-        let naive = schedule_io_naive(tree, traversal, memory, policy.to_policy().as_ref())
+        let naive = schedule_io_naive(tree, traversal, memory, policy.as_ref())
             .expect("naive simulation succeeds whenever the incremental one does");
         assert_eq!(
             run.io_volume, naive.io_volume,
-            "{context}, {policy}: incremental simulator diverged from the naive scan"
+            "{context}, {heuristic:?}: incremental simulator diverged from the naive scan"
         );
         assert_eq!(
             run.schedule, naive.schedule,
-            "{context}, {policy}: incremental eviction schedule differs from the naive scan"
+            "{context}, {heuristic:?}: incremental eviction schedule differs from the naive scan"
         );
-        assert_eq!(run.peak_memory, naive.peak_memory, "{context}, {policy}");
+        assert_eq!(
+            run.peak_memory, naive.peak_memory,
+            "{context}, {heuristic:?}"
+        );
         assert_eq!(
             run.files_written, naive.files_written,
-            "{context}, {policy}"
+            "{context}, {heuristic:?}"
         );
     }
 }

@@ -18,10 +18,7 @@
 
 use prng::{Rng, StdRng};
 
-use minio::{
-    check_out_of_core, divisible_lower_bound, schedule_io, schedule_io_with, PolicyRegistry,
-    ALL_POLICIES,
-};
+use minio::{check_out_of_core, divisible_lower_bound, schedule_io_with, PolicyRegistry};
 use treemem::minmem::min_mem;
 use treemem::postorder::best_postorder;
 use treemem::tree::{Size, Tree};
@@ -129,30 +126,6 @@ fn min_mem_traversals_also_schedule() {
                 run.io_volume,
                 "seed {seed}, {}",
                 policy.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn enum_shim_matches_trait_dispatch_on_random_trees() {
-    for seed in 400..432 {
-        let tree = arbitrary_tree(seed, 30, 50, 5);
-        let po = best_postorder(&tree);
-        let lower = tree.max_mem_req();
-        let memory = (lower + po.peak) / 2;
-        for policy in ALL_POLICIES {
-            let via_enum = schedule_io(&tree, &po.traversal, memory, policy).unwrap();
-            let via_trait =
-                schedule_io_with(&tree, &po.traversal, memory, policy.to_policy().as_ref())
-                    .unwrap();
-            assert_eq!(
-                via_enum.io_volume, via_trait.io_volume,
-                "seed {seed}, {policy}"
-            );
-            assert_eq!(
-                via_enum.schedule, via_trait.schedule,
-                "seed {seed}, {policy}"
             );
         }
     }

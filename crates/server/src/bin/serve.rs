@@ -10,12 +10,10 @@
 //! ```
 //!
 //! Caches are sized in **bytes** (`--cache-bytes` for plans,
-//! `--factor-cache-bytes` for factors) and evict through any registered
-//! serving policy (`--cache-policy`; `GDSF` by default in byte mode).  The
-//! pre-byte-budget flags `--cache-capacity N` and
-//! `--factor-cache-capacity N` are deprecated aliases that map N entries
-//! to a byte budget (16 MiB per plan slot, 64 MiB per factor slot) with a
-//! boot-time warning.
+//! `--factor-cache-bytes` for factors) and evict through `--cache-policy`
+//! `LRU`, `GDSF` or `S3FIFO` (`GDSF` by default for a byte-sized cache);
+//! without a byte budget a cache is a count-bounded LRU (64 plans, 8
+//! factors).  Any other policy name is a boot error listing the three.
 //!
 //! The default role, `coordinator`, binds (port 0 picks an ephemeral port,
 //! printed on stdout) and serves until the process is terminated.  See the
@@ -38,12 +36,6 @@ use std::time::Duration;
 use server::worker::{run_worker, HttpTransport, WorkerOptions};
 use server::{Server, ServerConfig};
 
-/// Byte budget one slot of the deprecated `--cache-capacity` flag maps to.
-const PLAN_SLOT_BYTES: u64 = 16 * 1024 * 1024;
-/// Byte budget one slot of the deprecated `--factor-cache-capacity` flag
-/// maps to (factors are much bigger than plans).
-const FACTOR_SLOT_BYTES: u64 = 64 * 1024 * 1024;
-
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--cache-policy NAME]\n\
@@ -52,19 +44,21 @@ fn usage() -> ! {
          \x20      [--cache-ttl-seconds S] [--max-body-bytes N]\n\
          \x20      [--default-deadline-ms MS] [--max-deadline-ms MS]\n\
          \x20  or: serve --role worker --coordinator HOST:PORT [--worker-id NAME]\n\
-         deprecated: --cache-capacity N / --factor-cache-capacity N\n\
-         \x20      (entry counts; mapped to byte budgets at boot)"
+         cache policies: LRU, GDSF, S3FIFO"
     );
     std::process::exit(2);
 }
 
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T {
+fn parse<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> T
+where
+    T::Err: std::fmt::Display,
+{
     let Some(value) = value else {
         eprintln!("serve: {flag} needs a value");
         usage();
     };
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("serve: invalid value '{value}' for {flag}");
+    value.parse().unwrap_or_else(|error| {
+        eprintln!("serve: invalid value '{value}' for {flag}: {error}");
         usage();
     })
 }
@@ -106,31 +100,11 @@ fn main() {
                 }
                 config.cache.tenant_floor = floor;
             }
-            "--cache-capacity" => {
-                let entries: u64 = parse("--cache-capacity", iter.next());
-                let bytes = entries.saturating_mul(PLAN_SLOT_BYTES).max(PLAN_SLOT_BYTES);
-                eprintln!(
-                    "serve: --cache-capacity is deprecated; mapping {entries} plan slot(s) \
-                     to --cache-bytes {bytes}"
-                );
-                config.cache.plan_bytes = Some(bytes);
-            }
             "--cache-ttl-seconds" => {
                 config.cache_ttl = Some(Duration::from_secs(parse(
                     "--cache-ttl-seconds",
                     iter.next(),
                 )));
-            }
-            "--factor-cache-capacity" => {
-                let entries: u64 = parse("--factor-cache-capacity", iter.next());
-                let bytes = entries
-                    .saturating_mul(FACTOR_SLOT_BYTES)
-                    .max(FACTOR_SLOT_BYTES);
-                eprintln!(
-                    "serve: --factor-cache-capacity is deprecated; mapping {entries} factor \
-                     slot(s) to --factor-cache-bytes {bytes}"
-                );
-                config.cache.factor_bytes = Some(bytes);
             }
             "--max-body-bytes" => config.max_body_bytes = parse("--max-body-bytes", iter.next()),
             "--default-deadline-ms" => {

@@ -12,45 +12,16 @@
 //! **byte budget** sized from [`engine::FactorHandle::approx_heap_bytes`]
 //! (a single 10⁶-node factor can dwarf hundreds of small ones, so counting
 //! entries misrepresents pressure by orders of magnitude), eviction runs
-//! through any registered serving policy, and deposits are charged to the
-//! tenant that reported them.  The legacy count-bounded constructor
-//! ([`FactorCache::new`]) keeps the historical LRU semantics for existing
-//! callers and tests.  There is no TTL: a factor never goes stale (the
-//! configuration hash pins problem, ordering, and kernel bit-for-bit).
+//! through any [`engine::CachePolicy`], and deposits are charged to the
+//! tenant that reported them.  [`FactorCache::new`] is the count-bounded
+//! LRU the server runs when no byte budget is configured.  The server sets
+//! no TTL: a factor never goes stale (the configuration hash pins problem,
+//! ordering, and kernel bit-for-bit).
 
 use std::sync::Arc;
 
-use engine::cache::{Admission, CacheConfig, CacheCore, ServingPolicyRegistry};
+use engine::cache::{Admission, CacheConfig, CacheCore};
 use engine::{CacheStats, FactorHandle, DEFAULT_TENANT};
-use treemem::registry::UnknownName;
-
-/// Construction parameters for the byte-sized factor cache.
-#[derive(Debug, Clone)]
-pub struct FactorCacheConfig {
-    /// Eviction policy name (see
-    /// [`ServingPolicyRegistry::with_builtin`]).
-    pub policy: String,
-    /// Byte budget for cached factors.
-    pub bytes_capacity: u64,
-    /// Optional legacy entry bound on top of the byte budget.
-    pub max_entries: Option<usize>,
-    /// Per-tenant byte quota.
-    pub tenant_quota_bytes: Option<u64>,
-    /// Fair-share floor fraction in `[0, 1]`.
-    pub tenant_floor: f64,
-}
-
-impl Default for FactorCacheConfig {
-    fn default() -> Self {
-        FactorCacheConfig {
-            policy: "GDSF".to_string(),
-            bytes_capacity: u64::MAX,
-            max_entries: None,
-            tenant_quota_bytes: None,
-            tenant_floor: 0.0,
-        }
-    }
-}
 
 /// The factor cache; see the module docs.
 pub struct FactorCache {
@@ -58,48 +29,20 @@ pub struct FactorCache {
 }
 
 impl FactorCache {
-    /// The legacy count-bounded LRU: at most `capacity` factors (at least
-    /// 1), unlimited bytes.
+    /// A count-bounded LRU: at most `capacity` factors (at least 1),
+    /// unlimited bytes.
     pub fn new(capacity: usize) -> Self {
-        let config = FactorCacheConfig {
-            policy: "LRU".to_string(),
-            bytes_capacity: u64::MAX,
+        Self::with_config(CacheConfig {
             max_entries: Some(capacity.max(1)),
-            ..FactorCacheConfig::default()
-        };
-        match Self::with_config(config) {
-            Ok(cache) => cache,
-            // "LRU" is always registered; keep the legacy constructor
-            // infallible without a panic path in server code.
-            Err(_) => FactorCache {
-                core: CacheCore::with_policy(
-                    CacheConfig {
-                        max_entries: Some(capacity.max(1)),
-                        lock_class: "factor-cache.inner",
-                        ..CacheConfig::default()
-                    },
-                    &engine::cache::policy::CountLru,
-                ),
-            },
-        }
+            ..CacheConfig::default()
+        })
     }
 
-    /// A byte-sized cache evicting via any registered policy.
-    pub fn with_config(config: FactorCacheConfig) -> Result<Self, UnknownName> {
-        let registry = ServingPolicyRegistry::with_builtin();
-        let core = CacheCore::new(
-            CacheConfig {
-                policy: config.policy,
-                bytes_capacity: config.bytes_capacity,
-                max_entries: config.max_entries,
-                ttl: None,
-                tenant_quota_bytes: config.tenant_quota_bytes,
-                tenant_floor: config.tenant_floor,
-                lock_class: "factor-cache.inner",
-            },
-            &registry,
-        )?;
-        Ok(FactorCache { core })
+    /// A cache sized and evicted as `config` says.
+    pub fn with_config(config: CacheConfig) -> Self {
+        FactorCache {
+            core: CacheCore::new(config, "factor-cache.inner"),
+        }
     }
 
     /// Look up the factor of `config_hash`, marking it most recently used.
@@ -208,12 +151,10 @@ mod tests {
         // Budget: all four small factors fit; the big one fits only after
         // evicting more than one of them.
         let budget = 4 * small_bytes + big_bytes - 1;
-        let cache = FactorCache::with_config(FactorCacheConfig {
-            policy: "LRU".to_string(),
+        let cache = FactorCache::with_config(CacheConfig {
             bytes_capacity: budget,
-            ..FactorCacheConfig::default()
-        })
-        .unwrap();
+            ..CacheConfig::default()
+        });
         for (i, h) in small.iter().enumerate() {
             cache.insert(&format!("small-{i}"), Arc::clone(h));
         }
@@ -232,11 +173,11 @@ mod tests {
     #[test]
     fn oversized_factor_is_served_but_not_cached() {
         let big = sized_handle(3, 400);
-        let cache = FactorCache::with_config(FactorCacheConfig {
+        let cache = FactorCache::with_config(CacheConfig {
+            policy: engine::CachePolicy::Gdsf,
             bytes_capacity: big.approx_heap_bytes() / 2,
-            ..FactorCacheConfig::default()
-        })
-        .unwrap();
+            ..CacheConfig::default()
+        });
         assert!(!cache.insert_for("big", "public", big).is_cached());
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().uncacheable, 1);

@@ -67,7 +67,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use engine::parallel::WorkerPool;
-use engine::PlanCache;
+use engine::{CacheConfig, CachePolicy, PlanCache};
 
 use crate::http::{read_request, write_response, HttpError};
 use crate::service::{Response, Service};
@@ -104,25 +104,23 @@ pub struct ServerConfig {
     /// ask for no deadline are bounded by it, and requested deadlines are
     /// clamped down to it.
     pub max_deadline: Option<Duration>,
-    /// Byte-sized cache settings; the default keeps the legacy
-    /// count-bounded LRU behaviour of `cache_capacity` /
-    /// `factor_cache_capacity`.
+    /// Byte-sized cache settings; the default keeps the count-bounded LRU
+    /// of `cache_capacity` / `factor_cache_capacity`.
     pub cache: CacheSettings,
 }
 
 /// The `cache` section of the boot configuration: policy selection, byte
 /// budgets, and tenant quotas for the plan and factor caches.
 ///
-/// `Default` leaves everything unset, which keeps the caches in their
-/// legacy count-bounded LRU mode.  Setting a byte budget switches the
-/// corresponding cache to byte-accurate accounting under `policy`
-/// (default `"GDSF"`), replacing the entry bound.
+/// `Default` leaves everything unset, which keeps the caches count-bounded
+/// LRUs.  Setting a byte budget switches the corresponding cache to
+/// byte-accurate accounting under `policy` (default `GDSF`), replacing the
+/// entry bound.
 #[derive(Debug, Clone, Default)]
 pub struct CacheSettings {
-    /// Eviction policy name for both caches (a
-    /// [`engine::ServingPolicyRegistry`] name).  `None` picks `"GDSF"` in
-    /// byte mode and `"LRU"` in legacy count mode.
-    pub policy: Option<String>,
+    /// Eviction policy of both caches.  `None` picks `GDSF` for a cache
+    /// with a byte budget and `LRU` for a count-bounded one.
+    pub policy: Option<CachePolicy>,
     /// Byte budget of the plan cache; `None` keeps the entry bound of
     /// [`ServerConfig::cache_capacity`].
     pub plan_bytes: Option<u64>,
@@ -139,13 +137,25 @@ pub struct CacheSettings {
 }
 
 impl CacheSettings {
-    /// The effective policy name: explicit choice, else `"GDSF"` when any
-    /// byte budget is set, else the legacy `"LRU"`.
-    fn effective_policy(&self, byte_mode: bool) -> String {
-        match &self.policy {
-            Some(name) => name.clone(),
-            None if byte_mode => "GDSF".to_string(),
-            None => "LRU".to_string(),
+    /// The [`CacheConfig`] of one cache: `bytes` is its byte budget, if one
+    /// is set, and `entries` the entry bound that applies otherwise.
+    fn cache_config(
+        &self,
+        bytes: Option<u64>,
+        entries: usize,
+        ttl: Option<Duration>,
+    ) -> CacheConfig {
+        let by_size = match bytes {
+            Some(_) => CachePolicy::Gdsf,
+            None => CachePolicy::Lru,
+        };
+        CacheConfig {
+            policy: self.policy.unwrap_or(by_size),
+            bytes_capacity: bytes.unwrap_or(u64::MAX),
+            max_entries: bytes.is_none().then_some(entries.max(1)),
+            ttl,
+            tenant_quota_bytes: self.tenant_quota_bytes,
+            tenant_floor: self.tenant_floor,
         }
     }
 }
@@ -180,34 +190,16 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let plan_byte_mode = config.cache.plan_bytes.is_some();
-        let plan_cache = PlanCache::with_config(engine::PlanCacheConfig {
-            policy: config.cache.effective_policy(plan_byte_mode),
-            bytes_capacity: config.cache.plan_bytes.unwrap_or(u64::MAX),
-            max_entries: if plan_byte_mode {
-                None
-            } else {
-                Some(config.cache_capacity.max(1))
-            },
-            ttl: config.cache_ttl,
-            tenant_quota_bytes: config.cache.tenant_quota_bytes,
-            tenant_floor: config.cache.tenant_floor,
-        })
-        .map_err(|e| std::io::Error::other(format!("plan cache: {e}")))?;
-        let factor_byte_mode = config.cache.factor_bytes.is_some();
-        let factor_cache =
-            crate::factors::FactorCache::with_config(crate::factors::FactorCacheConfig {
-                policy: config.cache.effective_policy(factor_byte_mode),
-                bytes_capacity: config.cache.factor_bytes.unwrap_or(u64::MAX),
-                max_entries: if factor_byte_mode {
-                    None
-                } else {
-                    Some(config.factor_cache_capacity.max(1))
-                },
-                tenant_quota_bytes: config.cache.tenant_quota_bytes,
-                tenant_floor: config.cache.tenant_floor,
-            })
-            .map_err(|e| std::io::Error::other(format!("factor cache: {e}")))?;
+        let plan_cache = PlanCache::with_config(config.cache.cache_config(
+            config.cache.plan_bytes,
+            config.cache_capacity,
+            config.cache_ttl,
+        ));
+        let factor_cache = crate::factors::FactorCache::with_config(config.cache.cache_config(
+            config.cache.factor_bytes,
+            config.factor_cache_capacity,
+            None,
+        ));
         let service = Arc::new(
             Service::new(plan_cache, factor_cache, workers)
                 .with_deadlines(config.default_deadline, config.max_deadline),

@@ -170,10 +170,8 @@ impl ServerStats {
     /// distributed-cluster snapshot) as the `/stats` JSON document (schema
     /// `engine_server_stats/v1`).
     ///
-    /// The legacy top-level `cache` and `factor_cache` sections are pinned
-    /// (older dashboards read them); the versioned `caches` object carries
-    /// the full byte-level picture — policy, byte budget and usage,
-    /// uncacheable count, and per-tenant usage.
+    /// The versioned `caches` object carries each cache's full picture —
+    /// policy, byte budget and usage, counters, and per-tenant usage.
     pub fn to_json(
         &self,
         cache: &engine::CacheStats,
@@ -201,22 +199,6 @@ impl ServerStats {
             self.responses_2xx.load(Ordering::Relaxed),
             self.responses_4xx.load(Ordering::Relaxed),
             self.responses_5xx.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.6}, \
-             \"evictions\": {}, \"expirations\": {}, \"entries\": {}, \"capacity\": {}}},\n",
-            cache.hits,
-            cache.misses,
-            cache.hit_rate(),
-            cache.evictions,
-            cache.expirations,
-            cache.entries,
-            cache.capacity
-        ));
-        out.push_str(&format!(
-            "  \"factor_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-             \"entries\": {}, \"capacity\": {}}},\n",
-            factors.hits, factors.misses, factors.evictions, factors.entries, factors.capacity
         ));
         out.push_str(&format!(
             "  \"caches\": {{\"schema\": \"engine_server_caches/v1\", \"plan\": {}, \
@@ -263,7 +245,6 @@ impl ServerStats {
 /// counters plus per-tenant usage.  Byte-unbounded capacities (the
 /// `u64::MAX` sentinel) render as `null`.
 fn cache_json(stats: &engine::CacheStats) -> String {
-    use engine::json::escape;
     let bytes_capacity = if stats.bytes_capacity == u64::MAX {
         "null".to_string()
     } else {
@@ -279,7 +260,7 @@ fn cache_json(stats: &engine::CacheStats) -> String {
          \"max_entries\": {max_entries}, \"entries\": {}, \"hits\": {}, \"misses\": {}, \
          \"hit_rate\": {:.6}, \"evictions\": {}, \"expirations\": {}, \"uncacheable\": {}, \
          \"tenants\": {{",
-        escape(&stats.policy),
+        stats.policy,
         stats.bytes_used,
         stats.entries,
         stats.hits,
@@ -296,7 +277,7 @@ fn cache_json(stats: &engine::CacheStats) -> String {
         out.push_str(&format!(
             "\"{}\": {{\"bytes\": {}, \"entries\": {}, \"hits\": {}, \"misses\": {}, \
              \"uncacheable\": {}}}",
-            escape(&tenant.tenant),
+            engine::json::escape(&tenant.tenant),
             tenant.bytes,
             tenant.entries,
             tenant.hits,
@@ -343,7 +324,7 @@ mod tests {
         let factors = engine::CacheStats {
             hits: 2,
             capacity: 8,
-            policy: "LRU".to_string(),
+            policy: engine::CachePolicy::S3Fifo,
             bytes_used: 1024,
             bytes_capacity: u64::MAX,
             per_tenant: vec![engine::TenantUsage {
@@ -370,20 +351,17 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-        assert_eq!(
-            json.get("cache")
-                .and_then(|c| c.get("hits"))
-                .and_then(Json::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            json.get("factor_cache")
-                .and_then(|c| c.get("hits"))
-                .and_then(Json::as_u64),
-            Some(2)
-        );
         // The versioned caches object carries the byte-level picture.
         let caches = json.get("caches").expect("caches object present");
+        for (section, hits) in [("plan", 3), ("factor", 2)] {
+            assert_eq!(
+                caches
+                    .get(section)
+                    .and_then(|c| c.get("hits"))
+                    .and_then(Json::as_u64),
+                Some(hits)
+            );
+        }
         assert_eq!(
             caches.get("schema").and_then(Json::as_str),
             Some("engine_server_caches/v1")
@@ -391,7 +369,7 @@ mod tests {
         let factor_cache = caches.get("factor").expect("factor cache section");
         assert_eq!(
             factor_cache.get("policy").and_then(Json::as_str),
-            Some("LRU")
+            Some("S3FIFO")
         );
         assert_eq!(
             factor_cache.get("bytes_used").and_then(Json::as_u64),

@@ -40,6 +40,19 @@ fn grid_config(nodes: usize, seed: u64) -> String {
         .to_json()
 }
 
+/// Fetch `/stats` and return one section (`plan` or `factor`) of its
+/// versioned `caches` object.
+fn cache_stats(addr: SocketAddr, section: &str) -> Json {
+    let (_, _, body) = get(addr, "/stats");
+    let stats = Json::parse(&body).expect("stats is JSON");
+    let caches = stats.get("caches").expect("caches section");
+    assert_eq!(
+        caches.get("schema").and_then(Json::as_str),
+        Some("engine_server_caches/v1")
+    );
+    caches.get(section).expect("cache section").clone()
+}
+
 fn spawn_default() -> server::ServerHandle {
     Server::spawn(ServerConfig::default()).expect("server boots")
 }
@@ -99,11 +112,17 @@ fn plan_schedule_report_share_the_cache() {
         assert_eq!(status, 200, "{body}");
         assert_eq!(header(&headers, "x-cache"), Some("hit"), "{path}");
     }
-    let (_, _, stats_body) = get(handle.addr(), "/stats");
-    let stats = Json::parse(&stats_body).unwrap();
-    let cache = stats.get("cache").expect("cache section");
+    let cache = cache_stats(handle.addr(), "plan");
     assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(2));
     assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
+    // The byte-level picture rides along: policy, footprint, tenant usage.
+    assert_eq!(cache.get("policy").and_then(Json::as_str), Some("LRU"));
+    assert!(cache.get("bytes_used").and_then(Json::as_u64).unwrap() > 0);
+    let public = cache
+        .get("tenants")
+        .and_then(|t| t.get("public"))
+        .expect("default tenant usage");
+    assert_eq!(public.get("hits").and_then(Json::as_u64), Some(2));
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -178,9 +197,7 @@ fn capacity_evictions_show_up_in_stats() {
         let (status, _, body) = post(handle.addr(), "/plan", &grid_config(100, seed));
         assert_eq!(status, 200, "{body}");
     }
-    let (_, _, stats_body) = get(handle.addr(), "/stats");
-    let stats = Json::parse(&stats_body).unwrap();
-    let cache = stats.get("cache").unwrap();
+    let cache = cache_stats(handle.addr(), "plan");
     assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(2));
     assert_eq!(cache.get("evictions").and_then(Json::as_u64), Some(2));
     handle.shutdown().expect("clean shutdown");
@@ -199,12 +216,9 @@ fn ttl_expiry_forces_a_replan() {
     std::thread::sleep(Duration::from_millis(80));
     let (_, headers, _) = post(handle.addr(), "/plan", &config);
     assert_eq!(header(&headers, "x-cache"), Some("miss"));
-    let (_, _, stats_body) = get(handle.addr(), "/stats");
-    let stats = Json::parse(&stats_body).unwrap();
     assert_eq!(
-        stats
-            .get("cache")
-            .and_then(|c| c.get("expirations"))
+        cache_stats(handle.addr(), "plan")
+            .get("expirations")
             .and_then(Json::as_u64),
         Some(1)
     );
@@ -237,7 +251,8 @@ fn concurrent_clients_all_get_answers() {
     let stats = Json::parse(&stats_body).unwrap();
     // 4 distinct configurations, 16 requests: at least 12 cache hits.
     let hits = stats
-        .get("cache")
+        .get("caches")
+        .and_then(|c| c.get("plan"))
         .and_then(|c| c.get("hits"))
         .and_then(Json::as_u64)
         .unwrap();
@@ -358,70 +373,8 @@ fn solve_round_trips_over_tcp() {
     assert_eq!(header(&headers, "x-cache"), Some("miss"));
 
     // The factor cache shows up in /stats.
-    let (_, _, stats_body) = get(handle.addr(), "/stats");
-    let stats = Json::parse(&stats_body).unwrap();
-    let factor_cache = stats.get("factor_cache").expect("factor_cache section");
+    let factor_cache = cache_stats(handle.addr(), "factor");
     assert_eq!(factor_cache.get("hits").and_then(Json::as_u64), Some(1));
-    handle.shutdown().expect("clean shutdown");
-}
-
-/// Compat pin: scripts and dashboards predating the byte-budget redesign
-/// parse the top-level `cache` / `factor_cache` objects; the versioned
-/// `caches` object rides alongside, never instead.
-#[test]
-fn stats_keeps_legacy_cache_fields_alongside_versioned_caches() {
-    let handle = spawn_default();
-    let config = grid_config(150, 41);
-    // One cold plan and one repeat, so the plan cache records both kinds.
-    for _ in 0..2 {
-        let (status, _, body) = post(handle.addr(), "/plan", &config);
-        assert_eq!(status, 200, "{body}");
-    }
-    let (_, _, body) = get(handle.addr(), "/stats");
-    let stats = Json::parse(&body).expect("stats is JSON");
-
-    // The pre-redesign top-level fields, exactly where they always were.
-    let cache = stats.get("cache").expect("legacy cache section");
-    for field in [
-        "hits",
-        "misses",
-        "evictions",
-        "expirations",
-        "entries",
-        "capacity",
-    ] {
-        assert!(
-            cache.get(field).and_then(Json::as_u64).is_some(),
-            "legacy cache.{field} went missing"
-        );
-    }
-    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(1));
-    let factor = stats
-        .get("factor_cache")
-        .expect("legacy factor_cache section");
-    for field in ["hits", "misses", "evictions", "entries", "capacity"] {
-        assert!(
-            factor.get(field).and_then(Json::as_u64).is_some(),
-            "legacy factor_cache.{field} went missing"
-        );
-    }
-
-    // The versioned object: per-cache policy, byte accounting, tenants.
-    let caches = stats.get("caches").expect("caches section");
-    assert_eq!(
-        caches.get("schema").and_then(Json::as_str),
-        Some("engine_server_caches/v1")
-    );
-    let plan = caches.get("plan").expect("caches.plan");
-    assert!(plan.get("policy").and_then(Json::as_str).is_some());
-    assert_eq!(plan.get("hits").and_then(Json::as_u64), Some(1));
-    assert!(plan.get("bytes_used").and_then(Json::as_u64).unwrap() > 0);
-    let public = plan
-        .get("tenants")
-        .and_then(|t| t.get("public"))
-        .expect("default tenant usage");
-    assert_eq!(public.get("hits").and_then(Json::as_u64), Some(1));
-    assert!(caches.get("factor").is_some());
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -440,7 +393,7 @@ fn tenant_quotas_and_floor_hold_over_http() {
     let quota = plan_bytes * 6;
     let handle = Server::spawn(ServerConfig {
         cache: server::CacheSettings {
-            policy: Some("GDSF".to_string()),
+            policy: Some(engine::CachePolicy::Gdsf),
             plan_bytes: Some(plan_bytes * 16),
             factor_bytes: None,
             tenant_quota_bytes: Some(quota),

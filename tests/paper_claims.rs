@@ -1,7 +1,8 @@
 //! Tests that encode the paper's headline claims directly, so the test suite
 //! documents what the reproduction reproduces.
 
-use minio::{divisible_lower_bound, schedule_io, EvictionPolicy};
+use minio::policy::paper::{BestKCombination, FirstFit};
+use minio::{divisible_lower_bound, schedule_io_with};
 use treemem::gadgets::{
     harpoon, harpoon_optimal_peak, harpoon_postorder_peak, harpoon_tower, two_partition_gadget,
 };
@@ -84,11 +85,11 @@ fn theorem_2_gadget_links_io_to_two_partition() {
         let traversal = Traversal::new(order);
         let bound = divisible_lower_bound(tree, &traversal, gadget.memory).unwrap();
         assert_eq!(bound, gadget.io_bound, "divisible bound is always S/2");
-        let exhaustive = schedule_io(
+        let exhaustive = schedule_io_with(
             tree,
             &traversal,
             gadget.memory,
-            EvictionPolicy::BestKCombination {
+            &BestKCombination {
                 k: gadget.item_nodes.len(),
             },
         )
@@ -178,8 +179,8 @@ fn optimal_traversals_avoid_io_where_postorders_need_it() {
     let opt = min_mem(&tree);
     assert!(opt.peak < po.peak);
     let memory = opt.peak;
-    let po_run = schedule_io(&tree, &po.traversal, memory, EvictionPolicy::FirstFit).unwrap();
-    let opt_run = schedule_io(&tree, &opt.traversal, memory, EvictionPolicy::FirstFit).unwrap();
+    let po_run = schedule_io_with(&tree, &po.traversal, memory, &FirstFit).unwrap();
+    let opt_run = schedule_io_with(&tree, &opt.traversal, memory, &FirstFit).unwrap();
     assert!(po_run.io_volume > 0);
     assert_eq!(opt_run.io_volume, 0);
 }
