@@ -1,5 +1,5 @@
-//! Ablation study (not a figure of the paper, but a design-choice analysis
-//! called out in DESIGN.md): how do the *ordering method* and the
+//! Ablation study (not a figure of the paper, but an analysis of this
+//! reproduction's design choices): how do the *ordering method* and the
 //! *amalgamation allowance* — the two knobs of the assembly-tree pipeline —
 //! affect the minimum memory, the postorder/optimal gap and the out-of-core
 //! volume?
@@ -8,15 +8,13 @@
 //! {1, 2, 4, 16}; this experiment makes both dimensions explicit so the
 //! sensitivity of the headline results to the substrate choices is visible.
 
-use bench::{run_with_big_stack, write_report, ExperimentArgs, ReportFile};
+use bench::ReportFile;
 use engine::prelude::*;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    run_with_big_stack(move || run(args));
-}
+use crate::Context;
 
-fn run(args: ExperimentArgs) {
+pub(crate) fn run(context: &Context) {
+    let args = context.args;
     let size = if args.quick { 400 } else { 1600 };
     println!(
         "# Ablation: ordering method x amalgamation allowance (grid2d and random, n ~ {size})\n"
@@ -95,11 +93,6 @@ fn run(args: ExperimentArgs) {
     println!("out-of-core I/O is needed at the hardest feasible budget.");
 
     let files = vec![ReportFile::new("ablation.csv", rows)];
-    match write_report("exp_ablation", &files) {
-        Ok(paths) => println!(
-            "\nWrote {} report file(s) under results/exp_ablation/",
-            paths.len()
-        ),
-        Err(err) => eprintln!("could not write report files: {err}"),
-    }
+    println!();
+    context.write_report("exp_ablation", &files);
 }

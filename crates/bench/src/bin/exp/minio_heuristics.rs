@@ -8,35 +8,18 @@
 //! divisible-relaxation lower bound (an absolute-quality indicator the paper
 //! lists as future work).
 
-use bench::{
-    default_corpus, quick_corpus, random_corpus, run_with_big_stack, write_report, ExperimentArgs,
-    ReportFile,
-};
+use bench::ReportFile;
 use engine::prelude::*;
 use perfprof::PerformanceProfile;
+
+use crate::Context;
 
 /// Memory sizes as fractions of the way from `max MemReq` to the traversal
 /// peak (0.0 is the hardest feasible budget).
 const MEMORY_FRACTIONS: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    run_with_big_stack(move || run(args));
-}
-
-fn run(args: ExperimentArgs) {
-    // As in the paper, the sweep runs on the assembly-tree corpus; the
-    // randomly re-weighted variants are added because on many synthetic
-    // assembly trees the optimal peak coincides with the largest single-node
-    // requirement, in which case no budget in the sweep requires any I/O (the
-    // profile would be a tie at zero).  See EXPERIMENTS.md.
-    let assembly = if args.quick {
-        quick_corpus()
-    } else {
-        default_corpus()
-    };
-    let mut corpus = random_corpus(&assembly, 1, args.seed);
-    corpus.trees.extend(assembly.trees);
+pub(crate) fn run(context: &Context) {
+    let corpus = context.out_of_core_corpus();
     let engine = Engine::new();
     let policies = engine.policies().names();
     println!(
@@ -123,11 +106,6 @@ fn run(args: ExperimentArgs) {
         ReportFile::new("figure7_io.csv", rows),
         ReportFile::new("figure7_profile.csv", profile.to_csv(5.0, 101)),
     ];
-    match write_report("exp_minio_heuristics", &files) {
-        Ok(paths) => println!(
-            "\nWrote {} report file(s) under results/exp_minio_heuristics/",
-            paths.len()
-        ),
-        Err(err) => eprintln!("could not write report files: {err}"),
-    }
+    println!();
+    context.write_report("exp_minio_heuristics", &files);
 }

@@ -6,31 +6,16 @@
 //! memory sweep as Experiment E3 — one engine plan per tree, with the solver
 //! traversals cached across the sweep.
 
-use bench::{
-    default_corpus, measurement_registry, memory_sweep, quick_corpus, random_corpus,
-    run_with_big_stack, write_report, ExperimentArgs, ReportFile,
-};
+use bench::{measurement_registry, memory_sweep, ReportFile};
 use engine::prelude::*;
 use perfprof::PerformanceProfile;
 
+use crate::Context;
+
 const MEMORY_FRACTIONS: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    run_with_big_stack(move || run(args));
-}
-
-fn run(args: ExperimentArgs) {
-    // Assembly corpus plus its random re-weighting, for the same reason as in
-    // Experiment E3 (many synthetic assembly trees never need I/O within the
-    // sweep).
-    let assembly = if args.quick {
-        quick_corpus()
-    } else {
-        default_corpus()
-    };
-    let mut corpus = random_corpus(&assembly, 1, args.seed);
-    corpus.trees.extend(assembly.trees);
+pub(crate) fn run(context: &Context) {
+    let corpus = context.out_of_core_corpus();
     println!("# Experiment E4 (Figure 8): I/O volume per solver traversal with First Fit");
     println!(
         "# {} trees x {} memory sizes\n",
@@ -108,11 +93,6 @@ fn run(args: ExperimentArgs) {
         ReportFile::new("figure8_io.csv", rows),
         ReportFile::new("figure8_profile.csv", profile.to_csv(5.0, 101)),
     ];
-    match write_report("exp_minio_traversals", &files) {
-        Ok(paths) => println!(
-            "\nWrote {} report file(s) under results/exp_minio_traversals/",
-            paths.len()
-        ),
-        Err(err) => eprintln!("could not write report files: {err}"),
-    }
+    println!();
+    context.write_report("exp_minio_traversals", &files);
 }

@@ -6,23 +6,13 @@
 //! Table-I statistics and writes the Figure-5 performance profile (restricted
 //! to the instances where the postorder is *not* optimal, as in the paper).
 
-use bench::{
-    default_corpus, quick_corpus, run_with_big_stack, write_report, ExperimentArgs, MeasurementSet,
-    ReportFile,
-};
+use bench::{MeasurementSet, ReportFile};
 use perfprof::{ratio_statistics, PerformanceProfile};
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    run_with_big_stack(move || run(args));
-}
+use crate::Context;
 
-fn run(args: ExperimentArgs) {
-    let corpus = if args.quick {
-        quick_corpus()
-    } else {
-        default_corpus()
-    };
+pub(crate) fn run(context: &Context) {
+    let corpus = context.corpus();
     println!(
         "# Experiment E1 (Table I / Figure 5): PostOrder vs optimal on {}",
         corpus.description
@@ -90,11 +80,6 @@ fn run(args: ExperimentArgs) {
         ),
     ));
 
-    match write_report("exp_minmem_assembly", &files) {
-        Ok(paths) => println!(
-            "\nWrote {} report file(s) under results/exp_minmem_assembly/",
-            paths.len()
-        ),
-        Err(err) => eprintln!("could not write report files: {err}"),
-    }
+    println!();
+    context.write_report("exp_minmem_assembly", &files);
 }

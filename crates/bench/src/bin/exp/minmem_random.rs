@@ -6,11 +6,10 @@
 //! traversal.  On such general trees the postorder is much more frequently
 //! sub-optimal than on real assembly trees.
 
-use bench::{
-    default_corpus, quick_corpus, random_corpus, run_with_big_stack, write_report, ExperimentArgs,
-    MeasurementSet, ReportFile,
-};
+use bench::{random_corpus, MeasurementSet, ReportFile};
 use perfprof::{ratio_statistics, PerformanceProfile};
+
+use crate::Context;
 
 /// Number of random re-weightings per tree structure (the paper generates
 /// "more than 3200 trees" from 291 structures, i.e. roughly 11 per matrix;
@@ -18,19 +17,10 @@ use perfprof::{ratio_statistics, PerformanceProfile};
 /// moderate).
 const VARIANTS_PER_TREE: usize = 4;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    run_with_big_stack(move || run(args));
-}
-
-fn run(args: ExperimentArgs) {
-    let base = if args.quick {
-        quick_corpus()
-    } else {
-        default_corpus()
-    };
+pub(crate) fn run(context: &Context) {
+    let args = context.args;
     let corpus = random_corpus(
-        &base,
+        context.corpus(),
         if args.quick { 2 } else { VARIANTS_PER_TREE },
         args.seed,
     );
@@ -81,11 +71,5 @@ fn run(args: ExperimentArgs) {
             ),
         ),
     ];
-    match write_report("exp_minmem_random", &files) {
-        Ok(paths) => println!(
-            "Wrote {} report file(s) under results/exp_minmem_random/",
-            paths.len()
-        ),
-        Err(err) => eprintln!("could not write report files: {err}"),
-    }
+    context.write_report("exp_minmem_random", &files);
 }

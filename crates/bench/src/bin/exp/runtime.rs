@@ -5,23 +5,13 @@
 //! assembly-tree corpus and report the Dolan–Moré performance profile of
 //! the times.
 
-use bench::{
-    default_corpus, measurement_registry, quick_corpus, run_with_big_stack, write_report,
-    ExperimentArgs, MeasurementSet, ReportFile,
-};
+use bench::{measurement_registry, MeasurementSet, ReportFile};
 use perfprof::PerformanceProfile;
 
-fn main() {
-    let args = ExperimentArgs::from_env();
-    run_with_big_stack(move || run(args));
-}
+use crate::Context;
 
-fn run(args: ExperimentArgs) {
-    let corpus = if args.quick {
-        quick_corpus()
-    } else {
-        default_corpus()
-    };
+pub(crate) fn run(context: &Context) {
+    let corpus = context.corpus();
     println!("# Experiment E2 (Figure 6): running times of the registered MinMemory solvers");
     println!("# {} instances of {}\n", corpus.len(), corpus.description);
 
@@ -66,11 +56,5 @@ fn run(args: ExperimentArgs) {
         ReportFile::new("figure6_times.csv", rows),
         ReportFile::new("figure6_profile.csv", profile.to_csv(5.0, 101)),
     ];
-    match write_report("exp_runtime", &files) {
-        Ok(paths) => println!(
-            "Wrote {} report file(s) under results/exp_runtime/",
-            paths.len()
-        ),
-        Err(err) => eprintln!("could not write report files: {err}"),
-    }
+    context.write_report("exp_runtime", &files);
 }

@@ -9,7 +9,7 @@
 //! the I/O volume needed by the 2-Partition gadget is `S/2` exactly when the
 //! embedded instance is solvable.
 
-use bench::{run_with_big_stack, write_report, ReportFile};
+use bench::ReportFile;
 use minio::policy::paper::{BestKCombination, FirstFit};
 use minio::{divisible_lower_bound, schedule_io_with};
 use treemem::gadgets::{harpoon_tower, harpoon_tower_postorder_peak, two_partition_gadget};
@@ -17,11 +17,9 @@ use treemem::minmem::min_mem;
 use treemem::postorder::best_postorder;
 use treemem::Traversal;
 
-fn main() {
-    run_with_big_stack(run);
-}
+use crate::Context;
 
-fn run() {
+pub(crate) fn run(context: &Context) {
     println!("# Experiment E6 (Theorem 1): postorder / optimal ratio on harpoon towers\n");
     println!(
         "{:>8} {:>7} {:>9} {:>14} {:>14} {:>14} {:>8}",
@@ -116,11 +114,6 @@ fn run() {
     ));
 
     let files = vec![ReportFile::new("theorem1_ratios.csv", rows)];
-    match write_report("exp_theorem1", &files) {
-        Ok(paths) => println!(
-            "\nWrote {} report file(s) under results/exp_theorem1/",
-            paths.len()
-        ),
-        Err(err) => eprintln!("could not write report files: {err}"),
-    }
+    println!();
+    context.write_report("exp_theorem1", &files);
 }

@@ -36,12 +36,13 @@
 //!
 //! Flags: `--quick` shrinks the corpus for the CI smoke job (and relaxes the
 //! ≥5× assertion, which needs the big corpus to be meaningful); `--out PATH`
-//! overrides the output path (default `BENCH_server.json` in the current
-//! directory, or `TREEMEM_SWEEP_DIR` if set).  Any violated invariant makes
-//! the process exit non-zero, so CI can gate on it directly.
+//! overrides the output path (default: the mode's `BENCH_*.json` under
+//! `results/`, or under `TREEMEM_RESULTS_DIR` if set).  Any violated
+//! invariant makes the process exit non-zero, so CI can gate on it directly.
 
 use std::fmt::Write as _;
 use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use engine::json::Json;
@@ -143,6 +144,21 @@ impl Violations {
             self.0.push(what);
         }
     }
+}
+
+/// Write a mode's JSON report to `--out`, or to `default_name` under the
+/// results directory every `bench` tool shares.
+fn write_output(out: Option<String>, default_name: &str, json: &str) {
+    let path = out
+        .map(PathBuf::from)
+        .unwrap_or_else(|| bench::report::results_dir().join(default_name));
+    let written = std::fs::create_dir_all(path.parent().unwrap_or(Path::new("")))
+        .and_then(|()| std::fs::write(&path, json));
+    if let Err(error) = written {
+        eprintln!("loadgen: cannot write {}: {error}", path.display());
+        std::process::exit(1);
+    }
+    println!("loadgen: wrote {}", path.display());
 }
 
 fn grid_config(nodes: usize, seed: u64) -> String {
@@ -873,17 +889,7 @@ fn run_chaos_mode(sizes: &Sizes, out: Option<String>) {
     json.push_str(&scenario_json(&scenario));
     json.push_str("\n  ]\n}\n");
 
-    let path = out.map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::env::var_os("TREEMEM_SWEEP_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."))
-            .join("BENCH_server_chaos.json")
-    });
-    if let Err(error) = std::fs::write(&path, &json) {
-        eprintln!("loadgen: cannot write {}: {error}", path.display());
-        std::process::exit(1);
-    }
-    println!("loadgen: wrote {}", path.display());
+    write_output(out, "BENCH_server_chaos.json", &json);
 
     if !violations.0.is_empty() {
         eprintln!("loadgen: {} violated invariant(s)", violations.0.len());
@@ -1407,17 +1413,7 @@ fn run_distributed_mode(sizes: &Sizes, out: Option<String>) {
     let _ = writeln!(json, "  \"coordinator_stats\": {}", stats_body.trim_end());
     json.push_str("}\n");
 
-    let path = out.map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::env::var_os("TREEMEM_SWEEP_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."))
-            .join("BENCH_distributed.json")
-    });
-    if let Err(error) = std::fs::write(&path, &json) {
-        eprintln!("loadgen: cannot write {}: {error}", path.display());
-        std::process::exit(1);
-    }
-    println!("loadgen: wrote {}", path.display());
+    write_output(out, "BENCH_distributed.json", &json);
 
     if !violations.0.is_empty() {
         eprintln!("loadgen: {} violated invariant(s)", violations.0.len());
@@ -1502,17 +1498,7 @@ fn run_traces_mode(quick: bool, check: bool, write_reference: bool, out: Option<
     }
 
     let json = traces::bench_json(mode, &matrix, &deep, &http, &gate_violations);
-    let path = out.map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::env::var_os("TREEMEM_SWEEP_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."))
-            .join("BENCH_cache.json")
-    });
-    if let Err(error) = std::fs::write(&path, &json) {
-        eprintln!("loadgen: cannot write {}: {error}", path.display());
-        std::process::exit(1);
-    }
-    println!("loadgen: wrote {}", path.display());
+    write_output(out, "BENCH_cache.json", &json);
 
     if !violations.0.is_empty() {
         eprintln!("loadgen: {} violated invariant(s)", violations.0.len());
@@ -1645,17 +1631,7 @@ fn main() {
     let _ = writeln!(json, "  \"server_stats\": {}", stats_body.trim_end());
     json.push_str("}\n");
 
-    let path = out.map(std::path::PathBuf::from).unwrap_or_else(|| {
-        std::env::var_os("TREEMEM_SWEEP_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."))
-            .join("BENCH_server.json")
-    });
-    if let Err(error) = std::fs::write(&path, &json) {
-        eprintln!("loadgen: cannot write {}: {error}", path.display());
-        std::process::exit(1);
-    }
-    println!("loadgen: wrote {}", path.display());
+    write_output(out, "BENCH_server.json", &json);
 
     if !violations.0.is_empty() {
         eprintln!("loadgen: {} violated invariant(s)", violations.0.len());

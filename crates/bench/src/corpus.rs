@@ -3,10 +3,9 @@
 //! The paper uses 291 matrices of the UF Sparse Matrix Collection, each
 //! ordered with MeTiS and `amd` and amalgamated with allowances 1, 2, 4 and
 //! 16.  The synthetic corpus generated here follows the same recipe on the
-//! problem generators of the `sparsemat` crate (see DESIGN.md for the
-//! substitution rationale): every (problem kind, size) pair produces one
-//! matrix, and every (ordering, amalgamation) combination of that matrix
-//! produces one weighted assembly tree.
+//! problem generators of the `sparsemat` crate: every (problem kind, size)
+//! pair produces one matrix, and every (ordering, amalgamation) combination
+//! of that matrix produces one weighted assembly tree.
 //!
 //! Corpus construction goes through the `engine` facade: every (problem,
 //! size, ordering) cell is one [`engine::EngineConfig`] planned on the
@@ -15,15 +14,13 @@
 //! the ordering, elimination tree and column counts instead of recomputing
 //! them per allowance.
 
+use engine::parallel::{default_threads, par_map};
 use engine::{Engine, EngineConfig};
 use ordering::OrderingMethod;
 use sparsemat::gen::ProblemKind;
 use symbolic::PipelineConfig;
-use treemem::gadgets::harpoon_tower;
-use treemem::random::{comb, nested_dissection_etree, random_chain, reweight_paper};
+use treemem::random::reweight_paper;
 use treemem::Tree;
-
-use crate::parallel::{default_threads, par_map};
 
 /// One weighted tree of the corpus, with its provenance.
 #[derive(Debug, Clone)]
@@ -169,75 +166,6 @@ pub fn quick_corpus() -> Corpus {
     corpus_for(&quick_config(), "assembly trees, quick synthetic corpus")
 }
 
-/// The seed for the deterministic scaling corpus.
-const SCALING_SEED: u64 = 0x5ca1e;
-
-/// The large-`p` *scaling* corpus: deterministic families whose size is
-/// controlled directly, used by `exp_scaling` and the CI regression gate
-/// instead of the symbolic pipeline (whose output size is only indirectly
-/// controllable and whose generation time would dominate at 10⁵–10⁶ nodes).
-///
-/// For every requested size `n` the corpus contains:
-///
-/// * `chain-{n}` — a random-weight chain ([`random_chain`]): maximal depth,
-///   the stack-overflow and traversal-accumulation stress test;
-/// * `harpoon-{n}` — the deepest binary [`harpoon_tower`] with at most `n`
-///   nodes: the adversarial family of Theorem 1, where exact solvers beat
-///   every postorder;
-/// * `nd-etree-{n}` — a synthetic nested-dissection elimination tree
-///   ([`nested_dissection_etree`]): the realistic assembly-tree shape at
-///   scale;
-/// * `comb-{n}` — a [`comb`] whose natural traversal accumulates one leaf
-///   file per spine step: the out-of-core simulator stress test.
-pub fn scaling_corpus(sizes: &[usize]) -> Corpus {
-    let mut trees = Vec::with_capacity(4 * sizes.len());
-    for (index, &n) in sizes.iter().enumerate() {
-        assert!(n >= 16, "scaling sizes below 16 nodes are not meaningful");
-        let seed = SCALING_SEED.wrapping_add(index as u64);
-        trees.push(CorpusTree {
-            name: format!("chain-{n}"),
-            tree: random_chain(n, 100, seed),
-            nodes: n,
-        });
-        // Deepest binary tower with at most n nodes: p = 1 + 6·(2^levels − 1).
-        let levels = ((n - 1) / 6 + 1).ilog2() as usize;
-        let tower = harpoon_tower(2, 1 << (levels + 2), 1, levels.max(1));
-        trees.push(CorpusTree {
-            nodes: tower.len(),
-            name: format!("harpoon-{n}"),
-            tree: tower,
-        });
-        trees.push(CorpusTree {
-            name: format!("nd-etree-{n}"),
-            tree: nested_dissection_etree(n, seed),
-            nodes: n,
-        });
-        let spine = (n - 1) / 2;
-        let comb_tree = comb(spine, 50, seed);
-        trees.push(CorpusTree {
-            nodes: comb_tree.len(),
-            name: format!("comb-{n}"),
-            tree: comb_tree,
-        });
-    }
-    Corpus {
-        description: format!("scaling corpus, sizes {sizes:?}"),
-        trees,
-    }
-}
-
-/// The full scaling corpus (10⁴, 10⁵ and 10⁶ nodes per family).
-pub fn scaling_corpus_full() -> Corpus {
-    scaling_corpus(&[10_000, 100_000, 1_000_000])
-}
-
-/// The reduced scaling corpus used by `--quick` runs and the CI smoke job.
-/// 30 000 nodes keeps every timed cell above the regression gate's noise
-/// floor while the whole smoke run stays in seconds.
-pub fn scaling_corpus_reduced() -> Corpus {
-    scaling_corpus(&[30_000])
-}
-
 /// The randomly re-weighted corpus of Section VI-E (Table II / Figure 9):
 /// the same tree structures with node weights drawn in `[1, N/500]` and edge
 /// weights in `[1, N]`.
@@ -289,32 +217,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), corpus.len());
-    }
-
-    #[test]
-    fn scaling_corpus_has_four_families_per_size() {
-        let corpus = scaling_corpus(&[1000, 4000]);
-        assert_eq!(corpus.len(), 8);
-        for entry in &corpus.trees {
-            assert_eq!(entry.nodes, entry.tree.len());
-            assert!(entry.nodes <= 4000);
-            // Families are sized to at least a quarter of the request (the
-            // harpoon tower rounds down to a full number of levels).
-            assert!(
-                entry.nodes >= 250,
-                "{} has {} nodes",
-                entry.name,
-                entry.nodes
-            );
-        }
-        let names: Vec<&str> = corpus.trees.iter().map(|t| t.name.as_str()).collect();
-        assert!(names.contains(&"chain-1000"));
-        assert!(names.contains(&"harpoon-4000"));
-        assert!(names.contains(&"nd-etree-1000"));
-        assert!(names.contains(&"comb-4000"));
-        // Deterministic: same sizes, same corpus.
-        let again = scaling_corpus(&[1000, 4000]);
-        assert_eq!(again.trees[0].tree, corpus.trees[0].tree);
     }
 
     #[test]

@@ -1,45 +1,45 @@
-//! # bench — experiment harness regenerating the paper's tables and figures
+//! # bench — the paper's experiments, `factor_cli` and `loadgen`
 //!
-//! Every binary in `src/bin/` regenerates one experimental artifact of the
-//! paper (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
-//! recorded results):
+//! Performance is measured by the benchmark of record (`benchmark/` at the
+//! repository root), not here.  This crate keeps what only it can do: the
+//! `exp` binary regenerates the experimental artifacts of the source paper,
+//! one subcommand each (`exp <name> [--quick] [--seed N]`, or `exp all`),
 //!
-//! | binary | paper artifact |
-//! |--------|----------------|
-//! | `exp_minmem_assembly`  | Table I and Figure 5 |
-//! | `exp_runtime`          | Figure 6 |
-//! | `exp_minio_heuristics` | Figure 7 |
-//! | `exp_minio_traversals` | Figure 8 |
-//! | `exp_minmem_random`    | Table II and Figure 9 |
-//! | `exp_theorem1`         | Theorem 1 (harpoon towers) and Theorem 2 gadget |
-//! | `exp_multifrontal`     | end-to-end multifrontal check (Section II-A) |
-//! | `exp_minio_sweep`      | full policies × solvers sweep (`BENCH_minio_sweep.json`) |
-//! | `exp_scaling`          | large-`p` scaling benchmark + CI regression gate (`BENCH_scaling.json`) |
-//! | `exp_all`              | everything above, with the quick corpus |
-//! | `factor_cli`           | one `engine::EngineConfig` end to end, `Report` as JSON |
+//! | subcommand         | paper artifact |
+//! |--------------------|----------------|
+//! | `minmem-assembly`  | Table I and Figure 5 |
+//! | `runtime`          | Figure 6 |
+//! | `minio-heuristics` | Figure 7 |
+//! | `minio-traversals` | Figure 8 |
+//! | `minmem-random`    | Table II and Figure 9 |
+//! | `theorem1`         | Theorem 1 (harpoon towers) and Theorem 2 gadget |
+//! | `ablation`         | ordering × amalgamation sensitivity (not in the paper) |
+//! | `minio-sweep`      | Section V-B as one grid: every solver × every policy |
 //!
-//! The binaries construct their pipelines through the `engine` facade
+//! `factor_cli` runs one `engine::EngineConfig` end to end and prints the
+//! `Report` as JSON, and `loadgen` replays its correctness scenarios (server
+//! mix, chaos, cache traces, distributed) against real servers.  Every tool
+//! writes under `results/` (git-ignored; `TREEMEM_RESULTS_DIR` moves it).
+//!
+//! The experiments construct their pipelines through the `engine` facade
 //! (prebuilt-tree plans for corpus sweeps, generated-matrix plans for the
-//! end-to-end experiments); the library part of the crate holds the shared
-//! infrastructure: corpus generation (planned through the engine, replacing
-//! the paper's UF-collection data set), timing helpers, report writing, the
-//! [`par_map`] re-export ([`parallel`], now living in `engine::parallel`)
-//! and the parallel MinIO sweep engine ([`sweep`]) that crosses {corpus ×
-//! memory budgets × registered solvers × registered eviction policies}.
+//! ablation); the library part of the crate holds the shared infrastructure:
+//! corpus generation (planned through the engine, replacing the paper's
+//! UF-collection data set), measurement helpers, report writing, the
+//! parallel MinIO sweep engine ([`sweep`]) that crosses {corpus × memory
+//! budgets × registered solvers × registered eviction policies}, and the
+//! cache trace-replay harness ([`traces`]) behind `loadgen traces`.
 
 pub mod corpus;
-pub mod microbench;
-pub mod parallel;
 pub mod report;
 pub mod runner;
 pub mod sweep;
 pub mod traces;
 
 pub use corpus::{
-    corpus_for, default_config, default_corpus, quick_config, quick_corpus, random_corpus,
-    scaling_corpus, scaling_corpus_full, scaling_corpus_reduced, Corpus, CorpusTree,
+    corpus_for, default_config, default_corpus, quick_config, quick_corpus, random_corpus, Corpus,
+    CorpusTree,
 };
-pub use parallel::{default_threads, par_map};
 pub use report::{write_report, ExperimentArgs, ReportFile};
 pub use runner::{
     measurement_registry, memory_sweep, run_with_big_stack, time_it, MeasurementSet,

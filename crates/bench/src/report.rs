@@ -1,5 +1,5 @@
-//! Report output: every experiment binary prints its tables to stdout and
-//! writes machine-readable CSV files under `results/`.
+//! Report output: every experiment prints its tables to stdout and writes
+//! machine-readable files under the results directory.
 
 use std::fs;
 use std::io;
@@ -24,34 +24,34 @@ impl ReportFile {
     }
 }
 
-/// Default results directory (relative to the workspace root / current
-/// directory): `results/`.
+/// The results directory: `TREEMEM_RESULTS_DIR`, or `results/` relative to
+/// the current directory.  A binary reads it once, in `main`.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("TREEMEM_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Write the report files under the results directory, creating it if
-/// needed, and return the paths written.
-pub fn write_report(experiment: &str, files: &[ReportFile]) -> io::Result<Vec<PathBuf>> {
-    let directory = results_dir().join(experiment);
+/// Write the report files under `results/experiment`, creating the
+/// directory if needed, and return the paths written.
+pub fn write_report(
+    results: &Path,
+    experiment: &str,
+    files: &[ReportFile],
+) -> io::Result<Vec<PathBuf>> {
+    let directory = results.join(experiment);
     fs::create_dir_all(&directory)?;
     let mut written = Vec::with_capacity(files.len());
     for file in files {
         let path = directory.join(&file.name);
-        write_file(&path, &file.contents)?;
+        fs::write(&path, &file.contents)?;
         written.push(path);
     }
     Ok(written)
 }
 
-fn write_file(path: &Path, contents: &str) -> io::Result<()> {
-    fs::write(path, contents)
-}
-
-/// Parse the experiment command line: returns `true` when `--quick` was
-/// passed (smaller corpus) and exposes any `--seed <n>` override.
+/// The flags every experiment takes: `--quick` (smaller corpus) and
+/// `--seed <n>` (seed of the randomized corpora).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentArgs {
     /// Run with the reduced corpus.
@@ -61,14 +61,10 @@ pub struct ExperimentArgs {
 }
 
 impl ExperimentArgs {
-    /// Parse `std::env::args()`.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_slice(&args)
-    }
-
-    /// Parse an explicit argument list (used by tests).
-    pub fn from_slice(args: &[String]) -> Self {
+    /// Parse the flags after the experiment name.  Anything that is not a
+    /// known flag, and a `--seed` without an unsigned integer after it, is
+    /// an error naming the offending argument.
+    pub fn from_slice(args: &[String]) -> Result<Self, String> {
         let mut quick = false;
         let mut seed = 42;
         let mut iter = args.iter();
@@ -76,16 +72,15 @@ impl ExperimentArgs {
             match arg.as_str() {
                 "--quick" => quick = true,
                 "--seed" => {
-                    if let Some(value) = iter.next() {
-                        if let Ok(parsed) = value.parse() {
-                            seed = parsed;
-                        }
-                    }
+                    let value = iter.next().ok_or("--seed needs a value")?;
+                    seed = value
+                        .parse()
+                        .map_err(|_| format!("--seed '{value}' is not an unsigned integer"))?;
                 }
-                _ => {}
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
-        ExperimentArgs { quick, seed }
+        Ok(ExperimentArgs { quick, seed })
     }
 }
 
@@ -93,28 +88,43 @@ impl ExperimentArgs {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<ExperimentArgs, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        ExperimentArgs::from_slice(&args)
+    }
+
     #[test]
     fn argument_parsing() {
-        let args = ExperimentArgs::from_slice(&[]);
+        let args = parse(&[]).unwrap();
         assert!(!args.quick);
         assert_eq!(args.seed, 42);
-        let args = ExperimentArgs::from_slice(&["--quick".into(), "--seed".into(), "7".into()]);
+        let args = parse(&["--quick", "--seed", "7"]).unwrap();
         assert!(args.quick);
         assert_eq!(args.seed, 7);
+        for bad in [
+            &["--quik"][..],
+            &["--full"],
+            &["--seed"],
+            &["--seed", "1e3"],
+            &["--seed", "-1"],
+            &["extra"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]
     fn report_files_are_written() {
-        let unique = format!("selftest-{}", std::process::id());
-        std::env::set_var(
-            "TREEMEM_RESULTS_DIR",
-            std::env::temp_dir().join("treemem-results"),
-        );
-        let written = write_report(&unique, &[ReportFile::new("a.csv", "x,y\n1,2\n")]).unwrap();
-        assert_eq!(written.len(), 1);
+        let results = std::env::temp_dir().join(format!("treemem-results-{}", std::process::id()));
+        let written = write_report(
+            &results,
+            "selftest",
+            &[ReportFile::new("a.csv", "x,y\n1,2\n")],
+        )
+        .unwrap();
+        assert_eq!(written, [results.join("selftest").join("a.csv")]);
         let content = std::fs::read_to_string(&written[0]).unwrap();
         assert!(content.contains("x,y"));
-        std::fs::remove_dir_all(results_dir().join(&unique)).ok();
-        std::env::remove_var("TREEMEM_RESULTS_DIR");
+        std::fs::remove_dir_all(&results).ok();
     }
 }

@@ -4,23 +4,23 @@
 //! {registered solvers} × {registered eviction policies} — and records, for
 //! every cell, the I/O volume, file count and divisible lower bound of the
 //! simulated out-of-core execution.  Work is distributed over worker threads
-//! at (tree × solver) granularity through [`crate::parallel::par_map`]:
+//! at (tree × solver) granularity through [`engine::parallel::par_map`]:
 //! every job computes one solver traversal once and then sweeps all memory
 //! sizes and policies on it, which keeps the expensive solver call out of
 //! the inner loop.
 //!
 //! The result can be rendered to a machine-readable JSON report
-//! ([`SweepReport::to_json`]); the `exp_minio_sweep` binary writes it to
-//! `BENCH_minio_sweep.json`.
+//! ([`SweepReport::to_json`]); `exp minio-sweep` writes it to
+//! `results/exp_minio_sweep/BENCH_minio_sweep.json`.
 
 use std::time::Instant;
 
+use engine::parallel::{default_threads, par_map};
 use minio::{divisible_lower_bound, schedule_io_with, PolicyRegistry};
 use treemem::solver::SolverRegistry;
 use treemem::tree::Size;
 
 use crate::corpus::Corpus;
-use crate::parallel::{default_threads, par_map};
 use crate::runner::memory_sweep;
 
 /// Configuration of a sweep.

@@ -349,29 +349,33 @@ fn replay(
     }
 }
 
-/// Requests per matrix cell for one trace shape.
-fn cell_requests(shape: &str, quick: bool) -> usize {
+/// The seeded trace every matrix cell of one shape replays.
+fn matrix_trace(shape: &str, quick: bool) -> Vec<Req> {
     let full = match shape {
         "mixed" => 12_000,
         _ => 8_000,
     };
-    if quick {
-        full / 8
-    } else {
-        full
-    }
+    let n = if quick { full / 8 } else { full };
+    trace_for(shape, n, 0xC0FFEE ^ n as u64)
+}
+
+/// A cell's byte capacity: `fraction` of the trace's unique bytes.  There is
+/// no floor — a floor makes the small fractions of a small trace the same
+/// cell — so every trace must be big enough that its smallest capacity
+/// still holds its largest item (`capacities_are_distinct_and_hold_an_item`).
+fn capacity_bytes(unique_bytes: u64, fraction: f64) -> u64 {
+    (unique_bytes as f64 * fraction) as u64
 }
 
 /// Replay the whole {trace × policy × capacity} matrix.
 pub fn run_matrix(quick: bool) -> Vec<CellResult> {
     let mut cells = Vec::new();
     for shape in TRACE_SHAPES {
-        let n = cell_requests(shape, quick);
-        let trace = trace_for(shape, n, 0xC0FFEE ^ n as u64);
+        let trace = matrix_trace(shape, quick);
         let total = unique_bytes(&trace);
         for policy in CachePolicy::ALL {
             for fraction in CAPACITY_FRACTIONS {
-                let capacity = ((total as f64 * fraction) as u64).max(512 * KIB);
+                let capacity = capacity_bytes(total, fraction);
                 let (quota, floor) = if shape == "tenants" {
                     (Some(capacity / 3), 0.4)
                 } else {
@@ -395,7 +399,7 @@ pub fn run_deep() -> Vec<CellResult> {
         .into_iter()
         .map(|policy| {
             let fraction = 0.03;
-            let capacity = ((total as f64 * fraction) as u64).max(512 * KIB);
+            let capacity = capacity_bytes(total, fraction);
             replay("mixed-deep", &trace, policy, fraction, capacity, None, 0.0)
         })
         .collect()
@@ -701,4 +705,30 @@ pub fn bench_json(
     let _ = writeln!(out, "  \"server_stats\": {}", http.stats_body.trim_end());
     out.push_str("}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capacities_are_distinct_and_hold_an_item() {
+        for quick in [true, false] {
+            for shape in TRACE_SHAPES {
+                let trace = matrix_trace(shape, quick);
+                let total = unique_bytes(&trace);
+                let largest = trace.iter().map(|r| r.bytes).max().unwrap();
+                let capacities = CAPACITY_FRACTIONS.map(|f| capacity_bytes(total, f));
+                assert!(
+                    capacities.windows(2).all(|pair| pair[0] < pair[1]),
+                    "{shape} (quick {quick}): capacities {capacities:?} are not distinct"
+                );
+                assert!(
+                    capacities[0] >= largest,
+                    "{shape} (quick {quick}): capacity {} cannot hold a {largest}-byte item",
+                    capacities[0]
+                );
+            }
+        }
+    }
 }

@@ -37,8 +37,8 @@ pub fn harpoon(branches: usize, big: Size, eps: Size) -> Tree {
 /// `(branches − 1) · big / branches` pending memory **per level**, while the
 /// optimal traversal only accumulates `(branches − 1) · eps` per level; the
 /// ratio between the two therefore grows without bound, which is the
-/// statement of Theorem 1.  (`crates/bench/src/bin/exp_theorem1.rs` measures
-/// the ratio with the exact algorithms.)
+/// statement of Theorem 1.  (`exp theorem1` in `crates/bench` measures the
+/// ratio with the exact algorithms.)
 ///
 /// # Panics
 /// Panics if `branches == 0`, `levels == 0`, if `big` is not a positive

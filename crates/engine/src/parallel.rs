@@ -11,9 +11,8 @@
 //! slice: a fixed set of threads draining a shared queue, used by
 //! `crates/server` to execute HTTP requests.
 //!
-//! The module originally lived in `crates/bench`; it moved here so
-//! [`Engine::run_batch`](crate::Engine::run_batch) can fan configurations
-//! over the same pool, and `bench::parallel` now re-exports it.
+//! [`Engine::run_batch`](crate::Engine::run_batch) fans configurations over
+//! the same pool `crates/bench` plans its corpus and runs its sweep on.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

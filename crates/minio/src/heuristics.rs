@@ -277,10 +277,9 @@ pub fn schedule_io_with_stop(
 /// and re-sorting by traversal position, making a simulated run
 /// O(p² log p) on traversals with many deficit steps.
 ///
-/// Retained verbatim for two purposes only: the golden parity test pins the
-/// incremental simulator to it cell by cell, and the scaling benchmark
-/// (`exp_scaling`) measures the speedup of the incremental path against it.
-/// New code should always call [`schedule_io_with`].
+/// Retained verbatim for one purpose only: the golden parity tests pin the
+/// incremental simulator to it cell by cell.  New code should always call
+/// [`schedule_io_with`].
 pub fn schedule_io_naive(
     tree: &Tree,
     traversal: &Traversal,

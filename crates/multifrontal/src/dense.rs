@@ -16,12 +16,11 @@ pub const DEFAULT_BLOCK: usize = 32;
 /// Selects the dense elimination kernel used on every frontal matrix.
 ///
 /// `Blocked` is the production kernel; `Reference` is the scalar
-/// column-at-a-time implementation pinned to it by the parity battery and
-/// used as the baseline of the `exp_kernel` benchmark.  With a single pivot
-/// (the multifrontal hot path) and with `block == 1` the blocked kernel is
-/// *bit-identical* to the reference; wider blocks on multi-pivot
-/// factorizations agree to a few ULPs (the 2-way unrolled Schur update
-/// fuses two subtractions into one).
+/// column-at-a-time implementation pinned to it by the parity battery.
+/// With a single pivot (the multifrontal hot path) and with `block == 1` the
+/// blocked kernel is *bit-identical* to the reference; wider blocks on
+/// multi-pivot factorizations agree to a few ULPs (the 2-way unrolled Schur
+/// update fuses two subtractions into one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontKernel {
     /// Scalar column-at-a-time elimination (baseline).
@@ -155,7 +154,7 @@ impl DenseMatrix {
     /// The scalar column-at-a-time kernel: one rank-1 update per pivot,
     /// through bounds-checked element accessors.  Kept as the semantic
     /// baseline the blocked kernel is pinned to (see the parity battery in
-    /// this module's tests) and as the `reference` side of `exp_kernel`.
+    /// this module's tests).
     pub fn partial_cholesky_reference(&mut self, pivots: usize) -> Result<(), usize> {
         assert!(pivots <= self.n);
         for k in 0..pivots {
@@ -704,6 +703,7 @@ mod tests {
         assert_eq!(a.len(), 9);
     }
 
+    use prng::{Rng, StdRng};
     use sparsemat::gen::{spd_matrix_from_pattern, ProblemKind};
 
     /// ULP distance between two finite doubles (0 when bitwise equal;
@@ -739,7 +739,9 @@ mod tests {
     /// every `ProblemKind`, block sizes {1, 4, 8, 32, n}, full and partial
     /// factorizations.  `block == 1` and single-pivot eliminations (the
     /// multifrontal hot path) must be *bit-identical*; wider blocks on full
-    /// factorizations must agree within `ULP_BOUND` ULPs per entry.
+    /// factorizations must agree within `ULP_BOUND` ULPs per entry.  A last
+    /// 262 × 262 dense front runs [`FrontKernel::default`] against
+    /// [`FrontKernel::Reference`] across several panels with ragged edges.
     #[test]
     fn blocked_kernel_parity_battery() {
         const ULP_BOUND: u64 = 64;
@@ -790,6 +792,38 @@ mod tests {
         }
         // The battery actually exercised the bounded-ULP (non-bitwise) path.
         assert!(worst_ulp > 0, "expected some rounding divergence");
+
+        // One fully dense front several panels deep, its order a multiple of
+        // neither the panel width nor the 4-wide register tile, through the
+        // kernel selector the factorization uses.  Entries that cancel to
+        // near zero make ULPs meaningless at this size, so the bound is on
+        // the error relative to max(|entry|, 1).
+        let n = 262;
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut front = DenseMatrix::zeros(n);
+        for j in 0..n {
+            front.set(j, j, n as f64 + rng.gen::<f64>());
+            for i in j + 1..n {
+                front.set(i, j, rng.gen::<f64>() - 0.5);
+            }
+        }
+        for pivots in [n, n / 2] {
+            let mut reference = front.clone();
+            FrontKernel::Reference
+                .apply(&mut reference, pivots)
+                .unwrap();
+            let mut blocked = front.clone();
+            FrontKernel::default().apply(&mut blocked, pivots).unwrap();
+            for j in 0..n {
+                for i in j..n {
+                    let (a, b) = (reference.get(i, j), blocked.get(i, j));
+                    assert!(
+                        (a - b).abs() <= 1e-12 * a.abs().max(1.0),
+                        "dense-{n}, {pivots} pivots ({i},{j}): {b} vs {a}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

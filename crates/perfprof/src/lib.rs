@@ -13,8 +13,8 @@
 //! II of the paper (fraction of non-optimal cases, maximum / average /
 //! standard deviation of the cost ratio), and the rendering helpers produce
 //! the CSV series and ASCII plots emitted by the experiment binaries.
-//! [`timing`] holds the repeated-run wall-clock summaries used by the
-//! scaling benchmark and its CI regression gate.
+//! [`timing`] holds the repeated-run wall-clock summaries behind the engine's
+//! stage timings and the latency percentiles of the server's `/stats`.
 
 pub mod profile;
 pub mod stats;
@@ -23,6 +23,5 @@ pub mod timing;
 pub use profile::{PerformanceProfile, ProfilePoint};
 pub use stats::{ratio_statistics, RatioStatistics};
 pub use timing::{
-    latency_summary, percentile, speedup, summarize_seconds, time_runs, LatencySummary,
-    TimingSummary,
+    latency_summary, percentile, summarize_seconds, time_runs, LatencySummary, TimingSummary,
 };

@@ -1,11 +1,9 @@
-//! Repeated-run wall-clock summaries for the scaling experiments.
+//! Repeated-run wall-clock summaries and latency percentiles.
 //!
-//! The scaling benchmark (`exp_scaling` in `crates/bench`) times whole
-//! algorithm runs — milliseconds to seconds, not the nanosecond regime of
-//! the micro-bench harness — so it wants a small number of repetitions and a
-//! robust (median) summary rather than adaptive iteration counts.  This
-//! module provides that summary plus the speedup helper the benchmark and
-//! the CI regression gate use.
+//! The engine's stage timings and the benchmark of record time whole
+//! algorithm runs — milliseconds to seconds — so they want a small number of
+//! repetitions and a robust (median) summary; the server and `loadgen` want
+//! tail percentiles of a latency distribution.
 
 use std::time::Instant;
 
@@ -52,13 +50,6 @@ pub fn time_runs<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, TimingSummary)
         samples.push(start.elapsed().as_secs_f64());
     }
     (last.expect("runs > 0"), summarize_seconds(&samples))
-}
-
-/// Speedup of `improved` over `baseline` (ratio of median times; > 1 means
-/// `improved` is faster).  Degenerate near-zero medians clamp to the ratio
-/// of a nanosecond so the result stays finite.
-pub fn speedup(baseline: &TimingSummary, improved: &TimingSummary) -> f64 {
-    baseline.median_seconds / improved.median_seconds.max(1e-9)
 }
 
 /// Percentile summary of a latency distribution, for serving-style
@@ -179,14 +170,5 @@ mod tests {
         assert!((summary.mean_seconds - 5.5).abs() < 1e-12);
         assert_eq!(latency_summary(&[]), LatencySummary::default());
         assert!(summary.to_json().contains("\"count\": 10"));
-    }
-
-    #[test]
-    fn speedup_is_a_median_ratio() {
-        let slow = summarize_seconds(&[2.0]);
-        let fast = summarize_seconds(&[0.5]);
-        assert!((speedup(&slow, &fast) - 4.0).abs() < 1e-12);
-        let zero = summarize_seconds(&[0.0]);
-        assert!(speedup(&slow, &zero).is_finite());
     }
 }

@@ -1,7 +1,7 @@
 //! The workspace is dependency-free by design: it builds in an offline
 //! container, every algorithmic substitute (`prng` for `rand`, scoped
-//! threads for `crossbeam`, the internal microbench harness for
-//! `criterion`) lives in-tree, and nothing may quietly change that.  This
+//! threads for `crossbeam`) lives in-tree, and nothing may quietly change
+//! that.  This
 //! test pins the invariant by parsing `Cargo.lock`: every `[[package]]`
 //! entry must be a workspace member.  The CI `dependency-freeness` job
 //! enforces the same rule without a toolchain, so a violation fails both in

@@ -135,32 +135,46 @@ fn minio_policies_are_consistent_on_assembly_trees() {
     }
 }
 
-/// The numeric multifrontal factorization driven by the optimal traversal of
-/// the per-column model uses exactly the memory the model predicts, never
-/// more than the best postorder, and solves linear systems correctly.
+/// The numeric multifrontal factorization uses exactly the memory the
+/// per-column model predicts for whichever traversal drives it (Section II-A
+/// of the paper), solves linear systems correctly, and orders the peaks
+/// optimal ≤ best postorder ≤ stored-order postorder of the elimination tree.
 #[test]
 fn numeric_factorization_matches_the_model_end_to_end() {
     let engine = Engine::new();
-    let base = EngineConfig::generated(ProblemKind::Grid2d, 400, 9)
-        .with_ordering(OrderingMethod::Natural)
-        .with_numeric(true);
-    let optimal_run = engine
-        .run(&base.clone().with_solver("minmem"))
-        .unwrap()
-        .numeric
-        .expect("numeric stage ran");
-    let postorder_run = engine
-        .run(&base.with_solver("postorder"))
-        .unwrap()
-        .numeric
-        .expect("numeric stage ran");
-
-    for run in [&optimal_run, &postorder_run] {
-        assert_eq!(run.measured_peak_entries as i64, run.model_peak_entries);
-        assert!(run.solve_error < 1e-7, "solve error {}", run.solve_error);
+    for (kind, seed) in [
+        (ProblemKind::Grid2d, 9),
+        (ProblemKind::Grid2d, 1),
+        (ProblemKind::Grid2d9, 2),
+        (ProblemKind::Random, 3),
+    ] {
+        // Unpermuted, so the elimination tree is the generated pattern's own.
+        let base = EngineConfig::generated(kind, 400, seed)
+            .with_ordering(OrderingMethod::Natural)
+            .with_numeric(true);
+        let [natural, postorder, optimal] = ["natural", "postorder", "minmem"].map(|solver| {
+            let run = engine
+                .run(&base.clone().with_solver(solver))
+                .unwrap()
+                .numeric
+                .expect("numeric stage ran");
+            let context = format!("{}/{seed}/{solver}", kind.name());
+            assert_eq!(
+                run.measured_peak_entries as i64, run.model_peak_entries,
+                "{context}"
+            );
+            assert!(
+                run.solve_error < 1e-7,
+                "{context}: solve error {}",
+                run.solve_error
+            );
+            run
+        });
+        assert!(optimal.measured_peak_entries <= postorder.measured_peak_entries);
+        assert!(postorder.measured_peak_entries <= natural.measured_peak_entries);
+        assert_eq!(optimal.factor_nnz, postorder.factor_nnz);
+        assert_eq!(optimal.factor_nnz, natural.factor_nnz);
     }
-    assert!(optimal_run.measured_peak_entries <= postorder_run.measured_peak_entries);
-    assert_eq!(optimal_run.factor_nnz, postorder_run.factor_nnz);
 }
 
 /// Amalgamation trades tree size against node granularity but never changes
