@@ -29,7 +29,8 @@
 //! quick) through `POST /report` with a `distributed` section, and gates
 //! the merged factor's bit-identity against a single-process reference
 //! server (identical `factor_nnz` and bit-identical seeded-solve
-//! `max_residual`).  A chaos pass then SIGKILLs a lease-holding worker
+//! `max_residual`) and the wire's structural ceiling of 20 contribution bytes
+//! per factor nonzero.  A chaos pass then SIGKILLs a lease-holding worker
 //! mid-job and requires the job to complete via lease re-issue with zero
 //! orphaned leases and zero non-injected 5xx.  The result is
 //! `BENCH_distributed.json`.
@@ -1115,6 +1116,12 @@ fn wait_for_claim(addr: SocketAddr, job: u64, deadline_ms: u64, violations: &mut
     }
 }
 
+/// Structural ceiling on `contribution_bytes / factor_nnz` of a distributed
+/// run: contributions are values only — 16 hex digits per factor nonzero
+/// plus the root blocks and framing — so a row index back on the wire
+/// (8 more digits per nonzero) trips it.
+const MAX_WIRE_BYTES_PER_NONZERO: f64 = 20.0;
+
 fn distributed_gate(
     label: &str,
     section: Option<&Json>,
@@ -1144,6 +1151,18 @@ fn distributed_gate(
         ),
         None => violations.check(false, format!("{label} solve answer was unparsable")),
     }
+    let bytes = section
+        .get("contribution_bytes")
+        .and_then(Json::as_u64)
+        .unwrap_or(u64::MAX);
+    violations.check(
+        bytes as f64 <= MAX_WIRE_BYTES_PER_NONZERO * reference.0 as f64,
+        format!(
+            "{label} run shipped {bytes} contribution bytes for {} factor nonzeros \
+             (more than {MAX_WIRE_BYTES_PER_NONZERO} per nonzero)",
+            reference.0
+        ),
+    );
 }
 
 /// `loadgen distributed [--quick]`: the multi-process scenario described in

@@ -22,6 +22,13 @@
 //!   (HTTP 409 at the serving layer).  The re-issued lease's work is the
 //!   bit-identical computation, so dropping the stale copy is lossless.
 //!
+//! * **Shapes come from the cut, never from the frame.**  Contributions are
+//!   values only; the coordinator owns the row structure, so it knows how
+//!   many values and which root blocks (of which dimension) each task must
+//!   hand back.  A contribution of any other shape is rejected as
+//!   [`ContributeError::Malformed`] with the lease left live, and the
+//!   ledger retains the *cut's* block entries for an accepted one.
+//!
 //! Claims are gated by the job's [`BudgetLedger`]: a worker only receives a
 //! task when its modeled peak fits the cluster-level memory budget next to
 //! the peaks of currently-leased tasks and the retained contribution blocks
@@ -51,6 +58,12 @@ pub struct JobSpec {
     pub task_orders: Vec<Vec<usize>>,
     /// Modeled peak entries of each task (the ledger reservation).
     pub task_peaks: Vec<u64>,
+    /// Factor values each task's contribution must carry (`Σ µ(j)` over the
+    /// task order).
+    pub task_values: Vec<usize>,
+    /// `(column, dimension)` of the root blocks each task's contribution
+    /// must carry, by increasing column.
+    pub task_blocks: Vec<Vec<(usize, usize)>>,
     /// Cluster-level memory budget in entries, if bounded.
     pub budget_entries: Option<u64>,
 }
@@ -67,6 +80,10 @@ pub enum ContributeError {
     StaleEpoch,
     /// The task already has an accepted contribution.
     AlreadyDone,
+    /// The contribution does not have the shape the cut fixes for its task
+    /// (value count, root-block columns and dimensions).  The lease stays
+    /// live: an honest copy under the same epoch is still accepted.
+    Malformed,
 }
 
 impl std::fmt::Display for ContributeError {
@@ -78,6 +95,10 @@ impl std::fmt::Display for ContributeError {
                 write!(fmt, "stale lease epoch: the task was re-issued")
             }
             ContributeError::AlreadyDone => write!(fmt, "task already completed"),
+            ContributeError::Malformed => write!(
+                fmt,
+                "contribution does not match the task's value count and root blocks"
+            ),
         }
     }
 }
@@ -112,10 +133,23 @@ enum Phase {
 struct TaskState {
     order: Vec<usize>,
     peak: u64,
+    value_count: usize,
+    root_blocks: Vec<(usize, usize)>,
     phase: Phase,
     /// Increments on every claim; the fence against stale contributions.
     epoch: u64,
     parts: Option<SubtreeParts>,
+}
+
+impl TaskState {
+    /// Entries of the root blocks the task leaves for the merge: what its
+    /// reservation shrinks to once its contribution is accepted.
+    fn retained(&self) -> u64 {
+        self.root_blocks
+            .iter()
+            .map(|&(_, dimension)| (dimension * dimension) as u64)
+            .sum()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -266,11 +300,18 @@ impl Job {
             }
             Phase::Leased { .. } => {}
         }
+        let parts = &contribution.parts;
+        let blocks = parts
+            .blocks
+            .iter()
+            .map(|(column, block)| (column, block.n()));
+        if parts.values.len() != task.value_count || !blocks.eq(task.root_blocks.iter().copied()) {
+            return Err(ContributeError::Malformed);
+        }
         // The task's peak reservation shrinks to the contribution blocks it
         // leaves behind for the merge; those stay reserved until the
         // coordinator absorbs them (`release_retained` after the wait).
-        self.ledger
-            .finish_task(task.peak, contribution.parts.block_entries);
+        self.ledger.finish_task(task.peak, task.retained());
         task.phase = Phase::Done;
         task.parts = Some(contribution.parts);
         state.completed += 1;
@@ -343,9 +384,8 @@ impl Job {
         let mut parts = Vec::with_capacity(state.tasks.len());
         let mut retained = 0u64;
         for task in &mut state.tasks {
-            let taken = task.parts.take().expect("completed task without parts");
-            retained += taken.block_entries;
-            parts.push(taken);
+            parts.push(task.parts.take().expect("completed task without parts"));
+            retained += task.retained();
         }
         debug_assert_eq!(
             state.claimed,
@@ -375,8 +415,8 @@ impl Job {
             if matches!(task.phase, Phase::Leased { .. }) {
                 self.ledger.finish_task(task.peak, 0);
             }
-            if let Some(parts) = task.parts.take() {
-                retained += parts.block_entries;
+            if task.parts.take().is_some() {
+                retained += task.retained();
             }
             task.phase = Phase::Done;
         }
@@ -435,18 +475,25 @@ impl JobRegistry {
 
     /// Register a job; its tasks become claimable immediately.
     pub fn register(&self, spec: JobSpec) -> Arc<Job> {
-        assert_eq!(
-            spec.task_orders.len(),
-            spec.task_peaks.len(),
-            "one peak per task order"
+        let task_count = spec.task_orders.len();
+        assert!(
+            [
+                spec.task_peaks.len(),
+                spec.task_values.len(),
+                spec.task_blocks.len()
+            ] == [task_count; 3],
+            "one peak, value count and root-block list per task order"
         );
         let tasks = spec
             .task_orders
             .into_iter()
             .zip(spec.task_peaks)
-            .map(|(order, peak)| TaskState {
+            .zip(spec.task_values.into_iter().zip(spec.task_blocks))
+            .map(|((order, peak), (value_count, root_blocks))| TaskState {
                 order,
                 peak,
+                value_count,
+                root_blocks,
                 phase: Phase::Pending,
                 epoch: 0,
                 parts: None,
@@ -533,27 +580,45 @@ impl JobRegistry {
 mod tests {
     use super::*;
     use crate::wire::contribution_frame;
-    use multifrontal::ContributionStore;
+    use multifrontal::{ContributionStore, DenseMatrix};
 
     fn registry() -> JobRegistry {
         JobRegistry::new(Arc::new(ClusterStats::new()))
     }
 
-    fn spec(orders: Vec<Vec<usize>>, peaks: Vec<u64>, budget: Option<u64>) -> JobSpec {
+    /// A job of single-column tasks `[0]`, `[1]`, … with the given peaks;
+    /// task `t` hands back one value and retains `retained[t]` entries, as
+    /// one root block of column `t` (always a perfect square here).
+    fn spec(peaks: Vec<u64>, retained: Vec<u64>, budget: Option<u64>) -> JobSpec {
+        let tasks = peaks.len();
         JobSpec {
             config_json: "{}".to_string(),
             lease_ms: 10_000,
-            task_orders: orders,
+            task_orders: (0..tasks).map(|task| vec![task]).collect(),
             task_peaks: peaks,
+            task_values: vec![1; tasks],
+            task_blocks: retained
+                .into_iter()
+                .enumerate()
+                .map(|(task, entries)| match entries.isqrt() {
+                    0 => Vec::new(),
+                    dimension => vec![(task, dimension as usize)],
+                })
+                .collect(),
             budget_entries: budget,
         }
     }
 
-    fn parts(entries: u64) -> SubtreeParts {
+    /// What an honest worker hands back for task `task` of [`spec`] when it
+    /// retains `entries`.
+    fn parts(task: usize, entries: u64) -> SubtreeParts {
+        let mut blocks = ContributionStore::new();
+        if entries > 0 {
+            blocks.insert(task, DenseMatrix::zeros(entries.isqrt() as usize));
+        }
         SubtreeParts {
-            columns: vec![(0, vec![0], vec![1.0])],
-            blocks: ContributionStore::new(),
-            block_entries: entries,
+            values: vec![1.0],
+            blocks,
         }
     }
 
@@ -562,14 +627,11 @@ mod tests {
     }
 
     fn contribution_from(task: &SubtreeTask, worker: &str, entries: u64) -> (Contribution, u64) {
-        let frame = contribution_frame(
-            task.job,
-            task.task,
-            task.epoch,
-            worker,
-            0.25,
-            &parts(entries),
-        );
+        framed(task, worker, &parts(task.task, entries))
+    }
+
+    fn framed(task: &SubtreeTask, worker: &str, parts: &SubtreeParts) -> (Contribution, u64) {
+        let frame = contribution_frame(task.job, task.task, task.epoch, worker, 0.25, parts);
         let bytes = frame.len() as u64;
         (Contribution::from_frame(&frame).unwrap(), bytes)
     }
@@ -577,15 +639,15 @@ mod tests {
     #[test]
     fn the_full_lease_lifecycle_reconciles() {
         let registry = registry();
-        let job = registry.register(spec(vec![vec![0], vec![1]], vec![5, 5], None));
+        let job = registry.register(spec(vec![5, 5], vec![0, 0], None));
         let first = job.try_claim("w-a").unwrap();
         let second = job.try_claim("w-b").unwrap();
         assert_ne!(first.task, second.task);
         assert!(job.try_claim("w-a").is_none());
 
-        let (contribution, bytes) = contribution_from(&first, "w-a", 3);
+        let (contribution, bytes) = contribution_from(&first, "w-a", 0);
         registry.contribute(contribution, bytes).unwrap();
-        let (contribution, bytes) = contribution_from(&second, "w-b", 2);
+        let (contribution, bytes) = contribution_from(&second, "w-b", 0);
         registry.contribute(contribution, bytes).unwrap();
 
         let (parts, runtime) = job.wait_for_completion(None).unwrap();
@@ -610,7 +672,7 @@ mod tests {
         let registry = registry();
         let job = registry.register(JobSpec {
             lease_ms: 10,
-            ..spec(vec![vec![0]], vec![5], None)
+            ..spec(vec![5], vec![1], None)
         });
         let stale = job.try_claim("w-dead").unwrap();
         std::thread::sleep(std::time::Duration::from_millis(30));
@@ -650,7 +712,7 @@ mod tests {
     #[test]
     fn the_budget_gate_serializes_claims_that_do_not_fit_together() {
         let registry = registry();
-        let job = registry.register(spec(vec![vec![0], vec![1]], vec![8, 6], Some(10)));
+        let job = registry.register(spec(vec![8, 6], vec![4, 0], Some(10)));
         let first = job.try_claim("w-a").unwrap();
         assert_eq!(first.task, 0);
         // 8 reserved + 6 requested > 10 while a lease runs: gate closed.
@@ -677,7 +739,7 @@ mod tests {
         // periods instead of parking the caller forever.
         let job = registry.register(JobSpec {
             lease_ms: 15,
-            ..spec(vec![vec![0]], vec![1], None)
+            ..spec(vec![1], vec![0], None)
         });
         let started = std::time::Instant::now();
         assert!(matches!(
@@ -687,7 +749,7 @@ mod tests {
         assert!(started.elapsed() < std::time::Duration::from_secs(5));
         // A retired job hands out nothing.
         assert!(job.try_claim("w-late").is_none());
-        let job = registry.register(spec(vec![vec![0]], vec![1], None));
+        let job = registry.register(spec(vec![1], vec![0], None));
         let cancel = CancelToken::new();
         cancel.cancel();
         assert!(matches!(
@@ -701,7 +763,7 @@ mod tests {
         let registry = registry();
         let job = registry.register(JobSpec {
             lease_ms: 15,
-            ..spec(vec![vec![0], vec![1]], vec![8, 6], Some(100))
+            ..spec(vec![8, 6], vec![4, 0], Some(100))
         });
         // One task finishes (retaining 4 entries of blocks), the other is
         // claimed by a worker that then vanishes; nobody else ever polls.
@@ -726,7 +788,7 @@ mod tests {
         // 200 ms stall bound of a 100 ms lease — but every step is activity.
         let job = registry.register(JobSpec {
             lease_ms: 100,
-            ..spec((0..5).map(|task| vec![task]).collect(), vec![1; 5], None)
+            ..spec(vec![1; 5], vec![0; 5], None)
         });
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -745,7 +807,7 @@ mod tests {
     #[test]
     fn unknown_jobs_and_tasks_are_typed_errors() {
         let registry = registry();
-        let job = registry.register(spec(vec![vec![0]], vec![1], None));
+        let job = registry.register(spec(vec![1], vec![0], None));
         let task = job.try_claim("w").unwrap();
         let (mut contribution, bytes) = contribution_for(&task, 0);
         contribution.job = 999;
@@ -765,5 +827,57 @@ mod tests {
             ClaimReply::Idle => {}
             other => panic!("expected Idle, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn contributions_of_the_wrong_shape_are_malformed_and_leave_the_lease_live() {
+        let registry = registry();
+        // One task: one value, one 2 × 2 root block of column 0.
+        let job = registry.register(spec(vec![9], vec![4], Some(100)));
+        let task = job.try_claim("w").unwrap();
+        let reserved = job.ledger.reserved();
+        assert_eq!(reserved, 9);
+
+        let honest = parts(0, 4);
+        let short = SubtreeParts {
+            values: Vec::new(),
+            ..parts(0, 4)
+        };
+        let mut extra_block = parts(0, 4);
+        extra_block.blocks.insert(3, DenseMatrix::zeros(1));
+        let wrong_dimension = parts(0, 9);
+        let wrong_column = {
+            let mut blocks = ContributionStore::new();
+            blocks.insert(1, DenseMatrix::zeros(2));
+            SubtreeParts {
+                values: vec![1.0],
+                blocks,
+            }
+        };
+        let no_block = parts(0, 0);
+        for bad in [short, extra_block, wrong_dimension, wrong_column, no_block] {
+            let (contribution, bytes) = framed(&task, "w", &bad);
+            assert_eq!(
+                registry.contribute(contribution, bytes),
+                Err(ContributeError::Malformed)
+            );
+            // Nothing moved: the lease is live under the same epoch and
+            // the task's peak is still what is reserved.
+            let state = job.lock();
+            assert!(matches!(state.tasks[0].phase, Phase::Leased { .. }));
+            assert_eq!(state.tasks[0].epoch, task.epoch);
+            assert_eq!(state.completed, 0);
+            drop(state);
+            assert_eq!(job.ledger.reserved(), reserved);
+        }
+        assert_eq!(registry.stats().snapshot().tasks_completed, 0);
+
+        // The honest copy under the same lease is accepted, and the ledger
+        // retains the cut's four entries.
+        let (contribution, bytes) = framed(&task, "w", &honest);
+        registry.contribute(contribution, bytes).unwrap();
+        assert_eq!(job.ledger.reserved(), 4);
+        job.wait_for_completion(None).unwrap();
+        assert_eq!(job.ledger.reserved(), 0);
     }
 }

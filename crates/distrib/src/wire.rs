@@ -1,11 +1,11 @@
 //! The versioned, length-prefixed wire format of the distributed layer.
 //!
 //! Every internal message is one **frame**: an ASCII header line
-//! `distrib_wire/v1 <body-bytes>\n` followed by exactly that many bytes of
+//! `distrib_wire/v2 <body-bytes>\n` followed by exactly that many bytes of
 //! JSON.  The explicit length makes truncation and trailing garbage typed
 //! decode errors (the coordinator answers 400, never panics), and the
-//! leading schema token lets a v2 reader reject v1 peers with a clear
-//! message instead of a JSON parse error.
+//! leading schema token lets this reader reject peers of any other version
+//! with a clear message instead of a JSON parse error.
 //!
 //! Floating-point payloads — factor column values and contribution blocks —
 //! must survive the trip **bit for bit**: the merged factor is gated on
@@ -13,19 +13,27 @@
 //! would also re-introduce the NaN/Infinity literals `engine::json` rejects.
 //! So every `f64` travels as the 16 lowercase hex digits of its IEEE-754
 //! bit pattern (base-2 exact by construction), concatenated into one string
-//! per vector; row indices travel as concatenated 8-hex-digit `u32`s.  This
-//! also keeps 10⁶-node frames compact: one string allocation per column
-//! instead of one JSON number node per entry.
+//! per vector.
+//!
+//! **No row index crosses the wire.**  Coordinator and worker derive the
+//! same `SymbolicStructure` from the same configuration, so a contribution
+//! is values only: the task's column values concatenated in task order, and
+//! each root block as `[column, dimension, values]`.  The coordinator checks
+//! the counts against its own cut before accepting ([`crate::job`]).  The
+//! only index vector left is the task's column `order` in the claim reply,
+//! as concatenated 8-hex-digit `u32`s.
+
+use std::fmt::Write;
 
 use engine::json::{escape, Json, JsonError};
 use engine::{EngineConfig, SubtreeParts};
-use multifrontal::{ContributionStore, DenseMatrix, FactorColumn};
+use multifrontal::{ContributionStore, DenseMatrix};
 
 /// Schema token every frame leads with.
-pub const WIRE_SCHEMA: &str = "distrib_wire/v1";
+pub const WIRE_SCHEMA: &str = "distrib_wire/v2";
 
 /// Hard cap on one frame's body.  Contribution frames scale with the factor
-/// (~24 wire bytes per stored entry), so the cap is generous — but it must
+/// (16 wire bytes per stored entry), so the cap is generous — but it must
 /// exist: the length prefix arrives from the network, and an unchecked
 /// claim of terabytes would drive allocation before any validation runs.
 pub const MAX_FRAME_BYTES: usize = 256 * 1024 * 1024;
@@ -169,17 +177,18 @@ pub fn decode_frame(bytes: &[u8]) -> Result<&str, WireError> {
     std::str::from_utf8(body).map_err(|_| WireError::Json("body is not UTF-8".to_string()))
 }
 
-/// Pack `f64`s as concatenated 16-hex-digit IEEE-754 bit patterns.
-pub fn hex_f64s(values: &[f64]) -> String {
-    let mut out = String::with_capacity(values.len() * 16);
+/// Append `values` to `out` as concatenated 16-hex-digit IEEE-754 bit
+/// patterns (straight into the frame body: the factor values are the bulk of
+/// a contribution and are not worth a second copy).
+fn push_hex_f64s(out: &mut String, values: &[f64]) {
+    out.reserve(values.len() * 16);
     for value in values {
-        out.push_str(&format!("{:016x}", value.to_bits()));
+        let _ = write!(out, "{:016x}", value.to_bits());
     }
-    out
 }
 
-/// Unpack [`hex_f64s`], rejecting malformed hex and non-finite values.
-pub fn parse_hex_f64s(text: &str, field: &'static str) -> Result<Vec<f64>, WireError> {
+/// Unpack [`push_hex_f64s`], rejecting malformed hex and non-finite values.
+fn parse_hex_f64s(text: &str, field: &'static str) -> Result<Vec<f64>, WireError> {
     if !text.len().is_multiple_of(16) || !text.is_ascii() {
         return Err(WireError::BadHex(field));
     }
@@ -196,9 +205,9 @@ pub fn parse_hex_f64s(text: &str, field: &'static str) -> Result<Vec<f64>, WireE
     Ok(values)
 }
 
-/// Pack row indices as concatenated 8-hex-digit `u32`s.  Panics if an index
-/// exceeds `u32::MAX` — matrix dimensions are capped far below that.
-pub fn hex_u32s(values: &[usize]) -> String {
+/// Pack column indices as concatenated 8-hex-digit `u32`s.  Panics if an
+/// index exceeds `u32::MAX` — matrix dimensions are capped far below that.
+fn hex_u32s(values: &[usize]) -> String {
     let mut out = String::with_capacity(values.len() * 8);
     for &value in values {
         let narrow = u32::try_from(value).expect("row index exceeds the u32 wire range");
@@ -208,7 +217,7 @@ pub fn hex_u32s(values: &[usize]) -> String {
 }
 
 /// Unpack [`hex_u32s`].
-pub fn parse_hex_u32s(text: &str, field: &'static str) -> Result<Vec<usize>, WireError> {
+fn parse_hex_u32s(text: &str, field: &'static str) -> Result<Vec<usize>, WireError> {
     if !text.len().is_multiple_of(8) || !text.is_ascii() {
         return Err(WireError::BadHex(field));
     }
@@ -373,7 +382,7 @@ impl ClaimRequest {
 
 /// Serialize one finished task's [`SubtreeParts`] as a contribution frame,
 /// without materializing an owned copy (contributions are the large
-/// messages — the factor columns dominate).
+/// messages — the factor values dominate).
 pub fn contribution_frame(
     job: u64,
     task: usize,
@@ -382,43 +391,30 @@ pub fn contribution_frame(
     busy_seconds: f64,
     parts: &SubtreeParts,
 ) -> Vec<u8> {
-    let mut body = String::with_capacity(256 + parts.columns.len() * 64);
-    body.push_str(&format!(
+    let mut body = String::with_capacity(256 + parts.values.len() * 16);
+    let _ = write!(
+        body,
         "{{\"schema\": \"{WIRE_SCHEMA}\", \"type\": \"contribution\", \"job\": {job}, \
          \"task\": {task}, \"epoch\": {epoch}, \"worker\": \"{}\", \
-         \"busy_seconds\": {:.6}, \"block_entries\": {}, \"columns\": [",
+         \"busy_seconds\": {busy_seconds:.6}, \"values\": \"",
         escape(worker),
-        busy_seconds,
-        parts.block_entries,
-    ));
-    for (index, (column, rows, values)) in parts.columns.iter().enumerate() {
+    );
+    push_hex_f64s(&mut body, &parts.values);
+    body.push_str("\", \"blocks\": [");
+    // By increasing column: deterministic wire bytes for identical parts.
+    for (index, (column, block)) in parts.blocks.iter().enumerate() {
         if index > 0 {
             body.push(',');
         }
-        body.push_str(&format!(
-            "[{column},\"{}\",\"{}\"]",
-            hex_u32s(rows),
-            hex_f64s(values)
-        ));
-    }
-    body.push_str("], \"blocks\": [");
-    // Sorted by column: deterministic wire bytes for identical parts.
-    for (index, (column, rows, block)) in parts.blocks.sorted_blocks().iter().enumerate() {
-        if index > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "[{column},\"{}\",{},\"{}\"]",
-            hex_u32s(rows),
-            block.n(),
-            hex_f64s(block.column_major())
-        ));
+        let _ = write!(body, "[{column},{},\"", block.n());
+        push_hex_f64s(&mut body, block.column_major());
+        body.push_str("\"]");
     }
     body.push_str("]}");
     encode_frame(&body)
 }
 
-/// A decoded contribution: one task's factor columns and root blocks plus
+/// A decoded contribution: one task's factor values and root blocks plus
 /// the lease bookkeeping needed to accept or reject it.
 #[derive(Debug)]
 pub struct Contribution {
@@ -437,7 +433,10 @@ pub struct Contribution {
 }
 
 impl Contribution {
-    /// Decode a contribution frame produced by [`contribution_frame`].
+    /// Decode a contribution frame produced by [`contribution_frame`].  The
+    /// result is well-formed in itself (every block is square, every float
+    /// finite); whether it has the shape the job's cut expects is for
+    /// [`crate::Job::contribute`] to decide.
     pub fn from_frame(bytes: &[u8]) -> Result<Contribution, WireError> {
         let json = Json::parse(decode_frame(bytes)?)?;
         check_type(&json, "contribution")?;
@@ -447,75 +446,40 @@ impl Contribution {
         if !busy_seconds.is_finite() || busy_seconds < 0.0 {
             return Err(WireError::NonFinite("busy_seconds"));
         }
+        let values = parse_hex_f64s(str_field(&json, "values")?, "values")?;
 
-        let mut columns: Vec<FactorColumn> = Vec::new();
-        for entry in field(&json, "columns")?
+        let entries = field(&json, "blocks")?
             .as_array()
-            .ok_or(WireError::Field("columns"))?
-        {
-            let triple = entry.as_array().ok_or(WireError::Field("columns"))?;
-            let [column, rows, values] = triple else {
-                return Err(WireError::Field("columns"));
-            };
-            let column = column.as_usize().ok_or(WireError::Field("columns"))?;
-            let rows = parse_hex_u32s(
-                rows.as_str().ok_or(WireError::Field("columns"))?,
-                "columns.rows",
-            )?;
-            let values = parse_hex_f64s(
-                values.as_str().ok_or(WireError::Field("columns"))?,
-                "columns.values",
-            )?;
-            if rows.len() != values.len() {
-                return Err(WireError::Field("columns"));
-            }
-            columns.push((column, rows, values));
-        }
-
+            .ok_or(WireError::Field("blocks"))?;
         let mut blocks = ContributionStore::new();
-        let mut seen: Vec<usize> = Vec::new();
-        for entry in field(&json, "blocks")?
-            .as_array()
-            .ok_or(WireError::Field("blocks"))?
-        {
-            let quad = entry.as_array().ok_or(WireError::Field("blocks"))?;
-            let [column, rows, n, values] = quad else {
+        for entry in entries {
+            let triple = entry.as_array().ok_or(WireError::Field("blocks"))?;
+            let [column, n, values] = triple else {
                 return Err(WireError::Field("blocks"));
             };
             let column = column.as_usize().ok_or(WireError::Field("blocks"))?;
-            if seen.contains(&column) {
-                return Err(WireError::Field("blocks"));
-            }
-            seen.push(column);
-            let rows = parse_hex_u32s(
-                rows.as_str().ok_or(WireError::Field("blocks"))?,
-                "blocks.rows",
-            )?;
             let n = n.as_usize().ok_or(WireError::Field("blocks"))?;
             let values = parse_hex_f64s(
                 values.as_str().ok_or(WireError::Field("blocks"))?,
                 "blocks.values",
             )?;
-            if rows.len() != n
-                || values.len() != n.checked_mul(n).ok_or(WireError::Field("blocks"))?
-            {
+            if n.checked_mul(n) != Some(values.len()) {
                 return Err(WireError::Field("blocks"));
             }
-            blocks.insert_block(column, rows, DenseMatrix::from_column_major(n, values));
+            blocks.insert(column, DenseMatrix::from_column_major(n, values));
+        }
+        // A column named twice replaced its own first block.
+        if blocks.len() != entries.len() {
+            return Err(WireError::Field("blocks"));
         }
 
-        let block_entries = u64_field(&json, "block_entries")?;
         Ok(Contribution {
             job: u64_field(&json, "job")?,
             task: usize_field(&json, "task")?,
             epoch: u64_field(&json, "epoch")?,
             worker: str_field(&json, "worker")?.to_string(),
             busy_seconds,
-            parts: SubtreeParts {
-                columns,
-                blocks,
-                block_entries,
-            },
+            parts: SubtreeParts { values, blocks },
         })
     }
 }
@@ -527,11 +491,10 @@ mod tests {
     fn sample_parts() -> SubtreeParts {
         let mut blocks = ContributionStore::new();
         let block = DenseMatrix::from_column_major(2, vec![4.0, -1.5, -1.5, 3.25]);
-        blocks.insert_block(7, vec![7, 9], block);
+        blocks.insert(7, block);
         SubtreeParts {
-            columns: vec![(0, vec![0, 2], vec![2.0, -0.5]), (1, vec![1], vec![1.25])],
+            values: vec![2.0, -0.5, 1.25],
             blocks,
-            block_entries: 4,
         }
     }
 
@@ -571,13 +534,14 @@ mod tests {
     #[test]
     fn hex_vectors_are_bit_exact() {
         let values = [0.1, -0.0, f64::MIN_POSITIVE, 1e300, -3.5];
-        let packed = hex_f64s(&values);
+        let mut packed = String::new();
+        push_hex_f64s(&mut packed, &values);
         let unpacked = parse_hex_f64s(&packed, "test").unwrap();
         for (a, b) in values.iter().zip(&unpacked) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(matches!(
-            parse_hex_f64s(&hex_f64s(&[f64::NAN]), "test"),
+            parse_hex_f64s(&format!("{:016x}", f64::NAN.to_bits()), "test"),
             Err(WireError::NonFinite("test"))
         ));
         assert!(matches!(
@@ -641,18 +605,19 @@ mod tests {
         assert_eq!(decoded.task, 2);
         assert_eq!(decoded.epoch, 4);
         assert_eq!(decoded.worker, "w-0");
-        assert_eq!(decoded.parts.columns, parts.columns);
-        assert_eq!(decoded.parts.block_entries, parts.block_entries);
-        let decoded_blocks = decoded.parts.blocks.sorted_blocks();
-        let original_blocks = parts.blocks.sorted_blocks();
+        assert_eq!(decoded.parts.values, parts.values);
+        let decoded_blocks: Vec<_> = decoded.parts.blocks.iter().collect();
+        let original_blocks: Vec<_> = parts.blocks.iter().collect();
         assert_eq!(decoded_blocks.len(), original_blocks.len());
-        for ((ca, ra, ba), (cb, rb, bb)) in decoded_blocks.iter().zip(&original_blocks) {
+        for ((ca, ba), (cb, bb)) in decoded_blocks.iter().zip(&original_blocks) {
             assert_eq!(ca, cb);
-            assert_eq!(ra, rb);
             assert_eq!(ba.n(), bb.n());
             let (va, vb) = (ba.column_major(), bb.column_major());
             assert!(va.iter().zip(vb).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
+        // Values only: 16 hex digits per float plus constant framing.
+        let floats = parts.values.len() + 4;
+        assert!(frame.len() < 16 * floats + 256, "{} bytes", frame.len());
     }
 
     #[test]
@@ -660,12 +625,22 @@ mod tests {
         let parts = sample_parts();
         let frame = contribution_frame(1, 0, 1, "w", 0.0, &parts);
         let body = decode_frame(&frame).unwrap().to_string();
-        // Mismatched rows/values lengths.
-        let bad = body.replace("\"columns\": [[0,\"", "\"columns\": [[0,\"00000000");
-        assert!(Contribution::from_frame(&encode_frame(&bad)).is_err());
+        // A value payload that is not whole 16-digit floats.
+        let bad = body.replace("\"values\": \"", "\"values\": \"0");
+        assert!(matches!(
+            Contribution::from_frame(&encode_frame(&bad)),
+            Err(WireError::BadHex("values"))
+        ));
         // A block whose value payload is not n².
-        let bad = body.replace(",2,\"", ",3,\"");
+        let bad = body.replace("[7,2,\"", "[7,3,\"");
         assert!(Contribution::from_frame(&encode_frame(&bad)).is_err());
+        // The same column twice.
+        let block = &body[body.find("[7,2,").unwrap()..body.len() - 2];
+        let bad = body.replace(block, &format!("{block},{block}"));
+        assert!(matches!(
+            Contribution::from_frame(&encode_frame(&bad)),
+            Err(WireError::Field("blocks"))
+        ));
         // Garbage body.
         assert!(matches!(
             Contribution::from_frame(&encode_frame("[1,2,3]")),

@@ -1,6 +1,6 @@
 //! Seeded property battery for the distributed wire format.
 //!
-//! Three properties, each over many seeded random instances:
+//! Four properties, the first three over many seeded random instances:
 //!
 //! 1. **Round-trip exactness** — tasks and contribution frames decode back
 //!    to bit-identical payloads (floats compared by `to_bits`, not `==`).
@@ -10,10 +10,12 @@
 //! 3. **Hostility tolerance** — truncating, padding, or corrupting a valid
 //!    frame at any byte yields a typed [`WireError`] (the serving layer's
 //!    clean 400), never a panic.
+//! 4. **One version** — a frame of the retired `v1` schema (which shipped
+//!    row indices) is a typed schema error, not a best-effort decode.
 
 use distrib::{
     contribution_frame, decode_frame, encode_frame, ClaimReply, Contribution, SubtreeTask,
-    WireError,
+    WireError, WIRE_SCHEMA,
 };
 use engine::{EngineConfig, SubtreeParts};
 use multifrontal::{ContributionStore, DenseMatrix};
@@ -41,61 +43,30 @@ fn random_finite(rng: &mut StdRng) -> f64 {
 }
 
 fn random_parts(rng: &mut StdRng) -> SubtreeParts {
-    let column_count = rng.gen_range(0usize..=12);
-    let mut columns = Vec::with_capacity(column_count);
-    for _ in 0..column_count {
-        let column = rng.gen_range(0usize..100_000);
-        let height = rng.gen_range(1usize..=8);
-        let rows: Vec<usize> = (0..height)
-            .map(|_| rng.gen_range(0usize..1 << 20))
-            .collect();
-        let values: Vec<f64> = (0..height).map(|_| random_finite(rng)).collect();
-        columns.push((column, rows, values));
-    }
+    let value_count = rng.gen_range(0usize..=96);
+    let values: Vec<f64> = (0..value_count).map(|_| random_finite(rng)).collect();
     let mut blocks = ContributionStore::new();
-    let mut block_entries = 0u64;
-    let block_count = rng.gen_range(0usize..=4);
-    let mut used: Vec<usize> = Vec::new();
-    for _ in 0..block_count {
+    for _ in 0..rng.gen_range(0usize..=4) {
+        // A repeated column replaces the earlier block, as in the kernel.
         let column = rng.gen_range(0usize..10_000);
-        if used.contains(&column) {
-            continue;
-        }
-        used.push(column);
-        let n = rng.gen_range(1usize..=5);
-        let rows: Vec<usize> = (0..n).map(|i| column + i).collect();
+        let n = rng.gen_range(0usize..=5);
         let values: Vec<f64> = (0..n * n).map(|_| random_finite(rng)).collect();
-        block_entries += (n * n) as u64;
-        blocks.insert_block(column, rows, DenseMatrix::from_column_major(n, values));
+        blocks.insert(column, DenseMatrix::from_column_major(n, values));
     }
-    SubtreeParts {
-        columns,
-        blocks,
-        block_entries,
-    }
+    SubtreeParts { values, blocks }
+}
+
+fn bit_identical(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 fn assert_parts_bit_identical(decoded: &SubtreeParts, original: &SubtreeParts) {
-    assert_eq!(decoded.columns.len(), original.columns.len());
-    for ((ca, ra, va), (cb, rb, vb)) in decoded.columns.iter().zip(&original.columns) {
+    assert!(bit_identical(&decoded.values, &original.values));
+    assert_eq!(decoded.blocks.len(), original.blocks.len());
+    for ((ca, ba), (cb, bb)) in decoded.blocks.iter().zip(original.blocks.iter()) {
         assert_eq!(ca, cb);
-        assert_eq!(ra, rb);
-        assert_eq!(va.len(), vb.len());
-        assert!(va.iter().zip(vb).all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-    assert_eq!(decoded.block_entries, original.block_entries);
-    let decoded_blocks = decoded.blocks.sorted_blocks();
-    let original_blocks = original.blocks.sorted_blocks();
-    assert_eq!(decoded_blocks.len(), original_blocks.len());
-    for ((ca, ra, ba), (cb, rb, bb)) in decoded_blocks.iter().zip(&original_blocks) {
-        assert_eq!(ca, cb);
-        assert_eq!(ra, rb);
         assert_eq!(ba.n(), bb.n());
-        assert!(ba
-            .column_major()
-            .iter()
-            .zip(bb.column_major())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(bit_identical(ba.column_major(), bb.column_major()));
     }
 }
 
@@ -141,31 +112,49 @@ fn random_contributions_round_trip_bit_for_bit() {
         assert_eq!(decoded.job, round);
         assert_eq!(decoded.worker, format!("worker-{round}"));
         assert_parts_bit_identical(&decoded.parts, &parts);
+        // Identical parts give identical bytes (blocks go out by column).
+        let again = contribution_frame(
+            decoded.job,
+            decoded.task,
+            decoded.epoch,
+            &decoded.worker,
+            decoded.busy_seconds,
+            &decoded.parts,
+        );
+        assert_eq!(again, frame);
     }
 }
 
 #[test]
 fn non_finite_floats_cannot_cross_the_wire() {
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let parts = SubtreeParts {
-            columns: vec![(0, vec![0], vec![bad])],
+        let in_values = SubtreeParts {
+            values: vec![1.0, bad],
             blocks: ContributionStore::new(),
-            block_entries: 0,
         };
-        let frame = contribution_frame(1, 0, 1, "w", 0.0, &parts);
-        assert!(matches!(
-            Contribution::from_frame(&frame),
-            Err(WireError::NonFinite(_))
-        ));
+        let mut blocks = ContributionStore::new();
+        blocks.insert(4, DenseMatrix::from_column_major(1, vec![bad]));
+        let in_a_block = SubtreeParts {
+            values: vec![1.0],
+            blocks,
+        };
+        for parts in [in_values, in_a_block] {
+            let frame = contribution_frame(1, 0, 1, "w", 0.0, &parts);
+            assert!(matches!(
+                Contribution::from_frame(&frame),
+                Err(WireError::NonFinite(_))
+            ));
+        }
     }
 }
 
 #[test]
 fn mangled_frames_never_panic() {
+    let mut blocks = ContributionStore::new();
+    blocks.insert(5, DenseMatrix::from_column_major(1, vec![0.75]));
     let parts = SubtreeParts {
-        columns: vec![(3, vec![3, 5], vec![2.0, -0.25])],
-        blocks: ContributionStore::new(),
-        block_entries: 0,
+        values: vec![2.0, -0.25],
+        blocks,
     };
     let frame = contribution_frame(2, 1, 3, "w-0", 1.5, &parts);
 
@@ -190,8 +179,11 @@ fn mangled_frames_never_panic() {
         let at = rng.gen_range(0usize..mangled.len());
         mangled[at] = rng.gen_range(0u64..=255) as u8;
         if let Ok(contribution) = Contribution::from_frame(&mangled) {
-            for (_, _, values) in &contribution.parts.columns {
-                assert!(values.iter().all(|value| value.is_finite()));
+            let parts = &contribution.parts;
+            assert!(parts.values.iter().all(|value| value.is_finite()));
+            for (_, block) in parts.blocks.iter() {
+                assert_eq!(block.column_major().len(), block.n() * block.n());
+                assert!(block.column_major().iter().all(|value| value.is_finite()));
             }
         }
     }
@@ -199,7 +191,7 @@ fn mangled_frames_never_panic() {
 
 #[test]
 fn oversized_declared_lengths_are_rejected_before_allocation() {
-    let huge = format!("distrib_wire/v1 {}\n", usize::MAX);
+    let huge = format!("{WIRE_SCHEMA} {}\n", usize::MAX);
     assert!(matches!(
         decode_frame(huge.as_bytes()),
         Err(WireError::Oversized { .. })
@@ -207,4 +199,48 @@ fn oversized_declared_lengths_are_rejected_before_allocation() {
     // A frame at exactly the declared size of its body still decodes.
     let ok = encode_frame("{}");
     assert_eq!(decode_frame(&ok).unwrap(), "{}");
+    // A block that declares a dimension its payload does not back — up to
+    // one whose square overflows — is a field error; nothing is sized from
+    // the declared number.
+    let frame = contribution_frame(
+        1,
+        0,
+        1,
+        "w",
+        0.0,
+        &SubtreeParts {
+            values: vec![1.0],
+            blocks: ContributionStore::new(),
+        },
+    );
+    let body = decode_frame(&frame).unwrap();
+    for dimension in ["1", "4294967296", "18446744073709551615"] {
+        let bomb = body.replace(
+            "\"blocks\": []",
+            &format!("\"blocks\": [[0,{dimension},\"\"]]"),
+        );
+        assert_ne!(bomb, body);
+        assert!(matches!(
+            Contribution::from_frame(&encode_frame(&bomb)),
+            Err(WireError::Field("blocks"))
+        ));
+    }
+}
+
+#[test]
+fn v1_frames_are_a_typed_schema_error() {
+    let body = decode_frame(&ClaimReply::Idle.to_frame())
+        .unwrap()
+        .to_string();
+    let v1 = format!("distrib_wire/v1 {}\n{body}", body.len());
+    match ClaimReply::from_frame(v1.as_bytes()) {
+        Err(WireError::BadHeader(detail)) => {
+            assert!(detail.contains("distrib_wire/v1") && detail.contains(WIRE_SCHEMA));
+        }
+        other => panic!("expected a schema error, got {other:?}"),
+    }
+    assert!(matches!(
+        Contribution::from_frame(v1.as_bytes()),
+        Err(WireError::BadHeader(_))
+    ));
 }

@@ -43,12 +43,8 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use multifrontal::parallel::{
-    assemble_factor, factor_columns_with, modeled_peak_entries, BudgetLedger, ReserveSelection,
-};
-use multifrontal::{
-    CholeskyFactor, ContributionStore, FactorizationError, FrontArena, FrontKernel,
-};
+use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger, ReserveSelection};
+use multifrontal::{CholeskyFactor, ContributionStore, FactorizationError, FrontArena};
 use treemem::faultinject::FaultSignal;
 use treemem::partition::{default_node_work, proportional_cut};
 use treemem::variants::bottom_up_peak;
@@ -97,11 +93,7 @@ impl CutPlan {
         max_tasks: usize,
         budget: &BudgetShare,
     ) -> Result<CutPlan, EngineError> {
-        let n = numeric.matrix.n();
         let structure = &numeric.structure;
-        let counts = structure.column_counts();
-        let parents: Vec<Option<usize>> = (0..n).map(|j| structure.etree.parent(j)).collect();
-        let children = structure.etree.children();
 
         // The cut, on the per-column model tree whose `f + n = µ²` is
         // exactly the flop-proportional work estimate.
@@ -113,13 +105,11 @@ impl CutPlan {
         let mut task_peaks = Vec::with_capacity(task_orders.len());
         let mut merge_initial = 0u64;
         for task_order in &task_orders {
-            let (peak, retained) =
-                modeled_peak_entries(&counts, &parents, &children, task_order, 0);
+            let (peak, retained) = structure.modeled_peak_entries(task_order, 0);
             task_peaks.push(peak);
             merge_initial += retained;
         }
-        let (merge_peak, _) =
-            modeled_peak_entries(&counts, &parents, &children, &merge_order, merge_initial);
+        let (merge_peak, _) = structure.modeled_peak_entries(&merge_order, merge_initial);
 
         let sequential_peak = bottom_up_peak(&numeric.model, &Traversal::new(order.to_vec()))
             .map_err(|_| EngineError::Factorization(FactorizationError::InvalidTraversal))?;
@@ -189,8 +179,6 @@ pub(crate) struct Executed {
 /// ledger and the caller's cancellation token.
 pub(crate) struct TaskContext<'a> {
     pub numeric: &'a NumericModel,
-    /// `numeric.structure.etree.children()`, computed once per run.
-    pub children: &'a [Vec<usize>],
     pub ledger: &'a BudgetLedger,
     pub cancel: Option<&'a CancelToken>,
 }
@@ -207,15 +195,13 @@ impl TaskContext<'_> {
         arena: &mut FrontArena,
     ) -> Result<SubtreeParts, EngineError> {
         CancelToken::with_stop(self.cancel, |stop| {
-            factor_columns_with(
+            factor_columns(
                 &self.numeric.matrix,
                 &self.numeric.structure,
-                self.children,
                 order,
                 blocks_in,
                 self.ledger,
                 arena,
-                FrontKernel::default(),
                 stop,
             )
         })
@@ -235,11 +221,9 @@ pub(crate) fn execute_cut(
     runner: TaskRunner,
     cancel: Option<&CancelToken>,
 ) -> Result<Executed, EngineError> {
-    let children = numeric.structure.etree.children();
     let ledger = BudgetLedger::new(cut.budget_entries);
     let ctx = TaskContext {
         numeric,
-        children: &children,
         ledger: &ledger,
         cancel,
     };
@@ -403,7 +387,7 @@ fn worker_loop(ctx: &TaskContext<'_>, cut: &CutPlan, state: &PoolState) -> f64 {
             Ok(None) => (0, None),
             Ok(Some((Ok(done), seconds))) => {
                 busy += seconds;
-                (done.block_entries, Some(Ok((done, seconds))))
+                (done.blocks.total_entries(), Some(Ok((done, seconds))))
             }
             Ok(Some((Err(error), _))) => (0, Some(Err(error))),
             // Caught per task, so the other workers keep draining; the
@@ -434,18 +418,23 @@ fn merge_and_assemble(
     parts: Vec<SubtreeParts>,
 ) -> Result<(CholeskyFactor, f64), EngineError> {
     let mut merge_blocks = ContributionStore::new();
-    let mut columns = Vec::with_capacity(ctx.numeric.matrix.n());
+    let mut task_values = Vec::with_capacity(parts.len());
     for task in parts {
         merge_blocks.absorb(task.blocks);
-        columns.extend(task.columns);
+        task_values.push(task.values);
     }
     let merge_started = Instant::now();
     let merged = ctx.factor(&cut.merge_order, merge_blocks, &mut FrontArena::new())?;
     let merge_seconds = merge_started.elapsed().as_secs_f64();
     ctx.ledger.release_retained(cut.merge_initial);
     debug_assert!(merged.blocks.is_empty());
-    columns.extend(merged.columns);
-    let factor = assemble_factor(ctx.numeric.matrix.n(), columns)?;
+    let pieces = cut
+        .task_orders
+        .iter()
+        .zip(&task_values)
+        .chain([(&cut.merge_order, &merged.values)])
+        .map(|(order, values)| (order.as_slice(), values.as_slice()));
+    let factor = assemble_factor(&ctx.numeric.structure, pieces)?;
     Ok((factor, merge_seconds))
 }
 
@@ -470,11 +459,9 @@ mod tests {
 
         let token = CancelToken::new();
         token.cancel();
-        let children = numeric.structure.etree.children();
         let ledger = BudgetLedger::new(cut.budget_entries);
         let ctx = TaskContext {
             numeric: &numeric,
-            children: &children,
             ledger: &ledger,
             cancel: Some(&token),
         };

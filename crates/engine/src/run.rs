@@ -506,7 +506,8 @@ enum PlanTree {
 /// ([`crate::parexec`]) can borrow it for its runners.
 pub(crate) struct NumericModel {
     pub(crate) matrix: sparsemat::SymmetricCsr,
-    pub(crate) structure: SymbolicStructure,
+    /// Shared with every factor computed on this plan.
+    pub(crate) structure: std::sync::Arc<SymbolicStructure>,
     pub(crate) model: Tree,
     /// Bottom-up factorization orders cached by solver name.
     orders: Mutex<Vec<(String, Vec<NodeId>)>>,
@@ -818,7 +819,10 @@ impl Plan {
             _ => 1,
         };
         let matrix = spd_matrix_from_pattern(&symbolic.permuted, seed);
-        let structure = SymbolicStructure::from_pattern(&matrix.pattern());
+        let structure = std::sync::Arc::new(SymbolicStructure::from_etree(
+            &symbolic.permuted,
+            symbolic.etree.clone(),
+        ));
         let model = per_column_model(&structure);
         let built = std::sync::Arc::new(NumericModel {
             matrix,
@@ -860,13 +864,11 @@ impl Plan {
                 )));
             }
         }
-        let children = numeric.structure.etree.children();
         // Unbounded ledger: the *cluster* budget was enforced when the
         // coordinator admitted this task's claim; locally it only measures.
         let ledger = BudgetLedger::new(None);
         let ctx = TaskContext {
             numeric: &numeric,
-            children: &children,
             ledger: &ledger,
             cancel,
         };
@@ -1331,6 +1333,7 @@ impl Schedule<'_> {
         Ok(DistributedCut {
             cut,
             lease_ms: distributed.lease_ms,
+            structure: numeric.structure.clone(),
         })
     }
 
@@ -1386,6 +1389,7 @@ struct NumericStage<'c> {
 pub struct DistributedCut {
     cut: CutPlan,
     lease_ms: u64,
+    structure: std::sync::Arc<SymbolicStructure>,
 }
 
 impl DistributedCut {
@@ -1405,6 +1409,38 @@ impl DistributedCut {
         self.cut.task_peaks[task]
     }
 
+    /// Number of factor values task `task` must hand back: `Σ µ(j)` over
+    /// its column order.  Contributions carry values only, so this and
+    /// [`task_root_blocks`](Self::task_root_blocks) are the whole shape a
+    /// coordinator checks an incoming contribution against.
+    pub fn task_value_count(&self, task: usize) -> usize {
+        self.cut.task_orders[task]
+            .iter()
+            .map(|&j| self.structure.rows(j).len())
+            .sum()
+    }
+
+    /// `(column, dimension)` of every contribution block task `task` leaves
+    /// for the merge phase — the columns whose parent lies outside the
+    /// task — by increasing column.
+    pub fn task_root_blocks(&self, task: usize) -> Vec<(usize, usize)> {
+        let order = &self.cut.task_orders[task];
+        let mut inside = vec![false; self.structure.n()];
+        for &j in order {
+            inside[j] = true;
+        }
+        let mut blocks: Vec<(usize, usize)> = order
+            .iter()
+            .filter_map(|&j| {
+                let dimension = self.structure.rows(j).len() - 1;
+                let parent = self.structure.etree.parent(j)?;
+                (dimension > 0 && !inside[parent]).then_some((j, dimension))
+            })
+            .collect();
+        blocks.sort_unstable();
+        blocks
+    }
+
     /// The resolved cluster budget in matrix entries (`None` = unbounded).
     pub fn budget_entries(&self) -> Option<u64> {
         self.cut.budget_entries
@@ -1416,9 +1452,10 @@ impl DistributedCut {
     }
 }
 
-/// What one worker hands back for one subtree task: the task's finished
-/// factor columns, the contribution blocks its roots leave for the merge
-/// phase, and the entry count of those blocks (the budget the task retains).
+/// What one worker hands back for one subtree task: the values of the
+/// task's factor columns (in task order) and the contribution blocks its
+/// roots leave for the merge phase.  Row indices are not part of it — both
+/// sides derive the same [`SymbolicStructure`] from the configuration.
 /// Produced by [`Plan::factor_subtree`]; consumed in task order by
 /// [`Schedule::execute_distributed`].  The same type every in-process
 /// subtree task produces.
@@ -1470,8 +1507,9 @@ impl FactorHandle {
         &self.factor
     }
 
-    /// Approximate heap footprint in bytes: the factor's arrays plus the
-    /// shared numeric substrate.  The factor cache charges deposits by this
+    /// Approximate heap footprint in bytes: the factor's values plus the
+    /// shared numeric substrate, which owns the one copy of the row
+    /// structure.  The factor cache charges deposits by this
     /// value, so one 10⁶-node factor weighs as much as it actually is
     /// instead of counting like one small entry.
     pub fn approx_heap_bytes(&self) -> u64 {
@@ -1889,13 +1927,30 @@ mod tests {
             let contributions: Vec<SubtreeParts> = (0..cut.task_count())
                 .map(|task| plan.factor_subtree(cut.task_order(task), None).unwrap())
                 .collect();
+            // The shape a coordinator checks contributions against is the
+            // shape honest workers produce.
+            for (task, parts) in contributions.iter().enumerate() {
+                assert_eq!(parts.values.len(), cut.task_value_count(task));
+                let blocks: Vec<(usize, usize)> = parts
+                    .blocks
+                    .iter()
+                    .map(|(column, block)| (column, block.n()))
+                    .collect();
+                assert_eq!(blocks, cut.task_root_blocks(task));
+            }
             let (report, handle) = schedule
                 .execute_distributed(cut, contributions, DistributedRuntime::default(), None)
                 .unwrap();
             let handle = handle.unwrap();
+            // The merged factor shares the plan's one structure...
+            assert!(std::sync::Arc::ptr_eq(
+                &handle.factor().structure,
+                &plan.numeric_model().unwrap().structure
+            ));
+            // ...which is the reference plan's, rebuilt.
             assert_eq!(
-                handle.factor().columns,
-                reference_handle.factor().columns,
+                handle.factor().structure.column_counts(),
+                reference_handle.factor().structure.column_counts(),
                 "structure must match at {tasks} tasks"
             );
             assert_eq!(
@@ -1917,6 +1972,32 @@ mod tests {
                 "seeded solve through a bit-identical factor is bit-identical"
             );
         }
+    }
+
+    #[test]
+    fn factor_handles_of_one_plan_share_one_structure() {
+        let engine = Engine::new();
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 5).with_numeric(true);
+        let plan = engine.plan(&config).unwrap();
+        let schedule = plan.schedule(&engine).unwrap();
+        let (_, first) = schedule.execute_with_factor(&engine).unwrap();
+        let (_, second) = schedule.execute_with_factor(&engine).unwrap();
+        let (first, second) = (first.unwrap(), second.unwrap());
+        let structure = &plan.numeric_model().unwrap().structure;
+        assert!(std::sync::Arc::ptr_eq(&first.factor().structure, structure));
+        assert!(std::sync::Arc::ptr_eq(
+            &second.factor().structure,
+            structure
+        ));
+        assert_eq!(first.factor().values, second.factor().values);
+        // A handle weighs its own values plus the substrate, whose row
+        // structure is counted once however many factors point at it.
+        let substrate = plan.numeric_model().unwrap().heap_bytes();
+        assert!(substrate >= structure.heap_bytes());
+        assert_eq!(
+            first.approx_heap_bytes(),
+            8 * first.factor_nnz() as u64 + substrate
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! must degrade to sequential execution, not deadlock.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use engine::prelude::*;
 use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger};
@@ -61,16 +62,16 @@ fn distributed_in_process(
     engine: &Engine,
     config: &EngineConfig,
     cancel: Option<&CancelToken>,
-) -> Result<Report, EngineError> {
+) -> Result<(Report, FactorHandle), EngineError> {
     let plan = engine.plan(config)?;
     let schedule = plan.schedule(engine)?;
     let cut = schedule.distributed_cut(engine)?;
     let contributions: Vec<SubtreeParts> = (0..cut.task_count())
         .map(|task| plan.factor_subtree(cut.task_order(task), None))
         .collect::<Result<_, _>>()?;
-    let (report, _) =
+    let (report, handle) =
         schedule.execute_distributed(cut, contributions, DistributedRuntime::default(), cancel)?;
-    Ok(report)
+    Ok((report, handle.expect("a numeric run returns its factor")))
 }
 
 fn assert_numeric_cancellation<T>(result: Result<T, EngineError>, mode: &str) {
@@ -83,9 +84,10 @@ fn assert_numeric_cancellation<T>(result: Result<T, EngineError>, mode: &str) {
 
 /// The differential matrix: every problem kind × ordering × amalgamation
 /// through every execution mode — sequential, pool at 1/2/4/8 workers,
-/// distributed in-process — yields exactly one outcome, reports are
-/// bit-identical across worker counts, the sequential measured peak equals
-/// the model's and every other mode stays within its shared budget.
+/// distributed in-process — yields exactly one outcome and one flat value
+/// array (over one shared structure where the runs share a plan), reports
+/// are bit-identical across worker counts, the sequential measured peak
+/// equals the model's and every other mode stays within its shared budget.
 #[test]
 fn reports_are_bit_identical_for_every_worker_count_and_kind() {
     let engine = Engine::new();
@@ -98,13 +100,21 @@ fn reports_are_bit_identical_for_every_worker_count_and_kind() {
                     .with_amalgamation(amalgamation);
                 let plan = engine.plan(&config).unwrap();
                 let run_pool = |parallel: ParallelConfig| {
-                    plan.schedule_with(&engine, ScheduleSpec::default().parallel(parallel))
+                    let (report, handle) = plan
+                        .schedule_with(&engine, ScheduleSpec::default().parallel(parallel))
                         .unwrap()
-                        .execute(&engine)
-                        .unwrap()
+                        .execute_with_factor(&engine)
+                        .unwrap();
+                    (report, handle.unwrap())
                 };
 
-                let sequential = plan.schedule(&engine).unwrap().execute(&engine).unwrap();
+                let (sequential, sequential_handle) = plan
+                    .schedule(&engine)
+                    .unwrap()
+                    .execute_with_factor(&engine)
+                    .unwrap();
+                let sequential_handle = sequential_handle.unwrap();
+                let reference = sequential_handle.factor();
                 assert!(sequential.parallel.is_none() && sequential.distributed.is_none());
                 let sequential_numeric = sequential.numeric.as_ref().unwrap();
                 assert!(
@@ -122,17 +132,27 @@ fn reports_are_bit_identical_for_every_worker_count_and_kind() {
                 // A budget of (merge peak + largest task peak) always
                 // suffices (see `tight_budgets_run_without_forced_admissions`),
                 // so under it `measured <= budget` must hold on every run.
-                let probe = run_pool(ParallelConfig::with_workers(1).with_max_tasks(MAX_TASKS));
+                let (probe, _) =
+                    run_pool(ParallelConfig::with_workers(1).with_max_tasks(MAX_TASKS));
                 let probe_cut = &probe.parallel.as_ref().unwrap().cut;
                 let budget = probe_cut.merge_peak_entries + probe_cut.max_task_peak_entries;
                 let share = BudgetShare::Entries(budget);
 
                 let mut fingerprints = BTreeSet::new();
                 for workers in WORKER_COUNTS {
-                    let report = run_pool(
+                    let (report, handle) = run_pool(
                         ParallelConfig::with_workers(workers)
                             .with_max_tasks(MAX_TASKS)
                             .with_budget(share),
+                    );
+                    assert!(
+                        Arc::ptr_eq(&handle.factor().structure, &reference.structure),
+                        "{cell} at {workers} workers: one plan, one structure"
+                    );
+                    assert_eq!(
+                        handle.factor().values,
+                        reference.values,
+                        "{cell} at {workers} workers"
                     );
                     let parallel_report = report.parallel.as_ref().unwrap();
                     assert_eq!(parallel_report.workers, workers, "{cell}");
@@ -161,7 +181,12 @@ fn reports_are_bit_identical_for_every_worker_count_and_kind() {
                 let sharded = config
                     .clone()
                     .with_distributed(DistributedConfig::with_tasks(MAX_TASKS).with_budget(share));
-                let report = distributed_in_process(&engine, &sharded, None).unwrap();
+                let (report, handle) = distributed_in_process(&engine, &sharded, None).unwrap();
+                assert_eq!(
+                    handle.factor().values,
+                    reference.values,
+                    "{cell}: distributed"
+                );
                 let section = report.distributed.as_ref().unwrap();
                 // The pool and the coordinator derive the same cut.
                 let expected_cut = CutReport {
@@ -309,9 +334,7 @@ fn tight_budgets_run_without_forced_admissions() {
 fn threaded_subtree_factorization_is_bitwise_equal_to_sequential() {
     let pattern = sparsemat::gen::random_spd_pattern(220, 3.5, 21);
     let matrix = spd_matrix_from_pattern(&pattern, 21);
-    let n = matrix.n();
-    let structure = SymbolicStructure::from_pattern(&matrix.pattern());
-    let children = structure.etree.children();
+    let structure = Arc::new(SymbolicStructure::from_pattern(&matrix.pattern()));
     let order = symbolic::etree::etree_postorder(&structure.etree);
     let reference = multifrontal_cholesky(&matrix, Some(&order)).unwrap();
 
@@ -345,11 +368,11 @@ fn threaded_subtree_factorization_is_bitwise_equal_to_sequential() {
                         let outcome = factor_columns(
                             &matrix,
                             &structure,
-                            &children,
                             &task_orders[task],
                             ContributionStore::new(),
                             &ledger,
                             &mut arena,
+                            None,
                         )
                         .unwrap();
                         *results[task].lock().unwrap() = Some(outcome);
@@ -359,31 +382,29 @@ fn threaded_subtree_factorization_is_bitwise_equal_to_sequential() {
         });
 
         let mut merge_blocks = ContributionStore::new();
-        let mut parts = Vec::new();
+        let mut task_values = Vec::new();
         for slot in results {
             let outcome = slot.into_inner().unwrap().unwrap();
             merge_blocks.absorb(outcome.blocks);
-            parts.extend(outcome.columns);
+            task_values.push(outcome.values);
         }
         let merge = factor_columns(
             &matrix,
             &structure,
-            &children,
             &merge_order,
             merge_blocks,
             &ledger,
             &mut FrontArena::new(),
+            None,
         )
         .unwrap();
-        parts.extend(merge.columns);
-        let factor = assemble_factor(n, parts).unwrap();
-        for j in 0..n {
-            assert_eq!(factor.columns[j], reference.columns[j]);
-            assert_eq!(
-                factor.values[j], reference.values[j],
-                "column {j} with {threads} threads"
-            );
-        }
+        let pieces = task_orders
+            .iter()
+            .zip(&task_values)
+            .chain([(&merge_order, &merge.values)])
+            .map(|(order, values)| (order.as_slice(), values.as_slice()));
+        let factor = assemble_factor(&structure, pieces).unwrap();
+        assert_eq!(factor.values, reference.values, "{threads} threads");
     }
 }
 

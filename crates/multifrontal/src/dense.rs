@@ -586,6 +586,9 @@ pub struct FrontArena {
     /// each worker quietly pin `count × largest-front` bytes outside the
     /// budget ledger's accounting.
     pooled_entries: usize,
+    /// The elimination loop's global-row → front-position map, kept here so
+    /// a worker allocates it once.  All `usize::MAX` between fronts.
+    pub(crate) scatter: Vec<usize>,
 }
 
 /// Per-arena retention cap: 2²⁰ f64 entries = 8 MiB of spare buffers per
@@ -823,6 +826,35 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The multifrontal path eliminates one pivot per front, where the
+    /// blocked kernel collapses to the reference operation order: on every
+    /// front dimension of a sparse test matrix the two kernels must agree
+    /// bit for bit, which is why the factorization takes no kernel argument.
+    #[test]
+    fn reference_and_blocked_kernels_agree_bitwise_on_single_pivot_fronts() {
+        use sparsemat::gen::random_spd_pattern;
+        let structure =
+            crate::numeric::SymbolicStructure::from_pattern(&random_spd_pattern(100, 3.5, 21));
+        let mut dims = structure.column_counts();
+        dims.sort_unstable();
+        dims.dedup();
+        assert!(dims.len() > 3, "the matrix has fronts of several sizes");
+        for dim in dims {
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            let mut front = DenseMatrix::zeros(dim);
+            for j in 0..dim {
+                front.set(j, j, dim as f64 + rng.gen::<f64>());
+                for i in j + 1..dim {
+                    front.set(i, j, rng.gen::<f64>() - 0.5);
+                }
+            }
+            let mut reference = front.clone();
+            FrontKernel::Reference.apply(&mut reference, 1).unwrap();
+            FrontKernel::default().apply(&mut front, 1).unwrap();
+            assert_eq!(front, reference, "front dimension {dim}");
         }
     }
 

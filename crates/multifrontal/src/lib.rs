@@ -32,7 +32,7 @@ pub mod parallel;
 pub use dense::{DenseMatrix, FrontArena, FrontKernel, DEFAULT_BLOCK};
 pub use memory::{instrumented_factorization, FactorizationStats};
 pub use numeric::{
-    multifrontal_cholesky, multifrontal_cholesky_with, solve, solve_into, CholeskyFactor,
-    ContributionStore, FactorColumn, FactorizationError, SymbolicStructure,
+    multifrontal_cholesky, solve, solve_into, CholeskyFactor, ContributionStore,
+    FactorizationError, SymbolicStructure,
 };
 pub use parallel::{BudgetLedger, ReserveSelection, SubtreeOutcome};

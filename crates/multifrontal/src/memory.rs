@@ -17,14 +17,15 @@
 //! executors measure through the same hook, so there is one place where
 //! `measured == model` can break.  This entry point is the whole-matrix
 //! *reference* (it validates the order against the elimination tree); the
-//! served path goes through [`crate::parallel::factor_columns_with`].
+//! served path goes through [`crate::parallel::factor_columns`].
+
+use std::sync::Arc;
 
 use sparsemat::SymmetricCsr;
 use treemem::tree::Size;
 use treemem::variants::bottom_up_peak;
 use treemem::{Traversal, Tree};
 
-use crate::dense::FrontKernel;
 use crate::numeric::{
     bottom_up_order, factorize, CholeskyFactor, FactorizationError, SymbolicStructure,
 };
@@ -106,17 +107,18 @@ pub fn instrumented_factorization(
 }
 
 /// [`instrumented_factorization`] with a precomputed symbolic structure, for
-/// callers that already paid for it.
+/// callers that already paid for it (the returned factor shares a copy).
 pub fn instrumented_factorization_with_structure(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
     order: Option<&[usize]>,
 ) -> Result<FactorizationStats, FactorizationError> {
-    let order = bottom_up_order(structure, order);
+    let structure = Arc::new(structure.clone());
+    let order = bottom_up_order(&structure, order);
     // An unbounded ledger only measures: its high-water mark is the peak.
     let ledger = BudgetLedger::new(None);
-    let factor = factorize(matrix, structure, &order, &ledger, FrontKernel::default())?;
-    let model_tree = per_column_model(structure);
+    let factor = factorize(matrix, &structure, &order, &ledger)?;
+    let model_tree = per_column_model(&structure);
     let model_peak = bottom_up_peak(&model_tree, &Traversal::new(order.into_owned()))
         .map_err(|_| FactorizationError::InvalidTraversal)?;
     Ok(FactorizationStats {

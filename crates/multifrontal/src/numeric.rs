@@ -1,7 +1,20 @@
 //! Symbolic structure and numeric multifrontal Cholesky factorization.
+//!
+//! The row structure of `L` is *symbolic* data: the column counts µ(j) fix
+//! every front and contribution-block size before one number is computed.
+//! It therefore has exactly one owner, [`SymbolicStructure`] — a flat
+//! compressed-column store (`col_ptr` + `rows`) next to the elimination tree
+//! and its children lists, built once per plan and shared through an `Arc`.
+//! Everything numeric carries values only: a [`CholeskyFactor`] is that
+//! `Arc` plus one flat `Vec<f64>` parallel to the row store, a pending
+//! contribution block is a bare [`DenseMatrix`] whose rows are
+//! `structure.rows(c)[1..]`, and the extend-add of a front maps global rows
+//! to front positions through one reusable scatter vector filled from the
+//! structure.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sparsemat::{SparsePattern, SymmetricCsr};
 use symbolic::etree::{elimination_tree, etree_postorder, EliminationTree};
@@ -10,66 +23,132 @@ use crate::dense::{DenseMatrix, FrontArena, FrontKernel};
 use crate::parallel::{assemble_factor, BudgetLedger};
 
 /// The row structure of every column of the Cholesky factor, together with
-/// the elimination tree it was derived from.
+/// the elimination tree it was derived from: the only place a row index of
+/// `L` lives.
 #[derive(Debug, Clone)]
 pub struct SymbolicStructure {
-    /// Row indices (diagonal included, sorted increasingly) of every column
-    /// of `L`.
-    pub columns: Vec<Vec<usize>>,
+    /// Column `j` owns `rows[col_ptr[j]..col_ptr[j + 1]]` (and the same
+    /// range of every [`CholeskyFactor::values`] sharing this structure).
+    pub(crate) col_ptr: Vec<usize>,
+    /// Row indices of every column of `L`, column after column; within a
+    /// column sorted increasingly, so the diagonal comes first.
+    rows: Vec<usize>,
     /// The elimination tree of the (permuted) matrix.
     pub etree: EliminationTree,
+    /// `etree.children()`, computed once: the assembly order of every front.
+    children: Vec<Vec<usize>>,
 }
 
 impl SymbolicStructure {
-    /// Approximate heap footprint in bytes (column row-index lists, `Vec`
-    /// headers and the elimination tree's parent array).
+    /// Approximate heap footprint in bytes (the flat row store, the
+    /// elimination tree's parent array and its children lists).
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let payload: usize = self
-            .columns
-            .iter()
-            .map(|c| c.len() * size_of::<usize>())
-            .sum();
-        let headers = self.columns.len() * size_of::<Vec<usize>>();
+        let store = (self.col_ptr.len() + self.rows.len()) * size_of::<usize>();
         let etree = self.etree.len() * size_of::<Option<usize>>();
-        (payload + headers + etree) as u64
+        let children: usize = self
+            .children
+            .iter()
+            .map(|c| size_of::<Vec<usize>>() + c.len() * size_of::<usize>())
+            .sum();
+        (store + etree + children) as u64
     }
 
     /// Compute the full symbolic structure of the factor of `pattern`
     /// (already permuted into elimination order).
     pub fn from_pattern(pattern: &SparsePattern) -> Self {
-        let n = pattern.n();
         let etree = elimination_tree(pattern);
+        Self::from_etree(pattern, etree)
+    }
+
+    /// [`from_pattern`](Self::from_pattern) for callers that already hold
+    /// the elimination tree of `pattern`.
+    pub fn from_etree(pattern: &SparsePattern, etree: EliminationTree) -> Self {
         let children = etree.children();
-        let mut columns: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for j in 0..n {
+        let mut col_ptr = Vec::with_capacity(children.len() + 1);
+        let mut rows: Vec<usize> = Vec::new();
+        let mut column: Vec<usize> = Vec::new();
+        col_ptr.push(0);
+        for (j, column_children) in children.iter().enumerate() {
             // Original entries below the diagonal plus the children
             // structures (minus the child index itself).
-            let mut rows: Vec<usize> = vec![j];
-            rows.extend(pattern.neighbors(j).iter().copied().filter(|&i| i > j));
-            for &c in &children[j] {
-                rows.extend(columns[c].iter().copied().filter(|&i| i > j));
+            column.clear();
+            column.push(j);
+            column.extend(pattern.neighbors(j).iter().copied().filter(|&i| i > j));
+            for &c in column_children {
+                let child = &rows[col_ptr[c]..col_ptr[c + 1]];
+                column.extend(child.iter().copied().filter(|&i| i > j));
             }
-            rows.sort_unstable();
-            rows.dedup();
-            columns[j] = rows;
+            column.sort_unstable();
+            column.dedup();
+            rows.extend_from_slice(&column);
+            col_ptr.push(rows.len());
         }
-        SymbolicStructure { columns, etree }
+        SymbolicStructure {
+            col_ptr,
+            rows,
+            etree,
+            children,
+        }
     }
 
     /// Number of columns.
     pub fn n(&self) -> usize {
-        self.columns.len()
+        self.children.len()
+    }
+
+    /// Row indices of column `j` of `L`, sorted increasingly (diagonal
+    /// first).  The contribution block column `j` leaves for its parent
+    /// covers `rows(j)[1..]`.
+    pub fn rows(&self, j: usize) -> &[usize] {
+        &self.rows[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
 
     /// Column counts (number of nonzeros per column of `L`).
     pub fn column_counts(&self) -> Vec<usize> {
-        self.columns.iter().map(Vec::len).collect()
+        self.col_ptr.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// Total number of nonzeros of `L`.
     pub fn factor_nnz(&self) -> usize {
-        self.columns.iter().map(Vec::len).sum()
+        self.rows.len()
+    }
+
+    /// Entries of the contribution block column `j` leaves for its parent:
+    /// `(µ(j) − 1)²`, or nothing for a root or a single-row column.
+    fn block_entries(&self, j: usize) -> u64 {
+        let mu = self.rows(j).len() as u64;
+        if self.etree.parent(j).is_some() {
+            (mu - 1) * (mu - 1)
+        } else {
+            0
+        }
+    }
+
+    /// The static live-entries model of factoring `order` with this kernel,
+    /// starting from `initial_live` external entries (the blocks a merge
+    /// phase inherits).  Returns `(peak, final_live)`.
+    ///
+    /// The model replays the kernel's exact event order — front allocated,
+    /// children blocks consumed, front released into a `(µ−1)²` contribution
+    /// block — so for a fixed column subset it matches the measured
+    /// footprint entry for entry, which is what makes ledger reservations
+    /// tight.
+    pub fn modeled_peak_entries(&self, order: &[usize], initial_live: u64) -> (u64, u64) {
+        let mut live = initial_live;
+        let mut peak = live;
+        for &j in order {
+            let mu = self.rows(j).len() as u64;
+            live += mu * mu;
+            peak = peak.max(live);
+            for &c in &self.children[j] {
+                live = live.saturating_sub(self.block_entries(c));
+            }
+            live -= mu * mu;
+            live += self.block_entries(j);
+            peak = peak.max(live);
+        }
+        (peak, live)
     }
 }
 
@@ -106,35 +185,39 @@ impl std::fmt::Display for FactorizationError {
 
 impl std::error::Error for FactorizationError {}
 
-/// The numeric Cholesky factor in column-compressed form.
+/// The numeric Cholesky factor: one value per entry of the shared symbolic
+/// row store, and nothing else.
 #[derive(Debug, Clone)]
 pub struct CholeskyFactor {
-    /// Row indices of every column (diagonal first).
-    pub columns: Vec<Vec<usize>>,
-    /// Values parallel to `columns`.
-    pub values: Vec<Vec<f64>>,
+    /// The row structure the values are laid out against.
+    pub structure: Arc<SymbolicStructure>,
+    /// Values parallel to the structure's flat row store (column after
+    /// column, diagonal first).
+    pub values: Vec<f64>,
 }
 
 impl CholeskyFactor {
     /// Dimension of the factor.
     pub fn n(&self) -> usize {
-        self.columns.len()
+        self.structure.n()
     }
 
     /// Number of stored nonzeros.
     pub fn nnz(&self) -> usize {
-        self.columns.iter().map(Vec::len).sum()
+        self.values.len()
     }
 
-    /// Approximate heap footprint in bytes: one `usize` row index and one
-    /// `f64` value per stored nonzero, plus the per-column `Vec` headers.
-    /// The serving caches charge factors by this estimate.
+    /// Heap footprint in bytes of what the factor owns: one `f64` per
+    /// stored nonzero.  The row structure is shared and charged to whoever
+    /// owns the `Arc` (the plan's numeric substrate).
     pub fn heap_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let nnz = self.nnz();
-        let payload = nnz * (size_of::<usize>() + size_of::<f64>());
-        let headers = (self.columns.len() + self.values.len()) * size_of::<Vec<usize>>();
-        (payload + headers) as u64
+        (self.nnz() * std::mem::size_of::<f64>()) as u64
+    }
+
+    /// Rows and values of column `j`.
+    fn column(&self, j: usize) -> (&[usize], &[f64]) {
+        let range = self.structure.col_ptr[j]..self.structure.col_ptr[j + 1];
+        (self.structure.rows(j), &self.values[range])
     }
 
     /// Solve `A x = b` for `k` right-hand sides stored column-major in
@@ -158,23 +241,25 @@ impl CholeskyFactor {
         let count = rhs.len() / n;
         // Forward: L y = b, all columns of the batch per factor column.
         for j in 0..n {
-            let diagonal = self.values[j][0];
+            let (rows, values) = self.column(j);
+            let diagonal = values[0];
             for c in 0..count {
                 let x = &mut rhs[c * n..(c + 1) * n];
                 x[j] /= diagonal;
                 let xj = x[j];
-                for (&i, &v) in self.columns[j].iter().zip(&self.values[j]).skip(1) {
+                for (&i, &v) in rows.iter().zip(values).skip(1) {
                     x[i] -= v * xj;
                 }
             }
         }
         // Backward: Lᵀ x = y.
         for j in (0..n).rev() {
-            let diagonal = self.values[j][0];
+            let (rows, values) = self.column(j);
+            let diagonal = values[0];
             for c in 0..count {
                 let x = &mut rhs[c * n..(c + 1) * n];
                 let mut sum = x[j];
-                for (&i, &v) in self.columns[j].iter().zip(&self.values[j]).skip(1) {
+                for (&i, &v) in rows.iter().zip(values).skip(1) {
                     sum -= v * x[i];
                 }
                 x[j] = sum / diagonal;
@@ -187,8 +272,9 @@ impl CholeskyFactor {
         let n = self.n();
         let mut dense = vec![vec![0.0; n]; n];
         for j in 0..n {
-            for (a, (&ia, &va)) in self.columns[j].iter().zip(&self.values[j]).enumerate() {
-                for (&ib, &vb) in self.columns[j].iter().zip(&self.values[j]).skip(a) {
+            let (rows, values) = self.column(j);
+            for (a, (&ia, &va)) in rows.iter().zip(values).enumerate() {
+                for (&ib, &vb) in rows.iter().zip(values).skip(a) {
                     dense[ib][ia] += va * vb;
                     if ia != ib {
                         dense[ia][ib] += va * vb;
@@ -200,23 +286,19 @@ impl CholeskyFactor {
     }
 }
 
-/// One computed column of the factor: `(column, row indices, values)` with
-/// the diagonal first.  Partial factorizations (subtree tasks) return their
-/// columns in this form so they can be scattered into a [`CholeskyFactor`]
-/// once every task has finished.
-pub type FactorColumn = (usize, Vec<usize>, Vec<f64>);
-
 /// Contribution blocks waiting for their parent column, keyed by the column
-/// that produced them.
+/// that produced them.  A block carries values only: the rows of the block
+/// of column `c` are `structure.rows(c)[1..]`.
 ///
 /// In a sequential factorization this is a private map of the kernel; in the
 /// parallel execution layer it is also the hand-off vehicle between a
 /// finished subtree task (whose root block stays pending) and the sequential
 /// merge phase above the cut, which absorbs every task's leftovers before it
-/// starts.
+/// starts.  Iteration is by increasing column, so the wire encoder's frame
+/// bytes depend only on the blocks.
 #[derive(Debug, Default)]
 pub struct ContributionStore {
-    blocks: HashMap<usize, (Vec<usize>, DenseMatrix)>,
+    blocks: BTreeMap<usize, DenseMatrix>,
 }
 
 impl ContributionStore {
@@ -237,41 +319,27 @@ impl ContributionStore {
 
     /// Total number of matrix entries held by the pending blocks.
     pub fn total_entries(&self) -> u64 {
-        self.blocks.values().map(|(_, cb)| cb.len() as u64).sum()
+        self.blocks.values().map(|cb| cb.len() as u64).sum()
     }
 
-    fn insert(&mut self, column: usize, rows: Vec<usize>, block: DenseMatrix) {
-        self.blocks.insert(column, (rows, block));
+    /// Park the block `column` produced; an existing block for `column` is
+    /// replaced.
+    pub fn insert(&mut self, column: usize, block: DenseMatrix) {
+        self.blocks.insert(column, block);
     }
 
-    fn remove(&mut self, column: usize) -> Option<(Vec<usize>, DenseMatrix)> {
+    fn remove(&mut self, column: usize) -> Option<DenseMatrix> {
         self.blocks.remove(&column)
     }
 
     /// Move every block of `other` into `self`.
-    pub fn absorb(&mut self, other: ContributionStore) {
-        self.blocks.extend(other.blocks);
+    pub fn absorb(&mut self, mut other: ContributionStore) {
+        self.blocks.append(&mut other.blocks);
     }
 
-    /// Insert a block reconstructed from an external representation (the
-    /// distributed wire format).  `rows` are the global row indices of the
-    /// pending update and `block` its dense lower-triangular payload; an
-    /// existing block for `column` is replaced.
-    pub fn insert_block(&mut self, column: usize, rows: Vec<usize>, block: DenseMatrix) {
-        self.insert(column, rows, block);
-    }
-
-    /// The pending blocks sorted by producing column — the deterministic
-    /// iteration order the wire encoder relies on (`HashMap` iteration order
-    /// would leak into the frame bytes otherwise).
-    pub fn sorted_blocks(&self) -> Vec<(usize, &[usize], &DenseMatrix)> {
-        let mut blocks: Vec<(usize, &[usize], &DenseMatrix)> = self
-            .blocks
-            .iter()
-            .map(|(&column, (rows, block))| (column, rows.as_slice(), block))
-            .collect();
-        blocks.sort_unstable_by_key(|&(column, _, _)| column);
-        blocks
+    /// The pending blocks by increasing producing column.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &DenseMatrix)> {
+        self.blocks.iter().map(|(&column, block)| (column, block))
     }
 }
 
@@ -283,21 +351,9 @@ pub fn multifrontal_cholesky(
     matrix: &SymmetricCsr,
     traversal: Option<&[usize]>,
 ) -> Result<CholeskyFactor, FactorizationError> {
-    multifrontal_cholesky_with(matrix, traversal, FrontKernel::default())
-}
-
-/// [`multifrontal_cholesky`] with an explicit dense elimination kernel —
-/// the hook the kernel benchmark and the parity tests use to run the same
-/// factorization under [`FrontKernel::Reference`] and
-/// [`FrontKernel::Blocked`].
-pub fn multifrontal_cholesky_with(
-    matrix: &SymmetricCsr,
-    traversal: Option<&[usize]>,
-    kernel: FrontKernel,
-) -> Result<CholeskyFactor, FactorizationError> {
-    let structure = SymbolicStructure::from_pattern(&matrix.pattern());
+    let structure = Arc::new(SymbolicStructure::from_pattern(&matrix.pattern()));
     let order = bottom_up_order(&structure, traversal);
-    factorize(matrix, &structure, &order, &BudgetLedger::new(None), kernel)
+    factorize(matrix, &structure, &order, &BudgetLedger::new(None))
 }
 
 /// The caller's bottom-up `traversal`, or the elimination-tree postorder
@@ -312,16 +368,15 @@ pub(crate) fn bottom_up_order<'a>(
     }
 }
 
-/// The whole-matrix factorization behind [`multifrontal_cholesky_with`] and
+/// The whole-matrix factorization behind [`multifrontal_cholesky`] and
 /// [`crate::memory`]: validate that `order` is a bottom-up traversal of the
 /// elimination tree, run [`eliminate_columns`] over it (live-entry movements
 /// go to `ledger`) and assemble the factor.
 pub(crate) fn factorize(
     matrix: &SymmetricCsr,
-    structure: &SymbolicStructure,
+    structure: &Arc<SymbolicStructure>,
     order: &[usize],
     ledger: &BudgetLedger,
-    kernel: FrontKernel,
 ) -> Result<CholeskyFactor, FactorizationError> {
     let n = matrix.n();
     if order.len() != n {
@@ -343,22 +398,16 @@ pub(crate) fn factorize(
         }
     }
 
-    let children = structure.etree.children();
-    let mut pending = ContributionStore::new();
-    let mut parts: Vec<FactorColumn> = Vec::with_capacity(n);
-    eliminate_columns(
+    let values = eliminate_columns(
         matrix,
         structure,
-        &children,
         order,
-        &mut pending,
-        &mut parts,
+        &mut ContributionStore::new(),
         ledger,
         &mut FrontArena::new(),
-        kernel,
         None,
     )?;
-    assemble_factor(n, parts)
+    assemble_factor(structure, [(order, values.as_slice())])
 }
 
 /// The per-column elimination loop over an arbitrary *subset* of columns.
@@ -368,11 +417,16 @@ pub(crate) fn factorize(
 /// Contribution blocks of children outside the subset must already sit in
 /// `pending` (the parallel layer passes the finished subtree tasks' root
 /// blocks this way); a child whose block is neither pending nor produced in
-/// this call is a scheduling error and yields `InvalidTraversal`.
+/// this call — or whose block has the wrong dimension — is a scheduling
+/// error and yields `InvalidTraversal`.
 ///
-/// Computed factor columns are appended to `out`; blocks produced for
-/// parents outside the subset remain in `pending` when the call returns.
-/// Every front and every *consumed* block is recycled through `arena`.
+/// Returns the values of the computed factor columns, concatenated in
+/// `order` (column `j` contributes `structure.rows(j).len()` of them);
+/// blocks produced for parents outside the subset remain in `pending` when
+/// the call returns.  Every front and every *consumed* block is recycled
+/// through `arena`, whose scatter vector maps the global rows of the front
+/// being assembled to their local positions and is all-`usize::MAX` again
+/// on every exit.
 ///
 /// Every live-entry movement — front allocated, child block consumed, front
 /// released into its contribution block — is reported to `ledger`'s
@@ -381,104 +435,107 @@ pub(crate) fn factorize(
 ///
 /// `stop` is a cooperative cancellation probe, checked once per
 /// [`STOP_CHECK_COLUMNS`] eliminated columns; when it fires the loop
-/// returns [`FactorizationError::Cancelled`] and the partial columns in
-/// `out`/`pending` must be discarded by the caller.
-#[allow(clippy::too_many_arguments)]
+/// returns [`FactorizationError::Cancelled`] and the partial blocks in
+/// `pending` must be discarded by the caller.
 pub(crate) fn eliminate_columns(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
-    children: &[Vec<usize>],
     order: &[usize],
     pending: &mut ContributionStore,
-    out: &mut Vec<FactorColumn>,
     ledger: &BudgetLedger,
     arena: &mut FrontArena,
-    kernel: FrontKernel,
     stop: Option<&dyn Fn() -> bool>,
-) -> Result<(), FactorizationError> {
-    for (step, &j) in order.iter().enumerate() {
-        if step % STOP_CHECK_COLUMNS == 0 {
-            if let Some(probe) = stop {
-                if probe() {
-                    return Err(FactorizationError::Cancelled);
-                }
+) -> Result<Vec<f64>, FactorizationError> {
+    let mut local = std::mem::take(&mut arena.scatter);
+    local.resize(structure.n(), usize::MAX);
+    let value_count: usize = order.iter().map(|&j| structure.rows(j).len()).sum();
+    let mut out: Vec<f64> = Vec::with_capacity(value_count);
+    let mut eliminate = || {
+        for (step, &j) in order.iter().enumerate() {
+            if step % STOP_CHECK_COLUMNS == 0 && stop.is_some_and(|probe| probe()) {
+                return Err(FactorizationError::Cancelled);
             }
-        }
-        let rows = &structure.columns[j];
-        let front_dim = rows.len();
-        let mut front = arena.take(front_dim);
-        let front_entries = front.len() as i64;
-        ledger.record_live(front_entries);
+            let rows = structure.rows(j);
+            let front_dim = rows.len();
+            let mut front = arena.take(front_dim);
+            let front_entries = front.len() as i64;
+            ledger.record_live(front_entries);
 
-        // Local position of every global row index of this front.
-        let local: HashMap<usize, usize> = rows
-            .iter()
-            .enumerate()
-            .map(|(local, &global)| (global, local))
-            .collect();
+            for (position, &global) in rows.iter().enumerate() {
+                local[global] = position;
+            }
 
-        // Assemble the original matrix entries of column j.
-        let (a_rows, a_values) = matrix.column(j);
-        for (&i, &v) in a_rows.iter().zip(a_values) {
-            let li = local[&i];
-            front.add(li, 0, v);
-        }
+            // Assemble the original matrix entries of column j.
+            let (a_rows, a_values) = matrix.column(j);
+            for (&i, &v) in a_rows.iter().zip(a_values) {
+                front.add(local[i], 0, v);
+            }
 
-        // Extend-add the children contribution blocks, in child order (the
-        // assembly order — and with it the floating-point result — depends
-        // only on the tree, never on which task or worker produced a block).
-        for &c in &children[j] {
-            match pending.remove(c) {
-                Some((cb_rows, cb)) => {
-                    for (a, &ga) in cb_rows.iter().enumerate() {
-                        let la = local[&ga];
-                        for (b, &gb) in cb_rows.iter().enumerate().skip(a) {
-                            let lb = local[&gb];
-                            // Store in the lower triangle of the front.
-                            let (hi, lo) = if lb >= la { (lb, la) } else { (la, lb) };
-                            front.add(hi, lo, cb.get(b, a));
+            // Extend-add the children contribution blocks, in child order
+            // (the assembly order — and with it the floating-point result —
+            // depends only on the tree, never on which task or worker
+            // produced a block).
+            let mut assembled = true;
+            for &c in &structure.children[j] {
+                let cb_rows = &structure.rows(c)[1..];
+                match pending.remove(c) {
+                    Some(cb) if cb.n() == cb_rows.len() => {
+                        // Rows are sorted, so local positions increase with
+                        // the block index: (lb, la) is in the lower triangle.
+                        for (a, &ga) in cb_rows.iter().enumerate() {
+                            let la = local[ga];
+                            for (b, &gb) in cb_rows.iter().enumerate().skip(a) {
+                                front.add(local[gb], la, cb.get(b, a));
+                            }
                         }
+                        ledger.record_live(-(cb.len() as i64));
+                        arena.recycle(cb);
                     }
-                    ledger.record_live(-(cb.len() as i64));
-                    arena.recycle(cb);
-                }
-                // A child with a multi-row column always produces a block;
-                // not finding it means the schedule violated the tree order.
-                None if structure.columns[c].len() > 1 => {
-                    return Err(FactorizationError::InvalidTraversal);
-                }
-                None => {}
-            }
-        }
-
-        // Eliminate the fully-summed variable (the first row/column).
-        kernel
-            .apply(&mut front, 1)
-            .map_err(|_| FactorizationError::NotPositiveDefinite { column: j })?;
-
-        // Extract the factor column.
-        let values: Vec<f64> = (0..front_dim).map(|i| front.get(i, 0)).collect();
-
-        // Extract the contribution block (trailing (dim-1) x (dim-1) block).
-        // The block is carved out of the front, the rest of the front is
-        // freed: one net live-entry movement.
-        let cb_dim = front_dim - 1;
-        if cb_dim > 0 && structure.etree.parent(j).is_some() {
-            let mut cb = arena.take(cb_dim);
-            for a in 0..cb_dim {
-                for b in a..cb_dim {
-                    cb.set(b, a, front.get(b + 1, a + 1));
+                    // A child with a multi-row column always produces a
+                    // block of exactly its trailing rows; anything else
+                    // means the schedule violated the tree order.
+                    None if cb_rows.is_empty() => {}
+                    _ => assembled = false,
                 }
             }
-            pending.insert(j, rows[1..].to_vec(), cb);
-            ledger.record_live((cb_dim * cb_dim) as i64 - front_entries);
-        } else {
-            ledger.record_live(-front_entries);
+            for &global in rows {
+                local[global] = usize::MAX;
+            }
+            if !assembled {
+                return Err(FactorizationError::InvalidTraversal);
+            }
+
+            // Eliminate the fully-summed variable (the first row/column).
+            FrontKernel::default()
+                .apply(&mut front, 1)
+                .map_err(|_| FactorizationError::NotPositiveDefinite { column: j })?;
+
+            // Extract the factor column.
+            out.extend_from_slice(&front.column_major()[..front_dim]);
+
+            // Extract the contribution block (trailing (dim-1) x (dim-1)
+            // block).  The block is carved out of the front, the rest of the
+            // front is freed: one net live-entry movement.
+            let cb_dim = front_dim - 1;
+            if cb_dim > 0 && structure.etree.parent(j).is_some() {
+                let mut cb = arena.take(cb_dim);
+                for a in 0..cb_dim {
+                    for b in a..cb_dim {
+                        cb.set(b, a, front.get(b + 1, a + 1));
+                    }
+                }
+                pending.insert(j, cb);
+                ledger.record_live((cb_dim * cb_dim) as i64 - front_entries);
+            } else {
+                ledger.record_live(-front_entries);
+            }
+            arena.recycle(front);
         }
-        arena.recycle(front);
-        out.push((j, rows.clone(), values));
-    }
-    Ok(())
+        Ok(())
+    };
+    let outcome = eliminate();
+    arena.scatter = local;
+    outcome.map(|()| out)
 }
 
 /// Solve `A x = b` given the Cholesky factor of `A` (forward substitution
@@ -558,26 +615,127 @@ mod tests {
         let natural: Vec<usize> = (0..matrix.n()).collect();
         let a = multifrontal_cholesky(&matrix, Some(&postorder)).unwrap();
         let b = multifrontal_cholesky(&matrix, Some(&natural)).unwrap();
-        for j in 0..matrix.n() {
-            assert_eq!(a.columns[j], b.columns[j]);
-            for (va, vb) in a.values[j].iter().zip(&b.values[j]) {
-                assert!((va - vb).abs() < 1e-12);
-            }
+        assert_eq!(a.values.len(), b.values.len());
+        for (va, vb) in a.values.iter().zip(&b.values) {
+            assert!((va - vb).abs() < 1e-12);
         }
     }
 
     #[test]
-    fn reference_and_blocked_kernels_factor_bitwise_identically() {
-        // The multifrontal path eliminates one pivot per front, where the
-        // blocked kernel collapses to the reference operation order — the
-        // whole factor must therefore match bit for bit.
-        let matrix = spd_matrix_from_pattern(&random_spd_pattern(100, 3.5, 21), 21);
-        let blocked = multifrontal_cholesky_with(&matrix, None, FrontKernel::default()).unwrap();
-        let reference = multifrontal_cholesky_with(&matrix, None, FrontKernel::Reference).unwrap();
-        for j in 0..matrix.n() {
-            assert_eq!(blocked.columns[j], reference.columns[j]);
-            assert_eq!(blocked.values[j], reference.values[j], "column {j}");
+    fn the_flat_store_matches_the_per_column_definition() {
+        let pattern = random_spd_pattern(60, 3.0, 8);
+        let structure = SymbolicStructure::from_pattern(&pattern);
+        let children = structure.etree.children();
+        assert_eq!(children.len(), structure.n());
+        for (j, expected) in children.iter().enumerate() {
+            let rows = structure.rows(j);
+            assert_eq!(rows[0], j);
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "column {j} sorted");
+            assert_eq!(&structure.children[j], expected);
+            // Every child's trailing rows are rows of the parent front.
+            for &c in &structure.children[j] {
+                for row in &structure.rows(c)[1..] {
+                    assert!(rows.contains(row), "child {c} row {row} in front {j}");
+                }
+            }
         }
+        let etree = elimination_tree(&pattern);
+        let again = SymbolicStructure::from_etree(&pattern, etree);
+        assert_eq!(again.rows, structure.rows);
+        assert_eq!(again.col_ptr, structure.col_ptr);
+    }
+
+    #[test]
+    fn a_factor_owns_eight_bytes_per_nonzero() {
+        let matrix = grid2d_matrix(6, 5, 4);
+        let factor = multifrontal_cholesky(&matrix, None).unwrap();
+        assert_eq!(factor.nnz(), factor.structure.factor_nnz());
+        assert_eq!(factor.heap_bytes(), 8 * factor.nnz() as u64);
+    }
+
+    #[test]
+    fn the_scatter_vector_is_clean_after_every_exit() {
+        let matrix = grid2d_matrix(12, 12, 6);
+        let structure = SymbolicStructure::from_pattern(&matrix.pattern());
+        let order = etree_postorder(&structure.etree);
+        let ledger = BudgetLedger::new(None);
+        let mut arena = FrontArena::new();
+        let clean = |arena: &FrontArena| {
+            arena.scatter.len() == structure.n() && arena.scatter.iter().all(|&p| p == usize::MAX)
+        };
+        // Cancelled mid-way: the probe fires at the second check.
+        let polls = std::cell::Cell::new(0);
+        let stop = || polls.replace(polls.get() + 1) >= 1;
+        let cancelled = eliminate_columns(
+            &matrix,
+            &structure,
+            &order,
+            &mut ContributionStore::new(),
+            &ledger,
+            &mut arena,
+            Some(&stop),
+        );
+        assert_eq!(cancelled.unwrap_err(), FactorizationError::Cancelled);
+        assert!(clean(&arena));
+        // A scheduling error (the suffix without its children's blocks).
+        let suffix = &order[order.len() - 3..];
+        let invalid = eliminate_columns(
+            &matrix,
+            &structure,
+            suffix,
+            &mut ContributionStore::new(),
+            &ledger,
+            &mut arena,
+            None,
+        );
+        assert_eq!(invalid.unwrap_err(), FactorizationError::InvalidTraversal);
+        assert!(clean(&arena));
+        // The same arena then factors the whole matrix.
+        let values = eliminate_columns(
+            &matrix,
+            &structure,
+            &order,
+            &mut ContributionStore::new(),
+            &ledger,
+            &mut arena,
+            None,
+        )
+        .unwrap();
+        assert_eq!(values.len(), structure.factor_nnz());
+        assert!(clean(&arena));
+    }
+
+    #[test]
+    fn blocks_of_the_wrong_dimension_are_a_scheduling_error() {
+        let matrix = grid2d_matrix(4, 4, 3);
+        let structure = SymbolicStructure::from_pattern(&matrix.pattern());
+        let order = etree_postorder(&structure.etree);
+        let (prefix, suffix) = order.split_at(order.len() - 3);
+        let ledger = BudgetLedger::new(None);
+        let mut arena = FrontArena::new();
+        let mut pending = ContributionStore::new();
+        eliminate_columns(
+            &matrix,
+            &structure,
+            prefix,
+            &mut pending,
+            &ledger,
+            &mut arena,
+            None,
+        )
+        .unwrap();
+        let (column, dim) = pending.iter().map(|(c, b)| (c, b.n())).next().unwrap();
+        pending.insert(column, DenseMatrix::zeros(dim + 1));
+        let outcome = eliminate_columns(
+            &matrix,
+            &structure,
+            suffix,
+            &mut pending,
+            &ledger,
+            &mut arena,
+            None,
+        );
+        assert_eq!(outcome.unwrap_err(), FactorizationError::InvalidTraversal);
     }
 
     #[test]
@@ -630,26 +788,21 @@ mod tests {
     }
 
     #[test]
-    fn contribution_store_round_trips_through_the_public_accessors() {
+    fn contribution_store_iterates_by_column() {
         let mut store = ContributionStore::new();
         let mut block = DenseMatrix::zeros(2);
         block.set(0, 0, 1.5);
         block.set(1, 0, -2.0);
-        store.insert_block(7, vec![8, 9], block.clone());
-        store.insert_block(3, vec![4, 5], DenseMatrix::zeros(2));
-        let sorted = store.sorted_blocks();
-        assert_eq!(sorted.len(), 2);
-        // Deterministic column order, independent of HashMap iteration.
-        assert_eq!(sorted[0].0, 3);
-        assert_eq!(sorted[1].0, 7);
-        assert_eq!(sorted[1].1, &[8, 9]);
-        assert_eq!(sorted[1].2, &block);
-        let mut rebuilt = ContributionStore::new();
-        for (column, rows, payload) in sorted {
-            rebuilt.insert_block(column, rows.to_vec(), payload.clone());
-        }
-        assert_eq!(rebuilt.len(), store.len());
-        assert_eq!(rebuilt.total_entries(), store.total_entries());
+        store.insert(7, block.clone());
+        store.insert(3, DenseMatrix::zeros(2));
+        let mut other = ContributionStore::new();
+        other.insert(5, DenseMatrix::zeros(1));
+        store.absorb(other);
+        let columns: Vec<usize> = store.iter().map(|(column, _)| column).collect();
+        assert_eq!(columns, [3, 5, 7]);
+        assert_eq!(store.iter().last().unwrap().1, &block);
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.total_entries(), 9);
     }
 
     #[test]

@@ -18,23 +18,25 @@
 //!   recording the true high-water mark of live entries across all workers.
 //! * [`factor_columns`] — the elimination of one column subset (a subtree
 //!   task, or the merge phase above the cut) with per-worker [`FrontArena`]
-//!   recycling, returning the computed factor columns plus the contribution
+//!   recycling, returning the computed column values plus the contribution
 //!   blocks that outlive the subset.
-//! * [`modeled_peak_entries`] — the static peak model of a column subset,
-//!   which is exact for this kernel (the instrumented tests pin measured ==
-//!   model), so reservations are tight rather than heuristic.
-//! * [`assemble_factor`] — scatter the tasks' [`FactorColumn`]s back into a
-//!   [`CholeskyFactor`].
+//! * [`assemble_factor`] — copy the tasks' column values into the flat
+//!   value array of a [`CholeskyFactor`].
+//!
+//! The static peak model reservations are sized with lives on the structure:
+//! [`SymbolicStructure::modeled_peak_entries`] is exact for this kernel (the
+//! instrumented tests pin measured == model), so reservations are tight
+//! rather than heuristic.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use sparsemat::SymmetricCsr;
 use treemem::sync::{TrackedCondvar, TrackedMutex};
 
-use crate::dense::{FrontArena, FrontKernel};
+use crate::dense::FrontArena;
 use crate::numeric::{
-    eliminate_columns, CholeskyFactor, ContributionStore, FactorColumn, FactorizationError,
-    SymbolicStructure,
+    eliminate_columns, CholeskyFactor, ContributionStore, FactorizationError, SymbolicStructure,
 };
 
 /// Outcome of [`BudgetLedger::select_and_reserve`].
@@ -223,150 +225,74 @@ impl BudgetLedger {
 /// The result of factoring one column subset.
 #[derive(Debug)]
 pub struct SubtreeOutcome {
-    /// The computed factor columns, in elimination order.
-    pub columns: Vec<FactorColumn>,
+    /// The values of the computed factor columns, concatenated in the
+    /// subset's elimination order (column `j` contributes
+    /// `structure.rows(j).len()` of them).
+    pub values: Vec<f64>,
     /// Contribution blocks whose parent lies outside the subset (for a
     /// subtree task: the subtree root's block), to be absorbed by the merge
-    /// phase.
+    /// phase.  Their total entries are the reservation the task retains.
     pub blocks: ContributionStore,
-    /// Total entries of `blocks` (the reservation to retain).
-    pub block_entries: u64,
 }
 
 /// Factor the columns of `order` (a bottom-up order within one subtree task
 /// or the above-cut merge set), assembling external children blocks from
 /// `blocks_in` and reporting live-memory movements to `ledger`.
 ///
-/// `children` is `structure.etree.children()`, computed once by the caller
-/// and shared by every task.
+/// `stop` is an optional cooperative stop probe, checked every few dozen
+/// columns inside the elimination loop; a fired probe yields
+/// [`FactorizationError::Cancelled`].
 pub fn factor_columns(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
-    children: &[Vec<usize>],
     order: &[usize],
     blocks_in: ContributionStore,
     ledger: &BudgetLedger,
     arena: &mut FrontArena,
-) -> Result<SubtreeOutcome, FactorizationError> {
-    factor_columns_with(
-        matrix,
-        structure,
-        children,
-        order,
-        blocks_in,
-        ledger,
-        arena,
-        FrontKernel::default(),
-        None,
-    )
-}
-
-/// [`factor_columns`] with an explicit dense elimination kernel and an
-/// optional cooperative stop probe (checked every few dozen columns inside
-/// the elimination loop; a fired probe yields
-/// [`FactorizationError::Cancelled`]).  The kernel choice (and with it the
-/// panel width) rides alongside the per-worker `arena`: both are plain
-/// per-task state, so switching kernels changes neither the arena's
-/// retention bound nor the assembly order the bit-reproducibility guarantee
-/// rests on.
-#[allow(clippy::too_many_arguments)]
-pub fn factor_columns_with(
-    matrix: &SymmetricCsr,
-    structure: &SymbolicStructure,
-    children: &[Vec<usize>],
-    order: &[usize],
-    blocks_in: ContributionStore,
-    ledger: &BudgetLedger,
-    arena: &mut FrontArena,
-    kernel: FrontKernel,
     stop: Option<&dyn Fn() -> bool>,
 ) -> Result<SubtreeOutcome, FactorizationError> {
-    let mut pending = blocks_in;
-    let mut columns = Vec::with_capacity(order.len());
-    eliminate_columns(
-        matrix,
-        structure,
-        children,
-        order,
-        &mut pending,
-        &mut columns,
-        ledger,
-        arena,
-        kernel,
-        stop,
-    )?;
-    let block_entries = pending.total_entries();
-    Ok(SubtreeOutcome {
-        columns,
-        blocks: pending,
-        block_entries,
-    })
+    let mut blocks = blocks_in;
+    let values = eliminate_columns(matrix, structure, order, &mut blocks, ledger, arena, stop)?;
+    Ok(SubtreeOutcome { values, blocks })
 }
 
-/// The static live-entries model of factoring `order` with this kernel,
-/// starting from `initial_live` external entries (the blocks a merge phase
-/// inherits).  Returns `(peak, final_live)`.
-///
-/// `counts` are the factor column counts (`µ(j)`,
-/// [`SymbolicStructure::column_counts`]) and `parents` the elimination-tree
-/// parents.  The model replays the kernel's exact event order — front
-/// allocated, children blocks consumed, front released into a `(µ−1)²`
-/// contribution block — so for a fixed column subset it matches the
-/// measured footprint entry for entry, which is what makes ledger
-/// reservations tight.
-pub fn modeled_peak_entries(
-    counts: &[usize],
-    parents: &[Option<usize>],
-    children: &[Vec<usize>],
-    order: &[usize],
-    initial_live: u64,
-) -> (u64, u64) {
-    let block_entries = |column: usize| -> u64 {
-        let mu = counts[column] as u64;
-        if mu > 1 && parents[column].is_some() {
-            (mu - 1) * (mu - 1)
-        } else {
-            0
-        }
-    };
-    let mut live = initial_live;
-    let mut peak = live;
-    for &j in order {
-        let mu = counts[j] as u64;
-        live += mu * mu;
-        peak = peak.max(live);
-        for &c in &children[j] {
-            live = live.saturating_sub(block_entries(c));
-        }
-        live -= mu * mu;
-        live += block_entries(j);
-        peak = peak.max(live);
-    }
-    (peak, live)
-}
-
-/// Scatter per-task [`FactorColumn`]s into a full `n`-column factor.
-/// Returns `InvalidTraversal` if the parts do not cover every column exactly
-/// once.
-pub fn assemble_factor(
-    n: usize,
-    parts: impl IntoIterator<Item = FactorColumn>,
+/// Copy per-task column values into the flat value array of a full factor
+/// over `structure`.  Each part is a column order with the values
+/// [`factor_columns`] returned for it.  Returns `InvalidTraversal` if the
+/// parts do not cover every column exactly once or a part's value count
+/// does not match its order.
+pub fn assemble_factor<'a>(
+    structure: &Arc<SymbolicStructure>,
+    parts: impl IntoIterator<Item = (&'a [usize], &'a [f64])>,
 ) -> Result<CholeskyFactor, FactorizationError> {
-    let mut columns: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut values: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut filled = 0usize;
-    for (j, rows, column_values) in parts {
-        if j >= n || !columns[j].is_empty() {
+    let n = structure.n();
+    let mut values = vec![0.0; structure.factor_nnz()];
+    let mut filled = vec![false; n];
+    let mut columns = 0usize;
+    for (order, mut part) in parts {
+        for &j in order {
+            if j >= n || std::mem::replace(&mut filled[j], true) {
+                return Err(FactorizationError::InvalidTraversal);
+            }
+            let target = &mut values[structure.col_ptr[j]..structure.col_ptr[j + 1]];
+            let Some((column, rest)) = part.split_at_checked(target.len()) else {
+                return Err(FactorizationError::InvalidTraversal);
+            };
+            target.copy_from_slice(column);
+            part = rest;
+        }
+        if !part.is_empty() {
             return Err(FactorizationError::InvalidTraversal);
         }
-        columns[j] = rows;
-        values[j] = column_values;
-        filled += 1;
+        columns += order.len();
     }
-    if filled != n {
+    if columns != n {
         return Err(FactorizationError::InvalidTraversal);
     }
-    Ok(CholeskyFactor { columns, values })
+    Ok(CholeskyFactor {
+        structure: Arc::clone(structure),
+        values,
+    })
 }
 
 #[cfg(test)]
@@ -486,8 +412,7 @@ mod tests {
     fn split_factorization_matches_the_sequential_factor_bitwise() {
         let matrix = spd_matrix_from_pattern(&random_spd_pattern(120, 3.5, 9), 9);
         let n = matrix.n();
-        let structure = SymbolicStructure::from_pattern(&matrix.pattern());
-        let children = structure.etree.children();
+        let structure = Arc::new(SymbolicStructure::from_pattern(&matrix.pattern()));
         let order = etree_postorder(&structure.etree);
         let reference = multifrontal_cholesky(&matrix, Some(&order)).unwrap();
 
@@ -499,37 +424,40 @@ mod tests {
         let first = factor_columns(
             &matrix,
             &structure,
-            &children,
             prefix,
             ContributionStore::new(),
             &ledger,
             &mut arena,
+            None,
         )
         .unwrap();
         let second = factor_columns(
             &matrix,
             &structure,
-            &children,
             suffix,
             first.blocks,
             &ledger,
             &mut arena,
+            None,
         )
         .unwrap();
         assert!(second.blocks.is_empty());
-        let assembled =
-            assemble_factor(n, first.columns.into_iter().chain(second.columns)).unwrap();
-        for j in 0..n {
-            assert_eq!(assembled.columns[j], reference.columns[j]);
-            assert_eq!(assembled.values[j], reference.values[j], "column {j}");
-        }
+        let assembled = assemble_factor(
+            &structure,
+            [
+                (prefix, first.values.as_slice()),
+                (suffix, second.values.as_slice()),
+            ],
+        )
+        .unwrap();
+        assert!(Arc::ptr_eq(&assembled.structure, &structure));
+        assert_eq!(assembled.values, reference.values);
     }
 
     #[test]
     fn missing_external_blocks_are_a_scheduling_error() {
         let matrix = grid2d_matrix(4, 4, 3);
         let structure = SymbolicStructure::from_pattern(&matrix.pattern());
-        let children = structure.etree.children();
         let order = etree_postorder(&structure.etree);
         // Feed the merge suffix without the prefix's blocks.
         let suffix = &order[order.len() - 3..];
@@ -537,11 +465,11 @@ mod tests {
         let outcome = factor_columns(
             &matrix,
             &structure,
-            &children,
             suffix,
             ContributionStore::new(),
             &ledger,
             &mut FrontArena::new(),
+            None,
         );
         assert!(matches!(outcome, Err(FactorizationError::InvalidTraversal)));
     }
@@ -550,37 +478,50 @@ mod tests {
     fn modeled_peak_matches_the_measured_peak() {
         let matrix = spd_matrix_from_pattern(&random_spd_pattern(90, 3.0, 4), 4);
         let structure = SymbolicStructure::from_pattern(&matrix.pattern());
-        let children = structure.etree.children();
-        let counts = structure.column_counts();
-        let parents: Vec<Option<usize>> =
-            (0..matrix.n()).map(|j| structure.etree.parent(j)).collect();
         let order = etree_postorder(&structure.etree);
 
         let ledger = BudgetLedger::new(None);
-        factor_columns(
+        let outcome = factor_columns(
             &matrix,
             &structure,
-            &children,
             &order,
             ContributionStore::new(),
             &ledger,
             &mut FrontArena::new(),
+            None,
         )
         .unwrap();
-        let (modeled, final_live) = modeled_peak_entries(&counts, &parents, &children, &order, 0);
+        assert_eq!(outcome.values.len(), structure.factor_nnz());
+        let (modeled, final_live) = structure.modeled_peak_entries(&order, 0);
         assert_eq!(modeled, ledger.measured_peak_entries());
         assert_eq!(final_live, 0);
     }
 
     #[test]
-    fn assemble_factor_rejects_gaps_and_duplicates() {
-        assert!(matches!(
-            assemble_factor(2, vec![(0, vec![0], vec![1.0])]),
-            Err(FactorizationError::InvalidTraversal)
+    fn assemble_factor_rejects_gaps_duplicates_and_miscounted_values() {
+        // A 2-column diagonal structure: one value per column.
+        let structure = Arc::new(SymbolicStructure::from_pattern(
+            &sparsemat::SparsePattern::from_edges(2, &[]),
         ));
-        assert!(matches!(
-            assemble_factor(1, vec![(0, vec![0], vec![1.0]), (0, vec![0], vec![1.0])]),
-            Err(FactorizationError::InvalidTraversal)
-        ));
+        let assemble = |parts: &[(&[usize], &[f64])]| {
+            assemble_factor(&structure, parts.iter().copied()).map(|factor| factor.values)
+        };
+        assert_eq!(
+            assemble(&[(&[1], &[4.0]), (&[0], &[3.0])]).unwrap(),
+            [3.0, 4.0]
+        );
+        for bad in [
+            &[(&[0usize][..], &[1.0][..])][..],        // column 1 missing
+            &[(&[0, 0], &[1.0, 1.0])],                 // column 0 twice
+            &[(&[0], &[1.0]), (&[0, 1], &[1.0, 1.0])], // ditto, across parts
+            &[(&[0, 2], &[1.0, 1.0])],                 // out of range
+            &[(&[0, 1], &[1.0])],                      // too few values
+            &[(&[0, 1], &[1.0, 1.0, 1.0])],            // too many values
+        ] {
+            assert!(matches!(
+                assemble(bad),
+                Err(FactorizationError::InvalidTraversal)
+            ));
+        }
     }
 }

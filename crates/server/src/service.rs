@@ -122,7 +122,7 @@ impl Service {
     /// input: every failure is a status code plus a JSON error body.
     pub fn handle_request(&self, request: &Request) -> Response {
         let started = Instant::now();
-        let response = self.route(request);
+        let response = self.route(request).unwrap_or_else(|response| response);
         let endpoint = request.path.trim_start_matches('/');
         if response.status == 200 {
             if let Some(recorder) = self.stats.endpoint(endpoint) {
@@ -133,37 +133,36 @@ impl Service {
         response
     }
 
-    fn route(&self, request: &Request) -> Response {
-        let header_deadline = match header_deadline_ms(request) {
-            Ok(value) => value,
-            Err(response) => return response,
-        };
-        let tenant = match request_tenant(request) {
-            Ok(tenant) => tenant,
-            Err(response) => return response,
-        };
+    /// `Err` is a response too — the early exit of a handler, so the
+    /// handlers can use `?`.
+    fn route(&self, request: &Request) -> Result<Response, Response> {
+        let header_deadline = header_deadline_ms(request)?;
+        let tenant = request_tenant(request)?;
         match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => Response::ok("{\"status\": \"ok\"}\n".to_string()),
-            ("GET", "/stats") => Response::ok(self.stats.to_json(
+            ("GET", "/healthz") => Ok(Response::ok("{\"status\": \"ok\"}\n".to_string())),
+            ("GET", "/stats") => Ok(Response::ok(self.stats.to_json(
                 &self.cache.stats(),
                 &self.factors.stats(),
                 self.workers,
                 &self.registry.stats().snapshot(),
-            )),
+            ))),
             ("POST", "/plan") => self.handle_plan(&request.body, header_deadline, &tenant),
             ("POST", "/schedule") => self.handle_schedule(&request.body, header_deadline, &tenant),
             ("POST", "/report") => self.handle_report(&request.body, header_deadline, &tenant),
             ("POST", "/solve") => self.handle_solve(&request.body, header_deadline, &tenant),
-            ("POST", "/internal/claim") => self.handle_claim(&request.body),
-            ("POST", "/internal/contribute") => self.handle_contribute(&request.body),
-            ("GET", path) if path.starts_with("/internal/job/") => self.handle_job(path),
+            ("POST", "/internal/claim") => Ok(self.handle_claim(&request.body)),
+            ("POST", "/internal/contribute") => Ok(self.handle_contribute(&request.body)),
+            ("GET", path) if path.starts_with("/internal/job/") => Ok(self.handle_job(path)),
             ("GET", "/plan" | "/schedule" | "/report" | "/solve")
             | ("GET", "/internal/claim" | "/internal/contribute")
-            | ("POST", "/healthz" | "/stats") => Response::error(
+            | ("POST", "/healthz" | "/stats") => Err(Response::error(
                 405,
                 &format!("{} does not support {}", request.path, request.method),
-            ),
-            _ => Response::error(404, &format!("no route for {}", request.path)),
+            )),
+            _ => Err(Response::error(
+                404,
+                &format!("no route for {}", request.path),
+            )),
         }
     }
 
@@ -236,19 +235,15 @@ impl Service {
         Ok((plan, hit))
     }
 
-    fn handle_plan(&self, body: &[u8], header_deadline: Option<u64>, tenant: &str) -> Response {
-        let cancel = match self.deadline_token(header_deadline, body) {
-            Ok(token) => token,
-            Err(response) => return response,
-        };
-        let config = match self.parse_config(body) {
-            Ok(config) => config,
-            Err(response) => return response,
-        };
-        let (plan, hit) = match self.plan_for(&config, tenant, cancel.as_ref()) {
-            Ok(result) => result,
-            Err(response) => return response,
-        };
+    fn handle_plan(
+        &self,
+        body: &[u8],
+        header_deadline: Option<u64>,
+        tenant: &str,
+    ) -> Result<Response, Response> {
+        let cancel = self.deadline_token(header_deadline, body)?;
+        let config = self.parse_config(body)?;
+        let (plan, hit) = self.plan_for(&config, tenant, cancel.as_ref())?;
         let timings = plan.timings();
         let body = format!(
             "{{\n  \"schema\": \"engine_server_plan/v1\",\n  \"config_hash\": \"{}\",\n  \
@@ -260,32 +255,25 @@ impl Service {
             plan.matrix_n(),
             timings.generate_seconds + timings.ordering_seconds + timings.symbolic_seconds
         );
-        Response {
+        Ok(Response {
             cache_hit: Some(hit),
             config_hash: Some(plan.config_hash().to_string()),
             ..Response::ok(body)
-        }
+        })
     }
 
-    fn handle_schedule(&self, body: &[u8], header_deadline: Option<u64>, tenant: &str) -> Response {
-        let cancel = match self.deadline_token(header_deadline, body) {
-            Ok(token) => token,
-            Err(response) => return response,
-        };
-        let config = match self.parse_config(body) {
-            Ok(config) => config,
-            Err(response) => return response,
-        };
-        let (plan, hit) = match self.plan_for(&config, tenant, cancel.as_ref()) {
-            Ok(result) => result,
-            Err(response) => return response,
-        };
-        let schedule =
-            match plan.schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel.as_ref())
-            {
-                Ok(schedule) => schedule,
-                Err(e) => return self.engine_error(&e),
-            };
+    fn handle_schedule(
+        &self,
+        body: &[u8],
+        header_deadline: Option<u64>,
+        tenant: &str,
+    ) -> Result<Response, Response> {
+        let cancel = self.deadline_token(header_deadline, body)?;
+        let config = self.parse_config(body)?;
+        let (plan, hit) = self.plan_for(&config, tenant, cancel.as_ref())?;
+        let schedule = plan
+            .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel.as_ref())
+            .map_err(|e| self.engine_error(&e))?;
         self.record_schedule_stages(&schedule.timings(), None);
         let body = format!(
             "{{\n  \"schema\": \"engine_server_schedule/v1\",\n  \"config_hash\": \"{}\",\n  \
@@ -305,46 +293,36 @@ impl Service {
             schedule.io_run().peak_memory,
             schedule.divisible_bound(),
         );
-        Response {
+        Ok(Response {
             cache_hit: Some(hit),
             config_hash: Some(schedule.config_hash().to_string()),
             ..Response::ok(body)
-        }
+        })
     }
 
     /// `POST /report`: plan → schedule → execute → report, for every
     /// execution mode.  Only the execute step differs: a configuration with a
     /// distributed section hands its subtree tasks to worker processes
     /// ([`Service::execute_on_cluster`]), everything else runs in-process.
-    fn handle_report(&self, body: &[u8], header_deadline: Option<u64>, tenant: &str) -> Response {
-        let cancel = match self.deadline_token(header_deadline, body) {
-            Ok(token) => token,
-            Err(response) => return response,
-        };
+    fn handle_report(
+        &self,
+        body: &[u8],
+        header_deadline: Option<u64>,
+        tenant: &str,
+    ) -> Result<Response, Response> {
+        let cancel = self.deadline_token(header_deadline, body)?;
         let cancel = cancel.as_ref();
-        let config = match self.parse_config(body) {
-            Ok(config) => config,
-            Err(response) => return response,
-        };
-        let (plan, hit) = match self.plan_for(&config, tenant, cancel) {
-            Ok(result) => result,
-            Err(response) => return response,
-        };
-        let executed = plan
+        let config = self.parse_config(body)?;
+        let (plan, hit) = self.plan_for(&config, tenant, cancel)?;
+        let schedule = plan
             .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel)
-            .map_err(|e| self.engine_error(&e))
-            .and_then(|schedule| {
-                if config.distributed.enabled() {
-                    self.execute_on_cluster(&config, &schedule, cancel)
-                } else {
-                    schedule
-                        .execute_with_factor_cancel(&self.engine, cancel)
-                        .map_err(|e| self.engine_error(&e))
-                }
-            });
-        let (report, factor) = match executed {
-            Ok(result) => result,
-            Err(response) => return response,
+            .map_err(|e| self.engine_error(&e))?;
+        let (report, factor) = if config.distributed.enabled() {
+            self.execute_on_cluster(&config, &schedule, cancel)?
+        } else {
+            schedule
+                .execute_with_factor_cancel(&self.engine, cancel)
+                .map_err(|e| self.engine_error(&e))?
         };
         // Deposit the factor so later `POST /solve` requests can resolve
         // this configuration's hash without re-factorizing (a merged
@@ -357,11 +335,11 @@ impl Service {
                 .insert_for(&report.config_hash, tenant, Arc::new(factor));
         }
         self.record_schedule_stages(&report.timings, Some(&report));
-        Response {
+        Ok(Response {
             cache_hit: Some(hit),
             config_hash: Some(report.config_hash.clone()),
             ..Response::ok(report.to_json())
-        }
+        })
     }
 
     /// The execute step of a distributed `/report`: cut once, park the
@@ -385,6 +363,12 @@ impl Service {
                 .collect(),
             task_peaks: (0..cut.task_count())
                 .map(|task| cut.task_peak_entries(task))
+                .collect(),
+            task_values: (0..cut.task_count())
+                .map(|task| cut.task_value_count(task))
+                .collect(),
+            task_blocks: (0..cut.task_count())
+                .map(|task| cut.task_root_blocks(task))
                 .collect(),
             budget_entries: cut.budget_entries(),
         });
@@ -425,10 +409,12 @@ impl Service {
         Response::ok(distrib::frame_string(&frame))
     }
 
-    /// `POST /internal/contribute`: absorb one task's factored columns and
-    /// contribution blocks.  Frames that fail to decode are 400s; stale
-    /// lease epochs and duplicate completions are 409s (the worker drops
-    /// its copy — the re-issued lease recomputes identical bits).
+    /// `POST /internal/contribute`: absorb one task's factor values and
+    /// contribution blocks.  Frames that fail to decode, or that do not have
+    /// the shape the job's cut fixes for the task, are 400s (the lease stays
+    /// live); stale lease epochs and duplicate completions are 409s (the
+    /// worker drops its copy — the re-issued lease recomputes identical
+    /// bits).
     fn handle_contribute(&self, body: &[u8]) -> Response {
         let frame_bytes = body.len() as u64;
         let contribution = match Contribution::from_frame(body) {
@@ -443,7 +429,10 @@ impl Service {
             Err(error @ (ContributeError::UnknownJob | ContributeError::UnknownTask)) => {
                 Response::error(404, &error.to_string())
             }
-            Err(error) => Response::error(409, &error.to_string()),
+            Err(error @ ContributeError::Malformed) => Response::error(400, &error.to_string()),
+            Err(error @ (ContributeError::StaleEpoch | ContributeError::AlreadyDone)) => {
+                Response::error(409, &error.to_string())
+            }
         }
     }
 
@@ -470,24 +459,24 @@ impl Service {
     /// generated right-hand sides, plus the flags `check_residual`
     /// (default true) and `return_solutions` (default false).  An unknown
     /// hash is a 404 with `X-Cache: miss`; a hit carries `X-Cache: hit`.
-    fn handle_solve(&self, body: &[u8], header_deadline: Option<u64>, tenant: &str) -> Response {
-        let cancel = match self.deadline_token(header_deadline, body) {
-            Ok(token) => token,
-            Err(response) => return response,
-        };
+    fn handle_solve(
+        &self,
+        body: &[u8],
+        header_deadline: Option<u64>,
+        tenant: &str,
+    ) -> Result<Response, Response> {
+        let cancel = self.deadline_token(header_deadline, body)?;
         let parse_started = Instant::now();
         let Ok(text) = std::str::from_utf8(body) else {
-            return Response::error(400, "request body is not UTF-8");
+            return Err(Response::error(400, "request body is not UTF-8"));
         };
-        let json = match Json::parse(text) {
-            Ok(json) => json,
-            Err(e) => return Response::error(400, &format!("invalid solve request: {e}")),
-        };
+        let json = Json::parse(text)
+            .map_err(|e| Response::error(400, &format!("invalid solve request: {e}")))?;
         let Some(config_hash) = json.get("config_hash").and_then(Json::as_str) else {
-            return Response::error(
+            return Err(Response::error(
                 400,
                 "solve requests need a \"config_hash\" string naming a previous numeric report",
-            );
+            ));
         };
         let check_residual = json
             .get("check_residual")
@@ -502,7 +491,7 @@ impl Service {
         }
 
         let Some(factor) = self.factors.get_for(config_hash, tenant) else {
-            return Response {
+            return Err(Response {
                 cache_hit: Some(false),
                 config_hash: Some(config_hash.to_string()),
                 ..Response::error(
@@ -512,43 +501,48 @@ impl Service {
                          POST /report with \"numeric\": true first"
                     ),
                 )
-            };
+            });
         };
         let n = factor.n();
 
         let mut batch: Vec<f64>;
         if let Some(vectors) = json.get("vectors") {
+            let not_arrays =
+                || Response::error(400, "\"vectors\" must be an array of number arrays");
             let Some(vectors) = vectors.as_array() else {
-                return Response::error(400, "\"vectors\" must be an array of number arrays");
+                return Err(not_arrays());
             };
             if vectors.is_empty() || vectors.len() > MAX_SOLVE_RHS {
-                return Response::error(
+                return Err(Response::error(
                     400,
                     &format!(
                         "between 1 and {MAX_SOLVE_RHS} right-hand sides are supported, got {}",
                         vectors.len()
                     ),
-                );
+                ));
             }
             batch = Vec::with_capacity(n * vectors.len());
             for vector in vectors {
                 let Some(entries) = vector.as_array() else {
-                    return Response::error(400, "\"vectors\" must be an array of number arrays");
+                    return Err(not_arrays());
                 };
                 if entries.len() != n {
-                    return Response::error(
+                    return Err(Response::error(
                         400,
                         &format!(
                             "right-hand side length {} does not match the problem dimension {n}",
                             entries.len()
                         ),
-                    );
+                    ));
                 }
                 for entry in entries {
                     match entry.as_f64() {
                         Some(value) if value.is_finite() => batch.push(value),
                         _ => {
-                            return Response::error(400, "right-hand sides must be finite numbers")
+                            return Err(Response::error(
+                                400,
+                                "right-hand sides must be finite numbers",
+                            ))
                         }
                     }
                 }
@@ -557,12 +551,12 @@ impl Service {
             let count = json.get("count").and_then(Json::as_usize).unwrap_or(1);
             let seed = json.get("seed").and_then(Json::as_u64).unwrap_or(1);
             if count == 0 || count > MAX_SOLVE_RHS {
-                return Response::error(
+                return Err(Response::error(
                     400,
                     &format!(
                         "between 1 and {MAX_SOLVE_RHS} right-hand sides are supported, got {count}"
                     ),
-                );
+                ));
             }
             batch = factor.generated_rhs(count, seed);
         }
@@ -573,18 +567,18 @@ impl Service {
         // 504 here instead of starting the triangular sweeps.
         if let Some(token) = &cancel {
             if token.is_cancelled() {
-                return self.engine_error(&EngineError::Cancelled {
+                return Err(self.engine_error(&EngineError::Cancelled {
                     stage: "solve",
                     elapsed: token.elapsed(),
-                });
+                }));
             }
         }
 
         let solve_started = Instant::now();
         let original = check_residual.then(|| batch.clone());
-        if let Err(e) = factor.solve_batch(&mut batch) {
-            return self.engine_error(&e);
-        }
+        factor
+            .solve_batch(&mut batch)
+            .map_err(|e| self.engine_error(&e))?;
         let max_residual = original.map(|rhs| factor.max_residual(&rhs, &batch));
         let solve_seconds = solve_started.elapsed().as_secs_f64();
         if let Some(recorder) = self.stats.stage("solve") {
@@ -625,11 +619,11 @@ impl Service {
             body.push(']');
         }
         body.push_str("\n}\n");
-        Response {
+        Ok(Response {
             cache_hit: Some(true),
             config_hash: Some(config_hash.to_string()),
             ..Response::ok(body)
-        }
+        })
     }
 
     fn record_schedule_stages(&self, timings: &StageTimings, report: Option<&Report>) {
@@ -1366,9 +1360,10 @@ mod tests {
 
     #[test]
     fn internal_endpoints_reject_garbage_and_unknown_jobs_cleanly() {
-        let service = service();
+        let service = Arc::new(service());
         // Claim and contribute frames that fail to decode are 400s.
-        for body in ["", "not a frame", "distrib_wire/v1 4\nhuge"] {
+        let huge = format!("{} 4\nhuge", distrib::WIRE_SCHEMA);
+        for body in ["", "not a frame", huge.as_str()] {
             assert_eq!(post(&service, "/internal/claim", body).status, 400);
             assert_eq!(post(&service, "/internal/contribute", body).status, 400);
         }
@@ -1377,11 +1372,8 @@ mod tests {
             worker: "w".to_string(),
         }
         .to_frame();
-        let reply = post(
-            &service,
-            "/internal/claim",
-            std::str::from_utf8(&claim).unwrap(),
-        );
+        let claim = std::str::from_utf8(&claim).unwrap();
+        let reply = post(&service, "/internal/claim", claim);
         assert_eq!(reply.status, 200);
         assert!(matches!(
             ClaimReply::from_frame(reply.body.as_bytes()),
@@ -1393,5 +1385,80 @@ mod tests {
         // Wrong methods.
         assert_eq!(get(&service, "/internal/claim").status, 405);
         assert_eq!(get(&service, "/internal/contribute").status, 405);
+
+        // Well-formed frames whose shape is not the task's: the coordinator
+        // owns the row structure, so a short payload, an extra block or a
+        // block of the wrong dimension is a 400 — never a merged factor, a
+        // panic in the merge, or a ledger fed the worker's numbers.
+        let local =
+            EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 400, 3).with_numeric(true);
+        let sharded = local
+            .clone()
+            .with_distributed(engine::DistributedConfig::with_tasks(2));
+        let body = format!("{{\"deadline_ms\": 60000, {}", &sharded.to_json()[1..]);
+        let coordinator = Arc::clone(&service);
+        let report = std::thread::spawn(move || post(&coordinator, "/report", &body));
+        wait_for_jobs(&service, 1);
+        let claimed = post(&service, "/internal/claim", claim);
+        let task = match ClaimReply::from_frame(claimed.body.as_bytes()).unwrap() {
+            ClaimReply::Task(task) => task,
+            other => panic!("expected a task, got {other:?}"),
+        };
+        let plan = Engine::new()
+            .plan(&EngineConfig::from_json(&task.config).unwrap())
+            .unwrap();
+        let parts = plan.factor_subtree(&task.order, None).unwrap();
+        let (root, dimension) = parts
+            .blocks
+            .iter()
+            .map(|(column, block)| (column, block.n()))
+            .next()
+            .expect("a subtree task leaves its root block");
+        let honest = distrib::contribution_frame(task.job, task.task, task.epoch, "w", 0.1, &parts);
+        let honest = distrib::decode_frame(&honest).unwrap();
+        let (head, blocks) = honest.split_once("\", \"blocks\": [").unwrap();
+        let one = format!("{:016x}", 1f64.to_bits());
+        let short = format!("{}\", \"blocks\": [{blocks}", &head[..head.len() - 16]);
+        let extra_block = format!("{head}\", \"blocks\": [[{},0,\"\"],{blocks}", root + 1);
+        let wrong_dimension = format!(
+            "{head}\", \"blocks\": [[{root},{},\"{}\"]]}}",
+            dimension + 1,
+            one.repeat((dimension + 1) * (dimension + 1))
+        );
+        let contribute = |body: &str| {
+            let frame = distrib::encode_frame(body);
+            post(
+                &service,
+                "/internal/contribute",
+                std::str::from_utf8(&frame).unwrap(),
+            )
+        };
+        for bad in [short, extra_block, wrong_dimension] {
+            let rejected = contribute(&bad);
+            assert_eq!(rejected.status, 400, "{}", rejected.body);
+            assert!(rejected.body.contains("value count"), "{}", rejected.body);
+        }
+        // The lease survived: the honest copy is accepted under the same
+        // epoch, a worker drains the rest, and the merged factor is the
+        // local one bit for bit.
+        assert_eq!(contribute(honest).status, 200);
+        let transport = InProcessTransport(Arc::clone(&service));
+        run_worker(&transport, &WorkerOptions::named("w-0").exit_when_idle(3));
+        let response = report.join().expect("report thread");
+        assert_eq!(response.status, 200, "{}", response.body);
+        let reference = post(&service, "/report", &local.to_json());
+        let solve = |hash: Option<String>| {
+            let body = format!(
+                "{{\"config_hash\": \"{}\", \"count\": 2, \"return_solutions\": true}}",
+                hash.expect("reports carry their hash")
+            );
+            let solved = post(&service, "/solve", &body);
+            assert_eq!(solved.status, 200, "{}", solved.body);
+            solved.body
+        };
+        assert_eq!(
+            solutions_text(&solve(response.config_hash)),
+            solutions_text(&solve(reference.config_hash)),
+        );
     }
 }

@@ -146,6 +146,8 @@ fn job_registry_claims_race_contributions_and_lease_expiry() {
             .map(|task| cut.task_order(task).to_vec())
             .collect(),
         task_peaks: (0..tasks).map(|task| cut.task_peak_entries(task)).collect(),
+        task_values: (0..tasks).map(|task| cut.task_value_count(task)).collect(),
+        task_blocks: (0..tasks).map(|task| cut.task_root_blocks(task)).collect(),
         budget_entries: None,
     });
 
