@@ -14,6 +14,8 @@
 //! the ordering, elimination tree and column counts instead of recomputing
 //! them per allowance.
 
+use std::sync::Arc;
+
 use engine::parallel::{default_threads, par_map};
 use engine::{Engine, EngineConfig};
 use ordering::OrderingMethod;
@@ -27,8 +29,9 @@ use treemem::Tree;
 pub struct CorpusTree {
     /// Instance name (`problem-n-ordering-amalgamation`).
     pub name: String,
-    /// The weighted assembly tree.
-    pub tree: Tree,
+    /// The weighted assembly tree, shared: planning it
+    /// (`EngineConfig::prebuilt(entry.tree.clone())`) bumps a count.
+    pub tree: Arc<Tree>,
     /// Number of nodes of the tree (cached for reports).
     pub nodes: usize,
 }
@@ -145,7 +148,7 @@ pub fn corpus_for(config: &PipelineConfig, description: &str) -> Corpus {
                             amalgamation
                         ),
                         nodes: plan.tree().len(),
-                        tree: plan.tree().clone(),
+                        tree: Arc::new(plan.tree().clone()),
                     }
                 })
                 .collect()
@@ -179,7 +182,7 @@ pub fn random_corpus(base: &Corpus, variants_per_tree: usize, seed: u64) -> Corp
                 .wrapping_add(variant as u64);
             trees.push(CorpusTree {
                 name: format!("{}-rw{}", entry.name, variant),
-                tree: reweight_paper(&entry.tree, tree_seed),
+                tree: Arc::new(reweight_paper(&entry.tree, tree_seed)),
                 nodes: entry.nodes,
             });
         }
@@ -204,7 +207,7 @@ mod tests {
         assert_eq!(corpus.len(), instances.len());
         for (entry, instance) in corpus.trees.iter().zip(&instances) {
             assert_eq!(entry.name, instance.name);
-            assert_eq!(entry.tree, instance.assembly.tree, "{}", entry.name);
+            assert_eq!(*entry.tree, instance.assembly.tree, "{}", entry.name);
         }
     }
 

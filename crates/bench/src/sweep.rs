@@ -322,12 +322,12 @@ mod tests {
             CorpusTree {
                 name: "harpoon-4".into(),
                 nodes: 13,
-                tree: harpoon(4, 400, 1),
+                tree: harpoon(4, 400, 1).into(),
             },
             CorpusTree {
                 name: "random-16".into(),
                 nodes: 16,
-                tree: random_attachment_tree(16, 50, 5, 7),
+                tree: random_attachment_tree(16, 50, 5, 7).into(),
             },
         ];
         Corpus {
@@ -373,7 +373,7 @@ mod tests {
         let trees = vec![CorpusTree {
             name: "big-random".into(),
             nodes: 80,
-            tree: random_attachment_tree(80, 50, 5, 3),
+            tree: random_attachment_tree(80, 50, 5, 3).into(),
         }];
         let corpus = Corpus {
             description: "one big tree".into(),

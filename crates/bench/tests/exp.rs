@@ -57,6 +57,36 @@ fn all_quick_runs_every_experiment() {
     assert!(results
         .join("exp_minio_sweep/BENCH_minio_sweep.json")
         .exists());
+    // The deterministic outputs, pinned: a refactor below `exp` must not
+    // move a byte of the paper's tables.  Left out: `runtime`'s microsecond
+    // columns and `minio-sweep`'s elapsed/threads fields.  After a
+    // deliberate change, replace the literal the failure message prints.
+    for (file, fnv1a) in [
+        ("exp_ablation/ablation.csv", 0x6e824f3df6659ead),
+        ("exp_minio_heuristics/figure7_io.csv", 0x00ac9b30ee5826c5),
+        (
+            "exp_minio_heuristics/figure7_profile.csv",
+            0x3495c4ec8dc63ed0,
+        ),
+        ("exp_minio_traversals/figure8_io.csv", 0x9fe385ac171e8e6f),
+        (
+            "exp_minio_traversals/figure8_profile.csv",
+            0xa327b2bb7d3f3d99,
+        ),
+        (
+            "exp_minmem_assembly/table1_instances.csv",
+            0x2f54da8c4773c688,
+        ),
+        ("exp_minmem_random/figure9_profile.csv", 0xafdbb08f63badd9f),
+        ("exp_minmem_random/table2_instances.csv", 0x1b5157701f1b6720),
+        ("exp_theorem1/theorem1_ratios.csv", 0x485b521a67094b32),
+    ] {
+        let actual = engine::fingerprint64(&std::fs::read_to_string(results.join(file)).unwrap());
+        assert_eq!(
+            actual, fnv1a,
+            "{file} changed; its FNV-1a is now {actual:#018x}"
+        );
+    }
     std::fs::remove_dir_all(&results).ok();
 }
 

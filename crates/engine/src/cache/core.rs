@@ -32,6 +32,7 @@
 //! their view of the cache is always consistent.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,16 +40,14 @@ use treemem::sync::TrackedMutex;
 
 use super::policy::{CachePolicy, EntryMeta, EvictionPrompt, Session};
 use super::{CacheStats, TenantUsage};
+use crate::config::Fnv1a;
 
 /// FNV-1a 64-bit fingerprint of a key (stable across re-insertions; what
 /// ghost queues recognise returning keys by).
 pub fn fingerprint64(key: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = Fnv1a::new();
+    hash.write_str(key).expect("the hash sink cannot fail");
+    hash.value()
 }
 
 /// Construction parameters of a [`CacheCore`] and of the caches built on

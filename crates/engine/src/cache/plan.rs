@@ -568,4 +568,38 @@ mod tests {
         assert_eq!((bob.entries, bob.hits), (0, 1), "bob shares alice's plan");
         cache.validate_accounting().unwrap();
     }
+
+    #[test]
+    fn byte_mode_charges_what_the_retained_configuration_owns() {
+        use crate::config::SolveConfig;
+        use sparsemat::gen::ProblemKind;
+        let engine = Engine::new();
+        let cache = PlanCache::with_config(CacheConfig {
+            policy: CachePolicy::Gdsf,
+            bytes_capacity: 1 << 30,
+            ..CacheConfig::default()
+        });
+        // Explicit right-hand sides live in the plan's configuration: over a
+        // megabyte of them must show in the charge, or the byte budget
+        // admits plans far beyond what it was given.
+        let rhs = vec![vec![1.0; 144]; 1_000];
+        let rhs_bytes = (144 * 1_000 * std::mem::size_of::<f64>()) as u64;
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 144, 1)
+            .with_numeric(true)
+            .with_solve(SolveConfig::vectors(rhs));
+        cache.get_or_plan(&engine, &config).unwrap();
+        assert!(rhs_bytes >= 1_000_000);
+        assert!(cache.stats().bytes_used >= rhs_bytes);
+        cache.validate_accounting().unwrap();
+        // A prebuilt tree is one allocation shared by the configuration and
+        // the plan: charged, and charged once.
+        let tree = harpoon(100, 300, 1);
+        let tree_bytes = tree.heap_bytes();
+        let plan = engine.plan(&EngineConfig::prebuilt(tree)).unwrap();
+        let charge = plan.approx_heap_bytes();
+        assert!(
+            (tree_bytes..2 * tree_bytes).contains(&charge),
+            "{charge} for a {tree_bytes}-byte tree"
+        );
+    }
 }

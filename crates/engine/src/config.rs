@@ -6,13 +6,39 @@
 //! execution gets — and round-trips through JSON
 //! ([`EngineConfig::to_json`] / [`EngineConfig::from_json`]), so whole
 //! experiment grids can be stored, shipped to a server, or replayed later.
+//!
+//! # One renderer, any sink
+//!
+//! The `engine_config/v1` document is written by one private renderer over
+//! [`std::fmt::Write`], in two parts: the head up to the `source` line
+//! (`render_source` — the only part that can be large) and the settings
+//! tail (`Settings::render`).  [`EngineConfig::to_json`] points it at a
+//! `String`; [`EngineConfig::hash`] points it at `Fnv1a`, a running FNV-1a
+//! state that is itself a sink, so hashing allocates nothing.  Because the
+//! state is a `Copy` value, a [`Plan`](crate::Plan) keeps the one reached
+//! after the `source` line and finishes it over whatever settings a
+//! schedule or a re-amalgamated sibling actually ran with: naming an
+//! effective configuration never clones a config or revisits a tree.
+//!
+//! # Byte stability
+//!
+//! Every byte of the document is a contract — the hash is over them, and
+//! plan caches, factor caches, report provenance and distributed task
+//! frames key on the hash.  `tests::rendered_bytes_and_hashes_are_stable`
+//! pins literal documents and hashes for one configuration of every shape;
+//! `run::tests::overridden_schedules_carry_the_effective_config_hash` pins
+//! the finished-from-saved-state hashes to [`EngineConfig::hash`] of the
+//! effective configuration.
+
+use std::fmt::{self, Display, Write};
+use std::sync::Arc;
 
 use ordering::OrderingMethod;
 use sparsemat::gen::ProblemKind;
 use treemem::tree::Size;
 use treemem::Tree;
 
-use crate::json::{escape, Json, JsonError};
+use crate::json::{write_array, AsJson, Json, JsonError, Quoted};
 
 /// Where the problem comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +61,9 @@ pub enum ProblemSource {
     /// the traversal stages run directly on it (used for gadget trees and
     /// re-weighted corpora).
     Prebuilt {
-        /// The tree.
-        tree: Tree,
+        /// The tree, shared: cloning the configuration, planning it and
+        /// scheduling on the plan all point at this one allocation.
+        tree: Arc<Tree>,
     },
 }
 
@@ -52,6 +79,22 @@ pub enum MemoryBudget {
     /// (at `1.0`, where no I/O is needed) — the same convention as the
     /// sweep engine's memory fractions.
     FractionOfPeak(f64),
+}
+
+impl Display for AsJson<&MemoryBudget> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            MemoryBudget::Unlimited => f.write_str("{\"type\": \"unlimited\"}"),
+            MemoryBudget::Absolute(size) => {
+                write!(f, "{{\"type\": \"absolute\", \"value\": {size}}}")
+            }
+            // `{}` on f64 prints the shortest representation that parses
+            // back to the same value, so the round-trip is exact.
+            MemoryBudget::FractionOfPeak(fraction) => {
+                write!(f, "{{\"type\": \"fraction\", \"value\": {fraction}}}")
+            }
+        }
+    }
 }
 
 impl MemoryBudget {
@@ -97,25 +140,6 @@ impl BudgetShare {
         }
     }
 
-    fn to_json_fragment(self) -> String {
-        match self {
-            BudgetShare::Unbounded => "{\"type\": \"unbounded\"}".to_string(),
-            // A non-finite multiple would render as bare `NaN`/`inf` — not
-            // JSON.  Serialize it as `null` so the document stays
-            // well-formed; the parser then reports the missing value and
-            // plan-time validation rejects the multiple anyway.
-            BudgetShare::MultipleOfSequentialPeak(multiple) if !multiple.is_finite() => {
-                "{\"type\": \"multiple\", \"value\": null}".to_string()
-            }
-            BudgetShare::MultipleOfSequentialPeak(multiple) => {
-                format!("{{\"type\": \"multiple\", \"value\": {multiple}}}")
-            }
-            BudgetShare::Entries(entries) => {
-                format!("{{\"type\": \"entries\", \"value\": {entries}}}")
-            }
-        }
-    }
-
     fn from_json(json: &Json, field: &'static str) -> Result<BudgetShare, ConfigParseError> {
         Ok(match json.get("type").and_then(Json::as_str) {
             Some("unbounded") => BudgetShare::Unbounded,
@@ -133,6 +157,27 @@ impl BudgetShare {
                 return Err(invalid(format!("unknown budget type {other:?} in {field}")));
             }
         })
+    }
+}
+
+impl Display for AsJson<&BudgetShare> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            BudgetShare::Unbounded => f.write_str("{\"type\": \"unbounded\"}"),
+            // A non-finite multiple would render as bare `NaN`/`inf` — not
+            // JSON.  Serialize it as `null` so the document stays
+            // well-formed; the parser then reports the missing value and
+            // plan-time validation rejects the multiple anyway.
+            BudgetShare::MultipleOfSequentialPeak(multiple) if !multiple.is_finite() => {
+                f.write_str("{\"type\": \"multiple\", \"value\": null}")
+            }
+            BudgetShare::MultipleOfSequentialPeak(multiple) => {
+                write!(f, "{{\"type\": \"multiple\", \"value\": {multiple}}}")
+            }
+            BudgetShare::Entries(entries) => {
+                write!(f, "{{\"type\": \"entries\", \"value\": {entries}}}")
+            }
+        }
     }
 }
 
@@ -190,15 +235,6 @@ impl ParallelConfig {
     /// Whether the parallel execution layer is active.
     pub fn enabled(&self) -> bool {
         self.workers >= 1
-    }
-
-    fn to_json_fragment(self) -> String {
-        format!(
-            "{{\"workers\": {}, \"max_tasks\": {}, \"budget\": {}}}",
-            self.workers,
-            self.max_tasks,
-            self.budget.to_json_fragment()
-        )
     }
 
     fn from_json(json: &Json) -> Result<ParallelConfig, ConfigParseError> {
@@ -279,15 +315,6 @@ impl DistributedConfig {
     /// two tasks to mean anything).
     pub fn enabled(&self) -> bool {
         self.tasks >= 2
-    }
-
-    fn to_json_fragment(self) -> String {
-        format!(
-            "{{\"tasks\": {}, \"budget\": {}, \"lease_ms\": {}}}",
-            self.tasks,
-            self.budget.to_json_fragment(),
-            self.lease_ms
-        )
     }
 
     fn from_json(json: &Json) -> Result<DistributedConfig, ConfigParseError> {
@@ -382,44 +409,6 @@ impl SolveConfig {
             SolveRhs::Generated { count, .. } => *count,
             SolveRhs::Vectors(vectors) => vectors.len(),
         }
-    }
-
-    fn to_json_fragment(&self) -> String {
-        let rhs = match &self.rhs {
-            SolveRhs::Generated { count, seed } => {
-                format!("{{\"type\": \"generated\", \"count\": {count}, \"seed\": {seed}}}")
-            }
-            SolveRhs::Vectors(vectors) => {
-                let rendered: Vec<String> = vectors
-                    .iter()
-                    .map(|vector| {
-                        let entries: Vec<String> = vector
-                            .iter()
-                            // Non-finite entries are not JSON; `null` keeps
-                            // the document well-formed and the parser then
-                            // reports the mistyped entry (validation rejects
-                            // non-finite right-hand sides anyway).
-                            .map(|v| {
-                                if v.is_finite() {
-                                    format!("{v}")
-                                } else {
-                                    "null".to_string()
-                                }
-                            })
-                            .collect();
-                        format!("[{}]", entries.join(","))
-                    })
-                    .collect();
-                format!(
-                    "{{\"type\": \"vectors\", \"values\": [{}]}}",
-                    rendered.join(",")
-                )
-            }
-        };
-        format!(
-            "{{\"enabled\": {}, \"rhs\": {rhs}, \"check_residual\": {}}}",
-            self.enabled, self.check_residual
-        )
     }
 
     fn from_json(json: &Json) -> Result<SolveConfig, ConfigParseError> {
@@ -530,8 +519,8 @@ impl EngineConfig {
 
     /// A configuration for a prebuilt tree; defaults as in
     /// [`EngineConfig::generated`].
-    pub fn prebuilt(tree: Tree) -> Self {
-        Self::with_source(ProblemSource::Prebuilt { tree })
+    pub fn prebuilt(tree: impl Into<Arc<Tree>>) -> Self {
+        Self::with_source(ProblemSource::Prebuilt { tree: tree.into() })
     }
 
     fn with_source(source: ProblemSource) -> Self {
@@ -621,88 +610,57 @@ impl EngineConfig {
     /// `engine_config/v1`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"engine_config/v1\",\n");
-        match &self.source {
-            ProblemSource::Generated { kind, nodes, seed } => {
-                out.push_str(&format!(
-                    "  \"source\": {{\"type\": \"generated\", \"kind\": \"{}\", \
-                     \"nodes\": {nodes}, \"seed\": {seed}}},\n",
-                    kind.name()
-                ));
-            }
-            ProblemSource::MatrixMarket { path } => {
-                out.push_str(&format!(
-                    "  \"source\": {{\"type\": \"matrix_market\", \"path\": \"{}\"}},\n",
-                    escape(path)
-                ));
-            }
-            ProblemSource::Prebuilt { tree } => {
-                let parents: Vec<String> = tree
-                    .parents()
-                    .iter()
-                    .map(|p| match p {
-                        Some(parent) => parent.to_string(),
-                        None => "-1".to_string(),
-                    })
-                    .collect();
-                let files: Vec<String> = tree.files().iter().map(|f| f.to_string()).collect();
-                let weights: Vec<String> = tree.weights().iter().map(|w| w.to_string()).collect();
-                out.push_str(&format!(
-                    "  \"source\": {{\"type\": \"prebuilt\", \"parents\": [{}], \
-                     \"files\": [{}], \"weights\": [{}]}},\n",
-                    parents.join(","),
-                    files.join(","),
-                    weights.join(",")
-                ));
-            }
-        }
-        out.push_str(&format!("  \"ordering\": \"{}\",\n", self.ordering.name()));
-        out.push_str(&format!("  \"amalgamation\": {},\n", self.amalgamation));
-        out.push_str(&format!("  \"solver\": \"{}\",\n", escape(&self.solver)));
-        out.push_str(&format!("  \"policy\": \"{}\",\n", escape(&self.policy)));
-        match self.memory {
-            MemoryBudget::Unlimited => {
-                out.push_str("  \"memory\": {\"type\": \"unlimited\"},\n");
-            }
-            MemoryBudget::Absolute(size) => {
-                out.push_str(&format!(
-                    "  \"memory\": {{\"type\": \"absolute\", \"value\": {size}}},\n"
-                ));
-            }
-            MemoryBudget::FractionOfPeak(fraction) => {
-                // `{}` on f64 prints the shortest representation that parses
-                // back to the same value, so the round-trip is exact.
-                out.push_str(&format!(
-                    "  \"memory\": {{\"type\": \"fraction\", \"value\": {fraction}}},\n"
-                ));
-            }
-        }
-        out.push_str(&format!("  \"numeric\": {},\n", self.numeric));
-        out.push_str(&format!(
-            "  \"solve\": {},\n",
-            self.solve.to_json_fragment()
-        ));
-        // The distributed section is emitted only when it differs from the
-        // default: the config hash is FNV-1a over these bytes, and every
-        // config written before the section existed must keep its hash.
-        if self.distributed == DistributedConfig::default() {
-            out.push_str(&format!(
-                "  \"parallel\": {}\n",
-                self.parallel.to_json_fragment()
-            ));
-        } else {
-            out.push_str(&format!(
-                "  \"parallel\": {},\n",
-                self.parallel.to_json_fragment()
-            ));
-            out.push_str(&format!(
-                "  \"distributed\": {}\n",
-                self.distributed.to_json_fragment()
-            ));
-        }
-        out.push_str("}\n");
+        self.render_source(&mut out)
+            .and_then(|()| self.settings().render(&mut out))
+            .expect("writing to a String cannot fail");
         out
+    }
+
+    /// The head of the document, up to and including the `source` line —
+    /// the only part that can be large (a prebuilt tree) and the part no
+    /// schedule or sibling plan ever changes.
+    fn render_source(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("{\n  \"schema\": \"engine_config/v1\",\n  \"source\": ")?;
+        match &self.source {
+            ProblemSource::Generated { kind, nodes, seed } => write!(
+                out,
+                "{{\"type\": \"generated\", \"kind\": \"{}\", \"nodes\": {nodes}, \"seed\": {seed}}}",
+                kind.name()
+            )?,
+            ProblemSource::MatrixMarket { path } => write!(
+                out,
+                "{{\"type\": \"matrix_market\", \"path\": {}}}",
+                Quoted(path)
+            )?,
+            ProblemSource::Prebuilt { tree } => {
+                out.write_str("{\"type\": \"prebuilt\", \"parents\": ")?;
+                write_array(out, tree.parents(), |out, parent| match parent {
+                    Some(parent) => write!(out, "{parent}"),
+                    None => out.write_str("-1"),
+                })?;
+                out.write_str(", \"files\": ")?;
+                write_array(out, tree.files(), |out, file| write!(out, "{file}"))?;
+                out.write_str(", \"weights\": ")?;
+                write_array(out, tree.weights(), |out, weight| write!(out, "{weight}"))?;
+                out.write_str("}")?;
+            }
+        }
+        out.write_str(",\n")
+    }
+
+    /// Everything after the `source` line, borrowed.
+    pub(crate) fn settings(&self) -> Settings<'_> {
+        Settings {
+            ordering: self.ordering,
+            amalgamation: self.amalgamation,
+            solver: &self.solver,
+            policy: &self.policy,
+            memory: self.memory,
+            numeric: self.numeric,
+            solve: &self.solve,
+            parallel: self.parallel,
+            distributed: self.distributed,
+        }
     }
 
     /// Parse a configuration produced by [`EngineConfig::to_json`].
@@ -746,7 +704,9 @@ impl EngineConfig {
                 let weights = int_array(source, "weights")?;
                 let tree = Tree::from_parents(&parents, &files, &weights)
                     .map_err(|e| invalid(format!("invalid prebuilt tree: {e}")))?;
-                ProblemSource::Prebuilt { tree }
+                ProblemSource::Prebuilt {
+                    tree: Arc::new(tree),
+                }
             }
             other => {
                 return Err(invalid(format!("unknown source type {other:?}")));
@@ -824,12 +784,129 @@ impl EngineConfig {
     /// 16-character hex string.  Reports carry it as provenance so results
     /// can be traced back to the exact configuration that produced them.
     pub fn hash(&self) -> String {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_json().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
+        self.source_hash().finish(&self.settings())
+    }
+
+    /// The hash state reached after the `source` line.  A [`Plan`](crate::Plan)
+    /// keeps it, so naming an effective configuration never visits the
+    /// source again.
+    pub(crate) fn source_hash(&self) -> Fnv1a {
+        let mut state = Fnv1a::new();
+        self.render_source(&mut state)
+            .expect("the hash sink cannot fail");
+        state
+    }
+}
+
+/// Every field of an [`EngineConfig`] after its `source`, borrowed: what a
+/// schedule (solver, policy, memory, parallel) or a sibling plan
+/// (amalgamation) may replace to describe the configuration that actually
+/// ran, without cloning the one it was derived from.
+pub(crate) struct Settings<'a> {
+    pub(crate) ordering: OrderingMethod,
+    pub(crate) amalgamation: usize,
+    pub(crate) solver: &'a str,
+    pub(crate) policy: &'a str,
+    pub(crate) memory: MemoryBudget,
+    pub(crate) numeric: bool,
+    pub(crate) solve: &'a SolveConfig,
+    pub(crate) parallel: ParallelConfig,
+    pub(crate) distributed: DistributedConfig,
+}
+
+impl Settings<'_> {
+    /// The tail of the `engine_config/v1` document, closing brace included.
+    fn render(&self, out: &mut impl Write) -> fmt::Result {
+        writeln!(out, "  \"ordering\": \"{}\",", self.ordering.name())?;
+        writeln!(out, "  \"amalgamation\": {},", self.amalgamation)?;
+        writeln!(out, "  \"solver\": {},", Quoted(self.solver))?;
+        writeln!(out, "  \"policy\": {},", Quoted(self.policy))?;
+        writeln!(out, "  \"memory\": {},", AsJson(&self.memory))?;
+        writeln!(out, "  \"numeric\": {},", self.numeric)?;
+        let solve = self.solve;
+        write!(
+            out,
+            "  \"solve\": {{\"enabled\": {}, \"rhs\": ",
+            solve.enabled
+        )?;
+        match &solve.rhs {
+            SolveRhs::Generated { count, seed } => write!(
+                out,
+                "{{\"type\": \"generated\", \"count\": {count}, \"seed\": {seed}}}"
+            )?,
+            SolveRhs::Vectors(vectors) => {
+                out.write_str("{\"type\": \"vectors\", \"values\": ")?;
+                write_array(out, vectors, |out, vector| {
+                    // Non-finite entries are not JSON; `null` keeps the
+                    // document well-formed and the parser then reports the
+                    // mistyped entry (validation rejects non-finite
+                    // right-hand sides anyway).
+                    write_array(out, vector, |out, value| match value.is_finite() {
+                        true => write!(out, "{value}"),
+                        false => out.write_str("null"),
+                    })
+                })?;
+                out.write_str("}")?;
+            }
         }
-        format!("{hash:016x}")
+        writeln!(out, ", \"check_residual\": {}}},", solve.check_residual)?;
+        let (parallel, distributed) = (self.parallel, self.distributed);
+        write!(
+            out,
+            "  \"parallel\": {{\"workers\": {}, \"max_tasks\": {}, \"budget\": {}}}",
+            parallel.workers,
+            parallel.max_tasks,
+            AsJson(&parallel.budget)
+        )?;
+        // The distributed section is emitted only when it differs from the
+        // default: the config hash is FNV-1a over these bytes, and every
+        // config written before the section existed must keep its hash.
+        if distributed != DistributedConfig::default() {
+            write!(
+                out,
+                ",\n  \"distributed\": {{\"tasks\": {}, \"budget\": {}, \"lease_ms\": {}}}",
+                distributed.tasks,
+                AsJson(&distributed.budget),
+                distributed.lease_ms
+            )?;
+        }
+        out.write_str("\n}\n")
+    }
+}
+
+/// A running 64-bit FNV-1a hash that is also a [`fmt::Write`] sink: the
+/// renderer hashes the document as it writes it, with no buffer between.
+#[derive(Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// The hash so far.
+    pub(crate) fn value(self) -> u64 {
+        self.0
+    }
+
+    /// The hash of the configuration whose `source` this state has
+    /// absorbed and whose remaining fields are `settings`, as
+    /// [`EngineConfig::hash`] formats it.
+    pub(crate) fn finish(mut self, settings: &Settings<'_>) -> String {
+        settings
+            .render(&mut self)
+            .expect("the hash sink cannot fail");
+        format!("{:016x}", self.0)
+    }
+}
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
     }
 }
 
@@ -907,6 +984,192 @@ mod tests {
             let parsed = EngineConfig::from_json(&config.to_json()).unwrap();
             assert_eq!(parsed, config);
             assert_eq!(parsed.hash(), config.hash());
+        }
+    }
+
+    /// Literal bytes and hashes of one configuration of every shape, taken
+    /// from the `format!` + `join` renderer the streaming one replaced.  The
+    /// bytes are a contract: `hash()` is FNV-1a over them, and plan caches,
+    /// factor caches, report provenance and distributed task frames all key
+    /// on it.  A change here re-baselines every stored hash.
+    #[test]
+    fn rendered_bytes_and_hashes_are_stable() {
+        let generated = EngineConfig::generated(ProblemKind::PowerLaw, 300, 0x9e37_79b9_7f4a_7c15)
+            .with_ordering(OrderingMethod::NestedDissection)
+            .with_amalgamation(16)
+            .with_solver("liu")
+            .with_policy("BestKComb")
+            .with_memory(MemoryBudget::FractionOfPeak(0.3751))
+            .with_numeric(true);
+        assert_eq!(
+            generated.to_json(),
+            r#"{
+  "schema": "engine_config/v1",
+  "source": {"type": "generated", "kind": "powerlaw", "nodes": 300, "seed": 11400714819323198485},
+  "ordering": "nd",
+  "amalgamation": 16,
+  "solver": "liu",
+  "policy": "BestKComb",
+  "memory": {"type": "fraction", "value": 0.3751},
+  "numeric": true,
+  "solve": {"enabled": false, "rhs": {"type": "generated", "count": 1, "seed": 1}, "check_residual": true},
+  "parallel": {"workers": 0, "max_tasks": 64, "budget": {"type": "unbounded"}}
+}
+"#
+        );
+        assert_eq!(generated.hash(), "98276f6e237d7e91");
+
+        // A path that needs every kind of escape.
+        let matrix_market = EngineConfig::matrix_market("data/with \"quotes\"\n\\\u{7f}.mtx")
+            .with_memory(MemoryBudget::Absolute(12_345));
+        assert_eq!(
+            matrix_market.to_json(),
+            r#"{
+  "schema": "engine_config/v1",
+  "source": {"type": "matrix_market", "path": "data/with \"quotes\"\n\\\u007f.mtx"},
+  "ordering": "amd",
+  "amalgamation": 1,
+  "solver": "minmem",
+  "policy": "LSNF",
+  "memory": {"type": "absolute", "value": 12345},
+  "numeric": false,
+  "solve": {"enabled": false, "rhs": {"type": "generated", "count": 1, "seed": 1}, "check_residual": true},
+  "parallel": {"workers": 0, "max_tasks": 64, "budget": {"type": "unbounded"}}
+}
+"#
+        );
+        assert_eq!(matrix_market.hash(), "4da7ec1ca297c4f0");
+
+        let prebuilt = EngineConfig::prebuilt(harpoon(3, 300, 1));
+        assert_eq!(
+            prebuilt.to_json(),
+            r#"{
+  "schema": "engine_config/v1",
+  "source": {"type": "prebuilt", "parents": [-1,0,1,2,0,4,5,0,7,8], "files": [0,100,1,300,100,1,300,100,1,300], "weights": [0,0,0,0,0,0,0,0,0,0]},
+  "ordering": "amd",
+  "amalgamation": 1,
+  "solver": "minmem",
+  "policy": "LSNF",
+  "memory": {"type": "unlimited"},
+  "numeric": false,
+  "solve": {"enabled": false, "rhs": {"type": "generated", "count": 1, "seed": 1}, "check_residual": true},
+  "parallel": {"workers": 0, "max_tasks": 64, "budget": {"type": "unbounded"}}
+}
+"#
+        );
+        assert_eq!(prebuilt.hash(), "838da3f1207f4e66");
+
+        // The section shapes share one head; each literal is the rest.
+        const HEAD: &str = r#"{
+  "schema": "engine_config/v1",
+  "source": {"type": "generated", "kind": "grid2d", "nodes": 200, "seed": 1},
+  "ordering": "amd",
+  "amalgamation": 1,
+  "solver": "minmem",
+  "policy": "LSNF",
+  "memory": {"type": "unlimited"},
+  "numeric": true,
+"#;
+        const NO_SOLVE: &str = r#"  "solve": {"enabled": false, "rhs": {"type": "generated", "count": 1, "seed": 1}, "check_residual": true},
+"#;
+        const SEQUENTIAL: &str = r#"  "parallel": {"workers": 0, "max_tasks": 64, "budget": {"type": "unbounded"}}
+}
+"#;
+        let grid = || EngineConfig::generated(ProblemKind::Grid2d, 200, 1).with_numeric(true);
+        let multiple = BudgetShare::MultipleOfSequentialPeak;
+        let sections = [
+            (
+                // Explicit right-hand sides, a non-finite entry included.
+                grid().with_solve(
+                    SolveConfig::vectors(vec![vec![1.0, f64::NAN, -2.5], vec![0.125, 1e-7, -0.0]])
+                        .with_check(false),
+                ),
+                [
+                    r#"  "solve": {"enabled": true, "rhs": {"type": "vectors", "values": [[1,null,-2.5],[0.125,0.0000001,-0]]}, "check_residual": false},
+"#,
+                    SEQUENTIAL,
+                ]
+                .concat(),
+                "5a7ea4f60231cabe",
+            ),
+            (
+                grid().with_parallel(ParallelConfig::with_workers(4)),
+                [
+                    NO_SOLVE,
+                    r#"  "parallel": {"workers": 4, "max_tasks": 64, "budget": {"type": "unbounded"}}
+}
+"#,
+                ]
+                .concat(),
+                "1a6a456ef81b41e1",
+            ),
+            (
+                grid().with_parallel(
+                    ParallelConfig::with_workers(8)
+                        .with_max_tasks(17)
+                        .with_budget(multiple(1.75)),
+                ),
+                [
+                    NO_SOLVE,
+                    r#"  "parallel": {"workers": 8, "max_tasks": 17, "budget": {"type": "multiple", "value": 1.75}}
+}
+"#,
+                ]
+                .concat(),
+                "8f31a4c48679e629",
+            ),
+            (
+                grid().with_parallel(
+                    ParallelConfig::with_workers(2).with_budget(multiple(f64::INFINITY)),
+                ),
+                [
+                    NO_SOLVE,
+                    r#"  "parallel": {"workers": 2, "max_tasks": 64, "budget": {"type": "multiple", "value": null}}
+}
+"#,
+                ]
+                .concat(),
+                "66aa4b619d897f4b",
+            ),
+            (
+                grid().with_parallel(
+                    ParallelConfig::with_workers(2).with_budget(BudgetShare::Entries(123_456)),
+                ),
+                [
+                    NO_SOLVE,
+                    r#"  "parallel": {"workers": 2, "max_tasks": 64, "budget": {"type": "entries", "value": 123456}}
+}
+"#,
+                ]
+                .concat(),
+                "515d0312bdc79af9",
+            ),
+            (
+                // A default distributed section leaves no trace.
+                grid().with_distributed(DistributedConfig::default()),
+                [NO_SOLVE, SEQUENTIAL].concat(),
+                "e8ab0893ec3c64fd",
+            ),
+            (
+                grid()
+                    .with_solve(SolveConfig::generated(4, 99))
+                    .with_distributed(
+                        DistributedConfig::with_tasks(64)
+                            .with_budget(multiple(1.25))
+                            .with_lease_ms(2_000),
+                    ),
+                r#"  "solve": {"enabled": true, "rhs": {"type": "generated", "count": 4, "seed": 99}, "check_residual": true},
+  "parallel": {"workers": 0, "max_tasks": 64, "budget": {"type": "unbounded"}},
+  "distributed": {"tasks": 64, "budget": {"type": "multiple", "value": 1.25}, "lease_ms": 2000}
+}
+"#
+                .to_string(),
+                "91e4d41686261100",
+            ),
+        ];
+        for (config, tail, hash) in sections {
+            assert_eq!(config.to_json(), [HEAD, &tail].concat());
+            assert_eq!(config.hash(), hash, "{tail}");
         }
     }
 

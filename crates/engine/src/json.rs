@@ -16,6 +16,8 @@
 //! Every failure is a [`JsonError`] with a byte offset — never a panic or
 //! a stack overflow.
 
+use std::fmt;
+
 /// Maximum container nesting depth accepted by [`Json::parse`].
 ///
 /// Deeper documents fail with a [`JsonError`] instead of exhausting the call
@@ -420,18 +422,58 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
 /// and `parse(escape(s)) == s` for every `s`.
 pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
+    write_escaped(&mut out, text).expect("writing to a String cannot fail");
+    out
+}
+
+/// [`escape`], streamed into `out`.
+fn write_escaped(out: &mut impl fmt::Write, text: &str) -> fmt::Result {
     for c in text.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c.is_control() => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if c.is_control() => write!(out, "\\u{:04x}", u32::from(c))?,
+            c => out.write_char(c)?,
         }
     }
-    out
+    Ok(())
+}
+
+/// `Display` adapter: the text as a JSON string literal, quotes included,
+/// escaped as [`escape`] does but streamed into the formatter's sink.
+pub(crate) struct Quoted<'a>(pub(crate) &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("\"")?;
+        write_escaped(f, self.0)?;
+        f.write_str("\"")
+    }
+}
+
+/// `Display` adapter rendering a config or report part as its JSON
+/// fragment, so nested parts stream into the sink of whoever renders the
+/// enclosing document — a `String`, or a hash — with no intermediate
+/// `String`s.  The impls live beside the types they render.
+pub(crate) struct AsJson<T>(pub(crate) T);
+
+/// A comma-separated array; `item` renders one element.
+pub(crate) fn write_array<W: fmt::Write, T>(
+    out: &mut W,
+    items: &[T],
+    item: impl Fn(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    out.write_str("[")?;
+    for (index, value) in items.iter().enumerate() {
+        if index > 0 {
+            out.write_str(",")?;
+        }
+        item(out, value)?;
+    }
+    out.write_str("]")
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@ pub mod cache;
 pub mod cancel;
 pub mod config;
 pub mod json;
+mod memo;
 pub mod parallel;
 mod parexec;
 pub mod report;

@@ -5,7 +5,7 @@ use std::fmt::{self, Display, Write};
 use treemem::tree::{NodeId, Size};
 
 use crate::config::MemoryBudget;
-use crate::json::escape;
+use crate::json::{write_array, AsJson, Quoted};
 
 /// The cut-plan half of a [`ParallelReport`] or [`DistributedReport`]: the
 /// shape of the proportional cut, its statically modeled peaks and the
@@ -307,20 +307,8 @@ impl Report {
     }
 }
 
-/// A JSON string literal.
-struct Quoted<'a>(&'a str);
-
-impl Display for Quoted<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"{}\"", escape(self.0))
-    }
-}
-
-/// `Display` adapter rendering a report part as its JSON fragment, so nested
-/// parts stream into the buffer of whoever renders the enclosing document —
-/// no intermediate `String`s.  Field names, order, spacing and float formats
-/// (`{:.6}` seconds, `{:e}` errors) are a wire contract.
-struct AsJson<T>(T);
+// Field names, order, spacing and float formats (`{:.6}` seconds, `{:e}`
+// errors) of the [`AsJson`] parts below are a wire contract.
 
 /// `Some(part)` as the part, `None` as JSON `null`.
 impl<T: Display> Display for AsJson<Option<T>> {
@@ -330,22 +318,6 @@ impl<T: Display> Display for AsJson<Option<T>> {
             None => f.write_str("null"),
         }
     }
-}
-
-/// A comma-separated array; `item` renders one element.
-fn write_array<T>(
-    f: &mut fmt::Formatter<'_>,
-    items: &[T],
-    item: impl Fn(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
-) -> fmt::Result {
-    f.write_str("[")?;
-    for (index, value) in items.iter().enumerate() {
-        if index > 0 {
-            f.write_str(",")?;
-        }
-        item(f, value)?;
-    }
-    f.write_str("]")
 }
 
 /// An array of `{:.6}` seconds.
@@ -359,20 +331,6 @@ impl Display for AsJson<&Vec<f64>> {
 impl Display for AsJson<&[NodeId]> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write_array(f, self.0, |f, node| node.fmt(f))
-    }
-}
-
-impl Display for AsJson<&MemoryBudget> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            MemoryBudget::Unlimited => f.write_str("{\"type\": \"unlimited\"}"),
-            MemoryBudget::Absolute(size) => {
-                write!(f, "{{\"type\": \"absolute\", \"value\": {size}}}")
-            }
-            MemoryBudget::FractionOfPeak(fraction) => {
-                write!(f, "{{\"type\": \"fraction\", \"value\": {fraction}}}")
-            }
-        }
     }
 }
 

@@ -12,8 +12,23 @@
 //! budgets over the same traversal re-runs neither the symbolic analysis nor
 //! the solver — the "symbolic analysis reused across numeric runs" shape of
 //! production multifrontal codes.
+//!
+//! # What a plan owns and what it shares
+//!
+//! A [`Plan`] owns its configuration, the assembly tree and its lazily
+//! filled caches.  It *shares*, by `Arc`: a prebuilt tree with the
+//! configuration it came from (one allocation from
+//! [`EngineConfig::prebuilt`] to [`Plan::tree`]); the symbolic analysis with
+//! every [`Plan::reamalgamate`]d sibling; each solver's traversal with every
+//! [`Schedule`] of that solver; the numeric substrate with every factor.
+//! Everything lazy goes through one private compute-once memo (`memo::Memo`:
+//! computed outside the lock, one value retained per key, errors never
+//! cached).  A schedule therefore costs its solver (first use only) plus
+//! its out-of-core simulation and bound: its `config_hash` is the plan's
+//! saved hash state finished over the effective settings
+//! ([`crate::config`]), not a render of a cloned configuration.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minio::{
@@ -34,9 +49,10 @@ use treemem::{Traversal, TraversalResult, Tree};
 
 use crate::cancel::CancelToken;
 use crate::config::{
-    BudgetShare, DistributedConfig, EngineConfig, MemoryBudget, ParallelConfig, ProblemSource,
-    SolveConfig, SolveRhs,
+    BudgetShare, DistributedConfig, EngineConfig, Fnv1a, MemoryBudget, ParallelConfig,
+    ProblemSource, Settings, SolveConfig, SolveRhs,
 };
+use crate::memo::Memo;
 use crate::parallel::{default_threads, par_map};
 use crate::parexec::{execute_cut, CutPlan, TaskContext, TaskRunner};
 use crate::report::{
@@ -189,56 +205,49 @@ impl Engine {
         self.validate(config)?;
         check(cancel, "plan")?;
         let mut timings = StageTimings::default();
-        let (pattern, generate_seconds) = timed(|| acquire_pattern(&config.source))?;
-        timings.generate_seconds = generate_seconds;
-        match pattern {
-            None => Ok(Plan {
-                config: config.clone(),
-                config_hash: config.hash(),
-                symbolic: None,
-                tree: PlanTree::Prebuilt,
-                timings,
-                solved: Mutex::new(Vec::new()),
-                bounds: Mutex::new(Vec::new()),
-                numeric_model: Mutex::new(None),
-            }),
-            Some(pattern) => {
-                fire_fault("plan:ordering");
-                check(cancel, "ordering")?;
-                let (ordered, ordering_seconds) = CancelToken::with_stop(cancel, |stop| {
-                    timed_ok(|| {
-                        let perm = config.ordering.order_with_stop(&pattern, stop)?;
-                        let permuted = perm.apply(&pattern);
-                        let etree = elimination_tree(&permuted);
-                        let counts = column_counts(&permuted, &etree);
-                        Some((permuted, etree, counts))
-                    })
-                });
-                timings.ordering_seconds = ordering_seconds;
-                let Some((permuted, etree, counts)) = ordered else {
-                    return Err(cancelled(cancel, "ordering"));
-                };
-                fire_fault("plan:symbolic");
-                check(cancel, "symbolic")?;
-                let (assembly, symbolic_seconds) =
-                    timed_ok(|| amalgamate(&etree, &counts, config.amalgamation));
-                timings.symbolic_seconds = symbolic_seconds;
-                Ok(Plan {
-                    config: config.clone(),
-                    config_hash: config.hash(),
-                    symbolic: Some(SymbolicData {
-                        permuted,
-                        etree,
-                        counts,
-                    }),
-                    tree: PlanTree::Assembly(Box::new(assembly)),
-                    timings,
-                    solved: Mutex::new(Vec::new()),
-                    bounds: Mutex::new(Vec::new()),
-                    numeric_model: Mutex::new(None),
-                })
+        let source_hash = config.source_hash();
+        let (pattern, generate_seconds) = match &config.source {
+            ProblemSource::Prebuilt { tree } => {
+                let tree = PlanTree::Prebuilt(tree.clone());
+                return Ok(Plan::new(config.clone(), source_hash, None, tree, timings));
             }
-        }
+            ProblemSource::Generated { kind, nodes, seed } => {
+                timed_ok(|| kind.generate(*nodes, *seed))
+            }
+            ProblemSource::MatrixMarket { path } => timed(|| read_matrix_market(path))?,
+        };
+        timings.generate_seconds = generate_seconds;
+        fire_fault("plan:ordering");
+        check(cancel, "ordering")?;
+        let (ordered, ordering_seconds) = CancelToken::with_stop(cancel, |stop| {
+            timed_ok(|| {
+                let perm = config.ordering.order_with_stop(&pattern, stop)?;
+                let permuted = perm.apply(&pattern);
+                let etree = elimination_tree(&permuted);
+                let counts = column_counts(&permuted, &etree);
+                Some(SymbolicData {
+                    permuted,
+                    etree,
+                    counts,
+                })
+            })
+        });
+        timings.ordering_seconds = ordering_seconds;
+        let Some(symbolic) = ordered else {
+            return Err(cancelled(cancel, "ordering"));
+        };
+        fire_fault("plan:symbolic");
+        check(cancel, "symbolic")?;
+        let (assembly, symbolic_seconds) =
+            timed_ok(|| amalgamate(&symbolic.etree, &symbolic.counts, config.amalgamation));
+        timings.symbolic_seconds = symbolic_seconds;
+        Ok(Plan::new(
+            config.clone(),
+            source_hash,
+            Some(Arc::new(symbolic)),
+            PlanTree::Assembly(Box::new(assembly)),
+            timings,
+        ))
     }
 
     /// Convenience: plan, schedule and execute `config` in one call.
@@ -439,16 +448,10 @@ fn generated_rhs_batch(n: usize, count: usize, seed: u64) -> Vec<f64> {
     batch
 }
 
-fn acquire_pattern(source: &ProblemSource) -> Result<Option<SparsePattern>, EngineError> {
-    match source {
-        ProblemSource::Generated { kind, nodes, seed } => Ok(Some(kind.generate(*nodes, *seed))),
-        ProblemSource::MatrixMarket { path } => {
-            let file = std::fs::File::open(path)
-                .map_err(|e| EngineError::Io(format!("cannot open {path}: {e}")))?;
-            Ok(Some(read_pattern(file)?))
-        }
-        ProblemSource::Prebuilt { .. } => Ok(None),
-    }
+fn read_matrix_market(path: &str) -> Result<SparsePattern, EngineError> {
+    let file = std::fs::File::open(path)
+        .map_err(|e| EngineError::Io(format!("cannot open {path}: {e}")))?;
+    Ok(read_pattern(file)?)
 }
 
 /// Typed cancellation error for `stage` (zero elapsed without a token; that
@@ -496,8 +499,17 @@ struct SymbolicData {
 
 enum PlanTree {
     Assembly(Box<AssemblyTree>),
-    /// The tree lives in `Plan::config`'s source; no second copy is kept.
-    Prebuilt,
+    /// The allocation the configuration's source points at; no copy.
+    Prebuilt(Arc<Tree>),
+}
+
+/// One solver's cached outcome on a plan's tree.
+struct Solved {
+    result: TraversalResult,
+    seconds: f64,
+    /// Divisible lower bounds by memory budget: the bound depends only on
+    /// the traversal and the budget, so policy sweeps share it.
+    bounds: Memo<Size, Size>,
 }
 
 /// The numeric substrate shared by every `execute` on one plan: the SPD
@@ -507,10 +519,10 @@ enum PlanTree {
 pub(crate) struct NumericModel {
     pub(crate) matrix: sparsemat::SymmetricCsr,
     /// Shared with every factor computed on this plan.
-    pub(crate) structure: std::sync::Arc<SymbolicStructure>,
+    pub(crate) structure: Arc<SymbolicStructure>,
     pub(crate) model: Tree,
     /// Bottom-up factorization orders cached by solver name.
-    orders: Mutex<Vec<(String, Vec<NodeId>)>>,
+    orders: Memo<String, Vec<NodeId>>,
 }
 
 impl NumericModel {
@@ -519,11 +531,10 @@ impl NumericModel {
     pub(crate) fn heap_bytes(&self) -> u64 {
         let mut bytes =
             self.matrix.heap_bytes() + self.structure.heap_bytes() + self.model.heap_bytes();
-        let orders = self.orders.lock().expect("order cache poisoned");
-        for (name, order) in orders.iter() {
+        self.orders.for_each(|name, order| {
             bytes += name.len() as u64;
             bytes += (order.len() * std::mem::size_of::<NodeId>()) as u64;
-        }
+        });
         bytes
     }
 
@@ -533,26 +544,17 @@ impl NumericModel {
         &self,
         engine: &Engine,
         solver: &str,
-    ) -> Result<Vec<NodeId>, EngineError> {
-        {
-            let cache = self.orders.lock().expect("order cache poisoned");
-            if let Some((_, order)) = cache.iter().find(|(name, _)| name == solver) {
-                return Ok(order.clone());
+    ) -> Result<Arc<Vec<NodeId>>, EngineError> {
+        self.orders.get_or_try(solver, || {
+            let entry = engine.solvers.get_or_err(solver)?;
+            if !entry.supports(&self.model) {
+                return Err(EngineError::InvalidConfig(format!(
+                    "solver '{solver}' does not support the {}-node per-column model",
+                    self.model.len()
+                )));
             }
-        }
-        let entry = engine.solvers.get_or_err(solver)?;
-        if !entry.supports(&self.model) {
-            return Err(EngineError::InvalidConfig(format!(
-                "solver '{solver}' does not support the {}-node per-column model",
-                self.model.len()
-            )));
-        }
-        let order: Vec<NodeId> = entry.solve(&self.model).traversal.reversed().into_order();
-        let mut cache = self.orders.lock().expect("order cache poisoned");
-        if !cache.iter().any(|(name, _)| name == solver) {
-            cache.push((solver.to_string(), order.clone()));
-        }
-        Ok(order)
+            Ok(entry.solve(&self.model).traversal.reversed().into_order())
+        })
     }
 }
 
@@ -584,22 +586,41 @@ impl NumericModel {
 /// ```
 pub struct Plan {
     config: EngineConfig,
+    /// The hash state after the configuration's `source` line: schedules
+    /// and sibling plans finish it over their effective settings.
+    source_hash: Fnv1a,
     config_hash: String,
-    symbolic: Option<SymbolicData>,
+    /// Shared with every [`Plan::reamalgamate`]d sibling.
+    symbolic: Option<Arc<SymbolicData>>,
     tree: PlanTree,
     timings: StageTimings,
-    /// Solver results cached by name: `(solver, result, seconds)`.
-    solved: Mutex<Vec<(String, TraversalResult, f64)>>,
-    /// Divisible lower bounds cached by `(solver, memory budget)`: the bound
-    /// depends only on the traversal and the budget, so policy sweeps reuse
-    /// it instead of recomputing an identical O(p log p) pass per policy.
-    bounds: Mutex<Vec<((String, Size), Size)>>,
+    /// Solver results (and their bounds) cached by solver name.
+    solved: Memo<String, Solved>,
     /// The numeric substrate, built lazily by the first `execute` with the
     /// numeric stage enabled and shared by all later ones.
-    numeric_model: Mutex<Option<std::sync::Arc<NumericModel>>>,
+    numeric_model: Memo<(), NumericModel>,
 }
 
 impl Plan {
+    fn new(
+        config: EngineConfig,
+        source_hash: Fnv1a,
+        symbolic: Option<Arc<SymbolicData>>,
+        tree: PlanTree,
+        timings: StageTimings,
+    ) -> Plan {
+        Plan {
+            config_hash: source_hash.finish(&config.settings()),
+            config,
+            source_hash,
+            symbolic,
+            tree,
+            timings,
+            solved: Memo::new(),
+            numeric_model: Memo::new(),
+        }
+    }
+
     /// The configuration this plan was built from.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -614,10 +635,7 @@ impl Plan {
     pub fn tree(&self) -> &Tree {
         match &self.tree {
             PlanTree::Assembly(assembly) => &assembly.tree,
-            PlanTree::Prebuilt => match &self.config.source {
-                ProblemSource::Prebuilt { tree } => tree,
-                _ => unreachable!("PlanTree::Prebuilt implies a prebuilt source"),
-            },
+            PlanTree::Prebuilt(tree) => tree,
         }
     }
 
@@ -626,7 +644,7 @@ impl Plan {
     pub fn assembly(&self) -> Option<&AssemblyTree> {
         match &self.tree {
             PlanTree::Assembly(assembly) => Some(assembly),
-            PlanTree::Prebuilt => None,
+            PlanTree::Prebuilt(_) => None,
         }
     }
 
@@ -646,16 +664,30 @@ impl Plan {
         &self.timings
     }
 
-    /// Approximate heap footprint of the plan in bytes: the tree (or
-    /// assembly tree with its grouping metadata), the symbolic analysis,
-    /// the cached solver traversals, and the numeric substrate if one was
-    /// built.  Estimated from array lengths at call time — the serving
-    /// caches charge entries by this value at insert, so footprints are
-    /// byte-accurate for the dominant CSR/factor arrays while later lazy
-    /// fills (a new solver's traversal) are charged on re-insert only.
+    /// Approximate heap footprint of the plan in bytes: what the retained
+    /// configuration owns (right-hand-side vectors, names, a MatrixMarket
+    /// path), the tree (or assembly tree with its grouping metadata; a
+    /// prebuilt tree is one allocation shared with the configuration and
+    /// counted once), the symbolic analysis, the cached solver traversals,
+    /// and the numeric substrate if one was built.  Estimated from array
+    /// lengths at call time — the serving caches charge entries by this
+    /// value at insert, so footprints are byte-accurate for the dominant
+    /// CSR/factor/RHS arrays while later lazy fills (a new solver's
+    /// traversal) are charged on re-insert only.
     pub fn approx_heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let mut bytes = size_of::<Plan>() as u64 + self.config_hash.len() as u64;
+        let config = &self.config;
+        let mut bytes = (size_of::<Plan>()
+            + self.config_hash.len()
+            + config.solver.len()
+            + config.policy.len()) as u64;
+        if let ProblemSource::MatrixMarket { path } = &config.source {
+            bytes += path.len() as u64;
+        }
+        if let SolveRhs::Vectors(vectors) = &config.solve.rhs {
+            let values: usize = vectors.iter().map(Vec::len).sum();
+            bytes += (values * size_of::<f64>() + vectors.len() * size_of::<Vec<f64>>()) as u64;
+        }
         match &self.tree {
             PlanTree::Assembly(assembly) => {
                 bytes += assembly.tree.heap_bytes();
@@ -667,28 +699,19 @@ impl Plan {
                 bytes += groups as u64;
                 bytes += ((assembly.eta.len() + assembly.mu.len()) * size_of::<usize>()) as u64;
             }
-            PlanTree::Prebuilt => {
-                bytes += self.tree().heap_bytes();
-            }
+            PlanTree::Prebuilt(tree) => bytes += tree.heap_bytes(),
         }
         if let Some(symbolic) = &self.symbolic {
             bytes += symbolic.permuted.heap_bytes();
             bytes += (symbolic.etree.len() * size_of::<Option<usize>>()) as u64;
             bytes += (symbolic.counts.len() * size_of::<usize>()) as u64;
         }
-        {
-            let solved = self.solved.lock().expect("solver cache poisoned");
-            for (name, result, _) in solved.iter() {
-                bytes += name.len() as u64;
-                bytes += (result.traversal.len() * size_of::<NodeId>()) as u64;
-            }
-        }
-        {
-            let numeric = self.numeric_model.lock().expect("numeric model poisoned");
-            if let Some(model) = numeric.as_ref() {
-                bytes += model.heap_bytes();
-            }
-        }
+        self.solved.for_each(|name, solved| {
+            bytes += name.len() as u64;
+            bytes += (solved.result.traversal.len() * size_of::<NodeId>()) as u64;
+        });
+        self.numeric_model
+            .for_each(|(), model| bytes += model.heap_bytes());
         bytes
     }
 
@@ -707,25 +730,17 @@ impl Plan {
                 "prebuilt sources have no symbolic analysis to re-amalgamate".to_string(),
             ));
         };
-        let config = self.config.clone().with_amalgamation(amalgamation);
         let (assembly, symbolic_seconds) =
             timed_ok(|| amalgamate(&symbolic.etree, &symbolic.counts, amalgamation));
         let mut timings = self.timings.clone();
         timings.symbolic_seconds = symbolic_seconds;
-        Ok(Plan {
-            config_hash: config.hash(),
-            config,
-            symbolic: Some(SymbolicData {
-                permuted: symbolic.permuted.clone(),
-                etree: symbolic.etree.clone(),
-                counts: symbolic.counts.clone(),
-            }),
-            tree: PlanTree::Assembly(Box::new(assembly)),
+        Ok(Plan::new(
+            self.config.clone().with_amalgamation(amalgamation),
+            self.source_hash,
+            Some(symbolic.clone()),
+            PlanTree::Assembly(Box::new(assembly)),
             timings,
-            solved: Mutex::new(Vec::new()),
-            bounds: Mutex::new(Vec::new()),
-            numeric_model: Mutex::new(None),
-        })
+        ))
     }
 
     /// Run (or fetch from the cache) the named solver on the plan's tree.
@@ -745,93 +760,64 @@ impl Plan {
         solver: &str,
         cancel: Option<&CancelToken>,
     ) -> Result<(TraversalResult, f64), EngineError> {
-        {
-            let cache = self.solved.lock().expect("solver cache poisoned");
-            if let Some((_, result, seconds)) = cache.iter().find(|(name, _, _)| name == solver) {
-                return Ok((result.clone(), *seconds));
-            }
-        }
-        let entry = engine.solvers.get_or_err(solver)?;
-        if !entry.supports(self.tree()) {
-            return Err(EngineError::InvalidConfig(format!(
-                "solver '{solver}' does not support a tree of {} nodes",
-                self.tree().len()
-            )));
-        }
-        fire_fault("schedule:solver");
-        check(cancel, "solver")?;
-        let (result, seconds) = CancelToken::with_stop(cancel, |stop| {
-            timed_ok(|| entry.solve_with_stop(self.tree(), stop))
-        });
-        let Some(result) = result else {
-            return Err(cancelled(cancel, "solver"));
-        };
-        let mut cache = self.solved.lock().expect("solver cache poisoned");
-        if !cache.iter().any(|(name, _, _)| name == solver) {
-            cache.push((solver.to_string(), result.clone(), seconds));
-        }
-        Ok((result, seconds))
+        let solved = self.solved(engine, solver, cancel)?;
+        Ok((solved.result.clone(), solved.seconds))
     }
 
-    /// The divisible lower bound for `solver`'s traversal under `memory`,
-    /// computed once per (solver, budget) pair and cached: policy sweeps
-    /// share the bound instead of recomputing it per policy.
-    fn divisible_bound_cached(
+    /// The shared, cached outcome of `solver` on the plan's tree — what
+    /// schedules hold instead of a copy of the traversal.
+    fn solved(
         &self,
+        engine: &Engine,
         solver: &str,
-        solved: &TraversalResult,
-        memory: Size,
-    ) -> Result<Size, MinIoError> {
-        {
-            let cache = self.bounds.lock().expect("bound cache poisoned");
-            if let Some((_, bound)) = cache
-                .iter()
-                .find(|((name, budget), _)| name == solver && *budget == memory)
-            {
-                return Ok(*bound);
+        cancel: Option<&CancelToken>,
+    ) -> Result<Arc<Solved>, EngineError> {
+        self.solved.get_or_try(solver, || {
+            let entry = engine.solvers.get_or_err(solver)?;
+            if !entry.supports(self.tree()) {
+                return Err(EngineError::InvalidConfig(format!(
+                    "solver '{solver}' does not support a tree of {} nodes",
+                    self.tree().len()
+                )));
             }
-        }
-        let bound = divisible_lower_bound(self.tree(), &solved.traversal, memory)?;
-        let mut cache = self.bounds.lock().expect("bound cache poisoned");
-        if !cache
-            .iter()
-            .any(|((name, budget), _)| name == solver && *budget == memory)
-        {
-            cache.push(((solver.to_string(), memory), bound));
-        }
-        Ok(bound)
+            fire_fault("schedule:solver");
+            check(cancel, "solver")?;
+            let (result, seconds) = CancelToken::with_stop(cancel, |stop| {
+                timed_ok(|| entry.solve_with_stop(self.tree(), stop))
+            });
+            let result = result.ok_or_else(|| cancelled(cancel, "solver"))?;
+            Ok(Solved {
+                result,
+                seconds,
+                bounds: Memo::new(),
+            })
+        })
     }
 
     /// The numeric substrate (SPD matrix + per-column model), built on first
     /// use and shared by every `execute` on this plan.
-    pub(crate) fn numeric_model(&self) -> Result<std::sync::Arc<NumericModel>, EngineError> {
-        {
-            let cache = self.numeric_model.lock().expect("numeric cache poisoned");
-            if let Some(model) = cache.as_ref() {
-                return Ok(model.clone());
-            }
-        }
-        let Some(symbolic) = &self.symbolic else {
-            return Err(EngineError::NumericUnavailable);
-        };
-        let seed = match &self.config.source {
-            ProblemSource::Generated { seed, .. } => *seed,
-            _ => 1,
-        };
-        let matrix = spd_matrix_from_pattern(&symbolic.permuted, seed);
-        let structure = std::sync::Arc::new(SymbolicStructure::from_etree(
-            &symbolic.permuted,
-            symbolic.etree.clone(),
-        ));
-        let model = per_column_model(&structure);
-        let built = std::sync::Arc::new(NumericModel {
-            matrix,
-            structure,
-            model,
-            orders: Mutex::new(Vec::new()),
-        });
-        let mut cache = self.numeric_model.lock().expect("numeric cache poisoned");
-        Ok(cache.get_or_insert_with(|| built).clone())
+    pub(crate) fn numeric_model(&self) -> Result<Arc<NumericModel>, EngineError> {
+        self.numeric_model.get_or_try(&(), || {
+            let Some(symbolic) = &self.symbolic else {
+                return Err(EngineError::NumericUnavailable);
+            };
+            let seed = match &self.config.source {
+                ProblemSource::Generated { seed, .. } => *seed,
+                _ => 1,
+            };
+            let matrix = spd_matrix_from_pattern(&symbolic.permuted, seed);
+            let structure = Arc::new(SymbolicStructure::from_etree(
+                &symbolic.permuted,
+                symbolic.etree.clone(),
+            ));
+            let model = per_column_model(&structure);
+            Ok(NumericModel {
+                matrix,
+                structure,
+                model,
+                orders: Memo::new(),
+            })
+        })
     }
 
     /// Factor one subtree task of a distributed run: the worker-process side
@@ -900,60 +886,57 @@ impl Plan {
         spec: ScheduleSpec,
         cancel: Option<&CancelToken>,
     ) -> Result<Schedule<'p>, EngineError> {
+        // Provenance: the hash of the *effective* configuration, so
+        // replaying the hashed configuration reproduces exactly this
+        // schedule.  A spec that overrides nothing names the plan's own
+        // configuration; any other finishes the plan's saved hash state
+        // over the effective settings — the source is never revisited.
+        let overrides = spec.solver.is_some()
+            || spec.policy.is_some()
+            || spec.memory.is_some()
+            || spec.parallel.is_some();
         let solver = spec.solver.unwrap_or_else(|| self.config.solver.clone());
         let policy_name = spec.policy.unwrap_or_else(|| self.config.policy.clone());
         let budget_spec = spec.memory.unwrap_or(self.config.memory);
         let parallel = spec.parallel.unwrap_or(self.config.parallel);
         validate_execution(&parallel, &self.config.distributed, self.config.numeric)?;
         let policy = engine.policies.get_or_err(&policy_name)?;
-        let (solved, solver_seconds) = self.solve_with_cancel(engine, &solver, cancel)?;
+        let solved = self.solved(engine, &solver, cancel)?;
 
         fire_fault("schedule:io");
         check(cancel, "io")?;
         let tree = self.tree();
-        let memory_budget = budget_spec.resolve(tree.max_mem_req(), solved.peak);
-        let ((run, divisible_bound), io_seconds) = {
+        let traversal = &solved.result.traversal;
+        let memory_budget = budget_spec.resolve(tree.max_mem_req(), solved.result.peak);
+        let (simulated, io_seconds) = {
             let (result, summary) = CancelToken::with_stop(cancel, |stop| {
                 perfprof::timing::time_runs(1, || {
-                    let run = schedule_io_with_stop(
-                        tree,
-                        &solved.traversal,
-                        memory_budget,
-                        policy,
-                        stop,
-                    )?;
-                    let bound = match &run {
-                        Some(_) => {
-                            Some(self.divisible_bound_cached(&solver, &solved, memory_budget)?)
-                        }
-                        None => None,
+                    let Some(run) =
+                        schedule_io_with_stop(tree, traversal, memory_budget, policy, stop)?
+                    else {
+                        return Ok(None);
                     };
-                    Ok::<_, MinIoError>((run, bound))
+                    let bound = solved.bounds.get_or_try(&memory_budget, || {
+                        divisible_lower_bound(tree, traversal, memory_budget)
+                    })?;
+                    Ok::<_, MinIoError>(Some((run, *bound)))
                 })
             });
             (result?, summary.median_seconds)
         };
-        let (Some(run), Some(divisible_bound)) = (run, divisible_bound) else {
+        let Some((run, divisible_bound)) = simulated else {
             return Err(cancelled(cancel, "io"));
         };
-        // Provenance: the hash of the *effective* configuration.  When the
-        // spec overrides nothing this is the plan's own hash; otherwise the
-        // overrides are applied first, so replaying the hashed configuration
-        // reproduces exactly this schedule.
-        let config_hash = if solver == self.config.solver
-            && policy_name == self.config.policy
-            && budget_spec == self.config.memory
-            && parallel == self.config.parallel
-        {
-            self.config_hash.clone()
+        let config_hash = if overrides {
+            self.source_hash.finish(&Settings {
+                solver: &solver,
+                policy: &policy_name,
+                memory: budget_spec,
+                parallel,
+                ..self.config.settings()
+            })
         } else {
-            self.config
-                .clone()
-                .with_solver(&solver)
-                .with_policy(&policy_name)
-                .with_memory(budget_spec)
-                .with_parallel(parallel)
-                .hash()
+            self.config_hash.clone()
         };
         Ok(Schedule {
             plan: self,
@@ -961,13 +944,11 @@ impl Plan {
             solver,
             policy: policy_name,
             parallel,
-            traversal: solved.traversal,
-            solver_peak: solved.peak,
+            solved,
             budget_spec,
             memory_budget,
             run,
             divisible_bound,
-            solver_seconds,
             io_seconds,
         })
     }
@@ -1022,13 +1003,13 @@ pub struct Schedule<'p> {
     solver: String,
     policy: String,
     parallel: ParallelConfig,
-    traversal: Traversal,
-    solver_peak: Size,
+    /// The solver's traversal, peak and seconds — the plan's cached entry,
+    /// shared by every schedule of this solver.
+    solved: Arc<Solved>,
     budget_spec: MemoryBudget,
     memory_budget: Size,
     run: OutOfCoreRun,
     divisible_bound: Size,
-    solver_seconds: f64,
     io_seconds: f64,
 }
 
@@ -1049,7 +1030,7 @@ impl Schedule<'_> {
     /// stays 0.0 until [`Schedule::execute`] runs the numeric stage).
     pub fn timings(&self) -> StageTimings {
         let mut timings = self.plan.timings.clone();
-        timings.solver_seconds = self.solver_seconds;
+        timings.solver_seconds = self.solved.seconds;
         timings.io_seconds = self.io_seconds;
         timings
     }
@@ -1066,12 +1047,12 @@ impl Schedule<'_> {
 
     /// The traversal (top-down order, root first).
     pub fn traversal(&self) -> &Traversal {
-        &self.traversal
+        &self.solved.result.traversal
     }
 
     /// Peak memory of the traversal (the MinMemory objective).
     pub fn peak(&self) -> Size {
-        self.solver_peak
+        self.solved.result.peak
     }
 
     /// The resolved absolute memory budget of the simulated execution.
@@ -1256,7 +1237,7 @@ impl Schedule<'_> {
             policy: self.policy.clone(),
             nodes: plan.tree().len(),
             matrix_n: plan.matrix_n(),
-            solver_peak: self.solver_peak,
+            solver_peak: self.peak(),
             memory_budget: self.memory_budget,
             budget_spec: self.budget_spec,
             io_volume: self.run.io_volume,
@@ -1264,7 +1245,7 @@ impl Schedule<'_> {
             files_written: self.run.files_written,
             io_peak_memory: self.run.peak_memory,
             divisible_bound: self.divisible_bound,
-            traversal: self.traversal.order().to_vec(),
+            traversal: self.traversal().order().to_vec(),
             numeric,
             solve,
             parallel,
@@ -1389,7 +1370,7 @@ struct NumericStage<'c> {
 pub struct DistributedCut {
     cut: CutPlan,
     lease_ms: u64,
-    structure: std::sync::Arc<SymbolicStructure>,
+    structure: Arc<SymbolicStructure>,
 }
 
 impl DistributedCut {
@@ -1486,7 +1467,7 @@ pub struct DistributedRuntime {
 /// `POST /solve` requests from.  Obtained via
 /// [`Schedule::execute_with_factor`].
 pub struct FactorHandle {
-    numeric: std::sync::Arc<NumericModel>,
+    numeric: Arc<NumericModel>,
     factor: CholeskyFactor,
 }
 
@@ -1623,12 +1604,17 @@ mod tests {
         let plan = engine
             .plan(&EngineConfig::prebuilt(harpoon(4, 400, 1)))
             .unwrap();
+        let cached = || {
+            let mut solvers = Vec::new();
+            plan.solved.for_each(|name, _| solvers.push(name.clone()));
+            solvers
+        };
         let (first, _) = plan.solve(&engine, "minmem").unwrap();
         let (second, _) = plan.solve(&engine, "minmem").unwrap();
         assert_eq!(first, second);
-        assert_eq!(plan.solved.lock().unwrap().len(), 1);
+        assert_eq!(cached(), ["minmem"]);
         plan.solve(&engine, "postorder").unwrap();
-        assert_eq!(plan.solved.lock().unwrap().len(), 2);
+        assert_eq!(cached(), ["minmem", "postorder"]);
     }
 
     #[test]
@@ -1646,32 +1632,95 @@ mod tests {
         assert_eq!(relaxed.config_hash(), direct.config_hash());
     }
 
+    /// A schedule's hash is finished from the plan's saved state; it must be
+    /// the hash of the configuration with the overrides applied — for every
+    /// source kind and every subset of overrides, including a spec that
+    /// spells out the configuration's own values.
     #[test]
     fn overridden_schedules_carry_the_effective_config_hash() {
         let engine = Engine::new();
-        let config = EngineConfig::prebuilt(harpoon(4, 400, 1));
+        let bases = [
+            EngineConfig::generated(ProblemKind::Grid2d, 144, 3).with_numeric(true),
+            EngineConfig::prebuilt(harpoon(4, 400, 1)),
+            EngineConfig::generated(ProblemKind::Banded, 12, 3)
+                .with_numeric(true)
+                .with_solve(SolveConfig::vectors(vec![vec![1.0; 12]])),
+        ];
+        for base in &bases {
+            let plan = engine.plan(base).unwrap();
+            assert_eq!(plan.config_hash(), base.hash());
+            let own_values = ScheduleSpec::default()
+                .solver(base.solver.as_str())
+                .policy(base.policy.as_str())
+                .memory(base.memory)
+                .parallel(base.parallel);
+            let schedule = plan.schedule_with(&engine, own_values).unwrap();
+            assert_eq!(schedule.config_hash(), base.hash());
+            // Parallel execution needs the numeric stage; elsewhere the
+            // override repeats the default section.
+            let workers = if base.numeric { 2 } else { 0 };
+            let parallel = ParallelConfig::with_workers(workers);
+            let memory = MemoryBudget::FractionOfPeak(0.25);
+            for subset in 0..16 {
+                let (mut spec, mut effective) = (ScheduleSpec::default(), base.clone());
+                if subset & 1 != 0 {
+                    spec = spec.solver("postorder");
+                    effective = effective.with_solver("postorder");
+                }
+                if subset & 2 != 0 {
+                    spec = spec.policy("GDSF");
+                    effective = effective.with_policy("GDSF");
+                }
+                if subset & 4 != 0 {
+                    spec = spec.memory(memory);
+                    effective = effective.with_memory(memory);
+                }
+                if subset & 8 != 0 {
+                    spec = spec.parallel(parallel);
+                    effective = effective.with_parallel(parallel);
+                }
+                let schedule = plan.schedule_with(&engine, spec).unwrap();
+                let report = schedule.execute(&engine).unwrap();
+                assert_eq!(
+                    schedule.config_hash(),
+                    effective.hash(),
+                    "{} subset {subset:04b}",
+                    base.source_name()
+                );
+                assert_eq!(report.config_hash, effective.hash());
+                assert_eq!(schedule.config_hash() == base.hash(), effective == *base);
+            }
+        }
+    }
+
+    #[test]
+    fn plans_and_schedules_share_instead_of_copying() {
+        let engine = Engine::new();
+        // A prebuilt tree is one allocation from configuration to schedule.
+        let tree = Arc::new(harpoon(4, 400, 1));
+        let holders = Arc::strong_count(&tree);
+        {
+            let config = EngineConfig::prebuilt(tree.clone());
+            let plan = engine.plan(&config).unwrap();
+            assert!(std::ptr::eq(plan.tree(), Arc::as_ptr(&tree)));
+            let spec = || ScheduleSpec::default().solver("liu");
+            let first = plan.schedule_with(&engine, spec().policy("GDSF")).unwrap();
+            let second = plan.schedule_with(&engine, spec()).unwrap();
+            // Two schedules of one solver hold the plan's one traversal.
+            assert!(Arc::ptr_eq(&first.solved, &second.solved));
+            assert!(std::ptr::eq(first.traversal(), second.traversal()));
+            assert!(Arc::strong_count(&tree) > holders);
+        }
+        assert_eq!(Arc::strong_count(&tree), holders);
+        // A re-amalgamated sibling shares the symbolic analysis.
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 144, 3);
         let plan = engine.plan(&config).unwrap();
-        // No overrides: the plan's own hash.
-        let report = plan.schedule(&engine).unwrap().execute(&engine).unwrap();
-        assert_eq!(report.config_hash, config.hash());
-        // Overrides: the hash of the configuration with the overrides
-        // applied, so the hash identifies what actually ran.
-        let spec = ScheduleSpec::default()
-            .solver("postorder")
-            .policy("GDSF")
-            .memory(MemoryBudget::FractionOfPeak(0.0));
-        let report = plan
-            .schedule_with(&engine, spec)
-            .unwrap()
-            .execute(&engine)
-            .unwrap();
-        let effective = config
-            .clone()
-            .with_solver("postorder")
-            .with_policy("GDSF")
-            .with_memory(MemoryBudget::FractionOfPeak(0.0));
-        assert_eq!(report.config_hash, effective.hash());
-        assert_ne!(report.config_hash, config.hash());
+        let sibling = plan.reamalgamate(4).unwrap();
+        assert!(Arc::ptr_eq(
+            plan.symbolic.as_ref().unwrap(),
+            sibling.symbolic.as_ref().unwrap()
+        ));
+        assert_eq!(plan.permuted_pattern(), sibling.permuted_pattern());
     }
 
     #[test]
@@ -1943,7 +1992,7 @@ mod tests {
                 .unwrap();
             let handle = handle.unwrap();
             // The merged factor shares the plan's one structure...
-            assert!(std::sync::Arc::ptr_eq(
+            assert!(Arc::ptr_eq(
                 &handle.factor().structure,
                 &plan.numeric_model().unwrap().structure
             ));
@@ -1984,11 +2033,8 @@ mod tests {
         let (_, second) = schedule.execute_with_factor(&engine).unwrap();
         let (first, second) = (first.unwrap(), second.unwrap());
         let structure = &plan.numeric_model().unwrap().structure;
-        assert!(std::sync::Arc::ptr_eq(&first.factor().structure, structure));
-        assert!(std::sync::Arc::ptr_eq(
-            &second.factor().structure,
-            structure
-        ));
+        assert!(Arc::ptr_eq(&first.factor().structure, structure));
+        assert!(Arc::ptr_eq(&second.factor().structure, structure));
         assert_eq!(first.factor().values, second.factor().values);
         // A handle weighs its own values plus the substrate, whose row
         // structure is counted once however many factors point at it.

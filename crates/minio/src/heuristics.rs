@@ -11,6 +11,15 @@
 //! [`schedule_io_with`] is the entry point; the six paper heuristics are the
 //! [`crate::policy::paper`] values (the golden parity test pins them to the
 //! original fixed dispatch).
+//!
+//! One walk, two clients: the simulator and [`divisible_lower_bound`] both
+//! step a traversal over the same private `ResidentSet` — the ordered set of
+//! resident traversal positions plus the resident total — so neither ever
+//! scans the non-resident nodes.  Two oracles are retained: the seed's
+//! scan-and-sort simulator as [`schedule_io_naive`] (pinned by
+//! `tests/golden_parity.rs` and `tests/deep_trees.rs`) and the seed's
+//! scan-and-sort bound as a test-only function of this module (pinned on
+//! the same corpora by `divisible_bound_equals_its_scan_and_sort_oracle`).
 
 use std::collections::BTreeSet;
 
@@ -81,6 +90,73 @@ pub struct OutOfCoreRun {
     pub schedule: IoSchedule,
 }
 
+/// The files in main memory while a traversal is walked: their traversal
+/// positions, ordered, and their total resident size.  The one piece of
+/// bookkeeping both walks of this module — the policy simulator and the
+/// divisible bound — keep, changing by O(#children) per executed step.
+///
+/// Every resident file other than the node currently executing is
+/// unprocessed, so its position is strictly greater than the current step:
+/// the range above the step, reversed, enumerates exactly the eviction
+/// candidates, latest use first, without scanning the other p − resident
+/// nodes.
+struct ResidentSet {
+    positions: BTreeSet<usize>,
+    total: Size,
+}
+
+impl ResidentSet {
+    /// The state before step 0: only the root's input file is in memory.
+    fn with_root(tree: &Tree, positions: &[usize]) -> Self {
+        let root = tree.root();
+        ResidentSet {
+            positions: BTreeSet::from([positions[root]]),
+            total: tree.f(root),
+        }
+    }
+
+    /// `size` units of the file at `position` enter memory (production, or
+    /// a read-back of what was written out).
+    fn enter(&mut self, position: usize, size: Size) {
+        self.positions.insert(position);
+        self.total += size;
+    }
+
+    /// The file at `position` leaves memory with its last `size` units.
+    fn leave(&mut self, position: usize, size: Size) {
+        self.positions.remove(&position);
+        self.total -= size;
+    }
+
+    /// Positions of the eviction candidates at `step`, latest use first.
+    fn latest_first(&self, step: usize) -> impl Iterator<Item = usize> + '_ {
+        self.positions.range(step + 1..).rev().copied()
+    }
+
+    /// Memory needed while `node` executes, given what is resident; fails
+    /// if not even evicting every other file could make room for it.
+    fn during(&self, tree: &Tree, node: NodeId, memory: Size) -> Result<Size, MinIoError> {
+        let required = tree.mem_req(node);
+        if required > memory {
+            return Err(MinIoError::InsufficientMemory {
+                node,
+                required,
+                memory,
+            });
+        }
+        Ok(self.total + tree.n(node) + tree.children_file_sum(node))
+    }
+
+    /// Execute `node` at `step`: its input file is consumed, its children's
+    /// files are produced.
+    fn execute(&mut self, tree: &Tree, positions: &[usize], step: usize, node: NodeId) {
+        self.leave(step, tree.f(node));
+        for &child in tree.children(node) {
+            self.enter(positions[child], tree.f(child));
+        }
+    }
+}
+
 /// Simulate an out-of-core execution of `traversal` on `tree` with main
 /// memory `memory`, using `policy` to choose which files to evict.
 ///
@@ -98,10 +174,11 @@ pub struct OutOfCoreRun {
 /// user-written ones — yields a feasible schedule.
 ///
 /// The simulator is *incremental*: the resident candidate files are kept in
-/// an ordered set keyed by traversal position, which changes by
-/// O(#children) per executed step, so a deficit step costs
-/// O(resident log p) instead of the full O(p log p) scan-and-sort the
-/// original implementation (retained as [`schedule_io_naive`]) performed.
+/// an ordered set keyed by traversal position (the module's one
+/// resident-set walk, shared with [`divisible_lower_bound`]), so a deficit
+/// step costs O(resident log p) instead of the full O(p log p)
+/// scan-and-sort the original implementation (retained as
+/// [`schedule_io_naive`]) performed.
 pub fn schedule_io_with(
     tree: &Tree,
     traversal: &Traversal,
@@ -132,24 +209,14 @@ pub fn schedule_io_with_stop(
     let order = traversal.order();
     let mut session = policy.session(tree, traversal);
 
-    let root = tree.root();
-    let mut resident = vec![false; tree.len()];
-    resident[root] = true;
+    let mut resident = ResidentSet::with_root(tree, &positions);
+    // Files written out and not yet read back (a file is read back only at
+    // its own step, so the flag is never consulted again after that).
     let mut evicted = vec![false; tree.len()];
-    // Step at which each file appeared in memory (root: before step 0).
-    let mut produced_at = vec![0usize; tree.len()];
-    // Traversal positions of the resident files.  Every resident file other
-    // than the node currently executing is unprocessed, so its position is
-    // strictly greater than the current step: iterating the range above the
-    // step in reverse enumerates exactly the eviction candidates, latest use
-    // first, without scanning the other p − resident nodes.
-    let mut resident_pos: BTreeSet<usize> = BTreeSet::new();
-    resident_pos.insert(positions[root]);
-    let mut resident_total = tree.f(root);
     let mut schedule = IoSchedule::empty(tree.len());
     let mut io_volume: Size = 0;
     let mut files_written = 0usize;
-    let mut peak: Size = tree.f(root);
+    let mut peak: Size = resident.total;
     // Scratch buffers reused across deficit steps.
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut taken: Vec<bool> = Vec::new();
@@ -163,36 +230,24 @@ pub fn schedule_io_with_stop(
             }
         }
         // Read the node's input file back first if it was evicted earlier.
-        if evicted[node] && !resident[node] {
-            resident[node] = true;
-            resident_pos.insert(positions[node]);
-            resident_total += tree.f(node);
+        if evicted[node] {
+            resident.enter(step, tree.f(node));
         }
 
-        let requirement = tree.mem_req(node);
-        if requirement > memory {
-            return Err(MinIoError::InsufficientMemory {
-                node,
-                required: requirement,
-                memory,
-            });
-        }
-
-        // Memory needed while the node executes, given what is resident.
-        let during = resident_total + tree.n(node) + tree.children_file_sum(node);
+        let mut during = resident.during(tree, node, memory)?;
         if during > memory {
             let deficit = during - memory;
             // Candidate files: resident, already produced, not the one being
-            // executed; ordered by latest use first.  `resident_pos` already
-            // holds them sorted by position; the executing node (position ==
-            // step) falls below the range.
+            // executed; ordered by latest use first.  A file appears in
+            // memory the step after its parent executes (root: before
+            // step 0).
             candidates.clear();
-            candidates.extend(resident_pos.range(step + 1..).rev().map(|&pos| {
+            candidates.extend(resident.latest_first(step).map(|pos| {
                 let i = order[pos];
                 Candidate {
                     node: i,
                     size: tree.f(i),
-                    produced_at: produced_at[i],
+                    produced_at: tree.parent(i).map_or(0, |parent| positions[parent] + 1),
                 }
             }));
 
@@ -224,30 +279,19 @@ pub fn schedule_io_with_stop(
             }
             for &idx in &chosen {
                 let candidate = candidates[idx];
-                resident[candidate.node] = false;
                 evicted[candidate.node] = true;
-                resident_pos.remove(&positions[candidate.node]);
-                resident_total -= candidate.size;
+                resident.leave(positions[candidate.node], candidate.size);
+                during -= candidate.size;
                 io_volume += candidate.size;
                 files_written += 1;
                 schedule.set_eviction(candidate.node, step);
             }
         }
 
-        let during = resident_total + tree.n(node) + tree.children_file_sum(node);
         debug_assert!(during <= memory, "selection must cover the deficit");
         peak = peak.max(during);
 
-        // Execute the node.
-        resident[node] = false;
-        resident_pos.remove(&step);
-        resident_total -= tree.f(node);
-        for &child in tree.children(node) {
-            resident[child] = true;
-            resident_pos.insert(positions[child]);
-            produced_at[child] = step + 1;
-            resident_total += tree.f(child);
-        }
+        resident.execute(tree, &positions, step, node);
         session.observe_execution(step, node, tree);
     }
 
@@ -403,6 +447,10 @@ pub fn schedule_io_naive(
 /// exchange argument), so this value is a lower bound on the I/O volume any
 /// policy can reach **for this traversal**, and is used by the experiments
 /// to gauge the absolute quality of the heuristics.
+///
+/// Walks the same ordered resident set as [`schedule_io_with`]: a file
+/// leaves the set when its resident fraction reaches 0 and re-enters when
+/// it is read back, so a deficit step touches only the files it drains.
 pub fn divisible_lower_bound(
     tree: &Tree,
     traversal: &Traversal,
@@ -410,59 +458,43 @@ pub fn divisible_lower_bound(
 ) -> Result<Size, MinIoError> {
     traversal.check_precedence(tree)?;
     let positions = traversal.positions(tree.len())?;
+    let order = traversal.order();
 
-    let root = tree.root();
-    // in_core[i]: fraction (in size units) of file i still resident; only
+    let mut resident = ResidentSet::with_root(tree, &positions);
+    // in_core[i]: the part (in size units) of file i still resident; only
     // produced files ever have a positive value.
     let mut in_core: Vec<Size> = vec![0; tree.len()];
-    in_core[root] = tree.f(root);
-    let mut resident_total = tree.f(root);
+    in_core[tree.root()] = resident.total;
     let mut io_volume: Size = 0;
 
-    for &node in traversal.order() {
-        let requirement = tree.mem_req(node);
-        if requirement > memory {
-            return Err(MinIoError::InsufficientMemory {
-                node,
-                required: requirement,
-                memory,
-            });
-        }
+    for (step, &node) in order.iter().enumerate() {
         // Read back the missing part of the input file.
-        resident_total += tree.f(node) - in_core[node];
+        resident.enter(step, tree.f(node) - in_core[node]);
         in_core[node] = tree.f(node);
 
-        let during = resident_total + tree.n(node) + tree.children_file_sum(node);
-        if during > memory {
-            let mut deficit = during - memory;
-            // Evict fractions of the latest-used files first.
-            let mut candidates: Vec<NodeId> = tree
-                .nodes()
-                .filter(|&i| i != node && in_core[i] > 0)
-                .collect();
-            candidates.sort_by(|&a, &b| positions[b].cmp(&positions[a]));
-            for i in candidates {
-                if deficit <= 0 {
-                    break;
-                }
-                let take = in_core[i].min(deficit);
-                in_core[i] -= take;
-                resident_total -= take;
-                io_volume += take;
-                deficit -= take;
+        let mut deficit = resident.during(tree, node, memory)? - memory;
+        // Evict fractions of the latest-used files first.
+        while deficit > 0 {
+            let position = resident
+                .latest_first(step)
+                .next()
+                .expect("divisible eviction can always cover the deficit");
+            let file = order[position];
+            let take = in_core[file].min(deficit);
+            in_core[file] -= take;
+            io_volume += take;
+            deficit -= take;
+            if in_core[file] == 0 {
+                resident.leave(position, take);
+            } else {
+                resident.total -= take;
             }
-            debug_assert!(
-                deficit <= 0,
-                "divisible eviction can always cover the deficit"
-            );
         }
 
-        // Execute the node.
-        resident_total -= in_core[node];
+        resident.execute(tree, &positions, step, node);
         in_core[node] = 0;
         for &child in tree.children(node) {
             in_core[child] = tree.f(child);
-            resident_total += tree.f(child);
         }
     }
     Ok(io_volume)
@@ -477,6 +509,128 @@ mod tests {
     use treemem::minmem::min_mem;
     use treemem::postorder::best_postorder;
     use treemem::tree::TreeBuilder;
+
+    /// The original [`divisible_lower_bound`]: at every deficit step it filters
+    /// all `p` nodes and sorts the resident ones by position.  Retained as the
+    /// oracle the resident-set walk is pinned to.
+    fn divisible_lower_bound_naive(
+        tree: &Tree,
+        traversal: &Traversal,
+        memory: Size,
+    ) -> Result<Size, MinIoError> {
+        traversal.check_precedence(tree)?;
+        let positions = traversal.positions(tree.len())?;
+
+        let root = tree.root();
+        let mut in_core: Vec<Size> = vec![0; tree.len()];
+        in_core[root] = tree.f(root);
+        let mut resident_total = tree.f(root);
+        let mut io_volume: Size = 0;
+
+        for &node in traversal.order() {
+            let requirement = tree.mem_req(node);
+            if requirement > memory {
+                return Err(MinIoError::InsufficientMemory {
+                    node,
+                    required: requirement,
+                    memory,
+                });
+            }
+            resident_total += tree.f(node) - in_core[node];
+            in_core[node] = tree.f(node);
+
+            let during = resident_total + tree.n(node) + tree.children_file_sum(node);
+            if during > memory {
+                let mut deficit = during - memory;
+                let mut candidates: Vec<NodeId> = tree
+                    .nodes()
+                    .filter(|&i| i != node && in_core[i] > 0)
+                    .collect();
+                candidates.sort_by(|&a, &b| positions[b].cmp(&positions[a]));
+                for i in candidates {
+                    if deficit <= 0 {
+                        break;
+                    }
+                    let take = in_core[i].min(deficit);
+                    in_core[i] -= take;
+                    resident_total -= take;
+                    io_volume += take;
+                    deficit -= take;
+                }
+                debug_assert!(
+                    deficit <= 0,
+                    "divisible eviction can always cover the deficit"
+                );
+            }
+
+            resident_total -= in_core[node];
+            in_core[node] = 0;
+            for &child in tree.children(node) {
+                in_core[child] = tree.f(child);
+                resident_total += tree.f(child);
+            }
+        }
+        Ok(io_volume)
+    }
+
+    /// The resident-set walk against its oracle on the corpora the simulator
+    /// is pinned on: the golden-parity gadgets and random trees, the seeded
+    /// random battery of `proptest_minio` (zero-size files included), and the
+    /// deep comb with one deficit per spine step.
+    #[test]
+    fn divisible_bound_equals_its_scan_and_sort_oracle() {
+        use prng::{Rng, StdRng};
+        use treemem::gadgets::harpoon_tower;
+        use treemem::postorder::natural_postorder;
+        use treemem::random::comb;
+
+        let agree = |tree: &Tree, traversal: &Traversal, memory: Size, context: &str| {
+            assert_eq!(
+                divisible_lower_bound(tree, traversal, memory),
+                divisible_lower_bound_naive(tree, traversal, memory),
+                "{context} @ {memory}"
+            );
+        };
+        for (label, tree) in [
+            ("harpoon(4,400,1)", harpoon(4, 400, 1)),
+            ("harpoon(6,120,3)", harpoon(6, 120, 3)),
+            ("harpoon_tower(3,300,2,2)", harpoon_tower(3, 300, 2, 2)),
+            (
+                "two_partition",
+                two_partition_gadget(&[3, 5, 2, 4, 6, 4]).tree,
+            ),
+        ] {
+            let po = best_postorder(&tree);
+            let lower = tree.max_mem_req();
+            // One budget below max MemReq: both must report the same node.
+            for memory in [lower - 1, lower, (lower + po.peak) / 2, po.peak] {
+                agree(&tree, &po.traversal, memory, label);
+            }
+        }
+        for seed in 0..364 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..=40usize);
+            let parents: Vec<Option<usize>> = (0..n)
+                .map(|i| (i > 0).then(|| rng.gen_range(0..i)))
+                .collect();
+            let files: Vec<Size> = (0..n).map(|_| rng.gen_range(0..=100 as Size)).collect();
+            let execs: Vec<Size> = (0..n).map(|_| rng.gen_range(0..=10 as Size)).collect();
+            let tree = Tree::from_parents(&parents, &files, &execs).unwrap();
+            let lower = tree.max_mem_req();
+            let (po, opt) = (best_postorder(&tree), min_mem(&tree));
+            for (traversal, peak) in [(&po.traversal, po.peak), (&opt.traversal, opt.peak)] {
+                for quarter in 0..=4 {
+                    let memory = lower + (peak - lower) * quarter / 4;
+                    agree(&tree, traversal, memory, &format!("seed {seed}"));
+                }
+            }
+        }
+        let tree = comb(10_000, 50, 3);
+        let po = natural_postorder(&tree);
+        let bound = divisible_lower_bound(&tree, &po.traversal, tree.max_mem_req()).unwrap();
+        assert!(bound > 0);
+        agree(&tree, &po.traversal, tree.max_mem_req(), "comb(10000,50,3)");
+    }
 
     #[test]
     fn no_io_when_memory_is_sufficient() {
