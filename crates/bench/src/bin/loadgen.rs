@@ -795,11 +795,13 @@ fn chaos(sizes: &Sizes, violations: &mut Violations) -> (ScenarioResult, String)
         );
     }
 
-    // Deadline probe: a cold headline-sized configuration under a 50 ms
+    // Deadline probe: a cold 10^5-node configuration under a 50 ms
     // deadline answers 504 promptly (the strict 2x bound holds in release
     // full mode; quick/debug runs get generous slack), and the very next
-    // uninjected request for the same configuration completes.
-    let deadline_config = grid_config(sizes.headline_nodes, 990);
+    // uninjected request for the same configuration completes.  Both modes
+    // probe at the full headline size: quick mode's 10^4 grid plans in
+    // ~15 ms and would simply answer 200.
+    let deadline_config = grid_config(FULL.headline_nodes, 990);
     let probe_started = Instant::now();
     let probe = client::post_with_headers(
         addr,

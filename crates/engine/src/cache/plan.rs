@@ -16,7 +16,10 @@
 //! * [`PlanCache::with_config`] — everything else: a byte budget, any
 //!   [`CachePolicy`](super::CachePolicy), per-tenant quotas and a
 //!   fair-share floor.  Entry footprints come from
-//!   [`Plan::approx_heap_bytes`] at insert time.
+//!   [`Plan::approx_heap_bytes`] at insert time; a plan that grows afterwards
+//!   (the first numeric run attaches its substrate) is charged again by
+//!   re-inserting it, which the server does after every numeric `/report`
+//!   that moved the footprint.
 //!
 //! Misses are *single-flight* either way: concurrent callers with the
 //! same key wait for the one planner instead of re-running the expensive

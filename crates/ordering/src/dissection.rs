@@ -1,4 +1,4 @@
-//! Recursive nested dissection with BFS level-set separators.
+//! Nested dissection with BFS level-set separators.
 //!
 //! This is the algorithm family of MeTiS (which the paper uses through the
 //! MeshPart toolbox): recursively find a small vertex separator, order the
@@ -7,15 +7,18 @@
 //! partitioning but it produces the same kind of bushy, balanced elimination
 //! trees on discretisation meshes, which is what matters for the shape of the
 //! assembly trees.
+//!
+//! The recursion is an explicit work stack over one private `Workspace`, so a step
+//! costs O(its component) in time and nothing in call-stack depth.
 
 use sparsemat::SparsePattern;
 
 use crate::mindeg::minimum_degree_with_stop;
 use crate::perm::Permutation;
-use crate::rcm::{bfs_levels, pseudo_peripheral};
+use crate::workspace::Workspace;
 
 /// Subgraphs smaller than this are ordered directly with minimum degree.
-const DISSECTION_CUTOFF: usize = 32;
+pub(crate) const DISSECTION_CUTOFF: usize = 32;
 
 /// Compute a nested-dissection ordering of `pattern`.
 pub fn nested_dissection(pattern: &SparsePattern) -> Permutation {
@@ -29,114 +32,79 @@ pub fn nested_dissection_with_stop(
     pattern: &SparsePattern,
     stop: Option<&dyn Fn() -> bool>,
 ) -> Option<Permutation> {
-    let n = pattern.n();
-    let mut order = Vec::with_capacity(n);
-    let mut active = vec![true; n];
-    let all: Vec<usize> = (0..n).collect();
-    dissect(pattern, &all, &mut active, &mut order, stop)?;
-    debug_assert_eq!(order.len(), n);
-    Some(Permutation::from_new_to_old(order))
+    dissect(&mut Workspace::new(pattern), stop).map(Permutation::from_new_to_old)
 }
 
-/// Recursively order the vertices of `component` (all currently active),
-/// appending to `order` (separators last).  `None` means the stop probe
-/// fired mid-recursion and `order` holds partial garbage.
-fn dissect(
-    pattern: &SparsePattern,
-    component: &[usize],
-    active: &mut Vec<bool>,
-    order: &mut Vec<usize>,
+/// Where a set of vertices on the work stack stands.
+#[derive(PartialEq)]
+enum State {
+    /// Active vertices with no active neighbour outside the set.
+    Unsplit,
+    /// The same, and known to be one connected piece.
+    Connected,
+    /// A removed separator, ordered once everything it separates is.
+    Separator,
+}
+
+/// Order every vertex of the workspace's pattern, separators last.  `None`
+/// means the stop probe fired.
+pub(crate) fn dissect(
+    ws: &mut Workspace<'_>,
     stop: Option<&dyn Fn() -> bool>,
-) -> Option<()> {
-    if let Some(probe) = stop {
-        if probe() {
+) -> Option<Vec<usize>> {
+    let n = ws.pattern.n();
+    let mut order = Vec::with_capacity(n);
+    // Popped innermost first: a separator sits below the pieces it separates.
+    let mut work = vec![((0..n).collect::<Vec<usize>>(), State::Unsplit)];
+    while let Some((component, state)) = work.pop() {
+        if state != State::Separator && stop.is_some_and(|probe| probe()) {
             return None;
         }
-    }
-    if component.len() <= DISSECTION_CUTOFF {
-        return order_with_minimum_degree(pattern, component, order, stop);
-    }
-
-    // Split the component into its connected pieces first (a previous
-    // separator may have disconnected it).
-    let pieces = connected_pieces(pattern, component, active);
-    if pieces.len() > 1 {
-        for piece in pieces {
-            dissect(pattern, &piece, active, order, stop)?;
-        }
-        return Some(());
-    }
-
-    // Single connected piece: find a separator from the BFS levels of a
-    // pseudo-peripheral vertex.
-    let start = pseudo_peripheral(pattern, component[0], active);
-    let (levels, eccentricity) = bfs_levels(pattern, start, active);
-    if eccentricity < 2 {
-        // Dense little blob: no useful separator.
-        return order_with_minimum_degree(pattern, component, order, stop);
-    }
-    let middle = eccentricity / 2;
-    let separator: Vec<usize> = component
-        .iter()
-        .copied()
-        .filter(|&v| levels[v] == middle)
-        .collect();
-    let rest: Vec<usize> = component
-        .iter()
-        .copied()
-        .filter(|&v| levels[v] != middle)
-        .collect();
-    if separator.is_empty() || rest.is_empty() {
-        return order_with_minimum_degree(pattern, component, order, stop);
-    }
-
-    // Deactivate the separator, recurse on what remains, then order the
-    // separator itself last (with minimum degree among its own vertices).
-    for &v in &separator {
-        active[v] = false;
-    }
-    let pieces = connected_pieces(pattern, &rest, active);
-    for piece in pieces {
-        dissect(pattern, &piece, active, order, stop)?;
-    }
-    order_with_minimum_degree(pattern, &separator, order, stop)
-}
-
-/// Connected pieces of `vertices` in the subgraph induced by `active`.
-fn connected_pieces(
-    pattern: &SparsePattern,
-    vertices: &[usize],
-    active: &[bool],
-) -> Vec<Vec<usize>> {
-    let mut seen: std::collections::HashSet<usize> = std::collections::HashSet::new();
-    let in_set: std::collections::HashSet<usize> = vertices.iter().copied().collect();
-    let mut pieces = Vec::new();
-    for &start in vertices {
-        if seen.contains(&start) {
+        if state == State::Separator || component.len() <= DISSECTION_CUTOFF {
+            order_with_minimum_degree(ws, &component, &mut order, stop)?;
             continue;
         }
-        let mut piece = Vec::new();
-        let mut stack = vec![start];
-        seen.insert(start);
-        while let Some(v) = stack.pop() {
-            piece.push(v);
-            for &w in pattern.neighbors(v) {
-                if active[w] && in_set.contains(&w) && !seen.contains(&w) {
-                    seen.insert(w);
-                    stack.push(w);
-                }
+        // Split into connected pieces first (the input graph may be
+        // disconnected; what a separator leaves behind is split below).
+        if state == State::Unsplit {
+            let pieces = ws.pieces(&component);
+            if pieces.len() > 1 {
+                work.extend(pieces.into_iter().rev().map(|p| (p, State::Connected)));
+                continue;
             }
         }
-        pieces.push(piece);
+
+        // One connected piece: the separator is the middle BFS level of a
+        // pseudo-peripheral vertex.
+        let (_, eccentricity) = ws.pseudo_peripheral(component[0]);
+        let middle = eccentricity / 2;
+        let (separator, rest): (Vec<usize>, Vec<usize>) = component
+            .iter()
+            .partition(|&&v| ws.marked(v) == Some(middle));
+        // A dense little blob (eccentricity < 2) has no useful separator.
+        if eccentricity < 2 || separator.is_empty() || rest.is_empty() {
+            order_with_minimum_degree(ws, &component, &mut order, stop)?;
+            continue;
+        }
+
+        // Deactivate the separator, order what remains, then the separator
+        // itself last (with minimum degree among its own vertices).
+        for &v in &separator {
+            ws.active[v] = false;
+        }
+        let pieces = ws.pieces(&rest);
+        work.push((separator, State::Separator));
+        work.extend(pieces.into_iter().rev().map(|p| (p, State::Connected)));
     }
-    pieces
+    debug_assert_eq!(order.len(), n);
+    Some(order)
 }
 
 /// Order the induced subgraph on `vertices` with minimum degree and append
 /// the result (in original labels) to `order`.  `None` if the stop probe
 /// fired.
 fn order_with_minimum_degree(
-    pattern: &SparsePattern,
+    ws: &mut Workspace<'_>,
     vertices: &[usize],
     order: &mut Vec<usize>,
     stop: Option<&dyn Fn() -> bool>,
@@ -145,26 +113,9 @@ fn order_with_minimum_degree(
         order.extend_from_slice(vertices);
         return Some(());
     }
-    // Build the induced subgraph with local labels.
-    let mut local_of = std::collections::HashMap::new();
-    for (local, &v) in vertices.iter().enumerate() {
-        local_of.insert(v, local);
-    }
-    let mut edges = Vec::new();
-    for (local, &v) in vertices.iter().enumerate() {
-        for &w in pattern.neighbors(v) {
-            if let Some(&other) = local_of.get(&w) {
-                if other > local {
-                    edges.push((local, other));
-                }
-            }
-        }
-    }
-    let induced = SparsePattern::from_edges(vertices.len(), &edges);
+    let induced = SparsePattern::from_edges(vertices.len(), ws.induced_edges(vertices));
     let local_perm = minimum_degree_with_stop(&induced, stop)?;
-    for k in 0..vertices.len() {
-        order.push(vertices[local_perm.new_to_old(k)]);
-    }
+    order.extend((0..vertices.len()).map(|k| vertices[local_perm.new_to_old(k)]));
     Some(())
 }
 

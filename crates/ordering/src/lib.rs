@@ -16,11 +16,37 @@
 //!
 //! All functions return a [`Permutation`] in *new-to-old* convention:
 //! `perm[k]` is the original index of the vertex eliminated at step `k`.
+//!
+//! ## Cost and determinism
+//!
+//! Nested dissection and RCM run on one private `Workspace` built by the
+//! top-level call (`workspace.rs`): BFS levels, piece tags and leaf labels
+//! live in one epoch-stamped map that clears in O(1), the BFS queue is kept
+//! as a visit list, and scratch buffers are reused, so a step over a
+//! component costs O(that component), not O(n) — O(n log n)-ish on meshes,
+//! O(n + nnz log) for RCM whatever the number of components.  The gate is a
+//! count of marks written (`naive::tests::touched_vertices_stay_within_n_log_n`),
+//! not a timing.
+//!
+//! Every permutation is **pinned**: fill, supernodes, `factor_nnz`, flops,
+//! traversal peaks and I/O volumes downstream are functions of it, and the
+//! benchmark of record holds them to equality.  `tests/golden_permutations.rs`
+//! carries FNV-1a literals of every method on every `ProblemKind` (taken
+//! before the workspace existed), and the test-only `naive` module keeps the
+//! pre-workspace code as an oracle the fast code must equal on a battery of
+//! degenerate and random graphs.  Tie-breaks that look incidental — pieces in
+//! order of their first vertex, depth-first pop order inside a piece,
+//! `component[0]` as the BFS seed, local labels by position — are part of
+//! the contract.
 
 pub mod dissection;
 pub mod mindeg;
 pub mod perm;
 pub mod rcm;
+mod workspace;
+
+#[cfg(test)]
+mod naive;
 
 pub use dissection::{nested_dissection, nested_dissection_with_stop};
 pub use mindeg::{minimum_degree, minimum_degree_with_stop};
@@ -78,11 +104,11 @@ impl OrderingMethod {
             .expect("no stop probe, cannot be cancelled")
     }
 
-    /// [`OrderingMethod::order`] with a cooperative stop probe.  The two
-    /// expensive methods (minimum degree, nested dissection) poll the probe
-    /// from inside their elimination loops; the cheap ones (natural, RCM)
-    /// only check it on entry.  `None` means the probe fired and the
-    /// partial ordering was discarded.
+    /// [`OrderingMethod::order`] with a cooperative stop probe.  Minimum
+    /// degree, nested dissection and RCM poll the probe from inside their
+    /// loops (RCM once per connected component and every 256 vertices);
+    /// the natural ordering only checks it on entry.  `None` means the
+    /// probe fired and the partial ordering was discarded.
     pub fn order_with_stop(
         &self,
         pattern: &SparsePattern,
@@ -99,7 +125,7 @@ impl OrderingMethod {
             OrderingMethod::NestedDissection => {
                 dissection::nested_dissection_with_stop(pattern, stop)
             }
-            OrderingMethod::ReverseCuthillMcKee => Some(rcm(pattern)),
+            OrderingMethod::ReverseCuthillMcKee => rcm::rcm_with_stop(pattern, stop),
         }
     }
 }

@@ -18,11 +18,11 @@ use sparsemat::SparsePattern;
 
 use crate::perm::Permutation;
 
-/// How many eliminations happen between two stop-probe checks.  Probes are
-/// a dynamic call, so they are amortised over a batch of pivots; at typical
-/// elimination rates this bounds the cancellation latency well below a
-/// millisecond.
-const STOP_CHECK_INTERVAL: usize = 256;
+/// How many eliminations (or, in RCM, visited vertices) happen between two
+/// stop-probe checks.  Probes are a dynamic call, so they are amortised over
+/// a batch of pivots; at typical elimination rates this bounds the
+/// cancellation latency well below a millisecond.
+pub(crate) const STOP_CHECK_INTERVAL: usize = 256;
 
 /// Compute a minimum-degree ordering of `pattern`.
 ///

@@ -4,92 +4,63 @@
 //! produces long, chain-like elimination trees, which is a useful contrast to
 //! the bushy trees of nested dissection in the experiments.
 
-use std::collections::VecDeque;
-
 use sparsemat::SparsePattern;
 
+use crate::mindeg::STOP_CHECK_INTERVAL;
 use crate::perm::Permutation;
-
-/// Find a pseudo-peripheral vertex of the connected component containing
-/// `start`: repeatedly move to a farthest vertex of minimum degree until the
-/// eccentricity stops growing.
-pub(crate) fn pseudo_peripheral(pattern: &SparsePattern, start: usize, active: &[bool]) -> usize {
-    let mut current = start;
-    let mut best_eccentricity = 0usize;
-    loop {
-        let (levels, eccentricity) = bfs_levels(pattern, current, active);
-        if eccentricity <= best_eccentricity && best_eccentricity > 0 {
-            return current;
-        }
-        best_eccentricity = eccentricity;
-        // Farthest vertices, pick the one of minimum degree.
-        let next = (0..pattern.n())
-            .filter(|&v| active[v] && levels[v] == eccentricity)
-            .min_by_key(|&v| (pattern.degree(v), v));
-        match next {
-            Some(v) if v != current => current = v,
-            _ => return current,
-        }
-    }
-}
-
-/// BFS levels restricted to `active` vertices; unreachable vertices get
-/// `usize::MAX`.  Returns the levels and the largest level reached.
-pub(crate) fn bfs_levels(
-    pattern: &SparsePattern,
-    start: usize,
-    active: &[bool],
-) -> (Vec<usize>, usize) {
-    let mut levels = vec![usize::MAX; pattern.n()];
-    let mut queue = VecDeque::new();
-    levels[start] = 0;
-    queue.push_back(start);
-    let mut max_level = 0;
-    while let Some(v) = queue.pop_front() {
-        for &w in pattern.neighbors(v) {
-            if active[w] && levels[w] == usize::MAX {
-                levels[w] = levels[v] + 1;
-                max_level = max_level.max(levels[w]);
-                queue.push_back(w);
-            }
-        }
-    }
-    (levels, max_level)
-}
+use crate::workspace::Workspace;
 
 /// Compute the reverse Cuthill–McKee ordering of `pattern` (every connected
 /// component is ordered from a pseudo-peripheral vertex, neighbours visited
 /// by increasing degree, and the overall order is reversed).
 pub fn rcm(pattern: &SparsePattern) -> Permutation {
+    rcm_with_stop(pattern, None).expect("no stop probe, cannot be cancelled")
+}
+
+/// [`rcm`] with a cooperative stop probe; `None` means it fired.
+pub(crate) fn rcm_with_stop(
+    pattern: &SparsePattern,
+    stop: Option<&dyn Fn() -> bool>,
+) -> Option<Permutation> {
+    cuthill_mckee(&mut Workspace::new(pattern), stop).map(Permutation::from_new_to_old)
+}
+
+/// The reversed Cuthill–McKee order of the workspace's pattern, polling
+/// `stop` once per connected component and every 256 visited vertices.
+pub(crate) fn cuthill_mckee(
+    ws: &mut Workspace<'_>,
+    stop: Option<&dyn Fn() -> bool>,
+) -> Option<Vec<usize>> {
+    let pattern = ws.pattern;
     let n = pattern.n();
-    let active = vec![true; n];
-    let mut visited = vec![false; n];
+    // `order` doubles as the BFS queue: `head` is the next vertex to expand.
     let mut order = Vec::with_capacity(n);
+    let mut neighbours = Vec::new();
     for component_start in 0..n {
-        if visited[component_start] {
+        if !ws.active[component_start] {
             continue;
         }
-        let start = pseudo_peripheral(pattern, component_start, &active);
-        let mut queue = VecDeque::new();
-        visited[start] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut neighbours: Vec<usize> = pattern
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&w| !visited[w])
-                .collect();
-            neighbours.sort_by_key(|&w| (pattern.degree(w), w));
-            for w in neighbours {
-                visited[w] = true;
-                queue.push_back(w);
+        let (start, _) = ws.pseudo_peripheral(component_start);
+        ws.active[start] = false;
+        let first = order.len();
+        order.push(start);
+        let mut head = first;
+        while let Some(&v) = order.get(head) {
+            if (head - first) % STOP_CHECK_INTERVAL == 0 && stop.is_some_and(|probe| probe()) {
+                return None;
             }
+            head += 1;
+            neighbours.clear();
+            neighbours.extend(pattern.neighbors(v).iter().filter(|&&w| ws.active[w]));
+            neighbours.sort_unstable_by_key(|&w| (pattern.degree(w), w));
+            for &w in &neighbours {
+                ws.active[w] = false;
+            }
+            order.extend_from_slice(&neighbours);
         }
     }
     order.reverse();
-    Permutation::from_new_to_old(order)
+    Some(order)
 }
 
 #[cfg(test)]
@@ -156,7 +127,8 @@ mod tests {
     fn pseudo_peripheral_finds_a_path_end() {
         let edges: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
         let pattern = SparsePattern::from_edges(10, &edges);
-        let v = pseudo_peripheral(&pattern, 5, &[true; 10]);
+        let (v, eccentricity) = Workspace::new(&pattern).pseudo_peripheral(5);
         assert!(v == 0 || v == 9);
+        assert_eq!(eccentricity, 9);
     }
 }

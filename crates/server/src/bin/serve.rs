@@ -13,7 +13,8 @@
 //! `--factor-cache-bytes` for factors) and evict through `--cache-policy`
 //! `LRU`, `GDSF` or `S3FIFO` (`GDSF` by default for a byte-sized cache);
 //! without a byte budget a cache is a count-bounded LRU (64 plans, 8
-//! factors).  Any other policy name is a boot error listing the three.
+//! factors) under a 96 MiB byte ceiling.  Any other policy name is a boot
+//! error listing the three.
 //!
 //! The default role, `coordinator`, binds (port 0 picks an ephemeral port,
 //! printed on stdout) and serves until the process is terminated.  See the

@@ -104,8 +104,9 @@ pub struct ServerConfig {
     /// ask for no deadline are bounded by it, and requested deadlines are
     /// clamped down to it.
     pub max_deadline: Option<Duration>,
-    /// Byte-sized cache settings; the default keeps the count-bounded LRU
-    /// of `cache_capacity` / `factor_cache_capacity`.
+    /// Byte-sized cache settings; the default keeps the count-bounded LRUs
+    /// of `cache_capacity` / `factor_cache_capacity`, each under the
+    /// default byte ceiling [`CacheSettings`] describes.
     pub cache: CacheSettings,
 }
 
@@ -113,9 +114,13 @@ pub struct ServerConfig {
 /// budgets, and tenant quotas for the plan and factor caches.
 ///
 /// `Default` leaves everything unset, which keeps the caches count-bounded
-/// LRUs.  Setting a byte budget switches the corresponding cache to
-/// byte-accurate accounting under `policy` (default `GDSF`), replacing the
-/// entry bound.
+/// LRUs under a default byte ceiling (96 MiB each): whichever bound is
+/// reached first evicts, least recently used first.  Setting a byte budget
+/// switches the corresponding cache to that budget under `policy` (default
+/// `GDSF`), replacing the entry bound and the ceiling.  Either way
+/// `bytes_used` is what the entries hold now: a plan is charged at insert
+/// and charged again once a numeric `/report` has attached its numeric
+/// substrate to it.
 #[derive(Debug, Clone, Default)]
 pub struct CacheSettings {
     /// Eviction policy of both caches.  `None` picks `GDSF` for a cache
@@ -136,9 +141,24 @@ pub struct CacheSettings {
     pub tenant_floor: f64,
 }
 
+/// Byte ceiling of a cache whose budget is unset, plan and factor cache
+/// alike: the entry bound still applies, but LRU eviction starts before the
+/// charged bytes pass this.  An entry count alone bounds no memory — 64
+/// numeric plans of a 3×10⁴-vertex grid are 760 MiB — and it made a
+/// coordinator's RSS grow by ~13 MiB per distinct job it had ever seen.
+/// Why 96 MiB, measured on the benchmark of record (ISSUE 24, CHANGES.md):
+/// at 64 MiB `serve_mixed`, whose 64 hot entries hold ~113 MiB of plans,
+/// loses plan hit ratio (0.828 against 0.861); at 96 MiB it keeps the
+/// unbounded cache's (0.864) within noise, and `report_dist2` reads the
+/// unbounded cache's RSS (325 against 337 MiB) with three times the jobs in
+/// its window.  One entry larger than the ceiling is served but not cached;
+/// set `plan_bytes` / `factor_bytes` for problems of that size.
+const DEFAULT_CACHE_BYTES: u64 = 96 << 20;
+
 impl CacheSettings {
     /// The [`CacheConfig`] of one cache: `bytes` is its byte budget, if one
-    /// is set, and `entries` the entry bound that applies otherwise.
+    /// is set; otherwise the `entries` bound applies under
+    /// `DEFAULT_CACHE_BYTES`.
     fn cache_config(
         &self,
         bytes: Option<u64>,
@@ -151,7 +171,7 @@ impl CacheSettings {
         };
         CacheConfig {
             policy: self.policy.unwrap_or(by_size),
-            bytes_capacity: bytes.unwrap_or(u64::MAX),
+            bytes_capacity: bytes.unwrap_or(DEFAULT_CACHE_BYTES),
             max_entries: bytes.is_none().then_some(entries.max(1)),
             ttl,
             tenant_quota_bytes: self.tenant_quota_bytes,

@@ -314,6 +314,7 @@ impl Service {
         let cancel = cancel.as_ref();
         let config = self.parse_config(body)?;
         let (plan, hit) = self.plan_for(&config, tenant, cancel)?;
+        let planned_bytes = plan.approx_heap_bytes();
         let schedule = plan
             .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel)
             .map_err(|e| self.engine_error(&e))?;
@@ -324,6 +325,14 @@ impl Service {
                 .execute_with_factor_cancel(&self.engine, cancel)
                 .map_err(|e| self.engine_error(&e))?
         };
+        // The cache charged the plan when it was inserted; the first numeric
+        // run then attaches the numeric substrate (about 5x the symbolic
+        // footprint).  Re-charge it, so `bytes_used` tracks what the entry
+        // holds and the byte ceiling evicts on real bytes.
+        if plan.approx_heap_bytes() != planned_bytes {
+            self.cache
+                .insert_for(plan.config_hash(), tenant, plan.clone());
+        }
         // Deposit the factor so later `POST /solve` requests can resolve
         // this configuration's hash without re-factorizing (a merged
         // distributed factor is bit-identical to a local one, so it is
@@ -892,6 +901,30 @@ mod tests {
             );
         }
         assert_eq!(service.registry().stats().snapshot().jobs_started, 0);
+    }
+
+    #[test]
+    fn a_numeric_report_recharges_the_plan_it_grew() {
+        // The plan is charged at insert, before the numeric run attaches its
+        // substrate (here ~4x the symbolic footprint): without a re-charge
+        // `bytes_used` stays at the insert-time figure and a byte budget
+        // holds several times its bytes.
+        let service = service();
+        let config = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2dWide, 3000, 7)
+            .with_numeric(true);
+        let response = post(&service, "/report", &config.to_json());
+        assert_eq!(response.status, 200, "{}", response.body);
+        let hash = response.config_hash.expect("reports carry their hash");
+        let held = service
+            .cache
+            .get(&hash)
+            .expect("the plan is cached")
+            .approx_heap_bytes();
+        let charged = service.cache_stats().bytes_used;
+        assert!(
+            charged.abs_diff(held) * 10 <= held,
+            "the one entry is charged {charged} bytes but holds {held}"
+        );
     }
 
     #[test]

@@ -203,6 +203,49 @@ fn capacity_evictions_show_up_in_stats() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// The default caches are bounded in entries *under a byte ceiling*: 40
+/// distinct cold numeric reports of ~3.6 MiB of plan each fit the 64-entry
+/// bound but not the ceiling, so the oldest leave and `bytes_used` — which
+/// counts the numeric substrate each plan grew after it was inserted —
+/// never passes the capacity `/stats` reports.
+#[test]
+fn default_caches_stay_under_their_byte_ceiling_evicting_oldest_first() {
+    let handle = spawn_default();
+    let addr = handle.addr();
+    let config = |seed: u64| {
+        EngineConfig::generated(ProblemKind::Banded, 6_000, seed)
+            .with_ordering(OrderingMethod::Natural)
+            .with_numeric(true)
+            .to_json()
+    };
+    for seed in 0..40 {
+        let (status, headers, body) = post(addr, "/report", &config(seed));
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "x-cache"), Some("miss"));
+        let stats = handle.service().cache_stats();
+        assert!(
+            stats.bytes_used <= stats.bytes_capacity,
+            "after {} reports: {} bytes used of {}",
+            seed + 1,
+            stats.bytes_used,
+            stats.bytes_capacity
+        );
+    }
+    let stats = handle.service().cache_stats();
+    assert!(stats.bytes_capacity < 1 << 30, "the default has a ceiling");
+    assert!(stats.evictions > 0 && stats.entries < 40, "{stats:?}");
+    assert_eq!(stats.evictions as usize + stats.entries, 40);
+    // Oldest first: exactly the newest `entries` configurations still hit.
+    // (Newest probed first: a miss re-plans and would evict one of them.)
+    let resident = 40 - stats.entries as u64;
+    for seed in (0..40).rev() {
+        let (_, headers, _) = post(addr, "/plan", &config(seed));
+        let expected = if seed >= resident { "hit" } else { "miss" };
+        assert_eq!(header(&headers, "x-cache"), Some(expected), "seed {seed}");
+    }
+    handle.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn ttl_expiry_forces_a_replan() {
     let handle = Server::spawn(ServerConfig {
