@@ -17,9 +17,10 @@
 //! | `minio-sweep`      | Section V-B as one grid: every solver × every policy |
 //!
 //! `factor_cli` runs one `engine::EngineConfig` end to end and prints the
-//! `Report` as JSON, and `loadgen` replays its correctness scenarios (server
-//! mix, chaos, cache traces, distributed) against real servers.  Every tool
-//! writes under `results/` (git-ignored; `TREEMEM_RESULTS_DIR` moves it).
+//! `Report` as JSON, and `loadgen` checks its correctness scenarios (chaos,
+//! distributed, cache traces) against real servers.  Every file a tool
+//! writes goes under `results/` (git-ignored; `TREEMEM_RESULTS_DIR` moves
+//! it).
 //!
 //! The experiments construct their pipelines through the `engine` facade
 //! (prebuilt-tree plans for corpus sweeps, generated-matrix plans for the

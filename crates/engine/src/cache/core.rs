@@ -166,9 +166,10 @@ impl<V> Inner<V> {
         id
     }
 
-    /// Remove the slot at `pos` (swap-remove, fixing the displaced index
-    /// entry) and tell the session.  Returns the removed slot.
-    fn remove_at(&mut self, pos: usize) -> Slot<V> {
+    /// Take the slot at `pos` out of the map and its bytes off the tallies
+    /// (swap-remove, fixing the displaced index entry), leaving the
+    /// session's state for it alone.  Returns the slot's id.
+    fn detach(&mut self, pos: usize) -> u64 {
         let slot = self.slots.swap_remove(pos);
         self.index.remove(&slot.key);
         if let Some(moved) = self.slots.get(pos) {
@@ -179,8 +180,13 @@ impl<V> Inner<V> {
             tenant.bytes = tenant.bytes.saturating_sub(slot.bytes);
             tenant.entries = tenant.entries.saturating_sub(1);
         }
-        self.session.on_remove(slot.slot_id);
-        slot
+        slot.slot_id
+    }
+
+    /// Remove the slot at `pos` and tell the session.
+    fn remove_at(&mut self, pos: usize) {
+        let slot_id = self.detach(pos);
+        self.session.on_remove(slot_id);
     }
 
     fn position_of_slot_id(&self, slot_id: u64) -> Option<usize> {
@@ -288,9 +294,8 @@ impl<V> CacheCore<V> {
         let mut value = None;
         if let Some(slot) = pos.and_then(|at| inner.slots.get_mut(at)) {
             slot.last_access_tick = now;
-            let slot_id = slot.slot_id;
             value = Some(slot.value.clone());
-            inner.session.on_access(slot_id);
+            inner.session.on_access(&slot.meta());
         }
         if value.is_some() || count_miss {
             inner.count_lookup(tenant_id, value.is_some());
@@ -310,6 +315,12 @@ impl<V> CacheCore<V> {
     /// `bytes` (at least 1 is accounted).  Returns how the insert was
     /// admitted; on anything but [`Admission::Cached`] the cache is left
     /// without the entry and the caller simply keeps using its value.
+    ///
+    /// Replacing a resident key keeps its slot, so the policy's history of
+    /// the entry (GDSF frequency, S3-FIFO queue) survives, and counts as an
+    /// access.  The old slot sits outside the cache while admission runs for
+    /// the new footprint: it is never its own eviction victim, and only the
+    /// byte delta is charged.
     pub fn insert(&self, key: &str, tenant: &str, value: Arc<V>, bytes: u64) -> Admission {
         let bytes = bytes.max(1);
         let mut inner = self.inner.lock();
@@ -317,12 +328,7 @@ impl<V> CacheCore<V> {
         inner.tick += 1;
         let now = inner.tick;
         let tenant_id = inner.tenant_id(tenant);
-
-        // Replacement: drop the old entry first (not an eviction — the two
-        // plans/factors are interchangeable, the newer one wins).
-        if let Some(&pos) = inner.index.get(key) {
-            inner.remove_at(pos);
-        }
+        let replaced = inner.index.get(key).copied().map(|pos| inner.detach(pos));
 
         let mut verdict = Admission::Cached;
         if bytes > self.bytes_capacity {
@@ -342,6 +348,9 @@ impl<V> CacheCore<V> {
         }
 
         if !verdict.is_cached() {
+            if let Some(slot_id) = replaced {
+                inner.session.on_remove(slot_id);
+            }
             inner.uncacheable += 1;
             if let Some(t) = inner.tenants.get_mut(tenant_id) {
                 t.uncacheable += 1;
@@ -349,8 +358,10 @@ impl<V> CacheCore<V> {
             return verdict;
         }
 
-        let slot_id = inner.next_slot;
-        inner.next_slot += 1;
+        let slot_id = replaced.unwrap_or_else(|| {
+            inner.next_slot += 1;
+            inner.next_slot - 1
+        });
         let slot = Slot {
             key: key.to_string(),
             fingerprint: fingerprint64(key),
@@ -369,7 +380,11 @@ impl<V> CacheCore<V> {
             t.bytes = t.bytes.saturating_add(bytes);
             t.entries += 1;
         }
-        inner.session.on_insert(&meta);
+        if replaced.is_some() {
+            inner.session.on_access(&meta);
+        } else {
+            inner.session.on_insert(&meta);
+        }
         Admission::Cached
     }
 
@@ -812,6 +827,86 @@ mod tests {
         assert!(cache.contains("a") && cache.contains("c"));
         assert!(!cache.contains("b"));
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn a_replaced_entry_keeps_its_gdsf_frequency() {
+        let cache = core(CacheConfig {
+            policy: CachePolicy::Gdsf,
+            bytes_capacity: 300,
+            ..CacheConfig::default()
+        });
+        cache.insert("hot", "public", value("v1"), 100);
+        for _ in 0..4 {
+            assert!(cache.get("hot", "public").is_some());
+        }
+        // The server re-deposits a hot factor on every numeric /report.
+        assert!(cache.insert("hot", "public", value("v2"), 100).is_cached());
+        cache.insert("once", "public", value("x"), 100);
+        cache.insert("new", "public", value("x"), 100);
+        // Full: the next insert evicts the lowest priority, and a hot entry
+        // whose hits survived the replacement outranks a once-used one.
+        cache.insert("newest", "public", value("x"), 100);
+        assert!(cache.contains("hot"), "the replaced hot entry was evicted");
+        assert!(!cache.contains("once"));
+        assert_eq!(
+            cache.get("hot", "public").as_deref(),
+            Some(&"v2".to_string())
+        );
+        cache.validate_accounting().unwrap();
+    }
+
+    #[test]
+    fn a_replaced_entry_keeps_its_s3fifo_promotion() {
+        // 100-byte entries in 1000 bytes: the small queue's target is 100.
+        let cache = core(CacheConfig {
+            policy: CachePolicy::S3Fifo,
+            bytes_capacity: 1000,
+            ..CacheConfig::default()
+        });
+        cache.insert("hot", "public", value("v1"), 100);
+        cache.get("hot", "public");
+        cache.get("hot", "public");
+        for i in 0..10 {
+            cache.insert(&format!("fill{i}"), "public", value("x"), 100);
+        }
+        // The first eviction promoted the twice-hit entry into main.
+        assert!(cache.contains("hot") && !cache.contains("fill0"));
+        assert!(cache.insert("hot", "public", value("v2"), 150).is_cached());
+        // A scan of one-hit wonders drains through the small queue only.
+        for i in 0..20 {
+            cache.insert(&format!("scan{i}"), "public", value("x"), 100);
+        }
+        assert!(
+            cache.contains("hot"),
+            "the replaced entry fell back to small"
+        );
+        cache.validate_accounting().unwrap();
+    }
+
+    #[test]
+    fn a_replacement_is_charged_only_its_byte_delta() {
+        for policy in CachePolicy::ALL {
+            let cache = core(CacheConfig {
+                policy,
+                bytes_capacity: 300,
+                ..CacheConfig::default()
+            });
+            cache.insert("a", "public", value("a"), 100);
+            cache.insert("b", "public", value("b"), 100);
+            // 100 + 200 fits exactly: growing `b` in place evicts nothing.
+            assert!(cache.insert("b", "public", value("b2"), 200).is_cached());
+            assert!(cache.contains("a"), "policy {policy}");
+            assert_eq!(cache.bytes_used(), 300, "policy {policy}");
+            assert_eq!(cache.stats().evictions, 0, "policy {policy}");
+            // Too large to cache at all: the stale entry leaves too.
+            assert_eq!(
+                cache.insert("b", "public", value("b3"), 400),
+                Admission::TooLarge
+            );
+            assert!(!cache.contains("b"), "policy {policy}");
+            cache.validate_accounting().unwrap();
+        }
     }
 
     #[test]

@@ -131,16 +131,18 @@ impl Session {
         }
     }
 
-    /// An entry served a hit.
-    pub fn on_access(&mut self, slot: u64) {
+    /// An entry served a hit or took a replacement value; `meta` carries
+    /// its current footprint.
+    pub fn on_access(&mut self, meta: &EntryMeta) {
         match self {
             Session::Lru => {}
-            Session::Gdsf(session) => session.on_access(slot),
-            Session::S3Fifo(session) => session.on_access(slot),
+            Session::Gdsf(session) => session.on_access(meta),
+            Session::S3Fifo(session) => session.on_access(meta),
         }
     }
 
-    /// An entry left the cache (eviction, expiry, replacement or clear).
+    /// An entry left the cache (eviction, expiry, uncacheable replacement
+    /// or clear).
     pub fn on_remove(&mut self, slot: u64) {
         match self {
             Session::Lru => {}
@@ -198,8 +200,9 @@ impl GdsfSession {
         self.entries.insert(meta.slot, (meta.bytes, 1, h));
     }
 
-    fn on_access(&mut self, slot: u64) {
-        if let Some((bytes, freq, h)) = self.entries.get_mut(&slot) {
+    fn on_access(&mut self, meta: &EntryMeta) {
+        if let Some((bytes, freq, h)) = self.entries.get_mut(&meta.slot) {
+            *bytes = meta.bytes;
             *freq += 1;
             *h = Self::priority(self.inflation, *bytes, *freq);
         }
@@ -288,8 +291,12 @@ impl S3FifoSession {
         }
     }
 
-    fn on_access(&mut self, slot: u64) {
-        if let Some((_, freq, _, _)) = self.entries.get_mut(&slot) {
+    fn on_access(&mut self, meta: &EntryMeta) {
+        if let Some((bytes, freq, _, in_main)) = self.entries.get_mut(&meta.slot) {
+            if !*in_main {
+                self.small_bytes = self.small_bytes.saturating_sub(*bytes) + meta.bytes;
+            }
+            *bytes = meta.bytes;
             *freq = (*freq + 1).min(3);
         }
     }
@@ -485,10 +492,10 @@ mod tests {
 
     #[test]
     fn s3fifo_queues_stay_bounded_when_nothing_is_ever_evicted() {
-        // One hot key re-deposited 100 000 times into a cache whose byte
-        // budget is never reached: `CacheCore::insert` replaces the entry
-        // (on_remove of the old slot, on_insert of a fresh one) and never
-        // calls `select`, the only other place stale ids are dropped.
+        // One hot key expiring and re-deposited 100 000 times into a cache
+        // whose byte budget is never reached: each round removes the old
+        // slot and inserts a fresh one, and `select`, the only other place
+        // stale ids are dropped, never runs.
         let mut session = S3FifoSession::default();
         session.on_insert(&meta(0, 64, 0));
         for slot in 1..=100_000u64 {

@@ -403,14 +403,6 @@ impl SolveConfig {
         self
     }
 
-    /// Number of right-hand sides this section asks for.
-    pub fn rhs_count(&self) -> usize {
-        match &self.rhs {
-            SolveRhs::Generated { count, .. } => *count,
-            SolveRhs::Vectors(vectors) => vectors.len(),
-        }
-    }
-
     fn from_json(json: &Json) -> Result<SolveConfig, ConfigParseError> {
         let rhs = json.get("rhs").ok_or(missing("solve.rhs"))?;
         let rhs = match rhs.get("type").and_then(Json::as_str) {

@@ -409,27 +409,41 @@ fn validate_solve(solve: &SolveConfig, numeric: bool) -> Result<(), EngineError>
             "the solve stage requires the numeric stage".to_string(),
         ));
     }
-    let count = solve.rhs_count();
-    if count == 0 {
-        return Err(EngineError::InvalidConfig(
-            "the solve stage needs at least one right-hand side".to_string(),
+    check_rhs(&solve.rhs, None).map(drop)
+}
+
+/// The one check of a batch of right-hand sides, made at plan time and
+/// again by [`FactorHandle::solve_batch`]: between 1 and [`MAX_SOLVE_RHS`]
+/// of them, finite, and — once the problem dimension `n` is known — `n`
+/// entries each.  Returns how many there are.
+fn check_rhs(rhs: &SolveRhs, n: Option<usize>) -> Result<usize, EngineError> {
+    let count = match rhs {
+        SolveRhs::Generated { count, .. } => *count,
+        SolveRhs::Vectors(vectors) => vectors.len(),
+    };
+    let invalid = |message: String| Err(EngineError::InvalidConfig(message));
+    if count == 0 || count > MAX_SOLVE_RHS {
+        return invalid(format!(
+            "between 1 and {MAX_SOLVE_RHS} right-hand sides are supported, got {count}"
         ));
     }
-    if count > MAX_SOLVE_RHS {
-        return Err(EngineError::InvalidConfig(format!(
-            "at most {MAX_SOLVE_RHS} right-hand sides are supported, got {count}"
-        )));
+    if n == Some(0) {
+        return invalid("a problem of dimension 0 has nothing to solve".to_string());
     }
-    if let SolveRhs::Vectors(vectors) = &solve.rhs {
+    if let SolveRhs::Vectors(vectors) = rhs {
         for vector in vectors {
-            if vector.iter().any(|value| !value.is_finite()) {
-                return Err(EngineError::InvalidConfig(
-                    "right-hand sides must be finite".to_string(),
+            if let Some(n) = n.filter(|&n| n != vector.len()) {
+                return invalid(format!(
+                    "right-hand side length {} does not match the problem dimension {n}",
+                    vector.len()
                 ));
+            }
+            if vector.iter().any(|value| !value.is_finite()) {
+                return invalid("right-hand sides must be finite numbers".to_string());
             }
         }
     }
-    Ok(())
+    Ok(count)
 }
 
 /// A deterministic column-major batch of `count` right-hand sides of
@@ -1220,10 +1234,12 @@ impl Schedule<'_> {
             let handle = handle.as_ref().ok_or_else(|| {
                 EngineError::InvalidConfig("the solve stage requires the numeric stage".to_string())
             })?;
-            let (result, summary) =
-                perfprof::timing::time_runs(1, || self.run_solve(&plan.config.solve, handle));
+            let solve = &plan.config.solve;
+            let (result, summary) = perfprof::timing::time_runs(1, || {
+                handle.solve_batch(&solve.rhs, solve.check_residual)
+            });
             timings.solve_seconds = summary.median_seconds;
-            Some(result?)
+            Some(result?.0)
         } else {
             None
         };
@@ -1253,43 +1269,6 @@ impl Schedule<'_> {
             timings,
         };
         Ok((report, handle))
-    }
-
-    /// The solve stage: materialize the configured right-hand sides, solve
-    /// the whole batch in one pass over the factor, and (optionally) check
-    /// the residual.
-    fn run_solve(
-        &self,
-        config: &SolveConfig,
-        handle: &FactorHandle,
-    ) -> Result<SolveReport, EngineError> {
-        let n = handle.n();
-        let mut batch: Vec<f64> = match &config.rhs {
-            SolveRhs::Generated { count, seed } => generated_rhs_batch(n, *count, *seed),
-            SolveRhs::Vectors(vectors) => {
-                for vector in vectors {
-                    if vector.len() != n {
-                        return Err(EngineError::InvalidConfig(format!(
-                            "right-hand side length {} does not match the problem dimension {n}",
-                            vector.len()
-                        )));
-                    }
-                }
-                let mut batch = Vec::with_capacity(n * vectors.len());
-                for vector in vectors {
-                    batch.extend_from_slice(vector);
-                }
-                batch
-            }
-        };
-        let rhs_count = config.rhs_count();
-        let original = config.check_residual.then(|| batch.clone());
-        handle.solve_batch(&mut batch)?;
-        let max_residual = original.map(|rhs| handle.max_residual(&rhs, &batch));
-        Ok(SolveReport {
-            rhs_count,
-            max_residual,
-        })
     }
 
     /// The deterministic distributed cut of this schedule: the subtree task
@@ -1497,49 +1476,38 @@ impl FactorHandle {
         self.factor.heap_bytes() + self.numeric.heap_bytes()
     }
 
-    /// A deterministic column-major batch of `count` generated right-hand
-    /// sides (the same generator the solve stage uses for
-    /// [`SolveRhs::Generated`]).
-    pub fn generated_rhs(&self, count: usize, seed: u64) -> Vec<f64> {
-        generated_rhs_batch(self.n(), count, seed)
+    /// Solve `A X = B` for the right-hand sides `rhs` in one pass over the
+    /// factor — the solve stage of a numeric run and every `POST /solve`.
+    /// `rhs` must hold between 1 and [`MAX_SOLVE_RHS`] finite vectors of
+    /// length [`FactorHandle::n`] (generated ones always do).  Returns the
+    /// report, whose residual is checked when `check_residual`, and the
+    /// solutions, column-major.
+    pub fn solve_batch(
+        &self,
+        rhs: &SolveRhs,
+        check_residual: bool,
+    ) -> Result<(SolveReport, Vec<f64>), EngineError> {
+        let n = self.n();
+        let rhs_count = check_rhs(rhs, Some(n))?;
+        let mut batch = match rhs {
+            SolveRhs::Generated { count, seed } => generated_rhs_batch(n, *count, *seed),
+            SolveRhs::Vectors(vectors) => vectors.concat(),
+        };
+        let original = check_residual.then(|| batch.clone());
+        self.factor.solve_batch(&mut batch);
+        let max_residual = original.map(|rhs| self.max_residual(&rhs, &batch));
+        let report = SolveReport {
+            rhs_count,
+            max_residual,
+        };
+        Ok((report, batch))
     }
 
-    /// Solve `A X = B` in place for a column-major batch `B` of one or more
-    /// right-hand sides.  The batch length must be a positive multiple of
-    /// [`FactorHandle::n`] and at most the engine's right-hand-side cap;
-    /// entries must be finite.
-    pub fn solve_batch(&self, batch: &mut [f64]) -> Result<(), EngineError> {
+    /// Largest max-norm residual `‖A x_j − b_j‖∞` over a solved batch of
+    /// positive dimension, given the original right-hand sides.
+    fn max_residual(&self, rhs: &[f64], solutions: &[f64]) -> f64 {
         let n = self.n();
-        if n == 0 || batch.is_empty() || !batch.len().is_multiple_of(n) {
-            return Err(EngineError::InvalidConfig(format!(
-                "the batch length {} must be a positive multiple of the problem dimension {n}",
-                batch.len()
-            )));
-        }
-        if batch.len() / n > MAX_SOLVE_RHS {
-            return Err(EngineError::InvalidConfig(format!(
-                "at most {MAX_SOLVE_RHS} right-hand sides are supported, got {}",
-                batch.len() / n
-            )));
-        }
-        if batch.iter().any(|value| !value.is_finite()) {
-            return Err(EngineError::InvalidConfig(
-                "right-hand sides must be finite".to_string(),
-            ));
-        }
-        self.factor.solve_batch(batch);
-        Ok(())
-    }
-
-    /// Largest max-norm residual `‖A x_j − b_j‖∞` over a solved batch,
-    /// given the original right-hand sides.
-    pub fn max_residual(&self, rhs: &[f64], solutions: &[f64]) -> f64 {
-        let n = self.n();
-        assert_eq!(rhs.len(), solutions.len(), "batch lengths must match");
         let mut worst = 0.0f64;
-        if n == 0 {
-            return worst;
-        }
         for (b, x) in rhs.chunks_exact(n).zip(solutions.chunks_exact(n)) {
             let ax = self.numeric.matrix.multiply(x);
             for (lhs, rhs_entry) in ax.iter().zip(b) {
@@ -1807,12 +1775,15 @@ mod tests {
             .unwrap();
         let handle = handle.unwrap();
         let n = handle.n();
-        let batch = handle.generated_rhs(4, 77);
-        let mut solved = batch.clone();
-        handle.solve_batch(&mut solved).unwrap();
+        let rhs = SolveRhs::Generated { count: 4, seed: 77 };
+        let (report, solved) = handle.solve_batch(&rhs, true).unwrap();
+        assert_eq!(report.rhs_count, 4);
+        assert!(report.max_residual.unwrap() < 1e-10);
+        let batch = generated_rhs_batch(n, 4, 77);
         for (column, expected) in batch.chunks_exact(n).zip(solved.chunks_exact(n)) {
-            let mut single = column.to_vec();
-            handle.solve_batch(&mut single).unwrap();
+            let single = SolveRhs::Vectors(vec![column.to_vec()]);
+            let (report, single) = handle.solve_batch(&single, false).unwrap();
+            assert_eq!(report.max_residual, None);
             assert_eq!(single, expected, "batched column must match single solve");
         }
     }
@@ -1877,16 +1848,24 @@ mod tests {
             .execute_with_factor(&engine)
             .unwrap();
         let handle = handle.unwrap();
-        for mut bad in [
-            vec![],
-            vec![1.0; 7],
-            vec![f64::INFINITY; 10],
-            vec![0.5; 10 * (MAX_SOLVE_RHS + 1)],
+        for bad in [
+            SolveRhs::Vectors(vec![]),
+            SolveRhs::Vectors(vec![vec![1.0; 7]]),
+            SolveRhs::Vectors(vec![vec![1.0; 10], vec![f64::INFINITY; 10]]),
+            SolveRhs::Vectors(vec![vec![0.5; 10]; MAX_SOLVE_RHS + 1]),
+            SolveRhs::Generated { count: 0, seed: 1 },
+            SolveRhs::Generated {
+                count: MAX_SOLVE_RHS + 1,
+                seed: 1,
+            },
         ] {
-            assert!(matches!(
-                handle.solve_batch(&mut bad),
-                Err(EngineError::InvalidConfig(_))
-            ));
+            assert!(
+                matches!(
+                    handle.solve_batch(&bad, true),
+                    Err(EngineError::InvalidConfig(_))
+                ),
+                "{bad:?} must be rejected"
+            );
         }
     }
 

@@ -15,11 +15,11 @@
 //! One walk, two clients: the simulator and [`divisible_lower_bound`] both
 //! step a traversal over the same private `ResidentSet` — the ordered set of
 //! resident traversal positions plus the resident total — so neither ever
-//! scans the non-resident nodes.  Two oracles are retained: the seed's
-//! scan-and-sort simulator as [`schedule_io_naive`] (pinned by
+//! scans the non-resident nodes.  Two oracles are retained as test code:
+//! the seed's scan-and-sort simulator in `tests/common` (pinned by
 //! `tests/golden_parity.rs` and `tests/deep_trees.rs`) and the seed's
-//! scan-and-sort bound as a test-only function of this module (pinned on
-//! the same corpora by `divisible_bound_equals_its_scan_and_sort_oracle`).
+//! scan-and-sort bound in this module's tests (pinned on the same corpora
+//! by `divisible_bound_equals_its_scan_and_sort_oracle`).
 
 use std::collections::BTreeSet;
 
@@ -177,8 +177,8 @@ impl ResidentSet {
 /// an ordered set keyed by traversal position (the module's one
 /// resident-set walk, shared with [`divisible_lower_bound`]), so a deficit
 /// step costs O(resident log p) instead of the full O(p log p)
-/// scan-and-sort the original implementation (retained as
-/// [`schedule_io_naive`]) performed.
+/// scan-and-sort the original implementation (kept as a test oracle)
+/// performed.
 pub fn schedule_io_with(
     tree: &Tree,
     traversal: &Traversal,
@@ -314,129 +314,6 @@ pub fn schedule_io_with_stop(
         peak_memory: peak,
         schedule,
     }))
-}
-
-/// The original (seed) implementation of [`schedule_io_with`]: at every
-/// deficit step it rebuilds the candidate list by scanning **all** `p` nodes
-/// and re-sorting by traversal position, making a simulated run
-/// O(p² log p) on traversals with many deficit steps.
-///
-/// Retained verbatim for one purpose only: the golden parity tests pin the
-/// incremental simulator to it cell by cell.  New code should always call
-/// [`schedule_io_with`].
-pub fn schedule_io_naive(
-    tree: &Tree,
-    traversal: &Traversal,
-    memory: Size,
-    policy: &dyn Policy,
-) -> Result<OutOfCoreRun, MinIoError> {
-    traversal.check_precedence(tree)?;
-    let positions = traversal.positions(tree.len())?;
-    let mut session = policy.session(tree, traversal);
-
-    let root = tree.root();
-    let mut resident = vec![false; tree.len()];
-    resident[root] = true;
-    let mut evicted = vec![false; tree.len()];
-    // Step at which each file appeared in memory (root: before step 0).
-    let mut produced_at = vec![0usize; tree.len()];
-    let mut resident_total = tree.f(root);
-    let mut schedule = IoSchedule::empty(tree.len());
-    let mut io_volume: Size = 0;
-    let mut files_written = 0usize;
-    let mut peak: Size = tree.f(root);
-
-    for (step, &node) in traversal.order().iter().enumerate() {
-        // Read the node's input file back first if it was evicted earlier.
-        if evicted[node] && !resident[node] {
-            resident[node] = true;
-            resident_total += tree.f(node);
-        }
-
-        let requirement = tree.mem_req(node);
-        if requirement > memory {
-            return Err(MinIoError::InsufficientMemory {
-                node,
-                required: requirement,
-                memory,
-            });
-        }
-
-        // Memory needed while the node executes, given what is resident.
-        let during = resident_total + tree.n(node) + tree.children_file_sum(node);
-        if during > memory {
-            let deficit = during - memory;
-            // Candidate files: resident, already produced, not the one being
-            // executed; ordered by latest use first.
-            let mut candidates: Vec<Candidate> = tree
-                .nodes()
-                .filter(|&i| i != node && resident[i])
-                .map(|i| Candidate {
-                    node: i,
-                    size: tree.f(i),
-                    produced_at: produced_at[i],
-                })
-                .collect();
-            candidates.sort_by(|a, b| positions[b.node].cmp(&positions[a.node]));
-
-            let ctx = EvictionContext {
-                tree,
-                positions: &positions,
-                step,
-                node,
-                deficit,
-                candidates: &candidates,
-            };
-            let raw = session.select(&ctx);
-            // Sanitise: keep the first occurrence of each in-range index,
-            // then complete any shortfall with the LSNF fallback.
-            let mut chosen: Vec<usize> = Vec::with_capacity(raw.len());
-            let mut taken = vec![false; candidates.len()];
-            let mut freed: Size = 0;
-            for idx in raw {
-                if idx < candidates.len() && !taken[idx] {
-                    taken[idx] = true;
-                    chosen.push(idx);
-                    freed += candidates[idx].size;
-                }
-            }
-            if freed < deficit {
-                let rest = lsnf_fill(&candidates, deficit - freed, &chosen);
-                chosen.extend(rest);
-            }
-            for &idx in &chosen {
-                let candidate = candidates[idx];
-                resident[candidate.node] = false;
-                evicted[candidate.node] = true;
-                resident_total -= candidate.size;
-                io_volume += candidate.size;
-                files_written += 1;
-                schedule.set_eviction(candidate.node, step);
-            }
-        }
-
-        let during = resident_total + tree.n(node) + tree.children_file_sum(node);
-        debug_assert!(during <= memory, "selection must cover the deficit");
-        peak = peak.max(during);
-
-        // Execute the node.
-        resident[node] = false;
-        resident_total -= tree.f(node);
-        for &child in tree.children(node) {
-            resident[child] = true;
-            produced_at[child] = step + 1;
-            resident_total += tree.f(child);
-        }
-        session.observe_execution(step, node, tree);
-    }
-
-    Ok(OutOfCoreRun {
-        io_volume,
-        read_volume: io_volume,
-        files_written,
-        peak_memory: peak,
-        schedule,
-    })
 }
 
 /// Exact minimum I/O volume of `traversal` under the *divisible* relaxation

@@ -57,8 +57,7 @@ pub mod schedule;
 
 pub use exact::{exact_min_io, ExactMinIo};
 pub use heuristics::{
-    divisible_lower_bound, schedule_io_naive, schedule_io_with, schedule_io_with_stop, MinIoError,
-    OutOfCoreRun,
+    divisible_lower_bound, schedule_io_with, schedule_io_with_stop, MinIoError, OutOfCoreRun,
 };
 pub use policy::{Candidate, EvictionContext, EvictionSession, Policy, PolicyRegistry};
 pub use schedule::{

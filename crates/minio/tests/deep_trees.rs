@@ -3,8 +3,11 @@
 //! test thread, stay bit-identical to the retained naive scan, and validate
 //! through the independent Algorithm 2 checker.
 
+mod common;
+
+use common::schedule_io_naive;
 use minio::policy::paper::Lsnf;
-use minio::{check_out_of_core, schedule_io_naive, schedule_io_with};
+use minio::{check_out_of_core, schedule_io_with};
 use treemem::minmem::min_mem;
 use treemem::postorder::{best_postorder, natural_postorder};
 use treemem::random::{comb, random_attachment_tree, random_chain};

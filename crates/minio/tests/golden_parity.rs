@@ -9,8 +9,11 @@
 //! eviction, the volumes diverge and this test pinpoints the policy, tree
 //! and memory budget.
 
+mod common;
+
+use common::schedule_io_naive;
 use minio::policy::paper;
-use minio::{schedule_io_naive, schedule_io_with, Policy};
+use minio::{schedule_io_with, Policy};
 use prng::{Rng, StdRng};
 use treemem::gadgets::{harpoon, harpoon_tower, two_partition_gadget};
 use treemem::minmem::min_mem;

@@ -1,10 +1,10 @@
 //! Small dense kernels used on frontal matrices.
 //!
-//! The elimination kernel comes in two flavours, selected by
-//! [`FrontKernel`]: a scalar column-at-a-time `reference` implementation
-//! kept for the parity battery, and the cache-blocked tiled kernel the
-//! factorization actually runs (diagonal-block Cholesky, panel triangular
+//! The elimination kernel the factorization runs is the cache-blocked tiled
+//! one behind [`FrontKernel`] (diagonal-block Cholesky, panel triangular
 //! solve, register-blocked rank-k Schur update over column-major slices).
+//! A scalar column-at-a-time reference kernel exists in test builds only,
+//! as the oracle of the parity battery.
 
 /// Panel width of the blocked factorization.  32 columns of f64 keep a
 /// panel strip within L1 for the front sizes the multifrontal kernel
@@ -15,15 +15,16 @@ pub const DEFAULT_BLOCK: usize = 32;
 
 /// Selects the dense elimination kernel used on every frontal matrix.
 ///
-/// `Blocked` is the production kernel; `Reference` is the scalar
-/// column-at-a-time implementation pinned to it by the parity battery.
-/// With a single pivot (the multifrontal hot path) and with `block == 1` the
-/// blocked kernel is *bit-identical* to the reference; wider blocks on
+/// `Blocked` is the production kernel.  Test builds add `Reference`, the
+/// scalar column-at-a-time implementation the parity battery pins it to:
+/// with a single pivot (the multifrontal hot path) and with `block == 1`
+/// the blocked kernel is *bit-identical* to the reference; wider blocks on
 /// multi-pivot factorizations agree to a few ULPs (the 2-way unrolled Schur
 /// update fuses two subtractions into one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontKernel {
-    /// Scalar column-at-a-time elimination (baseline).
+    /// Scalar column-at-a-time elimination (the test oracle).
+    #[cfg(test)]
     Reference,
     /// Cache-blocked tiled elimination with the given panel width
     /// (clamped to at least 1).
@@ -46,6 +47,7 @@ impl FrontKernel {
     /// [`DenseMatrix::partial_cholesky`].
     pub fn apply(&self, matrix: &mut DenseMatrix, pivots: usize) -> Result<(), usize> {
         match *self {
+            #[cfg(test)]
             FrontKernel::Reference => matrix.partial_cholesky_reference(pivots),
             FrontKernel::Blocked { block } => matrix.partial_cholesky_blocked(pivots, block.max(1)),
         }
@@ -54,6 +56,7 @@ impl FrontKernel {
     /// A short stable name (benchmark labels).
     pub fn name(&self) -> &'static str {
         match self {
+            #[cfg(test)]
             FrontKernel::Reference => "reference",
             FrontKernel::Blocked { .. } => "blocked",
         }
@@ -152,10 +155,11 @@ impl DenseMatrix {
     }
 
     /// The scalar column-at-a-time kernel: one rank-1 update per pivot,
-    /// through bounds-checked element accessors.  Kept as the semantic
-    /// baseline the blocked kernel is pinned to (see the parity battery in
-    /// this module's tests).
-    pub fn partial_cholesky_reference(&mut self, pivots: usize) -> Result<(), usize> {
+    /// through bounds-checked element accessors.  The semantic baseline the
+    /// blocked kernel is pinned to (see the parity battery in this module's
+    /// tests).
+    #[cfg(test)]
+    fn partial_cholesky_reference(&mut self, pivots: usize) -> Result<(), usize> {
         assert!(pivots <= self.n);
         for k in 0..pivots {
             let diagonal = self.get(k, k);

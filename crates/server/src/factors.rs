@@ -202,8 +202,13 @@ mod tests {
                         if (worker + round) % 3 == 0 {
                             cache.insert(&key, Arc::clone(&handles[pick]));
                         } else if let Some(factor) = cache.get(&key) {
-                            let mut rhs = factor.generated_rhs(1, round as u64 + 1);
-                            factor.solve_batch(&mut rhs).expect("cached factor solves");
+                            let rhs = SolveRhs::Generated {
+                                count: 1,
+                                seed: round as u64 + 1,
+                            };
+                            factor
+                                .solve_batch(&rhs, false)
+                                .expect("cached factor solves");
                         }
                     }
                 });
@@ -216,12 +221,11 @@ mod tests {
         // Every key that is still resident resolves to a working factor.
         for pick in 0..handles.len() {
             if let Some(factor) = cache.get(&format!("factor-{pick}")) {
-                let rhs = factor.generated_rhs(1, 5);
-                let mut solution = rhs.clone();
-                factor
-                    .solve_batch(&mut solution)
+                let rhs = SolveRhs::Generated { count: 1, seed: 5 };
+                let (report, _) = factor
+                    .solve_batch(&rhs, true)
                     .expect("resident factor solves");
-                assert!(factor.max_residual(&rhs, &solution) < 1e-8);
+                assert!(report.max_residual.unwrap() < 1e-8);
             }
         }
     }

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use distrib::{ClaimRequest, ContributeError, Contribution, JobRegistry, JobSpec, WaitError};
 use engine::json::{escape, Json};
 use engine::prelude::*;
-use engine::{CacheStats, CancelToken, PlanCache, MAX_SOLVE_RHS};
+use engine::{CacheStats, CancelToken, PlanCache};
 
 use crate::factors::FactorCache;
 use crate::http::{reason_phrase, Request};
@@ -512,64 +512,15 @@ impl Service {
                 )
             });
         };
-        let n = factor.n();
-
-        let mut batch: Vec<f64>;
-        if let Some(vectors) = json.get("vectors") {
-            let not_arrays =
-                || Response::error(400, "\"vectors\" must be an array of number arrays");
-            let Some(vectors) = vectors.as_array() else {
-                return Err(not_arrays());
-            };
-            if vectors.is_empty() || vectors.len() > MAX_SOLVE_RHS {
-                return Err(Response::error(
-                    400,
-                    &format!(
-                        "between 1 and {MAX_SOLVE_RHS} right-hand sides are supported, got {}",
-                        vectors.len()
-                    ),
-                ));
-            }
-            batch = Vec::with_capacity(n * vectors.len());
-            for vector in vectors {
-                let Some(entries) = vector.as_array() else {
-                    return Err(not_arrays());
-                };
-                if entries.len() != n {
-                    return Err(Response::error(
-                        400,
-                        &format!(
-                            "right-hand side length {} does not match the problem dimension {n}",
-                            entries.len()
-                        ),
-                    ));
-                }
-                for entry in entries {
-                    match entry.as_f64() {
-                        Some(value) if value.is_finite() => batch.push(value),
-                        _ => {
-                            return Err(Response::error(
-                                400,
-                                "right-hand sides must be finite numbers",
-                            ))
-                        }
-                    }
-                }
-            }
-        } else {
-            let count = json.get("count").and_then(Json::as_usize).unwrap_or(1);
-            let seed = json.get("seed").and_then(Json::as_u64).unwrap_or(1);
-            if count == 0 || count > MAX_SOLVE_RHS {
-                return Err(Response::error(
-                    400,
-                    &format!(
-                        "between 1 and {MAX_SOLVE_RHS} right-hand sides are supported, got {count}"
-                    ),
-                ));
-            }
-            batch = factor.generated_rhs(count, seed);
-        }
-        let rhs_count = batch.len() / n.max(1);
+        let rhs = match json.get("vectors") {
+            Some(vectors) => SolveRhs::Vectors(number_arrays(vectors).ok_or_else(|| {
+                Response::error(400, "\"vectors\" must be an array of number arrays")
+            })?),
+            None => SolveRhs::Generated {
+                count: json.get("count").and_then(Json::as_usize).unwrap_or(1),
+                seed: json.get("seed").and_then(Json::as_u64).unwrap_or(1),
+            },
+        };
 
         // The batched solve is short and uninterruptible, so the deadline is
         // enforced at its threshold: an already-expired token turns into a
@@ -584,21 +535,21 @@ impl Service {
         }
 
         let solve_started = Instant::now();
-        let original = check_residual.then(|| batch.clone());
-        factor
-            .solve_batch(&mut batch)
+        let (report, batch) = factor
+            .solve_batch(&rhs, check_residual)
             .map_err(|e| self.engine_error(&e))?;
-        let max_residual = original.map(|rhs| factor.max_residual(&rhs, &batch));
         let solve_seconds = solve_started.elapsed().as_secs_f64();
         if let Some(recorder) = self.stats.stage("solve") {
             recorder.record(solve_seconds);
         }
 
+        let n = factor.n();
         let mut body = format!(
             "{{\n  \"schema\": \"engine_server_solve/v1\",\n  \"config_hash\": \"{}\",\n  \
-             \"cache\": \"hit\",\n  \"n\": {n},\n  \"rhs_count\": {rhs_count},\n  \
+             \"cache\": \"hit\",\n  \"n\": {n},\n  \"rhs_count\": {},\n  \
              \"factor_nnz\": {},\n  \"solve_seconds\": {:.6},\n  \"max_residual\": ",
             escape(config_hash),
+            report.rhs_count,
             factor.factor_nnz(),
             solve_seconds,
         );
@@ -609,7 +560,7 @@ impl Service {
             }
             _ => body.push_str("null"),
         };
-        push_value(&mut body, max_residual);
+        push_value(&mut body, report.max_residual);
         if return_solutions {
             body.push_str(",\n  \"solutions\": [");
             for (index, column) in batch.chunks_exact(n).enumerate() {
@@ -655,6 +606,17 @@ impl Service {
             }
         }
     }
+}
+
+/// The `vectors` of a `/solve` body as numbers (`None` unless it is an
+/// array of arrays of numbers); the engine checks count, length and
+/// finiteness.
+fn number_arrays(vectors: &Json) -> Option<Vec<Vec<f64>>> {
+    vectors
+        .as_array()?
+        .iter()
+        .map(|vector| vector.as_array()?.iter().map(Json::as_f64).collect())
+        .collect()
 }
 
 /// Longest accepted `X-Tenant` value.

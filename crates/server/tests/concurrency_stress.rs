@@ -103,10 +103,12 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
                     if (worker + round) % 3 == 0 {
                         cache.insert(&key, Arc::clone(&factors[pick]));
                     } else if let Some(factor) = cache.get(&key) {
-                        let rhs = factor.generated_rhs(1, round as u64 + 1);
-                        let mut solution = rhs.clone();
-                        factor.solve_batch(&mut solution).expect("factor solves");
-                        assert!(factor.max_residual(&rhs, &solution) < 1e-8);
+                        let rhs = SolveRhs::Generated {
+                            count: 1,
+                            seed: round as u64 + 1,
+                        };
+                        let (report, _) = factor.solve_batch(&rhs, true).expect("factor solves");
+                        assert!(report.max_residual.unwrap() < 1e-8);
                     }
                 }
             });

@@ -126,6 +126,48 @@ fn plan_schedule_report_share_the_cache() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// Every problem kind, and a prebuilt tree, through `/plan` → `/schedule`
+/// → `/report` on one server: the plan call misses, the other two hit the
+/// entry it left, and the hit report is the report a fresh server computes
+/// cold.
+#[test]
+fn every_problem_kind_shares_one_plan_across_the_endpoints() {
+    let handle = spawn_default();
+    let fresh = spawn_default();
+    let prebuilt = EngineConfig::prebuilt(treemem::gadgets::harpoon(4, 400, 1))
+        .with_memory(MemoryBudget::FractionOfPeak(0.0));
+    let configs = ProblemKind::ALL.iter().map(|kind| {
+        EngineConfig::generated(*kind, 600, 7)
+            .with_ordering(OrderingMethod::NestedDissection)
+            .with_memory(MemoryBudget::FractionOfPeak(0.3))
+    });
+    for config in configs.chain([prebuilt]) {
+        let config = config.to_json();
+        let mut report = String::new();
+        for (path, expected) in [("/plan", "miss"), ("/schedule", "hit"), ("/report", "hit")] {
+            let (status, headers, body) = post(handle.addr(), path, &config);
+            assert_eq!(status, 200, "{path} {config}: {body}");
+            assert_eq!(
+                header(&headers, "x-cache"),
+                Some(expected),
+                "{path} {config}"
+            );
+            report = body;
+        }
+        let (status, headers, cold) = post(fresh.addr(), "/report", &config);
+        assert_eq!(status, 200, "{cold}");
+        assert_eq!(header(&headers, "x-cache"), Some("miss"));
+        assert!(client::report_fingerprint(&cold).is_some());
+        assert_eq!(
+            client::report_fingerprint(&report),
+            client::report_fingerprint(&cold),
+            "{config}"
+        );
+    }
+    handle.shutdown().expect("clean shutdown");
+    fresh.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn malformed_requests_get_4xx_not_crashes() {
     let handle = spawn_default();
