@@ -355,8 +355,8 @@ pub enum SolveRhs {
 /// right-hand sides it solves, and whether the residual is checked.
 ///
 /// Solving requires the numeric stage (`numeric: true`); the batch is
-/// processed through [`multifrontal::CholeskyFactor::solve_batch`], so a
-/// `k`-column batch costs one pass over the factor, not `k`.
+/// solved interleaved through [`multifrontal::solve_into`], so a
+/// `k`-vector batch costs one pass over the factor, not `k`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveConfig {
     /// Whether the solve stage runs at all.
@@ -364,7 +364,7 @@ pub struct SolveConfig {
     /// The right-hand sides.
     pub rhs: SolveRhs,
     /// Whether to compute the max-norm residual `‖Ax − b‖∞` per right-hand
-    /// side (costs one symmetric multiply each).
+    /// side (one symmetric multiply pass over `A` for the whole batch).
     pub check_residual: bool,
 }
 

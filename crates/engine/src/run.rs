@@ -37,7 +37,9 @@ use minio::{
 use multifrontal::memory::per_column_model;
 use multifrontal::numeric::SymbolicStructure;
 use multifrontal::parallel::BudgetLedger;
-use multifrontal::{solve, CholeskyFactor, ContributionStore, FactorizationError, FrontArena};
+use multifrontal::{
+    solve, solve_into, CholeskyFactor, ContributionStore, FactorizationError, FrontArena,
+};
 use sparsemat::gen::spd_matrix_from_pattern;
 use sparsemat::matrixmarket::{read_pattern, MatrixMarketError};
 use sparsemat::SparsePattern;
@@ -217,6 +219,12 @@ impl Engine {
             ProblemSource::MatrixMarket { path } => timed(|| read_matrix_market(path))?,
         };
         timings.generate_seconds = generate_seconds;
+        if pattern.n() == 0 {
+            // An empty elimination tree has no assembly tree to schedule.
+            return Err(EngineError::InvalidConfig(
+                "the problem has dimension 0: there is nothing to order or factor".to_string(),
+            ));
+        }
         fire_fault("plan:ordering");
         check(cancel, "ordering")?;
         let (ordered, ordering_seconds) = CancelToken::with_stop(cancel, |stop| {
@@ -446,18 +454,21 @@ fn check_rhs(rhs: &SolveRhs, n: Option<usize>) -> Result<usize, EngineError> {
     Ok(count)
 }
 
-/// A deterministic column-major batch of `count` right-hand sides of
-/// dimension `n`, entries in `[-1, 1)` (xorshift64*; independent of any
-/// external generator so the solve stage is reproducible from the
-/// configuration alone).
+/// A deterministic batch of `count` right-hand sides of dimension `n`,
+/// entries in `[-1, 1)` (xorshift64*; independent of any external generator
+/// so the solve stage is reproducible from the configuration alone).  The
+/// stream fills right-hand side after right-hand side; each value lands at
+/// its interleaved position `i · count + c`.
 fn generated_rhs_batch(n: usize, count: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut batch = Vec::with_capacity(n * count);
-    for _ in 0..n * count {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        batch.push((state >> 11) as f64 / (1u64 << 52) as f64 - 1.0);
+    let mut batch = vec![0.0; n * count];
+    for c in 0..count {
+        for i in 0..n {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            batch[i * count + c] = (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+        }
     }
     batch
 }
@@ -1149,94 +1160,135 @@ impl Schedule<'_> {
             started,
             cluster: None,
         };
-        self.finish(Some(stage), cancel)
+        self.finish(Some(Numeric::Run(stage)), cancel)
     }
 
-    /// The one finisher behind every `execute*`: run the numeric pipeline
-    /// of `stage` (subtree phase → merge, [`execute_cut`]), the solve stage,
+    /// [`Schedule::execute`] for a sequential numeric configuration whose
+    /// factor is already at hand: `factor` is the handle an earlier run of
+    /// this schedule's effective configuration returned, and the report is
+    /// rendered from it — its numeric section is the one that run measured,
+    /// and the solve stage, if configured, runs against it.  No numeric
+    /// stage runs, so the report equals a fresh one except for `timings`
+    /// (`numeric_seconds` is 0).
+    ///
+    /// Errors with [`EngineError::InvalidConfig`] unless the schedule is
+    /// numeric and sequential — a parallel or distributed section holds
+    /// runtime measurements no cached factor can reproduce — and `factor`
+    /// came from its configuration hash.
+    pub fn execute_cached(
+        &self,
+        factor: &FactorHandle,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Report, EngineError> {
+        let config = &self.plan.config;
+        if !config.numeric || self.parallel.enabled() || config.distributed.enabled() {
+            return Err(EngineError::InvalidConfig(
+                "only a sequential numeric run renders from a cached factor".to_string(),
+            ));
+        }
+        if factor.config_hash != self.config_hash {
+            return Err(EngineError::InvalidConfig(format!(
+                "the factor of configuration {} cannot render a report of {}",
+                factor.config_hash, self.config_hash
+            )));
+        }
+        check(cancel, "numeric")?;
+        Ok(self.finish(Some(Numeric::Cached(factor)), cancel)?.0)
+    }
+
+    /// The one finisher behind every `execute*`: take the numeric section
+    /// from `numeric` — running its pipeline (subtree phase → merge,
+    /// [`execute_cut`]) or reading a cached factor's — run the solve stage,
     /// and fold everything into the single [`Report`].  `None` is a run
-    /// without the numeric stage.
+    /// without the numeric stage.  Only a run hands back a new factor.
     fn finish(
         &self,
-        stage: Option<NumericStage<'_>>,
+        numeric: Option<Numeric<'_>>,
         cancel: Option<&CancelToken>,
     ) -> Result<(Report, Option<FactorHandle>), EngineError> {
         let plan = self.plan;
         let mut timings = self.timings();
-        let mut numeric = None;
         let mut parallel = None;
         let mut distributed = None;
         let mut handle = None;
-        if let Some(stage) = stage {
-            let model = plan.numeric_model()?;
-            let pool_workers = match stage.runner {
-                TaskRunner::Pool(workers) => Some(workers),
-                _ => None,
-            };
-            let executed = execute_cut(&model, stage.cut, stage.runner, cancel)?;
-            // A distributed run spent its claim phase before `started`;
-            // counting it makes every mode's numbers cover the whole stage.
-            let before = stage
-                .cluster
-                .as_ref()
-                .map_or(0.0, |(_, runtime)| runtime.claim_wall_seconds);
-            let stage_seconds = || before + stage.started.elapsed().as_secs_f64();
-            parallel = pool_workers.map(|workers| {
-                let wall_seconds = stage_seconds();
-                let longest_task = executed.task_seconds.iter().copied().fold(0.0, f64::max);
-                let total_busy: f64 =
-                    executed.worker_busy_seconds.iter().sum::<f64>() + executed.merge_seconds;
-                ParallelReport {
+        let mut cached = None;
+        match numeric {
+            None => {}
+            Some(Numeric::Cached(factor)) => cached = Some(factor),
+            Some(Numeric::Run(stage)) => {
+                let model = plan.numeric_model()?;
+                let pool_workers = match stage.runner {
+                    TaskRunner::Pool(workers) => Some(workers),
+                    _ => None,
+                };
+                let executed = execute_cut(&model, stage.cut, stage.runner, cancel)?;
+                // A distributed run spent its claim phase before `started`;
+                // counting it makes every mode's numbers cover the whole stage.
+                let before = stage
+                    .cluster
+                    .as_ref()
+                    .map_or(0.0, |(_, runtime)| runtime.claim_wall_seconds);
+                let stage_seconds = || before + stage.started.elapsed().as_secs_f64();
+                parallel = pool_workers.map(|workers| {
+                    let wall_seconds = stage_seconds();
+                    let longest_task = executed.task_seconds.iter().copied().fold(0.0, f64::max);
+                    let total_busy: f64 =
+                        executed.worker_busy_seconds.iter().sum::<f64>() + executed.merge_seconds;
+                    ParallelReport {
+                        cut: stage.cut.report(),
+                        workers,
+                        measured_peak_entries: executed.measured_peak_entries,
+                        forced_admissions: executed.forced_admissions,
+                        wall_seconds,
+                        critical_path_seconds: longest_task + executed.merge_seconds,
+                        merge_seconds: executed.merge_seconds,
+                        task_seconds: executed.task_seconds,
+                        worker_busy_seconds: executed.worker_busy_seconds,
+                        utilization: if wall_seconds > 0.0 {
+                            total_busy / (workers.max(1) as f64 * wall_seconds)
+                        } else {
+                            0.0
+                        },
+                    }
+                });
+                distributed = stage.cluster.map(|(lease_ms, runtime)| DistributedReport {
                     cut: stage.cut.report(),
-                    workers,
-                    measured_peak_entries: executed.measured_peak_entries,
-                    forced_admissions: executed.forced_admissions,
-                    wall_seconds,
-                    critical_path_seconds: longest_task + executed.merge_seconds,
+                    lease_ms,
+                    workers: runtime.workers,
+                    tasks_requeued: runtime.tasks_requeued,
+                    lease_expiries: runtime.lease_expiries,
+                    contribution_bytes: runtime.contribution_bytes,
+                    wall_seconds: stage_seconds(),
                     merge_seconds: executed.merge_seconds,
-                    task_seconds: executed.task_seconds,
-                    worker_busy_seconds: executed.worker_busy_seconds,
-                    utilization: if wall_seconds > 0.0 {
-                        total_busy / (workers.max(1) as f64 * wall_seconds)
-                    } else {
-                        0.0
-                    },
-                }
-            });
-            distributed = stage.cluster.map(|(lease_ms, runtime)| DistributedReport {
-                cut: stage.cut.report(),
-                lease_ms,
-                workers: runtime.workers,
-                tasks_requeued: runtime.tasks_requeued,
-                lease_expiries: runtime.lease_expiries,
-                contribution_bytes: runtime.contribution_bytes,
-                wall_seconds: stage_seconds(),
-                merge_seconds: executed.merge_seconds,
-                worker_busy_seconds: runtime.worker_busy_seconds,
-            });
-            numeric = Some(NumericReport {
-                measured_peak_entries: executed.measured_peak_entries as usize,
-                model_peak_entries: stage.cut.sequential_peak,
-                factor_nnz: executed.factor.nnz(),
-                solve_error: solve_check(&model.matrix, &executed.factor),
-            });
-            timings.numeric_seconds = stage_seconds();
-            handle = Some(FactorHandle {
-                numeric: model,
-                factor: executed.factor,
-            });
+                    worker_busy_seconds: runtime.worker_busy_seconds,
+                });
+                let report = NumericReport {
+                    measured_peak_entries: executed.measured_peak_entries as usize,
+                    model_peak_entries: stage.cut.sequential_peak,
+                    factor_nnz: executed.factor.nnz(),
+                    solve_error: solve_check(&model.matrix, &executed.factor),
+                };
+                timings.numeric_seconds = stage_seconds();
+                handle = Some(FactorHandle {
+                    numeric: model,
+                    factor: executed.factor,
+                    config_hash: self.config_hash.clone(),
+                    report,
+                });
+            }
         }
+        let factor = handle.as_ref().or(cached);
 
         let solve = if plan.config.solve.enabled {
             check(cancel, "solve")?;
             // Plan-time validation guarantees the numeric stage ran; the
             // error path is defensive.
-            let handle = handle.as_ref().ok_or_else(|| {
+            let factor = factor.ok_or_else(|| {
                 EngineError::InvalidConfig("the solve stage requires the numeric stage".to_string())
             })?;
             let solve = &plan.config.solve;
             let (result, summary) = perfprof::timing::time_runs(1, || {
-                handle.solve_batch(&solve.rhs, solve.check_residual)
+                factor.solve_batch(&solve.rhs, solve.check_residual)
             });
             timings.solve_seconds = summary.median_seconds;
             Some(result?.0)
@@ -1262,7 +1314,7 @@ impl Schedule<'_> {
             io_peak_memory: self.run.peak_memory,
             divisible_bound: self.divisible_bound,
             traversal: self.traversal().order().to_vec(),
-            numeric,
+            numeric: factor.map(|factor| factor.report.clone()),
             solve,
             parallel,
             distributed,
@@ -1325,8 +1377,16 @@ impl Schedule<'_> {
             started,
             cluster: Some((cut.lease_ms, runtime)),
         };
-        self.finish(Some(stage), cancel)
+        self.finish(Some(Numeric::Run(stage)), cancel)
     }
+}
+
+/// Where [`Schedule::finish`] takes a report's numeric section from.
+enum Numeric<'c> {
+    /// Run this numeric stage.
+    Run(NumericStage<'c>),
+    /// Read it from the factor an earlier sequential run handed back.
+    Cached(&'c FactorHandle),
 }
 
 /// The numeric stage of one `execute*` call, as [`Schedule::finish`] takes
@@ -1443,11 +1503,17 @@ pub struct DistributedRuntime {
 
 /// A computed Cholesky factor bundled with its problem, detached from the
 /// borrowed [`Schedule`]: the unit the HTTP server caches and serves
-/// `POST /solve` requests from.  Obtained via
+/// `POST /solve` requests — and hot sequential reports, via
+/// [`Schedule::execute_cached`] — from.  Obtained via
 /// [`Schedule::execute_with_factor`].
 pub struct FactorHandle {
     numeric: Arc<NumericModel>,
     factor: CholeskyFactor,
+    /// The effective configuration the factor was computed for.
+    config_hash: String,
+    /// The numeric section of the report the factor was computed with
+    /// (deterministic for a sequential run).
+    report: NumericReport,
 }
 
 impl FactorHandle {
@@ -1481,7 +1547,10 @@ impl FactorHandle {
     /// `rhs` must hold between 1 and [`MAX_SOLVE_RHS`] finite vectors of
     /// length [`FactorHandle::n`] (generated ones always do).  Returns the
     /// report, whose residual is checked when `check_residual`, and the
-    /// solutions, column-major.
+    /// `k` solutions *interleaved*: entry `i` of solution `c` is at
+    /// `i · k + c` (for one right-hand side, the solution vector itself).
+    /// Each solution and the residual are bit-identical to `k` single
+    /// solves.
     pub fn solve_batch(
         &self,
         rhs: &SolveRhs,
@@ -1489,32 +1558,55 @@ impl FactorHandle {
     ) -> Result<(SolveReport, Vec<f64>), EngineError> {
         let n = self.n();
         let rhs_count = check_rhs(rhs, Some(n))?;
-        let mut batch = match rhs {
-            SolveRhs::Generated { count, seed } => generated_rhs_batch(n, *count, *seed),
-            SolveRhs::Vectors(vectors) => vectors.concat(),
+        let batch = match rhs {
+            SolveRhs::Generated { seed, .. } => generated_rhs_batch(n, rhs_count, *seed),
+            SolveRhs::Vectors(vectors) => {
+                let mut batch = vec![0.0; n * rhs_count];
+                for (c, vector) in vectors.iter().enumerate() {
+                    for (i, &value) in vector.iter().enumerate() {
+                        batch[i * rhs_count + c] = value;
+                    }
+                }
+                batch
+            }
         };
-        let original = check_residual.then(|| batch.clone());
-        self.factor.solve_batch(&mut batch);
-        let max_residual = original.map(|rhs| self.max_residual(&rhs, &batch));
+        let mut solutions = vec![0.0; batch.len()];
+        solve_into(&self.factor, &batch, &mut solutions);
+        let max_residual = check_residual.then(|| self.max_residual(&batch, &solutions, rhs_count));
         let report = SolveReport {
             rhs_count,
             max_residual,
         };
-        Ok((report, batch))
+        Ok((report, solutions))
     }
 
-    /// Largest max-norm residual `‖A x_j − b_j‖∞` over a solved batch of
-    /// positive dimension, given the original right-hand sides.
-    fn max_residual(&self, rhs: &[f64], solutions: &[f64]) -> f64 {
-        let n = self.n();
-        let mut worst = 0.0f64;
-        for (b, x) in rhs.chunks_exact(n).zip(solutions.chunks_exact(n)) {
-            let ax = self.numeric.matrix.multiply(x);
-            for (lhs, rhs_entry) in ax.iter().zip(b) {
-                worst = worst.max((lhs - rhs_entry).abs());
+    /// Largest max-norm residual `‖A x_c − b_c‖∞` over an interleaved batch
+    /// of `count` solutions, in one pass over `A`: every right-hand side
+    /// sees the operations of `SymmetricCsr::multiply` in the same order.
+    fn max_residual(&self, rhs: &[f64], solutions: &[f64], count: usize) -> f64 {
+        let matrix = &self.numeric.matrix;
+        let row = |i: usize| i * count..(i + 1) * count;
+        let mut product = vec![0.0; solutions.len()];
+        for j in 0..matrix.n() {
+            let (rows, values) = matrix.column(j);
+            let xj = &solutions[row(j)];
+            for (&i, &v) in rows.iter().zip(values) {
+                for (y, &x) in product[row(i)].iter_mut().zip(xj) {
+                    *y += v * x;
+                }
+                if i != j {
+                    let xi = &solutions[row(i)];
+                    for (y, &x) in product[row(j)].iter_mut().zip(xi) {
+                        *y += v * x;
+                    }
+                }
             }
         }
-        worst
+        product
+            .iter()
+            .zip(rhs)
+            .map(|(lhs, b)| (lhs - b).abs())
+            .fold(0.0, f64::max)
     }
 }
 
@@ -1552,6 +1644,27 @@ mod tests {
         match engine.plan(&config) {
             Err(EngineError::UnknownName(err)) => assert_eq!(err.kind, "policy"),
             other => panic!("expected UnknownName, got {other:?}", other = other.err()),
+        }
+    }
+
+    /// A 0 × 0 MatrixMarket input used to reach the amalgamation with an
+    /// empty elimination tree and panic there; it is a typed plan error.
+    #[test]
+    fn an_empty_matrix_is_rejected_at_plan_time() {
+        let path = std::env::temp_dir().join(format!("engine-empty-{}.mtx", std::process::id()));
+        std::fs::write(
+            &path,
+            "%%MatrixMarket matrix coordinate pattern symmetric\n0 0 0\n",
+        )
+        .unwrap();
+        let config = EngineConfig::matrix_market(path.to_string_lossy()).with_numeric(true);
+        let planned = Engine::new().plan(&config);
+        std::fs::remove_file(&path).unwrap();
+        match planned {
+            Err(EngineError::InvalidConfig(message)) => {
+                assert!(message.contains("dimension 0"), "{message}")
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.err()),
         }
     }
 
@@ -1763,28 +1876,120 @@ mod tests {
         assert!(handle.factor_nnz() > 0);
     }
 
+    /// An interleaved batch reproduces `k` single solves bit for bit, and
+    /// its one-pass residual is the largest of the `k` residuals
+    /// `SymmetricCsr::multiply` gives, bit for bit — on every problem kind.
     #[test]
     fn batched_solves_match_single_solves() {
         let engine = Engine::new();
-        let config = EngineConfig::generated(ProblemKind::Grid3d, 64, 5).with_numeric(true);
-        let plan = engine.plan(&config).unwrap();
-        let (_, handle) = plan
-            .schedule(&engine)
-            .unwrap()
-            .execute_with_factor(&engine)
-            .unwrap();
-        let handle = handle.unwrap();
-        let n = handle.n();
-        let rhs = SolveRhs::Generated { count: 4, seed: 77 };
-        let (report, solved) = handle.solve_batch(&rhs, true).unwrap();
-        assert_eq!(report.rhs_count, 4);
-        assert!(report.max_residual.unwrap() < 1e-10);
-        let batch = generated_rhs_batch(n, 4, 77);
-        for (column, expected) in batch.chunks_exact(n).zip(solved.chunks_exact(n)) {
-            let single = SolveRhs::Vectors(vec![column.to_vec()]);
-            let (report, single) = handle.solve_batch(&single, false).unwrap();
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for kind in ProblemKind::ALL {
+            let config = EngineConfig::generated(kind, 120, 5).with_numeric(true);
+            let plan = engine.plan(&config).unwrap();
+            let (_, handle) = plan
+                .schedule(&engine)
+                .unwrap()
+                .execute_with_factor(&engine)
+                .unwrap();
+            let handle = handle.unwrap();
+            let n = handle.n();
+            for count in [1, 2, 3, 16, 17] {
+                let rhs = SolveRhs::Generated { count, seed: 77 };
+                let (report, solved) = handle.solve_batch(&rhs, true).unwrap();
+                assert_eq!(report.rhs_count, count);
+                let batch = generated_rhs_batch(n, count, 77);
+                let mut worst = 0.0f64;
+                for c in 0..count {
+                    let label = format!("{kind:?} k={count} rhs {c}");
+                    let column: Vec<f64> = (0..n).map(|i| batch[i * count + c]).collect();
+                    let single = SolveRhs::Vectors(vec![column.clone()]);
+                    let (single_report, single) = handle.solve_batch(&single, true).unwrap();
+                    let strided: Vec<f64> = (0..n).map(|i| solved[i * count + c]).collect();
+                    assert_eq!(bits(&single), bits(&strided), "{label}");
+                    let residual = handle
+                        .numeric
+                        .matrix
+                        .multiply(&single)
+                        .iter()
+                        .zip(&column)
+                        .map(|(lhs, b)| (lhs - b).abs())
+                        .fold(0.0, f64::max);
+                    let single_residual = single_report.max_residual.unwrap();
+                    assert_eq!(single_residual.to_bits(), residual.to_bits(), "{label}");
+                    worst = worst.max(residual);
+                }
+                let batched = report.max_residual.unwrap();
+                assert_eq!(batched.to_bits(), worst.to_bits(), "{kind:?} k={count}");
+                assert!(batched < 1e-10, "{kind:?} k={count}: {batched:e}");
+            }
+            let (report, _) = handle
+                .solve_batch(&SolveRhs::Generated { count: 3, seed: 1 }, false)
+                .unwrap();
             assert_eq!(report.max_residual, None);
-            assert_eq!(single, expected, "batched column must match single solve");
+        }
+    }
+
+    #[test]
+    fn a_cached_factor_renders_the_report_a_run_would() {
+        let engine = Engine::new();
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 144, 9)
+            .with_numeric(true)
+            .with_solve(SolveConfig::generated(3, 42));
+        let plan = engine.plan(&config).unwrap();
+        let schedule = plan.schedule(&engine).unwrap();
+        let (fresh, handle) = schedule.execute_with_factor(&engine).unwrap();
+        let handle = handle.unwrap();
+        let cached = schedule.execute_cached(&handle, None).unwrap();
+        assert_eq!(cached.config_hash, fresh.config_hash);
+        assert_eq!(cached.fingerprint(), fresh.fingerprint());
+        assert_eq!(cached.timings.numeric_seconds, 0.0, "no numeric stage ran");
+        assert!(cached.timings.solve_seconds > 0.0, "the solve stage did");
+        // An expired deadline still cancels.
+        let token = crate::cancel::CancelToken::new();
+        token.cancel();
+        match schedule.execute_cached(&handle, Some(&token)) {
+            Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "numeric"),
+            other => panic!("expected Cancelled, got {:?}", other.err()),
+        }
+        // Runtime sections and another configuration's factor are refused.
+        let parallel = plan
+            .schedule_with(
+                &engine,
+                ScheduleSpec::default().parallel(ParallelConfig::with_workers(2)),
+            )
+            .unwrap();
+        let other = engine
+            .plan(&config.clone().with_solve(SolveConfig::generated(2, 1)))
+            .unwrap();
+        for refused in [parallel, other.schedule(&engine).unwrap()] {
+            assert!(matches!(
+                refused.execute_cached(&handle, None),
+                Err(EngineError::InvalidConfig(_))
+            ));
+        }
+    }
+
+    /// The generated stream fills right-hand side after right-hand side,
+    /// so a vector's values do not depend on the batch layout.
+    #[test]
+    fn generated_right_hand_sides_are_the_column_stream_interleaved() {
+        let (n, count) = (7, 3);
+        let column_major: Vec<f64> = {
+            let mut state = 11u64.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            (0..n * count)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+                })
+                .collect()
+        };
+        let interleaved = generated_rhs_batch(n, count, 11);
+        for c in 0..count {
+            for i in 0..n {
+                assert_eq!(interleaved[i * count + c], column_major[c * n + i]);
+            }
         }
     }
 

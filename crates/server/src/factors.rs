@@ -2,11 +2,12 @@
 //! effective-config hash: the substrate of `POST /solve`.
 //!
 //! Every `/report` run with the numeric stage enabled deposits its
-//! [`engine::FactorHandle`] here, and a later `/solve` resolves the hash to
-//! the cached factor without re-running the factorization — that is the
-//! whole point of the endpoint: the expensive part (ordering, symbolic
-//! analysis, numeric factorization) happens once, the cheap part (two
-//! triangular solves per right-hand side) happens per request.
+//! [`engine::FactorHandle`] here, and a later `/solve` — or a hot
+//! sequential `/report` of the same configuration — resolves the hash to
+//! the cached factor without re-running the factorization: the expensive
+//! part (ordering, symbolic analysis, numeric factorization) happens once,
+//! the cheap part (two triangular sweeps over the factor per batch) happens
+//! per request.
 //!
 //! The cache is a thin wrapper over [`engine::CacheCore`]: capacity is a
 //! **byte budget** sized from [`engine::FactorHandle::approx_heap_bytes`]

@@ -33,11 +33,17 @@
 //! configuration except for wall-clock timings.
 //!
 //! A numeric `/report` deposits its Cholesky factor in a bounded
-//! [`factors::FactorCache`]; `POST /solve` then names that report's
-//! `X-Config-Hash` in its body (`{"config_hash": "...", "count": 8}` or
-//! explicit `"vectors"`) and gets the batched solve — two triangular
-//! sweeps per right-hand side — without re-running the factorization.
-//! An unknown hash is a 404 (`X-Cache: miss`).
+//! [`factors::FactorCache`].  A later sequential `/report` of the same
+//! configuration whose plan and factor are both cached is served from that
+//! factor: no numeric stage runs (its `numeric_seconds` is 0 and `/stats`
+//! records no `numeric` sample), a `solve` section runs against the factor,
+//! and only `timings` differ from the cold report.  Parallel and
+//! distributed reports always execute — their sections are runtime
+//! measurements.  `POST /solve` names a report's `X-Config-Hash` in its
+//! body (`{"config_hash": "...", "count": 8}` or explicit `"vectors"`) and
+//! gets the batched solve — both triangular sweeps walk the factor once
+//! for the whole batch — without re-running the factorization.  An unknown
+//! hash is a 404 (`X-Cache: miss`).
 //!
 //! Connections are accepted on one thread and executed on a fixed
 //! [`engine::parallel::WorkerPool`]; malformed requests (bad HTTP framing,

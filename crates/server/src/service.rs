@@ -274,7 +274,7 @@ impl Service {
         let schedule = plan
             .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel.as_ref())
             .map_err(|e| self.engine_error(&e))?;
-        self.record_schedule_stages(&schedule.timings(), None);
+        self.record_stages(&schedule.timings(), false, false);
         let body = format!(
             "{{\n  \"schema\": \"engine_server_schedule/v1\",\n  \"config_hash\": \"{}\",\n  \
              \"cache\": \"{}\",\n  \"solver\": \"{}\",\n  \"policy\": \"{}\",\n  \
@@ -303,7 +303,10 @@ impl Service {
     /// `POST /report`: plan → schedule → execute → report, for every
     /// execution mode.  Only the execute step differs: a configuration with a
     /// distributed section hands its subtree tasks to worker processes
-    /// ([`Service::execute_on_cluster`]), everything else runs in-process.
+    /// ([`Service::execute_on_cluster`]), everything else runs in-process —
+    /// except a sequential numeric configuration whose plan and factor are
+    /// both cached, which renders from the factor
+    /// ([`Schedule::execute_cached`]) and runs no numeric stage.
     fn handle_report(
         &self,
         body: &[u8],
@@ -318,6 +321,21 @@ impl Service {
         let schedule = plan
             .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel)
             .map_err(|e| self.engine_error(&e))?;
+        // The factor is looked up only on a plan hit: a cold plan has no
+        // factor, and a parallel or distributed report's sections are
+        // runtime measurements the factor cannot reproduce.
+        let sequential =
+            config.numeric && !config.parallel.enabled() && !config.distributed.enabled();
+        if let Some(factor) = (hit && sequential)
+            .then(|| self.factors.get_for(schedule.config_hash(), tenant))
+            .flatten()
+        {
+            let report = schedule
+                .execute_cached(&factor, cancel)
+                .map_err(|e| self.engine_error(&e))?;
+            self.record_stages(&report.timings, false, report.solve.is_some());
+            return Ok(report_response(report, hit));
+        }
         let (report, factor) = if config.distributed.enabled() {
             self.execute_on_cluster(&config, &schedule, cancel)?
         } else {
@@ -333,22 +351,20 @@ impl Service {
             self.cache
                 .insert_for(plan.config_hash(), tenant, plan.clone());
         }
-        // Deposit the factor so later `POST /solve` requests can resolve
-        // this configuration's hash without re-factorizing (a merged
+        // Deposit the factor so later `POST /solve` requests and hot
+        // sequential reports can resolve this configuration's hash without
+        // re-factorizing (a merged
         // distributed factor is bit-identical to a local one, so it is
         // deposited the same way).  An over-quota deposit is
         // admitted-but-uncacheable: this response still carries the
         // factor's results, only later `/solve` lookups miss.
+        let factored = factor.is_some();
         if let Some(factor) = factor {
             self.factors
                 .insert_for(&report.config_hash, tenant, Arc::new(factor));
         }
-        self.record_schedule_stages(&report.timings, Some(&report));
-        Ok(Response {
-            cache_hit: Some(hit),
-            config_hash: Some(report.config_hash.clone()),
-            ..Response::ok(report.to_json())
-        })
+        self.record_stages(&report.timings, factored, report.solve.is_some());
+        Ok(report_response(report, hit))
     }
 
     /// The execute step of a distributed `/report`: cut once, park the
@@ -562,13 +578,16 @@ impl Service {
         };
         push_value(&mut body, report.max_residual);
         if return_solutions {
+            // The batch is interleaved: solution `c` is every
+            // `rhs_count`-th value from `c` on.
             body.push_str(",\n  \"solutions\": [");
-            for (index, column) in batch.chunks_exact(n).enumerate() {
-                if index > 0 {
+            for c in 0..report.rhs_count {
+                if c > 0 {
                     body.push_str(", ");
                 }
                 body.push('[');
-                for (position, value) in column.iter().enumerate() {
+                let solution = batch.iter().skip(c).step_by(report.rhs_count);
+                for (position, value) in solution.enumerate() {
                     if position > 0 {
                         body.push_str(", ");
                     }
@@ -586,25 +605,32 @@ impl Service {
         })
     }
 
-    fn record_schedule_stages(&self, timings: &StageTimings, report: Option<&Report>) {
-        if let Some(recorder) = self.stats.stage("solver") {
-            recorder.record(timings.solver_seconds);
-        }
-        if let Some(recorder) = self.stats.stage("io") {
-            recorder.record(timings.io_seconds);
-        }
-        if let Some(report) = report {
-            if report.numeric.is_some() {
-                if let Some(recorder) = self.stats.stage("numeric") {
-                    recorder.record(timings.numeric_seconds);
-                }
-            }
-            if report.solve.is_some() {
-                if let Some(recorder) = self.stats.stage("solve") {
-                    recorder.record(timings.solve_seconds);
-                }
+    /// Record the latencies of the stages this request ran: the solver and
+    /// I/O stages always, the numeric stage only when it `factored` (a
+    /// report rendered from a cached factor did not), the solve stage only
+    /// when it `solved`.
+    fn record_stages(&self, timings: &StageTimings, factored: bool, solved: bool) {
+        let stages = [
+            ("solver", true, timings.solver_seconds),
+            ("io", true, timings.io_seconds),
+            ("numeric", factored, timings.numeric_seconds),
+            ("solve", solved, timings.solve_seconds),
+        ];
+        for (stage, ran, seconds) in stages {
+            if let Some(recorder) = self.stats.stage(stage).filter(|_| ran) {
+                recorder.record(seconds);
             }
         }
+    }
+}
+
+/// The `200` answer to a `/report`: the rendered document plus its cache
+/// disposition and hash headers.
+fn report_response(report: Report, hit: bool) -> Response {
+    Response {
+        cache_hit: Some(hit),
+        config_hash: Some(report.config_hash.clone()),
+        ..Response::ok(report.to_json())
     }
 }
 
@@ -1056,6 +1082,131 @@ mod tests {
         assert_eq!(service.stats().stage("solve").unwrap().summary().count, 1);
     }
 
+    /// How many samples the `/stats` recorder of `stage` holds.
+    fn stage_count(service: &Service, stage: &str) -> usize {
+        service.stats().stage(stage).unwrap().summary().count
+    }
+
+    #[test]
+    fn a_hot_report_renders_from_the_cached_factor() {
+        let service = service();
+        let config = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 100, 7)
+            .with_numeric(true)
+            .with_solve(engine::SolveConfig::generated(2, 5))
+            .to_json();
+        let cold = post(&service, "/report", &config);
+        assert_eq!(cold.status, 200, "{}", cold.body);
+        let hash = cold.config_hash.clone().unwrap();
+        let factor = service
+            .factors
+            .get(&hash)
+            .expect("the cold report deposits");
+        let plan_bytes = service.cache_stats().bytes_used;
+        assert_eq!(stage_count(&service, "numeric"), 1);
+
+        let hot = post(&service, "/report", &config);
+        assert_eq!(hot.status, 200, "{}", hot.body);
+        assert_eq!(hot.cache_hit, Some(true));
+        assert_eq!(
+            crate::client::report_identity(&hot.body),
+            crate::client::report_identity(&cold.body)
+        );
+        // No numeric stage ran, so none is recorded; the solve stage ran.
+        let timings = Json::parse(&hot.body).unwrap();
+        let timings = timings.get("timings").unwrap();
+        assert_eq!(
+            timings.get("numeric_seconds").and_then(Json::as_f64),
+            Some(0.0)
+        );
+        assert_eq!(stage_count(&service, "numeric"), 1);
+        assert_eq!(stage_count(&service, "solve"), 2);
+        // Neither a re-deposit nor a plan re-charge.
+        let resident = service.factors.get(&hash).unwrap();
+        assert!(Arc::ptr_eq(&factor, &resident), "the factor was replaced");
+        assert_eq!(service.cache_stats().bytes_used, plan_bytes);
+    }
+
+    #[test]
+    fn an_evicted_factor_is_recomputed_and_deposited_again() {
+        let service = Service::new(PlanCache::new(8, None), FactorCache::new(1), 2);
+        let config = |seed: u64| {
+            EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 100, seed)
+                .with_numeric(true)
+                .to_json()
+        };
+        let first = post(&service, "/report", &config(1));
+        let hash = first.config_hash.clone().unwrap();
+        let evicted = service.factors.get(&hash).unwrap();
+        assert_eq!(post(&service, "/report", &config(2)).status, 200);
+        assert_eq!(service.factor_cache_stats().evictions, 1);
+
+        let hot = post(&service, "/report", &config(1));
+        assert_eq!((hot.status, hot.cache_hit), (200, Some(true)));
+        assert_eq!(
+            crate::client::report_identity(&hot.body),
+            crate::client::report_identity(&first.body)
+        );
+        assert_eq!(
+            stage_count(&service, "numeric"),
+            3,
+            "the hot report factored"
+        );
+        let deposited = service.factors.get(&hash).expect("deposited again");
+        assert!(!Arc::ptr_eq(&evicted, &deposited));
+    }
+
+    /// Parallel and distributed sections are runtime measurements: every
+    /// call runs its numeric stage, looks up no factor, and measures anew.
+    #[test]
+    fn runtime_sections_never_render_from_a_cached_factor() {
+        let service = Arc::new(service());
+        let base =
+            EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 400, 3).with_numeric(true);
+        let parallel = base
+            .clone()
+            .with_parallel(engine::ParallelConfig::with_workers(2).with_max_tasks(8));
+        let distributed = base.with_distributed(engine::DistributedConfig::with_tasks(2));
+        for (config, section) in [(parallel, "parallel"), (distributed, "distributed")] {
+            let body = format!("{{\"deadline_ms\": 60000, {}", &config.to_json()[1..]);
+            let mut sections = Vec::new();
+            for call in 0..3 {
+                let factored = stage_count(&service, "numeric");
+                let response = match section {
+                    "parallel" => post(&service, "/report", &body),
+                    _ => report_through_a_worker(&service, &body).0,
+                };
+                assert_eq!(response.status, 200, "{}", response.body);
+                assert_eq!(response.cache_hit, Some(call > 0));
+                assert_eq!(stage_count(&service, "numeric"), factored + 1, "{section}");
+                let json = Json::parse(&response.body).unwrap();
+                sections.push(json.get(section).expect("runtime section").clone());
+            }
+            assert_ne!(sections[1], sections[2], "two hot {section} calls");
+        }
+        let lookups = service.factor_cache_stats();
+        assert_eq!(
+            lookups.hits + lookups.misses,
+            0,
+            "no report looked a factor up"
+        );
+    }
+
+    #[test]
+    fn an_expired_deadline_on_a_hot_report_is_still_a_504() {
+        let service = service();
+        // Parsing and hashing 2 * 10^5 explicit right-hand-side values
+        // outlasts a 1 ms deadline, so it has expired by the first check.
+        let config = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 100, 7)
+            .with_numeric(true)
+            .with_solve(engine::SolveConfig::vectors(vec![vec![0.5; 100]; 2_000]))
+            .to_json();
+        assert_eq!(post(&service, "/report", &config).status, 200);
+        let expired = post_with_headers(&service, "/report", &[("x-deadline-ms", "1")], &config);
+        assert_eq!(expired.status, 504, "{}", expired.body);
+        assert!(service.stats().cancelled_total() >= 1);
+        assert_eq!(post(&service, "/report", &config).status, 200);
+    }
+
     /// A configuration whose ordering stage is long enough that a
     /// 1-millisecond deadline always fires mid-plan.
     fn slow_config() -> String {
@@ -1169,7 +1320,7 @@ mod tests {
 
     // ---- distributed execution over the internal endpoints ----
 
-    use crate::worker::{run_worker, InProcessTransport, WorkerOptions};
+    use crate::worker::{run_worker, InProcessTransport, WorkerOptions, WorkerSummary};
     use distrib::ClaimReply;
 
     /// Block until the coordinator has registered `count` jobs (a
@@ -1180,6 +1331,20 @@ mod tests {
             assert!(Instant::now() < deadline, "no job appeared within 30s");
             std::thread::sleep(Duration::from_millis(2));
         }
+    }
+
+    /// POST a distributed `/report` from another thread (it blocks until
+    /// workers contribute) and drain its job with one in-process worker
+    /// through the real endpoints.
+    fn report_through_a_worker(service: &Arc<Service>, body: &str) -> (Response, WorkerSummary) {
+        let jobs = service.registry().stats().snapshot().jobs_started;
+        let coordinator = Arc::clone(service);
+        let body = body.to_string();
+        let report = std::thread::spawn(move || post(&coordinator, "/report", &body));
+        wait_for_jobs(service, jobs + 1);
+        let transport = InProcessTransport(Arc::clone(service));
+        let summary = run_worker(&transport, &WorkerOptions::named("w-0").exit_when_idle(3));
+        (report.join().expect("report thread"), summary)
     }
 
     /// The text from the `"solutions"` key onward: value-for-value equal
@@ -1200,18 +1365,9 @@ mod tests {
             .clone()
             .with_distributed(engine::DistributedConfig::with_tasks(4));
 
-        // The distributed report blocks until workers contribute, so it
-        // runs on its own thread (bounded by a body deadline, in case the
-        // protocol wedges).
+        // Bounded by a body deadline, in case the protocol wedges.
         let body = format!("{{\"deadline_ms\": 60000, {}", &sharded.to_json()[1..]);
-        let coordinator = Arc::clone(&service);
-        let report = std::thread::spawn(move || post(&coordinator, "/report", &body));
-        wait_for_jobs(&service, 1);
-
-        // One in-process worker drains the job through the real endpoints.
-        let transport = InProcessTransport(Arc::clone(&service));
-        let summary = run_worker(&transport, &WorkerOptions::named("w-0").exit_when_idle(3));
-        let response = report.join().expect("report thread");
+        let (response, summary) = report_through_a_worker(&service, &body);
         assert_eq!(response.status, 200, "{}", response.body);
         assert_eq!(summary.tasks_completed, 4);
         assert_eq!(summary.transport_errors, 0);

@@ -168,6 +168,81 @@ fn every_problem_kind_shares_one_plan_across_the_endpoints() {
     fresh.shutdown().expect("clean shutdown");
 }
 
+/// A hot numeric report is rendered from the factor its cold run deposited
+/// (no numeric stage runs: `numeric_seconds` is 0), and is still the report
+/// a fresh server computes cold — for every problem kind, and with a
+/// server-side solve stage, which runs against the cached factor.
+#[test]
+fn hot_numeric_reports_are_the_cold_reports_of_a_fresh_server() {
+    let handle = spawn_default();
+    let fresh = spawn_default();
+    let numeric = |kind: ProblemKind| {
+        EngineConfig::generated(kind, 400, 7)
+            .with_ordering(OrderingMethod::NestedDissection)
+            .with_memory(MemoryBudget::FractionOfPeak(0.3))
+            .with_numeric(true)
+    };
+    let solved = numeric(ProblemKind::Grid3d).with_solve(SolveConfig::generated(3, 9));
+    let configs: Vec<EngineConfig> = ProblemKind::ALL.into_iter().map(numeric).collect();
+    for config in configs.into_iter().chain([solved]) {
+        let config = config.to_json();
+        let (status, headers, cold) = post(handle.addr(), "/report", &config);
+        assert_eq!(status, 200, "{cold}");
+        assert_eq!(header(&headers, "x-cache"), Some("miss"));
+        let (status, headers, hot) = post(handle.addr(), "/report", &config);
+        assert_eq!(status, 200, "{hot}");
+        assert_eq!(header(&headers, "x-cache"), Some("hit"));
+        let timings = Json::parse(&hot).unwrap().get("timings").unwrap().clone();
+        assert_eq!(
+            timings.get("numeric_seconds").and_then(Json::as_f64),
+            Some(0.0),
+            "{config}"
+        );
+        let (status, _, reference) = post(fresh.addr(), "/report", &config);
+        assert_eq!(status, 200, "{reference}");
+        assert!(client::report_fingerprint(&reference).is_some());
+        assert_eq!(
+            client::report_fingerprint(&hot),
+            client::report_fingerprint(&reference),
+            "{config}"
+        );
+    }
+    let factors = cache_stats(handle.addr(), "factor");
+    assert_eq!(factors.get("hits").and_then(Json::as_u64), Some(8));
+    handle.shutdown().expect("clean shutdown");
+    fresh.shutdown().expect("clean shutdown");
+}
+
+/// A 0 × 0 MatrixMarket input is a client error at plan time, not a
+/// contained panic.
+#[test]
+fn an_empty_matrix_is_a_400() {
+    let path = std::env::temp_dir().join(format!("server-empty-{}.mtx", std::process::id()));
+    std::fs::write(
+        &path,
+        "%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n",
+    )
+    .unwrap();
+    let handle = spawn_default();
+    let config = EngineConfig::matrix_market(path.to_string_lossy())
+        .with_numeric(true)
+        .to_json();
+    for endpoint in ["/plan", "/report"] {
+        let (status, _, body) = post(handle.addr(), endpoint, &config);
+        assert_eq!(status, 400, "{endpoint}: {body}");
+        assert!(body.contains("dimension 0"), "{body}");
+    }
+    std::fs::remove_file(&path).unwrap();
+    let (_, _, stats) = get(handle.addr(), "/stats");
+    let responses = Json::parse(&stats)
+        .unwrap()
+        .get("responses")
+        .unwrap()
+        .clone();
+    assert_eq!(responses.get("status_5xx").and_then(Json::as_u64), Some(0));
+    handle.shutdown().expect("clean shutdown");
+}
+
 #[test]
 fn malformed_requests_get_4xx_not_crashes() {
     let handle = spawn_default();
