@@ -406,8 +406,18 @@ pub fn contribution_frame(
         if index > 0 {
             body.push(',');
         }
-        let _ = write!(body, "[{column},{},\"", block.n());
-        push_hex_f64s(&mut body, block.column_major());
+        let n = block.n();
+        let _ = write!(body, "[{column},{n},\"");
+        // Only a block's lower triangle is defined (`DenseMatrix::column_major`):
+        // the entries above the diagonal go out as +0.0, so the bytes are a
+        // function of the lower triangle alone.  (`max(1)`: a 0 × 0 block
+        // has no column, and `chunks(0)` panics.)
+        for (j, values) in block.column_major().chunks(n.max(1)).enumerate() {
+            for _ in 0..j {
+                body.push_str("0000000000000000");
+            }
+            push_hex_f64s(&mut body, values.get(j..).unwrap_or_default());
+        }
         body.push_str("\"]");
     }
     body.push_str("]}");
@@ -612,8 +622,14 @@ mod tests {
         for ((ca, ba), (cb, bb)) in decoded_blocks.iter().zip(&original_blocks) {
             assert_eq!(ca, cb);
             assert_eq!(ba.n(), bb.n());
-            let (va, vb) = (ba.column_major(), bb.column_major());
-            assert!(va.iter().zip(vb).all(|(a, b)| a.to_bits() == b.to_bits()));
+            // The lower triangle round-trips by bits; the upper decodes to
+            // +0.0 (the sample's (0, 1) entry is -1.5 in memory).
+            for j in 0..ba.n() {
+                for i in 0..ba.n() {
+                    let expected = if i >= j { bb.get(i, j) } else { 0.0 };
+                    assert_eq!(ba.get(i, j).to_bits(), expected.to_bits(), "({i}, {j})");
+                }
+            }
         }
         // Values only: 16 hex digits per float plus constant framing.
         let floats = parts.values.len() + 4;

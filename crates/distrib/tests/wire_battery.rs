@@ -1,9 +1,11 @@
 //! Seeded property battery for the distributed wire format.
 //!
-//! Four properties, the first three over many seeded random instances:
+//! Five properties, the first three over many seeded random instances:
 //!
 //! 1. **Round-trip exactness** — tasks and contribution frames decode back
-//!    to bit-identical payloads (floats compared by `to_bits`, not `==`).
+//!    to bit-identical payloads (floats compared by `to_bits`, not `==`;
+//!    a block's entries above the diagonal are undefined and decode to
+//!    +0.0).
 //! 2. **NaN-freedom** — non-finite floats cannot cross the wire in either
 //!    direction: the encoder writes raw bit patterns, the decoder rejects
 //!    them with a typed error.
@@ -12,12 +14,14 @@
 //!    clean 400), never a panic.
 //! 4. **One version** — a frame of the retired `v1` schema (which shipped
 //!    row indices) is a typed schema error, not a best-effort decode.
+//! 5. **Golden bytes** — the contribution frames of a real distributed cut
+//!    hash to a pinned FNV-1a literal.
 
 use distrib::{
     contribution_frame, decode_frame, encode_frame, ClaimReply, Contribution, SubtreeTask,
     WireError, WIRE_SCHEMA,
 };
-use engine::{EngineConfig, SubtreeParts};
+use engine::{DistributedConfig, Engine, EngineConfig, SubtreeParts};
 use multifrontal::{ContributionStore, DenseMatrix};
 use ordering::OrderingMethod;
 use prng::{Rng, StdRng};
@@ -60,13 +64,20 @@ fn bit_identical(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
+/// Values and every block's lower triangle round-trip by bits; the entries
+/// above a block's diagonal are undefined in memory and decode to +0.0.
 fn assert_parts_bit_identical(decoded: &SubtreeParts, original: &SubtreeParts) {
     assert!(bit_identical(&decoded.values, &original.values));
     assert_eq!(decoded.blocks.len(), original.blocks.len());
     for ((ca, ba), (cb, bb)) in decoded.blocks.iter().zip(original.blocks.iter()) {
         assert_eq!(ca, cb);
         assert_eq!(ba.n(), bb.n());
-        assert!(bit_identical(ba.column_major(), bb.column_major()));
+        for j in 0..ba.n() {
+            for i in 0..ba.n() {
+                let expected = if i >= j { bb.get(i, j) } else { 0.0 };
+                assert_eq!(ba.get(i, j).to_bits(), expected.to_bits());
+            }
+        }
     }
 }
 
@@ -243,4 +254,34 @@ fn v1_frames_are_a_typed_schema_error() {
         Contribution::from_frame(v1.as_bytes()),
         Err(WireError::BadHeader(_))
     ));
+}
+
+/// The contribution frames of a real cut are byte-identical to those of
+/// the code at `22655dd`, whose blocks were zero above the diagonal in
+/// memory: FNV-1a over the 8 task frames of a grid2dwide problem (nested
+/// dissection, amalgamation 16), each task factored as a worker would.
+#[test]
+fn real_task_frames_match_their_golden_hash() {
+    let config = EngineConfig::generated(ProblemKind::Grid2dWide, 2_000, 5)
+        .with_ordering(OrderingMethod::NestedDissection)
+        .with_amalgamation(16)
+        .with_numeric(true)
+        .with_distributed(DistributedConfig::with_tasks(8));
+    let engine = Engine::new();
+    let plan = engine.plan(&config).unwrap();
+    let cut = plan
+        .schedule(&engine)
+        .unwrap()
+        .distributed_cut(&engine)
+        .unwrap();
+    assert_eq!(cut.task_count(), 8);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for task in 0..cut.task_count() {
+        let parts = plan.factor_subtree(cut.task_order(task), None).unwrap();
+        assert!(parts.blocks.iter().any(|(_, block)| block.n() > 1));
+        for &byte in &contribution_frame(1, task, 1, "w", 0.0, &parts) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(hash, 0x2886_fd10_8e63_5877);
 }

@@ -1,10 +1,10 @@
 //! Small dense kernels used on frontal matrices.
 //!
-//! The elimination kernel the factorization runs is the cache-blocked tiled
-//! one behind [`FrontKernel`] (diagonal-block Cholesky, panel triangular
-//! solve, register-blocked rank-k Schur update over column-major slices).
-//! A scalar column-at-a-time reference kernel exists in test builds only,
-//! as the oracle of the parity battery.
+//! The multi-pivot elimination kernel is the cache-blocked tiled one behind
+//! [`FrontKernel`] (diagonal-block Cholesky, panel triangular solve,
+//! register-blocked rank-k Schur update over column-major slices); the
+//! per-column loop's single pivot is a fused routine.  A scalar reference
+//! kernel exists in test builds only, as the oracle of the parity battery.
 
 /// Panel width of the blocked factorization.  32 columns of f64 keep a
 /// panel strip within L1 for the front sizes the multifrontal kernel
@@ -13,14 +13,14 @@
 /// few percent of each other, so there is little to tune.
 pub const DEFAULT_BLOCK: usize = 32;
 
-/// Selects the dense elimination kernel used on every frontal matrix.
+/// Selects the dense elimination kernel for multi-pivot fronts.
 ///
 /// `Blocked` is the production kernel.  Test builds add `Reference`, the
 /// scalar column-at-a-time implementation the parity battery pins it to:
-/// with a single pivot (the multifrontal hot path) and with `block == 1`
-/// the blocked kernel is *bit-identical* to the reference; wider blocks on
-/// multi-pivot factorizations agree to a few ULPs (the 2-way unrolled Schur
-/// update fuses two subtractions into one).
+/// with a single pivot and with `block == 1` the blocked kernel is
+/// *bit-identical* to the reference; wider blocks on multi-pivot
+/// factorizations agree to a few ULPs (the 2-way unrolled Schur update
+/// fuses two subtractions into one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontKernel {
     /// Scalar column-at-a-time elimination (the test oracle).
@@ -79,9 +79,8 @@ impl DenseMatrix {
         }
     }
 
-    /// A zero matrix of dimension `n` reusing `buffer`'s allocation.
+    /// A matrix of dimension `n` reusing `buffer` (stale entries kept).
     fn from_buffer(n: usize, mut buffer: Vec<f64>) -> Self {
-        buffer.clear();
         buffer.resize(n * n, 0.0);
         DenseMatrix { n, values: buffer }
     }
@@ -99,6 +98,8 @@ impl DenseMatrix {
 
     /// The backing column-major storage (`n²` entries), read-only — the
     /// distributed wire encoder walks it to serialize contribution blocks.
+    /// Only the lower triangle (`i ≥ j`) of a front or contribution block is
+    /// defined; above the diagonal, an arena's buffer keeps stale values.
     pub fn column_major(&self) -> &[f64] {
         &self.values
     }
@@ -140,6 +141,58 @@ impl DenseMatrix {
     #[inline]
     pub fn add(&mut self, i: usize, j: usize, value: f64) {
         self.values[j * self.n + i] += value;
+    }
+
+    /// Column `j` from the diagonal down: entries `(j..n, j)`.
+    fn lower_column(&self, j: usize) -> &[f64] {
+        &self.values[j * self.n + j..(j + 1) * self.n]
+    }
+
+    /// [`lower_column`](DenseMatrix::lower_column), mutable.
+    fn lower_column_mut(&mut self, j: usize) -> &mut [f64] {
+        &mut self.values[j * self.n + j..(j + 1) * self.n]
+    }
+
+    /// Extend-add `block`'s lower triangle: block row `b` is global row
+    /// `rows[b]`, at `position[rows[b]]` here (`rows` sorted).
+    pub(crate) fn extend_add(&mut self, block: &DenseMatrix, rows: &[usize], position: &[usize]) {
+        let n = self.n;
+        for (a, &ga) in rows.iter().enumerate() {
+            let la = position[ga];
+            let column = &mut self.values[la * n..(la + 1) * n];
+            for (&gb, &value) in rows[a..].iter().zip(block.lower_column(a)) {
+                column[position[gb]] += value;
+            }
+        }
+    }
+
+    /// Eliminate the first pivot of an assembled front (lower triangle only)
+    /// and, given an arena, write the Schur complement `F(b+1, a+1) −
+    /// l_{b+1}·l_{a+1}` into a fresh `(n−1)²` block from it: the reference
+    /// kernel's single-pivot operations without FMA, so bit-identical to it.
+    pub(crate) fn eliminate_pivot(
+        &mut self,
+        block: Option<&mut FrontArena>,
+    ) -> Result<Option<DenseMatrix>, usize> {
+        self.factor_panel(0, 1)?;
+        let Some(arena) = block else {
+            return Ok(None);
+        };
+        let n = self.n;
+        let mut schur = arena.buffer(n - 1);
+        for a in 0..n - 1 {
+            let (l, l_a) = (&self.values[a + 1..n], self.values[a + 1]);
+            let (source, column) = (self.lower_column(a + 1), schur.lower_column_mut(a));
+            // Where the reference skips a zero multiplier's update.
+            if l_a == 0.0 {
+                column.copy_from_slice(source);
+                continue;
+            }
+            for ((dst, &src), &l_i) in column.iter_mut().zip(source).zip(l) {
+                *dst = src - l_i * l_a;
+            }
+        }
+        Ok(Some(schur))
     }
 
     /// In-place Cholesky factorization of the leading `pivots × pivots`
@@ -197,8 +250,7 @@ impl DenseMatrix {
         assert!(pivots <= self.n);
         assert!(block > 0, "panel width must be positive");
         // Packing scratch for the Schur update; `Vec::new` does not
-        // allocate, and the single-pivot path never touches it, so the
-        // multifrontal hot loop stays allocation-free.
+        // allocate, and the single-pivot path never touches it.
         let mut scratch = Vec::new();
         let mut start = 0;
         while start < pivots {
@@ -268,16 +320,15 @@ impl DenseMatrix {
     /// Rank-`(ke−kb)` Schur update of the trailing columns `ke..n` (rows
     /// `i ≥ j` only — the lower triangle) by the factored panel `kb..ke`.
     ///
-    /// Two shapes.  A panel of width 1 — every multifrontal front, which
-    /// eliminates a single fully-summed variable — runs one axpy per
-    /// trailing column, bit-identical to the reference kernel and with no
-    /// scratch traffic.  Wider panels are first *packed*: the panel rows
-    /// `ke..n` are copied contiguously into `scratch` (an all-zero panel is
-    /// detected during the copy and skipped outright), then the trailing
-    /// columns are processed as 4-column destination tiles under a 4-deep
-    /// pivot unroll — each inner trip keeps 16 multipliers in registers and
-    /// reuses 4 packed source loads across all four destinations, which is
-    /// what turns the update from L2-bandwidth-bound into compute-bound.
+    /// Two shapes.  A panel of width 1 runs one axpy per trailing column,
+    /// bit-identical to the reference kernel and with no scratch traffic.
+    /// Wider panels are first *packed*: the panel rows `ke..n` are copied
+    /// contiguously into `scratch` (an all-zero panel is detected during the
+    /// copy and skipped outright), then the trailing columns are processed
+    /// as 4-column destination tiles under a 4-deep pivot unroll — each
+    /// inner trip keeps 16 multipliers in registers and reuses 4 packed
+    /// source loads across all four destinations, which is what turns the
+    /// update from L2-bandwidth-bound into compute-bound.
     fn schur_update(&mut self, kb: usize, ke: usize, scratch: &mut Vec<f64>) {
         let n = self.n;
         let width = ke - kb;
@@ -576,10 +627,11 @@ fn axpy_one(dst: &mut [f64], source: &[f64], l: f64) {
 /// The multifrontal kernel allocates one dense front per column and one
 /// contribution block per non-root column; on large trees that is hundreds
 /// of thousands of short-lived heap allocations.  An arena keeps the freed
-/// backing buffers and hands them back (zeroed and resized) to later fronts,
-/// so a worker's steady state performs no allocation at all.  Arenas are
-/// *per worker* — they are plain `&mut` state, never shared — which is what
-/// makes the parallel execution layer allocation-quiet without locks.
+/// backing buffers and hands them back (resized, lower triangle set) to
+/// later fronts, so a worker's steady state performs no allocation at all.
+/// Arenas are *per worker* — they are plain `&mut` state, never shared —
+/// which is what makes the parallel execution layer allocation-quiet
+/// without locks.
 #[derive(Debug, Default)]
 pub struct FrontArena {
     pool: Vec<Vec<f64>>,
@@ -607,12 +659,26 @@ impl FrontArena {
         FrontArena::default()
     }
 
-    /// A zeroed `n × n` matrix, reusing a pooled buffer when one is spare.
+    /// An `n × n` matrix whose lower triangle is a copy of `seed`'s, or zero
+    /// without one; the upper triangle is unspecified.
+    pub(crate) fn take(&mut self, n: usize, seed: Option<&DenseMatrix>) -> DenseMatrix {
+        let mut matrix = self.buffer(n);
+        for j in 0..n {
+            let column = matrix.lower_column_mut(j);
+            match seed {
+                Some(seed) => column.copy_from_slice(seed.lower_column(j)),
+                None => column.fill(0.0),
+            }
+        }
+        matrix
+    }
+
+    /// An `n × n` matrix with unspecified entries, from the pool if it can.
     ///
     /// Instrumented as fault point `arena:alloc`: a `drop` or `panic` rule
     /// simulates an allocation failure here, unwinding out of the numeric
     /// column loop (caught by the worker pool or the server's panic fence).
-    pub(crate) fn take(&mut self, n: usize) -> DenseMatrix {
+    fn buffer(&mut self, n: usize) -> DenseMatrix {
         if treemem::faultinject::fire("arena:alloc") == treemem::faultinject::FaultSignal::Drop {
             panic!("faultinject: injected allocation failure at arena:alloc ({n}x{n} front)");
         }
@@ -744,11 +810,11 @@ mod tests {
 
     /// The parity battery pinning the blocked kernel to the reference one:
     /// every `ProblemKind`, block sizes {1, 4, 8, 32, n}, full and partial
-    /// factorizations.  `block == 1` and single-pivot eliminations (the
-    /// multifrontal hot path) must be *bit-identical*; wider blocks on full
-    /// factorizations must agree within `ULP_BOUND` ULPs per entry.  A last
-    /// 262 × 262 dense front runs [`FrontKernel::default`] against
-    /// [`FrontKernel::Reference`] across several panels with ragged edges.
+    /// factorizations.  `block == 1` and single-pivot eliminations must be
+    /// *bit-identical*; wider blocks on full factorizations must agree
+    /// within `ULP_BOUND` ULPs per entry.  A last 262 × 262 dense front runs
+    /// [`FrontKernel::default`] against [`FrontKernel::Reference`] across
+    /// several panels with ragged edges.
     #[test]
     fn blocked_kernel_parity_battery() {
         const ULP_BOUND: u64 = 64;
@@ -834,9 +900,11 @@ mod tests {
     }
 
     /// The multifrontal path eliminates one pivot per front, where the
-    /// blocked kernel collapses to the reference operation order: on every
-    /// front dimension of a sparse test matrix the two kernels must agree
-    /// bit for bit, which is why the factorization takes no kernel argument.
+    /// blocked kernel and the fused [`DenseMatrix::eliminate_pivot`]
+    /// collapse to the reference operation order: on every front dimension
+    /// of a sparse test matrix (every third multiplier zero) they must agree
+    /// bit for bit — the fused routine on the factor column and on the lower
+    /// triangle of the block it writes.
     #[test]
     fn reference_and_blocked_kernels_agree_bitwise_on_single_pivot_fronts() {
         use sparsemat::gen::random_spd_pattern;
@@ -846,20 +914,35 @@ mod tests {
         dims.sort_unstable();
         dims.dedup();
         assert!(dims.len() > 3, "the matrix has fronts of several sizes");
+        let mut arena = FrontArena::new();
         for dim in dims {
             let mut rng = StdRng::seed_from_u64(dim as u64);
             let mut front = DenseMatrix::zeros(dim);
             for j in 0..dim {
                 front.set(j, j, dim as f64 + rng.gen::<f64>());
                 for i in j + 1..dim {
-                    front.set(i, j, rng.gen::<f64>() - 0.5);
+                    let value = rng.gen::<f64>() - 0.5;
+                    let zero_multiplier = j == 0 && i % 3 == 0;
+                    front.set(i, j, if zero_multiplier { 0.0 } else { value });
                 }
             }
             let mut reference = front.clone();
             FrontKernel::Reference.apply(&mut reference, 1).unwrap();
+            let mut fused = front.clone();
+            let block = fused.eliminate_pivot(Some(&mut arena)).unwrap().unwrap();
             FrontKernel::default().apply(&mut front, 1).unwrap();
             assert_eq!(front, reference, "front dimension {dim}");
+            let bits = |column: &[f64]| column.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(fused.lower_column(0)), bits(reference.lower_column(0)));
+            for a in 0..dim - 1 {
+                let expected = bits(reference.lower_column(a + 1));
+                assert_eq!(bits(block.lower_column(a)), expected, "dim {dim} col {a}");
+            }
+            arena.recycle(block);
         }
+        let mut indefinite = DenseMatrix::zeros(2);
+        indefinite.set(0, 0, -1.0);
+        assert_eq!(indefinite.eliminate_pivot(Some(&mut arena)), Err(0));
     }
 
     #[test]
@@ -914,18 +997,26 @@ mod tests {
     }
 
     #[test]
-    fn arena_recycles_buffers_zeroed() {
+    fn arena_recycles_buffers_with_a_zeroed_lower_triangle() {
+        let lower_is = |matrix: &DenseMatrix, expected: &dyn Fn(usize, usize) -> f64| {
+            let n = matrix.n();
+            (0..n).all(|j| (j..n).all(|i| matrix.get(i, j) == expected(i, j)))
+        };
         let mut arena = FrontArena::new();
-        let mut first = arena.take(3);
-        first.set(1, 2, 7.0);
-        arena.recycle(first);
+        arena.recycle(DenseMatrix::from_column_major(3, vec![7.0; 9]));
         assert_eq!(arena.pooled(), 1);
-        // The recycled buffer comes back zeroed, at any dimension.
-        let second = arena.take(5);
+        // The recycled buffer comes back with a zero lower triangle, at any
+        // dimension; what lies above the diagonal is unspecified.
+        let second = arena.take(5, None);
         assert_eq!(arena.pooled(), 0);
-        assert_eq!(second, DenseMatrix::zeros(5));
-        let third = arena.take(2);
-        assert_eq!(third, DenseMatrix::zeros(2));
+        assert_eq!(second.len(), 25);
+        assert!(lower_is(&second, &|_, _| 0.0));
+        arena.recycle(second);
+        // A copy takes the seed's lower triangle from the same pool.
+        let seed = spd_3x3();
+        let third = arena.take(3, Some(&seed));
+        assert_eq!(third.n(), 3);
+        assert!(lower_is(&third, &|i, j| seed.get(i, j)));
     }
 
     #[test]

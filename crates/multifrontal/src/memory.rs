@@ -53,7 +53,8 @@ pub struct FactorizationStats {
 /// Build the paper's per-column tree model of `structure`: node `j` has input
 /// file `(µ(j) − 1)²` and execution file `µ(j)² − (µ(j) − 1)²`, where `µ(j)`
 /// is the column count.  The tree is returned in the out-tree orientation
-/// used by `treemem` (the factorization traverses it bottom-up).
+/// used by `treemem` (the factorization traverses it bottom-up).  Panics on
+/// a structure with no column: a tree has at least one node.
 pub fn per_column_model(structure: &SymbolicStructure) -> Tree {
     let n = structure.n();
     let counts = structure.column_counts();
@@ -108,11 +109,15 @@ pub fn instrumented_factorization(
 
 /// [`instrumented_factorization`] with a precomputed symbolic structure, for
 /// callers that already paid for it (the returned factor shares a copy).
+/// A 0 × 0 matrix has no model tree to traverse: `InvalidTraversal`.
 pub fn instrumented_factorization_with_structure(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
     order: Option<&[usize]>,
 ) -> Result<FactorizationStats, FactorizationError> {
+    if structure.n() == 0 {
+        return Err(FactorizationError::InvalidTraversal);
+    }
     let structure = Arc::new(structure.clone());
     let order = bottom_up_order(&structure, order);
     // An unbounded ledger only measures: its high-water mark is the peak.
@@ -190,5 +195,17 @@ mod tests {
         assert_eq!(stats.factor_nnz, structure.factor_nnz());
         assert_eq!(stats.n, 16);
         assert!(stats.model_tree.len() == 16);
+    }
+
+    #[test]
+    fn an_empty_matrix_is_a_typed_error_not_a_panic() {
+        let empty = SymmetricCsr::from_lower_columns(0, Vec::new());
+        assert!(crate::multifrontal_cholesky(&empty, None).is_ok());
+        for order in [None, Some(&[][..])] {
+            assert_eq!(
+                instrumented_factorization(&empty, order).unwrap_err(),
+                FactorizationError::InvalidTraversal
+            );
+        }
     }
 }

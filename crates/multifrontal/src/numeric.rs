@@ -19,8 +19,11 @@ use std::sync::Arc;
 use sparsemat::{SparsePattern, SymmetricCsr};
 use symbolic::etree::{elimination_tree, etree_postorder, EliminationTree};
 
-use crate::dense::{DenseMatrix, FrontArena, FrontKernel};
+use crate::dense::{DenseMatrix, FrontArena};
 use crate::parallel::{assemble_factor, BudgetLedger};
+
+#[cfg(test)]
+mod naive;
 
 /// The row structure of every column of the Cholesky factor, together with
 /// the elimination tree it was derived from: the only place a row index of
@@ -362,7 +365,9 @@ impl CholeskyFactor {
 
 /// Contribution blocks waiting for their parent column, keyed by the column
 /// that produced them.  A block carries values only: the rows of the block
-/// of column `c` are `structure.rows(c)[1..]`.
+/// of column `c` are `structure.rows(c)[1..]`, and only its lower triangle
+/// is defined — the entries above the diagonal are whatever the arena's
+/// recycled buffer held (the distributed wire encoder sends them as zero).
 ///
 /// In a sequential factorization this is a private map of the kernel; in the
 /// parallel execution layer it is also the hand-off vehicle between a
@@ -502,6 +507,11 @@ pub(crate) fn factorize(
 /// being assembled to their local positions and is all-`usize::MAX` again
 /// on every exit.
 ///
+/// Each column makes one assembly pass and one elimination pass
+/// ([`DenseMatrix::eliminate_pivot`]) over its front's lower triangle, the
+/// only part read; the test-only `naive` module keeps the zero-then-add
+/// loop this is bit-identical to.
+///
 /// Every live-entry movement — front allocated, child block consumed, front
 /// released into its contribution block — is reported to `ledger`'s
 /// measurement face, in that order; an unbounded `BudgetLedger::new(None)`
@@ -531,9 +541,26 @@ pub(crate) fn eliminate_columns(
             }
             let rows = structure.rows(j);
             let front_dim = rows.len();
-            let mut front = arena.take(front_dim);
-            let front_entries = front.len() as i64;
+            let front_entries = (front_dim * front_dim) as i64;
+
+            // A first child's block that covers the front (same length, and
+            // `rows(c)[1..] ⊆ rows(j)`) seeds it: sums keep their order, and
+            // no block entry is −0.0, so `0.0 + cb == cb` bit for bit.
+            let children = structure.children[j].as_slice();
+            let seeded = children
+                .first()
+                .is_some_and(|&c| structure.rows(c).len() == front_dim + 1);
+            let seed = match children.first() {
+                Some(&c) if seeded => pending.remove(c).filter(|cb| cb.n() == front_dim),
+                _ => None,
+            };
+            let mut assembled = !seeded || seed.is_some();
+            let mut front = arena.take(front_dim, seed.as_ref());
             ledger.record_live(front_entries);
+            if let Some(cb) = seed {
+                ledger.record_live(-(cb.len() as i64));
+                arena.recycle(cb);
+            }
 
             for (position, &global) in rows.iter().enumerate() {
                 local[global] = position;
@@ -545,23 +572,15 @@ pub(crate) fn eliminate_columns(
                 front.add(local[i], 0, v);
             }
 
-            // Extend-add the children contribution blocks, in child order
-            // (the assembly order — and with it the floating-point result —
-            // depends only on the tree, never on which task or worker
-            // produced a block).
-            let mut assembled = true;
-            for &c in &structure.children[j] {
+            // Extend-add the other children contribution blocks, in child
+            // order (the assembly order — and with it the floating-point
+            // result — depends only on the tree, never on which task or
+            // worker produced a block).
+            for &c in &children[usize::from(seeded)..] {
                 let cb_rows = &structure.rows(c)[1..];
                 match pending.remove(c) {
                     Some(cb) if cb.n() == cb_rows.len() => {
-                        // Rows are sorted, so local positions increase with
-                        // the block index: (lb, la) is in the lower triangle.
-                        for (a, &ga) in cb_rows.iter().enumerate() {
-                            let la = local[ga];
-                            for (b, &gb) in cb_rows.iter().enumerate().skip(a) {
-                                front.add(local[gb], la, cb.get(b, a));
-                            }
-                        }
+                        front.extend_add(&cb, cb_rows, &local);
                         ledger.record_live(-(cb.len() as i64));
                         arena.recycle(cb);
                     }
@@ -579,29 +598,19 @@ pub(crate) fn eliminate_columns(
                 return Err(FactorizationError::InvalidTraversal);
             }
 
-            // Eliminate the fully-summed variable (the first row/column).
-            FrontKernel::default()
-                .apply(&mut front, 1)
+            // Eliminate the fully-summed variable (the first row/column) into
+            // the contribution block; freeing the front: one net movement.
+            let keeps_block = front_dim > 1 && structure.etree.parent(j).is_some();
+            let block = front
+                .eliminate_pivot(keeps_block.then_some(&mut *arena))
                 .map_err(|_| FactorizationError::NotPositiveDefinite { column: j })?;
-
-            // Extract the factor column.
             out.extend_from_slice(&front.column_major()[..front_dim]);
-
-            // Extract the contribution block (trailing (dim-1) x (dim-1)
-            // block).  The block is carved out of the front, the rest of the
-            // front is freed: one net live-entry movement.
-            let cb_dim = front_dim - 1;
-            if cb_dim > 0 && structure.etree.parent(j).is_some() {
-                let mut cb = arena.take(cb_dim);
-                for a in 0..cb_dim {
-                    for b in a..cb_dim {
-                        cb.set(b, a, front.get(b + 1, a + 1));
-                    }
+            match block {
+                Some(cb) => {
+                    ledger.record_live(cb.len() as i64 - front_entries);
+                    pending.insert(j, cb);
                 }
-                pending.insert(j, cb);
-                ledger.record_live((cb_dim * cb_dim) as i64 - front_entries);
-            } else {
-                ledger.record_live(-front_entries);
+                None => ledger.record_live(-front_entries),
             }
             arena.recycle(front);
         }
