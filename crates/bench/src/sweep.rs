@@ -15,6 +15,7 @@
 
 use std::time::Instant;
 
+use engine::json::escape;
 use engine::parallel::{default_threads, par_map};
 use minio::{divisible_lower_bound, schedule_io_with, PolicyRegistry};
 use treemem::solver::SolverRegistry;
@@ -100,28 +101,8 @@ pub struct SweepReport {
     pub records: Vec<SweepRecord>,
 }
 
-/// Escape a string for embedding in a JSON document.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_string_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
+    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
     format!("[{}]", quoted.join(","))
 }
 
@@ -132,10 +113,7 @@ impl SweepReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": \"minio_sweep/v2\",\n");
-        out.push_str(&format!(
-            "  \"corpus\": \"{}\",\n",
-            json_escape(&self.corpus)
-        ));
+        out.push_str(&format!("  \"corpus\": \"{}\",\n", escape(&self.corpus)));
         out.push_str(&format!("  \"trees\": {},\n", self.trees));
         out.push_str(&format!(
             "  \"solvers\": {},\n",
@@ -166,13 +144,13 @@ impl SweepReport {
                  \"solver_peak\": {}, \"memory\": {}, \"fraction\": {}, \"policy\": \"{}\", \
                  \"io_volume\": {}, \"files_written\": {}, \"divisible_bound\": {}, \
                  \"cell_seconds\": {:.6}}}{}\n",
-                json_escape(&r.instance),
+                escape(&r.instance),
                 r.nodes,
-                json_escape(&r.solver),
+                escape(&r.solver),
                 r.solver_peak,
                 r.memory,
                 r.fraction,
-                json_escape(&r.policy),
+                escape(&r.policy),
                 r.io_volume,
                 r.files_written,
                 r.divisible_bound,
@@ -405,12 +383,6 @@ mod tests {
         // Balanced braces and brackets (a cheap structural check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn json_escaping_handles_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!
 //! Misses are *single-flight* either way: concurrent callers with the
 //! same key wait for the one planner instead of re-running the expensive
-//! symbolic stages.  When admission control leaves a plan uncacheable (over
+//! symbolic stages.  A waiter polls its own engine's token
+//! ([`Engine::with_cancel`]), so its deadline fires even while someone else
+//! plans.  When admission control leaves a plan uncacheable (over
 //! quota, contended, too large), the planner parks it on a small sideline
 //! shelf so the waiters of that very flight still share the plan instead of
 //! stampeding into N repeated plans — the shelf is consulted only after an
@@ -31,15 +33,15 @@
 //! fresh lookups.
 //!
 //! ```
-//! use engine::{Engine, EngineConfig, PlanCache};
+//! use engine::{Engine, EngineConfig, PlanCache, DEFAULT_TENANT};
 //! use treemem::gadgets::harpoon;
 //!
 //! let engine = Engine::new();
 //! let cache = PlanCache::new(8, None);
 //! let config = EngineConfig::prebuilt(harpoon(3, 300, 1));
-//! let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
+//! let (_, hit) = cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
 //! assert!(!hit);
-//! let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
+//! let (_, hit) = cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
 //! assert!(hit);
 //! assert_eq!(cache.stats().hits, 1);
 //! ```
@@ -102,33 +104,23 @@ impl PlanCache {
         }
     }
 
-    /// Look up the plan cached under `key` for the default tenant,
+    /// Look up the plan cached under `key` on behalf of `tenant`,
     /// refreshing recency.  An expired entry drops and reports as a miss.
-    pub fn get(&self, key: &str) -> Option<Arc<Plan>> {
-        self.core.get(key, DEFAULT_TENANT)
-    }
-
-    /// [`PlanCache::get`] on behalf of `tenant`.
-    pub fn get_for(&self, key: &str, tenant: &str) -> Option<Arc<Plan>> {
+    pub fn get(&self, key: &str, tenant: &str) -> Option<Arc<Plan>> {
         self.core.get(key, tenant)
-    }
-
-    /// Insert `plan` under `key` for the default tenant.
-    pub fn insert(&self, key: impl Into<String>, plan: Arc<Plan>) {
-        let key = key.into();
-        self.insert_for(&key, DEFAULT_TENANT, plan);
     }
 
     /// Insert `plan` under `key`, charged to `tenant`; the footprint is
     /// estimated from the plan.  Returns the admission verdict.
-    pub fn insert_for(&self, key: &str, tenant: &str, plan: Arc<Plan>) -> Admission {
+    pub fn insert(&self, key: &str, tenant: &str, plan: Arc<Plan>) -> Admission {
         let bytes = plan.approx_heap_bytes();
         self.core.insert(key, tenant, plan, bytes)
     }
 
-    /// The cached plan for `config`'s effective-config hash, planning (and
-    /// inserting) on a miss.  Returns the shared plan and whether the lookup
-    /// hit.
+    /// The cached plan for `config`'s effective-config hash, planned by
+    /// `engine` (and inserted) on a miss; hits, misses and the inserted
+    /// bytes are charged to `tenant`.  Returns the shared plan and whether
+    /// the lookup hit.
     ///
     /// Misses are *single-flight*: concurrent callers with the same key
     /// wait for the one planner instead of each re-running the expensive
@@ -139,36 +131,10 @@ impl PlanCache {
         &self,
         engine: &Engine,
         config: &EngineConfig,
-    ) -> Result<(Arc<Plan>, bool), EngineError> {
-        self.get_or_plan_for(engine, config, DEFAULT_TENANT, None)
-    }
-
-    /// [`PlanCache::get_or_plan`] under a [`CancelToken`]: the token is
-    /// threaded into [`Engine::plan_with_cancel`], and a caller *waiting* on
-    /// another planner's in-flight key polls the token too, so its own
-    /// deadline fires even while someone else does the planning.
-    pub fn get_or_plan_with_cancel(
-        &self,
-        engine: &Engine,
-        config: &EngineConfig,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<Plan>, bool), EngineError> {
-        self.get_or_plan_for(engine, config, DEFAULT_TENANT, cancel)
-    }
-
-    /// [`PlanCache::get_or_plan_with_cancel`] on behalf of `tenant`: hits,
-    /// misses and the inserted plan's bytes are charged to it.
-    pub fn get_or_plan_for(
-        &self,
-        engine: &Engine,
-        config: &EngineConfig,
         tenant: &str,
-        cancel: Option<&CancelToken>,
     ) -> Result<(Arc<Plan>, bool), EngineError> {
         let key = config.hash();
-        self.single_flight(&key, tenant, cancel, || {
-            engine.plan_with_cancel(config, cancel)
-        })
+        self.single_flight(&key, tenant, engine.cancel(), || engine.plan(config))
     }
 
     /// The single-flight core: at most one caller plans `key` at a time;
@@ -253,7 +219,7 @@ impl PlanCache {
         // Insert before the key settles, so woken waiters find the entry.
         let result = planned.map(|plan| {
             let plan = Arc::new(plan);
-            if !self.insert_for(key, tenant, plan.clone()).is_cached() {
+            if !self.insert(key, tenant, plan.clone()).is_cached() {
                 let mut sideline = self.sideline.lock();
                 sideline.retain(|(parked, _)| parked != key);
                 sideline.push((key.to_string(), plan.clone()));
@@ -316,8 +282,12 @@ mod tests {
     fn plans_are_shared_on_hits() {
         let engine = Engine::new();
         let cache = PlanCache::new(4, None);
-        let (first, hit_a) = cache.get_or_plan(&engine, &config(1)).unwrap();
-        let (second, hit_b) = cache.get_or_plan(&engine, &config(1)).unwrap();
+        let (first, hit_a) = cache
+            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
+            .unwrap();
+        let (second, hit_b) = cache
+            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
+            .unwrap();
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&first, &second));
@@ -333,25 +303,28 @@ mod tests {
         let engine = Engine::new();
         let cache = PlanCache::new(2, None);
         let configs: Vec<EngineConfig> = (1..=3).map(config).collect();
-        cache.get_or_plan(&engine, &configs[0]).unwrap();
-        cache.get_or_plan(&engine, &configs[1]).unwrap();
-        // Touch 0 so 1 becomes the LRU victim.
-        cache.get_or_plan(&engine, &configs[0]).unwrap();
-        cache.get_or_plan(&engine, &configs[2]).unwrap();
+        for index in [0, 1, 0, 2] {
+            // Touching 0 again makes 1 the LRU victim.
+            cache
+                .get_or_plan(&engine, &configs[index], DEFAULT_TENANT)
+                .unwrap();
+        }
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get(&configs[0].hash()).is_some());
-        assert!(cache.get(&configs[1].hash()).is_none());
-        assert!(cache.get(&configs[2].hash()).is_some());
+        assert!(cache.get(&configs[0].hash(), DEFAULT_TENANT).is_some());
+        assert!(cache.get(&configs[1].hash(), DEFAULT_TENANT).is_none());
+        assert!(cache.get(&configs[2].hash(), DEFAULT_TENANT).is_some());
     }
 
     #[test]
     fn ttl_expires_entries() {
         let engine = Engine::new();
         let cache = PlanCache::new(4, Some(Duration::from_millis(20)));
-        cache.get_or_plan(&engine, &config(1)).unwrap();
-        assert!(cache.get(&config(1).hash()).is_some());
+        cache
+            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
+            .unwrap();
+        assert!(cache.get(&config(1).hash(), DEFAULT_TENANT).is_some());
         std::thread::sleep(Duration::from_millis(40));
-        assert!(cache.get(&config(1).hash()).is_none());
+        assert!(cache.get(&config(1).hash(), DEFAULT_TENANT).is_none());
         let stats = cache.stats();
         assert_eq!(stats.expirations, 1);
         assert_eq!(stats.entries, 0);
@@ -361,7 +334,9 @@ mod tests {
     fn clear_keeps_counters() {
         let engine = Engine::new();
         let cache = PlanCache::new(4, None);
-        cache.get_or_plan(&engine, &config(1)).unwrap();
+        cache
+            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
+            .unwrap();
         cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
@@ -373,12 +348,14 @@ mod tests {
         let engine = Engine::new();
         let cache = PlanCache::new(4, None);
         let bad = config(1).with_solver("nope");
-        assert!(cache.get_or_plan(&engine, &bad).is_err());
+        assert!(cache.get_or_plan(&engine, &bad, DEFAULT_TENANT).is_err());
         assert_eq!(cache.stats().entries, 0);
         // The failed key settled: a later attempt plans again (and a valid
         // config on the same cache is unaffected).
-        assert!(cache.get_or_plan(&engine, &bad).is_err());
-        assert!(cache.get_or_plan(&engine, &config(1)).is_ok());
+        assert!(cache.get_or_plan(&engine, &bad, DEFAULT_TENANT).is_err());
+        assert!(cache
+            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
+            .is_ok());
     }
 
     #[test]
@@ -413,7 +390,7 @@ mod tests {
         });
         assert_eq!(cache.stats().entries, 1);
         // The in-flight set is empty again: a third caller hits the cache.
-        let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
+        let (_, hit) = cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
         assert!(hit);
     }
 
@@ -439,7 +416,7 @@ mod tests {
             // the slow planner finishes.
             let token = crate::cancel::CancelToken::with_deadline(Duration::ZERO);
             let started = std::time::Instant::now();
-            let result = cache.get_or_plan_with_cancel(&engine, &config, Some(&token));
+            let result = cache.get_or_plan(&engine.with_cancel(token), &config, DEFAULT_TENANT);
             assert!(
                 matches!(result, Err(EngineError::Cancelled { stage: "plan", .. })),
                 "the waiter's own deadline fires while someone else plans"
@@ -458,7 +435,14 @@ mod tests {
         // planned, the rest waited for it (or hit the cache afterwards).
         let plans: Vec<Arc<Plan>> = std::thread::scope(|scope| {
             let tasks: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| cache.get_or_plan(&engine, &config).unwrap().0))
+                .map(|_| {
+                    scope.spawn(|| {
+                        cache
+                            .get_or_plan(&engine, &config, DEFAULT_TENANT)
+                            .unwrap()
+                            .0
+                    })
+                })
                 .collect();
             tasks
                 .into_iter()
@@ -495,9 +479,7 @@ mod tests {
                     .unwrap()
             });
             flying.wait();
-            let (shared, hit) = cache
-                .get_or_plan_for(&engine, &config, "waiter", None)
-                .unwrap();
+            let (shared, hit) = cache.get_or_plan(&engine, &config, "waiter").unwrap();
             let (planned, planner_hit) = planner.join().expect("planner");
             assert!(hit && !planner_hit);
             assert!(Arc::ptr_eq(&shared, &planned));
@@ -536,7 +518,10 @@ mod tests {
             let b = scope.spawn(|| {
                 barrier.wait();
                 std::thread::sleep(Duration::from_millis(5));
-                cache.get_or_plan(&engine, &config).unwrap().0
+                cache
+                    .get_or_plan(&engine, &config, DEFAULT_TENANT)
+                    .unwrap()
+                    .0
             });
             vec![a.join().expect("planner"), b.join().expect("waiter")]
         });
@@ -554,12 +539,8 @@ mod tests {
             bytes_capacity: 1 << 30,
             ..CacheConfig::default()
         });
-        cache
-            .get_or_plan_for(&engine, &config(1), "alice", None)
-            .unwrap();
-        cache
-            .get_or_plan_for(&engine, &config(1), "bob", None)
-            .unwrap();
+        cache.get_or_plan(&engine, &config(1), "alice").unwrap();
+        cache.get_or_plan(&engine, &config(1), "bob").unwrap();
         let stats = cache.stats();
         assert_eq!(stats.policy, CachePolicy::Gdsf);
         assert_eq!(stats.per_tenant.len(), 2);
@@ -590,7 +571,7 @@ mod tests {
         let config = EngineConfig::generated(ProblemKind::Grid2d, 144, 1)
             .with_numeric(true)
             .with_solve(SolveConfig::vectors(rhs));
-        cache.get_or_plan(&engine, &config).unwrap();
+        cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
         assert!(rhs_bytes >= 1_000_000);
         assert!(cache.stats().bytes_used >= rhs_bytes);
         cache.validate_accounting().unwrap();

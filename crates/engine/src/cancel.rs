@@ -6,12 +6,18 @@
 //! server is shutting down) and an optional deadline set at construction
 //! (per-request time budgets).  Either one makes [`CancelToken::is_cancelled`]
 //! return `true`; the stages check it at bounded intervals — every few
-//! hundred eliminations in the ordering, every few thousand simulation steps
-//! in the out-of-core scheduler, every few dozen columns in the numeric
-//! factorization — so a fired token unwinds the whole
+//! hundred eliminations in the ordering, at the boundaries of every solver
+//! run (the schedule's and the per-column model's), every few thousand
+//! simulation steps in the out-of-core scheduler, every few dozen columns
+//! in the numeric factorization — so a fired token unwinds the whole
 //! plan → schedule → execute flow within a few milliseconds of real work,
 //! surfacing as [`EngineError::Cancelled`](crate::EngineError::Cancelled)
 //! with the stage that noticed and the elapsed wall-clock time.
+//!
+//! The token rides on the engine handle
+//! ([`Engine::with_cancel`](crate::Engine::with_cancel)); only a distributed
+//! worker's [`Plan::factor_subtree`](crate::Plan::factor_subtree) takes one
+//! directly.
 //!
 //! The lower crates stay dependency-free: they take a plain
 //! `Option<&dyn Fn() -> bool>` stop probe, and the engine supplies a closure

@@ -18,10 +18,12 @@
 //!   per-stage wall-clock times and provenance;
 //! * [`Engine::run_batch`] — a whole `Vec<EngineConfig>` fanned over the
 //!   [`parallel::par_map`] worker pool for server-style throughput;
+//! * [`Engine::with_cancel`] — the same engine under a request's
+//!   [`CancelToken`], which every stage above polls;
 //! * [`PlanCache`] — a bounded LRU (+ optional TTL) of `Arc<Plan>`s keyed by
-//!   effective-config hash, so repeated configurations skip the
-//!   ordering/symbolic stages entirely (the substrate of `crates/server`'s
-//!   plan cache).
+//!   effective-config hash and charged per tenant, so repeated
+//!   configurations skip the ordering/symbolic stages entirely (the
+//!   substrate of `crates/server`'s plan cache).
 //!
 //! ```
 //! use engine::prelude::*;

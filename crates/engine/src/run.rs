@@ -146,7 +146,9 @@ impl From<FactorizationError> for EngineError {
 }
 
 /// The facade over the whole matrix-to-traversal pipeline: a pair of
-/// registries plus the plan/schedule/execute drivers.
+/// registries plus the plan/schedule/execute drivers, and an optional
+/// [`CancelToken`] ([`Engine::with_cancel`]) that every stage they drive
+/// polls, unwinding with [`EngineError::Cancelled`] once it fires.
 ///
 /// ```
 /// use engine::{Engine, EngineConfig};
@@ -158,6 +160,12 @@ impl From<FactorizationError> for EngineError {
 /// assert_eq!(report.io_volume, 0); // unlimited memory: no eviction needed
 /// ```
 pub struct Engine {
+    registries: Arc<Registries>,
+    cancel: Option<CancelToken>,
+}
+
+/// What every engine derived by [`Engine::with_cancel`] shares.
+struct Registries {
     solvers: SolverRegistry,
     policies: PolicyRegistry,
 }
@@ -165,45 +173,53 @@ pub struct Engine {
 impl Engine {
     /// An engine with the built-in solver and policy registries.
     pub fn new() -> Self {
-        Engine {
-            solvers: SolverRegistry::with_builtin(),
-            policies: PolicyRegistry::with_builtin(),
-        }
+        Engine::with_registries(
+            SolverRegistry::with_builtin(),
+            PolicyRegistry::with_builtin(),
+        )
     }
 
     /// An engine with custom registries (downstream crates can register
     /// their own solvers and policies before constructing the engine).
     pub fn with_registries(solvers: SolverRegistry, policies: PolicyRegistry) -> Self {
-        Engine { solvers, policies }
+        Engine {
+            registries: Arc::new(Registries { solvers, policies }),
+            cancel: None,
+        }
+    }
+
+    /// This engine's registries under `token`: every stage driven through
+    /// the returned engine polls it.  Costs two reference-count bumps.
+    pub fn with_cancel(&self, token: CancelToken) -> Engine {
+        Engine {
+            registries: Arc::clone(&self.registries),
+            cancel: Some(token),
+        }
     }
 
     /// The solver registry.
     pub fn solvers(&self) -> &SolverRegistry {
-        &self.solvers
+        &self.registries.solvers
     }
 
     /// The policy registry.
     pub fn policies(&self) -> &PolicyRegistry {
-        &self.policies
+        &self.registries.policies
+    }
+
+    /// The token this engine's stages poll (`None`: they run to the end).
+    pub(crate) fn cancel(&self) -> Option<&CancelToken> {
+        self.cancel.as_ref()
     }
 
     /// Validate `config` and run the symbolic half of the pipeline.
     ///
     /// Name resolution happens here, so a typo in the solver or policy name
     /// fails fast with a typed [`UnknownName`] before any real work starts.
+    /// The ordering polls the engine's token every few hundred
+    /// eliminations, and the stage boundaries check it too.
     pub fn plan(&self, config: &EngineConfig) -> Result<Plan, EngineError> {
-        self.plan_with_cancel(config, None)
-    }
-
-    /// [`Engine::plan`] under a [`CancelToken`]: the ordering stage polls the
-    /// token every few hundred eliminations, and the stage boundaries check
-    /// it too, so a fired token (deadline or explicit cancel) unwinds with
-    /// [`EngineError::Cancelled`] instead of finishing the analysis.
-    pub fn plan_with_cancel(
-        &self,
-        config: &EngineConfig,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Plan, EngineError> {
+        let cancel = self.cancel();
         self.validate(config)?;
         check(cancel, "plan")?;
         let mut timings = StageTimings::default();
@@ -276,20 +292,14 @@ impl Engine {
     }
 
     fn validate(&self, config: &EngineConfig) -> Result<(), EngineError> {
-        self.solvers.get_or_err(&config.solver)?;
-        self.policies.get_or_err(&config.policy)?;
+        self.solvers().get_or_err(&config.solver)?;
+        self.policies().get_or_err(&config.policy)?;
         if config.amalgamation == 0 {
             return Err(EngineError::InvalidConfig(
                 "the amalgamation allowance must be at least 1".to_string(),
             ));
         }
-        if let MemoryBudget::FractionOfPeak(fraction) = config.memory {
-            if !fraction.is_finite() {
-                return Err(EngineError::InvalidConfig(format!(
-                    "memory fraction must be finite, got {fraction}"
-                )));
-            }
-        }
+        validate_memory(config.memory)?;
         if config.numeric && matches!(config.source, ProblemSource::Prebuilt { .. }) {
             return Err(EngineError::NumericUnavailable);
         }
@@ -325,6 +335,18 @@ const MIN_DISTRIBUTED_LEASE_MS: u64 = 10;
 /// wedges its task — and therefore the whole job — for longer than any
 /// sane request deadline; configurations arrive over the network.
 const MAX_DISTRIBUTED_LEASE_MS: u64 = 3_600_000;
+
+/// The one check of a memory budget, made on the configuration at plan time
+/// and on a [`ScheduleSpec`] override at schedule time: a non-finite
+/// fraction resolves to no budget and renders as a number JSON cannot hold.
+fn validate_memory(memory: MemoryBudget) -> Result<(), EngineError> {
+    match memory {
+        MemoryBudget::FractionOfPeak(fraction) if !fraction.is_finite() => Err(
+            EngineError::InvalidConfig(format!("memory fraction must be finite, got {fraction}")),
+        ),
+        _ => Ok(()),
+    }
+}
 
 /// What the `parallel` and `distributed` sections share — both describe a
 /// cut of the numeric stage into at most `tasks` pieces under a `budget`.
@@ -564,21 +586,26 @@ impl NumericModel {
     }
 
     /// The bottom-up factorization order of `solver` on the per-column
-    /// model, computed once per solver and cached.
+    /// model, computed once per solver and cached.  The solver polls the
+    /// engine's token; a cancelled solve caches nothing.
     pub(crate) fn order_for(
         &self,
         engine: &Engine,
         solver: &str,
     ) -> Result<Arc<Vec<NodeId>>, EngineError> {
         self.orders.get_or_try(solver, || {
-            let entry = engine.solvers.get_or_err(solver)?;
+            let entry = engine.solvers().get_or_err(solver)?;
             if !entry.supports(&self.model) {
                 return Err(EngineError::InvalidConfig(format!(
                     "solver '{solver}' does not support the {}-node per-column model",
                     self.model.len()
                 )));
             }
-            Ok(entry.solve(&self.model).traversal.reversed().into_order())
+            let cancel = engine.cancel();
+            let solved =
+                CancelToken::with_stop(cancel, |stop| entry.solve_with_stop(&self.model, stop));
+            let solved = solved.ok_or_else(|| cancelled(cancel, "numeric"))?;
+            Ok(solved.traversal.reversed().into_order())
         })
     }
 }
@@ -774,37 +801,22 @@ impl Plan {
         engine: &Engine,
         solver: &str,
     ) -> Result<(TraversalResult, f64), EngineError> {
-        self.solve_with_cancel(engine, solver, None)
-    }
-
-    /// [`Plan::solve`] under a [`CancelToken`]; a fired token yields
-    /// [`EngineError::Cancelled`] instead of a traversal.
-    pub fn solve_with_cancel(
-        &self,
-        engine: &Engine,
-        solver: &str,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(TraversalResult, f64), EngineError> {
-        let solved = self.solved(engine, solver, cancel)?;
+        let solved = self.solved(engine, solver)?;
         Ok((solved.result.clone(), solved.seconds))
     }
 
     /// The shared, cached outcome of `solver` on the plan's tree — what
     /// schedules hold instead of a copy of the traversal.
-    fn solved(
-        &self,
-        engine: &Engine,
-        solver: &str,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Arc<Solved>, EngineError> {
+    fn solved(&self, engine: &Engine, solver: &str) -> Result<Arc<Solved>, EngineError> {
         self.solved.get_or_try(solver, || {
-            let entry = engine.solvers.get_or_err(solver)?;
+            let entry = engine.solvers().get_or_err(solver)?;
             if !entry.supports(self.tree()) {
                 return Err(EngineError::InvalidConfig(format!(
                     "solver '{solver}' does not support a tree of {} nodes",
                     self.tree().len()
                 )));
             }
+            let cancel = engine.cancel();
             fire_fault("schedule:solver");
             check(cancel, "solver")?;
             let (result, seconds) = CancelToken::with_stop(cancel, |stop| {
@@ -893,24 +905,15 @@ impl Plan {
 
     /// Produce a schedule with per-call overrides, reusing the plan (and the
     /// cached solver traversal) across calls — the engine-level analogue of
-    /// a sweep cell.
+    /// a sweep cell.  The solver checks the engine's token at its
+    /// boundaries and the out-of-core simulation polls it every few
+    /// thousand steps.
     pub fn schedule_with<'p>(
         &'p self,
         engine: &Engine,
         spec: ScheduleSpec,
     ) -> Result<Schedule<'p>, EngineError> {
-        self.schedule_with_cancel(engine, spec, None)
-    }
-
-    /// [`Plan::schedule_with`] under a [`CancelToken`]: the solver checks the
-    /// token at its boundaries and the out-of-core simulation polls it every
-    /// few thousand steps.
-    pub fn schedule_with_cancel<'p>(
-        &'p self,
-        engine: &Engine,
-        spec: ScheduleSpec,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Schedule<'p>, EngineError> {
+        let cancel = engine.cancel();
         // Provenance: the hash of the *effective* configuration, so
         // replaying the hashed configuration reproduces exactly this
         // schedule.  A spec that overrides nothing names the plan's own
@@ -924,9 +927,10 @@ impl Plan {
         let policy_name = spec.policy.unwrap_or_else(|| self.config.policy.clone());
         let budget_spec = spec.memory.unwrap_or(self.config.memory);
         let parallel = spec.parallel.unwrap_or(self.config.parallel);
+        validate_memory(budget_spec)?;
         validate_execution(&parallel, &self.config.distributed, self.config.numeric)?;
-        let policy = engine.policies.get_or_err(&policy_name)?;
-        let solved = self.solved(engine, &solver, cancel)?;
+        let policy = engine.policies().get_or_err(&policy_name)?;
+        let solved = self.solved(engine, &solver)?;
 
         fire_fault("schedule:io");
         check(cancel, "io")?;
@@ -1112,29 +1116,21 @@ impl Schedule<'_> {
     /// as a reusable [`FactorHandle`] (when the numeric stage ran) so
     /// callers — the HTTP server's factor cache above all — can serve later
     /// solves against it without re-running the factorization.
-    pub fn execute_with_factor(
-        &self,
-        engine: &Engine,
-    ) -> Result<(Report, Option<FactorHandle>), EngineError> {
-        self.execute_with_factor_cancel(engine, None)
-    }
-
-    /// [`Schedule::execute_with_factor`] under a [`CancelToken`]: the numeric
-    /// column loop (inline and pooled alike) polls the token every few dozen
-    /// columns, so a fired deadline stops the factorization mid-flight with
-    /// [`EngineError::Cancelled`].
     ///
     /// The numeric stage runs in-process: on the thread pool when the
     /// schedule's `parallel` section is enabled, otherwise as the one-task
     /// cut on the caller's thread.  (A `distributed` section needs a
     /// coordinator to hand the tasks out — see
     /// [`Schedule::distributed_cut`] / [`Schedule::execute_distributed`];
-    /// without one the run is sequential.)
-    pub fn execute_with_factor_cancel(
+    /// without one the run is sequential.)  Its column loop, inline and
+    /// pooled alike, polls the engine's token every few dozen columns, so a
+    /// fired deadline stops the factorization mid-flight with
+    /// [`EngineError::Cancelled`].
+    pub fn execute_with_factor(
         &self,
         engine: &Engine,
-        cancel: Option<&CancelToken>,
     ) -> Result<(Report, Option<FactorHandle>), EngineError> {
+        let cancel = engine.cancel();
         if !self.plan.config.numeric {
             return self.finish(None, cancel);
         }
@@ -1177,9 +1173,10 @@ impl Schedule<'_> {
     /// came from its configuration hash.
     pub fn execute_cached(
         &self,
+        engine: &Engine,
         factor: &FactorHandle,
-        cancel: Option<&CancelToken>,
     ) -> Result<Report, EngineError> {
+        let cancel = engine.cancel();
         let config = &self.plan.config;
         if !config.numeric || self.parallel.enabled() || config.distributed.enabled() {
             return Err(EngineError::InvalidConfig(
@@ -1364,11 +1361,12 @@ impl Schedule<'_> {
     /// path.
     pub fn execute_distributed(
         &self,
+        engine: &Engine,
         cut: DistributedCut,
         contributions: Vec<SubtreeParts>,
         runtime: DistributedRuntime,
-        cancel: Option<&CancelToken>,
     ) -> Result<(Report, Option<FactorHandle>), EngineError> {
+        let cancel = engine.cancel();
         let started = Instant::now();
         check(cancel, "numeric")?;
         let stage = NumericStage {
@@ -1939,7 +1937,7 @@ mod tests {
         let schedule = plan.schedule(&engine).unwrap();
         let (fresh, handle) = schedule.execute_with_factor(&engine).unwrap();
         let handle = handle.unwrap();
-        let cached = schedule.execute_cached(&handle, None).unwrap();
+        let cached = schedule.execute_cached(&engine, &handle).unwrap();
         assert_eq!(cached.config_hash, fresh.config_hash);
         assert_eq!(cached.fingerprint(), fresh.fingerprint());
         assert_eq!(cached.timings.numeric_seconds, 0.0, "no numeric stage ran");
@@ -1947,7 +1945,7 @@ mod tests {
         // An expired deadline still cancels.
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        match schedule.execute_cached(&handle, Some(&token)) {
+        match schedule.execute_cached(&engine.with_cancel(token), &handle) {
             Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "numeric"),
             other => panic!("expected Cancelled, got {:?}", other.err()),
         }
@@ -1963,7 +1961,7 @@ mod tests {
             .unwrap();
         for refused in [parallel, other.schedule(&engine).unwrap()] {
             assert!(matches!(
-                refused.execute_cached(&handle, None),
+                refused.execute_cached(&engine, &handle),
                 Err(EngineError::InvalidConfig(_))
             ));
         }
@@ -2080,7 +2078,7 @@ mod tests {
         let config = EngineConfig::generated(ProblemKind::Grid2d, 2500, 1)
             .with_ordering(OrderingMethod::NestedDissection);
         let token = crate::cancel::CancelToken::with_deadline(Duration::ZERO);
-        match engine.plan_with_cancel(&config, Some(&token)) {
+        match engine.with_cancel(token).plan(&config) {
             Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "plan"),
             other => panic!("expected Cancelled, got {:?}", other.err()),
         }
@@ -2095,7 +2093,8 @@ mod tests {
         let plan = engine.plan(&config).unwrap();
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        match plan.schedule_with_cancel(&engine, ScheduleSpec::default(), Some(&token)) {
+        let cancelled = engine.with_cancel(token);
+        match plan.schedule_with(&cancelled, ScheduleSpec::default()) {
             Err(EngineError::Cancelled { stage, elapsed }) => {
                 assert_eq!(stage, "solver");
                 assert!(elapsed >= Duration::ZERO);
@@ -2104,12 +2103,86 @@ mod tests {
         }
         // A schedule produced without a token still cancels at execute time.
         let schedule = plan.schedule(&engine).unwrap();
-        match schedule.execute_with_factor_cancel(&engine, Some(&token)) {
+        match schedule.execute_with_factor(&cancelled) {
             Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "numeric"),
             other => panic!("expected Cancelled, got {:?}", other.err()),
         }
         // The plan is unpoisoned: a token-free execute completes.
         assert!(schedule.execute(&engine).is_ok());
+    }
+
+    /// The per-column model solve inside every cold `execute*` polls the
+    /// engine's token, and a cancelled solve leaves no cached order behind.
+    #[test]
+    fn a_fired_token_cancels_the_per_column_model_solve() {
+        let engine = Engine::new();
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 3).with_numeric(true);
+        let plan = engine.plan(&config).unwrap();
+        let numeric = plan.numeric_model().unwrap();
+        let token = crate::cancel::CancelToken::new();
+        token.cancel();
+        match numeric.order_for(&engine.with_cancel(token), "minmem") {
+            Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "numeric"),
+            other => panic!("expected Cancelled, got {:?}", other.err()),
+        }
+        let mut cached = 0;
+        numeric.orders.for_each(|_, _| cached += 1);
+        assert_eq!(cached, 0, "a cancelled solve caches nothing");
+        let order = numeric.order_for(&engine, "minmem").unwrap();
+        assert_eq!(order.len(), numeric.model.len());
+    }
+
+    /// A memory override is validated like the configuration's own budget:
+    /// a non-finite fraction used to be accepted and render a report (and
+    /// name a configuration) that no JSON reader can parse.
+    #[test]
+    fn non_finite_memory_overrides_are_rejected() {
+        let engine = Engine::new();
+        let plan = engine
+            .plan(&EngineConfig::prebuilt(harpoon(3, 300, 1)))
+            .unwrap();
+        for fraction in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let spec = ScheduleSpec::default().memory(MemoryBudget::FractionOfPeak(fraction));
+            assert!(
+                matches!(
+                    plan.schedule_with(&engine, spec),
+                    Err(EngineError::InvalidConfig(_))
+                ),
+                "{fraction} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn every_accepted_memory_override_renders_a_parseable_report() {
+        let engine = Engine::new();
+        for kind in ProblemKind::ALL {
+            for numeric in [false, true] {
+                let config = EngineConfig::generated(kind, 64, 3).with_numeric(numeric);
+                let plan = engine.plan(&config).unwrap();
+                let overrides = [
+                    MemoryBudget::FractionOfPeak(0.0),
+                    MemoryBudget::FractionOfPeak(0.5),
+                    MemoryBudget::FractionOfPeak(1.0),
+                    MemoryBudget::FractionOfPeak(-0.5),
+                    MemoryBudget::FractionOfPeak(2.0),
+                    MemoryBudget::Absolute(plan.tree().max_mem_req()),
+                    MemoryBudget::Unlimited,
+                ];
+                for memory in overrides {
+                    let report = plan
+                        .schedule_with(&engine, ScheduleSpec::default().memory(memory))
+                        .unwrap()
+                        .execute(&engine)
+                        .unwrap();
+                    let json = report.to_json();
+                    assert!(
+                        crate::json::Json::parse(&json).is_ok(),
+                        "{kind:?} numeric={numeric} {memory:?}: {json}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -2122,7 +2195,7 @@ mod tests {
         let schedule = plan.schedule(&engine).unwrap();
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        match schedule.execute_with_factor_cancel(&engine, Some(&token)) {
+        match schedule.execute_with_factor(&engine.with_cancel(token)) {
             Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "numeric"),
             other => panic!("expected Cancelled, got {:?}", other.err()),
         }
@@ -2172,7 +2245,7 @@ mod tests {
                 assert_eq!(blocks, cut.task_root_blocks(task));
             }
             let (report, handle) = schedule
-                .execute_distributed(cut, contributions, DistributedRuntime::default(), None)
+                .execute_distributed(&engine, cut, contributions, DistributedRuntime::default())
                 .unwrap();
             let handle = handle.unwrap();
             // The merged factor shares the plan's one structure...

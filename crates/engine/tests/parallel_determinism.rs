@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use engine::prelude::*;
+use engine::DEFAULT_TENANT;
 use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger};
 use multifrontal::{multifrontal_cholesky, ContributionStore, FrontArena, SymbolicStructure};
 use sparsemat::gen::{spd_matrix_from_pattern, ProblemKind};
@@ -57,11 +58,12 @@ fn outcome(report: &Report) -> String {
 
 /// Run `config` (which carries a distributed section) the way a coordinator
 /// and its workers would, in one process: cut, factor every task
-/// independently through [`Plan::factor_subtree`], merge.
+/// independently through [`Plan::factor_subtree`], merge — the merge on
+/// `coordinator`, everything before it on the token-free `engine`.
 fn distributed_in_process(
     engine: &Engine,
+    coordinator: &Engine,
     config: &EngineConfig,
-    cancel: Option<&CancelToken>,
 ) -> Result<(Report, FactorHandle), EngineError> {
     let plan = engine.plan(config)?;
     let schedule = plan.schedule(engine)?;
@@ -69,8 +71,12 @@ fn distributed_in_process(
     let contributions: Vec<SubtreeParts> = (0..cut.task_count())
         .map(|task| plan.factor_subtree(cut.task_order(task), None))
         .collect::<Result<_, _>>()?;
-    let (report, handle) =
-        schedule.execute_distributed(cut, contributions, DistributedRuntime::default(), cancel)?;
+    let (report, handle) = schedule.execute_distributed(
+        coordinator,
+        cut,
+        contributions,
+        DistributedRuntime::default(),
+    )?;
     Ok((report, handle.expect("a numeric run returns its factor")))
 }
 
@@ -181,7 +187,7 @@ fn reports_are_bit_identical_for_every_worker_count_and_kind() {
                 let sharded = config
                     .clone()
                     .with_distributed(DistributedConfig::with_tasks(MAX_TASKS).with_budget(share));
-                let (report, handle) = distributed_in_process(&engine, &sharded, None).unwrap();
+                let (report, handle) = distributed_in_process(&engine, &engine, &sharded).unwrap();
                 assert_eq!(
                     handle.factor().values,
                     reference.values,
@@ -214,6 +220,7 @@ fn a_fired_token_cancels_the_numeric_stage_in_every_mode() {
     let engine = Engine::new();
     let token = CancelToken::new();
     token.cancel();
+    let cancelled = engine.with_cancel(token.clone());
     let sequential = numeric_config(ProblemKind::Grid2d);
     let pooled = sequential
         .clone()
@@ -221,10 +228,7 @@ fn a_fired_token_cancels_the_numeric_stage_in_every_mode() {
     for (mode, config) in [("sequential", &sequential), ("pool", &pooled)] {
         let plan = engine.plan(config).unwrap();
         let schedule = plan.schedule(&engine).unwrap();
-        assert_numeric_cancellation(
-            schedule.execute_with_factor_cancel(&engine, Some(&token)),
-            mode,
-        );
+        assert_numeric_cancellation(schedule.execute_with_factor(&cancelled), mode);
         assert!(schedule.execute(&engine).is_ok(), "{mode}");
     }
     let sharded = sequential
@@ -243,10 +247,10 @@ fn a_fired_token_cancels_the_numeric_stage_in_every_mode() {
     );
     // ...and so does the coordinator's merge.
     assert_numeric_cancellation(
-        distributed_in_process(&engine, &sharded, Some(&token)),
+        distributed_in_process(&engine, &cancelled, &sharded),
         "distributed merge",
     );
-    assert!(distributed_in_process(&engine, &sharded, None).is_ok());
+    assert!(distributed_in_process(&engine, &engine, &sharded).is_ok());
 }
 
 /// A budget far below the largest single subtree peak (one entry!) must
@@ -420,11 +424,13 @@ fn plan_cache_distinguishes_serial_and_parallel_requests() {
         .clone()
         .with_parallel(ParallelConfig::with_workers(4).with_max_tasks(8));
 
-    let (serial_plan, hit) = cache.get_or_plan(&engine, &serial).unwrap();
+    let (serial_plan, hit) = cache.get_or_plan(&engine, &serial, DEFAULT_TENANT).unwrap();
     assert!(!hit);
     // The parallel request must miss: serving the cached serial plan would
     // execute with the wrong parallel section.
-    let (parallel_plan, hit) = cache.get_or_plan(&engine, &parallel).unwrap();
+    let (parallel_plan, hit) = cache
+        .get_or_plan(&engine, &parallel, DEFAULT_TENANT)
+        .unwrap();
     assert!(!hit, "a serial plan was served for a parallel request");
     assert_ne!(serial_plan.config_hash(), parallel_plan.config_hash());
 
@@ -443,6 +449,16 @@ fn plan_cache_distinguishes_serial_and_parallel_requests() {
     assert_eq!(parallel_report.parallel.as_ref().unwrap().workers, 4);
 
     // And the cache now hits each of them independently.
-    assert!(cache.get_or_plan(&engine, &serial).unwrap().1);
-    assert!(cache.get_or_plan(&engine, &parallel).unwrap().1);
+    assert!(
+        cache
+            .get_or_plan(&engine, &serial, DEFAULT_TENANT)
+            .unwrap()
+            .1
+    );
+    assert!(
+        cache
+            .get_or_plan(&engine, &parallel, DEFAULT_TENANT)
+            .unwrap()
+            .1
+    );
 }

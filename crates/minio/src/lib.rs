@@ -60,6 +60,4 @@ pub use heuristics::{
     divisible_lower_bound, schedule_io_with, schedule_io_with_stop, MinIoError, OutOfCoreRun,
 };
 pub use policy::{Candidate, EvictionContext, EvictionSession, Policy, PolicyRegistry};
-pub use schedule::{
-    check_out_of_core, check_out_of_core_with_positions, IoSchedule, OutOfCoreCheck,
-};
+pub use schedule::{check_out_of_core, IoSchedule, OutOfCoreCheck};

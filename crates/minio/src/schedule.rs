@@ -104,7 +104,7 @@ pub fn check_out_of_core(
 /// caller, who must already have validated the traversal's precedence (the
 /// out-of-core simulator computes the positions once per run and passes them
 /// through here instead of recomputing the permutation twice).
-pub fn check_out_of_core_with_positions(
+pub(crate) fn check_out_of_core_with_positions(
     tree: &Tree,
     traversal: &Traversal,
     positions: &[usize],

@@ -28,7 +28,8 @@ pub fn nested_dissection(pattern: &SparsePattern) -> Permutation {
 /// [`nested_dissection`] with a cooperative stop probe, checked at every
 /// recursion step and inside the leaf minimum-degree orderings.  Returns
 /// `None` — discarding all partial work — as soon as the probe fires.
-pub fn nested_dissection_with_stop(
+/// Reached from outside the crate through `OrderingMethod::order_with_stop`.
+pub(crate) fn nested_dissection_with_stop(
     pattern: &SparsePattern,
     stop: Option<&dyn Fn() -> bool>,
 ) -> Option<Permutation> {

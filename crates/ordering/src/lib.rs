@@ -48,8 +48,8 @@ mod workspace;
 #[cfg(test)]
 mod naive;
 
-pub use dissection::{nested_dissection, nested_dissection_with_stop};
-pub use mindeg::{minimum_degree, minimum_degree_with_stop};
+pub use dissection::nested_dissection;
+pub use mindeg::minimum_degree;
 pub use perm::Permutation;
 pub use rcm::rcm;
 

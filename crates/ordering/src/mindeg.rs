@@ -34,8 +34,9 @@ pub fn minimum_degree(pattern: &SparsePattern) -> Permutation {
 
 /// [`minimum_degree`] with a cooperative stop probe, checked every 256
 /// eliminations.  Returns `None` — discarding all
-/// partial work — as soon as the probe reports `true`.
-pub fn minimum_degree_with_stop(
+/// partial work — as soon as the probe reports `true`.  Reached from
+/// outside the crate through `OrderingMethod::order_with_stop`.
+pub(crate) fn minimum_degree_with_stop(
     pattern: &SparsePattern,
     stop: Option<&dyn Fn() -> bool>,
 ) -> Option<Permutation> {

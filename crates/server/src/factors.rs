@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use engine::cache::{Admission, CacheConfig, CacheCore};
-use engine::{CacheStats, FactorHandle, DEFAULT_TENANT};
+use engine::{CacheStats, FactorHandle};
 
 /// The factor cache; see the module docs.
 pub struct FactorCache {
@@ -46,32 +46,18 @@ impl FactorCache {
         }
     }
 
-    /// Look up the factor of `config_hash`, marking it most recently used.
-    pub fn get(&self, config_hash: &str) -> Option<Arc<FactorHandle>> {
-        self.core.get(config_hash, DEFAULT_TENANT)
-    }
-
-    /// [`FactorCache::get`] on behalf of `tenant`.
-    pub fn get_for(&self, config_hash: &str, tenant: &str) -> Option<Arc<FactorHandle>> {
+    /// Look up the factor of `config_hash` on behalf of `tenant`, marking it
+    /// most recently used.
+    pub fn get(&self, config_hash: &str, tenant: &str) -> Option<Arc<FactorHandle>> {
         self.core.get(config_hash, tenant)
     }
 
     /// Cache `handle` under `config_hash` (replacing any previous factor of
-    /// the same hash), evicting through the configured policy when space is
-    /// needed.
-    pub fn insert(&self, config_hash: &str, handle: Arc<FactorHandle>) {
-        self.insert_for(config_hash, DEFAULT_TENANT, handle);
-    }
-
-    /// [`FactorCache::insert`] charged to `tenant`; the footprint comes
-    /// from [`engine::FactorHandle::approx_heap_bytes`].  Returns the
-    /// admission verdict (an over-quota deposit is served-but-uncached).
-    pub fn insert_for(
-        &self,
-        config_hash: &str,
-        tenant: &str,
-        handle: Arc<FactorHandle>,
-    ) -> Admission {
+    /// the same hash), charged to `tenant` and evicting through the
+    /// configured policy when space is needed.  The footprint comes from
+    /// [`engine::FactorHandle::approx_heap_bytes`].  Returns the admission
+    /// verdict (an over-quota deposit is served-but-uncached).
+    pub fn insert(&self, config_hash: &str, tenant: &str, handle: Arc<FactorHandle>) -> Admission {
         let bytes = handle.approx_heap_bytes();
         self.core.insert(config_hash, tenant, handle, bytes)
     }
@@ -92,6 +78,7 @@ impl FactorCache {
 mod tests {
     use super::*;
     use engine::prelude::*;
+    use engine::DEFAULT_TENANT;
 
     fn sized_handle(seed: u64, n: usize) -> Arc<FactorHandle> {
         let engine = Engine::new();
@@ -113,13 +100,13 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_factor() {
         let cache = FactorCache::new(2);
-        cache.insert("a", handle(1));
-        cache.insert("b", handle(2));
-        assert!(cache.get("a").is_some()); // "b" is now coldest
-        cache.insert("c", handle(3));
-        assert!(cache.get("b").is_none());
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
+        cache.insert("a", DEFAULT_TENANT, handle(1));
+        cache.insert("b", DEFAULT_TENANT, handle(2));
+        assert!(cache.get("a", DEFAULT_TENANT).is_some()); // "b" is now coldest
+        cache.insert("c", DEFAULT_TENANT, handle(3));
+        assert!(cache.get("b", DEFAULT_TENANT).is_none());
+        assert!(cache.get("a", DEFAULT_TENANT).is_some());
+        assert!(cache.get("c", DEFAULT_TENANT).is_some());
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.misses, 1);
@@ -130,8 +117,8 @@ mod tests {
     #[test]
     fn reinsertion_replaces_without_eviction() {
         let cache = FactorCache::new(2);
-        cache.insert("a", handle(1));
-        cache.insert("a", handle(4));
+        cache.insert("a", DEFAULT_TENANT, handle(1));
+        cache.insert("a", DEFAULT_TENANT, handle(4));
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.stats().evictions, 0);
     }
@@ -157,12 +144,12 @@ mod tests {
             ..CacheConfig::default()
         });
         for (i, h) in small.iter().enumerate() {
-            cache.insert(&format!("small-{i}"), Arc::clone(h));
+            cache.insert(&format!("small-{i}"), DEFAULT_TENANT, Arc::clone(h));
         }
         assert_eq!(cache.stats().entries, 4);
-        cache.insert("big", Arc::clone(&big));
+        cache.insert("big", DEFAULT_TENANT, Arc::clone(&big));
         let stats = cache.stats();
-        assert!(cache.get("big").is_some());
+        assert!(cache.get("big", DEFAULT_TENANT).is_some());
         assert!(
             stats.evictions >= 1,
             "the big factor must evict by bytes, not slots"
@@ -179,7 +166,7 @@ mod tests {
             bytes_capacity: big.approx_heap_bytes() / 2,
             ..CacheConfig::default()
         });
-        assert!(!cache.insert_for("big", "public", big).is_cached());
+        assert!(!cache.insert("big", DEFAULT_TENANT, big).is_cached());
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().uncacheable, 1);
     }
@@ -201,8 +188,8 @@ mod tests {
                         let pick = (worker * 7 + round * 3) % handles.len();
                         let key = format!("factor-{pick}");
                         if (worker + round) % 3 == 0 {
-                            cache.insert(&key, Arc::clone(&handles[pick]));
-                        } else if let Some(factor) = cache.get(&key) {
+                            cache.insert(&key, DEFAULT_TENANT, Arc::clone(&handles[pick]));
+                        } else if let Some(factor) = cache.get(&key, DEFAULT_TENANT) {
                             let rhs = SolveRhs::Generated {
                                 count: 1,
                                 seed: round as u64 + 1,
@@ -221,7 +208,7 @@ mod tests {
         cache.validate_accounting().unwrap();
         // Every key that is still resident resolves to a working factor.
         for pick in 0..handles.len() {
-            if let Some(factor) = cache.get(&format!("factor-{pick}")) {
+            if let Some(factor) = cache.get(&format!("factor-{pick}"), DEFAULT_TENANT) {
                 let rhs = SolveRhs::Generated { count: 1, seed: 5 };
                 let (report, _) = factor
                     .solve_batch(&rhs, true)

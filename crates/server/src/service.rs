@@ -1,6 +1,11 @@
 //! Request routing and the endpoint handlers, independent of any socket:
 //! [`Service::handle_request`] maps a parsed [`Request`] to a [`Response`],
 //! which makes the whole API surface testable without binding a port.
+//!
+//! A request with a deadline runs on its own [`Engine::with_cancel`] handle,
+//! one without on the plain engine.  The service keeps the token itself for
+//! the two waits no engine stage covers: a distributed job's contributions
+//! and the start of a `/solve` batch.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -138,6 +143,7 @@ impl Service {
     fn route(&self, request: &Request) -> Result<Response, Response> {
         let header_deadline = header_deadline_ms(request)?;
         let tenant = request_tenant(request)?;
+        let body = &request.body;
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => Ok(Response::ok("{\"status\": \"ok\"}\n".to_string())),
             ("GET", "/stats") => Ok(Response::ok(self.stats.to_json(
@@ -146,12 +152,19 @@ impl Service {
                 self.workers,
                 &self.registry.stats().snapshot(),
             ))),
-            ("POST", "/plan") => self.handle_plan(&request.body, header_deadline, &tenant),
-            ("POST", "/schedule") => self.handle_schedule(&request.body, header_deadline, &tenant),
-            ("POST", "/report") => self.handle_report(&request.body, header_deadline, &tenant),
-            ("POST", "/solve") => self.handle_solve(&request.body, header_deadline, &tenant),
-            ("POST", "/internal/claim") => Ok(self.handle_claim(&request.body)),
-            ("POST", "/internal/contribute") => Ok(self.handle_contribute(&request.body)),
+            ("POST", path @ ("/plan" | "/schedule" | "/report" | "/solve")) => {
+                let cancel = self.deadline_token(header_deadline, body)?;
+                let scoped = cancel.clone().map(|token| self.engine.with_cancel(token));
+                let engine = scoped.as_ref().unwrap_or(&self.engine);
+                match path {
+                    "/plan" => self.handle_plan(engine, body, &tenant),
+                    "/schedule" => self.handle_schedule(engine, body, &tenant),
+                    "/report" => self.handle_report(engine, cancel.as_ref(), body, &tenant),
+                    _ => self.handle_solve(cancel.as_ref(), body, &tenant),
+                }
+            }
+            ("POST", "/internal/claim") => Ok(self.handle_claim(body)),
+            ("POST", "/internal/contribute") => Ok(self.handle_contribute(body)),
             ("GET", path) if path.starts_with("/internal/job/") => Ok(self.handle_job(path)),
             ("GET", "/plan" | "/schedule" | "/report" | "/solve")
             | ("GET", "/internal/claim" | "/internal/contribute")
@@ -212,17 +225,17 @@ impl Service {
         Ok(config)
     }
 
-    /// Fetch or build the plan for `config` on behalf of `tenant`,
-    /// recording plan-stage latency on misses.
+    /// Fetch or build (on `engine`) the plan for `config` on behalf of
+    /// `tenant`, recording plan-stage latency on misses.
     fn plan_for(
         &self,
+        engine: &Engine,
         config: &EngineConfig,
         tenant: &str,
-        cancel: Option<&CancelToken>,
     ) -> Result<(std::sync::Arc<Plan>, bool), Response> {
         let (plan, hit) = self
             .cache
-            .get_or_plan_for(&self.engine, config, tenant, cancel)
+            .get_or_plan(engine, config, tenant)
             .map_err(|e| self.engine_error(&e))?;
         if !hit {
             if let Some(recorder) = self.stats.stage("plan") {
@@ -237,13 +250,12 @@ impl Service {
 
     fn handle_plan(
         &self,
+        engine: &Engine,
         body: &[u8],
-        header_deadline: Option<u64>,
         tenant: &str,
     ) -> Result<Response, Response> {
-        let cancel = self.deadline_token(header_deadline, body)?;
         let config = self.parse_config(body)?;
-        let (plan, hit) = self.plan_for(&config, tenant, cancel.as_ref())?;
+        let (plan, hit) = self.plan_for(engine, &config, tenant)?;
         let timings = plan.timings();
         let body = format!(
             "{{\n  \"schema\": \"engine_server_plan/v1\",\n  \"config_hash\": \"{}\",\n  \
@@ -264,16 +276,13 @@ impl Service {
 
     fn handle_schedule(
         &self,
+        engine: &Engine,
         body: &[u8],
-        header_deadline: Option<u64>,
         tenant: &str,
     ) -> Result<Response, Response> {
-        let cancel = self.deadline_token(header_deadline, body)?;
         let config = self.parse_config(body)?;
-        let (plan, hit) = self.plan_for(&config, tenant, cancel.as_ref())?;
-        let schedule = plan
-            .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel.as_ref())
-            .map_err(|e| self.engine_error(&e))?;
+        let (plan, hit) = self.plan_for(engine, &config, tenant)?;
+        let schedule = plan.schedule(engine).map_err(|e| self.engine_error(&e))?;
         self.record_stages(&schedule.timings(), false, false);
         let body = format!(
             "{{\n  \"schema\": \"engine_server_schedule/v1\",\n  \"config_hash\": \"{}\",\n  \
@@ -306,41 +315,39 @@ impl Service {
     /// ([`Service::execute_on_cluster`]), everything else runs in-process —
     /// except a sequential numeric configuration whose plan and factor are
     /// both cached, which renders from the factor
-    /// ([`Schedule::execute_cached`]) and runs no numeric stage.
+    /// ([`Schedule::execute_cached`]) and runs no numeric stage.  `cancel`
+    /// is the token `engine` polls; the cluster wait polls it too.
     fn handle_report(
         &self,
+        engine: &Engine,
+        cancel: Option<&CancelToken>,
         body: &[u8],
-        header_deadline: Option<u64>,
         tenant: &str,
     ) -> Result<Response, Response> {
-        let cancel = self.deadline_token(header_deadline, body)?;
-        let cancel = cancel.as_ref();
         let config = self.parse_config(body)?;
-        let (plan, hit) = self.plan_for(&config, tenant, cancel)?;
+        let (plan, hit) = self.plan_for(engine, &config, tenant)?;
         let planned_bytes = plan.approx_heap_bytes();
-        let schedule = plan
-            .schedule_with_cancel(&self.engine, ScheduleSpec::default(), cancel)
-            .map_err(|e| self.engine_error(&e))?;
+        let schedule = plan.schedule(engine).map_err(|e| self.engine_error(&e))?;
         // The factor is looked up only on a plan hit: a cold plan has no
         // factor, and a parallel or distributed report's sections are
         // runtime measurements the factor cannot reproduce.
         let sequential =
             config.numeric && !config.parallel.enabled() && !config.distributed.enabled();
         if let Some(factor) = (hit && sequential)
-            .then(|| self.factors.get_for(schedule.config_hash(), tenant))
+            .then(|| self.factors.get(schedule.config_hash(), tenant))
             .flatten()
         {
             let report = schedule
-                .execute_cached(&factor, cancel)
+                .execute_cached(engine, &factor)
                 .map_err(|e| self.engine_error(&e))?;
             self.record_stages(&report.timings, false, report.solve.is_some());
             return Ok(report_response(report, hit));
         }
         let (report, factor) = if config.distributed.enabled() {
-            self.execute_on_cluster(&config, &schedule, cancel)?
+            self.execute_on_cluster(engine, cancel, &config, &schedule)?
         } else {
             schedule
-                .execute_with_factor_cancel(&self.engine, cancel)
+                .execute_with_factor(engine)
                 .map_err(|e| self.engine_error(&e))?
         };
         // The cache charged the plan when it was inserted; the first numeric
@@ -348,8 +355,7 @@ impl Service {
         // footprint).  Re-charge it, so `bytes_used` tracks what the entry
         // holds and the byte ceiling evicts on real bytes.
         if plan.approx_heap_bytes() != planned_bytes {
-            self.cache
-                .insert_for(plan.config_hash(), tenant, plan.clone());
+            self.cache.insert(plan.config_hash(), tenant, plan.clone());
         }
         // Deposit the factor so later `POST /solve` requests and hot
         // sequential reports can resolve this configuration's hash without
@@ -361,7 +367,7 @@ impl Service {
         let factored = factor.is_some();
         if let Some(factor) = factor {
             self.factors
-                .insert_for(&report.config_hash, tenant, Arc::new(factor));
+                .insert(&report.config_hash, tenant, Arc::new(factor));
         }
         self.record_stages(&report.timings, factored, report.solve.is_some());
         Ok(report_response(report, hit))
@@ -373,12 +379,13 @@ impl Service {
     /// above the cut.
     fn execute_on_cluster(
         &self,
+        engine: &Engine,
+        cancel: Option<&CancelToken>,
         config: &EngineConfig,
         schedule: &Schedule<'_>,
-        cancel: Option<&CancelToken>,
     ) -> Result<(Report, Option<FactorHandle>), Response> {
         let cut = schedule
-            .distributed_cut(&self.engine)
+            .distributed_cut(engine)
             .map_err(|e| self.engine_error(&e))?;
         let job = self.registry.register(JobSpec {
             config_json: config.to_json(),
@@ -418,7 +425,7 @@ impl Service {
             ),
         })?;
         schedule
-            .execute_distributed(cut, contributions, runtime, cancel)
+            .execute_distributed(engine, cut, contributions, runtime)
             .map_err(|e| self.engine_error(&e))
     }
 
@@ -486,11 +493,10 @@ impl Service {
     /// hash is a 404 with `X-Cache: miss`; a hit carries `X-Cache: hit`.
     fn handle_solve(
         &self,
+        cancel: Option<&CancelToken>,
         body: &[u8],
-        header_deadline: Option<u64>,
         tenant: &str,
     ) -> Result<Response, Response> {
-        let cancel = self.deadline_token(header_deadline, body)?;
         let parse_started = Instant::now();
         let Ok(text) = std::str::from_utf8(body) else {
             return Err(Response::error(400, "request body is not UTF-8"));
@@ -515,7 +521,7 @@ impl Service {
             recorder.record(parse_started.elapsed().as_secs_f64());
         }
 
-        let Some(factor) = self.factors.get_for(config_hash, tenant) else {
+        let Some(factor) = self.factors.get(config_hash, tenant) else {
             return Err(Response {
                 cache_hit: Some(false),
                 config_hash: Some(config_hash.to_string()),
@@ -541,7 +547,7 @@ impl Service {
         // The batched solve is short and uninterruptible, so the deadline is
         // enforced at its threshold: an already-expired token turns into a
         // 504 here instead of starting the triangular sweeps.
-        if let Some(token) = &cancel {
+        if let Some(token) = cancel {
             if token.is_cancelled() {
                 return Err(self.engine_error(&EngineError::Cancelled {
                     stage: "solve",
@@ -905,7 +911,7 @@ mod tests {
         let hash = response.config_hash.expect("reports carry their hash");
         let held = service
             .cache
-            .get(&hash)
+            .get(&hash, engine::DEFAULT_TENANT)
             .expect("the plan is cached")
             .approx_heap_bytes();
         let charged = service.cache_stats().bytes_used;
@@ -1099,7 +1105,7 @@ mod tests {
         let hash = cold.config_hash.clone().unwrap();
         let factor = service
             .factors
-            .get(&hash)
+            .get(&hash, engine::DEFAULT_TENANT)
             .expect("the cold report deposits");
         let plan_bytes = service.cache_stats().bytes_used;
         assert_eq!(stage_count(&service, "numeric"), 1);
@@ -1121,7 +1127,7 @@ mod tests {
         assert_eq!(stage_count(&service, "numeric"), 1);
         assert_eq!(stage_count(&service, "solve"), 2);
         // Neither a re-deposit nor a plan re-charge.
-        let resident = service.factors.get(&hash).unwrap();
+        let resident = service.factors.get(&hash, engine::DEFAULT_TENANT).unwrap();
         assert!(Arc::ptr_eq(&factor, &resident), "the factor was replaced");
         assert_eq!(service.cache_stats().bytes_used, plan_bytes);
     }
@@ -1136,7 +1142,7 @@ mod tests {
         };
         let first = post(&service, "/report", &config(1));
         let hash = first.config_hash.clone().unwrap();
-        let evicted = service.factors.get(&hash).unwrap();
+        let evicted = service.factors.get(&hash, engine::DEFAULT_TENANT).unwrap();
         assert_eq!(post(&service, "/report", &config(2)).status, 200);
         assert_eq!(service.factor_cache_stats().evictions, 1);
 
@@ -1151,7 +1157,10 @@ mod tests {
             3,
             "the hot report factored"
         );
-        let deposited = service.factors.get(&hash).expect("deposited again");
+        let deposited = service
+            .factors
+            .get(&hash, engine::DEFAULT_TENANT)
+            .expect("deposited again");
         assert!(!Arc::ptr_eq(&evicted, &deposited));
     }
 

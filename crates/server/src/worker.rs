@@ -9,6 +9,8 @@
 //! symbolic structure and produces bit-identical columns.  A worker that
 //! dies simply stops contributing — its lease expires on the coordinator
 //! and the task is re-issued, so no worker-side cleanup protocol exists.
+//! For the same reason the worker plans and factors on the plain,
+//! token-free [`Engine`]: the lease, not a deadline, bounds a task.
 //!
 //! Between claiming a task and factoring it the loop fires the
 //! `parexec:task` fault point — the same point the in-process parallel
@@ -23,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use distrib::{contribution_frame, frame_string, ClaimReply, ClaimRequest};
 use engine::faultinject::FaultSignal;
-use engine::{Engine, PlanCache};
+use engine::{Engine, PlanCache, DEFAULT_TENANT};
 
 use crate::http::Request;
 use crate::service::Service;
@@ -199,7 +201,7 @@ pub fn run_worker(transport: &dyn Transport, options: &WorkerOptions) -> WorkerS
             .map_err(|error| error.to_string())
             .and_then(|config| {
                 plans
-                    .get_or_plan_with_cancel(&engine, &config, None)
+                    .get_or_plan(&engine, &config, DEFAULT_TENANT)
                     .map_err(|error| error.to_string())
             })
             .and_then(|(plan, _)| {

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use distrib::{contribution_frame, ClaimReply, ClusterStats, Contribution, JobRegistry, JobSpec};
 use engine::prelude::*;
-use engine::PlanCache;
+use engine::{PlanCache, DEFAULT_TENANT};
 use server::factors::FactorCache;
 
 const THREADS: usize = 6;
@@ -42,7 +42,7 @@ fn plan_cache_single_flight_survives_a_stampede() {
                 let mut local = Vec::new();
                 for _ in 0..50 {
                     let (plan, hit) = cache
-                        .get_or_plan_with_cancel(&engine, &config, None)
+                        .get_or_plan(&engine, &config, DEFAULT_TENANT)
                         .expect("planning a well-formed config succeeds");
                     if hit {
                         hits.fetch_add(1, Ordering::Relaxed);
@@ -65,9 +65,7 @@ fn plan_cache_single_flight_survives_a_stampede() {
     let stats = cache.stats();
     assert_eq!(stats.hits + stats.misses, (THREADS * 50) as u64);
     assert!(stats.misses < (THREADS * 50) as u64);
-    let (_, hit) = cache
-        .get_or_plan_with_cancel(&engine, &config, None)
-        .unwrap();
+    let (_, hit) = cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
     assert!(hit, "the settled entry must serve follow-up lookups");
 }
 
@@ -101,8 +99,8 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
                     let pick = (worker * 5 + round * 3) % factors.len();
                     let key = format!("hash-{pick}");
                     if (worker + round) % 3 == 0 {
-                        cache.insert(&key, Arc::clone(&factors[pick]));
-                    } else if let Some(factor) = cache.get(&key) {
+                        cache.insert(&key, DEFAULT_TENANT, Arc::clone(&factors[pick]));
+                    } else if let Some(factor) = cache.get(&key, DEFAULT_TENANT) {
                         let rhs = SolveRhs::Generated {
                             count: 1,
                             seed: round as u64 + 1,
