@@ -37,7 +37,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use engine::json::Json;
+use engine::json::{self, Json};
 use engine::prelude::*;
 use server::client::{self, ClientResponse};
 use server::{Server, ServerConfig, ServerHandle};
@@ -294,11 +294,7 @@ fn run_chaos_mode(quick: bool) {
             s if s < reports.len() => chaos_post(addr, "/report", reports[s]),
             s if s == reports.len() => chaos_post(addr, "/plan", &plan_only),
             _ => match &solve_hash {
-                Some(hash) => {
-                    let body =
-                        format!("{{\"config_hash\": \"{hash}\", \"count\": 2, \"seed\": {index}}}");
-                    chaos_post(addr, "/solve", &body)
-                }
+                Some(hash) => chaos_post(addr, "/solve", &solve_body(hash, index as u64)),
                 None => chaos_post(addr, "/report", &numeric),
             },
         };
@@ -559,7 +555,7 @@ fn spawn_worker(
 /// nonzero count and the residual's exact bits (`{:e}` round-trips `f64`
 /// through the parser, so parsed equality is bit equality).
 fn solve_identity(addr: SocketAddr, hash: &str, verdicts: &mut Verdicts) -> Option<(u64, u64)> {
-    let body = format!("{{\"config_hash\": \"{hash}\", \"count\": 2, \"seed\": 11}}");
+    let body = solve_body(hash, 11);
     let response = post_ok(addr, "/solve", &body, "seeded solves stay green", verdicts);
     let json = Json::parse(&response.body).ok()?;
     let nnz = json.get("factor_nnz").and_then(Json::as_u64)?;
@@ -570,6 +566,15 @@ fn solve_identity(addr: SocketAddr, hash: &str, verdicts: &mut Verdicts) -> Opti
         || format!("solve residual {residual:e} above 1e-6"),
     );
     Some((nnz, residual.to_bits()))
+}
+
+/// A `/solve` body: two right-hand sides from `seed`, factor `hash`.
+fn solve_body(hash: &str, seed: u64) -> String {
+    json::document(|doc| {
+        doc.field("config_hash", hash)
+            .field("count", 2u64)
+            .field("seed", seed);
+    })
 }
 
 /// One distributed `/report` against the coordinator: returns the config
@@ -585,7 +590,15 @@ fn distributed_report(
     // sizes the deadline to the run (the full 10⁶-node order serializes
     // coordinator and workers on small hosts, so interactive-scale budgets
     // do not apply).
-    let body = format!("{{\"deadline_ms\": {deadline_ms}, {}", &config[1..]);
+    let Ok(Json::Obj(fields)) = Json::parse(config) else {
+        die("a distributed report's config is not a JSON object");
+    };
+    let body = json::document(|doc| {
+        doc.field("deadline_ms", deadline_ms);
+        for (key, value) in &fields {
+            doc.field(key, value);
+        }
+    });
     let read_timeout = Duration::from_millis(deadline_ms + 30_000);
     let response = client::post_with_timeout(addr, "/report", &body, read_timeout)
         .unwrap_or_else(|e| die(format!("distributed report transport failure: {e}")));
@@ -640,9 +653,7 @@ fn distributed_gate(
     reference: (u64, u64),
     verdicts: &mut Verdicts,
 ) {
-    let workers = section
-        .and_then(|s| s.get("workers"))
-        .and_then(Json::as_u64);
+    let workers = section.and_then(|s| s.field::<u64>("workers").ok());
     verdicts.check(
         "every distributed run uses at least 2 workers",
         workers.unwrap_or(0) >= 2,
@@ -659,10 +670,8 @@ fn distributed_gate(
             )
         },
     );
-    let bytes = section
-        .and_then(|s| s.get("contribution_bytes"))
-        .and_then(Json::as_u64)
-        .unwrap_or(u64::MAX);
+    let bytes = section.and_then(|s| s.field::<u64>("contribution_bytes").ok());
+    let bytes = bytes.unwrap_or(u64::MAX);
     verdicts.check(
         "contributions stay within 20 bytes per factor nonzero",
         bytes as f64 <= MAX_WIRE_BYTES_PER_NONZERO * reference.0 as f64,
@@ -828,13 +837,8 @@ fn run_distributed_mode(quick: bool) {
         .map(|response| response.body)
         .unwrap_or_else(|e| die(format!("coordinator /stats failed: {e}")));
     let stats = Json::parse(&stats_body).unwrap_or(Json::Null);
-    let cluster = |field: &str| {
-        stats
-            .get("cluster")
-            .and_then(|c| c.get(field))
-            .and_then(Json::as_u64)
-            .unwrap_or(u64::MAX)
-    };
+    let cluster = stats.get("cluster").unwrap_or(&Json::Null);
+    let cluster = |field| cluster.field(field).unwrap_or(u64::MAX);
     let (claimed, completed, expired) = (
         cluster("tasks_claimed"),
         cluster("tasks_completed"),
@@ -852,8 +856,7 @@ fn run_distributed_mode(quick: bool) {
     );
     let status_5xx = stats
         .get("responses")
-        .and_then(|r| r.get("status_5xx"))
-        .and_then(Json::as_u64);
+        .and_then(|r| r.field::<u64>("status_5xx").ok());
     verdicts.check(
         "the coordinator answers no non-injected 5xx",
         status_5xx == Some(0),

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use engine::json::escape;
+use engine::json::{self, Array, Fields, Fixed, Writer};
 use engine::parallel::{default_threads, par_map};
 use minio::{divisible_lower_bound, schedule_io_with, PolicyRegistry};
 use treemem::solver::SolverRegistry;
@@ -101,69 +101,22 @@ pub struct SweepReport {
     pub records: Vec<SweepRecord>,
 }
 
-fn json_string_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
-    format!("[{}]", quoted.join(","))
-}
-
 impl SweepReport {
     /// Render the report as a JSON document (schema `minio_sweep/v2`; v2
     /// added the per-cell `cell_seconds` wall-clock field).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"minio_sweep/v2\",\n");
-        out.push_str(&format!("  \"corpus\": \"{}\",\n", escape(&self.corpus)));
-        out.push_str(&format!("  \"trees\": {},\n", self.trees));
-        out.push_str(&format!(
-            "  \"solvers\": {},\n",
-            json_string_array(&self.solvers)
-        ));
-        out.push_str(&format!(
-            "  \"policies\": {},\n",
-            json_string_array(&self.policies)
-        ));
-        let fractions: Vec<String> = self
-            .memory_fractions
-            .iter()
-            .map(|f| format!("{f}"))
-            .collect();
-        out.push_str(&format!(
-            "  \"memory_fractions\": [{}],\n",
-            fractions.join(",")
-        ));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!(
-            "  \"elapsed_seconds\": {:.3},\n",
-            self.elapsed_seconds
-        ));
-        out.push_str("  \"records\": [\n");
-        for (index, r) in self.records.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"instance\": \"{}\", \"nodes\": {}, \"solver\": \"{}\", \
-                 \"solver_peak\": {}, \"memory\": {}, \"fraction\": {}, \"policy\": \"{}\", \
-                 \"io_volume\": {}, \"files_written\": {}, \"divisible_bound\": {}, \
-                 \"cell_seconds\": {:.6}}}{}\n",
-                escape(&r.instance),
-                r.nodes,
-                escape(&r.solver),
-                r.solver_peak,
-                r.memory,
-                r.fraction,
-                escape(&r.policy),
-                r.io_volume,
-                r.files_written,
-                r.divisible_bound,
-                r.cell_seconds,
-                if index + 1 < self.records.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let fractions = self.memory_fractions.iter().copied();
+        json::document(|doc| {
+            doc.field("schema", "minio_sweep/v2")
+                .field("corpus", &self.corpus)
+                .field("trees", self.trees)
+                .field("solvers", Array(&self.solvers))
+                .field("policies", Array(&self.policies))
+                .field("memory_fractions", Array(fractions))
+                .field("threads", self.threads)
+                .field("elapsed_seconds", Fixed(self.elapsed_seconds, 3))
+                .field("records", Array(&self.records));
+        })
     }
 
     /// Total I/O volume per policy, summed over every cell (a coarse ranking
@@ -181,6 +134,23 @@ impl SweepReport {
                 (policy.clone(), total)
             })
             .collect()
+    }
+}
+
+impl Fields for SweepRecord {
+    fn fields(&self, record: &mut Writer<'_>) {
+        record
+            .field("instance", &self.instance)
+            .field("nodes", self.nodes)
+            .field("solver", &self.solver)
+            .field("solver_peak", self.solver_peak)
+            .field("memory", self.memory)
+            .field("fraction", self.fraction)
+            .field("policy", &self.policy)
+            .field("io_volume", self.io_volume)
+            .field("files_written", self.files_written)
+            .field("divisible_bound", self.divisible_bound)
+            .field("cell_seconds", Fixed(self.cell_seconds, 6));
     }
 }
 
@@ -383,6 +353,41 @@ mod tests {
         // Balanced braces and brackets (a cheap structural check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// The sweep document parses to what the hand-formatted renderer wrote
+    /// before the `json::Writer` (only its layout may change).
+    #[test]
+    fn the_sweep_document_keeps_its_fields() {
+        let record = |policy: &str, fraction: f64, io_volume| SweepRecord {
+            instance: "harpoon-\"4\"".to_string(),
+            nodes: 13,
+            solver: "minmem".to_string(),
+            solver_peak: 1203,
+            memory: 802,
+            fraction,
+            policy: policy.to_string(),
+            io_volume,
+            files_written: 2,
+            divisible_bound: 300,
+            cell_seconds: 0.0000125,
+        };
+        let report = SweepReport {
+            corpus: "tiny\ttest corpus".to_string(),
+            trees: 1,
+            solvers: vec!["minmem".to_string(), "liu".to_string()],
+            policies: vec!["LSNF".to_string(), "S3FIFO".to_string()],
+            memory_fractions: vec![0.0, 0.25, 1.0 / 3.0],
+            threads: 2,
+            elapsed_seconds: 1.23456,
+            records: vec![record("LSNF", 0.25, 400), record("S3FIFO", 1.0 / 3.0, 401)],
+        };
+        let doc = report.to_json();
+        let parent = "{\n  \"schema\": \"minio_sweep/v2\",\n  \"corpus\": \"tiny\\ttest corpus\",\n  \"trees\": 1,\n  \"solvers\": [\"minmem\",\"liu\"],\n  \"policies\": [\"LSNF\",\"S3FIFO\"],\n  \"memory_fractions\": [0,0.25,0.3333333333333333],\n  \"threads\": 2,\n  \"elapsed_seconds\": 1.235,\n  \"records\": [\n    {\"instance\": \"harpoon-\\\"4\\\"\", \"nodes\": 13, \"solver\": \"minmem\", \"solver_peak\": 1203, \"memory\": 802, \"fraction\": 0.25, \"policy\": \"LSNF\", \"io_volume\": 400, \"files_written\": 2, \"divisible_bound\": 300, \"cell_seconds\": 0.000013},\n    {\"instance\": \"harpoon-\\\"4\\\"\", \"nodes\": 13, \"solver\": \"minmem\", \"solver_peak\": 1203, \"memory\": 802, \"fraction\": 0.3333333333333333, \"policy\": \"S3FIFO\", \"io_volume\": 401, \"files_written\": 2, \"divisible_bound\": 300, \"cell_seconds\": 0.000013}\n  ]\n}\n";
+        assert_eq!(
+            engine::json::Json::parse(&doc),
+            engine::json::Json::parse(parent)
+        );
     }
 
     #[test]

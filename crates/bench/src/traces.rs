@@ -36,11 +36,10 @@
 //! any eviction decision).
 
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use engine::cache::{CacheConfig, CacheCore, CachePolicy};
-use engine::json::Json;
+use engine::json::{self, Array, Fields, Fixed, Json, Object, Raw, Writer};
 use engine::prelude::*;
 use prng::{Rng, StdRng};
 use server::client;
@@ -85,27 +84,23 @@ impl CellResult {
             self.hits as f64 / total as f64
         }
     }
+}
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"trace\": \"{}\", \"policy\": \"{}\", \"fraction\": {}, \
-             \"capacity_bytes\": {}, \"requests\": {}, \"hits\": {}, \"misses\": {}, \
-             \"hit_rate\": {:.6}, \"evictions\": {}, \"uncacheable\": {}, \
-             \"bytes_used\": {}, \"quota_violations\": {}, \"accounting_ok\": {}}}",
-            self.trace,
-            self.policy,
-            self.fraction,
-            self.capacity_bytes,
-            self.requests,
-            self.hits,
-            self.misses,
-            self.hit_rate(),
-            self.evictions,
-            self.uncacheable,
-            self.bytes_used,
-            self.quota_violations,
-            self.accounting_ok,
-        )
+impl Fields for CellResult {
+    fn fields(&self, cell: &mut Writer<'_>) {
+        cell.field("trace", self.trace)
+            .field("policy", self.policy)
+            .field("fraction", self.fraction)
+            .field("capacity_bytes", self.capacity_bytes)
+            .field("requests", self.requests)
+            .field("hits", self.hits)
+            .field("misses", self.misses)
+            .field("hit_rate", Fixed(self.hit_rate(), 6))
+            .field("evictions", self.evictions)
+            .field("uncacheable", self.uncacheable)
+            .field("bytes_used", self.bytes_used)
+            .field("quota_violations", self.quota_violations)
+            .field("accounting_ok", self.accounting_ok);
     }
 }
 
@@ -541,70 +536,42 @@ pub fn reference_path() -> std::path::PathBuf {
 
 /// Render the reference document for a quick-mode matrix.
 pub fn reference_json(cells: &[CellResult]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"bench_cache_reference/v1\",\n  \"cells\": [\n");
-    for (index, cell) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"trace\": \"{}\", \"policy\": \"{}\", \"fraction\": {}, \
-             \"requests\": {}, \"hits\": {}, \"evictions\": {}}}",
-            cell.trace, cell.policy, cell.fraction, cell.requests, cell.hits, cell.evictions
-        );
-        out.push_str(if index + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let cells = cells.iter().map(|c| {
+        Object(move |cell| {
+            cell.field("trace", c.trace)
+                .field("policy", c.policy)
+                .field("fraction", c.fraction)
+                .field("requests", c.requests)
+                .field("hits", c.hits)
+                .field("evictions", c.evictions);
+        })
+    });
+    json::document(|doc| {
+        doc.field("schema", "bench_cache_reference/v1")
+            .field("cells", Array(cells));
+    })
 }
 
-/// Compare a quick-mode matrix against the committed reference; returns
-/// the mismatches (empty = identical).
+/// Compare a quick-mode matrix against the committed reference, parsed cell
+/// by parsed cell; returns the mismatches (empty = identical).
 pub fn check_reference(cells: &[CellResult], reference: &str) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    let Ok(json) = Json::parse(reference) else {
-        return vec!["reference file is not valid JSON".to_string()];
-    };
-    let Some(reference_cells) = json.get("cells").and_then(Json::as_array) else {
+    let cells_of = |text: &str| Some(Json::parse(text).ok()?.get("cells")?.as_array()?.to_vec());
+    let (Some(expected), Some(actual)) = (cells_of(reference), cells_of(&reference_json(cells)))
+    else {
         return vec!["reference file has no cells array".to_string()];
     };
-    if reference_cells.len() != cells.len() {
-        mismatches.push(format!(
-            "reference has {} cells, this run produced {}",
-            reference_cells.len(),
-            cells.len()
-        ));
-        return mismatches;
+    if expected.len() != actual.len() {
+        let (expected, actual) = (expected.len(), actual.len());
+        return vec![format!(
+            "reference has {expected} cells, this run produced {actual}"
+        )];
     }
-    for (cell, expected) in cells.iter().zip(reference_cells) {
-        let name = format!("{}/{}/{}", cell.trace, cell.policy, cell.fraction);
-        let field = |key: &str| expected.get(key).and_then(Json::as_u64).unwrap_or(u64::MAX);
-        if expected.get("trace").and_then(Json::as_str) != Some(cell.trace)
-            || expected.get("policy").and_then(Json::as_str) != Some(cell.policy)
-        {
-            mismatches.push(format!("{name}: cell order diverged from the reference"));
-            continue;
-        }
-        if field("requests") != cell.requests as u64 {
-            mismatches.push(format!(
-                "{name}: requests {} != reference {}",
-                cell.requests,
-                field("requests")
-            ));
-        }
-        if field("hits") != cell.hits {
-            mismatches.push(format!(
-                "{name}: hits {} != reference {} (replay must be deterministic)",
-                cell.hits,
-                field("hits")
-            ));
-        }
-        if field("evictions") != cell.evictions {
-            mismatches.push(format!(
-                "{name}: evictions {} != reference {}",
-                cell.evictions,
-                field("evictions")
-            ));
-        }
-    }
-    mismatches
+    expected
+        .iter()
+        .zip(&actual)
+        .filter(|(expected, actual)| expected != actual)
+        .map(|(expected, actual)| format!("{actual:?} != reference {expected:?}"))
+        .collect()
 }
 
 /// Matrix-wide gates: GDSF ≥ LRU on the mixed trace at every capacity,
@@ -657,59 +624,74 @@ pub fn bench_json(
     gate_violations: &[String],
 ) -> String {
     let stub_requests: usize = matrix.iter().chain(deep.iter()).map(|c| c.requests).sum();
-    let mut out = String::from("{\n  \"schema\": \"bench_cache/v1\",\n");
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"total_stub_requests\": {stub_requests},");
-    let _ = writeln!(out, "  \"http_requests\": {},", http.requests);
-    let _ = writeln!(
-        out,
-        "  \"policies\": [{}],",
-        CachePolicy::ALL
-            .iter()
-            .map(|p| format!("\"{p}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(
-        out,
-        "  \"capacity_fractions\": [{}],",
-        CAPACITY_FRACTIONS
-            .iter()
-            .map(f64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    out.push_str("  \"matrix\": [\n");
-    for (index, cell) in matrix.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&cell.to_json());
-        out.push_str(if index + 1 < matrix.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"deep\": [\n");
-    for (index, cell) in deep.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&cell.to_json());
-        out.push_str(if index + 1 < deep.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"gates\": {{\"violations\": {}, \"zeta_hits\": {}}},",
-        gate_violations.len() + http.violations.len(),
-        http.zeta_hits
-    );
-    let _ = writeln!(out, "  \"server_stats\": {}", http.stats_body.trim_end());
-    out.push_str("}\n");
-    out
+    let policies = CachePolicy::ALL.iter().map(|policy| policy.name());
+    let gates = Object(|gates| {
+        gates
+            .field("violations", gate_violations.len() + http.violations.len())
+            .field("zeta_hits", http.zeta_hits);
+    });
+    json::document(|doc| {
+        doc.field("schema", "bench_cache/v1")
+            .field("mode", mode)
+            .field("total_stub_requests", stub_requests)
+            .field("http_requests", http.requests)
+            .field("policies", Array(policies))
+            .field("capacity_fractions", Array(CAPACITY_FRACTIONS))
+            .field("matrix", Array(matrix))
+            .field("deep", Array(deep))
+            .field("gates", gates)
+            .field("server_stats", Raw(http.stats_body.trim_end()));
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `bench_cache/v1` and the reference document parse to what the
+    /// hand-formatted renderers wrote before the `json::Writer` (only their
+    /// layout may change).
+    #[test]
+    fn the_cache_documents_keep_their_fields() {
+        let cell = |trace, policy, fraction, hits| CellResult {
+            trace,
+            policy,
+            fraction,
+            capacity_bytes: 65_536,
+            requests: 1000,
+            hits,
+            misses: 1000 - hits,
+            evictions: 17,
+            uncacheable: 1,
+            bytes_used: 60_000,
+            quota_violations: 0,
+            accounting_ok: true,
+        };
+        let matrix = [
+            cell("zipf", "LRU", 0.01, 400),
+            cell("mixed", "GDSF", 0.1, 733),
+        ];
+        let deep = [cell("mixed-deep", "S3FIFO", 0.03, 512)];
+        let http = HttpPassResult {
+            requests: 46,
+            zeta_hits: 20,
+            violations: vec!["one".to_string()],
+            stats_body: "{\n  \"schema\": \"engine_server_stats/v1\",\n  \"workers\": [1,2]\n}\n"
+                .to_string(),
+        };
+        let doc = bench_json("quick", &matrix, &deep, &http, &["two".to_string()]);
+        let parent = "{\n  \"schema\": \"bench_cache/v1\",\n  \"mode\": \"quick\",\n  \"total_stub_requests\": 3000,\n  \"http_requests\": 46,\n  \"policies\": [\"LRU\", \"GDSF\", \"S3FIFO\"],\n  \"capacity_fractions\": [0.01, 0.03, 0.1],\n  \"matrix\": [\n    {\"trace\": \"zipf\", \"policy\": \"LRU\", \"fraction\": 0.01, \"capacity_bytes\": 65536, \"requests\": 1000, \"hits\": 400, \"misses\": 600, \"hit_rate\": 0.400000, \"evictions\": 17, \"uncacheable\": 1, \"bytes_used\": 60000, \"quota_violations\": 0, \"accounting_ok\": true},\n    {\"trace\": \"mixed\", \"policy\": \"GDSF\", \"fraction\": 0.1, \"capacity_bytes\": 65536, \"requests\": 1000, \"hits\": 733, \"misses\": 267, \"hit_rate\": 0.733000, \"evictions\": 17, \"uncacheable\": 1, \"bytes_used\": 60000, \"quota_violations\": 0, \"accounting_ok\": true}\n  ],\n  \"deep\": [\n    {\"trace\": \"mixed-deep\", \"policy\": \"S3FIFO\", \"fraction\": 0.03, \"capacity_bytes\": 65536, \"requests\": 1000, \"hits\": 512, \"misses\": 488, \"hit_rate\": 0.512000, \"evictions\": 17, \"uncacheable\": 1, \"bytes_used\": 60000, \"quota_violations\": 0, \"accounting_ok\": true}\n  ],\n  \"gates\": {\"violations\": 2, \"zeta_hits\": 20},\n  \"server_stats\": {\n  \"schema\": \"engine_server_stats/v1\",\n  \"workers\": [1,2]\n}\n}\n";
+        assert_eq!(Json::parse(&doc), Json::parse(parent));
+        let reference = reference_json(&matrix);
+        assert!(check_reference(&matrix, &reference).is_empty());
+        let drifted = [
+            cell("zipf", "LRU", 0.01, 400),
+            cell("mixed", "GDSF", 0.1, 732),
+        ];
+        assert_eq!(check_reference(&drifted, &reference).len(), 1);
+        let parent = "{\n  \"schema\": \"bench_cache_reference/v1\",\n  \"cells\": [\n    {\"trace\": \"zipf\", \"policy\": \"LRU\", \"fraction\": 0.01, \"requests\": 1000, \"hits\": 400, \"evictions\": 17},\n    {\"trace\": \"mixed\", \"policy\": \"GDSF\", \"fraction\": 0.1, \"requests\": 1000, \"hits\": 733, \"evictions\": 17}\n  ]\n}\n";
+        assert_eq!(Json::parse(&reference), Json::parse(parent));
+    }
 
     #[test]
     fn capacities_are_distinct_and_hold_an_item() {

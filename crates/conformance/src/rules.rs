@@ -92,6 +92,15 @@ pub const RULES: &[Rule] = &[
                   in the same file. Sites whose stage is fenced another way (lease expiry,\n\
                   unwind containment) need an ALLOWLIST entry explaining the fence.",
     },
+    Rule {
+        name: "json-through-writer",
+        summary: "no JSON object keys in string literals outside engine::json: use json::Writer",
+        explain: "`engine::json::Writer` owns separators, escaping, `null` floats and the\n\
+                  one layout byte-stable documents depend on; a string literal holding an\n\
+                  escaped-quote key and a colon is a hand-rolled renderer. Scope: non-test code\n\
+                  under `crates/` except `crates/engine/src/json.rs`. An ALLOWLIST entry\n\
+                  must say why the literal cannot go through the writer.",
+    },
 ];
 
 pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
@@ -136,7 +145,7 @@ pub const ALLOWLIST: &[AllowEntry] = &[
     AllowEntry {
         rule: "no-panic-in-request-path",
         path_suffix: "distrib/src/wire.rs",
-        needle: "u32::try_from(value).expect(\"row index exceeds the u32 wire range\")",
+        needle: "u32::try_from(column).expect(\"column index exceeds the u32 wire range\")",
         reason: "encode side, documented panic: indices come from locally validated matrices",
     },
     AllowEntry {
@@ -264,6 +273,7 @@ pub fn check_file(path: &str, lexed: &LexedFile, out: &mut Vec<Violation>) {
     check_no_truncating_casts(path, lexed, out);
     check_no_panic_in_request_path(path, lexed, out);
     check_cancel_poll_coverage(path, lexed, out);
+    check_json_through_writer(path, lexed, out);
 }
 
 /// Apply the allowlist to raw findings. Returns the surviving violations plus
@@ -569,6 +579,40 @@ fn check_cancel_poll_coverage(path: &str, lexed: &LexedFile, out: &mut Vec<Viola
                     "fault point `{point}` has no cancellation poll within {POLL_WINDOW} \
                      lines: poll `is_cancelled` / `check(cancel, ..)` in the same stage"
                 ),
+            });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// json-through-writer
+// ---------------------------------------------------------------------------
+
+fn check_json_through_writer(path: &str, lexed: &LexedFile, out: &mut Vec<Violation>) {
+    if !path.starts_with("crates/") || path.ends_with("engine/src/json.rs") || is_test_path(path) {
+        return;
+    }
+    // An escaped-quote key — letters, digits, `_-.` and format braces — then
+    // a colon.
+    let is_key = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | '{' | '}');
+    let quote = "\\\"";
+    for span in lexed.spans.iter().filter(|span| span.kind == SpanKind::Str) {
+        let literal = &lexed.text[span.start..span.end];
+        let key_at = literal.match_indices(quote).find_map(|(at, _)| {
+            let key = &literal[at + quote.len()..];
+            let rest = key[key.find(|c| !is_key(c)).unwrap_or(key.len())..].strip_prefix(quote)?;
+            rest.trim_start_matches(' ').starts_with(':').then_some(at)
+        });
+        let Some(line) = key_at.map(|at| lexed.line_of(span.start + at)) else {
+            continue;
+        };
+        if !lexed.is_test_line(line) {
+            out.push(Violation {
+                rule: "json-through-writer",
+                path: path.to_string(),
+                line,
+                message: "JSON object key in a string literal: use `engine::json::Writer`"
+                    .to_string(),
             });
         }
     }

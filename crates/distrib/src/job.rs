@@ -433,21 +433,19 @@ impl Job {
             .iter()
             .filter(|task| matches!(task.phase, Phase::Leased { .. }))
             .count();
-        format!(
-            "{{\"job\": {}, \"tasks\": {}, \"completed\": {}, \"leased\": {}, \
-             \"pending\": {}, \"claimed\": {}, \"requeued\": {}, \"lease_expiries\": {}, \
-             \"contribution_bytes\": {}, \"done\": {}}}",
-            self.id,
-            state.tasks.len(),
-            state.completed,
-            leased,
-            state.tasks.len() - state.completed - leased,
-            state.claimed,
-            state.requeued,
-            state.lease_expiries,
-            state.contribution_bytes,
-            state.completed == state.tasks.len(),
-        )
+        let pending = state.tasks.len() - state.completed - leased;
+        engine::json::document(|doc| {
+            doc.field("job", self.id)
+                .field("tasks", state.tasks.len())
+                .field("completed", state.completed)
+                .field("leased", leased)
+                .field("pending", pending)
+                .field("claimed", state.claimed)
+                .field("requeued", state.requeued)
+                .field("lease_expiries", state.lease_expiries)
+                .field("contribution_bytes", state.contribution_bytes)
+                .field("done", state.completed == state.tasks.len());
+        })
     }
 }
 
@@ -634,6 +632,24 @@ mod tests {
         let frame = contribution_frame(task.job, task.task, task.epoch, worker, 0.25, parts);
         let bytes = frame.len() as u64;
         (Contribution::from_frame(&frame).unwrap(), bytes)
+    }
+
+    /// The progress document parses to what the hand-formatted renderer
+    /// wrote before the `json::Writer` (only its layout may change).
+    #[test]
+    fn progress_documents_keep_their_fields() {
+        let registry = registry();
+        let job = registry.register(spec(vec![5, 5, 5], vec![0, 0, 0], None));
+        let first = job.try_claim("w-a").unwrap();
+        let (contribution, bytes) = contribution_for(&first, 0);
+        registry.contribute(contribution, bytes).unwrap();
+        job.try_claim("w-b").unwrap();
+        let progress = job.progress_json();
+        let parent = "{\"job\": 1, \"tasks\": 3, \"completed\": 1, \"leased\": 1, \"pending\": 1, \"claimed\": 2, \"requeued\": 0, \"lease_expiries\": 0, \"contribution_bytes\": 196, \"done\": false}";
+        assert_eq!(
+            engine::json::Json::parse(&progress).unwrap(),
+            engine::json::Json::parse(parent).unwrap()
+        );
     }
 
     #[test]

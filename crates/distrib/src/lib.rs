@@ -2,8 +2,8 @@
 //!
 //! One factorization, several OS processes.  A **coordinator** plans once,
 //! runs the proportional cut, and exposes three internal endpoints; a fleet
-//! of **workers** polls `claim`, factors subtrees with the blocked kernel,
-//! and streams the results back:
+//! of **workers** polls `claim`, factors subtrees with the same column loop
+//! as a single-process run, and streams the results back:
 //!
 //! ```text
 //!   worker ── POST /internal/claim ──────▶ coordinator   (lease a subtree)

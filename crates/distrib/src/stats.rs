@@ -11,6 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use engine::json::{Array, Fields, Writer};
 use treemem::sync::TrackedMutex;
 
 /// Shared counter block; one per coordinator process.
@@ -114,29 +115,19 @@ pub(crate) fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-impl ClusterSnapshot {
-    /// Render as the `cluster` object of the serving layer's `/stats`
-    /// document.
-    pub fn to_json_fragment(&self) -> String {
-        let workers = self
-            .workers
-            .iter()
-            .map(|worker| format!("\"{}\"", engine::json::escape(worker)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"workers\": [{workers}], \"jobs_started\": {}, \"jobs_completed\": {}, \
-             \"tasks_claimed\": {}, \"tasks_completed\": {}, \"tasks_requeued\": {}, \
-             \"lease_expiries\": {}, \"stale_contributions\": {}, \"contribution_bytes\": {}}}",
-            self.jobs_started,
-            self.jobs_completed,
-            self.tasks_claimed,
-            self.tasks_completed,
-            self.tasks_requeued,
-            self.lease_expiries,
-            self.stale_contributions,
-            self.contribution_bytes,
-        )
+/// The `cluster` object of the serving layer's `/stats` document.
+impl Fields for ClusterSnapshot {
+    fn fields(&self, cluster: &mut Writer<'_>) {
+        cluster
+            .field("workers", Array(&self.workers))
+            .field("jobs_started", self.jobs_started)
+            .field("jobs_completed", self.jobs_completed)
+            .field("tasks_claimed", self.tasks_claimed)
+            .field("tasks_completed", self.tasks_completed)
+            .field("tasks_requeued", self.tasks_requeued)
+            .field("lease_expiries", self.lease_expiries)
+            .field("stale_contributions", self.stale_contributions)
+            .field("contribution_bytes", self.contribution_bytes);
     }
 }
 
@@ -160,7 +151,8 @@ mod tests {
         stats.note_worker("w-\"quoted\"");
         bump(&stats.tasks_claimed);
         bump(&stats.tasks_completed);
-        let json = Json::parse(&stats.snapshot().to_json_fragment()).unwrap();
+        let text = engine::json::line(|cluster| stats.snapshot().fields(cluster));
+        let json = Json::parse(&text).unwrap();
         assert_eq!(json.get("tasks_claimed").and_then(Json::as_u64), Some(1));
         assert_eq!(
             json.get("workers")

@@ -23,9 +23,7 @@
 //! only index vector left is the task's column `order` in the claim reply,
 //! as concatenated 8-hex-digit `u32`s.
 
-use std::fmt::Write;
-
-use engine::json::{escape, Json, JsonError};
+use engine::json::{self, Array, FieldError, Fixed, Hex, Json, JsonError, Writer};
 use engine::{EngineConfig, SubtreeParts};
 use multifrontal::{ContributionStore, DenseMatrix};
 
@@ -110,6 +108,12 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<FieldError> for WireError {
+    fn from(err: FieldError) -> Self {
+        WireError::Field(err.0)
+    }
+}
+
 impl From<JsonError> for WireError {
     fn from(err: JsonError) -> Self {
         WireError::Json(err.to_string())
@@ -177,81 +181,37 @@ pub fn decode_frame(bytes: &[u8]) -> Result<&str, WireError> {
     std::str::from_utf8(body).map_err(|_| WireError::Json("body is not UTF-8".to_string()))
 }
 
-/// Append `values` to `out` as concatenated 16-hex-digit IEEE-754 bit
-/// patterns (straight into the frame body: the factor values are the bulk of
-/// a contribution and are not worth a second copy).
-fn push_hex_f64s(out: &mut String, values: &[f64]) {
-    out.reserve(values.len() * 16);
-    for value in values {
-        let _ = write!(out, "{:016x}", value.to_bits());
+/// Unpack a [`Hex`] payload of `digits`-wide items, each through `item`.
+fn parse_hex<T>(
+    text: &str,
+    digits: usize,
+    field: &'static str,
+    item: impl Fn(u64) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    if !text.len().is_multiple_of(digits) || !text.is_ascii() {
+        return Err(WireError::BadHex(field));
     }
+    let mut values = Vec::with_capacity(text.len() / digits);
+    for chunk in text.as_bytes().chunks_exact(digits) {
+        let digits = std::str::from_utf8(chunk).ok();
+        let bits = digits.and_then(|digits| u64::from_str_radix(digits, 16).ok());
+        values.push(item(bits.ok_or(WireError::BadHex(field))?)?);
+    }
+    Ok(values)
 }
 
-/// Unpack [`push_hex_f64s`], rejecting malformed hex and non-finite values.
+/// Unpack an [`f64s`] payload, rejecting malformed hex and non-finite
+/// values.
 fn parse_hex_f64s(text: &str, field: &'static str) -> Result<Vec<f64>, WireError> {
-    if !text.len().is_multiple_of(16) || !text.is_ascii() {
-        return Err(WireError::BadHex(field));
-    }
-    let mut values = Vec::with_capacity(text.len() / 16);
-    for chunk in text.as_bytes().chunks_exact(16) {
-        let digits = std::str::from_utf8(chunk).map_err(|_| WireError::BadHex(field))?;
-        let bits = u64::from_str_radix(digits, 16).map_err(|_| WireError::BadHex(field))?;
-        let value = f64::from_bits(bits);
-        if !value.is_finite() {
-            return Err(WireError::NonFinite(field));
-        }
-        values.push(value);
-    }
-    Ok(values)
+    parse_hex(text, 16, field, |bits| match f64::from_bits(bits) {
+        value if value.is_finite() => Ok(value),
+        _ => Err(WireError::NonFinite(field)),
+    })
 }
 
-/// Pack column indices as concatenated 8-hex-digit `u32`s.  Panics if an
-/// index exceeds `u32::MAX` — matrix dimensions are capped far below that.
-fn hex_u32s(values: &[usize]) -> String {
-    let mut out = String::with_capacity(values.len() * 8);
-    for &value in values {
-        let narrow = u32::try_from(value).expect("row index exceeds the u32 wire range");
-        out.push_str(&format!("{narrow:08x}"));
-    }
-    out
-}
-
-/// Unpack [`hex_u32s`].
-fn parse_hex_u32s(text: &str, field: &'static str) -> Result<Vec<usize>, WireError> {
-    if !text.len().is_multiple_of(8) || !text.is_ascii() {
-        return Err(WireError::BadHex(field));
-    }
-    let mut values = Vec::with_capacity(text.len() / 8);
-    for chunk in text.as_bytes().chunks_exact(8) {
-        let digits = std::str::from_utf8(chunk).map_err(|_| WireError::BadHex(field))?;
-        let value = u32::from_str_radix(digits, 16).map_err(|_| WireError::BadHex(field))?;
-        let wide = usize::try_from(value).map_err(|_| WireError::BadHex(field))?;
-        values.push(wide);
-    }
-    Ok(values)
-}
-
-fn field<'a>(json: &'a Json, name: &'static str) -> Result<&'a Json, WireError> {
-    json.get(name).ok_or(WireError::Field(name))
-}
-
-fn u64_field(json: &Json, name: &'static str) -> Result<u64, WireError> {
-    field(json, name)?.as_u64().ok_or(WireError::Field(name))
-}
-
-fn usize_field(json: &Json, name: &'static str) -> Result<usize, WireError> {
-    field(json, name)?.as_usize().ok_or(WireError::Field(name))
-}
-
-fn str_field<'a>(json: &'a Json, name: &'static str) -> Result<&'a str, WireError> {
-    field(json, name)?.as_str().ok_or(WireError::Field(name))
-}
-
-fn check_type(json: &Json, expected: &'static str) -> Result<(), WireError> {
-    match json.get("type").and_then(Json::as_str) {
-        Some(kind) if kind == expected => Ok(()),
-        _ => Err(WireError::Field("type")),
-    }
+/// `values` as one hex payload of IEEE-754 bit patterns.
+fn f64s(values: impl IntoIterator<Item = f64>) -> Hex<impl Iterator<Item = u64>> {
+    Hex(values.into_iter().map(f64::to_bits))
 }
 
 /// One subtree task as the coordinator issues it to a worker: the job and
@@ -276,36 +236,45 @@ pub struct SubtreeTask {
 
 impl SubtreeTask {
     /// Render as a claim-response frame.
+    /// Panics if a column index exceeds `u32::MAX` — matrix dimensions are
+    /// capped far below that.
     pub fn to_frame(&self) -> Vec<u8> {
-        let body = format!(
-            "{{\"schema\": \"{WIRE_SCHEMA}\", \"type\": \"task\", \"job\": {}, \
-             \"task\": {}, \"epoch\": {}, \"lease_ms\": {}, \"config\": \"{}\", \
-             \"order\": \"{}\"}}",
-            self.job,
-            self.task,
-            self.epoch,
-            self.lease_ms,
-            escape(&self.config),
-            hex_u32s(&self.order),
-        );
-        encode_frame(&body)
+        let order = self
+            .order
+            .iter()
+            .map(|&column| u32::try_from(column).expect("column index exceeds the u32 wire range"));
+        encode_frame(&json::line(|frame| {
+            frame
+                .field("schema", WIRE_SCHEMA)
+                .field("type", "task")
+                .field("job", self.job)
+                .field("task", self.task)
+                .field("epoch", self.epoch)
+                .field("lease_ms", self.lease_ms)
+                .field("config", &self.config)
+                .field("order", Hex(order));
+        }))
     }
 
     /// Parse a claim-response body previously produced by
     /// [`SubtreeTask::to_frame`].
     pub fn from_json(json: &Json) -> Result<SubtreeTask, WireError> {
-        check_type(json, "task")?;
-        let config = str_field(json, "config")?.to_string();
+        if json.field::<&str>("type")? != "task" {
+            return Err(WireError::Field("type"));
+        }
+        let config = json.field::<&str>("config")?.to_string();
         // Validate the embedded configuration eagerly: a worker must learn
         // about a corrupt config at claim time, not deep inside planning.
         EngineConfig::from_json(&config).map_err(|err| WireError::Config(err.to_string()))?;
         Ok(SubtreeTask {
-            job: u64_field(json, "job")?,
-            task: usize_field(json, "task")?,
-            epoch: u64_field(json, "epoch")?,
-            lease_ms: u64_field(json, "lease_ms")?,
+            job: json.field("job")?,
+            task: json.field("task")?,
+            epoch: json.field("epoch")?,
+            lease_ms: json.field("lease_ms")?,
             config,
-            order: parse_hex_u32s(str_field(json, "order")?, "order")?,
+            order: parse_hex(json.field("order")?, 8, "order", |column| {
+                usize::try_from(column).map_err(|_| WireError::BadHex("order"))
+            })?,
         })
     }
 }
@@ -330,24 +299,27 @@ impl ClaimReply {
     pub fn to_frame(&self) -> Vec<u8> {
         match self {
             ClaimReply::Task(task) => task.to_frame(),
-            ClaimReply::Wait { retry_ms } => encode_frame(&format!(
-                "{{\"schema\": \"{WIRE_SCHEMA}\", \"type\": \"wait\", \"retry_ms\": {retry_ms}}}"
-            )),
-            ClaimReply::Idle => encode_frame(&format!(
-                "{{\"schema\": \"{WIRE_SCHEMA}\", \"type\": \"idle\"}}"
-            )),
+            ClaimReply::Wait { retry_ms } => encode_frame(&json::line(|frame| {
+                frame
+                    .field("schema", WIRE_SCHEMA)
+                    .field("type", "wait")
+                    .field("retry_ms", *retry_ms);
+            })),
+            ClaimReply::Idle => encode_frame(&json::line(|frame| {
+                frame.field("schema", WIRE_SCHEMA).field("type", "idle");
+            })),
         }
     }
 
     /// Decode a claim-response frame.
     pub fn from_frame(bytes: &[u8]) -> Result<ClaimReply, WireError> {
         let json = Json::parse(decode_frame(bytes)?)?;
-        match json.get("type").and_then(Json::as_str) {
-            Some("task") => Ok(ClaimReply::Task(Box::new(SubtreeTask::from_json(&json)?))),
-            Some("wait") => Ok(ClaimReply::Wait {
-                retry_ms: u64_field(&json, "retry_ms")?,
+        match json.field("type")? {
+            "task" => Ok(ClaimReply::Task(Box::new(SubtreeTask::from_json(&json)?))),
+            "wait" => Ok(ClaimReply::Wait {
+                retry_ms: json.field("retry_ms")?,
             }),
-            Some("idle") => Ok(ClaimReply::Idle),
+            "idle" => Ok(ClaimReply::Idle),
             _ => Err(WireError::Field("type")),
         }
     }
@@ -364,19 +336,23 @@ pub struct ClaimRequest {
 impl ClaimRequest {
     /// Render as a frame.
     pub fn to_frame(&self) -> Vec<u8> {
-        encode_frame(&format!(
-            "{{\"schema\": \"{WIRE_SCHEMA}\", \"type\": \"claim\", \"worker\": \"{}\"}}",
-            escape(&self.worker)
-        ))
+        encode_frame(&json::line(|frame| {
+            frame
+                .field("schema", WIRE_SCHEMA)
+                .field("type", "claim")
+                .field("worker", &self.worker);
+        }))
     }
 
     /// Decode a claim-request frame.
     pub fn from_frame(bytes: &[u8]) -> Result<ClaimRequest, WireError> {
         let json = Json::parse(decode_frame(bytes)?)?;
-        check_type(&json, "claim")?;
-        Ok(ClaimRequest {
-            worker: str_field(&json, "worker")?.to_string(),
-        })
+        match json.field("type")? {
+            "claim" => Ok(ClaimRequest {
+                worker: json.field::<&str>("worker")?.to_string(),
+            }),
+            _ => Err(WireError::Field("type")),
+        }
     }
 }
 
@@ -392,35 +368,32 @@ pub fn contribution_frame(
     parts: &SubtreeParts,
 ) -> Vec<u8> {
     let mut body = String::with_capacity(256 + parts.values.len() * 16);
-    let _ = write!(
-        body,
-        "{{\"schema\": \"{WIRE_SCHEMA}\", \"type\": \"contribution\", \"job\": {job}, \
-         \"task\": {task}, \"epoch\": {epoch}, \"worker\": \"{}\", \
-         \"busy_seconds\": {busy_seconds:.6}, \"values\": \"",
-        escape(worker),
-    );
-    push_hex_f64s(&mut body, &parts.values);
-    body.push_str("\", \"blocks\": [");
     // By increasing column: deterministic wire bytes for identical parts.
-    for (index, (column, block)) in parts.blocks.iter().enumerate() {
-        if index > 0 {
-            body.push(',');
-        }
+    // Only a block's lower triangle is defined (`DenseMatrix::column_major`):
+    // the entries above the diagonal go out as +0.0, so the bytes are a
+    // function of the lower triangle alone.  (`max(1)`: a 0 × 0 block has no
+    // column, and `chunks(0)` panics.)
+    let blocks = parts.blocks.iter().map(|(column, block)| {
         let n = block.n();
-        let _ = write!(body, "[{column},{n},\"");
-        // Only a block's lower triangle is defined (`DenseMatrix::column_major`):
-        // the entries above the diagonal go out as +0.0, so the bytes are a
-        // function of the lower triangle alone.  (`max(1)`: a 0 × 0 block
-        // has no column, and `chunks(0)` panics.)
-        for (j, values) in block.column_major().chunks(n.max(1)).enumerate() {
-            for _ in 0..j {
-                body.push_str("0000000000000000");
-            }
-            push_hex_f64s(&mut body, values.get(j..).unwrap_or_default());
-        }
-        body.push_str("\"]");
-    }
-    body.push_str("]}");
+        let columns = block.column_major().chunks(n.max(1)).enumerate();
+        let values = columns.flat_map(|(j, entries)| {
+            let lower = entries.get(j..).unwrap_or_default().iter().copied();
+            std::iter::repeat_n(0.0, j).chain(lower)
+        });
+        (column, n, f64s(values))
+    });
+    let mut frame = Writer::line(&mut body);
+    frame
+        .field("schema", WIRE_SCHEMA)
+        .field("type", "contribution")
+        .field("job", job)
+        .field("task", task)
+        .field("epoch", epoch)
+        .field("worker", worker)
+        .field("busy_seconds", Fixed(busy_seconds, 6))
+        .field("values", f64s(parts.values.iter().copied()))
+        .field("blocks", Array(blocks));
+    let _ = frame.end();
     encode_frame(&body)
 }
 
@@ -449,32 +422,30 @@ impl Contribution {
     /// [`crate::Job::contribute`] to decide.
     pub fn from_frame(bytes: &[u8]) -> Result<Contribution, WireError> {
         let json = Json::parse(decode_frame(bytes)?)?;
-        check_type(&json, "contribution")?;
-        let busy_seconds = field(&json, "busy_seconds")?
-            .as_f64()
-            .ok_or(WireError::Field("busy_seconds"))?;
+        if json.field::<&str>("type")? != "contribution" {
+            return Err(WireError::Field("type"));
+        }
+        let busy_seconds: f64 = json.field("busy_seconds")?;
         if !busy_seconds.is_finite() || busy_seconds < 0.0 {
             return Err(WireError::NonFinite("busy_seconds"));
         }
-        let values = parse_hex_f64s(str_field(&json, "values")?, "values")?;
+        let values = parse_hex_f64s(json.field("values")?, "values")?;
 
-        let entries = field(&json, "blocks")?
-            .as_array()
-            .ok_or(WireError::Field("blocks"))?;
+        let entries: &[Json] = json.field("blocks")?;
         let mut blocks = ContributionStore::new();
         for entry in entries {
-            let triple = entry.as_array().ok_or(WireError::Field("blocks"))?;
-            let [column, n, values] = triple else {
-                return Err(WireError::Field("blocks"));
+            let bad = WireError::Field("blocks");
+            let Some([column, n, values]) = entry.as_array() else {
+                return Err(bad);
             };
-            let column = column.as_usize().ok_or(WireError::Field("blocks"))?;
-            let n = n.as_usize().ok_or(WireError::Field("blocks"))?;
-            let values = parse_hex_f64s(
-                values.as_str().ok_or(WireError::Field("blocks"))?,
-                "blocks.values",
-            )?;
+            let (Some(column), Some(n), Some(values)) =
+                (column.as_usize(), n.as_usize(), values.as_str())
+            else {
+                return Err(bad);
+            };
+            let values = parse_hex_f64s(values, "blocks.values")?;
             if n.checked_mul(n) != Some(values.len()) {
-                return Err(WireError::Field("blocks"));
+                return Err(bad);
             }
             blocks.insert(column, DenseMatrix::from_column_major(n, values));
         }
@@ -484,10 +455,10 @@ impl Contribution {
         }
 
         Ok(Contribution {
-            job: u64_field(&json, "job")?,
-            task: usize_field(&json, "task")?,
-            epoch: u64_field(&json, "epoch")?,
-            worker: str_field(&json, "worker")?.to_string(),
+            job: json.field("job")?,
+            task: json.field("task")?,
+            epoch: json.field("epoch")?,
+            worker: json.field::<&str>("worker")?.to_string(),
             busy_seconds,
             parts: SubtreeParts { values, blocks },
         })
@@ -506,6 +477,46 @@ mod tests {
             values: vec![2.0, -0.5, 1.25],
             blocks,
         }
+    }
+
+    /// Literal frames of every message type, captured from the
+    /// hand-formatted renderers the `json::Writer` replaced: every byte of a
+    /// frame is a contract between coordinator and worker processes.
+    #[test]
+    fn rendered_frames_are_stable() {
+        let frame = |bytes: Vec<u8>| String::from_utf8(bytes).unwrap();
+        let claim = ClaimRequest {
+            worker: "w-\"1\"\n".to_string(),
+        };
+        assert_eq!(
+            frame(claim.to_frame()),
+            "distrib_wire/v2 69\n{\"schema\": \"distrib_wire/v2\", \"type\": \"claim\", \"worker\": \"w-\\\"1\\\"\\n\"}"
+        );
+        assert_eq!(
+            frame(ClaimReply::Wait { retry_ms: 250 }.to_frame()),
+            "distrib_wire/v2 62\n{\"schema\": \"distrib_wire/v2\", \"type\": \"wait\", \"retry_ms\": 250}"
+        );
+        assert_eq!(
+            frame(ClaimReply::Idle.to_frame()),
+            "distrib_wire/v2 45\n{\"schema\": \"distrib_wire/v2\", \"type\": \"idle\"}"
+        );
+        let task = SubtreeTask {
+            job: 3,
+            task: 1,
+            epoch: 2,
+            lease_ms: 5_000,
+            config: "{\n  \"solver\": \"é\\\\\"\n}\n".to_string(),
+            order: vec![5, 3, 8, 4_000_000],
+        };
+        assert_eq!(
+            frame(ClaimReply::Task(Box::new(task)).to_frame()),
+            "distrib_wire/v2 187\n{\"schema\": \"distrib_wire/v2\", \"type\": \"task\", \"job\": 3, \"task\": 1, \"epoch\": 2, \"lease_ms\": 5000, \"config\": \"{\\n  \\\"solver\\\": \\\"é\\\\\\\\\\\"\\n}\\n\", \"order\": \"000000050000000300000008003d0900\"}"
+        );
+        let contribution = contribution_frame(9, 2, 4, "w-0", 0.125, &sample_parts());
+        assert_eq!(
+            frame(contribution),
+            "distrib_wire/v2 277\n{\"schema\": \"distrib_wire/v2\", \"type\": \"contribution\", \"job\": 9, \"task\": 2, \"epoch\": 4, \"worker\": \"w-0\", \"busy_seconds\": 0.125000, \"values\": \"4000000000000000bfe00000000000003ff4000000000000\", \"blocks\": [[7,2,\"4010000000000000bff80000000000000000000000000000400a000000000000\"]]}"
+        );
     }
 
     #[test]
@@ -541,11 +552,17 @@ mod tests {
         ));
     }
 
+    /// A hex payload's digits, without the quotes.
+    fn digits(payload: impl engine::json::Value) -> String {
+        let mut text = String::new();
+        payload.write_json(&mut text).unwrap();
+        text.trim_matches('"').to_string()
+    }
+
     #[test]
     fn hex_vectors_are_bit_exact() {
         let values = [0.1, -0.0, f64::MIN_POSITIVE, 1e300, -3.5];
-        let mut packed = String::new();
-        push_hex_f64s(&mut packed, &values);
+        let packed = digits(f64s(values));
         let unpacked = parse_hex_f64s(&packed, "test").unwrap();
         for (a, b) in values.iter().zip(&unpacked) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -558,8 +575,9 @@ mod tests {
             parse_hex_f64s("xyz", "test"),
             Err(WireError::BadHex("test"))
         ));
-        let rows = [0usize, 17, 4_000_000];
-        assert_eq!(parse_hex_u32s(&hex_u32s(&rows), "test").unwrap(), rows);
+        let rows = [0u32, 17, 4_000_000];
+        let unpacked = parse_hex(&digits(Hex(rows)), 8, "test", Ok).unwrap();
+        assert_eq!(unpacked, rows.map(u64::from));
     }
 
     #[test]

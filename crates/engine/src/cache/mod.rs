@@ -25,6 +25,8 @@ pub mod core;
 pub mod plan;
 pub mod policy;
 
+use crate::json::{Fields, Fixed, Object, Writer};
+
 pub use self::core::{fingerprint64, Admission, CacheConfig, CacheCore};
 pub use plan::{PlanCache, DEFAULT_TENANT};
 pub use policy::CachePolicy;
@@ -65,6 +67,40 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+/// A cache's `/stats` section; unbounded capacities (`u64::MAX` bytes, 0
+/// entries) are `null`, and each tenant's usage sits under its name.
+impl Fields for CacheStats {
+    fn fields(&self, cache: &mut Writer<'_>) {
+        let bounded = self.bytes_capacity != u64::MAX;
+        let tenants = Object(|tenants| {
+            for usage in &self.per_tenant {
+                let fields = Object(|tenant| {
+                    tenant
+                        .field("bytes", usage.bytes)
+                        .field("entries", usage.entries)
+                        .field("hits", usage.hits)
+                        .field("misses", usage.misses)
+                        .field("uncacheable", usage.uncacheable);
+                });
+                tenants.field(&usage.tenant, fields);
+            }
+        });
+        cache
+            .field("policy", self.policy.name())
+            .field("bytes_capacity", bounded.then_some(self.bytes_capacity))
+            .field("bytes_used", self.bytes_used)
+            .field("max_entries", (self.capacity != 0).then_some(self.capacity))
+            .field("entries", self.entries)
+            .field("hits", self.hits)
+            .field("misses", self.misses)
+            .field("hit_rate", Fixed(self.hit_rate(), 6))
+            .field("evictions", self.evictions)
+            .field("expirations", self.expirations)
+            .field("uncacheable", self.uncacheable)
+            .field("tenants", tenants);
     }
 }
 

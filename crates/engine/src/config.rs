@@ -9,8 +9,9 @@
 //!
 //! # One renderer, any sink
 //!
-//! The `engine_config/v1` document is written by one private renderer over
-//! [`std::fmt::Write`], in two parts: the head up to the `source` line
+//! The `engine_config/v1` document is written by one
+//! [`json::Writer`](crate::json::Writer) over any [`std::fmt::Write`], in
+//! two parts: the head up to the `source` line
 //! (`render_source` — the only part that can be large) and the settings
 //! tail (`Settings::render`).  [`EngineConfig::to_json`] points it at a
 //! `String`; [`EngineConfig::hash`] points it at `Fnv1a`, a running FNV-1a
@@ -30,7 +31,7 @@
 //! the finished-from-saved-state hashes to [`EngineConfig::hash`] of the
 //! effective configuration.
 
-use std::fmt::{self, Display, Write};
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 use ordering::OrderingMethod;
@@ -38,7 +39,7 @@ use sparsemat::gen::ProblemKind;
 use treemem::tree::Size;
 use treemem::Tree;
 
-use crate::json::{write_array, AsJson, Json, JsonError, Quoted};
+use crate::json::{Array, FieldError, Fields, Json, JsonError, Writer};
 
 /// Where the problem comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,17 +82,19 @@ pub enum MemoryBudget {
     FractionOfPeak(f64),
 }
 
-impl Display for AsJson<&MemoryBudget> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            MemoryBudget::Unlimited => f.write_str("{\"type\": \"unlimited\"}"),
-            MemoryBudget::Absolute(size) => {
-                write!(f, "{{\"type\": \"absolute\", \"value\": {size}}}")
+impl Fields for MemoryBudget {
+    fn fields(&self, budget: &mut Writer<'_>) {
+        // An `f64` value is the shortest text that parses back to the same
+        // value, so the round-trip is exact.
+        match self {
+            MemoryBudget::Unlimited => {
+                budget.field("type", "unlimited");
             }
-            // `{}` on f64 prints the shortest representation that parses
-            // back to the same value, so the round-trip is exact.
+            MemoryBudget::Absolute(size) => {
+                budget.field("type", "absolute").field("value", *size);
+            }
             MemoryBudget::FractionOfPeak(fraction) => {
-                write!(f, "{{\"type\": \"fraction\", \"value\": {fraction}}}")
+                budget.field("type", "fraction").field("value", *fraction);
             }
         }
     }
@@ -140,42 +143,33 @@ impl BudgetShare {
         }
     }
 
-    fn from_json(json: &Json, field: &'static str) -> Result<BudgetShare, ConfigParseError> {
+    /// `value` is the path of the section's `value` field.
+    fn from_json(json: &Json, value: &'static str) -> Result<BudgetShare, ConfigParseError> {
         Ok(match json.get("type").and_then(Json::as_str) {
             Some("unbounded") => BudgetShare::Unbounded,
-            Some("multiple") => BudgetShare::MultipleOfSequentialPeak(
-                json.get("value")
-                    .and_then(Json::as_f64)
-                    .ok_or(missing(field))?,
-            ),
-            Some("entries") => BudgetShare::Entries(
-                json.get("value")
-                    .and_then(Json::as_u64)
-                    .ok_or(missing(field))?,
-            ),
+            Some("multiple") => BudgetShare::MultipleOfSequentialPeak(json.field(value)?),
+            Some("entries") => BudgetShare::Entries(json.field(value)?),
             other => {
-                return Err(invalid(format!("unknown budget type {other:?} in {field}")));
+                return Err(invalid(format!("unknown budget type {other:?} in {value}")));
             }
         })
     }
 }
 
-impl Display for AsJson<&BudgetShare> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            BudgetShare::Unbounded => f.write_str("{\"type\": \"unbounded\"}"),
-            // A non-finite multiple would render as bare `NaN`/`inf` — not
-            // JSON.  Serialize it as `null` so the document stays
-            // well-formed; the parser then reports the missing value and
-            // plan-time validation rejects the multiple anyway.
-            BudgetShare::MultipleOfSequentialPeak(multiple) if !multiple.is_finite() => {
-                f.write_str("{\"type\": \"multiple\", \"value\": null}")
+impl Fields for BudgetShare {
+    fn fields(&self, budget: &mut Writer<'_>) {
+        // A non-finite multiple renders as `null`: the parser then reports
+        // the mistyped value, and plan-time validation rejects the multiple
+        // anyway.
+        match self {
+            BudgetShare::Unbounded => {
+                budget.field("type", "unbounded");
             }
             BudgetShare::MultipleOfSequentialPeak(multiple) => {
-                write!(f, "{{\"type\": \"multiple\", \"value\": {multiple}}}")
+                budget.field("type", "multiple").field("value", *multiple);
             }
             BudgetShare::Entries(entries) => {
-                write!(f, "{{\"type\": \"entries\", \"value\": {entries}}}")
+                budget.field("type", "entries").field("value", *entries);
             }
         }
     }
@@ -238,18 +232,11 @@ impl ParallelConfig {
     }
 
     fn from_json(json: &Json) -> Result<ParallelConfig, ConfigParseError> {
-        let budget = json.get("budget").ok_or(missing("parallel.budget"))?;
-        let budget = BudgetShare::from_json(budget, "parallel.budget.value")?;
+        let budget = json.field("parallel.budget")?;
         Ok(ParallelConfig {
-            workers: json
-                .get("workers")
-                .and_then(Json::as_usize)
-                .ok_or(missing("parallel.workers"))?,
-            max_tasks: json
-                .get("max_tasks")
-                .and_then(Json::as_usize)
-                .ok_or(missing("parallel.max_tasks"))?,
-            budget,
+            workers: json.field("parallel.workers")?,
+            max_tasks: json.field("parallel.max_tasks")?,
+            budget: BudgetShare::from_json(budget, "parallel.budget.value")?,
         })
     }
 }
@@ -318,18 +305,11 @@ impl DistributedConfig {
     }
 
     fn from_json(json: &Json) -> Result<DistributedConfig, ConfigParseError> {
-        let budget = json.get("budget").ok_or(missing("distributed.budget"))?;
-        let budget = BudgetShare::from_json(budget, "distributed.budget.value")?;
+        let budget = json.field("distributed.budget")?;
         Ok(DistributedConfig {
-            tasks: json
-                .get("tasks")
-                .and_then(Json::as_usize)
-                .ok_or(missing("distributed.tasks"))?,
-            budget,
-            lease_ms: json
-                .get("lease_ms")
-                .and_then(Json::as_u64)
-                .ok_or(missing("distributed.lease_ms"))?,
+            tasks: json.field("distributed.tasks")?,
+            budget: BudgetShare::from_json(budget, "distributed.budget.value")?,
+            lease_ms: json.field("distributed.lease_ms")?,
         })
     }
 }
@@ -404,29 +384,20 @@ impl SolveConfig {
     }
 
     fn from_json(json: &Json) -> Result<SolveConfig, ConfigParseError> {
-        let rhs = json.get("rhs").ok_or(missing("solve.rhs"))?;
+        let rhs: &Json = json.field("solve.rhs")?;
         let rhs = match rhs.get("type").and_then(Json::as_str) {
             Some("generated") => SolveRhs::Generated {
-                count: rhs
-                    .get("count")
-                    .and_then(Json::as_usize)
-                    .ok_or(missing("solve.rhs.count"))?,
-                seed: rhs
-                    .get("seed")
-                    .and_then(Json::as_u64)
-                    .ok_or(missing("solve.rhs.seed"))?,
+                count: rhs.field("solve.rhs.count")?,
+                seed: rhs.field("solve.rhs.seed")?,
             },
             Some("vectors") => {
-                let values = rhs
-                    .get("values")
-                    .and_then(Json::as_array)
-                    .ok_or(missing("solve.rhs.values"))?;
+                let values: &[Json] = rhs.field("solve.rhs.values")?;
                 let vectors: Result<Vec<Vec<f64>>, ConfigParseError> = values
                     .iter()
                     .map(|vector| {
                         vector
                             .as_array()
-                            .ok_or(missing("solve.rhs.values"))?
+                            .ok_or(ConfigParseError::MissingField("solve.rhs.values"))?
                             .iter()
                             .map(|v| {
                                 v.as_f64()
@@ -442,15 +413,9 @@ impl SolveConfig {
             }
         };
         Ok(SolveConfig {
-            enabled: json
-                .get("enabled")
-                .and_then(Json::as_bool)
-                .ok_or(missing("solve.enabled"))?,
+            enabled: json.field("solve.enabled")?,
             rhs,
-            check_residual: json
-                .get("check_residual")
-                .and_then(Json::as_bool)
-                .ok_or(missing("solve.check_residual"))?,
+            check_residual: json.field("solve.check_residual")?,
         })
     }
 }
@@ -612,32 +577,10 @@ impl EngineConfig {
     /// the only part that can be large (a prebuilt tree) and the part no
     /// schedule or sibling plan ever changes.
     fn render_source(&self, out: &mut impl Write) -> fmt::Result {
-        out.write_str("{\n  \"schema\": \"engine_config/v1\",\n  \"source\": ")?;
-        match &self.source {
-            ProblemSource::Generated { kind, nodes, seed } => write!(
-                out,
-                "{{\"type\": \"generated\", \"kind\": \"{}\", \"nodes\": {nodes}, \"seed\": {seed}}}",
-                kind.name()
-            )?,
-            ProblemSource::MatrixMarket { path } => write!(
-                out,
-                "{{\"type\": \"matrix_market\", \"path\": {}}}",
-                Quoted(path)
-            )?,
-            ProblemSource::Prebuilt { tree } => {
-                out.write_str("{\"type\": \"prebuilt\", \"parents\": ")?;
-                write_array(out, tree.parents(), |out, parent| match parent {
-                    Some(parent) => write!(out, "{parent}"),
-                    None => out.write_str("-1"),
-                })?;
-                out.write_str(", \"files\": ")?;
-                write_array(out, tree.files(), |out, file| write!(out, "{file}"))?;
-                out.write_str(", \"weights\": ")?;
-                write_array(out, tree.weights(), |out, weight| write!(out, "{weight}"))?;
-                out.write_str("}")?;
-            }
-        }
-        out.write_str(",\n")
+        let mut doc = Writer::document(out);
+        doc.field("schema", "engine_config/v1")
+            .field("source", &self.source);
+        doc.suspend()
     }
 
     /// Everything after the `source` line, borrowed.
@@ -658,42 +601,29 @@ impl EngineConfig {
     /// Parse a configuration produced by [`EngineConfig::to_json`].
     pub fn from_json(text: &str) -> Result<EngineConfig, ConfigParseError> {
         let json = Json::parse(text)?;
-        let source = json.get("source").ok_or(missing("source"))?;
+        let source: &Json = json.field("source")?;
         let source = match source.get("type").and_then(Json::as_str) {
             Some("generated") => {
-                let kind_name = source
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or(missing("source.kind"))?;
+                let kind_name = source.field("source.kind")?;
                 let kind = ProblemKind::from_name(kind_name)
                     .ok_or_else(|| invalid(format!("unknown problem kind '{kind_name}'")))?;
                 ProblemSource::Generated {
                     kind,
-                    nodes: source
-                        .get("nodes")
-                        .and_then(Json::as_usize)
-                        .ok_or(missing("source.nodes"))?,
-                    seed: source
-                        .get("seed")
-                        .and_then(Json::as_u64)
-                        .ok_or(missing("source.seed"))?,
+                    nodes: source.field("source.nodes")?,
+                    seed: source.field("source.seed")?,
                 }
             }
             Some("matrix_market") => ProblemSource::MatrixMarket {
-                path: source
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or(missing("source.path"))?
-                    .to_string(),
+                path: source.field::<&str>("source.path")?.to_string(),
             },
             Some("prebuilt") => {
-                let parents = int_array(source, "parents")?;
+                let parents = int_array(source, "source.parents")?;
                 let parents: Vec<Option<usize>> = parents
-                    .iter()
-                    .map(|&p| if p < 0 { None } else { Some(p as usize) })
+                    .into_iter()
+                    .map(|p| usize::try_from(p).ok())
                     .collect();
-                let files = int_array(source, "files")?;
-                let weights = int_array(source, "weights")?;
+                let files = int_array(source, "source.files")?;
+                let weights = int_array(source, "source.weights")?;
                 let tree = Tree::from_parents(&parents, &files, &weights)
                     .map_err(|e| invalid(format!("invalid prebuilt tree: {e}")))?;
                 ProblemSource::Prebuilt {
@@ -704,68 +634,38 @@ impl EngineConfig {
                 return Err(invalid(format!("unknown source type {other:?}")));
             }
         };
-        let ordering_name = json
-            .get("ordering")
-            .and_then(Json::as_str)
-            .ok_or(missing("ordering"))?;
+        let ordering_name = json.field("ordering")?;
         let ordering = OrderingMethod::from_name(ordering_name)
             .ok_or_else(|| invalid(format!("unknown ordering '{ordering_name}'")))?;
-        let memory = json.get("memory").ok_or(missing("memory"))?;
+        let memory: &Json = json.field("memory")?;
         let memory = match memory.get("type").and_then(Json::as_str) {
             Some("unlimited") => MemoryBudget::Unlimited,
-            Some("absolute") => MemoryBudget::Absolute(
-                memory
-                    .get("value")
-                    .and_then(Json::as_i64)
-                    .ok_or(missing("memory.value"))?,
-            ),
-            Some("fraction") => MemoryBudget::FractionOfPeak(
-                memory
-                    .get("value")
-                    .and_then(Json::as_f64)
-                    .ok_or(missing("memory.value"))?,
-            ),
+            Some("absolute") => MemoryBudget::Absolute(memory.field("memory.value")?),
+            Some("fraction") => MemoryBudget::FractionOfPeak(memory.field("memory.value")?),
             other => {
                 return Err(invalid(format!("unknown memory type {other:?}")));
             }
         };
+        // The three sections are absent in documents written before they
+        // existed (or, for `distributed`, that never requested it); the
+        // default sections keep those documents parseable.
         Ok(EngineConfig {
             source,
             ordering,
-            amalgamation: json
-                .get("amalgamation")
-                .and_then(Json::as_usize)
-                .ok_or(missing("amalgamation"))?,
-            solver: json
-                .get("solver")
-                .and_then(Json::as_str)
-                .ok_or(missing("solver"))?
-                .to_string(),
-            policy: json
-                .get("policy")
-                .and_then(Json::as_str)
-                .ok_or(missing("policy"))?
-                .to_string(),
+            amalgamation: json.field("amalgamation")?,
+            solver: json.field::<&str>("solver")?.to_string(),
+            policy: json.field::<&str>("policy")?.to_string(),
             memory,
-            numeric: json
-                .get("numeric")
-                .and_then(Json::as_bool)
-                .ok_or(missing("numeric"))?,
-            // Absent in documents written before the solve stage existed;
-            // the default (disabled) section keeps them parseable.
-            solve: match json.get("solve") {
+            numeric: json.field("numeric")?,
+            solve: match json.opt_field("solve")? {
                 Some(section) => SolveConfig::from_json(section)?,
                 None => SolveConfig::default(),
             },
-            // Absent in documents written before the parallel layer existed;
-            // the default (sequential) section keeps them parseable.
-            parallel: match json.get("parallel") {
+            parallel: match json.opt_field("parallel")? {
                 Some(section) => ParallelConfig::from_json(section)?,
                 None => ParallelConfig::default(),
             },
-            // Absent in documents that never requested distributed
-            // execution; default on parse.
-            distributed: match json.get("distributed") {
+            distributed: match json.opt_field("distributed")? {
                 Some(section) => DistributedConfig::from_json(section)?,
                 None => DistributedConfig::default(),
             },
@@ -809,60 +709,93 @@ pub(crate) struct Settings<'a> {
 impl Settings<'_> {
     /// The tail of the `engine_config/v1` document, closing brace included.
     fn render(&self, out: &mut impl Write) -> fmt::Result {
-        writeln!(out, "  \"ordering\": \"{}\",", self.ordering.name())?;
-        writeln!(out, "  \"amalgamation\": {},", self.amalgamation)?;
-        writeln!(out, "  \"solver\": {},", Quoted(self.solver))?;
-        writeln!(out, "  \"policy\": {},", Quoted(self.policy))?;
-        writeln!(out, "  \"memory\": {},", AsJson(&self.memory))?;
-        writeln!(out, "  \"numeric\": {},", self.numeric)?;
-        let solve = self.solve;
-        write!(
-            out,
-            "  \"solve\": {{\"enabled\": {}, \"rhs\": ",
-            solve.enabled
-        )?;
-        match &solve.rhs {
-            SolveRhs::Generated { count, seed } => write!(
-                out,
-                "{{\"type\": \"generated\", \"count\": {count}, \"seed\": {seed}}}"
-            )?,
-            SolveRhs::Vectors(vectors) => {
-                out.write_str("{\"type\": \"vectors\", \"values\": ")?;
-                write_array(out, vectors, |out, vector| {
-                    // Non-finite entries are not JSON; `null` keeps the
-                    // document well-formed and the parser then reports the
-                    // mistyped entry (validation rejects non-finite
-                    // right-hand sides anyway).
-                    write_array(out, vector, |out, value| match value.is_finite() {
-                        true => write!(out, "{value}"),
-                        false => out.write_str("null"),
-                    })
-                })?;
-                out.write_str("}")?;
-            }
-        }
-        writeln!(out, ", \"check_residual\": {}}},", solve.check_residual)?;
-        let (parallel, distributed) = (self.parallel, self.distributed);
-        write!(
-            out,
-            "  \"parallel\": {{\"workers\": {}, \"max_tasks\": {}, \"budget\": {}}}",
-            parallel.workers,
-            parallel.max_tasks,
-            AsJson(&parallel.budget)
-        )?;
+        let mut doc = Writer::resume(out);
+        doc.field("ordering", self.ordering.name())
+            .field("amalgamation", self.amalgamation)
+            .field("solver", self.solver)
+            .field("policy", self.policy)
+            .field("memory", &self.memory)
+            .field("numeric", self.numeric)
+            .field("solve", self.solve)
+            .field("parallel", &self.parallel);
         // The distributed section is emitted only when it differs from the
         // default: the config hash is FNV-1a over these bytes, and every
         // config written before the section existed must keep its hash.
-        if distributed != DistributedConfig::default() {
-            write!(
-                out,
-                ",\n  \"distributed\": {{\"tasks\": {}, \"budget\": {}, \"lease_ms\": {}}}",
-                distributed.tasks,
-                AsJson(&distributed.budget),
-                distributed.lease_ms
-            )?;
+        if self.distributed != DistributedConfig::default() {
+            doc.field("distributed", &self.distributed);
         }
-        out.write_str("\n}\n")
+        doc.end()
+    }
+}
+
+impl Fields for ProblemSource {
+    fn fields(&self, source: &mut Writer<'_>) {
+        match self {
+            ProblemSource::Generated { kind, nodes, seed } => {
+                source
+                    .field("type", "generated")
+                    .field("kind", kind.name())
+                    .field("nodes", *nodes)
+                    .field("seed", *seed);
+            }
+            ProblemSource::MatrixMarket { path } => {
+                source.field("type", "matrix_market").field("path", path);
+            }
+            ProblemSource::Prebuilt { tree } => {
+                let parents = tree.parents().iter().map(|p| p.map_or(-1, |p| p as i64));
+                source
+                    .field("type", "prebuilt")
+                    .field("parents", Array(parents))
+                    .field("files", Array(tree.files().iter().copied()))
+                    .field("weights", Array(tree.weights().iter().copied()));
+            }
+        }
+    }
+}
+
+impl Fields for SolveConfig {
+    fn fields(&self, solve: &mut Writer<'_>) {
+        solve
+            .field("enabled", self.enabled)
+            .field("rhs", &self.rhs)
+            .field("check_residual", self.check_residual);
+    }
+}
+
+impl Fields for SolveRhs {
+    fn fields(&self, rhs: &mut Writer<'_>) {
+        // Non-finite entries render as `null`: the parser then reports the
+        // mistyped entry (validation rejects non-finite right-hand sides
+        // anyway).
+        match self {
+            SolveRhs::Generated { count, seed } => {
+                rhs.field("type", "generated")
+                    .field("count", *count)
+                    .field("seed", *seed);
+            }
+            SolveRhs::Vectors(vectors) => {
+                let values = vectors.iter().map(|vector| Array(vector.iter().copied()));
+                rhs.field("type", "vectors").field("values", Array(values));
+            }
+        }
+    }
+}
+
+impl Fields for ParallelConfig {
+    fn fields(&self, parallel: &mut Writer<'_>) {
+        parallel
+            .field("workers", self.workers)
+            .field("max_tasks", self.max_tasks)
+            .field("budget", &self.budget);
+    }
+}
+
+impl Fields for DistributedConfig {
+    fn fields(&self, distributed: &mut Writer<'_>) {
+        distributed
+            .field("tasks", self.tasks)
+            .field("budget", &self.budget)
+            .field("lease_ms", self.lease_ms);
     }
 }
 
@@ -902,14 +835,12 @@ impl Write for Fnv1a {
     }
 }
 
-fn int_array(json: &Json, key: &'static str) -> Result<Vec<i64>, ConfigParseError> {
-    json.get(key)
-        .and_then(Json::as_array)
-        .ok_or(missing(key))?
+fn int_array(json: &Json, path: &'static str) -> Result<Vec<i64>, ConfigParseError> {
+    json.field::<&[Json]>(path)?
         .iter()
         .map(|v| {
             v.as_i64()
-                .ok_or_else(|| invalid(format!("non-integer in '{key}'")))
+                .ok_or_else(|| invalid(format!("non-integer in '{path}'")))
         })
         .collect()
 }
@@ -923,10 +854,6 @@ pub enum ConfigParseError {
     MissingField(&'static str),
     /// A field has an invalid value.
     Invalid(String),
-}
-
-fn missing(field: &'static str) -> ConfigParseError {
-    ConfigParseError::MissingField(field)
 }
 
 fn invalid(message: String) -> ConfigParseError {
@@ -946,6 +873,12 @@ impl std::fmt::Display for ConfigParseError {
 }
 
 impl std::error::Error for ConfigParseError {}
+
+impl From<FieldError> for ConfigParseError {
+    fn from(err: FieldError) -> Self {
+        ConfigParseError::MissingField(err.0)
+    }
+}
 
 impl From<JsonError> for ConfigParseError {
     fn from(err: JsonError) -> Self {

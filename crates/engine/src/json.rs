@@ -1,20 +1,22 @@
-//! A minimal JSON reader/writer for the engine's configuration and reports.
+//! The workspace's one JSON layer (it is offline: no `serde`), both ways.
 //!
-//! The workspace is fully offline (no `serde`), and the existing reports
-//! (`bench::sweep`) hand-roll their JSON output.  The engine needs the other
-//! direction too — [`EngineConfig`](crate::EngineConfig) must *round-trip* —
-//! so this module provides a small recursive-descent parser and the matching
-//! writer helpers.  Only what the engine serialises is supported: objects,
-//! arrays, strings, booleans, `null`, and numbers (kept as their source text
-//! so 64-bit integers survive the trip without a detour through `f64`).
+//! **Writing.**  [`Writer`] streams an object into any [`fmt::Write`] sink (a
+//! pre-sized `String`, a running config hash) with no buffer between, and
+//! owns separators, escaping and the one layout: a [`Writer::document`] puts
+//! one field per line with a two-space indent, nested objects are inline
+//! (`{"k": v, "k2": v2}`, as is a wire frame's [`Writer::line`] body) and
+//! arrays are `[a,b]`.  Floats: `f64` is the shortest round-trip text,
+//! [`Fixed`] has set decimals, [`Sci`] is exponent form; non-finite is
+//! `null`.  [`Hex`] payloads and already-rendered [`Raw`] bodies go as is.
 //!
-//! The parser also reads documents from the network (`crates/server`), so it
-//! is hardened against hostile input: nesting depth is bounded by
-//! [`MAX_DEPTH`], numbers must match the JSON grammar exactly, strings may
-//! not contain raw control characters, objects reject duplicate keys, and
-//! `\u` surrogate pairs are combined (lone surrogates decode to U+FFFD).
-//! Every failure is a [`JsonError`] with a byte offset — never a panic or
-//! a stack overflow.
+//! **Reading.**  [`Json::parse`] keeps numbers as source text, so 64-bit
+//! integers stay exact; [`Json::field`] / [`Json::opt_field`] read a typed
+//! field, and a missing or mistyped one is a [`FieldError`] naming it.  The
+//! parser reads the network, so it is hardened: bounded nesting
+//! ([`MAX_DEPTH`]), the exact number grammar, no raw control characters in
+//! strings, no duplicate keys, combined `\u` surrogate pairs (lone ones
+//! decode to U+FFFD).  Every failure is a [`JsonError`] with a byte offset —
+//! never a panic or a stack overflow.
 
 use std::fmt;
 
@@ -98,31 +100,26 @@ impl Json {
 
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(text) => text.parse().ok(),
-            _ => None,
-        }
+        self.number()
     }
 
     /// The value as a `u64`, if it is an integral number (parsed from the
     /// source text, so the full 64-bit range is exact).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(text) => text.parse().ok(),
-            _ => None,
-        }
+        self.number()
     }
 
     /// The value as an `i64`, if it is an integral number.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(text) => text.parse().ok(),
-            _ => None,
-        }
+        self.number()
     }
 
     /// The value as a `usize`, if it is an integral number.
     pub fn as_usize(&self) -> Option<usize> {
+        self.number()
+    }
+
+    fn number<T: std::str::FromStr>(&self) -> Option<T> {
         match self {
             Json::Num(text) => text.parse().ok(),
             _ => None,
@@ -136,7 +133,66 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The required field `path` of this object as a `T`.  `path` names the
+    /// field in the error; the key is its last `.`-separated segment, so a
+    /// nested section reads `"parallel.budget.value"` as `"value"`.
+    pub fn field<'a, T: FromJson<'a>>(&'a self, path: &'static str) -> Result<T, FieldError> {
+        self.opt_field(path)?.ok_or(FieldError(path))
+    }
+
+    /// [`Json::field`] for an optional field: `Ok(None)` when it is absent,
+    /// an error when it has the wrong type.
+    pub fn opt_field<'a, T: FromJson<'a>>(
+        &'a self,
+        path: &'static str,
+    ) -> Result<Option<T>, FieldError> {
+        let key = path.rsplit('.').next().unwrap_or(path);
+        self.get(key)
+            .map(|value| T::from_json(value).ok_or(FieldError(path)))
+            .transpose()
+    }
 }
+
+/// A type [`Json::field`] reads: `Some` when the value has the type.
+pub trait FromJson<'a>: Sized {
+    /// The value as `Self`, if it has this type.
+    fn from_json(json: &'a Json) -> Option<Self>;
+}
+
+macro_rules! from_json {
+    ($($type:ty = $read:expr;)*) => {$(
+        impl<'a> FromJson<'a> for $type {
+            fn from_json(json: &'a Json) -> Option<Self> {
+                $read(json)
+            }
+        }
+    )*};
+}
+
+from_json! {
+    u64 = Json::as_u64;
+    usize = Json::as_usize;
+    i64 = Json::as_i64;
+    f64 = Json::as_f64;
+    bool = Json::as_bool;
+    &'a str = Json::as_str;
+    &'a [Json] = Json::as_array;
+    &'a Json = Some;
+}
+
+/// The path of a required field that is absent, or of a field of the wrong
+/// type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError(pub &'static str);
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "missing or mistyped field '{}'", self.0)
+    }
+}
+
+impl std::error::Error for FieldError {}
 
 fn err(offset: usize, message: impl Into<String>) -> JsonError {
     JsonError {
@@ -414,8 +470,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Jso
     }
 }
 
-/// Escape a string for embedding in a JSON document (same rules as the
-/// report writers elsewhere in the workspace).
+/// Escape a string for embedding in a JSON document, as [`Writer`] does.
 ///
 /// Every control character — C0 (which the grammar forbids raw), DEL, and
 /// the C1 range — is emitted as a `\u00XX` escape, so the output is printable
@@ -427,7 +482,14 @@ pub fn escape(text: &str) -> String {
 }
 
 /// [`escape`], streamed into `out`.
-fn write_escaped(out: &mut impl fmt::Write, text: &str) -> fmt::Result {
+fn write_escaped(out: &mut dyn fmt::Write, text: &str) -> fmt::Result {
+    // Printable ASCII without quotes or backslashes, the common case.
+    if text
+        .bytes()
+        .all(|b| (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\')
+    {
+        return out.write_str(text);
+    }
     for c in text.chars() {
         match c {
             '"' => out.write_str("\\\"")?,
@@ -442,38 +504,263 @@ fn write_escaped(out: &mut impl fmt::Write, text: &str) -> fmt::Result {
     Ok(())
 }
 
-/// `Display` adapter: the text as a JSON string literal, quotes included,
-/// escaped as [`escape`] does but streamed into the formatter's sink.
-pub(crate) struct Quoted<'a>(pub(crate) &'a str);
+/// `text` as a JSON string literal, quotes included.
+fn write_quoted(out: &mut dyn fmt::Write, text: &str) -> fmt::Result {
+    out.write_char('"')?;
+    write_escaped(out, text)?;
+    out.write_char('"')
+}
 
-impl fmt::Display for Quoted<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("\"")?;
-        write_escaped(f, self.0)?;
-        f.write_str("\"")
+/// A streaming writer of one JSON object into any [`fmt::Write`] sink, in
+/// the one layout (module docs).  Write errors are sticky: the first stops
+/// all output, and [`Writer::end`] returns it.
+pub struct Writer<'a> {
+    out: &'a mut dyn fmt::Write,
+    document: bool,
+    empty: bool,
+    status: fmt::Result,
+}
+
+impl<'a> Writer<'a> {
+    /// Open a top-level document: one field per line, two-space indent.
+    pub fn document(out: &'a mut dyn fmt::Write) -> Self {
+        let status = out.write_char('{');
+        Writer {
+            out,
+            document: true,
+            empty: true,
+            status,
+        }
+    }
+
+    /// Open a one-line object: a nested one, or a wire frame's body.
+    pub fn line(out: &'a mut dyn fmt::Write) -> Self {
+        Writer {
+            document: false,
+            ..Writer::document(out)
+        }
+    }
+
+    /// Continue a document that an earlier writer [suspended](Writer::suspend)
+    /// after at least one field.
+    pub(crate) fn resume(out: &'a mut dyn fmt::Write) -> Self {
+        Writer {
+            out,
+            document: true,
+            empty: false,
+            status: Ok(()),
+        }
+    }
+
+    /// Write one field.
+    pub fn field(&mut self, key: &str, value: impl Value) -> &mut Self {
+        // Each separator opens the key's quotes; `": ` closes them.
+        let separator = match (self.document, std::mem::take(&mut self.empty)) {
+            (true, true) => "\n  \"",
+            (true, false) => ",\n  \"",
+            (false, true) => "\"",
+            (false, false) => ", \"",
+        };
+        let out = &mut *self.out;
+        self.status = self.status.and_then(|()| {
+            out.write_str(separator)?;
+            write_escaped(out, key)?;
+            out.write_str("\": ")?;
+            value.write_json(out)
+        });
+        self
+    }
+
+    /// Stop without closing, for a later [`Writer::resume`] on the same sink.
+    pub(crate) fn suspend(&self) -> fmt::Result {
+        self.status
+    }
+
+    /// Close the object.
+    pub fn end(&mut self) -> fmt::Result {
+        self.status?;
+        self.out
+            .write_str(if self.document { "\n}\n" } else { "}" })
     }
 }
 
-/// `Display` adapter rendering a config or report part as its JSON
-/// fragment, so nested parts stream into the sink of whoever renders the
-/// enclosing document — a `String`, or a hash — with no intermediate
-/// `String`s.  The impls live beside the types they render.
-pub(crate) struct AsJson<T>(pub(crate) T);
+/// Render a top-level document ([`Writer::document`]) into a new `String`.
+pub fn document(fields: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut out = String::new();
+    let mut doc = Writer::document(&mut out);
+    fields(&mut doc);
+    doc.end().expect("writing to a String cannot fail");
+    out
+}
 
-/// A comma-separated array; `item` renders one element.
-pub(crate) fn write_array<W: fmt::Write, T>(
-    out: &mut W,
-    items: &[T],
-    item: impl Fn(&mut W, &T) -> fmt::Result,
-) -> fmt::Result {
-    out.write_str("[")?;
-    for (index, value) in items.iter().enumerate() {
-        if index > 0 {
-            out.write_str(",")?;
-        }
-        item(out, value)?;
+/// Render a one-line object ([`Writer::line`]) into a new `String`.
+pub fn line(fields: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut out = String::new();
+    Object(fields)
+        .write_json(&mut out)
+        .expect("writing to a String cannot fail");
+    out
+}
+
+/// A value a [`Writer`] can write.
+pub trait Value {
+    /// Write `self` as one JSON value.
+    fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result;
+}
+
+/// A type that writes itself as an object: `&T` is a [`Value`].
+pub trait Fields {
+    /// Write the fields of `self` into `object`.
+    fn fields(&self, object: &mut Writer<'_>);
+}
+
+impl<T: Fields> Value for &T {
+    fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+        Object(|object| self.fields(object)).write_json(out)
     }
-    out.write_str("]")
+}
+
+/// `impl Value` for each listed type: bind `self` to the pattern, write
+/// the body.
+macro_rules! value {
+    ($($($type:ty),+ => |$value:pat, $out:ident| $body:expr;)*) => {$($(
+        impl Value for $type {
+            fn write_json(self, $out: &mut dyn fmt::Write) -> fmt::Result {
+                let $value = self;
+                $body
+            }
+        }
+    )+)*};
+}
+
+// An `f64` is the shortest text that parses back to the same value.
+value! {
+    u16, u64, usize => |value, out| write_digits(out, false, value);
+    i64 => |value, out| write_digits(out, value < 0, value.unsigned_abs());
+    bool => |value, out| out.write_str(if value { "true" } else { "false" });
+    &str, &String => |text, out| write_quoted(out, text);
+    f64 => |value, out| finite(out, value, format_args!("{value}"));
+    Fixed => |Fixed(value, decimals), out| finite(out, value, format_args!("{value:.decimals$}"));
+    Sci => |Sci(value), out| finite(out, value, format_args!("{value:e}"));
+    Raw<'_> => |Raw(text), out| out.write_str(text);
+}
+
+/// An integer's digits in one write: `write!` would set up a formatter for
+/// each of a long traversal's numbers.
+fn write_digits(out: &mut dyn fmt::Write, negative: bool, value: impl TryInto<u64>) -> fmt::Result {
+    let mut magnitude = value.try_into().map_err(|_| fmt::Error)?;
+    let mut text = [b'-'; 21];
+    let mut start = text.len();
+    loop {
+        start -= 1;
+        text[start] = b'0' + u8::try_from(magnitude % 10).map_err(|_| fmt::Error)?;
+        magnitude /= 10;
+        if magnitude == 0 {
+            break;
+        }
+    }
+    // `text` is prefilled with minus signs.
+    start -= usize::from(negative);
+    out.write_str(std::str::from_utf8(&text[start..]).map_err(|_| fmt::Error)?)
+}
+
+/// A finite `value` as `text`; a non-finite one (not JSON) as `null`.
+fn finite(out: &mut dyn fmt::Write, value: f64, text: fmt::Arguments<'_>) -> fmt::Result {
+    match value.is_finite() {
+        true => out.write_fmt(text),
+        false => out.write_str("null"),
+    }
+}
+
+/// A float with a set number of decimals: `Fixed(0.5, 6)` is `0.500000`.
+pub struct Fixed(pub f64, pub usize);
+
+/// A float in exponent form: `Sci(4.5e-13)` is `4.5e-13`.
+pub struct Sci(pub f64);
+
+/// An already-rendered JSON value, written as is.
+pub struct Raw<'a>(pub &'a str);
+
+impl<T: Value> Value for Option<T> {
+    fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.write_str("null"),
+        }
+    }
+}
+
+/// One string of fixed-width lowercase hex, every item as all the digits of
+/// its type (16 for a `u64`, 8 for a `u32`): how the wire packs `f64` bit
+/// patterns and column indices.
+pub struct Hex<I>(pub I);
+
+impl<I: IntoIterator<Item: fmt::LowerHex>> Value for Hex<I> {
+    fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_char('"')?;
+        for item in self.0 {
+            let digits = 2 * std::mem::size_of_val(&item);
+            write!(out, "{item:0digits$x}")?;
+        }
+        out.write_char('"')
+    }
+}
+
+/// An array of like values.
+pub struct Array<I>(pub I);
+
+impl<I: IntoIterator<Item: Value>> Value for Array<I> {
+    fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_char('[')?;
+        for (index, item) in self.0.into_iter().enumerate() {
+            out.write_str(if index > 0 { "," } else { "" })?;
+            item.write_json(out)?;
+        }
+        out.write_char(']')
+    }
+}
+
+/// A three-element array of mixed values.
+impl<A: Value, B: Value, C: Value> Value for (A, B, C) {
+    fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+        out.write_char('[')?;
+        self.0.write_json(out)?;
+        out.write_char(',')?;
+        self.1.write_json(out)?;
+        out.write_char(',')?;
+        self.2.write_json(out)?;
+        out.write_char(']')
+    }
+}
+
+/// A nested object whose fields the closure writes.
+pub struct Object<F: FnOnce(&mut Writer<'_>)>(pub F);
+
+impl<F: FnOnce(&mut Writer<'_>)> Value for Object<F> {
+    fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+        let mut writer = Writer::line(out);
+        (self.0)(&mut writer);
+        writer.end()
+    }
+}
+
+/// A parsed value, written back in the one layout.
+impl Value for &Json {
+    fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+        match self {
+            Json::Null => out.write_str("null"),
+            Json::Bool(value) => value.write_json(out),
+            Json::Num(text) => out.write_str(text),
+            Json::Str(text) => write_quoted(out, text),
+            Json::Arr(items) => Array(items).write_json(out),
+            Json::Obj(fields) => Object(|object| {
+                for (key, value) in fields {
+                    object.field(key, value);
+                }
+            })
+            .write_json(out),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -590,6 +877,93 @@ mod tests {
         for good in ["0", "-0", "10", "2.5e-1", "1e300", "0.3751", "1E+2"] {
             assert!(Json::parse(good).is_ok(), "{good:?} should parse");
         }
+    }
+
+    #[test]
+    fn non_finite_floats_render_as_null() {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let doc = line(|object| {
+                object
+                    .field("shortest", value)
+                    .field("fixed", Fixed(value, 6))
+                    .field("sci", Sci(value))
+                    .field("some", Some(Sci(value)))
+                    .field("array", Array([1.5, value]));
+            });
+            assert_eq!(
+                doc,
+                r#"{"shortest": null, "fixed": null, "sci": null, "some": null, "array": [1.5,null]}"#
+            );
+        }
+    }
+
+    #[test]
+    fn documents_nest_objects_inline_and_arrays_tight() {
+        let doc = document(|doc| {
+            doc.field("schema", "x/v1")
+                .field("empty", Array(Vec::<u64>::new()))
+                .field("rows", Array([[1u64, 2], [3, 4]].map(Array)))
+                .field("block", (7usize, 2u64, Hex([0x3ff0_0000_0000_0000u64])))
+                .field("order", Hex([5u32, 4_000_000]))
+                .field("raw", Raw("{\"k\": [1]}"))
+                .field(
+                    "nested",
+                    Object(|nested| {
+                        nested
+                            .field("seconds", Fixed(0.5, 6))
+                            .field("error", Sci(1e-12))
+                            .field("none", None::<u64>)
+                            .field(
+                                "inner",
+                                Object(|inner| {
+                                    inner.field("k", true);
+                                }),
+                            );
+                    }),
+                );
+        });
+        assert_eq!(
+            doc,
+            concat!(
+                "{\n",
+                "  \"schema\": \"x/v1\",\n",
+                "  \"empty\": [],\n",
+                "  \"rows\": [[1,2],[3,4]],\n",
+                "  \"block\": [7,2,\"3ff0000000000000\"],\n",
+                "  \"order\": \"00000005003d0900\",\n",
+                "  \"raw\": {\"k\": [1]},\n",
+                "  \"nested\": {\"seconds\": 0.500000, \"error\": 1e-12, \"none\": null, ",
+                "\"inner\": {\"k\": true}}\n",
+                "}\n",
+            )
+        );
+        // A parsed document writes back in the same layout.
+        let reparsed = document(|copy| {
+            if let Json::Obj(fields) = Json::parse(&doc).unwrap() {
+                for (key, value) in &fields {
+                    copy.field(key, value);
+                }
+            }
+        });
+        assert_eq!(reparsed, doc);
+    }
+
+    #[test]
+    fn typed_fields_name_what_failed() {
+        let json = Json::parse(r#"{"n": 3, "s": "x", "f": 2.5, "section": {"v": -1}}"#).unwrap();
+        assert_eq!(json.field::<u64>("n"), Ok(3));
+        assert_eq!(json.field::<&str>("s"), Ok("x"));
+        assert_eq!(json.opt_field::<u64>("absent"), Ok(None));
+        assert_eq!(json.field::<u64>("absent"), Err(FieldError("absent")));
+        let mistyped = json.opt_field::<usize>("f").unwrap_err();
+        assert_eq!(mistyped.to_string(), "missing or mistyped field 'f'");
+        // A dotted path names the field; its last segment is the key.
+        let section: &Json = json.field("section").unwrap();
+        assert_eq!(section.field::<i64>("section.v"), Ok(-1));
+        assert_eq!(
+            section.field::<u64>("section.v"),
+            Err(FieldError("section.v"))
+        );
     }
 
     #[test]

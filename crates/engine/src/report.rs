@@ -1,11 +1,9 @@
 //! The serializable outcome of one engine run.
 
-use std::fmt::{self, Display, Write};
-
 use treemem::tree::{NodeId, Size};
 
 use crate::config::MemoryBudget;
-use crate::json::{write_array, AsJson, Quoted};
+use crate::json::{Array, Fields, Fixed, Sci, Value, Writer};
 
 /// The cut-plan half of a [`ParallelReport`] or [`DistributedReport`]: the
 /// shape of the proportional cut, its statically modeled peaks and the
@@ -277,180 +275,127 @@ impl Report {
     ) -> String {
         // ~7 bytes per traversal entry plus the fixed fields.
         let mut out = String::with_capacity(1024 + 8 * self.traversal.len());
-        out.push_str("{\n  \"schema\": \"engine_report/v1\",\n");
-        let mut line = |key: &str, value: &dyn Display| {
-            let _ = writeln!(out, "  \"{key}\": {value},");
-        };
-        line("config_hash", &Quoted(config_hash));
-        line("source", &Quoted(&self.source));
-        line("ordering", &Quoted(&self.ordering));
-        line("amalgamation", &self.amalgamation);
-        line("solver", &Quoted(&self.solver));
-        line("policy", &Quoted(&self.policy));
-        line("nodes", &self.nodes);
-        line("matrix_n", &self.matrix_n);
-        line("solver_peak", &self.solver_peak);
-        line("memory_budget", &self.memory_budget);
-        line("budget_spec", &AsJson(&self.budget_spec));
-        line("io_volume", &self.io_volume);
-        line("read_volume", &self.read_volume);
-        line("files_written", &self.files_written);
-        line("io_peak_memory", &self.io_peak_memory);
-        line("divisible_bound", &self.divisible_bound);
-        line("traversal", &AsJson(self.traversal.as_slice()));
-        line("numeric", &AsJson(numeric.map(AsJson)));
-        line("solve", &AsJson(self.solve.as_ref().map(AsJson)));
-        line("parallel", &AsJson(parallel.map(AsJson)));
-        line("distributed", &AsJson(distributed.map(AsJson)));
-        let _ = write!(out, "  \"timings\": {}\n}}\n", AsJson(timings));
+        Writer::document(&mut out)
+            .field("schema", "engine_report/v1")
+            .field("config_hash", config_hash)
+            .field("source", &self.source)
+            .field("ordering", &self.ordering)
+            .field("amalgamation", self.amalgamation)
+            .field("solver", &self.solver)
+            .field("policy", &self.policy)
+            .field("nodes", self.nodes)
+            .field("matrix_n", self.matrix_n)
+            .field("solver_peak", self.solver_peak)
+            .field("memory_budget", self.memory_budget)
+            .field("budget_spec", &self.budget_spec)
+            .field("io_volume", self.io_volume)
+            .field("read_volume", self.read_volume)
+            .field("files_written", self.files_written)
+            .field("io_peak_memory", self.io_peak_memory)
+            .field("divisible_bound", self.divisible_bound)
+            .field("traversal", Array(self.traversal.iter().copied()))
+            .field("numeric", numeric)
+            .field("solve", self.solve.as_ref())
+            .field("parallel", parallel)
+            .field("distributed", distributed)
+            .field("timings", timings)
+            .end()
+            .expect("writing to a String cannot fail");
         out
     }
 }
 
-// Field names, order, spacing and float formats (`{:.6}` seconds, `{:e}`
-// errors) of the [`AsJson`] parts below are a wire contract.
+// Field names, order and float formats (`Fixed(_, 6)` seconds, `Sci`
+// errors) of the parts below are a wire contract.
 
-/// `Some(part)` as the part, `None` as JSON `null`.
-impl<T: Display> Display for AsJson<Option<T>> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Some(part) => part.fmt(f),
-            None => f.write_str("null"),
-        }
+/// Seconds, as six decimals.
+fn seconds(value: f64) -> Fixed {
+    Fixed(value, 6)
+}
+
+fn seconds_list(values: &[f64]) -> impl Value + '_ {
+    Array(values.iter().map(|&value| seconds(value)))
+}
+
+/// The leading fields of both section objects.
+impl Fields for CutReport {
+    fn fields(&self, section: &mut Writer<'_>) {
+        section
+            .field("max_tasks", self.max_tasks)
+            .field("subtree_count", self.subtree_count)
+            .field("above_cut_nodes", self.above_cut_nodes)
+            .field("sequential_peak_entries", self.sequential_peak_entries)
+            .field("budget_entries", self.budget_entries)
+            .field("max_task_peak_entries", self.max_task_peak_entries)
+            .field("merge_peak_entries", self.merge_peak_entries)
+            .field("oversized_tasks", self.oversized_tasks);
     }
 }
 
-/// An array of `{:.6}` seconds.
-impl Display for AsJson<&Vec<f64>> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_array(f, self.0, |f, seconds| write!(f, "{seconds:.6}"))
+impl Fields for ParallelReport {
+    fn fields(&self, section: &mut Writer<'_>) {
+        let busy = seconds_list(&self.worker_busy_seconds);
+        self.cut.fields(section);
+        section
+            .field("workers", self.workers)
+            .field("measured_peak_entries", self.measured_peak_entries)
+            .field("forced_admissions", self.forced_admissions)
+            .field("wall_seconds", seconds(self.wall_seconds))
+            .field("critical_path_seconds", seconds(self.critical_path_seconds))
+            .field("merge_seconds", seconds(self.merge_seconds))
+            .field("task_seconds", seconds_list(&self.task_seconds))
+            .field("worker_busy_seconds", busy)
+            .field("utilization", seconds(self.utilization));
     }
 }
 
-/// The traversal.
-impl Display for AsJson<&[NodeId]> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_array(f, self.0, |f, node| node.fmt(f))
+impl Fields for DistributedReport {
+    fn fields(&self, section: &mut Writer<'_>) {
+        let busy = seconds_list(&self.worker_busy_seconds);
+        self.cut.fields(section);
+        section
+            .field("lease_ms", self.lease_ms)
+            .field("workers", self.workers)
+            .field("tasks_requeued", self.tasks_requeued)
+            .field("lease_expiries", self.lease_expiries)
+            .field("contribution_bytes", self.contribution_bytes)
+            .field("wall_seconds", seconds(self.wall_seconds))
+            .field("merge_seconds", seconds(self.merge_seconds))
+            .field("worker_busy_seconds", busy);
     }
 }
 
-/// The leading fields of both section objects (no braces).
-impl Display for AsJson<&CutReport> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cut = self.0;
-        write!(
-            f,
-            "\"max_tasks\": {}, \"subtree_count\": {}, \"above_cut_nodes\": {}, \
-             \"sequential_peak_entries\": {}, \"budget_entries\": {}, \
-             \"max_task_peak_entries\": {}, \"merge_peak_entries\": {}, \
-             \"oversized_tasks\": {}",
-            cut.max_tasks,
-            cut.subtree_count,
-            cut.above_cut_nodes,
-            cut.sequential_peak_entries,
-            AsJson(cut.budget_entries),
-            cut.max_task_peak_entries,
-            cut.merge_peak_entries,
-            cut.oversized_tasks,
-        )
+impl Fields for NumericReport {
+    fn fields(&self, section: &mut Writer<'_>) {
+        section
+            .field("measured_peak_entries", self.measured_peak_entries)
+            .field("model_peak_entries", self.model_peak_entries)
+            .field("factor_nnz", self.factor_nnz)
+            .field("solve_error", Sci(self.solve_error));
     }
 }
 
-impl Display for AsJson<&ParallelReport> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let section = self.0;
-        write!(
-            f,
-            "{{{}, \"workers\": {}, \"measured_peak_entries\": {}, \
-             \"forced_admissions\": {}, \"wall_seconds\": {:.6}, \
-             \"critical_path_seconds\": {:.6}, \"merge_seconds\": {:.6}, \
-             \"task_seconds\": {}, \"worker_busy_seconds\": {}, \"utilization\": {:.6}}}",
-            AsJson(&section.cut),
-            section.workers,
-            section.measured_peak_entries,
-            section.forced_admissions,
-            section.wall_seconds,
-            section.critical_path_seconds,
-            section.merge_seconds,
-            AsJson(&section.task_seconds),
-            AsJson(&section.worker_busy_seconds),
-            section.utilization,
-        )
+impl Fields for SolveReport {
+    fn fields(&self, section: &mut Writer<'_>) {
+        // A non-finite residual renders as `null`, which cannot be confused
+        // with "check disabled": `residual_checked` reports that.
+        section
+            .field("rhs_count", self.rhs_count)
+            .field("residual_checked", self.max_residual.is_some())
+            .field("max_residual", self.max_residual.map(Sci));
     }
 }
 
-impl Display for AsJson<&DistributedReport> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let section = self.0;
-        write!(
-            f,
-            "{{{}, \"lease_ms\": {}, \"workers\": {}, \"tasks_requeued\": {}, \
-             \"lease_expiries\": {}, \"contribution_bytes\": {}, \
-             \"wall_seconds\": {:.6}, \"merge_seconds\": {:.6}, \
-             \"worker_busy_seconds\": {}}}",
-            AsJson(&section.cut),
-            section.lease_ms,
-            section.workers,
-            section.tasks_requeued,
-            section.lease_expiries,
-            section.contribution_bytes,
-            section.wall_seconds,
-            section.merge_seconds,
-            AsJson(&section.worker_busy_seconds),
-        )
-    }
-}
-
-impl Display for AsJson<&NumericReport> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let numeric = self.0;
-        write!(
-            f,
-            "{{\"measured_peak_entries\": {}, \"model_peak_entries\": {}, \
-             \"factor_nnz\": {}, \"solve_error\": {:e}}}",
-            numeric.measured_peak_entries,
-            numeric.model_peak_entries,
-            numeric.factor_nnz,
-            numeric.solve_error
-        )
-    }
-}
-
-impl Display for AsJson<&SolveReport> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // A non-finite residual would not be JSON; `null` keeps the document
-        // well-formed (it cannot be confused with "check disabled", which
-        // `residual_checked` reports).
-        write!(
-            f,
-            "{{\"rhs_count\": {}, \"residual_checked\": {}, \"max_residual\": ",
-            self.0.rhs_count,
-            self.0.max_residual.is_some(),
-        )?;
-        match self.0.max_residual {
-            Some(value) if value.is_finite() => write!(f, "{value:e}}}"),
-            _ => f.write_str("null}"),
-        }
-    }
-}
-
-impl Display for AsJson<&StageTimings> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let timings = self.0;
-        write!(
-            f,
-            "{{\"generate_seconds\": {:.6}, \"ordering_seconds\": {:.6}, \
-             \"symbolic_seconds\": {:.6}, \"solver_seconds\": {:.6}, \
-             \"io_seconds\": {:.6}, \"numeric_seconds\": {:.6}, \
-             \"solve_seconds\": {:.6}}}",
-            timings.generate_seconds,
-            timings.ordering_seconds,
-            timings.symbolic_seconds,
-            timings.solver_seconds,
-            timings.io_seconds,
-            timings.numeric_seconds,
-            timings.solve_seconds
-        )
+impl Fields for StageTimings {
+    fn fields(&self, section: &mut Writer<'_>) {
+        section
+            .field("generate_seconds", seconds(self.generate_seconds))
+            .field("ordering_seconds", seconds(self.ordering_seconds))
+            .field("symbolic_seconds", seconds(self.symbolic_seconds))
+            .field("solver_seconds", seconds(self.solver_seconds))
+            .field("io_seconds", seconds(self.io_seconds))
+            .field("numeric_seconds", seconds(self.numeric_seconds))
+            .field("solve_seconds", seconds(self.solve_seconds));
     }
 }
 

@@ -8,7 +8,7 @@
 //! quotes, backslashes, control characters, non-BMP scalars) and asserts
 //! `from_json(to_json(c)) == c` exactly.
 
-use engine::json::{escape, Json, JsonError};
+use engine::json::{self, escape, Json, JsonError};
 use engine::prelude::*;
 use prng::{Rng, StdRng};
 use treemem::random::random_attachment_tree;
@@ -232,5 +232,24 @@ fn escape_parse_is_a_bijection_on_random_strings() {
             Some(text.as_str()),
             "{text:?} failed the trip"
         );
+    }
+}
+
+#[test]
+fn written_keys_and_values_round_trip_on_random_strings() {
+    let mut rng = StdRng::seed_from_u64(0x0b1e_c7ed);
+    for _ in 0..ESCAPE_ROUNDS {
+        let (key, value) = (random_string(&mut rng), random_string(&mut rng));
+        let expected = Json::Obj(vec![(key.clone(), Json::Str(value.clone()))]);
+        for doc in [
+            json::document(|doc| {
+                doc.field(&key, &value);
+            }),
+            json::line(|object| {
+                object.field(&key, &value);
+            }),
+        ] {
+            assert_eq!(Json::parse(&doc).unwrap(), expected, "{doc:?}");
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Small dense kernels used on frontal matrices.
 //!
-//! The multi-pivot elimination kernel is the cache-blocked tiled one behind
-//! [`FrontKernel`] (diagonal-block Cholesky, panel triangular solve,
-//! register-blocked rank-k Schur update over column-major slices); the
-//! per-column loop's single pivot is a fused routine.  A scalar reference
-//! kernel exists in test builds only, as the oracle of the parity battery.
+//! Every served column goes through one fused single-pivot routine,
+//! `DenseMatrix::eliminate_pivot`, called by `numeric::eliminate_columns`.
+//! The cache-blocked multi-pivot kernel behind [`FrontKernel`] (diagonal-block
+//! Cholesky, panel triangular solve, register-blocked rank-k Schur update)
+//! runs only in the benchmark's kernel floor and the parity battery, whose
+//! oracle is a scalar reference kernel in test builds.
 
 /// Panel width of the blocked factorization.  32 columns of f64 keep a
 /// panel strip within L1 for the front sizes the multifrontal kernel
@@ -15,7 +16,8 @@ pub const DEFAULT_BLOCK: usize = 32;
 
 /// Selects the dense elimination kernel for multi-pivot fronts.
 ///
-/// `Blocked` is the production kernel.  Test builds add `Reference`, the
+/// `Blocked` is the multi-pivot kernel (the served column loop does not
+/// call it; see the module docs).  Test builds add `Reference`, the
 /// scalar column-at-a-time implementation the parity battery pins it to:
 /// with a single pivot and with `block == 1` the blocked kernel is
 /// *bit-identical* to the reference; wider blocks on multi-pivot

@@ -71,23 +71,6 @@ pub struct LatencySummary {
     pub max_seconds: f64,
 }
 
-impl LatencySummary {
-    /// Render the summary as a JSON object fragment (used verbatim by the
-    /// server's `/stats` endpoint and the loadgen report).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"mean_seconds\": {:.9}, \"p50_seconds\": {:.9}, \
-             \"p95_seconds\": {:.9}, \"p99_seconds\": {:.9}, \"max_seconds\": {:.9}}}",
-            self.count,
-            self.mean_seconds,
-            self.p50_seconds,
-            self.p95_seconds,
-            self.p99_seconds,
-            self.max_seconds
-        )
-    }
-}
-
 /// The `q`-th percentile (`0.0 ..= 1.0`) of an **ascending-sorted** slice,
 /// by the nearest-rank method.  Returns `0.0` for an empty slice.
 pub fn percentile(sorted_ascending: &[f64], q: f64) -> f64 {
@@ -169,6 +152,5 @@ mod tests {
         assert_eq!(summary.max_seconds, 10.0);
         assert!((summary.mean_seconds - 5.5).abs() < 1e-12);
         assert_eq!(latency_summary(&[]), LatencySummary::default());
-        assert!(summary.to_json().contains("\"count\": 10"));
     }
 }

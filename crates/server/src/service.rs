@@ -7,12 +7,11 @@
 //! the two waits no engine stage covers: a distributed job's contributions
 //! and the start of a `/solve` batch.
 
-use std::fmt::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use distrib::{ClaimRequest, ContributeError, Contribution, JobRegistry, JobSpec, WaitError};
-use engine::json::{escape, Json};
+use engine::json::{self, Array, Fixed, Json, Sci};
 use engine::prelude::*;
 use engine::{CacheStats, CancelToken, PlanCache};
 
@@ -66,11 +65,11 @@ impl Response {
     pub fn error(status: u16, message: &str) -> Self {
         Response {
             status,
-            body: format!(
-                "{{\"error\": \"{}\", \"status\": {status}, \"reason\": \"{}\"}}\n",
-                escape(message),
-                reason_phrase(status)
-            ),
+            body: json::document(|doc| {
+                doc.field("error", message)
+                    .field("status", status)
+                    .field("reason", reason_phrase(status));
+            }),
             cache_hit: None,
             config_hash: None,
         }
@@ -145,7 +144,9 @@ impl Service {
         let tenant = request_tenant(request)?;
         let body = &request.body;
         match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => Ok(Response::ok("{\"status\": \"ok\"}\n".to_string())),
+            ("GET", "/healthz") => Ok(Response::ok(json::document(|doc| {
+                doc.field("status", "ok");
+            }))),
             ("GET", "/stats") => Ok(Response::ok(self.stats.to_json(
                 &self.cache.stats(),
                 &self.factors.stats(),
@@ -257,16 +258,16 @@ impl Service {
         let config = self.parse_config(body)?;
         let (plan, hit) = self.plan_for(engine, &config, tenant)?;
         let timings = plan.timings();
-        let body = format!(
-            "{{\n  \"schema\": \"engine_server_plan/v1\",\n  \"config_hash\": \"{}\",\n  \
-             \"cache\": \"{}\",\n  \"nodes\": {},\n  \"matrix_n\": {},\n  \
-             \"plan_seconds\": {:.6}\n}}\n",
-            escape(plan.config_hash()),
-            if hit { "hit" } else { "miss" },
-            plan.tree().len(),
-            plan.matrix_n(),
-            timings.generate_seconds + timings.ordering_seconds + timings.symbolic_seconds
-        );
+        let plan_seconds =
+            timings.generate_seconds + timings.ordering_seconds + timings.symbolic_seconds;
+        let body = json::document(|doc| {
+            doc.field("schema", "engine_server_plan/v1")
+                .field("config_hash", plan.config_hash())
+                .field("cache", if hit { "hit" } else { "miss" })
+                .field("nodes", plan.tree().len())
+                .field("matrix_n", plan.matrix_n())
+                .field("plan_seconds", Fixed(plan_seconds, 6));
+        });
         Ok(Response {
             cache_hit: Some(hit),
             config_hash: Some(plan.config_hash().to_string()),
@@ -284,24 +285,21 @@ impl Service {
         let (plan, hit) = self.plan_for(engine, &config, tenant)?;
         let schedule = plan.schedule(engine).map_err(|e| self.engine_error(&e))?;
         self.record_stages(&schedule.timings(), false, false);
-        let body = format!(
-            "{{\n  \"schema\": \"engine_server_schedule/v1\",\n  \"config_hash\": \"{}\",\n  \
-             \"cache\": \"{}\",\n  \"solver\": \"{}\",\n  \"policy\": \"{}\",\n  \
-             \"solver_peak\": {},\n  \"memory_budget\": {},\n  \"io_volume\": {},\n  \
-             \"read_volume\": {},\n  \"files_written\": {},\n  \"io_peak_memory\": {},\n  \
-             \"divisible_bound\": {}\n}}\n",
-            escape(schedule.config_hash()),
-            if hit { "hit" } else { "miss" },
-            escape(schedule.solver()),
-            escape(schedule.policy()),
-            schedule.peak(),
-            schedule.memory_budget(),
-            schedule.io_volume(),
-            schedule.io_run().read_volume,
-            schedule.io_run().files_written,
-            schedule.io_run().peak_memory,
-            schedule.divisible_bound(),
-        );
+        let run = schedule.io_run();
+        let body = json::document(|doc| {
+            doc.field("schema", "engine_server_schedule/v1")
+                .field("config_hash", schedule.config_hash())
+                .field("cache", if hit { "hit" } else { "miss" })
+                .field("solver", schedule.solver())
+                .field("policy", schedule.policy())
+                .field("solver_peak", schedule.peak())
+                .field("memory_budget", schedule.memory_budget())
+                .field("io_volume", schedule.io_volume())
+                .field("read_volume", run.read_volume)
+                .field("files_written", run.files_written)
+                .field("io_peak_memory", run.peak_memory)
+                .field("divisible_bound", schedule.divisible_bound());
+        });
         Ok(Response {
             cache_hit: Some(hit),
             config_hash: Some(schedule.config_hash().to_string()),
@@ -455,9 +453,15 @@ impl Service {
         };
         let (job, task) = (contribution.job, contribution.task);
         match self.registry.contribute(contribution, frame_bytes) {
-            Ok(()) => Response::ok(format!(
-                "{{\"status\": \"accepted\", \"job\": {job}, \"task\": {task}}}\n"
-            )),
+            // One line, like the frames: workers pay for every byte.
+            Ok(()) => Response::ok(
+                json::line(|reply| {
+                    reply
+                        .field("status", "accepted")
+                        .field("job", job)
+                        .field("task", task);
+                }) + "\n",
+            ),
             Err(error @ (ContributeError::UnknownJob | ContributeError::UnknownTask)) => {
                 Response::error(404, &error.to_string())
             }
@@ -477,7 +481,7 @@ impl Service {
             return Response::error(400, "job ids are decimal integers");
         };
         match self.registry.job(id) {
-            Some(job) => Response::ok(format!("{}\n", job.progress_json())),
+            Some(job) => Response::ok(job.progress_json()),
             None => Response::error(404, &format!("no live job {id}")),
         }
     }
@@ -503,20 +507,18 @@ impl Service {
         };
         let json = Json::parse(text)
             .map_err(|e| Response::error(400, &format!("invalid solve request: {e}")))?;
-        let Some(config_hash) = json.get("config_hash").and_then(Json::as_str) else {
+        let Ok(config_hash) = json.field::<&str>("config_hash") else {
             return Err(Response::error(
                 400,
                 "solve requests need a \"config_hash\" string naming a previous numeric report",
             ));
         };
-        let check_residual = json
-            .get("check_residual")
-            .and_then(Json::as_bool)
-            .unwrap_or(true);
-        let return_solutions = json
-            .get("return_solutions")
-            .and_then(Json::as_bool)
-            .unwrap_or(false);
+        let invalid =
+            |e: json::FieldError| Response::error(400, &format!("invalid solve request: {e}"));
+        let check_residual = json.opt_field("check_residual").map_err(invalid)?;
+        let return_solutions = json.opt_field("return_solutions").map_err(invalid)?;
+        let count = json.opt_field("count").map_err(invalid)?.unwrap_or(1);
+        let seed = json.opt_field("seed").map_err(invalid)?.unwrap_or(1);
         if let Some(recorder) = self.stats.stage("parse") {
             recorder.record(parse_started.elapsed().as_secs_f64());
         }
@@ -529,7 +531,7 @@ impl Service {
                     404,
                     &format!(
                         "no cached factor for config_hash '{config_hash}'; \
-                         POST /report with \"numeric\": true first"
+                         POST /report with \"numeric\" set to true first"
                     ),
                 )
             });
@@ -538,10 +540,7 @@ impl Service {
             Some(vectors) => SolveRhs::Vectors(number_arrays(vectors).ok_or_else(|| {
                 Response::error(400, "\"vectors\" must be an array of number arrays")
             })?),
-            None => SolveRhs::Generated {
-                count: json.get("count").and_then(Json::as_usize).unwrap_or(1),
-                seed: json.get("seed").and_then(Json::as_u64).unwrap_or(1),
-            },
+            None => SolveRhs::Generated { count, seed },
         };
 
         // The batched solve is short and uninterruptible, so the deadline is
@@ -558,52 +557,37 @@ impl Service {
 
         let solve_started = Instant::now();
         let (report, batch) = factor
-            .solve_batch(&rhs, check_residual)
+            .solve_batch(&rhs, check_residual.unwrap_or(true))
             .map_err(|e| self.engine_error(&e))?;
         let solve_seconds = solve_started.elapsed().as_secs_f64();
         if let Some(recorder) = self.stats.stage("solve") {
             recorder.record(solve_seconds);
         }
 
-        let n = factor.n();
-        let mut body = format!(
-            "{{\n  \"schema\": \"engine_server_solve/v1\",\n  \"config_hash\": \"{}\",\n  \
-             \"cache\": \"hit\",\n  \"n\": {n},\n  \"rhs_count\": {},\n  \
-             \"factor_nnz\": {},\n  \"solve_seconds\": {:.6},\n  \"max_residual\": ",
-            escape(config_hash),
-            report.rhs_count,
-            factor.factor_nnz(),
-            solve_seconds,
-        );
-        // Absent and non-finite values (which are not JSON) render as `null`.
-        let push_value = |body: &mut String, value: Option<f64>| match value {
-            Some(value) if value.is_finite() => {
-                let _ = write!(body, "{value:e}");
+        let body = json::document(|doc| {
+            doc.field("schema", "engine_server_solve/v1")
+                .field("config_hash", config_hash)
+                .field("cache", "hit")
+                .field("n", factor.n())
+                .field("rhs_count", report.rhs_count)
+                .field("factor_nnz", factor.factor_nnz())
+                .field("solve_seconds", Fixed(solve_seconds, 6))
+                .field("max_residual", report.max_residual.map(Sci));
+            if return_solutions.unwrap_or(false) {
+                // The batch is interleaved: solution `c` is every
+                // `rhs_count`-th value from `c` on.
+                let solutions = (0..report.rhs_count).map(|c| {
+                    Array(
+                        batch
+                            .iter()
+                            .skip(c)
+                            .step_by(report.rhs_count)
+                            .map(|&v| Sci(v)),
+                    )
+                });
+                doc.field("solutions", Array(solutions));
             }
-            _ => body.push_str("null"),
-        };
-        push_value(&mut body, report.max_residual);
-        if return_solutions {
-            // The batch is interleaved: solution `c` is every
-            // `rhs_count`-th value from `c` on.
-            body.push_str(",\n  \"solutions\": [");
-            for c in 0..report.rhs_count {
-                if c > 0 {
-                    body.push_str(", ");
-                }
-                body.push('[');
-                let solution = batch.iter().skip(c).step_by(report.rhs_count);
-                for (position, value) in solution.enumerate() {
-                    if position > 0 {
-                        body.push_str(", ");
-                    }
-                    push_value(&mut body, Some(*value));
-                }
-                body.push(']');
-            }
-            body.push(']');
-        }
-        body.push_str("\n}\n");
+        });
         Ok(Response {
             cache_hit: Some(true),
             config_hash: Some(config_hash.to_string()),
@@ -711,15 +695,13 @@ fn body_deadline_ms(body: &[u8]) -> Result<Option<u64>, Response> {
     let Ok(json) = Json::parse(text) else {
         return Ok(None);
     };
-    match json.get("deadline_ms") {
-        None => Ok(None),
-        Some(value) => match value.as_u64() {
-            Some(ms) if ms > 0 => Ok(Some(ms)),
-            _ => Err(Response::error(
-                400,
-                "\"deadline_ms\" must be a positive integer of milliseconds",
-            )),
-        },
+    match json.opt_field("deadline_ms") {
+        Ok(None) => Ok(None),
+        Ok(Some(ms)) if ms > 0 => Ok(Some(ms)),
+        _ => Err(Response::error(
+            400,
+            "\"deadline_ms\" must be a positive integer of milliseconds",
+        )),
     }
 }
 
@@ -783,6 +765,48 @@ mod tests {
         EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 100, 7)
             .with_memory(MemoryBudget::FractionOfPeak(0.5))
             .to_json()
+    }
+
+    /// The top-level fields of `body` without the wall-clock `key`.
+    fn fields_without(body: &str, key: &str) -> Vec<(String, Json)> {
+        match Json::parse(body).unwrap() {
+            Json::Obj(fields) => fields.into_iter().filter(|(k, _)| k != key).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// Every endpoint document parses to what the hand-formatted renderers
+    /// wrote before the `json::Writer` (only the layout may change; the
+    /// wall-clock fields are dropped).
+    #[test]
+    fn endpoint_documents_keep_their_fields() {
+        let service = service();
+        let config = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 9, 7)
+            .with_numeric(true)
+            .with_memory(MemoryBudget::FractionOfPeak(0.5))
+            .to_json();
+        let plan = post(&service, "/plan", &config);
+        let parent = "{\n  \"schema\": \"engine_server_plan/v1\",\n  \"config_hash\": \"a9045d817215ec7d\",\n  \"cache\": \"miss\",\n  \"nodes\": 7,\n  \"matrix_n\": 9,\n  \"plan_seconds\": 0.000115\n}\n";
+        assert_eq!(
+            fields_without(&plan.body, "plan_seconds"),
+            fields_without(parent, "plan_seconds")
+        );
+        let schedule = post(&service, "/schedule", &config);
+        let parent = "{\n  \"schema\": \"engine_server_schedule/v1\",\n  \"config_hash\": \"a9045d817215ec7d\",\n  \"cache\": \"hit\",\n  \"solver\": \"minmem\",\n  \"policy\": \"LSNF\",\n  \"solver_peak\": 29,\n  \"memory_budget\": 29,\n  \"io_volume\": 0,\n  \"read_volume\": 0,\n  \"files_written\": 0,\n  \"io_peak_memory\": 29,\n  \"divisible_bound\": 0\n}\n";
+        assert_eq!(Json::parse(&schedule.body), Json::parse(parent));
+        let hash = post(&service, "/report", &config).config_hash.unwrap();
+        let body = format!(
+            "{{\"config_hash\": \"{hash}\", \"count\": 2, \"seed\": 3, \"return_solutions\": true}}"
+        );
+        let solve = post(&service, "/solve", &body);
+        let parent = "{\n  \"schema\": \"engine_server_solve/v1\",\n  \"config_hash\": \"a9045d817215ec7d\",\n  \"cache\": \"hit\",\n  \"n\": 9,\n  \"rhs_count\": 2,\n  \"factor_nnz\": 26,\n  \"solve_seconds\": 0.000021,\n  \"max_residual\": 2.220446049250313e-16,\n  \"solutions\": [[6.005385721730191e-1, 4.196626775503078e-1, 4.2092943049600845e-1, -1.3088329242702046e-1, 4.597721609550151e-1, 1.725234819649219e-1, 3.6583040544874257e-1, 2.502191328660818e-1, 1.3477134034714977e-1], [7.348716438485093e-1, 8.743759861846105e-2, 3.199933119673318e-1, 1.4266499937678964e-1, 2.971193475755649e-1, -1.4968921230742699e-2, 7.229124480145172e-2, -3.135419770920468e-1, 2.306864434850783e-2]]\n}\n";
+        assert_eq!(
+            fields_without(&solve.body, "solve_seconds"),
+            fields_without(parent, "solve_seconds")
+        );
+        let error = Response::error(404, "no route for /a\"b\"\n");
+        let parent = "{\"error\": \"no route for /a\\\"b\\\"\\n\", \"status\": 404, \"reason\": \"Not Found\"}\n";
+        assert_eq!(Json::parse(&error.body), Json::parse(parent));
     }
 
     #[test]
@@ -1053,6 +1077,21 @@ mod tests {
             let label = &body[..body.len().min(40)];
             assert_eq!(response.status, 400, "{label:?} -> {}", response.body);
             assert!(Json::parse(&response.body).is_ok());
+        }
+        // A mistyped optional field is a 400 that names it, not its default.
+        for (field, value) in [
+            ("count", "\"4\""),
+            ("count", "2.5"),
+            ("seed", "-1"),
+            ("check_residual", "\"no\""),
+            ("return_solutions", "1"),
+        ] {
+            let body = format!("{{\"config_hash\": \"{hash}\", \"{field}\": {value}}}");
+            let response = post(&service, "/solve", &body);
+            assert_eq!(response.status, 400, "{body} -> {}", response.body);
+            let error = Json::parse(&response.body).unwrap();
+            let message = error.get("error").and_then(Json::as_str).unwrap();
+            assert!(message.contains(&format!("'{field}'")), "{message}");
         }
         // Wrong method.
         assert_eq!(get(&service, "/solve").status, 405);
@@ -1601,7 +1640,18 @@ mod tests {
         // The lease survived: the honest copy is accepted under the same
         // epoch, a worker drains the rest, and the merged factor is the
         // local one bit for bit.
-        assert_eq!(contribute(honest).status, 200);
+        // The reply's bytes count in the cluster's traffic: one line, as before.
+        let accepted = contribute(honest);
+        assert_eq!(
+            (accepted.status, accepted.body),
+            (
+                200,
+                format!(
+                    "{{\"status\": \"accepted\", \"job\": {}, \"task\": {}}}\n",
+                    task.job, task.task
+                )
+            )
+        );
         let transport = InProcessTransport(Arc::clone(&service));
         run_worker(&transport, &WorkerOptions::named("w-0").exit_when_idle(3));
         let response = report.join().expect("report thread");

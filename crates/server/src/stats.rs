@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use engine::json::{self, Fixed, Object, Value};
 use perfprof::timing::{latency_summary, LatencySummary};
 use treemem::sync::TrackedMutex;
 
@@ -122,14 +123,6 @@ impl ServerStats {
         self.cancelled[index].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Cancellations counted in `stage` so far.
-    pub fn cancelled_in(&self, stage: &str) -> u64 {
-        CANCEL_STAGE_NAMES
-            .iter()
-            .position(|name| *name == stage)
-            .map_or(0, |index| self.cancelled[index].load(Ordering::Relaxed))
-    }
-
     /// Cancellations counted across every stage.
     pub fn cancelled_total(&self) -> u64 {
         self.cancelled
@@ -179,114 +172,61 @@ impl ServerStats {
         workers: usize,
         cluster: &distrib::ClusterSnapshot,
     ) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"engine_server_stats/v1\",\n");
-        out.push_str(&format!(
-            "  \"uptime_seconds\": {:.3},\n",
-            self.started.elapsed().as_secs_f64()
-        ));
-        out.push_str(&format!("  \"workers\": {workers},\n"));
-        out.push_str(&format!(
-            "  \"in_flight\": {},\n",
-            self.in_flight.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "  \"accepted_total\": {},\n",
-            self.accepted_total.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "  \"responses\": {{\"status_2xx\": {}, \"status_4xx\": {}, \"status_5xx\": {}}},\n",
-            self.responses_2xx.load(Ordering::Relaxed),
-            self.responses_4xx.load(Ordering::Relaxed),
-            self.responses_5xx.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "  \"caches\": {{\"schema\": \"engine_server_caches/v1\", \"plan\": {}, \
-             \"factor\": {}}},\n",
-            cache_json(cache),
-            cache_json(factors)
-        ));
-        out.push_str("  \"endpoints\": {");
-        for (index, name) in ENDPOINT_NAMES.iter().enumerate() {
-            if index > 0 {
-                out.push_str(", ");
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let responses = Object(|responses| {
+            responses
+                .field("status_2xx", load(&self.responses_2xx))
+                .field("status_4xx", load(&self.responses_4xx))
+                .field("status_5xx", load(&self.responses_5xx));
+        });
+        let caches = Object(|caches| {
+            caches
+                .field("schema", "engine_server_caches/v1")
+                .field("plan", cache)
+                .field("factor", factors);
+        });
+        let cancelled = Object(|cancelled| {
+            cancelled.field("total", self.cancelled_total());
+            for (name, counter) in CANCEL_STAGE_NAMES.iter().zip(&self.cancelled) {
+                cancelled.field(name, load(counter));
             }
-            out.push_str(&format!(
-                "\"{name}\": {}",
-                self.endpoints[index].summary().to_json()
-            ));
-        }
-        out.push_str("},\n  \"stages\": {");
-        for (index, name) in STAGE_NAMES.iter().enumerate() {
-            if index > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{name}\": {}",
-                self.stages[index].summary().to_json()
-            ));
-        }
-        out.push_str("},\n  \"cluster\": ");
-        out.push_str(&cluster.to_json_fragment());
-        out.push_str(",\n  \"cancelled\": {");
-        out.push_str(&format!("\"total\": {}", self.cancelled_total()));
-        for (index, name) in CANCEL_STAGE_NAMES.iter().enumerate() {
-            out.push_str(&format!(
-                ", \"{name}\": {}",
-                self.cancelled[index].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("}\n}\n");
-        out
+        });
+        let uptime = Fixed(self.started.elapsed().as_secs_f64(), 3);
+        json::document(|doc| {
+            doc.field("schema", "engine_server_stats/v1")
+                .field("uptime_seconds", uptime)
+                .field("workers", workers)
+                .field("in_flight", self.in_flight.load(Ordering::Relaxed))
+                .field("accepted_total", load(&self.accepted_total))
+                .field("responses", responses)
+                .field("caches", caches)
+                .field("endpoints", latencies(&ENDPOINT_NAMES, &self.endpoints))
+                .field("stages", latencies(&STAGE_NAMES, &self.stages))
+                .field("cluster", cluster)
+                .field("cancelled", cancelled);
+        })
     }
 }
 
-/// One cache's entry in the versioned `caches` object: full byte-level
-/// counters plus per-tenant usage.  Byte-unbounded capacities (the
-/// `u64::MAX` sentinel) render as `null`.
-fn cache_json(stats: &engine::CacheStats) -> String {
-    let bytes_capacity = if stats.bytes_capacity == u64::MAX {
-        "null".to_string()
-    } else {
-        stats.bytes_capacity.to_string()
-    };
-    let max_entries = if stats.capacity == 0 {
-        "null".to_string()
-    } else {
-        stats.capacity.to_string()
-    };
-    let mut out = format!(
-        "{{\"policy\": \"{}\", \"bytes_capacity\": {bytes_capacity}, \"bytes_used\": {}, \
-         \"max_entries\": {max_entries}, \"entries\": {}, \"hits\": {}, \"misses\": {}, \
-         \"hit_rate\": {:.6}, \"evictions\": {}, \"expirations\": {}, \"uncacheable\": {}, \
-         \"tenants\": {{",
-        stats.policy,
-        stats.bytes_used,
-        stats.entries,
-        stats.hits,
-        stats.misses,
-        stats.hit_rate(),
-        stats.evictions,
-        stats.expirations,
-        stats.uncacheable,
-    );
-    for (index, tenant) in stats.per_tenant.iter().enumerate() {
-        if index > 0 {
-            out.push_str(", ");
+/// Each recorder's percentile summary under its name, in seconds to nine
+/// decimals.
+fn latencies<'a>(names: &'a [&str], recorders: &'a [LatencyRecorder]) -> impl Value + 'a {
+    let seconds = |value| Fixed(value, 9);
+    Object(move |section| {
+        for (name, recorder) in names.iter().zip(recorders) {
+            let summary = recorder.summary();
+            let fields = Object(|latency| {
+                latency
+                    .field("count", summary.count)
+                    .field("mean_seconds", seconds(summary.mean_seconds))
+                    .field("p50_seconds", seconds(summary.p50_seconds))
+                    .field("p95_seconds", seconds(summary.p95_seconds))
+                    .field("p99_seconds", seconds(summary.p99_seconds))
+                    .field("max_seconds", seconds(summary.max_seconds));
+            });
+            section.field(name, fields);
         }
-        out.push_str(&format!(
-            "\"{}\": {{\"bytes\": {}, \"entries\": {}, \"hits\": {}, \"misses\": {}, \
-             \"uncacheable\": {}}}",
-            engine::json::escape(&tenant.tenant),
-            tenant.bytes,
-            tenant.entries,
-            tenant.hits,
-            tenant.misses,
-            tenant.uncacheable,
-        ));
-    }
-    out.push_str("}}");
-    out
+    })
 }
 
 #[cfg(test)]
@@ -304,6 +244,57 @@ mod tests {
         assert_eq!(summary.count, 100);
         assert_eq!(summary.p50_seconds, 50.0);
         assert_eq!(summary.p99_seconds, 99.0);
+    }
+
+    /// `/stats` parses to what the hand-formatted renderer wrote before the
+    /// `json::Writer` (only its layout may change; the uptime is a clock).
+    #[test]
+    fn the_stats_document_keeps_its_fields() {
+        let stats = ServerStats::new();
+        stats.count_response(200);
+        stats.count_response(503);
+        stats.endpoint("report").unwrap().record(0.125);
+        stats.endpoint("report").unwrap().record(0.5);
+        stats.stage("numeric").unwrap().record(0.0625);
+        stats.count_cancelled("ordering");
+        stats.in_flight.store(2, Ordering::Relaxed);
+        let tenant = |tenant: &str, bytes| engine::TenantUsage {
+            tenant: tenant.to_string(),
+            bytes,
+            entries: 2,
+            hits: 5,
+            misses: 1,
+            uncacheable: 0,
+        };
+        let plans = engine::CacheStats {
+            hits: 3,
+            misses: 1,
+            capacity: 8,
+            entries: 2,
+            evictions: 4,
+            bytes_used: 2048,
+            bytes_capacity: 1 << 20,
+            per_tenant: vec![tenant("public", 1024), tenant("acme.eu", 1024)],
+            ..Default::default()
+        };
+        let factors = engine::CacheStats {
+            policy: engine::CachePolicy::Gdsf,
+            bytes_capacity: u64::MAX,
+            ..Default::default()
+        };
+        let cluster = distrib::ClusterStats::new();
+        cluster.note_worker("w-0");
+        cluster.note_worker("w-\"1\"");
+        let doc = stats.to_json(&plans, &factors, 4, &cluster.snapshot());
+        let parent = "{\n  \"schema\": \"engine_server_stats/v1\",\n  \"uptime_seconds\": 0.000,\n  \"workers\": 4,\n  \"in_flight\": 2,\n  \"accepted_total\": 0,\n  \"responses\": {\"status_2xx\": 1, \"status_4xx\": 0, \"status_5xx\": 1},\n  \"caches\": {\"schema\": \"engine_server_caches/v1\", \"plan\": {\"policy\": \"LRU\", \"bytes_capacity\": 1048576, \"bytes_used\": 2048, \"max_entries\": 8, \"entries\": 2, \"hits\": 3, \"misses\": 1, \"hit_rate\": 0.750000, \"evictions\": 4, \"expirations\": 0, \"uncacheable\": 0, \"tenants\": {\"public\": {\"bytes\": 1024, \"entries\": 2, \"hits\": 5, \"misses\": 1, \"uncacheable\": 0}, \"acme.eu\": {\"bytes\": 1024, \"entries\": 2, \"hits\": 5, \"misses\": 1, \"uncacheable\": 0}}}, \"factor\": {\"policy\": \"GDSF\", \"bytes_capacity\": null, \"bytes_used\": 0, \"max_entries\": null, \"entries\": 0, \"hits\": 0, \"misses\": 0, \"hit_rate\": 0.000000, \"evictions\": 0, \"expirations\": 0, \"uncacheable\": 0, \"tenants\": {}}},\n  \"endpoints\": {\"plan\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"schedule\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"report\": {\"count\": 2, \"mean_seconds\": 0.312500000, \"p50_seconds\": 0.125000000, \"p95_seconds\": 0.500000000, \"p99_seconds\": 0.500000000, \"max_seconds\": 0.500000000}, \"solve\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}},\n  \"stages\": {\"parse\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"plan\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"solver\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"io\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"numeric\": {\"count\": 1, \"mean_seconds\": 0.062500000, \"p50_seconds\": 0.062500000, \"p95_seconds\": 0.062500000, \"p99_seconds\": 0.062500000, \"max_seconds\": 0.062500000}, \"solve\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}},\n  \"cluster\": {\"workers\": [\"w-0\", \"w-\\\"1\\\"\"], \"jobs_started\": 0, \"jobs_completed\": 0, \"tasks_claimed\": 0, \"tasks_completed\": 0, \"tasks_requeued\": 0, \"lease_expiries\": 0, \"stale_contributions\": 0, \"contribution_bytes\": 0},\n  \"cancelled\": {\"total\": 1, \"plan\": 0, \"ordering\": 1, \"symbolic\": 0, \"solver\": 0, \"io\": 0, \"numeric\": 0, \"distributed\": 0, \"solve\": 0, \"other\": 0}\n}\n";
+        let without_uptime = |doc: &str| match Json::parse(doc).unwrap() {
+            Json::Obj(fields) => fields
+                .into_iter()
+                .filter(|(key, _)| key != "uptime_seconds")
+                .collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(without_uptime(&doc), without_uptime(parent));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The worker-process side of distributed execution: poll the coordinator's
-//! `POST /internal/claim`, factor the leased subtree with the blocked
-//! kernel, and stream the contribution frame back through
+//! `POST /internal/claim`, factor the leased subtree with the same column
+//! loop as a local run, and stream the contribution frame back through
 //! `POST /internal/contribute`.
 //!
 //! The loop is deliberately stateless across tasks apart from a tiny plan
