@@ -101,8 +101,10 @@ impl Traversal {
     }
 
     /// Check that the traversal visits every node exactly once and never
-    /// schedules a node before its parent (Equation (2)).
-    pub fn check_precedence(&self, tree: &Tree) -> Result<(), TraversalError> {
+    /// schedules a node before its parent (Equation (2)), and return the
+    /// position map the check computes ([`Traversal::positions`]), so a
+    /// caller validates and indexes the traversal in one pass.
+    pub fn check_precedence(&self, tree: &Tree) -> Result<Vec<usize>, TraversalError> {
         let pos = self.positions(tree.len())?;
         for i in tree.nodes() {
             if let Some(par) = tree.parent(i) {
@@ -114,7 +116,7 @@ impl Traversal {
                 }
             }
         }
-        Ok(())
+        Ok(pos)
     }
 
     /// Algorithm 1 of the paper: check whether the traversal is a feasible
@@ -297,6 +299,7 @@ mod tests {
         assert_eq!(pos[b], 4);
         assert_eq!(pos[a], 2);
         assert_eq!(pos[d], 3);
+        assert_eq!(tr.check_precedence(&tree), Ok(pos));
     }
 
     #[test]

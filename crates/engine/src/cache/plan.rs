@@ -79,6 +79,10 @@ pub struct PlanCache {
     /// open until its waiter is provably parked.
     #[cfg(test)]
     parked: std::sync::atomic::AtomicUsize,
+    /// Run once by the next caller whose lookup misses, before it takes the
+    /// in-flight lock, so a test can interleave a whole flight there.
+    #[cfg(test)]
+    after_miss: std::sync::Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl PlanCache {
@@ -101,6 +105,8 @@ impl PlanCache {
             sideline: TrackedMutex::new(Vec::new(), "plan-cache.sideline"),
             #[cfg(test)]
             parked: std::sync::atomic::AtomicUsize::new(0),
+            #[cfg(test)]
+            after_miss: std::sync::Mutex::new(None),
         }
     }
 
@@ -157,8 +163,20 @@ impl PlanCache {
             if let Some(plan) = self.core.lookup(key, tenant, false) {
                 return Ok((plan, true));
             }
+            #[cfg(test)]
+            {
+                let hook = self.after_miss.lock().expect("hook poisoned").take();
+                if let Some(hook) = hook {
+                    hook();
+                }
+            }
             let mut in_flight = self.in_flight.lock();
             if !in_flight.iter().any(|flying| flying == key) {
+                // A flight for the key may have inserted and settled since
+                // the lookup above: look again before planning.
+                if let Some(plan) = self.core.lookup(key, tenant, false) {
+                    return Ok((plan, true));
+                }
                 // This caller becomes the planner for the key.  Any parked
                 // result of a previous flight is stale now.
                 in_flight.push(key.to_string());
@@ -453,6 +471,50 @@ mod tests {
             assert!(Arc::ptr_eq(plan, &plans[0]));
         }
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn a_flight_that_settles_between_lookup_and_lock_is_shared() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        use std::sync::Mutex;
+        // The caller below misses the cache; before it reaches the in-flight
+        // set, a whole flight for the same key plans, inserts and settles.
+        // The caller must share that entry, not plan the key a second time.
+        let cache = Arc::new(PlanCache::new(4, None));
+        let config = config(7);
+        let key = config.hash();
+        let planner_runs = Arc::new(AtomicUsize::new(0));
+        let interleaved = Arc::new(Mutex::new(None));
+        let hook = {
+            let (cache, config, key) = (cache.clone(), config.clone(), key.clone());
+            let (runs, interleaved) = (planner_runs.clone(), interleaved.clone());
+            move || {
+                let engine = Engine::new();
+                let (plan, hit) = cache
+                    .single_flight(&key, DEFAULT_TENANT, None, || {
+                        runs.fetch_add(1, SeqCst);
+                        engine.plan(&config)
+                    })
+                    .unwrap();
+                assert!(!hit);
+                *interleaved.lock().unwrap() = Some(plan);
+            }
+        };
+        *cache.after_miss.lock().unwrap() = Some(Box::new(hook));
+        let engine = Engine::new();
+        let (plan, hit) = cache
+            .single_flight(&key, DEFAULT_TENANT, None, || {
+                planner_runs.fetch_add(1, SeqCst);
+                engine.plan(&config)
+            })
+            .unwrap();
+        let interleaved = interleaved.lock().unwrap().take();
+        let interleaved = interleaved.expect("the interleaved flight ran");
+        assert_eq!(planner_runs.load(SeqCst), 1, "the key was planned once");
+        assert!(hit, "the late caller shares the settled entry");
+        assert!(Arc::ptr_eq(&plan, &interleaved));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]

@@ -31,9 +31,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use minio::{
-    divisible_lower_bound, schedule_io_with_stop, MinIoError, OutOfCoreRun, PolicyRegistry,
-};
+use minio::{MinIoError, OutOfCoreRun, PolicyRegistry, Walk};
 use multifrontal::memory::per_column_model;
 use multifrontal::numeric::SymbolicStructure;
 use multifrontal::parallel::BudgetLedger;
@@ -554,6 +552,9 @@ enum PlanTree {
 struct Solved {
     result: TraversalResult,
     seconds: f64,
+    /// The traversal, validated once: every policy walk and bound on it
+    /// shares the position map.
+    walk: Walk,
     /// Divisible lower bounds by memory budget: the bound depends only on
     /// the traversal and the budget, so policy sweeps share it.
     bounds: Memo<Size, Size>,
@@ -761,6 +762,7 @@ impl Plan {
         self.solved.for_each(|name, solved| {
             bytes += name.len() as u64;
             bytes += (solved.result.traversal.len() * size_of::<NodeId>()) as u64;
+            bytes += solved.walk.heap_bytes();
         });
         self.numeric_model
             .for_each(|(), model| bytes += model.heap_bytes());
@@ -823,9 +825,11 @@ impl Plan {
                 timed_ok(|| entry.solve_with_stop(self.tree(), stop))
             });
             let result = result.ok_or_else(|| cancelled(cancel, "solver"))?;
+            let walk = Walk::new(self.tree(), &result.traversal)?;
             Ok(Solved {
                 result,
                 seconds,
+                walk,
                 bounds: Memo::new(),
             })
         })
@@ -937,18 +941,27 @@ impl Plan {
         let tree = self.tree();
         let traversal = &solved.result.traversal;
         let memory_budget = budget_spec.resolve(tree.max_mem_req(), solved.result.peak);
+        let walk = &solved.walk;
         let (simulated, io_seconds) = {
             let (result, summary) = CancelToken::with_stop(cancel, |stop| {
                 perfprof::timing::time_runs(1, || {
                     let Some(run) =
-                        schedule_io_with_stop(tree, traversal, memory_budget, policy, stop)?
+                        walk.schedule_io(tree, traversal, memory_budget, policy, stop)?
                     else {
                         return Ok(None);
                     };
+                    // A stopped bound is `Err(None)`, which the memo does
+                    // not keep.
                     let bound = solved.bounds.get_or_try(&memory_budget, || {
-                        divisible_lower_bound(tree, traversal, memory_budget)
-                    })?;
-                    Ok::<_, MinIoError>(Some((run, *bound)))
+                        walk.divisible_bound(tree, traversal, memory_budget, stop)
+                            .map_err(Some)?
+                            .ok_or(None)
+                    });
+                    match bound {
+                        Ok(bound) => Ok(Some((run, *bound))),
+                        Err(None) => Ok(None),
+                        Err(Some(err)) => Err::<_, MinIoError>(err),
+                    }
                 })
             });
             (result?, summary.median_seconds)

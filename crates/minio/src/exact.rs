@@ -19,7 +19,7 @@
 use treemem::tree::{NodeId, Size, Tree};
 use treemem::Traversal;
 
-use crate::heuristics::{divisible_lower_bound, schedule_io_with, MinIoError};
+use crate::heuristics::{MinIoError, Walk};
 use crate::policy::{paper, Policy};
 
 /// Hard cap on the number of evictable candidates per step accepted by the
@@ -57,7 +57,7 @@ pub fn exact_min_io(
     traversal: &Traversal,
     memory: Size,
 ) -> Result<ExactMinIo, MinIoError> {
-    traversal.check_precedence(tree)?;
+    let walk = Walk::new(tree, traversal)?;
     for i in tree.nodes() {
         if tree.mem_req(i) > memory {
             return Err(MinIoError::InsufficientMemory {
@@ -75,10 +75,14 @@ pub fn exact_min_io(
         &paper::BestKCombination { k: 6 },
         &paper::Lsnf,
     ];
+    const UNSTOPPABLE: &str = "no stop probe, cannot be cancelled";
     for policy in heuristics {
-        incumbent = incumbent.min(schedule_io_with(tree, traversal, memory, policy)?.io_volume);
+        let run = walk.schedule_io(tree, traversal, memory, policy, None)?;
+        incumbent = incumbent.min(run.expect(UNSTOPPABLE).io_volume);
     }
-    let lower = divisible_lower_bound(tree, traversal, memory)?;
+    let lower = walk
+        .divisible_bound(tree, traversal, memory, None)?
+        .expect(UNSTOPPABLE);
     if incumbent == lower {
         // The heuristic already matches the divisible bound: it is optimal.
         return Ok(ExactMinIo {
@@ -87,7 +91,7 @@ pub fn exact_min_io(
         });
     }
 
-    let positions = traversal.positions(tree.len())?;
+    let positions = walk.positions();
     let order = traversal.order();
     let root = tree.root();
     let mut initial_resident = vec![false; tree.len()];
@@ -200,6 +204,7 @@ pub fn exact_min_io(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heuristics::{divisible_lower_bound, schedule_io_with};
     use crate::policy::PolicyRegistry;
     use treemem::gadgets::{harpoon, two_partition_gadget};
     use treemem::minmem::min_mem;

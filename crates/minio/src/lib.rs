@@ -35,7 +35,11 @@
 //! schedule.  [`check_out_of_core`] implements Algorithm 2 of
 //! the paper and validates such a schedule independently.
 //! [`divisible_lower_bound`] gives a per-traversal lower bound on the I/O
-//! volume by solving the divisible relaxation exactly.
+//! volume by solving the divisible relaxation exactly.  Both walks pay only
+//! for their deficits: until the first step that runs short they add and
+//! subtract file sizes, and from there on they keep the resident files in
+//! an ordered 64-ary bit tree.  A [`Walk`] validates a traversal once for
+//! any number of simulations and bounds, each with an optional stop probe.
 //!
 //! ```
 //! use treemem::gadgets::harpoon;
@@ -50,14 +54,13 @@
 //! assert!(run.io_volume > 0);
 //! ```
 
+mod bit_tree;
 pub mod exact;
 pub mod heuristics;
 pub mod policy;
 pub mod schedule;
 
 pub use exact::{exact_min_io, ExactMinIo};
-pub use heuristics::{
-    divisible_lower_bound, schedule_io_with, schedule_io_with_stop, MinIoError, OutOfCoreRun,
-};
+pub use heuristics::{divisible_lower_bound, schedule_io_with, MinIoError, OutOfCoreRun, Walk};
 pub use policy::{Candidate, EvictionContext, EvictionSession, Policy, PolicyRegistry};
 pub use schedule::{check_out_of_core, IoSchedule, OutOfCoreCheck};

@@ -509,6 +509,10 @@ pub mod cache {
         main: VecDeque<NodeId>,
         /// Second-chance bit for entries of `main`.
         second_chance: Vec<bool>,
+        /// Candidate index of each node during one `select`, `usize::MAX`
+        /// outside it; kept across calls so a deficit costs O(candidates),
+        /// not O(p).
+        index_of: Vec<usize>,
     }
 
     impl S3FifoSession {
@@ -520,6 +524,7 @@ pub mod cache {
                 small,
                 main: VecDeque::new(),
                 second_chance: vec![false; tree.len()],
+                index_of: vec![usize::MAX; tree.len()],
             }
         }
     }
@@ -534,9 +539,8 @@ pub mod cache {
         fn select(&mut self, ctx: &EvictionContext<'_>) -> Vec<usize> {
             // Index of each candidate node; queue entries not present here
             // are stale (consumed or already evicted) and get dropped.
-            let mut index_of = vec![usize::MAX; ctx.tree.len()];
             for (idx, candidate) in ctx.candidates.iter().enumerate() {
-                index_of[candidate.node] = idx;
+                self.index_of[candidate.node] = idx;
             }
             // "Near" = use-distance strictly below the median candidate's;
             // this stands in for the second access that promotes an object
@@ -554,7 +558,7 @@ pub mod cache {
                 let Some(node) = self.small.pop_front() else {
                     break;
                 };
-                let idx = index_of[node];
+                let idx = self.index_of[node];
                 if idx == usize::MAX {
                     continue; // stale entry
                 }
@@ -571,7 +575,7 @@ pub mod cache {
                 let Some(node) = self.main.pop_front() else {
                     break;
                 };
-                let idx = index_of[node];
+                let idx = self.index_of[node];
                 if idx == usize::MAX {
                     continue; // stale entry
                 }
@@ -583,6 +587,9 @@ pub mod cache {
                 }
                 selected.push(idx);
                 remaining -= ctx.candidates[idx].size;
+            }
+            for candidate in ctx.candidates {
+                self.index_of[candidate.node] = usize::MAX;
             }
             // Anything still missing (both queues dry) is completed by the
             // engine's LSNF fallback.

@@ -95,15 +95,14 @@ pub fn check_out_of_core(
     schedule: &IoSchedule,
     memory: Size,
 ) -> Result<OutOfCoreCheck, TraversalError> {
-    traversal.check_precedence(tree)?;
-    let positions = traversal.positions(tree.len())?;
+    let positions = traversal.check_precedence(tree)?;
     check_out_of_core_with_positions(tree, traversal, &positions, schedule, memory)
 }
 
 /// [`check_out_of_core`] with the traversal's position map supplied by the
 /// caller, who must already have validated the traversal's precedence (the
-/// out-of-core simulator computes the positions once per run and passes them
-/// through here instead of recomputing the permutation twice).
+/// out-of-core simulator passes its [`crate::Walk`]'s positions through
+/// here instead of recomputing them).
 pub(crate) fn check_out_of_core_with_positions(
     tree: &Tree,
     traversal: &Traversal,
@@ -113,14 +112,18 @@ pub(crate) fn check_out_of_core_with_positions(
 ) -> Result<OutOfCoreCheck, TraversalError> {
     debug_assert_eq!(positions.len(), tree.len());
 
-    // evictions grouped by step.
-    let mut evictions_at_step: Vec<Vec<NodeId>> = vec![Vec::new(); traversal.len() + 1];
+    // The evictions as (step, node), sorted: step-major, node order within
+    // a step.  A flat list costs O(evictions), where one list per step cost
+    // 24 bytes per node even for a schedule that writes nothing.
+    let mut evictions: Vec<(usize, NodeId)> = Vec::new();
     for (node, step) in schedule.evictions() {
         if step > traversal.len() {
             return Err(TraversalError::FileNotProduced { node });
         }
-        evictions_at_step[step].push(node);
+        evictions.push((step, node));
     }
+    evictions.sort_unstable();
+    let mut pending = evictions.iter().peekable();
 
     let root = tree.root();
     let mut resident = vec![false; tree.len()];
@@ -132,7 +135,7 @@ pub(crate) fn check_out_of_core_with_positions(
 
     for (step, &node) in traversal.order().iter().enumerate() {
         // Evictions scheduled just before this step.
-        for &evicted in &evictions_at_step[step] {
+        while let Some(&(_, evicted)) = pending.next_if(|&&(at, _)| at == step) {
             // The file must have been produced: its parent executed earlier
             // (or it is the root file, produced "by the outside world").
             let produced = match tree.parent(evicted) {
