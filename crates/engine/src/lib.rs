@@ -16,8 +16,6 @@
 //! * [`Schedule::execute`] — simulation results and (optionally) the numeric
 //!   multifrontal factorization, folded into a serializable [`Report`] with
 //!   per-stage wall-clock times and provenance;
-//! * [`Engine::run_batch`] — a whole `Vec<EngineConfig>` fanned over the
-//!   [`parallel::par_map`] worker pool for server-style throughput;
 //! * [`Engine::with_cancel`] — the same engine under a request's
 //!   [`CancelToken`], which every stage above polls;
 //! * [`PlanCache`] — a bounded LRU (+ optional TTL) of `Arc<Plan>`s keyed by

@@ -10,9 +10,6 @@
 //! the open-ended variant for jobs that arrive over time instead of as a
 //! slice: a fixed set of threads draining a shared queue, used by
 //! `crates/server` to execute HTTP requests.
-//!
-//! [`Engine::run_batch`](crate::Engine::run_batch) fans configurations over
-//! the same pool `crates/bench` plans its corpus and runs its sweep on.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -47,8 +47,6 @@ use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger, Rese
 use multifrontal::{CholeskyFactor, ContributionStore, FactorizationError, FrontArena};
 use treemem::faultinject::FaultSignal;
 use treemem::partition::{default_node_work, proportional_cut};
-use treemem::variants::bottom_up_peak;
-use treemem::Traversal;
 
 use crate::cancel::CancelToken;
 use crate::config::BudgetShare;
@@ -92,7 +90,7 @@ impl CutPlan {
         order: &[usize],
         max_tasks: usize,
         budget: &BudgetShare,
-    ) -> Result<CutPlan, EngineError> {
+    ) -> CutPlan {
         let structure = &numeric.structure;
 
         // The cut, on the per-column model tree whose `f + n = µ²` is
@@ -111,24 +109,23 @@ impl CutPlan {
         }
         let (merge_peak, _) = structure.modeled_peak_entries(&merge_order, merge_initial);
 
-        let sequential_peak = bottom_up_peak(&numeric.model, &Traversal::new(order.to_vec()))
-            .map_err(|_| EngineError::Factorization(FactorizationError::InvalidTraversal))?;
-        let budget_entries = budget.resolve(sequential_peak.max(0) as u64);
+        let (sequential_peak, _) = structure.modeled_peak_entries(order, 0);
+        let budget_entries = budget.resolve(sequential_peak);
         let oversized_tasks = match budget_entries {
             Some(budget) => task_peaks.iter().filter(|&&peak| peak > budget).count(),
             None => 0,
         };
-        Ok(CutPlan {
+        CutPlan {
             max_tasks,
             task_orders,
             task_peaks,
             merge_order,
             merge_initial,
             merge_peak,
-            sequential_peak,
+            sequential_peak: sequential_peak as i64,
             budget_entries,
             oversized_tasks,
-        })
+        }
     }
 
     /// The cut as it appears in a report's `parallel` / `distributed`
@@ -454,7 +451,7 @@ mod tests {
         let plan = engine.plan(&config).unwrap();
         let numeric = plan.numeric_model().unwrap();
         let order = numeric.order_for(&engine, "minmem").unwrap();
-        let cut = CutPlan::compute(&numeric, &order, 8, &BudgetShare::Entries(1)).unwrap();
+        let cut = CutPlan::compute(&numeric, &order, 8, &BudgetShare::Entries(1));
         assert!(cut.task_orders.len() > 1 && !cut.merge_order.is_empty());
 
         let token = CancelToken::new();
@@ -487,5 +484,62 @@ mod tests {
         let pooled = execute_cut(&numeric, &cut, TaskRunner::Pool(3), None).unwrap();
         assert_eq!(inline.factor.values, pooled.factor.values);
         assert_eq!(pooled.forced_admissions, cut.task_orders.len() as u64);
+    }
+
+    /// The sequential peak the budget resolves against (and the report's
+    /// `model_peak_entries`) is the paper's bottom-up peak of the per-column
+    /// model along the same order: every kind × size × registered solver
+    /// that supports the model, on the generated matrix and on two disjoint
+    /// copies of it (a forest, read back from a MatrixMarket file).
+    #[test]
+    fn the_sequential_peak_is_the_models_bottom_up_peak() {
+        use sparsemat::{matrixmarket::write_pattern, SparsePattern};
+        use treemem::variants::bottom_up_peak;
+        use treemem::Traversal;
+        let engine = Engine::new();
+        let path = std::env::temp_dir().join(format!("engine-forest-{}.mtx", std::process::id()));
+        let mut cells = 0;
+        for kind in ProblemKind::ALL {
+            for nodes in [1, 2, 50, 400] {
+                let pattern = kind.generate(nodes, 5);
+                let n = pattern.n();
+                let edges: Vec<(usize, usize)> = (0..n)
+                    .flat_map(|i| pattern.neighbors(i).iter().map(move |&j| (i, j)))
+                    .flat_map(|(i, j)| [(i, j), (i + n, j + n)])
+                    .collect();
+                std::fs::write(
+                    &path,
+                    write_pattern(&SparsePattern::from_edges(2 * n, &edges)),
+                )
+                .unwrap();
+                let forest = EngineConfig::matrix_market(path.to_string_lossy());
+                let connected = EngineConfig::generated(kind, nodes, 5);
+                for (shape, config) in [("connected", connected), ("forest", forest)] {
+                    let plan = engine.plan(&config.with_numeric(true)).unwrap();
+                    let numeric = plan.numeric_model().unwrap();
+                    let etree = &numeric.structure.etree;
+                    let roots = (0..numeric.structure.n())
+                        .filter(|&j| etree.parent(j).is_none())
+                        .count();
+                    assert!(
+                        shape == "connected" || roots > 1,
+                        "{shape} has {roots} roots"
+                    );
+                    for solver in engine.solvers().names() {
+                        let Ok(order) = numeric.order_for(&engine, &solver) else {
+                            continue;
+                        };
+                        let cut = CutPlan::compute(&numeric, &order, 1, &BudgetShare::Unbounded);
+                        let traversal = Traversal::new(order.to_vec());
+                        let model = bottom_up_peak(&numeric.model, &traversal).unwrap();
+                        let context = format!("{} / {nodes} / {shape} / {solver}", kind.name());
+                        assert_eq!(cut.sequential_peak, model, "{context}");
+                        cells += 1;
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(cells >= 7 * 4 * 2 * 3, "{cells} cells checked");
     }
 }

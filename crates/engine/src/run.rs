@@ -53,7 +53,6 @@ use crate::config::{
     ProblemSource, Settings, SolveConfig, SolveRhs,
 };
 use crate::memo::Memo;
-use crate::parallel::{default_threads, par_map};
 use crate::parexec::{execute_cut, CutPlan, TaskContext, TaskRunner};
 use crate::report::{
     DistributedReport, NumericReport, ParallelReport, Report, SolveReport, StageTimings,
@@ -275,18 +274,6 @@ impl Engine {
     /// Convenience: plan, schedule and execute `config` in one call.
     pub fn run(&self, config: &EngineConfig) -> Result<Report, EngineError> {
         self.plan(config)?.schedule(self)?.execute(self)
-    }
-
-    /// Fan a batch of configurations over the [`par_map`] worker pool and
-    /// return one result per configuration, in input order.  `threads`
-    /// defaults to the available parallelism.
-    pub fn run_batch(
-        &self,
-        configs: &[EngineConfig],
-        threads: Option<usize>,
-    ) -> Vec<Result<Report, EngineError>> {
-        let threads = threads.unwrap_or_else(|| default_threads(configs.len()));
-        par_map(configs, threads, |_, config| self.run(config))
     }
 
     fn validate(&self, config: &EngineConfig) -> Result<(), EngineError> {
@@ -1164,7 +1151,7 @@ impl Schedule<'_> {
             (1, BudgetShare::Unbounded, TaskRunner::Inline)
         };
         let stage = NumericStage {
-            cut: &CutPlan::compute(&numeric, &order, max_tasks, &budget)?,
+            cut: &CutPlan::compute(&numeric, &order, max_tasks, &budget),
             runner,
             started,
             cluster: None,
@@ -1351,7 +1338,7 @@ impl Schedule<'_> {
         }
         let numeric = self.plan.numeric_model()?;
         let order = numeric.order_for(engine, &self.solver)?;
-        let cut = CutPlan::compute(&numeric, &order, distributed.tasks, &distributed.budget)?;
+        let cut = CutPlan::compute(&numeric, &order, distributed.tasks, &distributed.budget);
         Ok(DistributedCut {
             cut,
             lease_ms: distributed.lease_ms,

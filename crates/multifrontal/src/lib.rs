@@ -11,8 +11,9 @@
 //!
 //! This crate implements that method end to end:
 //!
-//! * [`dense`] — the small dense kernels (Cholesky, triangular solves, Schur
-//!   complement updates) applied to frontal matrices;
+//! * [`dense`] — the frontal matrix, its buffer arena, and the one dense
+//!   elimination step (pivot square root, column division, Schur update)
+//!   that factors every front;
 //! * [`numeric`] — the symbolic structure of the factor and the numeric
 //!   multifrontal factorization itself, driven by an arbitrary bottom-up
 //!   traversal, plus forward/backward substitution;
@@ -29,7 +30,7 @@ pub mod memory;
 pub mod numeric;
 pub mod parallel;
 
-pub use dense::{DenseMatrix, FrontArena, FrontKernel, DEFAULT_BLOCK};
+pub use dense::{DenseMatrix, FrontArena, FrontKernel};
 pub use memory::{instrumented_factorization, FactorizationStats};
 pub use numeric::{
     multifrontal_cholesky, solve, solve_into, CholeskyFactor, ContributionStore,

@@ -12,11 +12,11 @@
 use sparsemat::SymmetricCsr;
 
 use super::{ContributionStore, FactorizationError, SymbolicStructure, STOP_CHECK_COLUMNS};
-use crate::dense::{FrontArena, FrontKernel};
+use crate::dense::FrontArena;
 use crate::parallel::BudgetLedger;
 
-/// [`super::eliminate_columns`] as at `22655dd`, with the single-pivot
-/// `FrontKernel::Reference` in place of the (bit-identical) default kernel.
+/// [`super::eliminate_columns`] as at `22655dd`, with the reference kernel
+/// on one pivot in place of the (bit-identical) served elimination step.
 pub(super) fn eliminate_columns(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
@@ -78,8 +78,8 @@ pub(super) fn eliminate_columns(
             }
 
             // Eliminate the fully-summed variable (the first row/column).
-            FrontKernel::Reference
-                .apply(&mut front, 1)
+            front
+                .partial_cholesky_reference(1)
                 .map_err(|_| FactorizationError::NotPositiveDefinite { column: j })?;
 
             // Extract the factor column.

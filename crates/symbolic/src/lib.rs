@@ -15,8 +15,8 @@
 //!    columns and `µ` the number of nonzeros of the column of `L` associated
 //!    with the highest node of the group;
 //! 4. [`pipeline`] — convenience drivers that run the whole chain
-//!    (pattern → ordering → elimination tree → assembly trees) and are used
-//!    by the experiment harness and the examples.
+//!    (pattern → ordering → elimination tree → assembly trees), used by the
+//!    experiment harness's corpus and by the engine parity tests.
 //!
 //! The resulting [`AssemblyTree::tree`] is a [`treemem::Tree`] and can be fed
 //! directly to the MinMemory algorithms and MinIO heuristics.

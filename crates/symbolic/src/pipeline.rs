@@ -1,13 +1,14 @@
 //! End-to-end assembly-tree pipeline: pattern → ordering → elimination tree →
 //! column counts → amalgamation.
 //!
-//! These free functions are the low-level drivers the `engine` facade plans
-//! with; new code should go through `engine::Engine::plan`, which adds name
-//! validation, caching, timings and JSON-serializable configuration on top.
-//! [`assembly_tree_for`] and [`assembly_instances`] remain as thin stitching
-//! helpers (and as the reference the engine parity tests pin against),
-//! building the corpus recipe of the paper's data set (291 UF matrices ×
-//! {amd, MeTiS} orderings × {1, 2, 4, 16} relaxed amalgamations).
+//! `engine::Engine::plan` runs the same chain inline, adding name
+//! validation, caching, timings and JSON-serializable configuration; new
+//! code should go through it.  These free functions stitch the chain
+//! directly: [`assembly_instances`] builds the experiment harness's corpus
+//! after the recipe of the paper's data set (291 UF matrices × {amd, MeTiS}
+//! orderings × {1, 2, 4, 16} relaxed amalgamations), and
+//! [`assembly_tree_for`] is the reference the engine parity tests pin the
+//! facade against.
 
 use ordering::OrderingMethod;
 use sparsemat::gen::ProblemKind;
@@ -141,24 +142,6 @@ pub fn assembly_instances(config: &PipelineConfig) -> Vec<AssemblyInstance> {
     instances
 }
 
-/// Generate only the patterns of a configuration (used by benchmarks that
-/// measure the ordering and symbolic steps themselves).
-pub fn patterns(config: &PipelineConfig) -> Vec<(String, SparsePattern)> {
-    let mut result = Vec::new();
-    for (problem_index, &problem) in config.problems.iter().enumerate() {
-        for (size_index, &size) in config.sizes.iter().enumerate() {
-            let seed = config
-                .seed
-                .wrapping_add(problem_index as u64)
-                .wrapping_mul(1_000_003)
-                .wrapping_add(size_index as u64);
-            let pattern = problem.generate(size, seed);
-            result.push((format!("{}-{}", problem.name(), pattern.n()), pattern));
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,17 +187,6 @@ mod tests {
             for pair in window.windows(2) {
                 assert!(pair[1].assembly.len() <= pair[0].assembly.len());
             }
-        }
-    }
-
-    #[test]
-    fn patterns_helper_matches_configuration() {
-        let config = PipelineConfig::small();
-        let patterns = patterns(&config);
-        assert_eq!(patterns.len(), config.problems.len() * config.sizes.len());
-        for (name, pattern) in patterns {
-            assert!(!name.is_empty());
-            assert!(pattern.n() >= 100);
         }
     }
 }

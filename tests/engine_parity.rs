@@ -1,7 +1,8 @@
 //! Golden parity: the engine's plan → schedule → execute flow must reproduce
-//! the manually stitched pipeline bit for bit, and batched execution must be
-//! independent of the worker count.
+//! the manually stitched pipeline bit for bit, and a batch of runs fanned
+//! over the `par_map` worker pool must be independent of the worker count.
 
+use engine::parallel::par_map;
 use engine::prelude::*;
 use minio::{divisible_lower_bound, schedule_io_with, PolicyRegistry};
 use ordering::OrderingMethod;
@@ -76,9 +77,9 @@ fn engine_reproduces_the_manual_pipeline_bit_for_bit() {
     }
 }
 
-/// `run_batch` output is independent of the worker count: one worker and
-/// many workers produce identical results (modulo wall-clock timings), in
-/// input order.
+/// A batch of `Engine::run` calls over `par_map` is independent of the
+/// worker count: one worker and many workers produce identical results
+/// (modulo wall-clock timings), in input order.
 #[test]
 fn batch_results_are_independent_of_the_worker_count() {
     let engine = Engine::new();
@@ -96,8 +97,8 @@ fn batch_results_are_independent_of_the_worker_count() {
             );
         }
     }
-    let serial = engine.run_batch(&configs, Some(1));
-    let parallel = engine.run_batch(&configs, Some(4));
+    let serial = par_map(&configs, 1, |_, config| engine.run(config));
+    let parallel = par_map(&configs, 4, |_, config| engine.run(config));
     assert_eq!(serial.len(), configs.len());
     for ((a, b), config) in serial.iter().zip(&parallel).zip(&configs) {
         let a = a.as_ref().expect("batch cell succeeds");
@@ -116,7 +117,7 @@ fn batch_errors_stay_in_their_cell() {
         EngineConfig::generated(ProblemKind::Grid2d, 100, 1),
         EngineConfig::generated(ProblemKind::Grid2d, 100, 1).with_solver("nope"),
     ];
-    let results = engine.run_batch(&configs, Some(2));
+    let results = par_map(&configs, 2, |_, config| engine.run(config));
     assert!(results[0].is_ok());
     assert!(matches!(results[1], Err(EngineError::UnknownName(_))));
 }
