@@ -120,12 +120,6 @@ pub const ALLOWLIST: &[AllowEntry] = &[
     // --- no-panic-in-request-path -----------------------------------------
     AllowEntry {
         rule: "no-panic-in-request-path",
-        path_suffix: "server/src/lib.rs",
-        needle: "expect(\"spawning the accept thread failed\")",
-        reason: "boot path, not request path: runs once before the listener accepts traffic",
-    },
-    AllowEntry {
-        rule: "no-panic-in-request-path",
         path_suffix: "server/src/http.rs",
         needle: "byte[0]",
         reason: "fixed 1-byte buffer indexed at 0 immediately after a successful read",

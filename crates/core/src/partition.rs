@@ -48,11 +48,6 @@ impl Partition {
         self.roots.len()
     }
 
-    /// Work of the sequential merge phase.
-    pub fn merge_work(&self, work: &[u64]) -> u64 {
-        self.above_cut.iter().map(|&i| work[i]).sum()
-    }
-
     /// Split a bottom-up node `order` into one per-task sub-order plus the
     /// above-cut merge order, preserving `order`'s relative sequence inside
     /// every piece.  Because each task owns a whole subtree and `order` is
@@ -249,7 +244,8 @@ mod tests {
             // Task work plus merge work covers the whole tree.
             let task_sum: u64 = partition.task_work.iter().sum();
             let total: u64 = work.iter().sum();
-            assert_eq!(task_sum + partition.merge_work(&work), total);
+            let merge_work: u64 = partition.above_cut.iter().map(|&i| work[i]).sum();
+            assert_eq!(task_sum + merge_work, total);
         }
     }
 

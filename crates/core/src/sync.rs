@@ -1,9 +1,10 @@
 //! Poison-tolerant, lock-order-checked mutexes for the shared structures.
 //!
 //! Every long-lived shared structure in the workspace (`BudgetLedger`,
-//! `PlanCache`, `FactorCache`, `JobRegistry`, the server stats recorders)
-//! guards its state with a [`TrackedMutex`] instead of a bare
-//! [`std::sync::Mutex`]. The wrapper changes two things:
+//! `CacheCore` under the plan and factor caches, `JobRegistry`, the server's
+//! request queue and stats recorders) guards its state with a
+//! [`TrackedMutex`] instead of a bare [`std::sync::Mutex`]. The wrapper
+//! changes two things:
 //!
 //! 1. **Poison tolerance.** [`TrackedMutex::lock`] never panics on a
 //!    poisoned mutex: it recovers the guard with

@@ -46,12 +46,6 @@ impl MemoryProfile {
     pub fn peak(&self) -> Size {
         self.steps.iter().map(|s| s.during).max().unwrap_or(0)
     }
-
-    /// Memory resident after the last step (0 for a complete traversal of a
-    /// tree whose leaves produce nothing).
-    pub fn final_residency(&self) -> Size {
-        self.steps.last().map(|s| s.after).unwrap_or(0)
-    }
 }
 
 impl Traversal {
@@ -235,7 +229,7 @@ mod tests {
             ]
         );
         assert_eq!(profile.peak(), 13);
-        assert_eq!(profile.final_residency(), 0);
+        assert_eq!(profile.steps.last().map(|s| s.after), Some(0));
         assert_eq!(tr.peak_memory(&tree).unwrap(), 13);
         assert!(tr.check_in_core(&tree, 13).is_ok());
         assert_eq!(

@@ -390,15 +390,6 @@ impl Tree {
         tree
     }
 
-    /// The raw CSR adjacency: `(child_starts, child_list)` with the children
-    /// of node `i` at `child_list[child_starts[i]..child_starts[i + 1]]`.
-    ///
-    /// Exposed for algorithms that want to walk the whole adjacency without
-    /// per-node bounds arithmetic (custom solvers and eviction policies).
-    pub fn csr_children(&self) -> (&[usize], &[NodeId]) {
-        (&self.child_starts, &self.child_list)
-    }
-
     /// Parent-pointer representation (useful for serialization and tests).
     pub fn parents(&self) -> &[Option<NodeId>] {
         &self.parent
@@ -412,26 +403,6 @@ impl Tree {
     /// All execution-file sizes.
     pub fn weights(&self) -> &[Size] {
         &self.n
-    }
-
-    /// Render the tree in Graphviz DOT format (node labels show `f`/`n`).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph tree {\n  node [shape=box];\n");
-        for i in 0..self.len() {
-            let _ = writeln!(
-                out,
-                "  n{i} [label=\"{i}\\nf={} n={}\"];",
-                self.f[i], self.n[i]
-            );
-        }
-        for i in 0..self.len() {
-            if let Some(par) = self.parent[i] {
-                let _ = writeln!(out, "  n{par} -> n{i};");
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -640,10 +611,6 @@ mod tests {
         assert_eq!(tree.children(0), &[1, 2, 4]);
         assert_eq!(tree.children(1), &[3, 5]);
         assert_eq!(tree.children(2), &[] as &[NodeId]);
-        let (starts, list) = tree.csr_children();
-        assert_eq!(starts.len(), tree.len() + 1);
-        assert_eq!(list.len(), tree.len() - 1);
-        assert_eq!(starts[tree.len()], list.len());
         // Precomputed quantities agree with a direct evaluation.
         for i in tree.nodes() {
             let direct: Size = tree.children(i).iter().map(|&j| tree.f(j)).sum();
@@ -673,15 +640,5 @@ mod tests {
         assert_eq!(tree2.parents(), tree.parents());
         assert_eq!(tree2.f(1), 5);
         assert_eq!(tree2.n(2), 1);
-    }
-
-    #[test]
-    fn dot_output_mentions_every_node() {
-        let tree = chain(&[1, 2, 3]);
-        let dot = tree.to_dot();
-        for i in 0..3 {
-            assert!(dot.contains(&format!("n{i} ")));
-        }
-        assert!(dot.contains("->"));
     }
 }

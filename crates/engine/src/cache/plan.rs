@@ -25,12 +25,11 @@
 //! same key wait for the one planner instead of re-running the expensive
 //! symbolic stages.  A waiter polls its own engine's token
 //! ([`Engine::with_cancel`]), so its deadline fires even while someone else
-//! plans.  When admission control leaves a plan uncacheable (over
-//! quota, contended, too large), the planner parks it on a small sideline
-//! shelf so the waiters of that very flight still share the plan instead of
-//! stampeding into N repeated plans — the shelf is consulted only after an
-//! in-flight wait, never on the fast path, so it cannot serve stale data to
-//! fresh lookups.
+//! plans.  Each flight carries its own result, so when admission control
+//! leaves a plan uncacheable (over quota, contended, too large) the waiters
+//! of that very flight still share the plan instead of stampeding into N
+//! repeated plans — and no later flight for the key can see it, so it never
+//! serves stale data to fresh lookups.
 //!
 //! ```
 //! use engine::{Engine, EngineConfig, PlanCache, DEFAULT_TENANT};
@@ -46,7 +45,7 @@
 //! assert_eq!(cache.stats().hits, 1);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use treemem::sync::{TrackedCondvar, TrackedMutex};
@@ -60,21 +59,20 @@ use crate::run::{Engine, EngineError, Plan};
 /// The tenant requests fall under when no `X-Tenant` header names one.
 pub const DEFAULT_TENANT: &str = "public";
 
-/// How many uncacheable plans the sideline shelf holds for their waiters.
-const SIDELINE_LEN: usize = 8;
+/// The result slot of one flight: set exactly once when the flight settles,
+/// to its plan (cached or not) or to `None` when the planner failed.
+type Flight = Arc<OnceLock<Option<Arc<Plan>>>>;
 
 /// The shared plan cache; see the module docs.
 pub struct PlanCache {
     core: CacheCore<Plan>,
-    /// Keys currently being planned by some caller (single-flight): other
-    /// callers of [`PlanCache::get_or_plan`] wait on [`PlanCache::settled`]
+    /// Keys currently being planned by some caller (single-flight), each
+    /// with its flight's result slot: other callers of
+    /// [`PlanCache::get_or_plan`] wait on [`PlanCache::settled`] for the slot
     /// instead of planning the same configuration concurrently.
-    in_flight: TrackedMutex<Vec<String>>,
+    in_flight: TrackedMutex<Vec<(String, Flight)>>,
     /// Notified whenever a key leaves `in_flight`.
     settled: TrackedCondvar,
-    /// Uncacheable plans parked for the waiters of their flight; entries
-    /// are dropped when a new flight for the key starts.
-    sideline: TrackedMutex<Vec<(String, Arc<Plan>)>>,
     /// Callers that reached the in-flight wait, so a test can hold a planner
     /// open until its waiter is provably parked.
     #[cfg(test)]
@@ -102,7 +100,6 @@ impl PlanCache {
             core: CacheCore::new(config, "plan-cache.entries"),
             in_flight: TrackedMutex::new(Vec::new(), "plan-cache.in-flight"),
             settled: TrackedCondvar::new(),
-            sideline: TrackedMutex::new(Vec::new(), "plan-cache.sideline"),
             #[cfg(test)]
             parked: std::sync::atomic::AtomicUsize::new(0),
             #[cfg(test)]
@@ -149,7 +146,7 @@ impl PlanCache {
     /// panic (via [`SettleGuard`]) — so no outcome can wedge later callers.
     ///
     /// Every call counts exactly one lookup: a hit when it returns a shared
-    /// plan (cached or sidelined), a miss when it plans or gives up
+    /// plan (cached or from its flight), a miss when it plans or gives up
     /// waiting.  A waiter looks the key up before and after its wait, so
     /// the lookups here leave a miss uncounted and each exit reports it.
     fn single_flight(
@@ -159,7 +156,7 @@ impl PlanCache {
         cancel: Option<&CancelToken>,
         plan: impl FnOnce() -> Result<Plan, EngineError>,
     ) -> Result<(Arc<Plan>, bool), EngineError> {
-        loop {
+        let flight = loop {
             if let Some(plan) = self.core.lookup(key, tenant, false) {
                 return Ok((plan, true));
             }
@@ -171,26 +168,27 @@ impl PlanCache {
                 }
             }
             let mut in_flight = self.in_flight.lock();
-            if !in_flight.iter().any(|flying| flying == key) {
+            let Some(flight) = in_flight
+                .iter()
+                .find(|(flying, _)| flying == key)
+                .map(|(_, flight)| flight.clone())
+            else {
                 // A flight for the key may have inserted and settled since
                 // the lookup above: look again before planning.
                 if let Some(plan) = self.core.lookup(key, tenant, false) {
                     return Ok((plan, true));
                 }
-                // This caller becomes the planner for the key.  Any parked
-                // result of a previous flight is stale now.
-                in_flight.push(key.to_string());
-                drop(in_flight);
-                self.sideline.lock().retain(|(parked, _)| parked != key);
-                break;
-            }
-            // Someone else is planning this key: wait until it settles,
-            // then retry the lookup (normally a hit; a miss again only if
-            // the planner failed or the entry went uncacheable — the
-            // sideline shelf covers the latter).  With a token, wait in
-            // slices so this caller's own deadline fires even though
-            // someone else does the work.
-            while in_flight.iter().any(|flying| flying == key) {
+                // This caller becomes the planner for the key.
+                let flight = Flight::default();
+                in_flight.push((key.to_string(), flight.clone()));
+                break flight;
+            };
+            // Someone else is planning this key: wait until its flight
+            // settles, then share the plan it carries (or, if the planner
+            // failed, retry from the lookup).  With a token, wait in slices
+            // so this caller's own deadline fires even though someone else
+            // does the work.
+            while flight.get().is_none() {
                 #[cfg(test)]
                 self.parked
                     .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
@@ -215,35 +213,30 @@ impl PlanCache {
                 }
             }
             drop(in_flight);
-            // The flight settled without caching (admission control):
-            // share the parked plan instead of re-planning.
-            let parked = self
-                .sideline
-                .lock()
-                .iter()
-                .find(|(parked, _)| parked == key)
-                .map(|(_, plan)| plan.clone());
-            if let Some(plan) = parked {
-                self.core.count_lookup(tenant, true);
+            if let Some(Some(plan)) = flight.get() {
+                // A cached plan is looked up as any hit is (refreshing its
+                // recency); one admission control left uncached is shared
+                // from the flight instead of re-planned.
+                let plan = self.core.lookup(key, tenant, false).unwrap_or_else(|| {
+                    self.core.count_lookup(tenant, true);
+                    plan.clone()
+                });
                 return Ok((plan, true));
             }
-        }
+        };
         self.core.count_lookup(tenant, false);
         // From here on the key MUST settle no matter how the planner exits;
         // the guard handles the panic path (a planner that unwinds must not
         // leave its waiters blocked forever).
-        let guard = SettleGuard { cache: self, key };
-        let planned = plan();
-        // Insert before the key settles, so woken waiters find the entry.
-        let result = planned.map(|plan| {
+        let guard = SettleGuard {
+            cache: self,
+            key,
+            flight,
+        };
+        let result = plan().map(|plan| {
             let plan = Arc::new(plan);
-            if !self.insert(key, tenant, plan.clone()).is_cached() {
-                let mut sideline = self.sideline.lock();
-                sideline.retain(|(parked, _)| parked != key);
-                sideline.push((key.to_string(), plan.clone()));
-                let excess = sideline.len().saturating_sub(SIDELINE_LEN);
-                sideline.drain(..excess);
-            }
+            self.insert(key, tenant, plan.clone());
+            let _ = guard.flight.set(Some(plan.clone()));
             (plan, false)
         });
         drop(guard);
@@ -264,23 +257,25 @@ impl PlanCache {
     /// Drop every entry (counters are kept).
     pub fn clear(&self) {
         self.core.clear();
-        self.sideline.lock().clear();
     }
 }
 
-/// Removes `key` from the in-flight set and wakes the waiters on drop, so
-/// the key settles even when the planner panics.  [`TrackedMutex::lock`] is
+/// Settles the flight on drop — fills its slot with `None` unless the
+/// planner already filled it, removes `key` from the in-flight set and wakes
+/// the waiters — so the key settles even when the planner panics.  [`TrackedMutex::lock`] is
 /// poison-tolerant: this drop runs *during* that very unwind, and panicking
 /// again would abort the process.
 struct SettleGuard<'c> {
     cache: &'c PlanCache,
     key: &'c str,
+    flight: Flight,
 }
 
 impl Drop for SettleGuard<'_> {
     fn drop(&mut self) {
+        let _ = self.flight.set(None);
         let mut in_flight = self.cache.in_flight.lock();
-        in_flight.retain(|flying| flying != self.key);
+        in_flight.retain(|(flying, _)| flying != self.key);
         drop(in_flight);
         self.cache.settled.notify_all();
     }
@@ -587,7 +582,7 @@ mod tests {
             });
             vec![a.join().expect("planner"), b.join().expect("waiter")]
         });
-        // The waiter shared the planner's sidelined Arc: no second plan.
+        // The waiter shared the Arc its flight carried: no second plan.
         assert!(Arc::ptr_eq(&plans[0], &plans[1]));
         assert_eq!(cache.stats().entries, 0, "nothing was cached");
         assert!(cache.stats().uncacheable >= 1);

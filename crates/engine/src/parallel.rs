@@ -1,20 +1,14 @@
-//! Minimal parallel primitives: a data-parallel map over scoped threads and
-//! a fixed worker pool for serving-style workloads.
+//! A minimal data-parallel primitive: a map over scoped threads.
 //!
 //! The build environment is offline, so `rayon` is unavailable; this module
-//! provides the two primitives the workspace needs.  [`par_map`] maps over a
+//! provides the one primitive the workspace needs.  [`par_map`] maps over a
 //! slice with dynamic (work-stealing-style) scheduling on top of
 //! `std::thread::scope` — jobs are handed out through a shared atomic
 //! counter, so uneven per-item cost (small trees next to big ones) balances
-//! automatically, and results come back in input order.  [`WorkerPool`] is
-//! the open-ended variant for jobs that arrive over time instead of as a
-//! slice: a fixed set of threads draining a shared queue, used by
-//! `crates/server` to execute HTTP requests.
+//! automatically, and results come back in input order.  [`default_threads`]
+//! sizes it.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
 /// Number of worker threads to use by default: the available parallelism,
 /// capped so tiny inputs do not spawn idle threads.
@@ -78,145 +72,6 @@ where
         .collect()
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolState {
-    queue: Mutex<PoolQueue>,
-    wake: Condvar,
-}
-
-struct PoolQueue {
-    jobs: VecDeque<Job>,
-    shutting_down: bool,
-}
-
-/// A fixed pool of worker threads draining a shared job queue.
-///
-/// Unlike [`par_map`], which needs the whole work list up front, jobs can be
-/// [`submit`](WorkerPool::submit)ted at any time from any thread; each runs
-/// exactly once on some worker.  [`shutdown`](WorkerPool::shutdown) drains
-/// the queue before joining the workers, so no accepted job is lost.
-///
-/// ```
-/// use engine::parallel::WorkerPool;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// use std::sync::Arc;
-///
-/// let pool = WorkerPool::new(4);
-/// let counter = Arc::new(AtomicUsize::new(0));
-/// for _ in 0..100 {
-///     let counter = counter.clone();
-///     pool.submit(move || {
-///         counter.fetch_add(1, Ordering::Relaxed);
-///     });
-/// }
-/// pool.shutdown();
-/// assert_eq!(counter.load(Ordering::Relaxed), 100);
-/// ```
-pub struct WorkerPool {
-    state: Arc<PoolState>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawn a pool of `threads` workers (at least one).
-    pub fn new(threads: usize) -> Self {
-        let state = Arc::new(PoolState {
-            queue: Mutex::new(PoolQueue {
-                jobs: VecDeque::new(),
-                shutting_down: false,
-            }),
-            wake: Condvar::new(),
-        });
-        let workers = (0..threads.max(1))
-            .map(|index| {
-                let state = state.clone();
-                std::thread::Builder::new()
-                    .name(format!("worker-{index}"))
-                    .spawn(move || worker_loop(&state))
-                    .expect("spawning a pool worker failed")
-            })
-            .collect();
-        WorkerPool { state, workers }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Queue `job` for execution on some worker.  Jobs submitted after
-    /// [`shutdown`](WorkerPool::shutdown) began are dropped.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let mut queue = self.state.queue.lock().expect("worker pool poisoned");
-        if queue.shutting_down {
-            return;
-        }
-        queue.jobs.push_back(Box::new(job));
-        drop(queue);
-        self.state.wake.notify_one();
-    }
-
-    /// Pending (not yet started) jobs.
-    pub fn backlog(&self) -> usize {
-        self.state
-            .queue
-            .lock()
-            .expect("worker pool poisoned")
-            .jobs
-            .len()
-    }
-
-    /// Finish every queued job, then stop and join the workers.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            worker.join().expect("pool worker panicked");
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        let mut queue = self.state.queue.lock().expect("worker pool poisoned");
-        queue.shutting_down = true;
-        drop(queue);
-        self.state.wake.notify_all();
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // `shutdown` already drained `workers`; a pool dropped without an
-        // explicit shutdown still stops and joins cleanly.
-        self.begin_shutdown();
-        for worker in self.workers.drain(..) {
-            worker.join().expect("pool worker panicked");
-        }
-    }
-}
-
-fn worker_loop(state: &PoolState) {
-    loop {
-        let job = {
-            let mut queue = state.queue.lock().expect("worker pool poisoned");
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    break job;
-                }
-                if queue.shutting_down {
-                    return;
-                }
-                queue = state.wake.wait(queue).expect("worker pool poisoned");
-            }
-        };
-        // Contain job panics: a failing job must not retire its worker (the
-        // pool would silently lose capacity) nor poison the later
-        // `shutdown`/`Drop` join.  The pool is fire-and-forget, so the
-        // panic payload has nowhere better to go than being swallowed;
-        // callers that care wrap their own `catch_unwind` first.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,76 +107,5 @@ mod tests {
         assert!(default_threads(0) >= 1);
         assert!(default_threads(2) >= 1);
         assert!(default_threads(1_000) >= 1);
-    }
-
-    #[test]
-    fn pool_runs_every_submitted_job() {
-        use std::sync::atomic::AtomicUsize;
-
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.threads(), 4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..250 {
-            let counter = counter.clone();
-            pool.submit(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 250);
-    }
-
-    #[test]
-    fn dropping_a_pool_joins_cleanly() {
-        use std::sync::atomic::AtomicUsize;
-
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = WorkerPool::new(2);
-            for _ in 0..10 {
-                let counter = counter.clone();
-                pool.submit(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        }
-        // Drop drains the queue before joining.
-        assert_eq!(counter.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn a_panicking_job_does_not_retire_its_worker() {
-        use std::sync::atomic::AtomicUsize;
-
-        let pool = WorkerPool::new(1);
-        pool.submit(|| panic!("job blew up"));
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..5 {
-            let counter = counter.clone();
-            pool.submit(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // The single worker survived the panic, ran the rest, and the join
-        // in shutdown() does not propagate the contained panic.
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn submissions_after_shutdown_are_dropped() {
-        use std::sync::atomic::AtomicUsize;
-
-        let pool = WorkerPool::new(1);
-        pool.begin_shutdown();
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let counter = counter.clone();
-            pool.submit(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 0);
     }
 }

@@ -30,12 +30,6 @@ impl IoSchedule {
         }
     }
 
-    /// Build a schedule from an explicit `τ` map (`evict_before_step[i]` is
-    /// the 0-based step before which node `i`'s file is evicted).
-    pub fn from_map(evict_before_step: Vec<Option<usize>>) -> Self {
-        IoSchedule { evict_before_step }
-    }
-
     /// The step before which node `i`'s file is evicted, if any.
     pub fn eviction_step(&self, i: NodeId) -> Option<usize> {
         self.evict_before_step.get(i).copied().flatten()
@@ -44,14 +38,6 @@ impl IoSchedule {
     /// Mark node `i`'s file as evicted just before `step`.
     pub fn set_eviction(&mut self, i: NodeId, step: usize) {
         self.evict_before_step[i] = Some(step);
-    }
-
-    /// Number of evicted files.
-    pub fn eviction_count(&self) -> usize {
-        self.evict_before_step
-            .iter()
-            .filter(|e| e.is_some())
-            .count()
     }
 
     /// Nodes whose file is evicted, together with the step of the eviction.
@@ -268,7 +254,7 @@ mod tests {
         let mut schedule = IoSchedule::empty(tree.len());
         schedule.set_eviction(3, 1);
         schedule.set_eviction(4, 4);
-        assert_eq!(schedule.eviction_count(), 2);
+        assert_eq!(schedule.evictions().count(), 2);
         assert_eq!(schedule.io_volume(&tree), 4 + 3);
         let evictions: Vec<_> = schedule.evictions().collect();
         assert!(evictions.contains(&(3, 1)) && evictions.contains(&(4, 4)));

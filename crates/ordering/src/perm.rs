@@ -62,11 +62,6 @@ impl Permutation {
         &self.new_to_old
     }
 
-    /// The full old-to-new map.
-    pub fn as_old_to_new(&self) -> &[usize] {
-        &self.old_to_new
-    }
-
     /// Apply the permutation to a symmetric pattern (relabel vertex
     /// `perm[k]` as `k`).
     pub fn apply(&self, pattern: &SparsePattern) -> SparsePattern {

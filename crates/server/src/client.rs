@@ -285,3 +285,90 @@ pub fn report_fingerprint(body: &str) -> Option<engine::json::Json> {
         .collect();
     Some(Json::Obj(projected))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use engine::prelude::*;
+    use engine::{CutReport, DistributedReport, ParallelReport};
+
+    /// `report` carrying both runtime sections over `cut`, with every
+    /// runtime field (and the timings) derived from `run`.
+    fn with_runtime(report: &Report, cut: &CutReport, run: u32) -> Report {
+        let (count, seconds) = (run as usize, f64::from(run) / 8.0);
+        let mut report = report.clone();
+        if let Some(numeric) = &mut report.numeric {
+            numeric.measured_peak_entries = 1000 + count;
+        }
+        report.parallel = Some(ParallelReport {
+            cut: cut.clone(),
+            workers: count,
+            measured_peak_entries: 2000 + run as u64,
+            forced_admissions: run as u64,
+            wall_seconds: seconds,
+            critical_path_seconds: seconds / 2.0,
+            merge_seconds: seconds / 4.0,
+            task_seconds: vec![seconds; count],
+            worker_busy_seconds: vec![seconds; count],
+            utilization: 1.0 / f64::from(run),
+        });
+        report.distributed = Some(DistributedReport {
+            cut: cut.clone(),
+            lease_ms: 500,
+            workers: count,
+            tasks_requeued: run as u64,
+            lease_expiries: run as u64,
+            contribution_bytes: 4096 * run as u64,
+            wall_seconds: seconds,
+            merge_seconds: seconds / 4.0,
+            worker_busy_seconds: vec![seconds; count],
+        });
+        report.timings.numeric_seconds = seconds;
+        report
+    }
+
+    /// The client's projection must blank exactly what
+    /// `Report::fingerprint` blanks: runtime fields agree under both, the
+    /// cut and the outcome are kept by both.
+    #[test]
+    fn report_fingerprint_agrees_with_the_engine_fingerprint() {
+        let engine = Engine::new();
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 64, 1).with_numeric(true);
+        let report = engine
+            .plan(&config)
+            .and_then(|plan| plan.schedule(&engine)?.execute(&engine))
+            .expect("the report runs");
+        let cut = CutReport {
+            max_tasks: 4,
+            subtree_count: 4,
+            above_cut_nodes: 3,
+            sequential_peak_entries: 400,
+            budget_entries: Some(800),
+            max_task_peak_entries: 120,
+            merge_peak_entries: 300,
+            oversized_tasks: 0,
+        };
+        let client = |report: &Report| report_fingerprint(&report.to_json()).expect("an object");
+
+        let (first, second) = (
+            with_runtime(&report, &cut, 1),
+            with_runtime(&report, &cut, 2),
+        );
+        assert_ne!(first.to_json(), second.to_json());
+        assert_eq!(first.fingerprint(), second.fingerprint());
+        assert_eq!(client(&first), client(&second));
+
+        let other_cut = CutReport {
+            subtree_count: 3,
+            ..cut.clone()
+        };
+        let recut = with_runtime(&report, &other_cut, 1);
+        assert_ne!(first.fingerprint(), recut.fingerprint());
+        assert_ne!(client(&first), client(&recut));
+
+        let mut other_outcome = first.clone();
+        other_outcome.io_volume += 1;
+        assert_ne!(first.fingerprint(), other_outcome.fingerprint());
+        assert_ne!(client(&first), client(&other_outcome));
+    }
+}

@@ -33,22 +33,25 @@
 //! configuration except for wall-clock timings.
 //!
 //! A numeric `/report` deposits its Cholesky factor in a bounded
-//! [`factors::FactorCache`].  A later sequential `/report` of the same
-//! configuration whose plan and factor are both cached is served from that
-//! factor: no numeric stage runs (its `numeric_seconds` is 0 and `/stats`
-//! records no `numeric` sample), a `solve` section runs against the factor,
-//! and only `timings` differ from the cold report.  Parallel and
-//! distributed reports always execute — their sections are runtime
-//! measurements.  `POST /solve` names a report's `X-Config-Hash` in its
+//! [`engine::CacheCore`], keyed by effective-config hash and charged
+//! [`engine::FactorHandle::approx_heap_bytes`].  A later sequential
+//! `/report` of the same configuration whose plan and factor are both
+//! cached is served from that factor: no numeric stage runs (its
+//! `numeric_seconds` is 0 and `/stats` records no `numeric` sample), a
+//! `solve` section runs against the factor, and only `timings` differ from
+//! the cold report.  Parallel and distributed reports always execute —
+//! their sections are runtime measurements.  `POST /solve` names a report's `X-Config-Hash` in its
 //! body (`{"config_hash": "...", "count": 8}` or explicit `"vectors"`) and
 //! gets the batched solve — both triangular sweeps walk the factor once
 //! for the whole batch — without re-running the factorization.  An unknown
 //! hash is a 404 (`X-Cache: miss`).
 //!
-//! Connections are accepted on one thread and executed on a fixed
-//! [`engine::parallel::WorkerPool`]; malformed requests (bad HTTP framing,
-//! invalid JSON, unknown names, depth bombs) are answered with 4xx JSON
-//! errors, and a handler panic is contained to a 500 on that connection.
+//! Connections are accepted on one thread and queued on a bounded
+//! [`std::sync::mpsc::sync_channel`] for a fixed set of worker threads; a
+//! connection that finds the queue full is answered `503` at once.
+//! Malformed requests (bad HTTP framing, invalid JSON, unknown names, depth
+//! bombs) are answered with 4xx JSON errors, and a handler panic is
+//! contained to a 500 on that connection.
 //!
 //! ```no_run
 //! use server::{Server, ServerConfig};
@@ -59,7 +62,6 @@
 //! ```
 
 pub mod client;
-pub mod factors;
 pub mod http;
 pub mod service;
 pub mod stats;
@@ -69,11 +71,12 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use engine::parallel::WorkerPool;
-use engine::{CacheConfig, CachePolicy, PlanCache};
+use engine::{CacheConfig, CacheCore, CachePolicy, PlanCache};
+use treemem::sync::TrackedMutex;
 
 use crate::http::{read_request, write_response, HttpError};
 use crate::service::{Response, Service};
@@ -97,8 +100,6 @@ pub struct ServerConfig {
     /// Largest accepted request body, in bytes (prebuilt-tree configurations
     /// inline three arrays per node, so this is generous by default).
     pub max_body_bytes: usize,
-    /// Per-connection socket read/write timeout.
-    pub io_timeout: Duration,
     /// Maximum number of accepted connections waiting for a worker; beyond
     /// it, new connections are answered `503` immediately instead of
     /// growing the queue (and the open-socket count) without bound.
@@ -186,6 +187,9 @@ impl CacheSettings {
     }
 }
 
+/// Per-connection socket read/write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -195,7 +199,6 @@ impl Default for ServerConfig {
             cache_ttl: None,
             factor_cache_capacity: 8,
             max_body_bytes: 64 * 1024 * 1024,
-            io_timeout: Duration::from_secs(10),
             max_backlog: 1024,
             default_deadline: None,
             max_deadline: None,
@@ -209,9 +212,9 @@ impl Default for ServerConfig {
 pub struct Server;
 
 impl Server {
-    /// Bind `config.addr`, spawn the accept thread plus the worker pool, and
-    /// return the handle used to query the bound address and to stop the
-    /// server.
+    /// Bind `config.addr`, spawn the worker threads plus the accept thread,
+    /// and return the handle used to query the bound address and to stop
+    /// the server.  A thread that cannot be spawned fails the boot.
     pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -221,70 +224,86 @@ impl Server {
             config.cache_capacity,
             config.cache_ttl,
         ));
-        let factor_cache = crate::factors::FactorCache::with_config(config.cache.cache_config(
-            config.cache.factor_bytes,
-            config.factor_cache_capacity,
-            None,
-        ));
+        let factor_cache = CacheCore::new(
+            config.cache.cache_config(
+                config.cache.factor_bytes,
+                config.factor_cache_capacity,
+                None,
+            ),
+            "factor-cache.inner",
+        );
         let service = Arc::new(
             Service::new(plan_cache, factor_cache, workers)
                 .with_deadlines(config.default_deadline, config.max_deadline),
         );
         let shutdown = Arc::new(AtomicBool::new(false));
 
+        // Every queued connection holds an open socket, so the queue is
+        // bounded: a flood of idle connections is shed with 503s instead of
+        // exhausting file descriptors long before any worker times out.
+        let (queue, connections) = mpsc::sync_channel::<TcpStream>(config.max_backlog.max(1));
+        let connections = Arc::new(TrackedMutex::new(connections, "server.connections"));
+        let max_body_bytes = config.max_body_bytes;
+        let worker_threads = (0..workers)
+            .map(|index| {
+                let (service, connections) = (service.clone(), connections.clone());
+                std::thread::Builder::new()
+                    .name(format!("worker-{index}"))
+                    .spawn(move || loop {
+                        let received = connections.lock().recv();
+                        // The accept thread dropped the sender: the queue is
+                        // drained, so this worker is done.
+                        let Ok(stream) = received else { break };
+                        // Contain panics outside the handler's own
+                        // `catch_unwind` too, so none retires a worker.
+                        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            handle_connection(&service, stream, max_body_bytes)
+                        }));
+                    })
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
+
         let accept_service = service.clone();
         let accept_shutdown = shutdown.clone();
-        let io_timeout = config.io_timeout;
-        let max_body_bytes = config.max_body_bytes;
-        let max_backlog = config.max_backlog.max(1);
         let accept_thread = std::thread::Builder::new()
             .name("server-accept".to_string())
             .spawn(move || {
-                let pool = WorkerPool::new(workers);
                 for connection in listener.incoming() {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(mut stream) = connection else { continue };
-                    let service = accept_service.clone();
-                    service
-                        .stats()
-                        .accepted_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    if pool.backlog() >= max_backlog {
-                        // Shed load on the accept thread: every queued job
-                        // holds an open socket, so an unbounded queue would
-                        // let a flood of idle connections exhaust file
-                        // descriptors long before any worker times out.
-                        let response = Response::error(503, "server overloaded, retry later");
-                        service.stats().count_response(response.status);
-                        let _ = stream.set_write_timeout(Some(io_timeout));
-                        let _ = write_response(
-                            &mut stream,
-                            response.status,
-                            &[("Retry-After", "1")],
-                            &response.body,
-                        );
-                        // The request was never read, so close gracefully
-                        // (same reset-vs-response race as in
-                        // `handle_connection`, with a tighter budget to keep
-                        // the accept thread responsive).
-                        graceful_close(&stream, Duration::from_millis(10));
+                    let Ok(stream) = connection else { continue };
+                    let stats = accept_service.stats();
+                    stats.accepted_total.fetch_add(1, Ordering::Relaxed);
+                    let Err(
+                        mpsc::TrySendError::Full(mut stream)
+                        | mpsc::TrySendError::Disconnected(mut stream),
+                    ) = queue.try_send(stream)
+                    else {
                         continue;
-                    }
-                    pool.submit(move || {
-                        handle_connection(&service, stream, io_timeout, max_body_bytes);
-                    });
+                    };
+                    let response = Response::error(503, "server overloaded, retry later");
+                    stats.count_response(response.status);
+                    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+                    let _ = write_response(
+                        &mut stream,
+                        response.status,
+                        &[("Retry-After", "1")],
+                        &response.body,
+                    );
+                    // The request was never read, so close gracefully (same
+                    // reset-vs-response race as in `handle_connection`, with a
+                    // tighter budget to keep the accept thread responsive).
+                    graceful_close(&stream, Duration::from_millis(10));
                 }
-                pool.shutdown();
-            })
-            .expect("spawning the accept thread failed");
+            })?;
 
         Ok(ServerHandle {
             addr,
             service,
             shutdown,
             accept_thread: Some(accept_thread),
+            worker_threads,
         })
     }
 }
@@ -294,7 +313,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     service: Arc<Service>,
     shutdown: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    accept_thread: Option<JoinHandle<()>>,
+    worker_threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -309,9 +329,9 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Stop accepting, finish the in-flight requests, and join every
-    /// thread.  Idempotent-ish: safe to call once; dropping the handle
-    /// without calling it aborts the accept loop the same way.
+    /// Stop accepting, finish the queued and in-flight requests, and join
+    /// every thread.  Idempotent-ish: safe to call once; dropping the handle
+    /// without calling it stops the server the same way.
     pub fn shutdown(mut self) -> std::io::Result<()> {
         self.stop()
     }
@@ -333,9 +353,13 @@ impl ServerHandle {
             });
         }
         let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-        accept_thread
-            .join()
-            .map_err(|_| std::io::Error::other("accept thread panicked"))
+        // The accept thread owns the queue's sender: once it has exited, the
+        // workers drain what is queued and stop.
+        let accepted = accept_thread.join();
+        let workers = self.worker_threads.drain(..).map(JoinHandle::join);
+        workers
+            .fold(accepted, Result::and)
+            .map_err(|_| std::io::Error::other("a server thread panicked"))
     }
 }
 
@@ -347,14 +371,9 @@ impl Drop for ServerHandle {
 
 /// Serve one connection: read a request, execute it (panics contained to a
 /// 500), write the single response, close.
-fn handle_connection(
-    service: &Service,
-    mut stream: TcpStream,
-    io_timeout: Duration,
-    max_body_bytes: usize,
-) {
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
+fn handle_connection(service: &Service, mut stream: TcpStream, max_body_bytes: usize) {
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     service.stats().in_flight.fetch_add(1, Ordering::SeqCst);
     let parsed = read_request(&mut stream, max_body_bytes);
     let request_unread = parsed.is_err();

@@ -13,9 +13,8 @@ use std::time::{Duration, Instant};
 use distrib::{ClaimRequest, ContributeError, Contribution, JobRegistry, JobSpec, WaitError};
 use engine::json::{self, Array, Fixed, Json, Sci};
 use engine::prelude::*;
-use engine::{CacheStats, CancelToken, PlanCache};
+use engine::{CacheCore, CacheStats, CancelToken, PlanCache};
 
-use crate::factors::FactorCache;
 use crate::http::{reason_phrase, Request};
 use crate::stats::ServerStats;
 
@@ -24,7 +23,10 @@ use crate::stats::ServerStats;
 pub struct Service {
     engine: Engine,
     cache: PlanCache,
-    factors: FactorCache,
+    /// Cholesky factors by effective-config hash, charged their
+    /// [`FactorHandle::approx_heap_bytes`]: `/solve` and hot sequential
+    /// `/report`s resolve against it instead of re-factoring.
+    factors: CacheCore<FactorHandle>,
     stats: ServerStats,
     /// Coordinator state for distributed runs: live jobs, leases, cluster
     /// counters.
@@ -80,7 +82,7 @@ impl Service {
     /// A service over the built-in registries with the given plan and
     /// factor caches and worker count (the latter only reported in
     /// `/stats`).
-    pub fn new(cache: PlanCache, factors: FactorCache, workers: usize) -> Self {
+    pub fn new(cache: PlanCache, factors: CacheCore<FactorHandle>, workers: usize) -> Self {
         Service {
             engine: Engine::new(),
             cache,
@@ -364,8 +366,9 @@ impl Service {
         // factor's results, only later `/solve` lookups miss.
         let factored = factor.is_some();
         if let Some(factor) = factor {
+            let bytes = factor.approx_heap_bytes();
             self.factors
-                .insert(&report.config_hash, tenant, Arc::new(factor));
+                .insert(&report.config_hash, tenant, Arc::new(factor), bytes);
         }
         self.record_stages(&report.timings, factored, report.solve.is_some());
         Ok(report_response(report, hit))
@@ -727,8 +730,17 @@ mod tests {
     use super::*;
     use engine::json::Json;
 
+    /// A count-bounded LRU of at most `capacity` factors.
+    fn factor_cache(capacity: usize) -> CacheCore<FactorHandle> {
+        let config = CacheConfig {
+            max_entries: Some(capacity),
+            ..CacheConfig::default()
+        };
+        CacheCore::new(config, "factor-cache.inner")
+    }
+
     fn service() -> Service {
-        Service::new(PlanCache::new(8, None), FactorCache::new(4), 2)
+        Service::new(PlanCache::new(8, None), factor_cache(4), 2)
     }
 
     fn post(service: &Service, path: &str, body: &str) -> Response {
@@ -1173,7 +1185,7 @@ mod tests {
 
     #[test]
     fn an_evicted_factor_is_recomputed_and_deposited_again() {
-        let service = Service::new(PlanCache::new(8, None), FactorCache::new(1), 2);
+        let service = Service::new(PlanCache::new(8, None), factor_cache(1), 2);
         let config = |seed: u64| {
             EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 100, seed)
                 .with_numeric(true)
@@ -1313,14 +1325,14 @@ mod tests {
 
     #[test]
     fn server_side_default_and_maximum_deadlines_apply() {
-        let defaulted = Service::new(PlanCache::new(8, None), FactorCache::new(4), 2)
+        let defaulted = Service::new(PlanCache::new(8, None), factor_cache(4), 2)
             .with_deadlines(Some(Duration::from_millis(1)), None);
         let response = post(&defaulted, "/plan", &slow_config());
         assert_eq!(response.status, 504, "{}", response.body);
 
         // The maximum caps a generous requested deadline down to 1 ms and
         // bounds requests that asked for none.
-        let capped = Service::new(PlanCache::new(8, None), FactorCache::new(4), 2)
+        let capped = Service::new(PlanCache::new(8, None), factor_cache(4), 2)
             .with_deadlines(None, Some(Duration::from_millis(1)));
         let response = post_with_headers(
             &capped,
@@ -1332,7 +1344,7 @@ mod tests {
         assert_eq!(post(&capped, "/plan", &slow_config()).status, 504);
 
         // Small problems still finish inside the same ceiling-free default.
-        let roomy = Service::new(PlanCache::new(8, None), FactorCache::new(4), 2)
+        let roomy = Service::new(PlanCache::new(8, None), factor_cache(4), 2)
             .with_deadlines(Some(Duration::from_secs(600)), None);
         assert_eq!(post(&roomy, "/plan", &sample_config()).status, 200);
     }

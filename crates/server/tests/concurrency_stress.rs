@@ -14,8 +14,7 @@ use std::time::Duration;
 
 use distrib::{contribution_frame, ClaimReply, ClusterStats, Contribution, JobRegistry, JobSpec};
 use engine::prelude::*;
-use engine::{PlanCache, DEFAULT_TENANT};
-use server::factors::FactorCache;
+use engine::{CacheCore, PlanCache, DEFAULT_TENANT};
 
 const THREADS: usize = 6;
 
@@ -72,10 +71,15 @@ fn plan_cache_single_flight_survives_a_stampede() {
 #[test]
 #[cfg_attr(miri, ignore = "spawns timed OS threads; tsan covers this file")]
 fn factor_cache_deposits_race_lookups_and_eviction() {
-    // Deposits, lookups, and LRU eviction race on a cache smaller than the
-    // working set; every resolved factor must still solve correctly.
+    // Deposits, lookups, and LRU eviction race on a factor cache (as the
+    // server builds it) smaller than the working set; every resolved factor
+    // must still solve correctly, and the byte accounting must balance.
     let engine = Engine::new();
-    let cache = FactorCache::new(2);
+    let config = CacheConfig {
+        max_entries: Some(2),
+        ..CacheConfig::default()
+    };
+    let cache: CacheCore<FactorHandle> = CacheCore::new(config, "factor-cache.inner");
     let factors: Vec<Arc<FactorHandle>> = (0..4)
         .map(|seed| {
             let config = banded_config(12, seed).with_numeric(true);
@@ -99,7 +103,9 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
                     let pick = (worker * 5 + round * 3) % factors.len();
                     let key = format!("hash-{pick}");
                     if (worker + round) % 3 == 0 {
-                        cache.insert(&key, DEFAULT_TENANT, Arc::clone(&factors[pick]));
+                        let factor = Arc::clone(&factors[pick]);
+                        let bytes = factor.approx_heap_bytes();
+                        cache.insert(&key, DEFAULT_TENANT, factor, bytes);
                     } else if let Some(factor) = cache.get(&key, DEFAULT_TENANT) {
                         let rhs = SolveRhs::Generated {
                             count: 1,
@@ -116,6 +122,18 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
     let stats = cache.stats();
     assert!(stats.entries <= 2, "over capacity: {}", stats.entries);
     assert!(stats.hits + stats.misses > 0);
+    assert!(stats.bytes_used > 0, "factors carry byte footprints");
+    cache.validate_accounting().unwrap();
+    // Every key that is still resident resolves to a working factor.
+    for pick in 0..factors.len() {
+        if let Some(factor) = cache.get(&format!("hash-{pick}"), DEFAULT_TENANT) {
+            let rhs = SolveRhs::Generated { count: 1, seed: 5 };
+            let (report, _) = factor
+                .solve_batch(&rhs, true)
+                .expect("resident factor solves");
+            assert!(report.max_residual.unwrap() < 1e-8);
+        }
+    }
 }
 
 #[test]
