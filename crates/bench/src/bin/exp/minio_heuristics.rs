@@ -1,7 +1,7 @@
 //! Experiment E3 — Figure 7 of the paper.
 //!
 //! For every assembly tree, compute the MinMem traversal and run **every
-//! registered eviction policy** (the paper's six heuristics plus the
+//! eviction policy** (the paper's six heuristics plus the
 //! cache-inspired policies) with main-memory sizes swept between the largest
 //! single-node requirement and the traversal peak; compare the resulting I/O
 //! volumes with a performance profile.  Also reports the distance to the
@@ -21,7 +21,7 @@ const MEMORY_FRACTIONS: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
 pub(crate) fn run(context: &Context) {
     let corpus = context.out_of_core_corpus();
     let engine = Engine::new();
-    let policies = engine.policies().names();
+    let policies = Policy::ALL.map(Policy::name);
     println!(
         "# Experiment E3 (Figure 7): I/O volume of every registered policy on MinMem traversals"
     );
@@ -55,7 +55,7 @@ pub(crate) fn run(context: &Context) {
                         .schedule_with(
                             &engine,
                             ScheduleSpec::default()
-                                .policy(policy.as_str())
+                                .policy(*policy)
                                 .memory(MemoryBudget::FractionOfPeak(fraction)),
                         )
                         .expect("memory is above max MemReq by construction");

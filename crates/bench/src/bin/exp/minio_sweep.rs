@@ -1,5 +1,5 @@
-//! Full MinIO sweep: {corpus × memory budgets × every registered solver ×
-//! every registered eviction policy}, in parallel, emitting the
+//! Full MinIO sweep: {corpus × memory budgets × every solver × every
+//! eviction policy}, in parallel, emitting the
 //! machine-readable `BENCH_minio_sweep.json` report.
 //!
 //! This generalises Figures 7 and 8 of the paper into one grid: Figure 7 is

@@ -1,12 +1,12 @@
 //! Experiment E4 — Figure 8 of the paper.
 //!
 //! Compare the out-of-core quality of the traversals produced by **every
-//! registered MinMemory solver** (natural postorder, best postorder, Liu,
+//! polynomial MinMemory solver** (natural postorder, best postorder, Liu,
 //! MinMem), all equipped with the First Fit eviction policy, over the same
 //! memory sweep as Experiment E3 — one engine plan per tree, with the solver
 //! traversals cached across the sweep.
 
-use bench::{measurement_registry, memory_sweep, ReportFile};
+use bench::{memory_sweep, ReportFile, MEASURED_SOLVERS};
 use engine::prelude::*;
 use perfprof::PerformanceProfile;
 
@@ -24,9 +24,9 @@ pub(crate) fn run(context: &Context) {
     );
 
     let engine = Engine::new();
-    // Solver names from the measurement registry (every registered solver
-    // except the exponential brute-force oracle), as in Experiment E2.
-    let solvers: Vec<String> = measurement_registry().names();
+    // Every solver except the exponential brute-force oracle, as in
+    // Experiment E2.
+    let solvers: Vec<&str> = MEASURED_SOLVERS.iter().map(|s| s.name()).collect();
     let names: Vec<String> = solvers.iter().map(|s| format!("{s} + First Fit")).collect();
     let mut costs: Vec<Vec<f64>> = vec![Vec::new(); solvers.len()];
     let mut rows = String::from("instance,memory,traversal,io_volume\n");
@@ -47,7 +47,7 @@ pub(crate) fn run(context: &Context) {
                     plan.schedule_with(
                         &engine,
                         ScheduleSpec::default()
-                            .solver(solver.as_str())
+                            .solver(*solver)
                             .memory(MemoryBudget::Absolute(memory)),
                     )
                     .expect("memory is above max MemReq by construction")

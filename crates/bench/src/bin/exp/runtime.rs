@@ -1,11 +1,11 @@
 //! Experiment E2 — Figure 6 of the paper.
 //!
-//! Compare the running times of every registered MinMemory solver (natural
+//! Compare the running times of every polynomial MinMemory solver (natural
 //! postorder, best postorder, Liu's exact algorithm, MinMem) on the
 //! assembly-tree corpus and report the Dolan–Moré performance profile of
 //! the times.
 
-use bench::{measurement_registry, MeasurementSet, ReportFile};
+use bench::{MeasurementSet, ReportFile, MEASURED_SOLVERS};
 use perfprof::PerformanceProfile;
 
 use crate::Context;
@@ -15,8 +15,8 @@ pub(crate) fn run(context: &Context) {
     println!("# Experiment E2 (Figure 6): running times of the registered MinMemory solvers");
     println!("# {} instances of {}\n", corpus.len(), corpus.description);
 
-    // Solver names from the registry (identical for every tree).
-    let solver_names: Vec<String> = measurement_registry().names();
+    // The measured solvers' names (identical for every tree).
+    let solver_names: Vec<&str> = MEASURED_SOLVERS.iter().map(|s| s.name()).collect();
     let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(corpus.len()); solver_names.len()];
     let header: Vec<String> = solver_names.iter().map(|s| format!("{s}_us")).collect();
     let mut rows = format!("instance,nodes,{}\n", header.join(","));
@@ -31,8 +31,7 @@ pub(crate) fn run(context: &Context) {
         rows.push('\n');
     }
 
-    let name_refs: Vec<&str> = solver_names.iter().map(String::as_str).collect();
-    let profile = PerformanceProfile::from_costs(&name_refs, &times);
+    let profile = PerformanceProfile::from_costs(&solver_names, &times);
     println!("Figure 6 — performance profile of the running times (lower τ is better)");
     println!("{}", profile.to_ascii(5.0, 60));
     for (index, name) in profile.method_names().iter().enumerate() {

@@ -10,8 +10,7 @@
 //! embedded instance is solvable.
 
 use bench::ReportFile;
-use minio::policy::paper::{BestKCombination, FirstFit};
-use minio::{divisible_lower_bound, schedule_io_with};
+use minio::{divisible_lower_bound, schedule_io_with, Policy};
 use treemem::gadgets::{harpoon_tower, harpoon_tower_postorder_peak, two_partition_gadget};
 use treemem::minmem::min_mem;
 use treemem::postorder::best_postorder;
@@ -86,10 +85,11 @@ pub(crate) fn run(context: &Context) {
         &gadget.tree,
         &traversal,
         gadget.memory,
-        &BestKCombination { k: solvable.len() },
+        Policy::BestKComb { k: solvable.len() },
     )
     .unwrap();
-    let first_fit = schedule_io_with(&gadget.tree, &traversal, gadget.memory, &FirstFit).unwrap();
+    let first_fit =
+        schedule_io_with(&gadget.tree, &traversal, gadget.memory, Policy::FirstFit).unwrap();
     println!(
         "  instance {:?} (S = {}), M = 2S = {}",
         solvable,

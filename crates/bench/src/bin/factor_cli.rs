@@ -28,8 +28,8 @@ fn usage() -> ! {
             .map(|k| k.name())
             .collect::<Vec<_>>()
             .join(", "),
-        Engine::new().solvers().names().join(", "),
-        Engine::new().policies().names().join(", ")
+        Solver::ALL.map(Solver::name).join(", "),
+        Policy::ALL.map(Policy::name).join(", ")
     );
     std::process::exit(2);
 }

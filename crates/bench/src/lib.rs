@@ -28,7 +28,7 @@
 //! corpus generation (planned through the engine, replacing the paper's
 //! UF-collection data set), measurement helpers, report writing, the
 //! parallel MinIO sweep engine ([`sweep`]) that crosses {corpus × memory
-//! budgets × registered solvers × registered eviction policies}, and the
+//! budgets × MinMemory solvers × eviction policies}, and the
 //! cache trace-replay harness ([`traces`]) behind `loadgen traces`.
 
 pub mod corpus;
@@ -43,7 +43,6 @@ pub use corpus::{
 };
 pub use report::{write_report, ExperimentArgs, ReportFile};
 pub use runner::{
-    measurement_registry, memory_sweep, run_with_big_stack, time_it, MeasurementSet,
-    SolverMeasurement,
+    memory_sweep, run_with_big_stack, time_it, MeasurementSet, SolverMeasurement, MEASURED_SOLVERS,
 };
-pub use sweep::{run_sweep, run_sweep_with, SweepConfig, SweepRecord, SweepReport};
+pub use sweep::{run_sweep, SweepConfig, SweepRecord, SweepReport};

@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use treemem::solver::SolverRegistry;
+use treemem::solver::Solver;
 use treemem::tree::Size;
 use treemem::{Traversal, Tree};
 
@@ -30,7 +30,7 @@ pub fn run_with_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'sta
 /// Peak, running time and traversal of one MinMemory solver on one tree.
 #[derive(Debug, Clone)]
 pub struct SolverMeasurement {
-    /// The solver's registry name (`postorder`, `liu`, `minmem`, ...).
+    /// The solver's name (`postorder`, `liu`, `minmem`, ...).
     pub solver: &'static str,
     /// Whether the solver is exact.
     pub exact: bool,
@@ -43,20 +43,20 @@ pub struct SolverMeasurement {
 }
 
 /// The measurements of every applicable solver on one tree, produced by
-/// enumerating a [`SolverRegistry`] instead of naming algorithms one by one.
+/// enumerating [`Solver`] values instead of naming algorithms one by one.
 #[derive(Debug, Clone)]
 pub struct MeasurementSet {
-    /// One entry per solver that supports the tree, in registry order.
+    /// One entry per solver that supports the tree, in the order given.
     pub measurements: Vec<SolverMeasurement>,
 }
 
 impl MeasurementSet {
-    /// Run every solver of `registry` that supports `tree`, checking the
+    /// Run every one of `solvers` that supports `tree`, checking the
     /// exactness invariants on the fly (all exact solvers must agree, and no
     /// exact solver may exceed an inexact one).
-    pub fn measure_with(tree: &Tree, registry: &SolverRegistry) -> Self {
+    pub fn measure_with(tree: &Tree, solvers: &[Solver]) -> Self {
         let mut measurements = Vec::new();
-        for solver in registry.iter().filter(|s| s.supports(tree)) {
+        for solver in solvers.iter().filter(|s| s.supports(tree)) {
             let (result, time) = time_it(|| solver.solve(tree));
             measurements.push(SolverMeasurement {
                 solver: solver.name(),
@@ -84,9 +84,9 @@ impl MeasurementSet {
         set
     }
 
-    /// [`MeasurementSet::measure_with`] on [`measurement_registry`].
+    /// [`MeasurementSet::measure_with`] on [`MEASURED_SOLVERS`].
     pub fn measure(tree: &Tree) -> Self {
-        Self::measure_with(tree, &measurement_registry())
+        Self::measure_with(tree, MEASURED_SOLVERS)
     }
 
     /// The measurement of a given solver, if it ran.
@@ -110,18 +110,15 @@ impl MeasurementSet {
     }
 }
 
-/// The registry used by [`MeasurementSet::measure`]: every built-in solver
-/// except the brute-force oracle (whose cost is exponential).  Also the
-/// cheap way to enumerate the measured solver names without solving
-/// anything.
-pub fn measurement_registry() -> SolverRegistry {
-    let mut registry = SolverRegistry::empty();
-    registry.register(Box::new(treemem::solver::NaturalPostorderSolver));
-    registry.register(Box::new(treemem::solver::BestPostorderSolver));
-    registry.register(Box::new(treemem::solver::LiuSolver));
-    registry.register(Box::new(treemem::solver::MinMemExploreSolver));
-    registry
-}
+/// The solvers [`MeasurementSet::measure`] runs: the four polynomial ones,
+/// i.e. every [`Solver`] but the brute-force oracle (whose cost is
+/// exponential).
+pub const MEASURED_SOLVERS: &[Solver] = &[
+    Solver::NaturalPostorder,
+    Solver::BestPostorder,
+    Solver::Liu,
+    Solver::MinMem,
+];
 
 /// The memory sizes at which the MinIO experiments are run for a given
 /// traversal: fractions of the way from the largest single-node requirement
@@ -159,9 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn full_registry_includes_the_oracle_on_tiny_trees() {
+    fn every_solver_includes_the_oracle_on_tiny_trees() {
         let tree = harpoon(3, 30, 1);
-        let set = MeasurementSet::measure_with(&tree, &SolverRegistry::with_builtin());
+        let set = MeasurementSet::measure_with(&tree, &Solver::ALL);
         assert!(set.get("brute").is_some());
         assert_eq!(set.peak_of("brute"), set.peak_of("minmem"));
     }

@@ -1,7 +1,7 @@
 //! The parallel MinIO sweep engine.
 //!
 //! The sweep crosses four axes — {tree corpus} × {memory fractions} ×
-//! {registered solvers} × {registered eviction policies} — and records, for
+//! {MinMemory solvers} × {eviction policies} — and records, for
 //! every cell, the I/O volume, file count and divisible lower bound of the
 //! simulated out-of-core execution.  Work is distributed over worker threads
 //! at (tree × solver) granularity through [`engine::parallel::par_map`]:
@@ -13,12 +13,14 @@
 //! ([`SweepReport::to_json`]); `exp minio-sweep` writes it to
 //! `results/exp_minio_sweep/BENCH_minio_sweep.json`.
 
+use std::str::FromStr;
 use std::time::Instant;
 
 use engine::json::{self, Array, Fields, Fixed, Writer};
 use engine::parallel::{default_threads, par_map};
-use minio::{divisible_lower_bound, schedule_io_with, PolicyRegistry};
-use treemem::solver::SolverRegistry;
+use minio::{divisible_lower_bound, schedule_io_with, Policy};
+use treemem::registry::UnknownName;
+use treemem::solver::Solver;
 use treemem::tree::Size;
 
 use crate::corpus::Corpus;
@@ -32,11 +34,10 @@ pub struct SweepConfig {
     pub memory_fractions: Vec<f64>,
     /// Worker threads; `None` picks the available parallelism.
     pub threads: Option<usize>,
-    /// Solver names to run (subset of the solver registry); empty = every
-    /// registered solver that supports the tree.
+    /// Solver names to run; empty = every [`Solver`] that supports the
+    /// tree.
     pub solvers: Vec<String>,
-    /// Policy names to run (subset of the policy registry); empty = every
-    /// registered policy.
+    /// Policy names to run; empty = every [`Policy`].
     pub policies: Vec<String>,
 }
 
@@ -87,9 +88,9 @@ pub struct SweepReport {
     pub corpus: String,
     /// Number of trees in the corpus.
     pub trees: usize,
-    /// Solver names that ran (registry order).
+    /// Solver names that ran (`Solver::ALL` order unless configured).
     pub solvers: Vec<String>,
-    /// Policy names that ran (registry order).
+    /// Policy names that ran (`Policy::ALL` order unless configured).
     pub policies: Vec<String>,
     /// The memory fractions of the sweep.
     pub memory_fractions: Vec<f64>,
@@ -154,39 +155,29 @@ impl Fields for SweepRecord {
     }
 }
 
-/// Run the full sweep of `corpus` with the given registries.
+/// The values `names` parse to, or every value of `all` when `names` is
+/// empty; panics on an unknown name.
+fn parse_all<T: Copy + FromStr<Err = UnknownName>>(names: &[String], all: &[T]) -> Vec<T> {
+    if names.is_empty() {
+        return all.to_vec();
+    }
+    let parse = |name: &String| name.parse().unwrap_or_else(|e| panic!("{e}"));
+    names.iter().map(parse).collect()
+}
+
+/// Run the full sweep of `corpus`.
 ///
 /// Every (tree, solver) pair is one parallel job: the job runs the solver
 /// once, then sweeps `config.memory_fractions` × policies on the resulting
 /// traversal.  Solvers that do not support a tree (e.g. the brute-force
 /// oracle beyond its node limit) are skipped for that tree only.
-pub fn run_sweep_with(
-    corpus: &Corpus,
-    solvers: &SolverRegistry,
-    policies: &PolicyRegistry,
-    config: &SweepConfig,
-) -> SweepReport {
-    let solver_names: Vec<String> = if config.solvers.is_empty() {
-        solvers.names()
-    } else {
-        config.solvers.clone()
-    };
-    let policy_names: Vec<String> = if config.policies.is_empty() {
-        policies.names()
-    } else {
-        config.policies.clone()
-    };
-
+pub fn run_sweep(corpus: &Corpus, config: &SweepConfig) -> SweepReport {
     // Resolve every requested name once, before any work starts: a typo in
     // the config fails fast here instead of aborting a worker mid-sweep.
-    let resolved_solvers: Vec<&dyn treemem::solver::MinMemSolver> = solver_names
-        .iter()
-        .map(|name| solvers.get_or_err(name).unwrap_or_else(|e| panic!("{e}")))
-        .collect();
-    let resolved_policies: Vec<&dyn minio::Policy> = policy_names
-        .iter()
-        .map(|name| policies.get_or_err(name).unwrap_or_else(|e| panic!("{e}")))
-        .collect();
+    let resolved_solvers: Vec<Solver> = parse_all(&config.solvers, &Solver::ALL);
+    let resolved_policies: Vec<Policy> = parse_all(&config.policies, &Policy::ALL);
+    let solver_names: Vec<String> = resolved_solvers.iter().map(|s| s.name().into()).collect();
+    let policy_names: Vec<String> = resolved_policies.iter().map(|p| p.name().into()).collect();
 
     // One job per (tree, solver) pair.
     let jobs: Vec<(usize, usize)> = (0..corpus.trees.len())
@@ -246,16 +237,6 @@ pub fn run_sweep_with(
         elapsed_seconds,
         records: per_job.into_iter().flatten().collect(),
     }
-}
-
-/// [`run_sweep_with`] on the built-in solver and policy registries.
-pub fn run_sweep(corpus: &Corpus, config: &SweepConfig) -> SweepReport {
-    run_sweep_with(
-        corpus,
-        &SolverRegistry::with_builtin(),
-        &PolicyRegistry::with_builtin(),
-        config,
-    )
 }
 
 #[cfg(test)]

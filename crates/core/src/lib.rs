@@ -33,8 +33,8 @@
 //! * [`liu`] — Liu's 1987 exact algorithm based on hill–valley segments,
 //!   used as an independent exact reference;
 //! * [`brute`] — an exponential brute-force oracle for small trees;
-//! * [`solver`] — the [`MinMemSolver`] trait and [`SolverRegistry`] that
-//!   expose all of the above behind one generic interface;
+//! * [`solver`] — the [`Solver`] enum that names all of the above, so
+//!   callers can iterate [`Solver::ALL`] or parse a solver's name;
 //! * [`variants`] — the model transformations of Section III-C (pebble
 //!   replacement, Liu's x⁺/x⁻ model, in-tree ↔ out-tree reversal);
 //! * [`gadgets`] — the harpoon trees of Theorem 1 and the 2-Partition
@@ -80,7 +80,7 @@ pub mod variants;
 pub use error::{TraversalError, TreeError};
 pub use partition::{proportional_cut, Partition};
 pub use registry::UnknownName;
-pub use solver::{MinMemSolver, SolverRegistry};
+pub use solver::{Solver, SolverRegistry};
 pub use traversal::{MemoryProfile, Traversal};
 pub use tree::{NodeId, Size, Tree, TreeBuilder};
 

@@ -1,20 +1,21 @@
-//! Shared plumbing for the name-indexed catalogues of the workspace.
+//! The error of a name lookup in one of the workspace's closed sets.
 //!
-//! Both [`SolverRegistry`](crate::solver::SolverRegistry) (MinMemory solvers)
-//! and `minio::PolicyRegistry` (eviction policies) resolve short stable names
-//! to trait objects.  Their lookup APIs share one error type, [`UnknownName`],
-//! and one helper, [`get_or_unknown`], so callers — in particular the
-//! `engine` facade's configuration validation — get a uniform, typed error
-//! that lists the registered names instead of an anonymous `Option` miss.
+//! [`Solver`](crate::solver::Solver) (MinMemory solvers),
+//! `minio::Policy` (eviction policies) and `engine::CachePolicy` (serving
+//! caches) each parse their short stable names with
+//! [`FromStr`](std::str::FromStr).  A miss is one typed error,
+//! [`UnknownName`], that lists every name the set knows, so callers — in
+//! particular the `engine` facade's configuration validation — report the
+//! alternatives instead of an anonymous `Option` miss.
 
-/// A registry lookup failed: no entry is registered under `name`.
+/// A name lookup failed: no entry of the set is called `name`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownName {
     /// What kind of entry was looked up (`"solver"`, `"policy"`, ...).
     pub kind: &'static str,
     /// The name that was requested.
     pub name: String,
-    /// Every name the registry does know, in registration order.
+    /// Every name the set does know, in its `ALL` order.
     pub known: Vec<String>,
 }
 
@@ -31,42 +32,3 @@ impl std::fmt::Display for UnknownName {
 }
 
 impl std::error::Error for UnknownName {}
-
-/// Turn an optional registry hit into a typed result: `Some(entry)` passes
-/// through, `None` becomes an [`UnknownName`] carrying the registered names
-/// (produced lazily, so the happy path never allocates).
-pub fn get_or_unknown<'a, T: ?Sized>(
-    kind: &'static str,
-    name: &str,
-    entry: Option<&'a T>,
-    known: impl FnOnce() -> Vec<String>,
-) -> Result<&'a T, UnknownName> {
-    entry.ok_or_else(|| UnknownName {
-        kind,
-        name: name.to_string(),
-        known: known(),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hits_pass_through() {
-        let value = 7usize;
-        let got = get_or_unknown("thing", "seven", Some(&value), Vec::new).unwrap();
-        assert_eq!(*got, 7);
-    }
-
-    #[test]
-    fn misses_carry_the_catalogue() {
-        let err =
-            get_or_unknown::<usize>("thing", "eight", None, || vec!["seven".into()]).unwrap_err();
-        assert_eq!(err.kind, "thing");
-        assert_eq!(err.name, "eight");
-        assert_eq!(err.known, vec!["seven".to_string()]);
-        assert!(err.to_string().contains("unknown thing 'eight'"));
-        assert!(err.to_string().contains("seven"));
-    }
-}

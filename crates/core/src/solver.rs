@@ -1,270 +1,137 @@
-//! A common interface over the MinMemory traversal algorithms.
+//! The MinMemory algorithms as one closed set.
 //!
-//! The crate implements four ways of producing a traversal and its peak
-//! memory: the best postorder (Liu 1986), the natural postorder, Liu's exact
-//! hill–valley algorithm (1987), the paper's `MinMem` (Algorithms 3–4) and a
-//! brute-force oracle for tiny trees.  Callers that want to compare them —
-//! the experiment harness, the sweep engine, integration tests — previously
-//! named each function explicitly; the [`MinMemSolver`] trait lets them
-//! enumerate solvers generically instead, and [`SolverRegistry`] provides a
-//! name-indexed catalogue of every built-in solver.
+//! The crate produces a traversal and its peak memory in five ways: the
+//! natural postorder, the best postorder (Liu 1986), Liu's exact
+//! hill–valley algorithm (1987), the paper's `MinMem` (Algorithms 3–4) and
+//! a brute-force oracle for tiny trees.  [`Solver`] names each of them, so
+//! callers that compare them — the experiment harness, the sweep engine,
+//! integration tests — iterate [`Solver::ALL`], and names exist only at the
+//! edges (configurations, reports) through [`FromStr`].
 //!
 //! ```
 //! use treemem::gadgets::harpoon;
-//! use treemem::solver::SolverRegistry;
+//! use treemem::solver::Solver;
 //!
 //! let tree = harpoon(3, 300, 1);
-//! let registry = SolverRegistry::with_builtin();
-//! for solver in registry.iter().filter(|s| s.supports(&tree)) {
+//! for solver in Solver::ALL.into_iter().filter(|s| s.supports(&tree)) {
 //!     let result = solver.solve(&tree);
 //!     assert_eq!(result.peak, result.traversal.peak_memory(&tree).unwrap());
 //! }
 //! ```
 
+use std::str::FromStr;
+
 use crate::brute::brute_force_optimal;
 use crate::liu::liu_exact;
 use crate::minmem::min_mem;
 use crate::postorder::{best_postorder, natural_postorder};
-use crate::registry::{get_or_unknown, UnknownName};
+use crate::registry::UnknownName;
 use crate::tree::Tree;
 use crate::TraversalResult;
 
+/// Largest tree [`Solver::Brute`] supports.  The oracle's hard cap is
+/// [`crate::brute::MAX_BRUTE_FORCE_NODES`] (a bitmask width), but its state
+/// space is exponential, so generic enumeration — sweeps, tests over
+/// [`Solver::ALL`] — must stop well before that.
+pub const BRUTE_FORCE_PRACTICAL_NODES: usize = 18;
+
 /// A MinMemory algorithm: produces a valid traversal of a tree together with
 /// its peak memory.
-pub trait MinMemSolver: Send + Sync {
-    /// Short stable identifier (used in registries, reports and JSON output).
-    fn name(&self) -> &'static str;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Solver {
+    /// The postorder following the stored child order
+    /// ([`natural_postorder`]); the baseline a solver uses when it does not
+    /// reorder children.
+    NaturalPostorder,
+    /// Liu's best postorder ([`best_postorder`]); the ordering used by
+    /// practical multifrontal solvers, optimal among postorders but not in
+    /// general.
+    BestPostorder,
+    /// Liu's exact hill–valley algorithm ([`liu_exact`]).
+    Liu,
+    /// The paper's `MinMem` algorithm ([`min_mem`], Algorithms 3 and 4).
+    MinMem,
+    /// The exponential brute-force oracle ([`brute_force_optimal`]); supports
+    /// only trees of at most [`BRUTE_FORCE_PRACTICAL_NODES`] nodes.
+    Brute,
+}
 
-    /// One-line human description for reports.
-    fn description(&self) -> &'static str;
+impl Solver {
+    /// Every solver, in the order reports list them.
+    pub const ALL: [Solver; 5] = [
+        Solver::NaturalPostorder,
+        Solver::BestPostorder,
+        Solver::Liu,
+        Solver::MinMem,
+        Solver::Brute,
+    ];
 
-    /// Whether the solver returns the exact MinMemory optimum.
-    fn is_exact(&self) -> bool;
-
-    /// Largest tree (in nodes) the solver accepts, if bounded.
-    fn node_limit(&self) -> Option<usize> {
-        None
+    /// Short stable identifier (configurations, reports and JSON output).
+    pub fn name(self) -> &'static str {
+        match self {
+            Solver::NaturalPostorder => "natural",
+            Solver::BestPostorder => "postorder",
+            Solver::Liu => "liu",
+            Solver::MinMem => "minmem",
+            Solver::Brute => "brute",
+        }
     }
 
-    /// Whether the solver can handle `tree` (default: the node limit).
-    fn supports(&self, tree: &Tree) -> bool {
-        self.node_limit().is_none_or(|limit| tree.len() <= limit)
+    /// Whether the solver returns the exact MinMemory optimum.
+    pub fn is_exact(self) -> bool {
+        !matches!(self, Solver::NaturalPostorder | Solver::BestPostorder)
+    }
+
+    /// Whether the solver can handle `tree`: every solver but the brute
+    /// force, which stops at [`BRUTE_FORCE_PRACTICAL_NODES`].
+    pub fn supports(self, tree: &Tree) -> bool {
+        self != Solver::Brute || tree.len() <= BRUTE_FORCE_PRACTICAL_NODES
     }
 
     /// Compute a traversal of `tree` and its peak memory.
     ///
     /// # Panics
     /// May panic when `supports(tree)` is false.
-    fn solve(&self, tree: &Tree) -> TraversalResult;
-
-    /// [`MinMemSolver::solve`] with a cooperative stop probe.  The built-in
-    /// solvers run in milliseconds even at 10⁵ nodes, so the default checks
-    /// the probe only on entry and on exit (bounding the cancellation
-    /// latency by one solve); a solver with a genuinely long inner loop can
-    /// override this to poll mid-solve.  `None` means the probe fired and
-    /// the result was discarded.
-    fn solve_with_stop(
-        &self,
-        tree: &Tree,
-        stop: Option<&dyn Fn() -> bool>,
-    ) -> Option<TraversalResult> {
-        if let Some(probe) = stop {
-            if probe() {
-                return None;
-            }
+    pub fn solve(self, tree: &Tree) -> TraversalResult {
+        match self {
+            Solver::NaturalPostorder => natural_postorder(tree).into(),
+            Solver::BestPostorder => best_postorder(tree).into(),
+            Solver::Liu => liu_exact(tree).into(),
+            Solver::MinMem => min_mem(tree).into(),
+            Solver::Brute => brute_force_optimal(tree),
         }
-        let result = self.solve(tree);
-        if let Some(probe) = stop {
-            if probe() {
-                return None;
-            }
-        }
-        Some(result)
     }
 }
 
-/// Liu's best postorder ([`best_postorder`]); the ordering used by practical
-/// multifrontal solvers, optimal among postorders but not in general.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BestPostorderSolver;
+impl FromStr for Solver {
+    type Err = UnknownName;
 
-impl MinMemSolver for BestPostorderSolver {
-    fn name(&self) -> &'static str {
-        "postorder"
-    }
-    fn description(&self) -> &'static str {
-        "Liu's best postorder (optimal among postorders)"
-    }
-    fn is_exact(&self) -> bool {
-        false
-    }
-    fn solve(&self, tree: &Tree) -> TraversalResult {
-        best_postorder(tree).into()
+    fn from_str(name: &str) -> Result<Self, UnknownName> {
+        Solver::ALL
+            .into_iter()
+            .find(|solver| solver.name() == name)
+            .ok_or_else(|| UnknownName {
+                kind: "solver",
+                name: name.to_string(),
+                known: Solver::ALL.map(|s| s.name().to_string()).to_vec(),
+            })
     }
 }
 
-/// The postorder following the stored child order ([`natural_postorder`]);
-/// the baseline a solver uses when it does not reorder children.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaturalPostorderSolver;
-
-impl MinMemSolver for NaturalPostorderSolver {
-    fn name(&self) -> &'static str {
-        "natural"
-    }
-    fn description(&self) -> &'static str {
-        "postorder in stored child order (no reordering)"
-    }
-    fn is_exact(&self) -> bool {
-        false
-    }
-    fn solve(&self, tree: &Tree) -> TraversalResult {
-        natural_postorder(tree).into()
-    }
-}
-
-/// Liu's exact hill–valley algorithm ([`liu_exact`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LiuSolver;
-
-impl MinMemSolver for LiuSolver {
-    fn name(&self) -> &'static str {
-        "liu"
-    }
-    fn description(&self) -> &'static str {
-        "Liu 1987 exact algorithm (hill-valley segments)"
-    }
-    fn is_exact(&self) -> bool {
-        true
-    }
-    fn solve(&self, tree: &Tree) -> TraversalResult {
-        liu_exact(tree).into()
-    }
-}
-
-/// The paper's `MinMem` algorithm ([`min_mem`], Algorithms 3 and 4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MinMemExploreSolver;
-
-impl MinMemSolver for MinMemExploreSolver {
-    fn name(&self) -> &'static str {
-        "minmem"
-    }
-    fn description(&self) -> &'static str {
-        "the paper's MinMem/Explore exact algorithm"
-    }
-    fn is_exact(&self) -> bool {
-        true
-    }
-    fn solve(&self, tree: &Tree) -> TraversalResult {
-        min_mem(tree).into()
-    }
-}
-
-/// Practical node limit advertised by [`BruteForceSolver`].  The oracle's
-/// hard cap is [`crate::brute::MAX_BRUTE_FORCE_NODES`] (a bitmask width),
-/// but its state space is exponential, so generic enumeration — sweeps,
-/// registry-driven tests — must stop well before that.
-pub const BRUTE_FORCE_PRACTICAL_NODES: usize = 18;
-
-/// The exponential brute-force oracle ([`brute_force_optimal`]); only
-/// advertises support for trees of at most [`BRUTE_FORCE_PRACTICAL_NODES`]
-/// nodes so registry-driven callers never trigger an exponential blow-up.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BruteForceSolver;
-
-impl MinMemSolver for BruteForceSolver {
-    fn name(&self) -> &'static str {
-        "brute"
-    }
-    fn description(&self) -> &'static str {
-        "exhaustive dynamic programming oracle (tiny trees only)"
-    }
-    fn is_exact(&self) -> bool {
-        true
-    }
-    fn node_limit(&self) -> Option<usize> {
-        Some(BRUTE_FORCE_PRACTICAL_NODES)
-    }
-    fn solve(&self, tree: &Tree) -> TraversalResult {
-        brute_force_optimal(tree)
-    }
-}
-
-/// Name-indexed catalogue of MinMemory solvers.
-pub struct SolverRegistry {
-    solvers: Vec<Box<dyn MinMemSolver>>,
-}
+/// Name lookup kept for the `benchmark/` package, which resolves solvers
+/// through it; it goes once the benchmark parses names with
+/// [`str::parse`] (ROADMAP item 5).
+pub struct SolverRegistry;
 
 impl SolverRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        SolverRegistry {
-            solvers: Vec::new(),
-        }
-    }
-
-    /// The registry of all built-in solvers, in report order.
+    /// The lookup over [`Solver::ALL`].
     pub fn with_builtin() -> Self {
-        let mut registry = SolverRegistry::empty();
-        registry.register(Box::new(NaturalPostorderSolver));
-        registry.register(Box::new(BestPostorderSolver));
-        registry.register(Box::new(LiuSolver));
-        registry.register(Box::new(MinMemExploreSolver));
-        registry.register(Box::new(BruteForceSolver));
-        registry
+        SolverRegistry
     }
 
-    /// Add a solver.  A solver with the same name replaces the old entry, so
-    /// downstream crates can override built-ins.
-    pub fn register(&mut self, solver: Box<dyn MinMemSolver>) {
-        if let Some(existing) = self.solvers.iter_mut().find(|s| s.name() == solver.name()) {
-            *existing = solver;
-        } else {
-            self.solvers.push(solver);
-        }
-    }
-
-    /// Look a solver up by name.
-    pub fn get(&self, name: &str) -> Option<&dyn MinMemSolver> {
-        self.solvers
-            .iter()
-            .find(|s| s.name() == name)
-            .map(|s| s.as_ref())
-    }
-
-    /// Look a solver up by name, with a typed [`UnknownName`] error listing
-    /// the registered names on a miss.
-    pub fn get_or_err(&self, name: &str) -> Result<&dyn MinMemSolver, UnknownName> {
-        get_or_unknown("solver", name, self.get(name), || self.names())
-    }
-
-    /// Registered names, in registration order.  Returns owned `String`s —
-    /// the same signature as `minio::PolicyRegistry::names` — so generic
-    /// callers can treat the two catalogues uniformly.
-    pub fn names(&self) -> Vec<String> {
-        self.solvers.iter().map(|s| s.name().to_string()).collect()
-    }
-
-    /// Iterate over the solvers in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn MinMemSolver> {
-        self.solvers.iter().map(|s| s.as_ref())
-    }
-
-    /// Number of registered solvers.
-    pub fn len(&self) -> usize {
-        self.solvers.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.solvers.is_empty()
-    }
-}
-
-impl Default for SolverRegistry {
-    fn default() -> Self {
-        SolverRegistry::with_builtin()
+    /// `name.parse()`: the solver, or an [`UnknownName`] listing them all.
+    pub fn get_or_err(&self, name: &str) -> Result<Solver, UnknownName> {
+        name.parse()
     }
 }
 
@@ -274,27 +141,36 @@ mod tests {
     use crate::gadgets::harpoon;
 
     #[test]
-    fn builtin_registry_has_the_expected_solvers() {
-        let registry = SolverRegistry::with_builtin();
+    fn names_round_trip_and_unknown_names_list_every_solver() {
+        for solver in Solver::ALL {
+            assert_eq!(solver.name().parse(), Ok(solver));
+            assert_eq!(
+                SolverRegistry::with_builtin().get_or_err(solver.name()),
+                Ok(solver)
+            );
+        }
+        let names = ["natural", "postorder", "liu", "minmem", "brute"];
+        assert_eq!(Solver::ALL.map(Solver::name), names);
+        let err = "nope".parse::<Solver>().unwrap_err();
         assert_eq!(
-            registry.names(),
-            vec!["natural", "postorder", "liu", "minmem", "brute"]
+            err,
+            UnknownName {
+                kind: "solver",
+                name: "nope".to_string(),
+                known: names.map(String::from).to_vec(),
+            }
         );
-        assert!(registry.get("liu").is_some());
-        assert!(registry.get("nope").is_none());
-        assert!(registry.get_or_err("liu").is_ok());
-        let err = registry.get_or_err("nope").map(|_| ()).unwrap_err();
-        assert_eq!(err.kind, "solver");
-        assert_eq!(err.known, registry.names());
-        assert!(!registry.is_empty());
+        assert_eq!(
+            err.to_string(),
+            "unknown solver 'nope' (registered: natural, postorder, liu, minmem, brute)"
+        );
     }
 
     #[test]
     fn exact_solvers_agree_and_dominate_postorders() {
         let tree = harpoon(4, 400, 1);
-        let registry = SolverRegistry::with_builtin();
-        let exact: Vec<_> = registry
-            .iter()
+        let exact: Vec<_> = Solver::ALL
+            .into_iter()
             .filter(|s| s.is_exact() && s.supports(&tree))
             .map(|s| s.solve(&tree).peak)
             .collect();
@@ -303,7 +179,7 @@ mod tests {
             exact.windows(2).all(|w| w[0] == w[1]),
             "exact solvers disagree: {exact:?}"
         );
-        for solver in registry.iter().filter(|s| !s.is_exact()) {
+        for solver in Solver::ALL.into_iter().filter(|s| !s.is_exact()) {
             assert!(solver.solve(&tree).peak >= exact[0], "{}", solver.name());
         }
     }
@@ -312,26 +188,18 @@ mod tests {
     fn node_limits_gate_the_brute_force() {
         let small = harpoon(3, 30, 1);
         let large = harpoon(30, 300, 1); // 91 nodes
-        let brute = BruteForceSolver;
-        assert!(brute.supports(&small));
-        assert!(!brute.supports(&large));
-    }
-
-    #[test]
-    fn registration_replaces_by_name() {
-        let mut registry = SolverRegistry::empty();
-        registry.register(Box::new(LiuSolver));
-        registry.register(Box::new(LiuSolver));
-        assert_eq!(registry.len(), 1);
+        assert!(Solver::Brute.supports(&small));
+        assert!(!Solver::Brute.supports(&large));
+        assert!(Solver::ALL
+            .into_iter()
+            .filter(|&s| s != Solver::Brute)
+            .all(|s| s.supports(&large)));
     }
 
     #[test]
     fn solved_peaks_match_their_traversals() {
         let tree = harpoon(4, 40, 3);
-        for solver in SolverRegistry::with_builtin()
-            .iter()
-            .filter(|s| s.supports(&tree))
-        {
+        for solver in Solver::ALL.into_iter().filter(|s| s.supports(&tree)) {
             let result = solver.solve(&tree);
             assert_eq!(
                 result.peak,

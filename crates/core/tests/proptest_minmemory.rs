@@ -22,7 +22,7 @@ use treemem::brute::brute_force_peak;
 use treemem::liu::liu_exact;
 use treemem::minmem::min_mem;
 use treemem::postorder::{best_postorder, natural_postorder};
-use treemem::solver::SolverRegistry;
+use treemem::solver::Solver;
 use treemem::tree::{Size, Tree};
 use treemem::variants::{bottom_up_peak, from_replacement_model};
 
@@ -86,11 +86,8 @@ fn ordering_of_the_algorithms() {
 fn reported_peaks_match_the_traversals() {
     for seed in 300..396 {
         let tree = arbitrary_tree(seed, 60, 500, 20);
-        // The solver registry covers all four algorithms generically.
-        for solver in SolverRegistry::with_builtin()
-            .iter()
-            .filter(|s| s.supports(&tree))
-        {
+        // `Solver::ALL` covers every algorithm generically.
+        for solver in Solver::ALL.into_iter().filter(|s| s.supports(&tree)) {
             let result = solver.solve(&tree);
             assert_eq!(
                 result.peak,

@@ -442,9 +442,9 @@ pub struct EngineConfig {
     pub ordering: OrderingMethod,
     /// Relaxed-amalgamation allowance (ignored for prebuilt trees).
     pub amalgamation: usize,
-    /// MinMemory solver name (resolved in the engine's `SolverRegistry`).
+    /// MinMemory solver name (parsed as a `treemem::Solver`).
     pub solver: String,
-    /// Eviction policy name (resolved in the engine's `PolicyRegistry`).
+    /// Eviction policy name (parsed as a `minio::Policy`).
     pub policy: String,
     /// Main-memory budget of the out-of-core stage.
     pub memory: MemoryBudget,

@@ -86,8 +86,8 @@ pub mod prelude {
         DistributedCut, DistributedRuntime, Engine, EngineError, FactorHandle, Plan, Schedule,
         ScheduleSpec, SubtreeParts,
     };
-    pub use minio::PolicyRegistry;
+    pub use minio::Policy;
     pub use ordering::OrderingMethod;
     pub use sparsemat::gen::ProblemKind;
-    pub use treemem::SolverRegistry;
+    pub use treemem::Solver;
 }

@@ -440,6 +440,7 @@ mod tests {
     use super::*;
     use crate::{Engine, EngineConfig};
     use sparsemat::gen::ProblemKind;
+    use treemem::Solver;
 
     /// A fired token stops every runner and the merge with the typed
     /// numeric-stage cancellation, and nothing stays reserved on the run's
@@ -488,7 +489,7 @@ mod tests {
 
     /// The sequential peak the budget resolves against (and the report's
     /// `model_peak_entries`) is the paper's bottom-up peak of the per-column
-    /// model along the same order: every kind × size × registered solver
+    /// model along the same order: every kind × size × solver
     /// that supports the model, on the generated matrix and on two disjoint
     /// copies of it (a forest, read back from a MatrixMarket file).
     #[test]
@@ -525,8 +526,8 @@ mod tests {
                         shape == "connected" || roots > 1,
                         "{shape} has {roots} roots"
                     );
-                    for solver in engine.solvers().names() {
-                        let Ok(order) = numeric.order_for(&engine, &solver) else {
+                    for solver in Solver::ALL.map(Solver::name) {
+                        let Ok(order) = numeric.order_for(&engine, solver) else {
                             continue;
                         };
                         let cut = CutPlan::compute(&numeric, &order, 1, &BudgetShare::Unbounded);

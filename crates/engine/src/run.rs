@@ -31,7 +31,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use minio::{MinIoError, OutOfCoreRun, PolicyRegistry, Walk};
+use minio::{MinIoError, OutOfCoreRun, Policy, Walk};
 use multifrontal::memory::per_column_model;
 use multifrontal::numeric::SymbolicStructure;
 use multifrontal::parallel::BudgetLedger;
@@ -43,7 +43,7 @@ use sparsemat::matrixmarket::{read_pattern, MatrixMarketError};
 use sparsemat::SparsePattern;
 use symbolic::{amalgamate, column_counts, elimination_tree, AssemblyTree, EliminationTree};
 use treemem::registry::UnknownName;
-use treemem::solver::SolverRegistry;
+use treemem::solver::Solver;
 use treemem::tree::{NodeId, Size};
 use treemem::{Traversal, TraversalResult, Tree};
 
@@ -61,7 +61,7 @@ use crate::report::{
 /// Errors raised anywhere in the plan/schedule/execute flow.
 #[derive(Debug)]
 pub enum EngineError {
-    /// A solver or policy name is not registered.
+    /// A solver or policy name is unknown.
     UnknownName(UnknownName),
     /// The configuration is structurally invalid (zero allowance, NaN
     /// fraction, ...).
@@ -142,10 +142,11 @@ impl From<FactorizationError> for EngineError {
     }
 }
 
-/// The facade over the whole matrix-to-traversal pipeline: a pair of
-/// registries plus the plan/schedule/execute drivers, and an optional
-/// [`CancelToken`] ([`Engine::with_cancel`]) that every stage they drive
-/// polls, unwinding with [`EngineError::Cancelled`] once it fires.
+/// The facade over the whole matrix-to-traversal pipeline: the
+/// plan/schedule/execute drivers and an optional [`CancelToken`]
+/// ([`Engine::with_cancel`]) that every stage they drive polls, unwinding
+/// with [`EngineError::Cancelled`] once it fires.  Solver and policy names
+/// parse into [`Solver`] and [`Policy`] values at plan time.
 ///
 /// ```
 /// use engine::{Engine, EngineConfig};
@@ -156,52 +157,23 @@ impl From<FactorizationError> for EngineError {
 /// let report = engine.run(&config).unwrap();
 /// assert_eq!(report.io_volume, 0); // unlimited memory: no eviction needed
 /// ```
+#[derive(Default)]
 pub struct Engine {
-    registries: Arc<Registries>,
     cancel: Option<CancelToken>,
 }
 
-/// What every engine derived by [`Engine::with_cancel`] shares.
-struct Registries {
-    solvers: SolverRegistry,
-    policies: PolicyRegistry,
-}
-
 impl Engine {
-    /// An engine with the built-in solver and policy registries.
+    /// An engine whose stages run to the end.
     pub fn new() -> Self {
-        Engine::with_registries(
-            SolverRegistry::with_builtin(),
-            PolicyRegistry::with_builtin(),
-        )
+        Engine::default()
     }
 
-    /// An engine with custom registries (downstream crates can register
-    /// their own solvers and policies before constructing the engine).
-    pub fn with_registries(solvers: SolverRegistry, policies: PolicyRegistry) -> Self {
-        Engine {
-            registries: Arc::new(Registries { solvers, policies }),
-            cancel: None,
-        }
-    }
-
-    /// This engine's registries under `token`: every stage driven through
-    /// the returned engine polls it.  Costs two reference-count bumps.
+    /// An engine under `token`: every stage driven through the returned
+    /// engine polls it.
     pub fn with_cancel(&self, token: CancelToken) -> Engine {
         Engine {
-            registries: Arc::clone(&self.registries),
             cancel: Some(token),
         }
-    }
-
-    /// The solver registry.
-    pub fn solvers(&self) -> &SolverRegistry {
-        &self.registries.solvers
-    }
-
-    /// The policy registry.
-    pub fn policies(&self) -> &PolicyRegistry {
-        &self.registries.policies
     }
 
     /// The token this engine's stages poll (`None`: they run to the end).
@@ -277,8 +249,8 @@ impl Engine {
     }
 
     fn validate(&self, config: &EngineConfig) -> Result<(), EngineError> {
-        self.solvers().get_or_err(&config.solver)?;
-        self.policies().get_or_err(&config.policy)?;
+        config.solver.parse::<Solver>()?;
+        config.policy.parse::<Policy>()?;
         if config.amalgamation == 0 {
             return Err(EngineError::InvalidConfig(
                 "the amalgamation allowance must be at least 1".to_string(),
@@ -291,12 +263,6 @@ impl Engine {
         validate_execution(&config.parallel, &config.distributed, config.numeric)?;
         validate_solve(&config.solve, config.numeric)?;
         Ok(())
-    }
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine::new()
     }
 }
 
@@ -582,7 +548,7 @@ impl NumericModel {
         solver: &str,
     ) -> Result<Arc<Vec<NodeId>>, EngineError> {
         self.orders.get_or_try(solver, || {
-            let entry = engine.solvers().get_or_err(solver)?;
+            let entry: Solver = solver.parse()?;
             if !entry.supports(&self.model) {
                 return Err(EngineError::InvalidConfig(format!(
                     "solver '{solver}' does not support the {}-node per-column model",
@@ -590,9 +556,9 @@ impl NumericModel {
                 )));
             }
             let cancel = engine.cancel();
-            let solved =
-                CancelToken::with_stop(cancel, |stop| entry.solve_with_stop(&self.model, stop));
-            let solved = solved.ok_or_else(|| cancelled(cancel, "numeric"))?;
+            check(cancel, "numeric")?;
+            let solved = entry.solve(&self.model);
+            check(cancel, "numeric")?;
             Ok(solved.traversal.reversed().into_order())
         })
     }
@@ -798,7 +764,7 @@ impl Plan {
     /// schedules hold instead of a copy of the traversal.
     fn solved(&self, engine: &Engine, solver: &str) -> Result<Arc<Solved>, EngineError> {
         self.solved.get_or_try(solver, || {
-            let entry = engine.solvers().get_or_err(solver)?;
+            let entry: Solver = solver.parse()?;
             if !entry.supports(self.tree()) {
                 return Err(EngineError::InvalidConfig(format!(
                     "solver '{solver}' does not support a tree of {} nodes",
@@ -808,10 +774,8 @@ impl Plan {
             let cancel = engine.cancel();
             fire_fault("schedule:solver");
             check(cancel, "solver")?;
-            let (result, seconds) = CancelToken::with_stop(cancel, |stop| {
-                timed_ok(|| entry.solve_with_stop(self.tree(), stop))
-            });
-            let result = result.ok_or_else(|| cancelled(cancel, "solver"))?;
+            let (result, seconds) = timed_ok(|| entry.solve(self.tree()));
+            check(cancel, "solver")?;
             let walk = Walk::new(self.tree(), &result.traversal)?;
             Ok(Solved {
                 result,
@@ -920,7 +884,7 @@ impl Plan {
         let parallel = spec.parallel.unwrap_or(self.config.parallel);
         validate_memory(budget_spec)?;
         validate_execution(&parallel, &self.config.distributed, self.config.numeric)?;
-        let policy = engine.policies().get_or_err(&policy_name)?;
+        let policy: Policy = policy_name.parse()?;
         let solved = self.solved(engine, &solver)?;
 
         fire_fault("schedule:io");

@@ -20,7 +20,7 @@ use treemem::tree::{NodeId, Size, Tree};
 use treemem::Traversal;
 
 use crate::heuristics::{MinIoError, Walk};
-use crate::policy::{paper, Policy};
+use crate::policy::Policy;
 
 /// Hard cap on the number of evictable candidates per step accepted by the
 /// exact solver; beyond this the enumeration would be hopeless anyway.
@@ -70,11 +70,7 @@ pub fn exact_min_io(
     // Upper bound from the best heuristic (the search never needs to do
     // worse, and a good incumbent makes the pruning effective).
     let mut incumbent = Size::MAX;
-    let heuristics: [&dyn Policy; 3] = [
-        &paper::FirstFit,
-        &paper::BestKCombination { k: 6 },
-        &paper::Lsnf,
-    ];
+    let heuristics = [Policy::FirstFit, Policy::BestKComb { k: 6 }, Policy::Lsnf];
     const UNSTOPPABLE: &str = "no stop probe, cannot be cancelled";
     for policy in heuristics {
         let run = walk.schedule_io(tree, traversal, memory, policy, None)?;
@@ -205,7 +201,6 @@ pub fn exact_min_io(
 mod tests {
     use super::*;
     use crate::heuristics::{divisible_lower_bound, schedule_io_with};
-    use crate::policy::PolicyRegistry;
     use treemem::gadgets::{harpoon, two_partition_gadget};
     use treemem::minmem::min_mem;
     use treemem::postorder::best_postorder;
@@ -219,7 +214,7 @@ mod tests {
         let exact = exact_min_io(&tree, &po.traversal, memory).unwrap();
         let bound = divisible_lower_bound(&tree, &po.traversal, memory).unwrap();
         assert!(exact.io_volume >= bound);
-        for policy in PolicyRegistry::with_builtin().iter() {
+        for policy in Policy::ALL {
             let run = schedule_io_with(&tree, &po.traversal, memory, policy).unwrap();
             assert!(run.io_volume >= exact.io_volume, "{}", policy.name());
         }
@@ -280,7 +275,7 @@ mod tests {
             };
             let bound = divisible_lower_bound(&tree, &opt.traversal, memory).unwrap();
             assert!(exact.io_volume >= bound, "seed {seed}");
-            for policy in PolicyRegistry::with_builtin().iter() {
+            for policy in Policy::ALL {
                 let run = schedule_io_with(&tree, &opt.traversal, memory, policy).unwrap();
                 assert!(
                     run.io_volume >= exact.io_volume,

@@ -4,12 +4,12 @@
 //! The simulator executes a traversal step by step; when the next node `j`
 //! does not fit in the remaining main memory, a deficit `IOReq(j)` must be
 //! freed by writing already-produced files to secondary memory.  *Which*
-//! files to write is decided by a pluggable [`Policy`]
-//! (see [`crate::policy`]): the simulator hands it the candidate files
+//! files to write is decided by one of the nine [`Policy`] values (see
+//! [`crate::policy`]): the simulator hands its session the candidate files
 //! ordered latest use first and completes any shortfall with the LSNF rule.
 //!
 //! [`schedule_io_with`] is the entry point; the six paper heuristics are the
-//! [`crate::policy::paper`] values (the golden parity test pins them to the
+//! first six [`Policy::ALL`] values (the golden parity test pins them to the
 //! original fixed dispatch).  A [`Walk`] validates a traversal once and runs
 //! any number of simulations and bounds on it, with a cooperative stop
 //! probe; the two free functions are one-shot wrappers over it.
@@ -261,12 +261,12 @@ impl Walk {
         tree: &Tree,
         traversal: &Traversal,
         memory: Size,
-        policy: &dyn Policy,
+        policy: Policy,
         stop: Option<&dyn Fn() -> bool>,
     ) -> Result<Option<OutOfCoreRun>, MinIoError> {
         let order = self.order(tree, traversal);
         let positions: &[usize] = &self.positions;
-        let mut session = policy.session(tree, traversal);
+        let mut session = policy.session(tree);
 
         let mut resident = ResidentSet::with_root(tree, order, positions);
         let mut schedule = IoSchedule::empty(tree.len());
@@ -312,24 +312,7 @@ impl Walk {
                     deficit,
                     candidates: &candidates,
                 };
-                let raw = session.select(&ctx);
-                // Sanitise: keep the first occurrence of each in-range index,
-                // then complete any shortfall with the LSNF fallback.
-                let mut chosen: Vec<usize> = Vec::with_capacity(raw.len());
-                taken.clear();
-                taken.resize(candidates.len(), false);
-                let mut freed: Size = 0;
-                for idx in raw {
-                    if idx < candidates.len() && !taken[idx] {
-                        taken[idx] = true;
-                        chosen.push(idx);
-                        freed += candidates[idx].size;
-                    }
-                }
-                if freed < deficit {
-                    let rest = lsnf_fill(&candidates, deficit - freed, &chosen);
-                    chosen.extend(rest);
-                }
+                let chosen = complete(session.select(&ctx), &candidates, deficit, &mut taken);
                 for &idx in &chosen {
                     let candidate = candidates[idx];
                     resident.leave(positions[candidate.node], candidate.size);
@@ -344,7 +327,7 @@ impl Walk {
             peak = peak.max(during);
 
             resident.execute(step, node);
-            session.observe_execution(step, node, tree);
+            session.observe_execution(node, tree);
         }
 
         // Full re-validation through the independent Algorithm 2 checker,
@@ -423,6 +406,33 @@ impl Walk {
     }
 }
 
+/// Sanitise a session's selection: keep the first occurrence of each
+/// in-range index, then complete any shortfall of `deficit` with the LSNF
+/// fallback.  `taken` is a scratch buffer reused across deficit steps.
+fn complete(
+    raw: Vec<usize>,
+    candidates: &[Candidate],
+    deficit: Size,
+    taken: &mut Vec<bool>,
+) -> Vec<usize> {
+    let mut chosen: Vec<usize> = Vec::with_capacity(raw.len());
+    taken.clear();
+    taken.resize(candidates.len(), false);
+    let mut freed: Size = 0;
+    for idx in raw {
+        if idx < candidates.len() && !taken[idx] {
+            taken[idx] = true;
+            chosen.push(idx);
+            freed += candidates[idx].size;
+        }
+    }
+    if freed < deficit {
+        let rest = lsnf_fill(candidates, deficit - freed, &chosen);
+        chosen.extend(rest);
+    }
+    chosen
+}
+
 /// Simulate an out-of-core execution of `traversal` on `tree` with main
 /// memory `memory`, using `policy` to choose which files to evict.
 ///
@@ -436,8 +446,9 @@ impl Walk {
 ///
 /// The policy's selection is sanitised: duplicate and out-of-range indices
 /// are dropped, and if the selected files do not cover the deficit the
-/// remainder is completed with [`lsnf_fill`], so any [`Policy`] — including
-/// user-written ones — yields a feasible schedule.
+/// remainder is completed with [`lsnf_fill`], so every
+/// [`Session`](crate::policy::Session) yields a
+/// feasible schedule.
 ///
 /// The simulator is *incremental*: steps before the first deficit only add
 /// and subtract file sizes, and from the first deficit on the resident
@@ -451,7 +462,7 @@ pub fn schedule_io_with(
     tree: &Tree,
     traversal: &Traversal,
     memory: Size,
-    policy: &dyn Policy,
+    policy: Policy,
 ) -> Result<OutOfCoreRun, MinIoError> {
     let run = Walk::new(tree, traversal)?.schedule_io(tree, traversal, memory, policy, None)?;
     Ok(run.expect("no stop probe, cannot be cancelled"))
@@ -481,7 +492,6 @@ pub fn divisible_lower_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{paper, PolicyRegistry};
     use crate::schedule::check_out_of_core;
     use treemem::gadgets::{harpoon, two_partition_gadget};
     use treemem::minmem::min_mem;
@@ -713,7 +723,7 @@ mod tests {
         };
 
         let probe = fires_at(5);
-        let run = walk.schedule_io(&tree, &traversal, memory, &paper::Lsnf, Some(&probe));
+        let run = walk.schedule_io(&tree, &traversal, memory, Policy::Lsnf, Some(&probe));
         assert!(matches!(run, Ok(None)));
         assert_eq!(polls.get(), 5);
         let probe = fires_at(5);
@@ -725,10 +735,10 @@ mod tests {
 
         let never = || false;
         let run = walk
-            .schedule_io(&tree, &traversal, memory, &paper::Lsnf, Some(&never))
+            .schedule_io(&tree, &traversal, memory, Policy::Lsnf, Some(&never))
             .unwrap()
             .expect("a probe that never fires lets the walk finish");
-        let plain = schedule_io_with(&tree, &traversal, memory, &paper::Lsnf).unwrap();
+        let plain = schedule_io_with(&tree, &traversal, memory, Policy::Lsnf).unwrap();
         assert!(run.io_volume > 0);
         assert_eq!(
             (run.io_volume, run.files_written, run.schedule),
@@ -757,7 +767,7 @@ mod tests {
     fn no_io_when_memory_is_sufficient() {
         let tree = harpoon(3, 300, 1);
         let po = best_postorder(&tree);
-        for policy in PolicyRegistry::with_builtin().iter() {
+        for policy in Policy::ALL {
             let run = schedule_io_with(&tree, &po.traversal, po.peak, policy).unwrap();
             assert_eq!(run.io_volume, 0, "{}", policy.name());
             assert_eq!(run.files_written, 0);
@@ -771,7 +781,7 @@ mod tests {
         let po = best_postorder(&tree);
         let opt = min_mem(&tree);
         for memory in [tree.max_mem_req(), opt.peak, (opt.peak + po.peak) / 2] {
-            for policy in PolicyRegistry::with_builtin().iter() {
+            for policy in Policy::ALL {
                 let name = policy.name();
                 let run = schedule_io_with(&tree, &po.traversal, memory, policy).unwrap();
                 assert!(run.peak_memory <= memory, "{name} with memory {memory}");
@@ -804,7 +814,7 @@ mod tests {
         let po = best_postorder(&tree);
         // Stay above max MemReq (60) but below the postorder peak (70).
         let memory = po.peak - 8;
-        let run = schedule_io_with(&tree, &po.traversal, memory, &paper::Lsnf).unwrap();
+        let run = schedule_io_with(&tree, &po.traversal, memory, Policy::Lsnf).unwrap();
         let bound = divisible_lower_bound(&tree, &po.traversal, memory).unwrap();
         assert!(run.io_volume >= bound);
         assert!(run.io_volume - bound < 10);
@@ -815,7 +825,7 @@ mod tests {
         let tree = harpoon(3, 300, 1);
         let po = best_postorder(&tree);
         let too_small = tree.max_mem_req() - 1;
-        for policy in PolicyRegistry::with_builtin().iter() {
+        for policy in Policy::ALL {
             let err = schedule_io_with(&tree, &po.traversal, too_small, policy).unwrap_err();
             assert!(
                 matches!(err, MinIoError::InsufficientMemory { .. }),
@@ -844,8 +854,8 @@ mod tests {
         let order = vec![r, needy, needy + 1, 3, 4, 5, 6, big, big + 1];
         let traversal = treemem::Traversal::new(order);
         let memory = 125;
-        let first_fit = schedule_io_with(&tree, &traversal, memory, &paper::FirstFit).unwrap();
-        let lsnf = schedule_io_with(&tree, &traversal, memory, &paper::Lsnf).unwrap();
+        let first_fit = schedule_io_with(&tree, &traversal, memory, Policy::FirstFit).unwrap();
+        let lsnf = schedule_io_with(&tree, &traversal, memory, Policy::Lsnf).unwrap();
         // First Fit writes a single file, LSNF may write several smaller ones.
         assert_eq!(first_fit.files_written, 1);
         assert!(first_fit.io_volume >= 90);
@@ -876,43 +886,42 @@ mod tests {
             bound, gadget.io_bound,
             "divisible bound equals S/2 for the gadget"
         );
-        for policy in PolicyRegistry::with_builtin().iter() {
+        for policy in Policy::ALL {
             let run = schedule_io_with(tree, &traversal, gadget.memory, policy).unwrap();
             assert!(run.io_volume >= gadget.io_bound, "{}", policy.name());
             assert!(run.peak_memory <= gadget.memory, "{}", policy.name());
         }
         // Best-K combination explores subsets and finds the exact split for
         // this small instance.
-        let best_k = schedule_io_with(
-            tree,
-            &traversal,
-            gadget.memory,
-            &paper::BestKCombination { k: 6 },
-        )
-        .unwrap();
+        let best_k =
+            schedule_io_with(tree, &traversal, gadget.memory, Policy::BestKComb { k: 6 }).unwrap();
         assert_eq!(best_k.io_volume, gadget.io_bound);
     }
 
+    /// The selection net: an empty selection degenerates to LSNF, and
+    /// duplicate and out-of-range indices are dropped before the shortfall
+    /// is completed latest use first.
     #[test]
-    fn policies_report_their_names() {
-        let names = [
-            paper::Lsnf.name(),
-            paper::FirstFit.name(),
-            paper::BestFit.name(),
-            paper::FirstFill.name(),
-            paper::BestFill.name(),
-            paper::BestKCombination::default().name(),
-        ];
+    fn complete_sanitises_and_fills_short_selections() {
+        let candidates: Vec<Candidate> = [(7, 5), (3, 4), (9, 6), (1, 2)]
+            .map(|(node, size)| Candidate {
+                node,
+                size,
+                produced_at: 0,
+            })
+            .to_vec();
+        let mut taken = vec![true; 10];
+        assert_eq!(complete(Vec::new(), &candidates, 8, &mut taken), [0, 1]);
         assert_eq!(
-            names,
-            [
-                "LSNF",
-                "FirstFit",
-                "BestFit",
-                "FirstFill",
-                "BestFill",
-                "BestKComb"
-            ]
+            complete(Vec::new(), &candidates, 8, &mut taken),
+            lsnf_fill(&candidates, 8, &[])
         );
+        assert_eq!(complete(vec![2, 2], &candidates, 8, &mut taken), [2, 0]);
+        assert_eq!(
+            complete(vec![4, 99, 3], &candidates, 10, &mut taken),
+            [3, 0, 1]
+        );
+        assert_eq!(complete(vec![2, 2, 0], &candidates, 8, &mut taken), [2, 0]);
+        assert_eq!(taken, [true, false, true, false]);
     }
 }

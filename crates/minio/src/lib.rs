@@ -21,13 +21,11 @@
 //! * **Best-K Combination** — the best subset of the first `K` (default 5)
 //!   latest-used files.
 //!
-//! Beyond the paper's catalogue, eviction is **pluggable**: the [`Policy`]
-//! trait (see [`policy`]) describes an eviction policy abstractly, the six
-//! heuristics above are implementations of it ([`policy::paper`]), three
-//! cache-inspired policies adapted from the caching literature live in
-//! [`policy::cache`] (LRU ageing, a GDSF-style size-aware rule, an
-//! S3-FIFO-style segmented queue), and [`PolicyRegistry`] catalogues them by
-//! name for sweeps.
+//! Beyond the paper's catalogue, three policies adapted from the caching
+//! literature (LRU ageing, a GDSF-style size-aware rule, an S3-FIFO-style
+//! segmented queue) complete the closed set [`Policy`] (see [`policy`]):
+//! one enum value per policy, [`Policy::ALL`] for sweeps, and
+//! [`FromStr`](std::str::FromStr) for the names configurations carry.
 //!
 //! The main entry point is [`schedule_io_with`], which simulates an
 //! out-of-core execution of a given traversal with a given amount of memory
@@ -44,13 +42,12 @@
 //! ```
 //! use treemem::gadgets::harpoon;
 //! use treemem::postorder::best_postorder;
-//! use minio::policy::paper::FirstFit;
-//! use minio::schedule_io_with;
+//! use minio::{schedule_io_with, Policy};
 //!
 //! let tree = harpoon(4, 400, 1);
 //! let traversal = best_postorder(&tree).traversal;
 //! // Run with less memory than the postorder needs (701): I/O is required.
-//! let run = schedule_io_with(&tree, &traversal, 500, &FirstFit).unwrap();
+//! let run = schedule_io_with(&tree, &traversal, 500, Policy::FirstFit).unwrap();
 //! assert!(run.io_volume > 0);
 //! ```
 
@@ -62,5 +59,5 @@ pub mod schedule;
 
 pub use exact::{exact_min_io, ExactMinIo};
 pub use heuristics::{divisible_lower_bound, schedule_io_with, MinIoError, OutOfCoreRun, Walk};
-pub use policy::{Candidate, EvictionContext, EvictionSession, Policy, PolicyRegistry};
+pub use policy::{Candidate, EvictionContext, Policy, PolicyRegistry, Session};
 pub use schedule::{check_out_of_core, IoSchedule, OutOfCoreCheck};

@@ -16,11 +16,11 @@ pub fn schedule_io_naive(
     tree: &Tree,
     traversal: &Traversal,
     memory: Size,
-    policy: &dyn Policy,
+    policy: Policy,
 ) -> Result<OutOfCoreRun, MinIoError> {
     traversal.check_precedence(tree)?;
     let positions = traversal.positions(tree.len())?;
-    let mut session = policy.session(tree, traversal);
+    let mut session = policy.session(tree);
 
     let root = tree.root();
     let mut resident = vec![false; tree.len()];
@@ -115,7 +115,7 @@ pub fn schedule_io_naive(
             produced_at[child] = step + 1;
             resident_total += tree.f(child);
         }
-        session.observe_execution(step, node, tree);
+        session.observe_execution(node, tree);
     }
 
     Ok(OutOfCoreRun {

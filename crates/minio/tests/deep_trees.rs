@@ -8,8 +8,7 @@
 mod common;
 
 use common::schedule_io_naive;
-use minio::policy::paper::Lsnf;
-use minio::{check_out_of_core, schedule_io_with, PolicyRegistry, Walk};
+use minio::{check_out_of_core, schedule_io_with, Policy, Walk};
 use treemem::minmem::min_mem;
 use treemem::postorder::{best_postorder, natural_postorder};
 use treemem::random::{comb, nested_dissection_etree, random_attachment_tree, random_chain};
@@ -22,7 +21,7 @@ fn simulator_handles_a_100k_node_chain() {
     let po = best_postorder(&tree);
     // A chain's unique traversal peaks at max MemReq, so the tightest
     // feasible budget needs no I/O at all.
-    let run = schedule_io_with(&tree, &po.traversal, tree.max_mem_req(), &Lsnf).unwrap();
+    let run = schedule_io_with(&tree, &po.traversal, tree.max_mem_req(), Policy::Lsnf).unwrap();
     assert_eq!(run.io_volume, 0);
     assert_eq!(run.files_written, 0);
     assert_eq!(run.peak_memory, po.peak);
@@ -38,7 +37,7 @@ fn simulator_handles_a_50k_node_random_tree_below_its_peak() {
     let opt = min_mem(&tree);
     assert!(opt.peak < po.peak);
     let memory = opt.peak + (po.peak - opt.peak) / 2;
-    let run = schedule_io_with(&tree, &po.traversal, memory, &Lsnf).unwrap();
+    let run = schedule_io_with(&tree, &po.traversal, memory, Policy::Lsnf).unwrap();
     assert!(run.io_volume > 0, "the budget must force evictions");
     assert!(run.peak_memory <= memory);
     // Independent re-validation through the Algorithm 2 checker.
@@ -46,7 +45,7 @@ fn simulator_handles_a_50k_node_random_tree_below_its_peak() {
     assert_eq!(check.io_volume, run.io_volume);
 }
 
-/// Every registered policy and the divisible bound on a 10⁶-node tree at
+/// Every policy and the divisible bound on a 10⁶-node tree at
 /// `memory`, each schedule accepted by the Algorithm 2 checker.  Run in
 /// release, as CI's bounded-time scale step does.
 fn every_walk_at_scale(tree: &Tree, traversal: &Traversal, memory: Size) {
@@ -55,7 +54,7 @@ fn every_walk_at_scale(tree: &Tree, traversal: &Traversal, memory: Size) {
         .divisible_bound(tree, traversal, memory, None)
         .unwrap()
         .expect("no stop probe");
-    for policy in PolicyRegistry::with_builtin().iter() {
+    for policy in Policy::ALL {
         let run = walk
             .schedule_io(tree, traversal, memory, policy, None)
             .unwrap()
@@ -95,8 +94,8 @@ fn incremental_and_naive_agree_on_a_deep_comb() {
     let tree = comb(10_000, 50, 3);
     let po = natural_postorder(&tree);
     let memory = tree.max_mem_req();
-    let incremental = schedule_io_with(&tree, &po.traversal, memory, &Lsnf).unwrap();
-    let naive = schedule_io_naive(&tree, &po.traversal, memory, &Lsnf).unwrap();
+    let incremental = schedule_io_with(&tree, &po.traversal, memory, Policy::Lsnf).unwrap();
+    let naive = schedule_io_naive(&tree, &po.traversal, memory, Policy::Lsnf).unwrap();
     assert!(incremental.io_volume > 0);
     assert_eq!(incremental.io_volume, naive.io_volume);
     assert_eq!(incremental.schedule, naive.schedule);

@@ -1,6 +1,6 @@
 //! Golden parity test: the six paper heuristics must produce **identical**
-//! I/O volumes (and eviction schedules) through the `Policy` trait dispatch
-//! as through the original fixed enum dispatch.
+//! I/O volumes (and eviction schedules) through the `Policy` session
+//! dispatch as through the original fixed enum dispatch.
 //!
 //! The `legacy` module below is a frozen, self-contained copy of the
 //! pre-refactor implementation — the `match`-based `select_evictions` and the
@@ -12,7 +12,6 @@
 mod common;
 
 use common::schedule_io_naive;
-use minio::policy::paper;
 use minio::{schedule_io_with, Policy};
 use prng::{Rng, StdRng};
 use treemem::gadgets::{harpoon, harpoon_tower, two_partition_gadget};
@@ -259,22 +258,22 @@ fn arbitrary_tree(seed: u64, max_nodes: usize, max_file: Size, max_exec: Size) -
 }
 
 /// All six paper heuristics plus a non-default Best-K parameter: the frozen
-/// enum value next to the trait object that must reproduce it.
-fn policies_under_test() -> Vec<(legacy::Heuristic, Box<dyn Policy>)> {
+/// enum value next to the policy that must reproduce it.
+fn policies_under_test() -> [(legacy::Heuristic, Policy); 7] {
     use legacy::Heuristic;
-    vec![
-        (Heuristic::LastScheduledNodeFirst, Box::new(paper::Lsnf)),
-        (Heuristic::FirstFit, Box::new(paper::FirstFit)),
-        (Heuristic::BestFit, Box::new(paper::BestFit)),
-        (Heuristic::FirstFill, Box::new(paper::FirstFill)),
-        (Heuristic::BestFill, Box::new(paper::BestFill)),
+    [
+        (Heuristic::LastScheduledNodeFirst, Policy::Lsnf),
+        (Heuristic::FirstFit, Policy::FirstFit),
+        (Heuristic::BestFit, Policy::BestFit),
+        (Heuristic::FirstFill, Policy::FirstFill),
+        (Heuristic::BestFill, Policy::BestFill),
         (
             Heuristic::BestKCombination { k: 5 },
-            Box::new(paper::BestKCombination { k: 5 }),
+            Policy::BestKComb { k: 5 },
         ),
         (
             Heuristic::BestKCombination { k: 3 },
-            Box::new(paper::BestKCombination { k: 3 }),
+            Policy::BestKComb { k: 3 },
         ),
     ]
 }
@@ -282,10 +281,10 @@ fn policies_under_test() -> Vec<(legacy::Heuristic, Box<dyn Policy>)> {
 fn assert_parity(tree: &Tree, traversal: &Traversal, memory: Size, context: &str) {
     for (heuristic, policy) in policies_under_test() {
         let (legacy_io, legacy_evictions) = legacy::schedule_io(tree, traversal, memory, heuristic);
-        let run = schedule_io_with(tree, traversal, memory, policy.as_ref()).unwrap();
+        let run = schedule_io_with(tree, traversal, memory, policy).unwrap();
         assert_eq!(
             run.io_volume, legacy_io,
-            "{context}, {heuristic:?}: trait dispatch diverged from the legacy enum dispatch"
+            "{context}, {heuristic:?}: session dispatch diverged from the legacy enum dispatch"
         );
         let mut evictions: Vec<(NodeId, usize)> = run.schedule.evictions().collect();
         let mut legacy_sorted = legacy_evictions;
@@ -297,7 +296,7 @@ fn assert_parity(tree: &Tree, traversal: &Traversal, memory: Size, context: &str
         );
         // The incremental simulator must match the retained naive path (full
         // candidate rescan per deficit step) bit for bit.
-        let naive = schedule_io_naive(tree, traversal, memory, policy.as_ref())
+        let naive = schedule_io_naive(tree, traversal, memory, policy)
             .expect("naive simulation succeeds whenever the incremental one does");
         assert_eq!(
             run.io_volume, naive.io_volume,

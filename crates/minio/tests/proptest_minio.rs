@@ -7,7 +7,7 @@
 //!
 //! For random trees, random traversals produced by the MinMemory algorithms
 //! and memory sizes swept between the trivial lower bound and the traversal
-//! peak, **every registered policy** — the six paper heuristics and the
+//! peak, **every policy** — the six paper heuristics and the
 //! cache-inspired ones alike — must produce a schedule that
 //!
 //! * validates under the independent Algorithm-2 checker with the same I/O
@@ -18,7 +18,7 @@
 
 use prng::{Rng, StdRng};
 
-use minio::{check_out_of_core, divisible_lower_bound, schedule_io_with, PolicyRegistry};
+use minio::{check_out_of_core, divisible_lower_bound, schedule_io_with, Policy};
 use treemem::minmem::min_mem;
 use treemem::postorder::best_postorder;
 use treemem::tree::{Size, Tree};
@@ -39,8 +39,6 @@ fn arbitrary_tree(seed: u64, max_nodes: usize, max_file: Size, max_exec: Size) -
 
 #[test]
 fn schedules_validate_and_respect_memory_for_every_registered_policy() {
-    let registry = PolicyRegistry::with_builtin();
-    assert!(registry.len() >= 9);
     for seed in 0..64 {
         let tree = arbitrary_tree(seed, 40, 100, 10);
         let po = best_postorder(&tree);
@@ -49,7 +47,7 @@ fn schedules_validate_and_respect_memory_for_every_registered_policy() {
         let fraction = (seed % 5) as f64 / 4.0;
         let memory = lower + ((upper - lower) as f64 * fraction) as Size;
         let bound = divisible_lower_bound(&tree, &po.traversal, memory).unwrap();
-        for policy in registry.iter() {
+        for policy in Policy::ALL {
             let name = policy.name();
             let run = schedule_io_with(&tree, &po.traversal, memory, policy).unwrap();
             assert!(run.peak_memory <= memory, "seed {seed}, {name}");
@@ -68,12 +66,11 @@ fn schedules_validate_and_respect_memory_for_every_registered_policy() {
 
 #[test]
 fn no_io_at_or_above_the_peak_for_every_registered_policy() {
-    let registry = PolicyRegistry::with_builtin();
     for seed in 100..164 {
         let tree = arbitrary_tree(seed, 40, 100, 10);
         for result in [best_postorder(&tree).traversal, min_mem(&tree).traversal] {
             let peak = result.peak_memory(&tree).unwrap();
-            for policy in registry.iter() {
+            for policy in Policy::ALL {
                 let run = schedule_io_with(&tree, &result, peak, policy).unwrap();
                 assert_eq!(run.io_volume, 0, "seed {seed}, {}", policy.name());
                 assert_eq!(run.files_written, 0, "seed {seed}, {}", policy.name());
@@ -112,13 +109,12 @@ fn io_decreases_with_more_memory() {
 
 #[test]
 fn min_mem_traversals_also_schedule() {
-    let registry = PolicyRegistry::with_builtin();
     for seed in 300..364 {
         let tree = arbitrary_tree(seed, 30, 50, 5);
         let opt = min_mem(&tree);
         let lower = tree.max_mem_req();
         let memory = (lower + opt.peak) / 2;
-        for policy in registry.iter() {
+        for policy in Policy::ALL {
             let run = schedule_io_with(&tree, &opt.traversal, memory, policy).unwrap();
             let check = check_out_of_core(&tree, &opt.traversal, &run.schedule, memory).unwrap();
             assert_eq!(

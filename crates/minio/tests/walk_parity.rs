@@ -1,5 +1,5 @@
 //! Where the simulator's lazy resident set is built, against the seed's
-//! scan-and-sort simulator, for every registered policy: a first deficit
+//! scan-and-sort simulator, for every policy: a first deficit
 //! at step 1, no deficit at all, one deficit at step p − 2, and
 //! `InsufficientMemory` before and after the set was built.
 //!
@@ -11,7 +11,7 @@
 mod common;
 
 use common::schedule_io_naive;
-use minio::{schedule_io_with, MinIoError, PolicyRegistry, Walk};
+use minio::{schedule_io_with, MinIoError, Policy, Walk};
 use treemem::postorder::best_postorder;
 use treemem::random::nested_dissection_etree;
 use treemem::traversal::Traversal;
@@ -60,13 +60,13 @@ fn deficit_steps(tree: &Tree, traversal: &Traversal, memory: Size) -> Vec<usize>
         .collect()
 }
 
-/// Every registered policy through the free function and through a shared
+/// Every policy through the free function and through a shared
 /// [`Walk`] agrees with the oracle: the same run, or the same error.
 /// Returns the LSNF run's files written, or the error.
 fn agree(tree: &Tree, traversal: &Traversal, memory: Size) -> Result<usize, MinIoError> {
     let walk = Walk::new(tree, traversal).unwrap();
     let mut lsnf = None;
-    for policy in PolicyRegistry::with_builtin().iter() {
+    for policy in Policy::ALL {
         let name = policy.name();
         let oracle = schedule_io_naive(tree, traversal, memory, policy);
         let shared = walk
@@ -106,7 +106,7 @@ fn a_walk_without_a_deficit_writes_nothing() {
     let po = best_postorder(&tree);
     assert!(deficit_steps(&tree, &po.traversal, po.peak).is_empty());
     assert_eq!(agree(&tree, &po.traversal, po.peak), Ok(0));
-    let run = schedule_io_with(&tree, &po.traversal, po.peak, &minio::policy::paper::Lsnf);
+    let run = schedule_io_with(&tree, &po.traversal, po.peak, Policy::Lsnf);
     let run = run.unwrap();
     assert_eq!(run.peak_memory, po.traversal.peak_memory(&tree).unwrap());
     assert_eq!(run.peak_memory, po.peak);

@@ -79,9 +79,8 @@ impl Response {
 }
 
 impl Service {
-    /// A service over the built-in registries with the given plan and
-    /// factor caches and worker count (the latter only reported in
-    /// `/stats`).
+    /// A service with the given plan and factor caches and worker count
+    /// (the latter only reported in `/stats`).
     pub fn new(cache: PlanCache, factors: CacheCore<FactorHandle>, workers: usize) -> Self {
         Service {
             engine: Engine::new(),
@@ -909,7 +908,7 @@ mod tests {
             assert_eq!(response.status, 400, "{label:?} -> {}", response.body);
             assert!(Json::parse(&response.body).is_ok());
         }
-        // Unknown registry names are 400s too.
+        // Unknown solver and policy names are 400s too.
         let bad = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 50, 1)
             .with_solver("no-such-solver")
             .to_json();

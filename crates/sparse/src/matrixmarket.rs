@@ -122,7 +122,10 @@ pub fn read_pattern<R: Read>(reader: R) -> Result<SparsePattern, MatrixMarketErr
     let (rows, cols, nnz) = (sizes[0], sizes[1], sizes[2]);
     let n = rows.max(cols);
 
-    let mut edges = Vec::with_capacity(nnz);
+    // Grown from the entries actually read: the announced count comes from
+    // the file, and reserving it would let one size line abort the process
+    // on allocation.
+    let mut edges = Vec::new();
     let mut seen = 0usize;
     for (line_number, line) in lines {
         if seen == nnz {
@@ -247,5 +250,17 @@ mod tests {
             read_pattern(out_of_range.as_bytes()),
             Err(MatrixMarketError::IndexOutOfRange { .. })
         ));
+    }
+
+    /// A size line announcing ~10¹⁷ entries is a claim, not a reservation:
+    /// the file ends after one entry, so the reader reports the shortfall.
+    #[test]
+    fn a_huge_announced_entry_count_is_an_unexpected_eof() {
+        let file =
+            "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 99999999999999999\n1 1\n";
+        assert_eq!(
+            read_pattern(file.as_bytes()),
+            Err(MatrixMarketError::UnexpectedEof)
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Out-of-core planning through the `engine` facade: when the main memory is
-//! smaller than the MinMemory value, compare **every registered eviction
-//! policy** (the six paper heuristics plus the cache-inspired ones) over a
-//! sweep of memory sizes, and every registered solver's traversal under
+//! smaller than the MinMemory value, compare **every eviction policy** (the
+//! six paper heuristics plus the cache-inspired ones) over a sweep of memory
+//! sizes, and every solver's traversal under
 //! First Fit — all from one reusable plan.
 //!
 //! Run with:
@@ -32,9 +32,9 @@ fn main() {
     );
 
     // Sweep the memory from the hardest feasible budget (max MemReq) towards
-    // the optimal peak, for every registered policy.  The plan caches the
+    // the optimal peak, for every policy.  The plan caches the
     // solver traversal, so each cell only pays for the simulation.
-    let policies = engine.policies().names();
+    let policies = Policy::ALL.map(Policy::name);
     println!("\nI/O volume written to secondary memory (MinMem traversal):");
     print!("{:>10}", "memory");
     for policy in &policies {
@@ -51,7 +51,7 @@ fn main() {
                 .schedule_with(
                     &engine,
                     ScheduleSpec::default()
-                        .policy(policy.as_str())
+                        .policy(*policy)
                         .memory(MemoryBudget::FractionOfPeak(fraction)),
                 )
                 .unwrap();
@@ -70,7 +70,7 @@ fn main() {
     // hardest budget, as in Figure 8 of the paper.
     let lower = plan.tree().max_mem_req();
     println!("\nI/O volume at memory = max MemReq ({lower}) with First Fit:");
-    for solver in engine.solvers().iter().filter(|s| s.supports(plan.tree())) {
+    for solver in Solver::ALL.into_iter().filter(|s| s.supports(plan.tree())) {
         let schedule = plan
             .schedule_with(
                 &engine,

@@ -4,7 +4,7 @@
 
 use engine::parallel::par_map;
 use engine::prelude::*;
-use minio::{divisible_lower_bound, schedule_io_with, PolicyRegistry};
+use minio::{divisible_lower_bound, schedule_io_with};
 use ordering::OrderingMethod;
 use sparsemat::gen::ProblemKind;
 use symbolic::assembly_tree_for;
@@ -16,7 +16,6 @@ use treemem::minmem::min_mem;
 #[test]
 fn engine_reproduces_the_manual_pipeline_bit_for_bit() {
     let engine = Engine::new();
-    let policies = PolicyRegistry::with_builtin();
     let (nodes, seed, allowance, fraction) = (150usize, 3u64, 4usize, 0.25f64);
     for kind in ProblemKind::ALL {
         for method in OrderingMethod::ALL {
@@ -30,8 +29,8 @@ fn engine_reproduces_the_manual_pipeline_bit_for_bit() {
             let lower = tree.max_mem_req();
             let memory =
                 lower + (((optimal.peak - lower) as f64) * fraction).round() as treemem::tree::Size;
-            let policy = policies.get("FirstFit").expect("built-in policy");
-            let manual_run = schedule_io_with(tree, &optimal.traversal, memory, policy).unwrap();
+            let manual_run =
+                schedule_io_with(tree, &optimal.traversal, memory, Policy::FirstFit).unwrap();
             let manual_bound = divisible_lower_bound(tree, &optimal.traversal, memory).unwrap();
 
             // The same cell through the engine.

@@ -1,8 +1,7 @@
 //! Tests that encode the paper's headline claims directly, so the test suite
 //! documents what the reproduction reproduces.
 
-use minio::policy::paper::{BestKCombination, FirstFit};
-use minio::{divisible_lower_bound, schedule_io_with};
+use minio::{divisible_lower_bound, schedule_io_with, Policy};
 use treemem::gadgets::{
     harpoon, harpoon_optimal_peak, harpoon_postorder_peak, harpoon_tower, two_partition_gadget,
 };
@@ -89,7 +88,7 @@ fn theorem_2_gadget_links_io_to_two_partition() {
             tree,
             &traversal,
             gadget.memory,
-            &BestKCombination {
+            Policy::BestKComb {
                 k: gadget.item_nodes.len(),
             },
         )
@@ -179,8 +178,8 @@ fn optimal_traversals_avoid_io_where_postorders_need_it() {
     let opt = min_mem(&tree);
     assert!(opt.peak < po.peak);
     let memory = opt.peak;
-    let po_run = schedule_io_with(&tree, &po.traversal, memory, &FirstFit).unwrap();
-    let opt_run = schedule_io_with(&tree, &opt.traversal, memory, &FirstFit).unwrap();
+    let po_run = schedule_io_with(&tree, &po.traversal, memory, Policy::FirstFit).unwrap();
+    let opt_run = schedule_io_with(&tree, &opt.traversal, memory, Policy::FirstFit).unwrap();
     assert!(po_run.io_volume > 0);
     assert_eq!(opt_run.io_volume, 0);
 }

@@ -9,7 +9,7 @@ use ordering::OrderingMethod;
 use sparsemat::gen::ProblemKind;
 use symbolic::{column_counts, elimination_tree};
 
-/// The full symbolic pipeline produces trees on which every registered
+/// The full symbolic pipeline produces trees on which every
 /// MinMemory solver satisfies all the paper's ordering relations, for every
 /// problem kind and every ordering method.
 #[test]
@@ -24,9 +24,8 @@ fn minmemory_invariants_across_the_whole_corpus() {
                 let plan = engine.plan(&config).unwrap();
                 let tree = plan.tree();
                 let context = format!("{} / {} / a{}", kind.name(), method.name(), allowance);
-                let results: Vec<_> = engine
-                    .solvers()
-                    .iter()
+                let results: Vec<_> = Solver::ALL
+                    .into_iter()
                     .filter(|s| s.supports(tree))
                     .map(|s| {
                         let (result, _) = plan.solve(&engine, s.name()).unwrap();
@@ -93,16 +92,12 @@ fn symbolic_structure_consistency() {
     assert_eq!(structure.etree.parents(), etree.parents());
 }
 
-/// Out-of-core schedules produced by every registered policy validate under
+/// Out-of-core schedules produced by every policy validate under
 /// the independent Algorithm-2 checker on assembly trees, and never beat the
 /// divisible lower bound.  One plan serves every (memory, policy) cell.
 #[test]
 fn minio_policies_are_consistent_on_assembly_trees() {
     let engine = Engine::new();
-    assert!(
-        engine.policies().len() >= 9,
-        "paper heuristics plus cache-inspired policies"
-    );
     let config = EngineConfig::generated(ProblemKind::Random, 300, 11)
         .with_ordering(OrderingMethod::MinimumDegree)
         .with_amalgamation(1)
@@ -111,12 +106,12 @@ fn minio_policies_are_consistent_on_assembly_trees() {
     let tree = plan.tree();
     for step in 0..3 {
         let fraction = step as f64 / 3.0;
-        for policy in engine.policies().names() {
+        for policy in Policy::ALL.map(Policy::name) {
             let schedule = plan
                 .schedule_with(
                     &engine,
                     ScheduleSpec::default()
-                        .policy(&policy)
+                        .policy(policy)
                         .memory(MemoryBudget::FractionOfPeak(fraction)),
                 )
                 .unwrap();
