@@ -1,14 +1,14 @@
 //! conformance-fixture: path=crates/server/src/fake_quoted.rs
-//! Lexer gauntlet: banned tokens inside string literals, raw strings, char
+//! Lexer gauntlet: rule triggers inside comments, raw strings, char
 //! literals, nested block comments, and test regions must never fire. One
 //! real violation at the bottom proves the file is scanned at all.
 
 pub fn quoted() -> &'static str {
-    // A comment mentioning SystemTime::now() and .unwrap() must not fire.
-    /* Nested /* block comment */ with panic!("boom") and bytes[0] inside. */
-    let raw = r#"frames embed "quotes" and .unwrap() and SystemTime"#;
-    let fenced = r##"a raw string ending in "# keeps going: .expect("x")"##;
-    let plain = "escaped \" quote then .expect(\"x\") and value as usize";
+    // A comment calling fire("fake:point") and writing "{\"count\": 1}".
+    /* Nested /* block comment */ with fire("fake:point") inside. */
+    let raw = r#"frames embed "quotes" and fire("fake:point")"#;
+    let fenced = r##"a raw string ending in "# keeps going: {\"count\": 1}"##;
+    let plain = "escaped \" quote then fire(\"fake:point\")";
     let ch = '"';
     let escaped = '\'';
     let lifetime: &'static str = raw;
@@ -16,19 +16,15 @@ pub fn quoted() -> &'static str {
     "ok"
 }
 
-pub fn scanned(values: &[u64]) -> u64 {
-    values[0] //~ no-panic-in-request-path
+pub fn scanned(count: u64) -> String {
+    format!("{{\"count\": {count}}}") //~ json-through-writer
 }
 
 #[cfg(test)]
 mod tests {
-    use super::scanned;
-
     #[test]
-    fn unwrap_in_tests_is_fine() {
-        let v: Option<u64> = Some(scanned(&[1]));
-        assert_eq!(v.unwrap(), 1);
-        let arr = [1u64, 2];
-        assert_eq!(arr[1], 2);
+    fn test_code_may_spell_out_documents_and_points() {
+        treemem::faultinject::fire("test:point");
+        assert_eq!(super::scanned(1), "{\"count\": 1}");
     }
 }

@@ -2,117 +2,72 @@
 //!
 //! ```text
 //! exp_conformance                 # self-test the rules, then scan the workspace
-//! exp_conformance --scan-only     # skip the corpus self-test
-//! exp_conformance --self-test     # corpus self-test only
 //! exp_conformance --explain RULE  # print one rule's rationale
 //! exp_conformance --list          # list all rules
-//! exp_conformance --root DIR      # scan an explicit workspace root
 //! ```
 //!
-//! Exit status is non-zero when any violation is found or any rule goes
-//! blind on the seeded corpus.
+//! It checks the workspace it was built from.  Exit status is non-zero when
+//! any violation is found or any rule goes blind on the seeded corpus.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut root: Option<PathBuf> = None;
-    let mut self_test = true;
-    let mut scan = true;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--explain" => {
-                let Some(name) = args.next() else {
-                    eprintln!("--explain needs a rule name; try --list");
-                    return ExitCode::from(2);
-                };
-                return explain(&name);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        [] => check(),
+        ["--list"] => {
+            for rule in conformance::RULES {
+                println!("{:<28} {}", rule.name, rule.summary);
             }
-            "--list" => {
-                for rule in conformance::RULES {
-                    println!("{:<28} {}", rule.name, rule.summary);
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--self-test" => {
-                scan = false;
-            }
-            "--scan-only" => {
-                self_test = false;
-            }
-            "--root" => {
-                let Some(dir) = args.next() else {
-                    eprintln!("--root needs a directory");
-                    return ExitCode::from(2);
-                };
-                root = Some(PathBuf::from(dir));
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("usage: exp_conformance [--self-test|--scan-only] [--explain RULE] [--list] [--root DIR]");
-                return ExitCode::from(2);
-            }
+            ExitCode::SUCCESS
+        }
+        ["--explain", name] => explain(name),
+        _ => {
+            eprintln!("usage: exp_conformance [--explain RULE | --list]");
+            ExitCode::from(2)
         }
     }
+}
 
-    let root = match root.or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|cwd| conformance::find_workspace_root(&cwd))
-    }) {
-        Some(r) => r,
-        None => {
-            eprintln!(
-                "could not locate a workspace root (no Cargo.toml with [workspace]); use --root"
-            );
-            return ExitCode::from(2);
+fn check() -> ExitCode {
+    let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest_dir.ancestors().nth(2).unwrap_or(manifest_dir);
+    let report = conformance::run_self_test(root);
+    for (rule, count) in &report.expected_per_rule {
+        println!("self-test: rule {rule:<28} seeded violations flagged: {count}");
+    }
+    for failure in &report.failures {
+        eprintln!("self-test: FAIL {failure}");
+    }
+    if report.passed() {
+        println!("self-test: PASS — no rule is blind, no rule overfires on the corpus");
+    }
+
+    let scanned = match conformance::scan_workspace(root) {
+        Ok(violations) => violations,
+        Err(err) => {
+            eprintln!("scan: error walking {}: {err}", root.display());
+            return ExitCode::FAILURE;
         }
     };
-
-    let mut failed = false;
-
-    if self_test {
-        let report = conformance::run_self_test(&root);
-        for (rule, count) in &report.expected_per_rule {
-            println!("self-test: rule {rule:<28} seeded violations flagged: {count}");
-        }
-        if report.passed() {
-            println!("self-test: PASS — no rule is blind, no rule overfires on the corpus");
-        } else {
-            for failure in &report.failures {
-                eprintln!("self-test: FAIL {failure}");
-            }
-            failed = true;
-        }
+    for v in &scanned {
+        eprintln!("{}", v.render());
     }
-
-    if scan {
-        match conformance::scan_workspace(&root) {
-            Ok(violations) if violations.is_empty() => {
-                println!(
-                    "scan: PASS — zero conformance violations in {}",
-                    root.display()
-                );
-            }
-            Ok(violations) => {
-                for v in &violations {
-                    eprintln!("{}", v.render());
-                }
-                eprintln!("scan: FAIL — {} violation(s)", violations.len());
-                failed = true;
-            }
-            Err(err) => {
-                eprintln!("scan: error walking {}: {err}", root.display());
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
-        ExitCode::FAILURE
+    if scanned.is_empty() {
+        println!(
+            "scan: PASS — zero conformance violations in {}",
+            root.display()
+        );
     } else {
+        eprintln!("scan: FAIL — {} violation(s)", scanned.len());
+    }
+
+    if report.passed() && scanned.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

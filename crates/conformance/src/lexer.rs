@@ -113,42 +113,6 @@ impl LexedFile {
             .unwrap_or(source.len());
         &source[start..end.max(start)]
     }
-
-    /// Byte offsets of every whole-word occurrence of `word` in the masked
-    /// text (neighbouring bytes are not identifier characters).
-    pub fn find_code_word(&self, word: &str) -> Vec<usize> {
-        let bytes = self.masked.as_bytes();
-        let mut hits = Vec::new();
-        let mut from = 0;
-        while let Some(pos) = self.masked[from..].find(word) {
-            let at = from + pos;
-            let before_ok = at == 0 || !is_ident_byte(bytes[at - 1]);
-            let after = at + word.len();
-            let after_ok = after >= bytes.len() || !is_ident_byte(bytes[after]);
-            if before_ok && after_ok {
-                hits.push(at);
-            }
-            from = at + word.len().max(1);
-        }
-        hits
-    }
-
-    /// Byte offsets of every occurrence of `needle` in the masked text, with
-    /// only the *leading* boundary required to be a non-identifier byte.
-    pub fn find_code_prefixed(&self, needle: &str) -> Vec<usize> {
-        let bytes = self.masked.as_bytes();
-        let mut hits = Vec::new();
-        let mut from = 0;
-        while let Some(pos) = self.masked[from..].find(needle) {
-            let at = from + pos;
-            let before_ok = at == 0 || !is_ident_byte(bytes[at - 1]);
-            if before_ok {
-                hits.push(at);
-            }
-            from = at + needle.len().max(1);
-        }
-        hits
-    }
 }
 
 fn compute_line_starts(text: &str) -> Vec<usize> {

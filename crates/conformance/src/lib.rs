@@ -1,21 +1,31 @@
 //! # conformance — workspace-invariant static analysis
 //!
-//! The repository's correctness story leans on invariants that `rustc` and
-//! clippy cannot express: leases must use the monotonic clock, wire decoding
-//! must not truncate, the serving path must not panic, every `unsafe` block
-//! needs a written justification, and every fault-injection point needs a
-//! cancellation poll in its stage. This crate is a small, dependency-free
-//! static analyzer that machine-checks those invariants on every workspace
-//! `.rs` file, with its own lexer (strings, nested comments, `#[cfg(test)]`
-//! regions) so rules never fire inside literals, comments, or test code they
-//! should ignore.
+//! The repository's invariants live in two places.  Those the compiler can
+//! check are clippy lints, enforced by CI's `clippy -D warnings`:
 //!
-//! Three entry points share the same engine:
+//! * no `unwrap` / `expect` / `panic!` / `unreachable!` / `todo!` /
+//!   `unimplemented!` / slice indexing in non-test serving code — a `deny`
+//!   list at the `server` lib, the `serve` bin and the `distrib` lib;
+//! * no `as` conversions in `distrib/src/wire.rs` and `engine/src/json.rs`
+//!   (`clippy::as_conversions`);
+//! * no `SystemTime` anywhere, and no `Instant::now` in `crates/distrib`
+//!   (`disallowed-types` / `disallowed-methods` in the `clippy.toml` files);
+//! * no `unsafe` (`unsafe_code = "forbid"`, inherited by every package).
 //!
-//! * the `exp_conformance` binary (CI `conformance` job, `--explain <rule>`,
-//!   `--self-test`);
-//! * the tier-1 `tests/conformance.rs` mirror at the workspace root;
-//! * this library, for the crate's own unit and corpus tests.
+//! A reviewed exception is an `#[expect(<lint>, reason = "..")]` on the
+//! narrowest statement or fn; one that stops firing fails the build.
+//!
+//! This crate checks the two invariants no lint can see, on every workspace
+//! `.rs` file: every fault-injection point is a real one and its stage polls
+//! cancellation (`cancel-poll-coverage`), and no string literal outside
+//! `engine::json` hand-renders a JSON key (`json-through-writer`).  It has
+//! its own lexer (strings, nested comments, `#[cfg(test)]` regions), so
+//! rules never fire inside literals, comments, or test code they should
+//! ignore.
+//!
+//! The `exp_conformance` binary (CI `conformance` job, `--explain <rule>`)
+//! and the tier-1 `tests/conformance.rs` both run the corpus self-test and
+//! the workspace scan.
 
 pub mod corpus;
 pub mod lexer;
@@ -28,7 +38,6 @@ use std::path::Path;
 pub use corpus::{run_self_test, SelfTestReport};
 pub use lexer::LexedFile;
 pub use rules::{rule_by_name, Violation, ALLOWLIST, RULES};
-pub use walk::find_workspace_root;
 
 /// Scan every workspace `.rs` file under `root` and return the violations
 /// that survive the allowlist (plus stale-allowlist findings).

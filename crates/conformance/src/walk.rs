@@ -1,7 +1,7 @@
 //! Workspace file discovery.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Directory names that are never scanned: build output, VCS metadata, and
 /// the seeded violation corpus (whose files violate rules on purpose).
@@ -40,22 +40,4 @@ fn relative_unix(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy().into_owned())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// Find the workspace root by walking up from `start` until a directory
-/// containing a `Cargo.toml` with a `[workspace]` table is found.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(text) = fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return Some(d);
-                }
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
 }

@@ -29,6 +29,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+/// Every instrumented fault point.  [`parse_plan`] accepts only these names,
+/// so a misspelt point is an error instead of a plan that never fires, and
+/// the conformance scanner's `cancel-poll-coverage` rule flags any `fire`
+/// site that names a point outside this list.
+pub const POINTS: [&str; 7] = [
+    "plan:ordering",
+    "plan:symbolic",
+    "schedule:solver",
+    "schedule:io",
+    "execute:numeric",
+    "parexec:task",
+    "arena:alloc",
+];
+
 /// What an armed rule does when its hit count is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
@@ -146,8 +160,8 @@ pub fn fire(point: &str) -> FaultSignal {
 }
 
 /// Parse a plan spec: comma-separated rules of the form `action@point#nth`,
-/// where `action` is `panic`, `sleep:MS`, or `drop`, and `#nth` is optional
-/// (default 1).  Example:
+/// where `action` is `panic`, `sleep:MS`, or `drop`, `point` is one of
+/// [`POINTS`], and `#nth` is optional (default 1).  Example:
 /// `sleep:40@plan:ordering,panic@execute:numeric#2,drop@arena:alloc#3`.
 pub fn parse_plan(spec: &str) -> Result<Vec<FaultRule>, String> {
     let mut rules = Vec::new();
@@ -166,6 +180,12 @@ pub fn parse_plan(spec: &str) -> Result<Vec<FaultRule>, String> {
         };
         if point.is_empty() || nth == 0 {
             return Err(format!("rule `{part}` needs a point and a 1-based count"));
+        }
+        if !POINTS.contains(&point) {
+            return Err(format!(
+                "rule `{part}` names unknown fault point `{point}` (expected one of {})",
+                POINTS.join(", ")
+            ));
         }
         let action = if action_text == "panic" {
             FaultAction::Panic
@@ -201,23 +221,33 @@ mod tests {
 
     #[test]
     fn parses_a_full_plan() {
-        let rules = parse_plan("sleep:40@plan:ordering,panic@execute:numeric#2,drop@x#3").unwrap();
+        let rules = parse_plan("sleep:40@plan:ordering,panic@execute:numeric#2,drop@arena:alloc#3")
+            .unwrap();
         assert_eq!(rules.len(), 3);
         assert_eq!(rules[0].action, FaultAction::SleepMs(40));
         assert_eq!(rules[0].nth, 1);
         assert_eq!(rules[1].point, "execute:numeric");
         assert_eq!(rules[1].nth, 2);
         assert_eq!(rules[2].action, FaultAction::Drop);
-        assert!(parse_plan("boom@x").is_err());
+        assert!(parse_plan("boom@plan:ordering").is_err());
         assert!(parse_plan("panic").is_err());
-        assert!(parse_plan("panic@x#0").is_err());
+        assert!(parse_plan("panic@plan:ordering#0").is_err());
         assert!(parse_plan("").unwrap().is_empty());
+        // A point no call site fires would arm a plan that never injects.
+        let error = parse_plan("drop@x#3").unwrap_err();
+        assert!(error.contains("unknown fault point `x`"), "{error}");
+        assert!(error.contains(&POINTS.join(", ")), "{error}");
+        assert!(parse_plan("panic@plan:orderng").is_err());
     }
 
     #[test]
     fn drop_fires_on_the_nth_hit_once() {
         let _guard = TEST_GUARD.lock().unwrap();
-        install(parse_plan("drop@test:unit-drop#3").unwrap());
+        install(vec![FaultRule {
+            point: "test:unit-drop".to_string(),
+            nth: 3,
+            action: FaultAction::Drop,
+        }]);
         assert_eq!(fire("test:unit-drop"), FaultSignal::Continue);
         assert_eq!(fire("test:other"), FaultSignal::Continue);
         assert_eq!(fire("test:unit-drop"), FaultSignal::Continue);
@@ -232,7 +262,11 @@ mod tests {
     #[test]
     fn panic_rule_panics_with_a_marker() {
         let _guard = TEST_GUARD.lock().unwrap();
-        install(parse_plan("panic@test:unit-panic").unwrap());
+        install(vec![FaultRule {
+            point: "test:unit-panic".to_string(),
+            nth: 1,
+            action: FaultAction::Panic,
+        }]);
         let result = std::panic::catch_unwind(|| fire("test:unit-panic"));
         clear();
         let message = *result.unwrap_err().downcast::<String>().unwrap();

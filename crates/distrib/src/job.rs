@@ -226,24 +226,28 @@ impl Job {
         let now_ms = monotonic_millis();
         let mut state = self.lock();
         state.reap_expired(now_ms, &self.ledger, &self.stats);
-        let pending: Vec<usize> = state
+        let (pending, peaks): (Vec<usize>, Vec<u64>) = state
             .tasks
             .iter()
             .enumerate()
             .filter(|(_, task)| matches!(task.phase, Phase::Pending))
-            .map(|(index, _)| index)
-            .collect();
+            .map(|(index, task)| (index, task.peak))
+            .unzip();
         if pending.is_empty() {
             return None;
         }
-        let peaks: Vec<u64> = pending
-            .iter()
-            .map(|&index| state.tasks[index].peak)
-            .collect();
         let chosen = match self.ledger.select_and_reserve(&peaks) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "slot is a position in peaks, which holds one entry per pending task"
+            )]
             ReserveSelection::Selected(slot) => pending[slot],
             ReserveSelection::Blocked(_) => return None,
         };
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chosen comes from pending[], whose members were enumerated from tasks"
+        )]
         let task = &mut state.tasks[chosen];
         task.phase = Phase::Leased {
             deadline_ms: now_ms.saturating_add(self.lease_ms),
@@ -384,6 +388,10 @@ impl Job {
         let mut parts = Vec::with_capacity(state.tasks.len());
         let mut retained = 0u64;
         for task in &mut state.tasks {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: a task reaches Completed only via contribute(), which stores parts"
+            )]
             parts.push(task.parts.take().expect("completed task without parts"));
             retained += task.retained();
         }
@@ -757,6 +765,10 @@ mod tests {
             lease_ms: 15,
             ..spec(vec![1], vec![0], None)
         });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test times the wait itself, not a lease"
+        )]
         let started = std::time::Instant::now();
         assert!(matches!(
             job.wait_for_completion(None),

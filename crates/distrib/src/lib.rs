@@ -25,6 +25,18 @@
 //! * [`stats`] — the cluster counters surfaced under `/stats`, with the
 //!   reconciliation invariant `claimed == completed + lease_expiries`.
 
+// A panic here turns one bad request into a dead worker or a poisoned lock:
+// handle the error, or `#[expect]` the lint with a reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod job;
 pub mod stats;
 pub mod wire;

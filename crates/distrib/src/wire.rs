@@ -23,6 +23,10 @@
 //! only index vector left is the task's column `order` in the claim reply,
 //! as concatenated 8-hex-digit `u32`s.
 
+// Decoding handles peer-shaped bytes: narrow with `try_from` and a typed
+// error, widen with `From`; an `as` cast would truncate silently.
+#![deny(clippy::as_conversions)]
+
 use engine::json::{self, Array, FieldError, Fixed, Hex, Json, JsonError, Writer};
 use engine::{EngineConfig, SubtreeParts};
 use multifrontal::{ContributionStore, DenseMatrix};
@@ -142,11 +146,11 @@ pub fn encode_frame(body: &str) -> Vec<u8> {
 /// Unwrap a frame back into its JSON body, verifying the schema token, the
 /// announced length (both directions) and the size cap.
 pub fn decode_frame(bytes: &[u8]) -> Result<&str, WireError> {
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| WireError::BadHeader("no header line".to_string()))?;
-    let header = std::str::from_utf8(&bytes[..newline])
+    let mut lines = bytes.splitn(2, |&b| b == b'\n');
+    let (Some(header), Some(body)) = (lines.next(), lines.next()) else {
+        return Err(WireError::BadHeader("no header line".to_string()));
+    };
+    let header = std::str::from_utf8(header)
         .map_err(|_| WireError::BadHeader("header is not UTF-8".to_string()))?;
     let (schema, length) = header
         .split_once(' ')
@@ -165,7 +169,6 @@ pub fn decode_frame(bytes: &[u8]) -> Result<&str, WireError> {
             max: MAX_FRAME_BYTES,
         });
     }
-    let body = &bytes[newline + 1..];
     if body.len() < expected {
         return Err(WireError::Truncated {
             expected,
@@ -236,8 +239,12 @@ pub struct SubtreeTask {
 
 impl SubtreeTask {
     /// Render as a claim-response frame.
-    /// Panics if a column index exceeds `u32::MAX` — matrix dimensions are
-    /// capped far below that.
+    /// Panics if a column index exceeds `u32::MAX` — `read_pattern` refuses
+    /// larger MatrixMarket dimensions and generated problems are far smaller.
+    #[expect(
+        clippy::expect_used,
+        reason = "encode side, documented panic: indices come from locally validated matrices"
+    )]
     pub fn to_frame(&self) -> Vec<u8> {
         let order = self
             .order

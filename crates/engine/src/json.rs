@@ -18,6 +18,10 @@
 //! decode to U+FFFD).  Every failure is a [`JsonError`] with a byte offset —
 //! never a panic or a stack overflow.
 
+// Decoding handles peer-shaped bytes: narrow with `try_from` and a typed
+// error, widen with `From`; an `as` cast would truncate silently.
+#![deny(clippy::as_conversions)]
+
 use std::fmt;
 
 /// Maximum container nesting depth accepted by [`Json::parse`].
@@ -212,7 +216,7 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
         *pos += 1;
         Ok(())
     } else {
-        Err(err(*pos, format!("expected '{}'", byte as char)))
+        Err(err(*pos, format!("expected '{}'", char::from(byte))))
     }
 }
 

@@ -1630,6 +1630,35 @@ mod tests {
         }
     }
 
+    /// A declared dimension beyond the `u32` index range used to abort the
+    /// process on allocation in `SparsePattern::from_edges`.
+    #[test]
+    fn a_huge_matrix_dimension_is_rejected_at_plan_time() {
+        let path = std::env::temp_dir().join(format!("engine-huge-{}.mtx", std::process::id()));
+        std::fs::write(
+            &path,
+            "%%MatrixMarket matrix coordinate pattern symmetric
+\
+             99999999999999 99999999999999 1
+\
+             1 1
+",
+        )
+        .unwrap();
+        let planned = Engine::new().plan(&EngineConfig::matrix_market(path.to_string_lossy()));
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(
+                planned,
+                Err(EngineError::MatrixMarket(
+                    MatrixMarketError::DimensionTooLarge { .. }
+                ))
+            ),
+            "{:?}",
+            planned.err()
+        );
+    }
+
     #[test]
     fn prebuilt_plans_skip_the_symbolic_stages() {
         let engine = Engine::new();

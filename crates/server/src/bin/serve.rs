@@ -31,6 +31,18 @@
 //! Worker processes honor it too — `drop@parexec:task` makes a worker
 //! abandon leases, the chaos harness's simulated crash.
 
+// A panic here turns one bad request into a dead worker or a poisoned lock:
+// handle the error, or `#[expect]` the lint with a reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 

@@ -61,6 +61,18 @@
 //! handle.shutdown().unwrap();
 //! ```
 
+// A panic here turns one bad request into a dead worker or a poisoned lock:
+// handle the error, or `#[expect]` the lint with a reason.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod client;
 pub mod http;
 pub mod service;

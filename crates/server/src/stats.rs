@@ -44,7 +44,9 @@ impl LatencyRecorder {
             inner.ring.push(seconds);
         } else {
             let slot = inner.recorded % RECORDER_CAPACITY;
-            inner.ring[slot] = seconds;
+            if let Some(entry) = inner.ring.get_mut(slot) {
+                *entry = seconds;
+            }
         }
         inner.recorded += 1;
     }
@@ -116,11 +118,14 @@ impl ServerStats {
     /// Count one cancellation observed in `stage` (unknown stages land in
     /// the `"other"` slot so nothing is silently dropped).
     pub fn count_cancelled(&self, stage: &str) {
-        let index = CANCEL_STAGE_NAMES
+        let counter = CANCEL_STAGE_NAMES
             .iter()
-            .position(|name| *name == stage)
-            .unwrap_or(CANCEL_STAGE_NAMES.len() - 1);
-        self.cancelled[index].fetch_add(1, Ordering::Relaxed);
+            .zip(&self.cancelled)
+            .find_map(|(name, counter)| (*name == stage).then_some(counter))
+            .or(self.cancelled.last());
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Cancellations counted across every stage.
@@ -146,8 +151,8 @@ impl ServerStats {
     pub fn endpoint(&self, endpoint: &str) -> Option<&LatencyRecorder> {
         ENDPOINT_NAMES
             .iter()
-            .position(|name| *name == endpoint)
-            .map(|index| &self.endpoints[index])
+            .zip(&self.endpoints)
+            .find_map(|(name, recorder)| (*name == endpoint).then_some(recorder))
     }
 
     /// The per-stage latency recorder of `stage` (a [`STAGE_NAMES`] entry),
@@ -155,8 +160,8 @@ impl ServerStats {
     pub fn stage(&self, stage: &str) -> Option<&LatencyRecorder> {
         STAGE_NAMES
             .iter()
-            .position(|name| *name == stage)
-            .map(|index| &self.stages[index])
+            .zip(&self.stages)
+            .find_map(|(name, recorder)| (*name == stage).then_some(recorder))
     }
 
     /// Render everything (plus the given cache counters, worker count, and

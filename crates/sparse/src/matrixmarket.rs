@@ -27,6 +27,11 @@ pub enum MatrixMarketError {
         row: usize,
         col: usize,
     },
+    /// A declared dimension exceeds [`MAX_DIMENSION`].
+    DimensionTooLarge {
+        line_number: usize,
+        dimension: usize,
+    },
     /// Fewer entries than announced.
     UnexpectedEof,
     /// Underlying I/O failure.
@@ -56,6 +61,15 @@ impl std::fmt::Display for MatrixMarketError {
                     "index ({row}, {col}) out of range at line {line_number}"
                 )
             }
+            MatrixMarketError::DimensionTooLarge {
+                line_number,
+                dimension,
+            } => {
+                write!(
+                    fmt,
+                    "dimension {dimension} at line {line_number} exceeds the maximum {MAX_DIMENSION}"
+                )
+            }
             MatrixMarketError::UnexpectedEof => write!(fmt, "fewer entries than announced"),
             MatrixMarketError::Io(err) => write!(fmt, "I/O error: {err}"),
         }
@@ -63,6 +77,12 @@ impl std::fmt::Display for MatrixMarketError {
 }
 
 impl std::error::Error for MatrixMarketError {}
+
+/// The largest dimension [`read_pattern`] accepts: the `u32` index range the
+/// distributed wire carries.  A larger declared size would reach
+/// [`SparsePattern::from_edges`], which allocates per row before any entry is
+/// read.
+pub const MAX_DIMENSION: usize = u32::MAX as usize;
 
 /// Parse a MatrixMarket coordinate file into a symmetric [`SparsePattern`]
 /// (values, if present, are ignored; the pattern is symmetrised).
@@ -121,6 +141,12 @@ pub fn read_pattern<R: Read>(reader: R) -> Result<SparsePattern, MatrixMarketErr
     }
     let (rows, cols, nnz) = (sizes[0], sizes[1], sizes[2]);
     let n = rows.max(cols);
+    if n > MAX_DIMENSION {
+        return Err(MatrixMarketError::DimensionTooLarge {
+            line_number: size_line_number + 1,
+            dimension: n,
+        });
+    }
 
     // Grown from the entries actually read: the announced count comes from
     // the file, and reserving it would let one size line abort the process
@@ -261,6 +287,23 @@ mod tests {
         assert_eq!(
             read_pattern(file.as_bytes()),
             Err(MatrixMarketError::UnexpectedEof)
+        );
+    }
+
+    /// A declared dimension beyond the `u32` index range is refused before
+    /// `SparsePattern::from_edges` tries to allocate a row per index.
+    #[test]
+    fn a_huge_declared_dimension_is_refused() {
+        let file = "%%MatrixMarket matrix coordinate pattern symmetric
+                    99999999999999 99999999999999 1
+                    1 1
+";
+        assert_eq!(
+            read_pattern(file.as_bytes()),
+            Err(MatrixMarketError::DimensionTooLarge {
+                line_number: 2,
+                dimension: 99_999_999_999_999,
+            })
         );
     }
 }
