@@ -1,7 +1,7 @@
 //! Process-wide fault injection for the chaos harness.
 //!
 //! A *fault plan* is a small list of rules, each naming an instrumented
-//! *fault point* (a stable string like `plan:ordering` or `arena:alloc`),
+//! [`FaultPoint`] (spelt `plan:ordering`, `arena:alloc`, ... in a plan spec),
 //! the 1-based hit count at which it fires, and an action:
 //!
 //! * `panic` — panic at the fault point (exercises unwind paths: the
@@ -29,19 +29,53 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Every instrumented fault point.  [`parse_plan`] accepts only these names,
-/// so a misspelt point is an error instead of a plan that never fires, and
-/// the conformance scanner's `cancel-poll-coverage` rule flags any `fire`
-/// site that names a point outside this list.
-pub const POINTS: [&str; 7] = [
-    "plan:ordering",
-    "plan:symbolic",
-    "schedule:solver",
-    "schedule:io",
-    "execute:numeric",
-    "parexec:task",
-    "arena:alloc",
-];
+/// Every instrumented fault point.  A call site names a variant, so a
+/// misspelt point does not compile; [`parse_plan`] accepts only the
+/// [`FaultPoint::name`]s, so a misspelt spec is an error instead of a plan
+/// that never fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultPoint {
+    /// Before the fill-reducing ordering (`Engine::plan`).
+    PlanOrdering,
+    /// Before the amalgamation (`Engine::plan`).
+    PlanSymbolic,
+    /// Before a MinMemory solver runs (`Plan::schedule`).
+    ScheduleSolver,
+    /// Before the MinIO walk (`Plan::schedule`).
+    ScheduleIo,
+    /// Before the numeric factorization (`Schedule::execute`).
+    ExecuteNumeric,
+    /// Before one subtree task, on a pool thread or a worker process.
+    ParexecTask,
+    /// At every frontal-matrix allocation of the numeric column loop.
+    ArenaAlloc,
+}
+
+impl FaultPoint {
+    /// Every fault point, in pipeline order.
+    pub const ALL: [FaultPoint; 7] = [
+        FaultPoint::PlanOrdering,
+        FaultPoint::PlanSymbolic,
+        FaultPoint::ScheduleSolver,
+        FaultPoint::ScheduleIo,
+        FaultPoint::ExecuteNumeric,
+        FaultPoint::ParexecTask,
+        FaultPoint::ArenaAlloc,
+    ];
+
+    /// The point's name in a plan spec.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultPoint::PlanOrdering => "plan:ordering",
+            FaultPoint::PlanSymbolic => "plan:symbolic",
+            FaultPoint::ScheduleSolver => "schedule:solver",
+            FaultPoint::ScheduleIo => "schedule:io",
+            FaultPoint::ExecuteNumeric => "execute:numeric",
+            FaultPoint::ParexecTask => "parexec:task",
+            FaultPoint::ArenaAlloc => "arena:alloc",
+        }
+    }
+}
 
 /// What an armed rule does when its hit count is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +92,7 @@ pub enum FaultAction {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRule {
     /// The instrumented fault point this rule arms.
-    pub point: String,
+    pub point: FaultPoint,
     /// Fire on the `nth` hit of the point (1-based; 1 = first hit).
     pub nth: u64,
     /// What to do when it fires.
@@ -114,14 +148,14 @@ pub fn injected() -> u64 {
     INJECTED.load(Ordering::Relaxed)
 }
 
-/// Hit the fault point `point`.  Returns immediately when no plan is armed;
+/// Hit `point`.  Returns immediately when no plan is armed;
 /// otherwise counts the hit against every rule naming this point and
 /// performs the first action whose `nth` is reached.  Call sites must honor
 /// [`FaultSignal::Drop`]; `panic` and `sleep` happen right here.
 ///
 /// # Panics
 /// Panics (deliberately) when a `panic` rule fires.
-pub fn fire(point: &str) -> FaultSignal {
+pub fn fire(point: FaultPoint) -> FaultSignal {
     if !ARMED.load(Ordering::Acquire) {
         return FaultSignal::Continue;
     }
@@ -145,7 +179,7 @@ pub fn fire(point: &str) -> FaultSignal {
         None => FaultSignal::Continue,
         Some(FaultAction::Panic) => {
             INJECTED.fetch_add(1, Ordering::Relaxed);
-            panic!("faultinject: injected panic at {point}");
+            panic!("faultinject: injected panic at {}", point.name());
         }
         Some(FaultAction::SleepMs(ms)) => {
             INJECTED.fetch_add(1, Ordering::Relaxed);
@@ -160,8 +194,9 @@ pub fn fire(point: &str) -> FaultSignal {
 }
 
 /// Parse a plan spec: comma-separated rules of the form `action@point#nth`,
-/// where `action` is `panic`, `sleep:MS`, or `drop`, `point` is one of
-/// [`POINTS`], and `#nth` is optional (default 1).  Example:
+/// where `action` is `panic`, `sleep:MS`, or `drop`, `point` is the
+/// [`FaultPoint::name`] of one of [`FaultPoint::ALL`], and `#nth` is
+/// optional (default 1).  Example:
 /// `sleep:40@plan:ordering,panic@execute:numeric#2,drop@arena:alloc#3`.
 pub fn parse_plan(spec: &str) -> Result<Vec<FaultRule>, String> {
     let mut rules = Vec::new();
@@ -181,12 +216,12 @@ pub fn parse_plan(spec: &str) -> Result<Vec<FaultRule>, String> {
         if point.is_empty() || nth == 0 {
             return Err(format!("rule `{part}` needs a point and a 1-based count"));
         }
-        if !POINTS.contains(&point) {
+        let Some(point) = FaultPoint::ALL.into_iter().find(|p| p.name() == point) else {
             return Err(format!(
                 "rule `{part}` names unknown fault point `{point}` (expected one of {})",
-                POINTS.join(", ")
+                FaultPoint::ALL.map(FaultPoint::name).join(", ")
             ));
-        }
+        };
         let action = if action_text == "panic" {
             FaultAction::Panic
         } else if action_text == "drop" {
@@ -202,11 +237,7 @@ pub fn parse_plan(spec: &str) -> Result<Vec<FaultRule>, String> {
                  (expected panic, sleep:MS, or drop)"
             ));
         };
-        rules.push(FaultRule {
-            point: point.to_string(),
-            nth,
-            action,
-        });
+        rules.push(FaultRule { point, nth, action });
     }
     Ok(rules)
 }
@@ -215,8 +246,8 @@ pub fn parse_plan(spec: &str) -> Result<Vec<FaultRule>, String> {
 mod tests {
     use super::*;
 
-    // The registry is process-global, so these tests serialise on a lock and
-    // use point names no production call site fires.
+    // The registry is process-global, so these tests serialise on a lock.
+    // Nothing else in this crate's tests fires a point.
     static TEST_GUARD: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -226,7 +257,7 @@ mod tests {
         assert_eq!(rules.len(), 3);
         assert_eq!(rules[0].action, FaultAction::SleepMs(40));
         assert_eq!(rules[0].nth, 1);
-        assert_eq!(rules[1].point, "execute:numeric");
+        assert_eq!(rules[1].point, FaultPoint::ExecuteNumeric);
         assert_eq!(rules[1].nth, 2);
         assert_eq!(rules[2].action, FaultAction::Drop);
         assert!(parse_plan("boom@plan:ordering").is_err());
@@ -234,42 +265,48 @@ mod tests {
         assert!(parse_plan("panic@plan:ordering#0").is_err());
         assert!(parse_plan("").unwrap().is_empty());
         // A point no call site fires would arm a plan that never injects.
-        let error = parse_plan("drop@x#3").unwrap_err();
-        assert!(error.contains("unknown fault point `x`"), "{error}");
-        assert!(error.contains(&POINTS.join(", ")), "{error}");
-        assert!(parse_plan("panic@plan:orderng").is_err());
+        let error = parse_plan("panic@plan:orderng").unwrap_err();
+        assert!(
+            error.contains("unknown fault point `plan:orderng`"),
+            "{error}"
+        );
+        for point in FaultPoint::ALL {
+            assert!(error.contains(point.name()), "{error}");
+            let rules = parse_plan(&format!("drop@{}", point.name())).unwrap();
+            assert_eq!(rules[0].point, point);
+        }
     }
 
     #[test]
     fn drop_fires_on_the_nth_hit_once() {
         let _guard = TEST_GUARD.lock().unwrap();
         install(vec![FaultRule {
-            point: "test:unit-drop".to_string(),
+            point: FaultPoint::ArenaAlloc,
             nth: 3,
             action: FaultAction::Drop,
         }]);
-        assert_eq!(fire("test:unit-drop"), FaultSignal::Continue);
-        assert_eq!(fire("test:other"), FaultSignal::Continue);
-        assert_eq!(fire("test:unit-drop"), FaultSignal::Continue);
-        assert_eq!(fire("test:unit-drop"), FaultSignal::Drop);
+        assert_eq!(fire(FaultPoint::ArenaAlloc), FaultSignal::Continue);
+        assert_eq!(fire(FaultPoint::ParexecTask), FaultSignal::Continue);
+        assert_eq!(fire(FaultPoint::ArenaAlloc), FaultSignal::Continue);
+        assert_eq!(fire(FaultPoint::ArenaAlloc), FaultSignal::Drop);
         // A rule fires once, not on every later hit.
-        assert_eq!(fire("test:unit-drop"), FaultSignal::Continue);
+        assert_eq!(fire(FaultPoint::ArenaAlloc), FaultSignal::Continue);
         assert_eq!(injected(), 1);
         clear();
-        assert_eq!(fire("test:unit-drop"), FaultSignal::Continue);
+        assert_eq!(fire(FaultPoint::ArenaAlloc), FaultSignal::Continue);
     }
 
     #[test]
     fn panic_rule_panics_with_a_marker() {
         let _guard = TEST_GUARD.lock().unwrap();
         install(vec![FaultRule {
-            point: "test:unit-panic".to_string(),
+            point: FaultPoint::ScheduleIo,
             nth: 1,
             action: FaultAction::Panic,
         }]);
-        let result = std::panic::catch_unwind(|| fire("test:unit-panic"));
+        let result = std::panic::catch_unwind(|| fire(FaultPoint::ScheduleIo));
         clear();
         let message = *result.unwrap_err().downcast::<String>().unwrap();
-        assert!(message.contains("faultinject: injected panic at test:unit-panic"));
+        assert!(message.contains("faultinject: injected panic at schedule:io"));
     }
 }

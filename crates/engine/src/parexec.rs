@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger, ReserveSelection};
 use multifrontal::{CholeskyFactor, ContributionStore, FactorizationError, FrontArena};
-use treemem::faultinject::FaultSignal;
+use treemem::faultinject::{FaultPoint, FaultSignal};
 use treemem::partition::{default_node_work, proportional_cut};
 
 use crate::cancel::CancelToken;
@@ -365,13 +365,13 @@ fn worker_loop(ctx: &TaskContext<'_>, cut: &CutPlan, state: &PoolState) -> f64 {
                 }
             }
         };
-        // Fault point "parexec:task" fires with the reservation already
+        // `FaultPoint::ParexecTask` fires with the reservation already
         // held, so the injected panic and the injected drop take the same
         // exits as a real task failure — every one of them releases the
         // reservation below, or the chaos harness would wedge the budget
         // gate instead of testing it.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if treemem::faultinject::fire("parexec:task") == FaultSignal::Drop {
+            if treemem::faultinject::fire(FaultPoint::ParexecTask) == FaultSignal::Drop {
                 return None;
             }
             let started = Instant::now();

@@ -96,8 +96,8 @@ pub struct DistributedReport {
     pub worker_busy_seconds: Vec<f64>,
 }
 
-/// Wall-clock seconds of every pipeline stage, measured with
-/// `perfprof::timing`.  Stages that did not run (e.g. ordering on a prebuilt
+/// Wall-clock seconds of every pipeline stage, each measured once with
+/// `std::time::Instant`.  Stages that did not run (e.g. ordering on a prebuilt
 /// tree, or the numeric stage when it is disabled) report `0.0`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageTimings {

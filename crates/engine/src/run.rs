@@ -42,6 +42,7 @@ use sparsemat::gen::spd_matrix_from_pattern;
 use sparsemat::matrixmarket::{read_pattern, MatrixMarketError};
 use sparsemat::SparsePattern;
 use symbolic::{amalgamate, column_counts, elimination_tree, AssemblyTree, EliminationTree};
+use treemem::faultinject::FaultPoint;
 use treemem::registry::UnknownName;
 use treemem::solver::Solver;
 use treemem::tree::{NodeId, Size};
@@ -68,8 +69,6 @@ pub enum EngineError {
     InvalidConfig(String),
     /// The MatrixMarket source could not be parsed.
     MatrixMarket(MatrixMarketError),
-    /// The problem source could not be read from disk.
-    Io(String),
     /// The out-of-core simulation failed (insufficient memory, invalid
     /// traversal).
     MinIo(MinIoError),
@@ -100,7 +99,6 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownName(err) => write!(fmt, "{err}"),
             EngineError::InvalidConfig(message) => write!(fmt, "invalid config: {message}"),
             EngineError::MatrixMarket(err) => write!(fmt, "MatrixMarket input: {err}"),
-            EngineError::Io(message) => write!(fmt, "I/O: {message}"),
             EngineError::MinIo(err) => write!(fmt, "out-of-core simulation: {err}"),
             EngineError::Factorization(err) => write!(fmt, "numeric factorization: {err}"),
             EngineError::NumericUnavailable => {
@@ -210,7 +208,7 @@ impl Engine {
                 "the problem has dimension 0: there is nothing to order or factor".to_string(),
             ));
         }
-        fire_fault("plan:ordering");
+        fire_fault(FaultPoint::PlanOrdering);
         check(cancel, "ordering")?;
         let (ordered, ordering_seconds) = CancelToken::with_stop(cancel, |stop| {
             timed_ok(|| {
@@ -229,7 +227,7 @@ impl Engine {
         let Some(symbolic) = ordered else {
             return Err(cancelled(cancel, "ordering"));
         };
-        fire_fault("plan:symbolic");
+        fire_fault(FaultPoint::PlanSymbolic);
         check(cancel, "symbolic")?;
         let (assembly, symbolic_seconds) =
             timed_ok(|| amalgamate(&symbolic.etree, &symbolic.counts, config.amalgamation));
@@ -448,7 +446,7 @@ fn generated_rhs_batch(n: usize, count: usize, seed: u64) -> Vec<f64> {
 
 fn read_matrix_market(path: &str) -> Result<SparsePattern, EngineError> {
     let file = std::fs::File::open(path)
-        .map_err(|e| EngineError::Io(format!("cannot open {path}: {e}")))?;
+        .map_err(|e| MatrixMarketError::Io(format!("cannot open {path}: {e}")))?;
     Ok(read_pattern(file)?)
 }
 
@@ -472,21 +470,21 @@ pub(crate) fn check(cancel: Option<&CancelToken>, stage: &'static str) -> Result
 /// Hit a [`treemem::faultinject`] point.  The pipeline stages have no
 /// drop-able unit of work, so a `Drop` rule here is a no-op; `Panic` and
 /// `SleepMs` act inside `fire` itself.
-fn fire_fault(point: &str) {
+fn fire_fault(point: FaultPoint) {
     let _ = treemem::faultinject::fire(point);
 }
 
-/// Time a fallible stage with `perfprof::timing` (one run, median == the
-/// run), returning the value and the wall-clock seconds.
-fn timed<T>(f: impl FnMut() -> Result<T, EngineError>) -> Result<(T, f64), EngineError> {
-    let (value, summary) = perfprof::timing::time_runs(1, f);
-    Ok((value?, summary.median_seconds))
+/// Time a fallible stage, returning the value and the wall-clock seconds.
+fn timed<T>(f: impl FnOnce() -> Result<T, EngineError>) -> Result<(T, f64), EngineError> {
+    let (value, seconds) = timed_ok(f);
+    Ok((value?, seconds))
 }
 
 /// Time an infallible stage.
-fn timed_ok<T>(f: impl FnMut() -> T) -> (T, f64) {
-    let (value, summary) = perfprof::timing::time_runs(1, f);
-    (value, summary.median_seconds)
+fn timed_ok<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let started = Instant::now();
+    let value = f();
+    (value, started.elapsed().as_secs_f64())
 }
 
 struct SymbolicData {
@@ -772,7 +770,7 @@ impl Plan {
                 )));
             }
             let cancel = engine.cancel();
-            fire_fault("schedule:solver");
+            fire_fault(FaultPoint::ScheduleSolver);
             check(cancel, "solver")?;
             let (result, seconds) = timed_ok(|| entry.solve(self.tree()));
             check(cancel, "solver")?;
@@ -887,15 +885,15 @@ impl Plan {
         let policy: Policy = policy_name.parse()?;
         let solved = self.solved(engine, &solver)?;
 
-        fire_fault("schedule:io");
+        fire_fault(FaultPoint::ScheduleIo);
         check(cancel, "io")?;
         let tree = self.tree();
         let traversal = &solved.result.traversal;
         let memory_budget = budget_spec.resolve(tree.max_mem_req(), solved.result.peak);
         let walk = &solved.walk;
         let (simulated, io_seconds) = {
-            let (result, summary) = CancelToken::with_stop(cancel, |stop| {
-                perfprof::timing::time_runs(1, || {
+            let (result, seconds) = CancelToken::with_stop(cancel, |stop| {
+                timed_ok(|| {
                     let Some(run) =
                         walk.schedule_io(tree, traversal, memory_budget, policy, stop)?
                     else {
@@ -915,7 +913,7 @@ impl Plan {
                     }
                 })
             });
-            (result?, summary.median_seconds)
+            (result?, seconds)
         };
         let Some((run, divisible_bound)) = simulated else {
             return Err(cancelled(cancel, "io"));
@@ -1098,7 +1096,7 @@ impl Schedule<'_> {
         if !self.plan.config.numeric {
             return self.finish(None, cancel);
         }
-        fire_fault("execute:numeric");
+        fire_fault(FaultPoint::ExecuteNumeric);
         check(cancel, "numeric")?;
         let started = Instant::now();
         let numeric = self.plan.numeric_model()?;
@@ -1248,10 +1246,9 @@ impl Schedule<'_> {
                 EngineError::InvalidConfig("the solve stage requires the numeric stage".to_string())
             })?;
             let solve = &plan.config.solve;
-            let (result, summary) = perfprof::timing::time_runs(1, || {
-                factor.solve_batch(&solve.rhs, solve.check_residual)
-            });
-            timings.solve_seconds = summary.median_seconds;
+            let (result, seconds) =
+                timed_ok(|| factor.solve_batch(&solve.rhs, solve.check_residual));
+            timings.solve_seconds = seconds;
             Some(result?.0)
         } else {
             None
@@ -1657,6 +1654,19 @@ mod tests {
             "{:?}",
             planned.err()
         );
+    }
+
+    /// A path that cannot be opened is the input's fault, like a file that
+    /// cannot be parsed, and the error names it.
+    #[test]
+    fn a_missing_matrix_file_is_a_matrix_market_error() {
+        let planned = Engine::new().plan(&EngineConfig::matrix_market("/nonexistent/x.mtx"));
+        match planned {
+            Err(EngineError::MatrixMarket(MatrixMarketError::Io(message))) => {
+                assert!(message.contains("/nonexistent/x.mtx"), "{message}")
+            }
+            other => panic!("expected MatrixMarket, got {:?}", other.err()),
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! [`DenseMatrix::partial_cholesky`] runs it `k` times in place.  Both are
 //! pinned bit for bit to a scalar reference kernel kept in test builds.
 
+use treemem::faultinject::{fire, FaultPoint, FaultSignal};
+
 /// The multi-pivot kernel [`DenseMatrix::partial_cholesky`] as a value (the
 /// benchmark's kernel floor calls `FrontKernel::default().apply`).
 #[derive(Debug, Default, Clone, Copy)]
@@ -288,7 +290,7 @@ impl FrontArena {
     /// simulates an allocation failure here, unwinding out of the numeric
     /// column loop (caught by the worker pool or the server's panic fence).
     fn buffer(&mut self, n: usize) -> DenseMatrix {
-        if treemem::faultinject::fire("arena:alloc") == treemem::faultinject::FaultSignal::Drop {
+        if fire(FaultPoint::ArenaAlloc) == FaultSignal::Drop {
             panic!("faultinject: injected allocation failure at arena:alloc ({n}x{n} front)");
         }
         match self.pool.pop() {

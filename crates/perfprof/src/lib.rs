@@ -13,8 +13,8 @@
 //! II of the paper (fraction of non-optimal cases, maximum / average /
 //! standard deviation of the cost ratio), and the rendering helpers produce
 //! the CSV series and ASCII plots emitted by the experiment binaries.
-//! [`timing`] holds the repeated-run wall-clock summaries behind the engine's
-//! stage timings and the latency percentiles of the server's `/stats`.
+//! [`timing`] holds the repeated-run wall-clock summaries the benchmark of
+//! record reports and the latency percentiles of the server's `/stats`.
 
 pub mod profile;
 pub mod stats;

@@ -1,9 +1,8 @@
 //! Repeated-run wall-clock summaries and latency percentiles.
 //!
-//! The engine's stage timings and the benchmark of record time whole
-//! algorithm runs — milliseconds to seconds — so they want a small number of
-//! repetitions and a robust (median) summary; the server and `loadgen` want
-//! tail percentiles of a latency distribution.
+//! The benchmark of record times whole algorithm runs — milliseconds to
+//! seconds — so it wants a small number of repetitions and a robust (median)
+//! summary; the server wants tail percentiles of a latency distribution.
 
 use std::time::Instant;
 

@@ -719,7 +719,7 @@ fn engine_error_response(error: &EngineError) -> Response {
         // (e.g. a budget below the largest node requirement).
         EngineError::MinIo(_) => 422,
         EngineError::Cancelled { .. } => 504,
-        EngineError::Io(_) | EngineError::Factorization(_) | EngineError::Internal(_) => 500,
+        EngineError::Factorization(_) | EngineError::Internal(_) => 500,
     };
     Response::error(status, &error.to_string())
 }
@@ -913,6 +913,15 @@ mod tests {
             .with_solver("no-such-solver")
             .to_json();
         assert_eq!(post(&service, "/report", &bad).status, 400);
+        // So is a MatrixMarket path the server cannot open.
+        let missing = EngineConfig::matrix_market("/nonexistent/x.mtx").to_json();
+        let response = post(&service, "/report", &missing);
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(
+            response.body.contains("/nonexistent/x.mtx"),
+            "{}",
+            response.body
+        );
         // So is asking for two execution modes at once (it used to run
         // distributed and silently ignore the parallel section).
         let ambiguous = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 50, 1)

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use distrib::{contribution_frame, frame_string, ClaimReply, ClaimRequest};
-use engine::faultinject::FaultSignal;
+use engine::faultinject::{FaultPoint, FaultSignal};
 use engine::{Engine, PlanCache, DEFAULT_TENANT};
 
 use crate::http::Request;
@@ -191,7 +191,10 @@ pub fn run_worker(transport: &dyn Transport, options: &WorkerOptions) -> WorkerS
         // Chaos seam: `drop` abandons the lease (the coordinator re-issues
         // it after the deadline), `sleep` stalls past it, `panic` kills the
         // worker like a real crash would.
-        if matches!(engine::faultinject::fire("parexec:task"), FaultSignal::Drop) {
+        if matches!(
+            engine::faultinject::fire(FaultPoint::ParexecTask),
+            FaultSignal::Drop
+        ) {
             summary.tasks_dropped += 1;
             continue;
         }

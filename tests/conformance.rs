@@ -1,13 +1,13 @@
 //! Tier-1 guard of the workspace's invariants.
 //!
-//! The conformance scanner must scan clean and every rule must still catch
-//! its seeded corpus violations (a rule that goes blind is itself a
-//! regression).  The invariants clippy checks are enforced by CI's `lint`
-//! job, not here; this test fails if their setup is deleted — a missing
-//! attribute or config line would otherwise turn a lint off silently.
+//! The invariants clippy checks are enforced by CI's `lint` job, not here;
+//! this test fails if their setup is deleted — a missing attribute or
+//! config line would otherwise turn a lint off silently.  The one invariant
+//! no lint can see, that JSON is rendered only by `engine::json::Writer`,
+//! is a line scan of the crates' non-test sources.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -44,30 +44,6 @@ fn denied_lints(source: &str) -> Vec<String> {
 }
 
 #[test]
-fn the_workspace_scans_clean() {
-    let violations = conformance::scan_workspace(workspace_root()).expect("workspace scan runs");
-    assert!(
-        violations.is_empty(),
-        "conformance violations:\n{}",
-        violations
-            .iter()
-            .map(conformance::Violation::render)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-#[test]
-fn every_rule_catches_its_seeded_corpus() {
-    let report = conformance::run_self_test(workspace_root());
-    assert!(
-        report.passed(),
-        "conformance self-test failures:\n{}",
-        report.failures.join("\n")
-    );
-}
-
-#[test]
 fn every_package_forbids_unsafe_code() {
     let root = read("Cargo.toml");
     assert!(root.contains("[workspace.lints.rust]\nunsafe_code = \"forbid\""));
@@ -101,4 +77,81 @@ fn the_lint_attributes_and_clippy_configs_are_in_place() {
     let distrib = read("crates/distrib/clippy.toml");
     assert!(distrib.contains(system_time));
     assert!(distrib.contains("path = \"std::time::Instant::now\""));
+}
+
+/// Whether `line` holds an escaped-quote JSON key — letters, digits,
+/// `_.-` and format braces — followed by a colon (`\"key\":`), the shape of
+/// a hand-rolled renderer.
+fn renders_a_json_key(line: &str) -> bool {
+    let quote = "\\\"";
+    line.match_indices(quote).any(|(at, _)| {
+        let key = &line[at + quote.len()..];
+        let end = key
+            .find(|c: char| !(c.is_ascii_alphanumeric() || "_.{}-".contains(c)))
+            .unwrap_or(key.len());
+        key[end..]
+            .strip_prefix(quote)
+            .is_some_and(|rest| rest.trim_start_matches(' ').starts_with(':'))
+    })
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `engine::json` owns separators, escaping, `null` floats and the one
+/// layout byte-stable documents depend on, so no other non-test source may
+/// hold a JSON key in a string literal.  A file's test module is skipped:
+/// clippy's default `items_after_test_module` keeps it last.
+#[test]
+fn json_is_rendered_only_by_the_writer() {
+    // The matcher must still see what it looks for.
+    assert!(renders_a_json_key(r#"format!("{{\"count\": {count}}}")"#));
+    assert!(renders_a_json_key(r#"format!("{{\"{name}\" : 1}}")"#));
+    assert!(!renders_a_json_key(r#"writer.field("count", count)"#));
+    assert!(!renders_a_json_key(
+        r#""a \"config_hash\" string: see /solve""#
+    ));
+
+    let mut files = Vec::new();
+    for krate in fs::read_dir(workspace_root().join("crates")).expect("a crates directory") {
+        let src = krate.expect("readable directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    files.retain(|path| !path.ends_with("engine/src/json.rs"));
+    assert!(files.len() > 50, "found only {} sources", files.len());
+    let mut hits = Vec::new();
+    for path in files {
+        let source = fs::read_to_string(&path).expect("readable source");
+        let mut lines = source.lines().enumerate().peekable();
+        while let Some((index, line)) = lines.next() {
+            let trimmed = line.trim_start();
+            if trimmed == "#[cfg(test)]"
+                && lines
+                    .peek()
+                    .is_some_and(|(_, next)| next.trim_start().starts_with("mod tests"))
+            {
+                break;
+            }
+            if !trimmed.starts_with("//") && renders_a_json_key(line) {
+                let path = path.strip_prefix(workspace_root()).unwrap_or(&path);
+                hits.push(format!("{}:{}: {}", path.display(), index + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "JSON keys outside engine::json (render them with json::Writer):\n{}",
+        hits.join("\n")
+    );
 }

@@ -11,9 +11,8 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Every crate of the workspace, plus the root package.
-const WORKSPACE_PACKAGES: [&str; 14] = [
+const WORKSPACE_PACKAGES: [&str; 13] = [
     "bench",
-    "conformance",
     "distrib",
     "engine",
     "minio",
