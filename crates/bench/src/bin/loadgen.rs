@@ -2,8 +2,8 @@
 //! TCP.  It checks; it does not measure: the benchmark of record
 //! (`benchmark/` at the repository root) times the served paths.
 //!
-//! `loadgen chaos|distributed|traces [--quick]`; every mode prints one
-//! verdict line per invariant and exits non-zero if any failed.
+//! `loadgen chaos|distributed [--quick]`; both modes print one verdict line
+//! per invariant, exit non-zero if any failed, and write nothing.
 //!
 //! * `chaos` boots `server::Server` in-process, arms a six-rule fault plan
 //!   and fires ≥ 220 mixed requests (sequential, numeric, parallel,
@@ -22,12 +22,6 @@
 //!   ceiling of 20 contribution bytes per factor nonzero.  A chaos pass then
 //!   SIGKILLs a lease-holding worker mid-job and requires the job to finish
 //!   via lease re-issue with zero orphaned leases and zero non-injected 5xx.
-//! * `traces` replays the seeded {trace × policy × byte capacity} cache
-//!   matrix plus a two-tenant HTTP pass (see `bench::traces`), pins the
-//!   quick matrix to `crates/bench/data/cache_reference.json` with
-//!   `--check` (`--write-reference` regenerates it), and is the one mode
-//!   that writes a file: `BENCH_cache.json` under `results/` (or
-//!   `TREEMEM_RESULTS_DIR`), or `--out PATH`.
 //!
 //! The wall-clock comparisons left are robustness bounds, not speed claims:
 //! the deadline probe's answer time (0.1 s full, 1 s quick), and the lease,
@@ -43,8 +37,7 @@ use server::client::{self, ClientResponse};
 use server::{Server, ServerConfig, ServerHandle};
 use sparsemat::gen::ProblemKind;
 
-const USAGE: &str = "usage: loadgen chaos|distributed|traces [--quick] \
-                     (traces also: --check, --write-reference, --out PATH)";
+const USAGE: &str = "usage: loadgen chaos|distributed [--quick]";
 
 /// Plan-cache capacity of the in-process servers.
 const CACHE_CAPACITY: usize = 16;
@@ -86,15 +79,6 @@ impl Verdicts {
             let failure = failure();
             eprintln!("loadgen: VIOLATION: {invariant}: {failure}");
             failures.push(failure);
-        }
-    }
-
-    /// Record a check of `invariant` that failed once per entry of
-    /// `failures` (none: it held).
-    fn check_all(&mut self, invariant: &'static str, failures: &[String]) {
-        self.failures(invariant);
-        for failure in failures {
-            self.check(invariant, false, || failure.clone());
         }
     }
 
@@ -867,118 +851,21 @@ fn run_distributed_mode(quick: bool) {
     verdicts.finish("distributed");
 }
 
-/// Write the traces report to `--out`, or to `BENCH_cache.json` under the
-/// results directory every `bench` tool shares.
-fn write_output(out: Option<String>, json: &str) {
-    let path = out
-        .map(PathBuf::from)
-        .unwrap_or_else(|| bench::report::results_dir().join("BENCH_cache.json"));
-    let written = std::fs::create_dir_all(path.parent().unwrap_or(std::path::Path::new("")))
-        .and_then(|()| std::fs::write(&path, json));
-    if let Err(error) = written {
-        die(format!("cannot write {}: {error}", path.display()));
-    }
-    println!("loadgen: wrote {}", path.display());
-}
-
-/// `loadgen traces`: replay the {trace × policy × capacity} cache matrix in
-/// plan-stub mode, run the end-to-end HTTP tenant pass, enforce the gates
-/// (GDSF ≥ LRU on mixed, zero quota violations, clean accounting), and in
-/// `--check` mode pin quick-run cells against the committed reference.
-fn run_traces_mode(quick: bool, check: bool, write_reference: bool, out: Option<String>) {
-    use bench::traces;
-
-    if (check || write_reference) && !quick {
-        usage("the reference pins quick-mode cells; add --quick");
-    }
-    let mode = mode_name(quick);
-    println!("loadgen: replaying cache trace matrix ({mode} mode)");
-    let mut verdicts = Verdicts::default();
-
-    let matrix = traces::run_matrix(quick);
-    for cell in &matrix {
-        println!(
-            "loadgen:   {:<8} {:<8} {:>5.2}% capacity -> hit rate {:>6.2}% \
-             ({} evictions, {} uncacheable)",
-            cell.trace,
-            cell.policy,
-            cell.fraction * 100.0,
-            cell.hit_rate() * 100.0,
-            cell.evictions,
-            cell.uncacheable,
-        );
-    }
-    let deep = if quick {
-        Vec::new()
-    } else {
-        println!("loadgen: deep section (mixed trace at 200k requests per policy)");
-        traces::run_deep()
-    };
-    let gate_violations = traces::check_gates(&matrix, &deep);
-    verdicts.check_all(
-        "the matrix passes its gates (GDSF >= LRU on mixed, quotas, accounting)",
-        &gate_violations,
-    );
-
-    println!("loadgen: end-to-end HTTP pass (tenants acme + zeta over X-Tenant)");
-    let http = traces::run_http_pass(quick);
-    verdicts.check_all(
-        "the two-tenant HTTP pass holds quotas and zeta's hot set",
-        &http.violations,
-    );
-    println!(
-        "loadgen: HTTP pass sent {} requests, zeta scored {} hits under acme's flood",
-        http.requests, http.zeta_hits
-    );
-
-    if write_reference {
-        let path = traces::reference_path();
-        if let Err(error) = std::fs::write(&path, traces::reference_json(&matrix)) {
-            die(format!("cannot write {}: {error}", path.display()));
-        }
-        println!("loadgen: wrote reference {}", path.display());
-    }
-    if check {
-        let path = traces::reference_path();
-        let mismatches = match std::fs::read_to_string(&path) {
-            Ok(reference) => traces::check_reference(&matrix, &reference),
-            Err(error) => vec![format!("cannot read {}: {error}", path.display())],
-        };
-        verdicts.check_all(
-            "every quick cell equals crates/bench/data/cache_reference.json",
-            &mismatches,
-        );
-    }
-
-    let json = traces::bench_json(mode, &matrix, &deep, &http, &gate_violations);
-    write_output(out, &json);
-    verdicts.finish("cache-trace");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((mode, flags)) = args.split_first() else {
         usage("no mode given");
     };
-    let traces = mode == "traces";
-    let (mut quick, mut check, mut write_reference, mut out) = (false, false, false, None);
-    let mut flags = flags.iter();
-    while let Some(flag) = flags.next() {
+    let mut quick = false;
+    for flag in flags {
         match flag.as_str() {
             "--quick" => quick = true,
-            "--check" if traces => check = true,
-            "--write-reference" if traces => write_reference = true,
-            "--out" if traces => match flags.next() {
-                Some(path) => out = Some(path.clone()),
-                None => usage("--out needs a path"),
-            },
             other => usage(&format!("unknown flag {other} for mode {mode}")),
         }
     }
     match mode.as_str() {
         "chaos" => run_chaos_mode(quick),
         "distributed" => run_distributed_mode(quick),
-        "traces" => run_traces_mode(quick, check, write_reference, out),
         other => usage(&format!("unknown mode {other}")),
     }
 }

@@ -17,8 +17,8 @@
 //! | `minio-sweep`      | Section V-B as one grid: every solver × every policy |
 //!
 //! `factor_cli` runs one `engine::EngineConfig` end to end and prints the
-//! `Report` as JSON, and `loadgen` checks its correctness scenarios (chaos,
-//! distributed, cache traces) against real servers.  Every file a tool
+//! `Report` as JSON, and `loadgen` checks its two correctness scenarios
+//! (`chaos`, `distributed`) against real servers.  Every file a tool
 //! writes goes under `results/` (git-ignored; `TREEMEM_RESULTS_DIR` moves
 //! it).
 //!
@@ -28,14 +28,12 @@
 //! corpus generation (planned through the engine, replacing the paper's
 //! UF-collection data set), measurement helpers, report writing, the
 //! parallel MinIO sweep engine ([`sweep`]) that crosses {corpus × memory
-//! budgets × MinMemory solvers × eviction policies}, and the
-//! cache trace-replay harness ([`traces`]) behind `loadgen traces`.
+//! budgets × MinMemory solvers × eviction policies}.
 
 pub mod corpus;
 pub mod report;
 pub mod runner;
 pub mod sweep;
-pub mod traces;
 
 pub use corpus::{
     corpus_for, default_config, default_corpus, quick_config, quick_corpus, random_corpus, Corpus,

@@ -1,9 +1,8 @@
 //! The error of a name lookup in one of the workspace's closed sets.
 //!
-//! [`Solver`](crate::solver::Solver) (MinMemory solvers),
-//! `minio::Policy` (eviction policies) and `engine::CachePolicy` (serving
-//! caches) each parse their short stable names with
-//! [`FromStr`](std::str::FromStr).  A miss is one typed error,
+//! [`Solver`](crate::solver::Solver) (MinMemory solvers) and
+//! `minio::Policy` (the out-of-core eviction policies) each parse their
+//! short stable names with [`FromStr`](std::str::FromStr).  A miss is one typed error,
 //! [`UnknownName`], that lists every name the set knows, so callers — in
 //! particular the `engine` facade's configuration validation — report the
 //! alternatives instead of an anonymous `Option` miss.

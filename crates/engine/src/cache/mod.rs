@@ -1,15 +1,13 @@
 //! The serving cache layer: a byte-sized core shared by the plan cache and
-//! the server's factor cache, evicting through one of three policies.
+//! the server's factor cache, evicting least recently used first.
 //!
 //! * [`core`] — [`CacheCore`], a keyed cache of [`Arc`](std::sync::Arc)ed
-//!   values with byte-accurate accounting, TTL expiry, per-tenant quotas and
-//!   a fair-share floor.  One [`CacheConfig`] describes a cache, whichever
-//!   wrapper builds it.
-//! * [`policy`] — [`CachePolicy`], the closed set of eviction policies:
-//!   recency `LRU`, size-aware `GDSF` and scan-resistant `S3FIFO`, each with
-//!   real online state.  The out-of-core simulator's eviction heuristics
-//!   are a separate world (they select victims knowing a traversal's whole
-//!   future) and are not reachable from here.
+//!   values with byte-accurate accounting, LRU eviction, TTL expiry,
+//!   per-tenant quotas and a fair-share floor.  One [`CacheConfig`]
+//!   describes a cache, whichever wrapper builds it.  The out-of-core
+//!   simulator's eviction heuristics (`minio::Policy`) are a separate world
+//!   (they select victims knowing a traversal's whole future) and are not
+//!   reachable from here.
 //! * [`plan`] — [`PlanCache`], the single-flight, TTL-aware plan cache built
 //!   on the core.
 //!
@@ -23,13 +21,11 @@
 
 pub mod core;
 pub mod plan;
-pub mod policy;
 
 use crate::json::{Fields, Fixed, Object, Writer};
 
-pub use self::core::{fingerprint64, Admission, CacheConfig, CacheCore};
+pub use self::core::{Admission, CacheConfig, CacheCore};
 pub use plan::{PlanCache, DEFAULT_TENANT};
-pub use policy::CachePolicy;
 
 /// Point-in-time counters of a serving cache; see the field docs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -46,8 +42,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum number of resident entries (0 when bounded by bytes only).
     pub capacity: usize,
-    /// The eviction policy in charge.
-    pub policy: CachePolicy,
     /// Bytes currently resident.
     pub bytes_used: u64,
     /// Byte capacity (`u64::MAX` when bounded by entry count only).
@@ -89,7 +83,6 @@ impl Fields for CacheStats {
             }
         });
         cache
-            .field("policy", self.policy.name())
             .field("bytes_capacity", bounded.then_some(self.bytes_capacity))
             .field("bytes_used", self.bytes_used)
             .field("max_entries", (self.capacity != 0).then_some(self.capacity))

@@ -13,9 +13,8 @@
 //!
 //! * [`PlanCache::new`] — the count-bounded LRU (capacity in entries,
 //!   optional TTL);
-//! * [`PlanCache::with_config`] — everything else: a byte budget, any
-//!   [`CachePolicy`](super::CachePolicy), per-tenant quotas and a
-//!   fair-share floor.  Entry footprints come from
+//! * [`PlanCache::with_config`] — everything else: a byte budget,
+//!   per-tenant quotas and a fair-share floor.  Entry footprints come from
 //!   [`Plan::approx_heap_bytes`] at insert time; a plan that grows afterwards
 //!   (the first numeric run attaches its substrate) is charged again by
 //!   re-inserting it, which the server does after every numeric `/report`
@@ -284,7 +283,6 @@ impl Drop for SettleGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CachePolicy;
     use treemem::gadgets::harpoon;
 
     fn config(seed: u64) -> EngineConfig {
@@ -307,7 +305,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(stats.policy, CachePolicy::Lru);
         assert!(stats.bytes_used > 0, "plans carry a byte footprint");
     }
 
@@ -554,7 +551,6 @@ mod tests {
         let engine = Engine::new();
         // A one-byte budget: every plan is too large to cache.
         let cache = PlanCache::with_config(CacheConfig {
-            policy: CachePolicy::Gdsf,
             bytes_capacity: 1,
             ..CacheConfig::default()
         });
@@ -592,14 +588,12 @@ mod tests {
     fn byte_mode_charges_tenants_and_reports_them() {
         let engine = Engine::new();
         let cache = PlanCache::with_config(CacheConfig {
-            policy: CachePolicy::Gdsf,
             bytes_capacity: 1 << 30,
             ..CacheConfig::default()
         });
         cache.get_or_plan(&engine, &config(1), "alice").unwrap();
         cache.get_or_plan(&engine, &config(1), "bob").unwrap();
         let stats = cache.stats();
-        assert_eq!(stats.policy, CachePolicy::Gdsf);
         assert_eq!(stats.per_tenant.len(), 2);
         let alice = &stats.per_tenant[0];
         assert_eq!(alice.tenant, "alice");
@@ -616,7 +610,6 @@ mod tests {
         use sparsemat::gen::ProblemKind;
         let engine = Engine::new();
         let cache = PlanCache::with_config(CacheConfig {
-            policy: CachePolicy::Gdsf,
             bytes_capacity: 1 << 30,
             ..CacheConfig::default()
         });

@@ -835,6 +835,14 @@ impl Write for Fnv1a {
     }
 }
 
+/// FNV-1a 64-bit fingerprint of `text` (what the `exp` CSV golden tests
+/// pin).
+pub fn fingerprint64(text: &str) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.write_str(text).expect("the hash sink cannot fail");
+    hash.value()
+}
+
 fn int_array(json: &Json, path: &'static str) -> Result<Vec<i64>, ConfigParseError> {
     json.field::<&[Json]>(path)?
         .iter()

@@ -54,13 +54,12 @@ pub mod run;
 pub use treemem::faultinject;
 
 pub use cache::{
-    fingerprint64, Admission, CacheConfig, CacheCore, CachePolicy, CacheStats, PlanCache,
-    TenantUsage, DEFAULT_TENANT,
+    Admission, CacheConfig, CacheCore, CacheStats, PlanCache, TenantUsage, DEFAULT_TENANT,
 };
 pub use cancel::{monotonic_millis, CancelToken};
 pub use config::{
-    BudgetShare, ConfigParseError, DistributedConfig, EngineConfig, MemoryBudget, ParallelConfig,
-    ProblemSource, SolveConfig, SolveRhs,
+    fingerprint64, BudgetShare, ConfigParseError, DistributedConfig, EngineConfig, MemoryBudget,
+    ParallelConfig, ProblemSource, SolveConfig, SolveRhs,
 };
 pub use report::{
     CutReport, DistributedReport, NumericReport, ParallelReport, Report, SolveReport, StageTimings,
@@ -72,7 +71,7 @@ pub use run::{
 
 /// Everything a typical engine user needs in scope.
 pub mod prelude {
-    pub use crate::cache::{CacheConfig, CachePolicy, CacheStats, PlanCache};
+    pub use crate::cache::{CacheConfig, CacheStats, PlanCache};
     pub use crate::cancel::CancelToken;
     pub use crate::config::{
         BudgetShare, ConfigParseError, DistributedConfig, EngineConfig, MemoryBudget,

@@ -1,7 +1,7 @@
 //! `serve` — boot the factorization service from the command line.
 //!
 //! ```text
-//! serve [--addr HOST:PORT] [--workers N] [--cache-policy NAME]
+//! serve [--addr HOST:PORT] [--workers N]
 //!       [--cache-bytes N] [--factor-cache-bytes N]
 //!       [--tenant-quota-bytes N] [--tenant-floor F]
 //!       [--cache-ttl-seconds S] [--max-body-bytes N]
@@ -9,12 +9,10 @@
 //! serve --role worker --coordinator HOST:PORT [--worker-id NAME]
 //! ```
 //!
-//! Caches are sized in **bytes** (`--cache-bytes` for plans,
-//! `--factor-cache-bytes` for factors) and evict through `--cache-policy`
-//! `LRU`, `GDSF` or `S3FIFO` (`GDSF` by default for a byte-sized cache);
-//! without a byte budget a cache is a count-bounded LRU (64 plans, 8
-//! factors) under a 96 MiB byte ceiling.  Any other policy name is a boot
-//! error listing the three.
+//! Both caches evict least recently used first.  They are sized in
+//! **bytes** with `--cache-bytes` (plans) and `--factor-cache-bytes`
+//! (factors); without a byte budget a cache is bounded by entry count (64
+//! plans, 8 factors) under a 96 MiB byte ceiling.
 //!
 //! The default role, `coordinator`, binds (port 0 picks an ephemeral port,
 //! printed on stdout) and serves until the process is terminated.  See the
@@ -51,13 +49,12 @@ use server::{Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serve [--addr HOST:PORT] [--workers N] [--cache-policy NAME]\n\
+        "usage: serve [--addr HOST:PORT] [--workers N]\n\
          \x20      [--cache-bytes N] [--factor-cache-bytes N]\n\
          \x20      [--tenant-quota-bytes N] [--tenant-floor F]\n\
          \x20      [--cache-ttl-seconds S] [--max-body-bytes N]\n\
          \x20      [--default-deadline-ms MS] [--max-deadline-ms MS]\n\
-         \x20  or: serve --role worker --coordinator HOST:PORT [--worker-id NAME]\n\
-         cache policies: LRU, GDSF, S3FIFO"
+         \x20  or: serve --role worker --coordinator HOST:PORT [--worker-id NAME]"
     );
     std::process::exit(2);
 }
@@ -93,9 +90,6 @@ fn main() {
             "--worker-id" => worker_id = Some(parse("--worker-id", iter.next())),
             "--addr" => config.addr = parse("--addr", iter.next()),
             "--workers" => config.workers = parse("--workers", iter.next()),
-            "--cache-policy" => {
-                config.cache.policy = Some(parse("--cache-policy", iter.next()));
-            }
             "--cache-bytes" => {
                 config.cache.plan_bytes = Some(parse("--cache-bytes", iter.next()));
             }

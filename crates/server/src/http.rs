@@ -126,13 +126,13 @@ pub fn read_request(stream: &mut impl Read, max_body_bytes: usize) -> Result<Req
         });
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut headers: Vec<(String, String)> = Vec::new();
     // `..=`: `MAX_HEADERS` header lines plus the blank terminator line.
     for _ in 0..=MAX_HEADERS {
         let line = read_line(&mut reader)?;
         if line.is_empty() {
-            let mut body = vec![0u8; content_length];
+            let mut body = vec![0u8; content_length.unwrap_or(0)];
             reader
                 .read_exact(&mut body)
                 .map_err(|e| HttpError::bad_request(format!("truncated body: {e}")))?;
@@ -157,10 +157,19 @@ pub fn read_request(stream: &mut impl Read, max_body_bytes: usize) -> Result<Req
             ));
         }
         if name.eq_ignore_ascii_case("content-length") {
+            // RFC 9112 §6.3: the value is 1*DIGIT (`usize::from_str` would
+            // also take a leading `+`), and several headers must agree —
+            // otherwise the body's end is ambiguous.
+            let value = value.trim();
             let length: usize = value
-                .trim()
-                .parse()
-                .map_err(|_| HttpError::bad_request("unparsable Content-Length"))?;
+                .bytes()
+                .all(|byte| byte.is_ascii_digit())
+                .then(|| value.parse().ok())
+                .flatten()
+                .ok_or_else(|| HttpError::bad_request("unparsable Content-Length"))?;
+            if content_length.is_some_and(|earlier| earlier != length) {
+                return Err(HttpError::bad_request("conflicting Content-Length headers"));
+            }
             if length > max_body_bytes {
                 return Err(HttpError {
                     status: 413,
@@ -169,7 +178,7 @@ pub fn read_request(stream: &mut impl Read, max_body_bytes: usize) -> Result<Req
                     ),
                 });
             }
-            content_length = length;
+            content_length = Some(length);
         }
     }
     Err(HttpError {
@@ -287,6 +296,26 @@ mod tests {
                 .status,
             400
         );
+    }
+
+    #[test]
+    fn content_length_is_digits_and_agrees_with_itself() {
+        for raw in [
+            "POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+            "POST / HTTP/1.1\r\nContent-Length: 5 5\r\n\r\nhello",
+            "POST / HTTP/1.1\r\nContent-Length: \r\n\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello",
+            "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nhello",
+        ] {
+            let error = parse(raw).unwrap_err();
+            assert_eq!(error.status, 400, "{raw:?}");
+            assert!(error.message.contains("Content-Length"), "{raw:?}");
+        }
+        // Repeating the same length is unambiguous.
+        let request =
+            parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+                .unwrap();
+        assert_eq!(request.body, b"hello");
     }
 
     #[test]

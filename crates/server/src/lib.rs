@@ -32,8 +32,9 @@
 //! a cache-hit report is identical to the cold-path report for the same
 //! configuration except for wall-clock timings.
 //!
-//! A numeric `/report` deposits its Cholesky factor in a bounded
-//! [`engine::CacheCore`], keyed by effective-config hash and charged
+//! Both caches evict least recently used first.  A numeric `/report`
+//! deposits its Cholesky factor in a bounded [`engine::CacheCore`], keyed
+//! by effective-config hash and charged
 //! [`engine::FactorHandle::approx_heap_bytes`].  A later sequential
 //! `/report` of the same configuration whose plan and factor are both
 //! cached is served from that factor: no numeric stage runs (its
@@ -87,7 +88,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use engine::{CacheConfig, CacheCore, CachePolicy, PlanCache};
+use engine::{CacheConfig, CacheCore, PlanCache};
 use treemem::sync::TrackedMutex;
 
 use crate::http::{read_request, write_response, HttpError};
@@ -129,22 +130,19 @@ pub struct ServerConfig {
     pub cache: CacheSettings,
 }
 
-/// The `cache` section of the boot configuration: policy selection, byte
-/// budgets, and tenant quotas for the plan and factor caches.
+/// The `cache` section of the boot configuration: byte budgets and tenant
+/// quotas for the plan and factor caches, both of which evict least
+/// recently used first.
 ///
 /// `Default` leaves everything unset, which keeps the caches count-bounded
-/// LRUs under a default byte ceiling (96 MiB each): whichever bound is
-/// reached first evicts, least recently used first.  Setting a byte budget
-/// switches the corresponding cache to that budget under `policy` (default
-/// `GDSF`), replacing the entry bound and the ceiling.  Either way
+/// under a default byte ceiling (96 MiB each): whichever bound is reached
+/// first evicts.  Setting a byte budget switches the corresponding cache to
+/// that budget, replacing the entry bound and the ceiling.  Either way
 /// `bytes_used` is what the entries hold now: a plan is charged at insert
 /// and charged again once a numeric `/report` has attached its numeric
 /// substrate to it.
 #[derive(Debug, Clone, Default)]
 pub struct CacheSettings {
-    /// Eviction policy of both caches.  `None` picks `GDSF` for a cache
-    /// with a byte budget and `LRU` for a count-bounded one.
-    pub policy: Option<CachePolicy>,
     /// Byte budget of the plan cache; `None` keeps the entry bound of
     /// [`ServerConfig::cache_capacity`].
     pub plan_bytes: Option<u64>,
@@ -184,12 +182,7 @@ impl CacheSettings {
         entries: usize,
         ttl: Option<Duration>,
     ) -> CacheConfig {
-        let by_size = match bytes {
-            Some(_) => CachePolicy::Gdsf,
-            None => CachePolicy::Lru,
-        };
         CacheConfig {
-            policy: self.policy.unwrap_or(by_size),
             bytes_capacity: bytes.unwrap_or(DEFAULT_CACHE_BYTES),
             max_entries: bytes.is_none().then_some(entries.max(1)),
             ttl,

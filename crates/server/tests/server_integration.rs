@@ -115,8 +115,7 @@ fn plan_schedule_report_share_the_cache() {
     let cache = cache_stats(handle.addr(), "plan");
     assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(2));
     assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
-    // The byte-level picture rides along: policy, footprint, tenant usage.
-    assert_eq!(cache.get("policy").and_then(Json::as_str), Some("LRU"));
+    // The byte-level picture rides along: footprint, tenant usage.
     assert!(cache.get("bytes_used").and_then(Json::as_u64).unwrap() > 0);
     let public = cache
         .get("tenants")
@@ -553,7 +552,6 @@ fn tenant_quotas_and_floor_hold_over_http() {
     let quota = plan_bytes * 6;
     let handle = Server::spawn(ServerConfig {
         cache: server::CacheSettings {
-            policy: Some(engine::CachePolicy::Gdsf),
             plan_bytes: Some(plan_bytes * 16),
             factor_bytes: None,
             tenant_quota_bytes: Some(quota),

@@ -2,10 +2,12 @@
 //!
 //! The invariants clippy checks are enforced by CI's `lint` job, not here;
 //! this test fails if their setup is deleted — a missing attribute or
-//! config line would otherwise turn a lint off silently.  The one invariant
-//! no lint can see, that JSON is rendered only by `engine::json::Writer`,
-//! is a line scan of the crates' non-test sources.
+//! config line would otherwise turn a lint off silently.  Two invariants no
+//! lint can see are line scans: JSON is rendered only by
+//! `engine::json::Writer` (the crates' non-test sources), and the docs'
+//! backticked references name files and items that still exist.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -153,5 +155,164 @@ fn json_is_rendered_only_by_the_writer() {
         hits.is_empty(),
         "JSON keys outside engine::json (render them with json::Writer):\n{}",
         hits.join("\n")
+    );
+}
+
+/// What the workspace's sources define — every name after an item keyword
+/// and every leading identifier of a variant or field line — and the names
+/// they take from `std` / `core`.
+struct Definitions {
+    names: HashSet<String>,
+    external: HashSet<String>,
+    /// Every source path, relative to the root with `/` separators.
+    files: Vec<String>,
+}
+
+/// The identifier tokens of `text`, in order.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|token| token.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+}
+
+impl Definitions {
+    fn scan() -> Self {
+        const ITEMS: &str = "fn struct enum trait type const static mod union macro_rules";
+        let mut paths = Vec::new();
+        for dir in ["crates", "src", "tests", "examples"] {
+            rust_files(&workspace_root().join(dir), &mut paths);
+        }
+        let mut names = HashSet::new();
+        let mut external = HashSet::new();
+        let mut files = Vec::new();
+        for path in paths {
+            let source = fs::read_to_string(&path).expect("readable source");
+            for line in source.lines() {
+                let tokens: Vec<&str> = identifiers(line).collect();
+                for pair in tokens.windows(2) {
+                    if ITEMS.split(' ').any(|item| item == pair[0]) {
+                        names.insert(pair[1].to_string());
+                    }
+                }
+                // A variant (`Cancelled {`, `Gdsf,`) or a field (`pub bytes: u64`).
+                let item = line.trim_start();
+                let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
+                let item = item.strip_prefix("pub ").unwrap_or(item);
+                if let Some(first) = identifiers(item).next() {
+                    let rest = item.strip_prefix(first).map(str::trim_start);
+                    if rest.is_some_and(|rest| rest.starts_with([',', '(', '{', ':', '='])) {
+                        names.insert(first.to_string());
+                    }
+                }
+                for (at, _) in line.match_indices("std::") {
+                    let chain = &line[at..];
+                    let end = chain
+                        .find(|c: char| !(c.is_ascii_alphanumeric() || "_:".contains(c)))
+                        .unwrap_or(chain.len());
+                    external.extend(identifiers(&chain[..end]).map(str::to_string));
+                }
+            }
+            for statement in source.split(';') {
+                if let Some(at) = statement.find("use std::").or(statement.find("use core::")) {
+                    external.extend(identifiers(&statement[at..]).map(str::to_string));
+                }
+            }
+            let relative = path.strip_prefix(workspace_root()).unwrap_or(&path);
+            files.push(relative.to_string_lossy().replace('\\', "/"));
+        }
+        Definitions {
+            names,
+            external,
+            files,
+        }
+    }
+
+    /// Why the backticked `span` names nothing in the workspace, if it is a
+    /// reference it can check: a `*.rs` path that matches no file (from the
+    /// root or as the tail of a source path), or a `crate::…` / `Type::item`
+    /// path whose capitalised or last segment is defined nowhere.  Paths into
+    /// `std`, `core` and `clippy` are skipped, and so is `Type::item` of a
+    /// type the sources take from `std` (`Instant::now`).
+    fn dead(&self, span: &str) -> Option<String> {
+        if span.contains(char::is_whitespace) {
+            return None;
+        }
+        if span.ends_with(".rs") {
+            let tail = format!("/{span}");
+            let live = workspace_root().join(span).is_file()
+                || self.files.iter().any(|file| file.ends_with(&tail));
+            return (!live).then(|| "no such file".to_string());
+        }
+        let end = span
+            .find(|c: char| !(c.is_ascii_alphanumeric() || "_:".contains(c)))
+            .unwrap_or(span.len());
+        let path = span[..end].trim_end_matches(':');
+        let segments: Vec<&str> = path.split("::").collect();
+        if segments.len() < 2
+            || segments.iter().any(|s| identifiers(s).next() != Some(*s))
+            || ["std", "core", "clippy"].contains(&segments[0])
+        {
+            return None;
+        }
+        let capitalised = |s: &str| s.starts_with(|c: char| c.is_ascii_uppercase());
+        if segments
+            .iter()
+            .any(|s| capitalised(s) && self.external.contains(*s))
+        {
+            return None;
+        }
+        let last = segments.len() - 1;
+        segments
+            .iter()
+            .enumerate()
+            .find(|&(at, s)| (at == last || capitalised(s)) && !self.names.contains(*s))
+            .map(|(_, s)| format!("`{s}` is defined nowhere"))
+    }
+}
+
+/// README.md and the verify skill name files and items in backticks; each
+/// `*.rs` path, `crate::…` path and `Type::item` must still exist, so a
+/// rename or deletion cannot leave the docs pointing at nothing.
+/// `ROADMAP.md` is out of scope: it names deleted items on purpose.
+#[test]
+fn doc_references_name_live_files_and_items() {
+    let defs = Definitions::scan();
+    // The matcher must still tell a live reference from a dead one, in each
+    // form, and skip the external paths.
+    for (span, dead) in [
+        ("tests/conformance.rs", false),
+        ("numeric/naive.rs", false),
+        ("crates/bench/src/traces.rs", true),
+        ("treemem::faultinject::FaultPoint", false),
+        ("treemem::faultinject::POINTS", true),
+        ("FaultPoint::ALL", false),
+        ("EvictionPrompt::deficit_bytes", true),
+        ("CacheCore::run_eviction_round", true),
+        ("std::sync::mpsc::no_such_fn", false),
+        ("PoisonError::no_such_fn", false),
+    ] {
+        assert_eq!(defs.dead(span).is_some(), dead, "`{span}`");
+    }
+
+    let mut dead = Vec::new();
+    for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+        let mut fenced = false;
+        for (index, line) in read(doc).lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+            }
+            if fenced {
+                continue;
+            }
+            for span in line.split('`').skip(1).step_by(2) {
+                if let Some(why) = defs.dead(span) {
+                    dead.push(format!("{doc}:{}: `{span}`: {why}", index + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        dead.is_empty(),
+        "dead references in the docs:\n{}",
+        dead.join("\n")
     );
 }
