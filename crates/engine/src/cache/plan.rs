@@ -1,5 +1,5 @@
-//! A single-flight, TTL-aware cache of [`Plan`]s keyed by effective-config
-//! hash, built on [`CacheCore`].
+//! A single-flight cache of [`Plan`]s keyed by effective-config hash, built
+//! on [`CacheCore`].
 //!
 //! Planning — problem acquisition, fill-reducing ordering, elimination tree,
 //! column counts, amalgamation — dominates the cost of a request, while a
@@ -11,35 +11,33 @@
 //!
 //! Two constructors over one [`CacheConfig`]:
 //!
-//! * [`PlanCache::new`] — the count-bounded LRU (capacity in entries,
-//!   optional TTL);
-//! * [`PlanCache::with_config`] — everything else: a byte budget,
-//!   per-tenant quotas and a fair-share floor.  Entry footprints come from
-//!   [`Plan::approx_heap_bytes`] at insert time; a plan that grows afterwards
-//!   (the first numeric run attaches its substrate) is charged again by
-//!   re-inserting it, which the server does after every numeric `/report`
-//!   that moved the footprint.
+//! * [`PlanCache::new`] — the count-bounded LRU (capacity in entries);
+//! * [`PlanCache::with_config`] — a byte budget, an entry bound or both
+//!   (the server's caches run an entry bound under a byte ceiling).  Entry
+//!   footprints come from [`Plan::approx_heap_bytes`] at insert time; a
+//!   plan that grows afterwards (the first numeric run attaches its
+//!   substrate) is charged again by re-inserting it, which the server does
+//!   after every numeric `/report` that moved the footprint.
 //!
 //! Misses are *single-flight* either way: concurrent callers with the
 //! same key wait for the one planner instead of re-running the expensive
 //! symbolic stages.  A waiter polls its own engine's token
 //! ([`Engine::with_cancel`]), so its deadline fires even while someone else
-//! plans.  Each flight carries its own result, so when admission control
-//! leaves a plan uncacheable (over quota, contended, too large) the waiters
-//! of that very flight still share the plan instead of stampeding into N
-//! repeated plans — and no later flight for the key can see it, so it never
-//! serves stale data to fresh lookups.
+//! plans.  Each flight carries its own result, so when a plan is too large
+//! to cache the waiters of that very flight still share the plan instead of
+//! stampeding into N repeated plans — and no later flight for the key can
+//! see it, so it never serves stale data to fresh lookups.
 //!
 //! ```
-//! use engine::{Engine, EngineConfig, PlanCache, DEFAULT_TENANT};
+//! use engine::{Engine, EngineConfig, PlanCache};
 //! use treemem::gadgets::harpoon;
 //!
 //! let engine = Engine::new();
-//! let cache = PlanCache::new(8, None);
+//! let cache = PlanCache::new(8);
 //! let config = EngineConfig::prebuilt(harpoon(3, 300, 1));
-//! let (_, hit) = cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
+//! let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
 //! assert!(!hit);
-//! let (_, hit) = cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
+//! let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
 //! assert!(hit);
 //! assert_eq!(cache.stats().hits, 1);
 //! ```
@@ -54,9 +52,6 @@ use super::CacheStats;
 use crate::cancel::CancelToken;
 use crate::config::EngineConfig;
 use crate::run::{Engine, EngineError, Plan};
-
-/// The tenant requests fall under when no `X-Tenant` header names one.
-pub const DEFAULT_TENANT: &str = "public";
 
 /// The result slot of one flight: set exactly once when the flight settles,
 /// to its plan (cached or not) or to `None` when the planner failed.
@@ -83,12 +78,10 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// A count-bounded LRU: at most `capacity` plans (at least 1), each
-    /// living at most `ttl` (no expiry when `None`).
-    pub fn new(capacity: usize, ttl: Option<Duration>) -> Self {
+    /// A count-bounded LRU: at most `capacity` plans (at least 1).
+    pub fn new(capacity: usize) -> Self {
         Self::with_config(CacheConfig {
             max_entries: Some(capacity.max(1)),
-            ttl,
             ..CacheConfig::default()
         })
     }
@@ -106,23 +99,21 @@ impl PlanCache {
         }
     }
 
-    /// Look up the plan cached under `key` on behalf of `tenant`,
-    /// refreshing recency.  An expired entry drops and reports as a miss.
-    pub fn get(&self, key: &str, tenant: &str) -> Option<Arc<Plan>> {
-        self.core.get(key, tenant)
+    /// Look up the plan cached under `key`, refreshing recency.
+    pub fn get(&self, key: &str) -> Option<Arc<Plan>> {
+        self.core.get(key)
     }
 
-    /// Insert `plan` under `key`, charged to `tenant`; the footprint is
-    /// estimated from the plan.  Returns the admission verdict.
-    pub fn insert(&self, key: &str, tenant: &str, plan: Arc<Plan>) -> Admission {
+    /// Insert `plan` under `key`; the footprint is estimated from the plan.
+    /// Returns the admission verdict.
+    pub fn insert(&self, key: &str, plan: Arc<Plan>) -> Admission {
         let bytes = plan.approx_heap_bytes();
-        self.core.insert(key, tenant, plan, bytes)
+        self.core.insert(key, plan, bytes)
     }
 
     /// The cached plan for `config`'s effective-config hash, planned by
-    /// `engine` (and inserted) on a miss; hits, misses and the inserted
-    /// bytes are charged to `tenant`.  Returns the shared plan and whether
-    /// the lookup hit.
+    /// `engine` (and inserted) on a miss.  Returns the shared plan and
+    /// whether the lookup hit.
     ///
     /// Misses are *single-flight*: concurrent callers with the same key
     /// wait for the one planner instead of each re-running the expensive
@@ -133,10 +124,9 @@ impl PlanCache {
         &self,
         engine: &Engine,
         config: &EngineConfig,
-        tenant: &str,
     ) -> Result<(Arc<Plan>, bool), EngineError> {
         let key = config.hash();
-        self.single_flight(&key, tenant, engine.cancel(), || engine.plan(config))
+        self.single_flight(&key, engine.cancel(), || engine.plan(config))
     }
 
     /// The single-flight core: at most one caller plans `key` at a time;
@@ -151,12 +141,11 @@ impl PlanCache {
     fn single_flight(
         &self,
         key: &str,
-        tenant: &str,
         cancel: Option<&CancelToken>,
         plan: impl FnOnce() -> Result<Plan, EngineError>,
     ) -> Result<(Arc<Plan>, bool), EngineError> {
         let flight = loop {
-            if let Some(plan) = self.core.lookup(key, tenant, false) {
+            if let Some(plan) = self.core.lookup(key, false) {
                 return Ok((plan, true));
             }
             #[cfg(test)]
@@ -174,7 +163,7 @@ impl PlanCache {
             else {
                 // A flight for the key may have inserted and settled since
                 // the lookup above: look again before planning.
-                if let Some(plan) = self.core.lookup(key, tenant, false) {
+                if let Some(plan) = self.core.lookup(key, false) {
                     return Ok((plan, true));
                 }
                 // This caller becomes the planner for the key.
@@ -195,7 +184,7 @@ impl PlanCache {
                     Some(token) => {
                         if token.is_cancelled() {
                             drop(in_flight);
-                            self.core.count_lookup(tenant, false);
+                            self.core.count_lookup(false);
                             return Err(EngineError::Cancelled {
                                 stage: "plan",
                                 elapsed: token.elapsed(),
@@ -214,16 +203,16 @@ impl PlanCache {
             drop(in_flight);
             if let Some(Some(plan)) = flight.get() {
                 // A cached plan is looked up as any hit is (refreshing its
-                // recency); one admission control left uncached is shared
-                // from the flight instead of re-planned.
-                let plan = self.core.lookup(key, tenant, false).unwrap_or_else(|| {
-                    self.core.count_lookup(tenant, true);
+                // recency); one too large to cache is shared from the
+                // flight instead of re-planned.
+                let plan = self.core.lookup(key, false).unwrap_or_else(|| {
+                    self.core.count_lookup(true);
                     plan.clone()
                 });
                 return Ok((plan, true));
             }
         };
-        self.core.count_lookup(tenant, false);
+        self.core.count_lookup(false);
         // From here on the key MUST settle no matter how the planner exits;
         // the guard handles the panic path (a planner that unwinds must not
         // leave its waiters blocked forever).
@@ -234,7 +223,7 @@ impl PlanCache {
         };
         let result = plan().map(|plan| {
             let plan = Arc::new(plan);
-            self.insert(key, tenant, plan.clone());
+            self.insert(key, plan.clone());
             let _ = guard.flight.set(Some(plan.clone()));
             (plan, false)
         });
@@ -247,15 +236,10 @@ impl PlanCache {
         self.core.stats()
     }
 
-    /// Audit the byte/tenant accounting; see
+    /// Audit the byte accounting; see
     /// [`CacheCore::validate_accounting`].
     pub fn validate_accounting(&self) -> Result<(), String> {
         self.core.validate_accounting()
-    }
-
-    /// Drop every entry (counters are kept).
-    pub fn clear(&self) {
-        self.core.clear();
     }
 }
 
@@ -292,13 +276,9 @@ mod tests {
     #[test]
     fn plans_are_shared_on_hits() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
-        let (first, hit_a) = cache
-            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
-            .unwrap();
-        let (second, hit_b) = cache
-            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
-            .unwrap();
+        let cache = PlanCache::new(4);
+        let (first, hit_a) = cache.get_or_plan(&engine, &config(1)).unwrap();
+        let (second, hit_b) = cache.get_or_plan(&engine, &config(1)).unwrap();
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&first, &second));
@@ -311,67 +291,35 @@ mod tests {
     #[test]
     fn capacity_evicts_least_recently_used() {
         let engine = Engine::new();
-        let cache = PlanCache::new(2, None);
+        let cache = PlanCache::new(2);
         let configs: Vec<EngineConfig> = (1..=3).map(config).collect();
         for index in [0, 1, 0, 2] {
             // Touching 0 again makes 1 the LRU victim.
-            cache
-                .get_or_plan(&engine, &configs[index], DEFAULT_TENANT)
-                .unwrap();
+            cache.get_or_plan(&engine, &configs[index]).unwrap();
         }
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get(&configs[0].hash(), DEFAULT_TENANT).is_some());
-        assert!(cache.get(&configs[1].hash(), DEFAULT_TENANT).is_none());
-        assert!(cache.get(&configs[2].hash(), DEFAULT_TENANT).is_some());
-    }
-
-    #[test]
-    fn ttl_expires_entries() {
-        let engine = Engine::new();
-        let cache = PlanCache::new(4, Some(Duration::from_millis(20)));
-        cache
-            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
-            .unwrap();
-        assert!(cache.get(&config(1).hash(), DEFAULT_TENANT).is_some());
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(cache.get(&config(1).hash(), DEFAULT_TENANT).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.expirations, 1);
-        assert_eq!(stats.entries, 0);
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
-        cache
-            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
-            .unwrap();
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.misses, 1);
+        assert!(cache.get(&configs[0].hash()).is_some());
+        assert!(cache.get(&configs[1].hash()).is_none());
+        assert!(cache.get(&configs[2].hash()).is_some());
     }
 
     #[test]
     fn planning_errors_pass_through() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::new(4);
         let bad = config(1).with_solver("nope");
-        assert!(cache.get_or_plan(&engine, &bad, DEFAULT_TENANT).is_err());
+        assert!(cache.get_or_plan(&engine, &bad).is_err());
         assert_eq!(cache.stats().entries, 0);
         // The failed key settled: a later attempt plans again (and a valid
         // config on the same cache is unaffected).
-        assert!(cache.get_or_plan(&engine, &bad, DEFAULT_TENANT).is_err());
-        assert!(cache
-            .get_or_plan(&engine, &config(1), DEFAULT_TENANT)
-            .is_ok());
+        assert!(cache.get_or_plan(&engine, &bad).is_err());
+        assert!(cache.get_or_plan(&engine, &config(1)).is_ok());
     }
 
     #[test]
     fn a_panicking_planner_settles_the_key_and_unblocks_waiters() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::new(4);
         let config = config(5);
         let key = config.hash();
         let barrier = std::sync::Barrier::new(2);
@@ -380,7 +328,7 @@ mod tests {
             // way in, then dies mid-plan.
             let panicker = scope.spawn(|| {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    cache.single_flight(&key, DEFAULT_TENANT, None, || {
+                    cache.single_flight(&key, None, || {
                         barrier.wait();
                         std::thread::sleep(Duration::from_millis(30));
                         panic!("injected planner panic");
@@ -392,7 +340,7 @@ mod tests {
             // Thread B (this one): before the fix, A's unwind left the key
             // in `in_flight` forever and this call never returned.
             let (plan, hit) = cache
-                .single_flight(&key, DEFAULT_TENANT, None, || engine.plan(&config))
+                .single_flight(&key, None, || engine.plan(&config))
                 .expect("the second caller plans after the panic settles");
             assert!(!hit, "the panicked attempt cached nothing");
             assert_eq!(plan.config_hash(), key);
@@ -400,21 +348,21 @@ mod tests {
         });
         assert_eq!(cache.stats().entries, 1);
         // The in-flight set is empty again: a third caller hits the cache.
-        let (_, hit) = cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
+        let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
         assert!(hit);
     }
 
     #[test]
     fn waiters_honor_their_own_deadline_while_another_caller_plans() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::new(4);
         let config = config(6);
         let key = config.hash();
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             let slow = scope.spawn(|| {
                 cache
-                    .single_flight(&key, DEFAULT_TENANT, None, || {
+                    .single_flight(&key, None, || {
                         barrier.wait();
                         std::thread::sleep(Duration::from_millis(200));
                         engine.plan(&config)
@@ -426,7 +374,7 @@ mod tests {
             // the slow planner finishes.
             let token = crate::cancel::CancelToken::with_deadline(Duration::ZERO);
             let started = std::time::Instant::now();
-            let result = cache.get_or_plan(&engine.with_cancel(token), &config, DEFAULT_TENANT);
+            let result = cache.get_or_plan(&engine.with_cancel(token), &config);
             assert!(
                 matches!(result, Err(EngineError::Cancelled { stage: "plan", .. })),
                 "the waiter's own deadline fires while someone else plans"
@@ -439,20 +387,13 @@ mod tests {
     #[test]
     fn concurrent_misses_are_single_flight() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::new(4);
         let config = config(2);
         // Every concurrent caller gets the *same* Arc: exactly one of them
         // planned, the rest waited for it (or hit the cache afterwards).
         let plans: Vec<Arc<Plan>> = std::thread::scope(|scope| {
             let tasks: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        cache
-                            .get_or_plan(&engine, &config, DEFAULT_TENANT)
-                            .unwrap()
-                            .0
-                    })
-                })
+                .map(|_| scope.spawn(|| cache.get_or_plan(&engine, &config).unwrap().0))
                 .collect();
             tasks
                 .into_iter()
@@ -472,7 +413,7 @@ mod tests {
         // The caller below misses the cache; before it reaches the in-flight
         // set, a whole flight for the same key plans, inserts and settles.
         // The caller must share that entry, not plan the key a second time.
-        let cache = Arc::new(PlanCache::new(4, None));
+        let cache = Arc::new(PlanCache::new(4));
         let config = config(7);
         let key = config.hash();
         let planner_runs = Arc::new(AtomicUsize::new(0));
@@ -483,7 +424,7 @@ mod tests {
             move || {
                 let engine = Engine::new();
                 let (plan, hit) = cache
-                    .single_flight(&key, DEFAULT_TENANT, None, || {
+                    .single_flight(&key, None, || {
                         runs.fetch_add(1, SeqCst);
                         engine.plan(&config)
                     })
@@ -495,7 +436,7 @@ mod tests {
         *cache.after_miss.lock().unwrap() = Some(Box::new(hook));
         let engine = Engine::new();
         let (plan, hit) = cache
-            .single_flight(&key, DEFAULT_TENANT, None, || {
+            .single_flight(&key, None, || {
                 planner_runs.fetch_add(1, SeqCst);
                 engine.plan(&config)
             })
@@ -512,14 +453,14 @@ mod tests {
     #[test]
     fn a_single_flight_waiter_counts_one_lookup_not_two() {
         let engine = Engine::new();
-        let cache = PlanCache::new(4, None);
+        let cache = PlanCache::new(4);
         let config = config(4);
         let key = config.hash();
         let flying = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             let planner = scope.spawn(|| {
                 cache
-                    .single_flight(&key, "planner", None, || {
+                    .single_flight(&key, None, || {
                         flying.wait();
                         // Stay in flight until the waiter has looked the key
                         // up, found it flying and reached the wait (it bumps
@@ -533,7 +474,7 @@ mod tests {
                     .unwrap()
             });
             flying.wait();
-            let (shared, hit) = cache.get_or_plan(&engine, &config, "waiter").unwrap();
+            let (shared, hit) = cache.get_or_plan(&engine, &config).unwrap();
             let (planned, planner_hit) = planner.join().expect("planner");
             assert!(hit && !planner_hit);
             assert!(Arc::ptr_eq(&shared, &planned));
@@ -542,8 +483,6 @@ mod tests {
         // waiter's hit — the waiter's pre-wait lookup is not a second miss.
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        let waiter = stats.per_tenant.iter().find(|t| t.tenant == "waiter");
-        assert_eq!(waiter.map(|t| (t.hits, t.misses)), Some((1, 0)));
     }
 
     #[test]
@@ -559,7 +498,7 @@ mod tests {
         let plans: Vec<Arc<Plan>> = std::thread::scope(|scope| {
             let a = scope.spawn(|| {
                 cache
-                    .single_flight(&config.hash(), DEFAULT_TENANT, None, || {
+                    .single_flight(&config.hash(), None, || {
                         barrier.wait();
                         // Give the waiter time to join the flight.
                         std::thread::sleep(Duration::from_millis(50));
@@ -571,10 +510,7 @@ mod tests {
             let b = scope.spawn(|| {
                 barrier.wait();
                 std::thread::sleep(Duration::from_millis(5));
-                cache
-                    .get_or_plan(&engine, &config, DEFAULT_TENANT)
-                    .unwrap()
-                    .0
+                cache.get_or_plan(&engine, &config).unwrap().0
             });
             vec![a.join().expect("planner"), b.join().expect("waiter")]
         });
@@ -582,26 +518,6 @@ mod tests {
         assert!(Arc::ptr_eq(&plans[0], &plans[1]));
         assert_eq!(cache.stats().entries, 0, "nothing was cached");
         assert!(cache.stats().uncacheable >= 1);
-    }
-
-    #[test]
-    fn byte_mode_charges_tenants_and_reports_them() {
-        let engine = Engine::new();
-        let cache = PlanCache::with_config(CacheConfig {
-            bytes_capacity: 1 << 30,
-            ..CacheConfig::default()
-        });
-        cache.get_or_plan(&engine, &config(1), "alice").unwrap();
-        cache.get_or_plan(&engine, &config(1), "bob").unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.per_tenant.len(), 2);
-        let alice = &stats.per_tenant[0];
-        assert_eq!(alice.tenant, "alice");
-        assert_eq!(alice.entries, 1, "the plan is charged to its inserter");
-        assert!(alice.bytes > 0);
-        let bob = &stats.per_tenant[1];
-        assert_eq!((bob.entries, bob.hits), (0, 1), "bob shares alice's plan");
-        cache.validate_accounting().unwrap();
     }
 
     #[test]
@@ -621,7 +537,7 @@ mod tests {
         let config = EngineConfig::generated(ProblemKind::Grid2d, 144, 1)
             .with_numeric(true)
             .with_solve(SolveConfig::vectors(rhs));
-        cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
+        cache.get_or_plan(&engine, &config).unwrap();
         assert!(rhs_bytes >= 1_000_000);
         assert!(cache.stats().bytes_used >= rhs_bytes);
         cache.validate_accounting().unwrap();

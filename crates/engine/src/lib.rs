@@ -18,10 +18,10 @@
 //!   per-stage wall-clock times and provenance;
 //! * [`Engine::with_cancel`] — the same engine under a request's
 //!   [`CancelToken`], which every stage above polls;
-//! * [`PlanCache`] — a bounded LRU (+ optional TTL) of `Arc<Plan>`s keyed by
-//!   effective-config hash and charged per tenant, so repeated
-//!   configurations skip the ordering/symbolic stages entirely (the
-//!   substrate of `crates/server`'s plan cache).
+//! * [`PlanCache`] — one pool of `Arc<Plan>`s keyed by effective-config
+//!   hash, evicted least recently used first under a byte budget, an entry
+//!   bound or both, so repeated configurations skip the ordering/symbolic
+//!   stages entirely (the substrate of `crates/server`'s plan cache).
 //!
 //! ```
 //! use engine::prelude::*;
@@ -53,9 +53,7 @@ pub mod run;
 /// serving layer, the lower crates fire the points).
 pub use treemem::faultinject;
 
-pub use cache::{
-    Admission, CacheConfig, CacheCore, CacheStats, PlanCache, TenantUsage, DEFAULT_TENANT,
-};
+pub use cache::{Admission, CacheConfig, CacheCore, CacheStats, PlanCache};
 pub use cancel::{monotonic_millis, CancelToken};
 pub use config::{
     fingerprint64, BudgetShare, ConfigParseError, DistributedConfig, EngineConfig, MemoryBudget,

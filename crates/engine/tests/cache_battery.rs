@@ -5,11 +5,8 @@
 //! are asserted on them:
 //!
 //! * byte accounting never drifts (the internal audit passes at every
-//!   sampled point, under churn and after TTL expiry);
+//!   sampled point under churn);
 //! * the byte capacity is never exceeded;
-//! * per-tenant quotas confine each tenant's resident bytes;
-//! * the fair-share floor keeps a well-behaved tenant's working set
-//!   resident through another tenant's scan flood;
 //! * every eviction decision is pinned: the seeded churn ends on literal
 //!   hit, miss, eviction and byte counts.
 //!
@@ -21,7 +18,6 @@
 //! order, replacement, and byte budgets over factors of lopsided sizes.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use engine::cache::{CacheConfig, CacheCore};
 use prng::{Rng, StdRng};
@@ -33,7 +29,7 @@ fn core_with(config: CacheConfig) -> CacheCore<u64> {
 }
 
 /// The audit that every sampled point of every workload must pass.
-fn audit(core: &CacheCore<u64>, capacity: u64, quota: Option<u64>) {
+fn audit(core: &CacheCore<u64>, capacity: u64) {
     core.validate_accounting()
         .unwrap_or_else(|e| panic!("accounting drifted: {e}"));
     let stats = core.stats();
@@ -42,22 +38,12 @@ fn audit(core: &CacheCore<u64>, capacity: u64, quota: Option<u64>) {
         "{} bytes resident exceeds the {capacity}-byte capacity",
         stats.bytes_used
     );
-    if let Some(quota) = quota {
-        for tenant in &stats.per_tenant {
-            assert!(
-                tenant.bytes <= quota,
-                "tenant '{}' holds {} bytes over its {quota}-byte quota",
-                tenant.tenant,
-                tenant.bytes
-            );
-        }
-    }
 }
 
-/// The battery's single-tenant churn: 4 000 seeded lookups over 600 keys
-/// into a 256 KiB cache, each miss inserting a 1–24 KiB entry — far smaller
-/// than capacity, so the cache churns through many evictions without ever
-/// being trivially empty or trivially full.  Audits every 251 rounds.
+/// The battery's churn: 4 000 seeded lookups over 600 keys into a 256 KiB
+/// cache, each miss inserting a 1–24 KiB entry — far smaller than capacity,
+/// so the cache churns through many evictions without ever being trivially
+/// empty or trivially full.  Audits every 251 rounds.
 fn seeded_churn(capacity: u64) -> CacheCore<u64> {
     let core = core_with(CacheConfig {
         bytes_capacity: capacity,
@@ -66,40 +52,15 @@ fn seeded_churn(capacity: u64) -> CacheCore<u64> {
     let mut rng = StdRng::seed_from_u64(0xBA77E2);
     for round in 0..4_000u64 {
         let key = format!("k{}", rng.gen_range(0..600));
-        if core.get(&key, "public").is_none() {
+        if core.get(&key).is_none() {
             let bytes = rng.gen_range(KIB..24 * KIB);
-            core.insert(&key, "public", Arc::new(round), bytes);
+            core.insert(&key, Arc::new(round), bytes);
         }
         if round % 251 == 0 {
-            audit(&core, capacity, None);
+            audit(&core, capacity);
         }
     }
-    audit(&core, capacity, None);
-    core
-}
-
-/// The battery's three-tenant churn under a quota of a quarter of the
-/// capacity; audits every 199 rounds.
-fn seeded_quota_churn(capacity: u64, quota: u64) -> CacheCore<u64> {
-    let core = core_with(CacheConfig {
-        bytes_capacity: capacity,
-        tenant_quota_bytes: Some(quota),
-        ..CacheConfig::default()
-    });
-    let mut rng = StdRng::seed_from_u64(0x900DA);
-    let tenants = ["alpha", "beta", "gamma"];
-    for round in 0..3_000u64 {
-        let tenant = tenants[rng.gen_range(0..tenants.len())];
-        let key = format!("{tenant}:{}", rng.gen_range(0..200));
-        if core.get(&key, tenant).is_none() {
-            let bytes = rng.gen_range(KIB..16 * KIB);
-            core.insert(&key, tenant, Arc::new(round), bytes);
-        }
-        if round % 199 == 0 {
-            audit(&core, capacity, Some(quota));
-        }
-    }
-    audit(&core, capacity, Some(quota));
+    audit(&core, capacity);
     core
 }
 
@@ -116,119 +77,16 @@ fn churn_keeps_accounting_and_capacity() {
     );
 }
 
-#[test]
-fn churn_confines_tenants_to_their_quota() {
-    let capacity = 256 * KIB;
-    seeded_quota_churn(capacity, capacity / 4);
-}
-
-/// Every eviction decision of both seeded churns, pinned: the literals are
+/// Every eviction decision of the seeded churn, pinned: the literals are
 /// the counts the cache produced while it still selected victims through
-/// pluggable policy sessions (its LRU session), so a change to the order,
-/// the deficit loop or the quota pass moves at least one of them.
+/// pluggable policy sessions (its LRU session), so a change to the order
+/// or the deficit loop moves at least one of them.
 #[test]
 fn seeded_churn_evicts_exactly_as_pinned() {
     let stats = seeded_churn(256 * KIB).stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.evictions, stats.bytes_used),
         (129, 3_871, 3_852, 259_470)
-    );
-    let stats = seeded_quota_churn(256 * KIB, 64 * KIB).stats();
-    assert_eq!(
-        (stats.hits, stats.misses, stats.evictions, stats.bytes_used),
-        (96, 2_904, 2_876, 188_595)
-    );
-    let tenants: Vec<(u64, usize)> = stats
-        .per_tenant
-        .iter()
-        .map(|t| (t.bytes, t.entries))
-        .collect();
-    assert_eq!(tenants, [(63_120, 8), (61_853, 11), (63_622, 9)]);
-}
-
-#[test]
-fn ttl_entries_expire_without_accounting_drift() {
-    let capacity = 256 * KIB;
-    let core = core_with(CacheConfig {
-        bytes_capacity: capacity,
-        ttl: Some(Duration::from_millis(25)),
-        ..CacheConfig::default()
-    });
-    for index in 0..8u64 {
-        let key = format!("t{index}");
-        core.insert(&key, "public", Arc::new(index), 4 * KIB);
-    }
-    std::thread::sleep(Duration::from_millis(60));
-    for index in 0..8u64 {
-        let key = format!("t{index}");
-        assert!(
-            core.get(&key, "public").is_none(),
-            "'{key}' survived past its TTL"
-        );
-    }
-    audit(&core, capacity, None);
-    let stats = core.stats();
-    assert!(
-        stats.expirations >= 8,
-        "only {} expirations recorded for 8 dead entries",
-        stats.expirations
-    );
-    assert_eq!(stats.entries, 0, "expired entries still resident");
-}
-
-/// The tenant-isolation property the serving layer advertises: with the
-/// fair-share floor armed, one tenant's scan flood cannot evict another
-/// tenant's working set below its floor share — the floor is enforced by
-/// the core's candidate filter, upstream of the eviction order.
-#[test]
-fn scan_flood_cannot_push_another_tenant_below_the_floor() {
-    let capacity = 1024 * KIB;
-    let floor = 0.8;
-    let core = core_with(CacheConfig {
-        bytes_capacity: capacity,
-        tenant_floor: floor,
-        ..CacheConfig::default()
-    });
-    // Tenant beta parks a working set of 40 × 10 KiB = 400 KiB, right at
-    // its two-tenant floor share (0.8 × 1 MiB / 2 = 409.6 KiB).
-    let hot: Vec<String> = (0..40).map(|i| format!("hot{i}")).collect();
-    for (index, key) in hot.iter().enumerate() {
-        let admission = core.insert(key, "beta", Arc::new(index as u64), 10 * KIB);
-        assert!(
-            admission.is_cached(),
-            "beta's working set did not fit an empty cache"
-        );
-    }
-    // Tenant alpha floods 300 one-shot 50 KiB entries — 15 MiB through a
-    // 1 MiB cache.  Without the floor this wipes beta out completely.
-    let mut rng = StdRng::seed_from_u64(0xF100D);
-    for index in 0..300u64 {
-        let bytes = rng.gen_range(40 * KIB..60 * KIB);
-        core.insert(&format!("scan{index}"), "alpha", Arc::new(index), bytes);
-    }
-    audit(&core, capacity, None);
-    let stats = core.stats();
-    let beta_bytes = stats
-        .per_tenant
-        .iter()
-        .find(|t| t.tenant == "beta")
-        .map(|t| t.bytes)
-        .unwrap_or(0);
-    let floor_bytes = (floor * capacity as f64 / 2.0) as u64;
-    assert!(
-        beta_bytes >= floor_bytes.saturating_sub(10 * KIB),
-        "alpha's flood pushed beta to {beta_bytes} bytes, \
-         below the {floor_bytes}-byte fair-share floor"
-    );
-    // And the survivors actually serve: replaying the hot set hits for
-    // at least the floor's worth of entries.
-    let hits = hot
-        .iter()
-        .filter(|key| core.get(key, "beta").is_some())
-        .count();
-    assert!(
-        hits * 10 * KIB as usize >= floor_bytes.saturating_sub(10 * KIB) as usize,
-        "only {hits}/40 of beta's hot set survived the flood"
     );
 }
 
@@ -254,7 +112,7 @@ fn deposit(
     handle: &Arc<engine::FactorHandle>,
 ) -> engine::cache::Admission {
     let bytes = handle.approx_heap_bytes();
-    cache.insert(key, engine::DEFAULT_TENANT, Arc::clone(handle), bytes)
+    cache.insert(key, Arc::clone(handle), bytes)
 }
 
 fn sized_factor(seed: u64, n: usize) -> Arc<engine::FactorHandle> {
@@ -279,11 +137,11 @@ fn lru_evicts_the_coldest_factor() {
     let cache = factor_lru(2);
     deposit(&cache, "a", &factor(1));
     deposit(&cache, "b", &factor(2));
-    assert!(cache.get("a", engine::DEFAULT_TENANT).is_some()); // "b" is now coldest
+    assert!(cache.get("a").is_some()); // "b" is now coldest
     deposit(&cache, "c", &factor(3));
-    assert!(cache.get("b", engine::DEFAULT_TENANT).is_none());
-    assert!(cache.get("a", engine::DEFAULT_TENANT).is_some());
-    assert!(cache.get("c", engine::DEFAULT_TENANT).is_some());
+    assert!(cache.get("b").is_none());
+    assert!(cache.get("a").is_some());
+    assert!(cache.get("c").is_some());
     let stats = cache.stats();
     assert_eq!(stats.evictions, 1);
     assert_eq!(stats.misses, 1);
@@ -326,7 +184,7 @@ fn byte_budget_accounts_lopsided_factor_sizes() {
     assert_eq!(cache.stats().entries, 4);
     deposit(&cache, "big", &big);
     let stats = cache.stats();
-    assert!(cache.get("big", engine::DEFAULT_TENANT).is_some());
+    assert!(cache.get("big").is_some());
     assert!(
         stats.evictions >= 1,
         "the big factor must evict by bytes, not slots"

@@ -14,7 +14,6 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use engine::prelude::*;
-use engine::DEFAULT_TENANT;
 use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger};
 use multifrontal::{multifrontal_cholesky, ContributionStore, FrontArena, SymbolicStructure};
 use sparsemat::gen::{spd_matrix_from_pattern, ProblemKind};
@@ -418,19 +417,17 @@ fn threaded_subtree_factorization_is_bitwise_equal_to_sequential() {
 #[test]
 fn plan_cache_distinguishes_serial_and_parallel_requests() {
     let engine = Engine::new();
-    let cache = PlanCache::new(8, None);
+    let cache = PlanCache::new(8);
     let serial = numeric_config(ProblemKind::Grid2d);
     let parallel = serial
         .clone()
         .with_parallel(ParallelConfig::with_workers(4).with_max_tasks(8));
 
-    let (serial_plan, hit) = cache.get_or_plan(&engine, &serial, DEFAULT_TENANT).unwrap();
+    let (serial_plan, hit) = cache.get_or_plan(&engine, &serial).unwrap();
     assert!(!hit);
     // The parallel request must miss: serving the cached serial plan would
     // execute with the wrong parallel section.
-    let (parallel_plan, hit) = cache
-        .get_or_plan(&engine, &parallel, DEFAULT_TENANT)
-        .unwrap();
+    let (parallel_plan, hit) = cache.get_or_plan(&engine, &parallel).unwrap();
     assert!(!hit, "a serial plan was served for a parallel request");
     assert_ne!(serial_plan.config_hash(), parallel_plan.config_hash());
 
@@ -449,16 +446,6 @@ fn plan_cache_distinguishes_serial_and_parallel_requests() {
     assert_eq!(parallel_report.parallel.as_ref().unwrap().workers, 4);
 
     // And the cache now hits each of them independently.
-    assert!(
-        cache
-            .get_or_plan(&engine, &serial, DEFAULT_TENANT)
-            .unwrap()
-            .1
-    );
-    assert!(
-        cache
-            .get_or_plan(&engine, &parallel, DEFAULT_TENANT)
-            .unwrap()
-            .1
-    );
+    assert!(cache.get_or_plan(&engine, &serial).unwrap().1);
+    assert!(cache.get_or_plan(&engine, &parallel).unwrap().1);
 }

@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--workers N]
-//!       [--cache-bytes N] [--factor-cache-bytes N]
-//!       [--tenant-quota-bytes N] [--tenant-floor F]
-//!       [--cache-ttl-seconds S] [--max-body-bytes N]
+//!       [--cache-bytes N] [--factor-cache-bytes N] [--max-body-bytes N]
 //!       [--default-deadline-ms MS] [--max-deadline-ms MS]
 //! serve --role worker --coordinator HOST:PORT [--worker-id NAME]
 //! ```
 //!
-//! Both caches evict least recently used first.  They are sized in
-//! **bytes** with `--cache-bytes` (plans) and `--factor-cache-bytes`
-//! (factors); without a byte budget a cache is bounded by entry count (64
-//! plans, 8 factors) under a 96 MiB byte ceiling.
+//! Each cache is one pool of entries, evicted least recently used first.
+//! They are sized in **bytes** with `--cache-bytes` (plans) and
+//! `--factor-cache-bytes` (factors); without a byte budget a cache is
+//! bounded by entry count (64 plans, 8 factors) under a 96 MiB byte
+//! ceiling.  Both deadline flags take a positive number of milliseconds.
 //!
 //! The default role, `coordinator`, binds (port 0 picks an ephemeral port,
 //! printed on stdout) and serves until the process is terminated.  See the
@@ -50,9 +49,7 @@ use server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N]\n\
-         \x20      [--cache-bytes N] [--factor-cache-bytes N]\n\
-         \x20      [--tenant-quota-bytes N] [--tenant-floor F]\n\
-         \x20      [--cache-ttl-seconds S] [--max-body-bytes N]\n\
+         \x20      [--cache-bytes N] [--factor-cache-bytes N] [--max-body-bytes N]\n\
          \x20      [--default-deadline-ms MS] [--max-deadline-ms MS]\n\
          \x20  or: serve --role worker --coordinator HOST:PORT [--worker-id NAME]"
     );
@@ -73,6 +70,18 @@ where
     })
 }
 
+/// A deadline flag's value: a positive number of milliseconds.  A zero
+/// deadline would answer 504 to every cold request, and `X-Deadline-Ms: 0`
+/// is a 400, so it is refused here too.
+fn deadline(flag: &str, value: Option<&String>) -> Duration {
+    let ms: u64 = parse(flag, value);
+    if ms == 0 {
+        eprintln!("serve: {flag} must be a positive number of milliseconds");
+        usage();
+    }
+    Duration::from_millis(ms)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = ServerConfig {
@@ -90,43 +99,21 @@ fn main() {
             "--worker-id" => worker_id = Some(parse("--worker-id", iter.next())),
             "--addr" => config.addr = parse("--addr", iter.next()),
             "--workers" => config.workers = parse("--workers", iter.next()),
-            "--cache-bytes" => {
-                config.cache.plan_bytes = Some(parse("--cache-bytes", iter.next()));
-            }
+            "--cache-bytes" => config.cache_bytes = Some(parse("--cache-bytes", iter.next())),
             "--factor-cache-bytes" => {
-                config.cache.factor_bytes = Some(parse("--factor-cache-bytes", iter.next()));
-            }
-            "--tenant-quota-bytes" => {
-                config.cache.tenant_quota_bytes = Some(parse("--tenant-quota-bytes", iter.next()));
-            }
-            "--tenant-floor" => {
-                let floor: f64 = parse("--tenant-floor", iter.next());
-                if !(0.0..=1.0).contains(&floor) {
-                    eprintln!("serve: --tenant-floor must be within [0, 1], got {floor}");
-                    usage();
-                }
-                config.cache.tenant_floor = floor;
-            }
-            "--cache-ttl-seconds" => {
-                config.cache_ttl = Some(Duration::from_secs(parse(
-                    "--cache-ttl-seconds",
-                    iter.next(),
-                )));
+                config.factor_cache_bytes = Some(parse("--factor-cache-bytes", iter.next()));
             }
             "--max-body-bytes" => config.max_body_bytes = parse("--max-body-bytes", iter.next()),
             "--default-deadline-ms" => {
-                config.default_deadline = Some(Duration::from_millis(parse(
-                    "--default-deadline-ms",
-                    iter.next(),
-                )));
+                config.default_deadline = Some(deadline("--default-deadline-ms", iter.next()));
             }
             "--max-deadline-ms" => {
-                config.max_deadline = Some(Duration::from_millis(parse(
-                    "--max-deadline-ms",
-                    iter.next(),
-                )));
+                config.max_deadline = Some(deadline("--max-deadline-ms", iter.next()));
             }
-            _ => usage(),
+            other => {
+                eprintln!("serve: unknown argument '{other}'");
+                usage();
+            }
         }
     }
     if let Ok(spec) = std::env::var("TREEMEM_FAULT_PLAN") {

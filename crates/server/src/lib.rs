@@ -95,6 +95,14 @@ use crate::http::{read_request, write_response, HttpError};
 use crate::service::{Response, Service};
 
 /// Tuning knobs of a [`Server`]; `Default` is sized for local use.
+///
+/// The plan and factor caches are each one pool of entries, evicted least
+/// recently used first.  By default a cache is bounded by its entry count
+/// (`cache_capacity`, `factor_cache_capacity`) under a 96 MiB byte
+/// ceiling, whichever is reached first; a byte budget (`cache_bytes`,
+/// `factor_cache_bytes`) replaces both.  Either way `bytes_used` is what
+/// the entries hold now: a plan is charged at insert and charged again once
+/// a numeric `/report` has attached its numeric substrate to it.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (the bound address is on
@@ -102,13 +110,11 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing requests (at least 1).
     pub workers: usize,
-    /// Maximum number of cached plans.
+    /// Maximum number of cached plans, when `cache_bytes` is unset.
     pub cache_capacity: usize,
-    /// Optional time-to-live of a cached plan.
-    pub cache_ttl: Option<Duration>,
     /// Maximum number of cached Cholesky factors (`POST /solve` resolves
-    /// against this cache).  Factors are much bigger than plans, so the
-    /// default is deliberately small.
+    /// against this cache), when `factor_cache_bytes` is unset.  Factors
+    /// are much bigger than plans, so the default is deliberately small.
     pub factor_cache_capacity: usize,
     /// Largest accepted request body, in bytes (prebuilt-tree configurations
     /// inline three arrays per node, so this is generous by default).
@@ -124,38 +130,12 @@ pub struct ServerConfig {
     /// ask for no deadline are bounded by it, and requested deadlines are
     /// clamped down to it.
     pub max_deadline: Option<Duration>,
-    /// Byte-sized cache settings; the default keeps the count-bounded LRUs
-    /// of `cache_capacity` / `factor_cache_capacity`, each under the
-    /// default byte ceiling [`CacheSettings`] describes.
-    pub cache: CacheSettings,
-}
-
-/// The `cache` section of the boot configuration: byte budgets and tenant
-/// quotas for the plan and factor caches, both of which evict least
-/// recently used first.
-///
-/// `Default` leaves everything unset, which keeps the caches count-bounded
-/// under a default byte ceiling (96 MiB each): whichever bound is reached
-/// first evicts.  Setting a byte budget switches the corresponding cache to
-/// that budget, replacing the entry bound and the ceiling.  Either way
-/// `bytes_used` is what the entries hold now: a plan is charged at insert
-/// and charged again once a numeric `/report` has attached its numeric
-/// substrate to it.
-#[derive(Debug, Clone, Default)]
-pub struct CacheSettings {
     /// Byte budget of the plan cache; `None` keeps the entry bound of
-    /// [`ServerConfig::cache_capacity`].
-    pub plan_bytes: Option<u64>,
+    /// `cache_capacity` under the default byte ceiling.
+    pub cache_bytes: Option<u64>,
     /// Byte budget of the factor cache; `None` keeps the entry bound of
-    /// [`ServerConfig::factor_cache_capacity`].
-    pub factor_bytes: Option<u64>,
-    /// Per-tenant byte quota on each cache (over-quota inserts are
-    /// admitted but uncacheable).
-    pub tenant_quota_bytes: Option<u64>,
-    /// Fair-share floor fraction in `[0, 1]`: a tenant holding no more
-    /// than `floor × capacity / active_tenants` bytes cannot be evicted
-    /// by other tenants' traffic.
-    pub tenant_floor: f64,
+    /// `factor_cache_capacity` under the default byte ceiling.
+    pub factor_cache_bytes: Option<u64>,
 }
 
 /// Byte ceiling of a cache whose budget is unset, plan and factor cache
@@ -169,26 +149,15 @@ pub struct CacheSettings {
 /// unbounded cache's (0.864) within noise, and `report_dist2` reads the
 /// unbounded cache's RSS (325 against 337 MiB) with three times the jobs in
 /// its window.  One entry larger than the ceiling is served but not cached;
-/// set `plan_bytes` / `factor_bytes` for problems of that size.
+/// set `cache_bytes` / `factor_cache_bytes` for problems of that size.
 const DEFAULT_CACHE_BYTES: u64 = 96 << 20;
 
-impl CacheSettings {
-    /// The [`CacheConfig`] of one cache: `bytes` is its byte budget, if one
-    /// is set; otherwise the `entries` bound applies under
-    /// `DEFAULT_CACHE_BYTES`.
-    fn cache_config(
-        &self,
-        bytes: Option<u64>,
-        entries: usize,
-        ttl: Option<Duration>,
-    ) -> CacheConfig {
-        CacheConfig {
-            bytes_capacity: bytes.unwrap_or(DEFAULT_CACHE_BYTES),
-            max_entries: bytes.is_none().then_some(entries.max(1)),
-            ttl,
-            tenant_quota_bytes: self.tenant_quota_bytes,
-            tenant_floor: self.tenant_floor,
-        }
+/// The [`CacheConfig`] of one cache: `bytes` is its byte budget, if one is
+/// set; otherwise the `entries` bound applies under `DEFAULT_CACHE_BYTES`.
+fn cache_config(bytes: Option<u64>, entries: usize) -> CacheConfig {
+    CacheConfig {
+        bytes_capacity: bytes.unwrap_or(DEFAULT_CACHE_BYTES),
+        max_entries: bytes.is_none().then_some(entries.max(1)),
     }
 }
 
@@ -201,13 +170,13 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: engine::parallel::default_threads(usize::MAX),
             cache_capacity: 64,
-            cache_ttl: None,
             factor_cache_capacity: 8,
             max_body_bytes: 64 * 1024 * 1024,
             max_backlog: 1024,
             default_deadline: None,
             max_deadline: None,
-            cache: CacheSettings::default(),
+            cache_bytes: None,
+            factor_cache_bytes: None,
         }
     }
 }
@@ -224,17 +193,10 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let plan_cache = PlanCache::with_config(config.cache.cache_config(
-            config.cache.plan_bytes,
-            config.cache_capacity,
-            config.cache_ttl,
-        ));
+        let plan_cache =
+            PlanCache::with_config(cache_config(config.cache_bytes, config.cache_capacity));
         let factor_cache = CacheCore::new(
-            config.cache.cache_config(
-                config.cache.factor_bytes,
-                config.factor_cache_capacity,
-                None,
-            ),
+            cache_config(config.factor_cache_bytes, config.factor_cache_capacity),
             "factor-cache.inner",
         );
         let service = Arc::new(

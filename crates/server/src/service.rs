@@ -142,7 +142,6 @@ impl Service {
     /// handlers can use `?`.
     fn route(&self, request: &Request) -> Result<Response, Response> {
         let header_deadline = header_deadline_ms(request)?;
-        let tenant = request_tenant(request)?;
         let body = &request.body;
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => Ok(Response::ok(json::document(|doc| {
@@ -159,10 +158,10 @@ impl Service {
                 let scoped = cancel.clone().map(|token| self.engine.with_cancel(token));
                 let engine = scoped.as_ref().unwrap_or(&self.engine);
                 match path {
-                    "/plan" => self.handle_plan(engine, body, &tenant),
-                    "/schedule" => self.handle_schedule(engine, body, &tenant),
-                    "/report" => self.handle_report(engine, cancel.as_ref(), body, &tenant),
-                    _ => self.handle_solve(cancel.as_ref(), body, &tenant),
+                    "/plan" => self.handle_plan(engine, body),
+                    "/schedule" => self.handle_schedule(engine, body),
+                    "/report" => self.handle_report(engine, cancel.as_ref(), body),
+                    _ => self.handle_solve(cancel.as_ref(), body),
                 }
             }
             ("POST", "/internal/claim") => Ok(self.handle_claim(body)),
@@ -227,17 +226,16 @@ impl Service {
         Ok(config)
     }
 
-    /// Fetch or build (on `engine`) the plan for `config` on behalf of
-    /// `tenant`, recording plan-stage latency on misses.
+    /// Fetch or build (on `engine`) the plan for `config`, recording
+    /// plan-stage latency on misses.
     fn plan_for(
         &self,
         engine: &Engine,
         config: &EngineConfig,
-        tenant: &str,
     ) -> Result<(std::sync::Arc<Plan>, bool), Response> {
         let (plan, hit) = self
             .cache
-            .get_or_plan(engine, config, tenant)
+            .get_or_plan(engine, config)
             .map_err(|e| self.engine_error(&e))?;
         if !hit {
             if let Some(recorder) = self.stats.stage("plan") {
@@ -250,14 +248,9 @@ impl Service {
         Ok((plan, hit))
     }
 
-    fn handle_plan(
-        &self,
-        engine: &Engine,
-        body: &[u8],
-        tenant: &str,
-    ) -> Result<Response, Response> {
+    fn handle_plan(&self, engine: &Engine, body: &[u8]) -> Result<Response, Response> {
         let config = self.parse_config(body)?;
-        let (plan, hit) = self.plan_for(engine, &config, tenant)?;
+        let (plan, hit) = self.plan_for(engine, &config)?;
         let timings = plan.timings();
         let plan_seconds =
             timings.generate_seconds + timings.ordering_seconds + timings.symbolic_seconds;
@@ -276,14 +269,9 @@ impl Service {
         })
     }
 
-    fn handle_schedule(
-        &self,
-        engine: &Engine,
-        body: &[u8],
-        tenant: &str,
-    ) -> Result<Response, Response> {
+    fn handle_schedule(&self, engine: &Engine, body: &[u8]) -> Result<Response, Response> {
         let config = self.parse_config(body)?;
-        let (plan, hit) = self.plan_for(engine, &config, tenant)?;
+        let (plan, hit) = self.plan_for(engine, &config)?;
         let schedule = plan.schedule(engine).map_err(|e| self.engine_error(&e))?;
         self.record_stages(&schedule.timings(), false, false);
         let run = schedule.io_run();
@@ -321,10 +309,9 @@ impl Service {
         engine: &Engine,
         cancel: Option<&CancelToken>,
         body: &[u8],
-        tenant: &str,
     ) -> Result<Response, Response> {
         let config = self.parse_config(body)?;
-        let (plan, hit) = self.plan_for(engine, &config, tenant)?;
+        let (plan, hit) = self.plan_for(engine, &config)?;
         let planned_bytes = plan.approx_heap_bytes();
         let schedule = plan.schedule(engine).map_err(|e| self.engine_error(&e))?;
         // The factor is looked up only on a plan hit: a cold plan has no
@@ -333,7 +320,7 @@ impl Service {
         let sequential =
             config.numeric && !config.parallel.enabled() && !config.distributed.enabled();
         if let Some(factor) = (hit && sequential)
-            .then(|| self.factors.get(schedule.config_hash(), tenant))
+            .then(|| self.factors.get(schedule.config_hash()))
             .flatten()
         {
             let report = schedule
@@ -354,20 +341,20 @@ impl Service {
         // footprint).  Re-charge it, so `bytes_used` tracks what the entry
         // holds and the byte ceiling evicts on real bytes.
         if plan.approx_heap_bytes() != planned_bytes {
-            self.cache.insert(plan.config_hash(), tenant, plan.clone());
+            self.cache.insert(plan.config_hash(), plan.clone());
         }
         // Deposit the factor so later `POST /solve` requests and hot
         // sequential reports can resolve this configuration's hash without
         // re-factorizing (a merged
         // distributed factor is bit-identical to a local one, so it is
-        // deposited the same way).  An over-quota deposit is
+        // deposited the same way).  A factor too large for the cache is
         // admitted-but-uncacheable: this response still carries the
         // factor's results, only later `/solve` lookups miss.
         let factored = factor.is_some();
         if let Some(factor) = factor {
             let bytes = factor.approx_heap_bytes();
             self.factors
-                .insert(&report.config_hash, tenant, Arc::new(factor), bytes);
+                .insert(&report.config_hash, Arc::new(factor), bytes);
         }
         self.record_stages(&report.timings, factored, report.solve.is_some());
         Ok(report_response(report, hit))
@@ -501,7 +488,6 @@ impl Service {
         &self,
         cancel: Option<&CancelToken>,
         body: &[u8],
-        tenant: &str,
     ) -> Result<Response, Response> {
         let parse_started = Instant::now();
         let Ok(text) = std::str::from_utf8(body) else {
@@ -525,7 +511,7 @@ impl Service {
             recorder.record(parse_started.elapsed().as_secs_f64());
         }
 
-        let Some(factor) = self.factors.get(config_hash, tenant) else {
+        let Some(factor) = self.factors.get(config_hash) else {
             return Err(Response {
                 cache_hit: Some(false),
                 config_hash: Some(config_hash.to_string()),
@@ -637,37 +623,6 @@ fn number_arrays(vectors: &Json) -> Option<Vec<Vec<f64>>> {
         .collect()
 }
 
-/// Longest accepted `X-Tenant` value.
-const MAX_TENANT_LEN: usize = 64;
-
-/// Resolve the requesting tenant from the `X-Tenant` header: absent means
-/// the shared [`engine::DEFAULT_TENANT`] pool; present values must be
-/// short identifier-like tokens (letters, digits, `-`, `_`, `.`) so they
-/// stay safe as JSON keys and log fields.
-fn request_tenant(request: &Request) -> Result<String, Response> {
-    match request.header("x-tenant") {
-        None => Ok(engine::DEFAULT_TENANT.to_string()),
-        Some(value) => {
-            let valid = !value.is_empty()
-                && value.len() <= MAX_TENANT_LEN
-                && value
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-            if valid {
-                Ok(value.to_string())
-            } else {
-                Err(Response::error(
-                    400,
-                    &format!(
-                        "X-Tenant must be 1..={MAX_TENANT_LEN} characters of \
-                         [A-Za-z0-9._-]"
-                    ),
-                ))
-            }
-        }
-    }
-}
-
 /// Parse the `X-Deadline-Ms` request header, if present.
 fn header_deadline_ms(request: &Request) -> Result<Option<u64>, Response> {
     match request.header("x-deadline-ms") {
@@ -739,7 +694,7 @@ mod tests {
     }
 
     fn service() -> Service {
-        Service::new(PlanCache::new(8, None), factor_cache(4), 2)
+        Service::new(PlanCache::new(8), factor_cache(4), 2)
     }
 
     fn post(service: &Service, path: &str, body: &str) -> Response {
@@ -955,7 +910,7 @@ mod tests {
         let hash = response.config_hash.expect("reports carry their hash");
         let held = service
             .cache
-            .get(&hash, engine::DEFAULT_TENANT)
+            .get(&hash)
             .expect("the plan is cached")
             .approx_heap_bytes();
         let charged = service.cache_stats().bytes_used;
@@ -1164,7 +1119,7 @@ mod tests {
         let hash = cold.config_hash.clone().unwrap();
         let factor = service
             .factors
-            .get(&hash, engine::DEFAULT_TENANT)
+            .get(&hash)
             .expect("the cold report deposits");
         let plan_bytes = service.cache_stats().bytes_used;
         assert_eq!(stage_count(&service, "numeric"), 1);
@@ -1186,14 +1141,14 @@ mod tests {
         assert_eq!(stage_count(&service, "numeric"), 1);
         assert_eq!(stage_count(&service, "solve"), 2);
         // Neither a re-deposit nor a plan re-charge.
-        let resident = service.factors.get(&hash, engine::DEFAULT_TENANT).unwrap();
+        let resident = service.factors.get(&hash).unwrap();
         assert!(Arc::ptr_eq(&factor, &resident), "the factor was replaced");
         assert_eq!(service.cache_stats().bytes_used, plan_bytes);
     }
 
     #[test]
     fn an_evicted_factor_is_recomputed_and_deposited_again() {
-        let service = Service::new(PlanCache::new(8, None), factor_cache(1), 2);
+        let service = Service::new(PlanCache::new(8), factor_cache(1), 2);
         let config = |seed: u64| {
             EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 100, seed)
                 .with_numeric(true)
@@ -1201,7 +1156,7 @@ mod tests {
         };
         let first = post(&service, "/report", &config(1));
         let hash = first.config_hash.clone().unwrap();
-        let evicted = service.factors.get(&hash, engine::DEFAULT_TENANT).unwrap();
+        let evicted = service.factors.get(&hash).unwrap();
         assert_eq!(post(&service, "/report", &config(2)).status, 200);
         assert_eq!(service.factor_cache_stats().evictions, 1);
 
@@ -1216,10 +1171,7 @@ mod tests {
             3,
             "the hot report factored"
         );
-        let deposited = service
-            .factors
-            .get(&hash, engine::DEFAULT_TENANT)
-            .expect("deposited again");
+        let deposited = service.factors.get(&hash).expect("deposited again");
         assert!(!Arc::ptr_eq(&evicted, &deposited));
     }
 
@@ -1333,14 +1285,14 @@ mod tests {
 
     #[test]
     fn server_side_default_and_maximum_deadlines_apply() {
-        let defaulted = Service::new(PlanCache::new(8, None), factor_cache(4), 2)
+        let defaulted = Service::new(PlanCache::new(8), factor_cache(4), 2)
             .with_deadlines(Some(Duration::from_millis(1)), None);
         let response = post(&defaulted, "/plan", &slow_config());
         assert_eq!(response.status, 504, "{}", response.body);
 
         // The maximum caps a generous requested deadline down to 1 ms and
         // bounds requests that asked for none.
-        let capped = Service::new(PlanCache::new(8, None), factor_cache(4), 2)
+        let capped = Service::new(PlanCache::new(8), factor_cache(4), 2)
             .with_deadlines(None, Some(Duration::from_millis(1)));
         let response = post_with_headers(
             &capped,
@@ -1352,7 +1304,7 @@ mod tests {
         assert_eq!(post(&capped, "/plan", &slow_config()).status, 504);
 
         // Small problems still finish inside the same ceiling-free default.
-        let roomy = Service::new(PlanCache::new(8, None), factor_cache(4), 2)
+        let roomy = Service::new(PlanCache::new(8), factor_cache(4), 2)
             .with_deadlines(Some(Duration::from_secs(600)), None);
         assert_eq!(post(&roomy, "/plan", &sample_config()).status, 200);
     }

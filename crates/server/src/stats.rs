@@ -169,7 +169,7 @@ impl ServerStats {
     /// `engine_server_stats/v1`).
     ///
     /// The versioned `caches` object carries each cache's full picture —
-    /// byte budget and usage, counters, and per-tenant usage.
+    /// byte budget and usage, entry bound, and counters.
     pub fn to_json(
         &self,
         cache: &engine::CacheStats,
@@ -186,7 +186,7 @@ impl ServerStats {
         });
         let caches = Object(|caches| {
             caches
-                .field("schema", "engine_server_caches/v1")
+                .field("schema", "engine_server_caches/v2")
                 .field("plan", cache)
                 .field("factor", factors);
         });
@@ -263,14 +263,6 @@ mod tests {
         stats.stage("numeric").unwrap().record(0.0625);
         stats.count_cancelled("ordering");
         stats.in_flight.store(2, Ordering::Relaxed);
-        let tenant = |tenant: &str, bytes| engine::TenantUsage {
-            tenant: tenant.to_string(),
-            bytes,
-            entries: 2,
-            hits: 5,
-            misses: 1,
-            uncacheable: 0,
-        };
         let plans = engine::CacheStats {
             hits: 3,
             misses: 1,
@@ -279,7 +271,6 @@ mod tests {
             evictions: 4,
             bytes_used: 2048,
             bytes_capacity: 1 << 20,
-            per_tenant: vec![tenant("public", 1024), tenant("acme.eu", 1024)],
             ..Default::default()
         };
         let factors = engine::CacheStats {
@@ -290,7 +281,7 @@ mod tests {
         cluster.note_worker("w-0");
         cluster.note_worker("w-\"1\"");
         let doc = stats.to_json(&plans, &factors, 4, &cluster.snapshot());
-        let parent = "{\n  \"schema\": \"engine_server_stats/v1\",\n  \"uptime_seconds\": 0.000,\n  \"workers\": 4,\n  \"in_flight\": 2,\n  \"accepted_total\": 0,\n  \"responses\": {\"status_2xx\": 1, \"status_4xx\": 0, \"status_5xx\": 1},\n  \"caches\": {\"schema\": \"engine_server_caches/v1\", \"plan\": {\"bytes_capacity\": 1048576, \"bytes_used\": 2048, \"max_entries\": 8, \"entries\": 2, \"hits\": 3, \"misses\": 1, \"hit_rate\": 0.750000, \"evictions\": 4, \"expirations\": 0, \"uncacheable\": 0, \"tenants\": {\"public\": {\"bytes\": 1024, \"entries\": 2, \"hits\": 5, \"misses\": 1, \"uncacheable\": 0}, \"acme.eu\": {\"bytes\": 1024, \"entries\": 2, \"hits\": 5, \"misses\": 1, \"uncacheable\": 0}}}, \"factor\": {\"bytes_capacity\": null, \"bytes_used\": 0, \"max_entries\": null, \"entries\": 0, \"hits\": 0, \"misses\": 0, \"hit_rate\": 0.000000, \"evictions\": 0, \"expirations\": 0, \"uncacheable\": 0, \"tenants\": {}}},\n  \"endpoints\": {\"plan\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"schedule\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"report\": {\"count\": 2, \"mean_seconds\": 0.312500000, \"p50_seconds\": 0.125000000, \"p95_seconds\": 0.500000000, \"p99_seconds\": 0.500000000, \"max_seconds\": 0.500000000}, \"solve\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}},\n  \"stages\": {\"parse\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"plan\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"solver\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"io\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"numeric\": {\"count\": 1, \"mean_seconds\": 0.062500000, \"p50_seconds\": 0.062500000, \"p95_seconds\": 0.062500000, \"p99_seconds\": 0.062500000, \"max_seconds\": 0.062500000}, \"solve\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}},\n  \"cluster\": {\"workers\": [\"w-0\", \"w-\\\"1\\\"\"], \"jobs_started\": 0, \"jobs_completed\": 0, \"tasks_claimed\": 0, \"tasks_completed\": 0, \"tasks_requeued\": 0, \"lease_expiries\": 0, \"stale_contributions\": 0, \"contribution_bytes\": 0},\n  \"cancelled\": {\"total\": 1, \"plan\": 0, \"ordering\": 1, \"symbolic\": 0, \"solver\": 0, \"io\": 0, \"numeric\": 0, \"distributed\": 0, \"solve\": 0, \"other\": 0}\n}\n";
+        let parent = "{\n  \"schema\": \"engine_server_stats/v1\",\n  \"uptime_seconds\": 0.000,\n  \"workers\": 4,\n  \"in_flight\": 2,\n  \"accepted_total\": 0,\n  \"responses\": {\"status_2xx\": 1, \"status_4xx\": 0, \"status_5xx\": 1},\n  \"caches\": {\"schema\": \"engine_server_caches/v2\", \"plan\": {\"bytes_capacity\": 1048576, \"bytes_used\": 2048, \"max_entries\": 8, \"entries\": 2, \"hits\": 3, \"misses\": 1, \"hit_rate\": 0.750000, \"evictions\": 4, \"uncacheable\": 0}, \"factor\": {\"bytes_capacity\": null, \"bytes_used\": 0, \"max_entries\": null, \"entries\": 0, \"hits\": 0, \"misses\": 0, \"hit_rate\": 0.000000, \"evictions\": 0, \"uncacheable\": 0}},\n  \"endpoints\": {\"plan\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"schedule\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"report\": {\"count\": 2, \"mean_seconds\": 0.312500000, \"p50_seconds\": 0.125000000, \"p95_seconds\": 0.500000000, \"p99_seconds\": 0.500000000, \"max_seconds\": 0.500000000}, \"solve\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}},\n  \"stages\": {\"parse\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"plan\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"solver\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"io\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}, \"numeric\": {\"count\": 1, \"mean_seconds\": 0.062500000, \"p50_seconds\": 0.062500000, \"p95_seconds\": 0.062500000, \"p99_seconds\": 0.062500000, \"max_seconds\": 0.062500000}, \"solve\": {\"count\": 0, \"mean_seconds\": 0.000000000, \"p50_seconds\": 0.000000000, \"p95_seconds\": 0.000000000, \"p99_seconds\": 0.000000000, \"max_seconds\": 0.000000000}},\n  \"cluster\": {\"workers\": [\"w-0\", \"w-\\\"1\\\"\"], \"jobs_started\": 0, \"jobs_completed\": 0, \"tasks_claimed\": 0, \"tasks_completed\": 0, \"tasks_requeued\": 0, \"lease_expiries\": 0, \"stale_contributions\": 0, \"contribution_bytes\": 0},\n  \"cancelled\": {\"total\": 1, \"plan\": 0, \"ordering\": 1, \"symbolic\": 0, \"solver\": 0, \"io\": 0, \"numeric\": 0, \"distributed\": 0, \"solve\": 0, \"other\": 0}\n}\n";
         let without_uptime = |doc: &str| match Json::parse(doc).unwrap() {
             Json::Obj(fields) => fields
                 .into_iter()
@@ -321,14 +312,6 @@ mod tests {
             capacity: 8,
             bytes_used: 1024,
             bytes_capacity: u64::MAX,
-            per_tenant: vec![engine::TenantUsage {
-                tenant: "public".to_string(),
-                bytes: 1024,
-                entries: 1,
-                hits: 2,
-                misses: 0,
-                uncacheable: 0,
-            }],
             ..Default::default()
         };
         let cluster = distrib::ClusterStats::new();
@@ -358,7 +341,7 @@ mod tests {
         }
         assert_eq!(
             caches.get("schema").and_then(Json::as_str),
-            Some("engine_server_caches/v1")
+            Some("engine_server_caches/v2")
         );
         let factor_cache = caches.get("factor").expect("factor cache section");
         assert!(factor_cache.get("policy").is_none(), "one eviction order");
@@ -371,14 +354,6 @@ mod tests {
             factor_cache.get("bytes_capacity"),
             Some(Json::Null)
         ));
-        assert_eq!(
-            factor_cache
-                .get("tenants")
-                .and_then(|t| t.get("public"))
-                .and_then(|p| p.get("bytes"))
-                .and_then(Json::as_u64),
-            Some(1024)
-        );
         assert!(json
             .get("stages")
             .and_then(|s| s.get("solve"))

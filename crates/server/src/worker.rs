@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use distrib::{contribution_frame, frame_string, ClaimReply, ClaimRequest};
 use engine::faultinject::{FaultPoint, FaultSignal};
-use engine::{Engine, PlanCache, DEFAULT_TENANT};
+use engine::{Engine, PlanCache};
 
 use crate::http::Request;
 use crate::service::Service;
@@ -140,7 +140,7 @@ pub fn run_worker(transport: &dyn Transport, options: &WorkerOptions) -> WorkerS
     let engine = Engine::new();
     // Two entries: the common case is every task of the current job sharing
     // one configuration, with one slot of slack for back-to-back jobs.
-    let plans = PlanCache::new(2, None);
+    let plans = PlanCache::new(2);
     let mut summary = WorkerSummary::default();
     let mut idle_streak = 0u32;
     loop {
@@ -204,7 +204,7 @@ pub fn run_worker(transport: &dyn Transport, options: &WorkerOptions) -> WorkerS
             .map_err(|error| error.to_string())
             .and_then(|config| {
                 plans
-                    .get_or_plan(&engine, &config, DEFAULT_TENANT)
+                    .get_or_plan(&engine, &config)
                     .map_err(|error| error.to_string())
             })
             .and_then(|(plan, _)| {

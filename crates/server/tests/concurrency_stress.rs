@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use distrib::{contribution_frame, ClaimReply, ClusterStats, Contribution, JobRegistry, JobSpec};
 use engine::prelude::*;
-use engine::{CacheCore, PlanCache, DEFAULT_TENANT};
+use engine::{CacheCore, PlanCache};
 
 const THREADS: usize = 6;
 
@@ -26,7 +26,7 @@ fn banded_config(n: usize, seed: u64) -> EngineConfig {
 #[cfg_attr(miri, ignore = "spawns timed OS threads; tsan covers this file")]
 fn plan_cache_single_flight_survives_a_stampede() {
     let engine = Engine::new();
-    let cache = PlanCache::new(2, None);
+    let cache = PlanCache::new(2);
     let config = banded_config(32, 7);
 
     // Stampede: every thread asks for the same configuration at once.  The
@@ -41,7 +41,7 @@ fn plan_cache_single_flight_survives_a_stampede() {
                 let mut local = Vec::new();
                 for _ in 0..50 {
                     let (plan, hit) = cache
-                        .get_or_plan(&engine, &config, DEFAULT_TENANT)
+                        .get_or_plan(&engine, &config)
                         .expect("planning a well-formed config succeeds");
                     if hit {
                         hits.fetch_add(1, Ordering::Relaxed);
@@ -64,7 +64,7 @@ fn plan_cache_single_flight_survives_a_stampede() {
     let stats = cache.stats();
     assert_eq!(stats.hits + stats.misses, (THREADS * 50) as u64);
     assert!(stats.misses < (THREADS * 50) as u64);
-    let (_, hit) = cache.get_or_plan(&engine, &config, DEFAULT_TENANT).unwrap();
+    let (_, hit) = cache.get_or_plan(&engine, &config).unwrap();
     assert!(hit, "the settled entry must serve follow-up lookups");
 }
 
@@ -105,8 +105,8 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
                     if (worker + round) % 3 == 0 {
                         let factor = Arc::clone(&factors[pick]);
                         let bytes = factor.approx_heap_bytes();
-                        cache.insert(&key, DEFAULT_TENANT, factor, bytes);
-                    } else if let Some(factor) = cache.get(&key, DEFAULT_TENANT) {
+                        cache.insert(&key, factor, bytes);
+                    } else if let Some(factor) = cache.get(&key) {
                         let rhs = SolveRhs::Generated {
                             count: 1,
                             seed: round as u64 + 1,
@@ -126,7 +126,7 @@ fn factor_cache_deposits_race_lookups_and_eviction() {
     cache.validate_accounting().unwrap();
     // Every key that is still resident resolves to a working factor.
     for pick in 0..factors.len() {
-        if let Some(factor) = cache.get(&format!("hash-{pick}"), DEFAULT_TENANT) {
+        if let Some(factor) = cache.get(&format!("hash-{pick}")) {
             let rhs = SolveRhs::Generated { count: 1, seed: 5 };
             let (report, _) = factor
                 .solve_batch(&rhs, true)
@@ -184,9 +184,10 @@ fn job_registry_claims_race_contributions_and_lease_expiry() {
                             std::thread::sleep(Duration::from_millis(retry_ms.clamp(1, 20)));
                         }
                         ClaimReply::Task(task) => {
-                            // Worker 0 walks away from its first lease: the
-                            // deadline reaper must re-issue that task.
-                            if worker == 0 && abandoned.fetch_add(1, Ordering::Relaxed) == 0 {
+                            // Whichever worker makes the job's first claim
+                            // walks away from that lease: the deadline
+                            // reaper must re-issue the task.
+                            if abandoned.fetch_add(1, Ordering::Relaxed) == 0 {
                                 continue;
                             }
                             let parts = plan

@@ -48,7 +48,7 @@ fn cache_stats(addr: SocketAddr, section: &str) -> Json {
     let caches = stats.get("caches").expect("caches section");
     assert_eq!(
         caches.get("schema").and_then(Json::as_str),
-        Some("engine_server_caches/v1")
+        Some("engine_server_caches/v2")
     );
     caches.get(section).expect("cache section").clone()
 }
@@ -115,13 +115,8 @@ fn plan_schedule_report_share_the_cache() {
     let cache = cache_stats(handle.addr(), "plan");
     assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(2));
     assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
-    // The byte-level picture rides along: footprint, tenant usage.
+    // The byte-level picture rides along.
     assert!(cache.get("bytes_used").and_then(Json::as_u64).unwrap() > 0);
-    let public = cache
-        .get("tenants")
-        .and_then(|t| t.get("public"))
-        .expect("default tenant usage");
-    assert_eq!(public.get("hits").and_then(Json::as_u64), Some(2));
     handle.shutdown().expect("clean shutdown");
 }
 
@@ -363,28 +358,6 @@ fn default_caches_stay_under_their_byte_ceiling_evicting_oldest_first() {
 }
 
 #[test]
-fn ttl_expiry_forces_a_replan() {
-    let handle = Server::spawn(ServerConfig {
-        cache_ttl: Some(Duration::from_millis(30)),
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let config = grid_config(100, 77);
-    let (_, headers, _) = post(handle.addr(), "/plan", &config);
-    assert_eq!(header(&headers, "x-cache"), Some("miss"));
-    std::thread::sleep(Duration::from_millis(80));
-    let (_, headers, _) = post(handle.addr(), "/plan", &config);
-    assert_eq!(header(&headers, "x-cache"), Some("miss"));
-    assert_eq!(
-        cache_stats(handle.addr(), "plan")
-            .get("expirations")
-            .and_then(Json::as_u64),
-        Some(1)
-    );
-    handle.shutdown().expect("clean shutdown");
-}
-
-#[test]
 fn concurrent_clients_all_get_answers() {
     let handle = Server::spawn(ServerConfig {
         workers: 4,
@@ -537,79 +510,37 @@ fn solve_round_trips_over_tcp() {
     handle.shutdown().expect("clean shutdown");
 }
 
-/// Tenant isolation over real HTTP: with byte budgets, quotas, and the
-/// fair-share floor armed, one tenant's flood of unique configurations
-/// cannot starve another tenant's hot set, and nobody exceeds the quota.
+/// Both caches are one pool: the `X-Tenant` header the server once read
+/// to split them is now an ordinary unread header, so every caller shares
+/// the entry the first one planned, and `/stats` drops the counters that
+/// went with the split and with expiry.
 #[test]
-fn tenant_quotas_and_floor_hold_over_http() {
-    // Budgets derived from a measured plan footprint so the numbers track
-    // real plan sizes instead of hardcoding them.
-    let plan_bytes = Engine::new()
-        .plan(&EngineConfig::generated(ProblemKind::Grid2d, 100, 1))
-        .expect("probe plan")
-        .approx_heap_bytes()
-        .max(1024);
-    let quota = plan_bytes * 6;
-    let handle = Server::spawn(ServerConfig {
-        cache: server::CacheSettings {
-            plan_bytes: Some(plan_bytes * 16),
-            factor_bytes: None,
-            tenant_quota_bytes: Some(quota),
-            tenant_floor: 0.3,
-        },
-        ..ServerConfig::default()
-    })
-    .expect("server boots");
+fn every_caller_shares_one_cache_pool() {
+    let handle = spawn_default();
     let addr = handle.addr();
-
-    let hot: Vec<String> = (0..3)
-        .map(|seed| EngineConfig::generated(ProblemKind::Grid2d, 100, 500 + seed).to_json())
-        .collect();
-    for round in 0..8u64 {
-        for config in &hot {
-            let response =
-                client::post_with_headers(addr, "/plan", &[("X-Tenant", "zeta")], config)
-                    .expect("zeta /plan");
-            assert_eq!(response.status, 200, "{}", response.body);
-        }
-        for burst in 0..2u64 {
-            let config =
-                EngineConfig::generated(ProblemKind::Grid2d, 100, 9_000 + round * 10 + burst)
-                    .to_json();
-            let response =
-                client::post_with_headers(addr, "/plan", &[("X-Tenant", "acme")], &config)
-                    .expect("acme /plan");
-            assert_eq!(response.status, 200, "{}", response.body);
-        }
-    }
-    // Malformed tenant names are rejected before any planning happens.
-    let response = client::post_with_headers(addr, "/plan", &[("X-Tenant", "bad tenant")], &hot[0])
-        .expect("transport");
-    assert_eq!(response.status, 400);
-
-    let (_, _, body) = get(addr, "/stats");
-    let stats = Json::parse(&body).expect("stats is JSON");
-    let tenants = stats
-        .get("caches")
-        .and_then(|c| c.get("plan"))
-        .and_then(|p| p.get("tenants"))
-        .expect("per-tenant usage");
-    for tenant in ["acme", "zeta"] {
-        let usage = tenants.get(tenant).expect("tenant tracked");
-        let bytes = usage.get("bytes").and_then(Json::as_u64).unwrap();
-        assert!(
-            bytes <= quota,
-            "tenant {tenant} holds {bytes} bytes over the {quota}-byte quota"
+    let config = grid_config(100, 41);
+    let calls: [&[(&str, &str)]; 3] = [&[], &[("X-Tenant", "acme")], &[("X-Tenant", "bad tenant")]];
+    for (call, headers) in calls.into_iter().enumerate() {
+        let response = client::post_with_headers(addr, "/plan", headers, &config).expect("/plan");
+        assert_eq!(response.status, 200, "{}", response.body);
+        let expected = if call == 0 { "miss" } else { "hit" };
+        assert_eq!(
+            header(&response.headers, "x-cache"),
+            Some(expected),
+            "{headers:?}"
         );
     }
-    let zeta_hits = tenants
-        .get("zeta")
-        .and_then(|t| t.get("hits"))
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert!(
-        zeta_hits > 0,
-        "zeta's hot set never hit despite acme's flood"
+    let (_, _, body) = get(addr, "/stats");
+    let stats = Json::parse(&body).expect("stats is JSON");
+    let caches = stats.get("caches").expect("caches section");
+    assert_eq!(
+        caches.get("schema").and_then(Json::as_str),
+        Some("engine_server_caches/v2")
     );
+    for section in ["plan", "factor"] {
+        let cache = caches.get(section).expect("cache section");
+        assert!(cache.get("tenants").is_none(), "{section}");
+        assert!(cache.get("expirations").is_none(), "{section}");
+    }
     handle.shutdown().expect("clean shutdown");
 }

@@ -2,12 +2,13 @@
 //!
 //! The invariants clippy checks are enforced by CI's `lint` job, not here;
 //! this test fails if their setup is deleted — a missing attribute or
-//! config line would otherwise turn a lint off silently.  Two invariants no
-//! lint can see are line scans: JSON is rendered only by
-//! `engine::json::Writer` (the crates' non-test sources), and the docs'
+//! config line would otherwise turn a lint off silently.  Three invariants
+//! no lint can see are line scans: JSON is rendered only by
+//! `engine::json::Writer` (the crates' non-test sources), the `serve`
+//! binary parses, prints and documents one set of flags, and the docs'
 //! backticked references name files and items that still exist.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -155,6 +156,68 @@ fn json_is_rendered_only_by_the_writer() {
         hits.is_empty(),
         "JSON keys outside engine::json (render them with json::Writer):\n{}",
         hits.join("\n")
+    );
+}
+
+/// The `--flag` names in `text`, sorted.
+fn flag_names(text: &str) -> BTreeSet<String> {
+    text.match_indices("--")
+        .map(|(at, _)| {
+            let name = &text[at + 2..];
+            let end = name
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .unwrap_or(name.len());
+            name[..end].to_string()
+        })
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// The three flag lists of the `serve` binary's `source`: the parser's
+/// `"--flag" =>` arms, the `usage()` text, and the module doc's `text`
+/// synopsis.
+fn serve_flag_lists(source: &str) -> [BTreeSet<String>; 3] {
+    let arms = source
+        .lines()
+        .map(str::trim_start)
+        .filter(|line| line.starts_with("\"--"))
+        .filter_map(|line| line.split_once("\" =>").map(|(flag, _)| flag))
+        .flat_map(flag_names)
+        .collect();
+    let usage = source
+        .split_once("fn usage()")
+        .and_then(|(_, rest)| rest.split_once("process::exit"))
+        .map(|(text, _)| flag_names(text))
+        .unwrap_or_default();
+    let synopsis = source
+        .split_once("//! ```text")
+        .and_then(|(_, rest)| rest.split_once("//! ```"))
+        .map(|(text, _)| flag_names(text))
+        .unwrap_or_default();
+    [arms, usage, synopsis]
+}
+
+/// `serve`'s flags are listed three times by hand — parsed, printed by
+/// `usage()` and documented in the module synopsis — so a flag added to or
+/// dropped from one list must be added to or dropped from the others.
+#[test]
+fn serve_parses_prints_and_documents_the_same_flags() {
+    // The matcher must still see a list that lost a flag.
+    let snippet = "//! ```text\n//! serve [--addr A] [--max-body-bytes N]\n//! ```\n\
+        fn usage() -> ! {\n    eprintln!(\"usage: serve [--addr A]\");\n    \
+        std::process::exit(2);\n}\n\
+        \"--addr\" => addr = next(),\n\"--max-body-bytes\" => {}\n";
+    let [arms, usage, synopsis] = serve_flag_lists(snippet);
+    assert_eq!(arms, flag_names("--addr --max-body-bytes"));
+    assert_eq!(synopsis, arms);
+    assert_eq!(usage, flag_names("--addr"));
+
+    let [arms, usage, synopsis] = serve_flag_lists(&read("crates/server/src/bin/serve.rs"));
+    assert!(arms.len() >= 5, "found only {arms:?}");
+    assert_eq!(usage, arms, "usage() and the parser disagree");
+    assert_eq!(
+        synopsis, arms,
+        "the module synopsis and the parser disagree"
     );
 }
 
