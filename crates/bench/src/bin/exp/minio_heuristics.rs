@@ -1,29 +1,24 @@
 //! Experiment E3 — Figure 7 of the paper.
 //!
-//! For every assembly tree, compute the MinMem traversal and run **every
-//! eviction policy** (the paper's six heuristics plus the
-//! cache-inspired policies) with main-memory sizes swept between the largest
-//! single-node requirement and the traversal peak; compare the resulting I/O
-//! volumes with a performance profile.  Also reports the distance to the
+//! For every assembly tree, compute the MinMem traversal and run **each of
+//! the paper's six eviction heuristics** with main-memory sizes swept
+//! between the largest single-node requirement and the traversal peak;
+//! compare the resulting I/O volumes with a performance profile.  Also reports the distance to the
 //! divisible-relaxation lower bound (an absolute-quality indicator the paper
 //! lists as future work).
 
-use bench::ReportFile;
+use bench::{ReportFile, MEMORY_FRACTIONS};
 use engine::prelude::*;
 use perfprof::PerformanceProfile;
 
 use crate::Context;
-
-/// Memory sizes as fractions of the way from `max MemReq` to the traversal
-/// peak (0.0 is the hardest feasible budget).
-const MEMORY_FRACTIONS: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
 
 pub(crate) fn run(context: &Context) {
     let corpus = context.out_of_core_corpus();
     let engine = Engine::new();
     let policies = Policy::ALL.map(Policy::name);
     println!(
-        "# Experiment E3 (Figure 7): I/O volume of every registered policy on MinMem traversals"
+        "# Experiment E3 (Figure 7): I/O volume of every paper heuristic on MinMem traversals"
     );
     println!(
         "# {} trees x {} memory sizes x {} policies\n",

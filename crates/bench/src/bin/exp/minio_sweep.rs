@@ -1,38 +1,34 @@
-//! Full MinIO sweep: {corpus × memory budgets × every solver × every
-//! eviction policy}, in parallel, emitting the
-//! machine-readable `BENCH_minio_sweep.json` report.
+//! Full MinIO sweep: {corpus × memory budgets × every solver × the six
+//! eviction policies}, in parallel, emitting the machine-readable
+//! `BENCH_minio_sweep.json` report.
 //!
 //! This generalises Figures 7 and 8 of the paper into one grid: Figure 7 is
 //! the policy axis at a fixed solver, Figure 8 the solver axis at a fixed
-//! policy.  The cache-inspired policies (`LruDist`, `GDSF`, `S3FIFO`) ride
-//! the same sweep, so their workload-dependence is directly comparable with
-//! the paper's six heuristics.
+//! policy.
 //!
 //! The JSON goes to `results/exp_minio_sweep/BENCH_minio_sweep.json`; it is
-//! deterministic apart from the wall-clock fields (`elapsed_seconds`,
-//! `cell_seconds`, `threads`).
+//! deterministic byte for byte.
 
-use bench::{run_sweep, ReportFile, SweepConfig};
+use bench::{run_sweep, ReportFile, MEMORY_FRACTIONS};
+use minio::Policy;
+use treemem::solver::Solver;
 
 use crate::Context;
 
 pub(crate) fn run(context: &Context) {
     let corpus = context.out_of_core_corpus();
 
-    let config = SweepConfig::default();
     println!(
         "# MinIO sweep: {} trees x {} memory budgets x all solvers x all policies",
         corpus.len(),
-        config.memory_fractions.len()
+        MEMORY_FRACTIONS.len()
     );
-    let report = run_sweep(&corpus, &config);
+    let report = run_sweep(&corpus);
     println!(
-        "swept {} cells ({} solvers x {} policies) on {} threads in {:.2}s",
+        "swept {} cells ({} solvers x {} policies)",
         report.records.len(),
-        report.solvers.len(),
-        report.policies.len(),
-        report.threads,
-        report.elapsed_seconds
+        Solver::ALL.len(),
+        Policy::ALL.len(),
     );
 
     println!("\nTotal I/O volume per policy (all solvers and budgets):");

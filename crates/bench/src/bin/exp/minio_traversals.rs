@@ -6,13 +6,11 @@
 //! memory sweep as Experiment E3 — one engine plan per tree, with the solver
 //! traversals cached across the sweep.
 
-use bench::{memory_sweep, ReportFile, MEASURED_SOLVERS};
+use bench::{memory_sweep, ReportFile, MEASURED_SOLVERS, MEMORY_FRACTIONS};
 use engine::prelude::*;
 use perfprof::PerformanceProfile;
 
 use crate::Context;
-
-const MEMORY_FRACTIONS: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
 
 pub(crate) fn run(context: &Context) {
     let corpus = context.out_of_core_corpus();

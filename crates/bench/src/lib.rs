@@ -43,4 +43,4 @@ pub use report::{write_report, ExperimentArgs, ReportFile};
 pub use runner::{
     memory_sweep, run_with_big_stack, time_it, MeasurementSet, SolverMeasurement, MEASURED_SOLVERS,
 };
-pub use sweep::{run_sweep, SweepConfig, SweepRecord, SweepReport};
+pub use sweep::{run_sweep, SweepRecord, SweepReport, MEMORY_FRACTIONS};

@@ -19,6 +19,9 @@ pub enum TreeError {
     Cycle(NodeId),
     /// A file size is negative.
     NegativeFileSize { node: NodeId, size: Size },
+    /// `Σ f(i) + max |n(i)|`, which bounds every memory total a traversal
+    /// can form, does not fit in [`Size`].
+    SizeOverflow,
     /// Mismatched input lengths (parents / file sizes / execution sizes).
     LengthMismatch {
         parents: usize,
@@ -42,6 +45,11 @@ impl fmt::Display for TreeError {
             TreeError::NegativeFileSize { node, size } => {
                 write!(fmt, "node {node} has negative input-file size {size}")
             }
+            TreeError::SizeOverflow => write!(
+                fmt,
+                "the input files plus the largest execution file exceed {}",
+                Size::MAX
+            ),
             TreeError::LengthMismatch {
                 parents,
                 files,

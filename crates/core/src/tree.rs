@@ -114,6 +114,22 @@ impl Tree {
                 return Err(TreeError::NegativeFileSize { node: i, size: fi });
             }
         }
+        // Every resident total, `MemReq` and peak is at most Σ f(i) plus one
+        // execution file (and at least minus one), so a tree whose bound
+        // fits in `Size` keeps all of that arithmetic in range.
+        let files_total = files
+            .iter()
+            .try_fold(0 as Size, |sum, &f| sum.checked_add(f));
+        let largest_weight = weights
+            .iter()
+            .try_fold(0 as Size, |max, n| Some(max.max(n.checked_abs()?)));
+        if files_total
+            .zip(largest_weight)
+            .and_then(|(files, weight)| files.checked_add(weight))
+            .is_none()
+        {
+            return Err(TreeError::SizeOverflow);
+        }
         for i in 0..p {
             child_starts[i + 1] += child_starts[i];
         }
@@ -548,6 +564,22 @@ mod tests {
             Tree::from_parents(&[None, Some(0)], &[0, -3], &[0, 0]),
             Err(TreeError::NegativeFileSize { node: 1, size: -3 })
         );
+        // Σ f(i) + max |n(i)| must fit in `Size`; Σ f(i) alone is not
+        // enough, and a negative execution file counts by its magnitude.
+        let big = Size::MAX;
+        for (files, weights) in [
+            ([1, big, big], [0, 0, 0]),
+            ([0, big, 0], [0, 0, 1]),
+            ([0, big, 0], [0, -1, 0]),
+            ([0, 0, 0], [Size::MIN, 0, 0]),
+        ] {
+            assert_eq!(
+                Tree::from_parents(&[None, Some(0), Some(0)], &files, &weights),
+                Err(TreeError::SizeOverflow)
+            );
+        }
+        let tree = Tree::from_parents(&[None, Some(0)], &[0, big - 1], &[-1, 0]).unwrap();
+        assert_eq!(tree.memory_upper_bound(), big - 1);
         assert_eq!(
             Tree::from_parents(&[None], &[0, 1], &[0]),
             Err(TreeError::LengthMismatch {

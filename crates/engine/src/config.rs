@@ -1320,6 +1320,13 @@ mod tests {
             EngineConfig::from_json(bad_kind),
             Err(ConfigParseError::Invalid(_))
         ));
+        // A prebuilt tree whose sizes overflow `Size` is refused, not
+        // wrapped (release) or panicked on (debug).
+        let overflowing = r#"{"source": {"type": "prebuilt", "parents": [-1, 0, 0], "files": [1, 9223372036854775807, 9223372036854775807], "weights": [0, 0, 0]}}"#;
+        assert!(matches!(
+            EngineConfig::from_json(overflowing),
+            Err(ConfigParseError::Invalid(message)) if message.contains("exceed")
+        ));
         // Two execution modes at once is a well-formed document — it parses
         // and round-trips like any other — but no plan accepts it: the
         // rejection lives with the rest of the semantic validation.

@@ -576,7 +576,7 @@ impl NumericModel {
 ///     .unwrap();
 /// // One plan, many schedules: the solver result is computed once and
 /// // cached, only the eviction simulation differs per policy.
-/// for policy in ["LSNF", "FirstFit", "GDSF"] {
+/// for policy in ["LSNF", "FirstFit", "BestKComb"] {
 ///     let schedule = plan
 ///         .schedule_with(
 ///             &engine,
@@ -1750,8 +1750,8 @@ mod tests {
                     effective = effective.with_solver("postorder");
                 }
                 if subset & 2 != 0 {
-                    spec = spec.policy("GDSF");
-                    effective = effective.with_policy("GDSF");
+                    spec = spec.policy("BestFit");
+                    effective = effective.with_policy("BestFit");
                 }
                 if subset & 4 != 0 {
                     spec = spec.memory(memory);
@@ -1786,7 +1786,9 @@ mod tests {
             let plan = engine.plan(&config).unwrap();
             assert!(std::ptr::eq(plan.tree(), Arc::as_ptr(&tree)));
             let spec = || ScheduleSpec::default().solver("liu");
-            let first = plan.schedule_with(&engine, spec().policy("GDSF")).unwrap();
+            let first = plan
+                .schedule_with(&engine, spec().policy("BestFit"))
+                .unwrap();
             let second = plan.schedule_with(&engine, spec()).unwrap();
             // Two schedules of one solver hold the plan's one traversal.
             assert!(Arc::ptr_eq(&first.solved, &second.solved));

@@ -1,18 +1,18 @@
-//! The out-of-core execution simulator and the paper's heuristic catalogue
+//! The out-of-core execution simulator for the paper's heuristic catalogue
 //! (Section V-B of the paper).
 //!
 //! The simulator executes a traversal step by step; when the next node `j`
 //! does not fit in the remaining main memory, a deficit `IOReq(j)` must be
 //! freed by writing already-produced files to secondary memory.  *Which*
-//! files to write is decided by one of the nine [`Policy`] values (see
-//! [`crate::policy`]): the simulator hands its session the candidate files
-//! ordered latest use first and completes any shortfall with the LSNF rule.
+//! files to write is decided by one of the six [`Policy`] heuristics (see
+//! [`crate::policy`]): the simulator hands it the candidate files ordered
+//! latest use first and the deficit, and evicts what it selects.
 //!
-//! [`schedule_io_with`] is the entry point; the six paper heuristics are the
-//! first six [`Policy::ALL`] values (the golden parity test pins them to the
-//! original fixed dispatch).  A [`Walk`] validates a traversal once and runs
-//! any number of simulations and bounds on it, with a cooperative stop
-//! probe; the two free functions are one-shot wrappers over it.
+//! [`schedule_io_with`] is the entry point (the golden parity test pins
+//! every heuristic to the original fixed dispatch).  A [`Walk`] validates a
+//! traversal once and runs any number of simulations and bounds on it, with
+//! a cooperative stop probe; the two free functions are one-shot wrappers
+//! over it.
 //!
 //! One walk, two clients: the simulator and [`divisible_lower_bound`] both
 //! step a traversal over the same private `ResidentSet`.  Until the first
@@ -31,7 +31,7 @@ use treemem::traversal::Traversal;
 use treemem::tree::{NodeId, Size, Tree};
 
 use crate::bit_tree::BitTree;
-use crate::policy::{lsnf_fill, Candidate, EvictionContext, Policy};
+use crate::policy::{Candidate, Policy};
 #[cfg(debug_assertions)]
 use crate::schedule::check_out_of_core_with_positions;
 use crate::schedule::IoSchedule;
@@ -266,16 +266,14 @@ impl Walk {
     ) -> Result<Option<OutOfCoreRun>, MinIoError> {
         let order = self.order(tree, traversal);
         let positions: &[usize] = &self.positions;
-        let mut session = policy.session(tree);
 
         let mut resident = ResidentSet::with_root(tree, order, positions);
         let mut schedule = IoSchedule::empty(tree.len());
         let mut io_volume: Size = 0;
         let mut files_written = 0usize;
         let mut peak: Size = resident.total;
-        // Scratch buffers reused across deficit steps.
+        // Scratch buffer reused across deficit steps.
         let mut candidates: Vec<Candidate> = Vec::new();
-        let mut taken: Vec<bool> = Vec::new();
 
         for (step, &node) in order.iter().enumerate() {
             if stopped(stop, step) {
@@ -291,29 +289,15 @@ impl Walk {
             if during > memory {
                 let deficit = during - memory;
                 // Candidate files: resident, already produced, not the one
-                // being executed; ordered by latest use first.  A file
-                // appears in memory the step after its parent executes
-                // (root: before step 0).
+                // being executed; ordered by latest use first.  Together
+                // they cover the deficit (`during` checked `MemReq(node)`
+                // against `memory`), so the selection does too.
                 candidates.clear();
-                candidates.extend(resident.latest_first(step).map(|pos| {
-                    let i = order[pos];
-                    Candidate {
-                        node: i,
-                        size: tree.f(i),
-                        produced_at: tree.parent(i).map_or(0, |parent| positions[parent] + 1),
-                    }
+                candidates.extend(resident.latest_first(step).map(|pos| Candidate {
+                    node: order[pos],
+                    size: tree.f(order[pos]),
                 }));
-
-                let ctx = EvictionContext {
-                    tree,
-                    positions,
-                    step,
-                    node,
-                    deficit,
-                    candidates: &candidates,
-                };
-                let chosen = complete(session.select(&ctx), &candidates, deficit, &mut taken);
-                for &idx in &chosen {
+                for idx in policy.select(&candidates, deficit) {
                     let candidate = candidates[idx];
                     resident.leave(positions[candidate.node], candidate.size);
                     during -= candidate.size;
@@ -327,7 +311,6 @@ impl Walk {
             peak = peak.max(during);
 
             resident.execute(step, node);
-            session.observe_execution(node, tree);
         }
 
         // Full re-validation through the independent Algorithm 2 checker,
@@ -406,33 +389,6 @@ impl Walk {
     }
 }
 
-/// Sanitise a session's selection: keep the first occurrence of each
-/// in-range index, then complete any shortfall of `deficit` with the LSNF
-/// fallback.  `taken` is a scratch buffer reused across deficit steps.
-fn complete(
-    raw: Vec<usize>,
-    candidates: &[Candidate],
-    deficit: Size,
-    taken: &mut Vec<bool>,
-) -> Vec<usize> {
-    let mut chosen: Vec<usize> = Vec::with_capacity(raw.len());
-    taken.clear();
-    taken.resize(candidates.len(), false);
-    let mut freed: Size = 0;
-    for idx in raw {
-        if idx < candidates.len() && !taken[idx] {
-            taken[idx] = true;
-            chosen.push(idx);
-            freed += candidates[idx].size;
-        }
-    }
-    if freed < deficit {
-        let rest = lsnf_fill(candidates, deficit - freed, &chosen);
-        chosen.extend(rest);
-    }
-    chosen
-}
-
 /// Simulate an out-of-core execution of `traversal` on `tree` with main
 /// memory `memory`, using `policy` to choose which files to evict.
 ///
@@ -443,12 +399,6 @@ fn complete(
 /// requirement exceeds `memory` (no eviction can help in that case) and with
 /// [`MinIoError::InvalidTraversal`] if the traversal is not a valid ordering
 /// of the tree.
-///
-/// The policy's selection is sanitised: duplicate and out-of-range indices
-/// are dropped, and if the selected files do not cover the deficit the
-/// remainder is completed with [`lsnf_fill`], so every
-/// [`Session`](crate::policy::Session) yields a
-/// feasible schedule.
 ///
 /// The simulator is *incremental*: steps before the first deficit only add
 /// and subtract file sizes, and from the first deficit on the resident
@@ -896,32 +846,5 @@ mod tests {
         let best_k =
             schedule_io_with(tree, &traversal, gadget.memory, Policy::BestKComb { k: 6 }).unwrap();
         assert_eq!(best_k.io_volume, gadget.io_bound);
-    }
-
-    /// The selection net: an empty selection degenerates to LSNF, and
-    /// duplicate and out-of-range indices are dropped before the shortfall
-    /// is completed latest use first.
-    #[test]
-    fn complete_sanitises_and_fills_short_selections() {
-        let candidates: Vec<Candidate> = [(7, 5), (3, 4), (9, 6), (1, 2)]
-            .map(|(node, size)| Candidate {
-                node,
-                size,
-                produced_at: 0,
-            })
-            .to_vec();
-        let mut taken = vec![true; 10];
-        assert_eq!(complete(Vec::new(), &candidates, 8, &mut taken), [0, 1]);
-        assert_eq!(
-            complete(Vec::new(), &candidates, 8, &mut taken),
-            lsnf_fill(&candidates, 8, &[])
-        );
-        assert_eq!(complete(vec![2, 2], &candidates, 8, &mut taken), [2, 0]);
-        assert_eq!(
-            complete(vec![4, 99, 3], &candidates, 10, &mut taken),
-            [3, 0, 1]
-        );
-        assert_eq!(complete(vec![2, 2, 0], &candidates, 8, &mut taken), [2, 0]);
-        assert_eq!(taken, [true, false, true, false]);
     }
 }

@@ -21,11 +21,10 @@
 //! * **Best-K Combination** — the best subset of the first `K` (default 5)
 //!   latest-used files.
 //!
-//! Beyond the paper's catalogue, three policies adapted from the caching
-//! literature (LRU ageing, a GDSF-style size-aware rule, an S3-FIFO-style
-//! segmented queue) complete the closed set [`Policy`] (see [`policy`]):
-//! one enum value per policy, [`Policy::ALL`] for sweeps, and
-//! [`FromStr`](std::str::FromStr) for the names configurations carry.
+//! They form the closed set [`Policy`] (see [`policy`]): one enum value per
+//! heuristic, [`Policy::ALL`] for sweeps, and
+//! [`FromStr`](std::str::FromStr) for the names configurations carry.  A
+//! policy is a pure function of the eviction candidates and the deficit.
 //!
 //! The main entry point is [`schedule_io_with`], which simulates an
 //! out-of-core execution of a given traversal with a given amount of memory
@@ -59,5 +58,5 @@ pub mod schedule;
 
 pub use exact::{exact_min_io, ExactMinIo};
 pub use heuristics::{divisible_lower_bound, schedule_io_with, MinIoError, OutOfCoreRun, Walk};
-pub use policy::{Candidate, EvictionContext, Policy, PolicyRegistry, Session};
+pub use policy::{Candidate, Policy, PolicyRegistry};
 pub use schedule::{check_out_of_core, IoSchedule, OutOfCoreCheck};

@@ -1,7 +1,6 @@
 //! Test oracles shared by the simulator's parity batteries.
 
-use minio::policy::lsnf_fill;
-use minio::{Candidate, EvictionContext, IoSchedule, MinIoError, OutOfCoreRun, Policy};
+use minio::{Candidate, IoSchedule, MinIoError, OutOfCoreRun, Policy};
 use treemem::traversal::Traversal;
 use treemem::tree::{Size, Tree};
 
@@ -10,8 +9,9 @@ use treemem::tree::{Size, Tree};
 /// nodes and re-sorting by traversal position, making a simulated run
 /// O(p² log p) on traversals with many deficit steps.
 ///
-/// Kept verbatim for one purpose only: the parity tests pin the
-/// incremental simulator to it cell by cell.
+/// Its scan-and-sort walk is kept for one purpose only: the parity tests
+/// pin the incremental simulator to it cell by cell.  It evicts what
+/// [`Policy::select`] returns, as the simulator does.
 pub fn schedule_io_naive(
     tree: &Tree,
     traversal: &Traversal,
@@ -20,14 +20,11 @@ pub fn schedule_io_naive(
 ) -> Result<OutOfCoreRun, MinIoError> {
     traversal.check_precedence(tree)?;
     let positions = traversal.positions(tree.len())?;
-    let mut session = policy.session(tree);
 
     let root = tree.root();
     let mut resident = vec![false; tree.len()];
     resident[root] = true;
     let mut evicted = vec![false; tree.len()];
-    // Step at which each file appeared in memory (root: before step 0).
-    let mut produced_at = vec![0usize; tree.len()];
     let mut resident_total = tree.f(root);
     let mut schedule = IoSchedule::empty(tree.len());
     let mut io_volume: Size = 0;
@@ -62,37 +59,11 @@ pub fn schedule_io_naive(
                 .map(|i| Candidate {
                     node: i,
                     size: tree.f(i),
-                    produced_at: produced_at[i],
                 })
                 .collect();
             candidates.sort_by(|a, b| positions[b.node].cmp(&positions[a.node]));
 
-            let ctx = EvictionContext {
-                tree,
-                positions: &positions,
-                step,
-                node,
-                deficit,
-                candidates: &candidates,
-            };
-            let raw = session.select(&ctx);
-            // Sanitise: keep the first occurrence of each in-range index,
-            // then complete any shortfall with the LSNF fallback.
-            let mut chosen: Vec<usize> = Vec::with_capacity(raw.len());
-            let mut taken = vec![false; candidates.len()];
-            let mut freed: Size = 0;
-            for idx in raw {
-                if idx < candidates.len() && !taken[idx] {
-                    taken[idx] = true;
-                    chosen.push(idx);
-                    freed += candidates[idx].size;
-                }
-            }
-            if freed < deficit {
-                let rest = lsnf_fill(&candidates, deficit - freed, &chosen);
-                chosen.extend(rest);
-            }
-            for &idx in &chosen {
+            for idx in policy.select(&candidates, deficit) {
                 let candidate = candidates[idx];
                 resident[candidate.node] = false;
                 evicted[candidate.node] = true;
@@ -112,10 +83,8 @@ pub fn schedule_io_naive(
         resident_total -= tree.f(node);
         for &child in tree.children(node) {
             resident[child] = true;
-            produced_at[child] = step + 1;
             resident_total += tree.f(child);
         }
-        session.observe_execution(node, tree);
     }
 
     Ok(OutOfCoreRun {

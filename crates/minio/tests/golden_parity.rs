@@ -1,6 +1,6 @@
 //! Golden parity test: the six paper heuristics must produce **identical**
-//! I/O volumes (and eviction schedules) through the `Policy` session
-//! dispatch as through the original fixed enum dispatch.
+//! I/O volumes (and eviction schedules) through `Policy::select` as through
+//! the original fixed enum dispatch.
 //!
 //! The `legacy` module below is a frozen, self-contained copy of the
 //! pre-refactor implementation — the `match`-based `select_evictions` and the
@@ -284,7 +284,7 @@ fn assert_parity(tree: &Tree, traversal: &Traversal, memory: Size, context: &str
         let run = schedule_io_with(tree, traversal, memory, policy).unwrap();
         assert_eq!(
             run.io_volume, legacy_io,
-            "{context}, {heuristic:?}: session dispatch diverged from the legacy enum dispatch"
+            "{context}, {heuristic:?}: Policy::select diverged from the legacy enum dispatch"
         );
         let mut evictions: Vec<(NodeId, usize)> = run.schedule.evictions().collect();
         let mut legacy_sorted = legacy_evictions;

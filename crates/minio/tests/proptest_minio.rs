@@ -7,8 +7,8 @@
 //!
 //! For random trees, random traversals produced by the MinMemory algorithms
 //! and memory sizes swept between the trivial lower bound and the traversal
-//! peak, **every policy** — the six paper heuristics and the
-//! cache-inspired ones alike — must produce a schedule that
+//! peak, **every policy** — each of the paper's six heuristics — must
+//! produce a schedule that
 //!
 //! * validates under the independent Algorithm-2 checker with the same I/O
 //!   volume,

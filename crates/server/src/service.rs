@@ -857,6 +857,8 @@ mod tests {
             depth_bomb.as_str(),
             "{\"source\": \"\u{1}\"}", // raw control char
             r#"{"source": {"type": "generated", "kind": "nope"}}"#,
+            // Sizes whose sum overflows `i64`.
+            r#"{"source": {"type": "prebuilt", "parents": [-1, 0, 0], "files": [1, 9223372036854775807, 9223372036854775807], "weights": [0, 0, 0]}}"#,
         ] {
             let response = post(&service, "/report", body);
             let label = &body[..body.len().min(30)];

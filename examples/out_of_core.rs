@@ -1,8 +1,7 @@
 //! Out-of-core planning through the `engine` facade: when the main memory is
-//! smaller than the MinMemory value, compare **every eviction policy** (the
-//! six paper heuristics plus the cache-inspired ones) over a sweep of memory
-//! sizes, and every solver's traversal under
-//! First Fit — all from one reusable plan.
+//! smaller than the MinMemory value, compare the paper's **six eviction
+//! heuristics** over a sweep of memory sizes, and every solver's traversal
+//! under First Fit — all from one reusable plan.
 //!
 //! Run with:
 //! ```text

@@ -256,7 +256,7 @@ impl Definitions {
                         names.insert(pair[1].to_string());
                     }
                 }
-                // A variant (`Cancelled {`, `Gdsf,`) or a field (`pub bytes: u64`).
+                // A variant (`Cancelled {`, `FirstFit,`) or a field (`pub bytes: u64`).
                 let item = line.trim_start();
                 let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
                 let item = item.strip_prefix("pub ").unwrap_or(item);
@@ -349,6 +349,7 @@ fn doc_references_name_live_files_and_items() {
         ("treemem::faultinject::POINTS", true),
         ("FaultPoint::ALL", false),
         ("EvictionPrompt::deficit_bytes", true),
+        ("EvictionContext::distance_to_use", true),
         ("CacheCore::run_eviction_round", true),
         ("std::sync::mpsc::no_such_fn", false),
         ("PoisonError::no_such_fn", false),
