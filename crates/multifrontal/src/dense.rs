@@ -4,10 +4,14 @@
 //! square root, divide the column below it by the root, then subtract
 //! `l_i·l_j` from the trailing lower triangle — a plain multiply and
 //! subtract, no FMA, and a column whose multiplier is zero is skipped.
-//! `DenseMatrix::eliminate_pivot`, the served column loop's only dense call,
-//! runs it once and writes the Schur block into a fresh matrix;
-//! [`DenseMatrix::partial_cholesky`] runs it `k` times in place.  Both are
-//! pinned bit for bit to a scalar reference kernel kept in test builds.
+//! `DenseMatrix::eliminate_panel`, the served column loop's only dense call,
+//! runs it for the `k` pivots of a perfect-amalgamation run (`k = 1` for a
+//! lone column) and writes the Schur block once into a fresh matrix: the
+//! panel's columns left-looking, every trailing entry's `k` updates in pivot
+//! order, four per pass.  Each entry so sees the operations of `k`
+//! one-pivot fronts in their order.  [`DenseMatrix::partial_cholesky`] runs
+//! the step `k` times in place.  Both are pinned bit for bit to a scalar
+//! reference kernel kept in test builds.
 
 use treemem::faultinject::{fire, FaultPoint, FaultSignal};
 
@@ -126,34 +130,68 @@ impl DenseMatrix {
         }
     }
 
-    /// Eliminate the first pivot of an assembled front (lower triangle only)
-    /// and, given an arena, write the Schur complement `F(b+1, a+1) −
-    /// l_{b+1}·l_{a+1}` into a fresh `(n−1)²` block from it: one
+    /// Eliminate the first `pivots` pivots of an assembled front (lower
+    /// triangle only) — the served column loop's one dense call — and, given
+    /// an arena, write the Schur complement into a fresh `(n−pivots)²` block
+    /// from it.
+    ///
+    /// Within the panel the kernel is left-looking: pivot `t` takes the
+    /// updates `x − l_i·m_i` of pivots `0..t` in pivot order, then
+    /// `assemble(t, column)` adds its matrix entries to its column (rows
+    /// `t..n`; pivot 0 arrives assembled, so `assemble` is called for
+    /// `t ≥ 1`), then its pivot is checked and its column scaled.  Every
+    /// trailing entry then gets the `pivots` updates in pivot order, written
+    /// out of place.  Each update is one multiply and one subtract, a zero
+    /// multiplier's update is skipped, and four updates are fused per pass
+    /// over a column, so every entry sees exactly the operation sequence of
+    /// `pivots` one-pivot fronts, each seeded from the last one's block with
+    /// its matrix entries added after.  At `pivots = 1` this is one
     /// [`partial_cholesky`](DenseMatrix::partial_cholesky) step with its
-    /// trailing update written out of place.
+    /// trailing update written in one pass out of place.
+    ///
+    /// Errors with the first pivot that is not positive and finite.
+    pub(crate) fn eliminate_panel(
+        &mut self,
+        pivots: usize,
+        mut assemble: impl FnMut(usize, &mut [f64]),
+        block: Option<&mut FrontArena>,
+    ) -> Result<Option<DenseMatrix>, usize> {
+        assert!(0 < pivots && pivots <= self.n);
+        let n = self.n;
+        for t in 0..pivots {
+            if t > 0 {
+                let (panel, rest) = self.values.split_at_mut(t * n);
+                let column = &mut rest[t..n];
+                subtract_updates(column, None, panel, n, t);
+                assemble(t, column);
+            }
+            self.scale_pivot(t)?;
+        }
+        let Some(arena) = block else {
+            return Ok(None);
+        };
+        let mut schur = arena.buffer(n - pivots);
+        let panel = &self.values[..pivots * n];
+        for s in pivots..n {
+            let source = self.lower_column(s);
+            subtract_updates(
+                schur.lower_column_mut(s - pivots),
+                Some(source),
+                panel,
+                n,
+                s,
+            );
+        }
+        Ok(Some(schur))
+    }
+
+    /// [`eliminate_panel`](DenseMatrix::eliminate_panel) at one pivot.
+    #[cfg(test)]
     pub(crate) fn eliminate_pivot(
         &mut self,
         block: Option<&mut FrontArena>,
     ) -> Result<Option<DenseMatrix>, usize> {
-        self.scale_pivot(0)?;
-        let Some(arena) = block else {
-            return Ok(None);
-        };
-        let n = self.n;
-        let mut schur = arena.buffer(n - 1);
-        for a in 0..n - 1 {
-            let (l, l_a) = (&self.values[a + 1..n], self.values[a + 1]);
-            let (source, column) = (self.lower_column(a + 1), schur.lower_column_mut(a));
-            // Where the in-place step skips a zero multiplier's update.
-            if l_a == 0.0 {
-                column.copy_from_slice(source);
-                continue;
-            }
-            for ((dst, &src), &l_i) in column.iter_mut().zip(source).zip(l) {
-                *dst = src - l_i * l_a;
-            }
-        }
-        Ok(Some(schur))
+        self.eliminate_panel(1, |_, _| {}, block)
     }
 
     /// In-place Cholesky factorization of the leading `pivots × pivots`
@@ -233,10 +271,67 @@ impl DenseMatrix {
     }
 }
 
+/// Row `s` and below of column `s` after the updates of every `panel`
+/// column (`n` entries each) whose multiplier `m_i = l_i[s]` is nonzero:
+/// `dst = src − l_i·m_i − …`, in panel order, one multiply and one subtract
+/// per update, four updates per pass.  `src: None` updates `dst` in place.
+fn subtract_updates(dst: &mut [f64], mut src: Option<&[f64]>, panel: &[f64], n: usize, s: usize) {
+    let mut group: [(&[f64], f64); 4] = [(&[], 0.0); 4];
+    let mut len = 0;
+    for column in panel.chunks_exact(n) {
+        let multiplier = column[s];
+        if multiplier == 0.0 {
+            continue;
+        }
+        group[len] = (&column[s..], multiplier);
+        len += 1;
+        if len == group.len() {
+            subtract_four(dst, src.take(), group);
+            len = 0;
+        }
+    }
+    for &(l, multiplier) in &group[..len] {
+        match src.take() {
+            Some(src) => {
+                for ((x, &y), &l) in dst.iter_mut().zip(src).zip(l) {
+                    *x = y - l * multiplier;
+                }
+            }
+            None => {
+                for (x, &l) in dst.iter_mut().zip(l) {
+                    *x -= l * multiplier;
+                }
+            }
+        }
+    }
+    if let Some(src) = src {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// Four updates in one pass: `dst = src − a·m_a − b·m_b − c·m_c − d·m_d`,
+/// left to right (`src: None`: `dst` in place).
+fn subtract_four(dst: &mut [f64], src: Option<&[f64]>, group: [(&[f64], f64); 4]) {
+    let [(a, ma), (b, mb), (c, mc), (d, md)] = group;
+    let updates = a.iter().zip(b).zip(c).zip(d);
+    match src {
+        Some(src) => {
+            for ((x, &y), (((&a, &b), &c), &d)) in dst.iter_mut().zip(src).zip(updates) {
+                *x = y - a * ma - b * mb - c * mc - d * md;
+            }
+        }
+        None => {
+            for (x, (((&a, &b), &c), &d)) in dst.iter_mut().zip(updates) {
+                *x = *x - a * ma - b * mb - c * mc - d * md;
+            }
+        }
+    }
+}
+
 /// A recycling pool of frontal-matrix buffers.
 ///
-/// The multifrontal kernel allocates one dense front per column and one
-/// contribution block per non-root column; on large trees that is hundreds
+/// The multifrontal kernel allocates one dense front per column (or run of
+/// columns) and one contribution block per non-root front; on large trees that is hundreds
 /// of thousands of short-lived heap allocations.  An arena keeps the freed
 /// backing buffers and hands them back (resized, lower triangle set) to
 /// later fronts, so a worker's steady state performs no allocation at all.
@@ -465,6 +560,83 @@ mod tests {
                 assert_eq!(bits(block.lower_column(a)), expected, "dim {dim} col {a}");
             }
             arena.recycle(block);
+        }
+    }
+
+    /// [`DenseMatrix::eliminate_panel`] at `k` pivots is `k` reference
+    /// one-pivot fronts, each seeded with the last one's trailing block and
+    /// then given its own matrix entries: on every panel column and on the
+    /// block's lower triangle, for panels of 1 to `dim` pivots with zero
+    /// multipliers in every third row (so fused groups of four skip some);
+    /// and a non-positive pivot inside the panel fails at its index.
+    #[test]
+    fn eliminate_panel_matches_one_pivot_fronts_bitwise() {
+        let bits = |column: &[f64]| column.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut arena = FrontArena::new();
+        for dim in [1, 2, 5, 9, 17, 30] {
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            // `entries` holds what panel column `t ≥ 1` adds itself after
+            // its updates; rows ≡ 0 (mod 3) stay zero below the diagonal.
+            let mut front = DenseMatrix::zeros(dim);
+            let mut entries = DenseMatrix::zeros(dim);
+            for j in 0..dim {
+                front.set(j, j, 2.0 * dim as f64 + rng.gen::<f64>());
+                for i in j + 1..dim {
+                    if i % 3 != 0 {
+                        front.set(i, j, rng.gen::<f64>() - 0.5);
+                        entries.set(i, j, rng.gen::<f64>() - 0.5);
+                    }
+                }
+            }
+            for k in [1, 2, 3, 4, 5, 8, 9, dim].into_iter().filter(|&k| k <= dim) {
+                let mut reference = front.clone();
+                let mut columns = Vec::new();
+                for t in 0..k {
+                    if t > 0 {
+                        let mut next = DenseMatrix::zeros(dim - t);
+                        for a in 0..dim - t {
+                            for b in a..dim - t {
+                                next.set(b, a, reference.get(b + 1, a + 1));
+                            }
+                        }
+                        for b in 0..dim - t {
+                            next.add(b, 0, entries.get(b + t, t));
+                        }
+                        reference = next;
+                    }
+                    reference.partial_cholesky_reference(1).unwrap();
+                    columns.push(bits(reference.lower_column(0)));
+                }
+                let mut panel = front.clone();
+                let assemble = |t: usize, column: &mut [f64]| {
+                    for (value, &entry) in column.iter_mut().zip(entries.lower_column(t)) {
+                        *value += entry;
+                    }
+                };
+                let block = panel
+                    .eliminate_panel(k, assemble, Some(&mut arena))
+                    .unwrap();
+                for (t, expected) in columns.iter().enumerate() {
+                    let label = format!("dim {dim}, {k} pivots, column {t}");
+                    assert_eq!(&bits(panel.lower_column(t)), expected, "{label}");
+                }
+                let block = block.unwrap();
+                assert_eq!(block.n(), dim - k);
+                for a in 0..dim - k {
+                    let expected = bits(reference.lower_column(a + 1));
+                    assert_eq!(bits(block.lower_column(a)), expected, "dim {dim}, {k}, {a}");
+                }
+                arena.recycle(block);
+            }
+            if dim > 2 {
+                let negated = |t: usize, column: &mut [f64]| {
+                    if t == 2 {
+                        column[0] = -column[0];
+                    }
+                };
+                let mut panel = front.clone();
+                assert_eq!(panel.eliminate_panel(dim, negated, None), Err(2));
+            }
         }
     }
 

@@ -66,13 +66,35 @@ impl SymbolicStructure {
 
     /// [`from_pattern`](Self::from_pattern) for callers that already hold
     /// the elimination tree of `pattern`.
+    ///
+    /// Column `j`'s rows are `j`, the pattern's entries below the diagonal
+    /// and its children's rows below `j`, sorted and deduplicated.  When `j`
+    /// has one child `c` whose rows hold every entry below the diagonal
+    /// (checked with a marker array), that union is `rows(c)[1..]`, copied
+    /// without the sort.
     pub fn from_etree(pattern: &SparsePattern, etree: EliminationTree) -> Self {
         let children = etree.children();
         let mut col_ptr = Vec::with_capacity(children.len() + 1);
         let mut rows: Vec<usize> = Vec::new();
         let mut column: Vec<usize> = Vec::new();
+        let mut marker = vec![usize::MAX; children.len()];
         col_ptr.push(0);
         for (j, column_children) in children.iter().enumerate() {
+            if let &[c] = column_children.as_slice() {
+                let child = col_ptr[c]..col_ptr[c + 1];
+                for &i in &rows[child.clone()] {
+                    marker[i] = j;
+                }
+                if pattern
+                    .neighbors(j)
+                    .iter()
+                    .all(|&i| i <= j || marker[i] == j)
+                {
+                    rows.extend_from_within(child.start + 1..child.end);
+                    col_ptr.push(rows.len());
+                    continue;
+                }
+            }
             // Original entries below the diagonal plus the children
             // structures (minus the child index itself).
             column.clear();
@@ -159,7 +181,15 @@ impl SymbolicStructure {
 /// [`eliminate_columns`].  Fronts take microseconds to tens of
 /// microseconds each, so this bounds the cancellation latency to a few
 /// milliseconds while keeping the probe off the per-column fast path.
+/// A multi-pivot run stops at every multiple of it in `order`, so the probe
+/// runs at the same steps, and a cancel leaves the same pending blocks, as
+/// with one front per column.
 pub(crate) const STOP_CHECK_COLUMNS: usize = 64;
+
+/// The shortest run [`eliminate_columns`] eliminates as one panel; a
+/// shorter one keeps one front per column, which measured faster at two and
+/// three columns.
+const MIN_PANEL_WIDTH: usize = 4;
 
 /// Errors of the numeric factorization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -507,15 +537,28 @@ pub(crate) fn factorize(
 /// being assembled to their local positions and is all-`usize::MAX` again
 /// on every exit.
 ///
-/// Each column makes one assembly pass and one elimination pass
-/// ([`DenseMatrix::eliminate_pivot`]) over its front's lower triangle, the
-/// only part read; the test-only `naive` module keeps the zero-then-add
-/// loop this is bit-identical to.
+/// Each front makes one assembly pass and one elimination pass
+/// ([`DenseMatrix::eliminate_panel`]) over its lower triangle, the only part
+/// read; the test-only `naive` module keeps the zero-then-add loop with one
+/// front per column that this is bit-identical to.
+///
+/// A front eliminates a *run* of columns when it can: the following entries
+/// of `order` while each is the elimination-tree parent of the previous
+/// one, has no other child and one row fewer (the paper's perfect
+/// amalgamation), up to the next [`STOP_CHECK_COLUMNS`] boundary.  A run of
+/// `k ≥ 4` columns is one front of its first column's rows, with `k` pivots
+/// and one `(µ−k)²` block; a shorter run is eliminated one column per
+/// front.  Run column `t`'s one-column front would be a copy of the
+/// previous column's block plus its matrix entries, so the panel gives each
+/// entry the same updates, in the same order, before adding those entries:
+/// the factor bits and pending blocks do not depend on `k`.
 ///
 /// Every live-entry movement — front allocated, child block consumed, front
 /// released into its contribution block — is reported to `ledger`'s
-/// measurement face, in that order; an unbounded `BudgetLedger::new(None)`
-/// is the "just measure" (or "don't care") case.
+/// measurement face, in that order, per column: a run replays the
+/// movements its one-column fronts would make, so the measured peak does not
+/// depend on `k` either.  An unbounded `BudgetLedger::new(None)` is the
+/// "just measure" (or "don't care") case.
 ///
 /// `stop` is a cooperative cancellation probe, checked once per
 /// [`STOP_CHECK_COLUMNS`] eliminated columns; when it fires the loop
@@ -535,7 +578,8 @@ pub(crate) fn eliminate_columns(
     let value_count: usize = order.iter().map(|&j| structure.rows(j).len()).sum();
     let mut out: Vec<f64> = Vec::with_capacity(value_count);
     let mut eliminate = || {
-        for (step, &j) in order.iter().enumerate() {
+        let mut step = 0;
+        while let Some(&j) = order.get(step) {
             if step % STOP_CHECK_COLUMNS == 0 && stop.is_some_and(|probe| probe()) {
                 return Err(FactorizationError::Cancelled);
             }
@@ -591,34 +635,87 @@ pub(crate) fn eliminate_columns(
                     _ => assembled = false,
                 }
             }
+
+            // Eliminate the run's fully-summed variables (the first rows and
+            // columns) into the contribution block of its last column,
+            // adding each later run column's matrix entries in the panel.
+            let run = &order[step..step + panel_width(structure, order, step)];
+            let last = run[run.len() - 1];
+            let keeps_block = front_dim > run.len() && structure.etree.parent(last).is_some();
+            let eliminated = assembled.then(|| {
+                let assemble = |t: usize, column: &mut [f64]| {
+                    let (a_rows, a_values) = matrix.column(run[t]);
+                    for (&i, &v) in a_rows.iter().zip(a_values) {
+                        column[local[i] - t] += v;
+                    }
+                };
+                front.eliminate_panel(run.len(), assemble, keeps_block.then_some(&mut *arena))
+            });
             for &global in rows {
                 local[global] = usize::MAX;
             }
-            if !assembled {
+            let Some(eliminated) = eliminated else {
                 return Err(FactorizationError::InvalidTraversal);
-            }
+            };
 
-            // Eliminate the fully-summed variable (the first row/column) into
-            // the contribution block; freeing the front: one net movement.
-            let keeps_block = front_dim > 1 && structure.etree.parent(j).is_some();
-            let block = front
-                .eliminate_pivot(keeps_block.then_some(&mut *arena))
-                .map_err(|_| FactorizationError::NotPositiveDefinite { column: j })?;
-            out.extend_from_slice(&front.column_major()[..front_dim]);
-            match block {
-                Some(cb) => {
-                    ledger.record_live(cb.len() as i64 - front_entries);
-                    pending.insert(j, cb);
+            // Replay each run column's live-entry movements as its own
+            // front would make them: front allocated, its only child's
+            // block consumed (after the first), front released into its
+            // block — or, at a failed pivot, stop after the first two.
+            let failed = eliminated.as_ref().err().copied();
+            for (t, &column) in run.iter().enumerate() {
+                let dim = front_dim - t;
+                let entries = (dim * dim) as i64;
+                if t > 0 {
+                    ledger.record_live(entries);
+                    ledger.record_live(-entries);
                 }
-                None => ledger.record_live(-front_entries),
+                if failed == Some(t) {
+                    return Err(FactorizationError::NotPositiveDefinite { column });
+                }
+                let block = if t + 1 < run.len() || keeps_block {
+                    (dim - 1) * (dim - 1)
+                } else {
+                    0
+                };
+                ledger.record_live(block as i64 - entries);
+                out.extend_from_slice(&front.column_major()[t * front_dim + t..][..dim]);
+            }
+            if let Ok(Some(cb)) = eliminated {
+                pending.insert(last, cb);
             }
             arena.recycle(front);
+            step += run.len();
         }
         Ok(())
     };
     let outcome = eliminate();
     arena.scatter = local;
     outcome.map(|()| out)
+}
+
+/// The number of columns [`eliminate_columns`] eliminates in the front of
+/// `order[step]`: the run from it, or 1 when that run is shorter than
+/// [`MIN_PANEL_WIDTH`].  A run's next column has the previous column's rows
+/// after the first, so they share one front.
+fn panel_width(structure: &SymbolicStructure, order: &[usize], step: usize) -> usize {
+    let mut width = 1;
+    while let Some(&next) = order.get(step + width) {
+        let previous = order[step + width - 1];
+        if (step + width).is_multiple_of(STOP_CHECK_COLUMNS)
+            || structure.etree.parent(previous) != Some(next)
+            || structure.children[next].len() != 1
+            || structure.rows(next).len() + 1 != structure.rows(previous).len()
+        {
+            break;
+        }
+        width += 1;
+    }
+    if width < MIN_PANEL_WIDTH {
+        1
+    } else {
+        width
+    }
 }
 
 /// Solve `A x = b` given the Cholesky factor of `A` (forward substitution
@@ -730,6 +827,44 @@ mod tests {
         let again = SymbolicStructure::from_etree(&pattern, etree);
         assert_eq!(again.rows, structure.rows);
         assert_eq!(again.col_ptr, structure.col_ptr);
+    }
+
+    /// Every column of every `ProblemKind` × {nd, amd, rcm} is the sorted,
+    /// deduplicated union of its definition, whether the single-child copy
+    /// built it or not — and the copy builds some column of each.
+    #[test]
+    fn the_single_child_copy_is_the_sorted_union() {
+        use ordering::OrderingMethod;
+        for kind in sparsemat::gen::ProblemKind::ALL {
+            for method in [
+                OrderingMethod::NestedDissection,
+                OrderingMethod::MinimumDegree,
+                OrderingMethod::ReverseCuthillMcKee,
+            ] {
+                let pattern = kind.generate(300, 7);
+                let pattern = pattern.permute(method.order(&pattern).as_new_to_old());
+                let structure = SymbolicStructure::from_pattern(&pattern);
+                let mut copied = 0;
+                for j in 0..structure.n() {
+                    let mut union = vec![j];
+                    union.extend(pattern.neighbors(j).iter().filter(|&&i| i > j));
+                    for &c in &structure.children[j] {
+                        union.extend(structure.rows(c).iter().filter(|&&i| i > j));
+                    }
+                    union.sort_unstable();
+                    union.dedup();
+                    let label = format!("{} {} column {j}", kind.name(), method.name());
+                    assert_eq!(structure.rows(j), union, "{label}");
+                    if let &[c] = structure.children[j].as_slice() {
+                        let child = structure.rows(c);
+                        let neighbors = pattern.neighbors(j);
+                        copied +=
+                            usize::from(neighbors.iter().all(|&i| i < j || child.contains(&i)));
+                    }
+                }
+                assert!(copied > 0, "{} {}", kind.name(), method.name());
+            }
+        }
     }
 
     #[test]

@@ -235,12 +235,44 @@ mod tests {
             .count()
     }
 
+    /// The panels the served loop eliminates in one front while walking
+    /// `order` — each a perfect-amalgamation run of at least four columns,
+    /// as `(step, width)` — and the run links it cuts at a
+    /// [`STOP_CHECK_COLUMNS`] boundary.
+    fn panels(structure: &SymbolicStructure, order: &[usize]) -> (Vec<(usize, usize)>, usize) {
+        let linked = |previous: usize, next: usize| {
+            structure.etree.parent(previous) == Some(next)
+                && structure.children[next].len() == 1
+                && structure.rows(next).len() + 1 == structure.rows(previous).len()
+        };
+        let (mut panels, mut cuts, mut start) = (Vec::new(), 0, 0);
+        for step in 1..=order.len() {
+            let link = step < order.len() && linked(order[step - 1], order[step]);
+            let boundary = step % STOP_CHECK_COLUMNS == 0;
+            if link && !boundary {
+                continue;
+            }
+            cuts += usize::from(link && boundary);
+            if step - start >= 4 {
+                panels.push((start, step - start));
+            }
+            start = step;
+        }
+        (panels, cuts)
+    }
+
     /// Every `ProblemKind` × {nd, amd, rcm} × {etree postorder, MinMem on
     /// the per-column model} × {the whole order, a proportional cut into
     /// subtree tasks plus the merge fed by their blocks}: factor values,
     /// pending blocks and measured peaks equal the oracle's bit for bit.
     #[test]
     fn the_one_pass_loop_is_the_naive_loop_bit_for_bit() {
+        let (mut panel_columns, mut cuts) = (0, 0);
+        let mut count = |structure: &SymbolicStructure, order: &[usize]| {
+            let (runs, cut) = panels(structure, order);
+            panel_columns += runs.iter().map(|&(_, width)| width).sum::<usize>();
+            cuts += cut;
+        };
         let mut seeded = 0;
         for kind in ProblemKind::ALL {
             for method in [
@@ -258,6 +290,7 @@ mod tests {
                 ];
                 for (name, order) in orders {
                     let label = format!("{}/{}/{name}", kind.name(), method.name());
+                    count(&structure, &order);
                     let whole =
                         assert_same(&label, &matrix, &structure, &order, &mut sides(), None);
                     assert!(whole.values.is_ok() && whole.blocks.is_empty(), "{label}");
@@ -267,12 +300,14 @@ mod tests {
                     for (task, task_order) in tasks.iter().enumerate() {
                         let mut sides = sides();
                         let label = format!("{label}/task {task}");
+                        count(&structure, task_order);
                         assert_same(&label, &matrix, &structure, task_order, &mut sides, None);
                         for (merge, side) in merge.iter_mut().zip(sides) {
                             merge.pending.absorb(side.pending);
                         }
                     }
                     let label = format!("{label}/merge");
+                    count(&structure, &merge_order);
                     let merged =
                         assert_same(&label, &matrix, &structure, &merge_order, &mut merge, None);
                     assert!(merged.values.is_ok() && merged.blocks.is_empty(), "{label}");
@@ -280,6 +315,11 @@ mod tests {
             }
         }
         assert!(seeded > 0, "the battery exercises the seeded fronts");
+        assert!(
+            panel_columns > 0,
+            "the battery exercises multi-pivot panels"
+        );
+        assert!(cuts > 0, "the battery cuts a run at a stop-probe boundary");
     }
 
     /// The failure paths end the same way on both loops: a stop probe
@@ -385,5 +425,106 @@ mod tests {
         assert!(zeros > 0, "exact cancellations produce +0.0 entries");
         let whole = assert_same("chain", &matrix, &structure, &order, &mut sides(), None);
         assert!(whole.values.is_ok());
+    }
+
+    /// A non-positive pivot in the middle of a panel — the third column of
+    /// the first run of every `ProblemKind`'s nd postorder, its diagonal
+    /// negated — fails at that column, with the oracle's pending blocks and
+    /// measured peak.
+    #[test]
+    fn an_indefinite_pivot_inside_a_panel_fails_like_the_naive_loop() {
+        let mut failed_kinds = 0;
+        for kind in ProblemKind::ALL {
+            let (matrix, structure) = problem(kind, OrderingMethod::NestedDissection);
+            let order = etree_postorder(&structure.etree);
+            let Some(&(start, _)) = panels(&structure, &order).0.first() else {
+                continue;
+            };
+            let negated = order[start + 2];
+            let n = order.len();
+            let columns = (0..n)
+                .map(|j| {
+                    let (rows, values) = matrix.column(j);
+                    let sign = if j == negated { -1.0 } else { 1.0 };
+                    rows.iter()
+                        .zip(values)
+                        .map(|(&i, &v)| (i, if i == j { sign * v } else { v }))
+                        .collect()
+                })
+                .collect();
+            let indefinite = SymmetricCsr::from_lower_columns(n, columns);
+            let label = kind.name();
+            let failed = assert_same(label, &indefinite, &structure, &order, &mut sides(), None);
+            assert_eq!(
+                failed.values,
+                Err(FactorizationError::NotPositiveDefinite { column: negated }),
+                "{label}"
+            );
+            failed_kinds += 1;
+        }
+        assert!(failed_kinds > 0, "some kind has a panel to fail in");
+    }
+
+    /// A five-column run whose panel holds exact zero multipliers — an
+    /// explicit zero entry and an update cancelled by the next column's
+    /// entry — and leaves a block for a parent with two children: every
+    /// prefix of the postorder matches the oracle bit for bit.
+    #[test]
+    fn a_panel_with_zero_multipliers_is_the_naive_loop_bit_for_bit() {
+        let columns = vec![
+            vec![
+                (0, 16.0),
+                (1, 4.0),
+                (2, 2.0),
+                (3, 0.0),
+                (4, 4.0),
+                (8, 2.0),
+                (9, 1.0),
+            ],
+            vec![(1, 10.0), (4, 1.0)],
+            vec![(2, 10.0), (3, 1.0)],
+            vec![(3, 10.0)],
+            vec![(4, 10.0), (9, 1.0)],
+            vec![(5, 10.0), (6, 1.0)],
+            vec![(6, 10.0), (8, 1.0)],
+            vec![(7, 10.0), (9, 1.0)],
+            vec![(8, 10.0), (9, 1.0)],
+            vec![(9, 10.0)],
+        ];
+        let matrix = SymmetricCsr::from_lower_columns(10, columns);
+        let structure = SymbolicStructure::from_pattern(&matrix.pattern());
+        let order = etree_postorder(&structure.etree);
+        let (runs, _) = panels(&structure, &order);
+        assert_eq!(runs.len(), 1);
+        let (start, width) = runs[0];
+        assert_eq!(
+            (&order[start..start + width], width),
+            (&[0, 1, 2, 3, 4][..], 5)
+        );
+        assert_eq!(
+            structure.children[8].len(),
+            2,
+            "the run's parent is not in it"
+        );
+        for end in 1..=order.len() {
+            let outcome = assert_same(
+                "zero multipliers",
+                &matrix,
+                &structure,
+                &order[..end],
+                &mut sides(),
+                None,
+            );
+            assert!(outcome.values.is_ok());
+        }
+        // Column 1's rows 3 and 4 (the explicit zero's fill, the cancelled
+        // update) are exact zeros of the factor.
+        let factor = crate::numeric::multifrontal_cholesky(&matrix, Some(&order)).unwrap();
+        let column = factor.structure.col_ptr[1];
+        let zeros = &factor.values[column + 2..column + 4];
+        assert_eq!(
+            zeros.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            [0, 0]
+        );
     }
 }
