@@ -1,4 +1,4 @@
-//! # bench — the paper's experiments, `factor_cli` and `loadgen`
+//! # bench — the paper's experiments and `factor_cli`
 //!
 //! Performance is measured by the benchmark of record (`benchmark/` at the
 //! repository root), not here.  This crate keeps what only it can do: the
@@ -17,10 +17,8 @@
 //! | `minio-sweep`      | Section V-B as one grid: every solver × every policy |
 //!
 //! `factor_cli` runs one `engine::EngineConfig` end to end and prints the
-//! `Report` as JSON, and `loadgen` checks its two correctness scenarios
-//! (`chaos`, `distributed`) against real servers.  Every file a tool
-//! writes goes under `results/` (git-ignored; `TREEMEM_RESULTS_DIR` moves
-//! it).
+//! `Report` as JSON.  Every file a tool writes goes under `results/`
+//! (git-ignored; `TREEMEM_RESULTS_DIR` moves it).
 //!
 //! The experiments construct their pipelines through the `engine` facade
 //! (prebuilt-tree plans for corpus sweeps, generated-matrix plans for the

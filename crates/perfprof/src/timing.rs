@@ -52,8 +52,9 @@ pub fn time_runs<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, TimingSummary)
 }
 
 /// Percentile summary of a latency distribution, for serving-style
-/// workloads (the `/stats` endpoint of `crates/server` and the `loadgen`
-/// scenarios) where the tail matters more than the median alone.
+/// workloads (the `/stats` endpoint of `crates/server` and the benchmark of
+/// record's serving workloads) where the tail matters more than the median
+/// alone.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencySummary {
     /// Number of samples.

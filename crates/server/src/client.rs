@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP/1.1 client for exercising the server: one request
 //! per connection, mirroring the server's `Connection: close` framing.
-//! Used by the integration tests and by `bench`'s `loadgen` binary — it is
-//! a test/bench utility, not a general-purpose client.
+//! Used by `serve --role worker` to reach its coordinator, by the tests and
+//! by the benchmark of record — it is not a general-purpose client.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,12 +25,6 @@ impl ClientResponse {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether the response was served from the plan cache
-    /// (`X-Cache: hit`).
-    pub fn cache_hit(&self) -> bool {
-        self.header("x-cache") == Some("hit")
     }
 }
 
@@ -124,7 +118,7 @@ pub fn post_with_headers(
 
 fn encode_post(path: &str, headers: &[(&str, &str)], body: &str) -> String {
     let mut raw = format!(
-        "POST {path} HTTP/1.1\r\nHost: loadgen\r\nContent-Type: application/json\r\n\
+        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\n",
         body.len()
     );
@@ -202,31 +196,18 @@ fn jittered(base: Duration) -> Duration {
 pub fn get(addr: SocketAddr, path: &str) -> Result<ClientResponse, ClientError> {
     exchange(
         addr,
-        format!("GET {path} HTTP/1.1\r\nHost: loadgen\r\n\r\n").as_bytes(),
+        format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").as_bytes(),
     )
 }
 
-/// Parse a `/report` body and drop its wall-clock `timings` block: the
-/// deterministic identity of the report, as seen from the wire.  Two runs
-/// of the same effective configuration — cache hit or cold path — must
-/// compare equal under this projection (`None` if the body is not a JSON
-/// object).  The client-side analogue of `engine::Report::fingerprint`.
-pub fn report_identity(body: &str) -> Option<engine::json::Json> {
-    use engine::json::Json;
-    match Json::parse(body) {
-        Ok(Json::Obj(fields)) => Some(Json::Obj(
-            fields.into_iter().filter(|(k, _)| k != "timings").collect(),
-        )),
-        _ => None,
-    }
-}
-
-/// [`report_identity`] for parallel- or distributed-enabled reports:
-/// additionally drops the runtime-dependent fields of the `parallel` and
-/// `distributed` sections (wall clocks, worker counts, requeue counters,
-/// transfer volumes) and, when either section is present,
-/// `numeric.measured_peak_entries` — the wire-side analogue of
-/// `engine::Report::fingerprint`.
+/// Parse a `/report` body into its deterministic identity, as seen from the
+/// wire: drop the wall-clock `timings` block, the runtime-dependent fields
+/// of the `parallel` and `distributed` sections (wall clocks, worker counts,
+/// requeue counters, transfer volumes) and, when either section is present,
+/// `numeric.measured_peak_entries`.  Two runs of the same effective
+/// configuration — cache hit or cold path — compare equal under this
+/// projection (`None` if the body is not a JSON object).  The wire-side
+/// analogue of `engine::Report::fingerprint`.
 pub fn report_fingerprint(body: &str) -> Option<engine::json::Json> {
     use engine::json::Json;
     const VOLATILE_PARALLEL: [&str; 9] = [

@@ -815,10 +815,10 @@ mod tests {
         let hot = post(&service, "/report", &config);
         assert_eq!(cold.status, 200, "{}", cold.body);
         assert_eq!((cold.cache_hit, hot.cache_hit), (Some(false), Some(true)));
-        assert!(crate::client::report_identity(&cold.body).is_some());
+        assert!(crate::client::report_fingerprint(&cold.body).is_some());
         assert_eq!(
-            crate::client::report_identity(&cold.body),
-            crate::client::report_identity(&hot.body)
+            crate::client::report_fingerprint(&cold.body),
+            crate::client::report_fingerprint(&hot.body)
         );
     }
 
@@ -1130,8 +1130,8 @@ mod tests {
         assert_eq!(hot.status, 200, "{}", hot.body);
         assert_eq!(hot.cache_hit, Some(true));
         assert_eq!(
-            crate::client::report_identity(&hot.body),
-            crate::client::report_identity(&cold.body)
+            crate::client::report_fingerprint(&hot.body),
+            crate::client::report_fingerprint(&cold.body)
         );
         // No numeric stage ran, so none is recorded; the solve stage ran.
         let timings = Json::parse(&hot.body).unwrap();
@@ -1165,8 +1165,8 @@ mod tests {
         let hot = post(&service, "/report", &config(1));
         assert_eq!((hot.status, hot.cache_hit), (200, Some(true)));
         assert_eq!(
-            crate::client::report_identity(&hot.body),
-            crate::client::report_identity(&first.body)
+            crate::client::report_fingerprint(&hot.body),
+            crate::client::report_fingerprint(&first.body)
         );
         assert_eq!(
             stage_count(&service, "numeric"),

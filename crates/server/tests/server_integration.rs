@@ -3,7 +3,7 @@
 //! codes, cache behaviour, report identity, and clean shutdown.
 
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use engine::json::Json;
 use engine::prelude::*;
@@ -92,10 +92,10 @@ fn cached_reports_match_cold_reports_exactly() {
         header(&hot_headers, "x-config-hash")
     );
     // ...and identical documents except for the wall-clock timings.
-    assert!(client::report_identity(&cold_body).is_some());
+    assert!(client::report_fingerprint(&cold_body).is_some());
     assert_eq!(
-        client::report_identity(&cold_body),
-        client::report_identity(&hot_body)
+        client::report_fingerprint(&cold_body),
+        client::report_fingerprint(&hot_body)
     );
     handle.shutdown().expect("clean shutdown");
 }
@@ -417,6 +417,21 @@ fn deadlines_expire_to_504_with_retry_after_and_recovery() {
         .and_then(|c| c.get("total"))
         .and_then(Json::as_u64)
         .is_some_and(|total| total >= 1));
+
+    // A cold 10⁵-node grid under a 50 ms deadline answers 504 promptly, and
+    // the next request for it completes.
+    let cold = EngineConfig::generated(ProblemKind::Grid2d, 100_000, 990)
+        .with_ordering(OrderingMethod::NestedDissection)
+        .with_memory(MemoryBudget::FractionOfPeak(0.5))
+        .to_json();
+    let started = Instant::now();
+    let expired = client::post_with_headers(addr, "/report", &[("X-Deadline-Ms", "50")], &cold)
+        .expect("exchange");
+    let elapsed = started.elapsed();
+    assert_eq!(expired.status, 504, "{}", expired.body);
+    assert!(elapsed <= Duration::from_secs(1), "answered in {elapsed:?}");
+    let (status, _, body) = post(addr, "/report", &cold);
+    assert_eq!(status, 200, "{body}");
     handle.shutdown().expect("clean shutdown");
 }
 

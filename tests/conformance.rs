@@ -229,6 +229,8 @@ struct Definitions {
     external: HashSet<String>,
     /// Every source path, relative to the root with `/` separators.
     files: Vec<String>,
+    /// The `name` of every workspace package.
+    packages: HashSet<String>,
 }
 
 /// The identifier tokens of `text`, in order.
@@ -282,11 +284,43 @@ impl Definitions {
             let relative = path.strip_prefix(workspace_root()).unwrap_or(&path);
             files.push(relative.to_string_lossy().replace('\\', "/"));
         }
+        let crates = fs::read_dir(workspace_root().join("crates")).expect("a crates directory");
+        let packages = crates
+            .map(|entry| entry.expect("readable directory entry").path())
+            .chain([workspace_root().to_path_buf()])
+            .filter_map(|dir| {
+                let manifest = fs::read_to_string(dir.join("Cargo.toml")).ok()?;
+                let name = manifest
+                    .lines()
+                    .find_map(|line| line.strip_prefix("name = "))?;
+                Some(name.trim_matches('"').to_string())
+            })
+            .collect();
         Definitions {
             names,
             external,
             files,
+            packages,
         }
+    }
+
+    /// Why `name` after the cargo flag `flag` (`--bin`, `--example`, `-p`)
+    /// names no target, if it does not: a bin is a `src/bin` file or
+    /// directory, an example one under `examples`, a package a workspace
+    /// package's `name`.
+    fn dead_target(&self, flag: &str, name: &str) -> Option<String> {
+        let file = |dir: &str| {
+            let (file_tail, dir_part) = (format!("{dir}/{name}.rs"), format!("{dir}/{name}/"));
+            self.files
+                .iter()
+                .any(|file| file.ends_with(&file_tail) || file.contains(&dir_part))
+        };
+        let live = match flag {
+            "--bin" => file("src/bin"),
+            "--example" => file("examples"),
+            _ => self.packages.contains(name),
+        };
+        (!live).then(|| format!("no {flag} target named `{name}`"))
     }
 
     /// Why the backticked `span` names nothing in the workspace, if it is a
@@ -334,7 +368,9 @@ impl Definitions {
 
 /// README.md and the verify skill name files and items in backticks; each
 /// `*.rs` path, `crate::…` path and `Type::item` must still exist, so a
-/// rename or deletion cannot leave the docs pointing at nothing.
+/// rename or deletion cannot leave the docs pointing at nothing.  Their
+/// commands, fenced blocks included, name cargo targets: each `--bin`,
+/// `--example` and `-p` must name a live one.
 /// `ROADMAP.md` is out of scope: it names deleted items on purpose.
 #[test]
 fn doc_references_name_live_files_and_items() {
@@ -356,11 +392,32 @@ fn doc_references_name_live_files_and_items() {
     ] {
         assert_eq!(defs.dead(span).is_some(), dead, "`{span}`");
     }
+    for (flag, name, dead) in [
+        ("--bin", "loadgen", true),
+        ("--bin", "serve", false),
+        ("--example", "out_of_core", false),
+        ("-p", "bench", false),
+        ("-p", "conformance", true),
+    ] {
+        assert_eq!(defs.dead_target(flag, name).is_some(), dead, "{flag}");
+    }
 
     let mut dead = Vec::new();
     for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
         let mut fenced = false;
+        // The target flag of the word before, which may end the line before.
+        let mut flag: Option<&str> = None;
         for (index, line) in read(doc).lines().enumerate() {
+            for word in line.split_whitespace() {
+                let word =
+                    word.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || "_-".contains(c)));
+                if let Some(why) = flag.and_then(|flag| defs.dead_target(flag, word)) {
+                    dead.push(format!("{doc}:{}: {why}", index + 1));
+                }
+                flag = ["--bin", "--example", "-p"]
+                    .into_iter()
+                    .find(|f| *f == word);
+            }
             if line.trim_start().starts_with("```") {
                 fenced = !fenced;
             }
