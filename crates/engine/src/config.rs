@@ -27,7 +27,7 @@
 //! plan caches, factor caches, report provenance and distributed task
 //! frames key on the hash.  `tests::rendered_bytes_and_hashes_are_stable`
 //! pins literal documents and hashes for one configuration of every shape;
-//! `run::tests::overridden_schedules_carry_the_effective_config_hash` pins
+//! `run::schedule::tests::overridden_schedules_carry_the_effective_config_hash` pins
 //! the finished-from-saved-state hashes to [`EngineConfig::hash`] of the
 //! effective configuration.
 

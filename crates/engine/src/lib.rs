@@ -45,7 +45,6 @@ pub mod config;
 pub mod json;
 mod memo;
 pub mod parallel;
-mod parexec;
 pub mod report;
 pub mod run;
 

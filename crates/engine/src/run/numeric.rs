@@ -1,11 +1,12 @@
-//! The numeric execution pipeline: proportional-mapping cut, subtree phase,
-//! sequential merge above the cut.  Every numeric run of the engine —
+//! The numeric substrate ([`NumericModel`]) and the numeric execution
+//! pipeline: proportional-mapping cut, subtree phase, sequential merge
+//! above the cut.  Every numeric run of the engine —
 //! sequential, thread-parallel, distributed — goes through [`execute_cut`];
 //! the modes differ only in *who runs the subtree tasks* ([`TaskRunner`]).
 //!
 //! ```text
 //!  CutPlan::compute ──▶ subtree phase ──────────────▶ merge_and_assemble ──▶ report
-//!  (proportional_cut,    Inline     caller's thread    (above-cut columns,    (run.rs: one
+//!  (proportional_cut,    Inline     caller's thread    (above-cut columns,    (schedule.rs: one
 //!   static peaks,        Pool(w)    w threads, budget   tree order, caller's   `Report`
 //!   resolved budget)                gate, work stealing thread; assemble)      builder)
 //!                        Collected  worker processes
@@ -40,18 +41,133 @@
 //! modes, worker counts and processes, because each front assembles its
 //! children blocks in tree order regardless of who produced them.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use multifrontal::memory::per_column_model;
+use multifrontal::numeric::SymbolicStructure;
 use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger, ReserveSelection};
 use multifrontal::{CholeskyFactor, ContributionStore, FactorizationError, FrontArena};
+use sparsemat::gen::spd_matrix_from_pattern;
+use sparsemat::{SparsePattern, SymmetricCsr};
+use symbolic::EliminationTree;
 use treemem::faultinject::{FaultPoint, FaultSignal};
 use treemem::partition::{default_node_work, proportional_cut};
+use treemem::solver::Solver;
+use treemem::tree::NodeId;
+use treemem::Tree;
 
+use super::factor::FactorHandle;
+use super::schedule::DistributedRuntime;
+use super::{cancelled, check, Engine, EngineError};
 use crate::cancel::CancelToken;
 use crate::config::BudgetShare;
+use crate::memo::Memo;
 use crate::report::CutReport;
-use crate::run::{cancelled, check, EngineError, NumericModel, SubtreeParts};
+
+/// The numeric substrate shared by every `execute` on one plan: the SPD
+/// matrix, its symbolic factor structure and the paper's per-column model
+/// tree, built once and cached.
+pub(crate) struct NumericModel {
+    matrix: SymmetricCsr,
+    /// Shared with every factor computed on this plan.
+    structure: Arc<SymbolicStructure>,
+    model: Tree,
+    /// Bottom-up factorization orders cached by solver name.
+    orders: Memo<String, Vec<NodeId>>,
+}
+
+impl NumericModel {
+    /// The SPD matrix drawn from `seed` on the `permuted` pattern, its
+    /// symbolic factor structure and the per-column model tree.
+    pub(super) fn new(permuted: &SparsePattern, etree: EliminationTree, seed: u64) -> Self {
+        let matrix = spd_matrix_from_pattern(permuted, seed);
+        let structure = Arc::new(SymbolicStructure::from_etree(permuted, etree));
+        let model = per_column_model(&structure);
+        NumericModel {
+            matrix,
+            structure,
+            model,
+            orders: Memo::new(),
+        }
+    }
+
+    /// The SPD matrix.
+    pub(super) fn matrix(&self) -> &SymmetricCsr {
+        &self.matrix
+    }
+
+    /// The symbolic factor structure.
+    pub(super) fn structure(&self) -> &Arc<SymbolicStructure> {
+        &self.structure
+    }
+
+    /// Approximate heap footprint in bytes (matrix, symbolic structure,
+    /// per-column model tree and the cached factorization orders).
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        let mut bytes =
+            self.matrix.heap_bytes() + self.structure.heap_bytes() + self.model.heap_bytes();
+        self.orders.for_each(|name, order| {
+            bytes += name.len() as u64;
+            bytes += (order.len() * std::mem::size_of::<NodeId>()) as u64;
+        });
+        bytes
+    }
+
+    /// The bottom-up factorization order of `solver` on the per-column
+    /// model, computed once per solver and cached.  The solver polls the
+    /// engine's token; a cancelled solve caches nothing.
+    pub(crate) fn order_for(
+        &self,
+        engine: &Engine,
+        solver: &str,
+    ) -> Result<Arc<Vec<NodeId>>, EngineError> {
+        self.orders.get_or_try(solver, || {
+            let entry: Solver = solver.parse()?;
+            if !entry.supports(&self.model) {
+                return Err(EngineError::InvalidConfig(format!(
+                    "solver '{solver}' does not support the {}-node per-column model",
+                    self.model.len()
+                )));
+            }
+            let cancel = engine.cancel();
+            check(cancel, "numeric")?;
+            let solved = entry.solve(&self.model);
+            check(cancel, "numeric")?;
+            Ok(solved.traversal.reversed().into_order())
+        })
+    }
+}
+
+/// Where [`Schedule::finish`] takes a report's numeric section from.
+pub(super) enum Numeric<'c> {
+    /// Run this numeric stage.
+    Run(NumericStage<'c>),
+    /// Read it from the factor an earlier sequential run handed back.
+    Cached(&'c FactorHandle),
+}
+
+/// The numeric stage of one `execute*` call, as [`Schedule::finish`] takes
+/// it: the cut, who runs its subtree tasks, and what only the mode's entry
+/// point knows.
+pub(super) struct NumericStage<'c> {
+    pub(super) cut: &'c CutPlan,
+    pub(super) runner: TaskRunner,
+    /// When the stage's in-process work began.
+    pub(super) started: Instant,
+    /// Lease duration and cluster measurements of a distributed run (whose
+    /// `runner` carries the collected contributions).
+    pub(super) cluster: Option<(u64, DistributedRuntime)>,
+}
+
+/// What one worker hands back for one subtree task: the values of the
+/// task's factor columns (in task order) and the contribution blocks its
+/// roots leave for the merge phase.  Row indices are not part of it — both
+/// sides derive the same [`SymbolicStructure`] from the configuration.
+/// Produced by [`Plan::factor_subtree`](crate::Plan::factor_subtree); consumed in task order by
+/// [`Schedule::execute_distributed`](crate::Schedule::execute_distributed).  The same type every in-process
+/// subtree task produces.
+pub type SubtreeParts = multifrontal::SubtreeOutcome;
 
 /// The deterministic part of a numeric execution: the cut, the per-piece
 /// column orders, and the statically modeled memory peaks the budget ledger
@@ -542,5 +658,26 @@ mod tests {
         }
         std::fs::remove_file(&path).unwrap();
         assert!(cells >= 7 * 4 * 2 * 3, "{cells} cells checked");
+    }
+
+    /// The per-column model solve inside every cold `execute*` polls the
+    /// engine's token, and a cancelled solve leaves no cached order behind.
+    #[test]
+    fn a_fired_token_cancels_the_per_column_model_solve() {
+        let engine = Engine::new();
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 3).with_numeric(true);
+        let plan = engine.plan(&config).unwrap();
+        let numeric = plan.numeric_model().unwrap();
+        let token = crate::cancel::CancelToken::new();
+        token.cancel();
+        match numeric.order_for(&engine.with_cancel(token), "minmem") {
+            Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "numeric"),
+            other => panic!("expected Cancelled, got {:?}", other.err()),
+        }
+        let mut cached = 0;
+        numeric.orders.for_each(|_, _| cached += 1);
+        assert_eq!(cached, 0, "a cancelled solve caches nothing");
+        let order = numeric.order_for(&engine, "minmem").unwrap();
+        assert_eq!(order.len(), numeric.model.len());
     }
 }
