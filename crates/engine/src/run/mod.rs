@@ -8,15 +8,10 @@
 //! [`Schedule::execute`] optionally adds the numeric multifrontal
 //! factorization and folds everything into a serializable [`Report`].
 //!
-//! A plan caches solver results by name, so sweeping many policies or memory
+//! A plan caches each solver's result, so sweeping many policies or memory
 //! budgets over the same traversal re-runs neither the symbolic analysis nor
 //! the solver — the "symbolic analysis reused across numeric runs" shape of
 //! production multifrontal codes.
-//!
-//! The submodules follow the layers: `validate` (the checks made before
-//! any work), `plan` (the analysis), `schedule` (traversal, I/O schedule and
-//! the report), `numeric` (the numeric substrate and its one execution
-//! pipeline) and `factor` (a computed factor and its solves).
 //!
 //! # What a plan owns and what it shares
 //!
@@ -188,14 +183,21 @@ impl Engine {
     /// eliminations, and the stage boundaries check it too.
     pub fn plan(&self, config: &EngineConfig) -> Result<Plan, EngineError> {
         let cancel = self.cancel();
-        self.validate(config)?;
+        let names = self.validate(config)?;
         check(cancel, "plan")?;
         let mut timings = StageTimings::default();
         let source_hash = config.source_hash();
         let (pattern, generate_seconds) = match &config.source {
             ProblemSource::Prebuilt { tree } => {
                 let tree = PlanTree::Prebuilt(tree.clone());
-                return Ok(Plan::new(config.clone(), source_hash, None, tree, timings));
+                return Ok(Plan::new(
+                    config.clone(),
+                    names,
+                    source_hash,
+                    None,
+                    tree,
+                    timings,
+                ));
             }
             ProblemSource::Generated { kind, nodes, seed } => {
                 timed_ok(|| kind.generate(*nodes, *seed))
@@ -235,6 +237,7 @@ impl Engine {
         timings.symbolic_seconds = symbolic_seconds;
         Ok(Plan::new(
             config.clone(),
+            names,
             source_hash,
             Some(Arc::new(symbolic)),
             PlanTree::Assembly(Box::new(assembly)),

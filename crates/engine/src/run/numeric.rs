@@ -1,17 +1,9 @@
 //! The numeric substrate ([`NumericModel`]) and the numeric execution
 //! pipeline: proportional-mapping cut, subtree phase, sequential merge
-//! above the cut.  Every numeric run of the engine —
-//! sequential, thread-parallel, distributed — goes through [`execute_cut`];
-//! the modes differ only in *who runs the subtree tasks* ([`TaskRunner`]).
-//!
-//! ```text
-//!  CutPlan::compute ──▶ subtree phase ──────────────▶ merge_and_assemble ──▶ report
-//!  (proportional_cut,    Inline     caller's thread    (above-cut columns,    (schedule.rs: one
-//!   static peaks,        Pool(w)    w threads, budget   tree order, caller's   `Report`
-//!   resolved budget)                gate, work stealing thread; assemble)      builder)
-//!                        Collected  worker processes
-//!                                   already did it
-//! ```
+//! above the cut (README's "The numeric pipeline" draws it).  Every numeric
+//! run of the engine — sequential, thread-parallel, distributed — goes
+//! through [`execute_cut`]; the modes differ only in *who runs the subtree
+//! tasks* ([`TaskRunner`]).
 //!
 //! 1. **Cut** — `treemem::partition::proportional_cut` splits the per-column
 //!    model tree into at most `max_tasks` work-balanced subtrees; the nodes
@@ -73,8 +65,8 @@ pub(crate) struct NumericModel {
     /// Shared with every factor computed on this plan.
     structure: Arc<SymbolicStructure>,
     model: Tree,
-    /// Bottom-up factorization orders cached by solver name.
-    orders: Memo<String, Vec<NodeId>>,
+    /// Bottom-up factorization orders cached by solver.
+    orders: Memo<Solver, Vec<NodeId>>,
 }
 
 impl NumericModel {
@@ -107,8 +99,7 @@ impl NumericModel {
     pub(crate) fn heap_bytes(&self) -> u64 {
         let mut bytes =
             self.matrix.heap_bytes() + self.structure.heap_bytes() + self.model.heap_bytes();
-        self.orders.for_each(|name, order| {
-            bytes += name.len() as u64;
+        self.orders.for_each(|_, order| {
             bytes += (order.len() * std::mem::size_of::<NodeId>()) as u64;
         });
         bytes
@@ -120,19 +111,19 @@ impl NumericModel {
     pub(crate) fn order_for(
         &self,
         engine: &Engine,
-        solver: &str,
+        solver: Solver,
     ) -> Result<Arc<Vec<NodeId>>, EngineError> {
-        self.orders.get_or_try(solver, || {
-            let entry: Solver = solver.parse()?;
-            if !entry.supports(&self.model) {
+        self.orders.get_or_try(&solver, || {
+            if !solver.supports(&self.model) {
                 return Err(EngineError::InvalidConfig(format!(
-                    "solver '{solver}' does not support the {}-node per-column model",
+                    "solver '{}' does not support the {}-node per-column model",
+                    solver.name(),
                     self.model.len()
                 )));
             }
             let cancel = engine.cancel();
             check(cancel, "numeric")?;
-            let solved = entry.solve(&self.model);
+            let solved = solver.solve(&self.model);
             check(cancel, "numeric")?;
             Ok(solved.traversal.reversed().into_order())
         })
@@ -148,9 +139,10 @@ pub(super) enum Numeric<'c> {
 }
 
 /// The numeric stage of one `execute*` call, as [`Schedule::finish`] takes
-/// it: the cut, who runs its subtree tasks, and what only the mode's entry
-/// point knows.
+/// it: the numeric substrate, its cut, who runs the subtree tasks, and what
+/// only the mode's entry point knows.
 pub(super) struct NumericStage<'c> {
+    pub(super) numeric: Arc<NumericModel>,
     pub(super) cut: &'c CutPlan,
     pub(super) runner: TaskRunner,
     /// When the stage's in-process work began.
@@ -164,9 +156,10 @@ pub(super) struct NumericStage<'c> {
 /// task's factor columns (in task order) and the contribution blocks its
 /// roots leave for the merge phase.  Row indices are not part of it — both
 /// sides derive the same [`SymbolicStructure`] from the configuration.
-/// Produced by [`Plan::factor_subtree`](crate::Plan::factor_subtree); consumed in task order by
-/// [`Schedule::execute_distributed`](crate::Schedule::execute_distributed).  The same type every in-process
-/// subtree task produces.
+/// Produced by [`Plan::factor_subtree`](crate::Plan::factor_subtree);
+/// consumed in task order by
+/// [`Schedule::execute_distributed`](crate::Schedule::execute_distributed).
+/// The same type every in-process subtree task produces.
 pub type SubtreeParts = multifrontal::SubtreeOutcome;
 
 /// The deterministic part of a numeric execution: the cut, the per-piece
@@ -567,7 +560,7 @@ mod tests {
         let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 3).with_numeric(true);
         let plan = engine.plan(&config).unwrap();
         let numeric = plan.numeric_model().unwrap();
-        let order = numeric.order_for(&engine, "minmem").unwrap();
+        let order = numeric.order_for(&engine, Solver::MinMem).unwrap();
         let cut = CutPlan::compute(&numeric, &order, 8, &BudgetShare::Entries(1));
         assert!(cut.task_orders.len() > 1 && !cut.merge_order.is_empty());
 
@@ -642,14 +635,15 @@ mod tests {
                         shape == "connected" || roots > 1,
                         "{shape} has {roots} roots"
                     );
-                    for solver in Solver::ALL.map(Solver::name) {
+                    for solver in Solver::ALL {
                         let Ok(order) = numeric.order_for(&engine, solver) else {
                             continue;
                         };
                         let cut = CutPlan::compute(&numeric, &order, 1, &BudgetShare::Unbounded);
                         let traversal = Traversal::new(order.to_vec());
                         let model = bottom_up_peak(&numeric.model, &traversal).unwrap();
-                        let context = format!("{} / {nodes} / {shape} / {solver}", kind.name());
+                        let context =
+                            format!("{} / {nodes} / {shape} / {}", kind.name(), solver.name());
                         assert_eq!(cut.sequential_peak, model, "{context}");
                         cells += 1;
                     }
@@ -670,14 +664,14 @@ mod tests {
         let numeric = plan.numeric_model().unwrap();
         let token = crate::cancel::CancelToken::new();
         token.cancel();
-        match numeric.order_for(&engine.with_cancel(token), "minmem") {
+        match numeric.order_for(&engine.with_cancel(token), Solver::MinMem) {
             Err(EngineError::Cancelled { stage, .. }) => assert_eq!(stage, "numeric"),
             other => panic!("expected Cancelled, got {:?}", other.err()),
         }
         let mut cached = 0;
         numeric.orders.for_each(|_, _| cached += 1);
         assert_eq!(cached, 0, "a cancelled solve caches nothing");
-        let order = numeric.order_for(&engine, "minmem").unwrap();
+        let order = numeric.order_for(&engine, Solver::MinMem).unwrap();
         assert_eq!(order.len(), numeric.model.len());
     }
 }

@@ -1,10 +1,10 @@
 //! The analysis layer: a [`Plan`] holds the ordering, the symbolic data and
-//! the assembly tree, and caches each solver's traversal and the numeric
-//! substrate built on them.
+//! the assembly tree, caches each solver's traversal and the numeric
+//! substrate built on them, and derives schedules from them.
 
 use std::sync::Arc;
 
-use minio::Walk;
+use minio::{MinIoError, Policy, Walk};
 use multifrontal::parallel::BudgetLedger;
 use multifrontal::{ContributionStore, FrontArena};
 use sparsemat::SparsePattern;
@@ -15,9 +15,11 @@ use treemem::tree::{NodeId, Size};
 use treemem::{TraversalResult, Tree};
 
 use super::numeric::{NumericModel, TaskContext};
-use super::{check, fire_fault, timed_ok, Engine, EngineError, SubtreeParts};
+use super::validate::{validate_execution, validate_memory};
+use super::{cancelled, check, fire_fault, timed_ok, Engine, EngineError, SubtreeParts};
+use super::{Schedule, ScheduleSpec};
 use crate::cancel::CancelToken;
-use crate::config::{EngineConfig, Fnv1a, ProblemSource, SolveRhs};
+use crate::config::{EngineConfig, Fnv1a, ProblemSource, Settings, SolveRhs};
 use crate::memo::Memo;
 use crate::report::StageTimings;
 
@@ -73,16 +75,18 @@ pub(super) struct Solved {
 /// ```
 pub struct Plan {
     pub(super) config: EngineConfig,
+    /// The configuration's solver and policy, parsed once at plan time.
+    names: (Solver, Policy),
     /// The hash state after the configuration's `source` line: schedules
     /// and sibling plans finish it over their effective settings.
-    pub(super) source_hash: Fnv1a,
-    pub(super) config_hash: String,
+    source_hash: Fnv1a,
+    config_hash: String,
     /// Shared with every [`Plan::reamalgamate`]d sibling.
     pub(super) symbolic: Option<Arc<SymbolicData>>,
     tree: PlanTree,
     pub(super) timings: StageTimings,
-    /// Solver results (and their bounds) cached by solver name.
-    solved: Memo<String, Solved>,
+    /// Solver results (and their bounds) cached by solver.
+    solved: Memo<Solver, Solved>,
     /// The numeric substrate, built lazily by the first `execute` with the
     /// numeric stage enabled and shared by all later ones.
     numeric_model: Memo<(), NumericModel>,
@@ -91,6 +95,7 @@ pub struct Plan {
 impl Plan {
     pub(super) fn new(
         config: EngineConfig,
+        names: (Solver, Policy),
         source_hash: Fnv1a,
         symbolic: Option<Arc<SymbolicData>>,
         tree: PlanTree,
@@ -99,6 +104,7 @@ impl Plan {
         Plan {
             config_hash: source_hash.finish(&config.settings()),
             config,
+            names,
             source_hash,
             symbolic,
             tree,
@@ -193,8 +199,7 @@ impl Plan {
             bytes += (symbolic.etree.len() * size_of::<Option<usize>>()) as u64;
             bytes += (symbolic.counts.len() * size_of::<usize>()) as u64;
         }
-        self.solved.for_each(|name, solved| {
-            bytes += name.len() as u64;
+        self.solved.for_each(|_, solved| {
             bytes += (solved.result.traversal.len() * size_of::<NodeId>()) as u64;
             bytes += solved.walk.heap_bytes();
         });
@@ -224,6 +229,7 @@ impl Plan {
         timings.symbolic_seconds = symbolic_seconds;
         Ok(Plan::new(
             self.config.clone().with_amalgamation(amalgamation),
+            self.names,
             self.source_hash,
             Some(symbolic.clone()),
             PlanTree::Assembly(Box::new(assembly)),
@@ -237,25 +243,29 @@ impl Plan {
         engine: &Engine,
         solver: &str,
     ) -> Result<(TraversalResult, f64), EngineError> {
-        let solved = self.solved(engine, solver)?;
+        let solved = self.solved(engine, solver.parse()?)?;
         Ok((solved.result.clone(), solved.seconds))
     }
 
     /// The shared, cached outcome of `solver` on the plan's tree — what
     /// schedules hold instead of a copy of the traversal.
-    pub(super) fn solved(&self, engine: &Engine, solver: &str) -> Result<Arc<Solved>, EngineError> {
-        self.solved.get_or_try(solver, || {
-            let entry: Solver = solver.parse()?;
-            if !entry.supports(self.tree()) {
+    pub(super) fn solved(
+        &self,
+        engine: &Engine,
+        solver: Solver,
+    ) -> Result<Arc<Solved>, EngineError> {
+        self.solved.get_or_try(&solver, || {
+            if !solver.supports(self.tree()) {
                 return Err(EngineError::InvalidConfig(format!(
-                    "solver '{solver}' does not support a tree of {} nodes",
+                    "solver '{}' does not support a tree of {} nodes",
+                    solver.name(),
                     self.tree().len()
                 )));
             }
             let cancel = engine.cancel();
             fire_fault(FaultPoint::ScheduleSolver);
             check(cancel, "solver")?;
-            let (result, seconds) = timed_ok(|| entry.solve(self.tree()));
+            let (result, seconds) = timed_ok(|| solver.solve(self.tree()));
             check(cancel, "solver")?;
             let walk = Walk::new(self.tree(), &result.traversal)?;
             Ok(Solved {
@@ -287,11 +297,12 @@ impl Plan {
     }
 
     /// Factor one subtree task of a distributed run: the worker-process side
-    /// of [`Schedule::distributed_cut`](crate::Schedule::distributed_cut).  `order` is the task's bottom-up
-    /// column order exactly as the coordinator issued it; the worker derives
-    /// the same matrix and symbolic structure from the same configuration,
-    /// so the produced columns and contribution blocks are bit-identical to
-    /// what the single-process executor would compute for those columns.
+    /// of [`Schedule::distributed_cut`](crate::Schedule::distributed_cut).
+    /// `order` is the task's bottom-up column order exactly as the
+    /// coordinator issued it; the worker derives the same matrix and
+    /// symbolic structure from the same configuration, so the produced
+    /// columns and contribution blocks are bit-identical to what the
+    /// single-process executor would compute for those columns.
     ///
     /// `order` arrives over the network, so it is validated (bounds,
     /// duplicates) before touching the kernel; a malformed order yields a
@@ -326,6 +337,100 @@ impl Plan {
         };
         ctx.factor(order, ContributionStore::new(), &mut FrontArena::new())
     }
+
+    /// Produce the schedule described by the plan's own configuration.
+    pub fn schedule<'p>(&'p self, engine: &Engine) -> Result<Schedule<'p>, EngineError> {
+        self.schedule_with(engine, ScheduleSpec::default())
+    }
+
+    /// Produce a schedule with per-call overrides, reusing the plan (and the
+    /// cached solver traversal) across calls — the engine-level analogue of
+    /// a sweep cell.  The solver checks the engine's token at its
+    /// boundaries and the out-of-core simulation polls it every few
+    /// thousand steps.
+    pub fn schedule_with<'p>(
+        &'p self,
+        engine: &Engine,
+        spec: ScheduleSpec,
+    ) -> Result<Schedule<'p>, EngineError> {
+        let cancel = engine.cancel();
+        // Provenance: the hash of the *effective* configuration, so
+        // replaying the hashed configuration reproduces exactly this
+        // schedule.  A spec that overrides nothing names the plan's own
+        // configuration; any other finishes the plan's saved hash state
+        // over the effective settings — the source is never revisited.
+        let overrides = spec.solver.is_some()
+            || spec.policy.is_some()
+            || spec.memory.is_some()
+            || spec.parallel.is_some();
+        let solver = spec
+            .solver
+            .as_deref()
+            .map_or(Ok(self.names.0), str::parse)?;
+        let policy = spec
+            .policy
+            .as_deref()
+            .map_or(Ok(self.names.1), str::parse)?;
+        let budget_spec = spec.memory.unwrap_or(self.config.memory);
+        let parallel = spec.parallel.unwrap_or(self.config.parallel);
+        validate_memory(budget_spec)?;
+        validate_execution(&parallel, &self.config.distributed, self.config.numeric)?;
+        let solved = self.solved(engine, solver)?;
+
+        fire_fault(FaultPoint::ScheduleIo);
+        check(cancel, "io")?;
+        let tree = self.tree();
+        let traversal = &solved.result.traversal;
+        let memory_budget = budget_spec.resolve(tree.max_mem_req(), solved.result.peak);
+        let walk = &solved.walk;
+        let (simulated, io_seconds) = CancelToken::with_stop(cancel, |stop| {
+            timed_ok(|| {
+                let Some(run) = walk.schedule_io(tree, traversal, memory_budget, policy, stop)?
+                else {
+                    return Ok(None);
+                };
+                // A stopped bound is `Err(None)`, which the memo does
+                // not keep.
+                let bound = solved.bounds.get_or_try(&memory_budget, || {
+                    walk.divisible_bound(tree, traversal, memory_budget, stop)
+                        .map_err(Some)?
+                        .ok_or(None)
+                });
+                match bound {
+                    Ok(bound) => Ok(Some((run, *bound))),
+                    Err(None) => Ok(None),
+                    Err(Some(err)) => Err::<_, MinIoError>(err),
+                }
+            })
+        });
+        let Some((run, divisible_bound)) = simulated? else {
+            return Err(cancelled(cancel, "io"));
+        };
+        let config_hash = if overrides {
+            self.source_hash.finish(&Settings {
+                solver: solver.name(),
+                policy: policy.name(),
+                memory: budget_spec,
+                parallel,
+                ..self.config.settings()
+            })
+        } else {
+            self.config_hash.clone()
+        };
+        Ok(Schedule {
+            plan: self,
+            config_hash,
+            solver,
+            policy,
+            parallel,
+            solved,
+            budget_spec,
+            memory_budget,
+            run,
+            divisible_bound,
+            io_seconds,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -354,15 +459,15 @@ mod tests {
             .unwrap();
         let cached = || {
             let mut solvers = Vec::new();
-            plan.solved.for_each(|name, _| solvers.push(name.clone()));
+            plan.solved.for_each(|solver, _| solvers.push(*solver));
             solvers
         };
         let (first, _) = plan.solve(&engine, "minmem").unwrap();
         let (second, _) = plan.solve(&engine, "minmem").unwrap();
         assert_eq!(first, second);
-        assert_eq!(cached(), ["minmem"]);
+        assert_eq!(cached(), [Solver::MinMem]);
         plan.solve(&engine, "postorder").unwrap();
-        assert_eq!(cached(), ["minmem", "postorder"]);
+        assert_eq!(cached(), [Solver::MinMem, Solver::BestPostorder]);
     }
 
     #[test]
@@ -401,6 +506,20 @@ mod tests {
         assert!(matches!(
             plan.factor_subtree(&[99, 0], None),
             Err(EngineError::Factorization(_))
+        ));
+    }
+
+    #[test]
+    fn absolute_budgets_below_memreq_are_reported() {
+        let engine = Engine::new();
+        let tree = harpoon(3, 300, 1);
+        let too_small = tree.max_mem_req() - 1;
+        let config =
+            EngineConfig::prebuilt(tree).with_memory(crate::MemoryBudget::Absolute(too_small));
+        let plan = engine.plan(&config).unwrap();
+        assert!(matches!(
+            plan.schedule(&engine),
+            Err(EngineError::MinIo(MinIoError::InsufficientMemory { .. }))
         ));
     }
 }

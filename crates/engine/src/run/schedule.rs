@@ -3,115 +3,19 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use minio::{MinIoError, OutOfCoreRun, Policy};
-use multifrontal::numeric::SymbolicStructure;
+use minio::{OutOfCoreRun, Policy};
 use treemem::faultinject::FaultPoint;
+use treemem::solver::Solver;
 use treemem::tree::Size;
 use treemem::Traversal;
 
 use super::factor::{solve_check, FactorHandle};
-use super::numeric::{execute_cut, CutPlan, Numeric, NumericStage, TaskRunner};
+use super::numeric::{execute_cut, CutPlan, Numeric, NumericModel, NumericStage, TaskRunner};
 use super::plan::{Plan, Solved};
-use super::validate::{validate_execution, validate_memory};
-use super::{cancelled, check, fire_fault, timed_ok, Engine, EngineError, SubtreeParts};
+use super::{check, fire_fault, timed_ok, Engine, EngineError, SubtreeParts};
 use crate::cancel::CancelToken;
-use crate::config::{BudgetShare, MemoryBudget, ParallelConfig, Settings};
+use crate::config::{BudgetShare, MemoryBudget, ParallelConfig};
 use crate::report::{DistributedReport, NumericReport, ParallelReport, Report, StageTimings};
-
-impl Plan {
-    /// Produce the schedule described by the plan's own configuration.
-    pub fn schedule<'p>(&'p self, engine: &Engine) -> Result<Schedule<'p>, EngineError> {
-        self.schedule_with(engine, ScheduleSpec::default())
-    }
-
-    /// Produce a schedule with per-call overrides, reusing the plan (and the
-    /// cached solver traversal) across calls — the engine-level analogue of
-    /// a sweep cell.  The solver checks the engine's token at its
-    /// boundaries and the out-of-core simulation polls it every few
-    /// thousand steps.
-    pub fn schedule_with<'p>(
-        &'p self,
-        engine: &Engine,
-        spec: ScheduleSpec,
-    ) -> Result<Schedule<'p>, EngineError> {
-        let cancel = engine.cancel();
-        // Provenance: the hash of the *effective* configuration, so
-        // replaying the hashed configuration reproduces exactly this
-        // schedule.  A spec that overrides nothing names the plan's own
-        // configuration; any other finishes the plan's saved hash state
-        // over the effective settings — the source is never revisited.
-        let overrides = spec.solver.is_some()
-            || spec.policy.is_some()
-            || spec.memory.is_some()
-            || spec.parallel.is_some();
-        let solver = spec.solver.unwrap_or_else(|| self.config.solver.clone());
-        let policy_name = spec.policy.unwrap_or_else(|| self.config.policy.clone());
-        let budget_spec = spec.memory.unwrap_or(self.config.memory);
-        let parallel = spec.parallel.unwrap_or(self.config.parallel);
-        validate_memory(budget_spec)?;
-        validate_execution(&parallel, &self.config.distributed, self.config.numeric)?;
-        let policy: Policy = policy_name.parse()?;
-        let solved = self.solved(engine, &solver)?;
-
-        fire_fault(FaultPoint::ScheduleIo);
-        check(cancel, "io")?;
-        let tree = self.tree();
-        let traversal = &solved.result.traversal;
-        let memory_budget = budget_spec.resolve(tree.max_mem_req(), solved.result.peak);
-        let walk = &solved.walk;
-        let (simulated, io_seconds) = {
-            let (result, seconds) = CancelToken::with_stop(cancel, |stop| {
-                timed_ok(|| {
-                    let Some(run) =
-                        walk.schedule_io(tree, traversal, memory_budget, policy, stop)?
-                    else {
-                        return Ok(None);
-                    };
-                    // A stopped bound is `Err(None)`, which the memo does
-                    // not keep.
-                    let bound = solved.bounds.get_or_try(&memory_budget, || {
-                        walk.divisible_bound(tree, traversal, memory_budget, stop)
-                            .map_err(Some)?
-                            .ok_or(None)
-                    });
-                    match bound {
-                        Ok(bound) => Ok(Some((run, *bound))),
-                        Err(None) => Ok(None),
-                        Err(Some(err)) => Err::<_, MinIoError>(err),
-                    }
-                })
-            });
-            (result?, seconds)
-        };
-        let Some((run, divisible_bound)) = simulated else {
-            return Err(cancelled(cancel, "io"));
-        };
-        let config_hash = if overrides {
-            self.source_hash.finish(&Settings {
-                solver: &solver,
-                policy: &policy_name,
-                memory: budget_spec,
-                parallel,
-                ..self.config.settings()
-            })
-        } else {
-            self.config_hash.clone()
-        };
-        Ok(Schedule {
-            plan: self,
-            config_hash,
-            solver,
-            policy: policy_name,
-            parallel,
-            solved,
-            budget_spec,
-            memory_budget,
-            run,
-            divisible_bound,
-            io_seconds,
-        })
-    }
-}
 
 /// Per-call overrides for [`Plan::schedule_with`]; unset fields fall back to
 /// the plan's configuration.
@@ -156,20 +60,20 @@ impl ScheduleSpec {
 /// A solver traversal plus its simulated out-of-core execution, borrowed
 /// from the [`Plan`] that produced it.
 pub struct Schedule<'p> {
-    plan: &'p Plan,
+    pub(super) plan: &'p Plan,
     /// Hash of the effective configuration (plan config + spec overrides).
-    config_hash: String,
-    solver: String,
-    policy: String,
-    parallel: ParallelConfig,
+    pub(super) config_hash: String,
+    pub(super) solver: Solver,
+    pub(super) policy: Policy,
+    pub(super) parallel: ParallelConfig,
     /// The solver's traversal, peak and seconds — the plan's cached entry,
     /// shared by every schedule of this solver.
-    solved: Arc<Solved>,
-    budget_spec: MemoryBudget,
-    memory_budget: Size,
-    run: OutOfCoreRun,
-    divisible_bound: Size,
-    io_seconds: f64,
+    pub(super) solved: Arc<Solved>,
+    pub(super) budget_spec: MemoryBudget,
+    pub(super) memory_budget: Size,
+    pub(super) run: OutOfCoreRun,
+    pub(super) divisible_bound: Size,
+    pub(super) io_seconds: f64,
 }
 
 impl Schedule<'_> {
@@ -196,12 +100,12 @@ impl Schedule<'_> {
 
     /// The solver that produced the traversal.
     pub fn solver(&self) -> &str {
-        &self.solver
+        self.solver.name()
     }
 
     /// The eviction policy that produced the I/O schedule.
     pub fn policy(&self) -> &str {
-        &self.policy
+        self.policy.name()
     }
 
     /// The traversal (top-down order, root first).
@@ -267,21 +171,21 @@ impl Schedule<'_> {
         fire_fault(FaultPoint::ExecuteNumeric);
         check(cancel, "numeric")?;
         let started = Instant::now();
-        let numeric = self.plan.numeric_model()?;
-        let order = numeric.order_for(engine, &self.solver)?;
         // Sequential execution is the one-task cut run inline.
-        let (max_tasks, budget, runner) = if self.parallel.enabled() {
-            let ParallelConfig {
-                workers,
-                max_tasks,
-                budget,
-            } = self.parallel;
-            (max_tasks, budget, TaskRunner::Pool(workers))
+        let parallel = self.parallel;
+        let (max_tasks, budget, runner) = if parallel.enabled() {
+            (
+                parallel.max_tasks,
+                parallel.budget,
+                TaskRunner::Pool(parallel.workers),
+            )
         } else {
             (1, BudgetShare::Unbounded, TaskRunner::Inline)
         };
+        let (numeric, cut) = self.cut(engine, max_tasks, &budget)?;
         let stage = NumericStage {
-            cut: &CutPlan::compute(&numeric, &order, max_tasks, &budget),
+            numeric,
+            cut: &cut,
             runner,
             started,
             cluster: None,
@@ -343,12 +247,11 @@ impl Schedule<'_> {
             None => {}
             Some(Numeric::Cached(factor)) => cached = Some(factor),
             Some(Numeric::Run(stage)) => {
-                let model = plan.numeric_model()?;
                 let pool_workers = match stage.runner {
                     TaskRunner::Pool(workers) => Some(workers),
                     _ => None,
                 };
-                let executed = execute_cut(&model, stage.cut, stage.runner, cancel)?;
+                let executed = execute_cut(&stage.numeric, stage.cut, stage.runner, cancel)?;
                 // A distributed run spent its claim phase before `started`;
                 // counting it makes every mode's numbers cover the whole stage.
                 let before = stage
@@ -393,11 +296,11 @@ impl Schedule<'_> {
                     measured_peak_entries: executed.measured_peak_entries as usize,
                     model_peak_entries: stage.cut.sequential_peak,
                     factor_nnz: executed.factor.nnz(),
-                    solve_error: solve_check(model.matrix(), &executed.factor),
+                    solve_error: solve_check(stage.numeric.matrix(), &executed.factor),
                 };
                 timings.numeric_seconds = stage_seconds();
                 handle = Some(FactorHandle {
-                    numeric: model,
+                    numeric: stage.numeric,
                     factor: executed.factor,
                     config_hash: self.config_hash.clone(),
                     report,
@@ -427,8 +330,8 @@ impl Schedule<'_> {
             source: plan.config.source_name(),
             ordering: plan.config.ordering.name().to_string(),
             amalgamation: plan.config.amalgamation,
-            solver: self.solver.clone(),
-            policy: self.policy.clone(),
+            solver: self.solver.name().to_string(),
+            policy: self.policy.name().to_string(),
             nodes: plan.tree().len(),
             matrix_n: plan.matrix_n(),
             solver_peak: self.peak(),
@@ -465,14 +368,27 @@ impl Schedule<'_> {
                 "the distributed cut needs distributed.tasks >= 2".to_string(),
             ));
         }
-        let numeric = self.plan.numeric_model()?;
-        let order = numeric.order_for(engine, &self.solver)?;
-        let cut = CutPlan::compute(&numeric, &order, distributed.tasks, &distributed.budget);
+        let (numeric, cut) = self.cut(engine, distributed.tasks, &distributed.budget)?;
         Ok(DistributedCut {
             cut,
             lease_ms: distributed.lease_ms,
-            structure: numeric.structure().clone(),
+            numeric,
         })
+    }
+
+    /// The one cut builder behind every numeric run: the plan's numeric
+    /// substrate and its cut along this schedule's factorization order into
+    /// at most `max_tasks` subtree tasks under `budget`.
+    fn cut(
+        &self,
+        engine: &Engine,
+        max_tasks: usize,
+        budget: &BudgetShare,
+    ) -> Result<(Arc<NumericModel>, CutPlan), EngineError> {
+        let numeric = self.plan.numeric_model()?;
+        let order = numeric.order_for(engine, self.solver)?;
+        let cut = CutPlan::compute(&numeric, &order, max_tasks, budget);
+        Ok((numeric, cut))
     }
 
     /// The coordinator's final phase of a distributed run — the same
@@ -499,6 +415,7 @@ impl Schedule<'_> {
         let started = Instant::now();
         check(cancel, "numeric")?;
         let stage = NumericStage {
+            numeric: cut.numeric,
             cut: &cut.cut,
             runner: TaskRunner::Collected(contributions),
             started,
@@ -515,7 +432,7 @@ impl Schedule<'_> {
 pub struct DistributedCut {
     cut: CutPlan,
     lease_ms: u64,
-    structure: Arc<SymbolicStructure>,
+    numeric: Arc<NumericModel>,
 }
 
 impl DistributedCut {
@@ -542,7 +459,7 @@ impl DistributedCut {
     pub fn task_value_count(&self, task: usize) -> usize {
         self.cut.task_orders[task]
             .iter()
-            .map(|&j| self.structure.rows(j).len())
+            .map(|&j| self.numeric.structure().rows(j).len())
             .sum()
     }
 
@@ -551,15 +468,16 @@ impl DistributedCut {
     /// task — by increasing column.
     pub fn task_root_blocks(&self, task: usize) -> Vec<(usize, usize)> {
         let order = &self.cut.task_orders[task];
-        let mut inside = vec![false; self.structure.n()];
+        let structure = self.numeric.structure();
+        let mut inside = vec![false; structure.n()];
         for &j in order {
             inside[j] = true;
         }
         let mut blocks: Vec<(usize, usize)> = order
             .iter()
             .filter_map(|&j| {
-                let dimension = self.structure.rows(j).len() - 1;
-                let parent = self.structure.etree.parent(j)?;
+                let dimension = structure.rows(j).len() - 1;
+                let parent = structure.etree.parent(j)?;
                 (dimension > 0 && !inside[parent]).then_some((j, dimension))
             })
             .collect();
@@ -890,18 +808,5 @@ mod tests {
                 "seeded solve through a bit-identical factor is bit-identical"
             );
         }
-    }
-
-    #[test]
-    fn absolute_budgets_below_memreq_are_reported() {
-        let engine = Engine::new();
-        let tree = harpoon(3, 300, 1);
-        let too_small = tree.max_mem_req() - 1;
-        let config = EngineConfig::prebuilt(tree).with_memory(MemoryBudget::Absolute(too_small));
-        let plan = engine.plan(&config).unwrap();
-        assert!(matches!(
-            plan.schedule(&engine),
-            Err(EngineError::MinIo(MinIoError::InsufficientMemory { .. }))
-        ));
     }
 }

@@ -12,9 +12,9 @@ use crate::config::{
 };
 
 impl Engine {
-    pub(super) fn validate(&self, config: &EngineConfig) -> Result<(), EngineError> {
-        config.solver.parse::<Solver>()?;
-        config.policy.parse::<Policy>()?;
+    /// Check `config`, returning the solver and policy its names parse to.
+    pub(super) fn validate(&self, config: &EngineConfig) -> Result<(Solver, Policy), EngineError> {
+        let names = (config.solver.parse()?, config.policy.parse()?);
         if config.amalgamation == 0 {
             return Err(EngineError::InvalidConfig(
                 "the amalgamation allowance must be at least 1".to_string(),
@@ -26,7 +26,7 @@ impl Engine {
         }
         validate_execution(&config.parallel, &config.distributed, config.numeric)?;
         validate_solve(&config.solve, config.numeric)?;
-        Ok(())
+        Ok(names)
     }
 }
 
