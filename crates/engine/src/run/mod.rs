@@ -302,19 +302,35 @@ mod tests {
     use sparsemat::gen::ProblemKind;
     use treemem::gadgets::harpoon;
 
+    /// An unknown name fails at plan time, and `Plan::solve` and a
+    /// `ScheduleSpec` override, which parse the names a plan did not, answer
+    /// the same typed error with the same text.
     #[test]
-    fn unknown_names_fail_at_plan_time() {
+    fn unknown_names_fail_alike_on_every_path() {
         let engine = Engine::new();
-        let config = EngineConfig::prebuilt(harpoon(3, 300, 1)).with_solver("nope");
-        match engine.plan(&config) {
-            Err(EngineError::UnknownName(err)) => assert_eq!(err.kind, "solver"),
-            other => panic!("expected UnknownName, got {other:?}", other = other.err()),
-        }
-        let config = EngineConfig::prebuilt(harpoon(3, 300, 1)).with_policy("nope");
-        match engine.plan(&config) {
-            Err(EngineError::UnknownName(err)) => assert_eq!(err.kind, "policy"),
-            other => panic!("expected UnknownName, got {other:?}", other = other.err()),
-        }
+        let tree = Arc::new(harpoon(3, 300, 1));
+        let plan = engine.plan(&EngineConfig::prebuilt(tree.clone())).unwrap();
+        let unknown = |error: Option<EngineError>| match error {
+            Some(EngineError::UnknownName(err)) => (err.kind, err.to_string()),
+            other => panic!("expected UnknownName, got {other:?}"),
+        };
+        let config = EngineConfig::prebuilt(tree.clone()).with_solver("nope");
+        let at_plan_time = unknown(engine.plan(&config).err());
+        assert_eq!(at_plan_time.0, "solver");
+        let spec = ScheduleSpec::default().solver("nope");
+        assert_eq!(
+            unknown(plan.schedule_with(&engine, spec).err()),
+            at_plan_time
+        );
+        assert_eq!(unknown(plan.solve(&engine, "nope").err()), at_plan_time);
+        let config = EngineConfig::prebuilt(tree).with_policy("nope");
+        let at_plan_time = unknown(engine.plan(&config).err());
+        assert_eq!(at_plan_time.0, "policy");
+        let spec = ScheduleSpec::default().policy("nope");
+        assert_eq!(
+            unknown(plan.schedule_with(&engine, spec).err()),
+            at_plan_time
+        );
     }
 
     /// A 0 × 0 MatrixMarket input used to reach the amalgamation with an

@@ -130,7 +130,7 @@ impl NumericModel {
     }
 }
 
-/// Where [`Schedule::finish`] takes a report's numeric section from.
+/// Where [`Schedule::finish`](super::Schedule::finish) takes a report's numeric section from.
 pub(super) enum Numeric<'c> {
     /// Run this numeric stage.
     Run(NumericStage<'c>),
@@ -138,9 +138,10 @@ pub(super) enum Numeric<'c> {
     Cached(&'c FactorHandle),
 }
 
-/// The numeric stage of one `execute*` call, as [`Schedule::finish`] takes
-/// it: the numeric substrate, its cut, who runs the subtree tasks, and what
-/// only the mode's entry point knows.
+/// The numeric stage of one `execute*` call, as
+/// [`Schedule::finish`](super::Schedule::finish) takes it: the numeric
+/// substrate, its cut, who runs the subtree tasks, and what only the mode's
+/// entry point knows.
 pub(super) struct NumericStage<'c> {
     pub(super) numeric: Arc<NumericModel>,
     pub(super) cut: &'c CutPlan,

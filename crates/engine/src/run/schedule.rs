@@ -172,13 +172,13 @@ impl Schedule<'_> {
         check(cancel, "numeric")?;
         let started = Instant::now();
         // Sequential execution is the one-task cut run inline.
-        let parallel = self.parallel;
-        let (max_tasks, budget, runner) = if parallel.enabled() {
-            (
-                parallel.max_tasks,
-                parallel.budget,
-                TaskRunner::Pool(parallel.workers),
-            )
+        let (max_tasks, budget, runner) = if self.parallel.enabled() {
+            let ParallelConfig {
+                workers,
+                max_tasks,
+                budget,
+            } = self.parallel;
+            (max_tasks, budget, TaskRunner::Pool(workers))
         } else {
             (1, BudgetShare::Unbounded, TaskRunner::Inline)
         };
@@ -539,6 +539,7 @@ mod tests {
                 .with_numeric(true)
                 .with_solve(SolveConfig::vectors(vec![vec![1.0; 12]])),
         ];
+        let mut brute_cells = 0;
         for base in &bases {
             let plan = engine.plan(base).unwrap();
             assert_eq!(plan.config_hash(), base.hash());
@@ -583,7 +584,33 @@ mod tests {
                 assert_eq!(report.config_hash, effective.hash());
                 assert_eq!(schedule.config_hash() == base.hash(), effective == *base);
             }
+            // Every solver × policy name pair (brute only where it runs):
+            // the schedule and its report name exactly what a plan of the
+            // overridden configuration names, down to the name strings.
+            for solver in Solver::ALL.into_iter().filter(|s| s.supports(plan.tree())) {
+                brute_cells += usize::from(solver == Solver::Brute);
+                for policy in Policy::ALL {
+                    let (solver, policy) = (solver.name(), policy.name());
+                    let spec = ScheduleSpec::default().solver(solver).policy(policy);
+                    let schedule = plan.schedule_with(&engine, spec).unwrap();
+                    let report = schedule.execute(&engine).unwrap();
+                    let effective = base.clone().with_solver(solver).with_policy(policy);
+                    let direct = engine.plan(&effective).unwrap();
+                    let expected = direct.schedule(&engine).unwrap().execute(&engine).unwrap();
+                    let cell = format!("{} {solver} {policy}", base.source_name());
+                    assert_eq!(schedule.config_hash(), direct.config_hash(), "{cell}");
+                    assert_eq!(report.config_hash, expected.config_hash, "{cell}");
+                    assert_eq!(report.solver, expected.solver, "{cell}");
+                    assert_eq!(report.policy, expected.policy, "{cell}");
+                    assert_eq!(report.solver, effective.solver, "{cell}");
+                    assert_eq!(report.policy, effective.policy, "{cell}");
+                }
+            }
         }
+        assert!(
+            brute_cells > 0,
+            "no base is small enough for the brute force"
+        );
     }
 
     #[test]

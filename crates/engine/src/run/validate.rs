@@ -52,8 +52,9 @@ const MIN_DISTRIBUTED_LEASE_MS: u64 = 10;
 const MAX_DISTRIBUTED_LEASE_MS: u64 = 3_600_000;
 
 /// The one check of a memory budget, made on the configuration at plan time
-/// and on a [`ScheduleSpec`] override at schedule time: a non-finite
-/// fraction resolves to no budget and renders as a number JSON cannot hold.
+/// and on a [`ScheduleSpec`](super::ScheduleSpec) override at schedule time:
+/// a non-finite fraction resolves to no budget and renders as a number JSON
+/// cannot hold.
 pub(super) fn validate_memory(memory: MemoryBudget) -> Result<(), EngineError> {
     match memory {
         MemoryBudget::FractionOfPeak(fraction) if !fraction.is_finite() => Err(

@@ -298,15 +298,29 @@ impl ServerHandle {
 
     /// Stop accepting, finish the queued and in-flight requests, and join
     /// every thread.  Idempotent-ish: safe to call once; dropping the handle
-    /// without calling it stops the server the same way.
+    /// without calling it stops the server the same way, except during a
+    /// panic (see the `Drop` impl).
     pub fn shutdown(mut self) -> std::io::Result<()> {
         self.stop()
     }
 
     fn stop(&mut self) -> std::io::Result<()> {
-        let Some(accept_thread) = self.accept_thread.take() else {
+        let Some(accept_thread) = self.signal_stop() else {
             return Ok(());
         };
+        // The accept thread owns the queue's sender: once it has exited, the
+        // workers drain what is queued and stop.
+        let accepted = accept_thread.join();
+        let workers = self.worker_threads.drain(..).map(JoinHandle::join);
+        workers
+            .fold(accepted, Result::and)
+            .map_err(|_| std::io::Error::other("a server thread panicked"))
+    }
+
+    /// Raise the shutdown flag and wake the accept thread, handing back its
+    /// handle (`None` once the server was already told to stop).
+    fn signal_stop(&mut self) -> Option<JoinHandle<()>> {
+        let accept_thread = self.accept_thread.take()?;
         self.shutdown.store(true, Ordering::SeqCst);
         // The accept loop blocks in `accept`; poke it awake with a throwaway
         // connection so it observes the flag.  A wildcard bind address
@@ -320,19 +334,22 @@ impl ServerHandle {
             });
         }
         let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-        // The accept thread owns the queue's sender: once it has exited, the
-        // workers drain what is queued and stop.
-        let accepted = accept_thread.join();
-        let workers = self.worker_threads.drain(..).map(JoinHandle::join);
-        workers
-            .fold(accepted, Result::and)
-            .map_err(|_| std::io::Error::other("a server thread panicked"))
+        Some(accept_thread)
     }
 }
 
 impl Drop for ServerHandle {
+    /// Stop the server and join its threads — unless the thread dropping
+    /// the handle is panicking: then the server is told to stop and its
+    /// threads are detached, so a failing test whose worker is wedged on a
+    /// request fails instead of hanging on the join.
     fn drop(&mut self) {
-        let _ = self.stop();
+        if std::thread::panicking() {
+            // Dropping the join handles detaches the threads.
+            drop(self.signal_stop());
+        } else {
+            let _ = self.stop();
+        }
     }
 }
 

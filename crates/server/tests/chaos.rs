@@ -11,7 +11,6 @@
 //! process-global: a rule armed here would fire in any other test of the
 //! same process.
 
-use std::mem::ManuallyDrop;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -101,9 +100,7 @@ fn injected_faults_are_absorbed_and_every_report_matches_the_reference() {
 
     let injected_before = engine::faultinject::injected();
     engine::faultinject::install(engine::faultinject::parse_plan(CHAOS_FAULT_PLAN).expect("plan"));
-    // Not dropped on a failed assertion: dropping joins the server's
-    // threads, and a wedged one would turn the failure into a hang.
-    let handle = ManuallyDrop::new(spawn_server());
+    let handle = spawn_server();
     let addr = handle.addr();
 
     let stop_poller = Arc::new(AtomicBool::new(false));
@@ -196,7 +193,5 @@ fn injected_faults_are_absorbed_and_every_report_matches_the_reference() {
         unhealthy, 0,
         "{unhealthy} of {probes} /healthz probes failed"
     );
-    ManuallyDrop::into_inner(handle)
-        .shutdown()
-        .expect("clean shutdown");
+    handle.shutdown().expect("clean shutdown");
 }

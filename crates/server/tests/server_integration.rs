@@ -449,16 +449,9 @@ fn distributed_reports_without_workers_are_shed_not_parked() {
         .with_distributed(DistributedConfig::with_tasks(2).with_lease_ms(50))
         .to_json();
     let started = std::time::Instant::now();
-    // The read timeout is the regression bound.  On failure the handle is
-    // leaked: joining a server whose worker is parked forever would turn
-    // the failure into a hang.
-    let shed = match client::post_with_timeout(addr, "/report", &config, Duration::from_secs(20)) {
-        Ok(response) => response,
-        Err(error) => {
-            std::mem::forget(handle);
-            panic!("a stalled job must be answered, not parked: {error}");
-        }
-    };
+    // The read timeout is the regression bound.
+    let shed = client::post_with_timeout(addr, "/report", &config, Duration::from_secs(20))
+        .unwrap_or_else(|error| panic!("a stalled job must be answered, not parked: {error}"));
     assert_eq!(shed.status, 503, "{}", shed.body);
     assert_eq!(shed.header("retry-after"), Some("1"));
     assert!(
@@ -474,6 +467,53 @@ fn distributed_reports_without_workers_are_shed_not_parked() {
     assert_eq!(cluster.get("jobs_started").and_then(Json::as_u64), Some(1));
     assert_eq!(cluster.get("tasks_claimed").and_then(Json::as_u64), Some(0));
     handle.shutdown().expect("clean shutdown");
+}
+
+/// A failing test fails instead of hanging: a handle dropped while its
+/// thread unwinds tells the server to stop and detaches its threads rather
+/// than joining them.  The only worker is parked on a distributed `/report`
+/// that no worker process claims; its 30 s lease keeps it there for two
+/// lease periods (60 s), which a joining drop would wait out.
+#[test]
+fn a_handle_dropped_while_panicking_does_not_join_a_parked_worker() {
+    let handle = Server::spawn(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let addr = handle.addr();
+    let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 3)
+        .with_numeric(true)
+        .with_distributed(DistributedConfig::with_tasks(2).with_lease_ms(30_000))
+        .to_json();
+    // The job does not watch the connection: the worker stays parked after
+    // the client gives up.
+    let client = std::thread::spawn(move || {
+        client::post_with_timeout(addr, "/report", &config, Duration::from_secs(2))
+    });
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.service().registry().stats().snapshot().jobs_started == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the report never started its job"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let started = Instant::now();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let _handle = handle;
+        panic!("an assertion fails while the only worker is parked");
+    }));
+    let elapsed = started.elapsed();
+    assert!(unwound.is_err());
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "the unwind took {elapsed:?}"
+    );
+    assert!(
+        client.join().expect("client thread").is_err(),
+        "a parked report answered"
+    );
 }
 
 #[test]

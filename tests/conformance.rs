@@ -2,11 +2,12 @@
 //!
 //! The invariants clippy checks are enforced by CI's `lint` job, not here;
 //! this test fails if their setup is deleted — a missing attribute or
-//! config line would otherwise turn a lint off silently.  Three invariants
+//! config line would otherwise turn a lint off silently.  Four invariants
 //! no lint can see are line scans: JSON is rendered only by
-//! `engine::json::Writer` (the crates' non-test sources), the `serve`
-//! binary parses, prints and documents one set of flags, and the docs'
-//! backticked references name files and items that still exist.
+//! `engine::json::Writer` (the crates' non-test sources), no source file
+//! outgrows 1 000 non-test lines, the `serve` binary parses, prints and
+//! documents one set of flags, and the docs' backticked references name
+//! files and items that still exist.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs;
@@ -110,10 +111,35 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The lines of `source` before its `#[cfg(test)] mod tests`: the test
+/// module is skipped, since clippy's default `items_after_test_module` keeps
+/// it last.
+fn non_test_lines(source: &str) -> Vec<&str> {
+    let lines: Vec<&str> = source.lines().collect();
+    let end = lines
+        .windows(2)
+        .position(|pair| {
+            pair[0].trim_start() == "#[cfg(test)]" && pair[1].trim_start().starts_with("mod tests")
+        })
+        .unwrap_or(lines.len());
+    lines[..end].to_vec()
+}
+
+/// Every `.rs` file under each crate's `src`.
+fn crate_sources() -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for krate in fs::read_dir(workspace_root().join("crates")).expect("a crates directory") {
+        let src = krate.expect("readable directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    files
+}
+
 /// `engine::json` owns separators, escaping, `null` floats and the one
 /// layout byte-stable documents depend on, so no other non-test source may
-/// hold a JSON key in a string literal.  A file's test module is skipped:
-/// clippy's default `items_after_test_module` keeps it last.
+/// hold a JSON key in a string literal.
 #[test]
 fn json_is_rendered_only_by_the_writer() {
     // The matcher must still see what it looks for.
@@ -124,29 +150,14 @@ fn json_is_rendered_only_by_the_writer() {
         r#""a \"config_hash\" string: see /solve""#
     ));
 
-    let mut files = Vec::new();
-    for krate in fs::read_dir(workspace_root().join("crates")).expect("a crates directory") {
-        let src = krate.expect("readable directory entry").path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
+    let mut files = crate_sources();
     files.retain(|path| !path.ends_with("engine/src/json.rs"));
     assert!(files.len() > 50, "found only {} sources", files.len());
     let mut hits = Vec::new();
     for path in files {
         let source = fs::read_to_string(&path).expect("readable source");
-        let mut lines = source.lines().enumerate().peekable();
-        while let Some((index, line)) = lines.next() {
-            let trimmed = line.trim_start();
-            if trimmed == "#[cfg(test)]"
-                && lines
-                    .peek()
-                    .is_some_and(|(_, next)| next.trim_start().starts_with("mod tests"))
-            {
-                break;
-            }
-            if !trimmed.starts_with("//") && renders_a_json_key(line) {
+        for (index, line) in non_test_lines(&source).into_iter().enumerate() {
+            if !line.trim_start().starts_with("//") && renders_a_json_key(line) {
                 let path = path.strip_prefix(workspace_root()).unwrap_or(&path);
                 hits.push(format!("{}:{}: {}", path.display(), index + 1, line.trim()));
             }
@@ -156,6 +167,38 @@ fn json_is_rendered_only_by_the_writer() {
         hits.is_empty(),
         "JSON keys outside engine::json (render them with json::Writer):\n{}",
         hits.join("\n")
+    );
+}
+
+/// Largest non-test line count of one source file.
+const MAX_NON_TEST_LINES: usize = 1_000;
+
+/// No `.rs` file under `crates/*/src`, `src` or `examples` holds more than
+/// [`MAX_NON_TEST_LINES`] lines before its test module: a file that large
+/// holds more than one layer (`engine/src/run.rs` had 1 585 before it was
+/// split into `engine/src/run/`).
+#[test]
+fn no_source_file_exceeds_the_non_test_line_bound() {
+    let mut files = crate_sources();
+    for dir in ["src", "examples"] {
+        rust_files(&workspace_root().join(dir), &mut files);
+    }
+    assert!(files.len() > 50, "found only {} sources", files.len());
+    let mut long: Vec<String> = files
+        .iter()
+        .filter_map(|path| {
+            let source = fs::read_to_string(path).expect("readable source");
+            let count = non_test_lines(&source).len();
+            let path = path.strip_prefix(workspace_root()).unwrap_or(path);
+            (count > MAX_NON_TEST_LINES)
+                .then(|| format!("{}: {count} non-test lines", path.display()))
+        })
+        .collect();
+    long.sort();
+    assert!(
+        long.is_empty(),
+        "source files over {MAX_NON_TEST_LINES} non-test lines (split them by layer):\n{}",
+        long.join("\n")
     );
 }
 
