@@ -72,9 +72,9 @@ pub(crate) struct NumericModel {
 impl NumericModel {
     /// The SPD matrix drawn from `seed` on the `permuted` pattern, its
     /// symbolic factor structure and the per-column model tree.
-    pub(super) fn new(permuted: &SparsePattern, etree: EliminationTree, seed: u64) -> Self {
+    pub(super) fn new(permuted: &SparsePattern, etree: &EliminationTree, seed: u64) -> Self {
         let matrix = spd_matrix_from_pattern(permuted, seed);
-        let structure = Arc::new(SymbolicStructure::from_etree(permuted, etree));
+        let structure = Arc::new(SymbolicStructure::from_etree(permuted, etree.clone()));
         let model = per_column_model(&structure);
         NumericModel {
             matrix,

@@ -41,10 +41,10 @@ pub(super) struct Solved {
     pub(super) seconds: f64,
     /// The traversal, validated once: every policy walk and bound on it
     /// shares the position map.
-    pub(super) walk: Walk,
+    walk: Walk,
     /// Divisible lower bounds by memory budget: the bound depends only on
     /// the traversal and the budget, so policy sweeps share it.
-    pub(super) bounds: Memo<Size, Size>,
+    bounds: Memo<Size, Size>,
 }
 
 /// The reusable symbolic-analysis object: the weighted tree plus everything
@@ -249,11 +249,7 @@ impl Plan {
 
     /// The shared, cached outcome of `solver` on the plan's tree — what
     /// schedules hold instead of a copy of the traversal.
-    pub(super) fn solved(
-        &self,
-        engine: &Engine,
-        solver: Solver,
-    ) -> Result<Arc<Solved>, EngineError> {
+    fn solved(&self, engine: &Engine, solver: Solver) -> Result<Arc<Solved>, EngineError> {
         self.solved.get_or_try(&solver, || {
             if !solver.supports(self.tree()) {
                 return Err(EngineError::InvalidConfig(format!(
@@ -288,11 +284,7 @@ impl Plan {
                 ProblemSource::Generated { seed, .. } => *seed,
                 _ => 1,
             };
-            Ok(NumericModel::new(
-                &symbolic.permuted,
-                symbolic.etree.clone(),
-                seed,
-            ))
+            Ok(NumericModel::new(&symbolic.permuted, &symbolic.etree, seed))
         })
     }
 
@@ -363,18 +355,18 @@ impl Plan {
             || spec.policy.is_some()
             || spec.memory.is_some()
             || spec.parallel.is_some();
-        let solver = spec
-            .solver
-            .as_deref()
-            .map_or(Ok(self.names.0), str::parse)?;
-        let policy = spec
-            .policy
-            .as_deref()
-            .map_or(Ok(self.names.1), str::parse)?;
         let budget_spec = spec.memory.unwrap_or(self.config.memory);
         let parallel = spec.parallel.unwrap_or(self.config.parallel);
         validate_memory(budget_spec)?;
         validate_execution(&parallel, &self.config.distributed, self.config.numeric)?;
+        let policy = spec
+            .policy
+            .as_deref()
+            .map_or(Ok(self.names.1), str::parse)?;
+        let solver = spec
+            .solver
+            .as_deref()
+            .map_or(Ok(self.names.0), str::parse)?;
         let solved = self.solved(engine, solver)?;
 
         fire_fault(FaultPoint::ScheduleIo);
