@@ -35,27 +35,37 @@
 //! of finished ones.  The ledger force-admits the smallest pending task
 //! when nothing is running, so a budget below the largest subtree degrades
 //! to sequential issue instead of deadlocking the cluster.
+//!
+//! **Claims park.**  A claim that finds nothing to lease waits on the
+//! registry for at most [`CLAIM_HOLD_MS`], woken by job registration,
+//! accepted contributions and retirement, and re-checking at every tick so
+//! a reaped lease is re-issued without delay.  It parks only while a
+//! distributed run is live or being planned ([`JobRegistry::open_run`]) and
+//! only while fewer claims are parked than the coordinator's request
+//! threads minus one minus its live runs; otherwise it answers at once, so
+//! an idle or small coordinator never ties up its threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use engine::{monotonic_millis, CancelToken, DistributedRuntime, SubtreeParts};
+use engine::{monotonic_millis, CancelToken, DistributedRuntime, SubtreeParts, TaskSlice};
 use multifrontal::parallel::{BudgetLedger, ReserveSelection};
 use treemem::sync::{TrackedCondvar, TrackedGuard, TrackedMutex};
 
 use crate::stats::{bump, ClusterStats};
-use crate::wire::{ClaimReply, Contribution, SubtreeTask};
+use crate::wire::{ClaimReply, Contribution, SliceFrame, SubtreeTask};
 
 /// Everything the coordinator knows about a job at registration time.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// Canonical engine-configuration JSON (workers re-derive the matrix
-    /// and symbolic structure from this).
+    /// Canonical engine-configuration JSON, echoed in every task.
     pub config_json: String,
     /// Lease duration per claim, milliseconds.
     pub lease_ms: u64,
-    /// Bottom-up column order of each subtree task.
-    pub task_orders: Vec<Vec<usize>>,
+    /// Each subtree task's slice of the problem (its bottom-up column order
+    /// included): what a worker factors.
+    pub task_slices: Vec<TaskSlice>,
     /// Modeled peak entries of each task (the ledger reservation).
     pub task_peaks: Vec<u64>,
     /// Factor values each task's contribution must carry (`Σ µ(j)` over the
@@ -132,6 +142,8 @@ enum Phase {
 #[derive(Debug)]
 struct TaskState {
     order: Vec<usize>,
+    /// Encoded once at registration, shared by every issue of the task.
+    slice: Arc<SliceFrame>,
     peak: u64,
     value_count: usize,
     root_blocks: Vec<(usize, usize)>,
@@ -201,6 +213,7 @@ pub struct Job {
     /// claim-wall clock survives NTP steps like the lease deadlines do.
     started_ms: u64,
     stats: Arc<ClusterStats>,
+    doorbell: Arc<Doorbell>,
 }
 
 impl Job {
@@ -260,6 +273,7 @@ impl Job {
             lease_ms: self.lease_ms,
             config: self.config_json.clone(),
             order: task.order.clone(),
+            slice: Arc::clone(&task.slice),
         };
         state.claimed += 1;
         state.last_activity_ms = now_ms;
@@ -341,6 +355,7 @@ impl Job {
         }
         drop(state);
         self.progress.notify_all();
+        self.doorbell.ring();
         Ok(())
     }
 
@@ -430,6 +445,7 @@ impl Job {
         }
         state.completed = state.tasks.len();
         self.ledger.release_retained(retained);
+        self.doorbell.ring();
     }
 
     /// Render progress as the `/internal/job/{id}` JSON document.
@@ -457,21 +473,77 @@ impl Job {
     }
 }
 
+/// The longest a claim parks waiting for work (see the module docs): well
+/// under the 2 s a worker's HTTP transport allows one attempt.
+pub const CLAIM_HOLD_MS: u64 = 250;
+
+/// What parked claims wait on: a ring counter bumped by every event that
+/// can make a task claimable or end a park, plus the park bookkeeping.
+struct Doorbell {
+    state: TrackedMutex<Parking>,
+    rung: TrackedCondvar,
+}
+
+#[derive(Default)]
+struct Parking {
+    rings: u64,
+    /// Claims waiting right now.
+    parked: usize,
+    /// Open [`RunMarker`]s: distributed runs being planned or waited on.
+    runs: usize,
+}
+
+impl Doorbell {
+    fn ring(&self) {
+        self.state.lock().rings += 1;
+        self.rung.notify_all();
+    }
+}
+
+/// Held by a coordinator thread from the moment it accepts a distributed
+/// run until the run is over (see [`JobRegistry::open_run`]).
+pub struct RunMarker {
+    doorbell: Arc<Doorbell>,
+}
+
+impl Drop for RunMarker {
+    fn drop(&mut self) {
+        self.doorbell.state.lock().runs -= 1;
+        self.doorbell.ring();
+    }
+}
+
 /// All live jobs of one coordinator process.
 pub struct JobRegistry {
     jobs: TrackedMutex<Vec<Arc<Job>>>,
     next_id: AtomicU64,
     stats: Arc<ClusterStats>,
+    doorbell: Arc<Doorbell>,
+    /// The coordinator's request threads; 0 means claims never park.
+    server_threads: usize,
 }
 
 impl JobRegistry {
-    /// An empty registry sharing `stats` with the serving layer.
+    /// An empty registry sharing `stats` with the serving layer, whose
+    /// claims never park.
     pub fn new(stats: Arc<ClusterStats>) -> JobRegistry {
         JobRegistry {
             jobs: TrackedMutex::new(Vec::new(), "job-registry.jobs"),
             next_id: AtomicU64::new(1),
             stats,
+            doorbell: Arc::new(Doorbell {
+                state: TrackedMutex::new(Parking::default(), "job-registry.doorbell"),
+                rung: TrackedCondvar::new(),
+            }),
+            server_threads: 0,
         }
+    }
+
+    /// Let claims park on a coordinator serving requests on `threads`
+    /// threads: at most `threads − 1 − live runs` at a time.
+    pub fn with_server_threads(mut self, threads: usize) -> JobRegistry {
+        self.server_threads = threads;
+        self
     }
 
     /// The shared counter block.
@@ -479,24 +551,35 @@ impl JobRegistry {
         &self.stats
     }
 
+    /// Mark a distributed run as live from before its job exists (while it
+    /// is planned) until the marker drops: claims park only while one is
+    /// open or a job is registered.
+    pub fn open_run(&self) -> RunMarker {
+        self.doorbell.state.lock().runs += 1;
+        RunMarker {
+            doorbell: Arc::clone(&self.doorbell),
+        }
+    }
+
     /// Register a job; its tasks become claimable immediately.
     pub fn register(&self, spec: JobSpec) -> Arc<Job> {
-        let task_count = spec.task_orders.len();
+        let task_count = spec.task_slices.len();
         assert!(
             [
                 spec.task_peaks.len(),
                 spec.task_values.len(),
                 spec.task_blocks.len()
             ] == [task_count; 3],
-            "one peak, value count and root-block list per task order"
+            "one peak, value count and root-block list per task slice"
         );
         let tasks = spec
-            .task_orders
-            .into_iter()
+            .task_slices
+            .iter()
             .zip(spec.task_peaks)
             .zip(spec.task_values.into_iter().zip(spec.task_blocks))
-            .map(|((order, peak), (value_count, root_blocks))| TaskState {
-                order,
+            .map(|((slice, peak), (value_count, root_blocks))| TaskState {
+                order: slice.order().to_vec(),
+                slice: Arc::new(SliceFrame::encode(slice)),
                 peak,
                 value_count,
                 root_blocks,
@@ -522,16 +605,57 @@ impl JobRegistry {
             progress: TrackedCondvar::new(),
             started_ms,
             stats: Arc::clone(&self.stats),
+            doorbell: Arc::clone(&self.doorbell),
         });
         self.jobs.lock().push(Arc::clone(&job));
         bump(&self.stats.jobs_started);
+        self.doorbell.ring();
         job
     }
 
     /// Answer one worker claim poll: the first job (registration order)
     /// with a claimable task wins; `Wait` when jobs exist but nothing is
-    /// claimable right now; `Idle` when no job needs work.
+    /// claimable right now; `Idle` when no job needs work.  A claim that
+    /// would not get a task parks first, if it may (see the module docs).
     pub fn claim(&self, worker: &str) -> ClaimReply {
+        let deadline_ms = monotonic_millis().saturating_add(CLAIM_HOLD_MS);
+        let mut parked = false;
+        let reply = loop {
+            let rings = self.doorbell.state.lock().rings;
+            let reply = self.claim_now(worker);
+            let now_ms = monotonic_millis();
+            if matches!(reply, ClaimReply::Task(_)) || now_ms >= deadline_ms {
+                break reply;
+            }
+            let jobs = self.jobs.lock().len();
+            let tick = (deadline_ms - now_ms).min(self.suggested_retry_ms());
+            let mut parking = self.doorbell.state.lock();
+            let live = jobs.max(parking.runs);
+            if live == 0 {
+                break reply;
+            }
+            if !parked {
+                if parking.parked >= self.server_threads.saturating_sub(1 + live) {
+                    break reply;
+                }
+                parking.parked += 1;
+                parked = true;
+            }
+            if parking.rings == rings {
+                let (_woken, _) = self
+                    .doorbell
+                    .rung
+                    .wait_timeout(parking, Duration::from_millis(tick));
+            }
+        };
+        if parked {
+            self.doorbell.state.lock().parked -= 1;
+        }
+        reply
+    }
+
+    /// [`claim`](Self::claim) without parking.
+    fn claim_now(&self, worker: &str) -> ClaimReply {
         let jobs: Vec<Arc<Job>> = self.jobs.lock().clone();
         let mut any_incomplete = false;
         for job in jobs {
@@ -550,12 +674,14 @@ impl JobRegistry {
         }
     }
 
+    /// The `Wait` hint, which is also a parked claim's re-check tick.  A
+    /// quarter of the shortest live lease keeps re-issued tasks from sitting
+    /// unclaimed; the cap is the workers' idle poll, because the budget gate
+    /// reopens at the next contribution, milliseconds away.
     fn suggested_retry_ms(&self) -> u64 {
-        // A fraction of the shortest live lease keeps re-issued tasks from
-        // sitting unclaimed; clamp so workers neither spin nor stall.
         let jobs = self.jobs.lock();
         let shortest = jobs.iter().map(|job| job.lease_ms).min().unwrap_or(1_000);
-        (shortest / 4).clamp(10, 500)
+        (shortest / 4).clamp(10, 50)
     }
 
     /// Route a contribution to its job.
@@ -579,6 +705,7 @@ impl JobRegistry {
     /// `UnknownJob`.
     pub fn remove(&self, id: u64) {
         self.jobs.lock().retain(|job| job.id != id);
+        self.doorbell.ring();
     }
 }
 
@@ -600,7 +727,14 @@ mod tests {
         JobSpec {
             config_json: "{}".to_string(),
             lease_ms: 10_000,
-            task_orders: (0..tasks).map(|task| vec![task]).collect(),
+            task_slices: (0..tasks)
+                .map(|task| {
+                    let column = vec![task];
+                    let (rows, values) = (column.clone(), vec![1.0]);
+                    let order = column.clone();
+                    TaskSlice::new(tasks, order, column, &[1], rows, values, vec![None]).unwrap()
+                })
+                .collect(),
             task_peaks: peaks,
             task_values: vec![1; tasks],
             task_blocks: retained
@@ -754,6 +888,117 @@ mod tests {
         let (contribution, bytes) = contribution_for(&second, 0);
         registry.contribute(contribution, bytes).unwrap();
         job.wait_for_completion(None).unwrap();
+    }
+
+    /// The budget gate reopens at the next contribution, so a closed gate
+    /// hints no longer than the workers' idle poll, whatever the lease.
+    #[test]
+    fn the_wait_hint_is_capped_at_the_idle_poll() {
+        let registry = registry();
+        let job = registry.register(JobSpec {
+            lease_ms: 60_000,
+            ..spec(vec![8, 6], vec![0, 0], Some(10))
+        });
+        job.try_claim("w-a").unwrap();
+        match registry.claim("w-b") {
+            ClaimReply::Wait { retry_ms } => assert!((10..=50).contains(&retry_ms)),
+            other => panic!("expected Wait, got {other:?}"),
+        }
+    }
+
+    /// A registry of a coordinator with `threads` request threads.
+    fn parking_registry(threads: usize) -> JobRegistry {
+        registry().with_server_threads(threads)
+    }
+
+    #[test]
+    fn a_claim_parked_before_registration_gets_its_task_promptly() {
+        let registry = parking_registry(4);
+        let run = registry.open_run();
+        std::thread::scope(|scope| {
+            let claimant = scope.spawn(|| {
+                let reply = registry.claim("w-early");
+                (reply, monotonic_millis())
+            });
+            // Let the claim park (a 4-thread coordinator with one run in
+            // planning parks up to two), then register.
+            while registry.doorbell.state.lock().parked == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            let registered_ms = monotonic_millis();
+            registry.register(spec(vec![1], vec![0], None));
+            let (reply, answered_ms) = claimant.join().unwrap();
+            assert!(matches!(reply, ClaimReply::Task(_)), "{reply:?}");
+            assert!(
+                answered_ms - registered_ms <= 50,
+                "{answered_ms} against {registered_ms}"
+            );
+        });
+        drop(run);
+        assert_eq!(registry.doorbell.state.lock().parked, 0);
+    }
+
+    #[test]
+    fn claims_answer_at_once_when_they_may_not_park() {
+        let elapsed = |registry: &JobRegistry| {
+            let started = monotonic_millis();
+            let reply = registry.claim("w");
+            (reply, monotonic_millis() - started)
+        };
+        // Nothing live or in planning: idle at once.
+        let registry = parking_registry(8);
+        let (reply, waited) = elapsed(&registry);
+        assert!(matches!(reply, ClaimReply::Idle) && waited < CLAIM_HOLD_MS / 2);
+        // A 2-thread coordinator never parks: 2 − 1 − 1 live run = 0.
+        let registry = parking_registry(2);
+        let _run = registry.open_run();
+        let (reply, waited) = elapsed(&registry);
+        assert!(matches!(reply, ClaimReply::Idle) && waited < CLAIM_HOLD_MS / 2);
+        // A parked claim that sees no work answers within the hold, as it
+        // would have at once.
+        let registry = parking_registry(4);
+        let run = registry.open_run();
+        let (reply, waited) = elapsed(&registry);
+        assert!(matches!(reply, ClaimReply::Idle));
+        assert!(
+            (CLAIM_HOLD_MS..CLAIM_HOLD_MS + 500).contains(&waited),
+            "{waited} ms"
+        );
+        // Closing the run wakes a parked claim at once.
+        std::thread::scope(|scope| {
+            let claimant = scope.spawn(|| elapsed(&registry));
+            while registry.doorbell.state.lock().parked == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(run);
+            let (reply, waited) = claimant.join().unwrap();
+            assert!(
+                matches!(reply, ClaimReply::Idle) && waited < CLAIM_HOLD_MS,
+                "{waited}"
+            );
+        });
+    }
+
+    #[test]
+    fn parked_claims_stay_below_the_thread_budget() {
+        // 5 threads, one live run: at most 5 − 1 − 1 = 3 claims park.
+        let registry = parking_registry(5);
+        let _run = registry.open_run();
+        std::thread::scope(|scope| {
+            let claimants: Vec<_> = (0..5)
+                .map(|_| scope.spawn(|| registry.claim("w")))
+                .collect();
+            let mut most = 0;
+            for _ in 0..100 {
+                most = most.max(registry.doorbell.state.lock().parked);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(most, 3);
+            for claimant in claimants {
+                assert!(matches!(claimant.join().unwrap(), ClaimReply::Idle));
+            }
+        });
     }
 
     #[test]

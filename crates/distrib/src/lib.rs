@@ -14,14 +14,16 @@
 //! This crate is the transport- and policy-free core of that protocol; the
 //! HTTP plumbing lives in `crates/server`:
 //!
-//! * [`wire`] — the versioned, length-prefixed frame format.  Floats cross
-//!   the wire as IEEE-754 bit patterns in hex (base-2 exact), so the merged
-//!   factor is **bit-identical** to a single-process run and `NaN` can never
-//!   be smuggled past `engine::json`.
+//! * [`wire`] — the versioned, length-prefixed frame format.  A task carries
+//!   its slice of the problem, so a worker factors without planning.  Floats
+//!   cross the wire as IEEE-754 bit patterns in hex (base-2 exact), so the
+//!   merged factor is **bit-identical** to a single-process run and `NaN`
+//!   can never be smuggled past `engine::json`.
 //! * [`job`] — the coordinator's lease state machine: monotonic deadlines,
 //!   epoch fencing of stale contributions, automatic re-issue of tasks whose
-//!   worker died, and claim admission through the cluster-level
-//!   [`BudgetLedger`](multifrontal::parallel::BudgetLedger).
+//!   worker died, claim admission through the cluster-level
+//!   [`BudgetLedger`](multifrontal::parallel::BudgetLedger), and claims that
+//!   park until work is ready.
 //! * [`stats`] — the cluster counters surfaced under `/stats`, with the
 //!   reconciliation invariant `claimed == completed + lease_expiries`.
 
@@ -41,9 +43,9 @@ pub mod job;
 pub mod stats;
 pub mod wire;
 
-pub use job::{ContributeError, Job, JobRegistry, JobSpec, WaitError};
+pub use job::{ContributeError, Job, JobRegistry, JobSpec, RunMarker, WaitError, CLAIM_HOLD_MS};
 pub use stats::{ClusterSnapshot, ClusterStats};
 pub use wire::{
     contribution_frame, decode_frame, encode_frame, frame_string, ClaimReply, ClaimRequest,
-    Contribution, SubtreeTask, WireError, MAX_FRAME_BYTES, WIRE_SCHEMA,
+    Contribution, SliceFrame, SubtreeTask, WireError, MAX_FRAME_BYTES, WIRE_SCHEMA,
 };

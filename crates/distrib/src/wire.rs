@@ -1,38 +1,45 @@
 //! The versioned, length-prefixed wire format of the distributed layer.
 //!
 //! Every internal message is one **frame**: an ASCII header line
-//! `distrib_wire/v2 <body-bytes>\n` followed by exactly that many bytes of
+//! `distrib_wire/v3 <body-bytes>\n` followed by exactly that many bytes of
 //! JSON.  The explicit length makes truncation and trailing garbage typed
 //! decode errors (the coordinator answers 400, never panics), and the
 //! leading schema token lets this reader reject peers of any other version
 //! with a clear message instead of a JSON parse error.
 //!
-//! Floating-point payloads — factor column values and contribution blocks —
-//! must survive the trip **bit for bit**: the merged factor is gated on
+//! Floating-point payloads — matrix and factor values, contribution blocks
+//! — must survive the trip **bit for bit**: the merged factor is gated on
 //! being identical to the single-process one, and a shortest-decimal detour
 //! would also re-introduce the NaN/Infinity literals `engine::json` rejects.
 //! So every `f64` travels as the 16 lowercase hex digits of its IEEE-754
-//! bit pattern (base-2 exact by construction), concatenated into one string
-//! per vector.
+//! bit pattern (base-2 exact by construction), and every index as the 8 of
+//! a `u32`, concatenated into one string per vector.  The decoder accepts
+//! exactly the digits the encoder writes, `[0-9a-f]`; anything else is a
+//! [`WireError::BadHex`].
 //!
-//! **No row index crosses the wire.**  Coordinator and worker derive the
-//! same `SymbolicStructure` from the same configuration, so a contribution
-//! is values only: the task's column values concatenated in task order, and
-//! each root block as `[column, dimension, values]`.  The coordinator checks
-//! the counts against its own cut before accepting ([`crate::job`]).  The
-//! only index vector left is the task's column `order` in the claim reply,
-//! as concatenated 8-hex-digit `u32`s.
+//! **What crosses.**  A task carries its [`TaskSlice`]: the task's columns
+//! of the permuted matrix `A` (lower triangle, row indices and values) and
+//! their elimination-tree parents, from which the worker rebuilds the rows
+//! of `L` itself — so the task direction carries row indices of `A`, and
+//! **no row index of `L` crosses in either direction**.  A contribution is
+//! values only: the task's column values concatenated in task order, and
+//! each root block as `[column, dimension, values]`; the coordinator checks
+//! the counts against its own cut before accepting ([`crate::job`]).  A
+//! slice is decoded and validated by [`SubtreeTask::slice`], so a hostile
+//! one is a typed error after the task's identity is known.
 
 // Decoding handles peer-shaped bytes: narrow with `try_from` and a typed
 // error, widen with `From`; an `as` cast would truncate silently.
 #![deny(clippy::as_conversions)]
 
+use std::sync::Arc;
+
 use engine::json::{self, Array, FieldError, Fixed, Hex, Json, JsonError, Writer};
-use engine::{EngineConfig, SubtreeParts};
+use engine::{EngineConfig, SliceError, SubtreeParts, TaskSlice};
 use multifrontal::{ContributionStore, DenseMatrix};
 
 /// Schema token every frame leads with.
-pub const WIRE_SCHEMA: &str = "distrib_wire/v2";
+pub const WIRE_SCHEMA: &str = "distrib_wire/v3";
 
 /// Hard cap on one frame's body.  Contribution frames scale with the factor
 /// (16 wire bytes per stored entry), so the cap is generous — but it must
@@ -77,6 +84,8 @@ pub enum WireError {
     NonFinite(&'static str),
     /// The embedded engine configuration does not parse.
     Config(String),
+    /// A task's slice decodes but is not a slice of its task.
+    BadSlice(SliceError),
 }
 
 impl std::fmt::Display for WireError {
@@ -106,6 +115,7 @@ impl std::fmt::Display for WireError {
             WireError::BadHex(field) => write!(fmt, "malformed hex vector in '{field}'"),
             WireError::NonFinite(field) => write!(fmt, "non-finite value in '{field}'"),
             WireError::Config(detail) => write!(fmt, "embedded config does not parse: {detail}"),
+            WireError::BadSlice(error) => write!(fmt, "bad task slice: {error}"),
         }
     }
 }
@@ -184,6 +194,30 @@ pub fn decode_frame(bytes: &[u8]) -> Result<&str, WireError> {
     std::str::from_utf8(body).map_err(|_| WireError::Json("body is not UTF-8".to_string()))
 }
 
+/// What [`HEX_VALUES`] holds for a byte the encoder never writes.
+const INVALID: u8 = 0xff;
+
+/// The value of every byte as a lowercase hex digit, [`INVALID`] for every
+/// other byte (uppercase digits and a leading `+` included).
+#[expect(
+    clippy::as_conversions,
+    clippy::indexing_slicing,
+    reason = "const construction: an index below 256 is in the table and exact as a u8"
+)]
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [INVALID; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        values[byte] = match byte as u8 {
+            digit @ b'0'..=b'9' => digit - b'0',
+            digit @ b'a'..=b'f' => digit - b'a' + 10,
+            _ => INVALID,
+        };
+        byte += 1;
+    }
+    values
+};
+
 /// Unpack a [`Hex`] payload of `digits`-wide items, each through `item`.
 fn parse_hex<T>(
     text: &str,
@@ -191,14 +225,22 @@ fn parse_hex<T>(
     field: &'static str,
     item: impl Fn(u64) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
-    if !text.len().is_multiple_of(digits) || !text.is_ascii() {
+    if !text.len().is_multiple_of(digits) {
         return Err(WireError::BadHex(field));
     }
     let mut values = Vec::with_capacity(text.len() / digits);
     for chunk in text.as_bytes().chunks_exact(digits) {
-        let digits = std::str::from_utf8(chunk).ok();
-        let bits = digits.and_then(|digits| u64::from_str_radix(digits, 16).ok());
-        values.push(item(bits.ok_or(WireError::BadHex(field))?)?);
+        let (mut bits, mut seen) = (0u64, 0u8);
+        for &byte in chunk {
+            #[expect(clippy::indexing_slicing, reason = "a u8 indexes a 256-entry table")]
+            let value = HEX_VALUES[usize::from(byte)];
+            seen |= value;
+            bits = bits << 4 | u64::from(value & 0xf);
+        }
+        if seen > 0xf {
+            return Err(WireError::BadHex(field));
+        }
+        values.push(item(bits)?);
     }
     Ok(values)
 }
@@ -217,10 +259,67 @@ fn f64s(values: impl IntoIterator<Item = f64>) -> Hex<impl Iterator<Item = u64>>
     Hex(values.into_iter().map(f64::to_bits))
 }
 
+/// A [`TaskSlice`] as it crosses the wire: its dimension plus five hex
+/// payloads — the columns, their entry counts and parents (`u32`s, a root's
+/// parent as `u32::MAX`), the rows (`u32`s) and the values (`f64` bits).
+/// The coordinator encodes each task's slice once, when the job is
+/// registered; a worker decodes and validates it with
+/// [`SubtreeTask::slice`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SliceFrame {
+    n: usize,
+    columns: String,
+    counts: String,
+    parents: String,
+    rows: String,
+    values: String,
+}
+
+/// A parent on the wire: its index, or `u32::MAX` for a root.
+const ROOT: u32 = u32::MAX;
+
+impl SliceFrame {
+    /// Encode `slice`.
+    /// Panics if an index exceeds `u32::MAX - 1` — `read_pattern` refuses
+    /// larger MatrixMarket dimensions and generated problems are far smaller.
+    #[expect(
+        clippy::expect_used,
+        reason = "encode side, documented panic: indices come from locally validated matrices"
+    )]
+    pub fn encode(slice: &TaskSlice) -> SliceFrame {
+        let index = |index: usize| {
+            u32::try_from(index)
+                .ok()
+                .filter(|&index| index != ROOT)
+                .expect("index exceeds the u32 wire range")
+        };
+        let parents = slice
+            .parents()
+            .iter()
+            .map(|parent| parent.map_or(ROOT, index));
+        SliceFrame {
+            n: slice.n(),
+            columns: digits(Hex(slice.columns().iter().map(|&column| index(column)))),
+            counts: digits(Hex(slice.counts().map(index))),
+            parents: digits(Hex(parents)),
+            rows: digits(Hex(slice.rows().iter().map(|&row| index(row)))),
+            values: digits(f64s(slice.values().iter().copied())),
+        }
+    }
+}
+
+/// A hex payload's digits, without the quotes.
+fn digits(payload: impl json::Value) -> String {
+    let mut text = String::new();
+    let _ = payload.write_json(&mut text);
+    text.get(1..text.len().saturating_sub(1))
+        .unwrap_or_default()
+        .to_string()
+}
+
 /// One subtree task as the coordinator issues it to a worker: the job and
-/// task identity, the lease epoch the contribution must echo, the full
-/// engine configuration (so the worker derives the identical matrix and
-/// symbolic structure), and the task's bottom-up column order.
+/// task identity, the lease epoch the contribution must echo, the task's
+/// bottom-up column order and its slice of the problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubtreeTask {
     /// Coordinator-assigned job id.
@@ -231,10 +330,14 @@ pub struct SubtreeTask {
     pub epoch: u64,
     /// Lease duration granted for this claim, in milliseconds.
     pub lease_ms: u64,
-    /// Canonical engine-configuration JSON of the job.
+    /// Canonical engine-configuration JSON of the job.  The worker does not
+    /// need it (the slice is the problem); it stays for readers that plan
+    /// the task's configuration themselves.
     pub config: String,
     /// Bottom-up column order of the subtree.
     pub order: Vec<usize>,
+    /// The task's slice of the problem, as encoded.
+    pub slice: Arc<SliceFrame>,
 }
 
 impl SubtreeTask {
@@ -250,6 +353,7 @@ impl SubtreeTask {
             .order
             .iter()
             .map(|&column| u32::try_from(column).expect("column index exceeds the u32 wire range"));
+        let slice = &*self.slice;
         encode_frame(&json::line(|frame| {
             frame
                 .field("schema", WIRE_SCHEMA)
@@ -259,31 +363,74 @@ impl SubtreeTask {
                 .field("epoch", self.epoch)
                 .field("lease_ms", self.lease_ms)
                 .field("config", &self.config)
-                .field("order", Hex(order));
+                .field("order", Hex(order))
+                .field("n", slice.n)
+                .field("columns", &slice.columns)
+                .field("counts", &slice.counts)
+                .field("parents", &slice.parents)
+                .field("rows", &slice.rows)
+                .field("values", &slice.values);
         }))
     }
 
     /// Parse a claim-response body previously produced by
-    /// [`SubtreeTask::to_frame`].
+    /// [`SubtreeTask::to_frame`].  The slice's payloads are kept as they
+    /// came; [`SubtreeTask::slice`] decodes them.
     pub fn from_json(json: &Json) -> Result<SubtreeTask, WireError> {
         if json.field::<&str>("type")? != "task" {
             return Err(WireError::Field("type"));
         }
         let config = json.field::<&str>("config")?.to_string();
-        // Validate the embedded configuration eagerly: a worker must learn
-        // about a corrupt config at claim time, not deep inside planning.
+        // Validate the embedded configuration eagerly: a corrupt one is a
+        // decode error, whoever reads it later.
         EngineConfig::from_json(&config).map_err(|err| WireError::Config(err.to_string()))?;
+        let text = |field| json.field::<&str>(field).map(str::to_string);
         Ok(SubtreeTask {
             job: json.field("job")?,
             task: json.field("task")?,
             epoch: json.field("epoch")?,
             lease_ms: json.field("lease_ms")?,
             config,
-            order: parse_hex(json.field("order")?, 8, "order", |column| {
-                usize::try_from(column).map_err(|_| WireError::BadHex("order"))
-            })?,
+            order: parse_hex(json.field("order")?, 8, "order", index("order"))?,
+            slice: Arc::new(SliceFrame {
+                n: json.field("n")?,
+                columns: text("columns")?,
+                counts: text("counts")?,
+                parents: text("parents")?,
+                rows: text("rows")?,
+                values: text("values")?,
+            }),
         })
     }
+
+    /// Decode and validate the task's slice: malformed hex, a non-finite
+    /// value or a slice that is not one of this task ([`TaskSlice::new`])
+    /// is a typed error.
+    pub fn slice(&self) -> Result<TaskSlice, WireError> {
+        let slice = &*self.slice;
+        let parents = parse_hex(&slice.parents, 8, "parents", |parent| {
+            Ok((parent != u64::from(ROOT)).then_some(index("parents")(parent)?))
+        })?;
+        let counts = parse_hex(&slice.counts, 8, "counts", index("counts"))?;
+        TaskSlice::new(
+            slice.n,
+            self.order.clone(),
+            parse_hex(&slice.columns, 8, "columns", index("columns"))?,
+            &counts,
+            parse_hex(&slice.rows, 8, "rows", index("rows"))?,
+            parse_hex_f64s(&slice.values, "values")?,
+            parents,
+        )
+        .map_err(|error| match error {
+            SliceError::NonFinite => WireError::NonFinite("values"),
+            other => WireError::BadSlice(other),
+        })
+    }
+}
+
+/// An index item of a hex payload, as a `usize`.
+fn index(field: &'static str) -> impl Fn(u64) -> Result<usize, WireError> {
+    move |bits| usize::try_from(bits).map_err(|_| WireError::BadHex(field))
 }
 
 /// What a worker's claim poll comes back with.
@@ -486,6 +633,35 @@ mod tests {
         }
     }
 
+    /// A slice of the task `[5, 3, 8, 4_000_000]`: column 5 has row
+    /// 4_000_000 below its diagonal, hence that parent; the others are
+    /// roots holding only their diagonal.
+    fn sample_slice() -> TaskSlice {
+        TaskSlice::new(
+            4_000_001,
+            vec![5, 3, 8, 4_000_000],
+            vec![3, 5, 8, 4_000_000],
+            &[1, 2, 1, 1],
+            vec![3, 5, 4_000_000, 8, 4_000_000],
+            vec![1.0, 4.0, -1.0, 2.0, 4.0],
+            vec![None, Some(4_000_000), None, None],
+        )
+        .unwrap()
+    }
+
+    fn sample_task(config: String) -> SubtreeTask {
+        let slice = sample_slice();
+        SubtreeTask {
+            job: 3,
+            task: 1,
+            epoch: 2,
+            lease_ms: 5_000,
+            config,
+            order: slice.order().to_vec(),
+            slice: Arc::new(SliceFrame::encode(&slice)),
+        }
+    }
+
     /// Literal frames of every message type, captured from the
     /// hand-formatted renderers the `json::Writer` replaced: every byte of a
     /// frame is a contract between coordinator and worker processes.
@@ -497,32 +673,29 @@ mod tests {
         };
         assert_eq!(
             frame(claim.to_frame()),
-            "distrib_wire/v2 69\n{\"schema\": \"distrib_wire/v2\", \"type\": \"claim\", \"worker\": \"w-\\\"1\\\"\\n\"}"
+            "distrib_wire/v3 69\n{\"schema\": \"distrib_wire/v3\", \"type\": \"claim\", \"worker\": \"w-\\\"1\\\"\\n\"}"
         );
         assert_eq!(
             frame(ClaimReply::Wait { retry_ms: 250 }.to_frame()),
-            "distrib_wire/v2 62\n{\"schema\": \"distrib_wire/v2\", \"type\": \"wait\", \"retry_ms\": 250}"
+            "distrib_wire/v3 62\n{\"schema\": \"distrib_wire/v3\", \"type\": \"wait\", \"retry_ms\": 250}"
         );
         assert_eq!(
             frame(ClaimReply::Idle.to_frame()),
-            "distrib_wire/v2 45\n{\"schema\": \"distrib_wire/v2\", \"type\": \"idle\"}"
+            "distrib_wire/v3 45\n{\"schema\": \"distrib_wire/v3\", \"type\": \"idle\"}"
         );
-        let task = SubtreeTask {
-            job: 3,
-            task: 1,
-            epoch: 2,
-            lease_ms: 5_000,
-            config: "{\n  \"solver\": \"é\\\\\"\n}\n".to_string(),
-            order: vec![5, 3, 8, 4_000_000],
-        };
+        let task = sample_task("{\n  \"solver\": \"é\\\\\"\n}\n".to_string());
         assert_eq!(
             frame(ClaimReply::Task(Box::new(task)).to_frame()),
-            "distrib_wire/v2 187\n{\"schema\": \"distrib_wire/v2\", \"type\": \"task\", \"job\": 3, \"task\": 1, \"epoch\": 2, \"lease_ms\": 5000, \"config\": \"{\\n  \\\"solver\\\": \\\"é\\\\\\\\\\\"\\n}\\n\", \"order\": \"000000050000000300000008003d0900\"}"
+            concat!(
+                "distrib_wire/v3 487\n{\"schema\": \"distrib_wire/v3\", \"type\": \"task\", \"job\": 3, \"task\": 1, \"epoch\": 2, \"lease_ms\": 5000, \"config\": \"{\\n  \\\"solver\\\": \\\"é\\\\\\\\\\\"\\n}\\n\", \"order\": \"000000050000000300000008003d0900\", ",
+                "\"n\": 4000001, \"columns\": \"000000030000000500000008003d0900\", \"counts\": \"00000001000000020000000100000001\", \"parents\": \"ffffffff003d0900ffffffffffffffff\", ",
+                "\"rows\": \"0000000300000005003d090000000008003d0900\", \"values\": \"3ff00000000000004010000000000000bff000000000000040000000000000004010000000000000\"}"
+            )
         );
         let contribution = contribution_frame(9, 2, 4, "w-0", 0.125, &sample_parts());
         assert_eq!(
             frame(contribution),
-            "distrib_wire/v2 277\n{\"schema\": \"distrib_wire/v2\", \"type\": \"contribution\", \"job\": 9, \"task\": 2, \"epoch\": 4, \"worker\": \"w-0\", \"busy_seconds\": 0.125000, \"values\": \"4000000000000000bfe00000000000003ff4000000000000\", \"blocks\": [[7,2,\"4010000000000000bff80000000000000000000000000000400a000000000000\"]]}"
+            "distrib_wire/v3 277\n{\"schema\": \"distrib_wire/v3\", \"type\": \"contribution\", \"job\": 9, \"task\": 2, \"epoch\": 4, \"worker\": \"w-0\", \"busy_seconds\": 0.125000, \"values\": \"4000000000000000bfe00000000000003ff4000000000000\", \"blocks\": [[7,2,\"4010000000000000bff80000000000000000000000000000400a000000000000\"]]}"
         );
     }
 
@@ -559,13 +732,6 @@ mod tests {
         ));
     }
 
-    /// A hex payload's digits, without the quotes.
-    fn digits(payload: impl engine::json::Value) -> String {
-        let mut text = String::new();
-        payload.write_json(&mut text).unwrap();
-        text.trim_matches('"').to_string()
-    }
-
     #[test]
     fn hex_vectors_are_bit_exact() {
         let values = [0.1, -0.0, f64::MIN_POSITIVE, 1e300, -3.5];
@@ -578,10 +744,33 @@ mod tests {
             parse_hex_f64s(&format!("{:016x}", f64::NAN.to_bits()), "test"),
             Err(WireError::NonFinite("test"))
         ));
+        // Only the encoder's own digits decode: no sign, no uppercase, no
+        // whitespace, nothing outside ASCII.
+        for bad in [
+            "xyz",
+            "+fffffffffffffff",
+            "3FF0000000000000",
+            "3ff000000000000 ",
+            "-000000000000001",
+            "3ff00000000000é",
+        ] {
+            assert!(
+                matches!(parse_hex_f64s(bad, "test"), Err(WireError::BadHex("test"))),
+                "{bad:?}"
+            );
+        }
         assert!(matches!(
-            parse_hex_f64s("xyz", "test"),
+            parse_hex("+0000001", 8, "test", Ok),
             Err(WireError::BadHex("test"))
         ));
+        // Every digit value, both table ends.
+        let every = "0123456789abcdef";
+        assert_eq!(
+            parse_hex(every, 16, "test", Ok).unwrap(),
+            [0x0123_4567_89ab_cdef]
+        );
+        assert_eq!(digits(Hex([0x0123_4567_89ab_cdefu64])), every);
+        assert_eq!(digits(Hex([u32::MAX, 0])), "ffffffff00000000");
         let rows = [0u32, 17, 4_000_000];
         let unpacked = parse_hex(&digits(Hex(rows)), 8, "test", Ok).unwrap();
         assert_eq!(unpacked, rows.map(u64::from));
@@ -591,16 +780,12 @@ mod tests {
     fn subtree_tasks_round_trip() {
         let config = engine::EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 100, 1)
             .with_numeric(true);
-        let task = SubtreeTask {
-            job: 3,
-            task: 1,
-            epoch: 2,
-            lease_ms: 5_000,
-            config: config.to_json(),
-            order: vec![5, 3, 8],
-        };
+        let task = sample_task(config.to_json());
         match ClaimReply::from_frame(&task.to_frame()).unwrap() {
-            ClaimReply::Task(parsed) => assert_eq!(*parsed, task),
+            ClaimReply::Task(parsed) => {
+                assert_eq!(*parsed, task);
+                assert_eq!(parsed.slice().unwrap(), sample_slice());
+            }
             other => panic!("expected a task, got {other:?}"),
         }
         let wait = ClaimReply::Wait { retry_ms: 250 };
@@ -617,14 +802,7 @@ mod tests {
 
     #[test]
     fn tasks_with_corrupt_configs_are_rejected_at_decode_time() {
-        let task = SubtreeTask {
-            job: 1,
-            task: 0,
-            epoch: 1,
-            lease_ms: 1_000,
-            config: "not a config".to_string(),
-            order: vec![0],
-        };
+        let task = sample_task("not a config".to_string());
         assert!(matches!(
             ClaimReply::from_frame(&task.to_frame()),
             Err(WireError::Config(_))

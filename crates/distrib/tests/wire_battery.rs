@@ -1,6 +1,6 @@
 //! Seeded property battery for the distributed wire format.
 //!
-//! Five properties, the first three over many seeded random instances:
+//! Seven properties, the first three over many seeded random instances:
 //!
 //! 1. **Round-trip exactness** — tasks and contribution frames decode back
 //!    to bit-identical payloads (floats compared by `to_bits`, not `==`;
@@ -16,12 +16,19 @@
 //!    row indices) is a typed schema error, not a best-effort decode.
 //! 5. **Golden bytes** — the contribution frames of a real distributed cut
 //!    hash to a pinned FNV-1a literal.
+//! 6. **Exact slices** — every task of real cuts, shipped as a task frame
+//!    and factored from its decoded slice, gives the bits and ledger peak
+//!    of the coordinator's own slice and of `Plan::factor_subtree`.
+//! 7. **Hostile slices** — a slice that is not one of its task is a typed
+//!    [`WireError`] from `SubtreeTask::slice`, never a panic.
+
+use std::sync::Arc;
 
 use distrib::{
-    contribution_frame, decode_frame, encode_frame, ClaimReply, Contribution, SubtreeTask,
-    WireError, WIRE_SCHEMA,
+    contribution_frame, decode_frame, encode_frame, ClaimReply, Contribution, SliceFrame,
+    SubtreeTask, WireError, WIRE_SCHEMA,
 };
-use engine::{DistributedConfig, Engine, EngineConfig, SubtreeParts};
+use engine::{DistributedConfig, Engine, EngineConfig, SliceError, SubtreeParts};
 use multifrontal::{ContributionStore, DenseMatrix};
 use ordering::OrderingMethod;
 use prng::{Rng, StdRng};
@@ -81,28 +88,225 @@ fn assert_parts_bit_identical(decoded: &SubtreeParts, original: &SubtreeParts) {
     }
 }
 
+/// The 8-task cut of `config` (which enables the distributed section) and
+/// its plan.
+fn cut_of(config: &EngineConfig) -> (engine::Plan, engine::DistributedCut) {
+    let engine = Engine::new();
+    let plan = engine.plan(config).unwrap();
+    let cut = plan
+        .schedule(&engine)
+        .unwrap()
+        .distributed_cut(&engine)
+        .unwrap();
+    (plan, cut)
+}
+
+/// Task `task` of `cut` as the coordinator issues it.
+fn issued(config: &EngineConfig, cut: &engine::DistributedCut, task: usize) -> SubtreeTask {
+    let slice = cut.task_slice(task);
+    SubtreeTask {
+        job: 1,
+        task,
+        epoch: 1,
+        lease_ms: 60_000,
+        config: config.to_json(),
+        order: slice.order().to_vec(),
+        slice: Arc::new(SliceFrame::encode(&slice)),
+    }
+}
+
+fn grid_config() -> EngineConfig {
+    EngineConfig::generated(ProblemKind::Grid2d, 400, 11)
+        .with_ordering(OrderingMethod::NestedDissection)
+        .with_numeric(true)
+        .with_distributed(DistributedConfig::with_tasks(8))
+}
+
+/// A block's column, dimension and lower-triangle bits.
+type BlockBits = (usize, usize, Vec<u64>);
+
+/// The bits of `parts`' values and of every block's lower triangle (the
+/// defined part), with the blocks' columns and dimensions.
+fn lower_bits(parts: &SubtreeParts) -> (Vec<u64>, Vec<BlockBits>) {
+    let values = parts.values.iter().map(|value| value.to_bits()).collect();
+    let blocks = parts
+        .blocks
+        .iter()
+        .map(|(column, block)| {
+            let n = block.n();
+            let lower = (0..n).flat_map(|j| (j..n).map(move |i| block.get(i, j).to_bits()));
+            (column, n, lower.collect())
+        })
+        .collect();
+    (values, blocks)
+}
+
 #[test]
 fn random_tasks_round_trip_exactly() {
-    let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 11)
-        .with_ordering(OrderingMethod::NestedDissection)
-        .with_numeric(true);
+    let config = grid_config();
+    let (_, cut) = cut_of(&config);
     let mut rng = StdRng::seed_from_u64(0x5eed_0001);
     for _ in 0..TASK_ROUNDS {
-        let order_len = rng.gen_range(1usize..=64);
         let task = SubtreeTask {
             job: rng.gen::<u64>(),
             task: rng.gen_range(0usize..4096),
             epoch: rng.gen::<u64>(),
             lease_ms: rng.gen_range(10u64..=3_600_000),
-            config: config.to_json(),
-            order: (0..order_len)
-                .map(|_| rng.gen_range(0usize..1 << 20))
-                .collect(),
+            ..issued(&config, &cut, rng.gen_range(0..cut.task_count()))
         };
         match ClaimReply::from_frame(&task.to_frame()).unwrap() {
             ClaimReply::Task(parsed) => assert_eq!(*parsed, task),
             other => panic!("expected a task, got {other:?}"),
         }
+    }
+}
+
+/// Every task of an 8-task cut, for every problem kind × {nd, amd} ×
+/// amalgamation {1, 16}: shipped as a task frame, decoded, and factored
+/// from its slice, it gives the bits — values and root blocks — and the
+/// ledger peak of the coordinator's own slice, and the bits of
+/// `Plan::factor_subtree`.
+#[test]
+fn every_task_factors_exactly_from_its_shipped_slice() {
+    let mut tasks = 0;
+    for kind in ProblemKind::ALL {
+        for ordering in [
+            OrderingMethod::NestedDissection,
+            OrderingMethod::MinimumDegree,
+        ] {
+            for amalgamation in [1, 16] {
+                let config = EngineConfig::generated(kind, 600, 3)
+                    .with_ordering(ordering)
+                    .with_amalgamation(amalgamation)
+                    .with_numeric(true)
+                    .with_distributed(DistributedConfig::with_tasks(8));
+                let (plan, cut) = cut_of(&config);
+                for task in 0..cut.task_count() {
+                    let cell = format!("{kind:?} {ordering:?} {amalgamation} task {task}");
+                    let frame = issued(&config, &cut, task).to_frame();
+                    let ClaimReply::Task(received) = ClaimReply::from_frame(&frame).unwrap() else {
+                        panic!("{cell}: not a task");
+                    };
+                    let slice = received.slice().unwrap();
+                    assert_eq!(slice, cut.task_slice(task), "{cell}");
+                    let (shipped, peak) = slice.factor_measured(None).unwrap();
+                    let (local, local_peak) = cut.task_slice(task).factor_measured(None).unwrap();
+                    let planned = plan.factor_subtree(cut.task_order(task), None).unwrap();
+                    assert_eq!(peak, local_peak, "{cell}");
+                    assert_eq!(lower_bits(&shipped), lower_bits(&local), "{cell}");
+                    assert_eq!(lower_bits(&shipped), lower_bits(&planned), "{cell}");
+                    tasks += 1;
+                }
+            }
+        }
+    }
+    assert!(tasks >= 7 * 2 * 2 * 2, "{tasks} tasks");
+}
+
+/// A task frame's body with field `field`'s string value passed through
+/// `edit`.
+fn edited(frame: &[u8], field: &str, edit: impl Fn(&str) -> String) -> Vec<u8> {
+    let body = decode_frame(frame).unwrap();
+    let key = format!("\"{field}\": \"");
+    let start = body.find(&key).unwrap() + key.len();
+    let end = start + body[start..].find('"').unwrap();
+    let body = format!(
+        "{}{}{}",
+        &body[..start],
+        edit(&body[start..end]),
+        &body[end..]
+    );
+    encode_frame(&body)
+}
+
+/// The slice of an edited task frame: decoding the frame succeeds (the
+/// task's identity is known), the slice is the typed error.
+fn slice_error(frame: &[u8]) -> WireError {
+    let ClaimReply::Task(task) = ClaimReply::from_frame(frame).unwrap() else {
+        panic!("not a task");
+    };
+    task.slice().unwrap_err()
+}
+
+#[test]
+fn hostile_slices_are_typed_errors() {
+    let config = grid_config();
+    let (_, cut) = cut_of(&config);
+    let task = issued(&config, &cut, 0);
+    let slice = cut.task_slice(0);
+    let frame = task.to_frame();
+    let hex8 = |value: usize| format!("{value:08x}");
+    let n = slice.n();
+    // The last row of the last column, raised to n: still increasing.
+    let row_at_n = edited(&frame, "rows", |rows| {
+        format!("{}{}", &rows[..rows.len() - 8], hex8(n))
+    });
+    // The order names a column that is not in the slice.
+    let outside = (0..n).find(|c| !slice.columns().contains(c)).unwrap();
+    let foreign_column = edited(&frame, "order", |order| {
+        format!("{}{}", hex8(outside), &order[8..])
+    });
+    // A column that is its own parent.
+    let self_parent = edited(&frame, "parents", |parents| {
+        format!("{}{}", hex8(slice.columns()[0]), &parents[8..])
+    });
+    // The order upside down: the task root first, before its children.
+    let root_first = edited(&frame, "order", |order| {
+        let items: Vec<&str> = (0..order.len() / 8)
+            .map(|i| &order[8 * i..8 * i + 8])
+            .collect();
+        items.into_iter().rev().collect()
+    });
+    let infinite = edited(&frame, "values", |values| {
+        format!("{:016x}{}", f64::INFINITY.to_bits(), &values[16..])
+    });
+    let extra_count = edited(&frame, "counts", |counts| format!("{counts}00000001"));
+    let fewer_values = edited(&frame, "values", |values| values[16..].to_string());
+    let truncated = edited(&frame, "rows", |rows| rows[..rows.len() - 1].to_string());
+    let uppercase = edited(&frame, "values", str::to_uppercase);
+    let cases = [
+        ("row ≥ n", row_at_n, WireError::BadSlice(SliceError::Rows)),
+        (
+            "foreign column",
+            foreign_column,
+            WireError::BadSlice(SliceError::Columns),
+        ),
+        (
+            "self parent",
+            self_parent,
+            WireError::BadSlice(SliceError::Parents),
+        ),
+        (
+            "root first",
+            root_first,
+            WireError::BadSlice(SliceError::Parents),
+        ),
+        ("non-finite", infinite, WireError::NonFinite("values")),
+        (
+            "extra count",
+            extra_count,
+            WireError::BadSlice(SliceError::Counts),
+        ),
+        (
+            "fewer values",
+            fewer_values,
+            WireError::BadSlice(SliceError::Counts),
+        ),
+        ("truncated hex", truncated, WireError::BadHex("rows")),
+        ("uppercase hex", uppercase, WireError::BadHex("values")),
+    ];
+    for (name, frame, expected) in cases {
+        assert_eq!(slice_error(&frame), expected, "{name}");
+    }
+    // Every truncation of a slice payload is typed too.
+    for cut_at in (0..40).step_by(TRUNCATION_STRIDE) {
+        let frame = edited(&frame, "columns", |columns| columns[..cut_at].to_string());
+        assert!(ClaimReply::from_frame(&frame)
+            .map(|reply| match reply {
+                ClaimReply::Task(task) => task.slice().is_err(),
+                _ => false,
+            })
+            .unwrap_or(true));
     }
 }
 
@@ -258,7 +462,8 @@ fn v1_frames_are_a_typed_schema_error() {
 
 /// The contribution frames of a real cut are byte-identical to those of
 /// the code at `22655dd`, whose blocks were zero above the diagonal in
-/// memory: FNV-1a over the 8 task frames of a grid2dwide problem (nested
+/// memory, apart from the schema token (hashed as the `v2` it was there):
+/// FNV-1a over the 8 task frames of a grid2dwide problem (nested
 /// dissection, amalgamation 16), each task factored as a worker would.
 #[test]
 fn real_task_frames_match_their_golden_hash() {
@@ -279,7 +484,11 @@ fn real_task_frames_match_their_golden_hash() {
     for task in 0..cut.task_count() {
         let parts = plan.factor_subtree(cut.task_order(task), None).unwrap();
         assert!(parts.blocks.iter().any(|(_, block)| block.n() > 1));
-        for &byte in &contribution_frame(1, task, 1, "w", 0.0, &parts) {
+        let frame = contribution_frame(1, task, 1, "w", 0.0, &parts);
+        let frame = String::from_utf8(frame)
+            .unwrap()
+            .replace(WIRE_SCHEMA, "distrib_wire/v2");
+        for &byte in frame.as_bytes() {
             hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }

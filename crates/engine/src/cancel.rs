@@ -15,8 +15,10 @@
 //! with the stage that noticed and the elapsed wall-clock time.
 //!
 //! The token rides on the engine handle
-//! ([`Engine::with_cancel`](crate::Engine::with_cancel)); only a distributed
-//! worker's [`Plan::factor_subtree`](crate::Plan::factor_subtree) takes one
+//! ([`Engine::with_cancel`](crate::Engine::with_cancel)); only the subtree
+//! factors a distributed worker runs —
+//! [`TaskSlice::factor`](crate::TaskSlice::factor) and
+//! [`Plan::factor_subtree`](crate::Plan::factor_subtree) — take one
 //! directly.
 //!
 //! The lower crates stay dependency-free: they take a plain

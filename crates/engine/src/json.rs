@@ -699,13 +699,41 @@ impl<T: Value> Value for Option<T> {
 /// patterns and column indices.
 pub struct Hex<I>(pub I);
 
-impl<I: IntoIterator<Item: fmt::LowerHex>> Value for Hex<I> {
+/// The two lowercase hex digits of every byte.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let digits = b"0123456789abcdef";
+    let mut pairs = [[0u8; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        pairs[byte] = [digits[byte >> 4], digits[byte & 0xf]];
+        byte += 1;
+    }
+    pairs
+};
+
+impl<I: IntoIterator<Item: Into<u64>>> Value for Hex<I> {
     fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+        // Items are rendered by table into a stack buffer, flushed whole.
+        const CHUNK: usize = 512;
+        let mut buffer = [0u8; CHUNK];
+        let mut len = 0;
+        let flush = |out: &mut dyn fmt::Write, bytes: &[u8]| {
+            out.write_str(std::str::from_utf8(bytes).map_err(|_| fmt::Error)?)
+        };
         out.write_char('"')?;
         for item in self.0 {
-            let digits = 2 * std::mem::size_of_val(&item);
-            write!(out, "{item:0digits$x}")?;
+            let width = std::mem::size_of_val(&item);
+            if len + 2 * width > CHUNK {
+                flush(out, &buffer[..len])?;
+                len = 0;
+            }
+            let bytes = item.into().to_be_bytes();
+            for &byte in &bytes[bytes.len() - width..] {
+                buffer[len..len + 2].copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+                len += 2;
+            }
         }
+        flush(out, &buffer[..len])?;
         out.write_char('"')
     }
 }

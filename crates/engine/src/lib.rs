@@ -63,7 +63,7 @@ pub use report::{
 };
 pub use run::{
     DistributedCut, DistributedRuntime, Engine, EngineError, FactorHandle, Plan, Schedule,
-    ScheduleSpec, SubtreeParts, MAX_SOLVE_RHS,
+    ScheduleSpec, SliceError, SubtreeParts, TaskSlice, MAX_SOLVE_RHS,
 };
 
 /// Everything a typical engine user needs in scope.

@@ -47,6 +47,7 @@ mod factor;
 mod numeric;
 mod plan;
 mod schedule;
+mod slice;
 mod validate;
 
 pub use factor::{FactorHandle, MAX_SOLVE_RHS};
@@ -54,6 +55,7 @@ pub use numeric::SubtreeParts;
 pub use plan::Plan;
 use plan::{PlanTree, SymbolicData};
 pub use schedule::{DistributedCut, DistributedRuntime, Schedule, ScheduleSpec};
+pub use slice::{SliceError, TaskSlice};
 
 /// Errors raised anywhere in the plan/schedule/execute flow.
 #[derive(Debug)]

@@ -21,8 +21,9 @@
 //!    tasks run, and force-admits the smallest candidate when the ledger is
 //!    idle (so an undersized budget degrades to sequential execution instead
 //!    of deadlocking).  [`TaskRunner::Collected`] carries what worker
-//!    processes computed via [`Plan::factor_subtree`](crate::Plan) — the
-//!    coordinator's job ledger gated their claims.
+//!    processes computed from the tasks' slices
+//!    ([`TaskSlice::factor`](crate::TaskSlice::factor)) — the coordinator's
+//!    job ledger gated their claims.
 //! 3. **Merge phase** — the caller's thread absorbs the finished tasks'
 //!    root contribution blocks and eliminates the above-cut columns in the
 //!    chosen traversal's order.
@@ -155,9 +156,10 @@ pub(super) struct NumericStage<'c> {
 
 /// What one worker hands back for one subtree task: the values of the
 /// task's factor columns (in task order) and the contribution blocks its
-/// roots leave for the merge phase.  Row indices are not part of it — both
-/// sides derive the same [`SymbolicStructure`] from the configuration.
-/// Produced by [`Plan::factor_subtree`](crate::Plan::factor_subtree);
+/// roots leave for the merge phase.  Row indices are not part of it — the
+/// coordinator owns the [`SymbolicStructure`], and a worker rebuilds its
+/// task's part from the task's [`TaskSlice`](crate::TaskSlice).
+/// Produced by [`TaskSlice::factor`](crate::TaskSlice::factor);
 /// consumed in task order by
 /// [`Schedule::execute_distributed`](crate::Schedule::execute_distributed).
 /// The same type every in-process subtree task produces.
@@ -301,22 +303,38 @@ impl TaskContext<'_> {
         blocks_in: ContributionStore,
         arena: &mut FrontArena,
     ) -> Result<SubtreeParts, EngineError> {
-        CancelToken::with_stop(self.cancel, |stop| {
-            factor_columns(
-                &self.numeric.matrix,
-                &self.numeric.structure,
-                order,
-                blocks_in,
-                self.ledger,
-                arena,
-                stop,
-            )
-        })
-        .map_err(|err| match err {
-            FactorizationError::Cancelled => cancelled(self.cancel, "numeric"),
-            other => EngineError::Factorization(other),
-        })
+        let (matrix, structure) = (&self.numeric.matrix, &self.numeric.structure);
+        factor_on(
+            matrix,
+            structure,
+            order,
+            blocks_in,
+            self.ledger,
+            arena,
+            self.cancel,
+        )
     }
+}
+
+/// `factor_columns` on one problem — the plan's whole one or a task
+/// slice's — polling `cancel` every few dozen columns; a
+/// fired token surfaces as the typed numeric-stage cancellation.
+pub(super) fn factor_on(
+    matrix: &SymmetricCsr,
+    structure: &SymbolicStructure,
+    order: &[usize],
+    blocks_in: ContributionStore,
+    ledger: &BudgetLedger,
+    arena: &mut FrontArena,
+    cancel: Option<&CancelToken>,
+) -> Result<SubtreeParts, EngineError> {
+    CancelToken::with_stop(cancel, |stop| {
+        factor_columns(matrix, structure, order, blocks_in, ledger, arena, stop)
+    })
+    .map_err(|err| match err {
+        FactorizationError::Cancelled => cancelled(cancel, "numeric"),
+        other => EngineError::Factorization(other),
+    })
 }
 
 /// Run the numeric factorization of `numeric` over `cut`: the subtree phase

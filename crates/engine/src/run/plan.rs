@@ -5,8 +5,6 @@
 use std::sync::Arc;
 
 use minio::{MinIoError, Policy, Walk};
-use multifrontal::parallel::BudgetLedger;
-use multifrontal::{ContributionStore, FrontArena};
 use sparsemat::SparsePattern;
 use symbolic::{amalgamate, AssemblyTree, EliminationTree};
 use treemem::faultinject::FaultPoint;
@@ -14,10 +12,10 @@ use treemem::solver::Solver;
 use treemem::tree::{NodeId, Size};
 use treemem::{TraversalResult, Tree};
 
-use super::numeric::{NumericModel, TaskContext};
+use super::numeric::NumericModel;
 use super::validate::{validate_execution, validate_memory};
 use super::{cancelled, check, fire_fault, timed_ok, Engine, EngineError, SubtreeParts};
-use super::{Schedule, ScheduleSpec};
+use super::{Schedule, ScheduleSpec, TaskSlice};
 use crate::cancel::CancelToken;
 use crate::config::{EngineConfig, Fnv1a, ProblemSource, Settings, SolveRhs};
 use crate::memo::Memo;
@@ -288,46 +286,25 @@ impl Plan {
         })
     }
 
-    /// Factor one subtree task of a distributed run: the worker-process side
-    /// of [`Schedule::distributed_cut`](crate::Schedule::distributed_cut).
-    /// `order` is the task's bottom-up column order exactly as the
-    /// coordinator issued it; the worker derives the same matrix and
-    /// symbolic structure from the same configuration, so the produced
-    /// columns and contribution blocks are bit-identical to what the
-    /// single-process executor would compute for those columns.
+    /// Factor one subtree task of a distributed run the way a worker
+    /// process does: take the task's [`TaskSlice`] of this plan's problem,
+    /// then factor the slice.  `order` is the task's bottom-up column
+    /// order, e.g. [`DistributedCut::task_order`](crate::DistributedCut::task_order);
+    /// the columns and contribution blocks are bit-identical to what the
+    /// single-process executor computes for those columns.
     ///
-    /// `order` arrives over the network, so it is validated (bounds,
-    /// duplicates) before touching the kernel; a malformed order yields a
-    /// typed error, never a panic.
+    /// `order` may come from anywhere, so it is validated first: an index
+    /// out of range or named twice is [`EngineError::InvalidConfig`], an
+    /// order that is not a bottom-up subtree is the kernel's
+    /// [`EngineError::Factorization`]; never a panic.  `cancel` is polled
+    /// by the column loop.
     pub fn factor_subtree(
         &self,
         order: &[usize],
         cancel: Option<&CancelToken>,
     ) -> Result<SubtreeParts, EngineError> {
         let numeric = self.numeric_model()?;
-        let n = numeric.matrix().n();
-        let mut seen = vec![false; n];
-        for &column in order {
-            if column >= n {
-                return Err(EngineError::InvalidConfig(format!(
-                    "subtree column {column} is out of range for an n = {n} problem"
-                )));
-            }
-            if std::mem::replace(&mut seen[column], true) {
-                return Err(EngineError::InvalidConfig(format!(
-                    "subtree column {column} appears twice in the task order"
-                )));
-            }
-        }
-        // Unbounded ledger: the *cluster* budget was enforced when the
-        // coordinator admitted this task's claim; locally it only measures.
-        let ledger = BudgetLedger::new(None);
-        let ctx = TaskContext {
-            numeric: &numeric,
-            ledger: &ledger,
-            cancel,
-        };
-        ctx.factor(order, ContributionStore::new(), &mut FrontArena::new())
+        TaskSlice::of_order(&numeric, order)?.factor(cancel)
     }
 
     /// Produce the schedule described by the plan's own configuration.

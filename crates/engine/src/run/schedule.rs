@@ -12,7 +12,7 @@ use treemem::Traversal;
 use super::factor::{solve_check, FactorHandle};
 use super::numeric::{execute_cut, CutPlan, Numeric, NumericModel, NumericStage, TaskRunner};
 use super::plan::{Plan, Solved};
-use super::{check, fire_fault, timed_ok, Engine, EngineError, SubtreeParts};
+use super::{check, fire_fault, timed_ok, Engine, EngineError, SubtreeParts, TaskSlice};
 use crate::cancel::CancelToken;
 use crate::config::{BudgetShare, MemoryBudget, ParallelConfig};
 use crate::report::{DistributedReport, NumericReport, ParallelReport, Report, StageTimings};
@@ -427,8 +427,9 @@ impl Schedule<'_> {
 
 /// The deterministic coordinator-side cut of one scheduled factorization
 /// into subtree tasks, obtained via [`Schedule::distributed_cut`].  The
-/// per-task column orders are what travels to the workers; the static peaks
-/// are what the coordinator's budget ledger gates claims on.
+/// per-task slices ([`DistributedCut::task_slice`]) are what travels to the
+/// workers; the static peaks are what the coordinator's budget ledger gates
+/// claims on.
 pub struct DistributedCut {
     cut: CutPlan,
     lease_ms: u64,
@@ -483,6 +484,13 @@ impl DistributedCut {
             .collect();
         blocks.sort_unstable();
         blocks
+    }
+
+    /// Task `task`'s slice of the problem — its columns of the permuted
+    /// matrix and their elimination-tree parents — from which a worker
+    /// factors the task without planning ([`TaskSlice::factor`]).
+    pub fn task_slice(&self, task: usize) -> TaskSlice {
+        TaskSlice::of_task(&self.numeric, &self.cut.task_orders[task])
     }
 
     /// The resolved cluster budget in matrix entries (`None` = unbounded).

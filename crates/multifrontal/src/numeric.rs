@@ -129,6 +129,12 @@ impl SymbolicStructure {
         &self.rows[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
 
+    /// The children of column `j` in the elimination tree, increasing: the
+    /// order its front assembles their blocks in.
+    pub fn children(&self, j: usize) -> &[usize] {
+        &self.children[j]
+    }
+
     /// Column counts (number of nonzeros per column of `L`).
     pub fn column_counts(&self) -> Vec<usize> {
         self.col_ptr.windows(2).map(|w| w[1] - w[0]).collect()
@@ -449,6 +455,16 @@ impl ContributionStore {
     /// The pending blocks by increasing producing column.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &DenseMatrix)> {
         self.blocks.iter().map(|(&column, block)| (column, block))
+    }
+}
+
+impl IntoIterator for ContributionStore {
+    type Item = (usize, DenseMatrix);
+    type IntoIter = std::collections::btree_map::IntoIter<usize, DenseMatrix>;
+
+    /// The pending blocks by increasing producing column, moved out.
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter()
     }
 }
 

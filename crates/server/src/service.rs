@@ -79,15 +79,17 @@ impl Response {
 }
 
 impl Service {
-    /// A service with the given plan and factor caches and worker count
-    /// (the latter only reported in `/stats`).
+    /// A service with the given plan and factor caches and worker count:
+    /// the request threads serving it, reported in `/stats` and bounding
+    /// how many worker claims may park.
     pub fn new(cache: PlanCache, factors: CacheCore<FactorHandle>, workers: usize) -> Self {
         Service {
             engine: Engine::new(),
             cache,
             factors,
             stats: ServerStats::new(),
-            registry: JobRegistry::new(Arc::new(distrib::ClusterStats::new())),
+            registry: JobRegistry::new(Arc::new(distrib::ClusterStats::new()))
+                .with_server_threads(workers),
             workers,
             default_deadline: None,
             max_deadline: None,
@@ -311,6 +313,12 @@ impl Service {
         body: &[u8],
     ) -> Result<Response, Response> {
         let config = self.parse_config(body)?;
+        // From here until the response, workers' claims may park for this
+        // run's tasks instead of polling.
+        let _run = config
+            .distributed
+            .enabled()
+            .then(|| self.registry.open_run());
         let (plan, hit) = self.plan_for(engine, &config)?;
         let planned_bytes = plan.approx_heap_bytes();
         let schedule = plan.schedule(engine).map_err(|e| self.engine_error(&e))?;
@@ -361,9 +369,9 @@ impl Service {
     }
 
     /// The execute step of a distributed `/report`: cut once, park the
-    /// subtree tasks in the job registry for worker processes to claim,
-    /// block until every contribution is in (or the job stalls), then merge
-    /// above the cut.
+    /// subtree tasks — each with its slice of the problem — in the job
+    /// registry for worker processes to claim, block until every
+    /// contribution is in (or the job stalls), then merge above the cut.
     fn execute_on_cluster(
         &self,
         engine: &Engine,
@@ -377,8 +385,8 @@ impl Service {
         let job = self.registry.register(JobSpec {
             config_json: config.to_json(),
             lease_ms: cut.lease_ms(),
-            task_orders: (0..cut.task_count())
-                .map(|task| cut.task_order(task).to_vec())
+            task_slices: (0..cut.task_count())
+                .map(|task| cut.task_slice(task))
                 .collect(),
             task_peaks: (0..cut.task_count())
                 .map(|task| cut.task_peak_entries(task))
@@ -417,7 +425,9 @@ impl Service {
     }
 
     /// `POST /internal/claim`: answer one worker's poll with a leased task,
-    /// a wait hint, or idle.  The body and reply are wire frames, not bare
+    /// a wait hint, or idle — after parking for work, while a distributed
+    /// run is live and a request thread is to spare
+    /// ([`JobRegistry::claim`]).  The body and reply are wire frames, not bare
     /// JSON (see [`distrib::wire`]).
     fn handle_claim(&self, body: &[u8]) -> Response {
         let claim = match ClaimRequest::from_frame(body) {
@@ -1375,6 +1385,98 @@ mod tests {
         body.split("\"solutions\"")
             .nth(1)
             .expect("solutions present")
+    }
+
+    /// A 2-thread coordinator keeps one thread for the report and one for
+    /// the workers' posts, so no claim parks (2 − 1 − 1 live run = 0), and
+    /// two workers still drain a distributed report.
+    #[test]
+    fn a_two_thread_service_never_parks_and_two_workers_complete_a_report() {
+        let service = Arc::new(service());
+        let claim = distrib::ClaimRequest {
+            worker: "w-probe".to_string(),
+        };
+        let claim = distrib::frame_string(&claim.to_frame());
+        let run = service.registry().open_run();
+        let started = Instant::now();
+        let response = post(&service, "/internal/claim", &claim);
+        assert!(started.elapsed() < Duration::from_millis(distrib::CLAIM_HOLD_MS / 2));
+        assert_eq!(
+            ClaimReply::from_frame(response.body.as_bytes()),
+            Ok(ClaimReply::Idle)
+        );
+        drop(run);
+
+        let config = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 900, 7)
+            .with_numeric(true)
+            .with_distributed(engine::DistributedConfig::with_tasks(4));
+        let body = config.to_json();
+        let coordinator = Arc::clone(&service);
+        let report = std::thread::spawn(move || post(&coordinator, "/report", &body));
+        wait_for_jobs(&service, 1);
+        let summaries: Vec<WorkerSummary> = std::thread::scope(|scope| {
+            let workers: Vec<_> = ["w-0", "w-1"]
+                .map(|name| {
+                    let transport = InProcessTransport(Arc::clone(&service));
+                    scope.spawn(move || {
+                        run_worker(&transport, &WorkerOptions::named(name).exit_when_idle(3))
+                    })
+                })
+                .into_iter()
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let response = report.join().unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+        let completed: u64 = summaries.iter().map(|s| s.tasks_completed).sum();
+        let snapshot = service.registry().stats().snapshot();
+        assert_eq!(completed, snapshot.tasks_completed);
+        assert_eq!(snapshot.jobs_completed, 1);
+    }
+
+    /// On a 4-thread coordinator a claim posted while a distributed
+    /// `/report` plans parks — answering only after the hold or with a
+    /// task — and the first claim after registration gets a task.
+    #[test]
+    fn claims_park_while_a_distributed_report_plans() {
+        let service = Arc::new(Service::new(PlanCache::new(8), factor_cache(4), 4));
+        let config = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 10_000, 7)
+            .with_numeric(true)
+            .with_distributed(engine::DistributedConfig::with_tasks(4));
+        let body = config.to_json();
+        let coordinator = Arc::clone(&service);
+        let report = std::thread::spawn(move || post(&coordinator, "/report", &body));
+        // Past the request's parse: from here the run is open.
+        std::thread::sleep(Duration::from_millis(20));
+        let claim = distrib::ClaimRequest {
+            worker: "w-0".to_string(),
+        };
+        let claim = distrib::frame_string(&claim.to_frame());
+        let task = loop {
+            let started = Instant::now();
+            let response = post(&service, "/internal/claim", &claim);
+            match ClaimReply::from_frame(response.body.as_bytes()).unwrap() {
+                ClaimReply::Task(task) => break task,
+                reply => assert!(
+                    started.elapsed() >= Duration::from_millis(distrib::CLAIM_HOLD_MS - 5),
+                    "{reply:?} after {:?}: the claim did not park",
+                    started.elapsed()
+                ),
+            }
+        };
+        let parts = task.slice().unwrap().factor(None).unwrap();
+        let frame =
+            distrib::contribution_frame(task.job, task.task, task.epoch, "w-0", 0.0, &parts);
+        let response = post(
+            &service,
+            "/internal/contribute",
+            &distrib::frame_string(&frame),
+        );
+        assert_eq!(response.status, 200, "{}", response.body);
+        let transport = InProcessTransport(Arc::clone(&service));
+        run_worker(&transport, &WorkerOptions::named("w-1").exit_when_idle(1));
+        let response = report.join().unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! The worker-process side of distributed execution: poll the coordinator's
-//! `POST /internal/claim`, factor the leased subtree with the same column
-//! loop as a local run, and stream the contribution frame back through
+//! `POST /internal/claim`, factor the leased subtree from the slice of the
+//! problem its task carries, and stream the contribution frame back through
 //! `POST /internal/contribute`.
 //!
-//! The loop is deliberately stateless across tasks apart from a tiny plan
-//! cache: every task frame carries the full engine configuration, so a
-//! worker that joins (or rejoins) mid-job re-derives the same matrix and
-//! symbolic structure and produces bit-identical columns.  A worker that
-//! dies simply stops contributing — its lease expires on the coordinator
-//! and the task is re-issued, so no worker-side cleanup protocol exists.
-//! For the same reason the worker plans and factors on the plain,
-//! token-free [`Engine`]: the lease, not a deadline, bounds a task.
+//! The worker holds no plan and no state across tasks: a task frame carries
+//! the task's columns of the permuted matrix and their elimination-tree
+//! parents ([`distrib::SubtreeTask::slice`]), from which the worker rebuilds
+//! the subtree's rows of `L` and runs the same column loop as a local run,
+//! producing bit-identical columns.  It never orders, analyses or reads the
+//! problem's source, so it needs no access to the coordinator's files.  A
+//! worker that dies simply stops contributing — its lease expires on the
+//! coordinator and the task is re-issued, so no worker-side cleanup protocol
+//! exists.  For the same reason the worker factors without a cancel token:
+//! the lease, not a deadline, bounds a task.
+//!
+//! A claim may park on the coordinator until work is ready, so the loop
+//! sleeps only after an idle answer, a wait hint or a failed post.
 //!
 //! Between claiming a task and factoring it the loop fires the
 //! `parexec:task` fault point — the same point the in-process parallel
@@ -25,7 +30,6 @@ use std::time::{Duration, Instant};
 
 use distrib::{contribution_frame, frame_string, ClaimReply, ClaimRequest};
 use engine::faultinject::{FaultPoint, FaultSignal};
-use engine::{Engine, PlanCache};
 
 use crate::http::Request;
 use crate::service::Service;
@@ -137,10 +141,6 @@ pub struct WorkerSummary {
 /// `options` fires.  Panics injected via the fault plan propagate (a real
 /// worker death); everything else is counted and survived.
 pub fn run_worker(transport: &dyn Transport, options: &WorkerOptions) -> WorkerSummary {
-    let engine = Engine::new();
-    // Two entries: the common case is every task of the current job sharing
-    // one configuration, with one slot of slack for back-to-back jobs.
-    let plans = PlanCache::new(2);
     let mut summary = WorkerSummary::default();
     let mut idle_streak = 0u32;
     loop {
@@ -200,25 +200,16 @@ pub fn run_worker(transport: &dyn Transport, options: &WorkerOptions) -> WorkerS
         }
 
         let busy = Instant::now();
-        let parts = engine::EngineConfig::from_json(&task.config)
+        let parts = task
+            .slice()
             .map_err(|error| error.to_string())
-            .and_then(|config| {
-                plans
-                    .get_or_plan(&engine, &config)
-                    .map_err(|error| error.to_string())
-            })
-            .and_then(|(plan, _)| {
-                plan.factor_subtree(&task.order, None)
-                    .map_err(|error| error.to_string())
-            });
-        let parts = match parts {
-            Ok(parts) => parts,
-            Err(_) => {
-                // Contribute nothing: the lease expires and the task is
-                // re-issued, possibly to a healthier worker.
-                summary.factor_errors += 1;
-                continue;
-            }
+            .and_then(|slice| slice.factor(None).map_err(|error| error.to_string()));
+        let Ok(parts) = parts else {
+            // A hostile slice or a failed factor: contribute nothing, so the
+            // lease expires and the task is re-issued, possibly to a
+            // healthier worker.
+            summary.factor_errors += 1;
+            continue;
         };
         let frame = contribution_frame(
             task.job,
@@ -234,5 +225,76 @@ pub fn run_worker(transport: &dyn Transport, options: &WorkerOptions) -> WorkerS
             Ok((409, _)) => summary.stale_rejections += 1,
             Ok((_, _)) | Err(_) => summary.transport_errors += 1,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use distrib::{decode_frame, encode_frame, SliceFrame, SubtreeTask};
+    use engine::prelude::*;
+    use std::sync::Mutex;
+
+    /// A coordinator that answers claims with a script of frames, then
+    /// `idle`; a contribution is a test failure.
+    struct Scripted(Mutex<Vec<String>>);
+
+    impl Transport for Scripted {
+        fn post(&self, path: &str, _frame: &str) -> Result<(u16, String), String> {
+            assert_eq!(path, "/internal/claim", "a hostile task was contributed");
+            let next = self.0.lock().unwrap().pop();
+            Ok((
+                200,
+                next.unwrap_or_else(|| frame_string(&ClaimReply::Idle.to_frame())),
+            ))
+        }
+    }
+
+    /// A hostile slice is the worker's counted factor error, never a panic
+    /// or a contribution: the lease is left to expire.
+    #[test]
+    fn hostile_slices_are_counted_factor_errors() {
+        let engine = Engine::new();
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 3)
+            .with_numeric(true)
+            .with_distributed(DistributedConfig::with_tasks(2));
+        let plan = engine.plan(&config).unwrap();
+        let cut = plan
+            .schedule(&engine)
+            .unwrap()
+            .distributed_cut(&engine)
+            .unwrap();
+        let slice = cut.task_slice(0);
+        let task = SubtreeTask {
+            job: 1,
+            task: 0,
+            epoch: 1,
+            lease_ms: 60_000,
+            config: config.to_json(),
+            order: slice.order().to_vec(),
+            slice: Arc::new(SliceFrame::encode(&slice)),
+        };
+        let body = decode_frame(&task.to_frame()).unwrap().to_string();
+        let hostile = |from: &str, to: &str| {
+            assert!(body.contains(from));
+            frame_string(&encode_frame(&body.replacen(from, to, 1)))
+        };
+        let n = format!("\"n\": {}", slice.n());
+        let frames = vec![
+            // Indices beyond the dimension.
+            hostile(&n, "\"n\": 1"),
+            hostile("\"rows\": \"", "\"rows\": \"0"),
+            hostile("\"values\": \"", "\"values\": \"7ff0000000000000"),
+        ];
+        let count = frames.len();
+        let transport = Scripted(Mutex::new(frames));
+        let summary = run_worker(&transport, &WorkerOptions::named("w").exit_when_idle(1));
+        assert_eq!(
+            summary,
+            WorkerSummary {
+                factor_errors: count as u64,
+                ..WorkerSummary::default()
+            }
+        );
     }
 }

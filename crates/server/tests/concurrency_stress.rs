@@ -156,13 +156,13 @@ fn job_registry_claims_race_contributions_and_lease_expiry() {
         .unwrap();
     let tasks = cut.task_count();
     assert!(tasks >= 2, "the cut must shard the problem");
-    let registry = JobRegistry::new(Arc::new(ClusterStats::new()));
+    // Six request threads and one job: up to four claims park at once, so
+    // parking races the contributions and the reaper too.
+    let registry = JobRegistry::new(Arc::new(ClusterStats::new())).with_server_threads(6);
     let job = registry.register(JobSpec {
         config_json: "{}".to_string(),
         lease_ms: 25,
-        task_orders: (0..tasks)
-            .map(|task| cut.task_order(task).to_vec())
-            .collect(),
+        task_slices: (0..tasks).map(|task| cut.task_slice(task)).collect(),
         task_peaks: (0..tasks).map(|task| cut.task_peak_entries(task)).collect(),
         task_values: (0..tasks).map(|task| cut.task_value_count(task)).collect(),
         task_blocks: (0..tasks).map(|task| cut.task_root_blocks(task)).collect(),
@@ -173,7 +173,6 @@ fn job_registry_claims_race_contributions_and_lease_expiry() {
     std::thread::scope(|scope| {
         for worker in 0..4 {
             let registry = &registry;
-            let plan = &plan;
             let abandoned = &abandoned;
             scope.spawn(move || {
                 let name = format!("w-{worker}");
@@ -190,9 +189,8 @@ fn job_registry_claims_race_contributions_and_lease_expiry() {
                             if abandoned.fetch_add(1, Ordering::Relaxed) == 0 {
                                 continue;
                             }
-                            let parts = plan
-                                .factor_subtree(&task.order, None)
-                                .expect("subtree factors");
+                            let slice = task.slice().expect("an honest slice");
+                            let parts = slice.factor(None).expect("subtree factors");
                             let frame = contribution_frame(
                                 task.job, task.task, task.epoch, &name, 0.01, &parts,
                             );

@@ -4,12 +4,17 @@
 //! coordinator's own single-process factor bit for bit (identical
 //! `factor_nnz`, bit-identical seeded-solve `max_residual`) under the wire's
 //! ceiling of 20 contribution bytes per factor nonzero, expiring and
-//! requeueing nothing.  A chaos pass then SIGKILLs a worker while it holds a
-//! lease: the job must finish through lease re-issue with the same factor,
-//! the coordinator's counters must reconcile and no 5xx may leave it.
+//! requeueing nothing.  A second clean pass does the same for a
+//! MatrixMarket file named by a path relative to the coordinator's working
+//! directory, with the workers running in another one: workers factor the
+//! slices their tasks carry and never open the source.  A chaos pass then
+//! SIGKILLs a worker while it holds a lease: the job must finish through
+//! lease re-issue with the same factor, the coordinator's counters must
+//! reconcile and no 5xx may leave it.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -19,6 +24,7 @@ use server::client;
 use sparsemat::gen::ProblemKind;
 
 const NODES: usize = 20_000;
+const MATRIX_MARKET_NODES: usize = 4_900;
 const TASKS: usize = 8;
 /// Far above any healthy task, so the clean pass never expires a lease.
 const CLEAN_LEASE_MS: u64 = 30_000;
@@ -45,18 +51,37 @@ impl Drop for Serve {
     }
 }
 
-fn serve() -> Command {
+/// A scratch directory, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Scratch {
+        let path = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&path).expect("a scratch directory");
+        Scratch(path)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `serve`, run in `dir`.
+fn serve(dir: &Path) -> Command {
     let mut command = Command::new(env!("CARGO_BIN_EXE_serve"));
     command
+        .current_dir(dir)
         .env_remove("TREEMEM_FAULT_PLAN")
         .stdin(Stdio::null());
     command
 }
 
-/// Boot a coordinator on an ephemeral loopback port and read the bound
-/// address from its `serving on http://…` banner.
-fn spawn_coordinator() -> (Serve, SocketAddr) {
-    let mut child = serve()
+/// Boot a coordinator in `dir` on an ephemeral loopback port and read the
+/// bound address from its `serving on http://…` banner.
+fn spawn_coordinator(dir: &Path) -> (Serve, SocketAddr) {
+    let mut child = serve(dir)
         .args(["--addr", "127.0.0.1:0", "--workers", "4"])
         .args(["--default-deadline-ms", &DEADLINE_MS.to_string()])
         .stdout(Stdio::piped())
@@ -82,10 +107,10 @@ fn spawn_coordinator() -> (Serve, SocketAddr) {
     (coordinator, addr)
 }
 
-/// One `serve --role worker` process; `fault_plan` arms the child's fault
-/// registry.
-fn spawn_worker(addr: SocketAddr, worker_id: &str, fault_plan: Option<&str>) -> Serve {
-    let mut command = serve();
+/// One `serve --role worker` process in `dir`; `fault_plan` arms the
+/// child's fault registry.
+fn spawn_worker(dir: &Path, addr: SocketAddr, worker_id: &str, fault_plan: Option<&str>) -> Serve {
+    let mut command = serve(dir);
     command
         .args(["--role", "worker", "--coordinator", &addr.to_string()])
         .args(["--worker-id", worker_id])
@@ -172,27 +197,49 @@ fn worker_processes_reproduce_the_single_process_factor_across_a_killed_worker()
             .with_distributed(DistributedConfig::with_tasks(TASKS).with_lease_ms(lease_ms))
     };
 
-    let (coordinator, addr) = spawn_coordinator();
+    // The coordinator and the workers run in different directories.
+    let coordinator_dir = Scratch::new("treemem-multiprocess-coordinator");
+    let worker_dir = Scratch::new("treemem-multiprocess-workers");
+    let (coordinator, addr) = spawn_coordinator(&coordinator_dir.0);
+    let worker = |id, fault_plan| spawn_worker(&worker_dir.0, addr, id, fault_plan);
     // The coordinator's own sequential factor is the reference.
     let (hash, _) = report(addr, &base);
     let reference = solve_identity(addr, &hash);
 
     // Clean pass: both workers alive, a lease no healthy worker can miss.
-    let workers = ["w0", "w1"].map(|id| spawn_worker(addr, id, None));
+    let workers = ["w0", "w1"].map(|id| worker(id, None));
     let clean = check_distributed(addr, &distributed(CLEAN_LEASE_MS), reference);
     assert_eq!(requeues(&clean), [0, 0], "lease expiries, requeues");
+
+    // MatrixMarket pass: a file only the coordinator can open, named
+    // relative to its working directory.
+    let pattern = ProblemKind::Grid2d.generate(MATRIX_MARKET_NODES, 42);
+    std::fs::write(
+        coordinator_dir.0.join("grid.mtx"),
+        sparsemat::matrixmarket::write_pattern(&pattern),
+    )
+    .expect("the MatrixMarket file");
+    let local = EngineConfig::matrix_market("grid.mtx")
+        .with_ordering(OrderingMethod::NestedDissection)
+        .with_numeric(true);
+    let (hash, _) = report(addr, &local);
+    let file_reference = solve_identity(addr, &hash);
+    let sharded =
+        local.with_distributed(DistributedConfig::with_tasks(TASKS).with_lease_ms(CLEAN_LEASE_MS));
+    let file_pass = check_distributed(addr, &sharded, file_reference);
+    assert_eq!(requeues(&file_pass), [0, 0], "lease expiries, requeues");
 
     // Chaos pass: retire the healthy workers, hand the job to a victim that
     // stalls on its first claim, SIGKILL it while it holds the lease, then
     // let fresh workers finish the job through lease re-issue.  Jobs number
-    // from 1 per coordinator: the clean pass was job 1.
+    // from 1 per coordinator: the clean passes were jobs 1 and 2.
     drop(workers);
-    let victim = spawn_worker(addr, "w-victim", Some("sleep:600000@parexec:task"));
+    let victim = worker("w-victim", Some("sleep:600000@parexec:task"));
     let chaos = std::thread::scope(|scope| {
         let pass = scope.spawn(|| check_distributed(addr, &distributed(CHAOS_LEASE_MS), reference));
-        wait_for_claim(addr, 2);
+        wait_for_claim(addr, 3);
         drop(victim);
-        let _replacements = ["w2", "w3"].map(|id| spawn_worker(addr, id, None));
+        let _replacements = ["w2", "w3"].map(|id| worker(id, None));
         pass.join().expect("the chaos pass")
     });
     let [expiries, requeued] = requeues(&chaos);

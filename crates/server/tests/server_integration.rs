@@ -516,6 +516,50 @@ fn a_handle_dropped_while_panicking_does_not_join_a_parked_worker() {
     );
 }
 
+/// A worker's claim that parks for work holds its request thread for at
+/// most the hold: shutting the server down with a claim parked returns
+/// within it, and the claim is answered.
+#[test]
+fn a_shutdown_with_a_parked_claim_returns_within_the_hold() {
+    use distrib::{frame_string, ClaimReply, ClaimRequest, CLAIM_HOLD_MS};
+    let handle = Server::spawn(ServerConfig {
+        workers: 4,
+        ..ServerConfig::default()
+    })
+    .expect("server boots");
+    let addr = handle.addr();
+    // What a distributed `/report` holds while it plans: claims may park.
+    let run = handle.service().registry().open_run();
+    let claim = ClaimRequest {
+        worker: "w-parked".to_string(),
+    };
+    let claim = frame_string(&claim.to_frame());
+    let claimant = std::thread::spawn(move || {
+        let started = Instant::now();
+        let response = client::post(addr, "/internal/claim", &claim).expect("a claim reply");
+        (response, started.elapsed())
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    handle.shutdown().expect("clean shutdown");
+    let shutdown = started.elapsed();
+    let (response, claimed) = claimant.join().expect("claim thread");
+    assert!(
+        shutdown < Duration::from_millis(CLAIM_HOLD_MS),
+        "shutdown took {shutdown:?}"
+    );
+    assert!(
+        claimed >= Duration::from_millis(CLAIM_HOLD_MS - 5),
+        "the claim did not park: {claimed:?}"
+    );
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert_eq!(
+        ClaimReply::from_frame(response.body.as_bytes()),
+        Ok(ClaimReply::Idle)
+    );
+    drop(run);
+}
+
 #[test]
 fn prebuilt_tree_configs_run_end_to_end() {
     let handle = spawn_default();

@@ -12,6 +12,18 @@ pub struct EliminationTree {
 }
 
 impl EliminationTree {
+    /// The tree of a given parent array, or `None` unless every parent lies
+    /// above its child (`j < parent[j] < len`): the shape of every
+    /// elimination tree, and what rules out cycles.
+    pub fn from_parents(parent: Vec<Option<usize>>) -> Option<Self> {
+        let len = parent.len();
+        let valid = parent
+            .iter()
+            .enumerate()
+            .all(|(j, p)| p.is_none_or(|p| j < p && p < len));
+        valid.then_some(EliminationTree { parent })
+    }
+
     /// Number of columns.
     pub fn len(&self) -> usize {
         self.parent.len()
