@@ -42,8 +42,10 @@
 //! a reaped lease is re-issued without delay.  It parks only while a
 //! distributed run is live or being planned ([`JobRegistry::open_run`]) and
 //! only while fewer claims are parked than the coordinator's request
-//! threads minus one minus its live runs; otherwise it answers at once, so
-//! an idle or small coordinator never ties up its threads.
+//! threads minus one minus its live runs, a bound re-read at every tick (a
+//! newly opened run rings, and claims above the lowered bound leave);
+//! otherwise it answers at once, so an idle or small coordinator never
+//! ties up its threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -491,6 +493,8 @@ struct Parking {
     parked: usize,
     /// Open [`RunMarker`]s: distributed runs being planned or waited on.
     runs: usize,
+    /// Set by [`JobRegistry::stop_parking`]: no claim parks any more.
+    stopped: bool,
 }
 
 impl Doorbell {
@@ -556,9 +560,29 @@ impl JobRegistry {
     /// open or a job is registered.
     pub fn open_run(&self) -> RunMarker {
         self.doorbell.state.lock().runs += 1;
+        // Parked claims re-check their bound, which the new run lowers.
+        self.doorbell.ring();
         RunMarker {
             doorbell: Arc::clone(&self.doorbell),
         }
+    }
+
+    /// Distributed runs open right now ([`open_run`](Self::open_run)).
+    pub fn open_runs(&self) -> usize {
+        self.doorbell.state.lock().runs
+    }
+
+    /// Claims parked right now.
+    pub fn parked_claims(&self) -> usize {
+        self.doorbell.state.lock().parked
+    }
+
+    /// End every parked claim now and park none from here on, for a
+    /// coordinator that is shutting down and must drain its request
+    /// threads; claims are still answered, at once.
+    pub fn stop_parking(&self) {
+        self.doorbell.state.lock().stopped = true;
+        self.doorbell.ring();
     }
 
     /// Register a job; its tasks become claimable immediately.
@@ -620,24 +644,32 @@ impl JobRegistry {
     pub fn claim(&self, worker: &str) -> ClaimReply {
         let deadline_ms = monotonic_millis().saturating_add(CLAIM_HOLD_MS);
         let mut parked = false;
-        let reply = loop {
+        loop {
             let rings = self.doorbell.state.lock().rings;
             let reply = self.claim_now(worker);
             let now_ms = monotonic_millis();
-            if matches!(reply, ClaimReply::Task(_)) || now_ms >= deadline_ms {
-                break reply;
-            }
             let jobs = self.jobs.lock().len();
-            let tick = (deadline_ms - now_ms).min(self.suggested_retry_ms());
+            let tick = deadline_ms
+                .saturating_sub(now_ms)
+                .min(self.suggested_retry_ms());
             let mut parking = self.doorbell.state.lock();
+            // The bound is re-read every tick, parked or not: a run opened
+            // since this claim parked (it rings) may need its thread back.
             let live = jobs.max(parking.runs);
-            if live == 0 {
-                break reply;
+            let spare = self.server_threads.saturating_sub(1 + live);
+            let others = parking.parked - usize::from(parked);
+            if matches!(reply, ClaimReply::Task(_))
+                || now_ms >= deadline_ms
+                || live == 0
+                || others >= spare
+                || parking.stopped
+            {
+                if parked {
+                    parking.parked -= 1;
+                }
+                return reply;
             }
             if !parked {
-                if parking.parked >= self.server_threads.saturating_sub(1 + live) {
-                    break reply;
-                }
                 parking.parked += 1;
                 parked = true;
             }
@@ -647,11 +679,7 @@ impl JobRegistry {
                     .rung
                     .wait_timeout(parking, Duration::from_millis(tick));
             }
-        };
-        if parked {
-            self.doorbell.state.lock().parked -= 1;
         }
-        reply
     }
 
     /// [`claim`](Self::claim) without parking.
@@ -999,6 +1027,31 @@ mod tests {
                 assert!(matches!(claimant.join().unwrap(), ClaimReply::Idle));
             }
         });
+    }
+
+    #[test]
+    fn a_run_opened_after_a_claim_parked_takes_its_thread_back() {
+        // 3 threads, one run: 3 − 1 − 1 = 1 claim parks; a second run
+        // lowers the bound to 0 and the parked claim leaves at once.
+        let registry = parking_registry(3);
+        let _first = registry.open_run();
+        std::thread::scope(|scope| {
+            let claimant = scope.spawn(|| {
+                let started = monotonic_millis();
+                let reply = registry.claim("w");
+                (reply, monotonic_millis() - started)
+            });
+            while registry.doorbell.state.lock().parked == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let _second = registry.open_run();
+            let (reply, waited) = claimant.join().unwrap();
+            assert!(
+                matches!(reply, ClaimReply::Idle) && waited < CLAIM_HOLD_MS,
+                "{waited} ms"
+            );
+        });
+        assert_eq!(registry.doorbell.state.lock().parked, 0);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!    row indices) is a typed schema error, not a best-effort decode.
 //! 5. **Golden bytes** — the contribution frames of a real distributed cut
 //!    hash to a pinned FNV-1a literal.
-//! 6. **Exact slices** — every task of real cuts, shipped as a task frame
-//!    and factored from its decoded slice, gives the bits and ledger peak
-//!    of the coordinator's own slice and of `Plan::factor_subtree`.
+//! 6. **Exact slices** — every task of real cuts, shipped as a task frame,
+//!    decodes to the coordinator's own slice and factors to the bits of
+//!    `Plan::factor_subtree`, with the task's modeled ledger peak.
 //! 7. **Hostile slices** — a slice that is not one of its task is a typed
 //!    [`WireError`] from `SubtreeTask::slice`, never a panic.
 
@@ -147,11 +147,17 @@ fn random_tasks_round_trip_exactly() {
     let (_, cut) = cut_of(&config);
     let mut rng = StdRng::seed_from_u64(0x5eed_0001);
     for _ in 0..TASK_ROUNDS {
+        // The frame does not check the order against the slice, so any
+        // order round-trips: the hex items run up to 2^20.
+        let order_len = rng.gen_range(1usize..=64);
         let task = SubtreeTask {
             job: rng.gen::<u64>(),
             task: rng.gen_range(0usize..4096),
             epoch: rng.gen::<u64>(),
             lease_ms: rng.gen_range(10u64..=3_600_000),
+            order: (0..order_len)
+                .map(|_| rng.gen_range(0usize..1 << 20))
+                .collect(),
             ..issued(&config, &cut, rng.gen_range(0..cut.task_count()))
         };
         match ClaimReply::from_frame(&task.to_frame()).unwrap() {
@@ -161,21 +167,36 @@ fn random_tasks_round_trip_exactly() {
     }
 }
 
-/// Every task of an 8-task cut, for every problem kind × {nd, amd} ×
-/// amalgamation {1, 16}: shipped as a task frame, decoded, and factored
-/// from its slice, it gives the bits — values and root blocks — and the
-/// ledger peak of the coordinator's own slice, and the bits of
-/// `Plan::factor_subtree`.
+// The slice battery's grid: every problem kind × {nd, amd} × amalgamation
+// {1, 16}, each cut into 8 tasks; Miri runs one small cell.
+const SLICE_KINDS: &[ProblemKind] = if cfg!(miri) {
+    &[ProblemKind::Grid2d]
+} else {
+    &ProblemKind::ALL
+};
+const SLICE_ORDERINGS: &[OrderingMethod] = if cfg!(miri) {
+    &[OrderingMethod::NestedDissection]
+} else {
+    &[
+        OrderingMethod::NestedDissection,
+        OrderingMethod::MinimumDegree,
+    ]
+};
+const SLICE_AMALGAMATIONS: &[usize] = if cfg!(miri) { &[16] } else { &[1, 16] };
+const SLICE_N: usize = if cfg!(miri) { 64 } else { 600 };
+
+/// Every task of the slice battery's cuts, shipped as a task frame and
+/// decoded, carries exactly the coordinator's slice, and factors from it to
+/// the bits — values and root blocks — of `Plan::factor_subtree`, with the
+/// ledger peak the cut modeled for the task.  (The engine's own battery
+/// checks slices against a factor on the whole structure.)
 #[test]
 fn every_task_factors_exactly_from_its_shipped_slice() {
     let mut tasks = 0;
-    for kind in ProblemKind::ALL {
-        for ordering in [
-            OrderingMethod::NestedDissection,
-            OrderingMethod::MinimumDegree,
-        ] {
-            for amalgamation in [1, 16] {
-                let config = EngineConfig::generated(kind, 600, 3)
+    for &kind in SLICE_KINDS {
+        for &ordering in SLICE_ORDERINGS {
+            for &amalgamation in SLICE_AMALGAMATIONS {
+                let config = EngineConfig::generated(kind, SLICE_N, 3)
                     .with_ordering(ordering)
                     .with_amalgamation(amalgamation)
                     .with_numeric(true)
@@ -190,17 +211,16 @@ fn every_task_factors_exactly_from_its_shipped_slice() {
                     let slice = received.slice().unwrap();
                     assert_eq!(slice, cut.task_slice(task), "{cell}");
                     let (shipped, peak) = slice.factor_measured(None).unwrap();
-                    let (local, local_peak) = cut.task_slice(task).factor_measured(None).unwrap();
                     let planned = plan.factor_subtree(cut.task_order(task), None).unwrap();
-                    assert_eq!(peak, local_peak, "{cell}");
-                    assert_eq!(lower_bits(&shipped), lower_bits(&local), "{cell}");
                     assert_eq!(lower_bits(&shipped), lower_bits(&planned), "{cell}");
+                    assert_eq!(peak, cut.task_peak_entries(task), "{cell}");
                     tasks += 1;
                 }
             }
         }
     }
-    assert!(tasks >= 7 * 2 * 2 * 2, "{tasks} tasks");
+    let cells = SLICE_KINDS.len() * SLICE_ORDERINGS.len() * SLICE_AMALGAMATIONS.len();
+    assert!(tasks >= 2 * cells, "{tasks} tasks");
 }
 
 /// A task frame's body with field `field`'s string value passed through

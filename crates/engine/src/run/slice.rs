@@ -301,9 +301,11 @@ impl TaskSlice {
             edges.extend(below.iter().map(|&row| (row, at)));
         }
         let pattern = SparsePattern::from_edges(m, &edges);
-        let matrix = SymmetricCsr::from_csc(m, col_ptr, rows, self.values.clone())
-            .ok_or(SliceError::Rows)?;
-        let etree = EliminationTree::from_parents(parent).ok_or(SliceError::Parents)?;
+        // `new` and `of_task` establish both constructors' preconditions:
+        // each column's rows increase from its diagonal below n, and each
+        // parent lies above its child; the renumbering keeps index order.
+        let matrix = SymmetricCsr::from_csc(m, col_ptr, rows, self.values.clone());
+        let etree = EliminationTree::from_parents(parent);
         let structure = SymbolicStructure::from_etree(&pattern, etree);
         // A column's parent is the first row below its diagonal.
         let consistent = self.columns.iter().all(|&column| {

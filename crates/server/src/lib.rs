@@ -296,8 +296,8 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Stop accepting, finish the queued and in-flight requests, and join
-    /// every thread.  Idempotent-ish: safe to call once; dropping the handle
+    /// Stop accepting, finish the queued and in-flight requests (a parked
+    /// worker claim answers at once), and join every thread.  Idempotent-ish: safe to call once; dropping the handle
     /// without calling it stops the server the same way, except during a
     /// panic (see the `Drop` impl).
     pub fn shutdown(mut self) -> std::io::Result<()> {
@@ -322,6 +322,9 @@ impl ServerHandle {
     fn signal_stop(&mut self) -> Option<JoinHandle<()>> {
         let accept_thread = self.accept_thread.take()?;
         self.shutdown.store(true, Ordering::SeqCst);
+        // A parked worker claim would hold its request thread for the rest
+        // of its hold.
+        self.service.registry().stop_parking();
         // The accept loop blocks in `accept`; poke it awake with a throwaway
         // connection so it observes the flag.  A wildcard bind address
         // (0.0.0.0 / ::) is not connectable on every platform, so the wake

@@ -1447,7 +1447,11 @@ mod tests {
         let coordinator = Arc::clone(&service);
         let report = std::thread::spawn(move || post(&coordinator, "/report", &body));
         // Past the request's parse: from here the run is open.
-        std::thread::sleep(Duration::from_millis(20));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while service.registry().open_runs() == 0 {
+            assert!(Instant::now() < deadline, "the run never opened");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let claim = distrib::ClaimRequest {
             worker: "w-0".to_string(),
         };

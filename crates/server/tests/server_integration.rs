@@ -516,9 +516,9 @@ fn a_handle_dropped_while_panicking_does_not_join_a_parked_worker() {
     );
 }
 
-/// A worker's claim that parks for work holds its request thread for at
-/// most the hold: shutting the server down with a claim parked returns
-/// within it, and the claim is answered.
+/// A worker's claim that parks for work does not hold up a shutdown:
+/// shutting the server down with a claim parked ends the park, returns
+/// within the hold, and the claim is answered.
 #[test]
 fn a_shutdown_with_a_parked_claim_returns_within_the_hold() {
     use distrib::{frame_string, ClaimReply, ClaimRequest, CLAIM_HOLD_MS};
@@ -535,22 +535,20 @@ fn a_shutdown_with_a_parked_claim_returns_within_the_hold() {
     };
     let claim = frame_string(&claim.to_frame());
     let claimant = std::thread::spawn(move || {
-        let started = Instant::now();
-        let response = client::post(addr, "/internal/claim", &claim).expect("a claim reply");
-        (response, started.elapsed())
+        client::post(addr, "/internal/claim", &claim).expect("a claim reply")
     });
-    std::thread::sleep(Duration::from_millis(50));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.service().registry().parked_claims() == 0 {
+        assert!(Instant::now() < deadline, "the claim never parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let started = Instant::now();
     handle.shutdown().expect("clean shutdown");
     let shutdown = started.elapsed();
-    let (response, claimed) = claimant.join().expect("claim thread");
+    let response = claimant.join().expect("claim thread");
     assert!(
         shutdown < Duration::from_millis(CLAIM_HOLD_MS),
         "shutdown took {shutdown:?}"
-    );
-    assert!(
-        claimed >= Duration::from_millis(CLAIM_HOLD_MS - 5),
-        "the claim did not park: {claimed:?}"
     );
     assert_eq!(response.status, 200, "{}", response.body);
     assert_eq!(

@@ -231,33 +231,32 @@ impl SymmetricCsr {
     /// Build from compressed-column arrays of the lower triangle: column `j`
     /// holds `row_idx[col_ptr[j]..col_ptr[j + 1]]` with the parallel
     /// `values`.  Unlike [`from_lower_columns`](Self::from_lower_columns) a
-    /// column may be empty (a column that is never eliminated).  `None`
-    /// unless the arrays are consistent and every column's rows increase
-    /// strictly from `j` or below it up to `n - 1`.
-    pub fn from_csc(
-        n: usize,
-        col_ptr: Vec<usize>,
-        row_idx: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Option<Self> {
-        let consistent = col_ptr.len() == n + 1
-            && col_ptr.first() == Some(&0)
-            && col_ptr.last() == Some(&row_idx.len())
-            && row_idx.len() == values.len()
-            && col_ptr.windows(2).enumerate().all(|(j, range)| {
-                range[0] <= range[1]
-                    && row_idx.get(range[0]..range[1]).is_some_and(|rows| {
-                        rows.first().is_none_or(|&first| first >= j)
-                            && rows.windows(2).all(|pair| pair[0] < pair[1])
-                            && rows.last().is_none_or(|&last| last < n)
-                    })
-            });
-        consistent.then_some(SymmetricCsr {
+    /// column may be empty (a column that is never eliminated).  The caller
+    /// guarantees that the arrays are consistent and that every column's
+    /// rows increase strictly from `j` or below it up to `n - 1`; debug
+    /// builds check it.
+    pub fn from_csc(n: usize, col_ptr: Vec<usize>, row_idx: Vec<usize>, values: Vec<f64>) -> Self {
+        debug_assert!(
+            col_ptr.len() == n + 1
+                && col_ptr.first() == Some(&0)
+                && col_ptr.last() == Some(&row_idx.len())
+                && row_idx.len() == values.len()
+                && col_ptr.windows(2).enumerate().all(|(j, range)| {
+                    range[0] <= range[1]
+                        && row_idx.get(range[0]..range[1]).is_some_and(|rows| {
+                            rows.first().is_none_or(|&first| first >= j)
+                                && rows.windows(2).all(|pair| pair[0] < pair[1])
+                                && rows.last().is_none_or(|&last| last < n)
+                        })
+                }),
+            "inconsistent lower-triangle columns"
+        );
+        SymmetricCsr {
             n,
             col_ptr,
             row_idx,
             values,
-        })
+        }
     }
 
     /// Dimension of the matrix.

@@ -12,16 +12,20 @@ pub struct EliminationTree {
 }
 
 impl EliminationTree {
-    /// The tree of a given parent array, or `None` unless every parent lies
-    /// above its child (`j < parent[j] < len`): the shape of every
-    /// elimination tree, and what rules out cycles.
-    pub fn from_parents(parent: Vec<Option<usize>>) -> Option<Self> {
+    /// The tree of a given parent array.  The caller guarantees that every
+    /// parent lies above its child (`j < parent[j] < len`): the shape of
+    /// every elimination tree, and what rules out cycles; debug builds
+    /// check it.
+    pub fn from_parents(parent: Vec<Option<usize>>) -> Self {
         let len = parent.len();
-        let valid = parent
-            .iter()
-            .enumerate()
-            .all(|(j, p)| p.is_none_or(|p| j < p && p < len));
-        valid.then_some(EliminationTree { parent })
+        debug_assert!(
+            parent
+                .iter()
+                .enumerate()
+                .all(|(j, p)| p.is_none_or(|p| j < p && p < len)),
+            "a parent is not above its child"
+        );
+        EliminationTree { parent }
     }
 
     /// Number of columns.
