@@ -87,7 +87,7 @@ pub(crate) fn run(context: &Context) {
         println!();
     }
 
-    println!("Observations recorded in EXPERIMENTS.md: the allowance mainly trades tree size");
+    println!("Observation: the allowance mainly trades tree size");
     println!("against front granularity (it barely changes the optimal peak), while the");
     println!("ordering changes the peak by an order of magnitude and decides whether any");
     println!("out-of-core I/O is needed at the hardest feasible budget.");

@@ -5,9 +5,10 @@
 //! `exp all` runs the eight in sequence.  Tables go to stdout; CSV/JSON
 //! files go to `results/exp_<name>/` (`TREEMEM_RESULTS_DIR` moves
 //! `results/`).  `--quick` uses the reduced corpus.  The arguments are
-//! parsed once, the assembly corpus is built at most once per process, and
-//! everything runs on one big-stack thread, so a failed assertion in any
-//! experiment fails the process.
+//! parsed once; the corpora, the assembly corpus's solver measurements and
+//! the MinIO sweep grid are each computed at most once per process, on first
+//! use; and everything runs on one big-stack thread, so a failed assertion
+//! in any experiment fails the process.
 
 mod ablation;
 mod minio_heuristics;
@@ -22,8 +23,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use bench::{
-    default_corpus, quick_corpus, random_corpus, run_with_big_stack, write_report, Corpus,
-    ExperimentArgs, ReportFile,
+    default_corpus, quick_corpus, random_corpus, run_sweep, run_with_big_stack, write_report,
+    Corpus, ExperimentArgs, MeasurementSet, ReportFile, SweepReport,
 };
 
 /// An experiment's subcommand name and entry point.
@@ -42,16 +43,20 @@ const EXPERIMENTS: [Experiment; 8] = [
 ];
 
 /// What an experiment runs against: the parsed flags, the results directory
-/// and the assembly-tree corpus.
+/// and the shared computations, each made on first use and reused by every
+/// experiment of an `exp all` run, so that a subcommand run alone writes the
+/// same bytes.
 struct Context {
     args: ExperimentArgs,
     results: PathBuf,
     corpus: OnceLock<Corpus>,
+    measurements: OnceLock<Vec<MeasurementSet>>,
+    out_of_core: OnceLock<Corpus>,
+    sweep: OnceLock<SweepReport>,
 }
 
 impl Context {
-    /// The assembly-tree corpus (quick or full), built on first use and
-    /// shared by every experiment of an `exp all` run.
+    /// The assembly-tree corpus (quick or full).
     fn corpus(&self) -> &Corpus {
         self.corpus.get_or_init(|| {
             if self.args.quick {
@@ -62,17 +67,39 @@ impl Context {
         })
     }
 
+    /// [`MeasurementSet::measure`] of every tree of [`Context::corpus`], in
+    /// corpus order: Table I's peaks and Figure 6's times.
+    fn measurements(&self) -> &[MeasurementSet] {
+        self.measurements.get_or_init(|| {
+            let corpus = self.corpus();
+            corpus
+                .trees
+                .iter()
+                .map(|entry| MeasurementSet::measure(&entry.tree))
+                .collect()
+        })
+    }
+
     /// The corpus of the out-of-core experiments: the assembly corpus plus
     /// one random re-weighting of every tree.  On many synthetic assembly
     /// trees the optimal peak coincides with the largest single-node
     /// requirement, so no budget of the memory sweep requires any I/O (the
     /// profiles would be a tie at zero); the re-weighted variants restore
     /// the out-of-core regime.
-    fn out_of_core_corpus(&self) -> Corpus {
-        let assembly = self.corpus();
-        let mut corpus = random_corpus(assembly, 1, self.args.seed);
-        corpus.trees.extend(assembly.trees.iter().cloned());
-        corpus
+    fn out_of_core_corpus(&self) -> &Corpus {
+        self.out_of_core.get_or_init(|| {
+            let assembly = self.corpus();
+            let mut corpus = random_corpus(assembly, 1, self.args.seed);
+            corpus.trees.extend(assembly.trees.iter().cloned());
+            corpus
+        })
+    }
+
+    /// The MinIO sweep grid of [`Context::out_of_core_corpus`], from which
+    /// Figures 7 and 8 and `minio-sweep` render.
+    fn sweep(&self) -> &SweepReport {
+        self.sweep
+            .get_or_init(|| run_sweep(self.out_of_core_corpus()))
     }
 
     /// Write an experiment's files under the results directory.  An
@@ -117,6 +144,9 @@ fn main() {
         args,
         results: bench::report::results_dir(),
         corpus: OnceLock::new(),
+        measurements: OnceLock::new(),
+        out_of_core: OnceLock::new(),
+        sweep: OnceLock::new(),
     };
     let banners = selected.len() > 1;
     run_with_big_stack(move || {

@@ -7,8 +7,9 @@
 //! sub-optimal than on real assembly trees.
 
 use bench::{random_corpus, MeasurementSet, ReportFile};
-use perfprof::{ratio_statistics, PerformanceProfile};
+use perfprof::PerformanceProfile;
 
+use crate::minmem_assembly::{postorder_table, table_summary};
 use crate::Context;
 
 /// Number of random re-weightings per tree structure (the paper generates
@@ -27,31 +28,17 @@ pub(crate) fn run(context: &Context) {
     println!("# Experiment E5 (Table II / Figure 9): PostOrder vs optimal on random trees");
     println!("# {} randomly re-weighted trees\n", corpus.len());
 
-    let mut postorder = Vec::with_capacity(corpus.len());
-    let mut optimal = Vec::with_capacity(corpus.len());
-    let mut rows = String::from("instance,nodes,postorder_peak,optimal_peak,ratio\n");
-    for entry in &corpus.trees {
-        let measurement = MeasurementSet::measure(&entry.tree);
-        let postorder_peak = measurement.peak_of("postorder");
-        let optimal_peak = measurement
-            .exact_peak()
-            .expect("an exact solver always runs");
-        postorder.push(postorder_peak as f64);
-        optimal.push(optimal_peak as f64);
-        rows.push_str(&format!(
-            "{},{},{},{},{:.6}\n",
-            entry.name,
-            entry.nodes,
-            postorder_peak,
-            optimal_peak,
-            postorder_peak as f64 / optimal_peak as f64
-        ));
-    }
-
-    let stats = ratio_statistics(&postorder, &optimal);
-    println!("Table II — statistics on the memory cost of PostOrder (random trees)");
-    println!("{}", stats.to_table("PostOrder", "opt"));
-
+    let measurements: Vec<MeasurementSet> = corpus
+        .trees
+        .iter()
+        .map(|entry| MeasurementSet::measure(&entry.tree))
+        .collect();
+    let (postorder, optimal, rows) = postorder_table(&corpus, &measurements);
+    let summary = table_summary(
+        "Table II — statistics on the memory cost of PostOrder (random trees)",
+        &postorder,
+        &optimal,
+    );
     let profile = PerformanceProfile::from_costs(&["Optimal", "PostOrder"], &[optimal, postorder]);
     println!("Figure 9 — performance profile (all random trees)");
     println!("{}", profile.to_ascii(2.0, 60));
@@ -59,17 +46,7 @@ pub(crate) fn run(context: &Context) {
     let files = vec![
         ReportFile::new("table2_instances.csv", rows),
         ReportFile::new("figure9_profile.csv", profile.to_csv(2.0, 101)),
-        ReportFile::new(
-            "table2_summary.txt",
-            format!(
-                "instances: {}\nnon-optimal fraction: {:.4}\nmax ratio: {:.4}\navg ratio: {:.4}\nstd dev: {:.4}\n",
-                stats.instances,
-                stats.fraction_suboptimal,
-                stats.max_ratio,
-                stats.mean_ratio,
-                stats.stddev_ratio
-            ),
-        ),
+        ReportFile::new("table2_summary.txt", summary),
     ];
     context.write_report("exp_minmem_random", &files);
 }

@@ -5,7 +5,7 @@
 //! assembly-tree corpus and report the Dolan–Moré performance profile of
 //! the times.
 
-use bench::{MeasurementSet, ReportFile, MEASURED_SOLVERS};
+use bench::{ReportFile, MEASURED_SOLVERS};
 use perfprof::PerformanceProfile;
 
 use crate::Context;
@@ -20,8 +20,7 @@ pub(crate) fn run(context: &Context) {
     let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(corpus.len()); solver_names.len()];
     let header: Vec<String> = solver_names.iter().map(|s| format!("{s}_us")).collect();
     let mut rows = format!("instance,nodes,{}\n", header.join(","));
-    for entry in &corpus.trees {
-        let measurement = MeasurementSet::measure(&entry.tree);
+    for (entry, measurement) in corpus.trees.iter().zip(context.measurements()) {
         rows.push_str(&format!("{},{}", entry.name, entry.nodes));
         for (index, m) in measurement.measurements.iter().enumerate() {
             let micros = m.time.as_secs_f64() * 1e6;

@@ -5,9 +5,9 @@
 //! than the optimal traversal.  This binary measures the ratio on nested
 //! harpoon towers for growing nesting levels and branch counts, using the
 //! exact algorithms, and prints the closed-form postorder value next to the
-//! measured one.  With `--gadget` it also exercises the Theorem-2 reduction:
-//! the I/O volume needed by the 2-Partition gadget is `S/2` exactly when the
-//! embedded instance is solvable.
+//! measured one.  It also exercises the Theorem-2 reduction: the I/O volume
+//! needed by the 2-Partition gadget is `S/2` exactly when the embedded
+//! instance is solvable.
 
 use bench::ReportFile;
 use minio::{divisible_lower_bound, schedule_io_with, Policy};

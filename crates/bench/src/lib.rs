@@ -20,13 +20,11 @@
 //! `Report` as JSON.  Every file a tool writes goes under `results/`
 //! (git-ignored; `TREEMEM_RESULTS_DIR` moves it).
 //!
-//! The experiments construct their pipelines through the `engine` facade
-//! (prebuilt-tree plans for corpus sweeps, generated-matrix plans for the
-//! ablation); the library part of the crate holds the shared infrastructure:
-//! corpus generation (planned through the engine, replacing the paper's
-//! UF-collection data set), measurement helpers, report writing, the
-//! parallel MinIO sweep engine ([`sweep`]) that crosses {corpus × memory
-//! budgets × MinMemory solvers × eviction policies}.
+//! The library part holds what the experiments share: corpus generation
+//! (planned through the `engine` facade, replacing the paper's UF-collection
+//! data set), solver measurements, report writing, and the parallel MinIO
+//! sweep engine ([`sweep`]) whose grid of {corpus × memory budgets ×
+//! MinMemory solvers × eviction policies} Figures 7 and 8 are read from.
 
 pub mod corpus;
 pub mod report;
@@ -39,6 +37,6 @@ pub use corpus::{
 };
 pub use report::{write_report, ExperimentArgs, ReportFile};
 pub use runner::{
-    memory_sweep, run_with_big_stack, time_it, MeasurementSet, SolverMeasurement, MEASURED_SOLVERS,
+    memory_sweep, run_with_big_stack, MeasurementSet, SolverMeasurement, MEASURED_SOLVERS,
 };
 pub use sweep::{run_sweep, SweepRecord, SweepReport, MEMORY_FRACTIONS};

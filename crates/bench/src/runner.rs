@@ -6,13 +6,6 @@ use treemem::solver::Solver;
 use treemem::tree::Size;
 use treemem::{Traversal, Tree};
 
-/// Measure the wall-clock time of a closure and return it with the result.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed())
-}
-
 /// Run a closure on a thread with a large stack.  The exact algorithms
 /// recurse along the height of the tree, which can approach the number of
 /// nodes for chain-like assembly trees (RCM / natural orderings), so the
@@ -30,10 +23,8 @@ pub fn run_with_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'sta
 /// Peak, running time and traversal of one MinMemory solver on one tree.
 #[derive(Debug, Clone)]
 pub struct SolverMeasurement {
-    /// The solver's name (`postorder`, `liu`, `minmem`, ...).
-    pub solver: &'static str,
-    /// Whether the solver is exact.
-    pub exact: bool,
+    /// The solver.
+    pub solver: Solver,
     /// Peak memory of the traversal it produced.
     pub peak: Size,
     /// Wall-clock running time of the solver.
@@ -57,25 +48,25 @@ impl MeasurementSet {
     pub fn measure_with(tree: &Tree, solvers: &[Solver]) -> Self {
         let mut measurements = Vec::new();
         for solver in solvers.iter().filter(|s| s.supports(tree)) {
-            let (result, time) = time_it(|| solver.solve(tree));
+            let start = Instant::now();
+            let result = solver.solve(tree);
             measurements.push(SolverMeasurement {
-                solver: solver.name(),
-                exact: solver.is_exact(),
+                solver: *solver,
                 peak: result.peak,
-                time,
+                time: start.elapsed(),
                 traversal: result.traversal,
             });
         }
         let set = MeasurementSet { measurements };
         if let Some(optimal) = set.exact_peak() {
             for m in &set.measurements {
-                if m.exact {
-                    assert_eq!(m.peak, optimal, "exact solvers must agree ({})", m.solver);
+                let solver = m.solver.name();
+                if m.solver.is_exact() {
+                    assert_eq!(m.peak, optimal, "exact solvers must agree ({solver})");
                 } else {
                     assert!(
                         m.peak >= optimal,
-                        "inexact solver {} reported peak {} below the optimum {optimal}",
-                        m.solver,
+                        "inexact solver {solver} reported peak {} below the optimum {optimal}",
                         m.peak
                     );
                 }
@@ -86,11 +77,11 @@ impl MeasurementSet {
 
     /// [`MeasurementSet::measure_with`] on [`MEASURED_SOLVERS`].
     pub fn measure(tree: &Tree) -> Self {
-        Self::measure_with(tree, MEASURED_SOLVERS)
+        Self::measure_with(tree, &MEASURED_SOLVERS)
     }
 
     /// The measurement of a given solver, if it ran.
-    pub fn get(&self, solver: &str) -> Option<&SolverMeasurement> {
+    pub fn get(&self, solver: Solver) -> Option<&SolverMeasurement> {
         self.measurements.iter().find(|m| m.solver == solver)
     }
 
@@ -98,22 +89,25 @@ impl MeasurementSet {
     ///
     /// # Panics
     /// Panics if the solver did not run on this tree.
-    pub fn peak_of(&self, solver: &str) -> Size {
+    pub fn peak_of(&self, solver: Solver) -> Size {
         self.get(solver)
-            .unwrap_or_else(|| panic!("no measurement for solver {solver}"))
+            .unwrap_or_else(|| panic!("no measurement for solver {}", solver.name()))
             .peak
     }
 
     /// The optimal peak: the value every exact solver agreed on, if any ran.
     pub fn exact_peak(&self) -> Option<Size> {
-        self.measurements.iter().find(|m| m.exact).map(|m| m.peak)
+        self.measurements
+            .iter()
+            .find(|m| m.solver.is_exact())
+            .map(|m| m.peak)
     }
 }
 
 /// The solvers [`MeasurementSet::measure`] runs: the four polynomial ones,
 /// i.e. every [`Solver`] but the brute-force oracle (whose cost is
 /// exponential).
-pub const MEASURED_SOLVERS: &[Solver] = &[
+pub const MEASURED_SOLVERS: [Solver; 4] = [
     Solver::NaturalPostorder,
     Solver::BestPostorder,
     Solver::Liu,
@@ -144,13 +138,14 @@ mod tests {
     fn measurement_reports_consistent_values() {
         let tree = harpoon(4, 400, 1);
         let set = MeasurementSet::measure(&tree);
-        assert_eq!(set.peak_of("liu"), set.peak_of("minmem"));
-        assert_eq!(set.peak_of("minmem"), 404);
-        assert_eq!(set.peak_of("postorder"), 701);
+        assert_eq!(set.peak_of(Solver::Liu), set.peak_of(Solver::MinMem));
+        assert_eq!(set.peak_of(Solver::MinMem), 404);
+        assert_eq!(set.peak_of(Solver::BestPostorder), 701);
         assert_eq!(set.exact_peak(), Some(404));
-        assert_eq!(set.get("postorder").unwrap().traversal.len(), tree.len());
+        let postorder = set.get(Solver::BestPostorder).unwrap();
+        assert_eq!(postorder.traversal.len(), tree.len());
         assert!(
-            set.get("brute").is_none(),
+            set.get(Solver::Brute).is_none(),
             "the oracle is excluded from measure()"
         );
     }
@@ -159,8 +154,8 @@ mod tests {
     fn every_solver_includes_the_oracle_on_tiny_trees() {
         let tree = harpoon(3, 30, 1);
         let set = MeasurementSet::measure_with(&tree, &Solver::ALL);
-        assert!(set.get("brute").is_some());
-        assert_eq!(set.peak_of("brute"), set.peak_of("minmem"));
+        assert!(set.get(Solver::Brute).is_some());
+        assert_eq!(set.peak_of(Solver::Brute), set.peak_of(Solver::MinMem));
     }
 
     #[test]

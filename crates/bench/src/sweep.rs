@@ -3,11 +3,18 @@
 //! The sweep crosses four axes — {tree corpus} × [`MEMORY_FRACTIONS`] ×
 //! [`Solver::ALL`] × [`Policy::ALL`] — and records, for every cell, the I/O
 //! volume, file count and divisible lower bound of the simulated
-//! out-of-core execution.  Work is distributed over worker threads at
-//! (tree × solver) granularity through [`engine::parallel::par_map`]: every
-//! job computes one solver traversal once and then sweeps all memory sizes
-//! and policies on it, which keeps the expensive solver call out of the
-//! inner loop.
+//! out-of-core execution.  Every tree has one set of budgets, fractions of
+//! the way from its largest single-node requirement to its *optimal* peak,
+//! and every solver's traversal runs under that set, so a (tree, budget)
+//! case compares solvers and policies at one memory size (a postorder whose
+//! own peak exceeds the optimum may need no I/O at the larger budgets).
+//! Figure 7 is a case's policy axis at MinMem, Figure 8 its solver axis
+//! under First Fit ([`SweepReport::cases`]).
+//!
+//! Each tree is one job on [`engine::parallel::par_map`]'s threads: it
+//! solves the tree once per solver ([`MeasurementSet::measure_with`], which
+//! checks that the exact solvers agree), then sweeps every budget and policy
+//! on those traversals.
 //!
 //! The result can be rendered to a machine-readable JSON report
 //! ([`SweepReport::to_json`]), deterministic byte for byte; `exp
@@ -21,11 +28,11 @@ use treemem::solver::Solver;
 use treemem::tree::Size;
 
 use crate::corpus::Corpus;
-use crate::runner::memory_sweep;
+use crate::runner::{memory_sweep, MeasurementSet};
 
 /// Memory budgets of the sweep and of Figures 7 and 8, as fractions of the
-/// way from `max MemReq` (0.0, the hardest feasible budget) to the
-/// traversal's peak (1.0, no I/O).
+/// way from `max MemReq` (0.0, the hardest feasible budget) to the tree's
+/// optimal peak (1.0, no I/O for an optimal traversal).
 pub const MEMORY_FRACTIONS: [f64; 4] = [0.0, 0.25, 0.5, 0.75];
 
 /// One cell of the sweep: a (tree, solver, memory, policy) combination.
@@ -39,7 +46,8 @@ pub struct SweepRecord {
     pub solver: Solver,
     /// Peak memory of that traversal.
     pub solver_peak: Size,
-    /// Memory budget of the simulated execution.
+    /// Memory budget of the simulated execution, the same for every solver
+    /// of the tree at this fraction.
     pub memory: Size,
     /// The fraction this budget corresponds to.
     pub fraction: f64,
@@ -65,12 +73,13 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Render the report as a JSON document (schema `minio_sweep/v3`; v3
+    /// Render the report as a JSON document (schema `minio_sweep/v4`; v3
     /// dropped the wall-clock fields `threads`, `elapsed_seconds` and
-    /// `cell_seconds`).
+    /// `cell_seconds`, v4 sets every solver's budgets from the tree's
+    /// optimal peak instead of the solver's own).
     pub fn to_json(&self) -> String {
         json::document(|doc| {
-            doc.field("schema", "minio_sweep/v3")
+            doc.field("schema", "minio_sweep/v4")
                 .field("corpus", &self.corpus)
                 .field("trees", self.trees)
                 .field("solvers", Array(Solver::ALL.map(Solver::name)))
@@ -80,21 +89,28 @@ impl SweepReport {
         })
     }
 
-    /// Total I/O volume per policy, summed over every cell (a coarse ranking
-    /// used by the report printer).
-    pub fn totals_by_policy(&self) -> Vec<(&'static str, Size)> {
-        Policy::ALL
-            .into_iter()
-            .map(|policy| {
-                let total = self
-                    .records
-                    .iter()
-                    .filter(|r| r.policy == policy)
-                    .map(|r| r.io_volume)
-                    .sum();
-                (policy.name(), total)
-            })
-            .collect()
+    /// The grid read along one axis: for every (tree, budget) case, in
+    /// corpus and [`MEMORY_FRACTIONS`] order, the record of each of
+    /// `cells`, in the order given.
+    ///
+    /// # Panics
+    /// Panics if a solver of `cells` did not run on some tree (the
+    /// brute-force oracle beyond its node limit).
+    pub fn cases(&self, cells: &[(Solver, Policy)]) -> Vec<Vec<&SweepRecord>> {
+        let mut cases = Vec::new();
+        for tree in self.records.chunk_by(|a, b| a.instance == b.instance) {
+            for fraction in MEMORY_FRACTIONS {
+                let cell = |&(solver, policy): &(Solver, Policy)| {
+                    let key = (solver, policy, fraction);
+                    let record = tree
+                        .iter()
+                        .find(|r| (r.solver, r.policy, r.fraction) == key);
+                    record.expect("the solver ran on every tree")
+                };
+                cases.push(cells.iter().map(cell).collect());
+            }
+        }
+        cases
     }
 }
 
@@ -116,41 +132,38 @@ impl Fields for SweepRecord {
 
 /// Run the full sweep of `corpus`.
 ///
-/// Every (tree, solver) pair is one parallel job: the job runs the solver
-/// once, then sweeps [`MEMORY_FRACTIONS`] × [`Policy::ALL`] on the resulting
-/// traversal.  Solvers that do not support a tree (e.g. the brute-force
-/// oracle beyond its node limit) are skipped for that tree only.
+/// Every tree is one parallel job: the job runs every solver that supports
+/// the tree once (solvers that do not, e.g. the brute-force oracle beyond
+/// its node limit, are skipped for that tree only), resolves the tree's
+/// [`MEMORY_FRACTIONS`] against the optimal peak, and sweeps those budgets ×
+/// [`Policy::ALL`] on each traversal.
 pub fn run_sweep(corpus: &Corpus) -> SweepReport {
-    let jobs: Vec<(usize, Solver)> = (0..corpus.trees.len())
-        .flat_map(|tree_idx| Solver::ALL.map(|solver| (tree_idx, solver)))
-        .collect();
-    let threads = default_threads(jobs.len());
-    let per_job: Vec<Vec<SweepRecord>> = par_map(&jobs, threads, |_, &(tree_idx, solver)| {
-        let entry = &corpus.trees[tree_idx];
-        if !solver.supports(&entry.tree) {
-            return Vec::new();
-        }
-        let solved = solver.solve(&entry.tree);
+    let threads = default_threads(corpus.len());
+    let per_tree: Vec<Vec<SweepRecord>> = par_map(&corpus.trees, threads, |_, entry| {
+        let solved = MeasurementSet::measure_with(&entry.tree, &Solver::ALL);
+        let optimal = solved.exact_peak().expect("MinMem supports every tree");
+        let memories = memory_sweep(&entry.tree, optimal, &MEMORY_FRACTIONS);
         let mut records = Vec::new();
-        let memories = memory_sweep(&entry.tree, solved.peak, &MEMORY_FRACTIONS);
-        for (fraction, memory) in MEMORY_FRACTIONS.into_iter().zip(memories) {
-            let bound = divisible_lower_bound(&entry.tree, &solved.traversal, memory)
-                .expect("memory is above max MemReq by construction");
-            for policy in Policy::ALL {
-                let run = schedule_io_with(&entry.tree, &solved.traversal, memory, policy)
+        for solver in &solved.measurements {
+            for (fraction, &memory) in MEMORY_FRACTIONS.into_iter().zip(&memories) {
+                let bound = divisible_lower_bound(&entry.tree, &solver.traversal, memory)
                     .expect("memory is above max MemReq by construction");
-                records.push(SweepRecord {
-                    instance: entry.name.clone(),
-                    nodes: entry.nodes,
-                    solver,
-                    solver_peak: solved.peak,
-                    memory,
-                    fraction,
-                    policy,
-                    io_volume: run.io_volume,
-                    files_written: run.files_written,
-                    divisible_bound: bound,
-                });
+                for policy in Policy::ALL {
+                    let run = schedule_io_with(&entry.tree, &solver.traversal, memory, policy)
+                        .expect("memory is above max MemReq by construction");
+                    records.push(SweepRecord {
+                        instance: entry.name.clone(),
+                        nodes: entry.nodes,
+                        solver: solver.solver,
+                        solver_peak: solver.peak,
+                        memory,
+                        fraction,
+                        policy,
+                        io_volume: run.io_volume,
+                        files_written: run.files_written,
+                        divisible_bound: bound,
+                    });
+                }
             }
         }
         records
@@ -159,7 +172,7 @@ pub fn run_sweep(corpus: &Corpus) -> SweepReport {
     SweepReport {
         corpus: corpus.description.clone(),
         trees: corpus.len(),
-        records: per_job.into_iter().flatten().collect(),
+        records: per_tree.into_iter().flatten().collect(),
     }
 }
 
@@ -226,12 +239,67 @@ mod tests {
     }
 
     #[test]
+    fn every_solver_of_a_case_runs_at_one_budget() {
+        let report = run_sweep(&tiny_corpus());
+        // harpoon-4's best postorder peaks at 701 against the optimal 404,
+        // so its budgets differ from the optimum's unless they are shared.
+        let harpoon = |solver| {
+            report
+                .records
+                .iter()
+                .find(|r| r.instance == "harpoon-4" && r.solver == solver)
+                .unwrap()
+                .solver_peak
+        };
+        assert!(harpoon(Solver::BestPostorder) > harpoon(Solver::MinMem));
+        for r in &report.records {
+            for q in &report.records {
+                if q.instance == r.instance && q.fraction == r.fraction {
+                    assert_eq!(
+                        q.memory,
+                        r.memory,
+                        "{} at fraction {}: {} and {}",
+                        r.instance,
+                        r.fraction,
+                        q.solver.name(),
+                        r.solver.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cases_read_the_grid_along_one_axis() {
+        let corpus = tiny_corpus();
+        let report = run_sweep(&corpus);
+        let cells = Solver::ALL.map(|solver| (solver, Policy::FirstFit));
+        let cases = report.cases(&cells);
+        assert_eq!(cases.len(), corpus.len() * MEMORY_FRACTIONS.len());
+        for (index, case) in cases.iter().enumerate() {
+            let fraction = MEMORY_FRACTIONS[index % MEMORY_FRACTIONS.len()];
+            let instance = &corpus.trees[index / MEMORY_FRACTIONS.len()].name;
+            for (record, (solver, policy)) in case.iter().zip(cells) {
+                assert_eq!(
+                    (
+                        &record.instance,
+                        record.fraction,
+                        record.solver,
+                        record.policy
+                    ),
+                    (instance, fraction, solver, policy)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn json_report_is_well_formed() {
         let corpus = tiny_corpus();
         let report = run_sweep(&corpus);
         let json = report.to_json();
         assert!(json.starts_with("{\n"));
-        assert!(json.contains("\"schema\": \"minio_sweep/v3\""));
+        assert!(json.contains("\"schema\": \"minio_sweep/v4\""));
         assert!(json.contains("\"policies\": [\"LSNF\""));
         assert_eq!(json.matches("\"instance\":").count(), report.records.len());
         // Balanced braces and brackets (a cheap structural check).
@@ -263,7 +331,7 @@ mod tests {
                 record(Policy::BestKComb { k: 5 }, 0.75, 401),
             ],
         };
-        let expected = "{\n  \"schema\": \"minio_sweep/v3\",\n  \"corpus\": \"tiny\\ttest corpus\",\n  \"trees\": 1,\n  \"solvers\": [\"natural\",\"postorder\",\"liu\",\"minmem\",\"brute\"],\n  \"policies\": [\"LSNF\",\"FirstFit\",\"BestFit\",\"FirstFill\",\"BestFill\",\"BestKComb\"],\n  \"memory_fractions\": [0,0.25,0.5,0.75],\n  \"records\": [{\"instance\": \"harpoon-\\\"4\\\"\", \"nodes\": 13, \"solver\": \"minmem\", \"solver_peak\": 1203, \"memory\": 802, \"fraction\": 0.25, \"policy\": \"LSNF\", \"io_volume\": 400, \"files_written\": 2, \"divisible_bound\": 300},{\"instance\": \"harpoon-\\\"4\\\"\", \"nodes\": 13, \"solver\": \"minmem\", \"solver_peak\": 1203, \"memory\": 802, \"fraction\": 0.75, \"policy\": \"BestKComb\", \"io_volume\": 401, \"files_written\": 2, \"divisible_bound\": 300}]\n}\n";
+        let expected = "{\n  \"schema\": \"minio_sweep/v4\",\n  \"corpus\": \"tiny\\ttest corpus\",\n  \"trees\": 1,\n  \"solvers\": [\"natural\",\"postorder\",\"liu\",\"minmem\",\"brute\"],\n  \"policies\": [\"LSNF\",\"FirstFit\",\"BestFit\",\"FirstFill\",\"BestFill\",\"BestKComb\"],\n  \"memory_fractions\": [0,0.25,0.5,0.75],\n  \"records\": [{\"instance\": \"harpoon-\\\"4\\\"\", \"nodes\": 13, \"solver\": \"minmem\", \"solver_peak\": 1203, \"memory\": 802, \"fraction\": 0.25, \"policy\": \"LSNF\", \"io_volume\": 400, \"files_written\": 2, \"divisible_bound\": 300},{\"instance\": \"harpoon-\\\"4\\\"\", \"nodes\": 13, \"solver\": \"minmem\", \"solver_peak\": 1203, \"memory\": 802, \"fraction\": 0.75, \"policy\": \"BestKComb\", \"io_volume\": 401, \"files_written\": 2, \"divisible_bound\": 300}]\n}\n";
         assert_eq!(report.to_json(), expected);
     }
 }

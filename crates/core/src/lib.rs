@@ -94,16 +94,3 @@ pub struct TraversalResult {
     /// Peak memory of the traversal, in the same units as the file sizes.
     pub peak: Size,
 }
-
-impl TraversalResult {
-    /// Build a result from a traversal, computing its peak on `tree`.
-    ///
-    /// # Panics
-    /// Panics if the traversal is not a valid topological order of `tree`.
-    pub fn from_traversal(tree: &Tree, traversal: Traversal) -> Self {
-        let peak = traversal
-            .peak_memory(tree)
-            .expect("traversal must be a valid topological order");
-        Self { traversal, peak }
-    }
-}

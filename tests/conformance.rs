@@ -409,11 +409,25 @@ impl Definitions {
     }
 }
 
+/// The numbers of `ROADMAP.md`'s item headings: the lines `N. **…` of its
+/// "Open items" section, before its suggested order.
+fn roadmap_items() -> BTreeSet<usize> {
+    let roadmap = read("ROADMAP.md");
+    let open = roadmap
+        .lines()
+        .skip_while(|line| *line != "## Open items")
+        .skip(1)
+        .take_while(|line| !line.starts_with("## ") && !line.starts_with("**Suggested order"));
+    open.filter_map(|line| line.split_once(". **")?.0.parse().ok())
+        .collect()
+}
+
 /// README.md and the verify skill name files and items in backticks; each
 /// `*.rs` path, `crate::…` path and `Type::item` must still exist, so a
 /// rename or deletion cannot leave the docs pointing at nothing.  Their
 /// commands, fenced blocks included, name cargo targets: each `--bin`,
-/// `--example` and `-p` must name a live one.
+/// `--example` and `-p` must name a live one.  Each "ROADMAP item N" must
+/// name a numbered item heading of `ROADMAP.md`'s open items.
 /// `ROADMAP.md` is out of scope: it names deleted items on purpose.
 #[test]
 fn doc_references_name_live_files_and_items() {
@@ -444,12 +458,16 @@ fn doc_references_name_live_files_and_items() {
     ] {
         assert_eq!(defs.dead_target(flag, name).is_some(), dead, "{flag}");
     }
+    let items = roadmap_items();
+    assert!(!items.is_empty(), "no numbered item heading in ROADMAP.md");
 
     let mut dead = Vec::new();
     for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
         let mut fenced = false;
         // The target flag of the word before, which may end the line before.
         let mut flag: Option<&str> = None;
+        // The two words before, which may end the line before.
+        let mut before = ["", ""];
         for (index, line) in read(doc).lines().enumerate() {
             for word in line.split_whitespace() {
                 let word =
@@ -460,6 +478,12 @@ fn doc_references_name_live_files_and_items() {
                 flag = ["--bin", "--example", "-p"]
                     .into_iter()
                     .find(|f| *f == word);
+                if let (["ROADMAP", "item"], Ok(item)) = (before, word.parse::<usize>()) {
+                    if !items.contains(&item) {
+                        dead.push(format!("{doc}:{}: ROADMAP has no item {item}", index + 1));
+                    }
+                }
+                before = [before[1], word];
             }
             if line.trim_start().starts_with("```") {
                 fenced = !fenced;
