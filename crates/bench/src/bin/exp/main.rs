@@ -5,8 +5,8 @@
 //! `exp all` runs the eight in sequence.  Tables go to stdout; CSV/JSON
 //! files go to `results/exp_<name>/` (`TREEMEM_RESULTS_DIR` moves
 //! `results/`).  `--quick` uses the reduced corpus.  The arguments are
-//! parsed once; the corpora, the assembly corpus's solver measurements and
-//! the MinIO sweep grid are each computed at most once per process, on first
+//! parsed once; the corpora, the solver measurements of each corpus and the
+//! MinIO sweep grid are each computed at most once per process, on first
 //! use; and everything runs on one big-stack thread, so a failed assertion
 //! in any experiment fails the process.
 
@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use bench::{
-    default_corpus, quick_corpus, random_corpus, run_sweep, run_with_big_stack, write_report,
-    Corpus, ExperimentArgs, MeasurementSet, ReportFile, SweepReport,
+    default_corpus, measure_corpus, quick_corpus, random_corpus, run_sweep, run_with_big_stack,
+    write_report, Corpus, ExperimentArgs, MeasurementSet, ReportFile, SweepReport,
 };
 
 /// An experiment's subcommand name and entry point.
@@ -52,6 +52,7 @@ struct Context {
     corpus: OnceLock<Corpus>,
     measurements: OnceLock<Vec<MeasurementSet>>,
     out_of_core: OnceLock<Corpus>,
+    out_of_core_measurements: OnceLock<Vec<MeasurementSet>>,
     sweep: OnceLock<SweepReport>,
 }
 
@@ -95,11 +96,19 @@ impl Context {
         })
     }
 
+    /// [`measure_corpus`] of [`Context::out_of_core_corpus`]: the traversals
+    /// the sweep simulates, and Table II's measurements of its re-weighted
+    /// trees.
+    fn out_of_core_measurements(&self) -> &[MeasurementSet] {
+        self.out_of_core_measurements
+            .get_or_init(|| measure_corpus(self.out_of_core_corpus()))
+    }
+
     /// The MinIO sweep grid of [`Context::out_of_core_corpus`], from which
     /// Figures 7 and 8 and `minio-sweep` render.
     fn sweep(&self) -> &SweepReport {
         self.sweep
-            .get_or_init(|| run_sweep(self.out_of_core_corpus()))
+            .get_or_init(|| run_sweep(self.out_of_core_corpus(), self.out_of_core_measurements()))
     }
 
     /// Write an experiment's files under the results directory.  An
@@ -146,6 +155,7 @@ fn main() {
         corpus: OnceLock::new(),
         measurements: OnceLock::new(),
         out_of_core: OnceLock::new(),
+        out_of_core_measurements: OnceLock::new(),
         sweep: OnceLock::new(),
     };
     let banners = selected.len() > 1;

@@ -20,18 +20,30 @@ const VARIANTS_PER_TREE: usize = 4;
 
 pub(crate) fn run(context: &Context) {
     let args = context.args;
-    let corpus = random_corpus(
-        context.corpus(),
-        if args.quick { 2 } else { VARIANTS_PER_TREE },
-        args.seed,
-    );
+    let variants = if args.quick { 2 } else { VARIANTS_PER_TREE };
+    let corpus = random_corpus(context.corpus(), variants, args.seed);
     println!("# Experiment E5 (Table II / Figure 9): PostOrder vs optimal on random trees");
     println!("# {} randomly re-weighted trees\n", corpus.len());
 
+    // Variant 0 of every tree is the tree the out-of-core corpus re-weighted
+    // (`random_corpus` derives its seed the same way), so the sweep's
+    // measurements of it are reused; the other variants are measured here.
+    let (out_of_core, reweighted) = (
+        context.out_of_core_corpus(),
+        context.out_of_core_measurements(),
+    );
     let measurements: Vec<MeasurementSet> = corpus
         .trees
         .iter()
-        .map(|entry| MeasurementSet::measure(&entry.tree))
+        .enumerate()
+        .map(|(index, entry)| match index % variants {
+            0 => {
+                let same = &out_of_core.trees[index / variants];
+                assert!(same.name == entry.name && same.tree == entry.tree);
+                reweighted[index / variants].clone()
+            }
+            _ => MeasurementSet::measure(&entry.tree),
+        })
         .collect();
     let (postorder, optimal, rows) = postorder_table(&corpus, &measurements);
     let summary = table_summary(

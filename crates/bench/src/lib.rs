@@ -39,4 +39,4 @@ pub use report::{write_report, ExperimentArgs, ReportFile};
 pub use runner::{
     memory_sweep, run_with_big_stack, MeasurementSet, SolverMeasurement, MEASURED_SOLVERS,
 };
-pub use sweep::{run_sweep, SweepRecord, SweepReport, MEMORY_FRACTIONS};
+pub use sweep::{measure_corpus, run_sweep, SweepRecord, SweepReport, MEMORY_FRACTIONS};

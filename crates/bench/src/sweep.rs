@@ -11,10 +11,12 @@
 //! Figure 7 is a case's policy axis at MinMem, Figure 8 its solver axis
 //! under First Fit ([`SweepReport::cases`]).
 //!
-//! Each tree is one job on [`engine::parallel::par_map`]'s threads: it
-//! solves the tree once per solver ([`MeasurementSet::measure_with`], which
-//! checks that the exact solvers agree), then sweeps every budget and policy
-//! on those traversals.
+//! Each tree is one job on [`engine::parallel::par_map`]'s threads, twice:
+//! [`measure_corpus`] solves the tree once per solver
+//! ([`MeasurementSet::measure_with`], which checks that the exact solvers
+//! agree), then [`run_sweep`] sweeps every budget and policy on those
+//! traversals.  The measurements are the caller's to keep: `exp` reads the
+//! same sets for Table II's re-weighted trees.
 //!
 //! The result can be rendered to a machine-readable JSON report
 //! ([`SweepReport::to_json`]), deterministic byte for byte; `exp
@@ -132,15 +134,31 @@ impl Fields for SweepRecord {
 
 /// Run the full sweep of `corpus`.
 ///
-/// Every tree is one parallel job: the job runs every solver that supports
-/// the tree once (solvers that do not, e.g. the brute-force oracle beyond
-/// its node limit, are skipped for that tree only), resolves the tree's
-/// [`MEMORY_FRACTIONS`] against the optimal peak, and sweeps those budgets ×
-/// [`Policy::ALL`] on each traversal.
-pub fn run_sweep(corpus: &Corpus) -> SweepReport {
+/// [`MeasurementSet::measure_with`] on [`Solver::ALL`] for every tree of
+/// `corpus`, in corpus order, one parallel job per tree: the solved
+/// traversals [`run_sweep`] simulates.  Solvers that do not support a tree
+/// (e.g. the brute-force oracle beyond its node limit) are skipped for that
+/// tree only.
+pub fn measure_corpus(corpus: &Corpus) -> Vec<MeasurementSet> {
     let threads = default_threads(corpus.len());
-    let per_tree: Vec<Vec<SweepRecord>> = par_map(&corpus.trees, threads, |_, entry| {
-        let solved = MeasurementSet::measure_with(&entry.tree, &Solver::ALL);
+    par_map(&corpus.trees, threads, |_, entry| {
+        MeasurementSet::measure_with(&entry.tree, &Solver::ALL)
+    })
+}
+
+/// Every tree is one parallel job: the job resolves the tree's
+/// [`MEMORY_FRACTIONS`] against the optimal peak of its measurements
+/// (`solved`, one set per tree in corpus order, as [`measure_corpus`] gives)
+/// and sweeps those budgets × [`Policy::ALL`] on each measured traversal.
+///
+/// # Panics
+/// Panics if `solved` does not hold one set per tree, each with an exact
+/// solver.
+pub fn run_sweep(corpus: &Corpus, solved: &[MeasurementSet]) -> SweepReport {
+    assert_eq!(solved.len(), corpus.len(), "one measurement set per tree");
+    let threads = default_threads(corpus.len());
+    let per_tree: Vec<Vec<SweepRecord>> = par_map(&corpus.trees, threads, |index, entry| {
+        let solved = &solved[index];
         let optimal = solved.exact_peak().expect("MinMem supports every tree");
         let memories = memory_sweep(&entry.tree, optimal, &MEMORY_FRACTIONS);
         let mut records = Vec::new();
@@ -183,6 +201,10 @@ mod tests {
     use treemem::gadgets::harpoon;
     use treemem::random::random_attachment_tree;
 
+    fn sweep(corpus: &Corpus) -> SweepReport {
+        run_sweep(corpus, &measure_corpus(corpus))
+    }
+
     fn tiny_corpus() -> Corpus {
         let trees = vec![
             CorpusTree {
@@ -205,7 +227,7 @@ mod tests {
     #[test]
     fn sweep_crosses_every_axis() {
         let corpus = tiny_corpus();
-        let report = run_sweep(&corpus);
+        let report = sweep(&corpus);
         // Both trees are small enough for every solver, so the grid is full.
         let expected =
             corpus.len() * Solver::ALL.len() * MEMORY_FRACTIONS.len() * Policy::ALL.len();
@@ -233,14 +255,14 @@ mod tests {
             description: "one big tree".into(),
             trees,
         };
-        let report = run_sweep(&corpus);
+        let report = sweep(&corpus);
         assert!(report.records.iter().all(|r| r.solver != Solver::Brute));
         assert!(report.records.iter().any(|r| r.solver == Solver::MinMem));
     }
 
     #[test]
     fn every_solver_of_a_case_runs_at_one_budget() {
-        let report = run_sweep(&tiny_corpus());
+        let report = sweep(&tiny_corpus());
         // harpoon-4's best postorder peaks at 701 against the optimal 404,
         // so its budgets differ from the optimum's unless they are shared.
         let harpoon = |solver| {
@@ -272,7 +294,7 @@ mod tests {
     #[test]
     fn cases_read_the_grid_along_one_axis() {
         let corpus = tiny_corpus();
-        let report = run_sweep(&corpus);
+        let report = sweep(&corpus);
         let cells = Solver::ALL.map(|solver| (solver, Policy::FirstFit));
         let cases = report.cases(&cells);
         assert_eq!(cases.len(), corpus.len() * MEMORY_FRACTIONS.len());
@@ -296,7 +318,7 @@ mod tests {
     #[test]
     fn json_report_is_well_formed() {
         let corpus = tiny_corpus();
-        let report = run_sweep(&corpus);
+        let report = sweep(&corpus);
         let json = report.to_json();
         assert!(json.starts_with("{\n"));
         assert!(json.contains("\"schema\": \"minio_sweep/v4\""));
@@ -305,7 +327,7 @@ mod tests {
         // Balanced braces and brackets (a cheap structural check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(run_sweep(&corpus).to_json(), json);
+        assert_eq!(sweep(&corpus).to_json(), json);
     }
 
     /// The sweep document, byte for byte.

@@ -13,7 +13,6 @@
 
 use sparsemat::SparsePattern;
 
-use crate::mindeg::minimum_degree_with_stop;
 use crate::perm::Permutation;
 use crate::workspace::Workspace;
 
@@ -79,11 +78,13 @@ pub(crate) fn dissect(
         // pseudo-peripheral vertex.
         let (_, eccentricity) = ws.pseudo_peripheral(component[0]);
         let middle = eccentricity / 2;
-        let (separator, rest): (Vec<usize>, Vec<usize>) = component
+        let separator: Vec<usize> = component
             .iter()
-            .partition(|&&v| ws.marked(v) == Some(middle));
+            .copied()
+            .filter(|&v| ws.marked(v) == Some(middle))
+            .collect();
         // A dense little blob (eccentricity < 2) has no useful separator.
-        if eccentricity < 2 || separator.is_empty() || rest.is_empty() {
+        if eccentricity < 2 || separator.is_empty() || separator.len() == component.len() {
             order_with_minimum_degree(ws, &component, &mut order, stop)?;
             continue;
         }
@@ -93,7 +94,7 @@ pub(crate) fn dissect(
         for &v in &separator {
             ws.active[v] = false;
         }
-        let pieces = ws.pieces(&rest);
+        let pieces = ws.pieces(&component);
         work.push((separator, State::Separator));
         work.extend(pieces.into_iter().rev().map(|p| (p, State::Connected)));
     }
@@ -114,9 +115,8 @@ fn order_with_minimum_degree(
         order.extend_from_slice(vertices);
         return Some(());
     }
-    let induced = SparsePattern::from_edges(vertices.len(), ws.induced_edges(vertices));
-    let local_perm = minimum_degree_with_stop(&induced, stop)?;
-    order.extend((0..vertices.len()).map(|k| vertices[local_perm.new_to_old(k)]));
+    let local = ws.order_induced(vertices, stop)?;
+    order.extend(local.iter().map(|&k| vertices[k]));
     Some(())
 }
 

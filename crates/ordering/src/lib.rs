@@ -26,15 +26,22 @@
 //! component costs O(that component), not O(n) — O(n log n)-ish on meshes,
 //! O(n + nnz log) for RCM whatever the number of components.  The gate is a
 //! count of marks written (`naive::tests::touched_vertices_stay_within_n_log_n`),
-//! not a timing.
+//! not a timing.  Leaves and separators are ordered by one reused
+//! minimum-degree scratch (`mindeg::MinDegree`: the quotient graph in flat
+//! arrays), whose rows the workspace fills from its local labels, so no
+//! leaf builds a `SparsePattern` or allocates per vertex once the scratch
+//! has grown to the largest leaf — O(log n) growths on a mesh, gated as a
+//! count too (`naive::tests::the_leaf_scratch_grows_o_log_n_times`).  The
+//! top-level [`minimum_degree`] builds one scratch for its single run.
 //!
 //! Every permutation is **pinned**: fill, supernodes, `factor_nnz`, flops,
 //! traversal peaks and I/O volumes downstream are functions of it, and the
 //! benchmark of record holds them to equality.  `tests/golden_permutations.rs`
 //! carries FNV-1a literals of every method on every `ProblemKind` (taken
 //! before the workspace existed), and the test-only `naive` module keeps the
-//! pre-workspace code as an oracle the fast code must equal on a battery of
-//! degenerate and random graphs.  Tie-breaks that look incidental — pieces in
+//! pre-workspace code — minimum degree with a `Vec` per variable included —
+//! as an oracle the fast code must equal on a battery of degenerate and
+//! random graphs and on every `ProblemKind`.  Tie-breaks that look incidental — pieces in
 //! order of their first vertex, depth-first pop order inside a piece,
 //! `component[0]` as the BFS seed, local labels by position — are part of
 //! the contract.

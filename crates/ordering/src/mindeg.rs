@@ -40,110 +40,252 @@ pub(crate) fn minimum_degree_with_stop(
     pattern: &SparsePattern,
     stop: Option<&dyn Fn() -> bool>,
 ) -> Option<Permutation> {
-    let n = pattern.n();
-    if n == 0 {
-        return Some(Permutation::identity(0));
+    let mut scratch = MinDegree::default();
+    scratch.clear();
+    for v in 0..pattern.n() {
+        scratch.push_row(pattern.neighbors(v).iter().copied());
+    }
+    let order = scratch.order(stop)?;
+    Some(Permutation::from_new_to_old(order.to_vec()))
+}
+
+/// The quotient graph of a minimum-degree run, kept between runs: nested
+/// dissection orders thousands of small leaves and separators through one
+/// of these, and once its buffers have grown to the largest of them a run
+/// allocates nothing.
+///
+/// Every variable `v` owns the segment `start[v]..start[v + 1]` of
+/// `adjacency`, as long as its degree in the loaded graph.  Its variable
+/// neighbours `A_v` sit at the front of the segment and its adjacent
+/// elements `E_v` at the back.  When `v` joins a new element `L_p`,
+/// `|A_v| + |E_v|` cannot grow: either `p ∈ A_v`, and `p` leaves `A_v` as it
+/// is eliminated, or `v ∈ L_e` for an element `e ∈ E_p ∩ E_v` that `L_p`
+/// absorbs.  So the two lists never outgrow the segment.  The members of
+/// the elements are appended to one pool, `members`.
+///
+/// The lists are sets: what the run reads of them — membership, the
+/// sorted new element, lengths — does not depend on their order, which is
+/// why this layout returns the same order as a list per variable.
+#[derive(Default)]
+pub(crate) struct MinDegree {
+    start: Vec<usize>,
+    adjacency: Vec<usize>,
+    /// `|A_v|`.
+    variables: Vec<usize>,
+    /// `|E_v|`.
+    elements: Vec<usize>,
+    /// Element `e`'s variables `L_e` are `members[member_start[e]..]`, the
+    /// first `member_len[e]` of them (none once `e` is absorbed).
+    members: Vec<usize>,
+    member_start: Vec<usize>,
+    member_len: Vec<usize>,
+    eliminated: Vec<bool>,
+    absorbed: Vec<bool>,
+    degree: Vec<usize>,
+    stamp: Vec<usize>,
+    heap: BinaryHeap<Reverse<(usize, usize)>>,
+    /// The element being built.
+    element: Vec<usize>,
+    order: Vec<usize>,
+    /// Runs that left the scratch larger than any run before them: the
+    /// unit of the allocation gate.
+    #[cfg(test)]
+    pub(crate) growths: usize,
+    #[cfg(test)]
+    pub(crate) runs: usize,
+    #[cfg(test)]
+    capacity: usize,
+}
+
+impl MinDegree {
+    /// Start loading a new graph; its rows follow through
+    /// [`MinDegree::push_row`].
+    pub(crate) fn clear(&mut self) {
+        self.start.clear();
+        self.start.push(0);
+        self.adjacency.clear();
     }
 
-    // Variable adjacency (to other variables) and element adjacency.
-    let mut variable_adjacency: Vec<Vec<usize>> =
-        (0..n).map(|i| pattern.neighbors(i).to_vec()).collect();
-    let mut element_adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-    // For every eliminated pivot p, the variables of its element L_p.
-    let mut element_vars: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut eliminated = vec![false; n];
-    let mut absorbed = vec![false; n];
-    let mut degree: Vec<usize> = (0..n).map(|i| pattern.degree(i)).collect();
+    /// Append the row of the next vertex: its neighbours, each once, without
+    /// the vertex itself, in any order.
+    pub(crate) fn push_row(&mut self, neighbours: impl IntoIterator<Item = usize>) {
+        self.adjacency.extend(neighbours);
+        self.start.push(self.adjacency.len());
+    }
 
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|i| Reverse((degree[i], i))).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut stamp = vec![usize::MAX; n];
+    /// A minimum-degree order of the loaded graph, in new-to-old convention
+    /// and the graph's labels.  Ties are broken by label.  `None` if the
+    /// stop probe fired.
+    pub(crate) fn order(&mut self, stop: Option<&dyn Fn() -> bool>) -> Option<&[usize]> {
+        let order = self.run(stop);
+        #[cfg(test)]
+        {
+            self.runs += 1;
+            let capacity = self.capacity();
+            if capacity > self.capacity {
+                self.capacity = capacity;
+                self.growths += 1;
+            }
+        }
+        order?;
+        Some(&self.order)
+    }
 
-    while order.len() < n {
-        if order.len() % STOP_CHECK_INTERVAL == 0 {
-            if let Some(stop) = stop {
-                if stop() {
-                    return None;
+    fn run(&mut self, stop: Option<&dyn Fn() -> bool>) -> Option<()> {
+        let MinDegree {
+            start,
+            adjacency,
+            variables,
+            elements,
+            members,
+            member_start,
+            member_len,
+            eliminated,
+            absorbed,
+            degree,
+            stamp,
+            heap,
+            element,
+            order,
+            ..
+        } = self;
+        let n = start.len() - 1;
+        variables.clear();
+        variables.extend(start.windows(2).map(|row| row[1] - row[0]));
+        degree.clear();
+        degree.extend_from_slice(variables);
+        for list in [&mut *elements, &mut *member_start, &mut *member_len] {
+            list.clear();
+            list.resize(n, 0);
+        }
+        for flags in [&mut *eliminated, &mut *absorbed] {
+            flags.clear();
+            flags.resize(n, false);
+        }
+        stamp.clear();
+        stamp.resize(n, usize::MAX);
+        members.clear();
+        heap.clear();
+        heap.extend(degree.iter().enumerate().map(|(v, &d)| Reverse((d, v))));
+        order.clear();
+
+        while order.len() < n {
+            if order.len() % STOP_CHECK_INTERVAL == 0 && stop.is_some_and(|probe| probe()) {
+                return None;
+            }
+            // Pop the variable with the smallest (cached) degree, skipping
+            // stale heap entries.
+            let pivot = loop {
+                let Reverse((cached_degree, candidate)) = heap.pop().expect("heap cannot be empty");
+                if eliminated[candidate] || cached_degree != degree[candidate] {
+                    continue;
                 }
-            }
-        }
-        // Pop the variable with the smallest (cached) degree, skipping stale
-        // heap entries.
-        let pivot = loop {
-            let Reverse((cached_degree, candidate)) = heap.pop().expect("heap cannot be empty");
-            if eliminated[candidate] || cached_degree != degree[candidate] {
-                continue;
-            }
-            break candidate;
-        };
-        eliminated[pivot] = true;
-        order.push(pivot);
+                break candidate;
+            };
+            eliminated[pivot] = true;
+            order.push(pivot);
 
-        // Build the element L_pivot = (A_pivot ∪ ⋃_{e ∈ E_pivot} L_e) \ eliminated.
-        let mark = order.len();
-        let mut element: Vec<usize> = Vec::new();
-        for &v in &variable_adjacency[pivot] {
-            if !eliminated[v] && stamp[v] != mark {
-                stamp[v] = mark;
-                element.push(v);
-            }
-        }
-        for &e in &element_adjacency[pivot] {
-            if absorbed[e] {
-                continue;
-            }
-            for &v in &element_vars[e] {
+            // Build the element L_pivot = (A_pivot ∪ ⋃_{e ∈ E_pivot} L_e) \ eliminated.
+            let mark = order.len();
+            element.clear();
+            let (front, back) = (start[pivot], start[pivot + 1]);
+            for &v in &adjacency[front..front + variables[pivot]] {
                 if !eliminated[v] && stamp[v] != mark {
                     stamp[v] = mark;
                     element.push(v);
                 }
             }
-            // The old element is absorbed by the new one.
-            absorbed[e] = true;
-            element_vars[e].clear();
-        }
-        element.sort_unstable();
+            for &e in &adjacency[back - elements[pivot]..back] {
+                if absorbed[e] {
+                    continue;
+                }
+                for &v in &members[member_start[e]..][..member_len[e]] {
+                    if !eliminated[v] && stamp[v] != mark {
+                        stamp[v] = mark;
+                        element.push(v);
+                    }
+                }
+                // The old element is absorbed by the new one.
+                absorbed[e] = true;
+                member_len[e] = 0;
+            }
+            element.sort_unstable();
 
-        // Update every variable of the new element.
-        for &v in &element {
-            // Remove variable neighbours that are covered by the new element
-            // (they are reachable through it) and eliminated/absorbed ones.
-            variable_adjacency[v].retain(|&w| !eliminated[w] && stamp[w] != mark);
-            // Remove absorbed elements, add the new one.
-            element_adjacency[v].retain(|&e| !absorbed[e]);
-            element_adjacency[v].push(pivot);
-            // Approximate (upper bound) external degree.
-            let mut approx = variable_adjacency[v].len();
-            for &e in &element_adjacency[v] {
-                approx += element_vars_len(&element_vars, &element, pivot, e).saturating_sub(1);
+            // Update every variable of the new element.
+            for &v in element.iter() {
+                let (front, back) = (start[v], start[v + 1]);
+                // Remove variable neighbours that are covered by the new
+                // element (they are reachable through it) and eliminated ones.
+                let mut kept = front;
+                for k in front..front + variables[v] {
+                    let w = adjacency[k];
+                    if !eliminated[w] && stamp[w] != mark {
+                        adjacency[kept] = w;
+                        kept += 1;
+                    }
+                }
+                variables[v] = kept - front;
+                // Remove absorbed elements, add the new one.
+                let mut first = back;
+                for k in (back - elements[v]..back).rev() {
+                    let e = adjacency[k];
+                    if !absorbed[e] {
+                        first -= 1;
+                        adjacency[first] = e;
+                    }
+                }
+                assert!(kept < first, "the lists of {v} outgrew its segment");
+                first -= 1;
+                adjacency[first] = pivot;
+                elements[v] = back - first;
+                // Approximate (upper bound) external degree; the new element
+                // is not stored yet.
+                let mut approx = variables[v];
+                for &e in &adjacency[first..back] {
+                    let len = if e == pivot {
+                        element.len()
+                    } else {
+                        member_len[e]
+                    };
+                    approx += len.saturating_sub(1);
+                }
+                let approx = approx.min(n - order.len());
+                if approx != degree[v] {
+                    degree[v] = approx;
+                    heap.push(Reverse((approx, v)));
+                }
             }
-            let approx = approx.min(n - order.len());
-            if approx != degree[v] {
-                degree[v] = approx;
-                heap.push(Reverse((approx, v)));
-            }
+            member_start[pivot] = members.len();
+            member_len[pivot] = element.len();
+            members.extend_from_slice(element);
+            variables[pivot] = 0;
+            elements[pivot] = 0;
         }
-        element_vars[pivot] = element;
-        variable_adjacency[pivot].clear();
-        element_adjacency[pivot].clear();
+        Some(())
     }
 
-    Some(Permutation::from_new_to_old(order))
-}
-
-/// Length of the variable list of element `e`, taking into account that the
-/// element being built (`pivot`) is not stored yet.
-fn element_vars_len(
-    element_vars: &[Vec<usize>],
-    pending_element: &[usize],
-    pivot: usize,
-    e: usize,
-) -> usize {
-    if e == pivot {
-        pending_element.len()
-    } else {
-        element_vars[e].len()
+    /// Elements held by the scratch's buffers.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        [
+            &self.start,
+            &self.adjacency,
+            &self.variables,
+            &self.elements,
+            &self.members,
+            &self.member_start,
+            &self.member_len,
+            &self.degree,
+            &self.stamp,
+            &self.element,
+            &self.order,
+        ]
+        .iter()
+        .map(|list| list.capacity())
+        .sum::<usize>()
+            + self.eliminated.capacity()
+            + self.absorbed.capacity()
+            + self.heap.capacity()
     }
 }
 

@@ -1,15 +1,18 @@
 //! Test-only oracles: the orderings as they were written before the shared
 //! [`Workspace`](crate::workspace::Workspace) — a fresh level vector per BFS,
 //! a `0..n` scan per pseudo-peripheral round, two `HashSet`s per piece split,
-//! a `HashMap` per leaf.  O(n) per recursion step, but short enough to read
-//! as the definition of the permutation; the battery in `workspace.rs`
-//! asserts the fast code returns the same `Vec<usize>`.
+//! a `HashMap` and a `SparsePattern` per leaf — and minimum degree as it was
+//! before the reused [`MinDegree`](crate::mindeg::MinDegree) scratch, a `Vec`
+//! per variable and per element.  O(n) per recursion step, but short enough
+//! to read as the definition of the permutation; the battery below asserts
+//! the fast code returns the same `Vec<usize>`.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use sparsemat::SparsePattern;
 
-use crate::mindeg::minimum_degree_with_stop;
+use crate::mindeg::STOP_CHECK_INTERVAL;
 use crate::perm::Permutation;
 
 /// Nested dissection exactly as at `1132df8`.
@@ -145,11 +148,126 @@ fn order_with_minimum_degree(
         }
     }
     let induced = SparsePattern::from_edges(vertices.len(), &edges);
-    let local_perm = minimum_degree_with_stop(&induced, stop)?;
+    let local_perm = minimum_degree_naive(&induced, stop)?;
     for k in 0..vertices.len() {
         order.push(vertices[local_perm.new_to_old(k)]);
     }
     Some(())
+}
+
+/// Minimum degree as at `4e30eac`: a `Vec` per variable for its variable
+/// and element adjacency, one per element for its members, and fresh heap,
+/// stamp and degree arrays per call.  The nested-dissection oracle orders
+/// its leaves with this, not with the scratch it checks.
+pub(crate) fn minimum_degree_naive(
+    pattern: &SparsePattern,
+    stop: Option<&dyn Fn() -> bool>,
+) -> Option<Permutation> {
+    let n = pattern.n();
+    if n == 0 {
+        return Some(Permutation::identity(0));
+    }
+
+    // Variable adjacency (to other variables) and element adjacency.
+    let mut variable_adjacency: Vec<Vec<usize>> =
+        (0..n).map(|i| pattern.neighbors(i).to_vec()).collect();
+    let mut element_adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // For every eliminated pivot p, the variables of its element L_p.
+    let mut element_vars: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut eliminated = vec![false; n];
+    let mut absorbed = vec![false; n];
+    let mut degree: Vec<usize> = (0..n).map(|i| pattern.degree(i)).collect();
+
+    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
+        (0..n).map(|i| Reverse((degree[i], i))).collect();
+    let mut order = Vec::with_capacity(n);
+    let mut stamp = vec![usize::MAX; n];
+
+    while order.len() < n {
+        if order.len() % STOP_CHECK_INTERVAL == 0 {
+            if let Some(stop) = stop {
+                if stop() {
+                    return None;
+                }
+            }
+        }
+        // Pop the variable with the smallest (cached) degree, skipping stale
+        // heap entries.
+        let pivot = loop {
+            let Reverse((cached_degree, candidate)) = heap.pop().expect("heap cannot be empty");
+            if eliminated[candidate] || cached_degree != degree[candidate] {
+                continue;
+            }
+            break candidate;
+        };
+        eliminated[pivot] = true;
+        order.push(pivot);
+
+        // Build the element L_pivot = (A_pivot ∪ ⋃_{e ∈ E_pivot} L_e) \ eliminated.
+        let mark = order.len();
+        let mut element: Vec<usize> = Vec::new();
+        for &v in &variable_adjacency[pivot] {
+            if !eliminated[v] && stamp[v] != mark {
+                stamp[v] = mark;
+                element.push(v);
+            }
+        }
+        for &e in &element_adjacency[pivot] {
+            if absorbed[e] {
+                continue;
+            }
+            for &v in &element_vars[e] {
+                if !eliminated[v] && stamp[v] != mark {
+                    stamp[v] = mark;
+                    element.push(v);
+                }
+            }
+            // The old element is absorbed by the new one.
+            absorbed[e] = true;
+            element_vars[e].clear();
+        }
+        element.sort_unstable();
+
+        // Update every variable of the new element.
+        for &v in &element {
+            // Remove variable neighbours that are covered by the new element
+            // (they are reachable through it) and eliminated/absorbed ones.
+            variable_adjacency[v].retain(|&w| !eliminated[w] && stamp[w] != mark);
+            // Remove absorbed elements, add the new one.
+            element_adjacency[v].retain(|&e| !absorbed[e]);
+            element_adjacency[v].push(pivot);
+            // Approximate (upper bound) external degree.
+            let mut approx = variable_adjacency[v].len();
+            for &e in &element_adjacency[v] {
+                approx += element_vars_len(&element_vars, &element, pivot, e).saturating_sub(1);
+            }
+            let approx = approx.min(n - order.len());
+            if approx != degree[v] {
+                degree[v] = approx;
+                heap.push(Reverse((approx, v)));
+            }
+        }
+        element_vars[pivot] = element;
+        variable_adjacency[pivot].clear();
+        element_adjacency[pivot].clear();
+    }
+
+    Some(Permutation::from_new_to_old(order))
+}
+
+/// Length of the variable list of element `e`, taking into account that the
+/// element being built (`pivot`) is not stored yet.
+fn element_vars_len(
+    element_vars: &[Vec<usize>],
+    pending_element: &[usize],
+    pivot: usize,
+    e: usize,
+) -> usize {
+    if e == pivot {
+        pending_element.len()
+    } else {
+        element_vars[e].len()
+    }
 }
 
 /// Find a pseudo-peripheral vertex of the connected component containing
@@ -235,13 +353,13 @@ mod tests {
     use std::cell::Cell;
 
     use prng::{Rng, StdRng};
-    use sparsemat::gen::{grid2d_5pt, power_law_pattern, random_spd_pattern};
+    use sparsemat::gen::{grid2d_5pt, power_law_pattern, random_spd_pattern, ProblemKind};
 
     use super::*;
     use crate::dissection::dissect;
     use crate::rcm::cuthill_mckee;
     use crate::workspace::Workspace;
-    use crate::{nested_dissection, rcm, OrderingMethod};
+    use crate::{minimum_degree, nested_dissection, rcm, OrderingMethod};
 
     /// `copies` disjoint paths of `length` vertices each.
     fn disjoint_paths(copies: usize, length: usize) -> SparsePattern {
@@ -322,6 +440,26 @@ mod tests {
                 "nd on {name}"
             );
             assert_eq!(rcm(&pattern), rcm_naive(&pattern), "rcm on {name}");
+            assert_eq!(
+                Some(minimum_degree(&pattern)),
+                minimum_degree_naive(&pattern, None),
+                "amd on {name}"
+            );
+        }
+    }
+
+    #[test]
+    fn amd_on_every_kind_equals_the_naive_minimum_degree() {
+        for kind in ProblemKind::ALL {
+            for nodes in [10, 400, 2_500] {
+                let pattern = kind.generate(nodes, 5);
+                assert_eq!(
+                    Some(minimum_degree(&pattern)),
+                    minimum_degree_naive(&pattern, None),
+                    "{} at {nodes}",
+                    kind.name()
+                );
+            }
         }
     }
 
@@ -351,6 +489,27 @@ mod tests {
         let mut ws = Workspace::new(&isolated);
         cuthill_mckee(&mut ws, None).expect("no stop probe");
         assert!(ws.touched <= 4 * isolated.n(), "rcm touched {}", ws.touched);
+    }
+
+    /// The allocation gate, beside the touched count: the minimum-degree
+    /// scratch that orders every leaf and separator of the 200 × 200 grid
+    /// (3 225 runs: those with two or more vertices) grows on at most
+    /// `⌈log₂ n⌉` of its runs (measured: 5) — each buffer doubles up to the
+    /// largest leaf — where the naive code built a pattern and a quotient
+    /// graph per leaf.
+    #[test]
+    fn the_leaf_scratch_grows_o_log_n_times() {
+        let pattern = grid2d_5pt(200, 200);
+        let mut ws = Workspace::new(&pattern);
+        dissect(&mut ws, None).expect("no stop probe");
+        let log_n = pattern.n().next_power_of_two().ilog2() as usize;
+        assert_eq!(ws.mindeg.runs, 3_225);
+        assert!(
+            ws.mindeg.growths <= log_n,
+            "{} growths in {} runs",
+            ws.mindeg.growths,
+            ws.mindeg.runs
+        );
     }
 
     #[test]

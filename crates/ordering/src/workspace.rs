@@ -1,22 +1,26 @@
 //! The scratch state one top-level ordering call owns, so that every step
 //! below it costs O(vertices and edges it looks at), never O(n).
 //!
-//! **The epoch-stamp invariant.**  `stamp[v] == epoch` means "`v` carries a
-//! mark of the current use, and `value[v]` is that mark"; any other stamp
-//! means "unmarked".  Bumping `epoch` therefore clears the whole map in O(1),
+//! **The epoch-stamp invariant.**  `marks[v] == (epoch, value)` means "`v`
+//! carries a mark of the current use, and `value` is that mark"; any other
+//! stamp means "unmarked".  Stamp and value share one entry, so reading or
+//! writing a mark touches one cache line.  Bumping `epoch` therefore clears the whole map in O(1),
 //! which is what lets a BFS over a 30-vertex component of a 10⁵-vertex graph
 //! cost 30.  The map has one live use at a time — BFS levels
 //! ([`Workspace::bfs`]), member/seen tags ([`Workspace::pieces`]) or a leaf's
-//! local labels ([`Workspace::induced_edges`]) — and each use starts by
+//! local labels ([`Workspace::order_induced`]) — and each use starts by
 //! taking fresh epochs, so marks of a finished use can never be read as
 //! marks of the next.  `epoch` only grows; a `usize` cannot wrap in any run
 //! that finishes.
 
 use sparsemat::SparsePattern;
 
+use crate::mindeg::MinDegree;
+
 /// See the module docs.  Built once per `nested_dissection` / `rcm` call;
 /// the three n-sized vectors here are the only n-sized allocations of the
-/// call besides its output.
+/// call besides its output.  The minimum-degree scratch that orders every
+/// leaf and separator grows to the largest of them, not to `n`.
 pub(crate) struct Workspace<'p> {
     pub(crate) pattern: &'p SparsePattern,
     /// Vertices still to be ordered around: dissection clears a separator's
@@ -24,12 +28,14 @@ pub(crate) struct Workspace<'p> {
     /// inactive vertex.
     pub(crate) active: Vec<bool>,
     epoch: usize,
-    stamp: Vec<usize>,
-    value: Vec<usize>,
+    /// `(stamp, value)` per vertex.
+    marks: Vec<(usize, usize)>,
     /// The last BFS's queue, kept as its visit list (levels non-decreasing).
     visited: Vec<usize>,
     stack: Vec<usize>,
-    edges: Vec<(usize, usize)>,
+    /// The piece being collected.
+    piece: Vec<usize>,
+    pub(crate) mindeg: MinDegree,
     /// Marks written so far: the unit of the complexity gates.
     #[cfg(test)]
     pub(crate) touched: usize,
@@ -42,19 +48,18 @@ impl<'p> Workspace<'p> {
             pattern,
             active: vec![true; n],
             epoch: 0,
-            stamp: vec![0; n],
-            value: vec![0; n],
+            marks: vec![(0, 0); n],
             visited: Vec::new(),
             stack: Vec::new(),
-            edges: Vec::new(),
+            piece: Vec::new(),
+            mindeg: MinDegree::default(),
             #[cfg(test)]
             touched: 0,
         }
     }
 
     fn mark(&mut self, v: usize, value: usize) {
-        self.stamp[v] = self.epoch;
-        self.value[v] = value;
+        self.marks[v] = (self.epoch, value);
         #[cfg(test)]
         {
             self.touched += 1;
@@ -63,7 +68,8 @@ impl<'p> Workspace<'p> {
 
     /// The mark of `v` in the current use, if it has one.
     pub(crate) fn marked(&self, v: usize) -> Option<usize> {
-        (self.stamp[v] == self.epoch).then(|| self.value[v])
+        let (stamp, value) = self.marks[v];
+        (stamp == self.epoch).then_some(value)
     }
 
     /// BFS from `start` through active vertices.  Afterwards
@@ -78,15 +84,15 @@ impl<'p> Workspace<'p> {
         let mut head = 0;
         while let Some(&v) = self.visited.get(head) {
             head += 1;
-            let level = self.value[v] + 1;
+            let level = self.marks[v].1 + 1;
             for &w in pattern.neighbors(v) {
-                if self.active[w] && self.stamp[w] != self.epoch {
+                if self.active[w] && self.marks[w].0 != self.epoch {
                     self.mark(w, level);
                     self.visited.push(w);
                 }
             }
         }
-        self.value[self.visited[head - 1]]
+        self.marks[self.visited[head - 1]].1
     }
 
     /// A pseudo-peripheral vertex of the active component containing
@@ -108,7 +114,7 @@ impl<'p> Workspace<'p> {
                 .visited
                 .iter()
                 .rev()
-                .take_while(|&&v| self.value[v] == eccentricity)
+                .take_while(|&&v| self.marks[v].1 == eccentricity)
                 .min_by_key(|&&v| (self.pattern.degree(v), v));
             match next {
                 Some(&v) if v != current => current = v,
@@ -117,7 +123,7 @@ impl<'p> Workspace<'p> {
         }
     }
 
-    /// Connected pieces of `vertices` in the active subgraph: pieces in
+    /// Connected pieces of the active vertices among `vertices`: pieces in
     /// order of their first vertex, each in depth-first pop order.
     pub(crate) fn pieces(&mut self, vertices: &[usize]) -> Vec<Vec<usize>> {
         const MEMBER: usize = 0;
@@ -125,18 +131,21 @@ impl<'p> Workspace<'p> {
         let pattern = self.pattern;
         self.epoch += 1;
         for &v in vertices {
-            self.mark(v, MEMBER);
+            if self.active[v] {
+                self.mark(v, MEMBER);
+            }
         }
         let mut pieces = Vec::new();
         for &start in vertices {
-            if self.value[start] == SEEN {
+            // Inactive or already in a piece.
+            if self.marked(start) != Some(MEMBER) {
                 continue;
             }
-            let mut piece = Vec::new();
+            self.piece.clear();
             self.mark(start, SEEN);
             self.stack.push(start);
             while let Some(v) = self.stack.pop() {
-                piece.push(v);
+                self.piece.push(v);
                 for &w in pattern.neighbors(v) {
                     if self.active[w] && self.marked(w) == Some(MEMBER) {
                         self.mark(w, SEEN);
@@ -144,28 +153,36 @@ impl<'p> Workspace<'p> {
                     }
                 }
             }
-            pieces.push(piece);
+            pieces.push(self.piece.clone());
         }
         pieces
     }
 
-    /// The edges of the subgraph induced on `vertices`, in local labels
-    /// (a vertex's label is its position in `vertices`), each once.
-    pub(crate) fn induced_edges(&mut self, vertices: &[usize]) -> &[(usize, usize)] {
+    /// A minimum-degree order of the subgraph induced on `vertices`, in
+    /// local labels (a vertex's label is its position in `vertices`).  The
+    /// rows go from the labels straight into the reused [`MinDegree`]
+    /// scratch, so a leaf builds no pattern.  `None` if the stop probe
+    /// fired.
+    pub(crate) fn order_induced(
+        &mut self,
+        vertices: &[usize],
+        stop: Option<&dyn Fn() -> bool>,
+    ) -> Option<&[usize]> {
         let pattern = self.pattern;
         self.epoch += 1;
         for (local, &v) in vertices.iter().enumerate() {
             self.mark(v, local);
         }
-        self.edges.clear();
-        for (local, &v) in vertices.iter().enumerate() {
-            for &w in pattern.neighbors(v) {
-                match self.marked(w) {
-                    Some(other) if other > local => self.edges.push((local, other)),
-                    _ => {}
-                }
-            }
+        let (marks, epoch) = (&self.marks, self.epoch);
+        self.mindeg.clear();
+        for &v in vertices {
+            let labelled = pattern.neighbors(v).iter().map(|&w| marks[w]);
+            self.mindeg.push_row(
+                labelled
+                    .filter(|&(stamp, _)| stamp == epoch)
+                    .map(|(_, local)| local),
+            );
         }
-        &self.edges
+        self.mindeg.order(stop)
     }
 }

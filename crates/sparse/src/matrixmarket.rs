@@ -80,8 +80,8 @@ impl std::error::Error for MatrixMarketError {}
 
 /// The largest dimension [`read_pattern`] accepts: the `u32` index range the
 /// distributed wire carries.  A larger declared size would reach
-/// [`SparsePattern::from_edges`], which allocates per row before any entry is
-/// read.
+/// [`SparsePattern::from_edges`], which allocates a row pointer per index
+/// before any entry is read.
 pub const MAX_DIMENSION: usize = u32::MAX as usize;
 
 /// Parse a MatrixMarket coordinate file into a symmetric [`SparsePattern`]
@@ -291,7 +291,7 @@ mod tests {
     }
 
     /// A declared dimension beyond the `u32` index range is refused before
-    /// `SparsePattern::from_edges` tries to allocate a row per index.
+    /// `SparsePattern::from_edges` tries to allocate a row pointer per index.
     #[test]
     fn a_huge_declared_dimension_is_refused() {
         let file = "%%MatrixMarket matrix coordinate pattern symmetric

@@ -18,30 +18,61 @@ impl SparsePattern {
     /// Build a pattern from unsymmetrised (row, column) pairs: duplicates and
     /// self loops are removed and the pattern is symmetrised.
     ///
+    /// A counting sort: one pass counts each row's entries, one fills them
+    /// into a single array, and each row is then sorted and deduplicated in
+    /// place — no per-row allocation.
+    ///
     /// # Panics
     /// Panics if an index is out of range.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // `row_ptr[i + 1]` counts row `i`; after the prefix sum `row_ptr[i]`
+        // is where row `i` starts.
+        let mut row_ptr = vec![0; n + 1];
         for &(i, j) in edges {
             assert!(
                 i < n && j < n,
                 "index out of range: ({i}, {j}) with n = {n}"
             );
-            if i == j {
-                continue;
+            if i != j {
+                row_ptr[i + 1] += 1;
+                row_ptr[j + 1] += 1;
             }
-            adjacency[i].push(j);
-            adjacency[j].push(i);
         }
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        row_ptr.push(0);
-        for list in adjacency.iter_mut() {
-            list.sort_unstable();
-            list.dedup();
-            col_idx.extend_from_slice(list);
-            row_ptr.push(col_idx.len());
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
         }
+        // Fill with `row_ptr[i]` as row `i`'s cursor: afterwards it points
+        // at the end of row `i`, so shifting by one restores the starts.
+        let mut col_idx = vec![0; row_ptr[n]];
+        for &(i, j) in edges {
+            if i != j {
+                col_idx[row_ptr[i]] = j;
+                row_ptr[i] += 1;
+                col_idx[row_ptr[j]] = i;
+                row_ptr[j] += 1;
+            }
+        }
+        row_ptr.copy_within(0..n, 1);
+        row_ptr[0] = 0;
+        // Sort each row and compact it, duplicates dropped, towards the
+        // front: a row never starts after its uncompacted start.
+        let mut kept = 0;
+        for i in 0..n {
+            let (start, end) = (row_ptr[i], row_ptr[i + 1]);
+            row_ptr[i] = kept;
+            col_idx[start..end].sort_unstable();
+            let mut previous = None;
+            for k in start..end {
+                let j = col_idx[k];
+                if previous != Some(j) {
+                    col_idx[kept] = j;
+                    kept += 1;
+                    previous = Some(j);
+                }
+            }
+        }
+        row_ptr[n] = kept;
+        col_idx.truncate(kept);
         SparsePattern {
             n,
             row_ptr,
@@ -121,15 +152,32 @@ impl SparsePattern {
             );
             old_to_new[old] = new;
         }
-        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(self.col_idx.len() / 2);
-        for i in 0..self.n {
-            for &j in self.neighbors(i) {
-                if j > i {
-                    edges.push((old_to_new[i], old_to_new[j]));
-                }
+        // Row `k` of the result is row `perm[k]` relabelled, so the row
+        // lengths are known up front; fill the rows unsorted, then transpose.
+        // The pattern is symmetric, so the transpose is the same pattern, and
+        // visiting the rows in increasing order leaves each of its rows sorted.
+        let mut row_ptr = Vec::with_capacity(self.n + 1);
+        row_ptr.push(0);
+        let mut unsorted = Vec::with_capacity(self.col_idx.len());
+        for &old in perm {
+            unsorted.extend(self.neighbors(old).iter().map(|&j| old_to_new[j]));
+            row_ptr.push(unsorted.len());
+        }
+        // `old_to_new` is spent; its buffer becomes the transpose's cursors.
+        let mut next = old_to_new;
+        next.copy_from_slice(&row_ptr[..self.n]);
+        let mut col_idx = vec![0; unsorted.len()];
+        for k in 0..self.n {
+            for &c in &unsorted[row_ptr[k]..row_ptr[k + 1]] {
+                col_idx[next[c]] = k;
+                next[c] += 1;
             }
         }
-        SparsePattern::from_edges(self.n, &edges)
+        SparsePattern {
+            n: self.n,
+            row_ptr,
+            col_idx,
+        }
     }
 
     /// Lower-triangular column structure: for every column `j`, the sorted
@@ -363,6 +411,9 @@ impl SymmetricCsr {
         SymmetricCsr::from_lower_columns(self.n, columns)
     }
 }
+
+#[cfg(test)]
+mod naive;
 
 #[cfg(test)]
 mod tests {

@@ -90,7 +90,7 @@ pub fn amalgamate(
     // of its group.
     let mut representative: Vec<usize> = (0..n).collect();
     let mut group_size: Vec<usize> = vec![1; n];
-    let children = etree.children();
+    let children = etree.child_lists();
 
     fn find(representative: &mut [usize], mut x: usize) -> usize {
         while representative[x] != x {
@@ -103,13 +103,13 @@ pub fn amalgamate(
     // Process columns bottom-up (children have smaller indices than their
     // parent in an elimination tree).
     for p in 0..n {
-        if children[p].is_empty() {
+        let p_children = children.of(p);
+        if p_children.is_empty() {
             continue;
         }
         // Perfect amalgamation: single child with identical structure below
         // the diagonal.
-        if children[p].len() == 1 {
-            let c = children[p][0];
+        if let &[c] = p_children {
             if counts[c] == counts[p] + 1 {
                 let child_group = find(&mut representative, c);
                 representative[child_group] = p;
@@ -125,15 +125,13 @@ pub fn amalgamate(
                 break;
             }
             // Child groups not yet merged into p, pick the densest (largest
-            // column count of its representative column).
-            let mut child_groups: Vec<usize> = children[p]
+            // column count of its representative column; a group reached
+            // through two children is the same candidate twice).
+            let candidate = p_children
                 .iter()
                 .map(|&c| find(&mut representative, c))
                 .filter(|&g| g != p_group)
-                .collect();
-            child_groups.sort_unstable();
-            child_groups.dedup();
-            let candidate = child_groups.into_iter().max_by_key(|&g| (counts[g], g));
+                .max_by_key(|&g| (counts[g], g));
             let Some(candidate) = candidate else { break };
             if group_size[p_group] + group_size[candidate] > max_amalgamation {
                 break;

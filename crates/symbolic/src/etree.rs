@@ -58,13 +58,34 @@ impl EliminationTree {
 
     /// Children lists (children of every column, increasing).
     pub fn children(&self) -> Vec<Vec<usize>> {
-        let mut children = vec![Vec::new(); self.len()];
-        for j in 0..self.len() {
-            if let Some(p) = self.parent[j] {
-                children[p].push(j);
+        let children = self.child_lists();
+        (0..self.len()).map(|j| children.of(j).to_vec()).collect()
+    }
+
+    /// The children of every column, increasing, in one flat list built by
+    /// a counting sort: no list per column.
+    pub(crate) fn child_lists(&self) -> ChildLists {
+        let n = self.len();
+        // `start[p + 1]` counts `p`'s children; after the prefix sum
+        // `start[p]` is where they begin.
+        let mut start = vec![0; n + 1];
+        for &p in self.parent.iter().flatten() {
+            start[p + 1] += 1;
+        }
+        for p in 0..n {
+            start[p + 1] += start[p];
+        }
+        // Fill with `start[p]` as `p`'s cursor, then shift the ends back.
+        let mut list = vec![0; start[n]];
+        for (j, parent) in self.parent.iter().enumerate() {
+            if let &Some(p) = parent {
+                list[start[p]] = j;
+                start[p] += 1;
             }
         }
-        children
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        ChildLists { start, list }
     }
 
     /// Depth of every node (roots have depth 0).
@@ -98,6 +119,20 @@ impl EliminationTree {
     /// Height of the forest (largest depth plus one; 0 for an empty forest).
     pub fn height(&self) -> usize {
         self.depths().into_iter().max().map(|d| d + 1).unwrap_or(0)
+    }
+}
+
+/// The children of every column of an elimination forest, increasing:
+/// column `j`'s are `list[start[j]..start[j + 1]]`.
+pub(crate) struct ChildLists {
+    start: Vec<usize>,
+    list: Vec<usize>,
+}
+
+impl ChildLists {
+    /// The children of column `j`, increasing.
+    pub(crate) fn of(&self, j: usize) -> &[usize] {
+        &self.list[self.start[j]..self.start[j + 1]]
     }
 }
 
@@ -138,7 +173,7 @@ pub fn elimination_tree(pattern: &SparsePattern) -> EliminationTree {
 /// A postorder of the elimination forest (children before parents), with the
 /// children of every node visited in increasing index order.
 pub fn etree_postorder(etree: &EliminationTree) -> Vec<usize> {
-    let children = etree.children();
+    let children = etree.child_lists();
     let mut order = Vec::with_capacity(etree.len());
     let mut stack: Vec<(usize, bool)> = Vec::new();
     for root in etree.roots().into_iter().rev() {
@@ -149,7 +184,7 @@ pub fn etree_postorder(etree: &EliminationTree) -> Vec<usize> {
             order.push(node);
         } else {
             stack.push((node, true));
-            for &c in children[node].iter().rev() {
+            for &c in children.of(node).iter().rev() {
                 stack.push((c, false));
             }
         }
@@ -190,6 +225,32 @@ mod tests {
         assert_eq!(etree.parent(3), Some(4));
         assert_eq!(etree.parent(4), Some(5));
         assert_eq!(etree.parent(5), None);
+    }
+
+    /// The counting build against the per-column push it replaced, on the
+    /// forests of every problem kind under every ordering.
+    #[test]
+    fn child_lists_equal_a_push_per_child() {
+        for kind in sparsemat::gen::ProblemKind::ALL {
+            for method in ordering::OrderingMethod::ALL {
+                let pattern = kind.generate(300, 2);
+                let etree = elimination_tree(&method.order(&pattern).apply(&pattern));
+                let mut pushed = vec![Vec::new(); etree.len()];
+                for j in 0..etree.len() {
+                    if let Some(p) = etree.parent(j) {
+                        pushed[p].push(j);
+                    }
+                }
+                assert_eq!(
+                    etree.children(),
+                    pushed,
+                    "{} {}",
+                    kind.name(),
+                    method.name()
+                );
+            }
+        }
+        assert!(EliminationTree::from_parents(vec![]).children().is_empty());
     }
 
     #[test]
