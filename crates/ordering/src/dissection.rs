@@ -94,7 +94,9 @@ pub(crate) fn dissect(
         for &v in &separator {
             ws.active[v] = false;
         }
-        let pieces = ws.pieces(&component);
+        // The BFS reached every vertex of the component: its marks are the
+        // membership tags of the split.
+        let pieces = ws.tagged_pieces(&component);
         work.push((separator, State::Separator));
         work.extend(pieces.into_iter().rev().map(|p| (p, State::Connected)));
     }

@@ -7,10 +7,13 @@
 //! writing a mark touches one cache line.  Bumping `epoch` therefore clears the whole map in O(1),
 //! which is what lets a BFS over a 30-vertex component of a 10⁵-vertex graph
 //! cost 30.  The map has one live use at a time — BFS levels
-//! ([`Workspace::bfs`]), member/seen tags ([`Workspace::pieces`]) or a leaf's
+//! ([`Workspace::bfs`]), seen tags ([`Workspace::pieces`]) or a leaf's
 //! local labels ([`Workspace::order_induced`]) — and each use starts by
-//! taking fresh epochs, so marks of a finished use can never be read as
-//! marks of the next.  `epoch` only grows; a `usize` cannot wrap in any run
+//! taking a fresh epoch, so marks of a finished use can never be read as
+//! marks of the next.  The one deliberate read across uses is
+//! [`Workspace::tagged_pieces`]: the vertices it splits carry the marks of
+//! the use just before it (a BFS, or `pieces`' membership pass), and those
+//! are its membership tags.  `epoch` only grows; a `usize` cannot wrap in any run
 //! that finishes.
 
 use sparsemat::SparsePattern;
@@ -86,7 +89,8 @@ impl<'p> Workspace<'p> {
             head += 1;
             let level = self.marks[v].1 + 1;
             for &w in pattern.neighbors(v) {
-                if self.active[w] && self.marks[w].0 != self.epoch {
+                // The stamp first: most neighbours are already visited.
+                if self.marks[w].0 != self.epoch && self.active[w] {
                     self.mark(w, level);
                     self.visited.push(w);
                 }
@@ -126,29 +130,38 @@ impl<'p> Workspace<'p> {
     /// Connected pieces of the active vertices among `vertices`: pieces in
     /// order of their first vertex, each in depth-first pop order.
     pub(crate) fn pieces(&mut self, vertices: &[usize]) -> Vec<Vec<usize>> {
-        const MEMBER: usize = 0;
-        const SEEN: usize = 1;
-        let pattern = self.pattern;
         self.epoch += 1;
         for &v in vertices {
             if self.active[v] {
-                self.mark(v, MEMBER);
+                self.mark(v, 0);
             }
         }
+        self.tagged_pieces(vertices)
+    }
+
+    /// [`Workspace::pieces`] of `vertices` that all carry a mark of the
+    /// current use already — a component right after
+    /// [`Workspace::pseudo_peripheral`] on it, whose last BFS reached every
+    /// one of its vertices — so they need no membership pass.
+    pub(crate) fn tagged_pieces(&mut self, vertices: &[usize]) -> Vec<Vec<usize>> {
+        let pattern = self.pattern;
+        let member = self.epoch;
+        // Marks of this use tag the vertices already put in a piece.
+        self.epoch += 1;
         let mut pieces = Vec::new();
         for &start in vertices {
-            // Inactive or already in a piece.
-            if self.marked(start) != Some(MEMBER) {
+            // Inactive, or already in a piece.
+            if !self.active[start] || self.marks[start].0 != member {
                 continue;
             }
             self.piece.clear();
-            self.mark(start, SEEN);
+            self.mark(start, 0);
             self.stack.push(start);
             while let Some(v) = self.stack.pop() {
                 self.piece.push(v);
                 for &w in pattern.neighbors(v) {
-                    if self.active[w] && self.marked(w) == Some(MEMBER) {
-                        self.mark(w, SEEN);
+                    if self.marks[w].0 == member && self.active[w] {
+                        self.mark(w, 0);
                         self.stack.push(w);
                     }
                 }
