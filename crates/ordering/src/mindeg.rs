@@ -45,8 +45,8 @@ pub(crate) fn minimum_degree_with_stop(
     for v in 0..pattern.n() {
         scratch.push_row(pattern.neighbors(v).iter().copied());
     }
-    let order = scratch.order(stop)?;
-    Some(Permutation::from_new_to_old(order.to_vec()))
+    scratch.run(stop)?;
+    Some(Permutation::from_new_to_old(scratch.order().to_vec()))
 }
 
 /// The quotient graph of a minimum-degree run, kept between runs: nested
@@ -87,14 +87,6 @@ pub(crate) struct MinDegree {
     /// The element being built.
     element: Vec<usize>,
     order: Vec<usize>,
-    /// Runs that left the scratch larger than any run before them: the
-    /// unit of the allocation gate.
-    #[cfg(test)]
-    pub(crate) growths: usize,
-    #[cfg(test)]
-    pub(crate) runs: usize,
-    #[cfg(test)]
-    capacity: usize,
 }
 
 impl MinDegree {
@@ -113,25 +105,15 @@ impl MinDegree {
         self.start.push(self.adjacency.len());
     }
 
-    /// A minimum-degree order of the loaded graph, in new-to-old convention
-    /// and the graph's labels.  Ties are broken by label.  `None` if the
-    /// stop probe fired.
-    pub(crate) fn order(&mut self, stop: Option<&dyn Fn() -> bool>) -> Option<&[usize]> {
-        let order = self.run(stop);
-        #[cfg(test)]
-        {
-            self.runs += 1;
-            let capacity = self.capacity();
-            if capacity > self.capacity {
-                self.capacity = capacity;
-                self.growths += 1;
-            }
-        }
-        order?;
-        Some(&self.order)
+    /// The order of the last [`MinDegree::run`], in new-to-old convention
+    /// and the loaded graph's labels.
+    pub(crate) fn order(&self) -> &[usize] {
+        &self.order
     }
 
-    fn run(&mut self, stop: Option<&dyn Fn() -> bool>) -> Option<()> {
+    /// Order the loaded graph by minimum degree, ties broken by label.
+    /// `None` if the stop probe fired.
+    pub(crate) fn run(&mut self, stop: Option<&dyn Fn() -> bool>) -> Option<()> {
         let MinDegree {
             start,
             adjacency,
@@ -264,9 +246,9 @@ impl MinDegree {
         Some(())
     }
 
-    /// Elements held by the scratch's buffers.
+    /// Elements the scratch's buffers can hold without growing.
     #[cfg(test)]
-    fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         [
             &self.start,
             &self.adjacency,

@@ -503,12 +503,12 @@ mod tests {
         let mut ws = Workspace::new(&pattern);
         dissect(&mut ws, None).expect("no stop probe");
         let log_n = pattern.n().next_power_of_two().ilog2() as usize;
-        assert_eq!(ws.mindeg.runs, 3_225);
+        assert_eq!(ws.leaf_runs, 3_225);
         assert!(
-            ws.mindeg.growths <= log_n,
+            ws.scratch_growths <= log_n,
             "{} growths in {} runs",
-            ws.mindeg.growths,
-            ws.mindeg.runs
+            ws.scratch_growths,
+            ws.leaf_runs
         );
     }
 

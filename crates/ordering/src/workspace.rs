@@ -42,6 +42,13 @@ pub(crate) struct Workspace<'p> {
     /// Marks written so far: the unit of the complexity gates.
     #[cfg(test)]
     pub(crate) touched: usize,
+    /// Minimum-degree runs of [`Workspace::order_induced`], and those after
+    /// which `mindeg` could hold more than before: the unit of the
+    /// allocation gate.
+    #[cfg(test)]
+    pub(crate) leaf_runs: usize,
+    #[cfg(test)]
+    pub(crate) scratch_growths: usize,
 }
 
 impl<'p> Workspace<'p> {
@@ -58,6 +65,10 @@ impl<'p> Workspace<'p> {
             mindeg: MinDegree::default(),
             #[cfg(test)]
             touched: 0,
+            #[cfg(test)]
+            leaf_runs: 0,
+            #[cfg(test)]
+            scratch_growths: 0,
         }
     }
 
@@ -181,6 +192,8 @@ impl<'p> Workspace<'p> {
         vertices: &[usize],
         stop: Option<&dyn Fn() -> bool>,
     ) -> Option<&[usize]> {
+        #[cfg(test)]
+        let capacity = self.mindeg.capacity();
         let pattern = self.pattern;
         self.epoch += 1;
         for (local, &v) in vertices.iter().enumerate() {
@@ -196,6 +209,14 @@ impl<'p> Workspace<'p> {
                     .map(|(_, local)| local),
             );
         }
-        self.mindeg.order(stop)
+        self.mindeg.run(stop)?;
+        #[cfg(test)]
+        {
+            self.leaf_runs += 1;
+            if self.mindeg.capacity() > capacity {
+                self.scratch_growths += 1;
+            }
+        }
+        Some(self.mindeg.order())
     }
 }
