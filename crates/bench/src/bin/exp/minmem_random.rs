@@ -39,7 +39,11 @@ pub(crate) fn run(context: &Context) {
         .map(|(index, entry)| match index % variants {
             0 => {
                 let same = &out_of_core.trees[index / variants];
-                assert!(same.name == entry.name && same.tree == entry.tree);
+                assert!(
+                    same.name == entry.name && same.tree == entry.tree,
+                    "{} is not the out-of-core corpus's re-weighting",
+                    entry.name
+                );
                 reweighted[index / variants].clone()
             }
             _ => MeasurementSet::measure(&entry.tree),

@@ -132,8 +132,6 @@ impl Fields for SweepRecord {
     }
 }
 
-/// Run the full sweep of `corpus`.
-///
 /// [`MeasurementSet::measure_with`] on [`Solver::ALL`] for every tree of
 /// `corpus`, in corpus order, one parallel job per tree: the solved
 /// traversals [`run_sweep`] simulates.  Solvers that do not support a tree
@@ -146,6 +144,8 @@ pub fn measure_corpus(corpus: &Corpus) -> Vec<MeasurementSet> {
     })
 }
 
+/// Run the full sweep of `corpus`.
+///
 /// Every tree is one parallel job: the job resolves the tree's
 /// [`MEMORY_FRACTIONS`] against the optimal peak of its measurements
 /// (`solved`, one set per tree in corpus order, as [`measure_corpus`] gives)

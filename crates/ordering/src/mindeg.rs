@@ -129,7 +129,6 @@ impl MinDegree {
             heap,
             element,
             order,
-            ..
         } = self;
         let n = start.len() - 1;
         variables.clear();

@@ -3,18 +3,19 @@
 //!
 //! **The epoch-stamp invariant.**  `marks[v] == (epoch, value)` means "`v`
 //! carries a mark of the current use, and `value` is that mark"; any other
-//! stamp means "unmarked".  Stamp and value share one entry, so reading or
-//! writing a mark touches one cache line.  Bumping `epoch` therefore clears the whole map in O(1),
-//! which is what lets a BFS over a 30-vertex component of a 10⁵-vertex graph
-//! cost 30.  The map has one live use at a time — BFS levels
-//! ([`Workspace::bfs`]), seen tags ([`Workspace::pieces`]) or a leaf's
-//! local labels ([`Workspace::order_induced`]) — and each use starts by
-//! taking a fresh epoch, so marks of a finished use can never be read as
-//! marks of the next.  The one deliberate read across uses is
+//! stamp means "unmarked".  Bumping `epoch` therefore clears the whole map
+//! in O(1), which is what lets a BFS over a 30-vertex component of a
+//! 10⁵-vertex graph cost 30.  Stamp and value share one entry, so a mark is
+//! read or written with one memory access.  The map has one live use at a
+//! time — BFS levels ([`Workspace::bfs`]), seen tags
+//! ([`Workspace::tagged_pieces`]) or a leaf's local labels
+//! ([`Workspace::order_induced`]) — and each use starts by taking a fresh
+//! epoch, so marks of a finished use can never be read as marks of the
+//! next.  The one deliberate read across uses is
 //! [`Workspace::tagged_pieces`]: the vertices it splits carry the marks of
-//! the use just before it (a BFS, or `pieces`' membership pass), and those
-//! are its membership tags.  `epoch` only grows; a `usize` cannot wrap in any run
-//! that finishes.
+//! the use just before it (a BFS, or [`Workspace::pieces`]' membership
+//! pass), and those are its membership tags.  `epoch` only grows; a `usize`
+//! cannot wrap in any run that finishes.
 
 use sparsemat::SparsePattern;
 
@@ -38,7 +39,7 @@ pub(crate) struct Workspace<'p> {
     stack: Vec<usize>,
     /// The piece being collected.
     piece: Vec<usize>,
-    pub(crate) mindeg: MinDegree,
+    mindeg: MinDegree,
     /// Marks written so far: the unit of the complexity gates.
     #[cfg(test)]
     pub(crate) touched: usize,
