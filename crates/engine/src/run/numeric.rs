@@ -72,10 +72,11 @@ pub(crate) struct NumericModel {
 
 impl NumericModel {
     /// The SPD matrix drawn from `seed` on the `permuted` pattern, its
-    /// symbolic factor structure and the per-column model tree.
+    /// symbolic factor structure — read from that matrix over the plan's
+    /// elimination tree `etree` — and the per-column model tree.
     pub(super) fn new(permuted: &SparsePattern, etree: &EliminationTree, seed: u64) -> Self {
         let matrix = spd_matrix_from_pattern(permuted, seed);
-        let structure = Arc::new(SymbolicStructure::from_etree(permuted, etree.clone()));
+        let structure = Arc::new(SymbolicStructure::from_etree(&matrix, etree.clone()));
         let model = per_column_model(&structure);
         NumericModel {
             matrix,

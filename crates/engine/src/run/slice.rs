@@ -3,10 +3,11 @@
 //! so that anyone holding it factors the task without planning.
 //!
 //! A task is closed under descendants, so the rows of `L` in its columns
-//! follow from its own columns of `A` and the parents alone:
-//! [`SymbolicStructure::from_etree`] on the slice, renumbered onto the
-//! increasing union of its row indices, yields exactly the rows the plan's
-//! structure holds for those columns, in the same order.  The factor then
+//! follow from its own columns of `A` and the parents alone: the slice,
+//! renumbered onto the increasing union of its row indices, is a matrix
+//! whose other columns are empty, and [`SymbolicStructure::from_etree`] on
+//! that matrix and the parents yields exactly the rows the plan's structure
+//! holds for those columns, in the same order.  The factor then
 //! runs the same `factor_columns` over the same values, so its parts are
 //! bit-identical to a factor on the whole plan, and the ledger sees the
 //! same events.  [`Plan::factor_subtree`](crate::Plan::factor_subtree) is
@@ -16,7 +17,7 @@
 use multifrontal::numeric::SymbolicStructure;
 use multifrontal::parallel::BudgetLedger;
 use multifrontal::{ContributionStore, FactorizationError, FrontArena};
-use sparsemat::{SparsePattern, SymmetricCsr};
+use sparsemat::SymmetricCsr;
 use symbolic::EliminationTree;
 
 use super::numeric::{factor_on, NumericModel, SubtreeParts};
@@ -294,19 +295,12 @@ impl TaskSlice {
         // Columns outside the task are empty, so the rows run in the same
         // column order as the slice's.
         let rows: Vec<usize> = self.rows.iter().map(|&row| local(row)).collect();
-        let mut edges = Vec::with_capacity(rows.len());
-        for (index, &column) in self.columns.iter().enumerate() {
-            let at = local(column);
-            let below = &rows[self.col_ptr[index] + 1..self.col_ptr[index + 1]];
-            edges.extend(below.iter().map(|&row| (row, at)));
-        }
-        let pattern = SparsePattern::from_edges(m, &edges);
         // `new` and `of_task` establish both constructors' preconditions:
         // each column's rows increase from its diagonal below n, and each
         // parent lies above its child; the renumbering keeps index order.
         let matrix = SymmetricCsr::from_csc(m, col_ptr, rows, self.values.clone());
         let etree = EliminationTree::from_parents(parent);
-        let structure = SymbolicStructure::from_etree(&pattern, etree);
+        let structure = SymbolicStructure::from_etree(&matrix, etree);
         // A column's parent is the first row below its diagonal.
         let consistent = self.columns.iter().all(|&column| {
             let at = local(column);

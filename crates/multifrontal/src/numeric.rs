@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sparsemat::{SparsePattern, SymmetricCsr};
-use symbolic::etree::{elimination_tree, etree_postorder, EliminationTree};
+use symbolic::etree::{elimination_tree, etree_postorder, ChildLists, EliminationTree};
 
 use crate::dense::{DenseMatrix, FrontArena};
 use crate::parallel::{assemble_factor, BudgetLedger};
@@ -39,7 +39,7 @@ pub struct SymbolicStructure {
     /// The elimination tree of the (permuted) matrix.
     pub etree: EliminationTree,
     /// `etree.children()`, computed once: the assembly order of every front.
-    children: Vec<Vec<usize>>,
+    children: ChildLists,
 }
 
 impl SymbolicStructure {
@@ -49,47 +49,49 @@ impl SymbolicStructure {
         use std::mem::size_of;
         let store = (self.col_ptr.len() + self.rows.len()) * size_of::<usize>();
         let etree = self.etree.len() * size_of::<Option<usize>>();
-        let children: usize = self
-            .children
-            .iter()
-            .map(|c| size_of::<Vec<usize>>() + c.len() * size_of::<usize>())
-            .sum();
-        (store + etree + children) as u64
+        (store + etree) as u64 + self.children.heap_bytes()
     }
 
     /// Compute the full symbolic structure of the factor of `pattern`
     /// (already permuted into elimination order).
     pub fn from_pattern(pattern: &SparsePattern) -> Self {
-        let etree = elimination_tree(pattern);
-        Self::from_etree(pattern, etree)
+        Self::build(elimination_tree(pattern), |j| pattern.neighbors(j))
     }
 
-    /// [`from_pattern`](Self::from_pattern) for callers that already hold
-    /// the elimination tree of `pattern`.
+    /// The structure of the factor of `matrix` (already permuted into
+    /// elimination order), whose elimination tree the caller holds: each
+    /// column's rows below the diagonal are read from the matrix itself.
+    pub fn from_etree(matrix: &SymmetricCsr, etree: EliminationTree) -> Self {
+        Self::build(etree, |j| matrix.column(j).0)
+    }
+
+    /// The structure over `etree` of a matrix whose column `j` has the
+    /// sorted rows `column(j)`; only those below the diagonal are read.
     ///
-    /// Column `j`'s rows are `j`, the pattern's entries below the diagonal
-    /// and its children's rows below `j`, sorted and deduplicated.  When `j`
-    /// has one child `c` whose rows hold every entry below the diagonal
+    /// Column `j`'s rows are `j`, its rows below the diagonal and its
+    /// children's rows below `j`, sorted and deduplicated.  When `j` has one
+    /// child `c` whose rows hold every row of `j` below the diagonal
     /// (checked with a marker array), that union is `rows(c)[1..]`, copied
     /// without the sort.
-    pub fn from_etree(pattern: &SparsePattern, etree: EliminationTree) -> Self {
+    fn build<'a>(etree: EliminationTree, column: impl Fn(usize) -> &'a [usize]) -> Self {
+        let below = |j: usize| {
+            let rows = column(j);
+            &rows[rows.partition_point(|&i| i <= j)..]
+        };
         let children = etree.children();
-        let mut col_ptr = Vec::with_capacity(children.len() + 1);
+        let n = children.len();
+        let mut col_ptr = Vec::with_capacity(n + 1);
         let mut rows: Vec<usize> = Vec::new();
-        let mut column: Vec<usize> = Vec::new();
-        let mut marker = vec![usize::MAX; children.len()];
+        let mut union: Vec<usize> = Vec::new();
+        let mut marker = vec![usize::MAX; n];
         col_ptr.push(0);
-        for (j, column_children) in children.iter().enumerate() {
-            if let &[c] = column_children.as_slice() {
+        for j in 0..n {
+            if let &[c] = children.of(j) {
                 let child = col_ptr[c]..col_ptr[c + 1];
                 for &i in &rows[child.clone()] {
                     marker[i] = j;
                 }
-                if pattern
-                    .neighbors(j)
-                    .iter()
-                    .all(|&i| i <= j || marker[i] == j)
-                {
+                if below(j).iter().all(|&i| marker[i] == j) {
                     rows.extend_from_within(child.start + 1..child.end);
                     col_ptr.push(rows.len());
                     continue;
@@ -97,16 +99,16 @@ impl SymbolicStructure {
             }
             // Original entries below the diagonal plus the children
             // structures (minus the child index itself).
-            column.clear();
-            column.push(j);
-            column.extend(pattern.neighbors(j).iter().copied().filter(|&i| i > j));
-            for &c in column_children {
+            union.clear();
+            union.push(j);
+            union.extend_from_slice(below(j));
+            for &c in children.of(j) {
                 let child = &rows[col_ptr[c]..col_ptr[c + 1]];
-                column.extend(child.iter().copied().filter(|&i| i > j));
+                union.extend(child.iter().copied().filter(|&i| i > j));
             }
-            column.sort_unstable();
-            column.dedup();
-            rows.extend_from_slice(&column);
+            union.sort_unstable();
+            union.dedup();
+            rows.extend_from_slice(&union);
             col_ptr.push(rows.len());
         }
         SymbolicStructure {
@@ -132,7 +134,7 @@ impl SymbolicStructure {
     /// The children of column `j` in the elimination tree, increasing: the
     /// order its front assembles their blocks in.
     pub fn children(&self, j: usize) -> &[usize] {
-        &self.children[j]
+        self.children.of(j)
     }
 
     /// Column counts (number of nonzeros per column of `L`).
@@ -172,7 +174,7 @@ impl SymbolicStructure {
             let mu = self.rows(j).len() as u64;
             live += mu * mu;
             peak = peak.max(live);
-            for &c in &self.children[j] {
+            for &c in self.children(j) {
                 live = live.saturating_sub(self.block_entries(c));
             }
             live -= mu * mu;
@@ -606,7 +608,7 @@ pub(crate) fn eliminate_columns(
             // A first child's block that covers the front (same length, and
             // `rows(c)[1..] ⊆ rows(j)`) seeds it: sums keep their order, and
             // no block entry is −0.0, so `0.0 + cb == cb` bit for bit.
-            let children = structure.children[j].as_slice();
+            let children = structure.children(j);
             let seeded = children
                 .first()
                 .is_some_and(|&c| structure.rows(c).len() == front_dim + 1);
@@ -720,7 +722,7 @@ fn panel_width(structure: &SymbolicStructure, order: &[usize], step: usize) -> u
         let previous = order[step + width - 1];
         if (step + width).is_multiple_of(STOP_CHECK_COLUMNS)
             || structure.etree.parent(previous) != Some(next)
-            || structure.children[next].len() != 1
+            || structure.children(next).len() != 1
             || structure.rows(next).len() + 1 != structure.rows(previous).len()
         {
             break;
@@ -825,24 +827,51 @@ mod tests {
     fn the_flat_store_matches_the_per_column_definition() {
         let pattern = random_spd_pattern(60, 3.0, 8);
         let structure = SymbolicStructure::from_pattern(&pattern);
-        let children = structure.etree.children();
-        assert_eq!(children.len(), structure.n());
+        // The children by a scan of the parent array, not by the counting
+        // build the structure stores.
+        let mut children = vec![Vec::new(); structure.n()];
+        for j in 0..structure.n() {
+            if let Some(p) = structure.etree.parent(j) {
+                children[p].push(j);
+            }
+        }
         for (j, expected) in children.iter().enumerate() {
             let rows = structure.rows(j);
             assert_eq!(rows[0], j);
             assert!(rows.windows(2).all(|w| w[0] < w[1]), "column {j} sorted");
-            assert_eq!(&structure.children[j], expected);
+            assert_eq!(structure.children(j), expected);
             // Every child's trailing rows are rows of the parent front.
-            for &c in &structure.children[j] {
+            for &c in structure.children(j) {
                 for row in &structure.rows(c)[1..] {
                     assert!(rows.contains(row), "child {c} row {row} in front {j}");
                 }
             }
         }
-        let etree = elimination_tree(&pattern);
-        let again = SymbolicStructure::from_etree(&pattern, etree);
-        assert_eq!(again.rows, structure.rows);
-        assert_eq!(again.col_ptr, structure.col_ptr);
+    }
+
+    /// The structure read from the matrix it factors equals the one built
+    /// from the matrix's pattern, on every `ProblemKind` × {nd, amd, rcm}.
+    #[test]
+    fn from_etree_on_the_matrix_equals_from_pattern() {
+        use ordering::OrderingMethod;
+        for kind in sparsemat::gen::ProblemKind::ALL {
+            for method in [
+                OrderingMethod::NestedDissection,
+                OrderingMethod::MinimumDegree,
+                OrderingMethod::ReverseCuthillMcKee,
+            ] {
+                let pattern = kind.generate(300, 5);
+                let pattern = pattern.permute(method.order(&pattern).as_new_to_old());
+                let matrix = spd_matrix_from_pattern(&pattern, 5);
+                let expected = SymbolicStructure::from_pattern(&matrix.pattern());
+                let structure = SymbolicStructure::from_etree(&matrix, elimination_tree(&pattern));
+                let label = format!("{} {}", kind.name(), method.name());
+                assert_eq!(structure.col_ptr, expected.col_ptr, "{label}");
+                assert_eq!(structure.rows, expected.rows, "{label}");
+                assert_eq!(structure.etree, expected.etree, "{label}");
+                assert_eq!(structure.children, expected.children, "{label}");
+            }
+        }
     }
 
     /// Every column of every `ProblemKind` × {nd, amd, rcm} is the sorted,
@@ -864,14 +893,14 @@ mod tests {
                 for j in 0..structure.n() {
                     let mut union = vec![j];
                     union.extend(pattern.neighbors(j).iter().filter(|&&i| i > j));
-                    for &c in &structure.children[j] {
+                    for &c in structure.children(j) {
                         union.extend(structure.rows(c).iter().filter(|&&i| i > j));
                     }
                     union.sort_unstable();
                     union.dedup();
                     let label = format!("{} {} column {j}", kind.name(), method.name());
                     assert_eq!(structure.rows(j), union, "{label}");
-                    if let &[c] = structure.children[j].as_slice() {
+                    if let &[c] = structure.children(j) {
                         let child = structure.rows(c);
                         let neighbors = pattern.neighbors(j);
                         copied +=

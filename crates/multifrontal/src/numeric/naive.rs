@@ -53,7 +53,7 @@ pub(super) fn eliminate_columns(
 
             // Extend-add the children contribution blocks, in child order.
             let mut assembled = true;
-            for &c in &structure.children[j] {
+            for &c in structure.children(j) {
                 let cb_rows = &structure.rows(c)[1..];
                 match pending.remove(c) {
                     Some(cb) if cb.n() == cb_rows.len() => {
@@ -219,7 +219,7 @@ mod tests {
     fn problem(kind: ProblemKind, method: OrderingMethod) -> (SymmetricCsr, SymbolicStructure) {
         let pattern = kind.generate(300, 7);
         let permutation = method.order(&pattern);
-        let matrix = spd_matrix_from_pattern(&pattern, 7).permute(permutation.as_new_to_old());
+        let matrix = spd_matrix_from_pattern(&pattern.permute(permutation.as_new_to_old()), 7);
         let structure = SymbolicStructure::from_pattern(&matrix.pattern());
         (matrix, structure)
     }
@@ -228,7 +228,8 @@ mod tests {
     fn seeded_fronts(structure: &SymbolicStructure) -> usize {
         (0..structure.n())
             .filter(|&j| {
-                structure.children[j]
+                structure
+                    .children(j)
                     .first()
                     .is_some_and(|&c| structure.rows(c).len() == structure.rows(j).len() + 1)
             })
@@ -242,7 +243,7 @@ mod tests {
     fn panels(structure: &SymbolicStructure, order: &[usize]) -> (Vec<(usize, usize)>, usize) {
         let linked = |previous: usize, next: usize| {
             structure.etree.parent(previous) == Some(next)
-                && structure.children[next].len() == 1
+                && structure.children(next).len() == 1
                 && structure.rows(next).len() + 1 == structure.rows(previous).len()
         };
         let (mut panels, mut cuts, mut start) = (Vec::new(), 0, 0);
@@ -502,7 +503,7 @@ mod tests {
             (&[0, 1, 2, 3, 4][..], 5)
         );
         assert_eq!(
-            structure.children[8].len(),
+            structure.children(8).len(),
             2,
             "the run's parent is not in it"
         );

@@ -14,8 +14,8 @@ pub struct ProfilePoint {
 #[derive(Debug, Clone)]
 pub struct PerformanceProfile {
     method_names: Vec<String>,
-    /// ratios[m][i]: cost of method m on instance i divided by the best cost
-    /// on instance i.
+    /// `ratios[m][i]`: cost of method `m` on instance `i` divided by the
+    /// best cost on instance `i`.
     ratios: Vec<Vec<f64>>,
 }
 

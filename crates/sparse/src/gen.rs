@@ -21,7 +21,6 @@
 
 use prng::{Rng, StdRng};
 
-use crate::coo::Coo;
 use crate::pattern::{SparsePattern, SymmetricCsr};
 
 /// Pattern of the 5-point Laplacian on an `nx × ny` grid.
@@ -160,28 +159,40 @@ pub fn power_law_pattern(n: usize, edges_count: usize, alpha: f64, seed: u64) ->
 }
 
 /// Give a pattern numeric values that make it symmetric positive definite:
-/// off-diagonal entries are drawn uniformly in `[-1, 0)` and each diagonal
+/// off-diagonal entries are drawn uniformly in `(-1, -0.1]` and each diagonal
 /// entry is set to one plus the sum of the absolute off-diagonal values of
 /// its row (strict diagonal dominance).
+///
+/// One pass over the pattern's sorted rows fills the lower triangle's
+/// compressed columns: column `i` is its diagonal, then row `i`'s neighbours
+/// above `i`, whose values are drawn in that order.  The diagonal slots are
+/// written once every draw has been summed into them.
 pub fn spd_matrix_from_pattern(pattern: &SparsePattern, seed: u64) -> SymmetricCsr {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = pattern.n();
-    let mut coo = Coo::new(n);
+    let nnz_lower = n + pattern.nnz_off_diagonal() / 2;
+    let mut col_ptr = Vec::with_capacity(n + 1);
+    let mut row_idx = Vec::with_capacity(nnz_lower);
+    let mut values = Vec::with_capacity(nnz_lower);
     let mut diagonal = vec![1.0f64; n];
+    col_ptr.push(0);
     for i in 0..n {
-        for &j in pattern.neighbors(i) {
-            if j > i {
-                let value = -rng.gen_range(0.1..1.0);
-                coo.push(j, i, value);
-                diagonal[i] += value.abs();
-                diagonal[j] += value.abs();
-            }
+        row_idx.push(i);
+        values.push(0.0);
+        let neighbors = pattern.neighbors(i);
+        for &j in &neighbors[neighbors.partition_point(|&j| j <= i)..] {
+            let value = -rng.gen_range(0.1..1.0);
+            row_idx.push(j);
+            values.push(value);
+            diagonal[i] += value.abs();
+            diagonal[j] += value.abs();
         }
+        col_ptr.push(row_idx.len());
     }
-    for (i, &d) in diagonal.iter().enumerate() {
-        coo.push_diagonal(i, d);
+    for (i, d) in diagonal.into_iter().enumerate() {
+        values[col_ptr[i]] = d;
     }
-    coo.to_csr()
+    SymmetricCsr::from_csc(n, col_ptr, row_idx, values)
 }
 
 /// Convenience: a 2-D grid Laplacian with SPD values.

@@ -11,16 +11,15 @@
 //! * [`SparsePattern`] — the adjacency structure of a sparse **symmetric**
 //!   matrix (the graph of `|A| + |Aᵀ| + I`, self-loops removed), which is all
 //!   the ordering and symbolic-factorization algorithms need;
-//! * [`Coo`] and [`SymmetricCsr`] — numeric triplet and compressed storage
-//!   for the multifrontal demonstration;
+//! * [`SymmetricCsr`] — the numeric lower triangle in compressed columns,
+//!   for the multifrontal demonstration
+//!   ([`gen::spd_matrix_from_pattern`] fills it in one pass over a pattern);
 //! * [`gen`] — synthetic problem generators;
 //! * [`matrixmarket`] — MatrixMarket I/O so real matrices can be plugged in
 //!   when available.
 
-pub mod coo;
 pub mod gen;
 pub mod matrixmarket;
 pub mod pattern;
 
-pub use coo::Coo;
 pub use pattern::{SparsePattern, SymmetricCsr};

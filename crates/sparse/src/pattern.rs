@@ -240,11 +240,11 @@ pub struct SymmetricCsr {
 impl SymmetricCsr {
     /// Build from per-column (row, value) pairs of the lower triangle.  Rows
     /// within a column are sorted; the diagonal entry must be present in
-    /// every column.
+    /// every column, and no row may appear twice in a column.
     ///
     /// # Panics
-    /// Panics if a column is missing its diagonal entry or an index is out of
-    /// range.
+    /// Panics if a column is missing its diagonal entry, repeats a row, or
+    /// an index is out of range.
     pub fn from_lower_columns(n: usize, columns: Vec<Vec<(usize, f64)>>) -> Self {
         assert_eq!(columns.len(), n);
         let mut col_ptr = Vec::with_capacity(n + 1);
@@ -253,7 +253,9 @@ impl SymmetricCsr {
         col_ptr.push(0);
         for (j, mut column) in columns.into_iter().enumerate() {
             column.sort_by_key(|&(row, _)| row);
-            column.dedup_by_key(|&mut (row, _)| row);
+            if let Some(pair) = column.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+                panic!("entry ({}, {j}) is given twice", pair[0].0);
+            }
             assert!(
                 column.first().map(|&(row, _)| row) == Some(j),
                 "column {j} must contain its diagonal entry"
@@ -339,17 +341,14 @@ impl SymmetricCsr {
         }
     }
 
-    /// The adjacency pattern of the matrix (off-diagonal structure).
+    /// The adjacency pattern of the matrix (off-diagonal structure), built
+    /// from one flat list of the stored entries below the diagonal.
     pub fn pattern(&self) -> SparsePattern {
-        let edges: Vec<(usize, usize)> = (0..self.n)
-            .flat_map(|j| {
-                let (rows, _) = self.column(j);
-                rows.iter()
-                    .filter(move |&&i| i != j)
-                    .map(move |&i| (i, j))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut edges = Vec::with_capacity(self.row_idx.len());
+        for j in 0..self.n {
+            let (rows, _) = self.column(j);
+            edges.extend(rows.iter().filter(|&&i| i != j).map(|&i| (i, j)));
+        }
         SparsePattern::from_edges(self.n, &edges)
     }
 
@@ -382,33 +381,6 @@ impl SymmetricCsr {
             }
         }
         y
-    }
-
-    /// Apply a symmetric permutation (same convention as
-    /// [`SparsePattern::permute`]: `perm[k]` is the original index placed at
-    /// position `k`).
-    pub fn permute(&self, perm: &[usize]) -> SymmetricCsr {
-        assert_eq!(perm.len(), self.n);
-        let mut old_to_new = vec![usize::MAX; self.n];
-        for (new, &old) in perm.iter().enumerate() {
-            assert!(
-                old < self.n && old_to_new[old] == usize::MAX,
-                "not a permutation"
-            );
-            old_to_new[old] = new;
-        }
-        let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.n];
-        for j in 0..self.n {
-            let (rows, values) = self.column(j);
-            for (&i, &v) in rows.iter().zip(values) {
-                let (mut ni, mut nj) = (old_to_new[i], old_to_new[j]);
-                if ni < nj {
-                    std::mem::swap(&mut ni, &mut nj);
-                }
-                columns[nj].push((ni, v));
-            }
-        }
-        SymmetricCsr::from_lower_columns(self.n, columns)
     }
 }
 
@@ -486,31 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn csr_permutation_preserves_the_spectrum_sample() {
-        let matrix = SymmetricCsr::from_lower_columns(
-            3,
-            vec![
-                vec![(0, 2.0), (1, 1.0)],
-                vec![(1, 3.0), (2, 1.0)],
-                vec![(2, 4.0)],
-            ],
-        );
-        let permuted = matrix.permute(&[2, 0, 1]);
-        // Entry (old 2, old 2) = 4 moved to position (0, 0).
-        assert_eq!(permuted.get_lower(0, 0), 4.0);
-        // Entry (old 1, old 0) = 1 is now between positions 2 and 1.
-        assert_eq!(permuted.get_lower(2, 1), 1.0);
-        // Multiplying by the all-ones vector is permutation-invariant as a multiset.
-        let mut a = matrix.multiply(&[1.0; 3]);
-        let mut b = permuted.multiply(&[1.0; 3]);
-        a.sort_by(f64::total_cmp);
-        b.sort_by(f64::total_cmp);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     #[should_panic(expected = "diagonal")]
     fn csr_requires_diagonal_entries() {
         SymmetricCsr::from_lower_columns(2, vec![vec![(0, 1.0)], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry (1, 0) is given twice")]
+    fn csr_rejects_a_repeated_entry() {
+        SymmetricCsr::from_lower_columns(
+            2,
+            vec![vec![(0, 2.0), (1, 1.0), (1, 3.0)], vec![(1, 2.0)]],
+        );
     }
 }

@@ -1,11 +1,15 @@
 //! Test-only oracles: [`SparsePattern::from_edges`] and
 //! [`SparsePattern::permute`] as they were written before the counting
 //! builds (at `4e30eac`) — one `Vec` per row, each sorted and deduplicated,
-//! and a permutation that goes back through the edge list.  Short enough to
-//! read as the definition of the pattern; the battery below pins the fast
-//! builds to them.
+//! and a permutation that goes back through the edge list — and
+//! [`spd_matrix_from_pattern`](crate::gen::spd_matrix_from_pattern) as it
+//! was before the one-pass fill (at `afb0a7e`): triplets, a `Vec` per
+//! column, sorted and merged, the diagonal inserted.  Short enough to read
+//! as the definitions; the batteries below pin the fast builds to them.
 
-use super::SparsePattern;
+use prng::{Rng, StdRng};
+
+use super::{SparsePattern, SymmetricCsr};
 
 /// [`SparsePattern::from_edges`] as at `4e30eac`.
 pub(crate) fn from_edges_naive(n: usize, edges: &[(usize, usize)]) -> SparsePattern {
@@ -60,12 +64,66 @@ pub(crate) fn permute_naive(pattern: &SparsePattern, perm: &[usize]) -> SparsePa
     from_edges_naive(n, &edges)
 }
 
+/// [`spd_matrix_from_pattern`](crate::gen::spd_matrix_from_pattern) as at
+/// `afb0a7e`: the lower triangle's triplets (the same draws in the same
+/// order), then the triplet builder's conversion — a `Vec` per column,
+/// sorted, duplicate rows summed, a missing diagonal inserted.  The
+/// conversion's last step sorted each column again, a no-op on merged
+/// columns, and is left out.
+pub(crate) fn spd_matrix_from_pattern_naive(pattern: &SparsePattern, seed: u64) -> SymmetricCsr {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = pattern.n();
+    let mut entries: Vec<(usize, usize, f64)> = Vec::new();
+    let mut diagonal = vec![1.0f64; n];
+    for i in 0..n {
+        for &j in pattern.neighbors(i) {
+            if j > i {
+                let value = -rng.gen_range(0.1..1.0);
+                entries.push((j, i, value));
+                diagonal[i] += value.abs();
+                diagonal[j] += value.abs();
+            }
+        }
+    }
+    for (i, &d) in diagonal.iter().enumerate() {
+        entries.push((i, i, d));
+    }
+    let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    for &(i, j, v) in &entries {
+        columns[j].push((i, v));
+    }
+    let mut col_ptr = vec![0];
+    let (mut row_idx, mut values) = (Vec::new(), Vec::new());
+    for (j, column) in columns.iter_mut().enumerate() {
+        column.sort_by_key(|&(row, _)| row);
+        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(column.len() + 1);
+        for &(row, value) in column.iter() {
+            match merged.last_mut() {
+                Some((last_row, last_value)) if *last_row == row => *last_value += value,
+                _ => merged.push((row, value)),
+            }
+        }
+        if merged.first().map(|&(row, _)| row) != Some(j) {
+            merged.insert(0, (j, 0.0));
+        }
+        for (row, value) in merged {
+            row_idx.push(row);
+            values.push(value);
+        }
+        col_ptr.push(row_idx.len());
+    }
+    SymmetricCsr {
+        n,
+        col_ptr,
+        row_idx,
+        values,
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use prng::{Rng, StdRng};
-
     use super::*;
-    use crate::gen::{grid2d_5pt, ProblemKind};
+    use crate::gen::{grid2d_5pt, spd_matrix_from_pattern, ProblemKind};
 
     /// `count` random pairs over `0..n`: duplicates and self loops included.
     fn random_edges(n: usize, count: usize, rng: &mut StdRng) -> Vec<(usize, usize)> {
@@ -162,6 +220,45 @@ mod tests {
                     kind.name()
                 );
             }
+        }
+    }
+
+    /// The one-pass fill against the triplet route, bit for bit: every
+    /// `ProblemKind` at two sizes and three seeds, in generated order and
+    /// under a seeded shuffle, plus n = 0, n = 1 and isolated vertices.
+    #[test]
+    fn the_one_pass_spd_fill_equals_the_triplet_route() {
+        let mut cases = vec![
+            ("n = 0".to_string(), SparsePattern::from_edges(0, &[]), 1),
+            ("n = 1".to_string(), SparsePattern::from_edges(1, &[]), 1),
+            (
+                "isolated vertices".to_string(),
+                SparsePattern::from_edges(9, &[(2, 5), (7, 5)]),
+                2,
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(48);
+        for kind in ProblemKind::ALL {
+            for nodes in [10, 2_000] {
+                for seed in 1..=3 {
+                    let pattern = kind.generate(nodes, seed);
+                    let perm = random_permutation(pattern.n(), &mut rng);
+                    let label = format!("{} at {nodes}, seed {seed}", kind.name());
+                    cases.push((format!("{label}, shuffled"), pattern.permute(&perm), seed));
+                    cases.push((label, pattern, seed));
+                }
+            }
+        }
+        let bits = |matrix: &SymmetricCsr| -> Vec<u64> {
+            matrix.values.iter().map(|value| value.to_bits()).collect()
+        };
+        for (name, pattern, seed) in cases {
+            let fast = spd_matrix_from_pattern(&pattern, seed);
+            let naive = spd_matrix_from_pattern_naive(&pattern, seed);
+            assert_eq!(fast.n, naive.n, "{name}");
+            assert_eq!(fast.col_ptr, naive.col_ptr, "{name}");
+            assert_eq!(fast.row_idx, naive.row_idx, "{name}");
+            assert_eq!(bits(&fast), bits(&naive), "{name}");
         }
     }
 

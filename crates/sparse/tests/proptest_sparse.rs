@@ -8,7 +8,7 @@ use prng::{Rng, StdRng};
 
 use sparsemat::gen::{banded, grid2d_5pt, random_spd_pattern, spd_matrix_from_pattern};
 use sparsemat::matrixmarket::{read_pattern, write_pattern};
-use sparsemat::{Coo, SparsePattern};
+use sparsemat::SparsePattern;
 
 /// Random `(n, edge list)` pair, possibly with self loops and duplicates
 /// (which `SparsePattern::from_edges` must clean up).
@@ -80,44 +80,6 @@ fn matrix_market_roundtrip() {
         let text = write_pattern(&pattern);
         let parsed = read_pattern(text.as_bytes()).unwrap();
         assert_eq!(parsed, pattern, "seed {seed}");
-    }
-}
-
-#[test]
-fn coo_duplicates_sum_and_match_dense() {
-    for seed in 300..364 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let count = rng.gen_range(1..40);
-        let entries: Vec<(usize, usize, f64)> = (0..count)
-            .map(|_| {
-                (
-                    rng.gen_range(0..8usize),
-                    rng.gen_range(0..8usize),
-                    rng.gen_range(-5.0..5.0),
-                )
-            })
-            .collect();
-        let mut coo = Coo::new(8);
-        let mut dense = vec![vec![0.0f64; 8]; 8];
-        for &(i, j, v) in &entries {
-            coo.push(i, j, v);
-            if i == j {
-                dense[i][i] += v;
-            } else {
-                dense[i.max(j)][i.min(j)] += v;
-                dense[i.min(j)][i.max(j)] += v;
-            }
-        }
-        let csr = coo.to_csr();
-        let rebuilt = csr.to_dense();
-        for i in 0..8 {
-            for j in 0..8 {
-                assert!(
-                    (rebuilt[i][j] - dense[i][j]).abs() < 1e-9,
-                    "seed {seed}, entry ({i},{j})"
-                );
-            }
-        }
     }
 }
 

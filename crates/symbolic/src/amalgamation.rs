@@ -90,7 +90,7 @@ pub fn amalgamate(
     // of its group.
     let mut representative: Vec<usize> = (0..n).collect();
     let mut group_size: Vec<usize> = vec![1; n];
-    let children = etree.child_lists();
+    let children = etree.children();
 
     fn find(representative: &mut [usize], mut x: usize) -> usize {
         while representative[x] != x {

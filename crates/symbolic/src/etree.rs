@@ -56,15 +56,9 @@ impl EliminationTree {
             .collect()
     }
 
-    /// Children lists (children of every column, increasing).
-    pub fn children(&self) -> Vec<Vec<usize>> {
-        let children = self.child_lists();
-        (0..self.len()).map(|j| children.of(j).to_vec()).collect()
-    }
-
     /// The children of every column, increasing, in one flat list built by
     /// a counting sort: no list per column.
-    pub(crate) fn child_lists(&self) -> ChildLists {
+    pub fn children(&self) -> ChildLists {
         let n = self.len();
         // `start[p + 1]` counts `p`'s children; after the prefix sum
         // `start[p]` is where they begin.
@@ -123,16 +117,33 @@ impl EliminationTree {
 }
 
 /// The children of every column of an elimination forest, increasing:
-/// column `j`'s are `list[start[j]..start[j + 1]]`.
-pub(crate) struct ChildLists {
+/// column `j`'s are `list[start[j]..start[j + 1]]`.  Built by
+/// [`EliminationTree::children`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChildLists {
     start: Vec<usize>,
     list: Vec<usize>,
 }
 
 impl ChildLists {
     /// The children of column `j`, increasing.
-    pub(crate) fn of(&self, j: usize) -> &[usize] {
+    pub fn of(&self, j: usize) -> &[usize] {
         &self.list[self.start[j]..self.start[j + 1]]
+    }
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Whether the forest has no column.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Heap footprint of the two arrays in bytes.
+    pub fn heap_bytes(&self) -> u64 {
+        ((self.start.len() + self.list.len()) * std::mem::size_of::<usize>()) as u64
     }
 }
 
@@ -173,7 +184,7 @@ pub fn elimination_tree(pattern: &SparsePattern) -> EliminationTree {
 /// A postorder of the elimination forest (children before parents), with the
 /// children of every node visited in increasing index order.
 pub fn etree_postorder(etree: &EliminationTree) -> Vec<usize> {
-    let children = etree.child_lists();
+    let children = etree.children();
     let mut order = Vec::with_capacity(etree.len());
     let mut stack: Vec<(usize, bool)> = Vec::new();
     for root in etree.roots().into_iter().rev() {
@@ -227,8 +238,9 @@ mod tests {
         assert_eq!(etree.parent(5), None);
     }
 
-    /// The counting build against the per-column push it replaced, on the
-    /// forests of every problem kind under every ordering.
+    /// The counting build against a scan of the parent array that pushes
+    /// each child onto its parent's list, on the forests of every problem
+    /// kind under every ordering.
     #[test]
     fn child_lists_equal_a_push_per_child() {
         for kind in sparsemat::gen::ProblemKind::ALL {
@@ -241,13 +253,17 @@ mod tests {
                         pushed[p].push(j);
                     }
                 }
-                assert_eq!(
-                    etree.children(),
-                    pushed,
-                    "{} {}",
-                    kind.name(),
-                    method.name()
-                );
+                let children = etree.children();
+                assert_eq!(children.len(), etree.len());
+                for (j, expected) in pushed.iter().enumerate() {
+                    assert_eq!(
+                        children.of(j),
+                        expected,
+                        "{} {} column {j}",
+                        kind.name(),
+                        method.name()
+                    );
+                }
             }
         }
         assert!(EliminationTree::from_parents(vec![]).children().is_empty());

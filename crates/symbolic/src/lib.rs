@@ -28,5 +28,5 @@ pub mod pipeline;
 
 pub use amalgamation::{amalgamate, AssemblyTree};
 pub use colcount::column_counts;
-pub use etree::{elimination_tree, etree_postorder, EliminationTree};
+pub use etree::{elimination_tree, etree_postorder, ChildLists, EliminationTree};
 pub use pipeline::{assembly_instances, assembly_tree_for, AssemblyInstance, PipelineConfig};
