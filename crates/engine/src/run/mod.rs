@@ -51,11 +51,10 @@ mod slice;
 mod validate;
 
 pub use factor::{FactorHandle, MAX_SOLVE_RHS};
-pub use numeric::SubtreeParts;
 pub use plan::Plan;
 use plan::{PlanTree, SymbolicData};
 pub use schedule::{DistributedCut, DistributedRuntime, Schedule, ScheduleSpec};
-pub use slice::{SliceError, TaskSlice};
+pub use slice::{SliceError, SubtreeParts, TaskSlice};
 
 /// Errors raised anywhere in the plan/schedule/execute flow.
 #[derive(Debug)]

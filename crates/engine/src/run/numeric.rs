@@ -28,6 +28,11 @@
 //!    root contribution blocks and eliminates the above-cut columns in the
 //!    chosen traversal's order.
 //!
+//! A run allocates the factor's value array once, and [`column_slices`]
+//! hands each task and the merge their own columns of it to write, once.
+//! Only collected worker values are copied in
+//! ([`FactorColumns::unpack`]), as they crossed the wire.
+//!
 //! Every column anywhere in the pipeline is eliminated by [`TaskContext::factor`],
 //! which reports live entries to the run's one ledger and polls the run's
 //! one cancellation token.  The computed factor is bit-identical across
@@ -38,8 +43,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use multifrontal::memory::per_column_model;
-use multifrontal::numeric::SymbolicStructure;
-use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger, ReserveSelection};
+use multifrontal::numeric::{eliminate_columns, SymbolicStructure};
+use multifrontal::parallel::{column_slices, BudgetLedger, FactorColumns, ReserveSelection};
 use multifrontal::{CholeskyFactor, ContributionStore, FactorizationError, FrontArena};
 use sparsemat::gen::spd_matrix_from_pattern;
 use sparsemat::{SparsePattern, SymmetricCsr};
@@ -52,6 +57,7 @@ use treemem::Tree;
 
 use super::factor::FactorHandle;
 use super::schedule::DistributedRuntime;
+use super::slice::SubtreeParts;
 use super::{cancelled, check, Engine, EngineError};
 use crate::cancel::CancelToken;
 use crate::config::BudgetShare;
@@ -154,17 +160,6 @@ pub(super) struct NumericStage<'c> {
     /// `runner` carries the collected contributions).
     pub(super) cluster: Option<(u64, DistributedRuntime)>,
 }
-
-/// What one worker hands back for one subtree task: the values of the
-/// task's factor columns (in task order) and the contribution blocks its
-/// roots leave for the merge phase.  Row indices are not part of it — the
-/// coordinator owns the [`SymbolicStructure`], and a worker rebuilds its
-/// task's part from the task's [`TaskSlice`](crate::TaskSlice).
-/// Produced by [`TaskSlice::factor`](crate::TaskSlice::factor);
-/// consumed in task order by
-/// [`Schedule::execute_distributed`](crate::Schedule::execute_distributed).
-/// The same type every in-process subtree task produces.
-pub type SubtreeParts = multifrontal::SubtreeOutcome;
 
 /// The deterministic part of a numeric execution: the cut, the per-piece
 /// column orders, and the statically modeled memory peaks the budget ledger
@@ -288,54 +283,33 @@ pub(crate) struct Executed {
 /// What every column elimination of one run shares: the problem, the run's
 /// ledger and the caller's cancellation token.
 pub(crate) struct TaskContext<'a> {
-    pub numeric: &'a NumericModel,
+    pub matrix: &'a SymmetricCsr,
+    pub structure: &'a SymbolicStructure,
     pub ledger: &'a BudgetLedger,
     pub cancel: Option<&'a CancelToken>,
 }
 
 impl TaskContext<'_> {
-    /// Eliminate the columns of `order` (one subtree task, or the merge
-    /// set fed by `blocks_in`) on the calling thread.  Live entries go to
-    /// the run's ledger; the token is polled every few dozen columns and a
-    /// fired one surfaces as the typed numeric-stage cancellation.
+    /// Eliminate `part`'s columns (one subtree task, or the merge set) on
+    /// the calling thread, writing them into `part` and consuming and
+    /// leaving blocks in `blocks`.  Live entries go to the run's ledger; the
+    /// token is polled every few dozen columns and a fired one surfaces as
+    /// the typed numeric-stage cancellation.
     pub fn factor(
         &self,
-        order: &[usize],
-        blocks_in: ContributionStore,
+        part: &mut FactorColumns<'_, '_>,
+        blocks: &mut ContributionStore,
         arena: &mut FrontArena,
-    ) -> Result<SubtreeParts, EngineError> {
-        let (matrix, structure) = (&self.numeric.matrix, &self.numeric.structure);
-        factor_on(
-            matrix,
-            structure,
-            order,
-            blocks_in,
-            self.ledger,
-            arena,
-            self.cancel,
-        )
+    ) -> Result<(), EngineError> {
+        let (matrix, structure, ledger) = (self.matrix, self.structure, self.ledger);
+        CancelToken::with_stop(self.cancel, |stop| {
+            eliminate_columns(matrix, structure, part, blocks, ledger, arena, stop)
+        })
+        .map_err(|err| match err {
+            FactorizationError::Cancelled => cancelled(self.cancel, "numeric"),
+            other => EngineError::Factorization(other),
+        })
     }
-}
-
-/// `factor_columns` on one problem — the plan's whole one or a task
-/// slice's — polling `cancel` every few dozen columns; a
-/// fired token surfaces as the typed numeric-stage cancellation.
-pub(super) fn factor_on(
-    matrix: &SymmetricCsr,
-    structure: &SymbolicStructure,
-    order: &[usize],
-    blocks_in: ContributionStore,
-    ledger: &BudgetLedger,
-    arena: &mut FrontArena,
-    cancel: Option<&CancelToken>,
-) -> Result<SubtreeParts, EngineError> {
-    CancelToken::with_stop(cancel, |stop| {
-        factor_columns(matrix, structure, order, blocks_in, ledger, arena, stop)
-    })
-    .map_err(|err| match err {
-        FactorizationError::Cancelled => cancelled(cancel, "numeric"),
-        other => EngineError::Factorization(other),
-    })
 }
 
 /// Run the numeric factorization of `numeric` over `cut`: the subtree phase
@@ -347,26 +321,30 @@ pub(crate) fn execute_cut(
     runner: TaskRunner,
     cancel: Option<&CancelToken>,
 ) -> Result<Executed, EngineError> {
+    let structure = &numeric.structure;
     let ledger = BudgetLedger::new(cut.budget_entries);
     let ctx = TaskContext {
-        numeric,
+        matrix: &numeric.matrix,
+        structure,
         ledger: &ledger,
         cancel,
     };
+    // The run's one factor array: each task and the merge write their own
+    // columns of it.
+    let mut values = vec![0.0; structure.factor_nnz()];
+    let orders = cut.task_orders.iter().chain([&cut.merge_order]);
+    let mut parts = column_slices(structure, &mut values, orders.map(Vec::as_slice))?;
+    let merge_part = parts.pop().expect("the merge is the last part");
     // Only a pool measures per-task and per-worker times.
-    let (parts, task_seconds, worker_busy_seconds) = match runner {
-        TaskRunner::Inline => (run_inline(&ctx, cut)?, Vec::new(), Vec::new()),
-        TaskRunner::Pool(workers) => {
-            let (done, worker_busy_seconds) = run_pool(&ctx, cut, workers)?;
-            let (parts, task_seconds) = done.into_iter().unzip();
-            (parts, task_seconds, worker_busy_seconds)
-        }
-        TaskRunner::Collected(parts) => {
-            if parts.len() != cut.task_orders.len() {
+    let (blocks, task_seconds, worker_busy_seconds) = match runner {
+        TaskRunner::Inline => (run_inline(&ctx, parts)?, Vec::new(), Vec::new()),
+        TaskRunner::Pool(workers) => run_pool(&ctx, cut, workers, parts)?,
+        TaskRunner::Collected(collected) => {
+            if collected.len() != cut.task_orders.len() {
                 return Err(EngineError::Internal(format!(
                     "distributed merge expected {} task contributions, got {}",
                     cut.task_orders.len(),
-                    parts.len()
+                    collected.len()
                 )));
             }
             // The cluster budget gated the *claims* (in the coordinator's
@@ -374,12 +352,20 @@ pub(crate) fn execute_cut(
             // physically holds the retained root blocks while the merge
             // fronts come and go on top of them.
             ledger.record_live(cut.merge_initial as i64);
-            (parts, Vec::new(), Vec::new())
+            let mut blocks = ContributionStore::new();
+            for (worker, mut part) in collected.into_iter().zip(parts) {
+                part.unpack(&worker.values)?;
+                blocks.absorb(worker.blocks);
+            }
+            (blocks, Vec::new(), Vec::new())
         }
     };
-    let (factor, merge_seconds) = merge_and_assemble(&ctx, cut, parts)?;
+    let merge_seconds = merge(&ctx, cut, blocks, merge_part)?;
     Ok(Executed {
-        factor,
+        factor: CholeskyFactor {
+            structure: Arc::clone(structure),
+            values,
+        },
         measured_peak_entries: ledger.measured_peak_entries(),
         forced_admissions: ledger.forced_admissions(),
         merge_seconds,
@@ -389,14 +375,18 @@ pub(crate) fn execute_cut(
 }
 
 /// The inline subtree phase: every task on the caller's thread, in task
-/// order, sharing one arena.  No admission gate (nothing runs concurrently)
-/// and no `parexec:task` fault point (there is no task hand-off to lose).
-fn run_inline(ctx: &TaskContext<'_>, cut: &CutPlan) -> Result<Vec<SubtreeParts>, EngineError> {
-    let mut arena = FrontArena::new();
-    cut.task_orders
-        .iter()
-        .map(|order| ctx.factor(order, ContributionStore::new(), &mut arena))
-        .collect()
+/// order, sharing one arena and one store for their root blocks, which it
+/// returns.  No admission gate (nothing runs concurrently) and no
+/// `parexec:task` fault point (there is no task hand-off to lose).
+fn run_inline(
+    ctx: &TaskContext<'_>,
+    parts: Vec<FactorColumns<'_, '_>>,
+) -> Result<ContributionStore, EngineError> {
+    let (mut arena, mut blocks) = (FrontArena::new(), ContributionStore::new());
+    for mut part in parts {
+        ctx.factor(&mut part, &mut blocks, &mut arena)?;
+    }
+    Ok(blocks)
 }
 
 /// Render a `catch_unwind` payload (almost always a `&str` or `String`).
@@ -410,30 +400,32 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One finished pool task: its parts and its wall-clock seconds.
-type TaskDone = (SubtreeParts, f64);
+/// One finished pool task: its root blocks and its wall-clock seconds.
+type TaskDone = (ContributionStore, f64);
 
 /// The pool workers' shared queue and result slots.
-struct PoolState {
-    /// Remaining task ids, in admission-preference order (largest work
-    /// first — the same order `partition.roots` uses).
-    queue: Mutex<Vec<usize>>,
+struct PoolState<'c, 'v> {
+    /// Remaining tasks with the factor columns each writes, in
+    /// admission-preference order (largest work first — the same order
+    /// `partition.roots` uses).
+    queue: Mutex<Vec<(usize, FactorColumns<'c, 'v>)>>,
     /// One slot per task; a slot still empty after the pool drained means
     /// the task was lost.
     results: Mutex<Vec<Option<Result<TaskDone, EngineError>>>>,
 }
 
 /// The pool subtree phase: `workers` threads drain the queue through the
-/// budget gate.  Returns the finished tasks in task order and each worker's
-/// busy seconds.
+/// budget gate, each task writing its `columns`.  Returns the tasks' root
+/// blocks, their seconds in task order and each worker's busy seconds.
 fn run_pool(
     ctx: &TaskContext<'_>,
     cut: &CutPlan,
     workers: usize,
-) -> Result<(Vec<TaskDone>, Vec<f64>), EngineError> {
+    parts: Vec<FactorColumns<'_, '_>>,
+) -> Result<(ContributionStore, Vec<f64>, Vec<f64>), EngineError> {
     let task_count = cut.task_orders.len();
     let state = PoolState {
-        queue: Mutex::new((0..task_count).collect()),
+        queue: Mutex::new(parts.into_iter().enumerate().collect()),
         results: Mutex::new((0..task_count).map(|_| None).collect()),
     };
     let joined: Vec<std::thread::Result<f64>> = std::thread::scope(|scope| {
@@ -453,25 +445,23 @@ fn run_pool(
         })?;
     check(ctx.cancel, "numeric")?;
     let results = state.results.into_inner().expect("results poisoned");
-    let done = results
-        .into_iter()
-        .enumerate()
-        .map(|(task, slot)| {
-            slot.ok_or_else(|| {
-                EngineError::Internal(format!("parallel subtree task {task} never ran"))
-            })?
-        })
-        .collect::<Result<Vec<TaskDone>, EngineError>>()?;
-    Ok((done, worker_busy_seconds))
+    let (mut blocks, mut task_seconds) = (ContributionStore::new(), Vec::new());
+    for (task, slot) in results.into_iter().enumerate() {
+        let lost = || EngineError::Internal(format!("parallel subtree task {task} never ran"));
+        let (task_blocks, seconds) = slot.ok_or_else(lost)??;
+        blocks.absorb(task_blocks);
+        task_seconds.push(seconds);
+    }
+    Ok((blocks, task_seconds, worker_busy_seconds))
 }
 
 /// One pool worker: drain the queue through the budget gate.  Returns this
 /// worker's busy seconds.
-fn worker_loop(ctx: &TaskContext<'_>, cut: &CutPlan, state: &PoolState) -> f64 {
+fn worker_loop(ctx: &TaskContext<'_>, cut: &CutPlan, state: &PoolState<'_, '_>) -> f64 {
     let mut arena = FrontArena::new();
     let mut busy = 0.0;
     loop {
-        let task = loop {
+        let (task, mut part) = loop {
             if ctx.cancel.is_some_and(CancelToken::is_cancelled) {
                 // Wake (and drain) every worker blocked on the budget gate;
                 // the orchestrator reports the typed cancellation.
@@ -482,7 +472,7 @@ fn worker_loop(ctx: &TaskContext<'_>, cut: &CutPlan, state: &PoolState) -> f64 {
             if queue.is_empty() {
                 return busy;
             }
-            let amounts: Vec<u64> = queue.iter().map(|&t| cut.task_peaks[t]).collect();
+            let amounts: Vec<u64> = queue.iter().map(|&(t, _)| cut.task_peaks[t]).collect();
             match ctx.ledger.select_and_reserve(&amounts) {
                 ReserveSelection::Selected(index) => break queue.remove(index),
                 ReserveSelection::Blocked(generation) => {
@@ -504,16 +494,17 @@ fn worker_loop(ctx: &TaskContext<'_>, cut: &CutPlan, state: &PoolState) -> f64 {
                 return None;
             }
             let started = Instant::now();
-            let done = ctx.factor(&cut.task_orders[task], ContributionStore::new(), &mut arena);
-            Some((done, started.elapsed().as_secs_f64()))
+            let mut blocks = ContributionStore::new();
+            let done = ctx.factor(&mut part, &mut blocks, &mut arena);
+            Some((done.map(|()| blocks), started.elapsed().as_secs_f64()))
         }));
         let (retained, result) = match outcome {
             // Injected task loss: the slot stays empty, exercising the
             // orchestrator's "task never ran" path.
             Ok(None) => (0, None),
-            Ok(Some((Ok(done), seconds))) => {
+            Ok(Some((Ok(blocks), seconds))) => {
                 busy += seconds;
-                (done.blocks.total_entries(), Some(Ok((done, seconds))))
+                (blocks.total_entries(), Some(Ok((blocks, seconds))))
             }
             Ok(Some((Err(error), _))) => (0, Some(Err(error))),
             // Caught per task, so the other workers keep draining; the
@@ -533,41 +524,28 @@ fn worker_loop(ctx: &TaskContext<'_>, cut: &CutPlan, state: &PoolState) -> f64 {
     }
 }
 
-/// The sequential merge phase every runner ends in: absorb the finished
-/// tasks' root contribution blocks (in task order), eliminate the above-cut
-/// columns, release the `merge_initial` retained entries from the ledger,
-/// and assemble the final factor.  Returns the factor and the merge
-/// wall-clock seconds.
-fn merge_and_assemble(
+/// The sequential merge phase every runner ends in: eliminate the above-cut
+/// columns into `part`, consuming the finished tasks' root blocks, and
+/// release the `merge_initial` retained entries from the ledger.  Returns
+/// the merge wall-clock seconds.
+fn merge(
     ctx: &TaskContext<'_>,
     cut: &CutPlan,
-    parts: Vec<SubtreeParts>,
-) -> Result<(CholeskyFactor, f64), EngineError> {
-    let mut merge_blocks = ContributionStore::new();
-    let mut task_values = Vec::with_capacity(parts.len());
-    for task in parts {
-        merge_blocks.absorb(task.blocks);
-        task_values.push(task.values);
-    }
+    mut blocks: ContributionStore,
+    mut part: FactorColumns<'_, '_>,
+) -> Result<f64, EngineError> {
     let merge_started = Instant::now();
-    let merged = ctx.factor(&cut.merge_order, merge_blocks, &mut FrontArena::new())?;
+    ctx.factor(&mut part, &mut blocks, &mut FrontArena::new())?;
     let merge_seconds = merge_started.elapsed().as_secs_f64();
     ctx.ledger.release_retained(cut.merge_initial);
-    debug_assert!(merged.blocks.is_empty());
-    let pieces = cut
-        .task_orders
-        .iter()
-        .zip(&task_values)
-        .chain([(&cut.merge_order, &merged.values)])
-        .map(|(order, values)| (order.as_slice(), values.as_slice()));
-    let factor = assemble_factor(&ctx.numeric.structure, pieces)?;
-    Ok((factor, merge_seconds))
+    debug_assert!(blocks.is_empty());
+    Ok(merge_seconds)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, EngineConfig};
+    use crate::{Engine, EngineConfig, TaskSlice};
     use sparsemat::gen::ProblemKind;
     use treemem::Solver;
 
@@ -588,10 +566,18 @@ mod tests {
         token.cancel();
         let ledger = BudgetLedger::new(cut.budget_entries);
         let ctx = TaskContext {
-            numeric: &numeric,
+            matrix: numeric.matrix(),
+            structure: numeric.structure(),
             ledger: &ledger,
             cancel: Some(&token),
         };
+        let parts = || cut.task_orders.iter().chain([&cut.merge_order]);
+        let mut values = [(); 3].map(|()| vec![0.0; numeric.structure.factor_nnz()]);
+        let [mut inline, mut pool, mut merged] = values.each_mut().map(|values| {
+            column_slices(&numeric.structure, values, parts().map(Vec::as_slice)).unwrap()
+        });
+        inline.pop();
+        pool.pop();
         let numeric_stage = |error: EngineError| {
             assert!(
                 matches!(
@@ -604,9 +590,10 @@ mod tests {
                 "{error:?}"
             );
         };
-        numeric_stage(run_inline(&ctx, &cut).unwrap_err());
-        numeric_stage(run_pool(&ctx, &cut, 3).unwrap_err());
-        numeric_stage(merge_and_assemble(&ctx, &cut, Vec::new()).unwrap_err());
+        numeric_stage(run_inline(&ctx, inline).unwrap_err());
+        numeric_stage(run_pool(&ctx, &cut, 3, pool).unwrap_err());
+        let no_blocks = ContributionStore::new();
+        numeric_stage(merge(&ctx, &cut, no_blocks, merged.pop().unwrap()).unwrap_err());
         assert_eq!(ledger.reserved(), 0);
         // Without a token the same cut runs to completion on every
         // in-process runner, to the same factor.
@@ -614,6 +601,47 @@ mod tests {
         let pooled = execute_cut(&numeric, &cut, TaskRunner::Pool(3), None).unwrap();
         assert_eq!(inline.factor.values, pooled.factor.values);
         assert_eq!(pooled.forced_admissions, cut.task_orders.len() as u64);
+    }
+
+    /// Worker values are copied into the run's factor only when each task's
+    /// vector has exactly its columns' length: one value short or one too
+    /// many is the kernel's typed `InvalidTraversal`, never a panic or a
+    /// column left zero.
+    #[test]
+    fn collected_values_of_the_wrong_length_are_a_typed_error() {
+        let engine = Engine::new();
+        let config = EngineConfig::generated(ProblemKind::Grid2d, 400, 3).with_numeric(true);
+        let plan = engine.plan(&config).unwrap();
+        let numeric = plan.numeric_model().unwrap();
+        let order = numeric.order_for(&engine, Solver::MinMem).unwrap();
+        let cut = CutPlan::compute(&numeric, &order, 8, &BudgetShare::Unbounded);
+        assert!(cut.task_orders.len() > 1 && !cut.merge_order.is_empty());
+        let collected = |edit: &dyn Fn(&mut Vec<f64>)| {
+            let mut parts: Vec<SubtreeParts> = cut
+                .task_orders
+                .iter()
+                .map(|order| TaskSlice::of_task(&numeric, order).factor(None).unwrap())
+                .collect();
+            edit(&mut parts[1].values);
+            execute_cut(&numeric, &cut, TaskRunner::Collected(parts), None)
+        };
+        let inline = execute_cut(&numeric, &cut, TaskRunner::Inline, None).unwrap();
+        assert_eq!(
+            collected(&|_| {}).unwrap().factor.values,
+            inline.factor.values
+        );
+        let short: &dyn Fn(&mut Vec<f64>) = &|values| {
+            values.pop();
+        };
+        let long: &dyn Fn(&mut Vec<f64>) = &|values| values.push(1.0);
+        for edit in [short, long] {
+            assert!(matches!(
+                collected(edit),
+                Err(EngineError::Factorization(
+                    FactorizationError::InvalidTraversal
+                ))
+            ));
+        }
     }
 
     /// The sequential peak the budget resolves against (and the report's

@@ -8,21 +8,34 @@
 //! whose other columns are empty, and [`SymbolicStructure::from_etree`] on
 //! that matrix and the parents yields exactly the rows the plan's structure
 //! holds for those columns, in the same order.  The factor then
-//! runs the same `factor_columns` over the same values, so its parts are
+//! runs the same `eliminate_columns` over the same values, so its parts are
 //! bit-identical to a factor on the whole plan, and the ledger sees the
 //! same events.  [`Plan::factor_subtree`](crate::Plan::factor_subtree) is
 //! "slice, then factor", so a worker process and an in-process caller run
 //! one path.
 
 use multifrontal::numeric::SymbolicStructure;
-use multifrontal::parallel::BudgetLedger;
+use multifrontal::parallel::{BudgetLedger, FactorColumns};
 use multifrontal::{ContributionStore, FactorizationError, FrontArena};
 use sparsemat::SymmetricCsr;
 use symbolic::EliminationTree;
 
-use super::numeric::{factor_on, NumericModel, SubtreeParts};
+use super::numeric::{NumericModel, TaskContext};
 use super::EngineError;
 use crate::cancel::CancelToken;
+
+/// What [`TaskSlice::factor`] hands back for one subtree task, values only
+/// (the coordinator owns the [`SymbolicStructure`]).  Consumed in task
+/// order by [`Schedule::execute_distributed`](crate::Schedule::execute_distributed),
+/// which copies the values into the run's factor.
+#[derive(Debug)]
+pub struct SubtreeParts {
+    /// The task's factor columns packed in task order: `µ(j)` values for
+    /// column `j`.
+    pub values: Vec<f64>,
+    /// The blocks the task's roots leave for the merge, by global column.
+    pub blocks: ContributionStore,
+}
 
 /// One subtree task's slice of the problem: its bottom-up column order, and
 /// for each of its columns (by increasing index) the lower triangle of that
@@ -310,25 +323,24 @@ impl TaskSlice {
             return Err(SliceError::Parents.into());
         }
 
+        // The task's values, packed column after column in task order.
         let order: Vec<usize> = self.order.iter().map(|&column| local(column)).collect();
+        let mut values = vec![0.0; order.iter().map(|&at| structure.rows(at).len()).sum()];
+        let mut part = FactorColumns::packed(&structure, &order, &mut values)?;
         let ledger = BudgetLedger::new(None);
-        let local_parts = factor_on(
-            &matrix,
-            &structure,
-            &order,
-            ContributionStore::new(),
-            &ledger,
-            &mut FrontArena::new(),
+        let context = TaskContext {
+            matrix: &matrix,
+            structure: &structure,
+            ledger: &ledger,
             cancel,
-        )?;
+        };
+        let (mut roots, arena) = (ContributionStore::new(), &mut FrontArena::new());
+        context.factor(&mut part, &mut roots, arena)?;
         let mut blocks = ContributionStore::new();
-        for (at, block) in local_parts.blocks {
+        for (at, block) in roots {
             blocks.insert(global[at], block);
         }
-        let parts = SubtreeParts {
-            values: local_parts.values,
-            blocks,
-        };
+        let parts = SubtreeParts { values, blocks };
         Ok((parts, ledger.measured_peak_entries()))
     }
 }
@@ -339,13 +351,14 @@ mod tests {
     use super::*;
     use crate::config::{DistributedConfig, EngineConfig};
     use crate::Engine;
+    use multifrontal::parallel::column_slices;
     use ordering::OrderingMethod;
     use sparsemat::gen::ProblemKind;
 
     /// Every task of an 8-task cut, for every problem kind × {nd, amd} ×
     /// amalgamation {1, 16}: the slice factors to the bits the plan's whole
-    /// structure gives — values, root blocks (lower triangles) — with the
-    /// same ledger peak.
+    /// structure writes into the factor — values column by column in task
+    /// order, root blocks (lower triangles) — with the same ledger peak.
     #[test]
     fn slices_factor_bit_identically_to_the_whole_structure() {
         let engine = Engine::new();
@@ -368,30 +381,43 @@ mod tests {
                         .distributed_cut(&engine)
                         .unwrap();
                     let numeric = plan.numeric_model().unwrap();
-                    for task in 0..cut.task_count() {
+                    let structure = numeric.structure();
+                    // The tasks' columns of one factor-shaped array, and the
+                    // rest of it for the columns above the cut.
+                    let mut parts: Vec<&[usize]> =
+                        (0..cut.task_count()).map(|t| cut.task_order(t)).collect();
+                    let mut above = vec![true; structure.n()];
+                    for &column in parts.concat().iter() {
+                        above[column] = false;
+                    }
+                    let above: Vec<usize> = (0..structure.n()).filter(|&j| above[j]).collect();
+                    parts.push(&above);
+                    let mut values = vec![f64::NAN; structure.factor_nnz()];
+                    let mut parts = column_slices(structure, &mut values, parts).unwrap();
+                    for (task, part) in parts.iter_mut().take(cut.task_count()).enumerate() {
                         let cell = format!("{kind:?} {ordering:?} {amalgamation} task {task}");
                         let ledger = BudgetLedger::new(None);
                         let context = TaskContext {
-                            numeric: &numeric,
+                            matrix: numeric.matrix(),
+                            structure,
                             ledger: &ledger,
                             cancel: None,
                         };
-                        let whole = context
-                            .factor(
-                                cut.task_order(task),
-                                ContributionStore::new(),
-                                &mut FrontArena::new(),
-                            )
-                            .unwrap();
+                        let mut whole = ContributionStore::new();
+                        let arena = &mut FrontArena::new();
+                        context.factor(part, &mut whole, arena).unwrap();
                         let (sliced, peak) = cut.task_slice(task).factor_measured(None).unwrap();
                         assert_eq!(peak, ledger.measured_peak_entries(), "{cell}");
                         let bits = |values: &[f64]| -> Vec<u64> {
                             values.iter().map(|value| value.to_bits()).collect()
                         };
-                        assert_eq!(bits(&sliced.values), bits(&whole.values), "{cell}");
-                        let blocks = |parts: &SubtreeParts| -> Vec<(usize, usize, Vec<u64>)> {
-                            parts
-                                .blocks
+                        assert_eq!(
+                            bits(&sliced.values),
+                            bits(&part.columns().concat()),
+                            "{cell}"
+                        );
+                        let blocks = |store: &ContributionStore| -> Vec<(usize, usize, Vec<u64>)> {
+                            store
                                 .iter()
                                 .map(|(column, block)| {
                                     let n = block.n();
@@ -403,7 +429,7 @@ mod tests {
                                 })
                                 .collect()
                         };
-                        assert_eq!(blocks(&sliced), blocks(&whole), "{cell}");
+                        assert_eq!(blocks(&sliced.blocks), blocks(&whole), "{cell}");
                         tasks += 1;
                     }
                 }

@@ -14,7 +14,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use engine::prelude::*;
-use multifrontal::parallel::{assemble_factor, factor_columns, BudgetLedger};
+use multifrontal::numeric::eliminate_columns;
+use multifrontal::parallel::{column_slices, BudgetLedger};
 use multifrontal::{multifrontal_cholesky, ContributionStore, FrontArena, SymbolicStructure};
 use sparsemat::gen::{spd_matrix_from_pattern, ProblemKind};
 use treemem::partition::{default_node_work, proportional_cut};
@@ -331,13 +332,14 @@ fn tight_budgets_run_without_forced_admissions() {
 }
 
 /// Drive the public multifrontal building blocks from real concurrent
-/// threads and compare the factor to the classical sequential factorization
-/// entry for entry: subtree scheduling must never change a single bit.
+/// threads, each writing its task's columns into one shared factor array,
+/// and compare the factor to the classical sequential factorization entry
+/// for entry: subtree scheduling must never change a single bit.
 #[test]
 fn threaded_subtree_factorization_is_bitwise_equal_to_sequential() {
     let pattern = sparsemat::gen::random_spd_pattern(220, 3.5, 21);
     let matrix = spd_matrix_from_pattern(&pattern, 21);
-    let structure = Arc::new(SymbolicStructure::from_pattern(&matrix.pattern()));
+    let structure = SymbolicStructure::from_pattern(&matrix.pattern());
     let order = symbolic::etree::etree_postorder(&structure.etree);
     let reference = multifrontal_cholesky(&matrix, Some(&order)).unwrap();
 
@@ -353,9 +355,15 @@ fn threaded_subtree_factorization_is_bitwise_equal_to_sequential() {
     }
 
     for threads in [2usize, 4, 8] {
+        // One factor-shaped array: the tasks' threads and then the merge
+        // write their own columns of it.
         let ledger = BudgetLedger::new(None);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<std::sync::Mutex<Option<_>>> = task_orders
+        let mut values = vec![f64::NAN; structure.factor_nnz()];
+        let parts = task_orders.iter().chain([&merge_order]).map(Vec::as_slice);
+        let mut parts = column_slices(&structure, &mut values, parts).unwrap();
+        let mut merge_part = parts.pop().unwrap();
+        let queue = std::sync::Mutex::new(parts.into_iter().enumerate().collect::<Vec<_>>());
+        let results: Vec<std::sync::Mutex<Option<ContributionStore>>> = task_orders
             .iter()
             .map(|_| std::sync::Mutex::new(None))
             .collect();
@@ -364,50 +372,43 @@ fn threaded_subtree_factorization_is_bitwise_equal_to_sequential() {
                 scope.spawn(|| {
                     let mut arena = FrontArena::new();
                     loop {
-                        let task = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if task >= task_orders.len() {
+                        let Some((task, mut part)) = queue.lock().unwrap().pop() else {
                             break;
-                        }
-                        let outcome = factor_columns(
+                        };
+                        let mut blocks = ContributionStore::new();
+                        eliminate_columns(
                             &matrix,
                             &structure,
-                            &task_orders[task],
-                            ContributionStore::new(),
+                            &mut part,
+                            &mut blocks,
                             &ledger,
                             &mut arena,
                             None,
                         )
                         .unwrap();
-                        *results[task].lock().unwrap() = Some(outcome);
+                        *results[task].lock().unwrap() = Some(blocks);
                     }
                 });
             }
         });
 
         let mut merge_blocks = ContributionStore::new();
-        let mut task_values = Vec::new();
         for slot in results {
-            let outcome = slot.into_inner().unwrap().unwrap();
-            merge_blocks.absorb(outcome.blocks);
-            task_values.push(outcome.values);
+            merge_blocks.absorb(slot.into_inner().unwrap().unwrap());
         }
-        let merge = factor_columns(
+        eliminate_columns(
             &matrix,
             &structure,
-            &merge_order,
-            merge_blocks,
+            &mut merge_part,
+            &mut merge_blocks,
             &ledger,
             &mut FrontArena::new(),
             None,
         )
         .unwrap();
-        let pieces = task_orders
-            .iter()
-            .zip(&task_values)
-            .chain([(&merge_order, &merge.values)])
-            .map(|(order, values)| (order.as_slice(), values.as_slice()));
-        let factor = assemble_factor(&structure, pieces).unwrap();
-        assert_eq!(factor.values, reference.values, "{threads} threads");
+        assert!(merge_blocks.is_empty());
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), bits(&reference.values), "{threads} threads");
     }
 }
 

@@ -22,8 +22,8 @@
 //!   prediction of the abstract tree model of the `treemem` crate, closing
 //!   the loop between the paper's model and an actual factorization;
 //! * [`parallel`] — the building blocks of the subtree-parallel execution
-//!   layer: the shared memory-budget ledger, per-worker frontal-matrix
-//!   arenas, and the partial (subtree / merge-phase) factorization.
+//!   layer: the shared memory-budget ledger and the hand-out of the factor's
+//!   columns to the subtree tasks and the merge phase that write them.
 
 pub mod dense;
 pub mod memory;
@@ -36,4 +36,4 @@ pub use numeric::{
     multifrontal_cholesky, solve, solve_into, CholeskyFactor, ContributionStore,
     FactorizationError, SymbolicStructure,
 };
-pub use parallel::{BudgetLedger, ReserveSelection, SubtreeOutcome};
+pub use parallel::{BudgetLedger, ReserveSelection};

@@ -17,7 +17,7 @@
 //! executors measure through the same hook, so there is one place where
 //! `measured == model` can break.  This entry point is the whole-matrix
 //! *reference* (it validates the order against the elimination tree); the
-//! served path goes through [`crate::parallel::factor_columns`].
+//! served path calls [`crate::numeric::eliminate_columns`] directly.
 
 use std::sync::Arc;
 

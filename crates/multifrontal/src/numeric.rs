@@ -20,7 +20,7 @@ use sparsemat::{SparsePattern, SymmetricCsr};
 use symbolic::etree::{elimination_tree, etree_postorder, ChildLists, EliminationTree};
 
 use crate::dense::{DenseMatrix, FrontArena};
-use crate::parallel::{assemble_factor, BudgetLedger};
+use crate::parallel::{column_slices, BudgetLedger, FactorColumns};
 
 #[cfg(test)]
 mod naive;
@@ -497,47 +497,46 @@ pub(crate) fn bottom_up_order<'a>(
 
 /// The whole-matrix factorization behind [`multifrontal_cholesky`] and
 /// [`crate::memory`]: validate that `order` is a bottom-up traversal of the
-/// elimination tree, run [`eliminate_columns`] over it (live-entry movements
-/// go to `ledger`) and assemble the factor.
+/// elimination tree and run [`eliminate_columns`] over it (live-entry
+/// movements go to `ledger`), writing into the factor it returns.
 pub(crate) fn factorize(
     matrix: &SymmetricCsr,
     structure: &Arc<SymbolicStructure>,
     order: &[usize],
     ledger: &BudgetLedger,
 ) -> Result<CholeskyFactor, FactorizationError> {
-    let n = matrix.n();
-    if order.len() != n {
+    if order.len() != matrix.n() {
         return Err(FactorizationError::InvalidTraversal);
     }
+    let mut values = vec![0.0; structure.factor_nnz()];
+    // `column_slices` checks that `order` names every column once.
+    let mut columns = column_slices(structure, &mut values, [order])?;
     // Validate the bottom-up precedence (children before parents).
-    let mut position = vec![usize::MAX; n];
+    let mut position = vec![0; order.len()];
     for (step, &j) in order.iter().enumerate() {
-        if j >= n || position[j] != usize::MAX {
-            return Err(FactorizationError::InvalidTraversal);
-        }
         position[j] = step;
     }
-    for j in 0..n {
-        if let Some(p) = structure.etree.parent(j) {
-            if position[j] >= position[p] {
-                return Err(FactorizationError::InvalidTraversal);
-            }
-        }
+    let parent = |j: usize| structure.etree.parent(j);
+    if (0..order.len()).any(|j| parent(j).is_some_and(|p| position[j] >= position[p])) {
+        return Err(FactorizationError::InvalidTraversal);
     }
-
-    let values = eliminate_columns(
+    eliminate_columns(
         matrix,
         structure,
-        order,
+        &mut columns[0],
         &mut ContributionStore::new(),
         ledger,
         &mut FrontArena::new(),
         None,
     )?;
-    assemble_factor(structure, [(order, values.as_slice())])
+    Ok(CholeskyFactor {
+        structure: Arc::clone(structure),
+        values,
+    })
 }
 
-/// The per-column elimination loop over an arbitrary *subset* of columns.
+/// The per-column elimination loop over an arbitrary *subset* of columns:
+/// `part`'s order, cut from a factor over `structure`.
 ///
 /// `order` must be bottom-up *within the subset*: whenever a child of `j`
 /// (in the elimination tree) also belongs to `order`, it appears before `j`.
@@ -547,26 +546,25 @@ pub(crate) fn factorize(
 /// this call — or whose block has the wrong dimension — is a scheduling
 /// error and yields `InvalidTraversal`.
 ///
-/// Returns the values of the computed factor columns, concatenated in
-/// `order` (column `j` contributes `structure.rows(j).len()` of them);
-/// blocks produced for parents outside the subset remain in `pending` when
-/// the call returns.  Every front and every *consumed* block is recycled
-/// through `arena`, whose scatter vector maps the global rows of the front
-/// being assembled to their local positions and is all-`usize::MAX` again
-/// on every exit.
+/// Each column of `L` is written once, straight from its front, into its
+/// slice of `part`.  Blocks produced for parents outside the subset
+/// remain in `pending` when the call returns.  Every front and every
+/// *consumed* block is recycled through `arena`, whose scatter vector maps
+/// the global rows of the front being assembled to their local positions
+/// and is all-`usize::MAX` again on every exit.
 ///
 /// Each front makes one assembly pass and one elimination pass
-/// ([`DenseMatrix::eliminate_panel`]) over its lower triangle, the only part
+/// (`DenseMatrix::eliminate_panel`) over its lower triangle, the only part
 /// read; the test-only `naive` module keeps the zero-then-add loop with one
 /// front per column that this is bit-identical to.
 ///
 /// A front eliminates a *run* of columns when it can: the following entries
 /// of `order` while each is the elimination-tree parent of the previous
 /// one, has no other child and one row fewer (the paper's perfect
-/// amalgamation), up to the next [`STOP_CHECK_COLUMNS`] boundary.  A run of
-/// `k ≥ 4` columns is one front of its first column's rows, with `k` pivots
-/// and one `(µ−k)²` block; a shorter run is eliminated one column per
-/// front.  Run column `t`'s one-column front would be a copy of the
+/// amalgamation), up to the next `STOP_CHECK_COLUMNS` (64) boundary.  A
+/// run of `k ≥ 4` columns is one front of its first column's rows, with `k`
+/// pivots and one `(µ−k)²` block; a shorter run is eliminated one column
+/// per front.  Run column `t`'s one-column front would be a copy of the
 /// previous column's block plus its matrix entries, so the panel gives each
 /// entry the same updates, in the same order, before adding those entries:
 /// the factor bits and pending blocks do not depend on `k`.
@@ -579,22 +577,22 @@ pub(crate) fn factorize(
 /// "just measure" (or "don't care") case.
 ///
 /// `stop` is a cooperative cancellation probe, checked once per
-/// [`STOP_CHECK_COLUMNS`] eliminated columns; when it fires the loop
-/// returns [`FactorizationError::Cancelled`] and the partial blocks in
-/// `pending` must be discarded by the caller.
-pub(crate) fn eliminate_columns(
+/// `STOP_CHECK_COLUMNS` (64) eliminated columns; when it fires the loop
+/// returns [`FactorizationError::Cancelled`], and the caller must discard
+/// the partial blocks in `pending` and the columns written so far (as on
+/// any other error).
+pub fn eliminate_columns(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
-    order: &[usize],
+    part: &mut FactorColumns<'_, '_>,
     pending: &mut ContributionStore,
     ledger: &BudgetLedger,
     arena: &mut FrontArena,
     stop: Option<&dyn Fn() -> bool>,
-) -> Result<Vec<f64>, FactorizationError> {
+) -> Result<(), FactorizationError> {
+    let order = part.order;
     let mut local = std::mem::take(&mut arena.scatter);
     local.resize(structure.n(), usize::MAX);
-    let value_count: usize = order.iter().map(|&j| structure.rows(j).len()).sum();
-    let mut out: Vec<f64> = Vec::with_capacity(value_count);
     let mut eliminate = || {
         let mut step = 0;
         while let Some(&j) = order.get(step) {
@@ -697,7 +695,8 @@ pub(crate) fn eliminate_columns(
                     0
                 };
                 ledger.record_live(block as i64 - entries);
-                out.extend_from_slice(&front.column_major()[t * front_dim + t..][..dim]);
+                part.columns[step + t]
+                    .copy_from_slice(&front.column_major()[t * front_dim + t..][..dim]);
             }
             if let Ok(Some(cb)) = eliminated {
                 pending.insert(last, cb);
@@ -709,7 +708,7 @@ pub(crate) fn eliminate_columns(
     };
     let outcome = eliminate();
     arena.scatter = local;
-    outcome.map(|()| out)
+    outcome
 }
 
 /// The number of columns [`eliminate_columns`] eliminates in the front of
@@ -930,45 +929,28 @@ mod tests {
         let clean = |arena: &FrontArena| {
             arena.scatter.len() == structure.n() && arena.scatter.iter().all(|&p| p == usize::MAX)
         };
+        let eliminate = |part: &mut FactorColumns<'_, '_>, arena: &mut FrontArena, stop| {
+            let pending = &mut ContributionStore::new();
+            eliminate_columns(&matrix, &structure, part, pending, &ledger, arena, stop)
+        };
+        let mut values = vec![f64::NAN; structure.factor_nnz()];
+        let (prefix, suffix) = order.split_at(order.len() - 3);
+        let mut parts = column_slices(&structure, &mut values, [prefix, suffix]).unwrap();
         // Cancelled mid-way: the probe fires at the second check.
         let polls = std::cell::Cell::new(0);
         let stop = || polls.replace(polls.get() + 1) >= 1;
-        let cancelled = eliminate_columns(
-            &matrix,
-            &structure,
-            &order,
-            &mut ContributionStore::new(),
-            &ledger,
-            &mut arena,
-            Some(&stop),
-        );
+        let cancelled = eliminate(&mut parts[0], &mut arena, Some(&stop));
         assert_eq!(cancelled.unwrap_err(), FactorizationError::Cancelled);
         assert!(clean(&arena));
         // A scheduling error (the suffix without its children's blocks).
-        let suffix = &order[order.len() - 3..];
-        let invalid = eliminate_columns(
-            &matrix,
-            &structure,
-            suffix,
-            &mut ContributionStore::new(),
-            &ledger,
-            &mut arena,
-            None,
-        );
+        let invalid = eliminate(&mut parts[1], &mut arena, None);
         assert_eq!(invalid.unwrap_err(), FactorizationError::InvalidTraversal);
         assert!(clean(&arena));
         // The same arena then factors the whole matrix.
-        let values = eliminate_columns(
-            &matrix,
-            &structure,
-            &order,
-            &mut ContributionStore::new(),
-            &ledger,
-            &mut arena,
-            None,
-        )
-        .unwrap();
-        assert_eq!(values.len(), structure.factor_nnz());
+        let mut values = vec![f64::NAN; structure.factor_nnz()];
+        let mut whole = column_slices(&structure, &mut values, [order.as_slice()]).unwrap();
+        eliminate(&mut whole[0], &mut arena, None).unwrap();
+        assert!(values.iter().all(|v| v.is_finite()), "every column written");
         assert!(clean(&arena));
     }
 
@@ -981,10 +963,12 @@ mod tests {
         let ledger = BudgetLedger::new(None);
         let mut arena = FrontArena::new();
         let mut pending = ContributionStore::new();
+        let mut values = vec![0.0; structure.factor_nnz()];
+        let mut parts = column_slices(&structure, &mut values, [prefix, suffix]).unwrap();
         eliminate_columns(
             &matrix,
             &structure,
-            prefix,
+            &mut parts[0],
             &mut pending,
             &ledger,
             &mut arena,
@@ -996,7 +980,7 @@ mod tests {
         let outcome = eliminate_columns(
             &matrix,
             &structure,
-            suffix,
+            &mut parts[1],
             &mut pending,
             &ledger,
             &mut arena,

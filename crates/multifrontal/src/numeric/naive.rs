@@ -122,6 +122,7 @@ mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
     use crate::memory::per_column_model;
+    use crate::parallel::FactorColumns;
 
     type Eliminate = fn(
         &SymmetricCsr,
@@ -134,7 +135,28 @@ mod tests {
     ) -> Result<Vec<f64>, FactorizationError>;
 
     /// The oracle, then the served loop.
-    const LOOPS: [Eliminate; 2] = [eliminate_columns, super::super::eliminate_columns];
+    const LOOPS: [Eliminate; 2] = [eliminate_columns, served];
+
+    /// The served loop, writing into a packed buffer laid out as the oracle
+    /// returns it.  The buffer starts as NaN, so a column the loop leaves
+    /// unwritten cannot match the oracle.
+    fn served(
+        matrix: &SymmetricCsr,
+        structure: &SymbolicStructure,
+        order: &[usize],
+        pending: &mut ContributionStore,
+        ledger: &BudgetLedger,
+        arena: &mut FrontArena,
+        stop: Option<&dyn Fn() -> bool>,
+    ) -> Result<Vec<f64>, FactorizationError> {
+        let count = order.iter().map(|&j| structure.rows(j).len()).sum();
+        let mut values = vec![f64::NAN; count];
+        let mut part = FactorColumns::packed(structure, order, &mut values)?;
+        super::super::eliminate_columns(
+            matrix, structure, &mut part, pending, ledger, arena, stop,
+        )?;
+        Ok(values)
+    }
 
     /// What one loop leaves behind for one column subset, floats as bits.
     #[derive(Debug, PartialEq)]

@@ -1,6 +1,6 @@
 //! Building blocks of the parallel (subtree-concurrent) multifrontal
-//! factorization: the shared memory-budget ledger and the partial
-//! factorization a worker runs over one subtree.
+//! factorization: the shared memory-budget ledger and the hand-out of the
+//! factor's columns to the parts that compute them.
 //!
 //! The orchestration itself — cutting the tree into tasks, running them on a
 //! worker pool, merging above the cut — lives in the `engine` crate; this
@@ -16,12 +16,11 @@
 //!   deadlocking.  The *measurement face* is a pair of atomics the
 //!   elimination loop feeds directly ([`BudgetLedger::record_live`]),
 //!   recording the true high-water mark of live entries across all workers.
-//! * [`factor_columns`] — the elimination of one column subset (a subtree
-//!   task, or the merge phase above the cut) with per-worker [`FrontArena`]
-//!   recycling, returning the computed column values plus the contribution
-//!   blocks that outlive the subset.
-//! * [`assemble_factor`] — copy the tasks' column values into the flat
-//!   value array of a [`CholeskyFactor`].
+//! * [`column_slices`] — split one factor-shaped value array into disjoint
+//!   [`FactorColumns`], one per column subset (a subtree task, or the merge
+//!   phase above the cut), so that
+//!   [`eliminate_columns`](crate::numeric::eliminate_columns) writes every
+//!   column of `L` once, straight into the factor.
 //!
 //! The static peak model reservations are sized with lives on the structure:
 //! [`SymbolicStructure::modeled_peak_entries`] is exact for this kernel (the
@@ -29,15 +28,10 @@
 //! rather than heuristic.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use sparsemat::SymmetricCsr;
 use treemem::sync::{TrackedCondvar, TrackedMutex};
 
-use crate::dense::FrontArena;
-use crate::numeric::{
-    eliminate_columns, CholeskyFactor, ContributionStore, FactorizationError, SymbolicStructure,
-};
+use crate::numeric::{FactorizationError, SymbolicStructure};
 
 /// Outcome of [`BudgetLedger::select_and_reserve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,83 +216,99 @@ impl BudgetLedger {
     }
 }
 
-/// The result of factoring one column subset.
+/// One part's columns of a factor-shaped value array: column `order[k]`'s
+/// `µ` values at `columns()[k]`, as
+/// [`eliminate_columns`](crate::numeric::eliminate_columns) writes them.
+/// Only [`column_slices`] (disjoint columns of one factor) and
+/// [`FactorColumns::packed`] (one buffer, column after column) cut it, so
+/// the order and the slices always agree.
 #[derive(Debug)]
-pub struct SubtreeOutcome {
-    /// The values of the computed factor columns, concatenated in the
-    /// subset's elimination order (column `j` contributes
-    /// `structure.rows(j).len()` of them).
-    pub values: Vec<f64>,
-    /// Contribution blocks whose parent lies outside the subset (for a
-    /// subtree task: the subtree root's block), to be absorbed by the merge
-    /// phase.  Their total entries are the reservation the task retains.
-    pub blocks: ContributionStore,
+pub struct FactorColumns<'o, 'v> {
+    pub(crate) order: &'o [usize],
+    pub(crate) columns: Vec<&'v mut [f64]>,
 }
 
-/// Factor the columns of `order` (a bottom-up order within one subtree task
-/// or the above-cut merge set), assembling external children blocks from
-/// `blocks_in` and reporting live-memory movements to `ledger`.
-///
-/// `stop` is an optional cooperative stop probe, checked every few dozen
-/// columns inside the elimination loop; a fired probe yields
-/// [`FactorizationError::Cancelled`].
-pub fn factor_columns(
-    matrix: &SymmetricCsr,
-    structure: &SymbolicStructure,
-    order: &[usize],
-    blocks_in: ContributionStore,
-    ledger: &BudgetLedger,
-    arena: &mut FrontArena,
-    stop: Option<&dyn Fn() -> bool>,
-) -> Result<SubtreeOutcome, FactorizationError> {
-    let mut blocks = blocks_in;
-    let values = eliminate_columns(matrix, structure, order, &mut blocks, ledger, arena, stop)?;
-    Ok(SubtreeOutcome { values, blocks })
-}
+impl<'o, 'v> FactorColumns<'o, 'v> {
+    /// The columns of `order` packed one after another in `values`, `µ(j)`
+    /// values for column `j` (a distributed task's layout).  A buffer of
+    /// another length is `InvalidTraversal`.
+    pub fn packed(
+        structure: &SymbolicStructure,
+        order: &'o [usize],
+        values: &'v mut [f64],
+    ) -> Result<Self, FactorizationError> {
+        let lengths = order.iter().map(|&j| structure.rows(j).len());
+        let columns = split(values, lengths).ok_or(FactorizationError::InvalidTraversal)?;
+        Ok(Self { order, columns })
+    }
 
-/// Copy per-task column values into the flat value array of a full factor
-/// over `structure`.  Each part is a column order with the values
-/// [`factor_columns`] returned for it.  Returns `InvalidTraversal` if the
-/// parts do not cover every column exactly once or a part's value count
-/// does not match its order.
-pub fn assemble_factor<'a>(
-    structure: &Arc<SymbolicStructure>,
-    parts: impl IntoIterator<Item = (&'a [usize], &'a [f64])>,
-) -> Result<CholeskyFactor, FactorizationError> {
-    let n = structure.n();
-    let mut values = vec![0.0; structure.factor_nnz()];
-    let mut filled = vec![false; n];
-    let mut columns = 0usize;
-    for (order, mut part) in parts {
-        for &j in order {
-            if j >= n || std::mem::replace(&mut filled[j], true) {
-                return Err(FactorizationError::InvalidTraversal);
-            }
-            let target = &mut values[structure.col_ptr[j]..structure.col_ptr[j + 1]];
-            let Some((column, rest)) = part.split_at_checked(target.len()) else {
-                return Err(FactorizationError::InvalidTraversal);
-            };
-            target.copy_from_slice(column);
-            part = rest;
+    /// The part's column slices, in its elimination order.
+    pub fn columns(&self) -> &[&'v mut [f64]] {
+        &self.columns
+    }
+
+    /// Copy `packed`, these columns in [`Self::packed`]'s layout (a
+    /// distributed worker's values), into them.  A vector of another length
+    /// is `InvalidTraversal`.
+    pub fn unpack(&mut self, packed: &[f64]) -> Result<(), FactorizationError> {
+        let mut at = 0;
+        for column in &mut self.columns {
+            let values = packed.get(at..at + column.len());
+            column.copy_from_slice(values.ok_or(FactorizationError::InvalidTraversal)?);
+            at += column.len();
         }
-        if !part.is_empty() {
+        if at != packed.len() {
             return Err(FactorizationError::InvalidTraversal);
         }
-        columns += order.len();
+        Ok(())
     }
-    if columns != n {
-        return Err(FactorizationError::InvalidTraversal);
+}
+
+/// `values` cut into consecutive slices of `lengths`, or `None` unless they
+/// cover it exactly.
+fn split(values: &mut [f64], lengths: impl Iterator<Item = usize>) -> Option<Vec<&mut [f64]>> {
+    let mut slices = Vec::with_capacity(lengths.size_hint().0);
+    let mut rest = values;
+    for length in lengths {
+        let (slice, tail) = std::mem::take(&mut rest).split_at_mut_checked(length)?;
+        slices.push(slice);
+        rest = tail;
     }
-    Ok(CholeskyFactor {
-        structure: Arc::clone(structure),
-        values,
-    })
+    rest.is_empty().then_some(slices)
+}
+
+/// Split `values`, laid out like the factor over `structure`, into its
+/// columns and hand them out by part, in the parts' order.  Parts share no
+/// column, so they can write the one array concurrently.  A `values` of
+/// another length than `factor_nnz`, or a column out of range, named twice
+/// or named by no part, is `InvalidTraversal`.
+pub fn column_slices<'o, 'v>(
+    structure: &SymbolicStructure,
+    values: &'v mut [f64],
+    parts: impl IntoIterator<Item = &'o [usize]>,
+) -> Result<Vec<FactorColumns<'o, 'v>>, FactorizationError> {
+    let lengths = structure.col_ptr.windows(2).map(|w| w[1] - w[0]);
+    let columns = split(values, lengths).ok_or(FactorizationError::InvalidTraversal)?;
+    let mut untaken: Vec<_> = columns.into_iter().map(Some).collect();
+    let parts = parts
+        .into_iter()
+        .map(|order| {
+            let take = |&j: &usize| untaken.get_mut(j).and_then(Option::take);
+            let columns = order.iter().map(take).collect::<Option<_>>()?;
+            Some(FactorColumns { order, columns })
+        })
+        .collect::<Option<Vec<_>>>();
+    match parts {
+        Some(parts) if untaken.iter().all(Option::is_none) => Ok(parts),
+        _ => Err(FactorizationError::InvalidTraversal),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numeric::multifrontal_cholesky;
+    use crate::dense::FrontArena;
+    use crate::numeric::{eliminate_columns, multifrontal_cholesky, ContributionStore};
     use sparsemat::gen::{grid2d_matrix, random_spd_pattern, spd_matrix_from_pattern};
     use symbolic::etree::etree_postorder;
 
@@ -412,46 +422,27 @@ mod tests {
     fn split_factorization_matches_the_sequential_factor_bitwise() {
         let matrix = spd_matrix_from_pattern(&random_spd_pattern(120, 3.5, 9), 9);
         let n = matrix.n();
-        let structure = Arc::new(SymbolicStructure::from_pattern(&matrix.pattern()));
+        let structure = SymbolicStructure::from_pattern(&matrix.pattern());
         let order = etree_postorder(&structure.etree);
         let reference = multifrontal_cholesky(&matrix, Some(&order)).unwrap();
 
         // Split the postorder at an arbitrary point: the prefix plays the
-        // subtree tasks, the suffix the merge phase fed by the leftovers.
+        // subtree tasks, the suffix the merge phase fed by the leftovers,
+        // both writing into one factor-shaped array.
         let ledger = BudgetLedger::new(None);
         let mut arena = FrontArena::new();
         let (prefix, suffix) = order.split_at(2 * n / 3);
-        let first = factor_columns(
-            &matrix,
-            &structure,
-            prefix,
-            ContributionStore::new(),
-            &ledger,
-            &mut arena,
-            None,
-        )
-        .unwrap();
-        let second = factor_columns(
-            &matrix,
-            &structure,
-            suffix,
-            first.blocks,
-            &ledger,
-            &mut arena,
-            None,
-        )
-        .unwrap();
-        assert!(second.blocks.is_empty());
-        let assembled = assemble_factor(
-            &structure,
-            [
-                (prefix, first.values.as_slice()),
-                (suffix, second.values.as_slice()),
-            ],
-        )
-        .unwrap();
-        assert!(Arc::ptr_eq(&assembled.structure, &structure));
-        assert_eq!(assembled.values, reference.values);
+        let mut values = vec![f64::NAN; structure.factor_nnz()];
+        let mut parts = column_slices(&structure, &mut values, [prefix, suffix]).unwrap();
+        let mut blocks = ContributionStore::new();
+        for part in &mut parts {
+            let blocks = &mut blocks;
+            eliminate_columns(&matrix, &structure, part, blocks, &ledger, &mut arena, None)
+                .unwrap();
+        }
+        assert!(blocks.is_empty());
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), bits(&reference.values));
     }
 
     #[test]
@@ -460,14 +451,15 @@ mod tests {
         let structure = SymbolicStructure::from_pattern(&matrix.pattern());
         let order = etree_postorder(&structure.etree);
         // Feed the merge suffix without the prefix's blocks.
-        let suffix = &order[order.len() - 3..];
-        let ledger = BudgetLedger::new(None);
-        let outcome = factor_columns(
+        let (prefix, suffix) = order.split_at(order.len() - 3);
+        let mut values = vec![0.0; structure.factor_nnz()];
+        let mut parts = column_slices(&structure, &mut values, [prefix, suffix]).unwrap();
+        let outcome = eliminate_columns(
             &matrix,
             &structure,
-            suffix,
-            ContributionStore::new(),
-            &ledger,
+            &mut parts[1],
+            &mut ContributionStore::new(),
+            &BudgetLedger::new(None),
             &mut FrontArena::new(),
             None,
         );
@@ -481,45 +473,49 @@ mod tests {
         let order = etree_postorder(&structure.etree);
 
         let ledger = BudgetLedger::new(None);
-        let outcome = factor_columns(
+        let mut values = vec![f64::NAN; structure.factor_nnz()];
+        let mut parts = column_slices(&structure, &mut values, [order.as_slice()]).unwrap();
+        eliminate_columns(
             &matrix,
             &structure,
-            &order,
-            ContributionStore::new(),
+            &mut parts[0],
+            &mut ContributionStore::new(),
             &ledger,
             &mut FrontArena::new(),
             None,
         )
         .unwrap();
-        assert_eq!(outcome.values.len(), structure.factor_nnz());
+        assert!(values.iter().all(|v| v.is_finite()), "every column written");
         let (modeled, final_live) = structure.modeled_peak_entries(&order, 0);
         assert_eq!(modeled, ledger.measured_peak_entries());
         assert_eq!(final_live, 0);
     }
 
     #[test]
-    fn assemble_factor_rejects_gaps_duplicates_and_miscounted_values() {
+    fn column_slices_rejects_gaps_duplicates_and_out_of_range_columns() {
         // A 2-column diagonal structure: one value per column.
-        let structure = Arc::new(SymbolicStructure::from_pattern(
-            &sparsemat::SparsePattern::from_edges(2, &[]),
-        ));
-        let assemble = |parts: &[(&[usize], &[f64])]| {
-            assemble_factor(&structure, parts.iter().copied()).map(|factor| factor.values)
-        };
-        assert_eq!(
-            assemble(&[(&[1], &[4.0]), (&[0], &[3.0])]).unwrap(),
-            [3.0, 4.0]
-        );
+        let structure =
+            SymbolicStructure::from_pattern(&sparsemat::SparsePattern::from_edges(2, &[]));
+        let mut values = [0.0; 2];
+        let mut parts = column_slices(&structure, &mut values, [&[1][..], &[0]]).unwrap();
+        parts[0].unpack(&[4.0]).unwrap();
+        parts[1].unpack(&[3.0]).unwrap();
+        assert_eq!(values, [3.0, 4.0]);
+        // A buffer of another length than the columns it is cut into.
+        let whole = [&[0usize, 1][..]];
+        let too_long = column_slices(&structure, &mut [0.0; 3], whole).map(drop);
+        let too_short = FactorColumns::packed(&structure, whole[0], &mut [0.0; 1]).map(drop);
+        for error in [too_long, too_short] {
+            assert_eq!(error, Err(FactorizationError::InvalidTraversal));
+        }
         for bad in [
-            &[(&[0usize][..], &[1.0][..])][..],        // column 1 missing
-            &[(&[0, 0], &[1.0, 1.0])],                 // column 0 twice
-            &[(&[0], &[1.0]), (&[0, 1], &[1.0, 1.0])], // ditto, across parts
-            &[(&[0, 2], &[1.0, 1.0])],                 // out of range
-            &[(&[0, 1], &[1.0])],                      // too few values
-            &[(&[0, 1], &[1.0, 1.0, 1.0])],            // too many values
+            &[&[0usize][..]][..], // column 1 missing
+            &[&[0, 0]],           // column 0 twice
+            &[&[0], &[0, 1]],     // ditto, across parts
+            &[&[0, 2]],           // out of range
         ] {
             assert!(matches!(
-                assemble(bad),
+                column_slices(&structure, &mut values, bad.iter().copied()),
                 Err(FactorizationError::InvalidTraversal)
             ));
         }
