@@ -22,8 +22,9 @@
 //! directly.
 //!
 //! The lower crates stay dependency-free: they take a plain
-//! `Option<&dyn Fn() -> bool>` stop probe, and the engine supplies a closure
-//! that polls the token.
+//! `Option<&dyn Fn() -> bool>` stop probe — `+ Sync` for the ordering,
+//! whose nested dissection polls it from a helper thread too — and the
+//! engine supplies a closure that polls the token.
 //!
 //! ```
 //! use engine::cancel::CancelToken;
@@ -121,10 +122,12 @@ impl CancelToken {
 
     /// Run `body` with the stop probe the lower crates take — a closure
     /// polling `cancel`, or `None` without a token.  The one place the
-    /// engine turns a token into an `Option<&dyn Fn() -> bool>`.
+    /// engine turns a token into a probe.  The probe is `Sync`, as the
+    /// ordering's helper thread polls it too; it coerces to the plain
+    /// `&dyn Fn() -> bool` the other crates take.
     pub(crate) fn with_stop<T>(
         cancel: Option<&CancelToken>,
-        body: impl FnOnce(Option<&dyn Fn() -> bool>) -> T,
+        body: impl FnOnce(Option<&(dyn Fn() -> bool + Sync)>) -> T,
     ) -> T {
         match cancel {
             Some(token) => body(Some(&|| token.is_cancelled())),

@@ -47,8 +47,7 @@ use multifrontal::numeric::{eliminate_columns, SymbolicStructure};
 use multifrontal::parallel::{column_slices, BudgetLedger, FactorColumns, ReserveSelection};
 use multifrontal::{CholeskyFactor, ContributionStore, FactorizationError, FrontArena};
 use sparsemat::gen::spd_matrix_from_pattern;
-use sparsemat::{SparsePattern, SymmetricCsr};
-use symbolic::EliminationTree;
+use sparsemat::SymmetricCsr;
 use treemem::faultinject::{FaultPoint, FaultSignal};
 use treemem::partition::{default_node_work, proportional_cut};
 use treemem::solver::Solver;
@@ -56,6 +55,7 @@ use treemem::tree::NodeId;
 use treemem::Tree;
 
 use super::factor::FactorHandle;
+use super::plan::SymbolicData;
 use super::schedule::DistributedRuntime;
 use super::slice::SubtreeParts;
 use super::{cancelled, check, Engine, EngineError};
@@ -77,12 +77,17 @@ pub(crate) struct NumericModel {
 }
 
 impl NumericModel {
-    /// The SPD matrix drawn from `seed` on the `permuted` pattern, its
+    /// The SPD matrix drawn from `seed` on the plan's permuted pattern, its
     /// symbolic factor structure — read from that matrix over the plan's
-    /// elimination tree `etree` — and the per-column model tree.
-    pub(super) fn new(permuted: &SparsePattern, etree: &EliminationTree, seed: u64) -> Self {
-        let matrix = spd_matrix_from_pattern(permuted, seed);
-        let structure = Arc::new(SymbolicStructure::from_etree(&matrix, etree.clone()));
+    /// elimination tree, into a row store sized by the plan's column
+    /// counts — and the per-column model tree.
+    pub(super) fn new(symbolic: &SymbolicData, seed: u64) -> Self {
+        let matrix = spd_matrix_from_pattern(&symbolic.permuted, seed);
+        let structure = Arc::new(SymbolicStructure::from_etree(
+            &matrix,
+            symbolic.etree.clone(),
+            &symbolic.counts,
+        ));
         let model = per_column_model(&structure);
         NumericModel {
             matrix,
@@ -303,6 +308,7 @@ impl TaskContext<'_> {
     ) -> Result<(), EngineError> {
         let (matrix, structure, ledger) = (self.matrix, self.structure, self.ledger);
         CancelToken::with_stop(self.cancel, |stop| {
+            let stop = stop.map(|probe| probe as &dyn Fn() -> bool);
             eliminate_columns(matrix, structure, part, blocks, ledger, arena, stop)
         })
         .map_err(|err| match err {

@@ -282,7 +282,7 @@ impl Plan {
                 ProblemSource::Generated { seed, .. } => *seed,
                 _ => 1,
             };
-            Ok(NumericModel::new(&symbolic.permuted, &symbolic.etree, seed))
+            Ok(NumericModel::new(symbolic, seed))
         })
     }
 
@@ -353,6 +353,7 @@ impl Plan {
         let memory_budget = budget_spec.resolve(tree.max_mem_req(), solved.result.peak);
         let walk = &solved.walk;
         let (simulated, io_seconds) = CancelToken::with_stop(cancel, |stop| {
+            let stop = stop.map(|probe| probe as &dyn Fn() -> bool);
             timed_ok(|| {
                 let Some(run) = walk.schedule_io(tree, traversal, memory_budget, policy, stop)?
                 else {

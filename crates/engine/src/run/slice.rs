@@ -18,6 +18,7 @@ use multifrontal::numeric::SymbolicStructure;
 use multifrontal::parallel::{BudgetLedger, FactorColumns};
 use multifrontal::{ContributionStore, FactorizationError, FrontArena};
 use sparsemat::SymmetricCsr;
+use symbolic::colcount::column_counts_from;
 use symbolic::EliminationTree;
 
 use super::numeric::{NumericModel, TaskContext};
@@ -313,7 +314,8 @@ impl TaskSlice {
         // parent lies above its child; the renumbering keeps index order.
         let matrix = SymmetricCsr::from_csc(m, col_ptr, rows, self.values.clone());
         let etree = EliminationTree::from_parents(parent);
-        let structure = SymbolicStructure::from_etree(&matrix, etree);
+        let counts = column_counts_from(&etree, |j| matrix.column(j).0);
+        let structure = SymbolicStructure::from_etree(&matrix, etree, &counts);
         // A column's parent is the first row below its diagonal.
         let consistent = self.columns.iter().all(|&column| {
             let at = local(column);

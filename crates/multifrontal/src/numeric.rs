@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sparsemat::{SparsePattern, SymmetricCsr};
+use symbolic::column_counts;
 use symbolic::etree::{elimination_tree, etree_postorder, ChildLists, EliminationTree};
 
 use crate::dense::{DenseMatrix, FrontArena};
@@ -55,45 +56,62 @@ impl SymbolicStructure {
     /// Compute the full symbolic structure of the factor of `pattern`
     /// (already permuted into elimination order).
     pub fn from_pattern(pattern: &SparsePattern) -> Self {
-        Self::build(elimination_tree(pattern), |j| pattern.neighbors(j))
+        let etree = elimination_tree(pattern);
+        let counts = column_counts(pattern, &etree);
+        Self::build(etree, &counts, |j| pattern.neighbors(j))
     }
 
     /// The structure of the factor of `matrix` (already permuted into
-    /// elimination order), whose elimination tree the caller holds: each
-    /// column's rows below the diagonal are read from the matrix itself.
-    pub fn from_etree(matrix: &SymmetricCsr, etree: EliminationTree) -> Self {
-        Self::build(etree, |j| matrix.column(j).0)
+    /// elimination order), whose elimination tree and column counts the
+    /// caller holds — computed on the same permuted pattern: each column's
+    /// rows below the diagonal are read from the matrix itself.
+    ///
+    /// # Panics
+    /// Panics if there is not one count per column.
+    pub fn from_etree(matrix: &SymmetricCsr, etree: EliminationTree, counts: &[usize]) -> Self {
+        Self::build(etree, counts, |j| matrix.column(j).0)
     }
 
     /// The structure over `etree` of a matrix whose column `j` has the
-    /// sorted rows `column(j)`; only those below the diagonal are read.
+    /// sorted rows `column(j)` and whose factor has the column counts
+    /// `counts`; only rows below the diagonal are read.
     ///
-    /// Column `j`'s rows are `j`, its rows below the diagonal and its
-    /// children's rows below `j`, sorted and deduplicated.  When `j` has one
-    /// child `c` whose rows hold every row of `j` below the diagonal
-    /// (checked with a marker array), that union is `rows(c)[1..]`, copied
-    /// without the sort.
-    fn build<'a>(etree: EliminationTree, column: impl Fn(usize) -> &'a [usize]) -> Self {
+    /// The row store is allocated once, at its exact size `Σ counts`, and
+    /// each column is written into its slot.  Column `j`'s rows are `j`,
+    /// its rows below the diagonal and its children's rows below `j`,
+    /// sorted and deduplicated.  When `j` has one child `c` whose rows hold
+    /// every row of `j` below the diagonal (checked with a marker array),
+    /// that union is `rows(c)[1..]`, copied without the sort.
+    fn build<'a>(
+        etree: EliminationTree,
+        counts: &[usize],
+        column: impl Fn(usize) -> &'a [usize],
+    ) -> Self {
         let below = |j: usize| {
             let rows = column(j);
             &rows[rows.partition_point(|&i| i <= j)..]
         };
         let children = etree.children();
         let n = children.len();
+        assert_eq!(counts.len(), n, "one column count per column");
         let mut col_ptr = Vec::with_capacity(n + 1);
-        let mut rows: Vec<usize> = Vec::new();
+        col_ptr.push(0);
+        for &count in counts {
+            col_ptr.push(col_ptr[col_ptr.len() - 1] + count);
+        }
+        let mut rows = vec![0; col_ptr[n]];
         let mut union: Vec<usize> = Vec::new();
         let mut marker = vec![usize::MAX; n];
-        col_ptr.push(0);
         for j in 0..n {
+            let slot = col_ptr[j];
             if let &[c] = children.of(j) {
                 let child = col_ptr[c]..col_ptr[c + 1];
                 for &i in &rows[child.clone()] {
                     marker[i] = j;
                 }
                 if below(j).iter().all(|&i| marker[i] == j) {
-                    rows.extend_from_within(child.start + 1..child.end);
-                    col_ptr.push(rows.len());
+                    debug_assert_eq!(child.len() - 1, counts[j], "column {j}'s count");
+                    rows.copy_within(child.start + 1..child.end, slot);
                     continue;
                 }
             }
@@ -108,8 +126,8 @@ impl SymbolicStructure {
             }
             union.sort_unstable();
             union.dedup();
-            rows.extend_from_slice(&union);
-            col_ptr.push(rows.len());
+            debug_assert_eq!(union.len(), counts[j], "column {j}'s count");
+            rows[slot..col_ptr[j + 1]].copy_from_slice(&union);
         }
         SymbolicStructure {
             col_ptr,
@@ -863,7 +881,9 @@ mod tests {
                 let pattern = pattern.permute(method.order(&pattern).as_new_to_old());
                 let matrix = spd_matrix_from_pattern(&pattern, 5);
                 let expected = SymbolicStructure::from_pattern(&matrix.pattern());
-                let structure = SymbolicStructure::from_etree(&matrix, elimination_tree(&pattern));
+                let etree = elimination_tree(&pattern);
+                let counts = symbolic::column_counts(&pattern, &etree);
+                let structure = SymbolicStructure::from_etree(&matrix, etree, &counts);
                 let label = format!("{} {}", kind.name(), method.name());
                 assert_eq!(structure.col_ptr, expected.col_ptr, "{label}");
                 assert_eq!(structure.rows, expected.rows, "{label}");

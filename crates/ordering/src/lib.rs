@@ -20,7 +20,9 @@
 //! ## Cost and determinism
 //!
 //! Nested dissection and RCM run on one private `Workspace` built by the
-//! top-level call (`workspace.rs`): BFS levels, piece tags and leaf labels
+//! top-level call (`workspace.rs`), plus one per helper thread when nested
+//! dissection splits a large component across two threads (bit-identically;
+//! see [`dissection`]): BFS levels, piece tags and leaf labels
 //! live in one epoch-stamped map that clears in O(1), the BFS queue is kept
 //! as a visit list, and scratch buffers are reused, so a step over a
 //! component costs O(that component), not O(n) — O(n log n)-ish on meshes,
@@ -115,11 +117,13 @@ impl OrderingMethod {
     /// degree, nested dissection and RCM poll the probe from inside their
     /// loops (RCM once per connected component and every 256 vertices);
     /// the natural ordering only checks it on entry.  `None` means the
-    /// probe fired and the partial ordering was discarded.
+    /// probe fired and the partial ordering was discarded.  The probe is
+    /// `Sync` because nested dissection polls it from a helper thread too
+    /// (see [`dissection`]); no thread outlives the call.
     pub fn order_with_stop(
         &self,
         pattern: &SparsePattern,
-        stop: Option<&dyn Fn() -> bool>,
+        stop: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Option<Permutation> {
         if let Some(probe) = stop {
             if probe() {

@@ -38,7 +38,7 @@ pub fn minimum_degree(pattern: &SparsePattern) -> Permutation {
 /// outside the crate through `OrderingMethod::order_with_stop`.
 pub(crate) fn minimum_degree_with_stop(
     pattern: &SparsePattern,
-    stop: Option<&dyn Fn() -> bool>,
+    stop: Option<&(dyn Fn() -> bool + Sync)>,
 ) -> Option<Permutation> {
     let mut scratch = MinDegree::default();
     scratch.clear();
@@ -113,7 +113,7 @@ impl MinDegree {
 
     /// Order the loaded graph by minimum degree, ties broken by label.
     /// `None` if the stop probe fired.
-    pub(crate) fn run(&mut self, stop: Option<&dyn Fn() -> bool>) -> Option<()> {
+    pub(crate) fn run(&mut self, stop: Option<&(dyn Fn() -> bool + Sync)>) -> Option<()> {
         let MinDegree {
             start,
             adjacency,

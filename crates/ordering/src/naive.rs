@@ -350,13 +350,13 @@ pub(crate) fn rcm_naive(pattern: &SparsePattern) -> Permutation {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     use prng::{Rng, StdRng};
     use sparsemat::gen::{grid2d_5pt, power_law_pattern, random_spd_pattern, ProblemKind};
 
     use super::*;
-    use crate::dissection::dissect;
+    use crate::dissection::{dissect, Fork};
     use crate::rcm::cuthill_mckee;
     use crate::workspace::Workspace;
     use crate::{minimum_degree, nested_dissection, rcm, OrderingMethod};
@@ -477,7 +477,7 @@ mod tests {
         ] {
             let n = pattern.n();
             let mut ws = Workspace::new(&pattern);
-            dissect(&mut ws, None).expect("no stop probe");
+            dissect(&mut ws, None, Fork::SERIAL).expect("no stop probe");
             let bound = 4 * n * n.next_power_of_two().ilog2() as usize;
             assert!(
                 ws.touched <= bound,
@@ -501,7 +501,7 @@ mod tests {
     fn the_leaf_scratch_grows_o_log_n_times() {
         let pattern = grid2d_5pt(200, 200);
         let mut ws = Workspace::new(&pattern);
-        dissect(&mut ws, None).expect("no stop probe");
+        dissect(&mut ws, None, Fork::SERIAL).expect("no stop probe");
         let log_n = pattern.n().next_power_of_two().ilog2() as usize;
         assert_eq!(ws.leaf_runs, 3_225);
         assert!(
@@ -517,9 +517,9 @@ mod tests {
         // 8 components of 300 vertices: every method polls well over 5 times.
         let pattern = disjoint_paths(8, 300);
         for method in OrderingMethod::ALL {
-            let polls = Cell::new(0usize);
+            let polls = AtomicUsize::new(0);
             let quiet = || {
-                polls.set(polls.get() + 1);
+                polls.fetch_add(1, Ordering::Relaxed);
                 false
             };
             let expected = method.order(&pattern);
@@ -530,18 +530,11 @@ mod tests {
             if method == OrderingMethod::Natural {
                 continue;
             }
-            assert!(
-                polls.get() > 8,
-                "{} polled {} times",
-                method.name(),
-                polls.get()
-            );
-            for k in [1, 2, 3, 5, polls.get()] {
-                let polls = Cell::new(0usize);
-                let fires_on_kth = || {
-                    polls.set(polls.get() + 1);
-                    polls.get() == k
-                };
+            let total = polls.load(Ordering::Relaxed);
+            assert!(total > 8, "{} polled {total} times", method.name());
+            for k in [1, 2, 3, 5, total] {
+                let polls = AtomicUsize::new(0);
+                let fires_on_kth = || polls.fetch_add(1, Ordering::Relaxed) + 1 == k;
                 assert!(
                     method
                         .order_with_stop(&pattern, Some(&fires_on_kth))
@@ -550,7 +543,7 @@ mod tests {
                     method.name()
                 );
                 assert_eq!(
-                    polls.get(),
+                    polls.load(Ordering::Relaxed),
                     k,
                     "{} kept polling after the probe fired",
                     method.name()
@@ -562,17 +555,14 @@ mod tests {
     #[test]
     fn rcm_polls_at_least_once_per_component() {
         let pattern = disjoint_paths(500, 3);
-        let polls = Cell::new(0usize);
+        let polls = AtomicUsize::new(0);
         let counting = || {
-            polls.set(polls.get() + 1);
+            polls.fetch_add(1, Ordering::Relaxed);
             false
         };
         cuthill_mckee(&mut Workspace::new(&pattern), Some(&counting)).expect("quiet probe");
-        assert!(
-            polls.get() >= 500,
-            "{} polls for 500 components",
-            polls.get()
-        );
+        let polls = polls.load(Ordering::Relaxed);
+        assert!(polls >= 500, "{polls} polls for 500 components");
     }
 
     /// Scale gates, run by CI in release under a timeout: the code at

@@ -20,7 +20,7 @@ pub fn rcm(pattern: &SparsePattern) -> Permutation {
 /// [`rcm`] with a cooperative stop probe; `None` means it fired.
 pub(crate) fn rcm_with_stop(
     pattern: &SparsePattern,
-    stop: Option<&dyn Fn() -> bool>,
+    stop: Option<&(dyn Fn() -> bool + Sync)>,
 ) -> Option<Permutation> {
     cuthill_mckee(&mut Workspace::new(pattern), stop).map(Permutation::from_new_to_old)
 }
@@ -29,7 +29,7 @@ pub(crate) fn rcm_with_stop(
 /// `stop` once per connected component and every 256 visited vertices.
 pub(crate) fn cuthill_mckee(
     ws: &mut Workspace<'_>,
-    stop: Option<&dyn Fn() -> bool>,
+    stop: Option<&(dyn Fn() -> bool + Sync)>,
 ) -> Option<Vec<usize>> {
     let pattern = ws.pattern;
     let n = pattern.n();

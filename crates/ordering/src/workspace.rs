@@ -1,12 +1,13 @@
-//! The scratch state one top-level ordering call owns, so that every step
-//! below it costs O(vertices and edges it looks at), never O(n).
+//! The scratch state one ordering thread owns, so that every step below it
+//! costs O(vertices and edges it looks at), never O(n).
 //!
 //! **The epoch-stamp invariant.**  `marks[v] == (epoch, value)` means "`v`
 //! carries a mark of the current use, and `value` is that mark"; any other
 //! stamp means "unmarked".  Bumping `epoch` therefore clears the whole map
 //! in O(1), which is what lets a BFS over a 30-vertex component of a
-//! 10⁵-vertex graph cost 30.  Stamp and value share one entry, so a mark is
-//! read or written with one memory access.  The map has one live use at a
+//! 10⁵-vertex graph cost 30.  Stamp and value share one entry of two `u32`s
+//! (values are levels and local labels, below `n < u32::MAX`), so a mark is
+//! read or written with one 8-byte access.  The map has one live use at a
 //! time — BFS levels ([`Workspace::bfs`]), seen tags
 //! ([`Workspace::tagged_pieces`]) or a leaf's local labels
 //! ([`Workspace::order_induced`]) — and each use starts by taking a fresh
@@ -14,16 +15,23 @@
 //! next.  The one deliberate read across uses is
 //! [`Workspace::tagged_pieces`]: the vertices it splits carry the marks of
 //! the use just before it (a BFS, or [`Workspace::pieces`]' membership
-//! pass), and those are its membership tags.  `epoch` only grows; a `usize`
-//! cannot wrap in any run that finishes.
+//! pass), and those are its membership tags.  When the `u32` epoch would
+//! wrap, [`Workspace::next_epoch`] rewrites every stamp — the current use's
+//! to 1, all others to 0 — and restarts at 2: O(n), deterministic, and it
+//! keeps that one cross-use read intact.
+//!
+//! A workspace belongs to one thread.  Nested dissection gives a helper
+//! thread its own ([`Workspace::on`]), whose active set is the piece it
+//! orders, so the two never share a mark or an active flag.
 
 use sparsemat::SparsePattern;
 
 use crate::mindeg::MinDegree;
 
-/// See the module docs.  Built once per `nested_dissection` / `rcm` call;
-/// the three n-sized vectors here are the only n-sized allocations of the
-/// call besides its output.  The minimum-degree scratch that orders every
+/// See the module docs.  Built once per `nested_dissection` / `rcm` call,
+/// and once per helper thread of a forked dissection; the three n-sized
+/// vectors here (one set per thread) are the only n-sized allocations of
+/// the call besides its output.  The minimum-degree scratch that orders every
 /// leaf and separator grows to the largest of them, not to `n`.
 pub(crate) struct Workspace<'p> {
     pub(crate) pattern: &'p SparsePattern,
@@ -31,9 +39,9 @@ pub(crate) struct Workspace<'p> {
     /// entries, Cuthill–McKee a visited vertex's.  Searches never enter an
     /// inactive vertex.
     pub(crate) active: Vec<bool>,
-    epoch: usize,
+    epoch: u32,
     /// `(stamp, value)` per vertex.
-    marks: Vec<(usize, usize)>,
+    marks: Vec<(u32, u32)>,
     /// The last BFS's queue, kept as its visit list (levels non-decreasing).
     visited: Vec<usize>,
     stack: Vec<usize>,
@@ -53,11 +61,34 @@ pub(crate) struct Workspace<'p> {
 }
 
 impl<'p> Workspace<'p> {
+    /// A workspace whose every vertex is active.
+    ///
+    /// # Panics
+    /// Panics if the pattern has `u32::MAX` vertices or more: marks hold
+    /// levels and local labels as `u32`.
     pub(crate) fn new(pattern: &'p SparsePattern) -> Self {
+        Self::with_active(pattern, vec![true; pattern.n()])
+    }
+
+    /// A workspace whose active vertices are `vertices`: a helper thread's,
+    /// whose piece has only inactive neighbours outside it.
+    pub(crate) fn on(pattern: &'p SparsePattern, vertices: &[usize]) -> Self {
+        let mut active = vec![false; pattern.n()];
+        for &v in vertices {
+            active[v] = true;
+        }
+        Self::with_active(pattern, active)
+    }
+
+    fn with_active(pattern: &'p SparsePattern, active: Vec<bool>) -> Self {
         let n = pattern.n();
+        assert!(
+            u32::try_from(n).is_ok_and(|n| n < u32::MAX),
+            "{n} vertices do not fit the workspace's u32 marks"
+        );
         Workspace {
             pattern,
-            active: vec![true; n],
+            active,
             epoch: 0,
             marks: vec![(0, 0); n],
             visited: Vec::new(),
@@ -73,8 +104,32 @@ impl<'p> Workspace<'p> {
         }
     }
 
+    /// A workspace whose epoch starts at `epoch`, to run the wrap reset.
+    #[cfg(test)]
+    pub(crate) fn starting_at(pattern: &'p SparsePattern, epoch: u32) -> Self {
+        Workspace {
+            epoch,
+            ..Self::new(pattern)
+        }
+    }
+
+    /// Start a new use of the marks and return the stamp of the use before
+    /// it; see the module docs for the wrap.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            for (stamp, _) in &mut self.marks {
+                *stamp = u32::from(*stamp == u32::MAX);
+            }
+            self.epoch = 1;
+        }
+        self.epoch += 1;
+        self.epoch - 1
+    }
+
+    /// `value` is a level or a local label: below `n`, which
+    /// [`Workspace::new`] asserts fits a `u32`.
     fn mark(&mut self, v: usize, value: usize) {
-        self.marks[v] = (self.epoch, value);
+        self.marks[v] = (self.epoch, value as u32);
         #[cfg(test)]
         {
             self.touched += 1;
@@ -84,7 +139,13 @@ impl<'p> Workspace<'p> {
     /// The mark of `v` in the current use, if it has one.
     pub(crate) fn marked(&self, v: usize) -> Option<usize> {
         let (stamp, value) = self.marks[v];
-        (stamp == self.epoch).then_some(value)
+        (stamp == self.epoch).then_some(value as usize)
+    }
+
+    /// Vertices the last BFS reached — after [`Workspace::pseudo_peripheral`],
+    /// the size of the connected piece it started in.
+    pub(crate) fn reached(&self) -> usize {
+        self.visited.len()
     }
 
     /// BFS from `start` through active vertices.  Afterwards
@@ -92,14 +153,14 @@ impl<'p> Workspace<'p> {
     /// the largest level.
     fn bfs(&mut self, start: usize) -> usize {
         let pattern = self.pattern;
-        self.epoch += 1;
+        self.next_epoch();
         self.visited.clear();
         self.visited.push(start);
         self.mark(start, 0);
         let mut head = 0;
         while let Some(&v) = self.visited.get(head) {
             head += 1;
-            let level = self.marks[v].1 + 1;
+            let level = self.marks[v].1 as usize + 1;
             for &w in pattern.neighbors(v) {
                 // The stamp first: most neighbours are already visited.
                 if self.marks[w].0 != self.epoch && self.active[w] {
@@ -108,7 +169,7 @@ impl<'p> Workspace<'p> {
                 }
             }
         }
-        self.marks[self.visited[head - 1]].1
+        self.marks[self.visited[head - 1]].1 as usize
     }
 
     /// A pseudo-peripheral vertex of the active component containing
@@ -130,7 +191,7 @@ impl<'p> Workspace<'p> {
                 .visited
                 .iter()
                 .rev()
-                .take_while(|&&v| self.marks[v].1 == eccentricity)
+                .take_while(|&&v| self.marks[v].1 as usize == eccentricity)
                 .min_by_key(|&&v| (self.pattern.degree(v), v));
             match next {
                 Some(&v) if v != current => current = v,
@@ -142,7 +203,7 @@ impl<'p> Workspace<'p> {
     /// Connected pieces of the active vertices among `vertices`: pieces in
     /// order of their first vertex, each in depth-first pop order.
     pub(crate) fn pieces(&mut self, vertices: &[usize]) -> Vec<Vec<usize>> {
-        self.epoch += 1;
+        self.next_epoch();
         for &v in vertices {
             if self.active[v] {
                 self.mark(v, 0);
@@ -157,9 +218,8 @@ impl<'p> Workspace<'p> {
     /// one of its vertices — so they need no membership pass.
     pub(crate) fn tagged_pieces(&mut self, vertices: &[usize]) -> Vec<Vec<usize>> {
         let pattern = self.pattern;
-        let member = self.epoch;
         // Marks of this use tag the vertices already put in a piece.
-        self.epoch += 1;
+        let member = self.next_epoch();
         let mut pieces = Vec::new();
         for &start in vertices {
             // Inactive, or already in a piece.
@@ -191,12 +251,12 @@ impl<'p> Workspace<'p> {
     pub(crate) fn order_induced(
         &mut self,
         vertices: &[usize],
-        stop: Option<&dyn Fn() -> bool>,
+        stop: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Option<&[usize]> {
         #[cfg(test)]
         let capacity = self.mindeg.capacity();
         let pattern = self.pattern;
-        self.epoch += 1;
+        self.next_epoch();
         for (local, &v) in vertices.iter().enumerate() {
             self.mark(v, local);
         }
@@ -207,7 +267,7 @@ impl<'p> Workspace<'p> {
             self.mindeg.push_row(
                 labelled
                     .filter(|&(stamp, _)| stamp == epoch)
-                    .map(|(_, local)| local),
+                    .map(|(_, local)| local as usize),
             );
         }
         self.mindeg.run(stop)?;

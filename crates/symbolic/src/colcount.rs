@@ -2,16 +2,37 @@
 //!
 //! `count[j]` is the number of structural nonzeros of column `j` of `L`,
 //! including the diagonal — the `µ` quantity used by the assembly-tree
-//! weights of the paper.  The computation uses the row-subtree
-//! characterisation: column `j` of `L` has a nonzero in row `i > j` iff `j`
-//! belongs to the *row subtree* of `i`, i.e. iff `j` is an ancestor (in the
-//! elimination tree) of some column `k` with `a_{ik} ≠ 0`, `k < i`, and
-//! `j < i`.  Walking each row's nonzeros up the tree with per-row marks
-//! visits every nonzero of `L` exactly once, so the cost is `O(nnz(L))`.
+//! weights of the paper.  Column `j` of `L` has a nonzero in row `i > j` iff
+//! `j` belongs to the *row subtree* of `i`: the union of the elimination-tree
+//! paths from every `k < i` with `a_{ik} ≠ 0` up to `i`.  Walking those
+//! paths visits every nonzero of `L` once, `O(nnz(L))`; the test oracle
+//! does that.
+//!
+//! The counts here come from Gilbert, Ng and Peyton's scheme instead, as in
+//! `cs_counts` (Davis, *Direct Methods for Sparse Linear Systems*, §4.5), in
+//! near `O(nnz(A))`: `count[j]` is the sum over `j`'s subtree of a
+//! difference `delta`.  A leaf adds its diagonal, each node takes one off
+//! its parent, and for every row `i` each leaf `j` of `i`'s row subtree
+//! adds one at `j` and takes one off the least common ancestor of `j` and
+//! the previous leaf of the same row subtree.  The leaves are the columns
+//! `j` with `a_{ij} ≠ 0` whose subtree starts (in postorder) after that of
+//! the previous such column; the least common ancestors come from a
+//! path-compressed ancestor forest built as the postorder goes.
+//!
+//! Over an elimination tree a row's leaves all lie in one tree of the
+//! forest.  The counts also serve a forest that lacks some of the tree's
+//! edges — a task slice's, whose columns outside the task are roots — where
+//! a row may have leaves in two trees: a previous leaf in an earlier tree
+//! has no common ancestor with the next, so nothing is taken off.  Either
+//! way the counts are those of the row-subtree walk over the same forest,
+//! which is also what `SymbolicStructure`'s union of children builds.
 
 use sparsemat::SparsePattern;
 
-use crate::etree::EliminationTree;
+use crate::etree::{etree_postorder, EliminationTree};
+
+/// No postorder index yet, or no previous leaf.
+const NONE: usize = usize::MAX;
 
 /// Compute the column counts of the Cholesky factor of a permuted pattern,
 /// given its elimination tree.
@@ -19,30 +40,92 @@ use crate::etree::EliminationTree;
 /// # Panics
 /// Panics if the elimination tree does not match the pattern size.
 pub fn column_counts(pattern: &SparsePattern, etree: &EliminationTree) -> Vec<usize> {
-    let n = pattern.n();
-    assert_eq!(etree.len(), n, "elimination tree size mismatch");
-    let mut count = vec![1usize; n]; // diagonal entries
-    let mut mark = vec![usize::MAX; n];
-    for i in 0..n {
-        mark[i] = i;
-        for &k in pattern.neighbors(i) {
-            if k >= i {
-                continue;
-            }
-            // Walk from k towards the root, stopping at the first column
-            // already marked for row i (or at i itself).
-            let mut j = k;
-            while mark[j] != i {
-                mark[j] = i;
-                count[j] += 1;
-                match etree.parent(j) {
-                    Some(p) if p < i => j = p,
-                    _ => break,
-                }
-            }
+    assert_eq!(etree.len(), pattern.n(), "elimination tree size mismatch");
+    column_counts_from(etree, |j| pattern.neighbors(j))
+}
+
+/// [`column_counts`] of a symmetric matrix given by its columns over its
+/// elimination tree: `column(j)` holds the rows of column `j`, in any
+/// order, and only those below the diagonal are read — a full pattern's
+/// neighbours, or the lower columns of a `SymmetricCsr`.  `etree` is the
+/// matrix's elimination tree, or a task slice's forest (see the module
+/// docs); over another forest the counts are not the factor's.
+///
+/// # Panics
+/// Panics if a count comes out negative, which only a forest of neither
+/// kind can cause.
+pub fn column_counts_from<'a>(
+    etree: &EliminationTree,
+    column: impl Fn(usize) -> &'a [usize],
+) -> Vec<usize> {
+    let n = etree.len();
+    let post = etree_postorder(etree);
+    // `first[j]`: the postorder index of the first node of `j`'s subtree.
+    // A node whose subtree has not started when it is reached is a leaf.
+    let mut first = vec![NONE; n];
+    let mut delta = vec![0isize; n];
+    for (k, &leaf) in post.iter().enumerate() {
+        if first[leaf] == NONE {
+            delta[leaf] = 1;
+        }
+        let mut node = Some(leaf);
+        while let Some(j) = node.filter(|&j| first[j] == NONE) {
+            first[j] = k;
+            node = etree.parent(j);
         }
     }
-    count
+    // Per row `i`: the largest `first` of its row subtree's leaves so far,
+    // and the last of those leaves.
+    let mut max_first = vec![NONE; n];
+    let mut previous_leaf = vec![NONE; n];
+    let mut ancestor: Vec<usize> = (0..n).collect();
+    // The postorder index where the current tree of the forest starts.
+    let mut tree_start = 0;
+    for (k, &j) in post.iter().enumerate() {
+        let parent = etree.parent(j);
+        if let Some(p) = parent {
+            delta[p] -= 1;
+        }
+        for &i in column(j) {
+            // `j` is a leaf of row `i`'s subtree iff no earlier column of
+            // the row lies in `j`'s subtree.
+            if i <= j || (max_first[i] != NONE && first[j] <= max_first[i]) {
+                continue;
+            }
+            max_first[i] = first[j];
+            let previous = std::mem::replace(&mut previous_leaf[i], j);
+            delta[j] += 1;
+            // A previous leaf in an earlier tree has no common ancestor
+            // with `j`.
+            if previous != NONE && first[previous] >= tree_start {
+                // The least common ancestor of the two leaves is the root
+                // of `previous`' set; compress the path to it.
+                let mut root = previous;
+                while ancestor[root] != root {
+                    root = ancestor[root];
+                }
+                let mut node = previous;
+                while node != root {
+                    node = std::mem::replace(&mut ancestor[node], root);
+                }
+                delta[root] -= 1;
+            }
+        }
+        match parent {
+            Some(p) => ancestor[j] = p,
+            None => tree_start = k + 1,
+        }
+    }
+    // Children before parents: every parent lies above its child.
+    for j in 0..n {
+        if let Some(p) = etree.parent(j) {
+            delta[p] += delta[j];
+        }
+    }
+    delta
+        .into_iter()
+        .map(|count| usize::try_from(count).expect("a column count is positive"))
+        .collect()
 }
 
 /// Total number of nonzeros of `L` (including the diagonal): the sum of the
@@ -56,9 +139,116 @@ mod tests {
     use super::*;
     use crate::etree::elimination_tree;
     use ordering::mindeg::fill_in;
-    use ordering::{minimum_degree, nested_dissection, rcm, Permutation};
-    use sparsemat::gen::{banded, grid2d_5pt, random_spd_pattern};
+    use ordering::{minimum_degree, nested_dissection, rcm, OrderingMethod, Permutation};
+    use prng::{Rng, StdRng};
+    use sparsemat::gen::{banded, grid2d_5pt, random_spd_pattern, ProblemKind};
     use sparsemat::SparsePattern;
+
+    /// The row-subtree walk the counts were computed with before: each
+    /// row's nonzeros walked up the tree with per-row marks, visiting every
+    /// nonzero of `L` once.  The definition the fast counts must equal.
+    fn row_subtree_counts(pattern: &SparsePattern, etree: &EliminationTree) -> Vec<usize> {
+        let n = pattern.n();
+        let mut count = vec![1usize; n]; // diagonal entries
+        let mut mark = vec![usize::MAX; n];
+        for i in 0..n {
+            mark[i] = i;
+            for &k in pattern.neighbors(i) {
+                if k >= i {
+                    continue;
+                }
+                // Walk from k towards the root, stopping at the first column
+                // already marked for row i (or at i itself).
+                let mut j = k;
+                while mark[j] != i {
+                    mark[j] = i;
+                    count[j] += 1;
+                    match etree.parent(j) {
+                        Some(p) if p < i => j = p,
+                        _ => break,
+                    }
+                }
+            }
+        }
+        count
+    }
+
+    /// `n` vertices with `edges` random edges among the first `2n / 3`: a
+    /// forest of small trees and isolated vertices once ordered.
+    fn scattered(n: usize, edges: usize, seed: u64) -> SparsePattern {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let covered = (2 * n / 3).max(1);
+        let edges: Vec<(usize, usize)> = (0..edges)
+            .map(|_| (rng.gen_range(0..covered), rng.gen_range(0..covered)))
+            .collect();
+        SparsePattern::from_edges(n, &edges)
+    }
+
+    #[test]
+    fn gilbert_ng_peyton_counts_equal_the_row_subtree_walk() {
+        for nodes in [0, 1, 2, 30, 300, 3_000] {
+            for seed in 0..3 {
+                let mut patterns: Vec<(String, SparsePattern)> = ProblemKind::ALL
+                    .iter()
+                    .map(|kind| (kind.name().to_string(), kind.generate(nodes, seed)))
+                    .collect();
+                patterns.push(("scattered".into(), scattered(nodes, nodes / 2, seed)));
+                patterns.push(("empty".into(), SparsePattern::from_edges(nodes, &[])));
+                for (name, pattern) in patterns {
+                    for method in OrderingMethod::ALL {
+                        let permuted = method.order(&pattern).apply(&pattern);
+                        let etree = elimination_tree(&permuted);
+                        assert_eq!(
+                            column_counts(&permuted, &etree),
+                            row_subtree_counts(&permuted, &etree),
+                            "{name} n = {} seed {seed} under {}",
+                            pattern.n(),
+                            method.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A task slice's forest: the columns of some subtrees of the
+    /// elimination tree keep their parents and their entries, every other
+    /// column is an empty root.  A row can then have leaves in two trees.
+    #[test]
+    fn counts_over_a_task_slice_equal_the_walk() {
+        for kind in ProblemKind::ALL {
+            for seed in 0..3 {
+                let pattern = kind.generate(400, seed);
+                let permuted = nested_dissection(&pattern).apply(&pattern);
+                let etree = elimination_tree(&permuted);
+                let n = permuted.n();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut in_task = vec![false; n];
+                for j in (0..n).rev() {
+                    in_task[j] =
+                        rng.gen_range(0..8) == 0 || etree.parent(j).is_some_and(|p| in_task[p]);
+                }
+                let edges: Vec<(usize, usize)> = (0..n)
+                    .filter(|&k| in_task[k])
+                    .flat_map(|k| {
+                        let rows = permuted.neighbors(k).iter();
+                        rows.filter(move |&&i| i > k).map(move |&i| (i, k))
+                    })
+                    .collect();
+                let slice = SparsePattern::from_edges(n, &edges);
+                let parents = (0..n)
+                    .map(|j| etree.parent(j).filter(|_| in_task[j]))
+                    .collect();
+                let forest = EliminationTree::from_parents(parents);
+                assert_eq!(
+                    column_counts(&slice, &forest),
+                    row_subtree_counts(&slice, &forest),
+                    "{} seed {seed}",
+                    kind.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn tridiagonal_counts_are_two() {

@@ -7,7 +7,8 @@
 //! 1. [`elimination_tree`] — Liu's algorithm for the elimination tree of the
 //!    Cholesky factor;
 //! 2. [`column_counts`] — the number of nonzeros of every column of `L`
-//!    (computed from the row subtrees of the elimination tree);
+//!    (Gilbert, Ng and Peyton's near-linear scheme over the elimination
+//!    tree's row subtrees);
 //! 3. [`amalgamate`] — perfect and relaxed node amalgamation, producing an
 //!    [`AssemblyTree`] whose nodes carry the paper's weights:
 //!    the execution weight `η² + 2η(µ − 1)` and the contribution-block
