@@ -83,11 +83,10 @@ impl NumericModel {
     /// counts — and the per-column model tree.
     pub(super) fn new(symbolic: &SymbolicData, seed: u64) -> Self {
         let matrix = spd_matrix_from_pattern(&symbolic.permuted, seed);
-        let structure = Arc::new(SymbolicStructure::from_etree(
-            &matrix,
-            symbolic.etree.clone(),
-            &symbolic.counts,
-        ));
+        let structure =
+            SymbolicStructure::from_etree(&matrix, symbolic.etree.clone(), &symbolic.counts)
+                .expect("the plan's column counts are its structure's");
+        let structure = Arc::new(structure);
         let model = per_column_model(&structure);
         NumericModel {
             matrix,

@@ -314,9 +314,12 @@ impl TaskSlice {
         // parent lies above its child; the renumbering keeps index order.
         let matrix = SymmetricCsr::from_csc(m, col_ptr, rows, self.values.clone());
         let etree = EliminationTree::from_parents(parent);
-        let counts = column_counts_from(&etree, |j| matrix.column(j).0);
-        let structure = SymbolicStructure::from_etree(&matrix, etree, &counts);
-        // A column's parent is the first row below its diagonal.
+        // Parents that contradict the rows can make the counts disagree
+        // with the rows they build, or a column's first row below its
+        // diagonal differ from its parent: both are checked, not trusted.
+        let structure = column_counts_from(&etree, |j| matrix.column(j).0)
+            .and_then(|counts| SymbolicStructure::from_etree(&matrix, etree, &counts))
+            .ok_or(SliceError::Parents)?;
         let consistent = self.columns.iter().all(|&column| {
             let at = local(column);
             structure.rows(at).get(1).copied() == structure.etree.parent(at)
@@ -440,6 +443,70 @@ mod tests {
         assert!(tasks >= 7 * 2 * 2 * 2, "{tasks} tasks checked");
     }
 
+    /// Every column of every task of a real cut, its parent moved to
+    /// another index of the slice (the least and the greatest above the
+    /// column) or dropped: the slice is refused when built or when
+    /// factored, typed, and never panics — whatever the rehung forest makes
+    /// of the column counts.
+    #[test]
+    fn rehung_parents_of_real_slices_are_typed_errors() {
+        let engine = Engine::new();
+        let mut refused = 0;
+        for kind in ProblemKind::ALL {
+            let config = EngineConfig::generated(kind, 200, 1)
+                .with_numeric(true)
+                .with_distributed(DistributedConfig::with_tasks(4));
+            let plan = engine.plan(&config).unwrap();
+            let cut = plan
+                .schedule(&engine)
+                .unwrap()
+                .distributed_cut(&engine)
+                .unwrap();
+            for task in 0..cut.task_count() {
+                let slice = cut.task_slice(task);
+                let counts: Vec<usize> = slice.counts().collect();
+                let mut indices = slice.rows.clone();
+                indices.extend(slice.parents.iter().flatten());
+                indices.sort_unstable();
+                indices.dedup();
+                for (k, &column) in slice.columns.iter().enumerate() {
+                    let above: Vec<usize> = indices
+                        .iter()
+                        .copied()
+                        .filter(|&i| i > column && Some(i) != slice.parents[k])
+                        .collect();
+                    let moves = [above.first(), above.last()].map(|i| i.copied());
+                    for parent in moves.into_iter().flatten().map(Some).chain([None]) {
+                        if parent == slice.parents[k] {
+                            continue;
+                        }
+                        let mut parents = slice.parents.clone();
+                        parents[k] = parent;
+                        let Ok(rehung) = TaskSlice::new(
+                            slice.n,
+                            slice.order.clone(),
+                            slice.columns.clone(),
+                            &counts,
+                            slice.rows.clone(),
+                            slice.values.clone(),
+                            parents,
+                        ) else {
+                            continue;
+                        };
+                        let error = rehung.factor(None).err();
+                        assert!(
+                            matches!(&error, Some(EngineError::InvalidConfig(message))
+                                if message.ends_with(&SliceError::Parents.to_string())),
+                            "{kind:?} task {task} column {column} → {parent:?}: {error:?}"
+                        );
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(refused > 1000, "{refused} rehung slices factored");
+    }
+
     fn valid() -> TaskSlice {
         // Columns 1 → 2 (a chain below column 4), n = 5.
         TaskSlice::new(
@@ -506,12 +573,22 @@ mod tests {
             assert_eq!(rebuild(edit), Err(expected), "{name}");
         }
         // A parent the rows contradict passes the cheap checks and fails at
-        // factor time, typed.
-        let contradicted = rebuild(&|s, _| s.parents[1] = Some(3)).unwrap();
-        assert!(matches!(
-            contradicted.factor(None),
-            Err(EngineError::InvalidConfig(_))
-        ));
+        // factor time, typed: whether the structure comes out with the
+        // wrong first row below a diagonal, or — a child hung above a
+        // column that does not hold its rows — at other lengths than the
+        // forest's counts.
+        let contradictions: [(&str, &Edit); 2] = [
+            ("parent above the first row", &|s, _| s.parents[1] = Some(3)),
+            ("parent past the first row", &|s, _| s.parents[0] = Some(4)),
+        ];
+        for (name, edit) in contradictions {
+            let error = rebuild(edit).unwrap().factor(None).err();
+            assert!(
+                matches!(&error, Some(EngineError::InvalidConfig(message))
+                    if message.ends_with(&SliceError::Parents.to_string())),
+                "{name}: {error:?}"
+            );
+        }
         let (parts, _) = slice.factor_measured(None).unwrap();
         assert_eq!(parts.values.len(), 4);
         assert_eq!(

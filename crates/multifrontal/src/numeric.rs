@@ -59,22 +59,28 @@ impl SymbolicStructure {
         let etree = elimination_tree(pattern);
         let counts = column_counts(pattern, &etree);
         Self::build(etree, &counts, |j| pattern.neighbors(j))
+            .expect("a pattern's column counts are its factor's")
     }
 
     /// The structure of the factor of `matrix` (already permuted into
-    /// elimination order), whose elimination tree and column counts the
-    /// caller holds — computed on the same permuted pattern: each column's
-    /// rows below the diagonal are read from the matrix itself.
-    ///
-    /// # Panics
-    /// Panics if there is not one count per column.
-    pub fn from_etree(matrix: &SymmetricCsr, etree: EliminationTree, counts: &[usize]) -> Self {
+    /// elimination order) over `etree`, whose column counts the caller
+    /// holds: each column's rows below the diagonal are read from the
+    /// matrix itself.  `None` if the counts are not those of the rows this
+    /// builds — which counts computed on the same permuted pattern and tree
+    /// never are, and which a task slice's contradicted parents can cause.
+    pub fn from_etree(
+        matrix: &SymmetricCsr,
+        etree: EliminationTree,
+        counts: &[usize],
+    ) -> Option<Self> {
         Self::build(etree, counts, |j| matrix.column(j).0)
     }
 
     /// The structure over `etree` of a matrix whose column `j` has the
     /// sorted rows `column(j)` and whose factor has the column counts
-    /// `counts`; only rows below the diagonal are read.
+    /// `counts`; only rows below the diagonal are read.  `None` if there is
+    /// not one count per column, a count is not in `1..=n - j`, or a
+    /// column's rows do not come out at its count.
     ///
     /// The row store is allocated once, at its exact size `Σ counts`, and
     /// each column is written into its slot.  Column `j`'s rows are `j`,
@@ -86,32 +92,39 @@ impl SymbolicStructure {
         etree: EliminationTree,
         counts: &[usize],
         column: impl Fn(usize) -> &'a [usize],
-    ) -> Self {
+    ) -> Option<Self> {
         let below = |j: usize| {
             let rows = column(j);
             &rows[rows.partition_point(|&i| i <= j)..]
         };
         let children = etree.children();
         let n = children.len();
-        assert_eq!(counts.len(), n, "one column count per column");
+        if counts.len() != n {
+            return None;
+        }
         let mut col_ptr = Vec::with_capacity(n + 1);
         col_ptr.push(0);
-        for &count in counts {
-            col_ptr.push(col_ptr[col_ptr.len() - 1] + count);
+        for (j, &count) in counts.iter().enumerate() {
+            if !(1..=n - j).contains(&count) {
+                return None;
+            }
+            col_ptr.push(col_ptr[j] + count);
         }
         let mut rows = vec![0; col_ptr[n]];
         let mut union: Vec<usize> = Vec::new();
         let mut marker = vec![usize::MAX; n];
         for j in 0..n {
-            let slot = col_ptr[j];
+            let slot = col_ptr[j]..col_ptr[j + 1];
             if let &[c] = children.of(j) {
                 let child = col_ptr[c]..col_ptr[c + 1];
                 for &i in &rows[child.clone()] {
                     marker[i] = j;
                 }
                 if below(j).iter().all(|&i| marker[i] == j) {
-                    debug_assert_eq!(child.len() - 1, counts[j], "column {j}'s count");
-                    rows.copy_within(child.start + 1..child.end, slot);
+                    if child.len() - 1 != slot.len() {
+                        return None;
+                    }
+                    rows.copy_within(child.start + 1..child.end, slot.start);
                     continue;
                 }
             }
@@ -126,15 +139,17 @@ impl SymbolicStructure {
             }
             union.sort_unstable();
             union.dedup();
-            debug_assert_eq!(union.len(), counts[j], "column {j}'s count");
-            rows[slot..col_ptr[j + 1]].copy_from_slice(&union);
+            if union.len() != slot.len() {
+                return None;
+            }
+            rows[slot].copy_from_slice(&union);
         }
-        SymbolicStructure {
+        Some(SymbolicStructure {
             col_ptr,
             rows,
             etree,
             children,
-        }
+        })
     }
 
     /// Number of columns.
@@ -883,7 +898,7 @@ mod tests {
                 let expected = SymbolicStructure::from_pattern(&matrix.pattern());
                 let etree = elimination_tree(&pattern);
                 let counts = symbolic::column_counts(&pattern, &etree);
-                let structure = SymbolicStructure::from_etree(&matrix, etree, &counts);
+                let structure = SymbolicStructure::from_etree(&matrix, etree, &counts).unwrap();
                 let label = format!("{} {}", kind.name(), method.name());
                 assert_eq!(structure.col_ptr, expected.col_ptr, "{label}");
                 assert_eq!(structure.rows, expected.rows, "{label}");
@@ -891,6 +906,33 @@ mod tests {
                 assert_eq!(structure.children, expected.children, "{label}");
             }
         }
+    }
+
+    /// Counts other than the rows a column builds are `None`, never a
+    /// panic: any one count one off (whichever way the column is built),
+    /// a zero count, a count past the last row, and one count too few.
+    #[test]
+    fn from_etree_refuses_counts_other_than_its_rows() {
+        let pattern = sparsemat::gen::grid2d_5pt(6, 5);
+        let pattern = pattern.permute(ordering::nested_dissection(&pattern).as_new_to_old());
+        let matrix = spd_matrix_from_pattern(&pattern, 1);
+        let etree = elimination_tree(&pattern);
+        let counts = symbolic::column_counts(&pattern, &etree);
+        let build =
+            |counts: &[usize]| SymbolicStructure::from_etree(&matrix, etree.clone(), counts);
+        assert!(build(&counts).is_some());
+        let n = counts.len();
+        for j in 0..n {
+            for off in [counts[j] - 1, counts[j] + 1] {
+                let mut wrong = counts.clone();
+                wrong[j] = off;
+                assert!(build(&wrong).is_none(), "column {j} at {off}");
+            }
+        }
+        let mut past = counts.clone();
+        past[n - 1] = 2;
+        assert!(build(&past).is_none());
+        assert!(build(&counts[1..]).is_none());
     }
 
     /// Every column of every `ProblemKind` × {nd, amd, rcm} is the sorted,

@@ -140,16 +140,22 @@ fn order_items(
             continue;
         }
         // The separator is the middle BFS level of a pseudo-peripheral
-        // vertex.  Its first BFS also tells whether the input graph is
-        // connected; if not, it is split into its connected pieces first
-        // (what a separator leaves behind is split below).
-        let (_, eccentricity) = ws.pseudo_peripheral(component[0]);
-        if state == State::Unsplit && ws.reached() < component.len() {
-            let pieces = ws.pieces(&component);
-            drop(component);
-            split(ws, work, pieces, Vec::new(), (at, segment), stop, fork)?;
-            continue;
-        }
+        // vertex.  On the input graph, the first BFS of that search also
+        // tells whether the graph is connected; if not, it is split into
+        // its connected pieces first (what a separator leaves behind is
+        // split below).
+        let (_, eccentricity) = if state == State::Unsplit {
+            let first = ws.bfs(component[0]);
+            if ws.reached() < component.len() {
+                let pieces = ws.pieces(&component);
+                drop(component);
+                split(ws, work, pieces, Vec::new(), (at, segment), stop, fork)?;
+                continue;
+            }
+            ws.pseudo_peripheral_after(component[0], first)
+        } else {
+            ws.pseudo_peripheral(component[0])
+        };
 
         let middle = eccentricity / 2;
         let separator: Vec<usize> = component

@@ -142,8 +142,8 @@ impl<'p> Workspace<'p> {
         (stamp == self.epoch).then_some(value as usize)
     }
 
-    /// Vertices the last BFS reached — after [`Workspace::pseudo_peripheral`],
-    /// the size of the connected piece it started in.
+    /// Vertices the last BFS reached: the size of the connected piece it
+    /// started in.
     pub(crate) fn reached(&self) -> usize {
         self.visited.len()
     }
@@ -151,7 +151,7 @@ impl<'p> Workspace<'p> {
     /// BFS from `start` through active vertices.  Afterwards
     /// [`Workspace::marked`] is the level of every reached vertex; returns
     /// the largest level.
-    fn bfs(&mut self, start: usize) -> usize {
+    pub(crate) fn bfs(&mut self, start: usize) -> usize {
         let pattern = self.pattern;
         self.next_epoch();
         self.visited.clear();
@@ -178,25 +178,36 @@ impl<'p> Workspace<'p> {
     /// eccentricity.  The levels left behind are those of the returned
     /// vertex.
     pub(crate) fn pseudo_peripheral(&mut self, start: usize) -> (usize, usize) {
-        let mut current = start;
-        let mut best_eccentricity = 0;
+        let eccentricity = self.bfs(start);
+        self.pseudo_peripheral_after(start, eccentricity)
+    }
+
+    /// [`Workspace::pseudo_peripheral`] of `start` after its first sweep:
+    /// the last BFS run is [`Workspace::bfs`] of `start`, which returned
+    /// `eccentricity`.
+    pub(crate) fn pseudo_peripheral_after(
+        &mut self,
+        start: usize,
+        eccentricity: usize,
+    ) -> (usize, usize) {
+        let (mut current, mut best_eccentricity) = (start, eccentricity);
         loop {
-            let eccentricity = self.bfs(current);
-            if eccentricity <= best_eccentricity && best_eccentricity > 0 {
-                return (current, eccentricity);
-            }
-            best_eccentricity = eccentricity;
             // The farthest vertices are the tail of the visit list.
             let next = self
                 .visited
                 .iter()
                 .rev()
-                .take_while(|&&v| self.marks[v].1 as usize == eccentricity)
+                .take_while(|&&v| self.marks[v].1 as usize == best_eccentricity)
                 .min_by_key(|&&v| (self.pattern.degree(v), v));
             match next {
                 Some(&v) if v != current => current = v,
-                _ => return (current, eccentricity),
+                _ => return (current, best_eccentricity),
             }
+            let eccentricity = self.bfs(current);
+            if eccentricity <= best_eccentricity && best_eccentricity > 0 {
+                return (current, eccentricity);
+            }
+            best_eccentricity = eccentricity;
         }
     }
 

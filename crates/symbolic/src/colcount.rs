@@ -38,10 +38,12 @@ const NONE: usize = usize::MAX;
 /// given its elimination tree.
 ///
 /// # Panics
-/// Panics if the elimination tree does not match the pattern size.
+/// Panics if the elimination tree does not match the pattern size, or is
+/// not the pattern's (see [`column_counts_from`]).
 pub fn column_counts(pattern: &SparsePattern, etree: &EliminationTree) -> Vec<usize> {
     assert_eq!(etree.len(), pattern.n(), "elimination tree size mismatch");
     column_counts_from(etree, |j| pattern.neighbors(j))
+        .expect("an elimination tree's column counts are positive")
 }
 
 /// [`column_counts`] of a symmetric matrix given by its columns over its
@@ -49,15 +51,14 @@ pub fn column_counts(pattern: &SparsePattern, etree: &EliminationTree) -> Vec<us
 /// order, and only those below the diagonal are read — a full pattern's
 /// neighbours, or the lower columns of a `SymmetricCsr`.  `etree` is the
 /// matrix's elimination tree, or a task slice's forest (see the module
-/// docs); over another forest the counts are not the factor's.
-///
-/// # Panics
-/// Panics if a count comes out negative, which only a forest of neither
-/// kind can cause.
+/// docs); over another forest the counts are not the factor's, and `None`
+/// when one of them comes out below one — which only such a forest can
+/// cause, so a caller that cannot trust its forest checks the counts
+/// against what it builds from them.
 pub fn column_counts_from<'a>(
     etree: &EliminationTree,
     column: impl Fn(usize) -> &'a [usize],
-) -> Vec<usize> {
+) -> Option<Vec<usize>> {
     let n = etree.len();
     let post = etree_postorder(etree);
     // `first[j]`: the postorder index of the first node of `j`'s subtree.
@@ -124,7 +125,7 @@ pub fn column_counts_from<'a>(
     }
     delta
         .into_iter()
-        .map(|count| usize::try_from(count).expect("a column count is positive"))
+        .map(|count| usize::try_from(count).ok().filter(|&count| count > 0))
         .collect()
 }
 
