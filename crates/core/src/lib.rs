@@ -67,6 +67,8 @@ pub mod faultinject;
 pub mod gadgets;
 pub mod liu;
 pub mod minmem;
+#[cfg(test)]
+mod naive;
 pub mod partition;
 pub mod postorder;
 pub mod random;

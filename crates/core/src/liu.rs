@@ -23,88 +23,220 @@
 //! bottom-up traversal, by the in-tree ↔ out-tree equivalence of
 //! Section III-C of the paper; its peak memory is identical.
 //!
-//! The combination step is a heap-based k-way merge over per-child segment
-//! cursors (each child's sequence is already sorted by non-increasing
-//! `h − v`), and segment node lists are linked chains inside a single arena
-//! that supports O(1) concatenation — the full node order is materialised
-//! exactly once, at the root.  The overall complexity is
-//! `O(p log p)`-ish (`O(Σ segments · log degree)` for the merges plus `O(p)`
-//! for the flatten), whereas the previous implementation re-sorted every
-//! child segment with a stable sort and copied `Segment::nodes` vectors on
-//! every merge, which degenerated to `O(p²)` on chain-like trees.
+//! **One segment stack.**  Nodes are processed in a reversed preorder, so
+//! the subtrees of a node's children finish one after the other, just
+//! before the node, and every finished subtree's sequence can sit as one
+//! range of a single `Vec` of segments, the first child's lowest:
+//!
+//! * a leaf pushes its one segment;
+//! * a node with one child (every node of a chain) appends its own segment
+//!   to the child's range in place;
+//! * a branching node k-way merges its children's ranges — a max-heap over
+//!   per-child cursors, each sequence being sorted by non-increasing
+//!   `h − v` already, ties to the lower child index — into one reused
+//!   scratch buffer, then writes the merge back, normalised, over the
+//!   children's ranges.  When the longest child's keys dominate every
+//!   other child's (a comb's spine), its range stays where it is as the
+//!   prefix of the merge and only the others are merged onto it; a
+//!   sibling range below it is then left as dead space, reclaimed by the
+//!   next ancestor that merges without a prefix.  This keeps chains and
+//!   combs linear.
+//!
+//! A segment's nodes are a chain linked through one `next` array indexed by
+//! node, so merging two segments is O(1), and the root's chains are
+//! flattened once, into the traversal.  The heap, the cursors and the
+//! residuals are reused across nodes: a call allocates O(log p) times, not
+//! per node.  The per-subtree `Vec` code this replaced is kept as the test
+//! oracle in `naive`.  Overall `O(Σ segments · log degree + p)`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+#[cfg(test)]
+use crate::solver::growth;
+use crate::solver::Probe;
 use crate::traversal::Traversal;
 use crate::tree::{NodeId, Size, Tree};
 use crate::TraversalResult;
 
-/// One hill–valley segment of a (bottom-up) subtree traversal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One hill–valley segment of the root's sequence (bottom-up orientation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
-    /// Memory peak while the segment runs (absolute, within the subtree).
+    /// Memory peak while the segment runs (absolute, within the tree).
     pub hill: Size,
     /// Resident memory when the segment ends.
     pub valley: Size,
-    /// Nodes executed by the segment, in bottom-up execution order.
-    pub nodes: Vec<NodeId>,
+    /// Number of nodes the segment executes.  The segments run one after
+    /// the other, so they cut the reversed traversal into consecutive runs
+    /// of these lengths.
+    pub len: usize,
 }
 
-/// Sentinel for "end of chain" in [`NodeArena`].
-const NIL: usize = usize::MAX;
+/// End of a node chain in [`Stack::next`].
+const NIL: NodeId = NodeId::MAX;
 
-/// Arena-backed singly linked chains of node ids.  Every node of the tree is
-/// appended exactly once over the whole run, and two chains concatenate in
-/// O(1), which is what lets segment merges avoid copying node vectors.
-#[derive(Debug, Default)]
-struct NodeArena {
-    /// `(node, next-entry-index)`; `NIL` terminates a chain.
-    entries: Vec<(NodeId, usize)>,
-}
-
-impl NodeArena {
-    fn with_capacity(capacity: usize) -> Self {
-        NodeArena {
-            entries: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// A one-node chain; returns its entry index (head == tail).
-    fn singleton(&mut self, node: NodeId) -> usize {
-        self.entries.push((node, NIL));
-        self.entries.len() - 1
-    }
-
-    /// Append chain `(b_head, ..)` after chain `(.., a_tail)`.
-    fn link(&mut self, a_tail: usize, b_head: usize) {
-        self.entries[a_tail].1 = b_head;
-    }
-
-    /// Collect a chain into `out`, in order.
-    fn collect_into(&self, head: usize, out: &mut Vec<NodeId>) {
-        let mut cursor = head;
-        while cursor != NIL {
-            let (node, next) = self.entries[cursor];
-            out.push(node);
-            cursor = next;
-        }
-    }
-}
-
-/// Internal hill–valley segment: like [`Segment`] but the executed nodes are
-/// an arena chain (`head`/`tail` entry indices) instead of an owned vector.
+/// A working segment: its nodes are the chain `head → … → tail` in
+/// [`Stack::next`], in bottom-up execution order.
 #[derive(Debug, Clone, Copy)]
 struct Seg {
     hill: Size,
     valley: Size,
-    head: usize,
-    tail: usize,
+    head: NodeId,
+    tail: NodeId,
 }
 
 impl Seg {
     fn key(&self) -> Size {
         self.hill - self.valley
+    }
+}
+
+/// A finished subtree on the stack: its sequence starts at `start` and ends
+/// where the next entry's `extent` begins (the stack's top for the last
+/// entry); `extent..start` is dead space a prefix merge left below it.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    extent: usize,
+    start: usize,
+}
+
+/// The per-call buffers of [`liu_exact`].
+#[derive(Debug)]
+struct Stack {
+    /// Every unfinished sequence, one range per finished subtree.
+    segs: Vec<Seg>,
+    /// The finished subtrees whose parent has not run yet, lowest first.
+    pending: Vec<Pending>,
+    /// `next[i]`: the node after `i` in its segment's chain.
+    next: Vec<NodeId>,
+    /// A branching node's merge, before it is written back normalised.
+    merged: Vec<Seg>,
+    heap: BinaryHeap<(Size, Reverse<usize>)>,
+    /// Per child of the merging node: next and end position on `segs`.
+    cursors: Vec<(usize, usize)>,
+    /// Per child of the merging node: valley of its last merged segment.
+    residual: Vec<Size>,
+}
+
+impl Stack {
+    /// Append `segment` to the sequence that starts at `floor` (the top of
+    /// the stack), merging segments as needed to restore the normal form
+    /// (valleys non-decreasing, `h − v` non-increasing).
+    fn push_normalized(&mut self, floor: usize, segment: Seg) {
+        let segs = &mut self.segs;
+        segs.push(segment);
+        while segs.len() - floor >= 2 {
+            let last = segs[segs.len() - 1];
+            let prev = segs[segs.len() - 2];
+            if last.valley >= prev.valley && last.key() <= prev.key() {
+                break;
+            }
+            segs.pop();
+            let prev = segs.last_mut().expect("length checked");
+            prev.hill = prev.hill.max(last.hill);
+            prev.valley = last.valley;
+            self.next[prev.tail] = last.head;
+            prev.tail = last.tail;
+        }
+    }
+
+    /// Replace the `k` topmost finished subtrees, the children of a
+    /// branching node in stored order, by their merged sequence followed
+    /// by `own`.
+    fn combine(&mut self, k: usize, own: Seg) {
+        let base = self.pending.len() - k;
+        let children = &self.pending[base..];
+        let top = self.segs.len();
+        let end = |j: usize| children.get(j + 1).map_or(top, |next| next.extent);
+        // The longest child, the last one on ties.
+        let mut longest = 0;
+        for j in 1..k {
+            if end(j) - children[j].start >= end(longest) - children[longest].start {
+                longest = j;
+            }
+        }
+        // Reusable-prefix fast path: if the longest child's minimum key
+        // dominates every other child's maximum key, all of its segments
+        // form a prefix of the merge with zero offset (no other child has
+        // deposited residual memory yet), so they stay in place and only
+        // the other children's segments are merged onto them.  Key ties go
+        // to the lower child index, so a lower child needs *strictly*
+        // smaller keys to merge after the prefix, while a higher one may
+        // tie.
+        let segs = &self.segs;
+        let min_key = segs[end(longest) - 1].key();
+        let prefix = (0..k).all(|j| {
+            let first = segs[children[j].start].key();
+            j == longest || first < min_key || (j > longest && first == min_key)
+        });
+
+        self.residual.clear();
+        self.residual.resize(k, 0);
+        self.cursors.clear();
+        self.heap.clear();
+        let mut total_residual: Size = 0;
+        for (j, child) in children.iter().enumerate() {
+            if prefix && j == longest {
+                total_residual = segs[end(j) - 1].valley;
+                self.residual[j] = total_residual;
+                self.cursors.push((end(j), end(j)));
+            } else {
+                self.cursors.push((child.start, end(j)));
+                self.heap.push((segs[child.start].key(), Reverse(j)));
+            }
+        }
+        self.merged.clear();
+        while let Some((_, Reverse(j))) = self.heap.pop() {
+            let (position, end) = &mut self.cursors[j];
+            let segment = segs[*position];
+            *position += 1;
+            if *position < *end {
+                self.heap.push((segs[*position].key(), Reverse(j)));
+            }
+            let others = total_residual - self.residual[j];
+            self.merged.push(Seg {
+                hill: segment.hill + others,
+                valley: segment.valley + others,
+                ..segment
+            });
+            total_residual = others + segment.valley;
+            self.residual[j] = segment.valley;
+        }
+
+        let extent = children[0].extent;
+        let floor = if prefix {
+            let floor = children[longest].start;
+            self.segs.truncate(end(longest));
+            floor
+        } else {
+            self.segs.truncate(extent);
+            extent
+        };
+        self.pending.truncate(base);
+        for index in 0..self.merged.len() {
+            self.push_normalized(floor, self.merged[index]);
+        }
+        // The node itself executes last (bottom-up orientation): all child
+        // files are resident, it adds its execution file and produces its
+        // output file.
+        self.push_normalized(floor, own);
+        self.pending.push(Pending {
+            extent,
+            start: floor,
+        });
+    }
+
+    /// Test builds: the capacities of the buffers that grow during a call.
+    #[cfg(test)]
+    fn capacities(&self) -> [usize; 6] {
+        [
+            self.segs.capacity(),
+            self.pending.capacity(),
+            self.merged.capacity(),
+            self.heap.capacity(),
+            self.cursors.capacity(),
+            self.residual.capacity(),
+        ]
     }
 }
 
@@ -129,121 +261,6 @@ impl From<LiuResult> for TraversalResult {
     }
 }
 
-/// Append `segment` to `sequence`, merging segments as needed to restore the
-/// normal form (valleys non-decreasing, `h − v` non-increasing).  Merging two
-/// segments concatenates their node chains in O(1) through the arena.
-fn push_normalized(sequence: &mut Vec<Seg>, segment: Seg, arena: &mut NodeArena) {
-    sequence.push(segment);
-    while sequence.len() >= 2 {
-        let last = sequence[sequence.len() - 1];
-        let prev = &sequence[sequence.len() - 2];
-        let valley_violated = last.valley < prev.valley;
-        let slope_violated = last.key() > prev.key();
-        if !valley_violated && !slope_violated {
-            break;
-        }
-        sequence.pop().expect("length checked");
-        let prev = sequence.last_mut().expect("length checked");
-        prev.hill = prev.hill.max(last.hill);
-        prev.valley = last.valley;
-        arena.link(prev.tail, last.head);
-        prev.tail = last.tail;
-    }
-}
-
-/// Compute the normal-form hill–valley sequence of the subtree rooted at
-/// `node`, consuming the sequences of its children.
-///
-/// The children's sequences each have non-increasing keys `h − v` by
-/// construction, so the global non-increasing order is obtained with a
-/// k-way merge: a max-heap holds one cursor per child, keyed by the current
-/// segment's key with ties broken by the smallest child index.  This is
-/// exactly the order the previous stable sort produced (segments were
-/// appended child by child, so equal keys kept ascending child index), but
-/// costs `O(segments · log degree)` instead of a full re-sort.
-fn combine(
-    tree: &Tree,
-    node: NodeId,
-    own: Seg,
-    mut child_sequences: Vec<Vec<Seg>>,
-    arena: &mut NodeArena,
-) -> Vec<Seg> {
-    let mut residual = vec![0 as Size; child_sequences.len()];
-    let mut total_residual: Size = 0;
-
-    // Reusable-prefix fast path: if the *longest* child sequence's minimum
-    // key dominates every other child's maximum key, all of its segments
-    // form a prefix of the merge with zero offset (no other child has
-    // deposited residual memory yet), so its vector is reused in place and
-    // only the other children's segments are merged onto its tail.  The
-    // stable order breaks key ties by ascending child index, so a
-    // smaller-indexed child needs *strictly* smaller keys to merge after
-    // the prefix, while a larger-indexed one may tie.  This is what keeps
-    // caterpillar/comb-shaped trees — a long spine with small side subtrees
-    // at every level — linear instead of copying the spine sequence once
-    // per level.
-    let longest = (0..child_sequences.len())
-        .max_by_key(|&i| child_sequences[i].len())
-        .expect("combine is called with at least two children");
-    let prefix_key = child_sequences[longest].last().map(|segment| segment.key());
-    let mut combined: Vec<Seg> = match prefix_key {
-        Some(min_key)
-            if child_sequences.iter().enumerate().all(|(i, sequence)| {
-                i == longest
-                    || sequence.first().is_none_or(|first| {
-                        if i < longest {
-                            first.key() < min_key
-                        } else {
-                            first.key() <= min_key
-                        }
-                    })
-            }) =>
-        {
-            let sequence = std::mem::take(&mut child_sequences[longest]);
-            total_residual = sequence.last().map(|s| s.valley).unwrap_or(0);
-            residual[longest] = total_residual;
-            sequence
-        }
-        _ => Vec::new(),
-    };
-
-    let mut cursors: Vec<(Vec<Seg>, usize)> = child_sequences
-        .into_iter()
-        .map(|sequence| (sequence, 0))
-        .collect();
-    let mut heap: BinaryHeap<(Size, Reverse<usize>)> = BinaryHeap::with_capacity(cursors.len());
-    for (child_idx, (sequence, _)) in cursors.iter().enumerate() {
-        if let Some(first) = sequence.first() {
-            heap.push((first.key(), Reverse(child_idx)));
-        }
-    }
-
-    while let Some((_, Reverse(child_idx))) = heap.pop() {
-        let (sequence, position) = &mut cursors[child_idx];
-        let segment = sequence[*position];
-        *position += 1;
-        if let Some(next) = sequence.get(*position) {
-            heap.push((next.key(), Reverse(child_idx)));
-        }
-        let others = total_residual - residual[child_idx];
-        let absolute = Seg {
-            hill: segment.hill + others,
-            valley: segment.valley + others,
-            head: segment.head,
-            tail: segment.tail,
-        };
-        total_residual = others + segment.valley;
-        residual[child_idx] = segment.valley;
-        push_normalized(&mut combined, absolute, arena);
-    }
-    debug_assert_eq!(total_residual, tree.children_file_sum(node));
-
-    // The node itself executes last (bottom-up orientation): all child files
-    // are resident, it adds its execution file and produces its output file.
-    push_normalized(&mut combined, own, arena);
-    combined
-}
-
 /// Compute the minimum in-core memory of `tree` and an optimal traversal
 /// using Liu's exact algorithm.
 ///
@@ -253,73 +270,92 @@ fn combine(
 /// assert_eq!(liu_exact(&tree).peak, min_mem(&tree).peak);
 /// ```
 pub fn liu_exact(tree: &Tree) -> LiuResult {
-    let mut arena = NodeArena::with_capacity(tree.len());
-    let mut sequences: Vec<Option<Vec<Seg>>> = vec![None; tree.len()];
-    for &i in tree.dfs_bottomup().iter() {
-        let children = tree.children(i);
-        let own = {
-            let entry = arena.singleton(i);
-            Seg {
-                hill: tree.children_file_sum(i) + tree.n(i) + tree.f(i),
-                valley: tree.f(i),
-                head: entry,
-                tail: entry,
-            }
+    liu_exact_until(tree, &mut Probe::new(None)).expect("no stop probe, cannot be cancelled")
+}
+
+/// [`liu_exact`], polling `probe` once per
+/// [`STOP_CHECK_INTERVAL`](crate::solver::STOP_CHECK_INTERVAL) nodes;
+/// `None` when it fired.
+pub(crate) fn liu_exact_until(tree: &Tree, probe: &mut Probe<'_>) -> Option<LiuResult> {
+    // A preorder that pushes the children in stored order pops the last one
+    // first; reversed, it finishes the first child's subtree first.
+    let mut order = Vec::with_capacity(tree.len());
+    let mut dfs = vec![tree.root()];
+    while let Some(i) = dfs.pop() {
+        order.push(i);
+        dfs.extend_from_slice(tree.children(i));
+    }
+    let mut stack = Stack {
+        segs: Vec::new(),
+        pending: Vec::new(),
+        next: vec![NIL; tree.len()],
+        merged: Vec::new(),
+        heap: BinaryHeap::new(),
+        cursors: Vec::new(),
+        residual: Vec::new(),
+    };
+    #[cfg(test)]
+    let mut capacities = stack.capacities();
+    for &i in order.iter().rev() {
+        if probe.stopped() {
+            return None;
+        }
+        let own = Seg {
+            hill: tree.mem_req(i),
+            valley: tree.f(i),
+            head: i,
+            tail: i,
         };
-        let sequence = match children {
+        match tree.child_count(i) {
             // Leaf: the sequence is the node's own segment.
-            [] => vec![own],
+            0 => {
+                let top = stack.segs.len();
+                stack.pending.push(Pending {
+                    extent: top,
+                    start: top,
+                });
+                stack.segs.push(own);
+            }
             // Single child (every node of a chain, the spine of amalgamated
-            // assembly trees): the merge offsets are identically zero, so the
-            // child's sequence is extended *in place* — O(1) amortised
-            // instead of the O(sequence) copy a general merge costs, which
-            // is what keeps chain-like trees linear overall.
-            [child] => {
-                let mut sequence = sequences[*child]
-                    .take()
-                    .expect("children processed before their parent");
+            // assembly trees): the merge offsets are identically zero, so
+            // the child's sequence, the top of the stack, is extended in
+            // place.
+            1 => {
                 debug_assert_eq!(
-                    sequence.last().map(|s| s.valley),
+                    stack.segs.last().map(|s| s.valley),
                     Some(tree.children_file_sum(i))
                 );
-                push_normalized(&mut sequence, own, &mut arena);
-                sequence
+                let floor = stack.pending.last().expect("child finished").start;
+                stack.push_normalized(floor, own);
             }
-            _ => {
-                let child_sequences: Vec<Vec<Seg>> = children
-                    .iter()
-                    .map(|&c| {
-                        sequences[c]
-                            .take()
-                            .expect("children processed before their parent")
-                    })
-                    .collect();
-                combine(tree, i, own, child_sequences, &mut arena)
-            }
-        };
-        sequences[i] = Some(sequence);
+            k => stack.combine(k, own),
+        }
+        #[cfg(test)]
+        growth::track(&mut capacities, stack.capacities());
     }
-    let root_internal = sequences[tree.root()]
-        .take()
-        .expect("root sequence computed");
-    // Flatten the arena chains exactly once: materialise the public segments
-    // (with owned node vectors) and the bottom-up execution order.
-    let mut root_sequence: Vec<Segment> = Vec::with_capacity(root_internal.len());
-    let mut bottom_up: Vec<NodeId> = Vec::with_capacity(tree.len());
-    for seg in &root_internal {
-        let mut nodes = Vec::new();
-        arena.collect_into(seg.head, &mut nodes);
-        bottom_up.extend_from_slice(&nodes);
-        root_sequence.push(Segment {
+    debug_assert_eq!(stack.pending.len(), 1);
+    // Flatten the root's chains once, into the bottom-up execution order,
+    // reusing the preorder's buffer.
+    let root_sequence = &stack.segs[stack.pending[0].start..];
+    let mut segments = Vec::with_capacity(root_sequence.len());
+    order.clear();
+    for seg in root_sequence {
+        let first = order.len();
+        let mut cursor = seg.head;
+        while cursor != NIL {
+            order.push(cursor);
+            cursor = stack.next[cursor];
+        }
+        segments.push(Segment {
             hill: seg.hill,
             valley: seg.valley,
-            nodes,
+            len: order.len() - first,
         });
     }
-    let peak = root_sequence.iter().map(|s| s.hill).max().unwrap_or(0);
-    debug_assert_eq!(bottom_up.len(), tree.len());
-    bottom_up.reverse();
-    let traversal = Traversal::new(bottom_up);
+    let peak = segments.iter().map(|s| s.hill).max().unwrap_or(0);
+    debug_assert_eq!(order.len(), tree.len());
+    order.reverse();
+    let traversal = Traversal::new(order);
     debug_assert_eq!(
         traversal
             .peak_memory(tree)
@@ -327,11 +363,11 @@ pub fn liu_exact(tree: &Tree) -> LiuResult {
         peak,
         "hill-valley peak must match the direct evaluation of the traversal"
     );
-    LiuResult {
+    Some(LiuResult {
         traversal,
         peak,
-        segments: root_sequence,
-    }
+        segments,
+    })
 }
 
 #[cfg(test)]
@@ -417,17 +453,26 @@ mod tests {
         }
     }
 
+    /// The segments cut the bottom-up order (the reversed traversal) into
+    /// runs whose replayed peak and final residency are their hill and
+    /// valley.
     #[test]
-    fn segments_cover_every_node_exactly_once() {
-        let tree = harpoon_tower(3, 30, 1, 2);
-        let result = liu_exact(&tree);
-        let mut seen = vec![false; tree.len()];
-        for segment in &result.segments {
-            for &node in &segment.nodes {
-                assert!(!seen[node], "node {node} appears twice");
-                seen[node] = true;
+    fn segments_replay_over_the_reversed_traversal() {
+        for tree in [harpoon_tower(3, 30, 1, 2), harpoon(4, 40, 3)] {
+            let result = liu_exact(&tree);
+            let bottom_up: Vec<NodeId> = result.traversal.order().iter().rev().copied().collect();
+            let lens: usize = result.segments.iter().map(|s| s.len).sum();
+            assert_eq!(lens, tree.len());
+            let (mut resident, mut next) = (0 as Size, 0);
+            for segment in &result.segments {
+                let mut hill = Size::MIN;
+                for &node in &bottom_up[next..next + segment.len] {
+                    hill = hill.max(resident + tree.n(node) + tree.f(node));
+                    resident += tree.f(node) - tree.children_file_sum(node);
+                }
+                next += segment.len;
+                assert_eq!((hill, resident), (segment.hill, segment.valley));
             }
         }
-        assert!(seen.into_iter().all(|s| s));
     }
 }

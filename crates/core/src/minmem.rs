@@ -16,8 +16,13 @@
 //! The implementation mirrors the pseudo-code of the paper; in particular the
 //! state of a partially explored tree (cut + traversal prefix) is carried
 //! from one `MinMem` iteration to the next so processed nodes are never
-//! executed twice.
+//! executed twice.  It is carried in place: every iteration runs on the same
+//! flat arenas, so a call allocates O(log p) times whatever its iteration
+//! count, and the final peak is one allocation-free pass over the traversal.
 
+#[cfg(test)]
+use crate::solver::growth;
+use crate::solver::Probe;
 use crate::traversal::Traversal;
 use crate::tree::{NodeId, Size, Tree, INFINITE};
 use crate::TraversalResult;
@@ -53,12 +58,6 @@ pub struct ExploreState {
     pub cut_peaks: Vec<Size>,
     /// Traversal prefix (`Tr_init`): nodes already executed.
     pub traversal: Vec<NodeId>,
-}
-
-impl ExploreState {
-    fn is_empty(&self) -> bool {
-        self.cut.is_empty() && self.traversal.is_empty()
-    }
 }
 
 fn saturating_add(a: Size, b: Size) -> Size {
@@ -102,9 +101,13 @@ struct Frame {
     in_pass: bool,
 }
 
-/// The shared buffers of the explicit-stack driver.
+/// The shared buffers of the explicit-stack driver.  Between two calls of
+/// [`explore_in`] on the same tree they hold the root's cut and traversal
+/// prefix, the state [`min_mem`] resumes from.
 #[derive(Debug, Default)]
 struct Arenas {
+    /// The suspended activations, root first.
+    frames: Vec<Frame>,
     /// Current cuts of all live frames, bottom frame first.
     cut_nodes: Vec<NodeId>,
     cut_peaks: Vec<Size>,
@@ -138,6 +141,19 @@ impl Arenas {
             .extend(tree.children(node).iter().map(|&c| tree.mem_req(c)));
         self.traversal.push(node);
         frame
+    }
+
+    /// Test builds: the capacities of the buffers that grow during a call.
+    #[cfg(test)]
+    fn capacities(&self) -> [usize; 6] {
+        [
+            self.frames.capacity(),
+            self.cut_nodes.capacity(),
+            self.cut_peaks.capacity(),
+            self.old_nodes.capacity(),
+            self.old_peaks.capacity(),
+            self.traversal.capacity(),
+        ]
     }
 }
 
@@ -173,58 +189,66 @@ pub fn explore(
     avail: Size,
     init: Option<ExploreState>,
 ) -> ExploreOutcome {
-    let has_init = init.as_ref().map(|s| !s.is_empty()).unwrap_or(false);
+    let mut arenas = Arenas::default();
+    if let Some(state) = init {
+        debug_assert_eq!(state.cut.len(), state.cut_peaks.len());
+        arenas.cut_nodes = state.cut;
+        arenas.cut_peaks = state.cut_peaks;
+        arenas.traversal = state.traversal;
+    }
+    let (mem, peak) = explore_in(tree, node, avail, &mut arenas, &mut Probe::new(None))
+        .expect("no stop probe, cannot be cancelled");
+    ExploreOutcome {
+        mem,
+        cut: arenas.cut_nodes,
+        cut_peaks: arenas.cut_peaks,
+        traversal: arenas.traversal,
+        peak,
+    }
+}
 
-    if !has_init {
+/// [`explore`] on `arenas`, which hold the state to resume from (empty for
+/// a fresh exploration) and, on return, the outcome's cut, cut peaks and
+/// traversal; returns `(mem, peak)`.  `probe` is polled once per
+/// [`STOP_CHECK_INTERVAL`](crate::solver::STOP_CHECK_INTERVAL) steps of
+/// the driver loop: `None` when it fired, the arenas then holding garbage.
+fn explore_in(
+    tree: &Tree,
+    node: NodeId,
+    avail: Size,
+    arenas: &mut Arenas,
+    probe: &mut Probe<'_>,
+) -> Option<(Size, Size)> {
+    let resumed = !(arenas.cut_nodes.is_empty() && arenas.traversal.is_empty());
+
+    if !resumed {
         // Lines 1–5: try to execute `node` itself.
         let requirement = tree.mem_req(node);
         if requirement > avail {
-            return ExploreOutcome {
-                mem: INFINITE,
-                cut: Vec::new(),
-                cut_peaks: Vec::new(),
-                traversal: Vec::new(),
-                peak: requirement,
-            };
+            return Some((INFINITE, requirement));
         }
         if tree.is_leaf(node) {
-            return ExploreOutcome {
-                mem: 0,
-                cut: Vec::new(),
-                cut_peaks: Vec::new(),
-                traversal: vec![node],
-                peak: INFINITE,
-            };
+            arenas.traversal.push(node);
+            return Some((0, INFINITE));
         }
     }
 
-    let mut arenas = Arenas::default();
-
     // The root frame: either resumed from a previous MinMem iteration (lines
     // 6–8) or freshly initialised from the children (lines 9–11).
-    let root_frame = match init {
-        Some(state) if !state.is_empty() => {
-            debug_assert_eq!(state.cut.len(), state.cut_peaks.len());
-            let cut_file_sum = state.cut.iter().map(|&c| tree.f(c)).sum();
-            arenas.cut_nodes = state.cut;
-            arenas.cut_peaks = state.cut_peaks;
-            arenas.traversal = state.traversal;
-            Frame {
-                avail,
-                cut_start: 0,
-                old_start: 0,
-                cut_file_sum,
-                traversal_mark: 0,
-                idx: 0,
-                pass_sum: 0,
-                first_pass: true,
-                in_pass: false,
-            }
+    let root_frame = if resumed {
+        Frame {
+            avail,
+            cut_file_sum: arenas.cut_nodes.iter().map(|&c| tree.f(c)).sum(),
+            first_pass: true,
+            ..Frame::default()
         }
-        _ => arenas.open_frame(tree, node, avail),
+    } else {
+        arenas.open_frame(tree, node, avail)
     };
-
-    let mut stack: Vec<Frame> = vec![root_frame];
+    debug_assert!(arenas.frames.is_empty() && arenas.old_nodes.is_empty());
+    arenas.frames.push(root_frame);
+    #[cfg(test)]
+    let mut capacities = arenas.capacities();
 
     // Lines 12–19, iteratively: each pass of a frame corresponds to one
     // evaluation of the candidate set (line 19 in the paper); within a pass
@@ -234,7 +258,12 @@ pub fn explore(
     // candidate costs O(1) besides its own (pushed) exploration.  On the
     // first pass every initial cut node is a candidate (line 12).
     'driver: loop {
-        let frame = stack.last_mut().expect("stack is never empty here");
+        if probe.stopped() {
+            return None;
+        }
+        #[cfg(test)]
+        growth::track(&mut capacities, arenas.capacities());
+        let frame = arenas.frames.last_mut().expect("stack is never empty here");
 
         if !frame.in_pass {
             let start_pass = frame.first_pass
@@ -246,9 +275,10 @@ pub fn explore(
                     });
             if !start_pass {
                 // This frame is done: report it upward (lines 20–22).
-                let finished = stack.pop().expect("just peeked");
-                let peak = frame_peak(tree, &finished, &arenas);
-                match stack.last_mut() {
+                let finished = *frame;
+                arenas.frames.pop();
+                let peak = frame_peak(tree, &finished, arenas);
+                match arenas.frames.last_mut() {
                     Some(parent) => {
                         // Lines 16–18: merge the child's result.  The child's
                         // cut and executions already sit on top of the
@@ -275,15 +305,9 @@ pub fn explore(
                         parent.idx += 1;
                         continue 'driver;
                     }
-                    None => {
-                        return ExploreOutcome {
-                            mem: finished.cut_file_sum,
-                            cut: arenas.cut_nodes.split_off(finished.cut_start),
-                            cut_peaks: arenas.cut_peaks.split_off(finished.cut_start),
-                            traversal: arenas.traversal,
-                            peak,
-                        };
-                    }
+                    // The root frame's cut region starts at 0: the arenas
+                    // now hold exactly the outcome.
+                    None => return Some((finished.cut_file_sum, peak)),
                 }
             }
             // Start a pass: move this frame's cut region to the top of the
@@ -334,7 +358,7 @@ pub fn explore(
             }
             // Open a child frame; integration happens when it finishes.
             let child = arenas.open_frame(tree, j, avail_j);
-            stack.push(child);
+            arenas.frames.push(child);
             continue 'driver;
         }
 
@@ -385,41 +409,65 @@ impl From<MinMemResult> for TraversalResult {
 /// assert_eq!(result.peak, result.traversal.peak_memory(&tree).unwrap());
 /// ```
 pub fn min_mem(tree: &Tree) -> MinMemResult {
+    min_mem_until(tree, &mut Probe::new(None)).expect("no stop probe, cannot be cancelled")
+}
+
+/// [`min_mem`], with `probe` ticking once per restart and once per step of
+/// each exploration's driver loop, so it is polled every
+/// [`STOP_CHECK_INTERVAL`](crate::solver::STOP_CHECK_INTERVAL) of them;
+/// `None` when it fired.
+pub(crate) fn min_mem_until(tree: &Tree, probe: &mut Probe<'_>) -> Option<MinMemResult> {
     let mut target = tree.max_mem_req();
-    let mut state = ExploreState::default();
+    // The root's cut and traversal prefix stay in the arenas from one
+    // iteration to the next.
+    let mut arenas = Arenas::default();
     let mut iterations = 0usize;
     loop {
+        if probe.stopped() {
+            return None;
+        }
         iterations += 1;
         let avail = target;
-        let outcome = explore(tree, tree.root(), avail, Some(state));
-        if outcome.peak == INFINITE {
+        let (_, peak) = explore_in(tree, tree.root(), avail, &mut arenas, probe)?;
+        if peak == INFINITE {
             debug_assert_eq!(
-                outcome.traversal.len(),
+                arenas.traversal.len(),
                 tree.len(),
                 "exploration must cover the tree"
             );
-            let traversal = Traversal::new(outcome.traversal);
+            let traversal = Traversal::new(std::mem::take(&mut arenas.traversal));
             debug_assert!(traversal.check_in_core(tree, avail).is_ok());
-            let peak = traversal
-                .peak_memory(tree)
-                .expect("MinMem produced an invalid traversal");
-            return MinMemResult {
+            let peak = peak_memory(tree, traversal.order());
+            debug_assert_eq!(
+                Ok(peak),
+                traversal.peak_memory(tree),
+                "MinMem produced an invalid traversal"
+            );
+            return Some(MinMemResult {
                 traversal,
                 peak,
                 iterations,
-            };
+            });
         }
         debug_assert!(
-            outcome.peak > avail,
+            peak > avail,
             "Explore must report a peak larger than the memory it was given"
         );
-        target = outcome.peak;
-        state = ExploreState {
-            cut: outcome.cut,
-            cut_peaks: outcome.cut_peaks,
-            traversal: outcome.traversal,
-        };
+        target = peak;
     }
+}
+
+/// Peak memory of `order`, a valid traversal of `tree`: the largest memory
+/// in use while a node runs, replayed without a profile.
+fn peak_memory(tree: &Tree, order: &[NodeId]) -> Size {
+    let mut resident = tree.f(tree.root());
+    let mut peak = Size::MIN;
+    for &i in order {
+        let children = tree.children_file_sum(i);
+        peak = peak.max(resident + tree.n(i) + children);
+        resident += children - tree.f(i);
+    }
+    peak
 }
 
 #[cfg(test)]

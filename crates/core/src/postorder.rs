@@ -17,31 +17,21 @@
 //! experiments of the paper and of `crates/bench`), but Theorem 1 shows that
 //! it can be arbitrarily worse than the optimal traversal on adversarial
 //! trees such as [`crate::gadgets::harpoon_tower`].
+//!
+//! Both postorders run on flat per-call arrays: one bottom-up pass over a
+//! reversed preorder computes every subtree peak and, for the best
+//! postorder, sorts each node's children in place inside one copy of the
+//! tree's child lists, laid out like [`Tree`]'s own CSR; the traversal is
+//! then emitted from those lists.  Nothing is allocated per node.  The
+//! code they replaced, a `Vec` of child ids per node, is kept as the test
+//! oracle in `naive`.
 
+#[cfg(test)]
+use crate::solver::growth;
+use crate::solver::Probe;
 use crate::traversal::Traversal;
 use crate::tree::{NodeId, Size, Tree};
 use crate::TraversalResult;
-
-/// Peak memory of the postorder traversal of each subtree, assuming children
-/// are processed in the given per-node order.
-///
-/// `child_order[i]` lists the children of `i` in processing order; it must be
-/// a permutation of `tree.children(i)`.
-fn subtree_peaks_with_order(tree: &Tree, child_order: &[Vec<NodeId>]) -> Vec<Size> {
-    let mut peak = vec![0 as Size; tree.len()];
-    for &i in tree.dfs_bottomup().iter() {
-        let mut best = tree.mem_req(i);
-        // Files of the not-yet-processed siblings remain resident while a
-        // child subtree is being traversed.
-        let mut remaining: Size = child_order[i].iter().map(|&c| tree.f(c)).sum();
-        for &c in &child_order[i] {
-            remaining -= tree.f(c);
-            best = best.max(peak[c] + remaining);
-        }
-        peak[i] = best;
-    }
-    peak
-}
 
 /// Result of a postorder computation: the traversal, its peak, and the
 /// per-subtree peaks (useful for diagnostics and for the experiments).
@@ -64,17 +54,19 @@ impl From<PostOrderResult> for TraversalResult {
     }
 }
 
-/// Generate the traversal corresponding to a per-node child processing order.
-fn traversal_from_child_order(tree: &Tree, child_order: &[Vec<NodeId>]) -> Traversal {
-    let mut order = Vec::with_capacity(tree.len());
-    let mut stack = vec![tree.root()];
-    while let Some(i) = stack.pop() {
-        order.push(i);
-        for &c in child_order[i].iter().rev() {
-            stack.push(c);
-        }
+/// Peak of the postorder of `i`'s subtree that runs its children in
+/// `children` order, from the children's own subtree peaks.  While a child
+/// subtree is traversed, the files of the siblings not yet processed stay
+/// resident.
+#[inline]
+fn fold_peak(tree: &Tree, i: NodeId, children: &[NodeId], peak: &[Size]) -> Size {
+    let mut best = tree.mem_req(i);
+    let mut remaining = tree.children_file_sum(i);
+    for &c in children {
+        remaining -= tree.f(c);
+        best = best.max(peak[c] + remaining);
     }
-    Traversal::new(order)
+    best
 }
 
 /// Compute Liu's **best postorder** traversal of `tree` and its peak memory.
@@ -99,35 +91,70 @@ fn traversal_from_child_order(tree: &Tree, child_order: &[Vec<NodeId>]) -> Trave
 /// assert_eq!(result.peak, result.traversal.peak_memory(&tree).unwrap());
 /// ```
 pub fn best_postorder(tree: &Tree) -> PostOrderResult {
-    // Peaks are computed bottom-up; the processing order of the children of a
-    // node only depends on quantities of their own subtrees, so a single
-    // bottom-up pass both orders the children and computes the peaks.
+    best_postorder_until(tree, &mut Probe::new(None)).expect("no stop probe, cannot be cancelled")
+}
+
+/// [`best_postorder`], polling `probe` once per
+/// [`STOP_CHECK_INTERVAL`](crate::solver::STOP_CHECK_INTERVAL) nodes of
+/// each pass; `None` when it fired.
+pub(crate) fn best_postorder_until(tree: &Tree, probe: &mut Probe<'_>) -> Option<PostOrderResult> {
+    // `order[starts[i]..starts[i + 1]]` holds the children of `i`, sorted in
+    // place once their subtree peaks are known.  A node's sort key only
+    // depends on its own subtree, so one bottom-up pass both orders the
+    // children and computes the peaks.
+    let mut starts = Vec::with_capacity(tree.len() + 1);
+    let mut order = Vec::with_capacity(tree.len());
+    for i in tree.nodes() {
+        starts.push(order.len());
+        order.extend_from_slice(tree.children(i));
+    }
+    starts.push(order.len());
     let mut peak = vec![0 as Size; tree.len()];
-    let mut child_order: Vec<Vec<NodeId>> = vec![Vec::new(); tree.len()];
     for &i in tree.dfs_bottomup().iter() {
-        let mut order: Vec<NodeId> = tree.children(i).to_vec();
-        order.sort_by(|&a, &b| {
+        if probe.stopped() {
+            return None;
+        }
+        let children = &mut order[starts[i]..starts[i + 1]];
+        // The key ends in the node id, so the order is total and the
+        // unstable sort returns what a stable one would.
+        children.sort_unstable_by(|&a, &b| {
             let ka = peak[a] - tree.f(a);
             let kb = peak[b] - tree.f(b);
             ka.cmp(&kb)
                 .then_with(|| peak[a].cmp(&peak[b]))
                 .then_with(|| a.cmp(&b))
         });
-        let mut best = tree.mem_req(i);
-        let mut remaining: Size = order.iter().map(|&c| tree.f(c)).sum();
-        for &c in &order {
-            remaining -= tree.f(c);
-            best = best.max(peak[c] + remaining);
-        }
-        peak[i] = best;
-        child_order[i] = order;
+        peak[i] = fold_peak(tree, i, children, &peak);
     }
-    let traversal = traversal_from_child_order(tree, &child_order);
-    PostOrderResult {
+    let traversal = emit(tree, probe, |i| &order[starts[i]..starts[i + 1]])?;
+    Some(PostOrderResult {
         traversal,
         peak: peak[tree.root()],
         subtree_peaks: peak,
+    })
+}
+
+/// The postorder that runs every node's children in `children(i)` order,
+/// root first.
+fn emit<'o>(
+    tree: &Tree,
+    probe: &mut Probe<'_>,
+    children: impl Fn(NodeId) -> &'o [NodeId],
+) -> Option<Traversal> {
+    let mut order = Vec::with_capacity(tree.len());
+    let mut stack = vec![tree.root()];
+    #[cfg(test)]
+    let mut capacities = [order.capacity(), stack.capacity()];
+    while let Some(i) = stack.pop() {
+        if probe.stopped() {
+            return None;
+        }
+        order.push(i);
+        stack.extend(children(i).iter().rev());
+        #[cfg(test)]
+        growth::track(&mut capacities, [order.capacity(), stack.capacity()]);
     }
+    Some(Traversal::new(order))
 }
 
 /// Compute the postorder traversal that follows the *stored* child order of
@@ -137,40 +164,30 @@ pub fn best_postorder(tree: &Tree) -> PostOrderResult {
 /// it is never better than [`best_postorder`] and is used as a baseline in
 /// the experiments.
 pub fn natural_postorder(tree: &Tree) -> PostOrderResult {
-    let child_order: Vec<Vec<NodeId>> = tree.nodes().map(|i| tree.children(i).to_vec()).collect();
-    let peaks = subtree_peaks_with_order(tree, &child_order);
-    let traversal = traversal_from_child_order(tree, &child_order);
-    PostOrderResult {
-        traversal,
-        peak: peaks[tree.root()],
-        subtree_peaks: peaks,
-    }
+    natural_postorder_until(tree, &mut Probe::new(None))
+        .expect("no stop probe, cannot be cancelled")
 }
 
-/// Peak memory of an arbitrary postorder described by an explicit per-node
-/// child processing order.
-///
-/// # Panics
-/// Panics if `child_order` does not have one entry per node or if an entry is
-/// not a permutation of that node's children (checked with debug assertions).
-pub fn postorder_peak(tree: &Tree, child_order: &[Vec<NodeId>]) -> Size {
-    assert_eq!(
-        child_order.len(),
-        tree.len(),
-        "one child order per node expected"
-    );
-    #[cfg(debug_assertions)]
-    for i in tree.nodes() {
-        let mut a = child_order[i].clone();
-        let mut b = tree.children(i).to_vec();
-        a.sort_unstable();
-        b.sort_unstable();
-        debug_assert_eq!(
-            a, b,
-            "child_order[{i}] is not a permutation of the children"
-        );
+/// [`natural_postorder`], polling `probe` as [`best_postorder_until`] does.
+pub(crate) fn natural_postorder_until(
+    tree: &Tree,
+    probe: &mut Probe<'_>,
+) -> Option<PostOrderResult> {
+    // The natural postorder is the tree's own preorder; its reverse visits
+    // every node after its children, which is all the peak pass needs.
+    let traversal = emit(tree, probe, |i| tree.children(i))?;
+    let mut peak = vec![0 as Size; tree.len()];
+    for &i in traversal.order().iter().rev() {
+        if probe.stopped() {
+            return None;
+        }
+        peak[i] = fold_peak(tree, i, tree.children(i), &peak);
     }
-    subtree_peaks_with_order(tree, child_order)[tree.root()]
+    Some(PostOrderResult {
+        traversal,
+        peak: peak[tree.root()],
+        subtree_peaks: peak,
+    })
 }
 
 #[cfg(test)]
@@ -225,20 +242,6 @@ mod tests {
         // Peaks match a direct evaluation of the produced traversals.
         assert_eq!(best.peak, best.traversal.peak_memory(&tree).unwrap());
         assert_eq!(natural.peak, natural.traversal.peak_memory(&tree).unwrap());
-    }
-
-    #[test]
-    fn postorder_peak_matches_explicit_orders() {
-        let mut b = TreeBuilder::new();
-        let r = b.add_root(0, 0);
-        let a = b.add_child(r, 1, 0);
-        b.add_child(a, 100, 0);
-        let c = b.add_child(r, 50, 0);
-        let tree = b.build().unwrap();
-        let order_a_first = vec![vec![a, c], vec![2], vec![], vec![]];
-        let order_c_first = vec![vec![c, a], vec![2], vec![], vec![]];
-        assert_eq!(postorder_peak(&tree, &order_a_first), 151);
-        assert_eq!(postorder_peak(&tree, &order_c_first), 101);
     }
 
     #[test]

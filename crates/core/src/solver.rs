@@ -8,6 +8,12 @@
 //! integration tests — iterate [`Solver::ALL`], and names exist only at the
 //! edges (configurations, reports) through [`FromStr`].
 //!
+//! [`Solver::solve_with_stop`] is the one entry point: every solver polls a
+//! cooperative stop probe once per [`STOP_CHECK_INTERVAL`] nodes of its
+//! loops (MinMem: steps of its explorations and restarts), so a caller with
+//! a deadline gets `None` back within a fraction of a millisecond of the
+//! probe firing.
+//!
 //! ```
 //! use treemem::gadgets::harpoon;
 //! use treemem::solver::Solver;
@@ -22,9 +28,9 @@
 use std::str::FromStr;
 
 use crate::brute::brute_force_optimal;
-use crate::liu::liu_exact;
-use crate::minmem::min_mem;
-use crate::postorder::{best_postorder, natural_postorder};
+use crate::liu::liu_exact_until;
+use crate::minmem::min_mem_until;
+use crate::postorder::{best_postorder_until, natural_postorder_until};
 use crate::registry::UnknownName;
 use crate::tree::Tree;
 use crate::TraversalResult;
@@ -35,21 +41,73 @@ use crate::TraversalResult;
 /// [`Solver::ALL`] — must stop well before that.
 pub const BRUTE_FORCE_PRACTICAL_NODES: usize = 18;
 
+/// How many nodes a solver processes between two polls of its stop probe;
+/// bounds the cancellation latency to a fraction of a millisecond.
+pub const STOP_CHECK_INTERVAL: usize = 1024;
+
+/// A solver's stop probe and its tick count: [`Probe::stopped`] polls the
+/// probe on ticks 0, [`STOP_CHECK_INTERVAL`], 2 × [`STOP_CHECK_INTERVAL`], …
+pub(crate) struct Probe<'a> {
+    stop: Option<&'a dyn Fn() -> bool>,
+    ticks: usize,
+}
+
+impl<'a> Probe<'a> {
+    pub(crate) fn new(stop: Option<&'a dyn Fn() -> bool>) -> Self {
+        Probe { stop, ticks: 0 }
+    }
+
+    /// Count one tick; whether the probe was polled on it and fired.
+    #[inline]
+    pub(crate) fn stopped(&mut self) -> bool {
+        let tick = self.ticks;
+        self.ticks += 1;
+        tick.is_multiple_of(STOP_CHECK_INTERVAL) && self.stop.is_some_and(|probe| probe())
+    }
+}
+
+/// Test builds: how many times the solvers' scratch buffers grew, counted
+/// per thread.  A solver calls [`growth::track`] with its buffers'
+/// capacities after every node it processes; the count gate reads
+/// [`growth::take`].
+#[cfg(test)]
+pub(crate) mod growth {
+    use std::cell::Cell;
+
+    thread_local! {
+        static GROWTHS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Count the capacities that changed since `before`, then remember `now`.
+    pub(crate) fn track<const N: usize>(before: &mut [usize; N], now: [usize; N]) {
+        let changed = before.iter().zip(&now).filter(|(a, b)| a != b).count();
+        GROWTHS.with(|growths| growths.set(growths.get() + changed));
+        *before = now;
+    }
+
+    /// The growths counted on this thread since the last call.
+    pub(crate) fn take() -> usize {
+        GROWTHS.with(|growths| growths.replace(0))
+    }
+}
+
 /// A MinMemory algorithm: produces a valid traversal of a tree together with
 /// its peak memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
     /// The postorder following the stored child order
-    /// ([`natural_postorder`]); the baseline a solver uses when it does not
-    /// reorder children.
+    /// ([`natural_postorder`](crate::postorder::natural_postorder)); the
+    /// baseline a solver uses when it does not reorder children.
     NaturalPostorder,
-    /// Liu's best postorder ([`best_postorder`]); the ordering used by
-    /// practical multifrontal solvers, optimal among postorders but not in
-    /// general.
+    /// Liu's best postorder
+    /// ([`best_postorder`](crate::postorder::best_postorder)); the ordering
+    /// used by practical multifrontal solvers, optimal among postorders but
+    /// not in general.
     BestPostorder,
-    /// Liu's exact hill–valley algorithm ([`liu_exact`]).
+    /// Liu's exact hill–valley algorithm ([`liu_exact`](crate::liu::liu_exact)).
     Liu,
-    /// The paper's `MinMem` algorithm ([`min_mem`], Algorithms 3 and 4).
+    /// The paper's `MinMem` algorithm
+    /// ([`min_mem`](crate::minmem::min_mem), Algorithms 3 and 4).
     MinMem,
     /// The exponential brute-force oracle ([`brute_force_optimal`]); supports
     /// only trees of at most [`BRUTE_FORCE_PRACTICAL_NODES`] nodes.
@@ -88,18 +146,33 @@ impl Solver {
         self != Solver::Brute || tree.len() <= BRUTE_FORCE_PRACTICAL_NODES
     }
 
-    /// Compute a traversal of `tree` and its peak memory.
+    /// Compute a traversal of `tree` and its peak memory, polling `stop`
+    /// every [`STOP_CHECK_INTERVAL`] nodes: `None` means it fired and the
+    /// partial work was dropped.  The brute force, bounded to
+    /// [`BRUTE_FORCE_PRACTICAL_NODES`], polls once before it starts.
     ///
     /// # Panics
     /// May panic when `supports(tree)` is false.
-    pub fn solve(self, tree: &Tree) -> TraversalResult {
+    pub fn solve_with_stop(
+        self,
+        tree: &Tree,
+        stop: Option<&dyn Fn() -> bool>,
+    ) -> Option<TraversalResult> {
+        let probe = &mut Probe::new(stop);
         match self {
-            Solver::NaturalPostorder => natural_postorder(tree).into(),
-            Solver::BestPostorder => best_postorder(tree).into(),
-            Solver::Liu => liu_exact(tree).into(),
-            Solver::MinMem => min_mem(tree).into(),
-            Solver::Brute => brute_force_optimal(tree),
+            Solver::NaturalPostorder => natural_postorder_until(tree, probe).map(Into::into),
+            Solver::BestPostorder => best_postorder_until(tree, probe).map(Into::into),
+            Solver::Liu => liu_exact_until(tree, probe).map(Into::into),
+            Solver::MinMem => min_mem_until(tree, probe).map(Into::into),
+            Solver::Brute => (!probe.stopped()).then(|| brute_force_optimal(tree)),
         }
+    }
+
+    /// [`Solver::solve_with_stop`] without a probe; kept for the
+    /// `benchmark/` package, which calls it (ROADMAP item 26 removes it).
+    pub fn solve(self, tree: &Tree) -> TraversalResult {
+        self.solve_with_stop(tree, None)
+            .expect("no stop probe, cannot be cancelled")
     }
 }
 
@@ -207,6 +280,57 @@ mod tests {
                 "{}",
                 solver.name()
             );
+        }
+    }
+
+    /// A probe that fires on its `k`-th poll stops every solver there — it
+    /// is not polled again — and a probe that never fires changes nothing.
+    /// The 5 000-node tree takes every solver through several polls; the
+    /// brute force polls once, before it starts.
+    #[test]
+    fn a_probe_firing_on_its_kth_poll_stops_every_solver() {
+        use crate::random::random_attachment_tree;
+        use std::cell::Cell;
+
+        let large = random_attachment_tree(5_000, 100, 10, 3);
+        let small = harpoon(3, 30, 1);
+        for solver in Solver::ALL {
+            let tree = if solver.supports(&large) {
+                &large
+            } else {
+                &small
+            };
+            let polls = Cell::new(0usize);
+            let quiet = || {
+                polls.set(polls.get() + 1);
+                false
+            };
+            assert_eq!(
+                solver.solve_with_stop(tree, Some(&quiet)),
+                Some(solver.solve(tree)),
+                "{}",
+                solver.name()
+            );
+            let total = polls.get();
+            assert!(
+                total >= if solver == Solver::Brute { 1 } else { 4 },
+                "{} polled {total} times",
+                solver.name()
+            );
+            for k in [1, 2, total].into_iter().filter(|&k| k <= total) {
+                polls.set(0);
+                let fires_on_kth = || {
+                    polls.set(polls.get() + 1);
+                    polls.get() == k
+                };
+                assert_eq!(
+                    solver.solve_with_stop(tree, Some(&fires_on_kth)),
+                    None,
+                    "{} survived a probe firing on poll {k}",
+                    solver.name()
+                );
+                assert_eq!(polls.get(), k, "{} kept polling", solver.name());
+            }
         }
     }
 }

@@ -5,7 +5,8 @@
 //! owns separators, escaping and the one layout: a [`Writer::document`] puts
 //! one field per line with a two-space indent, nested objects are inline
 //! (`{"k": v, "k2": v2}`, as is a wire frame's [`Writer::line`] body) and
-//! arrays are `[a,b]`.  Floats: `f64` is the shortest round-trip text,
+//! arrays are `[a,b]` (integer items are rendered into one stack buffer,
+//! flushed whole, as [`Hex`] items are).  Floats: `f64` is the shortest round-trip text,
 //! [`Fixed`] has set decimals, [`Sci`] is exponent form; non-finite is
 //! `null`.  [`Hex`] payloads and already-rendered [`Raw`] bodies go as is.
 //!
@@ -610,6 +611,19 @@ pub fn line(fields: impl FnOnce(&mut Writer<'_>)) -> String {
 pub trait Value {
     /// Write `self` as one JSON value.
     fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result;
+
+    /// Write `items` as the comma-separated body of an [`Array`]; the
+    /// integer types render theirs through one stack buffer.
+    fn write_items(items: impl Iterator<Item = Self>, out: &mut dyn fmt::Write) -> fmt::Result
+    where
+        Self: Sized,
+    {
+        for (index, item) in items.enumerate() {
+            out.write_str(if index > 0 { "," } else { "" })?;
+            item.write_json(out)?;
+        }
+        Ok(())
+    }
 }
 
 /// A type that writes itself as an object: `&T` is a [`Value`].
@@ -637,10 +651,36 @@ macro_rules! value {
     )+)*};
 }
 
+/// `impl Value` for each listed integer type, given its sign and
+/// magnitude: one number in one write, an array's items through
+/// [`write_integers`].
+macro_rules! integer_value {
+    ($($type:ty => |$value:ident| $parts:expr;)*) => {$(
+        impl Value for $type {
+            fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
+                let $value = self;
+                let (negative, magnitude) = $parts.ok_or(fmt::Error)?;
+                let mut text = [0u8; MAX_INTEGER_LEN];
+                let len = render_integer(&mut text, negative, magnitude);
+                out.write_str(std::str::from_utf8(&text[..len]).map_err(|_| fmt::Error)?)
+            }
+
+            fn write_items(items: impl Iterator<Item = Self>, out: &mut dyn fmt::Write) -> fmt::Result {
+                write_integers(items.map(|$value| $parts), out)
+            }
+        }
+    )*};
+}
+
+integer_value! {
+    u16 => |value| Some((false, u64::from(value)));
+    u64 => |value| Some((false, value));
+    usize => |value| u64::try_from(value).ok().map(|magnitude| (false, magnitude));
+    i64 => |value| Some((value < 0, value.unsigned_abs()));
+}
+
 // An `f64` is the shortest text that parses back to the same value.
 value! {
-    u16, u64, usize => |value, out| write_digits(out, false, value);
-    i64 => |value, out| write_digits(out, value < 0, value.unsigned_abs());
     bool => |value, out| out.write_str(if value { "true" } else { "false" });
     &str, &String => |text, out| write_quoted(out, text);
     f64 => |value, out| finite(out, value, format_args!("{value}"));
@@ -649,23 +689,56 @@ value! {
     Raw<'_> => |Raw(text), out| out.write_str(text);
 }
 
-/// An integer's digits in one write: `write!` would set up a formatter for
-/// each of a long traversal's numbers.
-fn write_digits(out: &mut dyn fmt::Write, negative: bool, value: impl TryInto<u64>) -> fmt::Result {
-    let mut magnitude = value.try_into().map_err(|_| fmt::Error)?;
-    let mut text = [b'-'; 21];
-    let mut start = text.len();
-    loop {
-        start -= 1;
-        text[start] = b'0' + u8::try_from(magnitude % 10).map_err(|_| fmt::Error)?;
+/// The longest integer text: a sign and the 20 digits of `u64::MAX`.
+const MAX_INTEGER_LEN: usize = 21;
+
+/// Render an integer at the start of `text` (at least [`MAX_INTEGER_LEN`]
+/// bytes) by hand, returning its length: `write!` would set up a formatter
+/// for each of a long traversal's numbers.
+#[inline]
+fn render_integer(text: &mut [u8], negative: bool, mut magnitude: u64) -> usize {
+    let sign = usize::from(negative);
+    let digits = magnitude.checked_ilog10().map_or(1, |log| {
+        usize::try_from(log).map_or(MAX_INTEGER_LEN - 1, |log| log + 1)
+    });
+    let len = sign + digits;
+    text[0] = b'-';
+    for slot in text[sign..len].iter_mut().rev() {
+        // `% 10` is one digit.
+        *slot = b'0' + u8::try_from(magnitude % 10).unwrap_or(0);
         magnitude /= 10;
-        if magnitude == 0 {
-            break;
-        }
     }
-    // `text` is prefilled with minus signs.
-    start -= usize::from(negative);
-    out.write_str(std::str::from_utf8(&text[start..]).map_err(|_| fmt::Error)?)
+    len
+}
+
+/// An integer array's comma-separated items, `(negative, magnitude)` each
+/// (`None` is a magnitude beyond `u64`), rendered into a stack buffer that
+/// is flushed whole: two `dyn` writes per number would dominate a
+/// traversal's or a prebuilt tree's rendering and hashing.
+fn write_integers(
+    items: impl Iterator<Item = Option<(bool, u64)>>,
+    out: &mut dyn fmt::Write,
+) -> fmt::Result {
+    const CHUNK: usize = 512;
+    let mut buffer = [0u8; CHUNK];
+    let mut len = 0;
+    let flush = |out: &mut dyn fmt::Write, bytes: &[u8]| {
+        out.write_str(std::str::from_utf8(bytes).map_err(|_| fmt::Error)?)
+    };
+    for (index, item) in items.enumerate() {
+        let (negative, magnitude) = item.ok_or(fmt::Error)?;
+        // A separator and a number.
+        if len + 1 + MAX_INTEGER_LEN > CHUNK {
+            flush(out, &buffer[..len])?;
+            len = 0;
+        }
+        if index > 0 {
+            buffer[len] = b',';
+            len += 1;
+        }
+        len += render_integer(&mut buffer[len..], negative, magnitude);
+    }
+    flush(out, &buffer[..len])
 }
 
 /// A finite `value` as `text`; a non-finite one (not JSON) as `null`.
@@ -744,10 +817,7 @@ pub struct Array<I>(pub I);
 impl<I: IntoIterator<Item: Value>> Value for Array<I> {
     fn write_json(self, out: &mut dyn fmt::Write) -> fmt::Result {
         out.write_char('[')?;
-        for (index, item) in self.0.into_iter().enumerate() {
-            out.write_str(if index > 0 { "," } else { "" })?;
-            item.write_json(out)?;
-        }
+        I::Item::write_items(self.0.into_iter(), out)?;
         out.write_char(']')
     }
 }
@@ -798,6 +868,41 @@ impl Value for &Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `write_json` of one value into a new `String`.
+    fn render(value: impl Value) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out).unwrap();
+        out
+    }
+
+    /// Integer arrays render through the stack buffer to the bytes of
+    /// their items rendered one by one, at the extremes of every integer
+    /// type and across the buffer's 512-byte boundary.
+    #[test]
+    fn buffered_integer_arrays_equal_item_by_item_rendering() {
+        fn check<T: Value + Copy>(items: &[T]) {
+            let one_by_one: Vec<String> = items.iter().map(|&item| render(item)).collect();
+            assert_eq!(
+                render(Array(items.iter().copied())),
+                format!("[{}]", one_by_one.join(","))
+            );
+        }
+        check(&[i64::MIN, -1, 0, 1, i64::MAX]);
+        check(&[0, 1, 10, u64::MAX]);
+        check(&[0, u16::MAX]);
+        check(&[0usize, usize::MAX]);
+        check::<i64>(&[]);
+        check(&(0..200).map(|i| i64::MIN + i).collect::<Vec<_>>());
+        check(&(0..100).map(|i| u64::MAX - i).collect::<Vec<_>>());
+        check(&(0..5_000usize).collect::<Vec<_>>());
+        for len in 20..30 {
+            // 19 + 1 bytes per item: the buffer boundary falls at every
+            // offset within an item.
+            check(&vec![1_000_000_000_000_000_000u64; len]);
+        }
+        assert_eq!(render(Array([-3i64, 0, 12])), "[-3,0,12]");
+    }
 
     #[test]
     fn parses_scalars_and_containers() {

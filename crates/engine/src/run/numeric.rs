@@ -135,7 +135,11 @@ impl NumericModel {
             }
             let cancel = engine.cancel();
             check(cancel, "numeric")?;
-            let solved = solver.solve(&self.model);
+            let solved = CancelToken::with_stop(cancel, |stop| {
+                let stop = stop.map(|probe| probe as &dyn Fn() -> bool);
+                solver.solve_with_stop(&self.model, stop)
+            })
+            .ok_or_else(|| cancelled(cancel, "numeric"))?;
             check(cancel, "numeric")?;
             Ok(solved.traversal.reversed().into_order())
         })

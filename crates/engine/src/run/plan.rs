@@ -259,7 +259,12 @@ impl Plan {
             let cancel = engine.cancel();
             fire_fault(FaultPoint::ScheduleSolver);
             check(cancel, "solver")?;
-            let (result, seconds) = timed_ok(|| solver.solve(self.tree()));
+            // A stopped solver is an error, which the memo does not keep.
+            let (result, seconds) = CancelToken::with_stop(cancel, |stop| {
+                let stop = stop.map(|probe| probe as &dyn Fn() -> bool);
+                timed_ok(|| solver.solve_with_stop(self.tree(), stop))
+            });
+            let result = result.ok_or_else(|| cancelled(cancel, "solver"))?;
             check(cancel, "solver")?;
             let walk = Walk::new(self.tree(), &result.traversal)?;
             Ok(Solved {

@@ -19,7 +19,19 @@
 //! deficit it is only the resident total; at that step it builds the ordered
 //! set of resident traversal positions (a 64-ary bit tree) in one scan, so a
 //! walk that never runs short costs O(p) additions and neither walk ever
-//! scans the non-resident nodes.  Two oracles are retained as test code:
+//! scans the non-resident nodes.
+//!
+//! **The deficit-free prefix is one tight loop.**  When the largest
+//! `MemReq` fits in memory, no step can fail, and before the first deficit
+//! nothing has been evicted: a step is `during = total + n + Σ f(children)`
+//! and `total += Σ f(children) − f`, with no eviction lookup, no read-back
+//! and no residency branch.  Both walks run that scan first and hand the
+//! resident total to the general loop at the first deficit; the bound fills
+//! its per-file residency there, in the scan that builds the bit tree.  The
+//! scan keeps nothing per step.  When some `MemReq` exceeds memory the
+//! general loop runs from step 0, so the typed error names the same node.
+//!
+//! Two oracles are retained as test code:
 //! the seed's scan-and-sort simulator in `tests/common` (pinned by
 //! `tests/golden_parity.rs`, `tests/deep_trees.rs` and
 //! `tests/walk_parity.rs`) and the seed's scan-and-sort bound in this
@@ -149,23 +161,60 @@ impl<'w> ResidentSet<'w> {
         self.total -= size;
     }
 
+    /// Run the steps before the first deficit, from step 0, as one loop
+    /// (see the module docs); only valid when every `MemReq` fits in
+    /// `memory`.  Returns the first deficit's step (`p` when there is none)
+    /// and the largest memory in use before it; `None` when `stop` fired.
+    /// The deficit step itself is not polled, the caller's loop polls it.
+    fn run_to_first_deficit(
+        &mut self,
+        memory: Size,
+        stop: Option<&dyn Fn() -> bool>,
+    ) -> Option<(usize, Size)> {
+        let tree = self.tree;
+        debug_assert!(self.ordered.is_none() && tree.max_mem_req() <= memory);
+        let mut peak = self.total;
+        for (step, &node) in self.order.iter().enumerate() {
+            let children = tree.children_file_sum(node);
+            let during = self.total + tree.n(node) + children;
+            if during > memory {
+                return Some((step, peak));
+            }
+            if stopped(stop, step) {
+                return None;
+            }
+            peak = peak.max(during);
+            self.total += children - tree.f(node);
+        }
+        Some((self.order.len(), peak))
+    }
+
+    /// Build the ordered set at `step`, before the walk evicts anything, in
+    /// one scan of the positions `step..p`; `resident` is called on every
+    /// node whose file is in memory.
+    fn build(&mut self, step: usize, mut resident: impl FnMut(NodeId)) {
+        let mut ordered = BitTree::new(self.order.len());
+        for (position, &node) in self.order.iter().enumerate().skip(step) {
+            if self
+                .tree
+                .parent(node)
+                .is_none_or(|parent| self.positions[parent] < step)
+            {
+                ordered.insert(position);
+                resident(node);
+            }
+        }
+        self.ordered = Some(ordered);
+    }
+
     /// Positions of the eviction candidates at `step`, latest use first.
     /// The first call builds the ordered set, so it must come before the
     /// walk evicts anything.
     fn latest_first(&mut self, step: usize) -> impl Iterator<Item = usize> + '_ {
-        let (tree, order, positions) = (self.tree, self.order, self.positions);
-        let ordered = self.ordered.get_or_insert_with(|| {
-            let mut ordered = BitTree::new(order.len());
-            for (position, &node) in order.iter().enumerate().skip(step) {
-                if tree
-                    .parent(node)
-                    .is_none_or(|parent| positions[parent] < step)
-                {
-                    ordered.insert(position);
-                }
-            }
-            ordered
-        });
+        if self.ordered.is_none() {
+            self.build(step, |_| ());
+        }
+        let ordered = self.ordered.as_ref().expect("built above");
         ordered.descending_above(step)
     }
 
@@ -274,8 +323,15 @@ impl Walk {
         let mut peak: Size = resident.total;
         // Scratch buffer reused across deficit steps.
         let mut candidates: Vec<Candidate> = Vec::new();
+        let mut first = 0;
+        if tree.max_mem_req() <= memory {
+            let Some(prefix) = resident.run_to_first_deficit(memory, stop) else {
+                return Ok(None);
+            };
+            (first, peak) = prefix;
+        }
 
-        for (step, &node) in order.iter().enumerate() {
+        for (step, &node) in order.iter().enumerate().skip(first) {
             if stopped(stop, step) {
                 return Ok(None);
             }
@@ -349,10 +405,21 @@ impl Walk {
         // in_core[i]: the part (in size units) of file i still resident; only
         // produced files ever have a positive value.
         let mut in_core: Vec<Size> = vec![0; tree.len()];
-        in_core[tree.root()] = resident.total;
         let mut io_volume: Size = 0;
+        let mut first = 0;
+        if tree.max_mem_req() <= memory {
+            let Some((step, _)) = resident.run_to_first_deficit(memory, stop) else {
+                return Ok(None);
+            };
+            first = step;
+            if first < order.len() {
+                resident.build(first, |node| in_core[node] = tree.f(node));
+            }
+        } else {
+            in_core[tree.root()] = resident.total;
+        }
 
-        for (step, &node) in order.iter().enumerate() {
+        for (step, &node) in order.iter().enumerate().skip(first) {
             if stopped(stop, step) {
                 return Ok(None);
             }
@@ -556,6 +623,7 @@ mod tests {
             let lower = tree.max_mem_req();
             let (po, opt) = (best_postorder(&tree), min_mem(&tree));
             for (traversal, peak) in [(&po.traversal, po.peak), (&opt.traversal, opt.peak)] {
+                agree(&tree, traversal, lower - 1, &format!("seed {seed}"));
                 for quarter in 0..=4 {
                     let memory = lower + (peak - lower) * quarter / 4;
                     agree(&tree, traversal, memory, &format!("seed {seed}"));

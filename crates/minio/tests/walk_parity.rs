@@ -1,7 +1,8 @@
 //! Where the simulator's lazy resident set is built, against the seed's
 //! scan-and-sort simulator, for every policy: a first deficit
 //! at step 1, no deficit at all, one deficit at step p − 2, and
-//! `InsufficientMemory` before and after the set was built.
+//! `InsufficientMemory` before and after the set was built.  The last test
+//! hands the deficit-free prefix scan over at every budget of seeded trees.
 //!
 //! A deficit at step 0 or at the last step cannot be covered — only the
 //! executing node's own file is resident then — so it is an
@@ -12,8 +13,10 @@ mod common;
 
 use common::schedule_io_naive;
 use minio::{schedule_io_with, MinIoError, Policy, Walk};
-use treemem::postorder::best_postorder;
-use treemem::random::nested_dissection_etree;
+use prng::{Rng, StdRng};
+use treemem::liu::liu_exact;
+use treemem::postorder::{best_postorder, natural_postorder};
+use treemem::random::{comb, nested_dissection_etree};
 use treemem::traversal::Traversal;
 use treemem::tree::{NodeId, Size, Tree, TreeBuilder};
 
@@ -138,5 +141,44 @@ fn insufficient_memory_names_the_oracle_node() {
             matches!(err, MinIoError::InsufficientMemory { node: n, .. } if n == node),
             "{err:?}"
         );
+    }
+}
+
+/// The prefix scan runs when every `MemReq` fits and hands over at the
+/// first deficit; below max `MemReq` the general loop runs from step 0.
+/// Every policy equals the oracle at `max MemReq − 1` (the same
+/// `InsufficientMemory` node), at `max MemReq`, at the midpoint and at the
+/// traversal's peak, on seeded trees with zero-size files (best postorder
+/// and Liu traversals) and on a comb and a nested-dissection tree.
+#[test]
+fn the_prefix_scan_hands_over_at_every_budget() {
+    let budgets = |tree: &Tree, peak: Size| {
+        let lower = tree.max_mem_req();
+        [lower - 1, lower, (lower + peak) / 2, peak]
+    };
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..=60usize);
+        let parents: Vec<Option<usize>> = (0..n)
+            .map(|i| (i > 0).then(|| rng.gen_range(0..i)))
+            .collect();
+        let files: Vec<Size> = (0..n).map(|_| rng.gen_range(0..=50 as Size)).collect();
+        let execs: Vec<Size> = (0..n).map(|_| rng.gen_range(0..=10 as Size)).collect();
+        let tree = Tree::from_parents(&parents, &files, &execs).unwrap();
+        let (po, liu) = (best_postorder(&tree), liu_exact(&tree));
+        for (traversal, peak) in [(&po.traversal, po.peak), (&liu.traversal, liu.peak)] {
+            for memory in budgets(&tree, peak) {
+                let lsnf = agree(&tree, traversal, memory);
+                if memory < tree.max_mem_req() {
+                    assert!(matches!(lsnf, Err(MinIoError::InsufficientMemory { .. })));
+                }
+            }
+        }
+    }
+    for tree in [comb(1_000, 50, 5), nested_dissection_etree(2_000, 5)] {
+        let natural = natural_postorder(&tree);
+        for memory in budgets(&tree, natural.peak) {
+            agree(&tree, &natural.traversal, memory).ok();
+        }
     }
 }

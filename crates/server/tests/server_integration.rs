@@ -641,3 +641,49 @@ fn every_caller_shares_one_cache_pool() {
     }
     handle.shutdown().expect("clean shutdown");
 }
+
+/// A `/schedule` whose default solver, MinMem, would run for seconds on a
+/// paper-weighted complete binary tree of 524 287 nodes (an ~8 MB body)
+/// answers the server's typed cancellation — 504, counted under the
+/// `solver` stage — no later than 100 ms past its `X-Deadline-Ms`.  The
+/// deadline is set above the time a `/plan` of the same body takes, so it
+/// fires inside the solver, not while the body is parsed.  Release-only.
+#[test]
+#[ignore = "release-only: a 524 287-node tree"]
+fn a_solver_past_its_deadline_answers_504_promptly() {
+    use treemem::random::{random_kary_tree, reweight_paper};
+
+    let handle = spawn_default();
+    let addr = handle.addr();
+    let tree = reweight_paper(&random_kary_tree(18, 2, 100, 10, 1), 2);
+    let body = EngineConfig::prebuilt(tree).to_json();
+    let started = Instant::now();
+    let (status, _, planned) = post(addr, "/plan", &body);
+    assert_eq!(status, 200, "{planned}");
+    let deadline = (4 * started.elapsed()).max(Duration::from_millis(250));
+    let deadline_ms = deadline.as_millis().to_string();
+
+    let started = Instant::now();
+    let expired = client::post_with_headers(
+        addr,
+        "/schedule",
+        &[("X-Deadline-Ms", deadline_ms.as_str())],
+        &body,
+    )
+    .expect("exchange");
+    let elapsed = started.elapsed();
+    assert_eq!(expired.status, 504, "{}", expired.body);
+    assert!(
+        elapsed <= deadline + Duration::from_millis(100),
+        "deadline {deadline:?}, answered in {elapsed:?}"
+    );
+    let (_, _, stats_body) = get(addr, "/stats");
+    let stats = Json::parse(&stats_body).unwrap();
+    let cancelled = stats.get("cancelled").expect("cancelled section");
+    assert_eq!(
+        cancelled.get("solver").and_then(Json::as_u64),
+        Some(1),
+        "{stats_body}"
+    );
+    handle.shutdown().expect("clean shutdown");
+}
