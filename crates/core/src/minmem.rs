@@ -48,18 +48,6 @@ pub struct ExploreOutcome {
     pub peak: Size,
 }
 
-/// Saved state passed back to [`explore`] by [`min_mem`] so that nodes
-/// processed in earlier iterations are not executed again.
-#[derive(Debug, Clone, Default)]
-pub struct ExploreState {
-    /// Current cut (`L_init` in the paper).
-    pub cut: Vec<NodeId>,
-    /// Peak associated with each cut node (computed by the previous call).
-    pub cut_peaks: Vec<Size>,
-    /// Traversal prefix (`Tr_init`): nodes already executed.
-    pub traversal: Vec<NodeId>,
-}
-
 fn saturating_add(a: Size, b: Size) -> Size {
     a.saturating_add(b)
 }
@@ -176,26 +164,11 @@ fn frame_peak(tree: &Tree, frame: &Frame, arenas: &Arenas) -> Size {
 /// `avail` units of memory (the input file of `node` counts against this
 /// budget) and return the minimum-memory reachable cut.
 ///
-/// `init` carries the cut and traversal of a previous exploration of the same
-/// subtree (used by [`min_mem`] when it restarts the root exploration with
-/// more memory); pass `None` for a fresh exploration.
-///
 /// The exploration is iterative (explicit heap stack), so arbitrarily deep
 /// trees — 10⁵-node chains and beyond — are handled without overflowing the
 /// call stack.
-pub fn explore(
-    tree: &Tree,
-    node: NodeId,
-    avail: Size,
-    init: Option<ExploreState>,
-) -> ExploreOutcome {
+pub fn explore(tree: &Tree, node: NodeId, avail: Size) -> ExploreOutcome {
     let mut arenas = Arenas::default();
-    if let Some(state) = init {
-        debug_assert_eq!(state.cut.len(), state.cut_peaks.len());
-        arenas.cut_nodes = state.cut;
-        arenas.cut_peaks = state.cut_peaks;
-        arenas.traversal = state.traversal;
-    }
     let (mem, peak) = explore_in(tree, node, avail, &mut arenas, &mut Probe::new(None))
         .expect("no stop probe, cannot be cancelled");
     ExploreOutcome {
@@ -437,7 +410,7 @@ pub(crate) fn min_mem_until(tree: &Tree, probe: &mut Probe<'_>) -> Option<MinMem
             );
             let traversal = Traversal::new(std::mem::take(&mut arenas.traversal));
             debug_assert!(traversal.check_in_core(tree, avail).is_ok());
-            let peak = peak_memory(tree, traversal.order());
+            let peak = traversal.peak_memory_unchecked(tree);
             debug_assert_eq!(
                 Ok(peak),
                 traversal.peak_memory(tree),
@@ -455,19 +428,6 @@ pub(crate) fn min_mem_until(tree: &Tree, probe: &mut Probe<'_>) -> Option<MinMem
         );
         target = peak;
     }
-}
-
-/// Peak memory of `order`, a valid traversal of `tree`: the largest memory
-/// in use while a node runs, replayed without a profile.
-fn peak_memory(tree: &Tree, order: &[NodeId]) -> Size {
-    let mut resident = tree.f(tree.root());
-    let mut peak = Size::MIN;
-    for &i in order {
-        let children = tree.children_file_sum(i);
-        peak = peak.max(resident + tree.n(i) + children);
-        resident += children - tree.f(i);
-    }
-    peak
 }
 
 #[cfg(test)]
@@ -501,7 +461,7 @@ mod tests {
         let r = b.add_root(5, 0);
         b.add_child(r, 7, 0);
         let tree = b.build().unwrap();
-        let outcome = explore(&tree, r, 5, None);
+        let outcome = explore(&tree, r, 5);
         assert_eq!(outcome.mem, crate::tree::INFINITE);
         assert_eq!(outcome.peak, 12);
         assert!(outcome.traversal.is_empty());
@@ -515,7 +475,7 @@ mod tests {
         b.add_child(a, 3, 0);
         b.add_child(r, 4, 0);
         let tree = b.build().unwrap();
-        let outcome = explore(&tree, r, 100, None);
+        let outcome = explore(&tree, r, 100);
         assert_eq!(outcome.mem, 0);
         assert!(outcome.cut.is_empty());
         assert_eq!(outcome.peak, crate::tree::INFINITE);

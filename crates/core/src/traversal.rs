@@ -135,7 +135,14 @@ impl Traversal {
     /// Smallest main-memory size for which this traversal is feasible in
     /// core, i.e. its peak memory.
     pub fn peak_memory(&self, tree: &Tree) -> Result<Size, TraversalError> {
-        Ok(self.memory_profile(tree)?.peak())
+        self.check_precedence(tree)?;
+        Ok(self.peak_memory_unchecked(tree))
+    }
+
+    /// [`Traversal::peak_memory`] of a traversal the caller knows to be a
+    /// valid ordering of `tree`: no position map, no profile.
+    pub(crate) fn peak_memory_unchecked(&self, tree: &Tree) -> Size {
+        self.steps(tree).map(|s| s.during).max().unwrap_or(0)
     }
 
     /// Compute the exact memory usage of every step of the traversal.
@@ -147,20 +154,25 @@ impl Traversal {
     /// files of its children are resident as well.
     pub fn memory_profile(&self, tree: &Tree) -> Result<MemoryProfile, TraversalError> {
         self.check_precedence(tree)?;
+        Ok(MemoryProfile {
+            steps: self.steps(tree).collect(),
+        })
+    }
+
+    /// The memory steps of the traversal, in order, without checking it.
+    fn steps<'a>(&'a self, tree: &'a Tree) -> impl Iterator<Item = MemoryStep> + 'a {
         let mut resident = tree.f(tree.root());
-        let mut steps = Vec::with_capacity(self.order.len());
-        for &i in &self.order {
+        self.order.iter().map(move |&i| {
             let children_sum = tree.children_file_sum(i);
             let during = resident + tree.n(i) + children_sum;
             let after = resident - tree.f(i) + children_sum;
-            steps.push(MemoryStep {
+            resident = after;
+            MemoryStep {
                 node: i,
                 during,
                 after,
-            });
-            resident = after;
-        }
-        Ok(MemoryProfile { steps })
+            }
+        })
     }
 
     /// Reverse the traversal.  By the in-tree ↔ out-tree equivalence of

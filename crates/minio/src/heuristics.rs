@@ -21,15 +21,15 @@
 //! walk that never runs short costs O(p) additions and neither walk ever
 //! scans the non-resident nodes.
 //!
-//! **The deficit-free prefix is one tight loop.**  When the largest
-//! `MemReq` fits in memory, no step can fail, and before the first deficit
+//! **The deficit-free prefix is one tight loop.**  Before the first deficit
 //! nothing has been evicted: a step is `during = total + n + Σ f(children)`
 //! and `total += Σ f(children) − f`, with no eviction lookup, no read-back
 //! and no residency branch.  Both walks run that scan first and hand the
 //! resident total to the general loop at the first deficit; the bound fills
 //! its per-file residency there, in the scan that builds the bit tree.  The
-//! scan keeps nothing per step.  When some `MemReq` exceeds memory the
-//! general loop runs from step 0, so the typed error names the same node.
+//! scan keeps nothing per step.  A node whose `MemReq` exceeds memory is
+//! itself a deficit (its `during` counts its own resident input file), so
+//! the general loop reaches it and the typed error names the same node.
 //!
 //! Two oracles are retained as test code:
 //! the seed's scan-and-sort simulator in `tests/common` (pinned by
@@ -39,6 +39,7 @@
 //! `divisible_bound_equals_its_scan_and_sort_oracle`).
 
 use treemem::error::TraversalError;
+use treemem::solver::STOP_CHECK_INTERVAL;
 use treemem::traversal::Traversal;
 use treemem::tree::{NodeId, Size, Tree};
 
@@ -162,17 +163,19 @@ impl<'w> ResidentSet<'w> {
     }
 
     /// Run the steps before the first deficit, from step 0, as one loop
-    /// (see the module docs); only valid when every `MemReq` fits in
-    /// `memory`.  Returns the first deficit's step (`p` when there is none)
-    /// and the largest memory in use before it; `None` when `stop` fired.
-    /// The deficit step itself is not polled, the caller's loop polls it.
+    /// (see the module docs).  Returns the first deficit's step (`p` when
+    /// there is none) and the largest memory in use before it; `None` when
+    /// `stop` fired.  The deficit step itself is not polled, the caller's
+    /// loop polls it.  A step whose `MemReq` exceeds `memory` is a deficit
+    /// (its `during` includes its own resident input file, so it is at
+    /// least `MemReq`): the caller's loop reaches it and raises the error.
     fn run_to_first_deficit(
         &mut self,
         memory: Size,
         stop: Option<&dyn Fn() -> bool>,
     ) -> Option<(usize, Size)> {
         let tree = self.tree;
-        debug_assert!(self.ordered.is_none() && tree.max_mem_req() <= memory);
+        debug_assert!(self.ordered.is_none());
         let mut peak = self.total;
         for (step, &node) in self.order.iter().enumerate() {
             let children = tree.children_file_sum(node);
@@ -248,11 +251,6 @@ impl<'w> ResidentSet<'w> {
     }
 }
 
-/// How many steps a walk runs between two stop-probe checks; bounds the
-/// cancellation latency to a fraction of a millisecond at the simulator's
-/// step rate.
-const STOP_CHECK_INTERVAL: usize = 1024;
-
 /// Whether the walk must stop before `step`: the probe is polled every
 /// [`STOP_CHECK_INTERVAL`] steps, starting at step 0.
 fn stopped(stop: Option<&dyn Fn() -> bool>, step: usize) -> bool {
@@ -320,16 +318,11 @@ impl Walk {
         let mut schedule = IoSchedule::empty(tree.len());
         let mut io_volume: Size = 0;
         let mut files_written = 0usize;
-        let mut peak: Size = resident.total;
         // Scratch buffer reused across deficit steps.
         let mut candidates: Vec<Candidate> = Vec::new();
-        let mut first = 0;
-        if tree.max_mem_req() <= memory {
-            let Some(prefix) = resident.run_to_first_deficit(memory, stop) else {
-                return Ok(None);
-            };
-            (first, peak) = prefix;
-        }
+        let Some((first, mut peak)) = resident.run_to_first_deficit(memory, stop) else {
+            return Ok(None);
+        };
 
         for (step, &node) in order.iter().enumerate().skip(first) {
             if stopped(stop, step) {
@@ -406,17 +399,11 @@ impl Walk {
         // produced files ever have a positive value.
         let mut in_core: Vec<Size> = vec![0; tree.len()];
         let mut io_volume: Size = 0;
-        let mut first = 0;
-        if tree.max_mem_req() <= memory {
-            let Some((step, _)) = resident.run_to_first_deficit(memory, stop) else {
-                return Ok(None);
-            };
-            first = step;
-            if first < order.len() {
-                resident.build(first, |node| in_core[node] = tree.f(node));
-            }
-        } else {
-            in_core[tree.root()] = resident.total;
+        let Some((first, _)) = resident.run_to_first_deficit(memory, stop) else {
+            return Ok(None);
+        };
+        if first < order.len() {
+            resident.build(first, |node| in_core[node] = tree.f(node));
         }
 
         for (step, &node) in order.iter().enumerate().skip(first) {
