@@ -757,10 +757,9 @@ mod tests {
             lease_ms: 10_000,
             task_slices: (0..tasks)
                 .map(|task| {
-                    let column = vec![task];
-                    let (rows, values) = (column.clone(), vec![1.0]);
-                    let order = column.clone();
-                    TaskSlice::new(tasks, order, column, &[1], rows, values, vec![None]).unwrap()
+                    let order = vec![task];
+                    let (rows, values) = (order.clone(), vec![1.0]);
+                    TaskSlice::new(tasks, order, &[1], rows, values).unwrap()
                 })
                 .collect(),
             task_peaks: peaks,

@@ -1,7 +1,7 @@
 //! The versioned, length-prefixed wire format of the distributed layer.
 //!
 //! Every internal message is one **frame**: an ASCII header line
-//! `distrib_wire/v3 <body-bytes>\n` followed by exactly that many bytes of
+//! `distrib_wire/v4 <body-bytes>\n` followed by exactly that many bytes of
 //! JSON.  The explicit length makes truncation and trailing garbage typed
 //! decode errors (the coordinator answers 400, never panics), and the
 //! leading schema token lets this reader reject peers of any other version
@@ -18,15 +18,17 @@
 //! [`WireError::BadHex`].
 //!
 //! **What crosses.**  A task carries its [`TaskSlice`]: the task's columns
-//! of the permuted matrix `A` (lower triangle, row indices and values) and
-//! their elimination-tree parents, from which the worker rebuilds the rows
-//! of `L` itself — so the task direction carries row indices of `A`, and
-//! **no row index of `L` crosses in either direction**.  A contribution is
+//! of the permuted matrix `A` (lower triangle, row indices and values, by
+//! increasing column — the order sorted), from which the worker derives the
+//! subtree's elimination tree and rows of `L` itself — so the task
+//! direction carries row indices of `A`, and **no row index of `L` and no
+//! parent crosses in either direction**.  A contribution is
 //! values only: the task's column values concatenated in task order, and
 //! each root block as `[column, dimension, values]`; the coordinator checks
 //! the counts against its own cut before accepting ([`crate::job`]).  A
-//! slice is decoded and validated by [`SubtreeTask::slice`], so a hostile
-//! one is a typed error after the task's identity is known.
+//! slice is decoded and checked by [`SubtreeTask::slice`], so a malformed
+//! one is a typed error after the task's identity is known; which columns
+//! of `A` it holds, and their values, are the coordinator's word.
 
 // Decoding handles peer-shaped bytes: narrow with `try_from` and a typed
 // error, widen with `From`; an `as` cast would truncate silently.
@@ -39,7 +41,7 @@ use engine::{EngineConfig, SliceError, SubtreeParts, TaskSlice};
 use multifrontal::{ContributionStore, DenseMatrix};
 
 /// Schema token every frame leads with.
-pub const WIRE_SCHEMA: &str = "distrib_wire/v3";
+pub const WIRE_SCHEMA: &str = "distrib_wire/v4";
 
 /// Hard cap on one frame's body.  Contribution frames scale with the factor
 /// (16 wire bytes per stored entry), so the cap is generous — but it must
@@ -84,7 +86,7 @@ pub enum WireError {
     NonFinite(&'static str),
     /// The embedded engine configuration does not parse.
     Config(String),
-    /// A task's slice decodes but is not a slice of its task.
+    /// A task's slice decodes but its shape does not fit its task's order.
     BadSlice(SliceError),
 }
 
@@ -259,49 +261,33 @@ fn f64s(values: impl IntoIterator<Item = f64>) -> Hex<impl Iterator<Item = u64>>
     Hex(values.into_iter().map(f64::to_bits))
 }
 
-/// A [`TaskSlice`] as it crosses the wire: its dimension plus five hex
-/// payloads — the columns, their entry counts and parents (`u32`s, a root's
-/// parent as `u32::MAX`), the rows (`u32`s) and the values (`f64` bits).
+/// A [`TaskSlice`] as it crosses the wire: its dimension plus three hex
+/// payloads — each column's entry count by increasing column and the rows
+/// (`u32`s), and the values (`f64` bits); the columns are the task order's.
 /// The coordinator encodes each task's slice once, when the job is
 /// registered; a worker decodes and validates it with
 /// [`SubtreeTask::slice`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceFrame {
     n: usize,
-    columns: String,
     counts: String,
-    parents: String,
     rows: String,
     values: String,
 }
 
-/// A parent on the wire: its index, or `u32::MAX` for a root.
-const ROOT: u32 = u32::MAX;
-
 impl SliceFrame {
     /// Encode `slice`.
-    /// Panics if an index exceeds `u32::MAX - 1` — `read_pattern` refuses
+    /// Panics if an index exceeds `u32::MAX` — `read_pattern` refuses
     /// larger MatrixMarket dimensions and generated problems are far smaller.
     #[expect(
         clippy::expect_used,
         reason = "encode side, documented panic: indices come from locally validated matrices"
     )]
     pub fn encode(slice: &TaskSlice) -> SliceFrame {
-        let index = |index: usize| {
-            u32::try_from(index)
-                .ok()
-                .filter(|&index| index != ROOT)
-                .expect("index exceeds the u32 wire range")
-        };
-        let parents = slice
-            .parents()
-            .iter()
-            .map(|parent| parent.map_or(ROOT, index));
+        let index = |index: usize| u32::try_from(index).expect("index exceeds the u32 wire range");
         SliceFrame {
             n: slice.n(),
-            columns: digits(Hex(slice.columns().iter().map(|&column| index(column)))),
             counts: digits(Hex(slice.counts().map(index))),
-            parents: digits(Hex(parents)),
             rows: digits(Hex(slice.rows().iter().map(|&row| index(row)))),
             values: digits(f64s(slice.values().iter().copied())),
         }
@@ -365,9 +351,7 @@ impl SubtreeTask {
                 .field("config", &self.config)
                 .field("order", Hex(order))
                 .field("n", slice.n)
-                .field("columns", &slice.columns)
                 .field("counts", &slice.counts)
-                .field("parents", &slice.parents)
                 .field("rows", &slice.rows)
                 .field("values", &slice.values);
         }))
@@ -394,9 +378,7 @@ impl SubtreeTask {
             order: parse_hex(json.field("order")?, 8, "order", index("order"))?,
             slice: Arc::new(SliceFrame {
                 n: json.field("n")?,
-                columns: text("columns")?,
                 counts: text("counts")?,
-                parents: text("parents")?,
                 rows: text("rows")?,
                 values: text("values")?,
             }),
@@ -404,22 +386,17 @@ impl SubtreeTask {
     }
 
     /// Decode and validate the task's slice: malformed hex, a non-finite
-    /// value or a slice that is not one of this task ([`TaskSlice::new`])
-    /// is a typed error.
+    /// value or a slice whose shape does not fit this task's order
+    /// ([`TaskSlice::new`]) is a typed error.
     pub fn slice(&self) -> Result<TaskSlice, WireError> {
         let slice = &*self.slice;
-        let parents = parse_hex(&slice.parents, 8, "parents", |parent| {
-            Ok((parent != u64::from(ROOT)).then_some(index("parents")(parent)?))
-        })?;
         let counts = parse_hex(&slice.counts, 8, "counts", index("counts"))?;
         TaskSlice::new(
             slice.n,
             self.order.clone(),
-            parse_hex(&slice.columns, 8, "columns", index("columns"))?,
             &counts,
             parse_hex(&slice.rows, 8, "rows", index("rows"))?,
             parse_hex_f64s(&slice.values, "values")?,
-            parents,
         )
         .map_err(|error| match error {
             SliceError::NonFinite => WireError::NonFinite("values"),
@@ -634,17 +611,14 @@ mod tests {
     }
 
     /// A slice of the task `[5, 3, 8, 4_000_000]`: column 5 has row
-    /// 4_000_000 below its diagonal, hence that parent; the others are
-    /// roots holding only their diagonal.
+    /// 4_000_000 below its diagonal; the others hold only their diagonal.
     fn sample_slice() -> TaskSlice {
         TaskSlice::new(
             4_000_001,
             vec![5, 3, 8, 4_000_000],
-            vec![3, 5, 8, 4_000_000],
             &[1, 2, 1, 1],
             vec![3, 5, 4_000_000, 8, 4_000_000],
             vec![1.0, 4.0, -1.0, 2.0, 4.0],
-            vec![None, Some(4_000_000), None, None],
         )
         .unwrap()
     }
@@ -673,29 +647,29 @@ mod tests {
         };
         assert_eq!(
             frame(claim.to_frame()),
-            "distrib_wire/v3 69\n{\"schema\": \"distrib_wire/v3\", \"type\": \"claim\", \"worker\": \"w-\\\"1\\\"\\n\"}"
+            "distrib_wire/v4 69\n{\"schema\": \"distrib_wire/v4\", \"type\": \"claim\", \"worker\": \"w-\\\"1\\\"\\n\"}"
         );
         assert_eq!(
             frame(ClaimReply::Wait { retry_ms: 250 }.to_frame()),
-            "distrib_wire/v3 62\n{\"schema\": \"distrib_wire/v3\", \"type\": \"wait\", \"retry_ms\": 250}"
+            "distrib_wire/v4 62\n{\"schema\": \"distrib_wire/v4\", \"type\": \"wait\", \"retry_ms\": 250}"
         );
         assert_eq!(
             frame(ClaimReply::Idle.to_frame()),
-            "distrib_wire/v3 45\n{\"schema\": \"distrib_wire/v3\", \"type\": \"idle\"}"
+            "distrib_wire/v4 45\n{\"schema\": \"distrib_wire/v4\", \"type\": \"idle\"}"
         );
         let task = sample_task("{\n  \"solver\": \"é\\\\\"\n}\n".to_string());
         assert_eq!(
             frame(ClaimReply::Task(Box::new(task)).to_frame()),
             concat!(
-                "distrib_wire/v3 487\n{\"schema\": \"distrib_wire/v3\", \"type\": \"task\", \"job\": 3, \"task\": 1, \"epoch\": 2, \"lease_ms\": 5000, \"config\": \"{\\n  \\\"solver\\\": \\\"é\\\\\\\\\\\"\\n}\\n\", \"order\": \"000000050000000300000008003d0900\", ",
-                "\"n\": 4000001, \"columns\": \"000000030000000500000008003d0900\", \"counts\": \"00000001000000020000000100000001\", \"parents\": \"ffffffff003d0900ffffffffffffffff\", ",
+                "distrib_wire/v4 393\n{\"schema\": \"distrib_wire/v4\", \"type\": \"task\", \"job\": 3, \"task\": 1, \"epoch\": 2, \"lease_ms\": 5000, \"config\": \"{\\n  \\\"solver\\\": \\\"é\\\\\\\\\\\"\\n}\\n\", \"order\": \"000000050000000300000008003d0900\", ",
+                "\"n\": 4000001, \"counts\": \"00000001000000020000000100000001\", ",
                 "\"rows\": \"0000000300000005003d090000000008003d0900\", \"values\": \"3ff00000000000004010000000000000bff000000000000040000000000000004010000000000000\"}"
             )
         );
         let contribution = contribution_frame(9, 2, 4, "w-0", 0.125, &sample_parts());
         assert_eq!(
             frame(contribution),
-            "distrib_wire/v3 277\n{\"schema\": \"distrib_wire/v3\", \"type\": \"contribution\", \"job\": 9, \"task\": 2, \"epoch\": 4, \"worker\": \"w-0\", \"busy_seconds\": 0.125000, \"values\": \"4000000000000000bfe00000000000003ff4000000000000\", \"blocks\": [[7,2,\"4010000000000000bff80000000000000000000000000000400a000000000000\"]]}"
+            "distrib_wire/v4 277\n{\"schema\": \"distrib_wire/v4\", \"type\": \"contribution\", \"job\": 9, \"task\": 2, \"epoch\": 4, \"worker\": \"w-0\", \"busy_seconds\": 0.125000, \"values\": \"4000000000000000bfe00000000000003ff4000000000000\", \"blocks\": [[7,2,\"4010000000000000bff80000000000000000000000000000400a000000000000\"]]}"
         );
     }
 

@@ -20,7 +20,8 @@
 //!    decodes to the coordinator's own slice and factors to the bits of
 //!    `Plan::factor_subtree`, with the task's modeled ledger peak.
 //! 7. **Hostile slices** — a slice that is not one of its task is a typed
-//!    [`WireError`] from `SubtreeTask::slice`, never a panic.
+//!    [`WireError`] from `SubtreeTask::slice`, or decodes and fails to
+//!    factor with a typed error, never a panic.
 
 use std::sync::Arc;
 
@@ -28,8 +29,8 @@ use distrib::{
     contribution_frame, decode_frame, encode_frame, ClaimReply, Contribution, SliceFrame,
     SubtreeTask, WireError, WIRE_SCHEMA,
 };
-use engine::{DistributedConfig, Engine, EngineConfig, SliceError, SubtreeParts};
-use multifrontal::{ContributionStore, DenseMatrix};
+use engine::{DistributedConfig, Engine, EngineConfig, EngineError, SliceError, SubtreeParts};
+use multifrontal::{ContributionStore, DenseMatrix, FactorizationError};
 use ordering::OrderingMethod;
 use prng::{Rng, StdRng};
 use sparsemat::gen::ProblemKind;
@@ -261,21 +262,11 @@ fn hostile_slices_are_typed_errors() {
     let row_at_n = edited(&frame, "rows", |rows| {
         format!("{}{}", &rows[..rows.len() - 8], hex8(n))
     });
-    // The order names a column that is not in the slice.
-    let outside = (0..n).find(|c| !slice.columns().contains(c)).unwrap();
+    // The order names a column that is not in the slice: some column's
+    // rows no longer start at its diagonal.
+    let outside = (0..n).find(|c| !slice.order().contains(c)).unwrap();
     let foreign_column = edited(&frame, "order", |order| {
         format!("{}{}", hex8(outside), &order[8..])
-    });
-    // A column that is its own parent.
-    let self_parent = edited(&frame, "parents", |parents| {
-        format!("{}{}", hex8(slice.columns()[0]), &parents[8..])
-    });
-    // The order upside down: the task root first, before its children.
-    let root_first = edited(&frame, "order", |order| {
-        let items: Vec<&str> = (0..order.len() / 8)
-            .map(|i| &order[8 * i..8 * i + 8])
-            .collect();
-        items.into_iter().rev().collect()
     });
     let infinite = edited(&frame, "values", |values| {
         format!("{:016x}{}", f64::INFINITY.to_bits(), &values[16..])
@@ -289,17 +280,7 @@ fn hostile_slices_are_typed_errors() {
         (
             "foreign column",
             foreign_column,
-            WireError::BadSlice(SliceError::Columns),
-        ),
-        (
-            "self parent",
-            self_parent,
-            WireError::BadSlice(SliceError::Parents),
-        ),
-        (
-            "root first",
-            root_first,
-            WireError::BadSlice(SliceError::Parents),
+            WireError::BadSlice(SliceError::Rows),
         ),
         ("non-finite", infinite, WireError::NonFinite("values")),
         (
@@ -318,9 +299,30 @@ fn hostile_slices_are_typed_errors() {
     for (name, frame, expected) in cases {
         assert_eq!(slice_error(&frame), expected, "{name}");
     }
+    // The order upside down, the task root first, before its children: the
+    // slice decodes, and the tree derived from it refuses the order.
+    let root_first = edited(&frame, "order", |order| {
+        let items: Vec<&str> = (0..order.len() / 8)
+            .map(|i| &order[8 * i..8 * i + 8])
+            .collect();
+        items.into_iter().rev().collect()
+    });
+    let ClaimReply::Task(task) = ClaimReply::from_frame(&root_first).unwrap() else {
+        panic!("not a task");
+    };
+    let outcome = task.slice().unwrap().factor(None);
+    assert!(
+        matches!(
+            outcome,
+            Err(EngineError::Factorization(
+                FactorizationError::InvalidTraversal
+            ))
+        ),
+        "root first: {outcome:?}"
+    );
     // Every truncation of a slice payload is typed too.
     for cut_at in (0..40).step_by(TRUNCATION_STRIDE) {
-        let frame = edited(&frame, "columns", |columns| columns[..cut_at].to_string());
+        let frame = edited(&frame, "counts", |counts| counts[..cut_at].to_string());
         assert!(ClaimReply::from_frame(&frame)
             .map(|reply| match reply {
                 ClaimReply::Task(task) => task.slice().is_err(),

@@ -84,8 +84,7 @@ impl NumericModel {
     pub(super) fn new(symbolic: &SymbolicData, seed: u64) -> Self {
         let matrix = spd_matrix_from_pattern(&symbolic.permuted, seed);
         let structure =
-            SymbolicStructure::from_etree(&matrix, symbolic.etree.clone(), &symbolic.counts)
-                .expect("the plan's column counts are its structure's");
+            SymbolicStructure::from_etree(&matrix, symbolic.etree.clone(), &symbolic.counts);
         let structure = Arc::new(structure);
         let model = per_column_model(&structure);
         NumericModel {

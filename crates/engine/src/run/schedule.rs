@@ -487,8 +487,8 @@ impl DistributedCut {
     }
 
     /// Task `task`'s slice of the problem — its columns of the permuted
-    /// matrix and their elimination-tree parents — from which a worker
-    /// factors the task without planning ([`TaskSlice::factor`]).
+    /// matrix, from which a worker derives the subtree's elimination tree
+    /// and factors the task without planning ([`TaskSlice::factor`]).
     pub fn task_slice(&self, task: usize) -> TaskSlice {
         TaskSlice::of_task(&self.numeric, &self.cut.task_orders[task])
     }

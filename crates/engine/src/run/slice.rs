@@ -1,25 +1,30 @@
 //! The task slice: what one subtree task of a cut needs of the problem —
-//! its columns of the permuted matrix and their elimination-tree parents —
-//! so that anyone holding it factors the task without planning.
+//! its columns of the permuted matrix — so that anyone holding it factors
+//! the task without planning.
 //!
-//! A task is closed under descendants, so the rows of `L` in its columns
-//! follow from its own columns of `A` and the parents alone: the slice,
-//! renumbered onto the increasing union of its row indices, is a matrix
-//! whose other columns are empty, and [`SymbolicStructure::from_etree`] on
-//! that matrix and the parents yields exactly the rows the plan's structure
-//! holds for those columns, in the same order.  The factor then
-//! runs the same `eliminate_columns` over the same values, so its parts are
-//! bit-identical to a factor on the whole plan, and the ledger sees the
-//! same events.  [`Plan::factor_subtree`](crate::Plan::factor_subtree) is
-//! "slice, then factor", so a worker process and an in-process caller run
-//! one path.
+//! A task is closed under descendants, so the rows of `L` in its columns,
+//! and with them every column's elimination-tree parent (the task roots'
+//! included), follow from its own columns of `A`.  The slice, renumbered
+//! onto the increasing union of its row indices, is a matrix whose other
+//! columns are empty, and [`SymbolicStructure::from_pattern`] on that
+//! matrix yields exactly the rows and parents the plan's structure holds
+//! for those columns, in the same order.  The factor then runs the same
+//! `eliminate_columns` over the same values, so its parts are bit-identical
+//! to a factor on the whole plan, and the ledger sees the same events.
+//! [`Plan::factor_subtree`](crate::Plan::factor_subtree) is "slice, then
+//! factor", so a worker process and an in-process caller run one path.
+//!
+//! A slice received from elsewhere is checked for shape
+//! ([`TaskSlice::new`]); which columns of `A` it holds, and their values,
+//! are the sender's word.  A slice that is not descendant-closed, or whose
+//! order puts a parent before its child, derives a tree in which some task
+//! column waits for a block no task column leaves: the kernel's typed
+//! `InvalidTraversal`, never a panic.
 
 use multifrontal::numeric::SymbolicStructure;
 use multifrontal::parallel::{BudgetLedger, FactorColumns};
 use multifrontal::{ContributionStore, FactorizationError, FrontArena};
 use sparsemat::SymmetricCsr;
-use symbolic::colcount::column_counts_from;
-use symbolic::EliminationTree;
 
 use super::numeric::{NumericModel, TaskContext};
 use super::EngineError;
@@ -38,10 +43,10 @@ pub struct SubtreeParts {
     pub blocks: ContributionStore,
 }
 
-/// One subtree task's slice of the problem: its bottom-up column order, and
-/// for each of its columns (by increasing index) the lower triangle of that
-/// column of the permuted matrix — row indices and values, diagonal first —
-/// and its elimination-tree parent.  Built by
+/// One subtree task's slice of the problem: its bottom-up column order,
+/// and for each of its columns (by increasing index) the lower triangle of
+/// that column of the permuted matrix — row indices and values, diagonal
+/// first.  Built by
 /// [`DistributedCut::task_slice`](crate::DistributedCut::task_slice) or
 /// validated by [`TaskSlice::new`]; either way [`TaskSlice::factor`] can
 /// index it without a check.
@@ -49,41 +54,34 @@ pub struct SubtreeParts {
 pub struct TaskSlice {
     n: usize,
     order: Vec<usize>,
+    /// `order`, sorted.
     columns: Vec<usize>,
     col_ptr: Vec<usize>,
     rows: Vec<usize>,
     values: Vec<f64>,
-    parents: Vec<Option<usize>>,
 }
 
 /// Why a slice is refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SliceError {
-    /// The per-column arrays differ in length, or the counts do not add up
-    /// to the row and value arrays.
+    /// There is not one count per column of the order, or the counts do
+    /// not add up to the row and value arrays.
     Counts,
-    /// The columns do not increase below `n`, or are not exactly the task
-    /// order's columns.
+    /// The order names a column twice, or one at or beyond `n`.
     Columns,
     /// A column's rows do not increase from its own diagonal to below `n`.
     Rows,
     /// A value is NaN or infinite.
     NonFinite,
-    /// The parents do not form a subtree factored bottom-up: a parent not
-    /// above its child, one inside the task ordered before its child, or
-    /// one other than the first row below the diagonal its column's rows
-    /// imply.
-    Parents,
 }
 
 impl std::fmt::Display for SliceError {
     fn fmt(&self, fmt: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         fmt.write_str(match self {
             SliceError::Counts => "the slice's counts disagree",
-            SliceError::Columns => "the slice's columns are not the task order's",
+            SliceError::Columns => "the slice's order names a column twice or out of range",
             SliceError::Rows => "a slice column's rows do not run from its diagonal below n",
             SliceError::NonFinite => "a slice value is not finite",
-            SliceError::Parents => "the slice's parents do not form a bottom-up subtree",
         })
     }
 }
@@ -98,18 +96,18 @@ impl From<SliceError> for EngineError {
 
 impl TaskSlice {
     /// Validate a slice received from elsewhere: `n` is the whole problem's
-    /// dimension, `order` the task's bottom-up column order, and `columns`,
-    /// `counts` and `parents` run parallel (one entry per column, by
-    /// increasing column) over the concatenated `rows` and `values`.
+    /// dimension, `order` the task's bottom-up column order, and `counts`
+    /// holds one entry per column, by increasing column, over the
+    /// concatenated `rows` and `values`.
     pub fn new(
         n: usize,
         order: Vec<usize>,
-        columns: Vec<usize>,
         counts: &[usize],
         rows: Vec<usize>,
         values: Vec<f64>,
-        parents: Vec<Option<usize>>,
     ) -> Result<TaskSlice, SliceError> {
+        let mut columns = order.clone();
+        columns.sort_unstable();
         let k = columns.len();
         let mut col_ptr = Vec::with_capacity(k + 1);
         col_ptr.push(0usize);
@@ -117,29 +115,13 @@ impl TaskSlice {
             let end = col_ptr[col_ptr.len() - 1].checked_add(count);
             col_ptr.push(end.ok_or(SliceError::Counts)?);
         }
-        if counts.len() != k
-            || parents.len() != k
-            || order.len() != k
-            || col_ptr[k] != rows.len()
-            || rows.len() != values.len()
-        {
+        if counts.len() != k || col_ptr[k] != rows.len() || rows.len() != values.len() {
             return Err(SliceError::Counts);
         }
-        if columns.windows(2).any(|pair| pair[0] >= pair[1])
+        if columns.windows(2).any(|pair| pair[0] == pair[1])
             || columns.last().is_some_and(|&last| last >= n)
         {
             return Err(SliceError::Columns);
-        }
-        // Each column's position in the order: the order must name every
-        // column exactly once.
-        let mut position = vec![usize::MAX; k];
-        for (step, column) in order.iter().enumerate() {
-            let Ok(index) = columns.binary_search(column) else {
-                return Err(SliceError::Columns);
-            };
-            if std::mem::replace(&mut position[index], step) != usize::MAX {
-                return Err(SliceError::Columns);
-            }
         }
         for (index, &column) in columns.iter().enumerate() {
             let entries = &rows[col_ptr[index]..col_ptr[index + 1]];
@@ -153,16 +135,6 @@ impl TaskSlice {
         if !values.iter().all(|value| value.is_finite()) {
             return Err(SliceError::NonFinite);
         }
-        for (index, (&column, parent)) in columns.iter().zip(&parents).enumerate() {
-            let Some(parent) = *parent else { continue };
-            let inside = columns.binary_search(&parent).ok();
-            if parent <= column
-                || parent >= n
-                || inside.is_some_and(|above| position[above] < position[index])
-            {
-                return Err(SliceError::Parents);
-            }
-        }
         Ok(TaskSlice {
             n,
             order,
@@ -170,7 +142,6 @@ impl TaskSlice {
             col_ptr,
             rows,
             values,
-            parents,
         })
     }
 
@@ -178,7 +149,6 @@ impl TaskSlice {
     /// task: in range, duplicate-free, closed under descendants, bottom-up.
     pub(super) fn of_task(numeric: &NumericModel, order: &[usize]) -> TaskSlice {
         let matrix = numeric.matrix();
-        let etree = &numeric.structure().etree;
         let mut columns = order.to_vec();
         columns.sort_unstable();
         let mut col_ptr = Vec::with_capacity(columns.len() + 1);
@@ -190,7 +160,6 @@ impl TaskSlice {
             values.extend_from_slice(column_values);
             col_ptr.push(rows.len());
         }
-        let parents = columns.iter().map(|&column| etree.parent(column)).collect();
         TaskSlice {
             n: matrix.n(),
             order: order.to_vec(),
@@ -198,7 +167,6 @@ impl TaskSlice {
             col_ptr,
             rows,
             values,
-            parents,
         }
     }
 
@@ -248,12 +216,7 @@ impl TaskSlice {
         &self.order
     }
 
-    /// The task's columns, increasing.
-    pub fn columns(&self) -> &[usize] {
-        &self.columns
-    }
-
-    /// Stored entries of each column, parallel to [`columns`](Self::columns).
+    /// Stored entries of each column, by increasing column.
     pub fn counts(&self) -> impl Iterator<Item = usize> + '_ {
         self.col_ptr.windows(2).map(|range| range[1] - range[0])
     }
@@ -268,12 +231,6 @@ impl TaskSlice {
         &self.values
     }
 
-    /// Each column's elimination-tree parent (`None` for a root of the
-    /// whole tree), parallel to [`columns`](Self::columns).
-    pub fn parents(&self) -> &[Option<usize>] {
-        &self.parents
-    }
-
     /// Factor the task: its factor values in task order and the root
     /// blocks it leaves for the merge, keyed by global column.
     pub fn factor(&self, cancel: Option<&CancelToken>) -> Result<SubtreeParts, EngineError> {
@@ -286,50 +243,13 @@ impl TaskSlice {
         &self,
         cancel: Option<&CancelToken>,
     ) -> Result<(SubtreeParts, u64), EngineError> {
-        // Local indices: the increasing union of every row (each column's
-        // first row is the column itself) and parent.  The renumbering keeps
-        // the order of indices, so each column's rows keep theirs.
-        let mut global = self.rows.clone();
-        global.extend(self.parents.iter().flatten());
-        global.sort_unstable();
-        global.dedup();
-        let local = |index: usize| global.partition_point(|&g| g < index);
-        let m = global.len();
-
-        let mut parent = vec![None; m];
-        let mut col_ptr = vec![0; m + 1];
-        for (index, &column) in self.columns.iter().enumerate() {
-            let at = local(column);
-            parent[at] = self.parents[index].map(local);
-            col_ptr[at + 1] = self.col_ptr[index + 1] - self.col_ptr[index];
-        }
-        for at in 0..m {
-            col_ptr[at + 1] += col_ptr[at];
-        }
-        // Columns outside the task are empty, so the rows run in the same
-        // column order as the slice's.
-        let rows: Vec<usize> = self.rows.iter().map(|&row| local(row)).collect();
-        // `new` and `of_task` establish both constructors' preconditions:
-        // each column's rows increase from its diagonal below n, and each
-        // parent lies above its child; the renumbering keeps index order.
-        let matrix = SymmetricCsr::from_csc(m, col_ptr, rows, self.values.clone());
-        let etree = EliminationTree::from_parents(parent);
-        // Parents that contradict the rows can make the counts disagree
-        // with the rows they build, or a column's first row below its
-        // diagonal differ from its parent: both are checked, not trusted.
-        let structure = column_counts_from(&etree, |j| matrix.column(j).0)
-            .and_then(|counts| SymbolicStructure::from_etree(&matrix, etree, &counts))
-            .ok_or(SliceError::Parents)?;
-        let consistent = self.columns.iter().all(|&column| {
-            let at = local(column);
-            structure.rows(at).get(1).copied() == structure.etree.parent(at)
-        });
-        if !consistent {
-            return Err(SliceError::Parents.into());
-        }
-
+        let (global, matrix, structure) = self.localized();
         // The task's values, packed column after column in task order.
-        let order: Vec<usize> = self.order.iter().map(|&column| local(column)).collect();
+        let order: Vec<usize> = self
+            .order
+            .iter()
+            .map(|column| global.partition_point(|g| g < column))
+            .collect();
         let mut values = vec![0.0; order.iter().map(|&at| structure.rows(at).len()).sum()];
         let mut part = FactorColumns::packed(&structure, &order, &mut values)?;
         let ledger = BudgetLedger::new(None);
@@ -348,6 +268,31 @@ impl TaskSlice {
         let parts = SubtreeParts { values, blocks };
         Ok((parts, ledger.measured_peak_entries()))
     }
+
+    /// The slice renumbered onto the increasing union of its rows (each
+    /// column's first row is the column itself), which keeps the order of
+    /// indices and so each column's rows in theirs: the union, the matrix
+    /// whose columns outside the task are empty, and its structure.
+    fn localized(&self) -> (Vec<usize>, SymmetricCsr, SymbolicStructure) {
+        let mut global = self.rows.clone();
+        global.sort_unstable();
+        global.dedup();
+        let local = |index: usize| global.partition_point(|&g| g < index);
+        let m = global.len();
+        let mut col_ptr = vec![0; m + 1];
+        for (index, &column) in self.columns.iter().enumerate() {
+            col_ptr[local(column) + 1] = self.col_ptr[index + 1] - self.col_ptr[index];
+        }
+        for at in 0..m {
+            col_ptr[at + 1] += col_ptr[at];
+        }
+        let rows = self.rows.iter().map(|&row| local(row)).collect();
+        // `new` and `of_task` establish `from_csc`'s precondition: each
+        // column's rows increase from its diagonal below n.
+        let matrix = SymmetricCsr::from_csc(m, col_ptr, rows, self.values.clone());
+        let structure = SymbolicStructure::from_pattern(&matrix.pattern());
+        (global, matrix, structure)
+    }
 }
 
 #[cfg(test)]
@@ -361,7 +306,9 @@ mod tests {
     use sparsemat::gen::ProblemKind;
 
     /// Every task of an 8-task cut, for every problem kind × {nd, amd} ×
-    /// amalgamation {1, 16}: the slice factors to the bits the plan's whole
+    /// amalgamation {1, 16}: the task is closed under descendants, the tree
+    /// derived from its slice gives every task column its plan parent (task
+    /// roots included), and the slice factors to the bits the plan's whole
     /// structure writes into the factor — values column by column in task
     /// order, root blocks (lower triangles) — with the same ledger peak.
     #[test]
@@ -401,6 +348,18 @@ mod tests {
                     let mut parts = column_slices(structure, &mut values, parts).unwrap();
                     for (task, part) in parts.iter_mut().take(cut.task_count()).enumerate() {
                         let cell = format!("{kind:?} {ordering:?} {amalgamation} task {task}");
+                        let slice = cut.task_slice(task);
+                        for &column in &slice.columns {
+                            for child in structure.children(column) {
+                                assert!(slice.columns.binary_search(child).is_ok(), "{cell}");
+                            }
+                        }
+                        let (global, _, local) = slice.localized();
+                        for &column in &slice.columns {
+                            let at = global.binary_search(&column).unwrap();
+                            let derived = local.etree.parent(at).map(|parent| global[parent]);
+                            assert_eq!(derived, structure.etree.parent(column), "{cell}");
+                        }
                         let ledger = BudgetLedger::new(None);
                         let context = TaskContext {
                             matrix: numeric.matrix(),
@@ -411,7 +370,7 @@ mod tests {
                         let mut whole = ContributionStore::new();
                         let arena = &mut FrontArena::new();
                         context.factor(part, &mut whole, arena).unwrap();
-                        let (sliced, peak) = cut.task_slice(task).factor_measured(None).unwrap();
+                        let (sliced, peak) = slice.factor_measured(None).unwrap();
                         assert_eq!(peak, ledger.measured_peak_entries(), "{cell}");
                         let bits = |values: &[f64]| -> Vec<u64> {
                             values.iter().map(|value| value.to_bits()).collect()
@@ -443,15 +402,35 @@ mod tests {
         assert!(tasks >= 7 * 2 * 2 * 2, "{tasks} tasks checked");
     }
 
-    /// Every column of every task of a real cut, its parent moved to
-    /// another index of the slice (the least and the greatest above the
-    /// column) or dropped: the slice is refused when built or when
-    /// factored, typed, and never panics — whatever the rehung forest makes
-    /// of the column counts.
+    /// Whether the tree derived from `slice` hangs a column outside the
+    /// task under a task column.
+    fn hangs_an_outside_column(slice: &TaskSlice) -> bool {
+        let (global, _, structure) = slice.localized();
+        let inside = |at: usize| slice.columns.binary_search(&global[at]).is_ok();
+        (0..global.len()).any(|at| inside(at) && structure.children(at).iter().any(|&c| !inside(c)))
+    }
+
+    /// Row mutants of every task of a real 4-task cut of every kind: each
+    /// column without its last row, each column with a row added between
+    /// its last row and n (the next index, the least task column past it,
+    /// and n − 1), and each task's order reversed.  Every mutant is refused
+    /// by `new`, or factors, or fails typed — never a panic.  A reversed
+    /// order with a parent inside its task is an invalid traversal, and so
+    /// is every mutant whose derived tree hangs a column outside the task
+    /// under a task column; every kind with a task that is not one range
+    /// of columns has such a mutant.
     #[test]
-    fn rehung_parents_of_real_slices_are_typed_errors() {
+    fn mutated_rows_of_real_slices_are_typed_errors() {
         let engine = Engine::new();
-        let mut refused = 0;
+        let invalid = |outcome: &Result<SubtreeParts, EngineError>| {
+            matches!(
+                outcome,
+                Err(EngineError::Factorization(
+                    FactorizationError::InvalidTraversal
+                ))
+            )
+        };
+        let mut factored = 0;
         for kind in ProblemKind::ALL {
             let config = EngineConfig::generated(kind, 200, 1)
                 .with_numeric(true)
@@ -462,49 +441,84 @@ mod tests {
                 .unwrap()
                 .distributed_cut(&engine)
                 .unwrap();
+            let parent = |column| {
+                plan.numeric_model()
+                    .unwrap()
+                    .structure()
+                    .etree
+                    .parent(column)
+            };
+            let mut hung = 0;
             for task in 0..cut.task_count() {
                 let slice = cut.task_slice(task);
-                let counts: Vec<usize> = slice.counts().collect();
-                let mut indices = slice.rows.clone();
-                indices.extend(slice.parents.iter().flatten());
-                indices.sort_unstable();
-                indices.dedup();
-                for (k, &column) in slice.columns.iter().enumerate() {
-                    let above: Vec<usize> = indices
-                        .iter()
-                        .copied()
-                        .filter(|&i| i > column && Some(i) != slice.parents[k])
-                        .collect();
-                    let moves = [above.first(), above.last()].map(|i| i.copied());
-                    for parent in moves.into_iter().flatten().map(Some).chain([None]) {
-                        if parent == slice.parents[k] {
-                            continue;
+                let n = slice.n;
+                let inner = slice
+                    .columns
+                    .iter()
+                    .any(|&j| parent(j).is_some_and(|p| slice.columns.contains(&p)));
+                let mut reversed = slice.clone();
+                reversed.order.reverse();
+                let outcome = reversed.factor(None);
+                assert_eq!(
+                    invalid(&outcome),
+                    inner,
+                    "{kind:?} task {task}: {outcome:?}"
+                );
+
+                let mutant = |k: usize, row: Option<usize>| {
+                    let mut counts: Vec<usize> = slice.counts().collect();
+                    let (mut rows, mut values) = (slice.rows.clone(), slice.values.clone());
+                    let end = slice.col_ptr[k + 1];
+                    match row {
+                        Some(row) => {
+                            counts[k] += 1;
+                            rows.insert(end, row);
+                            values.insert(end, 1e-3);
                         }
-                        let mut parents = slice.parents.clone();
-                        parents[k] = parent;
-                        let Ok(rehung) = TaskSlice::new(
-                            slice.n,
-                            slice.order.clone(),
-                            slice.columns.clone(),
-                            &counts,
-                            slice.rows.clone(),
-                            slice.values.clone(),
-                            parents,
-                        ) else {
+                        None => {
+                            counts[k] -= 1;
+                            rows.remove(end - 1);
+                            values.remove(end - 1);
+                        }
+                    }
+                    TaskSlice::new(n, slice.order.clone(), &counts, rows, values)
+                };
+                for (k, &column) in slice.columns.iter().enumerate() {
+                    let last = slice.rows[slice.col_ptr[k + 1] - 1];
+                    let past = slice.columns.iter().find(|&&j| j > last).copied();
+                    let mut added = vec![last + 1, n - 1];
+                    added.extend(past);
+                    added.retain(|&row| row > last && row < n);
+                    added.sort_unstable();
+                    added.dedup();
+                    let mutants = added.into_iter().map(Some).chain([None]);
+                    for row in mutants {
+                        let Ok(mutant) = mutant(k, row) else {
+                            assert!(row.is_none() && last == column, "{kind:?} {column}");
                             continue;
                         };
-                        let error = rehung.factor(None).err();
-                        assert!(
-                            matches!(&error, Some(EngineError::InvalidConfig(message))
-                                if message.ends_with(&SliceError::Parents.to_string())),
-                            "{kind:?} task {task} column {column} → {parent:?}: {error:?}"
-                        );
-                        refused += 1;
+                        let outcome = mutant.factor(None);
+                        if hangs_an_outside_column(&mutant) {
+                            assert!(invalid(&outcome), "{kind:?} {column} {row:?}: {outcome:?}");
+                            hung += 1;
+                        }
+                        factored += 1;
                     }
                 }
             }
+            // Over a task whose columns are one range, no added row hangs
+            // an outside column: one below the range is in no row, and one
+            // above it lies above every task column.
+            let ranges = (0..cut.task_count()).all(|task| {
+                let columns = cut.task_slice(task).columns;
+                columns.last().map_or(0, |last| last + 1 - columns[0]) == columns.len()
+            });
+            assert!(
+                ranges || hung > 0,
+                "{kind:?}: no mutant hangs an outside column"
+            );
         }
-        assert!(refused > 1000, "{refused} rehung slices factored");
+        assert!(factored > 1000, "{factored} mutants factored");
     }
 
     fn valid() -> TaskSlice {
@@ -512,11 +526,9 @@ mod tests {
         TaskSlice::new(
             5,
             vec![1, 2],
-            vec![1, 2],
             &[2, 2],
             vec![1, 2, 2, 4],
             vec![4.0, -1.0, 4.0, -1.0],
-            vec![Some(2), Some(4)],
         )
         .unwrap()
     }
@@ -531,36 +543,15 @@ mod tests {
             let mut slice = slice.clone();
             let mut counts: Vec<usize> = slice.counts().collect();
             edit(&mut slice, &mut counts);
-            TaskSlice::new(
-                slice.n,
-                slice.order,
-                slice.columns,
-                &counts,
-                slice.rows,
-                slice.values,
-                slice.parents,
-            )
+            TaskSlice::new(slice.n, slice.order, &counts, slice.rows, slice.values)
         };
         assert_eq!(rebuild(&|_, _| {}), Ok(slice.clone()));
-        let cases: [(&str, &Edit, SliceError); 9] = [
+        let cases: [(&str, &Edit, SliceError); 8] = [
             ("row ≥ n", &|s, _| s.rows[3] = 5, SliceError::Rows),
             ("no diagonal", &|s, _| s.rows[0] = 0, SliceError::Rows),
-            (
-                "column not ordered",
-                &|s, _| s.order[1] = 3,
-                SliceError::Columns,
-            ),
+            ("foreign column", &|s, _| s.order[1] = 3, SliceError::Rows),
             ("column twice", &|s, _| s.order[1] = 1, SliceError::Columns),
-            (
-                "parent below",
-                &|s, _| s.parents[1] = Some(1),
-                SliceError::Parents,
-            ),
-            (
-                "parent first",
-                &|s, _| s.order = vec![2, 1],
-                SliceError::Parents,
-            ),
+            ("column ≥ n", &|s, _| s.order[1] = 5, SliceError::Columns),
             (
                 "non-finite",
                 &|s, _| s.values[0] = f64::NAN,
@@ -572,20 +563,28 @@ mod tests {
         for (name, edit, expected) in cases {
             assert_eq!(rebuild(edit), Err(expected), "{name}");
         }
-        // A parent the rows contradict passes the cheap checks and fails at
-        // factor time, typed: whether the structure comes out with the
-        // wrong first row below a diagonal, or — a child hung above a
-        // column that does not hold its rows — at other lengths than the
-        // forest's counts.
-        let contradictions: [(&str, &Edit); 2] = [
-            ("parent above the first row", &|s, _| s.parents[1] = Some(3)),
-            ("parent past the first row", &|s, _| s.parents[0] = Some(4)),
+        // A slice of the right shape whose derived tree the order does not
+        // factor bottom-up passes `new` and fails at factor time, typed:
+        // the parent ordered first, or a column outside the task (1, below
+        // column 0's rows) hung under a task column (2).
+        let traversals: [(&str, &Edit); 2] = [
+            ("parent first", &|s, _| s.order = vec![2, 1]),
+            ("outside column hung", &|s, c| {
+                s.order = vec![0, 2];
+                s.rows = vec![0, 1, 2, 2, 4];
+                s.values = vec![4.0, -1.0, -1.0, 4.0, -1.0];
+                *c = vec![3, 2];
+            }),
         ];
-        for (name, edit) in contradictions {
+        for (name, edit) in traversals {
             let error = rebuild(edit).unwrap().factor(None).err();
             assert!(
-                matches!(&error, Some(EngineError::InvalidConfig(message))
-                    if message.ends_with(&SliceError::Parents.to_string())),
+                matches!(
+                    error,
+                    Some(EngineError::Factorization(
+                        FactorizationError::InvalidTraversal
+                    ))
+                ),
                 "{name}: {error:?}"
             );
         }

@@ -31,7 +31,7 @@ pub mod numeric;
 pub mod parallel;
 
 pub use dense::{DenseMatrix, FrontArena, FrontKernel};
-pub use memory::{instrumented_factorization, FactorizationStats};
+pub use memory::FactorizationStats;
 pub use numeric::{
     multifrontal_cholesky, solve, solve_into, CholeskyFactor, ContributionStore,
     FactorizationError, SymbolicStructure,

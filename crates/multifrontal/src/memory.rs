@@ -8,8 +8,9 @@
 //! `f(j) = (µ(j) − 1)²` (contribution block) and
 //! `n(j) = µ(j)² − (µ(j) − 1)²` (frontal matrix minus contribution block),
 //! so the measured peak of an execution must equal the model's prediction for
-//! the same traversal — [`instrumented_factorization`] asserts nothing but
-//! reports both so tests and experiments can compare them.
+//! the same traversal — [`instrumented_factorization_with_structure`]
+//! asserts nothing but reports both so tests and experiments can compare
+//! them.
 //!
 //! The measurement is the [`BudgetLedger`]'s: the elimination loop reports
 //! every live-entry movement to a ledger, and this module merely runs it on
@@ -95,21 +96,13 @@ pub fn per_column_model(structure: &SymbolicStructure) -> Tree {
     Tree::from_parents(&parents, &files, &weights).expect("per-column model is a valid tree")
 }
 
-/// Run the multifrontal factorization along `order` (a bottom-up traversal;
-/// the elimination-tree postorder when `None`) while measuring the live
-/// temporary memory, and report the measurement next to the prediction of
-/// the paper's tree model for the same traversal.
-pub fn instrumented_factorization(
-    matrix: &SymmetricCsr,
-    order: Option<&[usize]>,
-) -> Result<FactorizationStats, FactorizationError> {
-    let structure = SymbolicStructure::from_pattern(&matrix.pattern());
-    instrumented_factorization_with_structure(matrix, &structure, order)
-}
-
-/// [`instrumented_factorization`] with a precomputed symbolic structure, for
-/// callers that already paid for it (the returned factor shares a copy).
-/// A 0 × 0 matrix has no model tree to traverse: `InvalidTraversal`.
+/// Run the multifrontal factorization of `matrix` over its symbolic
+/// `structure` along `order` (a bottom-up traversal; the elimination-tree
+/// postorder when `None`) while measuring the live temporary memory, and
+/// report the measurement next to the prediction of the paper's tree model
+/// for the same traversal (the returned factor shares a copy of the
+/// structure).  A 0 × 0 matrix has no model tree to traverse:
+/// `InvalidTraversal`.
 pub fn instrumented_factorization_with_structure(
     matrix: &SymmetricCsr,
     structure: &SymbolicStructure,
@@ -148,7 +141,9 @@ mod tests {
     fn measured_peak_matches_the_model_on_the_postorder() {
         for (nx, ny, seed) in [(5usize, 4usize, 1u64), (7, 7, 2), (9, 6, 3)] {
             let matrix = grid2d_matrix(nx, ny, seed);
-            let stats = instrumented_factorization(&matrix, None).unwrap();
+            let structure = SymbolicStructure::from_pattern(&matrix.pattern());
+            let stats =
+                instrumented_factorization_with_structure(&matrix, &structure, None).unwrap();
             assert_eq!(
                 stats.measured_peak_entries as Size, stats.model_peak_entries,
                 "grid {nx}x{ny}: the model must predict the real footprint exactly"
@@ -165,7 +160,9 @@ mod tests {
         // (top-down), reversed into bottom-up orders for the factorization.
         for traversal in [min_mem(&model).traversal, best_postorder(&model).traversal] {
             let bottom_up: Vec<usize> = traversal.reversed().into_order();
-            let stats = instrumented_factorization(&matrix, Some(&bottom_up)).unwrap();
+            let stats =
+                instrumented_factorization_with_structure(&matrix, &structure, Some(&bottom_up))
+                    .unwrap();
             assert_eq!(
                 stats.measured_peak_entries as Size,
                 stats.model_peak_entries
@@ -178,10 +175,11 @@ mod tests {
         let matrix = grid2d_matrix(8, 8, 5);
         let structure = SymbolicStructure::from_pattern(&matrix.pattern());
         let model = per_column_model(&structure);
-        let postorder_run =
-            instrumented_factorization(&matrix, Some(&etree_postorder(&structure.etree))).unwrap();
-        let optimal_bottom_up: Vec<usize> = min_mem(&model).traversal.reversed().into_order();
-        let optimal_run = instrumented_factorization(&matrix, Some(&optimal_bottom_up)).unwrap();
+        let run = |order: &[usize]| {
+            instrumented_factorization_with_structure(&matrix, &structure, Some(order)).unwrap()
+        };
+        let postorder_run = run(&etree_postorder(&structure.etree));
+        let optimal_run = run(&min_mem(&model).traversal.reversed().into_order());
         assert!(optimal_run.measured_peak_entries <= postorder_run.measured_peak_entries);
         // Both executions compute the same factor.
         assert_eq!(optimal_run.factor_nnz, postorder_run.factor_nnz);
@@ -190,8 +188,8 @@ mod tests {
     #[test]
     fn stats_report_the_factor_size() {
         let matrix = grid2d_matrix(4, 4, 9);
-        let stats = instrumented_factorization(&matrix, None).unwrap();
         let structure = SymbolicStructure::from_pattern(&matrix.pattern());
+        let stats = instrumented_factorization_with_structure(&matrix, &structure, None).unwrap();
         assert_eq!(stats.factor_nnz, structure.factor_nnz());
         assert_eq!(stats.n, 16);
         assert!(stats.model_tree.len() == 16);
@@ -201,9 +199,10 @@ mod tests {
     fn an_empty_matrix_is_a_typed_error_not_a_panic() {
         let empty = SymmetricCsr::from_lower_columns(0, Vec::new());
         assert!(crate::multifrontal_cholesky(&empty, None).is_ok());
+        let structure = SymbolicStructure::from_pattern(&empty.pattern());
         for order in [None, Some(&[][..])] {
             assert_eq!(
-                instrumented_factorization(&empty, order).unwrap_err(),
+                instrumented_factorization_with_structure(&empty, &structure, order).unwrap_err(),
                 FactorizationError::InvalidTraversal
             );
         }

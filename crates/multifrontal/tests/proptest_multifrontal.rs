@@ -9,9 +9,9 @@
 
 use prng::{Rng, StdRng};
 
-use multifrontal::memory::per_column_model;
+use multifrontal::memory::{instrumented_factorization_with_structure, per_column_model};
 use multifrontal::numeric::SymbolicStructure;
-use multifrontal::{instrumented_factorization, multifrontal_cholesky, solve};
+use multifrontal::{multifrontal_cholesky, solve};
 use sparsemat::gen::spd_matrix_from_pattern;
 use sparsemat::SparsePattern;
 use symbolic::etree::etree_postorder;
@@ -92,7 +92,9 @@ fn measured_memory_always_matches_the_model() {
             etree_postorder(&structure.etree),
             min_mem(&model).traversal.reversed().into_order(),
         ] {
-            let stats = instrumented_factorization(&matrix, Some(&order)).unwrap();
+            let stats =
+                instrumented_factorization_with_structure(&matrix, &structure, Some(&order))
+                    .unwrap();
             assert_eq!(
                 stats.measured_peak_entries as Size, stats.model_peak_entries,
                 "seed {seed}"

@@ -4,10 +4,12 @@
 //! `POST /internal/contribute`.
 //!
 //! The worker holds no plan and no state across tasks: a task frame carries
-//! the task's columns of the permuted matrix and their elimination-tree
-//! parents ([`distrib::SubtreeTask::slice`]), from which the worker rebuilds
-//! the subtree's rows of `L` and runs the same column loop as a local run,
-//! producing bit-identical columns.  It never orders, analyses or reads the
+//! the task's columns of the permuted matrix
+//! ([`distrib::SubtreeTask::slice`]), from which the worker derives the
+//! subtree's elimination tree and rows of `L` and runs the same column loop
+//! as a local run, producing bit-identical columns.  It checks the slice's
+//! shape and trusts the coordinator for which columns it holds and their
+//! values.  It never orders, analyses or reads the
 //! problem's source, so it needs no access to the coordinator's files.  A
 //! worker that dies simply stops contributing — its lease expires on the
 //! coordinator and the task is re-issued, so no worker-side cleanup protocol

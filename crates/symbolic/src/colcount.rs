@@ -17,15 +17,9 @@
 //! the previous leaf of the same row subtree.  The leaves are the columns
 //! `j` with `a_{ij} ≠ 0` whose subtree starts (in postorder) after that of
 //! the previous such column; the least common ancestors come from a
-//! path-compressed ancestor forest built as the postorder goes.
-//!
-//! Over an elimination tree a row's leaves all lie in one tree of the
-//! forest.  The counts also serve a forest that lacks some of the tree's
-//! edges — a task slice's, whose columns outside the task are roots — where
-//! a row may have leaves in two trees: a previous leaf in an earlier tree
-//! has no common ancestor with the next, so nothing is taken off.  Either
-//! way the counts are those of the row-subtree walk over the same forest,
-//! which is also what `SymbolicStructure`'s union of children builds.
+//! path-compressed ancestor forest built as the postorder goes.  Over an
+//! elimination forest a row's leaves all lie in one tree, so each one after
+//! the first has a common ancestor with the previous.
 
 use sparsemat::SparsePattern;
 
@@ -39,26 +33,9 @@ const NONE: usize = usize::MAX;
 ///
 /// # Panics
 /// Panics if the elimination tree does not match the pattern size, or is
-/// not the pattern's (see [`column_counts_from`]).
+/// not the pattern's.
 pub fn column_counts(pattern: &SparsePattern, etree: &EliminationTree) -> Vec<usize> {
     assert_eq!(etree.len(), pattern.n(), "elimination tree size mismatch");
-    column_counts_from(etree, |j| pattern.neighbors(j))
-        .expect("an elimination tree's column counts are positive")
-}
-
-/// [`column_counts`] of a symmetric matrix given by its columns over its
-/// elimination tree: `column(j)` holds the rows of column `j`, in any
-/// order, and only those below the diagonal are read — a full pattern's
-/// neighbours, or the lower columns of a `SymmetricCsr`.  `etree` is the
-/// matrix's elimination tree, or a task slice's forest (see the module
-/// docs); over another forest the counts are not the factor's, and `None`
-/// when one of them comes out below one — which only such a forest can
-/// cause, so a caller that cannot trust its forest checks the counts
-/// against what it builds from them.
-pub fn column_counts_from<'a>(
-    etree: &EliminationTree,
-    column: impl Fn(usize) -> &'a [usize],
-) -> Option<Vec<usize>> {
     let n = etree.len();
     let post = etree_postorder(etree);
     // `first[j]`: the postorder index of the first node of `j`'s subtree.
@@ -80,14 +57,12 @@ pub fn column_counts_from<'a>(
     let mut max_first = vec![NONE; n];
     let mut previous_leaf = vec![NONE; n];
     let mut ancestor: Vec<usize> = (0..n).collect();
-    // The postorder index where the current tree of the forest starts.
-    let mut tree_start = 0;
-    for (k, &j) in post.iter().enumerate() {
+    for &j in &post {
         let parent = etree.parent(j);
         if let Some(p) = parent {
             delta[p] -= 1;
         }
-        for &i in column(j) {
+        for &i in pattern.neighbors(j) {
             // `j` is a leaf of row `i`'s subtree iff no earlier column of
             // the row lies in `j`'s subtree.
             if i <= j || (max_first[i] != NONE && first[j] <= max_first[i]) {
@@ -96,9 +71,7 @@ pub fn column_counts_from<'a>(
             max_first[i] = first[j];
             let previous = std::mem::replace(&mut previous_leaf[i], j);
             delta[j] += 1;
-            // A previous leaf in an earlier tree has no common ancestor
-            // with `j`.
-            if previous != NONE && first[previous] >= tree_start {
+            if previous != NONE {
                 // The least common ancestor of the two leaves is the root
                 // of `previous`' set; compress the path to it.
                 let mut root = previous;
@@ -112,9 +85,8 @@ pub fn column_counts_from<'a>(
                 delta[root] -= 1;
             }
         }
-        match parent {
-            Some(p) => ancestor[j] = p,
-            None => tree_start = k + 1,
+        if let Some(p) = parent {
+            ancestor[j] = p;
         }
     }
     // Children before parents: every parent lies above its child.
@@ -125,7 +97,7 @@ pub fn column_counts_from<'a>(
     }
     delta
         .into_iter()
-        .map(|count| usize::try_from(count).ok().filter(|&count| count > 0))
+        .map(|count| usize::try_from(count).expect("a column count is positive"))
         .collect()
 }
 
@@ -208,45 +180,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    /// A task slice's forest: the columns of some subtrees of the
-    /// elimination tree keep their parents and their entries, every other
-    /// column is an empty root.  A row can then have leaves in two trees.
-    #[test]
-    fn counts_over_a_task_slice_equal_the_walk() {
-        for kind in ProblemKind::ALL {
-            for seed in 0..3 {
-                let pattern = kind.generate(400, seed);
-                let permuted = nested_dissection(&pattern).apply(&pattern);
-                let etree = elimination_tree(&permuted);
-                let n = permuted.n();
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut in_task = vec![false; n];
-                for j in (0..n).rev() {
-                    in_task[j] =
-                        rng.gen_range(0..8) == 0 || etree.parent(j).is_some_and(|p| in_task[p]);
-                }
-                let edges: Vec<(usize, usize)> = (0..n)
-                    .filter(|&k| in_task[k])
-                    .flat_map(|k| {
-                        let rows = permuted.neighbors(k).iter();
-                        rows.filter(move |&&i| i > k).map(move |&i| (i, k))
-                    })
-                    .collect();
-                let slice = SparsePattern::from_edges(n, &edges);
-                let parents = (0..n)
-                    .map(|j| etree.parent(j).filter(|_| in_task[j]))
-                    .collect();
-                let forest = EliminationTree::from_parents(parents);
-                assert_eq!(
-                    column_counts(&slice, &forest),
-                    row_subtree_counts(&slice, &forest),
-                    "{} seed {seed}",
-                    kind.name()
-                );
             }
         }
     }
