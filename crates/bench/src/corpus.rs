@@ -227,7 +227,10 @@ mod tests {
         let base = corpus_for(&quick_config(), "base");
         let random = random_corpus(&base, 2, 1);
         assert_eq!(random.len(), 2 * base.len());
-        assert_eq!(random.trees[0].tree.parents(), base.trees[0].tree.parents());
+        assert!(random.trees[0]
+            .tree
+            .parents()
+            .eq(base.trees[0].tree.parents()));
         assert_ne!(random.trees[0].tree.files(), base.trees[0].tree.files());
     }
 }

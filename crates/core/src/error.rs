@@ -22,6 +22,8 @@ pub enum TreeError {
     /// `Σ f(i) + max |n(i)|`, which bounds every memory total a traversal
     /// can form, does not fit in [`Size`].
     SizeOverflow,
+    /// More nodes than [`crate::tree::MAX_NODES`], the `u32` parent range.
+    TooLarge { nodes: usize },
     /// Mismatched input lengths (parents / file sizes / execution sizes).
     LengthMismatch {
         parents: usize,
@@ -49,6 +51,11 @@ impl fmt::Display for TreeError {
                 fmt,
                 "the input files plus the largest execution file exceed {}",
                 Size::MAX
+            ),
+            TreeError::TooLarge { nodes } => write!(
+                fmt,
+                "tree has {nodes} nodes, more than the maximum {}",
+                crate::tree::MAX_NODES
             ),
             TreeError::LengthMismatch {
                 parents,

@@ -108,24 +108,28 @@ struct Arenas {
 
 impl Arenas {
     /// Open a fresh frame for `node` (lines 6–11: cut = children, peaks =
-    /// their `MemReq`) on top of the arenas; the node's own execution goes
-    /// straight into the shared traversal buffer.
+    /// their `MemReq`) on top of the arenas, already in its first pass: the
+    /// children go straight into the pass region, and the cut region starts
+    /// empty.  The node's own execution goes straight into the shared
+    /// traversal buffer.
     fn open_frame(&mut self, tree: &Tree, node: NodeId, avail: Size) -> Frame {
+        let old_start = self.old_nodes.len();
+        let cut_file_sum = tree.children_file_sum(node);
         let frame = Frame {
             avail,
             cut_start: self.cut_nodes.len(),
-            old_start: self.old_nodes.len(),
-            cut_file_sum: tree.children_file_sum(node),
+            old_start,
+            cut_file_sum,
             traversal_mark: self.traversal.len(),
-            idx: 0,
-            pass_sum: 0,
+            idx: old_start,
+            pass_sum: cut_file_sum,
             first_pass: true,
-            in_pass: false,
+            in_pass: true,
         };
-        self.cut_nodes.extend_from_slice(tree.children(node));
+        self.old_nodes.extend_from_slice(tree.children(node));
         // Until a child has been explored, the only safe lower bound on the
         // memory needed to advance inside it is its own MemReq.
-        self.cut_peaks
+        self.old_peaks
             .extend(tree.children(node).iter().map(|&c| tree.mem_req(c)));
         self.traversal.push(node);
         frame
@@ -208,6 +212,7 @@ fn explore_in(
 
     // The root frame: either resumed from a previous MinMem iteration (lines
     // 6–8) or freshly initialised from the children (lines 9–11).
+    debug_assert!(arenas.frames.is_empty() && arenas.old_nodes.is_empty());
     let root_frame = if resumed {
         Frame {
             avail,
@@ -218,7 +223,6 @@ fn explore_in(
     } else {
         arenas.open_frame(tree, node, avail)
     };
-    debug_assert!(arenas.frames.is_empty() && arenas.old_nodes.is_empty());
     arenas.frames.push(root_frame);
     #[cfg(test)]
     let mut capacities = arenas.capacities();

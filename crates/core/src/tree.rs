@@ -27,6 +27,13 @@ pub type Size = i64;
 /// Sentinel for "no peak / unbounded" used by the exact algorithms.
 pub const INFINITE: Size = Size::MAX;
 
+/// The most nodes a [`Tree`] may have: its parents are `u32`s, with
+/// `u32::MAX` kept free to mark the root.
+pub const MAX_NODES: usize = u32::MAX as usize - 1;
+
+/// The root's entry in [`Tree`]'s parent array.
+const ROOT: u32 = u32::MAX;
+
 /// A rooted tree workflow with per-node input-file and execution-file sizes.
 ///
 /// The structure is immutable once built (via [`TreeBuilder`] or one of the
@@ -46,9 +53,13 @@ pub const INFINITE: Size = Size::MAX;
 /// `Σ_{j ∈ children(i)} f(j)`, `MemReq(i)` and `max_i MemReq(i)` — are
 /// precomputed once at construction, so [`Tree::children_file_sum`],
 /// [`Tree::mem_req`] and [`Tree::max_mem_req`] are O(1) lookups.
+///
+/// Parents are one `u32` per node (at most [`MAX_NODES`] nodes), the root
+/// holding a sentinel that [`Tree::parent`] and [`Tree::parents`] turn into
+/// `None`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
-    parent: Vec<Option<NodeId>>,
+    parent: Vec<u32>,
     /// CSR offsets: children of `i` live at `child_list[child_starts[i]..child_starts[i + 1]]`.
     child_starts: Vec<usize>,
     /// CSR payload: all child ids, grouped by parent.
@@ -68,12 +79,14 @@ impl Tree {
     /// Build a tree from parent pointers and node weights.
     ///
     /// `parents[i]` is the parent of node `i` (`None` for the root, which must
-    /// be unique), `files[i]` is `f(i)` and `weights[i]` is `n(i)`.
+    /// be unique), `files[i]` is `f(i)` and `weights[i]` is `n(i)`.  More
+    /// than [`MAX_NODES`] nodes are refused before anything is allocated.
     pub fn from_parents(
         parents: &[Option<NodeId>],
         files: &[Size],
         weights: &[Size],
     ) -> Result<Self, TreeError> {
+        check_node_count(parents.len())?;
         if parents.is_empty() {
             return Err(TreeError::Empty);
         }
@@ -142,7 +155,10 @@ impl Tree {
             }
         }
         let mut tree = Tree {
-            parent: parents.to_vec(),
+            parent: parents
+                .iter()
+                .map(|p| p.map_or(ROOT, |p| p as u32))
+                .collect(),
             child_starts,
             child_list,
             f: files.to_vec(),
@@ -197,7 +213,7 @@ impl Tree {
                 }
                 state[cur] = 1;
                 path.push(cur);
-                match self.parent[cur] {
+                match self.parent(cur) {
                     Some(par) => cur = par,
                     None => break,
                 }
@@ -214,12 +230,12 @@ impl Tree {
     /// caches to charge plans byte-accurate footprints.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let options = self.parent.len() * size_of::<Option<NodeId>>();
+        let parents = self.parent.len() * size_of::<u32>();
         let indices = (self.child_starts.len() + self.child_list.len()) * size_of::<usize>();
         let sizes =
             (self.f.len() + self.n.len() + self.children_file_sum.len() + self.mem_req.len())
                 * size_of::<Size>();
-        (options + indices + sizes) as u64
+        (parents + indices + sizes) as u64
     }
 
     /// Number of nodes in the tree (written `p` in the paper).
@@ -243,7 +259,8 @@ impl Tree {
     /// Parent of `i`, or `None` for the root.
     #[inline]
     pub fn parent(&self, i: NodeId) -> Option<NodeId> {
-        self.parent[i]
+        let p = self.parent[i];
+        (p != ROOT).then_some(p as NodeId)
     }
 
     /// Children of `i`, in insertion order (a slice of the flat CSR list).
@@ -338,7 +355,7 @@ impl Tree {
     pub fn subtree_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![1usize; self.len()];
         for &i in self.dfs_bottomup().iter() {
-            if let Some(par) = self.parent[i] {
+            if let Some(par) = self.parent(i) {
                 sizes[par] += sizes[i];
             }
         }
@@ -349,7 +366,7 @@ impl Tree {
     pub fn depths(&self) -> Vec<usize> {
         let mut depth = vec![0usize; self.len()];
         for &i in self.dfs_topdown().iter() {
-            if let Some(par) = self.parent[i] {
+            if let Some(par) = self.parent(i) {
                 depth[i] = depth[par] + 1;
             }
         }
@@ -406,9 +423,10 @@ impl Tree {
         tree
     }
 
-    /// Parent-pointer representation (useful for serialization and tests).
-    pub fn parents(&self) -> &[Option<NodeId>] {
-        &self.parent
+    /// Parent-pointer representation (useful for serialization and tests):
+    /// [`Tree::parent`] of every node, in node order.
+    pub fn parents(&self) -> impl ExactSizeIterator<Item = Option<NodeId>> + '_ {
+        (0..self.len()).map(|i| self.parent(i))
     }
 
     /// All input-file sizes.
@@ -419,6 +437,15 @@ impl Tree {
     /// All execution-file sizes.
     pub fn weights(&self) -> &[Size] {
         &self.n
+    }
+}
+
+/// `Ok` when `nodes` fits the `u32` parents: at most [`MAX_NODES`].
+fn check_node_count(nodes: usize) -> Result<(), TreeError> {
+    if nodes > MAX_NODES {
+        Err(TreeError::TooLarge { nodes })
+    } else {
+        Ok(())
     }
 }
 
@@ -537,12 +564,52 @@ mod tests {
         let files = [0, 2, 3, 4];
         let weights = [1, 1, 1, 1];
         let tree = Tree::from_parents(&parents, &files, &weights).unwrap();
-        assert_eq!(tree.parents(), &parents);
+        assert_eq!(tree.parents().collect::<Vec<_>>(), parents);
         assert_eq!(tree.files(), &files);
         assert_eq!(tree.weights(), &weights);
         assert_eq!(tree.root(), 0);
         assert_eq!(tree.subtree_sizes(), vec![4, 2, 1, 1]);
         assert_eq!(tree.depths(), vec![0, 1, 1, 2]);
+    }
+
+    /// Parents are 4 bytes each; the CSR children and the sizes 8.
+    #[test]
+    fn heap_bytes_count_four_byte_parents() {
+        let tree = chain(&[0, 1, 2]);
+        assert_eq!(tree.heap_bytes(), (3 * 4 + (4 + 2) * 8 + 4 * 3 * 8) as u64);
+    }
+
+    /// The root's sentinel never leaks: `parent` and `parents` say `None`
+    /// for the root only, and every other parent is a node of the tree, on
+    /// trees of one node, a chain, a star and a root that is not node 0.
+    #[test]
+    fn the_root_sentinel_never_leaks() {
+        let shapes: [&[Option<NodeId>]; 4] = [
+            &[None],
+            &[None, Some(0), Some(1)],
+            &[None, Some(0), Some(0), Some(0)],
+            &[Some(2), Some(2), None, Some(1)],
+        ];
+        for parents in shapes {
+            let sizes = vec![1; parents.len()];
+            let tree = Tree::from_parents(parents, &sizes, &sizes).unwrap();
+            assert_eq!(tree.parents().len(), parents.len());
+            assert!(tree.parents().eq(parents.iter().copied()), "{parents:?}");
+            for i in tree.nodes() {
+                assert_eq!(tree.parent(i).is_none(), i == tree.root(), "{parents:?}");
+                assert!(tree.parent(i).is_none_or(|p| p < tree.len()));
+            }
+        }
+    }
+
+    /// More nodes than the `u32` parents hold are refused by the count
+    /// alone, the first check `from_parents` makes.
+    #[test]
+    fn a_node_count_past_u32_is_refused() {
+        assert_eq!(check_node_count(MAX_NODES), Ok(()));
+        for nodes in [MAX_NODES + 1, u32::MAX as usize, usize::MAX] {
+            assert_eq!(check_node_count(nodes), Err(TreeError::TooLarge { nodes }));
+        }
     }
 
     #[test]
@@ -669,7 +736,7 @@ mod tests {
     fn with_weights_preserves_topology() {
         let tree = chain(&[1, 2, 3]);
         let tree2 = tree.with_weights(vec![5, 5, 5], vec![1, 1, 1]);
-        assert_eq!(tree2.parents(), tree.parents());
+        assert!(tree2.parents().eq(tree.parents()));
         assert_eq!(tree2.f(1), 5);
         assert_eq!(tree2.n(2), 1);
     }

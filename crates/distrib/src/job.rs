@@ -758,7 +758,7 @@ mod tests {
             task_slices: (0..tasks)
                 .map(|task| {
                     let order = vec![task];
-                    let (rows, values) = (order.clone(), vec![1.0]);
+                    let (rows, values) = (vec![task as u32], vec![1.0]);
                     TaskSlice::new(tasks, order, &[1], rows, values).unwrap()
                 })
                 .collect(),

@@ -288,7 +288,7 @@ impl SliceFrame {
         SliceFrame {
             n: slice.n(),
             counts: digits(Hex(slice.counts().map(index))),
-            rows: digits(Hex(slice.rows().iter().map(|&row| index(row)))),
+            rows: digits(Hex(slice.rows().iter().copied())),
             values: digits(f64s(slice.values().iter().copied())),
         }
     }
@@ -395,7 +395,7 @@ impl SubtreeTask {
             slice.n,
             self.order.clone(),
             &counts,
-            parse_hex(&slice.rows, 8, "rows", index("rows"))?,
+            parse_hex(&slice.rows, 8, "rows", row("rows"))?,
             parse_hex_f64s(&slice.values, "values")?,
         )
         .map_err(|error| match error {
@@ -408,6 +408,11 @@ impl SubtreeTask {
 /// An index item of a hex payload, as a `usize`.
 fn index(field: &'static str) -> impl Fn(u64) -> Result<usize, WireError> {
     move |bits| usize::try_from(bits).map_err(|_| WireError::BadHex(field))
+}
+
+/// A row item of a hex payload, as the `u32` a slice stores.
+fn row(field: &'static str) -> impl Fn(u64) -> Result<u32, WireError> {
+    move |bits| u32::try_from(bits).map_err(|_| WireError::BadHex(field))
 }
 
 /// What a worker's claim poll comes back with.

@@ -275,7 +275,19 @@ fn hostile_slices_are_typed_errors() {
     let fewer_values = edited(&frame, "values", |values| values[16..].to_string());
     let truncated = edited(&frame, "rows", |rows| rows[..rows.len() - 1].to_string());
     let uppercase = edited(&frame, "values", str::to_uppercase);
+    // A dimension past the `u32` indices, refused before anything is sized
+    // by it.
+    let body = decode_frame(&frame).unwrap();
+    let huge_n = encode_frame(&body.replace(
+        &format!("\"n\": {n},"),
+        &format!("\"n\": {},", u64::from(u32::MAX)),
+    ));
     let cases = [
+        (
+            "n past u32",
+            huge_n,
+            WireError::BadSlice(SliceError::Dimension),
+        ),
         ("row ≥ n", row_at_n, WireError::BadSlice(SliceError::Rows)),
         (
             "foreign column",

@@ -125,8 +125,11 @@ impl PlanCache {
         engine: &Engine,
         config: &EngineConfig,
     ) -> Result<(Arc<Plan>, bool), EngineError> {
-        let key = config.hash();
-        self.single_flight(&key, engine.cancel(), || engine.plan(config))
+        let source_hash = config.source_hash();
+        let key = source_hash.finish(&config.settings());
+        self.single_flight(&key, engine.cancel(), || {
+            engine.plan_hashed(config, source_hash)
+        })
     }
 
     /// The single-flight core: at most one caller plans `key` at a time;
@@ -301,6 +304,26 @@ mod tests {
         assert!(cache.get(&configs[0].hash()).is_some());
         assert!(cache.get(&configs[1].hash()).is_none());
         assert!(cache.get(&configs[2].hash()).is_some());
+    }
+
+    /// A miss renders the configuration's source once — for the key and
+    /// the plan's saved hash state together — generated or prebuilt; a hit
+    /// renders it once, for the key.  The plan's hash is the key.
+    #[test]
+    fn a_miss_renders_the_source_once() {
+        use crate::config::SOURCE_RENDERS;
+        let engine = Engine::new();
+        let cache = PlanCache::new(4);
+        let generated = EngineConfig::generated(sparsemat::gen::ProblemKind::Grid2d, 100, 1);
+        for config in [config(7), generated] {
+            for hit in [false, true] {
+                SOURCE_RENDERS.with(|renders| renders.set(0));
+                let (plan, was_hit) = cache.get_or_plan(&engine, &config).unwrap();
+                assert_eq!(SOURCE_RENDERS.with(|renders| renders.get()), 1);
+                assert_eq!(was_hit, hit);
+                assert_eq!(plan.config_hash(), config.hash());
+            }
+        }
     }
 
     #[test]

@@ -683,6 +683,8 @@ impl EngineConfig {
     /// keeps it, so naming an effective configuration never visits the
     /// source again.
     pub(crate) fn source_hash(&self) -> Fnv1a {
+        #[cfg(test)]
+        SOURCE_RENDERS.with(|renders| renders.set(renders.get() + 1));
         let mut state = Fnv1a::new();
         self.render_source(&mut state)
             .expect("the hash sink cannot fail");
@@ -742,7 +744,7 @@ impl Fields for ProblemSource {
                 source.field("type", "matrix_market").field("path", path);
             }
             ProblemSource::Prebuilt { tree } => {
-                let parents = tree.parents().iter().map(|p| p.map_or(-1, |p| p as i64));
+                let parents = tree.parents().map(|p| p.map_or(-1, |p| p as i64));
                 source
                     .field("type", "prebuilt")
                     .field("parents", Array(parents))
@@ -797,6 +799,13 @@ impl Fields for DistributedConfig {
             .field("budget", &self.budget)
             .field("lease_ms", self.lease_ms);
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Source renders into a hash on this thread: what a plan-cache miss
+    /// must do once.
+    pub(crate) static SOURCE_RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A running 64-bit FNV-1a hash that is also a [`fmt::Write`] sink: the

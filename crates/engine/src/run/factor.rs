@@ -159,6 +159,7 @@ impl FactorHandle {
             let (rows, values) = matrix.column(j);
             let xj = &solutions[row(j)];
             for (&i, &v) in rows.iter().zip(values) {
+                let i = i as usize;
                 for (y, &x) in product[row(i)].iter_mut().zip(xj) {
                     *y += v * x;
                 }

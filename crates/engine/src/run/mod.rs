@@ -40,7 +40,7 @@ use treemem::faultinject::FaultPoint;
 use treemem::registry::UnknownName;
 
 use crate::cancel::CancelToken;
-use crate::config::{EngineConfig, ProblemSource};
+use crate::config::{EngineConfig, Fnv1a, ProblemSource};
 use crate::report::{Report, StageTimings};
 
 mod factor;
@@ -183,11 +183,21 @@ impl Engine {
     /// The ordering polls the engine's token every few hundred
     /// eliminations, and the stage boundaries check it too.
     pub fn plan(&self, config: &EngineConfig) -> Result<Plan, EngineError> {
+        self.plan_hashed(config, config.source_hash())
+    }
+
+    /// [`plan`](Self::plan) of `config`, whose source the caller has
+    /// already hashed into `source_hash`: a plan-cache miss renders the
+    /// source once, for its key and for the plan.
+    pub(crate) fn plan_hashed(
+        &self,
+        config: &EngineConfig,
+        source_hash: Fnv1a,
+    ) -> Result<Plan, EngineError> {
         let cancel = self.cancel();
         let names = self.validate(config)?;
         check(cancel, "plan")?;
         let mut timings = StageTimings::default();
-        let source_hash = config.source_hash();
         let (pattern, generate_seconds) = match &config.source {
             ProblemSource::Prebuilt { tree } => {
                 let tree = PlanTree::Prebuilt(tree.clone());
@@ -200,9 +210,11 @@ impl Engine {
                     timings,
                 ));
             }
-            ProblemSource::Generated { kind, nodes, seed } => {
-                timed_ok(|| kind.generate(*nodes, *seed))
-            }
+            ProblemSource::Generated { kind, nodes, seed } => timed(|| {
+                kind.try_generate(*nodes, *seed).map_err(|err| {
+                    EngineError::InvalidConfig(format!("{} problem: {err}", kind.name()))
+                })
+            })?,
             ProblemSource::MatrixMarket { path } => timed(|| read_matrix_market(path))?,
         };
         timings.generate_seconds = generate_seconds;
@@ -222,7 +234,7 @@ impl Engine {
                 let counts = column_counts(&permuted, &etree);
                 Some(SymbolicData {
                     permuted,
-                    etree,
+                    etree: Arc::new(etree),
                     counts,
                 })
             })

@@ -84,7 +84,7 @@ impl NumericModel {
     pub(super) fn new(symbolic: &SymbolicData, seed: u64) -> Self {
         let matrix = spd_matrix_from_pattern(&symbolic.permuted, seed);
         let structure =
-            SymbolicStructure::from_etree(&matrix, symbolic.etree.clone(), &symbolic.counts);
+            SymbolicStructure::from_etree(&matrix, Arc::clone(&symbolic.etree), &symbolic.counts);
         let structure = Arc::new(structure);
         let model = per_column_model(&structure);
         NumericModel {
@@ -106,10 +106,11 @@ impl NumericModel {
     }
 
     /// Approximate heap footprint in bytes (matrix, symbolic structure,
-    /// per-column model tree and the cached factorization orders).
+    /// per-column model tree and the cached factorization orders).  The
+    /// structure's elimination tree is the plan's, charged there.
     pub(crate) fn heap_bytes(&self) -> u64 {
-        let mut bytes =
-            self.matrix.heap_bytes() + self.structure.heap_bytes() + self.model.heap_bytes();
+        let structure = self.structure.heap_bytes() - self.structure.etree.heap_bytes();
+        let mut bytes = self.matrix.heap_bytes() + structure + self.model.heap_bytes();
         self.orders.for_each(|_, order| {
             bytes += (order.len() * std::mem::size_of::<NodeId>()) as u64;
         });
@@ -670,12 +671,12 @@ mod tests {
                 let pattern = kind.generate(nodes, 5);
                 let n = pattern.n();
                 let edges: Vec<(usize, usize)> = (0..n)
-                    .flat_map(|i| pattern.neighbors(i).iter().map(move |&j| (i, j)))
+                    .flat_map(|i| pattern.neighbors(i).iter().map(move |&j| (i, j as usize)))
                     .flat_map(|(i, j)| [(i, j), (i + n, j + n)])
                     .collect();
                 std::fs::write(
                     &path,
-                    write_pattern(&SparsePattern::from_edges(2 * n, &edges)),
+                    write_pattern(&SparsePattern::from_edges(2 * n, &edges).unwrap()),
                 )
                 .unwrap();
                 let forest = EngineConfig::matrix_market(path.to_string_lossy());

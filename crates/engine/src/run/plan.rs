@@ -23,7 +23,8 @@ use crate::report::StageTimings;
 
 pub(super) struct SymbolicData {
     pub(super) permuted: SparsePattern,
-    pub(super) etree: EliminationTree,
+    /// Shared with the numeric model's structure.
+    pub(super) etree: Arc<EliminationTree>,
     pub(super) counts: Vec<usize>,
 }
 
@@ -181,20 +182,13 @@ impl Plan {
         }
         match &self.tree {
             PlanTree::Assembly(assembly) => {
-                bytes += assembly.tree.heap_bytes();
-                let groups: usize = assembly
-                    .groups
-                    .iter()
-                    .map(|g| g.len() * size_of::<usize>() + size_of::<Vec<usize>>())
-                    .sum();
-                bytes += groups as u64;
-                bytes += ((assembly.eta.len() + assembly.mu.len()) * size_of::<usize>()) as u64;
+                bytes += assembly.tree.heap_bytes() + assembly.groups_heap_bytes();
             }
             PlanTree::Prebuilt(tree) => bytes += tree.heap_bytes(),
         }
         if let Some(symbolic) = &self.symbolic {
             bytes += symbolic.permuted.heap_bytes();
-            bytes += (symbolic.etree.len() * size_of::<Option<usize>>()) as u64;
+            bytes += symbolic.etree.heap_bytes();
             bytes += (symbolic.counts.len() * size_of::<usize>()) as u64;
         }
         self.solved.for_each(|_, solved| {

@@ -14,9 +14,12 @@
 //! [`Plan::factor_subtree`](crate::Plan::factor_subtree) is "slice, then
 //! factor", so a worker process and an in-process caller run one path.
 //!
-//! A slice received from elsewhere is checked for shape
-//! ([`TaskSlice::new`]); which columns of `A` it holds, and their values,
-//! are the sender's word.  A slice that is not descendant-closed, or whose
+//! Its row indices are `u32`s, as in the matrix they are copied from and
+//! as the wire carries them (8 hex digits each), so a slice is encoded and
+//! decoded without a conversion.  A slice received from elsewhere is
+//! checked for shape ([`TaskSlice::new`]) — a dimension beyond
+//! [`MAX_DIMENSION`] first, before anything is sized by it; which columns
+//! of `A` it holds, and their values, are the sender's word.  A slice that is not descendant-closed, or whose
 //! order puts a parent before its child, derives a tree in which some task
 //! column waits for a block no task column leaves: the kernel's typed
 //! `InvalidTraversal`, never a panic.
@@ -24,7 +27,7 @@
 use multifrontal::numeric::SymbolicStructure;
 use multifrontal::parallel::{BudgetLedger, FactorColumns};
 use multifrontal::{ContributionStore, FactorizationError, FrontArena};
-use sparsemat::SymmetricCsr;
+use sparsemat::{SymmetricCsr, MAX_DIMENSION};
 
 use super::numeric::{NumericModel, TaskContext};
 use super::EngineError;
@@ -46,7 +49,8 @@ pub struct SubtreeParts {
 /// One subtree task's slice of the problem: its bottom-up column order,
 /// and for each of its columns (by increasing index) the lower triangle of
 /// that column of the permuted matrix — row indices and values, diagonal
-/// first.  Built by
+/// first.  Row indices are `u32`, as in the matrix and on the wire.
+/// Built by
 /// [`DistributedCut::task_slice`](crate::DistributedCut::task_slice) or
 /// validated by [`TaskSlice::new`]; either way [`TaskSlice::factor`] can
 /// index it without a check.
@@ -57,13 +61,16 @@ pub struct TaskSlice {
     /// `order`, sorted.
     columns: Vec<usize>,
     col_ptr: Vec<usize>,
-    rows: Vec<usize>,
+    rows: Vec<u32>,
     values: Vec<f64>,
 }
 
 /// Why a slice is refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SliceError {
+    /// The problem's dimension exceeds [`MAX_DIMENSION`], the `u32` index
+    /// range.
+    Dimension,
     /// There is not one count per column of the order, or the counts do
     /// not add up to the row and value arrays.
     Counts,
@@ -78,6 +85,7 @@ pub enum SliceError {
 impl std::fmt::Display for SliceError {
     fn fmt(&self, fmt: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         fmt.write_str(match self {
+            SliceError::Dimension => "the slice's dimension exceeds the u32 index range",
             SliceError::Counts => "the slice's counts disagree",
             SliceError::Columns => "the slice's order names a column twice or out of range",
             SliceError::Rows => "a slice column's rows do not run from its diagonal below n",
@@ -98,14 +106,18 @@ impl TaskSlice {
     /// Validate a slice received from elsewhere: `n` is the whole problem's
     /// dimension, `order` the task's bottom-up column order, and `counts`
     /// holds one entry per column, by increasing column, over the
-    /// concatenated `rows` and `values`.
+    /// concatenated `rows` and `values`.  A dimension beyond
+    /// [`MAX_DIMENSION`] is refused first.
     pub fn new(
         n: usize,
         order: Vec<usize>,
         counts: &[usize],
-        rows: Vec<usize>,
+        rows: Vec<u32>,
         values: Vec<f64>,
     ) -> Result<TaskSlice, SliceError> {
+        if n > MAX_DIMENSION {
+            return Err(SliceError::Dimension);
+        }
         let mut columns = order.clone();
         columns.sort_unstable();
         let k = columns.len();
@@ -125,9 +137,9 @@ impl TaskSlice {
         }
         for (index, &column) in columns.iter().enumerate() {
             let entries = &rows[col_ptr[index]..col_ptr[index + 1]];
-            if entries.first() != Some(&column)
+            if entries.first().map(|&first| first as usize) != Some(column)
                 || entries.windows(2).any(|pair| pair[0] >= pair[1])
-                || entries.last().is_some_and(|&last| last >= n)
+                || entries.last().is_some_and(|&last| last as usize >= n)
             {
                 return Err(SliceError::Rows);
             }
@@ -198,7 +210,7 @@ impl TaskSlice {
             structure
                 .children(column)
                 .iter()
-                .all(|&child| position[child] < step)
+                .all(|&child| position[child as usize] < step)
         });
         if !bottom_up {
             return Err(FactorizationError::InvalidTraversal.into());
@@ -222,7 +234,7 @@ impl TaskSlice {
     }
 
     /// Row indices of every column's lower triangle, column after column.
-    pub fn rows(&self) -> &[usize] {
+    pub fn rows(&self) -> &[u32] {
         &self.rows
     }
 
@@ -248,7 +260,7 @@ impl TaskSlice {
         let order: Vec<usize> = self
             .order
             .iter()
-            .map(|column| global.partition_point(|g| g < column))
+            .map(|&column| global.partition_point(|&g| (g as usize) < column))
             .collect();
         let mut values = vec![0.0; order.iter().map(|&at| structure.rows(at).len()).sum()];
         let mut part = FactorColumns::packed(&structure, &order, &mut values)?;
@@ -263,7 +275,7 @@ impl TaskSlice {
         context.factor(&mut part, &mut roots, arena)?;
         let mut blocks = ContributionStore::new();
         for (at, block) in roots {
-            blocks.insert(global[at], block);
+            blocks.insert(global[at] as usize, block);
         }
         let parts = SubtreeParts { values, blocks };
         Ok((parts, ledger.measured_peak_entries()))
@@ -273,20 +285,20 @@ impl TaskSlice {
     /// column's first row is the column itself), which keeps the order of
     /// indices and so each column's rows in theirs: the union, the matrix
     /// whose columns outside the task are empty, and its structure.
-    fn localized(&self) -> (Vec<usize>, SymmetricCsr, SymbolicStructure) {
+    fn localized(&self) -> (Vec<u32>, SymmetricCsr, SymbolicStructure) {
         let mut global = self.rows.clone();
         global.sort_unstable();
         global.dedup();
-        let local = |index: usize| global.partition_point(|&g| g < index);
+        let local = |index: u32| global.partition_point(|&g| g < index);
         let m = global.len();
         let mut col_ptr = vec![0; m + 1];
         for (index, &column) in self.columns.iter().enumerate() {
-            col_ptr[local(column) + 1] = self.col_ptr[index + 1] - self.col_ptr[index];
+            col_ptr[local(column as u32) + 1] = self.col_ptr[index + 1] - self.col_ptr[index];
         }
         for at in 0..m {
             col_ptr[at + 1] += col_ptr[at];
         }
-        let rows = self.rows.iter().map(|&row| local(row)).collect();
+        let rows = self.rows.iter().map(|&row| local(row) as u32).collect();
         // `new` and `of_task` establish `from_csc`'s precondition: each
         // column's rows increase from its diagonal below n.
         let matrix = SymmetricCsr::from_csc(m, col_ptr, rows, self.values.clone());
@@ -350,14 +362,16 @@ mod tests {
                         let cell = format!("{kind:?} {ordering:?} {amalgamation} task {task}");
                         let slice = cut.task_slice(task);
                         for &column in &slice.columns {
-                            for child in structure.children(column) {
-                                assert!(slice.columns.binary_search(child).is_ok(), "{cell}");
+                            for &child in structure.children(column) {
+                                let child = child as usize;
+                                assert!(slice.columns.binary_search(&child).is_ok(), "{cell}");
                             }
                         }
                         let (global, _, local) = slice.localized();
                         for &column in &slice.columns {
-                            let at = global.binary_search(&column).unwrap();
-                            let derived = local.etree.parent(at).map(|parent| global[parent]);
+                            let at = global.binary_search(&(column as u32)).unwrap();
+                            let derived =
+                                local.etree.parent(at).map(|parent| global[parent] as usize);
                             assert_eq!(derived, structure.etree.parent(column), "{cell}");
                         }
                         let ledger = BudgetLedger::new(None);
@@ -406,8 +420,9 @@ mod tests {
     /// task under a task column.
     fn hangs_an_outside_column(slice: &TaskSlice) -> bool {
         let (global, _, structure) = slice.localized();
-        let inside = |at: usize| slice.columns.binary_search(&global[at]).is_ok();
-        (0..global.len()).any(|at| inside(at) && structure.children(at).iter().any(|&c| !inside(c)))
+        let inside = |at: usize| slice.columns.binary_search(&(global[at] as usize)).is_ok();
+        (0..global.len())
+            .any(|at| inside(at) && structure.children(at).iter().any(|&c| !inside(c as usize)))
     }
 
     /// Row mutants of every task of a real 4-task cut of every kind: each
@@ -472,7 +487,7 @@ mod tests {
                     match row {
                         Some(row) => {
                             counts[k] += 1;
-                            rows.insert(end, row);
+                            rows.insert(end, row as u32);
                             values.insert(end, 1e-3);
                         }
                         None => {
@@ -484,7 +499,7 @@ mod tests {
                     TaskSlice::new(n, slice.order.clone(), &counts, rows, values)
                 };
                 for (k, &column) in slice.columns.iter().enumerate() {
-                    let last = slice.rows[slice.col_ptr[k + 1] - 1];
+                    let last = slice.rows[slice.col_ptr[k + 1] - 1] as usize;
                     let past = slice.columns.iter().find(|&&j| j > last).copied();
                     let mut added = vec![last + 1, n - 1];
                     added.extend(past);
@@ -546,7 +561,18 @@ mod tests {
             TaskSlice::new(slice.n, slice.order, &counts, slice.rows, slice.values)
         };
         assert_eq!(rebuild(&|_, _| {}), Ok(slice.clone()));
-        let cases: [(&str, &Edit, SliceError); 8] = [
+        let cases: [(&str, &Edit, SliceError); 10] = [
+            // Refused by the dimension alone, before any other check.
+            (
+                "n past u32",
+                &|s, _| s.n = MAX_DIMENSION + 1,
+                SliceError::Dimension,
+            ),
+            (
+                "n = usize::MAX",
+                &|s, _| s.n = usize::MAX,
+                SliceError::Dimension,
+            ),
             ("row ≥ n", &|s, _| s.rows[3] = 5, SliceError::Rows),
             ("no diagonal", &|s, _| s.rows[0] = 0, SliceError::Rows),
             ("foreign column", &|s, _| s.order[1] = 3, SliceError::Rows),

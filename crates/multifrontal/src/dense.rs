@@ -119,13 +119,13 @@ impl DenseMatrix {
 
     /// Extend-add `block`'s lower triangle: block row `b` is global row
     /// `rows[b]`, at `position[rows[b]]` here (`rows` sorted).
-    pub(crate) fn extend_add(&mut self, block: &DenseMatrix, rows: &[usize], position: &[usize]) {
+    pub(crate) fn extend_add(&mut self, block: &DenseMatrix, rows: &[u32], position: &[usize]) {
         let n = self.n;
         for (a, &ga) in rows.iter().enumerate() {
-            let la = position[ga];
+            let la = position[ga as usize];
             let column = &mut self.values[la * n..(la + 1) * n];
             for (&gb, &value) in rows[a..].iter().zip(block.lower_column(a)) {
-                column[position[gb]] += value;
+                column[position[gb as usize]] += value;
             }
         }
     }

@@ -36,9 +36,10 @@ pub struct SymbolicStructure {
     pub(crate) col_ptr: Vec<usize>,
     /// Row indices of every column of `L`, column after column; within a
     /// column sorted increasingly, so the diagonal comes first.
-    rows: Vec<usize>,
-    /// The elimination tree of the (permuted) matrix.
-    pub etree: EliminationTree,
+    rows: Vec<u32>,
+    /// The elimination tree of the (permuted) matrix, shared with the plan
+    /// that computed it.
+    pub etree: Arc<EliminationTree>,
     /// `etree.children()`, computed once: the assembly order of every front.
     children: ChildLists,
 }
@@ -48,9 +49,8 @@ impl SymbolicStructure {
     /// elimination tree's parent array and its children lists).
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let store = (self.col_ptr.len() + self.rows.len()) * size_of::<usize>();
-        let etree = self.etree.len() * size_of::<Option<usize>>();
-        (store + etree) as u64 + self.children.heap_bytes()
+        let store = self.col_ptr.len() * size_of::<usize>() + self.rows.len() * size_of::<u32>();
+        store as u64 + self.etree.heap_bytes() + self.children.heap_bytes()
     }
 
     /// Compute the full symbolic structure of the factor of `pattern`
@@ -58,14 +58,18 @@ impl SymbolicStructure {
     pub fn from_pattern(pattern: &SparsePattern) -> Self {
         let etree = elimination_tree(pattern);
         let counts = column_counts(pattern, &etree);
-        Self::build(etree, &counts, |j| pattern.neighbors(j))
+        Self::build(Arc::new(etree), &counts, |j| pattern.neighbors(j))
     }
 
     /// The structure of the factor of `matrix` (already permuted into
     /// elimination order), whose elimination tree and column counts the
     /// caller holds — computed on the same permuted pattern: each column's
     /// rows below the diagonal are read from the matrix itself.
-    pub fn from_etree(matrix: &SymmetricCsr, etree: EliminationTree, counts: &[usize]) -> Self {
+    pub fn from_etree(
+        matrix: &SymmetricCsr,
+        etree: Arc<EliminationTree>,
+        counts: &[usize],
+    ) -> Self {
         Self::build(etree, counts, |j| matrix.column(j).0)
     }
 
@@ -80,13 +84,13 @@ impl SymbolicStructure {
     /// every row of `j` below the diagonal (checked with a marker array),
     /// that union is `rows(c)[1..]`, copied without the sort.
     fn build<'a>(
-        etree: EliminationTree,
+        etree: Arc<EliminationTree>,
         counts: &[usize],
-        column: impl Fn(usize) -> &'a [usize],
+        column: impl Fn(usize) -> &'a [u32],
     ) -> Self {
         let below = |j: usize| {
             let rows = column(j);
-            &rows[rows.partition_point(|&i| i <= j)..]
+            &rows[rows.partition_point(|&i| i as usize <= j)..]
         };
         let children = etree.children();
         let n = children.len();
@@ -96,17 +100,19 @@ impl SymbolicStructure {
         for &count in counts {
             col_ptr.push(col_ptr[col_ptr.len() - 1] + count);
         }
-        let mut rows = vec![0; col_ptr[n]];
-        let mut union: Vec<usize> = Vec::new();
-        let mut marker = vec![usize::MAX; n];
+        let mut rows = vec![0u32; col_ptr[n]];
+        let mut union: Vec<u32> = Vec::new();
+        let mut marker = vec![u32::MAX; n];
         for j in 0..n {
             let slot = col_ptr[j]..col_ptr[j + 1];
+            let column = j as u32;
             if let &[c] = children.of(j) {
+                let c = c as usize;
                 let child = col_ptr[c]..col_ptr[c + 1];
                 for &i in &rows[child.clone()] {
-                    marker[i] = j;
+                    marker[i as usize] = column;
                 }
-                if below(j).iter().all(|&i| marker[i] == j) {
+                if below(j).iter().all(|&i| marker[i as usize] == column) {
                     debug_assert_eq!(child.len() - 1, slot.len(), "column {j}'s count");
                     rows.copy_within(child.start + 1..child.end, slot.start);
                     continue;
@@ -115,11 +121,11 @@ impl SymbolicStructure {
             // Original entries below the diagonal plus the children
             // structures (minus the child index itself).
             union.clear();
-            union.push(j);
+            union.push(column);
             union.extend_from_slice(below(j));
             for &c in children.of(j) {
-                let child = &rows[col_ptr[c]..col_ptr[c + 1]];
-                union.extend(child.iter().copied().filter(|&i| i > j));
+                let child = &rows[col_ptr[c as usize]..col_ptr[c as usize + 1]];
+                union.extend(child.iter().copied().filter(|&i| i > column));
             }
             union.sort_unstable();
             union.dedup();
@@ -142,13 +148,13 @@ impl SymbolicStructure {
     /// Row indices of column `j` of `L`, sorted increasingly (diagonal
     /// first).  The contribution block column `j` leaves for its parent
     /// covers `rows(j)[1..]`.
-    pub fn rows(&self, j: usize) -> &[usize] {
+    pub fn rows(&self, j: usize) -> &[u32] {
         &self.rows[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
 
     /// The children of column `j` in the elimination tree, increasing: the
     /// order its front assembles their blocks in.
-    pub fn children(&self, j: usize) -> &[usize] {
+    pub fn children(&self, j: usize) -> &[u32] {
         self.children.of(j)
     }
 
@@ -190,7 +196,7 @@ impl SymbolicStructure {
             live += mu * mu;
             peak = peak.max(live);
             for &c in self.children(j) {
-                live = live.saturating_sub(self.block_entries(c));
+                live = live.saturating_sub(self.block_entries(c as usize));
             }
             live -= mu * mu;
             live += self.block_entries(j);
@@ -271,7 +277,7 @@ impl CholeskyFactor {
     }
 
     /// Rows and values of column `j`.
-    fn column(&self, j: usize) -> (&[usize], &[f64]) {
+    fn column(&self, j: usize) -> (&[u32], &[f64]) {
         let range = self.structure.col_ptr[j]..self.structure.col_ptr[j + 1];
         (self.structure.rows(j), &self.values[range])
     }
@@ -345,14 +351,14 @@ impl CholeskyFactor {
             x[j] /= values[0];
             let xj = x[j];
             for (&i, &v) in rows.iter().zip(values).skip(1) {
-                x[i] -= v * xj;
+                x[i as usize] -= v * xj;
             }
         }
         for j in (0..n).rev() {
             let (rows, values) = self.column(j);
             let mut sum = x[j];
             for (&i, &v) in rows.iter().zip(values).skip(1) {
-                sum -= v * x[i];
+                sum -= v * x[i as usize];
             }
             x[j] = sum / values[0];
         }
@@ -374,7 +380,7 @@ impl CholeskyFactor {
                 *value /= values[0];
             }
             for (&i, &v) in rows.iter().zip(values).skip(1) {
-                let start = (i - j - 1) * count;
+                let start = (i as usize - j - 1) * count;
                 for (xi, &xjc) in below[start..start + count].iter_mut().zip(xj.iter()) {
                     *xi -= v * xjc;
                 }
@@ -386,7 +392,7 @@ impl CholeskyFactor {
             let (head, below) = x.split_at_mut((j + 1) * count);
             let xj = &mut head[j * count..];
             for (&i, &v) in rows.iter().zip(values).skip(1) {
-                let start = (i - j - 1) * count;
+                let start = (i as usize - j - 1) * count;
                 for (xjc, &xi) in xj.iter_mut().zip(&below[start..start + count]) {
                     *xjc -= v * xi;
                 }
@@ -404,7 +410,9 @@ impl CholeskyFactor {
         for j in 0..n {
             let (rows, values) = self.column(j);
             for (a, (&ia, &va)) in rows.iter().zip(values).enumerate() {
+                let ia = ia as usize;
                 for (&ib, &vb) in rows.iter().zip(values).skip(a) {
+                    let ib = ib as usize;
                     dense[ib][ia] += va * vb;
                     if ia != ib {
                         dense[ia][ib] += va * vb;
@@ -624,9 +632,9 @@ pub fn eliminate_columns(
             let children = structure.children(j);
             let seeded = children
                 .first()
-                .is_some_and(|&c| structure.rows(c).len() == front_dim + 1);
+                .is_some_and(|&c| structure.rows(c as usize).len() == front_dim + 1);
             let seed = match children.first() {
-                Some(&c) if seeded => pending.remove(c).filter(|cb| cb.n() == front_dim),
+                Some(&c) if seeded => pending.remove(c as usize).filter(|cb| cb.n() == front_dim),
                 _ => None,
             };
             let mut assembled = !seeded || seed.is_some();
@@ -638,13 +646,13 @@ pub fn eliminate_columns(
             }
 
             for (position, &global) in rows.iter().enumerate() {
-                local[global] = position;
+                local[global as usize] = position;
             }
 
             // Assemble the original matrix entries of column j.
             let (a_rows, a_values) = matrix.column(j);
             for (&i, &v) in a_rows.iter().zip(a_values) {
-                front.add(local[i], 0, v);
+                front.add(local[i as usize], 0, v);
             }
 
             // Extend-add the other children contribution blocks, in child
@@ -652,6 +660,7 @@ pub fn eliminate_columns(
             // result — depends only on the tree, never on which task or
             // worker produced a block).
             for &c in &children[usize::from(seeded)..] {
+                let c = c as usize;
                 let cb_rows = &structure.rows(c)[1..];
                 match pending.remove(c) {
                     Some(cb) if cb.n() == cb_rows.len() => {
@@ -677,13 +686,13 @@ pub fn eliminate_columns(
                 let assemble = |t: usize, column: &mut [f64]| {
                     let (a_rows, a_values) = matrix.column(run[t]);
                     for (&i, &v) in a_rows.iter().zip(a_values) {
-                        column[local[i] - t] += v;
+                        column[local[i as usize] - t] += v;
                     }
                 };
                 front.eliminate_panel(run.len(), assemble, keeps_block.then_some(&mut *arena))
             });
             for &global in rows {
-                local[global] = usize::MAX;
+                local[global as usize] = usize::MAX;
             }
             let Some(eliminated) = eliminated else {
                 return Err(FactorizationError::InvalidTraversal);
@@ -846,21 +855,43 @@ mod tests {
         let mut children = vec![Vec::new(); structure.n()];
         for j in 0..structure.n() {
             if let Some(p) = structure.etree.parent(j) {
-                children[p].push(j);
+                children[p].push(j as u32);
             }
         }
         for (j, expected) in children.iter().enumerate() {
             let rows = structure.rows(j);
-            assert_eq!(rows[0], j);
+            assert_eq!(rows[0] as usize, j);
             assert!(rows.windows(2).all(|w| w[0] < w[1]), "column {j} sorted");
             assert_eq!(structure.children(j), expected);
             // Every child's trailing rows are rows of the parent front.
             for &c in structure.children(j) {
-                for row in &structure.rows(c)[1..] {
+                for row in &structure.rows(c as usize)[1..] {
                     assert!(rows.contains(row), "child {c} row {row} in front {j}");
                 }
             }
         }
+    }
+
+    /// The served structure of a cold `/report` on grid2dwide 3×10⁴ under
+    /// `nd` held 5 711 344 bytes with `usize` rows and `Option<usize>`
+    /// parents; with `u32` rows, parents and children it is at most 0.6×
+    /// that, and every index array counts 4 bytes an entry.
+    #[test]
+    fn the_served_structure_counts_four_byte_indices() {
+        use ordering::OrderingMethod;
+        let pattern = sparsemat::gen::ProblemKind::Grid2dWide.generate(30_000, 1);
+        let order = OrderingMethod::NestedDissection.order(&pattern);
+        let structure = SymbolicStructure::from_pattern(&pattern.permute(order.as_new_to_old()));
+        let n = structure.n() as u64;
+        let expected = (n + 1) * 8 + structure.factor_nnz() as u64 * 4 // col_ptr, rows
+            + n * 4 // parents
+            + (n + 1) * 8 + (n - structure.etree.roots().len() as u64) * 4; // children
+        assert_eq!(structure.heap_bytes(), expected);
+        assert!(
+            structure.heap_bytes() * 10 <= 5_711_344 * 6,
+            "{} bytes",
+            structure.heap_bytes()
+        );
     }
 
     /// The structure read from the matrix it factors equals the one built
@@ -880,7 +911,7 @@ mod tests {
                 let expected = SymbolicStructure::from_pattern(&matrix.pattern());
                 let etree = elimination_tree(&pattern);
                 let counts = symbolic::column_counts(&pattern, &etree);
-                let structure = SymbolicStructure::from_etree(&matrix, etree, &counts);
+                let structure = SymbolicStructure::from_etree(&matrix, Arc::new(etree), &counts);
                 let label = format!("{} {}", kind.name(), method.name());
                 assert_eq!(structure.col_ptr, expected.col_ptr, "{label}");
                 assert_eq!(structure.rows, expected.rows, "{label}");
@@ -907,20 +938,23 @@ mod tests {
                 let structure = SymbolicStructure::from_pattern(&pattern);
                 let mut copied = 0;
                 for j in 0..structure.n() {
-                    let mut union = vec![j];
-                    union.extend(pattern.neighbors(j).iter().filter(|&&i| i > j));
+                    let column = j as u32;
+                    let mut union = vec![column];
+                    union.extend(pattern.neighbors(j).iter().filter(|&&i| i > column));
                     for &c in structure.children(j) {
-                        union.extend(structure.rows(c).iter().filter(|&&i| i > j));
+                        let rows = structure.rows(c as usize);
+                        union.extend(rows.iter().filter(|&&i| i > column));
                     }
                     union.sort_unstable();
                     union.dedup();
                     let label = format!("{} {} column {j}", kind.name(), method.name());
                     assert_eq!(structure.rows(j), union, "{label}");
                     if let &[c] = structure.children(j) {
-                        let child = structure.rows(c);
+                        let child = structure.rows(c as usize);
                         let neighbors = pattern.neighbors(j);
-                        copied +=
-                            usize::from(neighbors.iter().all(|&i| i < j || child.contains(&i)));
+                        copied += usize::from(
+                            neighbors.iter().all(|&i| i < column || child.contains(&i)),
+                        );
                     }
                 }
                 assert!(copied > 0, "{} {}", kind.name(), method.name());

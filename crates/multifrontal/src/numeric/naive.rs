@@ -42,25 +42,26 @@ pub(super) fn eliminate_columns(
             ledger.record_live(front_entries);
 
             for (position, &global) in rows.iter().enumerate() {
-                local[global] = position;
+                local[global as usize] = position;
             }
 
             // Assemble the original matrix entries of column j.
             let (a_rows, a_values) = matrix.column(j);
             for (&i, &v) in a_rows.iter().zip(a_values) {
-                front.add(local[i], 0, v);
+                front.add(local[i as usize], 0, v);
             }
 
             // Extend-add the children contribution blocks, in child order.
             let mut assembled = true;
             for &c in structure.children(j) {
+                let c = c as usize;
                 let cb_rows = &structure.rows(c)[1..];
                 match pending.remove(c) {
                     Some(cb) if cb.n() == cb_rows.len() => {
                         for (a, &ga) in cb_rows.iter().enumerate() {
-                            let la = local[ga];
+                            let la = local[ga as usize];
                             for (b, &gb) in cb_rows.iter().enumerate().skip(a) {
-                                front.add(local[gb], la, cb.get(b, a));
+                                front.add(local[gb as usize], la, cb.get(b, a));
                             }
                         }
                         ledger.record_live(-(cb.len() as i64));
@@ -71,7 +72,7 @@ pub(super) fn eliminate_columns(
                 }
             }
             for &global in rows {
-                local[global] = usize::MAX;
+                local[global as usize] = usize::MAX;
             }
             if !assembled {
                 return Err(FactorizationError::InvalidTraversal);
@@ -250,10 +251,9 @@ mod tests {
     fn seeded_fronts(structure: &SymbolicStructure) -> usize {
         (0..structure.n())
             .filter(|&j| {
-                structure
-                    .children(j)
-                    .first()
-                    .is_some_and(|&c| structure.rows(c).len() == structure.rows(j).len() + 1)
+                structure.children(j).first().is_some_and(|&c| {
+                    structure.rows(c as usize).len() == structure.rows(j).len() + 1
+                })
             })
             .count()
     }
@@ -394,7 +394,7 @@ mod tests {
                     let sign = if j == negated { -1.0 } else { 1.0 };
                     rows.iter()
                         .zip(values)
-                        .map(|(&i, &v)| (i, if i == j { sign * v } else { v }))
+                        .map(|(&i, &v)| (i as usize, if i as usize == j { sign * v } else { v }))
                         .collect()
                 })
                 .collect();
@@ -471,7 +471,7 @@ mod tests {
                     let sign = if j == negated { -1.0 } else { 1.0 };
                     rows.iter()
                         .zip(values)
-                        .map(|(&i, &v)| (i, if i == j { sign * v } else { v }))
+                        .map(|(&i, &v)| (i as usize, if i as usize == j { sign * v } else { v }))
                         .collect()
                 })
                 .collect();

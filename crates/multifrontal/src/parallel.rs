@@ -495,7 +495,7 @@ mod tests {
     fn column_slices_rejects_gaps_duplicates_and_out_of_range_columns() {
         // A 2-column diagonal structure: one value per column.
         let structure =
-            SymbolicStructure::from_pattern(&sparsemat::SparsePattern::from_edges(2, &[]));
+            SymbolicStructure::from_pattern(&sparsemat::SparsePattern::from_edges(2, &[]).unwrap());
         let mut values = [0.0; 2];
         let mut parts = column_slices(&structure, &mut values, [&[1][..], &[0]]).unwrap();
         parts[0].unpack(&[4.0]).unwrap();

@@ -26,7 +26,7 @@ fn arbitrary_spd(seed: u64, max_n: usize, max_edges: usize) -> sparsemat::Symmet
     let edges: Vec<(usize, usize)> = (0..count)
         .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
         .collect();
-    let pattern = SparsePattern::from_edges(n, &edges);
+    let pattern = SparsePattern::from_edges(n, &edges).unwrap();
     spd_matrix_from_pattern(&pattern, rng.gen::<u64>())
 }
 

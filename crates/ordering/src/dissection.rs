@@ -16,10 +16,11 @@
 //!
 //! **Two threads, one permutation.**  At a split of a component of at least
 //! `FORK_THRESHOLD` (2¹⁴) vertices, while helper threads remain
-//! (`available_parallelism() − 1`, counted down per fork), the first piece
-//! is ordered on a scoped helper thread with a workspace of its own, and the
-//! other pieces and then the separator on the calling thread.  The order of
-//! a piece is a function of its induced subgraph alone: every search starts
+//! (`available_parallelism() − 1`, counted down per fork), the first pieces
+//! — a prefix holding about half the split's vertices, at least one piece —
+//! are ordered on a scoped helper thread with a workspace of its own, and
+//! the other pieces and then the separator on the calling thread.  The order
+//! of a piece is a function of its induced subgraph alone: every search starts
 //! inside it and never enters an inactive vertex, the separator that bounds
 //! it is inactive, and a leaf's minimum degree reads only the marks of its
 //! own use.  So neither side reads or writes a vertex of the other, each
@@ -186,7 +187,7 @@ fn order_items(
 /// Queue the `pieces` and then the `separator` (empty for the top level's
 /// connected pieces) of a component whose segment of the output starts at
 /// `at` — or, for a component of at least `fork.threshold` vertices while
-/// helpers remain, order the first piece on a helper thread and the rest on
+/// helpers remain, order its first pieces on a helper thread and the rest on
 /// this one before returning.
 fn split(
     ws: &mut Workspace<'_>,
@@ -220,10 +221,10 @@ fn split(
     fork_first(ws, children, segment, stop, fork)
 }
 
-/// Order the top of `children` — a split's first piece — on a helper
-/// thread with a workspace of its own, and the other children on this
-/// thread; each child's offset is into `segment`.  See the module docs for
-/// why the two never meet.
+/// Order the top of `children` — a split's first pieces, holding about half
+/// of `segment` — on a helper thread with a workspace of its own, and the
+/// other children on this thread; each child's offset is into `segment`.
+/// See the module docs for why the two never meet.
 fn fork_first(
     ws: &mut Workspace<'_>,
     mut children: Vec<Item>,
@@ -231,12 +232,28 @@ fn fork_first(
     stop: Option<&(dyn Fn() -> bool + Sync)>,
     fork: Fork,
 ) -> Option<()> {
-    let Some((first, state, _)) = children.pop() else {
+    // The pieces are the top of `children`, in order, over the front of
+    // `segment`.  The helper takes the first one, and each next one while
+    // that brings its share closer to half; this thread keeps at least the
+    // bottom child.
+    let half = segment.len() / 2;
+    let (mut first, mut taken) = (children.len(), 0);
+    while let Some((piece, _, _)) = first.checked_sub(1).and_then(|top| children.get(top)) {
+        if taken > 0 && (first == 1 || 2 * taken + piece.len() >= 2 * half) {
+            break;
+        }
+        taken += piece.len();
+        first -= 1;
+    }
+    if taken == 0 {
         return Some(());
-    };
-    let (head, tail) = segment.split_at_mut(first.len());
+    }
+    let mut helper_work = children.split_off(first);
+    #[cfg(test)]
+    ws.helper_pieces.push(helper_work.len());
+    let (head, tail) = segment.split_at_mut(taken);
     for child in &mut children {
-        child.2 -= first.len();
+        child.2 -= taken;
     }
     // The helpers left after this one, shared between the two sides.
     let spare = fork.helpers - 1;
@@ -249,10 +266,10 @@ fn fork_first(
         ..fork
     };
     let pattern = ws.pattern;
-    let mut helper_work = vec![(first, state, 0)];
     let (ours, theirs) = std::thread::scope(|scope| {
         let helper = std::thread::Builder::new().spawn_scoped(scope, || {
-            let mut own = Workspace::on(pattern, &helper_work[0].0);
+            let vertices = helper_work.iter().flat_map(|(set, _, _)| set);
+            let mut own = Workspace::on(pattern, vertices);
             order_items(&mut own, &mut helper_work, head, stop, helper_fork)
         });
         let ours = order_items(ws, &mut children, tail, stop, caller_fork);
@@ -265,7 +282,7 @@ fn fork_first(
     });
     match theirs {
         Some(theirs) => ours.and(theirs),
-        // The helper could not start: its piece is ordered here.
+        // The helper could not start: its pieces are ordered here.
         None => {
             ours?;
             order_items(ws, &mut helper_work, head, stop, caller_fork)
@@ -340,7 +357,7 @@ mod tests {
 
     #[test]
     fn handles_disconnected_graphs() {
-        let pattern = SparsePattern::from_edges(80, &[(0, 1), (40, 41), (41, 42)]);
+        let pattern = SparsePattern::from_edges(80, &[(0, 1), (40, 41), (41, 42)]).unwrap();
         let perm = nested_dissection(&pattern);
         assert_eq!(perm.len(), 80);
     }
@@ -391,11 +408,38 @@ mod tests {
                 }
             }
         }
+        // Eight disjoint 70 × 70 grids: the top-level split has eight equal
+        // pieces and no separator.  The helper takes the first four, half
+        // the vertices, under the served threshold and one helper as under
+        // every fork; the permutation is the serial one either way.
+        let grid = grid2d_5pt(70, 70);
+        let mut edges = Vec::new();
+        for copy in 0..8 {
+            let offset = copy * grid.n();
+            for v in 0..grid.n() {
+                let neighbors = grid.neighbors(v).iter().map(|&w| w as usize);
+                edges.extend(neighbors.map(|w| (offset + v, offset + w)));
+            }
+        }
+        let pattern = SparsePattern::from_edges(8 * grid.n(), &edges).unwrap();
+        let serial = order(&pattern, Fork::SERIAL);
+        let served = Fork {
+            threshold: FORK_THRESHOLD,
+            helpers: 1,
+        };
+        for fork in [served, forking(1), forking(2), forking(3)] {
+            let mut ws = Workspace::new(&pattern);
+            assert!(
+                dissect(&mut ws, None, fork) == Some(serial.clone()),
+                "{fork:?}"
+            );
+            assert_eq!(ws.helper_pieces.first(), Some(&4), "{fork:?}");
+        }
     }
 
     #[test]
     fn a_disconnected_top_level_forks_its_first_piece() {
-        let pattern = SparsePattern::from_edges(80, &[(0, 1), (40, 41), (41, 42)]);
+        let pattern = SparsePattern::from_edges(80, &[(0, 1), (40, 41), (41, 42)]).unwrap();
         assert_eq!(order(&pattern, forking(1)), order(&pattern, Fork::SERIAL));
     }
 
@@ -494,7 +538,11 @@ mod tests {
     fn a_wrapping_epoch_changes_no_order() {
         for pattern in [grid2d_5pt(23, 19), random_spd_pattern(250, 3.0, 4)] {
             let expected = order(&pattern, Fork::SERIAL);
-            let rcm_expected = crate::rcm(&pattern).as_new_to_old().to_vec();
+            let rcm_expected: Vec<usize> = crate::rcm(&pattern)
+                .as_new_to_old()
+                .iter()
+                .map(|&v| v as usize)
+                .collect();
             for before_wrap in 0..64 {
                 let start = u32::MAX - before_wrap;
                 let mut ws = Workspace::starting_at(&pattern, start);

@@ -43,7 +43,7 @@ pub(crate) fn minimum_degree_with_stop(
     let mut scratch = MinDegree::default();
     scratch.clear();
     for v in 0..pattern.n() {
-        scratch.push_row(pattern.neighbors(v).iter().copied());
+        scratch.push_row(pattern.neighbors(v).iter().map(|&w| w as usize));
     }
     scratch.run(stop)?;
     Some(Permutation::from_new_to_old(scratch.order().to_vec()))
@@ -322,7 +322,7 @@ mod tests {
         // centre only becomes eligible once its degree has dropped to 1, so
         // it cannot appear before position n-2, and the ordering is fill-free.
         let edges: Vec<(usize, usize)> = (1..8).map(|i| (0, i)).collect();
-        let pattern = SparsePattern::from_edges(8, &edges);
+        let pattern = SparsePattern::from_edges(8, &edges).unwrap();
         let perm = minimum_degree(&pattern);
         assert!(perm.old_to_new(0) >= 6, "centre eliminated too early");
         assert_eq!(
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn path_graph_generates_no_fill() {
         let edges: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
-        let pattern = SparsePattern::from_edges(10, &edges);
+        let pattern = SparsePattern::from_edges(10, &edges).unwrap();
         let perm = minimum_degree(&pattern);
         // A path ordered by minimum degree has no fill: nnz(L) = 2n - 1.
         assert_eq!(fill_in(&pattern, &perm), 2 * 10 - 1);

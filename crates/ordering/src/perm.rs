@@ -1,39 +1,46 @@
 //! Permutations in new-to-old convention.
 
-use sparsemat::SparsePattern;
+use sparsemat::{SparsePattern, MAX_DIMENSION};
 
 /// A permutation of `0..n` in *new-to-old* convention: `perm[k]` is the
-/// original index placed at (eliminated at) position `k`.
+/// original index placed at (eliminated at) position `k`.  Both maps hold
+/// `u32` indices, as the patterns they permute do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
-    new_to_old: Vec<usize>,
-    old_to_new: Vec<usize>,
+    new_to_old: Vec<u32>,
+    old_to_new: Vec<u32>,
 }
 
 impl Permutation {
     /// Wrap an explicit new-to-old map.
     ///
     /// # Panics
-    /// Panics if `new_to_old` is not a permutation of `0..n`.
+    /// Panics if `new_to_old` is not a permutation of `0..n`, or `n`
+    /// exceeds [`MAX_DIMENSION`].
     pub fn from_new_to_old(new_to_old: Vec<usize>) -> Self {
         let n = new_to_old.len();
-        let mut old_to_new = vec![usize::MAX; n];
+        assert!(n <= MAX_DIMENSION, "dimension {n} exceeds {MAX_DIMENSION}");
+        let mut old_to_new = vec![u32::MAX; n];
         for (new, &old) in new_to_old.iter().enumerate() {
             assert!(old < n, "index {old} out of range");
-            assert!(old_to_new[old] == usize::MAX, "duplicate index {old}");
-            old_to_new[old] = new;
+            assert!(old_to_new[old] == u32::MAX, "duplicate index {old}");
+            old_to_new[old] = new as u32;
         }
         Permutation {
-            new_to_old,
+            new_to_old: new_to_old.into_iter().map(|old| old as u32).collect(),
             old_to_new,
         }
     }
 
     /// The identity permutation.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds [`MAX_DIMENSION`].
     pub fn identity(n: usize) -> Self {
+        assert!(n <= MAX_DIMENSION, "dimension {n} exceeds {MAX_DIMENSION}");
         Permutation {
-            new_to_old: (0..n).collect(),
-            old_to_new: (0..n).collect(),
+            new_to_old: (0..n as u32).collect(),
+            old_to_new: (0..n as u32).collect(),
         }
     }
 
@@ -49,16 +56,16 @@ impl Permutation {
 
     /// Original index of the vertex at new position `k`.
     pub fn new_to_old(&self, k: usize) -> usize {
-        self.new_to_old[k]
+        self.new_to_old[k] as usize
     }
 
     /// New position of original vertex `i`.
     pub fn old_to_new(&self, i: usize) -> usize {
-        self.old_to_new[i]
+        self.old_to_new[i] as usize
     }
 
     /// The full new-to-old map.
-    pub fn as_new_to_old(&self) -> &[usize] {
+    pub fn as_new_to_old(&self) -> &[u32] {
         &self.new_to_old
     }
 
@@ -75,7 +82,7 @@ impl Permutation {
         let new_to_old = other
             .new_to_old
             .iter()
-            .map(|&mid| self.new_to_old[mid])
+            .map(|&mid| self.new_to_old[mid as usize] as usize)
             .collect();
         Permutation::from_new_to_old(new_to_old)
     }

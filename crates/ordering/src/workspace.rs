@@ -58,6 +58,9 @@ pub(crate) struct Workspace<'p> {
     pub(crate) leaf_runs: usize,
     #[cfg(test)]
     pub(crate) scratch_growths: usize,
+    /// The pieces each fork of this workspace's thread handed a helper.
+    #[cfg(test)]
+    pub(crate) helper_pieces: Vec<usize>,
 }
 
 impl<'p> Workspace<'p> {
@@ -71,8 +74,11 @@ impl<'p> Workspace<'p> {
     }
 
     /// A workspace whose active vertices are `vertices`: a helper thread's,
-    /// whose piece has only inactive neighbours outside it.
-    pub(crate) fn on(pattern: &'p SparsePattern, vertices: &[usize]) -> Self {
+    /// whose pieces have only inactive neighbours outside them.
+    pub(crate) fn on<'v>(
+        pattern: &'p SparsePattern,
+        vertices: impl IntoIterator<Item = &'v usize>,
+    ) -> Self {
         let mut active = vec![false; pattern.n()];
         for &v in vertices {
             active[v] = true;
@@ -101,6 +107,8 @@ impl<'p> Workspace<'p> {
             leaf_runs: 0,
             #[cfg(test)]
             scratch_growths: 0,
+            #[cfg(test)]
+            helper_pieces: Vec::new(),
         }
     }
 
@@ -162,6 +170,7 @@ impl<'p> Workspace<'p> {
             head += 1;
             let level = self.marks[v].1 as usize + 1;
             for &w in pattern.neighbors(v) {
+                let w = w as usize;
                 // The stamp first: most neighbours are already visited.
                 if self.marks[w].0 != self.epoch && self.active[w] {
                     self.mark(w, level);
@@ -243,6 +252,7 @@ impl<'p> Workspace<'p> {
             while let Some(v) = self.stack.pop() {
                 self.piece.push(v);
                 for &w in pattern.neighbors(v) {
+                    let w = w as usize;
                     if self.marks[w].0 == member && self.active[w] {
                         self.mark(w, 0);
                         self.stack.push(w);
@@ -274,7 +284,7 @@ impl<'p> Workspace<'p> {
         let (marks, epoch) = (&self.marks, self.epoch);
         self.mindeg.clear();
         for &v in vertices {
-            let labelled = pattern.neighbors(v).iter().map(|&w| marks[w]);
+            let labelled = pattern.neighbors(v).iter().map(|&w| marks[w as usize]);
             self.mindeg.push_row(
                 labelled
                     .filter(|&(stamp, _)| stamp == epoch)

@@ -19,7 +19,7 @@ fn arbitrary_pattern(seed: u64, max_n: usize, max_edges: usize) -> SparsePattern
     let edges: Vec<(usize, usize)> = (0..count)
         .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
         .collect();
-    SparsePattern::from_edges(n, &edges)
+    SparsePattern::from_edges(n, &edges).unwrap()
 }
 
 fn is_permutation(perm: &Permutation, n: usize) -> bool {
@@ -90,7 +90,7 @@ fn trees_are_ordered_without_fill() {
         // Build a random tree (acyclic graph): minimum degree must order it
         // with zero fill (nnz(L) = 2n - 1).
         let edges: Vec<(usize, usize)> = (1..n).map(|i| (i, rng.gen_range(0..i))).collect();
-        let pattern = SparsePattern::from_edges(n, &edges);
+        let pattern = SparsePattern::from_edges(n, &edges).unwrap();
         let perm = minimum_degree(&pattern);
         assert_eq!(fill_in(&pattern, &perm), 2 * n - 1, "seed {seed}");
     }

@@ -21,7 +21,16 @@
 
 use prng::{Rng, StdRng};
 
-use crate::pattern::{SparsePattern, SymmetricCsr};
+use crate::pattern::{DimensionTooLarge, SparsePattern, SymmetricCsr};
+
+/// The pattern of a generator's edge list.
+///
+/// # Panics
+/// Panics if `n` exceeds [`MAX_DIMENSION`](crate::MAX_DIMENSION):
+/// [`ProblemKind::try_generate`] refuses that before generating.
+fn generated(n: usize, edges: &[(usize, usize)]) -> SparsePattern {
+    SparsePattern::from_edges(n, edges).expect("a generated dimension fits the u32 indices")
+}
 
 /// Pattern of the 5-point Laplacian on an `nx × ny` grid.
 pub fn grid2d_5pt(nx: usize, ny: usize) -> SparsePattern {
@@ -37,7 +46,7 @@ pub fn grid2d_5pt(nx: usize, ny: usize) -> SparsePattern {
             }
         }
     }
-    SparsePattern::from_edges(nx * ny, &edges)
+    generated(nx * ny, &edges)
 }
 
 /// Pattern of the 9-point stencil on an `nx × ny` grid (adds diagonal
@@ -59,7 +68,7 @@ pub fn grid2d_9pt(nx: usize, ny: usize) -> SparsePattern {
             }
         }
     }
-    SparsePattern::from_edges(nx * ny, &edges)
+    generated(nx * ny, &edges)
 }
 
 /// Pattern of the 7-point Laplacian on an `nx × ny × nz` grid.
@@ -81,7 +90,7 @@ pub fn grid3d_7pt(nx: usize, ny: usize, nz: usize) -> SparsePattern {
             }
         }
     }
-    SparsePattern::from_edges(nx * ny * nz, &edges)
+    generated(nx * ny * nz, &edges)
 }
 
 /// Pattern of a banded symmetric matrix of the given half-bandwidth.
@@ -94,7 +103,7 @@ pub fn banded(n: usize, half_bandwidth: usize) -> SparsePattern {
             }
         }
     }
-    SparsePattern::from_edges(n, &edges)
+    generated(n, &edges)
 }
 
 /// Random symmetric pattern with (approximately) `nnz_per_row` off-diagonal
@@ -118,7 +127,7 @@ pub fn random_spd_pattern(n: usize, nnz_per_row: f64, seed: u64) -> SparsePatter
     for i in 0..n.saturating_sub(1) {
         edges.push((i, i + 1));
     }
-    SparsePattern::from_edges(n, &edges)
+    generated(n, &edges)
 }
 
 /// Random symmetric pattern with a power-law degree distribution: endpoints
@@ -155,7 +164,7 @@ pub fn power_law_pattern(n: usize, edges_count: usize, alpha: f64, seed: u64) ->
     for i in 0..n.saturating_sub(1) {
         edges.push((i, i + 1));
     }
-    SparsePattern::from_edges(n, &edges)
+    generated(n, &edges)
 }
 
 /// Give a pattern numeric values that make it symmetric positive definite:
@@ -177,15 +186,15 @@ pub fn spd_matrix_from_pattern(pattern: &SparsePattern, seed: u64) -> SymmetricC
     let mut diagonal = vec![1.0f64; n];
     col_ptr.push(0);
     for i in 0..n {
-        row_idx.push(i);
+        row_idx.push(i as u32);
         values.push(0.0);
         let neighbors = pattern.neighbors(i);
-        for &j in &neighbors[neighbors.partition_point(|&j| j <= i)..] {
+        for &j in &neighbors[neighbors.partition_point(|&j| j as usize <= i)..] {
             let value = -rng.gen_range(0.1..1.0);
             row_idx.push(j);
             values.push(value);
             diagonal[i] += value.abs();
-            diagonal[j] += value.abs();
+            diagonal[j as usize] += value.abs();
         }
         col_ptr.push(row_idx.len());
     }
@@ -260,20 +269,19 @@ impl ProblemKind {
     pub fn generate(&self, target_n: usize, seed: u64) -> SparsePattern {
         match self {
             ProblemKind::Grid2d => {
-                let side = (target_n as f64).sqrt().round().max(2.0) as usize;
+                let side = square_side(target_n);
                 grid2d_5pt(side, side)
             }
             ProblemKind::Grid2dWide => {
-                let short = ((target_n as f64) / 16.0).sqrt().round().max(2.0) as usize;
-                let long = (target_n / short).max(2);
+                let (long, short) = wide_sides(target_n);
                 grid2d_5pt(long, short)
             }
             ProblemKind::Grid2d9 => {
-                let side = (target_n as f64).sqrt().round().max(2.0) as usize;
+                let side = square_side(target_n);
                 grid2d_9pt(side, side)
             }
             ProblemKind::Grid3d => {
-                let side = (target_n as f64).cbrt().round().max(2.0) as usize;
+                let side = cube_side(target_n);
                 grid3d_7pt(side, side, side)
             }
             ProblemKind::Banded => banded(target_n.max(4), 8),
@@ -283,6 +291,57 @@ impl ProblemKind {
             }
         }
     }
+
+    /// The dimension [`generate`](Self::generate) builds for `target_n`,
+    /// computed without building anything; `None` when it overflows
+    /// `usize`.
+    pub fn dimension(&self, target_n: usize) -> Option<usize> {
+        match self {
+            ProblemKind::Grid2d | ProblemKind::Grid2d9 => {
+                let side = square_side(target_n);
+                side.checked_mul(side)
+            }
+            ProblemKind::Grid2dWide => {
+                let (long, short) = wide_sides(target_n);
+                long.checked_mul(short)
+            }
+            ProblemKind::Grid3d => {
+                let side = cube_side(target_n);
+                side.checked_mul(side)?.checked_mul(side)
+            }
+            ProblemKind::Banded | ProblemKind::Random | ProblemKind::PowerLaw => {
+                Some(target_n.max(4))
+            }
+        }
+    }
+
+    /// [`generate`](Self::generate), refusing a dimension beyond
+    /// [`MAX_DIMENSION`](crate::MAX_DIMENSION) before anything is
+    /// allocated.
+    pub fn try_generate(
+        &self,
+        target_n: usize,
+        seed: u64,
+    ) -> Result<SparsePattern, DimensionTooLarge> {
+        DimensionTooLarge::check(self.dimension(target_n).unwrap_or(usize::MAX))?;
+        Ok(self.generate(target_n, seed))
+    }
+}
+
+/// The side of the square grid nearest `target_n` vertices.
+fn square_side(target_n: usize) -> usize {
+    (target_n as f64).sqrt().round().max(2.0) as usize
+}
+
+/// The long and short sides of the 16:1 grid nearest `target_n` vertices.
+fn wide_sides(target_n: usize) -> (usize, usize) {
+    let short = ((target_n as f64) / 16.0).sqrt().round().max(2.0) as usize;
+    ((target_n / short).max(2), short)
+}
+
+/// The side of the cubic grid nearest `target_n` vertices.
+fn cube_side(target_n: usize) -> usize {
+    (target_n as f64).cbrt().round().max(2.0) as usize
 }
 
 #[cfg(test)]
@@ -363,6 +422,29 @@ mod tests {
             let pattern = kind.generate(150, 5);
             assert!(pattern.n() >= 100, "{}: unexpectedly small", kind.name());
             assert!(pattern.is_symmetric());
+        }
+    }
+
+    /// `dimension` is what `generate` builds, and a target whose dimension
+    /// passes the `u32` range is refused before any edge is generated.
+    #[test]
+    fn try_generate_checks_the_dimension_first() {
+        for kind in ProblemKind::ALL {
+            for target in [1, 150, 1_000] {
+                let pattern = kind.try_generate(target, 3).unwrap();
+                assert_eq!(kind.dimension(target), Some(pattern.n()), "{}", kind.name());
+            }
+            for target in [2 * (crate::MAX_DIMENSION + 1), usize::MAX] {
+                // Checked first, so a wrong bound fails here, not by
+                // generating billions of vertices.
+                let dimension = kind.dimension(target);
+                assert!(
+                    dimension.is_none_or(|n| n > crate::MAX_DIMENSION),
+                    "{}",
+                    kind.name()
+                );
+                assert!(kind.try_generate(target, 3).is_err(), "{}", kind.name());
+            }
         }
     }
 

@@ -22,4 +22,4 @@ pub mod gen;
 pub mod matrixmarket;
 pub mod pattern;
 
-pub use pattern::{SparsePattern, SymmetricCsr};
+pub use pattern::{DimensionTooLarge, SparsePattern, SymmetricCsr, MAX_DIMENSION};

@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
 
-use crate::pattern::SparsePattern;
+use crate::pattern::{SparsePattern, MAX_DIMENSION};
 
 /// Errors raised while parsing a MatrixMarket file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,14 +78,10 @@ impl std::fmt::Display for MatrixMarketError {
 
 impl std::error::Error for MatrixMarketError {}
 
-/// The largest dimension [`read_pattern`] accepts: the `u32` index range the
-/// distributed wire carries.  A larger declared size would reach
-/// [`SparsePattern::from_edges`], which allocates a row pointer per index
-/// before any entry is read.
-pub const MAX_DIMENSION: usize = u32::MAX as usize;
-
 /// Parse a MatrixMarket coordinate file into a symmetric [`SparsePattern`]
-/// (values, if present, are ignored; the pattern is symmetrised).
+/// (values, if present, are ignored; the pattern is symmetrised).  A
+/// declared dimension beyond [`MAX_DIMENSION`] is refused on its line,
+/// before any entry is read.
 pub fn read_pattern<R: Read>(reader: R) -> Result<SparsePattern, MatrixMarketError> {
     let reader = BufReader::new(reader);
     let mut lines = reader.lines().enumerate();
@@ -194,7 +190,10 @@ pub fn read_pattern<R: Read>(reader: R) -> Result<SparsePattern, MatrixMarketErr
     if seen != nnz {
         return Err(MatrixMarketError::UnexpectedEof);
     }
-    Ok(SparsePattern::from_edges(n, &edges))
+    SparsePattern::from_edges(n, &edges).map_err(|err| MatrixMarketError::DimensionTooLarge {
+        line_number: size_line_number + 1,
+        dimension: err.dimension,
+    })
 }
 
 /// Serialise a pattern as a MatrixMarket `pattern symmetric` coordinate file
@@ -206,8 +205,9 @@ pub fn write_pattern(pattern: &SparsePattern) -> String {
             pattern
                 .neighbors(j)
                 .iter()
-                .filter(move |&&i| i > j)
-                .map(move |&i| (i, j))
+                .map(|&i| i as usize)
+                .filter(move |&i| i > j)
+                .map(move |i| (i, j))
         })
         .collect();
     let _ = writeln!(out, "%%MatrixMarket matrix coordinate pattern symmetric");

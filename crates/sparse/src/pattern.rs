@@ -2,16 +2,55 @@
 
 use std::fmt;
 
+/// The largest dimension a pattern, matrix or factor may have: every row,
+/// column and parent index is stored as a `u32`, and `u32::MAX` is kept
+/// free as the root sentinel of a parent array.
+pub const MAX_DIMENSION: usize = u32::MAX as usize - 1;
+
+/// A dimension beyond [`MAX_DIMENSION`], refused where it enters — before
+/// any allocation of one entry per index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DimensionTooLarge {
+    /// The refused dimension.
+    pub dimension: usize,
+}
+
+impl DimensionTooLarge {
+    /// `Ok` when `dimension` fits the `u32` index range.
+    pub fn check(dimension: usize) -> Result<(), DimensionTooLarge> {
+        if dimension > MAX_DIMENSION {
+            Err(DimensionTooLarge { dimension })
+        } else {
+            Ok(())
+        }
+    }
+}
+
+impl fmt::Display for DimensionTooLarge {
+    fn fmt(&self, fmt: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            fmt,
+            "dimension {} exceeds the maximum {MAX_DIMENSION}",
+            self.dimension
+        )
+    }
+}
+
+impl std::error::Error for DimensionTooLarge {}
+
 /// The adjacency structure of a sparse symmetric matrix: for every row `i`,
 /// the sorted list of columns `j ≠ i` such that the entry `(i, j)` (or
 /// `(j, i)`) is structurally nonzero.  The diagonal is implicit (assumed
 /// nonzero everywhere), matching the symmetrised pattern `|A| + |Aᵀ| + I`
 /// used by the paper.
+///
+/// Offsets are `usize` (the entry count may pass 2³²); column indices are
+/// `u32`, which [`MAX_DIMENSION`] guarantees hold every index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparsePattern {
     n: usize,
     row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    col_idx: Vec<u32>,
 }
 
 impl SparsePattern {
@@ -22,9 +61,13 @@ impl SparsePattern {
     /// into a single array, and each row is then sorted and deduplicated in
     /// place — no per-row allocation.
     ///
+    /// A dimension beyond [`MAX_DIMENSION`] is refused before anything is
+    /// allocated.
+    ///
     /// # Panics
     /// Panics if an index is out of range.
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self, DimensionTooLarge> {
+        DimensionTooLarge::check(n)?;
         // `row_ptr[i + 1]` counts row `i`; after the prefix sum `row_ptr[i]`
         // is where row `i` starts.
         let mut row_ptr = vec![0; n + 1];
@@ -43,12 +86,12 @@ impl SparsePattern {
         }
         // Fill with `row_ptr[i]` as row `i`'s cursor: afterwards it points
         // at the end of row `i`, so shifting by one restores the starts.
-        let mut col_idx = vec![0; row_ptr[n]];
+        let mut col_idx = vec![0u32; row_ptr[n]];
         for &(i, j) in edges {
             if i != j {
-                col_idx[row_ptr[i]] = j;
+                col_idx[row_ptr[i]] = j as u32;
                 row_ptr[i] += 1;
-                col_idx[row_ptr[j]] = i;
+                col_idx[row_ptr[j]] = i as u32;
                 row_ptr[j] += 1;
             }
         }
@@ -73,11 +116,11 @@ impl SparsePattern {
         }
         row_ptr[n] = kept;
         col_idx.truncate(kept);
-        SparsePattern {
+        Ok(SparsePattern {
             n,
             row_ptr,
             col_idx,
-        }
+        })
     }
 
     /// Dimension of the matrix.
@@ -100,7 +143,8 @@ impl SparsePattern {
     /// Approximate heap footprint of the CSR arrays in bytes (what the
     /// serving caches charge a cached pattern for).
     pub fn heap_bytes(&self) -> u64 {
-        ((self.row_ptr.len() + self.col_idx.len()) * std::mem::size_of::<usize>()) as u64
+        use std::mem::size_of;
+        (self.row_ptr.len() * size_of::<usize>() + self.col_idx.len() * size_of::<u32>()) as u64
     }
 
     /// Average number of nonzeros per row (including the diagonal).
@@ -114,7 +158,7 @@ impl SparsePattern {
 
     /// Neighbours of vertex `i` (off-diagonal nonzero columns of row `i`),
     /// sorted increasingly.
-    pub fn neighbors(&self, i: usize) -> &[usize] {
+    pub fn neighbors(&self, i: usize) -> &[u32] {
         &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]]
     }
 
@@ -128,7 +172,11 @@ impl SparsePattern {
     pub fn is_symmetric(&self) -> bool {
         for i in 0..self.n {
             for &j in self.neighbors(i) {
-                if self.neighbors(j).binary_search(&i).is_err() {
+                if self
+                    .neighbors(j as usize)
+                    .binary_search(&(i as u32))
+                    .is_err()
+                {
                     return false;
                 }
             }
@@ -142,15 +190,16 @@ impl SparsePattern {
     ///
     /// # Panics
     /// Panics if `perm` is not a permutation of `0..n`.
-    pub fn permute(&self, perm: &[usize]) -> SparsePattern {
+    pub fn permute(&self, perm: &[u32]) -> SparsePattern {
         assert_eq!(perm.len(), self.n, "permutation length mismatch");
-        let mut old_to_new = vec![usize::MAX; self.n];
+        let mut old_to_new = vec![u32::MAX; self.n];
         for (new, &old) in perm.iter().enumerate() {
+            let old = old as usize;
             assert!(
-                old < self.n && old_to_new[old] == usize::MAX,
+                old < self.n && old_to_new[old] == u32::MAX,
                 "not a permutation"
             );
-            old_to_new[old] = new;
+            old_to_new[old] = new as u32;
         }
         // Row `k` of the result is row `perm[k]` relabelled, so the row
         // lengths are known up front; fill the rows unsorted, then transpose.
@@ -160,16 +209,17 @@ impl SparsePattern {
         row_ptr.push(0);
         let mut unsorted = Vec::with_capacity(self.col_idx.len());
         for &old in perm {
-            unsorted.extend(self.neighbors(old).iter().map(|&j| old_to_new[j]));
+            let neighbors = self.neighbors(old as usize);
+            unsorted.extend(neighbors.iter().map(|&j| old_to_new[j as usize]));
             row_ptr.push(unsorted.len());
         }
-        // `old_to_new` is spent; its buffer becomes the transpose's cursors.
-        let mut next = old_to_new;
-        next.copy_from_slice(&row_ptr[..self.n]);
-        let mut col_idx = vec![0; unsorted.len()];
+        drop(old_to_new);
+        let mut next = row_ptr[..self.n].to_vec();
+        let mut col_idx = vec![0u32; unsorted.len()];
         for k in 0..self.n {
             for &c in &unsorted[row_ptr[k]..row_ptr[k + 1]] {
-                col_idx[next[c]] = k;
+                let c = c as usize;
+                col_idx[next[c]] = k as u32;
                 next[c] += 1;
             }
         }
@@ -188,7 +238,7 @@ impl SparsePattern {
             .map(|j| {
                 self.neighbors(j)
                     .iter()
-                    .copied()
+                    .map(|&i| i as usize)
                     .filter(|&i| i > j)
                     .collect()
             })
@@ -209,6 +259,7 @@ impl SparsePattern {
             stack.push(start);
             while let Some(v) = stack.pop() {
                 for &w in self.neighbors(v) {
+                    let w = w as usize;
                     if !seen[w] {
                         seen[w] = true;
                         stack.push(w);
@@ -228,12 +279,12 @@ impl fmt::Display for SparsePattern {
 
 /// A numeric symmetric matrix stored as the lower triangle (diagonal
 /// included) in compressed sparse column order, used by the multifrontal
-/// demonstration.
+/// demonstration.  Row indices are `u32`, as in [`SparsePattern`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymmetricCsr {
     n: usize,
     col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
+    row_idx: Vec<u32>,
     values: Vec<f64>,
 }
 
@@ -243,10 +294,11 @@ impl SymmetricCsr {
     /// every column, and no row may appear twice in a column.
     ///
     /// # Panics
-    /// Panics if a column is missing its diagonal entry, repeats a row, or
-    /// an index is out of range.
+    /// Panics if a column is missing its diagonal entry, repeats a row, an
+    /// index is out of range, or `n` exceeds [`MAX_DIMENSION`].
     pub fn from_lower_columns(n: usize, columns: Vec<Vec<(usize, f64)>>) -> Self {
         assert_eq!(columns.len(), n);
+        assert!(n <= MAX_DIMENSION, "dimension {n} exceeds {MAX_DIMENSION}");
         let mut col_ptr = Vec::with_capacity(n + 1);
         let mut row_idx = Vec::new();
         let mut values = Vec::new();
@@ -265,7 +317,7 @@ impl SymmetricCsr {
                     row >= j && row < n,
                     "entry ({row}, {j}) is not in the lower triangle"
                 );
-                row_idx.push(row);
+                row_idx.push(row as u32);
                 values.push(value);
             }
             col_ptr.push(row_idx.len());
@@ -285,18 +337,19 @@ impl SymmetricCsr {
     /// guarantees that the arrays are consistent and that every column's
     /// rows increase strictly from `j` or below it up to `n - 1`; debug
     /// builds check it.
-    pub fn from_csc(n: usize, col_ptr: Vec<usize>, row_idx: Vec<usize>, values: Vec<f64>) -> Self {
+    pub fn from_csc(n: usize, col_ptr: Vec<usize>, row_idx: Vec<u32>, values: Vec<f64>) -> Self {
         debug_assert!(
-            col_ptr.len() == n + 1
+            n <= MAX_DIMENSION
+                && col_ptr.len() == n + 1
                 && col_ptr.first() == Some(&0)
                 && col_ptr.last() == Some(&row_idx.len())
                 && row_idx.len() == values.len()
                 && col_ptr.windows(2).enumerate().all(|(j, range)| {
                     range[0] <= range[1]
                         && row_idx.get(range[0]..range[1]).is_some_and(|rows| {
-                            rows.first().is_none_or(|&first| first >= j)
+                            rows.first().is_none_or(|&first| first as usize >= j)
                                 && rows.windows(2).all(|pair| pair[0] < pair[1])
-                                && rows.last().is_none_or(|&last| last < n)
+                                && rows.last().is_none_or(|&last| (last as usize) < n)
                         })
                 }),
             "inconsistent lower-triangle columns"
@@ -322,12 +375,13 @@ impl SymmetricCsr {
     /// Approximate heap footprint of the CSC arrays in bytes.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        ((self.col_ptr.len() + self.row_idx.len()) * size_of::<usize>()
+        (self.col_ptr.len() * size_of::<usize>()
+            + self.row_idx.len() * size_of::<u32>()
             + self.values.len() * size_of::<f64>()) as u64
     }
 
     /// Stored entries of column `j` as parallel slices `(rows, values)`.
-    pub fn column(&self, j: usize) -> (&[usize], &[f64]) {
+    pub fn column(&self, j: usize) -> (&[u32], &[f64]) {
         let range = self.col_ptr[j]..self.col_ptr[j + 1];
         (&self.row_idx[range.clone()], &self.values[range])
     }
@@ -335,7 +389,7 @@ impl SymmetricCsr {
     /// Value of entry `(i, j)` (with `i >= j`), or 0 when not stored.
     pub fn get_lower(&self, i: usize, j: usize) -> f64 {
         let (rows, values) = self.column(j);
-        match rows.binary_search(&i) {
+        match rows.binary_search(&(i as u32)) {
             Ok(pos) => values[pos],
             Err(_) => 0.0,
         }
@@ -347,9 +401,10 @@ impl SymmetricCsr {
         let mut edges = Vec::with_capacity(self.row_idx.len());
         for j in 0..self.n {
             let (rows, _) = self.column(j);
-            edges.extend(rows.iter().filter(|&&i| i != j).map(|&i| (i, j)));
+            let below = rows.iter().map(|&i| i as usize).filter(|&i| i != j);
+            edges.extend(below.map(|i| (i, j)));
         }
-        SparsePattern::from_edges(self.n, &edges)
+        SparsePattern::from_edges(self.n, &edges).expect("a matrix's dimension fits its indices")
     }
 
     /// Dense symmetric matrix (row-major, `n × n`), for testing against
@@ -360,6 +415,7 @@ impl SymmetricCsr {
         for j in 0..self.n {
             let (rows, values) = self.column(j);
             for (&i, &v) in rows.iter().zip(values) {
+                let i = i as usize;
                 dense[i][j] = v;
                 dense[j][i] = v;
             }
@@ -374,6 +430,7 @@ impl SymmetricCsr {
         for j in 0..self.n {
             let (rows, values) = self.column(j);
             for (&i, &v) in rows.iter().zip(values) {
+                let i = i as usize;
                 y[i] += v * x[j];
                 if i != j {
                     y[j] += v * x[i];
@@ -393,12 +450,13 @@ mod tests {
 
     fn path_graph(n: usize) -> SparsePattern {
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        SparsePattern::from_edges(n, &edges)
+        SparsePattern::from_edges(n, &edges).unwrap()
     }
 
     #[test]
     fn pattern_from_edges_symmetrises_and_dedups() {
-        let pattern = SparsePattern::from_edges(4, &[(0, 1), (1, 0), (1, 1), (2, 3), (0, 1)]);
+        let pattern =
+            SparsePattern::from_edges(4, &[(0, 1), (1, 0), (1, 1), (2, 3), (0, 1)]).unwrap();
         assert_eq!(pattern.n(), 4);
         assert_eq!(pattern.nnz_off_diagonal(), 4); // (0,1),(1,0),(2,3),(3,2)
         assert_eq!(pattern.nnz(), 8);
@@ -408,6 +466,29 @@ mod tests {
         assert_eq!(pattern.degree(1), 1);
         assert!(pattern.is_symmetric());
         assert_eq!(pattern.connected_components(), 2);
+    }
+
+    /// A dimension past the `u32` range is refused before the row pointer
+    /// is allocated: at `usize::MAX` that allocation could not even be
+    /// sized.
+    #[test]
+    fn from_edges_refuses_a_dimension_past_u32() {
+        for dimension in [MAX_DIMENSION + 1, u32::MAX as usize, usize::MAX] {
+            assert_eq!(
+                SparsePattern::from_edges(dimension, &[]),
+                Err(DimensionTooLarge { dimension })
+            );
+        }
+        assert!(DimensionTooLarge::check(MAX_DIMENSION).is_ok());
+    }
+
+    /// Offsets are 8 bytes, every row and column index 4.
+    #[test]
+    fn heap_bytes_count_four_byte_indices() {
+        let pattern = path_graph(5);
+        assert_eq!(pattern.heap_bytes(), (6 * 8 + 8 * 4) as u64);
+        let matrix = crate::gen::spd_matrix_from_pattern(&pattern, 1);
+        assert_eq!(matrix.heap_bytes(), (6 * 8 + 9 * 4 + 9 * 8) as u64);
     }
 
     #[test]
@@ -424,7 +505,7 @@ mod tests {
 
     #[test]
     fn lower_columns_only_keep_larger_rows() {
-        let pattern = SparsePattern::from_edges(4, &[(0, 2), (1, 2), (2, 3)]);
+        let pattern = SparsePattern::from_edges(4, &[(0, 2), (1, 2), (2, 3)]).unwrap();
         let lower = pattern.lower_columns();
         assert_eq!(lower[0], vec![2]);
         assert_eq!(lower[1], vec![2]);

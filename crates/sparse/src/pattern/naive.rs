@@ -31,7 +31,7 @@ pub(crate) fn from_edges_naive(n: usize, edges: &[(usize, usize)]) -> SparsePatt
     for list in adjacency.iter_mut() {
         list.sort_unstable();
         list.dedup();
-        col_idx.extend_from_slice(list);
+        col_idx.extend(list.iter().map(|&j| j as u32));
         row_ptr.push(col_idx.len());
     }
     SparsePattern {
@@ -42,11 +42,12 @@ pub(crate) fn from_edges_naive(n: usize, edges: &[(usize, usize)]) -> SparsePatt
 }
 
 /// [`SparsePattern::permute`] as at `4e30eac`.
-pub(crate) fn permute_naive(pattern: &SparsePattern, perm: &[usize]) -> SparsePattern {
+pub(crate) fn permute_naive(pattern: &SparsePattern, perm: &[u32]) -> SparsePattern {
     let n = pattern.n();
     assert_eq!(perm.len(), n, "permutation length mismatch");
     let mut old_to_new = vec![usize::MAX; n];
     for (new, &old) in perm.iter().enumerate() {
+        let old = old as usize;
         assert!(
             old < n && old_to_new[old] == usize::MAX,
             "not a permutation"
@@ -56,6 +57,7 @@ pub(crate) fn permute_naive(pattern: &SparsePattern, perm: &[usize]) -> SparsePa
     let mut edges: Vec<(usize, usize)> = Vec::with_capacity(pattern.nnz_off_diagonal() / 2);
     for i in 0..n {
         for &j in pattern.neighbors(i) {
+            let j = j as usize;
             if j > i {
                 edges.push((old_to_new[i], old_to_new[j]));
             }
@@ -77,6 +79,7 @@ pub(crate) fn spd_matrix_from_pattern_naive(pattern: &SparsePattern, seed: u64) 
     let mut diagonal = vec![1.0f64; n];
     for i in 0..n {
         for &j in pattern.neighbors(i) {
+            let j = j as usize;
             if j > i {
                 let value = -rng.gen_range(0.1..1.0);
                 entries.push((j, i, value));
@@ -107,7 +110,7 @@ pub(crate) fn spd_matrix_from_pattern_naive(pattern: &SparsePattern, seed: u64) 
             merged.insert(0, (j, 0.0));
         }
         for (row, value) in merged {
-            row_idx.push(row);
+            row_idx.push(row as u32);
             values.push(value);
         }
         col_ptr.push(row_idx.len());
@@ -133,8 +136,8 @@ mod tests {
     }
 
     /// A seeded Fisher–Yates shuffle of `0..n`.
-    fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {
-        let mut perm: Vec<usize> = (0..n).collect();
+    fn random_permutation(n: usize, rng: &mut StdRng) -> Vec<u32> {
+        let mut perm: Vec<u32> = (0..n as u32).collect();
         for i in (1..n).rev() {
             perm.swap(i, rng.gen_range(0..=i));
         }
@@ -184,7 +187,7 @@ mod tests {
     fn counting_builds_equal_the_naive_builds() {
         let mut rng = StdRng::seed_from_u64(7);
         for (name, n, edges) in edge_battery() {
-            let pattern = SparsePattern::from_edges(n, &edges);
+            let pattern = SparsePattern::from_edges(n, &edges).unwrap();
             assert_eq!(pattern, from_edges_naive(n, &edges), "from_edges on {name}");
             let perm = random_permutation(n, &mut rng);
             assert_eq!(
@@ -204,7 +207,7 @@ mod tests {
                 let n = pattern.n();
                 let mut edges = Vec::new();
                 for i in 0..n {
-                    edges.extend(pattern.neighbors(i).iter().map(|&j| (i, j)));
+                    edges.extend(pattern.neighbors(i).iter().map(|&j| (i, j as usize)));
                 }
                 assert_eq!(
                     pattern,
@@ -229,11 +232,19 @@ mod tests {
     #[test]
     fn the_one_pass_spd_fill_equals_the_triplet_route() {
         let mut cases = vec![
-            ("n = 0".to_string(), SparsePattern::from_edges(0, &[]), 1),
-            ("n = 1".to_string(), SparsePattern::from_edges(1, &[]), 1),
+            (
+                "n = 0".to_string(),
+                SparsePattern::from_edges(0, &[]).unwrap(),
+                1,
+            ),
+            (
+                "n = 1".to_string(),
+                SparsePattern::from_edges(1, &[]).unwrap(),
+                1,
+            ),
             (
                 "isolated vertices".to_string(),
-                SparsePattern::from_edges(9, &[(2, 5), (7, 5)]),
+                SparsePattern::from_edges(9, &[(2, 5), (7, 5)]).unwrap(),
                 2,
             ),
         ];

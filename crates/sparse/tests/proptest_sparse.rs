@@ -26,7 +26,7 @@ fn arbitrary_edges(seed: u64, max_n: usize, max_edges: usize) -> (usize, Vec<(us
 fn patterns_are_always_symmetric_and_deduplicated() {
     for seed in 0..64 {
         let (n, edges) = arbitrary_edges(seed, 40, 200);
-        let pattern = SparsePattern::from_edges(n, &edges);
+        let pattern = SparsePattern::from_edges(n, &edges).unwrap();
         assert!(pattern.is_symmetric(), "seed {seed}");
         assert_eq!(pattern.n(), n, "seed {seed}");
         // No self loops and no duplicates: neighbours are strictly increasing.
@@ -35,7 +35,7 @@ fn patterns_are_always_symmetric_and_deduplicated() {
             for pair in neighbors.windows(2) {
                 assert!(pair[0] < pair[1], "seed {seed}");
             }
-            assert!(!neighbors.contains(&i), "seed {seed}");
+            assert!(!neighbors.contains(&(i as u32)), "seed {seed}");
         }
         // Off-diagonal entries come in pairs.
         assert_eq!(pattern.nnz_off_diagonal() % 2, 0, "seed {seed}");
@@ -46,9 +46,9 @@ fn patterns_are_always_symmetric_and_deduplicated() {
 fn permutation_preserves_structure_statistics() {
     for seed in 100..164 {
         let (n, edges) = arbitrary_edges(seed, 30, 120);
-        let pattern = SparsePattern::from_edges(n, &edges);
+        let pattern = SparsePattern::from_edges(n, &edges).unwrap();
         // Build a deterministic pseudo-random permutation from the seed.
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm: Vec<u32> = (0..n as u32).collect();
         let mut state = seed;
         for i in (1..n).rev() {
             state = state
@@ -76,7 +76,7 @@ fn permutation_preserves_structure_statistics() {
 fn matrix_market_roundtrip() {
     for seed in 200..264 {
         let (n, edges) = arbitrary_edges(seed, 30, 120);
-        let pattern = SparsePattern::from_edges(n, &edges);
+        let pattern = SparsePattern::from_edges(n, &edges).unwrap();
         let text = write_pattern(&pattern);
         let parsed = read_pattern(text.as_bytes()).unwrap();
         assert_eq!(parsed, pattern, "seed {seed}");

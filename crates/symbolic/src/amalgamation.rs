@@ -19,6 +19,11 @@
 //! contribution block) and the input-file weight `(µ − 1)²` (the contribution
 //! block sent to the parent), where `η` is the number of amalgamated columns
 //! and `µ` the column count of the highest column of the group.
+//!
+//! The groups are stored in the supernodal layout: one offset array
+//! (`super_ptr`) over one array of `u32` columns, each group's columns
+//! decreasing from its representative ([`AssemblyTree::group`]), built by a
+//! counting sort — no `Vec` per supernode.
 
 use treemem::tree::Size;
 use treemem::Tree;
@@ -33,10 +38,13 @@ pub struct AssemblyTree {
     /// the input file of a node is the contribution block it exchanges with
     /// its parent, and the root has an empty input file).
     pub tree: Tree,
-    /// For every assembly node, the columns of the original (permuted) matrix
-    /// amalgamated into it; the first column is the highest (the group
-    /// representative, closest to the root of the elimination tree).
-    pub groups: Vec<Vec<usize>>,
+    /// Supernode `g`'s columns are `columns[super_ptr[g]..super_ptr[g + 1]]`
+    /// (see [`AssemblyTree::group`]): the supernodal layout, one offset
+    /// array and one column array for every group.
+    super_ptr: Vec<usize>,
+    /// The columns of every group, group after group, each group's highest
+    /// column first.
+    columns: Vec<u32>,
     /// `η` of every assembly node (number of amalgamated columns).
     pub eta: Vec<usize>,
     /// `µ` of every assembly node (column count of the highest column).
@@ -46,12 +54,28 @@ pub struct AssemblyTree {
 impl AssemblyTree {
     /// Number of assembly nodes.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.super_ptr.len() - 1
     }
 
     /// Whether the assembly tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.len() == 0
+    }
+
+    /// The columns of the original (permuted) matrix amalgamated into
+    /// assembly node `g`, decreasing: the first is the group's
+    /// representative, closest to the root of the elimination tree.  Empty
+    /// for the virtual root of a forest.
+    pub fn group(&self, g: usize) -> &[u32] {
+        &self.columns[self.super_ptr[g]..self.super_ptr[g + 1]]
+    }
+
+    /// Heap footprint in bytes of the groups and their `η` and `µ` (the
+    /// weighted tree reports its own).
+    pub fn groups_heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        ((self.super_ptr.len() + self.eta.len() + self.mu.len()) * size_of::<usize>()
+            + self.columns.len() * size_of::<u32>()) as u64
     }
 
     /// Ratio of assembly nodes to original columns (1.0 means no
@@ -110,6 +134,7 @@ pub fn amalgamate(
         // Perfect amalgamation: single child with identical structure below
         // the diagonal.
         if let &[c] = p_children {
+            let c = c as usize;
             if counts[c] == counts[p] + 1 {
                 let child_group = find(&mut representative, c);
                 representative[child_group] = p;
@@ -129,7 +154,7 @@ pub fn amalgamate(
             // through two children is the same candidate twice).
             let candidate = p_children
                 .iter()
-                .map(|&c| find(&mut representative, c))
+                .map(|&c| find(&mut representative, c as usize))
                 .filter(|&g| g != p_group)
                 .max_by_key(|&g| (counts[g], g));
             let Some(candidate) = candidate else { break };
@@ -141,28 +166,48 @@ pub fn amalgamate(
         }
     }
 
-    // Collect the groups: the representative of a group is its highest
-    // column.
+    // Scratch is dropped as soon as it is spent: on a 10⁶-column tree it is
+    // most of what this function holds at its peak.
+    drop((children, group_size));
+
+    // Number the groups in decreasing order of their representative, the
+    // highest column, and count their columns.
     let mut group_of_column = vec![usize::MAX; n];
-    let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut group_index_of_rep = vec![usize::MAX; n];
+    let mut eta: Vec<usize> = Vec::new();
     for column in (0..n).rev() {
         let rep = find(&mut representative, column);
         if group_index_of_rep[rep] == usize::MAX {
-            group_index_of_rep[rep] = groups.len();
-            groups.push(Vec::new());
+            group_index_of_rep[rep] = eta.len();
+            eta.push(0);
         }
         let g = group_index_of_rep[rep];
-        groups[g].push(column);
+        eta[g] += 1;
         group_of_column[column] = g;
     }
+    drop((representative, group_index_of_rep));
+    let num_groups = eta.len();
+    // A counting sort into one column array: each group's columns land in
+    // decreasing order, its representative first.
+    let mut super_ptr = Vec::with_capacity(num_groups + 2);
+    super_ptr.push(0);
+    for &count in &eta {
+        super_ptr.push(super_ptr[super_ptr.len() - 1] + count);
+    }
+    let mut cursor = super_ptr[..num_groups].to_vec();
+    let mut columns = vec![0u32; n];
+    for column in (0..n).rev() {
+        let g = group_of_column[column];
+        columns[cursor[g]] = column as u32;
+        cursor[g] += 1;
+    }
+    drop(cursor);
 
     // Assembly-tree parents: the group of the elimination-tree parent of the
     // group's representative.
-    let num_groups = groups.len();
     let mut parents: Vec<Option<usize>> = vec![None; num_groups];
-    for (g, columns) in groups.iter().enumerate() {
-        let representative_column = columns[0];
+    for (g, &start) in super_ptr[..num_groups].iter().enumerate() {
+        let representative_column = columns[start] as usize;
         let mut up = etree.parent(representative_column);
         // Skip ancestors that landed in the same group (cannot happen for the
         // representative, which is the highest column of its group, but stay
@@ -175,10 +220,13 @@ pub fn amalgamate(
         }
         parents[g] = up.map(|column| group_of_column[column]);
     }
+    drop(group_of_column);
 
     // Weights.
-    let eta: Vec<usize> = groups.iter().map(Vec::len).collect();
-    let mu: Vec<usize> = groups.iter().map(|columns| counts[columns[0]]).collect();
+    let mu: Vec<usize> = super_ptr[..num_groups]
+        .iter()
+        .map(|&start| counts[columns[start] as usize])
+        .collect();
     let node_weight = |g: usize| -> Size {
         let eta = eta[g] as Size;
         let mu = mu[g] as Size;
@@ -191,29 +239,29 @@ pub fn amalgamate(
 
     // Tie a forest together under a virtual root with empty files.
     let num_roots = parents.iter().filter(|p| p.is_none()).count();
-    let (tree_parents, mut files, mut weights, groups, eta, mu) = if num_roots > 1 {
+    let (tree_parents, mut files, mut weights, super_ptr, eta, mu) = if num_roots > 1 {
         let virtual_root = num_groups;
         let mut tree_parents: Vec<Option<usize>> = parents
-            .iter()
-            .map(|&p| Some(p.unwrap_or(virtual_root)))
+            .into_iter()
+            .map(|p| Some(p.unwrap_or(virtual_root)))
             .collect();
         tree_parents.push(None);
         let mut files: Vec<Size> = (0..num_groups).map(edge_weight).collect();
         files.push(0);
         let mut weights: Vec<Size> = (0..num_groups).map(node_weight).collect();
         weights.push(0);
-        let mut groups = groups;
-        groups.push(Vec::new());
+        let mut super_ptr = super_ptr;
+        super_ptr.push(n);
         let mut eta = eta;
         eta.push(0);
         let mut mu = mu;
         mu.push(1);
-        (tree_parents, files, weights, groups, eta, mu)
+        (tree_parents, files, weights, super_ptr, eta, mu)
     } else {
-        let tree_parents = parents.clone();
+        let tree_parents = parents;
         let files: Vec<Size> = (0..num_groups).map(edge_weight).collect();
         let weights: Vec<Size> = (0..num_groups).map(node_weight).collect();
-        (tree_parents, files, weights, groups, eta, mu)
+        (tree_parents, files, weights, super_ptr, eta, mu)
     };
 
     // The root exchanges no contribution block with a parent.
@@ -233,7 +281,8 @@ pub fn amalgamate(
         .expect("amalgamation always produces a valid tree");
     AssemblyTree {
         tree,
-        groups,
+        super_ptr,
+        columns,
         eta,
         mu,
     }
@@ -280,7 +329,7 @@ mod tests {
                 edges.push((i, j));
             }
         }
-        let tree = assembly_for(&SparsePattern::from_edges(6, &edges), 1);
+        let tree = assembly_for(&SparsePattern::from_edges(6, &edges).unwrap(), 1);
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.eta[0], 6);
         // µ is the column count of the *highest* column of the group (the
@@ -321,8 +370,9 @@ mod tests {
         let pattern = grid2d_5pt(8, 6);
         let assembly = assembly_for(&pattern, 4);
         let mut seen = vec![false; pattern.n()];
-        for group in &assembly.groups {
-            for &column in group {
+        for g in 0..assembly.len() {
+            for &column in assembly.group(g) {
+                let column = column as usize;
                 assert!(!seen[column], "column {column} in two groups");
                 seen[column] = true;
             }
@@ -332,8 +382,9 @@ mod tests {
             "every column must appear in a group"
         );
         // Representative is the highest column of its group.
-        for group in &assembly.groups {
-            assert!(group.iter().all(|&c| c <= group[0]));
+        for g in 0..assembly.len() {
+            let group = assembly.group(g);
+            assert!(group.windows(2).all(|pair| pair[0] > pair[1]));
         }
         assert!(assembly.compression() <= 1.0);
     }
@@ -346,7 +397,7 @@ mod tests {
         for g in 0..assembly.len() {
             let eta = assembly.eta[g] as Size;
             let mu = assembly.mu[g] as Size;
-            if assembly.groups[g].is_empty() {
+            if assembly.group(g).is_empty() {
                 continue; // virtual root
             }
             assert_eq!(tree.n(g), eta * eta + 2 * eta * (mu - 1));
@@ -360,7 +411,7 @@ mod tests {
 
     #[test]
     fn forest_inputs_get_a_virtual_root() {
-        let pattern = SparsePattern::from_edges(7, &[(0, 1), (3, 4), (5, 6)]);
+        let pattern = SparsePattern::from_edges(7, &[(0, 1), (3, 4), (5, 6)]).unwrap();
         let assembly = assembly_for(&pattern, 1);
         // Still a single tree for the traversal algorithms.
         assert!(assembly.tree.len() >= 3);

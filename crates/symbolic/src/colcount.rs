@@ -63,6 +63,7 @@ pub fn column_counts(pattern: &SparsePattern, etree: &EliminationTree) -> Vec<us
             delta[p] -= 1;
         }
         for &i in pattern.neighbors(j) {
+            let i = i as usize;
             // `j` is a leaf of row `i`'s subtree iff no earlier column of
             // the row lies in `j`'s subtree.
             if i <= j || (max_first[i] != NONE && first[j] <= max_first[i]) {
@@ -127,6 +128,7 @@ mod tests {
         for i in 0..n {
             mark[i] = i;
             for &k in pattern.neighbors(i) {
+                let k = k as usize;
                 if k >= i {
                     continue;
                 }
@@ -154,7 +156,7 @@ mod tests {
         let edges: Vec<(usize, usize)> = (0..edges)
             .map(|_| (rng.gen_range(0..covered), rng.gen_range(0..covered)))
             .collect();
-        SparsePattern::from_edges(n, &edges)
+        SparsePattern::from_edges(n, &edges).unwrap()
     }
 
     #[test]
@@ -166,7 +168,10 @@ mod tests {
                     .map(|kind| (kind.name().to_string(), kind.generate(nodes, seed)))
                     .collect();
                 patterns.push(("scattered".into(), scattered(nodes, nodes / 2, seed)));
-                patterns.push(("empty".into(), SparsePattern::from_edges(nodes, &[])));
+                patterns.push((
+                    "empty".into(),
+                    SparsePattern::from_edges(nodes, &[]).unwrap(),
+                ));
                 for (name, pattern) in patterns {
                     for method in OrderingMethod::ALL {
                         let permuted = method.order(&pattern).apply(&pattern);
@@ -201,7 +206,7 @@ mod tests {
                 edges.push((i, j));
             }
         }
-        let pattern = SparsePattern::from_edges(5, &edges);
+        let pattern = SparsePattern::from_edges(5, &edges).unwrap();
         let etree = elimination_tree(&pattern);
         let counts = column_counts(&pattern, &etree);
         assert_eq!(counts, vec![5, 4, 3, 2, 1]);
@@ -211,7 +216,8 @@ mod tests {
     fn textbook_example_counts() {
         // Same matrix as in etree.rs; fill entry (5,3) is created.
         let pattern =
-            SparsePattern::from_edges(6, &[(3, 0), (5, 1), (4, 2), (5, 2), (4, 3), (5, 4)]);
+            SparsePattern::from_edges(6, &[(3, 0), (5, 1), (4, 2), (5, 2), (4, 3), (5, 4)])
+                .unwrap();
         let etree = elimination_tree(&pattern);
         let counts = column_counts(&pattern, &etree);
         // L columns: 0: {0,3}; 1: {1,5}; 2: {2,4,5}; 3: {3,4}; 4: {4,5}; 5: {5}.

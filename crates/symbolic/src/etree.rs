@@ -2,13 +2,21 @@
 
 use sparsemat::SparsePattern;
 
-/// The elimination tree of a (permuted) symmetric pattern: `parent[j]` is the
+/// The parent of a root in [`EliminationTree`]'s parent array: never a
+/// column, since every dimension is below `u32::MAX`
+/// ([`sparsemat::MAX_DIMENSION`]).
+const ROOT: u32 = u32::MAX;
+
+/// The elimination tree of a (permuted) symmetric pattern: `parent(j)` is the
 /// parent column of column `j` in the Cholesky factor, or `None` for roots
 /// (column with an empty structure below the diagonal).  The structure is a
 /// forest when the matrix is reducible.
+///
+/// The parents are one `u32` per column, a root holding a sentinel that
+/// [`EliminationTree::parent`] turns into `None`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EliminationTree {
-    parent: Vec<Option<usize>>,
+    parent: Vec<u32>,
 }
 
 impl EliminationTree {
@@ -16,15 +24,20 @@ impl EliminationTree {
     /// parent lies above its child (`j < parent[j] < len`): the shape of
     /// every elimination tree, and what rules out cycles; debug builds
     /// check it.
-    pub fn from_parents(parent: Vec<Option<usize>>) -> Self {
+    pub fn from_parents(parent: &[Option<usize>]) -> Self {
         let len = parent.len();
         debug_assert!(
-            parent
-                .iter()
-                .enumerate()
-                .all(|(j, p)| p.is_none_or(|p| j < p && p < len)),
+            len <= sparsemat::MAX_DIMENSION
+                && parent
+                    .iter()
+                    .enumerate()
+                    .all(|(j, p)| p.is_none_or(|p| j < p && p < len)),
             "a parent is not above its child"
         );
+        let parent = parent
+            .iter()
+            .map(|p| p.map_or(ROOT, |p| p as u32))
+            .collect();
         EliminationTree { parent }
     }
 
@@ -40,19 +53,20 @@ impl EliminationTree {
 
     /// Parent of column `j`, or `None` if `j` is a root.
     pub fn parent(&self, j: usize) -> Option<usize> {
-        self.parent[j]
+        let p = self.parent[j];
+        (p != ROOT).then_some(p as usize)
     }
 
-    /// The parent array.
-    pub fn parents(&self) -> &[Option<usize>] {
-        &self.parent
+    /// Heap footprint of the parent array in bytes.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.parent.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// The roots of the forest (usually a single one for irreducible
     /// matrices).
     pub fn roots(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&j| self.parent[j].is_none())
+            .filter(|&j| self.parent[j] == ROOT)
             .collect()
     }
 
@@ -60,20 +74,27 @@ impl EliminationTree {
     /// a counting sort: no list per column.
     pub fn children(&self) -> ChildLists {
         let n = self.len();
+        let parents = || {
+            self.parent
+                .iter()
+                .filter(|&&p| p != ROOT)
+                .map(|&p| p as usize)
+        };
         // `start[p + 1]` counts `p`'s children; after the prefix sum
         // `start[p]` is where they begin.
         let mut start = vec![0; n + 1];
-        for &p in self.parent.iter().flatten() {
+        for p in parents() {
             start[p + 1] += 1;
         }
         for p in 0..n {
             start[p + 1] += start[p];
         }
         // Fill with `start[p]` as `p`'s cursor, then shift the ends back.
-        let mut list = vec![0; start[n]];
-        for (j, parent) in self.parent.iter().enumerate() {
-            if let &Some(p) = parent {
-                list[start[p]] = j;
+        let mut list = vec![0u32; start[n]];
+        for (j, &p) in self.parent.iter().enumerate() {
+            if p != ROOT {
+                let p = p as usize;
+                list[start[p]] = j as u32;
                 start[p] += 1;
             }
         }
@@ -92,14 +113,14 @@ impl EliminationTree {
             // Walk up until a known depth or a root, then unwind.
             let mut path = vec![j];
             let mut cur = j;
-            while let Some(p) = self.parent[cur] {
+            while let Some(p) = self.parent(cur) {
                 if depth[p] != usize::MAX {
                     break;
                 }
                 path.push(p);
                 cur = p;
             }
-            let base = match self.parent[cur] {
+            let base = match self.parent(cur) {
                 Some(p) => depth[p] + 1,
                 None => 0,
             };
@@ -122,12 +143,12 @@ impl EliminationTree {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChildLists {
     start: Vec<usize>,
-    list: Vec<usize>,
+    list: Vec<u32>,
 }
 
 impl ChildLists {
     /// The children of column `j`, increasing.
-    pub fn of(&self, j: usize) -> &[usize] {
+    pub fn of(&self, j: usize) -> &[u32] {
         &self.list[self.start[j]..self.start[j + 1]]
     }
 
@@ -143,7 +164,8 @@ impl ChildLists {
 
     /// Heap footprint of the two arrays in bytes.
     pub fn heap_bytes(&self) -> u64 {
-        ((self.start.len() + self.list.len()) * std::mem::size_of::<usize>()) as u64
+        use std::mem::size_of;
+        (self.start.len() * size_of::<usize>() + self.list.len() * size_of::<u32>()) as u64
     }
 }
 
@@ -154,27 +176,29 @@ impl ChildLists {
 /// eliminated at step `j`.
 pub fn elimination_tree(pattern: &SparsePattern) -> EliminationTree {
     let n = pattern.n();
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    let mut ancestor: Vec<Option<usize>> = vec![None; n];
+    let mut parent = vec![ROOT; n];
+    let mut ancestor = vec![ROOT; n];
     for i in 0..n {
+        let row = i as u32;
         // Row i of the lower triangle: entries (i, j) with j < i.
         for &j in pattern.neighbors(i) {
-            if j >= i {
+            if j >= row {
                 continue;
             }
             // Walk from j up to the current root of its subtree, compressing
             // the ancestor pointers towards i.
-            let mut current = j;
-            while let Some(anc) = ancestor[current] {
-                if anc == i {
+            let mut current = j as usize;
+            loop {
+                let anc = ancestor[current];
+                if anc == row {
                     break;
                 }
-                ancestor[current] = Some(i);
-                current = anc;
-            }
-            if ancestor[current].is_none() {
-                ancestor[current] = Some(i);
-                parent[current] = Some(i);
+                ancestor[current] = row;
+                if anc == ROOT {
+                    parent[current] = row;
+                    break;
+                }
+                current = anc as usize;
             }
         }
     }
@@ -196,7 +220,7 @@ pub fn etree_postorder(etree: &EliminationTree) -> Vec<usize> {
         } else {
             stack.push((node, true));
             for &c in children.of(node).iter().rev() {
-                stack.push((c, false));
+                stack.push((c as usize, false));
             }
         }
     }
@@ -228,7 +252,8 @@ mod tests {
         // Classic example (Liu 1990, Fig. 2.1-like): arrow + extra couplings.
         // Lower triangle nonzeros: (3,0), (5,1), (4,2), (5,2), (4,3), (5,4).
         let pattern =
-            SparsePattern::from_edges(6, &[(3, 0), (5, 1), (4, 2), (5, 2), (4, 3), (5, 4)]);
+            SparsePattern::from_edges(6, &[(3, 0), (5, 1), (4, 2), (5, 2), (4, 3), (5, 4)])
+                .unwrap();
         let etree = elimination_tree(&pattern);
         assert_eq!(etree.parent(0), Some(3));
         assert_eq!(etree.parent(1), Some(5));
@@ -250,7 +275,7 @@ mod tests {
                 let mut pushed = vec![Vec::new(); etree.len()];
                 for j in 0..etree.len() {
                     if let Some(p) = etree.parent(j) {
-                        pushed[p].push(j);
+                        pushed[p].push(j as u32);
                     }
                 }
                 let children = etree.children();
@@ -266,7 +291,22 @@ mod tests {
                 }
             }
         }
-        assert!(EliminationTree::from_parents(vec![]).children().is_empty());
+        assert!(EliminationTree::from_parents(&[]).children().is_empty());
+    }
+
+    /// Parents and child entries are 4 bytes each, child offsets 8; the
+    /// root's sentinel never leaks out of `parent` or `children`.
+    #[test]
+    fn four_byte_parents_and_a_hidden_root_sentinel() {
+        let etree = EliminationTree::from_parents(&[Some(2), Some(2), None, None]);
+        assert_eq!(etree.heap_bytes(), 4 * 4);
+        assert_eq!(etree.children().heap_bytes(), 5 * 8 + 2 * 4);
+        let parents: Vec<_> = (0..4).map(|j| etree.parent(j)).collect();
+        assert_eq!(parents, [Some(2), Some(2), None, None]);
+        assert_eq!(etree.roots(), [2, 3]);
+        let children = etree.children();
+        assert_eq!((0..4).map(|j| children.of(j).len()).sum::<usize>(), 2);
+        assert_eq!(children.of(2), [0, 1]);
     }
 
     #[test]
@@ -301,7 +341,7 @@ mod tests {
 
     #[test]
     fn disconnected_matrices_give_forests() {
-        let pattern = SparsePattern::from_edges(6, &[(0, 1), (3, 4)]);
+        let pattern = SparsePattern::from_edges(6, &[(0, 1), (3, 4)]).unwrap();
         let etree = elimination_tree(&pattern);
         assert!(etree.roots().len() >= 3); // {0,1}, {3,4}, {2}, {5}
         assert_eq!(etree_postorder(&etree).len(), 6);

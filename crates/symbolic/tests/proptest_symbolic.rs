@@ -20,7 +20,7 @@ fn arbitrary_pattern(seed: u64, max_n: usize, max_edges: usize) -> SparsePattern
     let edges: Vec<(usize, usize)> = (0..count)
         .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
         .collect();
-    SparsePattern::from_edges(n, &edges)
+    SparsePattern::from_edges(n, &edges).unwrap()
 }
 
 #[test]
@@ -83,7 +83,7 @@ fn amalgamation_always_yields_valid_weighted_trees() {
         assert_eq!(grouped, pattern.n(), "seed {seed}");
         // Weights follow the paper's formulas and are non-negative.
         for g in 0..assembly.len() {
-            if assembly.groups[g].is_empty() {
+            if assembly.group(g).is_empty() {
                 continue; // virtual root of a forest
             }
             let eta = assembly.eta[g] as Size;
