@@ -27,12 +27,12 @@ pub type Size = i64;
 /// Sentinel for "no peak / unbounded" used by the exact algorithms.
 pub const INFINITE: Size = Size::MAX;
 
-/// The most nodes a [`Tree`] may have: its parents are `u32`s, with
-/// `u32::MAX` kept free to mark the root.
-pub const MAX_NODES: usize = u32::MAX as usize - 1;
-
 /// The root's entry in [`Tree`]'s parent array.
 const ROOT: u32 = u32::MAX;
+
+/// The most nodes a [`Tree`] may have: its parents are `u32`s, with
+/// `u32::MAX` kept free to mark the root.
+pub const MAX_NODES: usize = ROOT as usize - 1;
 
 /// A rooted tree workflow with per-node input-file and execution-file sizes.
 ///

@@ -295,7 +295,7 @@ impl ProblemKind {
     /// The dimension [`generate`](Self::generate) builds for `target_n`,
     /// computed without building anything; `None` when it overflows
     /// `usize`.
-    pub fn dimension(&self, target_n: usize) -> Option<usize> {
+    fn dimension(&self, target_n: usize) -> Option<usize> {
         match self {
             ProblemKind::Grid2d | ProblemKind::Grid2d9 => {
                 let side = square_side(target_n);

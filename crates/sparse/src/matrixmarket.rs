@@ -190,10 +190,7 @@ pub fn read_pattern<R: Read>(reader: R) -> Result<SparsePattern, MatrixMarketErr
     if seen != nnz {
         return Err(MatrixMarketError::UnexpectedEof);
     }
-    SparsePattern::from_edges(n, &edges).map_err(|err| MatrixMarketError::DimensionTooLarge {
-        line_number: size_line_number + 1,
-        dimension: err.dimension,
-    })
+    Ok(SparsePattern::from_edges(n, &edges).expect("the dimension was checked on the size line"))
 }
 
 /// Serialise a pattern as a MatrixMarket `pattern symmetric` coordinate file

@@ -3,9 +3,8 @@
 use sparsemat::SparsePattern;
 
 /// The parent of a root in [`EliminationTree`]'s parent array: never a
-/// column, since every dimension is below `u32::MAX`
-/// ([`sparsemat::MAX_DIMENSION`]).
-const ROOT: u32 = u32::MAX;
+/// column, since it is past every dimension ([`sparsemat::MAX_DIMENSION`]).
+const ROOT: u32 = sparsemat::MAX_DIMENSION as u32 + 1;
 
 /// The elimination tree of a (permuted) symmetric pattern: `parent(j)` is the
 /// parent column of column `j` in the Cholesky factor, or `None` for roots
