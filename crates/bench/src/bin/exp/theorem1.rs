@@ -73,11 +73,11 @@ pub(crate) fn run(context: &Context) {
     let mut order = vec![
         gadget.tree.root(),
         gadget.big_node,
-        gadget.tree.children(gadget.big_node)[0],
+        gadget.tree.children(gadget.big_node)[0] as usize,
     ];
     for &item in &gadget.item_nodes {
         order.push(item);
-        order.push(gadget.tree.children(item)[0]);
+        order.push(gadget.tree.children(item)[0] as usize);
     }
     let traversal = Traversal::new(order);
     let bound = divisible_lower_bound(&gadget.tree, &traversal, gadget.memory).unwrap();

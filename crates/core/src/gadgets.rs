@@ -277,10 +277,13 @@ mod tests {
         for (&node, &a) in gadget.item_nodes.iter().zip([3, 5, 2, 4, 6, 4].iter()) {
             assert_eq!(tree.f(node), a);
             assert_eq!(tree.children(node).len(), 1);
-            assert_eq!(tree.f(tree.children(node)[0]), total);
+            assert_eq!(tree.f(tree.children(node)[0] as NodeId), total);
         }
         assert_eq!(tree.f(gadget.big_node), total);
-        assert_eq!(tree.f(tree.children(gadget.big_node)[0]), total / 2);
+        assert_eq!(
+            tree.f(tree.children(gadget.big_node)[0] as NodeId),
+            total / 2
+        );
     }
 
     #[test]

@@ -283,7 +283,7 @@ pub(crate) fn liu_exact_until(tree: &Tree, probe: &mut Probe<'_>) -> Option<LiuR
     let mut dfs = vec![tree.root()];
     while let Some(i) = dfs.pop() {
         order.push(i);
-        dfs.extend_from_slice(tree.children(i));
+        dfs.extend(tree.children(i).iter().map(|&c| c as NodeId));
     }
     let mut stack = Stack {
         segs: Vec::new(),

@@ -67,21 +67,23 @@ fn saturating_add(a: Size, b: Size) -> Size {
 /// regions sit on top of its parent's, and integration either *keeps* the
 /// child's cut region in place (it becomes the top of the parent's cut) or
 /// truncates it — so a million-node exploration performs O(1) heap
-/// allocations instead of several per node.
+/// allocations instead of several per node.  Each arena holds a node at
+/// most once, so its offsets are below the node count and fit a `u32`: a
+/// frame is 48 bytes, which is most of the driver's memory on a deep tree.
 #[derive(Debug, Clone, Copy, Default)]
 struct Frame {
     avail: Size,
     /// Start of this frame's cut region in the shared cut arena.
-    cut_start: usize,
+    cut_start: u32,
     /// Start of this frame's pass region in the shared old-cut arena.
-    old_start: usize,
+    old_start: u32,
     /// Total input-file size of this frame's cut region.
     cut_file_sum: Size,
     /// Length of the shared traversal buffer when this frame was entered;
     /// used to discard the subtree's executions if its cut is rejected.
-    traversal_mark: usize,
+    traversal_mark: u32,
     /// Next absolute index into the old-cut arena the pass has to look at.
-    idx: usize,
+    idx: u32,
     /// `cut_file_sum` frozen at the start of the pass (the paper's line 15
     /// evaluates candidates against the cut as it was when the pass began).
     pass_sum: Size,
@@ -113,24 +115,24 @@ impl Arenas {
     /// empty.  The node's own execution goes straight into the shared
     /// traversal buffer.
     fn open_frame(&mut self, tree: &Tree, node: NodeId, avail: Size) -> Frame {
-        let old_start = self.old_nodes.len();
+        let old_start = self.old_nodes.len() as u32;
         let cut_file_sum = tree.children_file_sum(node);
         let frame = Frame {
             avail,
-            cut_start: self.cut_nodes.len(),
+            cut_start: self.cut_nodes.len() as u32,
             old_start,
             cut_file_sum,
-            traversal_mark: self.traversal.len(),
+            traversal_mark: self.traversal.len() as u32,
             idx: old_start,
             pass_sum: cut_file_sum,
             first_pass: true,
             in_pass: true,
         };
-        self.old_nodes.extend_from_slice(tree.children(node));
+        let children = tree.children(node).iter().map(|&c| c as NodeId);
+        self.old_nodes.extend(children.clone());
         // Until a child has been explored, the only safe lower bound on the
         // memory needed to advance inside it is its own MemReq.
-        self.old_peaks
-            .extend(tree.children(node).iter().map(|&c| tree.mem_req(c)));
+        self.old_peaks.extend(children.map(|c| tree.mem_req(c)));
         self.traversal.push(node);
         frame
     }
@@ -156,9 +158,9 @@ fn is_candidate(tree: &Tree, avail: Size, j: NodeId, peak_j: Size, sum: Size) ->
 
 /// Lines 20–22 for a finished frame: the `M_i^peak` value reported upward.
 fn frame_peak(tree: &Tree, frame: &Frame, arenas: &Arenas) -> Size {
-    arenas.cut_nodes[frame.cut_start..]
+    arenas.cut_nodes[frame.cut_start as usize..]
         .iter()
-        .zip(arenas.cut_peaks[frame.cut_start..].iter())
+        .zip(arenas.cut_peaks[frame.cut_start as usize..].iter())
         .map(|(&j, &peak_j)| saturating_add(peak_j, frame.cut_file_sum - tree.f(j)))
         .min()
         .unwrap_or(INFINITE)
@@ -244,9 +246,9 @@ fn explore_in(
 
         if !frame.in_pass {
             let start_pass = frame.first_pass
-                || arenas.cut_nodes[frame.cut_start..]
+                || arenas.cut_nodes[frame.cut_start as usize..]
                     .iter()
-                    .zip(arenas.cut_peaks[frame.cut_start..].iter())
+                    .zip(arenas.cut_peaks[frame.cut_start as usize..].iter())
                     .any(|(&j, &peak_j)| {
                         is_candidate(tree, frame.avail, j, peak_j, frame.cut_file_sum)
                     });
@@ -265,7 +267,7 @@ fn explore_in(
                         // exploration of a p-node chain O(p) instead of the
                         // O(p²) that per-frame concatenation (the recursive
                         // formulation) costs.
-                        let j = arenas.old_nodes[parent.idx];
+                        let j = arenas.old_nodes[parent.idx as usize];
                         if finished.cut_file_sum <= tree.f(j) {
                             // Replace `j` by the child's cut, kept in place.
                             parent.cut_file_sum += finished.cut_file_sum - tree.f(j);
@@ -273,9 +275,9 @@ fn explore_in(
                             // Keep `j` in the cut but remember how much
                             // memory its subtree needs to make progress;
                             // discard the child's executions and cut.
-                            arenas.cut_nodes.truncate(finished.cut_start);
-                            arenas.cut_peaks.truncate(finished.cut_start);
-                            arenas.traversal.truncate(finished.traversal_mark);
+                            arenas.cut_nodes.truncate(finished.cut_start as usize);
+                            arenas.cut_peaks.truncate(finished.cut_start as usize);
+                            arenas.traversal.truncate(finished.traversal_mark as usize);
                             arenas.cut_nodes.push(j);
                             arenas.cut_peaks.push(peak);
                         }
@@ -290,25 +292,25 @@ fn explore_in(
             // Start a pass: move this frame's cut region to the top of the
             // old-cut arena and rebuild the cut region from scratch.
             frame.pass_sum = frame.cut_file_sum;
-            frame.old_start = arenas.old_nodes.len();
+            frame.old_start = arenas.old_nodes.len() as u32;
             frame.idx = frame.old_start;
             arenas
                 .old_nodes
-                .extend_from_slice(&arenas.cut_nodes[frame.cut_start..]);
+                .extend_from_slice(&arenas.cut_nodes[frame.cut_start as usize..]);
             arenas
                 .old_peaks
-                .extend_from_slice(&arenas.cut_peaks[frame.cut_start..]);
-            arenas.cut_nodes.truncate(frame.cut_start);
-            arenas.cut_peaks.truncate(frame.cut_start);
+                .extend_from_slice(&arenas.cut_peaks[frame.cut_start as usize..]);
+            arenas.cut_nodes.truncate(frame.cut_start as usize);
+            arenas.cut_peaks.truncate(frame.cut_start as usize);
             frame.in_pass = true;
         }
 
         // A live frame's pass region is the top of the old-cut arena (child
         // frames push and fully truncate their regions before control
         // returns), so the region ends at the arena's current length.
-        while frame.idx < arenas.old_nodes.len() {
-            let j = arenas.old_nodes[frame.idx];
-            let peak_j = arenas.old_peaks[frame.idx];
+        while (frame.idx as usize) < arenas.old_nodes.len() {
+            let j = arenas.old_nodes[frame.idx as usize];
+            let peak_j = arenas.old_peaks[frame.idx as usize];
             let candidate =
                 frame.first_pass || is_candidate(tree, frame.avail, j, peak_j, frame.pass_sum);
             if !candidate {
@@ -341,8 +343,8 @@ fn explore_in(
 
         // Pass finished (line 19): drop the pass region and re-evaluate the
         // candidate set.
-        arenas.old_nodes.truncate(frame.old_start);
-        arenas.old_peaks.truncate(frame.old_start);
+        arenas.old_nodes.truncate(frame.old_start as usize);
+        arenas.old_peaks.truncate(frame.old_start as usize);
         frame.first_pass = false;
         frame.in_pass = false;
     }
@@ -396,8 +398,12 @@ pub fn min_mem(tree: &Tree) -> MinMemResult {
 pub(crate) fn min_mem_until(tree: &Tree, probe: &mut Probe<'_>) -> Option<MinMemResult> {
     let mut target = tree.max_mem_req();
     // The root's cut and traversal prefix stay in the arenas from one
-    // iteration to the next.
-    let mut arenas = Arenas::default();
+    // iteration to the next.  The traversal buffer becomes the result's
+    // order, so it is sized once, exactly.
+    let mut arenas = Arenas {
+        traversal: Vec::with_capacity(tree.len()),
+        ..Arenas::default()
+    };
     let mut iterations = 0usize;
     loop {
         if probe.stopped() {
@@ -439,6 +445,12 @@ mod tests {
     use super::*;
     use crate::postorder::best_postorder;
     use crate::tree::TreeBuilder;
+
+    /// A suspended activation is 48 bytes: its arena offsets are `u32`s.
+    #[test]
+    fn a_frame_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 48);
+    }
 
     #[test]
     fn single_node_and_chain() {

@@ -52,7 +52,7 @@ pub(crate) fn best_postorder_naive(tree: &Tree) -> PostOrderResult {
     let mut peak = vec![0 as Size; tree.len()];
     let mut child_order: Vec<Vec<NodeId>> = vec![Vec::new(); tree.len()];
     for &i in tree.dfs_bottomup().iter() {
-        let mut order: Vec<NodeId> = tree.children(i).to_vec();
+        let mut order: Vec<NodeId> = tree.children(i).iter().map(|&c| c as NodeId).collect();
         order.sort_by(|&a, &b| {
             let ka = peak[a] - tree.f(a);
             let kb = peak[b] - tree.f(b);
@@ -79,7 +79,10 @@ pub(crate) fn best_postorder_naive(tree: &Tree) -> PostOrderResult {
 
 /// The natural postorder as it was before the flat child orders.
 pub(crate) fn natural_postorder_naive(tree: &Tree) -> PostOrderResult {
-    let child_order: Vec<Vec<NodeId>> = tree.nodes().map(|i| tree.children(i).to_vec()).collect();
+    let child_order: Vec<Vec<NodeId>> = tree
+        .nodes()
+        .map(|i| tree.children(i).iter().map(|&c| c as NodeId).collect())
+        .collect();
     let peaks = subtree_peaks_with_order(tree, &child_order);
     let traversal = traversal_from_child_order(tree, &child_order);
     PostOrderResult {
@@ -285,7 +288,7 @@ pub(crate) fn liu_exact_naive(tree: &Tree) -> LiuResult {
             // instead of the O(sequence) copy a general merge costs, which
             // is what keeps chain-like trees linear overall.
             [child] => {
-                let mut sequence = sequences[*child]
+                let mut sequence = sequences[*child as usize]
                     .take()
                     .expect("children processed before their parent");
                 debug_assert_eq!(
@@ -299,7 +302,7 @@ pub(crate) fn liu_exact_naive(tree: &Tree) -> LiuResult {
                 let child_sequences: Vec<Vec<Seg>> = children
                     .iter()
                     .map(|&c| {
-                        sequences[c]
+                        sequences[c as usize]
                             .take()
                             .expect("children processed before their parent")
                     })

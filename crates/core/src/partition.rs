@@ -141,7 +141,7 @@ pub fn proportional_cut(tree: &Tree, max_tasks: usize, work: &[u64]) -> Partitio
         }
         let top = frontier.pop().expect("peeked entry exists");
         above_cut.push(top.node);
-        for &child in tree.children(top.node) {
+        for child in tree.children(top.node).iter().map(|&c| c as NodeId) {
             frontier.push(Candidate {
                 work: subtree_work[child],
                 node: child,
@@ -165,7 +165,7 @@ pub fn proportional_cut(tree: &Tree, max_tasks: usize, work: &[u64]) -> Partitio
         stack.push(root);
         while let Some(i) = stack.pop() {
             task_of[i] = Some(task);
-            stack.extend_from_slice(tree.children(i));
+            stack.extend(tree.children(i).iter().map(|&c| c as NodeId));
         }
     }
     above_cut.sort_unstable();

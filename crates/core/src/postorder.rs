@@ -59,10 +59,11 @@ impl From<PostOrderResult> for TraversalResult {
 /// subtree is traversed, the files of the siblings not yet processed stay
 /// resident.
 #[inline]
-fn fold_peak(tree: &Tree, i: NodeId, children: &[NodeId], peak: &[Size]) -> Size {
+fn fold_peak(tree: &Tree, i: NodeId, children: &[u32], peak: &[Size]) -> Size {
     let mut best = tree.mem_req(i);
     let mut remaining = tree.children_file_sum(i);
     for &c in children {
+        let c = c as NodeId;
         remaining -= tree.f(c);
         best = best.max(peak[c] + remaining);
     }
@@ -98,26 +99,23 @@ pub fn best_postorder(tree: &Tree) -> PostOrderResult {
 /// [`STOP_CHECK_INTERVAL`](crate::solver::STOP_CHECK_INTERVAL) nodes of
 /// each pass; `None` when it fired.
 pub(crate) fn best_postorder_until(tree: &Tree, probe: &mut Probe<'_>) -> Option<PostOrderResult> {
-    // `order[starts[i]..starts[i + 1]]` holds the children of `i`, sorted in
-    // place once their subtree peaks are known.  A node's sort key only
-    // depends on its own subtree, so one bottom-up pass both orders the
-    // children and computes the peaks.
-    let mut starts = Vec::with_capacity(tree.len() + 1);
-    let mut order = Vec::with_capacity(tree.len());
-    for i in tree.nodes() {
-        starts.push(order.len());
-        order.extend_from_slice(tree.children(i));
-    }
-    starts.push(order.len());
+    // A copy of the tree's child list, `order[starts[i]..starts[i + 1]]`
+    // holding the children of `i`, sorted in place once their subtree peaks
+    // are known.  A node's sort key only depends on its own subtree, so one
+    // bottom-up pass both orders the children and computes the peaks.
+    let (starts, children) = tree.child_csr();
+    let family = |i: NodeId| starts[i] as usize..starts[i + 1] as usize;
+    let mut order = children.to_vec();
     let mut peak = vec![0 as Size; tree.len()];
     for &i in tree.dfs_bottomup().iter() {
         if probe.stopped() {
             return None;
         }
-        let children = &mut order[starts[i]..starts[i + 1]];
+        let children = &mut order[family(i)];
         // The key ends in the node id, so the order is total and the
         // unstable sort returns what a stable one would.
         children.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as NodeId, b as NodeId);
             let ka = peak[a] - tree.f(a);
             let kb = peak[b] - tree.f(b);
             ka.cmp(&kb)
@@ -126,7 +124,7 @@ pub(crate) fn best_postorder_until(tree: &Tree, probe: &mut Probe<'_>) -> Option
         });
         peak[i] = fold_peak(tree, i, children, &peak);
     }
-    let traversal = emit(tree, probe, |i| &order[starts[i]..starts[i + 1]])?;
+    let traversal = emit(tree, probe, |i| &order[family(i)])?;
     Some(PostOrderResult {
         traversal,
         peak: peak[tree.root()],
@@ -139,7 +137,7 @@ pub(crate) fn best_postorder_until(tree: &Tree, probe: &mut Probe<'_>) -> Option
 fn emit<'o>(
     tree: &Tree,
     probe: &mut Probe<'_>,
-    children: impl Fn(NodeId) -> &'o [NodeId],
+    children: impl Fn(NodeId) -> &'o [u32],
 ) -> Option<Traversal> {
     let mut order = Vec::with_capacity(tree.len());
     let mut stack = vec![tree.root()];
@@ -150,7 +148,7 @@ fn emit<'o>(
             return None;
         }
         order.push(i);
-        stack.extend(children(i).iter().rev());
+        stack.extend(children(i).iter().rev().map(|&c| c as NodeId));
         #[cfg(test)]
         growth::track(&mut capacities, [order.capacity(), stack.capacity()]);
     }
@@ -262,12 +260,12 @@ mod tests {
         let sizes = tree.subtree_sizes();
         for i in tree.nodes() {
             // All descendants must be within [pos[i], pos[i] + size - 1].
-            let lo = pos[i];
+            let lo = pos[i] as usize;
             let hi = lo + sizes[i] - 1;
             let mut stack = vec![i];
             while let Some(v) = stack.pop() {
-                assert!(pos[v] >= lo && pos[v] <= hi);
-                stack.extend_from_slice(tree.children(v));
+                assert!((lo..=hi).contains(&(pos[v] as usize)));
+                stack.extend(tree.children(v).iter().map(|&c| c as NodeId));
             }
         }
     }

@@ -356,8 +356,8 @@ mod tests {
         for _ in 0..50 {
             let kids = tree.children(spine);
             assert_eq!(kids.len(), 2);
-            assert!(tree.is_leaf(kids[1]));
-            spine = kids[0];
+            assert!(tree.is_leaf(kids[1] as usize));
+            spine = kids[0] as usize;
         }
         assert!(tree.is_leaf(spine));
     }

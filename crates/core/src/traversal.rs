@@ -13,7 +13,10 @@
 //!   exact algorithm.
 
 use crate::error::TraversalError;
-use crate::tree::{NodeId, Size, Tree};
+use crate::tree::{NodeId, Size, Tree, MAX_NODES};
+
+/// A node [`Traversal::positions`] has not met yet: above every position.
+const UNSEEN: u32 = u32::MAX;
 
 /// An ordering of the nodes of a tree (top-down: the root is executed first).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,22 +77,28 @@ impl Traversal {
         self.order
     }
 
-    /// Position of each node in the traversal: `positions[i] = σ(i) - 1`.
+    /// Position of each node in the traversal: `positions[i] = σ(i) - 1`,
+    /// one `u32` a node (no tree has more than [`MAX_NODES`] nodes).
     ///
-    /// Returns an error if the traversal is not a permutation of `0..len`.
-    pub fn positions(&self, num_nodes: usize) -> Result<Vec<usize>, TraversalError> {
+    /// Returns an error if the traversal is not a permutation of `0..len`;
+    /// more than [`MAX_NODES`] nodes permute no tree's and are refused as
+    /// [`TraversalError::NotAPermutation`].
+    pub fn positions(&self, num_nodes: usize) -> Result<Vec<u32>, TraversalError> {
         if self.order.len() != num_nodes {
             return Err(TraversalError::WrongLength {
                 expected: num_nodes,
                 found: self.order.len(),
             });
         }
-        let mut pos = vec![usize::MAX; num_nodes];
+        if num_nodes > MAX_NODES {
+            return Err(TraversalError::NotAPermutation);
+        }
+        let mut pos = vec![UNSEEN; num_nodes];
         for (step, &node) in self.order.iter().enumerate() {
-            if node >= num_nodes || pos[node] != usize::MAX {
+            if node >= num_nodes || pos[node] != UNSEEN {
                 return Err(TraversalError::NotAPermutation);
             }
-            pos[node] = step;
+            pos[node] = step as u32;
         }
         Ok(pos)
     }
@@ -98,7 +107,7 @@ impl Traversal {
     /// schedules a node before its parent (Equation (2)), and return the
     /// position map the check computes ([`Traversal::positions`]), so a
     /// caller validates and indexes the traversal in one pass.
-    pub fn check_precedence(&self, tree: &Tree) -> Result<Vec<usize>, TraversalError> {
+    pub fn check_precedence(&self, tree: &Tree) -> Result<Vec<u32>, TraversalError> {
         let pos = self.positions(tree.len())?;
         for i in tree.nodes() {
             if let Some(par) = tree.parent(i) {
@@ -163,9 +172,10 @@ impl Traversal {
     fn steps<'a>(&'a self, tree: &'a Tree) -> impl Iterator<Item = MemoryStep> + 'a {
         let mut resident = tree.f(tree.root());
         self.order.iter().map(move |&i| {
-            let children_sum = tree.children_file_sum(i);
-            let during = resident + tree.n(i) + children_sum;
-            let after = resident - tree.f(i) + children_sum;
+            // `resident + n(i) + Σ f(children)`, from the one stored
+            // derived weight; `resident` holds `f(i)`, so no sum leaves range.
+            let during = resident - tree.f(i) + tree.mem_req(i);
+            let after = during - tree.n(i) - tree.f(i);
             resident = after;
             MemoryStep {
                 node: i,

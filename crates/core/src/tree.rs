@@ -41,34 +41,36 @@ pub const MAX_NODES: usize = ROOT as usize - 1;
 ///
 /// # Storage layout
 ///
-/// Children are stored in a flat CSR (compressed sparse row) layout: the
-/// children of node `i` are `child_list[child_starts[i]..child_starts[i+1]]`,
-/// in increasing node-id order (which is also their insertion order, since
-/// node ids are assigned in construction order).  This keeps the whole
-/// adjacency in two contiguous arrays — one cache line per small family —
-/// instead of one heap allocation per node, which matters for the exact
-/// solvers and the out-of-core simulator on trees with 10⁵–10⁶ nodes.
+/// 36 bytes a node, in six flat arrays:
 ///
-/// The per-node derived quantities that every hot loop needs —
-/// `Σ_{j ∈ children(i)} f(j)`, `MemReq(i)` and `max_i MemReq(i)` — are
-/// precomputed once at construction, so [`Tree::children_file_sum`],
-/// [`Tree::mem_req`] and [`Tree::max_mem_req`] are O(1) lookups.
+/// * `parent`: one `u32` per node (at most [`MAX_NODES`] nodes), the root
+///   holding a sentinel that [`Tree::parent`] and [`Tree::parents`] turn
+///   into `None`;
+/// * `child_starts` and `child_list`: the children in a CSR (compressed
+///   sparse row) layout of `u32`s, 8 bytes a node between them — the
+///   children of node `i` are `child_list[child_starts[i]..child_starts[i+1]]`,
+///   in increasing node-id order (which is also their insertion order, since
+///   node ids are assigned in construction order).  The whole adjacency is
+///   two contiguous arrays instead of one heap allocation per node, which
+///   matters for the exact solvers and the out-of-core simulator on trees
+///   with 10⁵–10⁶ nodes;
+/// * `f`, `n` and `mem_req`: one [`Size`] each.  `MemReq(i)` is the one
+///   derived weight stored — every solver and walk reads it per node — and
+///   [`Tree::children_file_sum`] is computed from it as
+///   `MemReq(i) − f(i) − n(i)`; `max_i MemReq(i)` is cached too, so both
+///   are O(1).
 ///
-/// Parents are one `u32` per node (at most [`MAX_NODES`] nodes), the root
-/// holding a sentinel that [`Tree::parent`] and [`Tree::parents`] turn into
-/// `None`.
+/// [`Tree::heap_bytes`] is exactly `36 · len()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
     parent: Vec<u32>,
     /// CSR offsets: children of `i` live at `child_list[child_starts[i]..child_starts[i + 1]]`.
-    child_starts: Vec<usize>,
+    child_starts: Vec<u32>,
     /// CSR payload: all child ids, grouped by parent.
-    child_list: Vec<NodeId>,
+    child_list: Vec<u32>,
     f: Vec<Size>,
     n: Vec<Size>,
-    /// Precomputed `Σ_{j ∈ children(i)} f(j)` per node.
-    children_file_sum: Vec<Size>,
-    /// Precomputed `MemReq(i) = f(i) + n(i) + children_file_sum(i)` per node.
+    /// Precomputed `MemReq(i) = f(i) + n(i) + Σ_{j ∈ children(i)} f(j)` per node.
     mem_req: Vec<Size>,
     /// Precomputed `max_i MemReq(i)`.
     max_mem_req: Size,
@@ -100,10 +102,11 @@ impl Tree {
         let p = parents.len();
         let mut root = None;
         // CSR construction by counting sort: one pass counts the children of
-        // every node, a prefix sum turns the counts into offsets, and a final
-        // pass (in increasing child id, preserving insertion order) scatters
-        // the child ids into the flat list.
-        let mut child_starts = vec![0usize; p + 1];
+        // every node into `child_starts[parent]`, an inclusive prefix sum
+        // turns the counts into the end of every node's children, and a
+        // final pass in decreasing child id moves each end down to its
+        // start, so every family lands in increasing id order.
+        let mut child_starts = vec![0u32; p + 1];
         for (i, &par) in parents.iter().enumerate() {
             match par {
                 None => match root {
@@ -117,7 +120,7 @@ impl Tree {
                             parent: par,
                         });
                     }
-                    child_starts[par + 1] += 1;
+                    child_starts[par] += 1;
                 }
             }
         }
@@ -146,12 +149,11 @@ impl Tree {
         for i in 0..p {
             child_starts[i + 1] += child_starts[i];
         }
-        let mut cursor = child_starts.clone();
-        let mut child_list = vec![0 as NodeId; p - 1];
-        for (i, &par) in parents.iter().enumerate() {
+        let mut child_list = vec![0u32; p - 1];
+        for (i, &par) in parents.iter().enumerate().rev() {
             if let Some(par) = par {
-                child_list[cursor[par]] = i;
-                cursor[par] += 1;
+                child_starts[par] -= 1;
+                child_list[child_starts[par] as usize] = i as u32;
             }
         }
         let mut tree = Tree {
@@ -163,7 +165,6 @@ impl Tree {
             child_list,
             f: files.to_vec(),
             n: weights.to_vec(),
-            children_file_sum: Vec::new(),
             mem_req: Vec::new(),
             max_mem_req: 0,
             root,
@@ -173,22 +174,17 @@ impl Tree {
         Ok(tree)
     }
 
-    /// Recompute the precomputed per-node quantities (`children_file_sum`,
-    /// `mem_req`, `max_mem_req`) from the topology and the current weights.
+    /// Recompute the precomputed per-node quantities (`mem_req`,
+    /// `max_mem_req`) from the topology and the current weights.
     fn recompute_derived(&mut self) {
-        let p = self.parent.len();
-        let sums: Vec<Size> = (0..p)
+        let mem_req: Vec<Size> = (0..self.len())
             .map(|i| {
-                self.child_list[self.child_starts[i]..self.child_starts[i + 1]]
-                    .iter()
-                    .map(|&j| self.f[j])
-                    .sum()
+                let children: Size = self.children(i).iter().map(|&j| self.f[j as usize]).sum();
+                self.f[i] + self.n[i] + children
             })
             .collect();
-        let reqs: Vec<Size> = (0..p).map(|i| self.f[i] + self.n[i] + sums[i]).collect();
-        self.max_mem_req = reqs.iter().copied().max().unwrap_or(0);
-        self.children_file_sum = sums;
-        self.mem_req = reqs;
+        self.max_mem_req = mem_req.iter().copied().max().unwrap_or(0);
+        self.mem_req = mem_req;
     }
 
     /// Verify that following parent pointers from every node reaches the root
@@ -225,17 +221,15 @@ impl Tree {
         Ok(())
     }
 
-    /// Approximate heap footprint of the tree in bytes: the summed capacity
-    /// of its CSR arrays and per-node aggregates.  Used by the serving
+    /// Heap footprint of the tree in bytes: the summed lengths of its
+    /// arrays, 36 a node (see the storage layout).  Used by the serving
     /// caches to charge plans byte-accurate footprints.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let parents = self.parent.len() * size_of::<u32>();
-        let indices = (self.child_starts.len() + self.child_list.len()) * size_of::<usize>();
-        let sizes =
-            (self.f.len() + self.n.len() + self.children_file_sum.len() + self.mem_req.len())
-                * size_of::<Size>();
-        (parents + indices + sizes) as u64
+        let indices = (self.parent.len() + self.child_starts.len() + self.child_list.len())
+            * size_of::<u32>();
+        let sizes = (self.f.len() + self.n.len() + self.mem_req.len()) * size_of::<Size>();
+        (indices + sizes) as u64
     }
 
     /// Number of nodes in the tree (written `p` in the paper).
@@ -263,10 +257,18 @@ impl Tree {
         (p != ROOT).then_some(p as NodeId)
     }
 
-    /// Children of `i`, in insertion order (a slice of the flat CSR list).
+    /// Children of `i`, in increasing id order (a slice of the flat CSR
+    /// list; every id is below [`MAX_NODES`], so `c as usize` is exact).
     #[inline]
-    pub fn children(&self, i: NodeId) -> &[NodeId] {
-        &self.child_list[self.child_starts[i]..self.child_starts[i + 1]]
+    pub fn children(&self, i: NodeId) -> &[u32] {
+        &self.child_list[self.child_starts[i] as usize..self.child_starts[i + 1] as usize]
+    }
+
+    /// The CSR child arrays: the children of `i` are
+    /// `list[starts[i] as usize..starts[i + 1] as usize]`.
+    #[inline]
+    pub(crate) fn child_csr(&self) -> (&[u32], &[u32]) {
+        (&self.child_starts, &self.child_list)
     }
 
     /// Input-file size `f(i)`.
@@ -290,14 +292,14 @@ impl Tree {
     /// Number of children of `i`.
     #[inline]
     pub fn child_count(&self, i: NodeId) -> usize {
-        self.child_starts[i + 1] - self.child_starts[i]
+        (self.child_starts[i + 1] - self.child_starts[i]) as usize
     }
 
-    /// Total size of the output files of `i` (`Σ_{j ∈ children(i)} f(j)`).
-    /// Precomputed at construction; O(1).
+    /// Total size of the output files of `i` (`Σ_{j ∈ children(i)} f(j)`),
+    /// computed as `MemReq(i) − f(i) − n(i)`; O(1).
     #[inline]
     pub fn children_file_sum(&self, i: NodeId) -> Size {
-        self.children_file_sum[i]
+        self.mem_req[i] - self.f[i] - self.n[i]
     }
 
     /// Memory requirement of node `i`:
@@ -336,9 +338,7 @@ impl Tree {
         while let Some(i) = stack.pop() {
             order.push(i);
             // Push children in reverse so the first child is popped first.
-            for &c in self.children(i).iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(self.children(i).iter().rev().map(|&c| c as NodeId));
         }
         order
     }
@@ -414,7 +414,6 @@ impl Tree {
             child_list: self.child_list.clone(),
             f: files,
             n: weights,
-            children_file_sum: Vec::new(),
             mem_req: Vec::new(),
             max_mem_req: 0,
             root: self.root,
@@ -544,7 +543,7 @@ mod tests {
         assert_eq!(tree.root(), r);
         assert_eq!(tree.parent(a), Some(r));
         assert_eq!(tree.parent(r), None);
-        assert_eq!(tree.children(r), &[a, c]);
+        assert_eq!(tree.children(r), &[a as u32, c as u32]);
         assert_eq!(tree.f(d), 7);
         assert_eq!(tree.n(d), 8);
         assert!(tree.is_leaf(c));
@@ -572,11 +571,14 @@ mod tests {
         assert_eq!(tree.depths(), vec![0, 1, 1, 2]);
     }
 
-    /// Parents are 4 bytes each; the CSR children and the sizes 8.
+    /// Parents and the CSR children are 4 bytes each (the offsets and the
+    /// child list are `p + 1` and `p − 1` entries), the three sizes 8: 36
+    /// bytes a node.
     #[test]
     fn heap_bytes_count_four_byte_parents() {
         let tree = chain(&[0, 1, 2]);
-        assert_eq!(tree.heap_bytes(), (3 * 4 + (4 + 2) * 8 + 4 * 3 * 8) as u64);
+        assert_eq!(tree.heap_bytes(), (3 * 4 + (4 + 2) * 4 + 3 * 3 * 8) as u64);
+        assert_eq!(tree.heap_bytes(), 36 * 3);
     }
 
     /// The root's sentinel never leaks: `parent` and `parents` say `None`
@@ -709,10 +711,10 @@ mod tests {
         let tree = Tree::from_parents(&parents, &files, &weights).unwrap();
         assert_eq!(tree.children(0), &[1, 2, 4]);
         assert_eq!(tree.children(1), &[3, 5]);
-        assert_eq!(tree.children(2), &[] as &[NodeId]);
+        assert_eq!(tree.children(2), &[] as &[u32]);
         // Precomputed quantities agree with a direct evaluation.
         for i in tree.nodes() {
-            let direct: Size = tree.children(i).iter().map(|&j| tree.f(j)).sum();
+            let direct: Size = tree.children(i).iter().map(|&j| tree.f(j as NodeId)).sum();
             assert_eq!(tree.children_file_sum(i), direct);
             assert_eq!(tree.mem_req(i), tree.f(i) + tree.n(i) + direct);
             assert_eq!(tree.child_count(i), tree.children(i).len());

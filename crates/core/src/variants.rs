@@ -91,7 +91,7 @@ pub fn bottom_up_memory_profile(
 ) -> Result<MemoryProfile, TraversalError> {
     let pos = traversal.positions(tree.len())?;
     for i in tree.nodes() {
-        for &c in tree.children(i) {
+        for c in tree.children(i).iter().map(|&c| c as NodeId) {
             if pos[c] >= pos[i] {
                 return Err(TraversalError::PrecedenceViolation { node: i, parent: c });
             }

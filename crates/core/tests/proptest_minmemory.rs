@@ -149,7 +149,10 @@ fn postorder_subtree_peaks_are_monotone() {
         let po = best_postorder(&tree);
         for i in tree.nodes() {
             for &c in tree.children(i) {
-                assert!(po.subtree_peaks[i] >= po.subtree_peaks[c], "seed {seed}");
+                assert!(
+                    po.subtree_peaks[i] >= po.subtree_peaks[c as usize],
+                    "seed {seed}"
+                );
             }
         }
     }

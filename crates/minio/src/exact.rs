@@ -126,7 +126,7 @@ pub fn exact_min_io(
             // Execute the node.
             state.resident[node] = false;
             state.resident_total -= tree.f(node);
-            for &child in tree.children(node) {
+            for child in tree.children(node).iter().map(|&c| c as NodeId) {
                 state.resident[child] = true;
                 state.resident_total += tree.f(child);
             }
@@ -227,11 +227,11 @@ mod tests {
         let mut order = vec![
             tree.root(),
             gadget.big_node,
-            tree.children(gadget.big_node)[0],
+            tree.children(gadget.big_node)[0] as NodeId,
         ];
         for &item in &gadget.item_nodes {
             order.push(item);
-            order.push(tree.children(item)[0]);
+            order.push(tree.children(item)[0] as NodeId);
         }
         let traversal = Traversal::new(order);
         let exact = exact_min_io(tree, &traversal, gadget.memory).unwrap();
@@ -248,11 +248,11 @@ mod tests {
         let mut order = vec![
             tree.root(),
             gadget.big_node,
-            tree.children(gadget.big_node)[0],
+            tree.children(gadget.big_node)[0] as NodeId,
         ];
         for &item in &gadget.item_nodes {
             order.push(item);
-            order.push(tree.children(item)[0]);
+            order.push(tree.children(item)[0] as NodeId);
         }
         let traversal = Traversal::new(order);
         let exact = exact_min_io(tree, &traversal, gadget.memory).unwrap();

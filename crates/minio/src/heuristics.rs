@@ -31,6 +31,14 @@
 //! itself a deficit (its `during` counts its own resident input file), so
 //! the general loop reaches it and the typed error names the same node.
 //!
+//! **Four bytes a node.**  A [`Walk`]'s position map is one `u32` a node
+//! (a traversal of a tree has at most [`treemem::tree::MAX_NODES`] steps), the
+//! schedule a simulation returns stores one `u32` eviction step a node
+//! ([`IoSchedule`]), and the tree's child lists it reads are `u32`s: what a
+//! plan holds per solver beside its traversal is 4 bytes a node.  Both
+//! walks read `MemReq`, the one derived weight the tree stores: while `j`
+//! runs, `total − f(j) + MemReq(j)` is in memory, `total` holding `f(j)`.
+//!
 //! Two oracles are retained as test code:
 //! the seed's scan-and-sort simulator in `tests/common` (pinned by
 //! `tests/golden_parity.rs`, `tests/deep_trees.rs` and
@@ -127,7 +135,7 @@ pub struct OutOfCoreRun {
 struct ResidentSet<'w> {
     tree: &'w Tree,
     order: &'w [NodeId],
-    positions: &'w [usize],
+    positions: &'w [u32],
     /// The resident positions; `None` until the first deficit.
     ordered: Option<BitTree>,
     total: Size,
@@ -135,7 +143,7 @@ struct ResidentSet<'w> {
 
 impl<'w> ResidentSet<'w> {
     /// The state before step 0: only the root's input file is in memory.
-    fn with_root(tree: &'w Tree, order: &'w [NodeId], positions: &'w [usize]) -> Self {
+    fn with_root(tree: &'w Tree, order: &'w [NodeId], positions: &'w [u32]) -> Self {
         ResidentSet {
             tree,
             order,
@@ -178,8 +186,9 @@ impl<'w> ResidentSet<'w> {
         debug_assert!(self.ordered.is_none());
         let mut peak = self.total;
         for (step, &node) in self.order.iter().enumerate() {
-            let children = tree.children_file_sum(node);
-            let during = self.total + tree.n(node) + children;
+            let file = tree.f(node);
+            // `total + n + Σ f(children)`: `total` holds the node's own file.
+            let during = self.total - file + tree.mem_req(node);
             if during > memory {
                 return Some((step, peak));
             }
@@ -187,7 +196,7 @@ impl<'w> ResidentSet<'w> {
                 return None;
             }
             peak = peak.max(during);
-            self.total += children - tree.f(node);
+            self.total = during - tree.n(node) - file;
         }
         Some((self.order.len(), peak))
     }
@@ -201,7 +210,7 @@ impl<'w> ResidentSet<'w> {
             if self
                 .tree
                 .parent(node)
-                .is_none_or(|parent| self.positions[parent] < step)
+                .is_none_or(|parent| (self.positions[parent] as usize) < step)
             {
                 ordered.insert(position);
                 resident(node);
@@ -233,7 +242,9 @@ impl<'w> ResidentSet<'w> {
                 memory,
             });
         }
-        Ok(self.total + tree.n(node) + tree.children_file_sum(node))
+        // The node's own file is resident: `total − f + MemReq` is
+        // `total + n + Σ f(children)`.
+        Ok(self.total - tree.f(node) + required)
     }
 
     /// Execute `node` at `step`: its input file is consumed, its children's
@@ -246,7 +257,8 @@ impl<'w> ResidentSet<'w> {
         }
         self.leave(step, tree.f(node));
         for &child in tree.children(node) {
-            self.enter(self.positions[child], tree.f(child));
+            let child = child as NodeId;
+            self.enter(self.positions[child] as usize, tree.f(child));
         }
     }
 }
@@ -258,7 +270,8 @@ fn stopped(stop: Option<&dyn Fn() -> bool>, step: usize) -> bool {
 }
 
 /// A traversal validated against its tree, with its position map
-/// (`positions[i] = σ(i) − 1`): the O(p) set-up every out-of-core walk of
+/// (`positions[i] = σ(i) − 1`, one `u32` a node): the O(p) set-up every
+/// out-of-core walk of
 /// that traversal shares.  Build it once, then run any number of
 /// simulations ([`Walk::schedule_io`]) and bounds
 /// ([`Walk::divisible_bound`]) on it — a policy sweep over one traversal
@@ -267,7 +280,7 @@ fn stopped(stop: Option<&dyn Fn() -> bool>, step: usize) -> bool {
 /// The walks take the tree and traversal the value was built from.
 #[derive(Debug, Clone)]
 pub struct Walk {
-    positions: Vec<usize>,
+    positions: Vec<u32>,
 }
 
 impl Walk {
@@ -280,13 +293,13 @@ impl Walk {
         })
     }
 
-    /// Approximate heap footprint in bytes (the position map).
+    /// Heap footprint in bytes (the position map): 4 a node.
     pub fn heap_bytes(&self) -> u64 {
-        (self.positions.len() * std::mem::size_of::<usize>()) as u64
+        (self.positions.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// The validated position map.
-    pub(crate) fn positions(&self) -> &[usize] {
+    pub(crate) fn positions(&self) -> &[u32] {
         &self.positions
     }
 
@@ -312,7 +325,7 @@ impl Walk {
         stop: Option<&dyn Fn() -> bool>,
     ) -> Result<Option<OutOfCoreRun>, MinIoError> {
         let order = self.order(tree, traversal);
-        let positions: &[usize] = &self.positions;
+        let positions: &[u32] = &self.positions;
 
         let mut resident = ResidentSet::with_root(tree, order, positions);
         let mut schedule = IoSchedule::empty(tree.len());
@@ -348,7 +361,7 @@ impl Walk {
                 }));
                 for idx in policy.select(&candidates, deficit) {
                     let candidate = candidates[idx];
-                    resident.leave(positions[candidate.node], candidate.size);
+                    resident.leave(positions[candidate.node] as usize, candidate.size);
                     during -= candidate.size;
                     io_volume += candidate.size;
                     files_written += 1;
@@ -436,7 +449,7 @@ impl Walk {
             resident.execute(step, node);
             in_core[node] = 0;
             for &child in tree.children(node) {
-                in_core[child] = tree.f(child);
+                in_core[child as usize] = tree.f(child as NodeId);
             }
         }
         Ok(Some(io_volume))
@@ -556,7 +569,7 @@ mod tests {
 
             resident_total -= in_core[node];
             in_core[node] = 0;
-            for &child in tree.children(node) {
+            for child in tree.children(node).iter().map(|&c| c as NodeId) {
                 in_core[child] = tree.f(child);
                 resident_total += tree.f(child);
             }
@@ -879,11 +892,11 @@ mod tests {
         let mut order = vec![
             tree.root(),
             gadget.big_node,
-            tree.children(gadget.big_node)[0],
+            tree.children(gadget.big_node)[0] as NodeId,
         ];
         for &item in &gadget.item_nodes {
             order.push(item);
-            order.push(tree.children(item)[0]);
+            order.push(tree.children(item)[0] as NodeId);
         }
         let traversal = treemem::Traversal::new(order);
         let bound = divisible_lower_bound(tree, &traversal, gadget.memory).unwrap();

@@ -8,17 +8,24 @@
 //! (`σ(parent(i)) < τ(i)`) and before its owner executes (`τ(i) < σ(i)`); it
 //! is read back right before its owner executes, so every file is written at
 //! most once and read at most once.
+//!
+//! An [`IoSchedule`] stores `τ` as one `u32` step a node, `u32::MAX` for
+//! `None`: a traversal has at most [`treemem::tree::MAX_NODES`] steps, so
+//! every eviction step fits below the sentinel.
 
 use treemem::error::TraversalError;
 use treemem::traversal::Traversal;
 use treemem::tree::{NodeId, Size, Tree};
 
+/// The [`IoSchedule`] entry of a file that stays in main memory.
+const NOT_EVICTED: u32 = u32::MAX;
+
 /// Eviction schedule: for every node, the step (0-based index into the
 /// traversal) just before which its input file is written to secondary
-/// memory, or `None` if it stays in main memory.
+/// memory, or `None` if it stays in main memory.  One `u32` a node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoSchedule {
-    evict_before_step: Vec<Option<usize>>,
+    evict_before_step: Vec<u32>,
 }
 
 impl IoSchedule {
@@ -26,18 +33,29 @@ impl IoSchedule {
     /// at least the peak of the traversal).
     pub fn empty(num_nodes: usize) -> Self {
         IoSchedule {
-            evict_before_step: vec![None; num_nodes],
+            evict_before_step: vec![NOT_EVICTED; num_nodes],
         }
     }
 
     /// The step before which node `i`'s file is evicted, if any.
     pub fn eviction_step(&self, i: NodeId) -> Option<usize> {
-        self.evict_before_step.get(i).copied().flatten()
+        self.evict_before_step
+            .get(i)
+            .filter(|&&step| step != NOT_EVICTED)
+            .map(|&step| step as usize)
     }
 
     /// Mark node `i`'s file as evicted just before `step`.
+    ///
+    /// # Panics
+    /// Panics if `step` is `u32::MAX` or more: no traversal has that many
+    /// steps.
     pub fn set_eviction(&mut self, i: NodeId, step: usize) {
-        self.evict_before_step[i] = Some(step);
+        let step = u32::try_from(step)
+            .ok()
+            .filter(|&step| step != NOT_EVICTED)
+            .expect("an eviction step is a step of a traversal");
+        self.evict_before_step[i] = step;
     }
 
     /// Nodes whose file is evicted, together with the step of the eviction.
@@ -45,7 +63,13 @@ impl IoSchedule {
         self.evict_before_step
             .iter()
             .enumerate()
-            .filter_map(|(node, step)| step.map(|s| (node, s)))
+            .filter(|&(_, &step)| step != NOT_EVICTED)
+            .map(|(node, &step)| (node, step as usize))
+    }
+
+    /// Heap footprint in bytes: 4 a node.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.evict_before_step.len() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Total volume written to secondary memory (`IO = Σ_{τ(i) ≠ ∞} f(i)`).
@@ -92,7 +116,7 @@ pub fn check_out_of_core(
 pub(crate) fn check_out_of_core_with_positions(
     tree: &Tree,
     traversal: &Traversal,
-    positions: &[usize],
+    positions: &[u32],
     schedule: &IoSchedule,
     memory: Size,
 ) -> Result<OutOfCoreCheck, TraversalError> {
@@ -125,7 +149,7 @@ pub(crate) fn check_out_of_core_with_positions(
             // The file must have been produced: its parent executed earlier
             // (or it is the root file, produced "by the outside world").
             let produced = match tree.parent(evicted) {
-                Some(par) => positions[par] < step,
+                Some(par) => (positions[par] as usize) < step,
                 None => true,
             };
             if !produced {
@@ -133,7 +157,7 @@ pub(crate) fn check_out_of_core_with_positions(
             }
             // It must still be resident and not already consumed: its owner
             // executes strictly later.
-            if !resident[evicted] || positions[evicted] < step {
+            if !resident[evicted] || (positions[evicted] as usize) < step {
                 return Err(TraversalError::FileNotResident { node: evicted });
             }
             resident[evicted] = false;
@@ -153,7 +177,7 @@ pub(crate) fn check_out_of_core_with_positions(
         );
 
         // Execute the node.
-        let during = resident_total + tree.n(node) + tree.children_file_sum(node);
+        let during = resident_total - tree.f(node) + tree.mem_req(node);
         peak = peak.max(during);
         if during > memory {
             return Err(TraversalError::OutOfMemory {
@@ -165,7 +189,7 @@ pub(crate) fn check_out_of_core_with_positions(
         }
         resident[node] = false;
         resident_total -= tree.f(node);
-        for &child in tree.children(node) {
+        for child in tree.children(node).iter().map(|&c| c as NodeId) {
             resident[child] = true;
             resident_total += tree.f(child);
         }

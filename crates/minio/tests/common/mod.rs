@@ -81,7 +81,7 @@ pub fn schedule_io_naive(
         // Execute the node.
         resident[node] = false;
         resident_total -= tree.f(node);
-        for &child in tree.children(node) {
+        for child in tree.children(node).iter().map(|&c| c as usize) {
             resident[child] = true;
             resident_total += tree.f(child);
         }

@@ -234,7 +234,7 @@ mod legacy {
             }
             resident[node] = false;
             resident_total -= tree.f(node);
-            for &child in tree.children(node) {
+            for child in tree.children(node).iter().map(|&c| c as usize) {
                 resident[child] = true;
                 resident_total += tree.f(child);
             }

@@ -23,92 +23,122 @@ use prng::{Rng, StdRng};
 
 use crate::pattern::{DimensionTooLarge, SparsePattern, SymmetricCsr};
 
-/// The pattern of a generator's edge list.
+/// The pattern of `n` vertices whose edges `edges` lists, built by
+/// [`SparsePattern::from_edges`]'s counting build.  Edges are `u32` pairs,
+/// 8 bytes an edge where a `usize` list took 16: the list is the largest
+/// thing a generator holds beside the pattern it builds.
 ///
 /// # Panics
-/// Panics if `n` exceeds [`MAX_DIMENSION`](crate::MAX_DIMENSION):
-/// [`ProblemKind::try_generate`] refuses that before generating.
-fn generated(n: usize, edges: &[(usize, usize)]) -> SparsePattern {
-    SparsePattern::from_edges(n, edges).expect("a generated dimension fits the u32 indices")
+/// Panics if `n` exceeds [`MAX_DIMENSION`](crate::MAX_DIMENSION), before
+/// `edges` is called: [`ProblemKind::try_generate`] refuses that before
+/// generating.
+fn generated(n: usize, edges: impl FnOnce() -> Vec<(u32, u32)>) -> SparsePattern {
+    DimensionTooLarge::check(n).expect("a generated dimension fits the u32 indices");
+    SparsePattern::from_checked_edges(n, &edges())
+}
+
+/// The `u32` edge pair `(i, j)`; both are below a checked dimension.
+fn pair(i: usize, j: usize) -> (u32, u32) {
+    (i as u32, j as u32)
 }
 
 /// Pattern of the 5-point Laplacian on an `nx × ny` grid.
 pub fn grid2d_5pt(nx: usize, ny: usize) -> SparsePattern {
+    generated(nx * ny, || grid2d_5pt_edges(nx, ny))
+}
+
+fn grid2d_5pt_edges(nx: usize, ny: usize) -> Vec<(u32, u32)> {
     let index = |x: usize, y: usize| y * nx + x;
     let mut edges = Vec::with_capacity(2 * nx * ny);
     for y in 0..ny {
         for x in 0..nx {
             if x + 1 < nx {
-                edges.push((index(x, y), index(x + 1, y)));
+                edges.push(pair(index(x, y), index(x + 1, y)));
             }
             if y + 1 < ny {
-                edges.push((index(x, y), index(x, y + 1)));
+                edges.push(pair(index(x, y), index(x, y + 1)));
             }
         }
     }
-    generated(nx * ny, &edges)
+    edges
 }
 
 /// Pattern of the 9-point stencil on an `nx × ny` grid (adds diagonal
 /// couplings to [`grid2d_5pt`]).
 pub fn grid2d_9pt(nx: usize, ny: usize) -> SparsePattern {
+    generated(nx * ny, || grid2d_9pt_edges(nx, ny))
+}
+
+fn grid2d_9pt_edges(nx: usize, ny: usize) -> Vec<(u32, u32)> {
     let index = |x: usize, y: usize| y * nx + x;
     let mut edges = Vec::with_capacity(4 * nx * ny);
     for y in 0..ny {
         for x in 0..nx {
             if x + 1 < nx {
-                edges.push((index(x, y), index(x + 1, y)));
+                edges.push(pair(index(x, y), index(x + 1, y)));
             }
             if y + 1 < ny {
-                edges.push((index(x, y), index(x, y + 1)));
+                edges.push(pair(index(x, y), index(x, y + 1)));
             }
             if x + 1 < nx && y + 1 < ny {
-                edges.push((index(x, y), index(x + 1, y + 1)));
-                edges.push((index(x + 1, y), index(x, y + 1)));
+                edges.push(pair(index(x, y), index(x + 1, y + 1)));
+                edges.push(pair(index(x + 1, y), index(x, y + 1)));
             }
         }
     }
-    generated(nx * ny, &edges)
+    edges
 }
 
 /// Pattern of the 7-point Laplacian on an `nx × ny × nz` grid.
 pub fn grid3d_7pt(nx: usize, ny: usize, nz: usize) -> SparsePattern {
+    generated(nx * ny * nz, || grid3d_7pt_edges(nx, ny, nz))
+}
+
+fn grid3d_7pt_edges(nx: usize, ny: usize, nz: usize) -> Vec<(u32, u32)> {
     let index = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
     let mut edges = Vec::with_capacity(3 * nx * ny * nz);
     for z in 0..nz {
         for y in 0..ny {
             for x in 0..nx {
                 if x + 1 < nx {
-                    edges.push((index(x, y, z), index(x + 1, y, z)));
+                    edges.push(pair(index(x, y, z), index(x + 1, y, z)));
                 }
                 if y + 1 < ny {
-                    edges.push((index(x, y, z), index(x, y + 1, z)));
+                    edges.push(pair(index(x, y, z), index(x, y + 1, z)));
                 }
                 if z + 1 < nz {
-                    edges.push((index(x, y, z), index(x, y, z + 1)));
+                    edges.push(pair(index(x, y, z), index(x, y, z + 1)));
                 }
             }
         }
     }
-    generated(nx * ny * nz, &edges)
+    edges
 }
 
 /// Pattern of a banded symmetric matrix of the given half-bandwidth.
 pub fn banded(n: usize, half_bandwidth: usize) -> SparsePattern {
+    generated(n, || banded_edges(n, half_bandwidth))
+}
+
+fn banded_edges(n: usize, half_bandwidth: usize) -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
     for i in 0..n {
         for offset in 1..=half_bandwidth {
             if i + offset < n {
-                edges.push((i, i + offset));
+                edges.push(pair(i, i + offset));
             }
         }
     }
-    generated(n, &edges)
+    edges
 }
 
 /// Random symmetric pattern with (approximately) `nnz_per_row` off-diagonal
 /// entries per row, Erdős–Rényi style.
 pub fn random_spd_pattern(n: usize, nnz_per_row: f64, seed: u64) -> SparsePattern {
+    generated(n, || random_spd_edges(n, nnz_per_row, seed))
+}
+
+fn random_spd_edges(n: usize, nnz_per_row: f64, seed: u64) -> Vec<(u32, u32)> {
     assert!(n > 0 && nnz_per_row >= 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
     // Each undirected edge contributes 2 off-diagonal entries, so target
@@ -119,15 +149,15 @@ pub fn random_spd_pattern(n: usize, nnz_per_row: f64, seed: u64) -> SparsePatter
         let i = rng.gen_range(0..n);
         let j = rng.gen_range(0..n);
         if i != j {
-            edges.push((i, j));
+            edges.push(pair(i, j));
         }
     }
     // Add a Hamiltonian path so the graph is connected (keeps elimination
     // trees from degenerating into forests).
     for i in 0..n.saturating_sub(1) {
-        edges.push((i, i + 1));
+        edges.push(pair(i, i + 1));
     }
-    generated(n, &edges)
+    edges
 }
 
 /// Random symmetric pattern with a power-law degree distribution: endpoints
@@ -135,6 +165,10 @@ pub fn random_spd_pattern(n: usize, nnz_per_row: f64, seed: u64) -> SparsePatter
 /// Produces a few very high-degree vertices, the irregular regime of the UF
 /// collection.
 pub fn power_law_pattern(n: usize, edges_count: usize, alpha: f64, seed: u64) -> SparsePattern {
+    generated(n, || power_law_edges(n, edges_count, alpha, seed))
+}
+
+fn power_law_edges(n: usize, edges_count: usize, alpha: f64, seed: u64) -> Vec<(u32, u32)> {
     assert!(n > 0 && alpha > 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
     // Precompute cumulative weights.
@@ -146,6 +180,7 @@ pub fn power_law_pattern(n: usize, edges_count: usize, alpha: f64, seed: u64) ->
         acc += w;
         cumulative.push(acc / total);
     }
+    drop(weights);
     let draw = |rng: &mut StdRng| -> usize {
         let x: f64 = rng.gen();
         match cumulative.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
@@ -158,13 +193,13 @@ pub fn power_law_pattern(n: usize, edges_count: usize, alpha: f64, seed: u64) ->
         let i = draw(&mut rng);
         let j = draw(&mut rng);
         if i != j {
-            edges.push((i, j));
+            edges.push(pair(i, j));
         }
     }
     for i in 0..n.saturating_sub(1) {
-        edges.push((i, i + 1));
+        edges.push(pair(i, i + 1));
     }
-    generated(n, &edges)
+    edges
 }
 
 /// Give a pattern numeric values that make it symmetric positive definite:
@@ -347,6 +382,63 @@ fn cube_side(target_n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dimension and `u32` edge list [`ProblemKind::generate`] builds
+    /// `kind`'s pattern from.
+    fn edges_of(kind: ProblemKind, target_n: usize, seed: u64) -> (usize, Vec<(u32, u32)>) {
+        let n = kind.dimension(target_n).unwrap();
+        let edges = match kind {
+            ProblemKind::Grid2d => grid2d_5pt_edges(square_side(target_n), square_side(target_n)),
+            ProblemKind::Grid2dWide => {
+                let (long, short) = wide_sides(target_n);
+                grid2d_5pt_edges(long, short)
+            }
+            ProblemKind::Grid2d9 => grid2d_9pt_edges(square_side(target_n), square_side(target_n)),
+            ProblemKind::Grid3d => {
+                let side = cube_side(target_n);
+                grid3d_7pt_edges(side, side, side)
+            }
+            ProblemKind::Banded => banded_edges(n, 8),
+            ProblemKind::Random => random_spd_edges(n, 4.0, seed),
+            ProblemKind::PowerLaw => power_law_edges(n, n * 3, 1.6, seed),
+        };
+        (n, edges)
+    }
+
+    /// Every kind at three sizes: the pattern built from `u32` pairs is the
+    /// one `from_edges` builds from the same edges as `usize` pairs, and
+    /// the 21 patterns hash to the literal the `usize` edge lists gave.
+    #[test]
+    fn u32_edge_pairs_build_the_usize_edge_patterns() {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |value: u64| {
+            for byte in value.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for kind in ProblemKind::ALL {
+            for size in [60, 700, 5_000] {
+                let pattern = kind.generate(size, 11);
+                let (n, edges) = edges_of(kind, size, 11);
+                let wide: Vec<(usize, usize)> = edges
+                    .iter()
+                    .map(|&(i, j)| (i as usize, j as usize))
+                    .collect();
+                assert_eq!(
+                    pattern,
+                    SparsePattern::from_edges(n, &wide).unwrap(),
+                    "{kind:?} {size}"
+                );
+                mix(pattern.n() as u64);
+                for i in 0..pattern.n() {
+                    mix(pattern.neighbors(i).len() as u64);
+                    pattern.neighbors(i).iter().for_each(|&j| mix(u64::from(j)));
+                }
+            }
+        }
+        assert_eq!(hash, 0xfd2c_173f_6727_8127);
+    }
 
     #[test]
     fn grid2d_structure() {

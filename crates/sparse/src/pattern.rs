@@ -38,6 +38,24 @@ impl fmt::Display for DimensionTooLarge {
 
 impl std::error::Error for DimensionTooLarge {}
 
+/// An index of an edge pair handed to the counting build: `usize` from
+/// [`SparsePattern::from_edges`], `u32` from the generators.
+pub(crate) trait EdgeIndex: Copy {
+    fn index(self) -> usize;
+}
+
+impl EdgeIndex for usize {
+    fn index(self) -> usize {
+        self
+    }
+}
+
+impl EdgeIndex for u32 {
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// The adjacency structure of a sparse symmetric matrix: for every row `i`,
 /// the sorted list of columns `j ≠ i` such that the entry `(i, j)` (or
 /// `(j, i)`) is structurally nonzero.  The diagonal is implicit (assumed
@@ -68,10 +86,23 @@ impl SparsePattern {
     /// Panics if an index is out of range.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self, DimensionTooLarge> {
         DimensionTooLarge::check(n)?;
+        Ok(Self::from_checked_edges(n, edges))
+    }
+
+    /// [`SparsePattern::from_edges`]'s counting build, on pairs of either
+    /// index width (the generators hand `u32` pairs, half the bytes of a
+    /// `usize` edge list), for an `n` the caller has already checked
+    /// against [`MAX_DIMENSION`].
+    ///
+    /// # Panics
+    /// Panics if an index is out of range.
+    pub(crate) fn from_checked_edges<T: EdgeIndex>(n: usize, edges: &[(T, T)]) -> Self {
+        debug_assert!(n <= MAX_DIMENSION);
         // `row_ptr[i + 1]` counts row `i`; after the prefix sum `row_ptr[i]`
         // is where row `i` starts.
         let mut row_ptr = vec![0; n + 1];
         for &(i, j) in edges {
+            let (i, j) = (i.index(), j.index());
             assert!(
                 i < n && j < n,
                 "index out of range: ({i}, {j}) with n = {n}"
@@ -88,6 +119,7 @@ impl SparsePattern {
         // at the end of row `i`, so shifting by one restores the starts.
         let mut col_idx = vec![0u32; row_ptr[n]];
         for &(i, j) in edges {
+            let (i, j) = (i.index(), j.index());
             if i != j {
                 col_idx[row_ptr[i]] = j as u32;
                 row_ptr[i] += 1;
@@ -115,12 +147,15 @@ impl SparsePattern {
             }
         }
         row_ptr[n] = kept;
+        // Duplicates leave capacity behind (half the array on a power-law
+        // pattern): give it back.
         col_idx.truncate(kept);
-        Ok(SparsePattern {
+        col_idx.shrink_to_fit();
+        SparsePattern {
             n,
             row_ptr,
             col_idx,
-        })
+        }
     }
 
     /// Dimension of the matrix.

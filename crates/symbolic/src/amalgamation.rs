@@ -71,7 +71,9 @@ impl AssemblyTree {
     }
 
     /// Heap footprint in bytes of the groups and their `η` and `µ` (the
-    /// weighted tree reports its own).
+    /// weighted tree reports its own, 36 bytes a node): 24 bytes a node —
+    /// its `super_ptr` offset, `η` and `µ` — plus one more offset and 4
+    /// bytes a column.
     pub fn groups_heap_bytes(&self) -> u64 {
         use std::mem::size_of;
         ((self.super_ptr.len() + self.eta.len() + self.mu.len()) * size_of::<usize>()
@@ -111,15 +113,15 @@ pub fn amalgamate(
     );
 
     // Union-find: every column points to the representative (highest column)
-    // of its group.
-    let mut representative: Vec<usize> = (0..n).collect();
-    let mut group_size: Vec<usize> = vec![1; n];
+    // of its group.  Columns are `u32`s, as the elimination tree's are.
+    let mut representative: Vec<u32> = (0..n as u32).collect();
+    let mut group_size: Vec<u32> = vec![1; n];
     let children = etree.children();
 
-    fn find(representative: &mut [usize], mut x: usize) -> usize {
-        while representative[x] != x {
-            representative[x] = representative[representative[x]];
-            x = representative[x];
+    fn find(representative: &mut [u32], mut x: u32) -> u32 {
+        while representative[x as usize] != x {
+            representative[x as usize] = representative[representative[x as usize] as usize];
+            x = representative[x as usize];
         }
         x
     }
@@ -134,10 +136,9 @@ pub fn amalgamate(
         // Perfect amalgamation: single child with identical structure below
         // the diagonal.
         if let &[c] = p_children {
-            let c = c as usize;
-            if counts[c] == counts[p] + 1 {
-                let child_group = find(&mut representative, c);
-                representative[child_group] = p;
+            if counts[c as usize] == counts[p] + 1 {
+                let child_group = find(&mut representative, c) as usize;
+                representative[child_group] = p as u32;
                 group_size[p] += group_size[child_group];
                 continue;
             }
@@ -145,8 +146,8 @@ pub fn amalgamate(
         // Relaxed amalgamation: absorb the densest child group while the
         // allowance permits.
         loop {
-            let p_group = find(&mut representative, p);
-            if group_size[p_group] >= max_amalgamation {
+            let p_group = find(&mut representative, p as u32) as usize;
+            if group_size[p_group] as usize >= max_amalgamation {
                 break;
             }
             // Child groups not yet merged into p, pick the densest (largest
@@ -154,14 +155,14 @@ pub fn amalgamate(
             // through two children is the same candidate twice).
             let candidate = p_children
                 .iter()
-                .map(|&c| find(&mut representative, c as usize))
+                .map(|&c| find(&mut representative, c) as usize)
                 .filter(|&g| g != p_group)
                 .max_by_key(|&g| (counts[g], g));
             let Some(candidate) = candidate else { break };
-            if group_size[p_group] + group_size[candidate] > max_amalgamation {
+            if (group_size[p_group] + group_size[candidate]) as usize > max_amalgamation {
                 break;
             }
-            representative[candidate] = p_group;
+            representative[candidate] = p_group as u32;
             group_size[p_group] += group_size[candidate];
         }
     }
@@ -172,40 +173,45 @@ pub fn amalgamate(
 
     // Number the groups in decreasing order of their representative, the
     // highest column, and count their columns.
-    let mut group_of_column = vec![usize::MAX; n];
-    let mut group_index_of_rep = vec![usize::MAX; n];
+    const UNNUMBERED: u32 = u32::MAX;
+    let mut group_of_column = vec![UNNUMBERED; n];
+    let mut group_index_of_rep = vec![UNNUMBERED; n];
     let mut eta: Vec<usize> = Vec::new();
     for column in (0..n).rev() {
-        let rep = find(&mut representative, column);
-        if group_index_of_rep[rep] == usize::MAX {
-            group_index_of_rep[rep] = eta.len();
+        let rep = find(&mut representative, column as u32) as usize;
+        if group_index_of_rep[rep] == UNNUMBERED {
+            group_index_of_rep[rep] = eta.len() as u32;
             eta.push(0);
         }
         let g = group_index_of_rep[rep];
-        eta[g] += 1;
+        eta[g as usize] += 1;
         group_of_column[column] = g;
     }
     drop((representative, group_index_of_rep));
     let num_groups = eta.len();
-    // A counting sort into one column array: each group's columns land in
-    // decreasing order, its representative first.
+    // A counting sort into one column array: `super_ptr[g]` starts as the
+    // end of group `g`, and scattering the columns in increasing order
+    // moves it down to the group's start, so each group's columns land in
+    // decreasing order, its representative first.  A forest's virtual root
+    // gets the empty group at the end.
     let mut super_ptr = Vec::with_capacity(num_groups + 2);
-    super_ptr.push(0);
+    let mut end = 0;
     for &count in &eta {
-        super_ptr.push(super_ptr[super_ptr.len() - 1] + count);
+        end += count;
+        super_ptr.push(end);
     }
-    let mut cursor = super_ptr[..num_groups].to_vec();
+    super_ptr.push(n);
     let mut columns = vec![0u32; n];
-    for column in (0..n).rev() {
-        let g = group_of_column[column];
-        columns[cursor[g]] = column as u32;
-        cursor[g] += 1;
+    for (column, &g) in group_of_column.iter().enumerate() {
+        let slot = &mut super_ptr[g as usize];
+        *slot -= 1;
+        columns[*slot] = column as u32;
     }
-    drop(cursor);
 
     // Assembly-tree parents: the group of the elimination-tree parent of the
-    // group's representative.
-    let mut parents: Vec<Option<usize>> = vec![None; num_groups];
+    // group's representative, built once; a forest's roots are tied under a
+    // virtual root appended in place.
+    let mut parents: Vec<Option<usize>> = Vec::with_capacity(num_groups + 1);
     for (g, &start) in super_ptr[..num_groups].iter().enumerate() {
         let representative_column = columns[start] as usize;
         let mut up = etree.parent(representative_column);
@@ -213,17 +219,24 @@ pub fn amalgamate(
         // representative, which is the highest column of its group, but stay
         // defensive).
         while let Some(candidate) = up {
-            if group_of_column[candidate] != g {
+            if group_of_column[candidate] as usize != g {
                 break;
             }
             up = etree.parent(candidate);
         }
-        parents[g] = up.map(|column| group_of_column[column]);
+        parents.push(up.map(|column| group_of_column[column] as usize));
     }
     drop(group_of_column);
+    let forest = parents.iter().filter(|p| p.is_none()).count() > 1;
+    if forest {
+        for parent in &mut parents {
+            parent.get_or_insert(num_groups);
+        }
+        parents.push(None);
+    }
 
-    // Weights.
-    let mu: Vec<usize> = super_ptr[..num_groups]
+    // Weights; the virtual root's are empty, with `µ = 1`.
+    let mut mu: Vec<usize> = super_ptr[..num_groups]
         .iter()
         .map(|&start| counts[columns[start] as usize])
         .collect();
@@ -236,36 +249,23 @@ pub fn amalgamate(
         let mu = mu[g] as Size;
         (mu - 1) * (mu - 1)
     };
-
-    // Tie a forest together under a virtual root with empty files.
-    let num_roots = parents.iter().filter(|p| p.is_none()).count();
-    let (tree_parents, mut files, mut weights, super_ptr, eta, mu) = if num_roots > 1 {
-        let virtual_root = num_groups;
-        let mut tree_parents: Vec<Option<usize>> = parents
-            .into_iter()
-            .map(|p| Some(p.unwrap_or(virtual_root)))
-            .collect();
-        tree_parents.push(None);
-        let mut files: Vec<Size> = (0..num_groups).map(edge_weight).collect();
-        files.push(0);
-        let mut weights: Vec<Size> = (0..num_groups).map(node_weight).collect();
-        weights.push(0);
-        let mut super_ptr = super_ptr;
+    let virtual_root_weight = forest.then_some(0);
+    let mut files: Vec<Size> = (0..num_groups)
+        .map(edge_weight)
+        .chain(virtual_root_weight)
+        .collect();
+    let mut weights: Vec<Size> = (0..num_groups)
+        .map(node_weight)
+        .chain(virtual_root_weight)
+        .collect();
+    if forest {
         super_ptr.push(n);
-        let mut eta = eta;
         eta.push(0);
-        let mut mu = mu;
         mu.push(1);
-        (tree_parents, files, weights, super_ptr, eta, mu)
-    } else {
-        let tree_parents = parents;
-        let files: Vec<Size> = (0..num_groups).map(edge_weight).collect();
-        let weights: Vec<Size> = (0..num_groups).map(node_weight).collect();
-        (tree_parents, files, weights, super_ptr, eta, mu)
-    };
+    }
 
     // The root exchanges no contribution block with a parent.
-    for (g, parent) in tree_parents.iter().enumerate() {
+    for (g, parent) in parents.iter().enumerate() {
         if parent.is_none() {
             files[g] = 0;
         }
@@ -277,7 +277,7 @@ pub fn amalgamate(
         }
     }
 
-    let tree = Tree::from_parents(&tree_parents, &files, &weights)
+    let tree = Tree::from_parents(&parents, &files, &weights)
         .expect("amalgamation always produces a valid tree");
     AssemblyTree {
         tree,
@@ -407,6 +407,116 @@ mod tests {
                 assert_eq!(tree.f(g), 0);
             }
         }
+    }
+
+    /// FNV-1a of every field of `assembly`, through its public accessors.
+    fn mix_assembly(hash: &mut u64, assembly: &AssemblyTree) {
+        let mut mix = |value: u64| {
+            for byte in value.to_le_bytes() {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let tree = &assembly.tree;
+        mix(assembly.len() as u64);
+        for g in 0..assembly.len() {
+            mix(assembly.group(g).len() as u64);
+            assembly.group(g).iter().for_each(|&c| mix(u64::from(c)));
+            mix(assembly.eta[g] as u64);
+            mix(assembly.mu[g] as u64);
+            mix(tree.parent(g).map_or(u64::MAX, |p| p as u64));
+            mix(tree.f(g) as u64);
+            mix(tree.n(g) as u64);
+        }
+    }
+
+    /// Every kind × {nd, amd} × allowance {1, 4, 16}: the assembly tree is
+    /// the `Tree` its own parents and weights rebuild, its bytes follow the
+    /// documented layouts, and every field hashes to the literal the
+    /// `usize`-scratch `amalgamate` (twice-built parents, cloned cursors)
+    /// produced.
+    #[test]
+    fn every_field_is_unchanged_and_the_tree_rebuilds_from_its_parents() {
+        use ordering::OrderingMethod;
+        use sparsemat::gen::ProblemKind;
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for kind in ProblemKind::ALL {
+            let pattern = kind.generate(600, 3);
+            for method in [
+                OrderingMethod::NestedDissection,
+                OrderingMethod::MinimumDegree,
+            ] {
+                let permuted = method.order(&pattern).apply(&pattern);
+                for allowance in [1, 4, 16] {
+                    let assembly = assembly_for(&permuted, allowance);
+                    let tree = &assembly.tree;
+                    let parents: Vec<_> = tree.parents().collect();
+                    let rebuilt = Tree::from_parents(&parents, tree.files(), tree.weights());
+                    assert_eq!(
+                        rebuilt.as_ref(),
+                        Ok(tree),
+                        "{kind:?} {method:?} {allowance}"
+                    );
+                    let p = assembly.len() as u64;
+                    assert_eq!(tree.heap_bytes(), 36 * p);
+                    let columns = pattern.n() as u64;
+                    assert_eq!(assembly.groups_heap_bytes(), 24 * p + 8 + 4 * columns);
+                    mix_assembly(&mut hash, &assembly);
+                }
+            }
+        }
+        assert_eq!(hash, 0xa822_407f_4e81_a861);
+    }
+
+    /// Scale gate, run by CI in release: the `nd` elimination tree of a
+    /// 10⁶-vertex grid amalgamated at allowance 4, every assembly-tree
+    /// invariant checked and its bytes equal to the documented layout.
+    #[test]
+    #[ignore]
+    fn amalgamates_a_million_column_grid_within_its_layout() {
+        use ordering::OrderingMethod;
+        let pattern = grid2d_5pt(1000, 1000);
+        let permuted = OrderingMethod::NestedDissection
+            .order(&pattern)
+            .apply(&pattern);
+        let etree = elimination_tree(&permuted);
+        let counts = column_counts(&permuted, &etree);
+        let assembly = amalgamate(&etree, &counts, 4);
+        let tree = &assembly.tree;
+        let n = pattern.n();
+        let mut group_of = vec![usize::MAX; n];
+        for g in 0..assembly.len() {
+            let group = assembly.group(g);
+            assert_eq!(group.len(), assembly.eta[g]);
+            assert!(group.windows(2).all(|pair| pair[0] > pair[1]));
+            for &column in group {
+                assert_eq!(
+                    group_of[column as usize],
+                    usize::MAX,
+                    "column {column} twice"
+                );
+                group_of[column as usize] = g;
+            }
+        }
+        assert!(group_of.iter().all(|&g| g != usize::MAX));
+        let mut roots = 0;
+        for g in 0..assembly.len() {
+            let representative = assembly.group(g)[0] as usize;
+            assert_eq!(assembly.mu[g], counts[representative]);
+            let (eta, mu) = (assembly.eta[g] as Size, assembly.mu[g] as Size);
+            assert_eq!(tree.n(g), eta * eta + 2 * eta * (mu - 1));
+            let expected = etree.parent(representative).map(|column| group_of[column]);
+            assert_eq!(tree.parent(g), expected);
+            match expected {
+                Some(_) => assert_eq!(tree.f(g), (mu - 1) * (mu - 1)),
+                None => roots += 1,
+            }
+        }
+        assert_eq!(roots, 1, "a connected grid has one root");
+        let p = assembly.len() as u64;
+        assert!(p < n as u64 / 2, "allowance 4 amalgamates the grid");
+        assert_eq!(tree.heap_bytes(), 36 * p);
+        assert_eq!(assembly.groups_heap_bytes(), 24 * p + 8 + 4 * n as u64);
     }
 
     #[test]

@@ -75,11 +75,11 @@ fn theorem_2_gadget_links_io_to_two_partition() {
         let mut order = vec![
             tree.root(),
             gadget.big_node,
-            tree.children(gadget.big_node)[0],
+            tree.children(gadget.big_node)[0] as usize,
         ];
         for &item in &gadget.item_nodes {
             order.push(item);
-            order.push(tree.children(item)[0]);
+            order.push(tree.children(item)[0] as usize);
         }
         let traversal = Traversal::new(order);
         let bound = divisible_lower_bound(tree, &traversal, gadget.memory).unwrap();
